@@ -1,6 +1,6 @@
 """Covering/merging subscription-control scaling benchmark.
 
-Two sweeps:
+Three sweeps:
 
 * **churn** — subscribe/unsubscribe churn driven straight through a routing
   strategy (identity / covering / merging) against a fake broker, comparing
@@ -8,6 +8,13 @@ Two sweeps:
   re-run ``covers`` per query) with the ``"incremental"`` forwarded-filter
   index.  Both runs see the same operation sequence and their control-message
   logs are asserted identical (up to generated merged-subscription ids).
+* **unsub-churn** — the same drive with every second operation an
+  unsubscription (a mobile fabric lives on unsubscribe + subscribe), timing
+  ``handle_unsubscribe`` and ``handle_subscribe`` apart: ``unsubscribe_us``
+  is the mean per call in incremental mode.  ``--before FILE`` embeds the
+  sweep as measured by an earlier run — this script copied into a checkout
+  of the parent commit, on the same machine — so the committed record holds
+  the before and the after.
 * **range-table** — ``RoutingTable.destinations`` on a Range-dominated
   workload (the paper's location/zone band filters), brute vs indexed, which
   exercises the per-attribute Range segment buckets.
@@ -21,6 +28,11 @@ machine-portable ``speedup`` ratios only.  Usage::
     PYTHONPATH=src python benchmarks/bench_covering_scale.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_covering_scale.py --fast   # CI smoke
     python benchmarks/compare.py BENCH_covering.json new.json
+
+``compare.py`` matches records by configuration and the fast run's
+unsub-churn sizes differ from the full run's, so the machine-dependent
+``unsubscribe_us`` is never compared across machines; the fast run gates the
+sweep itself (identical decisions, >= 5x over scan).
 """
 
 from __future__ import annotations
@@ -42,6 +54,8 @@ from repro.pubsub.subscription import Subscription  # noqa: E402
 from repro.pubsub.testing import RecordingBroker as FakeBroker  # noqa: E402
 from repro.pubsub.testing import normalize_merged_ids as normalized  # noqa: E402
 
+#: share of subscribes followed by an unsubscribe of a random live subscription, per sweep
+UNSUBSCRIBE_SHARE = {"churn": 0.25, "unsub-churn": 0.5}
 N_SERVICES = 40
 N_LOCATIONS = 12
 BAND = 10  # value bands are quantized so filters repeat and cover each other
@@ -63,8 +77,9 @@ def make_covering_filter(rng: random.Random) -> Filter:
     return Filter([Range("value", low, low + BAND * rng.randint(1, 2))])
 
 
-def make_ops(subscriptions: int, seed: int):
-    """A churn schedule: ~subscriptions subscribes interleaved with ~25% unsubscribes."""
+def make_ops(subscriptions: int, seed: int, unsubscribe_share: float):
+    """A churn schedule: ~subscriptions subscribes, each followed by an
+    unsubscribe of a random live subscription with ``unsubscribe_share``."""
     rng = random.Random(seed)
     ops = []
     live = []
@@ -74,45 +89,62 @@ def make_ops(subscriptions: int, seed: int):
         from_link = rng.choice(["c1", "c2"])
         ops.append(("sub", sub_id, filter, from_link))
         live.append((sub_id, filter, from_link))
-        if live and rng.random() < 0.25:
+        if live and rng.random() < unsubscribe_share:
             ops.append(("unsub", *live.pop(rng.randrange(len(live)))))
     return ops
 
 
 def run_churn(strategy_name: str, advertising: str, ops, links: int):
+    """Drive ``ops``; returns (seconds by operation kind, control-message log)."""
     broker = FakeBroker([f"N{i}" for i in range(links)])
     strategy = make_strategy(strategy_name, broker, advertising=advertising)
-    start = time.perf_counter()
+    seconds = {"sub": 0.0, "unsub": 0.0}
     for op, sub_id, filter, from_link in ops:
+        start = time.perf_counter()
         if op == "sub":
             strategy.handle_subscribe(
                 Subscription(sub_id=sub_id, filter=filter, subscriber=from_link), from_link
             )
         else:
             strategy.handle_unsubscribe(sub_id, filter, from_link)
-    elapsed = time.perf_counter() - start
-    return elapsed, broker.log
+        seconds[op] += time.perf_counter() - start
+    return seconds, broker.log
 
 
-def bench_churn(strategy_name: str, subscriptions: int, links: int, seed: int = 0,
-                compare_scan: bool = True):
-    ops = make_ops(subscriptions, seed)
+def bench_churn(
+    strategy_name: str,
+    subscriptions: int,
+    links: int,
+    seed: int = 0,
+    compare_scan: bool = True,
+    sweep: str = "churn",
+):
+    """One record of the churn sweep, or of its unsubscribe-heavy variant."""
+    ops = make_ops(subscriptions, seed, UNSUBSCRIBE_SHARE[sweep])
+    config = {"strategy": strategy_name, "subscriptions": subscriptions, "links": links}
     metrics = {}
-    incremental_s, incremental_log = run_churn(strategy_name, "incremental", ops, links)
+    seconds, incremental_log = run_churn(strategy_name, "incremental", ops, links)
+    incremental_s = sum(seconds.values())
     metrics["incremental_sec"] = incremental_s
     metrics["incremental_ops_per_sec"] = len(ops) / incremental_s
+    if sweep == "unsub-churn":
+        config["unsubscribe_share"] = UNSUBSCRIBE_SHARE[sweep]
+        unsubscribes = sum(op[0] == "unsub" for op in ops)
+        metrics["unsubscribe_us"] = 1e6 * seconds["unsub"] / unsubscribes
+        metrics["subscribe_us"] = 1e6 * seconds["sub"] / (len(ops) - unsubscribes)
+        metrics["control_messages_count"] = len(incremental_log)
     if compare_scan:
-        scan_s, scan_log = run_churn(strategy_name, "scan", ops, links)
+        scan_seconds, scan_log = run_churn(strategy_name, "scan", ops, links)
         if normalized(scan_log) != normalized(incremental_log):
             raise AssertionError(
                 f"forwarding divergence: strategy={strategy_name} subs={subscriptions}"
             )
-        metrics["scan_sec"] = scan_s
+        metrics["scan_sec"] = scan_s = sum(scan_seconds.values())
         metrics["speedup"] = scan_s / incremental_s
         metrics["decisions_identical"] = True
     return {
-        "sweep": "churn",
-        "config": {"strategy": strategy_name, "subscriptions": subscriptions, "links": links},
+        "sweep": sweep,
+        "config": config,
         "metrics": metrics,
     }
 
@@ -173,10 +205,10 @@ def bench_range_table(links: int, subscriptions: int, notifications: int, seed: 
 def assert_cheapest_first_probe_order() -> None:
     """Micro-assert: covering candidates are probed cheapest-first.
 
-    Builds a forwarded-filter index whose single attribute bucket holds
-    filters of different constraint counts (several constraints on the same
-    attribute share one attribute-set bucket) and checks the probe order is
-    ascending in constraint count — the PR's pruning invariant.
+    Builds a forwarded-filter index whose single pin group holds filters of
+    different constraint counts (several constraints on the same attribute
+    share one attribute-set bucket) and checks the group is kept in ascending
+    constraint count as members come and go.
     """
     from repro.pubsub.routing import _ForwardedFilterIndex
 
@@ -187,15 +219,13 @@ def assert_cheapest_first_probe_order() -> None:
     index.set_contribution("s3", "L", [three])
     index.set_contribution("s1", "L", [one])
     index.set_contribution("s2", "L", [two])
-    state = index._links["L"]
-    (attrs,) = state.by_attrs
-    counts = [len(f.constraints) for f in state.ordered_bucket(attrs)]
-    assert counts == sorted(counts) == [1, 2, 3], f"probe order not cheapest-first: {counts}"
+    ((group,),) = (groups.values() for groups in index._links["L"].by_attrs.values())
+    counts = [len(f.constraints) for f in group]
+    assert counts == [1, 2, 3], f"probe order not cheapest-first: {counts}"
     # the cheap broad filter must decide covered() without the narrow probes
     assert index.covered("L", Filter([Range("value", 5, 6)]))
-    # cache invalidation: removing the cheapest rep re-sorts the bucket
     index.remove_contribution("s1", "L")
-    counts = [len(f.constraints) for f in state.ordered_bucket(attrs)]
+    counts = [len(f.constraints) for f in group]
     assert counts == [2, 3], f"stale probe order after removal: {counts}"
     print("probe-order micro-assert: ok")
 
@@ -267,6 +297,9 @@ def main(argv=None) -> int:
         "-o",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_covering.json"),
     )
+    parser.add_argument(
+        "--before", help="an earlier run's output (parent commit, same machine) to embed"
+    )
     args = parser.parse_args(argv)
 
     strategies = ("identity", "covering", "merging")
@@ -274,6 +307,9 @@ def main(argv=None) -> int:
         assert_cheapest_first_probe_order()
         assert_wire_fragment_caches()
         churn_configs = [(s, 1000, 4, True) for s in strategies]
+        # sizes the full sweep does not use: compare.py must not match these
+        # records, their per-call microseconds are machine speed
+        unsub_configs = [("covering", 300, True), ("simple", 300, True)]
         range_configs = [(4, 1000)]
         # same notification count as the full sweep: the record shares its
         # config key with the committed baseline, so the measured ratio must
@@ -287,6 +323,15 @@ def main(argv=None) -> int:
             # the run, so the largest size records incremental throughput only
             (s, 10000, 4, False) for s in strategies
         ]
+        # scan re-examines every pair against every advertisement on every
+        # unsubscription: covering at 2000 would run for the better part of
+        # an hour, so its decisions are checked at 400 and simple's at both
+        unsub_configs = [
+            ("covering", 2000, False),
+            ("simple", 2000, True),
+            ("covering", 400, True),
+            ("simple", 400, True),
+        ]
         range_configs = [(4, 1000), (4, 5000)]
         range_notifications = 300
 
@@ -299,6 +344,17 @@ def main(argv=None) -> int:
             f"churn   {strategy:<9} subs={subs:<6} "
             f"incremental={m['incremental_sec']:7.3f}s "
             f"({m['incremental_ops_per_sec']:9.0f} ops/s)"
+        )
+        if "speedup" in m:
+            line += f" scan={m['scan_sec']:8.3f}s speedup={m['speedup']:6.1f}x"
+        print(line)
+    for strategy, subs, compare_scan in unsub_configs:
+        record = bench_churn(strategy, subs, 4, compare_scan=compare_scan, sweep="unsub-churn")
+        results.append(record)
+        m = record["metrics"]
+        line = (
+            f"unsub   {strategy:<9} subs={subs:<6} "
+            f"unsubscribe={m['unsubscribe_us']:9.1f}us subscribe={m['subscribe_us']:7.1f}us"
         )
         if "speedup" in m:
             line += f" scan={m['scan_sec']:8.3f}s speedup={m['speedup']:6.1f}x"
@@ -325,13 +381,32 @@ def main(argv=None) -> int:
     range_pool = [r for r in results if r["sweep"] == "range-table"]
     range_headline = max(range_pool, key=lambda r: r["metrics"]["speedup"]) if range_pool else None
 
+    unsub_headline = next(
+        r for r in results if r["sweep"] == "unsub-churn" and r["config"]["strategy"] == "covering"
+    )
     payload = {
         "benchmark": "covering_scale",
         "mode": "fast" if args.fast else "full",
         "results": results,
         "headline": headline,
         "range_headline": range_headline,
+        "unsub_headline": unsub_headline,
     }
+    if args.before:
+        before = json.loads(Path(args.before).read_text())
+        payload["before"] = {
+            "note": "the unsub-churn sweep of this script run on the parent commit, same machine",
+            "results": [r for r in before["results"] if r["sweep"] == "unsub-churn"],
+        }
+        was = before["unsub_headline"]
+        if was["config"] != unsub_headline["config"] or (
+            was["metrics"]["control_messages_count"]
+            != unsub_headline["metrics"]["control_messages_count"]
+        ):
+            raise AssertionError("the --before run did not drive the same unsub-churn headline")
+        payload["unsubscribe_speedup_vs_before"] = (
+            was["metrics"]["unsubscribe_us"] / unsub_headline["metrics"]["unsubscribe_us"]
+        )
     Path(args.output).write_text(json.dumps(payload, indent=2) + "\n")
     print(f"\nwrote {args.output}")
     status = 0
@@ -341,6 +416,13 @@ def main(argv=None) -> int:
         if speedup < 5.0:
             print("WARNING: churn speedup below the 5x acceptance bar", file=sys.stderr)
             status = 1
+    m = unsub_headline["metrics"]
+    print(f"unsub-churn headline: {unsub_headline['config']} -> {m['unsubscribe_us']:.1f}us")
+    if "unsubscribe_speedup_vs_before" in payload:
+        print(f"  {payload['unsubscribe_speedup_vs_before']:.1f}x the --before run")
+    if "speedup" in m and m["speedup"] < 5.0:
+        print("WARNING: unsubscribe-heavy churn speedup below the 5x bar", file=sys.stderr)
+        status = 1
     if range_headline is not None:
         speedup = range_headline["metrics"]["speedup"]
         print(f"range-table headline: {range_headline['config']} -> {speedup:.1f}x")

@@ -261,12 +261,9 @@ class Broker(Process):
         self._drop_link_entries(link)
 
     def _drop_link_entries(self, link: str) -> None:
-        removed = self.routing_table.remove_link(link)
-        # the bulk removal bypassed the strategy; let its incremental
-        # forwarded-filter index re-derive contributions from the live table
-        self.strategy.on_entries_removed(removed)
-        for entry in removed:
-            self.strategy.handle_unsubscribe(entry.sub_id, entry.filter, link)
+        # the whole link leaves the table first; the strategy then propagates
+        # one unsubscription per removed entry
+        self.strategy.on_entries_removed(self.routing_table.remove_link(link))
 
     # ----------------------------------------------------------- fault recovery
     def resync_link(self, peer_name: str) -> int:

@@ -29,10 +29,14 @@ Two implementations of the subscription-control path are available (the
 * ``"incremental"`` (default) — a maintained per-link
   :class:`_ForwardedFilterIndex`: a refcounted multiset of forwarded filter
   keys, distinct filters grouped by constrained attribute set (the covering
-  candidate bound), a memoised ``covers`` relation, and refcounted
-  constraint counts from which merging reads its merged filter without
-  re-folding the merge chain.  Forwarding decisions are identical to
-  ``"scan"`` — the index is a maintained view of the same state.
+  candidate bound) and, inside it, by one pinned equality value, a memoised
+  ``covers`` relation, and refcounted constraint counts from which merging
+  reads its merged filter without re-folding the merge chain.  Every
+  suppressed (subscription, link) pair waits behind the advertised filter
+  that suppresses it (its *witness*), so an unsubscription re-examines only
+  the pairs whose witness it took away, not the routing table.  Forwarding
+  decisions are identical to ``"scan"`` — the index is a maintained view of
+  the same state.
 
 All strategies are stateful per broker and interact with their broker through
 a narrow interface (`routing_table`, `broker_neighbors`, `forward_subscribe`,
@@ -41,12 +45,13 @@ a narrow interface (`routing_table`, `broker_neighbors`, `forward_subscribe`,
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import defaultdict
 from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Set, Tuple
 
 from ..obs.metrics import NULL_COUNTER
-from .filters import Constraint, Filter
-from .notification import Notification
+from .filters import Constraint, Equals, Filter, InSet
+from .matching import pick_index_key
 from .subscription import Subscription, next_subscription_id
 
 ADVERTISING_NAMES = ("scan", "incremental")
@@ -69,6 +74,38 @@ class RoutingBroker(Protocol):
 from .routing_table import RoutingTable  # noqa: E402  (after Protocol to avoid confusion)
 
 
+def _cost(filter: Filter) -> int:
+    return len(filter.constraints)
+
+
+def _probe_groups(filter: Filter) -> Optional[List[Optional[Tuple]]]:
+    """The pin groups that can hold a coverer of ``filter``; ``None`` means all of them.
+
+    A filter pinned to ``(a, v)`` (:func:`~repro.pubsub.matching.pick_index_key`:
+    ``Equals(a, v)`` or the singleton ``InSet(a, {v})``) covers only filters
+    that themselves constrain ``a`` to exactly ``v``, so besides the unpinned
+    general group (key ``None``) only ``filter``'s own pins name candidates.
+    An unhashable pin may equal a hashable one (``{1} == frozenset({1})``)
+    and every ``InSet`` covers the empty one: neither can be looked up.
+    """
+    groups: List[Optional[Tuple]] = [None]
+    for constraint in filter.constraints:
+        if isinstance(constraint, Equals):
+            value = constraint.value
+        elif isinstance(constraint, InSet) and len(constraint.values) <= 1:
+            if not constraint.values:
+                return None
+            (value,) = constraint.values
+        else:
+            continue
+        try:
+            hash(value)
+        except TypeError:
+            return None
+        groups.append((constraint.attribute, value))
+    return groups
+
+
 class _LinkAdverts:
     """The forwarded-filter state of one link, maintained incrementally.
 
@@ -77,13 +114,26 @@ class _LinkAdverts:
 
     * ``key_count``/``rep`` — refcount and one representative filter per
       distinct ``Filter.key()``; identity queries are one dict probe.
-    * ``by_attrs`` — distinct filters grouped by constrained attribute set.
-      ``G.covers(F)`` implies ``attrs(G) ⊆ attrs(F)``, so only buckets whose
-      attribute set is a subset of the queried filter's can hold a coverer.
+    * ``by_attrs`` — distinct filters grouped by constrained attribute set,
+      then by pin.  ``G.covers(F)`` implies ``attrs(G) ⊆ attrs(F)``, so only
+      buckets whose attribute set is a subset of the queried filter's can
+      hold a coverer, and inside a bucket only the groups
+      :func:`_probe_groups` names.  A group lists the cheapest ``covers()``
+      probe first: fewer constraints are cheaper to test and cover more.
     * ``constraint_count``/``constraint_rep``/``total`` — per-constraint
       refcounts over the multiset; a constraint present in every advertised
       filter (count == total) is part of the merged filter, which makes the
       merge fold an O(distinct constraints) read.
+
+    On top sits the suppression record.  ``witness`` maps the key of a filter
+    found redundant here to the key of the advertised filter that makes it so
+    (``covers`` is a pure function of the two keys), ``witnessed`` is its
+    inverse, and ``waiting`` holds the subscriptions suppressed on this link,
+    by the key of their suppressed filter.  A ``witness`` entry lives only
+    while its witness is advertised, so its presence *is* the answer "still
+    covered"; when the witness's refcount reaches zero the entry goes and
+    the subscriptions waiting on it are handed back as *orphans* — the only
+    ones an unsubscription has to re-examine.
     """
 
     __slots__ = (
@@ -91,26 +141,29 @@ class _LinkAdverts:
         "key_count",
         "rep",
         "by_attrs",
-        "ordered",
         "constraint_count",
         "constraint_rep",
         "total",
+        "witness",
+        "witnessed",
+        "waiting",
     )
 
     def __init__(self) -> None:
         self.subs: Dict[str, List[Filter]] = {}
         self.key_count: Dict[Tuple, int] = {}
         self.rep: Dict[Tuple, Filter] = {}
-        self.by_attrs: Dict[frozenset, Dict[Tuple, Filter]] = {}
-        # lazily sorted per-bucket probe order (see ordered_bucket)
-        self.ordered: Dict[frozenset, List[Filter]] = {}
+        self.by_attrs: Dict[frozenset, Dict[Optional[Tuple], List[Filter]]] = {}
         self.constraint_count: Dict[Tuple, int] = {}
         self.constraint_rep: Dict[Tuple, Constraint] = {}
         self.total = 0
+        self.witness: Dict[Tuple, Tuple] = {}
+        self.witnessed: Dict[Tuple, Set[Tuple]] = {}
+        self.waiting: Dict[Tuple, Set[str]] = {}
 
-    def set_contribution(self, sub_id: str, filters: List[Filter]) -> None:
-        if sub_id in self.subs:
-            self.remove_contribution(sub_id)
+    def set_contribution(self, sub_id: str, filters: List[Filter]) -> Iterable[str]:
+        """Replace ``sub_id``'s advertised filters; returns the orphans of the old ones."""
+        orphans = self.remove_contribution(sub_id)
         self.subs[sub_id] = list(filters)
         for filter in filters:
             self.total += 1
@@ -119,22 +172,20 @@ class _LinkAdverts:
             self.key_count[key] = count + 1
             if count == 0:
                 self.rep[key] = filter
-                bucket = self.by_attrs.get(filter.attribute_set)
-                if bucket is None:
-                    bucket = self.by_attrs[filter.attribute_set] = {}
-                bucket[key] = filter
-                self.ordered.pop(filter.attribute_set, None)
+                groups = self.by_attrs.setdefault(filter.attribute_set, {})
+                insort(groups.setdefault(pick_index_key(filter), []), filter, key=_cost)
             for ckey, constraint in {c.key(): c for c in filter.constraints}.items():
                 ccount = self.constraint_count.get(ckey, 0)
                 self.constraint_count[ckey] = ccount + 1
                 if ccount == 0:
                     self.constraint_rep[ckey] = constraint
+        return orphans
 
-    def remove_contribution(self, sub_id: str) -> None:
-        filters = self.subs.pop(sub_id, None)
-        if not filters:
-            return
-        for filter in filters:
+    def remove_contribution(self, sub_id: str) -> Iterable[str]:
+        """Withdraw ``sub_id``'s advertised filters; returns the subscriptions
+        that were waiting on a filter this was the last advertisement of."""
+        orphans: Set[str] = set()
+        for filter in self.subs.pop(sub_id, ()):
             self.total -= 1
             key = filter.key()
             count = self.key_count[key] - 1
@@ -142,12 +193,18 @@ class _LinkAdverts:
                 self.key_count[key] = count
             else:
                 del self.key_count[key]
-                del self.rep[key]
-                bucket = self.by_attrs[filter.attribute_set]
-                del bucket[key]
-                self.ordered.pop(filter.attribute_set, None)
-                if not bucket:
-                    del self.by_attrs[filter.attribute_set]
+                rep = self.rep.pop(key)
+                groups = self.by_attrs[rep.attribute_set]
+                pin = pick_index_key(rep)
+                group = groups[pin]
+                del group[next(i for i, member in enumerate(group) if member is rep)]
+                if not group:
+                    del groups[pin]
+                    if not groups:
+                        del self.by_attrs[rep.attribute_set]
+                for covered_key in self.witnessed.pop(key, ()):
+                    del self.witness[covered_key]
+                    orphans.update(self.waiting.pop(covered_key, ()))
             for ckey in {c.key() for c in filter.constraints}:
                 ccount = self.constraint_count[ckey] - 1
                 if ccount:
@@ -155,29 +212,29 @@ class _LinkAdverts:
                 else:
                     del self.constraint_count[ckey]
                     del self.constraint_rep[ckey]
+        return orphans
 
     def empty(self) -> bool:
         return not self.subs
 
-    def ordered_bucket(self, attrs: frozenset) -> List[Filter]:
-        """The bucket's distinct filters, cheapest ``covers()`` probe first.
+    def set_witness(self, key: Tuple, witness: Tuple) -> None:
+        self.witness[key] = witness
+        self.witnessed.setdefault(witness, set()).add(key)
 
-        Representatives are ordered by ascending constraint count: a filter
-        with fewer constraints is both cheaper to evaluate (``covers`` loops
-        over the coverer's constraints) and more likely to succeed (fewer
-        conjuncts — broader filter), so probing cheapest-first front-loads
-        the early exits.  The sort is computed lazily and cached until the
-        bucket's membership changes.
-        """
-        cached = self.ordered.get(attrs)
-        if cached is None:
-            bucket = self.by_attrs.get(attrs)
-            if not bucket:
-                return []
-            cached = self.ordered[attrs] = sorted(
-                bucket.values(), key=lambda filter: len(filter.constraints)
-            )
-        return cached
+    def stop_waiting(self, sub_id: str, key: Tuple) -> None:
+        """``sub_id`` no longer waits on filter ``key``; a memo entry nobody waits on goes too."""
+        waiters = self.waiting.get(key)
+        if waiters is not None:
+            waiters.discard(sub_id)
+            if waiters:
+                return
+            del self.waiting[key]
+        witness = self.witness.pop(key, None)
+        if witness is not None:
+            covered = self.witnessed[witness]
+            covered.discard(key)
+            if not covered:
+                del self.witnessed[witness]
 
     def merged_filter(self) -> Filter:
         """The constraint intersection of the advertised multiset.
@@ -201,7 +258,9 @@ class _ForwardedFilterIndex:
     One :class:`_LinkAdverts` per link plus a globally memoised ``covers``
     relation keyed by filter-key pairs (filter keys identify filters up to
     semantic equality, so the memo is sound).  The cache is cleared when it
-    exceeds :data:`COVERS_CACHE_LIMIT` entries, bounding broker memory.
+    exceeds :data:`COVERS_CACHE_LIMIT` entries, bounding broker memory; the
+    per-link witness memo needs no bound of its own — an entry dies with its
+    witness, with the last subscription waiting on it, or with the link.
     """
 
     COVERS_CACHE_LIMIT = 1 << 20
@@ -214,19 +273,43 @@ class _ForwardedFilterIndex:
         self._hits = hits
 
     # ---------------------------------------------------------- maintenance
-    def set_contribution(self, sub_id: str, link: str, filters: List[Filter]) -> None:
+    def set_contribution(self, sub_id: str, link: str, filters: List[Filter]) -> Iterable[str]:
         state = self._links.get(link)
         if state is None:
             state = self._links[link] = _LinkAdverts()
-        state.set_contribution(sub_id, filters)
+        return state.set_contribution(sub_id, filters)
 
-    def remove_contribution(self, sub_id: str, link: str) -> None:
+    def remove_contribution(self, sub_id: str, link: str) -> Iterable[str]:
         state = self._links.get(link)
         if state is None:
-            return
-        state.remove_contribution(sub_id)
+            return ()
+        orphans = state.remove_contribution(sub_id)
         if state.empty():
             del self._links[link]
+        return orphans
+
+    def block(self, sub_id: str, link: str, key: Tuple) -> bool:
+        """Park ``sub_id`` behind the advertisement that suppresses filter ``key`` on ``link``.
+
+        False when no such advertisement is on record — the caller must then
+        keep re-examining the pair itself.
+        """
+        state = self._links.get(link)
+        if state is None:
+            return False
+        if key not in state.witness:
+            if key not in state.key_count:
+                return False
+            # identity routing asks has_key(), which records nothing: the
+            # identical advertisement is the witness
+            state.set_witness(key, key)
+        state.waiting.setdefault(key, set()).add(sub_id)
+        return True
+
+    def unblock(self, sub_id: str, key: Tuple) -> None:
+        """``sub_id`` lost a table entry with filter ``key``: it waits on that nowhere."""
+        for state in self._links.values():
+            state.stop_waiting(sub_id, key)
 
     # --------------------------------------------------------------- queries
     def has_key(self, link: str, key: Tuple) -> bool:
@@ -250,25 +333,32 @@ class _ForwardedFilterIndex:
         if state is None:
             return False
         key = filter.key()
-        if key in state.key_count:
-            # an identically-keyed filter is advertised over the link;
-            # covers() is reflexive for every well-behaved constraint, but a
-            # NaN-valued equality is not equal to itself, so evaluate the
-            # (memoised) relation instead of assuming — scan mode would
-            if self.covers_cached(state.rep[key], filter):
-                self._hits.inc()
-                return True
+        if key not in state.witness:
+            witness = self._find_coverer(state, filter, key)
+            if witness is None:
+                return False
+            state.set_witness(key, witness)
+        self._hits.inc()
+        return True
+
+    def _find_coverer(self, state: _LinkAdverts, filter: Filter, key: Tuple) -> Optional[Tuple]:
+        # an identically-keyed filter may be advertised over the link;
+        # covers() is reflexive for every well-behaved constraint, but a
+        # NaN-valued equality is not equal to itself, so evaluate the
+        # (memoised) relation instead of assuming — scan mode would
+        if key in state.key_count and self.covers_cached(state.rep[key], filter):
+            return key
         attrs = filter.attribute_set
-        for bucket_attrs in state.by_attrs:
+        pins = _probe_groups(filter)
+        for bucket_attrs, groups in state.by_attrs.items():
             if not bucket_attrs <= attrs:
                 continue
-            # cheapest-first probe order: fewest-constraint reps are cheaper
-            # to test and more likely to cover, so they go first
-            for rep in state.ordered_bucket(bucket_attrs):
-                if self.covers_cached(rep, filter):
-                    self._hits.inc()
-                    return True
-        return False
+            probed = groups.values() if pins is None else [groups[p] for p in pins if p in groups]
+            for group in probed:
+                for rep in group:
+                    if self.covers_cached(rep, filter):
+                        return rep.key()
+        return None
 
     def count(self, link: str) -> int:
         state = self._links.get(link)
@@ -309,8 +399,19 @@ class RoutingStrategy:
         self._covering_hits = (
             metrics.counter("routing.covering_index_hits") if metrics is not None else NULL_COUNTER
         )
+        # one per needs_forwarding() evaluated while re-advertising after an
+        # unsubscription: the control path's work, wasted unless it forwards
+        self._reforward_probes = (
+            metrics.counter("routing.reforward_probes") if metrics is not None else NULL_COUNTER
+        )
         # sub_id -> links this broker has forwarded the subscription to
         self._forwarded: Dict[str, Set[str]] = defaultdict(set)
+        # link -> subscriptions to re-examine at the next re-advertisement
+        # over it (incremental mode).  A subscription with a table entry off
+        # a link listed here, not forwarded on it, is in the link's set or
+        # waits in the index behind a live witness.  Nothing is known yet
+        # about a link not listed: its first re-advertisement walks the table.
+        self._pending: Dict[str, Set[str]] = {}
         self._index: Optional[_ForwardedFilterIndex] = (
             _ForwardedFilterIndex(hits=self._covering_hits)
             if advertising == "incremental" and self.uses_advert_index
@@ -322,42 +423,77 @@ class RoutingStrategy:
     # ------------------------------------------------------------ subscriptions
     def handle_subscribe(self, subscription: Subscription, from_link: str) -> None:
         """Record the subscription and forward it where the strategy requires."""
-        self.broker.routing_table.add_subscription(subscription, from_link)
-        if subscription.sub_id in self._forwarded:
+        table = self.broker.routing_table
+        sub_id = subscription.sub_id
+        replaced = [entry for entry in table.sub_entries(sub_id) if entry.link == from_link]
+        table.add_subscription(subscription, from_link)
+        if replaced:
+            self._stop_waiting(sub_id, replaced)  # re-bound in place
+        if sub_id in self._forwarded:
             # an already-forwarded subscription gained a routing-table entry:
             # its advertised contributions changed, in both modes
-            self._refresh_contributions(subscription.sub_id)
-        for link in self._forward_targets(from_link):
+            self._refresh_contributions(sub_id)
+        targets = self._forward_targets(from_link)
+        for link in targets:
             if self.needs_forwarding(subscription.filter, link):
                 self._do_forward(subscription, link)
+            else:
+                self._suppress(sub_id, subscription.filter, link)
+        for link in self._pending:
+            if link != from_link and link not in targets:
+                # a link re-advertised over before that is no neighbour now
+                self._fall_due((sub_id,), link)
 
     def handle_unsubscribe(self, sub_id: str, filter: Filter, from_link: str) -> None:
         """Remove the subscription's entry for ``from_link`` and propagate."""
-        self.broker.routing_table.remove(sub_id, link=from_link)
-        # sorted: emission order must not depend on set iteration order, so
-        # runs are reproducible across processes/hash seeds (the golden-trace
-        # transport cross-check hashes the delivered byte sequence)
-        forwarded_links = sorted(self._forwarded.pop(sub_id, set()))
-        if self._index is not None:
-            for link in forwarded_links:
-                self._index.remove_contribution(sub_id, link)
-        self._adverts_changed.update(forwarded_links)
-        for link in forwarded_links:
-            self.broker.forward_unsubscribe(sub_id, filter, link)
-        self._reforward_uncovered(filter, forwarded_links)
+        removed = self.broker.routing_table.remove(sub_id, link=from_link)
+        # a duplicate or late unsubscription removes nothing, and must then
+        # retract nothing: the advertisements belong to the surviving entry
+        if removed:
+            self._withdraw(sub_id, filter, removed)
 
     def on_entries_removed(self, entries: Iterable) -> None:
-        """The broker removed routing-table entries behind our back.
+        """The broker removed routing-table entries in bulk (a link detach).
 
-        Called after bulk removals (link detach) that bypass
-        :meth:`handle_unsubscribe`, so the incremental index can re-derive
-        the contributions of still-forwarded subscriptions from the live
-        table (scan mode only needs the changed-adverts marks: it reads the
-        table on every query).
+        They all left the table before any unsubscription is propagated, so
+        none is re-advertised in place of another.  The incremental index
+        first re-derives the contributions of still-forwarded subscriptions
+        from the live table (scan mode only needs the changed-adverts marks:
+        it reads the table on every query).
         """
+        entries = list(entries)
         for sub_id in {entry.sub_id for entry in entries}:
             if sub_id in self._forwarded:
                 self._refresh_contributions(sub_id)
+        for entry in entries:
+            self._withdraw(entry.sub_id, entry.filter, [entry])
+
+    def _withdraw(self, sub_id: str, filter: Filter, removed: Iterable) -> None:
+        """Propagate the loss of ``sub_id``'s table entries ``removed``."""
+        # sorted: emission order must not depend on set iteration order, so
+        # runs are reproducible across processes/hash seeds (the golden-trace
+        # transport cross-check hashes the delivered byte sequence)
+        forwarded_links = sorted(self._forwarded.pop(sub_id, ()))
+        self._stop_waiting(sub_id, removed)
+        if self._index is not None:
+            for link in forwarded_links:
+                self._fall_due(self._index.remove_contribution(sub_id, link), link)
+        self._adverts_changed.update(forwarded_links)
+        for link in forwarded_links:
+            self.broker.forward_unsubscribe(sub_id, filter, link)
+        self._reforward_uncovered(forwarded_links)
+
+    def _stop_waiting(self, sub_id: str, removed: Iterable) -> None:
+        """``sub_id``'s table entries ``removed`` are gone: it waits on their
+        filters no more.  An entry that survives them — relocation overlap, or
+        the entry that replaced them — is due on every link: it may be
+        neither forwarded nor waiting there now."""
+        if self._index is not None:
+            for entry in removed:
+                self._index.unblock(sub_id, entry.filter.key())
+        if self._pending and self.broker.routing_table.has_subscription(sub_id):
+            for link in self._pending:
+                self._fall_due((sub_id,), link)
 
     # ------------------------------------------------------------- notifications
     def route(self, notification: Mapping, from_link: str) -> List[str]:
@@ -378,20 +514,16 @@ class RoutingStrategy:
         if advertising == self.advertising:
             return
         self.advertising = advertising
+        # what the old mode knew about suppressed pairs is void: either the
+        # index holding them is dropped or a fresh one has no memo yet
+        self._pending.clear()
         if advertising == "scan" or not self.uses_advert_index:
             self._index = None
         else:
             self._index = _ForwardedFilterIndex(hits=self._covering_hits)
             for sub_id, links in self._forwarded.items():
-                filters = [
-                    entry.filter
-                    for entry in self.broker.routing_table.entries_for_sub(sub_id)
-                ]
-                for link in links:
-                    self._index.set_contribution(sub_id, link, filters)
-        self._adverts_changed.update(
-            link for links in self._forwarded.values() for link in links
-        )
+                self._contribute(sub_id, links)
+        self._adverts_changed.update(link for links in self._forwarded.values() for link in links)
 
     def _forward_targets(self, from_link: str) -> List[str]:
         return [link for link in self.broker.broker_neighbors() if link != from_link]
@@ -400,11 +532,7 @@ class RoutingStrategy:
         sub_id = subscription.sub_id
         self._forwarded[sub_id].add(link)
         if self._index is not None:
-            self._index.set_contribution(
-                sub_id,
-                link,
-                [entry.filter for entry in self.broker.routing_table.entries_for_sub(sub_id)],
-            )
+            self._contribute(sub_id, (link,))
         self._adverts_changed.add(link)
         self.broker.forward_subscribe(subscription, link)
 
@@ -413,13 +541,29 @@ class RoutingStrategy:
         index contributions and mark its links' advertised sets changed."""
         links = self._forwarded.get(sub_id, ())
         if self._index is not None:
-            filters = [
-                entry.filter
-                for entry in self.broker.routing_table.entries_for_sub(sub_id)
-            ]
-            for link in links:
-                self._index.set_contribution(sub_id, link, filters)
+            self._contribute(sub_id, links)
         self._adverts_changed.update(links)
+
+    def _contribute(self, sub_id: str, links: Iterable[str]) -> None:
+        """Advertise the filters of ``sub_id``'s live table entries on ``links``."""
+        filters = [entry.filter for entry in self.broker.routing_table.sub_entries(sub_id)]
+        for link in links:
+            self._fall_due(self._index.set_contribution(sub_id, link, filters), link)
+
+    def _fall_due(self, sub_ids: Iterable[str], link: str) -> None:
+        """``sub_ids`` must be re-examined at the next re-advertisement over ``link``."""
+        pending = self._pending.get(link)
+        if pending is not None:
+            pending.update(sub_ids)
+
+    def _suppress(self, sub_id: str, filter: Filter, link: str) -> None:
+        """``needs_forwarding`` found ``filter`` redundant on ``link``: park the
+        pair behind its witness, or keep it due where the index knows none."""
+        pending = self._pending.get(link)
+        if pending is not None and (
+            self._index is None or not self._index.block(sub_id, link, filter.key())
+        ):
+            pending.add(sub_id)
 
     def _forwarded_filters(self, link: str) -> List[Filter]:
         filters = []
@@ -429,40 +573,60 @@ class RoutingStrategy:
                 filters.extend(entry.filter for entry in entries)
         return filters
 
-    def _reforward_uncovered(self, removed_filter: Filter, removed_from_links: Iterable[str]) -> None:
+    def _reforward_uncovered(self, links: List[str]) -> None:
         """After an unsubscription, re-advertise suppressed subscriptions.
 
         A strategy that suppressed forwarding of subscription *T* because the
         removed subscription's filter made it redundant must now forward *T*,
         otherwise upstream brokers would stop routing T's notifications.
+
+        Scan mode is the specification: every subscription in the table is
+        re-examined on every one of ``links``.  Incremental mode examines the
+        subscriptions due on each link, those whose witness just left among
+        them; a pair it skips waits behind a live witness, for which
+        ``needs_forwarding`` would answer no.
         """
-        removed_from_links = list(removed_from_links)  # consumed once per table entry
-        if not removed_from_links:
+        if not links:
             return
         table = self.broker.routing_table
-        # Group candidate entries by (sub_id, link) up front: a subscription
-        # with entries on several links must produce at most one shadow
-        # forward per link, but every entry's filter is tried — a later
-        # entry's filter may be the one that actually needs re-advertising.
-        # Iteration is sorted so shadow-forward emission order is independent
-        # of set/hash ordering (byte-reproducible runs).
-        pending: Dict[Tuple[str, str], List] = {}
-        for sub_id in sorted(table.subscription_ids()):
-            forwarded = self._forwarded.get(sub_id, set())
-            for entry in table.entries_for_sub(sub_id):
-                for link in removed_from_links:
-                    if link == entry.link or link in forwarded:
-                        continue
-                    pending.setdefault((sub_id, link), []).append(entry)
-        for (sub_id, link), entries in pending.items():
-            for entry in entries:
-                if link in self._forwarded.get(sub_id, ()):
-                    break  # an earlier entry already restored this pair
-                if self.needs_forwarding(entry.filter, link):
-                    shadow = Subscription(
-                        sub_id=sub_id, filter=entry.filter, subscriber=entry.link
-                    )
-                    self._do_forward(shadow, link)
+        if self.advertising == "scan":
+            due: Dict[str, List[str]] = dict.fromkeys(table.subscription_ids(), links)
+        else:
+            due = {}
+            for link in links:
+                pending = self._pending.get(link)
+                if pending is None:
+                    pending = table.subscription_ids()
+                elif not pending:
+                    continue
+                self._pending[link] = set()
+                for sub_id in pending:
+                    due.setdefault(sub_id, []).append(link)
+        # Sorted, so shadow-forward emission order is independent of set/hash
+        # ordering (byte-reproducible runs).
+        for sub_id in sorted(due):
+            # Group the candidate entries by link up front: a subscription
+            # with entries on several links must produce at most one shadow
+            # forward per link, but every entry's filter is tried — a later
+            # entry's filter may be the one that actually needs re-advertising.
+            forwarded = self._forwarded.get(sub_id, ())
+            by_link: Dict[str, List] = {}
+            for entry in table.sub_entries(sub_id):
+                for link in due[sub_id]:
+                    if link != entry.link and link not in forwarded:
+                        by_link.setdefault(link, []).append(entry)
+            for link, entries in by_link.items():
+                for entry in entries:
+                    if link in self._forwarded.get(sub_id, ()):
+                        break  # an earlier entry already restored this pair
+                    self._reforward_probes.inc()
+                    if self.needs_forwarding(entry.filter, link):
+                        shadow = Subscription(
+                            sub_id=sub_id, filter=entry.filter, subscriber=entry.link
+                        )
+                        self._do_forward(shadow, link)
+                    else:
+                        self._suppress(sub_id, entry.filter, link)
 
     def resync_link(self, link: str) -> int:
         """Re-advertise this broker's routing state over ``link`` from scratch.
@@ -476,6 +640,9 @@ class RoutingStrategy:
         — so the peer converges back to the steady-state advertisement set.
         Returns the number of subscriptions re-forwarded.
         """
+        # the walk below re-decides every pair on the link without recording
+        # the suppressed ones, so nothing is known about the link afterwards
+        self._pending.pop(link, None)
         for sub_id in [s for s, links in self._forwarded.items() if link in links]:
             links = self._forwarded[sub_id]
             links.discard(link)
@@ -497,9 +664,7 @@ class RoutingStrategy:
                 if link in self._forwarded.get(sub_id, ()):
                     break  # an earlier entry already re-advertised this pair
                 if self.needs_forwarding(entry.filter, link):
-                    shadow = Subscription(
-                        sub_id=sub_id, filter=entry.filter, subscriber=entry.link
-                    )
+                    shadow = Subscription(sub_id=sub_id, filter=entry.filter, subscriber=entry.link)
                     self._do_forward(shadow, link)
                     count += 1
         return count
@@ -543,9 +708,7 @@ class FloodingRouting(RoutingStrategy):
         self.broker.routing_table.remove(sub_id, link=from_link)
 
     def route(self, notification: Mapping, from_link: str) -> List[str]:
-        destinations = [
-            link for link in self.broker.broker_neighbors() if link != from_link
-        ]
+        destinations = [link for link in self.broker.broker_neighbors() if link != from_link]
         client_targets = self.broker.routing_table.destinations(
             notification, exclude=set(self.broker.broker_neighbors()) | {from_link}
         )
@@ -666,7 +829,9 @@ class MergingRouting(CoveringRouting):
                 ):
                     self.broker.forward_unsubscribe(sub_id, filters[0], link)
                     self._forwarded[sub_id].discard(link)
-                    self._index.remove_contribution(sub_id, link)
+                    # the merged advertisement is not in the index: the pair
+                    # is due, with whatever waited on its filters
+                    self._fall_due((sub_id, *self._index.remove_contribution(sub_id, link)), link)
                     self._adverts_changed.add(link)
             return
         for sub_id, links in list(self._forwarded.items()):

@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .filters import Equals, Filter, InSet, NotEquals, Prefix, Range
 from .matching import make_range_index, pick_index_key, pick_range_constraint
@@ -401,6 +401,11 @@ class RoutingTable:
 
     def entries_for_sub(self, sub_id: str) -> List[RouteEntry]:
         return list(self._by_sub.get(sub_id, []))
+
+    def sub_entries(self, sub_id: str) -> Sequence[RouteEntry]:
+        """:meth:`entries_for_sub` without the copy, for the routing strategy's
+        hot path: read-only, and void after the next table mutation."""
+        return self._by_sub.get(sub_id, ())
 
     def filters_for_link(self, link: str) -> List[Filter]:
         return [entry.filter for entry in self._by_link.get(link, {}).values()]
