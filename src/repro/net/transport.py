@@ -435,10 +435,15 @@ class AsyncioClock:
     ``Simulator.run``.
     """
 
-    def __init__(self, transport: "AsyncioTransport"):
+    def __init__(
+        self, transport: "AsyncioTransport", timer_done: Callable[[], None] = lambda: None
+    ):
         self._transport = transport
         self._loop = transport._loop
         self._t0 = self._loop.time()
+        #: called after each fired timer's callback ran, so whatever it sent
+        #: or scheduled is already counted (the asyncio backend's idle check)
+        self._timer_done = timer_done
         #: scheduled-but-not-yet-fired callbacks; part of the idle condition
         self.pending_timers = 0
 
@@ -464,6 +469,7 @@ class AsyncioClock:
                 transport = self._transport
                 if transport._pending_error is None:
                     transport._pending_error = exc
+            self._timer_done()
 
         handle._timer = self._loop.call_later(delay, fire)
         return handle
@@ -659,8 +665,12 @@ class AsyncioTransport(Transport):
     identical to the simulator — build, publish, then run to quiescence.
     Quiescence is exact, not heuristic: every frame written increments an
     in-flight counter that is only decremented after the receiving process
-    finished handling the message, so "no in-flight frames and no pending
-    timers" means the system is genuinely idle.
+    finished handling the message, and every clock timer and dynamic link
+    being established is counted until it has run.  :meth:`run_until_idle`
+    neither polls nor waits out a confirmation window: it parks on one future
+    that the code paths lowering those counters (or recording an error)
+    resolve the moment both read zero, so a drain costs what the traffic
+    costs and an idle transport returns at once.
     """
 
     name = "asyncio"
@@ -680,7 +690,7 @@ class AsyncioTransport(Transport):
         self.host = host
         self.codec = wire.get_codec(codec)
         self._loop = asyncio.new_event_loop()
-        self._clock = AsyncioClock(self)
+        self._clock = AsyncioClock(self, timer_done=self._wake_if_idle)
         self._processes: Dict[str, Process] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
@@ -688,6 +698,8 @@ class AsyncioTransport(Transport):
         self._link_seq = itertools.count(1)
         self._inflight = 0
         self._pending_error: Optional[BaseException] = None
+        #: the future a parked run_until_idle waits on (None when not driven)
+        self._idle_waiter: Optional[asyncio.Future] = None
         self._closed = False
         self.links: List[AsyncioLink] = []
         #: endpoints holding buffered frames, flushed in one scheduled pass
@@ -777,10 +789,13 @@ class AsyncioTransport(Transport):
                 if ready is not None:
                     ready(link)
             except BaseException as exc:
+                # a link that never came up holds no registry slot or socket
+                self.close_dynamic_link(link)
                 if self._pending_error is None:
                     self._pending_error = exc
             finally:
                 self._clock.pending_timers -= 1
+                self._wake_if_idle()
 
         self._clock.pending_timers += 1
         if self._loop.is_running():
@@ -886,6 +901,8 @@ class AsyncioTransport(Transport):
                             endpoint.undelivered -= 1
                         continue
                     await self._dispatch(link, process, message, arrival)
+                # once per read, not per frame (_dispatch is awaited inline)
+                self._wake_if_idle()
         except (asyncio.CancelledError, ConnectionResetError):
             pass
         except BaseException as exc:  # surface decode/handler bugs to the driver
@@ -903,6 +920,7 @@ class AsyncioTransport(Transport):
                 endpoint.undelivered = 0
                 endpoint._writer = None
             writer.close()
+            self._wake_if_idle()
 
     async def _dispatch(
         self,
@@ -978,7 +996,11 @@ class AsyncioTransport(Transport):
 
     # ----------------------------------------------------------------- driving
     def run(self, until: Optional[float] = None) -> float:
-        """Spin the event loop; with ``until``, for that many clock seconds."""
+        """Spin the event loop; with ``until``, up to that clock time.
+
+        Driving by time is how connections from outside peers get served:
+        their bytes are not work :meth:`run_until_idle` counts.
+        """
         self._require_open()
         if until is None:
             return self.run_until_idle()
@@ -988,41 +1010,56 @@ class AsyncioTransport(Transport):
         self._raise_pending_error()
         return self._clock.now
 
-    def run_until_idle(self, timeout: Optional[float] = None, settle: float = 0.02) -> float:
+    def run_until_idle(self, timeout: Optional[float] = None) -> float:
         """Drive the loop until no in-flight frames or pending timers remain.
 
-        ``settle`` is an extra idle-confirmation window after the counters
-        first reach zero, guarding against a connection handler that has
-        read bytes but not yet fed its frame decoder.
+        *Idle* means: no frame this transport sent is undelivered, no clock
+        timer is pending and no dynamic link is being established.  Returns
+        at once when that already holds; otherwise parks on a future that
+        :meth:`_wake_if_idle` resolves.  Bytes arriving on a connection the
+        transport did not open are not counted work — drive by time
+        (``run(until=...)``) to serve outside peers.
         """
         self._require_open()
         timeout = timeout if timeout is not None else self.DEFAULT_IDLE_TIMEOUT
 
         async def drain() -> None:
             deadline = self._loop.time() + timeout
-            settled_since: Optional[float] = None
-            while True:
-                if self._pending_error is not None:
-                    return
-                if self._inflight == 0 and self._clock.pending_timers == 0:
-                    now = self._loop.time()
-                    if settled_since is None:
-                        settled_since = now
-                    elif now - settled_since >= settle:
-                        return
-                else:
-                    settled_since = None
-                if self._loop.time() > deadline:
+            while not self._is_idle():
+                self._idle_waiter = self._loop.create_future()
+                try:
+                    await asyncio.wait_for(self._idle_waiter, deadline - self._loop.time())
+                except asyncio.TimeoutError:
                     raise TransportError(
                         f"run_until_idle timed out after {timeout}s "
                         f"({self._inflight} frames in flight, "
                         f"{self._clock.pending_timers} timers pending)"
-                    )
-                await asyncio.sleep(0.001)
+                    ) from None
+                finally:
+                    self._idle_waiter = None
 
         self._loop.run_until_complete(drain())
         self._raise_pending_error()
         return self._clock.now
+
+    def _is_idle(self) -> bool:
+        """Nothing counted remains — or an error is waiting to be raised."""
+        return self._pending_error is not None or (
+            self._inflight == 0 and self._clock.pending_timers == 0
+        )
+
+    def _wake_if_idle(self) -> None:
+        """Release a parked :meth:`run_until_idle` once nothing counted remains.
+
+        Called at the end of every loop callback that can lower a counter or
+        record an error: a read batch and the teardown of a connection
+        (``_serve_connection``), a fired timer (the clock's ``timer_done``)
+        and a dynamic link's ``establish``.  Handlers, ``cancel()`` and
+        ``ready`` only ever run inside one of those, so none of them checks.
+        """
+        waiter = self._idle_waiter
+        if waiter is not None and not waiter.done() and self._is_idle():
+            waiter.set_result(None)
 
     def _raise_pending_error(self) -> None:
         if self._pending_error is not None:

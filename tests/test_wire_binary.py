@@ -318,7 +318,11 @@ class TestMixedCodecHandshakeOverSockets:
     def test_foreign_codec_client_fails_loudly(self, server_codec, client_codec):
         """A client that negotiated the other codec is rejected at the
         handshake — surfacing CodecMismatchError to the driver instead of
-        feeding garbage frames to the decoder later."""
+        feeding garbage frames to the decoder later.
+
+        The raw socket is a connection the transport never opened, so its
+        bytes are not counted work and ``run_until_idle`` would return at
+        once; outside peers are served by driving the loop by time."""
         transport = AsyncioTransport(codec=server_codec)
         try:
             a = Recorder(transport.clock, "a")
@@ -334,7 +338,7 @@ class TestMixedCodecHandshakeOverSockets:
             with socket.create_connection((host, port)) as raw:
                 raw.sendall(frame(wire.encode_control(handshake)))
                 with pytest.raises(CodecMismatchError):
-                    transport.run_until_idle()
+                    transport.run(until=transport.clock.now + 0.2)
         finally:
             transport.close()
 
