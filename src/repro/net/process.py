@@ -157,9 +157,10 @@ class Process:
             message.sender = self.name
             message._frame_json = None
             message._frame_bin = None
+        # counted once the endpoint accepted it: a refused send was not sent
+        endpoint.transmit(message)
         self.messages_sent += 1
         self.bytes_sent += message.size()
-        endpoint.transmit(message)
 
     def send_many(self, peer_name: str, messages: "list[Message]") -> None:
         """Send a burst of messages to ``peer_name`` as one batched link event.
@@ -173,14 +174,17 @@ class Process:
         if not messages:
             return
         endpoint = self.links[peer_name]
+        size = 0
         for message in messages:
             if message.sender != self.name:
                 message.sender = self.name
                 message._frame_json = None
                 message._frame_bin = None
-            self.messages_sent += 1
-            self.bytes_sent += message.size()
+            size += message.size()
+        # counted once the endpoint accepted the burst (see send)
         endpoint.transmit_many(messages)
+        self.messages_sent += len(messages)
+        self.bytes_sent += size
 
     def deliver(self, message: Message) -> None:
         """Entry point used by links to hand a message to this process."""

@@ -38,7 +38,10 @@ property                     SimTransport                AsyncioTransport
 determinism                  bit-exact, seedable         no (real scheduler)
 per-link FIFO                yes (delivery floors)       yes (TCP streams)
 latency model                exact simulated seconds     ``latency`` is a
-                                                         per-message floor
+                                                         floor from each
+                                                         frame's arrival;
+                                                         timers fire when
+                                                         due (µs waits)
 real concurrency / sockets   no                          yes (localhost TCP)
 serialization                none (object references)    length-prefixed wire
                                                          frames per message
@@ -56,7 +59,10 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import select
+import selectors
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from . import wire
@@ -436,20 +442,28 @@ class AsyncioClock:
     """
 
     def __init__(
-        self, transport: "AsyncioTransport", timer_done: Callable[[], None] = lambda: None
+        self, transport: "AsyncioTransport", run_callback: Optional[Callable[..., None]] = None
     ):
         self._transport = transport
         self._loop = transport._loop
         self._t0 = self._loop.time()
-        #: called after each fired timer's callback ran, so whatever it sent
-        #: or scheduled is already counted (the asyncio backend's idle check)
-        self._timer_done = timer_done
+        #: runs a due timer's callback; the asyncio backend's own runner also
+        #: flushes what the callback sent and re-checks idleness when it ends
+        self._run_callback = run_callback or self._record_errors
         #: scheduled-but-not-yet-fired callbacks; part of the idle condition
         self.pending_timers = 0
 
     @property
     def now(self) -> float:
         return self._loop.time() - self._t0
+
+    def _record_errors(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run ``callback``; what it raises surfaces through the driver, as on the simulator."""
+        try:
+            callback(*args)
+        except BaseException as exc:
+            if self._transport._pending_error is None:
+                self._transport._pending_error = exc
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> _ClockHandle:
@@ -461,15 +475,7 @@ class AsyncioClock:
         def fire() -> None:
             handle.executed = True
             self.pending_timers -= 1
-            try:
-                callback(*args)
-            except BaseException as exc:
-                # surface the failure through run_until_idle, matching the
-                # simulator backend where a raising event fails the run
-                transport = self._transport
-                if transport._pending_error is None:
-                    transport._pending_error = exc
-            self._timer_done()
+            self._run_callback(callback, *args)
 
         handle._timer = self._loop.call_later(delay, fire)
         return handle
@@ -513,7 +519,8 @@ class _AsyncioDirectedEndpoint(LinkEndpoint):
         self.source = source
         self.target = target
         self.stats = LinkStats()
-        self._writer: Optional[asyncio.StreamWriter] = None
+        #: this direction's sending socket (None until open and once it died)
+        self._writer: Optional[asyncio.WriteTransport] = None
         #: frames framed but not yet written to the socket (hop-level write
         #: batching under a batched codec; always empty under JSON)
         self._buffer = bytearray()
@@ -527,6 +534,8 @@ class _AsyncioDirectedEndpoint(LinkEndpoint):
             self.stats.record_drop()
             link.on_drop(message, self.source, self.target)
             return
+        if self._writer is None:  # refused before any accounting: it was never sent
+            raise TransportError("link endpoint is not connected")
         self.stats.record(message)
         transport = link.transport
         transport._send_frames(self, transport.codec.frame_message(message), count=1)
@@ -540,6 +549,8 @@ class _AsyncioDirectedEndpoint(LinkEndpoint):
                 self.stats.record_drop()
                 link.on_drop(message, self.source, self.target)
             return
+        if self._writer is None:
+            raise TransportError("link endpoint is not connected")
         transport = link.transport
         frame_message = transport.codec.frame_message
         burst = bytearray()
@@ -553,9 +564,10 @@ class AsyncioLink:
     """A bidirectional link carried by two localhost TCP connections.
 
     Mirrors the :class:`~repro.net.link.Link` surface.  ``latency`` is
-    honoured as a per-message delivery floor (the receiver sleeps before
-    dispatching), on top of whatever the real sockets add; pass ``0.0`` for
-    raw socket speed.
+    honoured as a per-message delivery floor measured from the moment the
+    receiver read the frame (it keeps reading while earlier frames wait, so
+    floors never add up along a stream), on top of whatever the real sockets
+    add; pass ``0.0`` for raw socket speed.
     """
 
     def __init__(
@@ -650,6 +662,173 @@ class AsyncioLink:
         return f"AsyncioLink({self.a.name}<->{self.b.name}, {state})"
 
 
+class _ExactEpollSelector(selectors.EpollSelector):
+    """An epoll selector whose timed waits end when they are due.
+
+    The stock one rounds a positive timeout *up* to a whole millisecond (a
+    timer due in 0.3 ms fires after 1 ms).  ``select()`` takes microseconds
+    and an epoll fd is readable exactly when it has events: wait on the epoll
+    fd (I/O still ends the wait at once), then collect without blocking.
+    """
+
+    def select(self, timeout: Optional[float] = None):
+        if timeout is not None and timeout > 0:
+            select.select((self.fileno(),), (), (), timeout)
+            timeout = 0
+        return super().select(timeout)
+
+
+def _new_event_loop() -> asyncio.AbstractEventLoop:
+    """A loop with exact timer waits, or the stock loop where that cannot be had:
+    the default selector is not epoll (kqueue already has the resolution) or
+    the epoll fd is >= ``FD_SETSIZE``, which ``select()`` refuses with ValueError.
+    """
+    if selectors.DefaultSelector is selectors.EpollSelector:
+        selector = _ExactEpollSelector()
+        try:
+            select.select((selector.fileno(),), (), (), 0)
+        except ValueError:
+            selector.close()
+        else:
+            return asyncio.SelectorEventLoop(selector)
+    return asyncio.new_event_loop()
+
+
+class _Receiver(asyncio.Protocol):
+    """The receiving side of one link direction: one accepted connection.
+
+    One loop callback per read: ``data_received`` stamps the read's true
+    arrival time, splits and decodes its frames and hands each to the target
+    process — at once on a zero-latency link, otherwise through ``floor``, a
+    FIFO of ``(due, message)`` released by one ``call_at`` timer.  Reading
+    never waits on a floor, so the floors of a stream do not add up.
+    """
+
+    def __init__(self, owner: "AsyncioTransport", process: Process):
+        self.owner = owner
+        self.process = process
+        self.decoder = wire.FrameDecoder()
+        self.saw_handshake = False
+        self.link: Optional[AsyncioLink] = None
+        self.endpoint: Optional[_AsyncioDirectedEndpoint] = None
+        self.sock: Optional[asyncio.BaseTransport] = None
+        self.floor: "deque[Tuple[float, Message]]" = deque()
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.lost = False
+
+    def connection_made(self, sock: asyncio.BaseTransport) -> None:
+        self.sock = sock
+        self.owner._receivers.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.owner._run_callback(self._read, data)
+
+    def _read(self, data: bytes) -> None:
+        loop = self.owner._loop
+        # every frame in this read shares one arrival time; latency is a
+        # delivery floor relative to it, so a burst pays the latency once,
+        # not once per message (pipelined, like the simulator's floors)
+        arrival = loop.time()
+        decode_message = self.owner.codec.decode_message
+        try:
+            bodies = self.decoder.feed(data)
+            if not self.saw_handshake and bodies:
+                self._handshake(bodies.pop(0))
+            link = self.link
+            if link is None or link.latency == 0:
+                for body in bodies:
+                    self._deliver(decode_message(body))
+            elif bodies:
+                due = arrival + link.latency
+                self.floor.extend([(due, decode_message(body)) for body in bodies])
+                if self.timer is None:
+                    self.timer = loop.call_at(due, self.owner._run_callback, self._release)
+        except BaseException:
+            self._abort()
+            raise
+
+    def _handshake(self, body: bytes) -> None:
+        owner, process = self.owner, self.process
+        handshake = wire.decode_control(body)
+        if handshake.get("target") != process.name:
+            raise wire.WireError(
+                f"handshake for {handshake.get('target')!r} arrived at {process.name!r}"
+            )
+        wire.check_handshake_codec(handshake, owner.codec)
+        self.link = link = owner._links.get(handshake.get("link"))
+        if link is not None:
+            self.endpoint = link._endpoint_into(process)
+        self.saw_handshake = True
+        # the handshake fixed the codec; from here on every body must lead
+        # with this codec's first byte
+        self.decoder.codec = owner.codec
+
+    def _deliver(self, message: Message) -> None:
+        link, endpoint = self.link, self.endpoint
+        try:
+            # the up-check happens at *delivery* time — after the floor —
+            # like the sim endpoint's _deliver: a link torn down meanwhile
+            # still drops the message when deliver_in_flight_on_down is off
+            if link is not None and not link.up and not link.deliver_in_flight_on_down:
+                endpoint.stats.record_drop()
+                link.on_drop(message, endpoint.source, endpoint.target)
+            else:
+                self.process.deliver(message)
+        finally:
+            self.owner._inflight -= 1
+            if endpoint is not None:
+                endpoint.undelivered -= 1
+
+    def _release(self) -> None:
+        """The floor timer: deliver every queued frame that is due, re-arm for the rest."""
+        loop = self.owner._loop
+        floor = self.floor
+        self.timer = None
+        try:
+            while True:
+                self._deliver(floor.popleft()[1])
+                if not floor or floor[0][0] > loop.time():
+                    break
+        except BaseException:
+            self._abort()
+            raise
+        if floor:
+            self.timer = loop.call_at(floor[0][0], self.owner._run_callback, self._release)
+        elif self.lost:
+            self._reconcile()
+
+    def _abort(self) -> None:
+        """End the connection now (a decode or handler failure, or the transport
+        closing); what still waited behind the floor is never delivered."""
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self.floor.clear()
+        self.sock.close()  # a no-op once lost; then nothing else reconciles
+        if self.lost:
+            self._reconcile()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        # frames read before the close still wait out their floor (a detach's
+        # farewell is delivered); the endpoint is dead at once, so later
+        # transmits fail loudly instead of re-inflating the counter
+        self.lost = True
+        self.owner._receivers.discard(self)
+        if self.endpoint is not None:
+            self.endpoint._writer = None
+        if not self.floor:
+            self._reconcile()
+
+    def _reconcile(self) -> None:
+        """Forget frames counted towards this dead connection: they will never
+        arrive, and a later drain must not wait out its timeout on a ghost."""
+        endpoint = self.endpoint
+        if endpoint is not None:
+            self.owner._inflight -= endpoint.undelivered
+            endpoint.undelivered = 0
+        self.owner._wake_if_idle()
+
+
 class AsyncioTransport(Transport):
     """Real asyncio TCP sockets on localhost.
 
@@ -689,12 +868,14 @@ class AsyncioTransport(Transport):
     def __init__(self, host: str = "127.0.0.1", codec: "wire.Codec | str | None" = None):
         self.host = host
         self.codec = wire.get_codec(codec)
-        self._loop = asyncio.new_event_loop()
-        self._clock = AsyncioClock(self, timer_done=self._wake_if_idle)
+        self._loop = _new_event_loop()
+        self._clock = AsyncioClock(self, run_callback=self._run_callback)
         self._processes: Dict[str, Process] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._links: Dict[int, AsyncioLink] = {}
+        #: accepted connections still open (closed with the transport)
+        self._receivers: "set[_Receiver]" = set()
         self._link_seq = itertools.count(1)
         self._inflight = 0
         self._pending_error: Optional[BaseException] = None
@@ -704,6 +885,8 @@ class AsyncioTransport(Transport):
         self.links: List[AsyncioLink] = []
         #: endpoints holding buffered frames, flushed in one scheduled pass
         self._dirty: "set[_AsyncioDirectedEndpoint]" = set()
+        #: a flush is already coming: one handed to ``call_soon`` by a send
+        #: from outside the loop, or the end of the running :meth:`_run_callback`
         self._flush_scheduled = False
         from ..obs.metrics import MetricsRegistry
 
@@ -787,7 +970,7 @@ class AsyncioTransport(Transport):
                 await self._ensure_server(b)
                 await link._open()
                 if ready is not None:
-                    ready(link)
+                    self._run_callback(ready, link)
             except BaseException as exc:
                 # a link that never came up holds no registry slot or socket
                 self.close_dynamic_link(link)
@@ -828,17 +1011,16 @@ class AsyncioTransport(Transport):
                 raise TransportError(f"duplicate process name {process.name!r} on this transport")
             return
         self._processes[process.name] = process
-        server = await asyncio.start_server(
-            lambda reader, writer, _p=process: self._serve_connection(_p, reader, writer),
-            host=self.host,
-            port=0,
+        server = await self._loop.create_server(
+            lambda: _Receiver(self, process), host=self.host, port=0
         )
         self._servers[process.name] = server
         self._addresses[process.name] = server.sockets[0].getsockname()[:2]
 
     async def _open_direction(self, endpoint: _AsyncioDirectedEndpoint) -> None:
         host, port = self._addresses[endpoint.target.name]
-        _reader, writer = await asyncio.open_connection(host, port)
+        # the sending side never reads: a bare Protocol closes on the peer's EOF
+        writer, _protocol = await self._loop.create_connection(asyncio.Protocol, host, port)
         handshake = {
             "link": endpoint.link.link_id,
             "source": endpoint.source.name,
@@ -846,114 +1028,24 @@ class AsyncioTransport(Transport):
             **wire.handshake_fields(self.codec),
         }
         writer.write(wire.frame(wire.encode_control(handshake)))
-        await writer.drain()
         endpoint._writer = writer
 
-    # --------------------------------------------------------------- receiving
-    async def _serve_connection(
-        self, process: Process, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        codec = self.codec
-        decode_message = codec.decode_message
-        lean = codec.batched
-        decoder = wire.FrameDecoder()
-        link: Optional[AsyncioLink] = None
-        saw_handshake = False
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                # every frame in this read shares one arrival time; latency is
-                # applied as a delivery floor relative to it, so a burst pays
-                # the latency once, not once per message (pipelined, like the
-                # simulator's delivery floors)
-                arrival = self._loop.time()
-                for body in decoder.feed(data):
-                    if not saw_handshake:
-                        handshake = wire.decode_control(body)
-                        if handshake.get("target") != process.name:
-                            raise wire.WireError(
-                                f"handshake for {handshake.get('target')!r} arrived at "
-                                f"{process.name!r}"
-                            )
-                        wire.check_handshake_codec(handshake, codec)
-                        link = self._links.get(handshake.get("link"))
-                        saw_handshake = True
-                        # the handshake fixed the codec; from here on every
-                        # body must lead with this codec's first byte
-                        decoder.codec = codec
-                        continue
-                    message = decode_message(body)
-                    if lean and link is not None and link.latency == 0:
-                        # zero-latency fast path for the batched codec: no
-                        # coroutine per message, identical drop/accounting
-                        # semantics to _dispatch
-                        endpoint = link._endpoint_into(process)
-                        try:
-                            if not link.up and not link.deliver_in_flight_on_down:
-                                endpoint.stats.record_drop()
-                                link.on_drop(message, endpoint.source, endpoint.target)
-                            else:
-                                process.deliver(message)
-                        finally:
-                            self._inflight -= 1
-                            endpoint.undelivered -= 1
-                        continue
-                    await self._dispatch(link, process, message, arrival)
-                # once per read, not per frame (_dispatch is awaited inline)
-                self._wake_if_idle()
-        except (asyncio.CancelledError, ConnectionResetError):
-            pass
-        except BaseException as exc:  # surface decode/handler bugs to the driver
-            if self._pending_error is None:
-                self._pending_error = exc
-        finally:
-            # frames already written (and counted) towards this now-dead
-            # connection will never be dispatched; forget them so later
-            # run_until_idle calls don't wait out the timeout on a ghost,
-            # and mark the endpoint dead so later transmits fail loudly
-            # instead of re-inflating the counter
-            if link is not None:
-                endpoint = link._endpoint_into(process)
-                self._inflight -= endpoint.undelivered
-                endpoint.undelivered = 0
-                endpoint._writer = None
-            writer.close()
-            self._wake_if_idle()
+    def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run the body of one of this transport's own loop callbacks.
 
-    async def _dispatch(
-        self,
-        link: Optional[AsyncioLink],
-        process: Process,
-        message: Message,
-        arrival: float,
-    ) -> None:
-        endpoint = link._endpoint_into(process) if link is not None else None
+        A read, a floor release and a fired timer all end the same way: what
+        the body raised is recorded, the frames it sent are written out now
+        (not a loop turn later) and a parked drain is released if idle.
+        """
+        self._flush_scheduled = True
         try:
-            if link is not None:
-                if link.latency > 0:
-                    delay = arrival + link.latency - self._loop.time()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                # the up-check happens at *delivery* time — after the latency
-                # window — exactly like the sim endpoint's _deliver, so a link
-                # torn down while the message was in flight still drops it
-                # when deliver_in_flight_on_down is off
-                if not link.up and not link.deliver_in_flight_on_down:
-                    endpoint.stats.record_drop()
-                    link.on_drop(message, endpoint.source, endpoint.target)
-                    return
-            process.deliver(message)
+            self._clock._record_errors(callback, *args)
         finally:
-            self._inflight -= 1
-            if endpoint is not None:
-                endpoint.undelivered -= 1
+            self._flush_dirty()
+            self._wake_if_idle()
 
     # ----------------------------------------------------------------- sending
     def _send_frames(self, endpoint: "_AsyncioDirectedEndpoint", data: bytes, count: int) -> None:
-        if endpoint._writer is None:
-            raise TransportError("link endpoint is not connected")
         self._inflight += count
         endpoint.undelivered += count
         self._frames_sent.inc(count)
@@ -981,18 +1073,21 @@ class AsyncioTransport(Transport):
         if buffer:
             if endpoint._writer is not None:
                 # a dead connection already reconciled the in-flight counter
-                # (see _serve_connection's finally); its buffer just drops
+                # (see _Receiver.connection_lost); its buffer just drops
                 endpoint._writer.write(bytes(buffer))
                 self._write_bytes.observe(len(buffer))
             buffer.clear()
         self._dirty.discard(endpoint)
 
     def _flush_dirty(self) -> None:
-        """Scheduled once per event-loop turn: flush every buffering endpoint."""
+        """Flush every buffering endpoint: as a callback of the transport ends,
+        or one loop turn after a send from outside them."""
         self._flush_scheduled = False
-        dirty, self._dirty = self._dirty, set()
-        for endpoint in dirty:
-            self._flush_endpoint(endpoint)
+        dirty = self._dirty
+        if dirty:
+            self._dirty = set()
+            for endpoint in dirty:
+                self._flush_endpoint(endpoint)
 
     # ----------------------------------------------------------------- driving
     def run(self, until: Optional[float] = None) -> float:
@@ -1052,10 +1147,11 @@ class AsyncioTransport(Transport):
         """Release a parked :meth:`run_until_idle` once nothing counted remains.
 
         Called at the end of every loop callback that can lower a counter or
-        record an error: a read batch and the teardown of a connection
-        (``_serve_connection``), a fired timer (the clock's ``timer_done``)
-        and a dynamic link's ``establish``.  Handlers, ``cancel()`` and
-        ``ready`` only ever run inside one of those, so none of them checks.
+        record an error: a read batch, a floor release and a fired timer
+        (all through :meth:`_run_callback`), the teardown of a connection
+        (``_Receiver._reconcile``) and a dynamic link's ``establish``.
+        Handlers, ``cancel()`` and ``ready`` only ever run inside one of
+        those, so none of them checks.
         """
         waiter = self._idle_waiter
         if waiter is not None and not waiter.done() and self._is_idle():
@@ -1107,6 +1203,8 @@ class AsyncioTransport(Transport):
         async def shutdown() -> None:
             for link in self._links.values():
                 link._close_writers()
+            for receiver in list(self._receivers):
+                receiver._abort()
             for server in self._servers.values():
                 server.close()
             for server in self._servers.values():

@@ -1,0 +1,209 @@
+"""Time on the socket backend: timers fire when due, floors count from arrival.
+
+Two mechanisms of ``AsyncioTransport`` keep time.  The event loop's selector
+waits with microsecond resolution (the stock epoll selector rounds every
+timer wait up to a whole millisecond), and each accepted connection is a
+callback-driven receiver that stamps a read's true arrival and releases
+frames from a FIFO floor queue with one timer — it never sleeps inline, so
+the floors of a stream cannot add up.  Timing assertions are on *medians*:
+a stalled CI machine delays a few samples, not half of them.
+"""
+
+import asyncio
+import random
+import selectors
+import socket
+import statistics
+
+import pytest
+
+from repro.net import wire
+from repro.net.process import Message, Process
+from repro.net.transport import AsyncioTransport, TransportError
+
+
+class Recorder(Process):
+    """Records ``(payload, clock.now at receipt)`` for everything it receives."""
+
+    def __init__(self, sim, name):
+        super().__init__(sim, name)
+        self.received = []
+
+    def on_message(self, message):
+        self.received.append((message.payload, self.sim.now))
+
+    def payloads(self):
+        return [payload for payload, _at in self.received]
+
+
+@pytest.fixture(params=["json", "binary"])
+def transport(request):
+    transport = AsyncioTransport(codec=request.param)
+    yield transport
+    transport.close()
+
+
+def pair(transport, latency):
+    a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
+    return a, b, transport.make_link(a, b, latency=latency)
+
+
+# ------------------------------------------------------------------- floors
+
+
+def test_link_floors_do_not_compound_under_a_stream(transport):
+    """Regression: the receiver slept inline, so a message sent while the one
+    before it waited out its floor was stamped late and waited again (20 ms
+    link, one send every 10 ms: transits of 21 / 31 / 42 ms)."""
+    a, b, _link = pair(transport, latency=0.02)
+    clock = transport.clock
+    sent_at = {}
+
+    def send(i):
+        sent_at[i] = clock.now
+        a.send("b", Message("seq", payload=i))
+
+    for i in range(6):
+        clock.schedule(0.01 * i, send, i)
+    transport.run_until_idle()
+    assert b.payloads() == list(range(6))
+    transits = [received_at - sent_at[i] for i, received_at in b.received]
+    assert min(transits) >= 0.02
+    assert statistics.median(transits) < 0.025, [round(t * 1e3, 1) for t in transits]
+
+
+def test_bursts_over_a_floor_arrive_in_order_after_one_drain(transport):
+    a, b, _link = pair(transport, latency=0.002)
+    for burst in range(10):
+        transport.clock.schedule(
+            0.0005 * burst,
+            a.send_many,
+            "b",
+            [Message("seq", payload=burst * 10 + i) for i in range(10)],
+        )
+    transport.run_until_idle()
+    assert b.payloads() == list(range(100))
+    assert transport.resource_sizes()["inflight_frames"] == 0
+
+
+def test_closing_the_connections_under_a_waiting_floor_releases_the_drain(transport):
+    """Frames read before the close still wait out their floor and arrive; frames
+    written onto the closing connection are reconciled, not waited for."""
+    a, b, link = pair(transport, latency=0.05)
+    a.send_many("b", [Message("x", payload=i) for i in range(5)])
+    transport.run(until=transport.clock.now + 0.01)  # read, now waiting behind the floor
+    assert b.received == []
+    assert transport.resource_sizes()["inflight_frames"] == 5
+    link._close_writers()
+    a.send_many("b", [Message("x", payload=i) for i in range(5, 10)])
+    assert transport.resource_sizes()["inflight_frames"] == 10
+    transport.run_until_idle(timeout=2.0)
+    assert b.payloads() == list(range(5))
+    assert transport.resource_sizes()["inflight_frames"] == 0
+    with pytest.raises(TransportError, match="not connected"):
+        a.send("b", Message("x", payload="onto the dead connection"))
+
+
+def test_raising_handler_behind_the_floor_surfaces_and_does_not_wedge(transport):
+    class Poisoned(Recorder):
+        def on_message(self, message):
+            if message.payload == "poison":
+                raise RuntimeError("handler bug")
+            super().on_message(message)
+
+    a, b = Recorder(transport.clock, "a"), Poisoned(transport.clock, "b")
+    transport.make_link(a, b, latency=0.005)
+    a.send_many("b", [Message("x", payload=p) for p in ("before", "poison", "after")])
+    with pytest.raises(RuntimeError, match="handler bug"):
+        transport.run_until_idle(timeout=2.0)
+    transport.run_until_idle(timeout=2.0)  # the undelivered frame is not a ghost
+    assert b.payloads() == ["before"]
+    assert transport.resource_sizes()["inflight_frames"] == 0
+
+
+def test_handshake_naming_the_wrong_target_surfaces_from_the_driver(transport):
+    _a, _b, _link = pair(transport, latency=0.0)
+    handshake = {
+        "link": 1,
+        "source": "a",
+        "target": "someone else",
+        **wire.handshake_fields(transport.codec),
+    }
+    with socket.create_connection(transport._addresses["b"]) as raw:
+        raw.sendall(wire.frame(wire.encode_control(handshake)))
+        with pytest.raises(wire.WireError, match="arrived at 'b'"):
+            transport.run(until=transport.clock.now + 0.2)
+    transport.run_until_idle(timeout=2.0)
+
+
+# ------------------------------------------------------------------- timers
+
+
+def test_sub_millisecond_timers_fire_when_due(transport):
+    """The stock epoll selector rounds a wait up to whole milliseconds: every
+    one of these fired at >= 1.09 ms, i.e. 0.2 - 0.9 ms late."""
+    if selectors.DefaultSelector is not selectors.EpollSelector:
+        pytest.skip("only the epoll selector rounds; elsewhere the stock loop is kept")
+    clock = transport.clock
+    rng = random.Random(15)
+    lateness = []
+    for _ in range(51):
+        delay = rng.uniform(0.0002, 0.0009)
+        due = clock.now + delay
+        clock.schedule(delay, lambda due=due: lateness.append(clock.now - due))
+        transport.run_until_idle()
+    assert len(lateness) == 51
+    median = statistics.median(lateness)
+    assert median < 0.0003, f"median lateness {median * 1e3:.3f} ms"
+
+
+def test_io_preempts_a_long_timer_wait(transport):
+    """Waiting on the epoll fd for a timer must still wake at once on a readable socket."""
+    a, b, _link = pair(transport, latency=0.0)
+    far = transport.clock.schedule(0.05, lambda: None)
+    sent = transport.clock.now
+    a.send("b", Message("x", payload="while the loop waits for the timer"))
+    transport.run_until_idle()
+    assert len(b.received) == 1
+    assert b.received[0][1] - sent < 0.01
+    assert far.executed  # the drain then waited for the timer itself
+
+
+# ---------------------------------------------------------------- structure
+
+
+def test_no_task_exists_per_connection(transport):
+    names = ["a", "b", "c", "d"]
+    nodes = [Recorder(transport.clock, name) for name in names]
+    for left, right in zip(nodes, nodes[1:]):
+        transport.make_link(left, right, latency=0.001)
+    for node, successor in zip(nodes, names[1:]):
+        node.send(successor, Message("x", payload=node.name))
+    transport.run_until_idle()
+    assert [node.payloads() for node in nodes[1:]] == [["a"], ["b"], ["c"]]
+    assert len(transport._receivers) == 6  # one per direction of three links
+    assert asyncio.all_tasks(transport._loop) == set()
+
+
+# --------------------------------------------------------------- accounting
+
+
+def test_refused_transmit_is_not_counted(transport):
+    """Regression: a send onto a dead direction raised *after* the link stats
+    and the process counters had counted it (3 messages for 2 frames sent)."""
+    a, b, link = pair(transport, latency=0.0)
+    a.send("b", Message("x", payload=1))
+    a.send_many("b", [Message("x", payload=2)])
+    transport.run_until_idle()
+    link._close_writers()
+    transport.run_until_idle()
+    transport.run(until=transport.clock.now + 0.02)  # b's receiver sees the close
+    counters = (link.stats_a_to_b.messages, a.messages_sent, a.bytes_sent)
+    with pytest.raises(TransportError, match="not connected"):
+        a.send("b", Message("x", payload=3))
+    with pytest.raises(TransportError, match="not connected"):
+        a.send_many("b", [Message("x", payload=4), Message("x", payload=5)])
+    assert (link.stats_a_to_b.messages, a.messages_sent, a.bytes_sent) == counters
+    assert counters[:2] == (2, 2)
+    assert b.payloads() == [1, 2]
+    assert transport.resource_sizes()["inflight_frames"] == 0
