@@ -102,7 +102,7 @@ class MobilePubSub:
     Runs on any transport backend with dynamic link support: the
     deterministic simulator (the default, and the substrate the experiments
     use) or real asyncio sockets (``transport="asyncio"`` networks), where
-    every wireless attach opens actual TCP connections and the whole
+    every wireless attach opens an actual TCP connection and the whole
     replicated-handover protocol crosses the wire as encoded frames.
 
     Parameters

@@ -15,9 +15,9 @@ Three interchangeable backends:
   cross-check in ``tests/test_transport.py``, the way the ``matcher=`` and
   ``advertising=`` knobs are cross-checked).
 * :class:`AsyncioTransport` — every process gets a real asyncio TCP server
-  on localhost; links are pairs of TCP connections carrying length-prefixed
-  wire frames (:mod:`repro.net.wire`).  Per-direction FIFO comes from TCP
-  itself; time is the event loop's monotonic clock.  Runs are *not*
+  on localhost; a link is one duplex TCP connection carrying length-prefixed
+  wire frames (:mod:`repro.net.wire`) both ways.  Per-direction FIFO comes
+  from TCP itself; time is the event loop's monotonic clock.  Runs are *not*
   deterministic — that is the point: this is the deployment shape of the
   paper's original REBECA testbed (broker processes talking over sockets).
 * :class:`~repro.net.cluster.ClusterTransport` (``transport="cluster"``) —
@@ -45,8 +45,8 @@ latency model                exact simulated seconds     ``latency`` is a
 real concurrency / sockets   no                          yes (localhost TCP)
 serialization                none (object references)    length-prefixed wire
                                                          frames per message
-mobility layer support       full                        full (wireless links
-                                                         are real TCP conns
+mobility layer support       full                        full (a wireless link
+                                                         is a real TCP conn
                                                          opened per attach)
 ===========================  ==========================  ====================
 
@@ -214,7 +214,7 @@ class Transport(ABC):
 
         Called after the link has been logically disconnected (a wireless
         detach).  A no-op on the simulator; socket backends close the TCP
-        connections the link held so handover churn does not leak sockets.
+        connection the link held so handover churn does not leak sockets.
         """
 
     def resource_sizes(self) -> Dict[str, int]:
@@ -506,8 +506,9 @@ class _AsyncioDirectedEndpoint(LinkEndpoint):
     """The sending side of one direction of an :class:`AsyncioLink`.
 
     ``transmit`` serializes the message to a length-prefixed wire frame and
-    writes it to this direction's TCP connection; the receiving side's
-    server decodes and dispatches it.  Per-direction FIFO is TCP's.
+    writes it to the source's end of the link's TCP connection; the
+    :class:`_Receiver` at the target's end decodes and dispatches it.
+    Per-direction FIFO is TCP's.
     Serialising endpoints share fan-out messages, so a broker hop reuses
     one pre-encoded frame across every destination link.
     """
@@ -519,7 +520,7 @@ class _AsyncioDirectedEndpoint(LinkEndpoint):
         self.source = source
         self.target = target
         self.stats = LinkStats()
-        #: this direction's sending socket (None until open and once it died)
+        #: the source's end of the link's connection (None until open and once it died)
         self._writer: Optional[asyncio.WriteTransport] = None
         #: frames framed but not yet written to the socket (hop-level write
         #: batching under a batched codec; always empty under JSON)
@@ -561,13 +562,14 @@ class _AsyncioDirectedEndpoint(LinkEndpoint):
 
 
 class AsyncioLink:
-    """A bidirectional link carried by two localhost TCP connections.
+    """A bidirectional link carried by one duplex localhost TCP connection.
 
-    Mirrors the :class:`~repro.net.link.Link` surface.  ``latency`` is
-    honoured as a per-message delivery floor measured from the moment the
-    receiver read the frame (it keeps reading while earlier frames wait, so
-    floors never add up along a stream), on top of whatever the real sockets
-    add; pass ``0.0`` for raw socket speed.
+    ``a`` dials ``b``'s server; each end writes its direction on the socket
+    it reads the other on.  Mirrors the :class:`~repro.net.link.Link`
+    surface.  ``latency`` is honoured as a per-message delivery floor
+    measured from the moment the receiver read the frame (it keeps reading
+    while earlier frames wait, so floors never add up along a stream), on top
+    of whatever the real sockets add; pass ``0.0`` for raw socket speed.
     """
 
     def __init__(
@@ -592,8 +594,14 @@ class AsyncioLink:
         self._b_to_a = _AsyncioDirectedEndpoint(self, b, a)
 
     async def _open(self) -> None:
-        await self.transport._open_direction(self._a_to_b)
-        await self.transport._open_direction(self._b_to_a)
+        """Dial ``b`` and return once it acknowledged: traffic can flow both ways."""
+        transport, out = self.transport, self._a_to_b
+        loop = transport._loop
+        receiver = _Receiver(transport, self.a, acked=loop.create_future())
+        host, port = transport._addresses[self.b.name]
+        out._writer, _ = await loop.create_connection(lambda: receiver, host, port)
+        out._writer.write(self._handshake_frame(out))
+        await receiver.acked
         self.a.attach_link(self.b.name, self._a_to_b)
         self.b.attach_link(self.a.name, self._b_to_a)
 
@@ -601,12 +609,22 @@ class AsyncioLink:
         """The directed endpoint whose traffic arrives at ``target``."""
         return self._a_to_b if target is self.b else self._b_to_a
 
+    def _handshake_frame(self, endpoint: _AsyncioDirectedEndpoint) -> bytes:
+        """What ``endpoint``'s source opens its direction with (``b``'s is the ack)."""
+        handshake = {
+            "link": self.link_id,
+            "source": endpoint.source.name,
+            "target": endpoint.target.name,
+            **wire.handshake_fields(self.transport.codec),
+        }
+        return wire.frame(wire.encode_control(handshake))
+
     # ------------------------------------------------------------------ state
     def set_up(self, up: bool) -> None:
         self.up = up
 
     def disconnect(self) -> None:
-        """Tear the link down logically; the TCP connections stay for ``reconnect``."""
+        """Tear the link down logically; the TCP connection stays for ``reconnect``."""
         self.up = False
         self.a.detach_link(self.b.name)
         self.b.detach_link(self.a.name)
@@ -653,6 +671,7 @@ class AsyncioLink:
         """Hook invoked when a message is dropped; overridden in tests if needed."""
 
     def _close_writers(self) -> None:
+        """The hard kill: both ends stop reading at once (see ``close_dynamic_link``)."""
         for endpoint in (self._a_to_b, self._b_to_a):
             if endpoint._writer is not None:
                 endpoint._writer.close()
@@ -695,8 +714,10 @@ def _new_event_loop() -> asyncio.AbstractEventLoop:
 
 
 class _Receiver(asyncio.Protocol):
-    """The receiving side of one link direction: one accepted connection.
+    """One end of a link's connection: reads the direction that arrives there.
 
+    ``b``'s server creates one per accepted connection; ``a`` dials with one
+    as its own protocol (``acked`` is its future for ``b``'s handshake).
     One loop callback per read: ``data_received`` stamps the read's true
     arrival time, splits and decodes its frames and hands each to the target
     process — at once on a zero-latency link, otherwise through ``floor``, a
@@ -704,9 +725,13 @@ class _Receiver(asyncio.Protocol):
     never waits on a floor, so the floors of a stream do not add up.
     """
 
-    def __init__(self, owner: "AsyncioTransport", process: Process):
+    def __init__(
+        self, owner: "AsyncioTransport", process: Process, acked: Optional[asyncio.Future] = None
+    ):
         self.owner = owner
         self.process = process
+        #: the dialling end's wait for the acceptor's handshake (None when accepted)
+        self.acked = acked
         self.decoder = wire.FrameDecoder()
         self.saw_handshake = False
         self.link: Optional[AsyncioLink] = None
@@ -757,7 +782,22 @@ class _Receiver(asyncio.Protocol):
         wire.check_handshake_codec(handshake, owner.codec)
         self.link = link = owner._links.get(handshake.get("link"))
         if link is not None:
+            if {handshake.get("source"), process.name} != {link.a.name, link.b.name}:
+                raise wire.WireError(
+                    f"handshake from {handshake.get('source')!r} to {process.name!r} names "
+                    f"link {link.link_id}, which joins {link.a.name!r} and {link.b.name!r}"
+                )
             self.endpoint = link._endpoint_into(process)
+        if self.acked is not None:
+            self.acked.set_result(None)
+        elif link is not None:
+            # accepted: the way back is this same socket; answering tells the
+            # dialler so and lets it check this end's codec in turn
+            back = link._endpoint_into(self.endpoint.source)
+            if back._writer is not None:
+                raise wire.WireError(f"link {link.link_id} is already connected")
+            back._writer = self.sock
+            self.sock.write(link._handshake_frame(back))
         self.saw_handshake = True
         # the handshake fixed the codec; from here on every body must lead
         # with this codec's first byte
@@ -816,6 +856,10 @@ class _Receiver(asyncio.Protocol):
         self.owner._receivers.discard(self)
         if self.endpoint is not None:
             self.endpoint._writer = None
+        if self.acked is not None and not self.acked.done():
+            self.acked.set_exception(
+                exc or ConnectionError(f"{self.process.name!r}: link closed before its handshake")
+            )
         if not self.floor:
             self._reconcile()
 
@@ -833,10 +877,9 @@ class AsyncioTransport(Transport):
     """Real asyncio TCP sockets on localhost.
 
     Every process registered through :meth:`make_link` gets its own TCP
-    server on an ephemeral port; each link direction is a dedicated TCP
-    connection from the sender to the receiver's server, opened with a
-    handshake frame naming the link, then carrying one length-prefixed wire
-    frame per message.
+    server on an ephemeral port; a link is one duplex TCP connection from
+    ``link.a`` to ``link.b``'s server, opened by a handshake frame naming the
+    link each way, then carrying one length-prefixed wire frame per message.
 
     The stack above stays synchronous: sends buffer onto the socket and the
     event loop only spins while the transport is *driven*
@@ -874,7 +917,7 @@ class AsyncioTransport(Transport):
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._links: Dict[int, AsyncioLink] = {}
-        #: accepted connections still open (closed with the transport)
+        #: both ends of every connection still open (closed with the transport)
         self._receivers: "set[_Receiver]" = set()
         self._link_seq = itertools.count(1)
         self._inflight = 0
@@ -954,7 +997,7 @@ class AsyncioTransport(Transport):
         A wireless attach completes inside a scheduled callback, i.e. inside
         the running loop, where :meth:`make_link`'s ``run_until_complete``
         would deadlock.  The connection setup (server registration, TCP
-        connects, handshakes) therefore runs as a task; it is counted as
+        connect, handshakes) therefore runs as a task; it is counted as
         pending work so ``run_until_idle`` cannot declare the system idle
         while an attachment is still being established.  ``ready(link)``
         fires from inside the loop once traffic can flow.
@@ -988,17 +1031,20 @@ class AsyncioTransport(Transport):
         return link
 
     def close_dynamic_link(self, link: AsyncioLink) -> None:
-        """Close the TCP connections of a torn-down wireless link.
+        """Close the TCP connection of a torn-down wireless link.
 
-        Graceful: bytes already written (a ``client_leaving`` farewell) are
-        flushed to the receiver before the connection closes.  The link is
+        Graceful, by half-close: each end flushes what it wrote (a
+        ``client_leaving`` farewell) and sends EOF, but keeps *reading* until
+        the peer's EOF arrives, at which the socket closes itself — ``close()``
+        here would discard what the other end has just sent.  The link is
         also dropped from the transport's registry so a long roaming run
         (thousands of attach/detach cycles) does not accumulate dead links;
         connections already serving the link hold their own reference.
         """
-        self._flush_endpoint(link._a_to_b)
-        self._flush_endpoint(link._b_to_a)
-        link._close_writers()
+        for endpoint in (link._a_to_b, link._b_to_a):
+            self._flush_endpoint(endpoint)
+            if endpoint._writer is not None:
+                endpoint._writer.write_eof()
         self._links.pop(link.link_id, None)
         try:
             self.links.remove(link)
@@ -1016,19 +1062,6 @@ class AsyncioTransport(Transport):
         )
         self._servers[process.name] = server
         self._addresses[process.name] = server.sockets[0].getsockname()[:2]
-
-    async def _open_direction(self, endpoint: _AsyncioDirectedEndpoint) -> None:
-        host, port = self._addresses[endpoint.target.name]
-        # the sending side never reads: a bare Protocol closes on the peer's EOF
-        writer, _protocol = await self._loop.create_connection(asyncio.Protocol, host, port)
-        handshake = {
-            "link": endpoint.link.link_id,
-            "source": endpoint.source.name,
-            "target": endpoint.target.name,
-            **wire.handshake_fields(self.codec),
-        }
-        writer.write(wire.frame(wire.encode_control(handshake)))
-        endpoint._writer = writer
 
     def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
         """Run the body of one of this transport's own loop callbacks.
@@ -1169,10 +1202,9 @@ class AsyncioTransport(Transport):
     def resource_sizes(self) -> Dict[str, int]:
         """Live socket resources; handover/fault churn must not grow them.
 
-        ``open_writers`` counts the directed endpoints whose TCP writer is
-        still open — a closed dynamic link that left its writers behind
-        shows up here even after the link itself was dropped from the
-        registry.
+        ``open_writers`` counts the directed endpoints whose end of the
+        link's connection is still open: two per link, one socket each
+        (``links`` counts the connections).
         """
         open_writers = sum(
             1

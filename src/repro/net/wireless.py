@@ -55,7 +55,7 @@ class WirelessChannel:
     (``open_dynamic_link``/``close_dynamic_link``).  Pass ``transport=`` to
     carry the wireless hop on that backend: on the simulator attachment is
     the classic synchronous :class:`~repro.net.link.Link`, on asyncio each
-    attach opens real TCP connections and each detach closes them.  With no
+    attach opens a real TCP connection and each detach closes it.  With no
     transport (the legacy construction) the channel builds simulator links
     directly from ``sim``.
     """

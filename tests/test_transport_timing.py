@@ -136,6 +136,30 @@ def test_handshake_naming_the_wrong_target_surfaces_from_the_driver(transport):
     transport.run_until_idle(timeout=2.0)
 
 
+@pytest.mark.parametrize(
+    "source,refusal", [("someone else", "joins 'a' and 'b'"), ("a", "already connected")]
+)
+def test_handshake_for_a_live_link_from_the_wrong_peer_is_refused(transport, source, refusal):
+    """Regression: a handshake was bound to whatever link id it named once its
+    target matched — here it would be handed the live link's way back to ``a``.
+    Only the link's own two ends may open it, and only once."""
+    a, b, link = pair(transport, latency=0.0)
+    handshake = {
+        "link": link.link_id,
+        "source": source,
+        "target": "b",
+        **wire.handshake_fields(transport.codec),
+    }
+    with socket.create_connection(transport._addresses["b"], timeout=2.0) as raw:
+        raw.sendall(wire.frame(wire.encode_control(handshake)))
+        with pytest.raises(wire.WireError, match=refusal):
+            transport.run(until=transport.clock.now + 0.2)
+        assert raw.recv(1) == b""  # aborted, and sent no ack
+    b.send("a", Message("x", payload="still the real way back"))
+    transport.run_until_idle(timeout=2.0)
+    assert a.payloads() == ["still the real way back"]
+
+
 # ------------------------------------------------------------------- timers
 
 
