@@ -23,7 +23,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping, Optional
 
-from repro.net.transport import RUNTIME_KNOBS, TRANSPORT_NAMES
+from repro.net.transport import RUNTIME_KNOBS, TRANSPORT_NAMES, check_positive
 from repro.net.wire import CODEC_NAMES
 from repro.pubsub.routing import ADVERTISING_NAMES
 from repro.pubsub.routing_table import MATCHER_NAMES
@@ -45,11 +45,6 @@ def _check_name(field: str, value: str) -> None:
     allowed = _NAME_SETS[field]
     if value not in allowed:
         raise ValueError(f"unknown {field} {value!r}; allowed: {', '.join(allowed)}")
-
-
-def _check_positive(field: str, value: Any) -> None:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{field} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -75,8 +70,8 @@ class SystemConfig:
     def __post_init__(self) -> None:
         for field in ("matcher", "advertising", "transport", "codec"):
             _check_name(field, getattr(self, field))
-        _check_positive("flush_cap", self.flush_cap)
-        _check_positive("duplicates_capacity", self.duplicates_capacity)
+        check_positive("flush_cap", self.flush_cap)
+        check_positive("duplicates_capacity", self.duplicates_capacity)
         if not isinstance(self.metrics, bool):
             raise ValueError(f"metrics must be a bool, got {self.metrics!r}")
 

@@ -18,6 +18,14 @@ processes on separate hosts):
   the registry and dials it, so publishers/subscribers never hardcode
   addresses.
 
+Both kinds of process run on the asyncio backend's runtime
+(:class:`~repro.net.transport.SocketNode`): a broker child is "one broker
+plus a control channel", the parent "the clients, dial-only".  The cluster's
+own is policy: a send onto a closing connection is dropped and counted
+(:class:`ClusterEndpoint`), a lost link is reported to the broker, dials
+retry with jitter, a restarted node asks for a resync, links deliver at
+arrival (no latency floor).  The registry channel stays a plain stream.
+
 Topology on the parent side is declared exactly like on the other backends —
 ``BrokerNetwork(transport="cluster")`` or any topology builder with
 ``transport="cluster"`` — except that :meth:`ClusterTransport.build_broker`
@@ -29,9 +37,10 @@ the children and waits for the readiness barrier.
 Failure semantics: a broker child that hits an internal error exits with a
 non-zero code; the parent polls child liveness during boot and on every
 ``run_until_idle`` tick and raises :class:`ClusterError` naming the dead
-broker and its exit code.  A child whose registry control channel hits EOF
-(the parent died) shuts itself down, so no orphan broker processes are left
-behind.
+broker and its exit code.  A connection refused at the handshake (wrong
+codec or target) is closed unanswered and costs the broker nothing else.  A
+child whose registry control channel hits EOF (the parent died) shuts
+itself down, so no orphan broker processes are left behind.
 
 Quiescence: the parent cannot observe in-flight frames inside other
 processes, so ``run_until_idle`` polls the message counters of every broker
@@ -42,9 +51,9 @@ are *equal*.  This is exact, not heuristic: every transmitted message is
 counted by its sender before it leaves and by exactly one receiver when it
 has been fully handled, so a message in flight (socket buffer, starved
 reader) keeps ``sent > received``; and because counters are monotone, a
-send missed by one poll round would change the next round's vector.  No
-settle window is needed, which keeps the fixed cost of a drain to a couple
-of millisecond-scale poll rounds.
+send missed by one poll round would change the next round's vector.  Rounds
+are :attr:`ClusterTransport.POLL_INTERVAL` apart, so a drain costs at least
+two rounds and one interval on top of the traffic.
 """
 
 from __future__ import annotations
@@ -56,12 +65,11 @@ import random
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from ..obs.metrics import NULL_COUNTER, NULL_HISTOGRAM
-from . import wire
+from ..obs.metrics import MetricsRegistry
 from .link import LinkStats
-from .process import LinkEndpoint, Message, Process
+from .process import Message, Process
 from .registry import (
     FrameChannel,
     RegistryError,
@@ -72,12 +80,15 @@ from .registry import (
 )
 from .transport import (
     FAULT_ACTIONS,
-    RUNTIME_KNOBS,
-    AsyncioClock,
+    SocketEndpoint,
+    SocketNode,
     Transport,
     TransportError,
+    _Receiver,
+    apply_runtime_knobs,
+    check_runtime_knobs,
 )
-from .wire import FrameDecoder
+from .wire import Codec
 
 
 class ClusterError(TransportError):
@@ -87,86 +98,38 @@ class ClusterError(TransportError):
 # ---------------------------------------------------------------- endpoints
 
 
-class _RemoteEndpoint(LinkEndpoint):
-    """The sending half of a cross-process link: frames onto a TCP writer.
+class ClusterEndpoint(SocketEndpoint):
+    """This process's end of a cross-process link (one duplex TCP connection).
 
-    Used on both sides — broker children write towards their peers, the
-    parent's clients write towards their border broker.  The receiving side
-    is a plain reader loop feeding :class:`~repro.net.wire.FrameDecoder`.
-
-    Frames are *batched*: ``transmit`` appends to a per-endpoint buffer and
-    the owner flushes it once per dispatch burst (a child after processing
-    one socket read, the parent when it starts driving its loop).  A
-    pipelined stream of messages thus costs one ``write`` syscall per burst
-    instead of one per message — on a single core this batching, not
-    parallelism, is what lets the cluster outpace the in-process asyncio
-    backend.
+    Used on both sides — broker children towards their peers and clients,
+    the parent's clients towards their border broker.  A send onto a
+    connection that is closing or gone is dropped and counted, never an
+    error: the peer crashed or was severed, the fault being studied.
     """
 
-    shares_fanout = True
-
-    __slots__ = (
-        "writer",
-        "peer",
-        "stats",
-        "codec",
-        "_buffer",
-        "flush_cap",
-        "frames",
-        "wire_bytes",
-        "write_sizes",
-    )
-
-    def __init__(self, writer: asyncio.StreamWriter, peer: str, codec: "wire.Codec | None" = None):
-        self.writer = writer
+    def __init__(
+        self,
+        node: SocketNode,
+        peer: str,
+        receive: Callable[[Message], None],
+        lost: Optional[Callable[["ClusterEndpoint"], None]] = None,
+        stats: Optional[LinkStats] = None,
+    ):
+        super().__init__(node, stats)
         self.peer = peer
-        self.stats = LinkStats()
-        self.codec = wire.get_codec(codec)
-        self._buffer = bytearray()
-        #: buffer size that triggers an early flush mid-burst (``None`` = only
-        #: flush at burst boundaries); retuned live via the ``configure`` op
-        self.flush_cap: Optional[int] = None
-        # live wire instruments, bound by the owner from its metrics registry;
-        # the null singletons make the hot path branch-free when metrics are off
-        self.frames = NULL_COUNTER
-        self.wire_bytes = NULL_COUNTER
-        self.write_sizes = NULL_HISTOGRAM
+        self.receive = receive
+        self._on_lost = lost
 
-    def transmit(self, message: Message) -> None:
-        if self.writer.is_closing():
-            self.stats.record_drop()
-            return
-        self.stats.record(message)
-        frame = self.codec.frame_message(message)
-        self._buffer += frame
-        self.frames.inc()
-        self.wire_bytes.inc(len(frame))
-        if self.flush_cap is not None and len(self._buffer) >= self.flush_cap:
-            self.flush()
-
-    def transmit_many(self, messages: List[Message]) -> None:
-        if self.writer.is_closing():
+    def _admit(self, messages) -> bool:
+        if not self.is_open:
             for _ in messages:
                 self.stats.record_drop()
-            return
-        frame_message = self.codec.frame_message
-        for message in messages:
-            self.stats.record(message)
-            frame = frame_message(message)
-            self._buffer += frame
-            self.frames.inc()
-            self.wire_bytes.inc(len(frame))
-        if self.flush_cap is not None and len(self._buffer) >= self.flush_cap:
-            self.flush()
+            return False
+        return True
 
-    def flush(self) -> None:
-        """Hand every buffered frame to the socket in one write."""
-        if not self._buffer:
-            return
-        if not self.writer.is_closing():
-            self.writer.write(bytes(self._buffer))
-            self.write_sizes.observe(len(self._buffer))
-        self._buffer.clear()
+    def lost(self) -> None:
+        if self._on_lost is not None:
+            self._on_lost(self)
 
 
 def _stats_payload(stats: LinkStats) -> Dict[str, Any]:
@@ -181,34 +144,14 @@ def _stats_payload(stats: LinkStats) -> Dict[str, Any]:
 # ------------------------------------------------------------- child process
 
 
-class _NodeClock:
-    """Minimal Simulator-compatible clock for a broker child's event loop."""
-
-    def __init__(self, loop: asyncio.AbstractEventLoop):
-        self._loop = loop
-        self._t0 = loop.time()
-
-    @property
-    def now(self) -> float:
-        return self._loop.time() - self._t0
-
-    def schedule(self, delay: float, callback, *args):
-        return self._loop.call_later(max(0.0, delay), callback, *args)
-
-    def schedule_at(self, time: float, callback, *args):
-        return self.schedule(time - self.now, callback, *args)
-
-    def call_now(self, callback, *args):
-        return self.schedule(0.0, callback, *args)
-
-
-class _BrokerNode:
-    """One broker, hosted in its own OS process.
+class _BrokerNode(SocketNode):
+    """One broker, hosted in its own OS process: a node plus a control channel.
 
     Lifecycle: start the TCP server -> register with the registry -> dial
     the peers this node initiates -> wait for the peers that dial us ->
     report ready -> answer control requests (stats/shutdown) until told to
-    stop or the parent disappears.
+    stop or the parent disappears.  Nobody drives this node from outside, so
+    an error recorded by one of its callbacks stops it and becomes its exit.
     """
 
     LINK_SETUP_TIMEOUT = 30.0
@@ -218,152 +161,83 @@ class _BrokerNode:
     DIAL_RETRY_CAP = 2.0
 
     def __init__(self, spec: Dict[str, Any]):
+        from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
+
         self.spec = spec
         self.name: str = spec["name"]
         self.host: str = spec.get("host", "127.0.0.1")
         self.registry_address: Tuple[str, int] = tuple(spec["registry"])
-        #: the wire codec every link of this node speaks (handshake-checked)
-        self.codec = wire.get_codec(spec.get("codec"))
         #: a restarted node re-synchronises routing state over every link it
         #: (re-)establishes, instead of assuming the peers' tables are fresh
         self.resync_on_connect: bool = bool(spec.get("resync", False))
         #: control-plane knobs shipped in the spec by :class:`SystemConfig`
         #: (absent when the parent used legacy kwargs; defaults apply then)
         self.config: Dict[str, Any] = dict(spec.get("config") or {})
-        self.flush_cap: Optional[int] = self.config.get("flush_cap")
-        self.metrics = None
-        self.broker = None
-        self.failure: Optional[BaseException] = None
+        # the wire instruments live in the broker's registry and travel with
+        # its ``metrics`` reply
+        super().__init__(
+            spec.get("codec"), MetricsRegistry(enabled=bool(self.config.get("metrics", True)))
+        )
+        if self.config.get("flush_cap") is not None:
+            self.set_flush_cap(self.config["flush_cap"])
+        self.broker = Broker(
+            self._clock,
+            self.name,
+            routing=spec.get("routing", "simple"),
+            matcher=spec.get("matcher", "indexed"),
+            advertising=spec.get("advertising", "incremental"),
+            duplicates_capacity=self.config.get("duplicates_capacity"),
+            metrics=self.metrics,
+        )
         self.stop = asyncio.Event()
+        #: peers expected to dial in before this node is ready
         self._accept_pending: Set[str] = set(spec.get("accept", ()))
-        self._accept_seen = asyncio.Event()
-        self._writers: List[asyncio.StreamWriter] = []
-        self._tasks: List[asyncio.Task] = []
-        self._server: Optional[asyncio.AbstractServer] = None
+        self._accepts_done = asyncio.Event()
         # dial-retry jitter comes from a private, name-seeded RNG: broker
         # children must never mutate the module-level ``random`` state (the
         # chaos fuzzer's seeded schedules rely on nobody sharing that dice)
         self._rng = random.Random(f"dial-jitter:{self.name}")
 
-    def _fail(self, exc: BaseException) -> None:
-        if self.failure is None:
-            self.failure = exc
+    def _record_error(self, exc: BaseException) -> None:
+        """Routing and codec bugs must fail the node, loudly."""
+        super()._record_error(exc)
         self.stop.set()
 
+    def _handshake_refused(self, exc: BaseException) -> None:
+        """One misconfigured dialler must not take the broker down."""
+        print(f"{self.name}: refused a connection: {exc}", file=sys.stderr)
+
     # ------------------------------------------------------------ link traffic
-    def _make_endpoint(self, writer: asyncio.StreamWriter, peer: str) -> _RemoteEndpoint:
-        """Build an outbound endpoint wired to this node's knobs and metrics."""
-        endpoint = _RemoteEndpoint(writer, peer, self.codec)
-        endpoint.flush_cap = self.flush_cap
-        if self.metrics is not None:
-            endpoint.frames = self.metrics.counter("transport.frames_sent")
-            endpoint.wire_bytes = self.metrics.counter("transport.bytes_sent")
-            endpoint.write_sizes = self.metrics.histogram("transport.socket_write_bytes")
-        return endpoint
+    def _endpoint(self, peer: str) -> ClusterEndpoint:
+        return ClusterEndpoint(self, peer, self.broker.deliver, self._link_lost)
 
-    def _flush_endpoints(self) -> None:
-        """Write out every frame the last dispatch burst buffered."""
-        for endpoint in self.broker.links.values():
-            if isinstance(endpoint, _RemoteEndpoint):
-                endpoint.flush()
-
-    async def _read_link(
-        self,
-        reader: asyncio.StreamReader,
-        decoder: FrameDecoder,
-        peer: Optional[str] = None,
-        endpoint: Optional[_RemoteEndpoint] = None,
-    ) -> None:
-        """The receive hot path: decode frames, hand messages to the broker.
-
-        Deliberately synchronous per message (no per-frame coroutine, no
-        shared in-flight counters): a burst read is decoded and routed in
-        one tight loop, then every outbound endpoint is flushed once — the
-        forwards of a whole burst leave in one write.  This lean path is
-        what lets a broker child outpace the single-process asyncio backend
-        even before multi-core parallelism.
-
-        ``peer``/``endpoint`` identify the link this loop serves, so that a
-        crash of the remote end (EOF, TCP reset) can be reported to the
-        broker as a lost link rather than silently ignored.
-        """
-        deliver = self.broker.deliver
-        decode = self.codec.decode_message
-        lost = False
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    lost = True
-                    break
-                for body in decoder.feed(data):
-                    deliver(decode(body))
-                self._flush_endpoints()
-        except ConnectionResetError:
-            lost = True
-        except asyncio.CancelledError:
-            pass
-        except BaseException as exc:  # routing/codec bugs must fail the node
-            self._fail(exc)
-        if lost and peer is not None:
-            try:
-                self._link_lost(peer, endpoint)
-            except BaseException as exc:
-                self._fail(exc)
-
-    def _link_lost(self, peer: str, endpoint: Optional[_RemoteEndpoint]) -> None:
+    def _link_lost(self, endpoint: ClusterEndpoint) -> None:
         """React to a link dying under us (peer crashed or was severed)."""
         if self.stop.is_set():
             return  # orderly shutdown closes every link; nothing to recover
-        if self.broker.links.get(peer) is not endpoint:
+        if self.broker.links.get(endpoint.peer) is not endpoint:
             return  # a reconnect already replaced this link; stale EOF
-        self.broker.handle_link_lost(peer)
         # dropping a client link's entries may forward unsubscribes
-        self._flush_endpoints()
+        self.broker.handle_link_lost(endpoint.peer)
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Accept an inbound link: handshake names the peer, then traffic."""
-        decoder = FrameDecoder()
-        try:
-            handshake = None
-            while handshake is None:
-                data = await reader.read(65536)
-                if not data:
-                    writer.close()
-                    return
-                bodies = decoder.feed(data)
-                if bodies:
-                    handshake = wire.decode_control(bodies[0])
-                    leftover = bodies[1:]
-            wire.check_handshake_codec(handshake, self.codec)
-            # the handshake fixed the codec; every later body must lead with
-            # this codec's first byte
-            decoder.codec = self.codec
-            peer = handshake["peer"]
-            endpoint = self._make_endpoint(writer, peer)
-            self.broker.attach_link(peer, endpoint)
-            if handshake.get("kind") == "broker":
-                self.broker.register_broker_peer(peer)
-            self._writers.append(writer)
-            self._accept_pending.discard(peer)
-            self._accept_seen.set()
-            if handshake.get("resync"):
-                # the dialer lost (or restarted without) its routing state:
-                # void what it advertised before and send ours from scratch
-                self.broker.resync_link(peer)
-            for body in leftover:
-                self.broker.deliver(self.codec.decode_message(body))
-            self._flush_endpoints()
-        except (ConnectionResetError, asyncio.CancelledError):
-            writer.close()
-            return
-        except BaseException as exc:
-            self._fail(exc)
-            writer.close()
-            return
-        await self._read_link(reader, decoder, peer, endpoint)
+    def _accept(self, name: str, handshake: Dict[str, Any], sock) -> ClusterEndpoint:
+        """Accept an inbound link: the handshake names the peer and its kind."""
+        peer = handshake["source"]
+        endpoint = self._endpoint(peer)
+        endpoint._writer = sock
+        self.broker.attach_link(peer, endpoint)
+        if handshake.get("kind") == "broker":
+            self.broker.register_broker_peer(peer)
+        self._accept_pending.discard(peer)
+        if not self._accept_pending:
+            self._accepts_done.set()
+        return endpoint
+
+    def _accepted(self, inbound: ClusterEndpoint, handshake: Dict[str, Any]) -> None:
+        if handshake.get("resync"):
+            # the dialer lost (or restarted without) its routing state:
+            # void what it advertised before and send ours from scratch
+            self.broker.resync_link(inbound.peer)
 
     async def _dial_peer(self, peer: str, resync: bool = False) -> None:
         """Initiate the link for an edge this node is the dialer of.
@@ -373,13 +247,16 @@ class _BrokerNode:
         peer may be mid-restart, registered but not yet accepting, and a
         thundering herd of reconnecting neighbours must not synchronise.
         """
-        loop = asyncio.get_running_loop()
+        loop = self._loop
         deadline = loop.time() + self.LINK_SETUP_TIMEOUT
         pause = self.DIAL_RETRY_BASE
+        endpoint = self._endpoint(peer)
         while True:
             address = await lookup(self.registry_address, peer, timeout=self.LINK_SETUP_TIMEOUT)
             try:
-                reader, writer = await asyncio.open_connection(*address)
+                receiver = await self._dial(
+                    address, endpoint, self.name, peer, kind="broker", resync=resync
+                )
                 break
             except OSError as exc:
                 if loop.time() + pause > deadline:
@@ -389,23 +266,14 @@ class _BrokerNode:
                     )
                 await asyncio.sleep(pause + self._rng.uniform(0.0, pause / 4))
                 pause = min(pause * 2, self.DIAL_RETRY_CAP)
-        handshake = {"peer": self.name, "kind": "broker", **wire.handshake_fields(self.codec)}
-        if resync:
-            handshake["resync"] = True
-        writer.write(wire.frame(wire.encode_control(handshake)))
-        await writer.drain()
-        endpoint = self._make_endpoint(writer, peer)
+        # the acceptor reads the handshake first, so the link is usable at
+        # once; its answer only confirms that it speaks this node's codec
+        endpoint._writer = receiver.sock
         self.broker.attach_link(peer, endpoint)
         self.broker.register_broker_peer(peer)
-        self._writers.append(writer)
         if resync:
             self.broker.resync_link(peer)
-            self._flush_endpoints()
-        self._tasks.append(
-            # the dialer's read side only ever carries message frames, so its
-            # decoder is codec-armed from the first byte
-            asyncio.ensure_future(self._read_link(reader, FrameDecoder(self.codec), peer, endpoint))
-        )
+        await receiver.acked
 
     def _sever_link(self, peer: str) -> None:
         """Tear the TCP link to ``peer`` down for real (fault injection).
@@ -414,56 +282,24 @@ class _BrokerNode:
         taken the link away by the time the control request arrives.
         """
         endpoint = self.broker.links.get(peer)
-        if isinstance(endpoint, _RemoteEndpoint):
-            endpoint.writer.close()
+        if endpoint is not None and endpoint.is_open:
+            endpoint._writer.close()
         if self.broker.has_link(peer):
             self.broker.handle_link_lost(peer)
-            self._flush_endpoints()
 
     async def _wait_for_accepts(self) -> None:
-        deadline = asyncio.get_running_loop().time() + self.LINK_SETUP_TIMEOUT
-        while self._accept_pending:
-            remaining = deadline - asyncio.get_running_loop().time()
-            if remaining <= 0:
+        if self._accept_pending:
+            try:
+                await asyncio.wait_for(self._accepts_done.wait(), self.LINK_SETUP_TIMEOUT)
+            except asyncio.TimeoutError:
                 raise ClusterError(
                     f"{self.name}: peers never dialled in: {sorted(self._accept_pending)}"
-                )
-            self._accept_seen.clear()
-            try:
-                await asyncio.wait_for(self._accept_seen.wait(), min(remaining, 0.5))
-            except asyncio.TimeoutError:
-                continue
+                ) from None
 
     # ---------------------------------------------------------------- control
-    def _set_flush_cap(self, cap: int) -> None:
-        """Retune the early-flush threshold of every live outbound link."""
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ValueError(f"flush_cap must be a positive integer, got {cap!r}")
-        self.flush_cap = cap
-        for endpoint in self.broker.links.values():
-            if isinstance(endpoint, _RemoteEndpoint):
-                endpoint.flush_cap = cap
-
-    def _configure(self, changes: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply runtime knob changes shipped by the parent's ``configure`` op.
-
-        ``flush_cap`` is a node-level wire knob applied to this process's
-        endpoints; everything else is delegated to the broker's own verified
-        :meth:`~repro.pubsub.broker.Broker.reconfigure`.
-        """
-        changes = dict(changes)
-        flush_cap = changes.pop("flush_cap", None)
-        applied = self.broker.reconfigure(changes) if changes else {}
-        if flush_cap is not None:
-            self._set_flush_cap(flush_cap)
-            applied["flush_cap"] = self.flush_cap
-        return applied
-
     def _stats(self) -> Dict[str, Any]:
         links = {
-            peer: _stats_payload(endpoint.stats)
-            for peer, endpoint in self.broker.links.items()
-            if isinstance(endpoint, _RemoteEndpoint)
+            peer: _stats_payload(endpoint.stats) for peer, endpoint in self.broker.links.items()
         }
         return {
             "received": self.broker.messages_received,
@@ -487,13 +323,14 @@ class _BrokerNode:
                 elif op == "metrics":
                     channel.send({"re": rid, "ok": True, "metrics": self.broker.metrics_snapshot()})
                 elif op == "configure":
+                    # runtime knobs shipped by the parent's ``configure``:
+                    # ``flush_cap`` is this node's, the rest the broker's
                     try:
-                        applied = self._configure(request.get("changes") or {})
+                        changes = dict(request.get("changes") or {})
+                        applied = apply_runtime_knobs(self, self.broker, changes)
                     except (ValueError, RuntimeError) as exc:
                         channel.send({"re": rid, "ok": False, "error": str(exc)})
                     else:
-                        # the flip may have forwarded resyncs; push them out
-                        self._flush_endpoints()
                         channel.send({"re": rid, "ok": True, "applied": applied})
                 elif op == "link_down":
                     self._sever_link(request.get("peer"))
@@ -516,44 +353,32 @@ class _BrokerNode:
         except (ConnectionResetError, asyncio.CancelledError):
             self.stop.set()
         except BaseException as exc:
-            self._fail(exc)
+            self._record_error(exc)
 
     # -------------------------------------------------------------------- run
-    async def run(self) -> int:
-        from ..obs.metrics import MetricsRegistry
-        from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
-
-        loop = asyncio.get_running_loop()
-        self.metrics = MetricsRegistry(enabled=bool(self.config.get("metrics", True)))
-        self.broker = Broker(
-            _NodeClock(loop),
-            self.name,
-            routing=self.spec.get("routing", "simple"),
-            matcher=self.spec.get("matcher", "indexed"),
-            advertising=self.spec.get("advertising", "incremental"),
-            duplicates_capacity=self.config.get("duplicates_capacity"),
-            metrics=self.metrics,
+    async def serve(self) -> int:
+        """The node's whole life; returns its exit code, or raises what failed it."""
+        server = await self._loop.create_server(
+            lambda: _Receiver(self, self.name), host=self.host, port=0
         )
-        self._server = await asyncio.start_server(self._serve_connection, host=self.host, port=0)
-        port = self._server.sockets[0].getsockname()[1]
+        port = server.sockets[0].getsockname()[1]
         channel = await register_node(self.registry_address, self.name, self.host, port)
+        control: Optional[asyncio.Future] = None
         try:
             for peer in self.spec.get("dial", ()):
                 await self._dial_peer(peer, resync=self.resync_on_connect)
             await self._wait_for_accepts()
             await report_ready(channel, self.name)
-            self._tasks.append(asyncio.ensure_future(self._control_loop(channel)))
+            control = asyncio.ensure_future(self._control_loop(channel))
             await self.stop.wait()
         finally:
-            self._server.close()
-            for writer in self._writers:
-                writer.close()
+            server.close()
+            self._close_connections()
             channel.close()
-            for task in self._tasks:
-                task.cancel()
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-        if self.failure is not None:
-            raise self.failure
+            if control is not None:
+                control.cancel()
+                await asyncio.gather(control, return_exceptions=True)
+        self._raise_pending_error()
         return 0
 
 
@@ -576,7 +401,8 @@ def node_main(argv: Optional[List[str]] = None) -> int:
         profiler = cProfile.Profile()
         profiler.enable()
     try:
-        return asyncio.run(_BrokerNode(spec).run())
+        node = _BrokerNode(spec)
+        return node._loop.run_until_complete(node.serve())
     except Exception:  # a child must die loudly, with a traceback on stderr
         import traceback
 
@@ -739,14 +565,15 @@ class RemoteBroker(Process):
 # --------------------------------------------------------- parent: transport
 
 
-class ClusterTransport(Transport):
+class ClusterTransport(SocketNode, Transport):
     """Run each broker of the graph in its own spawned OS process.
 
-    The parent process hosts the registry, the clients and this transport;
-    each declared broker becomes a child process connected to its peers by
-    duplex TCP links.  Booting happens lazily on the first client attachment
-    (or explicitly via :meth:`boot`); the broker topology is frozen from
-    that point on.
+    The parent process hosts the registry, the clients and this transport —
+    a dial-only :class:`~repro.net.transport.SocketNode`; each declared
+    broker becomes a child process connected to its peers by duplex TCP
+    links.  Booting happens lazily on the first client attachment (or
+    explicitly via :meth:`boot`); the broker topology is frozen from that
+    point on.
 
     ``run_until_idle`` uses counter-stability quiescence (see the module
     docstring) and doubles as the crash detector: a child that exited is
@@ -765,6 +592,8 @@ class ClusterTransport(Transport):
     #: once a fault has dropped frames, sent==received never holds again;
     #: quiescence then requires this many consecutive identical poll rounds
     LOSSY_STABLE_ROUNDS = 5
+    #: pause between two counter-poll rounds of :meth:`run_until_idle`
+    POLL_INTERVAL = 0.005
 
     def __init__(
         self,
@@ -772,26 +601,18 @@ class ClusterTransport(Transport):
         registry_port: Optional[int] = None,
         boot_timeout: float = DEFAULT_BOOT_TIMEOUT,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-        settle: float = 0.005,
-        codec: "wire.Codec | str | None" = None,
+        codec: "Codec | str | None" = None,
     ):
+        super().__init__(codec)
         self.host = host
-        self.codec = wire.get_codec(codec)
         self.boot_timeout = boot_timeout
         self.idle_timeout = idle_timeout
-        self.settle = settle
-        self._loop = asyncio.new_event_loop()
-        self._pending_error: Optional[BaseException] = None
-        self._clock = AsyncioClock(self)
         self.registry = RegistryServer(host, port=registry_port)
         self._specs: Dict[str, Dict[str, Any]] = {}
-        self._edges: List[Tuple[str, str]] = []
         self._brokers: Dict[str, RemoteBroker] = {}
         self._children: Dict[str, subprocess.Popen] = {}
         self._local: Dict[str, Process] = {}
         self._client_peers: Dict[str, Set[str]] = {}
-        self._reader_tasks: List[asyncio.Task] = []
-        self._client_writers: List[asyncio.StreamWriter] = []
         self.links: List[ClusterLink] = []
         #: freshest per-broker stats payloads, refreshed by every idle poll
         self.polled_stats: Dict[str, Dict[str, Any]] = {}
@@ -811,12 +632,6 @@ class ClusterTransport(Transport):
             "client_resubscribes": 0,
         }
         self._booted = False
-        self._closed = False
-        self._shutting_down = False
-
-    @property
-    def clock(self) -> AsyncioClock:
-        return self._clock
 
     def clients_of(self, broker_name: str) -> Set[str]:
         return self._client_peers.get(broker_name, set())
@@ -884,7 +699,6 @@ class ClusterTransport(Transport):
             # the edge's first broker dials, the second accepts
             self._specs[a.name]["dial"].append(b.name)
             self._specs[b.name]["accept"].append(a.name)
-            self._edges.append((a.name, b.name))
         elif remote_a or remote_b:
             client, broker = (b, a) if remote_a else (a, b)
             self.boot()
@@ -935,7 +749,7 @@ class ClusterTransport(Transport):
 
     def _check_children(self) -> None:
         """Raise if any broker child exited; called on every liveness tick."""
-        if self._shutting_down:
+        if self._closed:
             return
         for name, child in self._children.items():
             if name in self._down:
@@ -948,71 +762,31 @@ class ClusterTransport(Transport):
                 )
 
     async def _attach_client(self, client: Process, broker_name: str, link: ClusterLink) -> None:
-        host, port = self.registry.registered[broker_name]
-        reader, writer = await asyncio.open_connection(host, port)
-        handshake = {"peer": client.name, "kind": "client", **wire.handshake_fields(self.codec)}
-        writer.write(wire.frame(wire.encode_control(handshake)))
-        await writer.drain()
-        endpoint = _RemoteEndpoint(writer, broker_name, self.codec)
-        endpoint.stats = link._local_out  # the link owns the outbound counters
-        endpoint.flush_cap = self._flush_cap
-        client.attach_link(broker_name, endpoint)
-        self._client_writers.append(writer)
-        reader_task = self._loop.create_task(self._client_reader(client, reader, link))
-        self._reader_tasks.append(reader_task)
+        def receive(message: Message) -> None:
+            link._local_in.record(message)
+            client.deliver(message)
 
-    async def _client_reader(
-        self, client: Process, reader: asyncio.StreamReader, link: ClusterLink
-    ) -> None:
-        # the broker only ever sends message frames back, so the decoder is
-        # codec-armed from the first byte
-        decoder = FrameDecoder(self.codec)
-        decode_message = self.codec.decode_message
-        try:
-            while True:
-                data = await reader.read(65536)
-                if not data:
-                    break
-                for body in decoder.feed(data):
-                    message = decode_message(body)
-                    link._local_in.record(message)
-                    client.deliver(message)
-        except (ConnectionResetError, asyncio.CancelledError):
-            pass
-        except BaseException as exc:
-            if self._pending_error is None:
-                self._pending_error = exc
+        # the link owns the counters of both directions
+        endpoint = ClusterEndpoint(self, broker_name, receive, stats=link._local_out)
+        address = self.registry.registered[broker_name]
+        receiver = await self._dial(address, endpoint, client.name, broker_name, kind="client")
+        endpoint._writer = receiver.sock
+        await receiver.acked
+        client.attach_link(broker_name, endpoint)
 
     # ----------------------------------------------------------- control plane
-    def set_flush_cap(self, cap: int) -> None:
-        """Retune the parent-side clients' write batching (children keep theirs).
-
-        Broker children are retuned through :meth:`configure`, which ships
-        the knob to the owning process.
-        """
-        super().set_flush_cap(cap)
-        for process in self._local.values():
-            for endpoint in process.links.values():
-                if isinstance(endpoint, _RemoteEndpoint):
-                    endpoint.flush_cap = cap
-
     def configure(self, broker, changes: Dict[str, Any]) -> Dict[str, Any]:
         """Ship runtime knob changes to a live broker child's process.
 
         The child applies them through the same verified
         :meth:`~repro.pubsub.broker.Broker.reconfigure` path as the
-        in-process backends (plus its node-level ``flush_cap``) and replies
-        with the applied values; a rejected change surfaces as a
+        in-process backends (plus its node-level ``flush_cap``; the parent's
+        own :meth:`set_flush_cap` retunes only its clients' write batching)
+        and replies with the applied values; a rejected change surfaces as a
         :class:`~repro.net.registry.RegistryError` naming the node.
         """
         self._require_open()
-        changes = dict(changes)
-        unknown = sorted(set(changes) - set(RUNTIME_KNOBS))
-        if unknown:
-            raise ValueError(
-                f"unknown runtime knob(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(RUNTIME_KNOBS)}"
-            )
+        changes = check_runtime_knobs(changes)
         name = broker if isinstance(broker, str) else broker.name
         if name not in self._brokers:
             raise TransportError(f"no broker named {name!r} on this transport")
@@ -1025,12 +799,7 @@ class ClusterTransport(Transport):
             raise ClusterError(f"broker {name!r} is down; restart it before reconfiguring")
         if not changes:
             return {}
-
-        async def send() -> Dict[str, Any]:
-            return await self.registry.request(name, "configure", timeout=10.0, changes=changes)
-
-        reply = self._loop.run_until_complete(send())
-        applied = dict(reply.get("applied", {}))
+        applied = dict(self._request(name, "configure", changes=changes).get("applied", {}))
         proxy = self._brokers[name]
         if "matcher" in applied:
             proxy.matcher = applied["matcher"]
@@ -1038,21 +807,17 @@ class ClusterTransport(Transport):
             proxy.advertising = applied["advertising"]
         return applied
 
+    def _request(self, name: str, op: str, timeout: float = 10.0, **fields: Any) -> Dict[str, Any]:
+        """One control round-trip with broker ``name``, driven to completion."""
+        return self._loop.run_until_complete(
+            self.registry.request(name, op, timeout=timeout, **fields)
+        )
+
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Gather every live child's metrics over the registry control channel."""
         self._require_open()
-        brokers: Dict[str, Any] = {}
-        if self._booted:
-
-            async def gather() -> None:
-                names = [name for name in self._specs if name not in self._down]
-                replies = await asyncio.gather(
-                    *[self.registry.request(name, "metrics", timeout=10.0) for name in names]
-                )
-                for name, reply in zip(names, replies):
-                    brokers[name] = reply["metrics"]
-
-            self._loop.run_until_complete(gather())
+        live = [name for name in self._specs if self._booted and name not in self._down]
+        brokers = {name: self._request(name, "metrics")["metrics"] for name in live}
         return {"transport": self.transport_metrics(), "brokers": brokers}
 
     # ------------------------------------------------------------- fault plane
@@ -1096,9 +861,8 @@ class ClusterTransport(Transport):
         # closing them makes client-side sends count as drops immediately
         for client_name in sorted(self._client_peers.get(name, ())):
             endpoint = self._local[client_name].links.get(name)
-            if isinstance(endpoint, _RemoteEndpoint):
-                endpoint.writer.close()
-        self._prune_dead_io()
+            if endpoint is not None and endpoint.is_open:
+                endpoint._writer.close()
 
     def restart_broker(self, name: str) -> None:
         """Supervised restart of a killed broker: respawn, re-link, re-sync.
@@ -1129,22 +893,6 @@ class ClusterTransport(Transport):
             if hasattr(client, "connect_to"):
                 client.connect_to(name, reissue=True)
                 self.recovery["client_resubscribes"] += len(client.subscriptions)
-        self._flush_local()
-        self._prune_dead_io()
-
-    def _prune_dead_io(self) -> None:
-        """Drop closed client writers and finished reader tasks.
-
-        Every kill/restart cycle closes the dead broker's client sockets and
-        attaches fresh ones; without pruning, ``_client_writers`` and
-        ``_reader_tasks`` grow by one entry per cycle for the lifetime of
-        the cluster — exactly the leak class the soak harness gates via
-        :meth:`resource_sizes`.
-        """
-        self._client_writers = [
-            writer for writer in self._client_writers if not writer.is_closing()
-        ]
-        self._reader_tasks = [task for task in self._reader_tasks if not task.done()]
 
     def _neighbors_of(self, name: str) -> List[str]:
         """Broker peers reachable over currently-up edges (for re-dialling)."""
@@ -1174,13 +922,9 @@ class ClusterTransport(Transport):
             raise ClusterError("only broker-to-broker cluster links can be severed")
         if not link.up:
             return
-
-        async def sever() -> None:
-            for owner, peer in ((link.a.name, link.b.name), (link.b.name, link.a.name)):
-                if owner not in self._down:
-                    await self.registry.request(owner, "link_down", peer=peer, timeout=10.0)
-
-        self._loop.run_until_complete(sever())
+        for owner, peer in ((link.a.name, link.b.name), (link.b.name, link.a.name)):
+            if owner not in self._down:
+                self._request(owner, "link_down", peer=peer)
         link.up = False
         self._lossy = True
         self.recovery["link_severs"] += 1
@@ -1197,39 +941,14 @@ class ClusterTransport(Transport):
             raise ClusterError(
                 f"cannot restore {dialer}<->{acceptor}: one side is down; restart it first"
             )
-
-        async def restore() -> None:
-            try:
-                await self.registry.request(
-                    dialer, "link_up", peer=acceptor, timeout=self.boot_timeout
-                )
-            except RegistryError as exc:
-                raise ClusterError(f"link restore {dialer}->{acceptor} failed: {exc}") from exc
-
-        self._loop.run_until_complete(restore())
+        try:
+            self._request(dialer, "link_up", peer=acceptor, timeout=self.boot_timeout)
+        except RegistryError as exc:
+            raise ClusterError(f"link restore {dialer}->{acceptor} failed: {exc}") from exc
         link.up = True
         self.recovery["link_restores"] += 1
 
     # ----------------------------------------------------------------- driving
-    def _flush_local(self) -> None:
-        """Write out frames the parent's clients buffered since the last drive."""
-        for process in self._local.values():
-            for endpoint in process.links.values():
-                if isinstance(endpoint, _RemoteEndpoint):
-                    endpoint.flush()
-
-    def run(self, until: Optional[float] = None) -> float:
-        """Spin the parent loop; with ``until``, for that many clock seconds."""
-        self._require_open()
-        self._flush_local()
-        if until is None:
-            return self.run_until_idle()
-        delay = until - self._clock.now
-        if delay > 0:
-            self._loop.run_until_complete(asyncio.sleep(delay))
-        self._raise_pending_error()
-        return self._clock.now
-
     def run_until_idle(self, timeout: Optional[float] = None) -> float:
         """Drive until the cluster is provably quiescent.
 
@@ -1241,7 +960,6 @@ class ClusterTransport(Transport):
         if not self._booted:
             return self._clock.now
         timeout = timeout if timeout is not None else self.idle_timeout
-        self._flush_local()
 
         async def drain() -> None:
             deadline = self._loop.time() + timeout
@@ -1250,7 +968,6 @@ class ClusterTransport(Transport):
             while True:
                 if self._pending_error is not None:
                     return
-                self._flush_local()  # clients buffer while the loop is parked
                 self._check_children()
                 snapshot = await self._poll_counters()
                 stable_rounds = stable_rounds + 1 if snapshot == previous else 0
@@ -1272,7 +989,7 @@ class ClusterTransport(Transport):
                         f"cluster did not reach quiescence within {timeout}s "
                         f"(last snapshot: {snapshot})"
                     )
-                await asyncio.sleep(self.settle)
+                await asyncio.sleep(self.POLL_INTERVAL)
 
         self._loop.run_until_complete(drain())
         self._raise_pending_error()
@@ -1297,32 +1014,22 @@ class ClusterTransport(Transport):
             snapshot[name] = (process.messages_received, process.messages_sent)
         return snapshot
 
-    def _raise_pending_error(self) -> None:
-        if self._pending_error is not None:
-            error, self._pending_error = self._pending_error, None
-            raise error
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise ClusterError("cluster transport is closed")
-
     def resource_sizes(self) -> Dict[str, int]:
         """Parent-side resource sizes; kill/restart cycles must not grow them.
 
-        Client writers and reader tasks are pruned first (a dead broker's
-        sockets finish closing asynchronously), so a quiesced snapshot after
-        a recovery cycle is directly comparable to the pre-fault baseline —
-        the soak harness's non-growth gate on the cluster backend.
+        ``receivers`` counts the client connections still open,
+        ``open_writers`` the client endpoints that can still send; a quiesced
+        snapshot after a recovery cycle is directly comparable to the
+        pre-fault baseline — the soak harness's non-growth gate.
         """
-        self._prune_dead_io()
-        live_children = sum(1 for child in self._children.values() if child.poll() is None)
+        endpoints = [e for process in self._local.values() for e in process.links.values()]
         return {
             "links": len(self.links),
-            "client_writers": len(self._client_writers),
-            "reader_tasks": len(self._reader_tasks),
+            "receivers": len(self._receivers),
+            "open_writers": sum(e.is_open for e in endpoints),
             "registry_entries": len(self.registry.registered),
             "registry_disconnected": len(self.registry.disconnected),
-            "live_children": live_children,
+            "live_children": sum(1 for child in self._children.values() if child.poll() is None),
             "pending_timers": self._clock.pending_timers,
         }
 
@@ -1337,25 +1044,15 @@ class ClusterTransport(Transport):
         if self._closed:
             return
         self._closed = True
-        self._shutting_down = True
-
-        async def shutdown() -> None:
+        if self._booted:
             for name, child in self._children.items():
                 if child.poll() is None:
                     try:
-                        await self.registry.request(name, "shutdown", timeout=5.0)
+                        self._request(name, "shutdown", timeout=5.0)
                     except (RegistryError, ConnectionError):
                         pass
-            for writer in self._client_writers:
-                writer.close()
-            for task in self._reader_tasks:
-                task.cancel()
-            if self._reader_tasks:
-                await asyncio.gather(*self._reader_tasks, return_exceptions=True)
-            await self.registry.close()
-
-        if self._booted:
-            self._loop.run_until_complete(shutdown())
+            self._close_connections()
+            self._loop.run_until_complete(self.registry.close())
             for name, child in self._children.items():
                 try:
                     self.exit_codes[name] = child.wait(timeout=10.0)

@@ -135,7 +135,7 @@ class RegistryServer:
         for candidate in candidates:
             try:
                 self._server = await asyncio.start_server(
-                    self._serve_connection, host=self.host, port=candidate
+                    self._serve_channel, host=self.host, port=candidate
                 )
             except OSError as exc:
                 last_error = exc
@@ -147,7 +147,7 @@ class RegistryServer:
             f"(+{self.port_retries} retries): {last_error}"
         )
 
-    async def _serve_connection(
+    async def _serve_channel(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self._conn_tasks.add(asyncio.current_task())

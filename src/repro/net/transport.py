@@ -26,9 +26,14 @@ Three interchangeable backends:
   one duplex TCP connection per link, real multi-core scale-out past the
   single-process GIL ceiling.
 
-Both backends expose the same clock surface (``now``/``schedule``/``run``/
+Every backend exposes the same clock surface (``now``/``schedule``/``run``/
 ``run_until_idle``), so processes keep their ``self.sim`` attribute and the
-pubsub layer runs unchanged on either substrate.
+pubsub layer runs unchanged on any substrate.
+
+The two socket backends are one runtime, :class:`SocketNode`:
+``AsyncioTransport`` is "N processes on one node", a cluster broker child
+"one broker plus a control channel", the cluster parent "the clients,
+dial-only".  What differs is policy, kept in their own endpoint classes.
 
 What each backend guarantees:
 
@@ -63,8 +68,9 @@ import select
 import selectors
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
 
+from ..obs.metrics import MetricsRegistry
 from . import wire
 from .link import Link, LinkStats
 from .process import LinkEndpoint, Message, Process
@@ -83,6 +89,35 @@ RUNTIME_KNOBS = ("matcher", "advertising", "flush_cap", "duplicates_capacity")
 
 class TransportError(RuntimeError):
     """Raised when a transport is used incorrectly or fails to settle."""
+
+
+def check_positive(field: str, value: Any) -> None:
+    """Reject anything but a positive ``int`` as the value of knob ``field``."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{field} must be a positive integer, got {value!r}")
+
+
+def check_runtime_knobs(changes: Mapping[str, Any]) -> Dict[str, Any]:
+    """A copy of ``changes``; ``ValueError`` names every key not in :data:`RUNTIME_KNOBS`."""
+    unknown = sorted(set(changes) - set(RUNTIME_KNOBS))
+    if unknown:
+        raise ValueError(
+            f"unknown runtime knob(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(RUNTIME_KNOBS)}"
+        )
+    return dict(changes)
+
+
+def apply_runtime_knobs(owner, broker, changes: Dict[str, Any]) -> Dict[str, Any]:
+    """Apply checked knob changes where the broker lives: ``flush_cap`` to
+    ``owner`` (its transport, or its cluster node), the rest through the
+    broker's verified ``reconfigure``.  Returns the applied values."""
+    flush_cap = changes.pop("flush_cap", None)
+    applied: Dict[str, Any] = broker.reconfigure(changes) if changes else {}
+    if flush_cap is not None:
+        owner.set_flush_cap(flush_cap)
+        applied["flush_cap"] = flush_cap
+    return applied
 
 
 class Transport(ABC):
@@ -119,8 +154,9 @@ class Transport(ABC):
     #: (``None`` until one is applied; legacy kwarg construction never sets it)
     _system_config = None
 
-    #: the last flush cap applied via :meth:`set_flush_cap` (``None`` = default)
-    _flush_cap: Optional[int] = None
+    #: this substrate's own live instruments (socket backends keep the wire
+    #: counters here; the simulator has none)
+    metrics = None
 
     @property
     @abstractmethod
@@ -251,14 +287,12 @@ class Transport(ABC):
     def set_flush_cap(self, cap: int) -> None:
         """Retune the wire flush cap.
 
-        The base implementation only validates and records the value: the
-        simulator moves object references and holds no wire buffers, so the
-        knob is inert there.  Socket backends override this to retune their
-        live write batching.
+        The base implementation only validates the value: the simulator
+        moves object references and holds no wire buffers, so the knob is
+        inert there.  Socket backends retune their live write batching
+        (:meth:`SocketNode.set_flush_cap`).
         """
-        if not isinstance(cap, int) or isinstance(cap, bool) or cap < 1:
-            raise ValueError(f"flush_cap must be a positive integer, got {cap!r}")
-        self._flush_cap = cap
+        check_positive("flush_cap", cap)
 
     def set_metrics_enabled(self, enabled: bool) -> None:
         """Flip transport-level live instrumentation; a no-op on the simulator."""
@@ -276,28 +310,20 @@ class Transport(ABC):
         ship the changes to the broker's process as a ``configure`` control
         op.
         """
-        changes = dict(changes)
-        unknown = sorted(set(changes) - set(RUNTIME_KNOBS))
-        if unknown:
-            raise ValueError(
-                f"unknown runtime knob(s) {', '.join(map(repr, unknown))}; "
-                f"allowed: {', '.join(RUNTIME_KNOBS)}"
-            )
+        changes = check_runtime_knobs(changes)
         if isinstance(broker, str):
             try:
                 broker = self.brokers[broker]
             except KeyError:
                 raise TransportError(f"no broker named {broker!r} on this transport") from None
-        flush_cap = changes.pop("flush_cap", None)
-        applied: Dict[str, Any] = broker.reconfigure(changes) if changes else {}
-        if flush_cap is not None:
-            self.set_flush_cap(flush_cap)
-            applied["flush_cap"] = self._flush_cap
-        return applied
+        return apply_runtime_knobs(self, broker, changes)
 
     def transport_metrics(self) -> Dict[str, Any]:
         """This substrate's own live instruments plus point-in-time gauges."""
-        return {"counters": {}, "histograms": {}, "gauges": self.resource_sizes()}
+        instruments = {"counters": {}, "histograms": {}}
+        if self.metrics is not None:
+            instruments = self.metrics.snapshot()
+        return {**instruments, "gauges": self.resource_sizes()}
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """The full control-plane view: transport instruments + every broker.
@@ -329,8 +355,7 @@ class Transport(ABC):
         :class:`~repro.config.SystemConfig` was applied, its
         ``duplicates_capacity`` and ``metrics`` knobs shape the new broker.
         """
-        from ..obs.metrics import MetricsRegistry  # lazy: net/ stays importable alone
-        from ..pubsub.broker import Broker
+        from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
 
         config = self._system_config
         extra: Dict[str, Any] = {}
@@ -408,7 +433,7 @@ class SimTransport(Transport):
         return {"pending_events": self.sim.pending}
 
 
-# -------------------------------------------------------------------- asyncio
+# ------------------------------------------------------------- socket runtime
 
 
 class _ClockHandle:
@@ -432,38 +457,26 @@ class _ClockHandle:
 
 
 class AsyncioClock:
-    """Simulator-compatible scheduling surface over a real event loop.
+    """Simulator-compatible scheduling surface over a :class:`SocketNode`'s loop.
 
-    ``now`` is monotonic wall time since the transport started, so delivery
+    ``now`` is monotonic wall time since the node started, so delivery
     latencies measured against it are real end-to-end latencies.  Scheduled
-    callbacks only fire while the transport is being driven (``run`` /
+    callbacks only fire while the node is being driven (``run`` /
     ``run_until_idle``), mirroring how simulator events only fire inside
-    ``Simulator.run``.
+    ``Simulator.run``; a due callback runs as one of the node's own loop
+    callbacks (:meth:`SocketNode._run_callback`).
     """
 
-    def __init__(
-        self, transport: "AsyncioTransport", run_callback: Optional[Callable[..., None]] = None
-    ):
-        self._transport = transport
-        self._loop = transport._loop
+    def __init__(self, node: "SocketNode"):
+        self._node = node
+        self._loop = node._loop
         self._t0 = self._loop.time()
-        #: runs a due timer's callback; the asyncio backend's own runner also
-        #: flushes what the callback sent and re-checks idleness when it ends
-        self._run_callback = run_callback or self._record_errors
         #: scheduled-but-not-yet-fired callbacks; part of the idle condition
         self.pending_timers = 0
 
     @property
     def now(self) -> float:
         return self._loop.time() - self._t0
-
-    def _record_errors(self, callback: Callable[..., Any], *args: Any) -> None:
-        """Run ``callback``; what it raises surfaces through the driver, as on the simulator."""
-        try:
-            callback(*args)
-        except BaseException as exc:
-            if self._transport._pending_error is None:
-                self._transport._pending_error = exc
 
     # ------------------------------------------------------------- scheduling
     def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> _ClockHandle:
@@ -475,7 +488,7 @@ class AsyncioClock:
         def fire() -> None:
             handle.executed = True
             self.pending_timers -= 1
-            self._run_callback(callback, *args)
+            self._node._run_callback(callback, *args)
 
         handle._timer = self._loop.call_later(delay, fire)
         return handle
@@ -493,72 +506,497 @@ class AsyncioClock:
 
     # ---------------------------------------------------------------- running
     def run(self, until: Optional[float] = None) -> float:
-        return self._transport.run(until=until)
+        return self._node.run(until=until)
 
     def run_until_idle(self, max_events: int = 0) -> float:
-        return self._transport.run_until_idle()
+        return self._node.run_until_idle()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AsyncioClock(now={self.now:.3f}, pending_timers={self.pending_timers})"
 
 
-class _AsyncioDirectedEndpoint(LinkEndpoint):
-    """The sending side of one direction of an :class:`AsyncioLink`.
+class _ExactEpollSelector(selectors.EpollSelector):
+    """An epoll selector whose timed waits end when they are due.
 
-    ``transmit`` serializes the message to a length-prefixed wire frame and
-    writes it to the source's end of the link's TCP connection; the
-    :class:`_Receiver` at the target's end decodes and dispatches it.
-    Per-direction FIFO is TCP's.
-    Serialising endpoints share fan-out messages, so a broker hop reuses
-    one pre-encoded frame across every destination link.
+    The stock one rounds a positive timeout *up* to a whole millisecond (a
+    timer due in 0.3 ms fires after 1 ms).  ``select()`` takes microseconds
+    and an epoll fd is readable exactly when it has events: wait on the epoll
+    fd (I/O still ends the wait at once), then collect without blocking.
+    """
+
+    def select(self, timeout: Optional[float] = None):
+        if timeout is not None and timeout > 0:
+            select.select((self.fileno(),), (), (), timeout)
+            timeout = 0
+        return super().select(timeout)
+
+
+def _new_event_loop() -> asyncio.AbstractEventLoop:
+    """A loop with exact timer waits, or the stock loop where that cannot be had:
+    the default selector is not epoll (kqueue already has the resolution) or
+    the epoll fd is >= ``FD_SETSIZE``, which ``select()`` refuses with ValueError.
+    """
+    if selectors.DefaultSelector is selectors.EpollSelector:
+        selector = _ExactEpollSelector()
+        try:
+            select.select((selector.fileno(),), (), (), 0)
+        except ValueError:
+            selector.close()
+        else:
+            return asyncio.SelectorEventLoop(selector)
+    return asyncio.new_event_loop()
+
+
+def handshake_frame(codec, source: str, target: str, link=None, kind=None, resync=False) -> bytes:
+    """The control frame that opens a connection, and the one that answers it.
+
+    ``source``/``target`` name the two ends and the codec fields let each
+    check the other's dialect.  Optional: ``link`` (which link, where one
+    server accepts for several), ``kind`` (a broker or a client dials a
+    cluster broker), ``resync`` (the acceptor is to re-advertise from scratch).
+    """
+    handshake = {"source": source, "target": target, **wire.handshake_fields(codec)}
+    optional = {"link": link, "kind": kind, "resync": resync}
+    handshake.update((key, value) for key, value in optional.items() if value)
+    return wire.frame(wire.encode_control(handshake))
+
+
+class SocketEndpoint(LinkEndpoint):
+    """One direction of a link carried by a socket: frame, buffer, one write per burst.
+
+    ``transmit`` serializes to length-prefixed wire frames for the node's
+    send path; a :class:`_Receiver` hands what arrives to :meth:`receive`.
+    Per-direction FIFO is TCP's.  Serialising endpoints share fan-out
+    messages, so a broker hop reuses one pre-encoded frame across every
+    destination link.  Runtime policy: :meth:`_admit`, :meth:`receive`,
+    :meth:`lost`.
     """
 
     shares_fanout = True
 
-    def __init__(self, link: "AsyncioLink", source: Process, target: Process):
-        self.link = link
-        self.source = source
-        self.target = target
-        self.stats = LinkStats()
-        #: the source's end of the link's connection (None until open and once it died)
+    #: delivery floor (seconds from a frame's arrival) of what :meth:`receive` gets
+    latency = 0.0
+
+    def __init__(self, node: "SocketNode", stats: Optional[LinkStats] = None):
+        self.node = node
+        self.stats = stats if stats is not None else LinkStats()
+        #: the socket this direction is written on (None until open, and once
+        #: either end of its connection died)
         self._writer: Optional[asyncio.WriteTransport] = None
         #: frames framed but not yet written to the socket (hop-level write
         #: batching under a batched codec; always empty under JSON)
         self._buffer = bytearray()
+
+    @property
+    def is_open(self) -> bool:
+        """Whether a frame written now still has a socket to go out on."""
+        return self._writer is not None and not self._writer.is_closing()
+
+    def transmit(self, message: Message) -> None:
+        if self._admit((message,)):
+            self.stats.record(message)
+            node = self.node
+            node._send_frames(self, node.codec.frame_message(message), 1)
+
+    def transmit_many(self, messages: List[Message]) -> None:
+        if messages and self._admit(messages):
+            node = self.node
+            frame_message = node.codec.frame_message
+            burst = bytearray()
+            for message in messages:
+                self.stats.record(message)
+                burst += frame_message(message)
+            node._send_frames(self, bytes(burst), len(messages))
+
+    def _admit(self, messages) -> bool:
+        """Whether ``messages`` can be sent now (else: dropped and counted, or raise)."""
+        raise NotImplementedError
+
+    def receive(self, message: Message) -> None:
+        """Hand over a message that arrived on the direction coming back."""
+        raise NotImplementedError
+
+    def lost(self) -> None:
+        """The connection died and everything read from it has been handed over."""
+
+
+class _Receiver(asyncio.Protocol):
+    """The reading side of one end of a link's connection.
+
+    A server creates one per accepted connection (the handshake binds
+    ``inbound``, the endpoint that takes what arrives); a dialler passes one,
+    already bound, as its own protocol (``acked`` is its future for the
+    acceptor's answer).  One loop callback per read:
+    ``data_received`` stamps the read's true arrival time, splits and decodes
+    its frames and hands each to ``inbound`` — at once on a zero-latency
+    link, otherwise through ``floor``, a FIFO of ``(due, message)`` released
+    by one ``call_at`` timer.  Reading never waits on a floor, so the floors
+    of a stream do not add up.
+    """
+
+    def __init__(
+        self,
+        node: "SocketNode",
+        name: str,
+        inbound: Optional[SocketEndpoint] = None,
+        acked: Optional[asyncio.Future] = None,
+    ):
+        self.node = node
+        #: the process at this end; a handshake must be addressed to it
+        self.name = name
+        self.inbound = inbound
+        #: the dialling end's wait for the acceptor's handshake (None when accepted)
+        self.acked = acked
+        self.decoder = wire.FrameDecoder()
+        self.saw_handshake = False
+        self.sock: Optional[asyncio.BaseTransport] = None
+        self.floor: "deque[Tuple[float, Message]]" = deque()
+        self.timer: Optional[asyncio.TimerHandle] = None
+        self.lost = False
+
+    def connection_made(self, sock: asyncio.BaseTransport) -> None:
+        self.sock = sock
+        self.node._receivers.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        self.node._run_callback(self._read, data)
+
+    def _read(self, data: bytes) -> None:
+        node = self.node
+        # every frame in this read shares one arrival time; latency is a
+        # delivery floor relative to it, so a burst pays the latency once,
+        # not once per message (pipelined, like the simulator's floors)
+        arrival = node._loop.time()
+        decode_message = node.codec.decode_message
+        try:
+            bodies = self.decoder.feed(data)
+            if not self.saw_handshake and bodies:
+                self._handshake(bodies.pop(0))
+            if bodies:
+                inbound = self.inbound
+                if inbound.latency == 0:
+                    receive = inbound.receive
+                    for body in bodies:
+                        receive(decode_message(body))
+                else:
+                    due = arrival + inbound.latency
+                    self.floor.extend([(due, decode_message(body)) for body in bodies])
+                    if self.timer is None:
+                        self.timer = node._loop.call_at(due, node._run_callback, self._release)
+        except BaseException as exc:
+            self._abort()
+            if self.saw_handshake:
+                raise
+            node._handshake_refused(exc)
+
+    def _handshake(self, body: bytes) -> None:
+        node = self.node
+        handshake = wire.decode_control(body)
+        source, target = handshake.get("source"), handshake.get("target")
+        if target != self.name or not isinstance(source, str):
+            raise wire.WireError(
+                f"handshake from {source!r} for {target!r} arrived at {self.name!r}"
+            )
+        wire.check_handshake_codec(handshake, node.codec)
+        if self.acked is not None:
+            self.acked.set_result(None)
+        else:
+            # accepted: the way back is this same socket; answering tells the
+            # dialler so and lets it check this end's codec in turn
+            self.inbound = node._accept(self.name, handshake, self.sock)
+            self.sock.write(handshake_frame(node.codec, self.name, source))
+            node._accepted(self.inbound, handshake)
+        self.saw_handshake = True
+        # the handshake fixed the codec; from here on every body must lead
+        # with this codec's first byte
+        self.decoder.codec = node.codec
+
+    def _release(self) -> None:
+        """The floor timer: deliver every queued frame that is due, re-arm for the rest."""
+        loop = self.node._loop
+        floor = self.floor
+        receive = self.inbound.receive
+        self.timer = None
+        try:
+            while True:
+                receive(floor.popleft()[1])
+                if not floor or floor[0][0] > loop.time():
+                    break
+        except BaseException:
+            self._abort()
+            raise
+        if floor:
+            self.timer = loop.call_at(floor[0][0], self.node._run_callback, self._release)
+        elif self.lost:
+            self._drained()
+
+    def _abort(self) -> None:
+        """End the connection now (a refused handshake, a decode or handler
+        failure, or the node closing); what still waited behind the floor is
+        never delivered."""
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+        self.floor.clear()
+        self.sock.close()  # a no-op once lost; then nothing else calls _drained
+        if self.lost:
+            self._drained()
+
+    def connection_lost(self, exc: Optional[BaseException]) -> None:
+        self.node._run_callback(self._closed, exc)
+
+    def _closed(self, exc: Optional[BaseException]) -> None:
+        # frames read before the close still wait out their floor (a detach's
+        # farewell is delivered); the direction that arrived here is dead at
+        # once, so later transmits are refused, not written into the void
+        self.lost = True
+        self.node._receivers.discard(self)
+        if self.inbound is not None:
+            self.inbound._writer = None
+        if self.acked is not None and not self.acked.done():
+            self.acked.set_exception(
+                exc or ConnectionError(f"{self.name!r}: link closed before its handshake")
+            )
+        if not self.floor:
+            self._drained()
+
+    def _drained(self) -> None:
+        if self.inbound is not None:
+            self.inbound.lost()
+
+
+class SocketNode:
+    """One process's socket runtime; every socket backend is an instance of it.
+
+    A node owns a loop whose timers fire when due, an :class:`AsyncioClock`
+    on it, the wire codec with its three instruments, and the one path a
+    link's frames take: out through :meth:`_send_frames` (under a batched
+    codec written when the loop callback that sent them ends, or one loop
+    turn after a send from outside one), in through a :class:`_Receiver` per
+    connection, opened by :meth:`_dial` and a handshake the acceptor answers
+    so each end checks the other's codec.  What its callbacks raise is kept
+    for whoever drives it.  What a node *hosts* is its subclass's business.
+    """
+
+    #: flush threshold for hop-level write batching (batched codecs only): a
+    #: buffered burst is written out as soon as it reaches this many bytes,
+    #: so batching never holds more than one socket write's worth of frames
+    #: (individual frames are still bounded by ``wire.MAX_FRAME_SIZE``)
+    FLUSH_CAP = 64 * 1024
+
+    def __init__(self, codec: "wire.Codec | str | None" = None, metrics=None):
+        self.codec = wire.get_codec(codec)
+        self._loop = _new_event_loop()
+        self._clock = AsyncioClock(self)
+        #: the reading side of every connection still open (aborted on close)
+        self._receivers: "set[_Receiver]" = set()
+        #: endpoints holding buffered frames, flushed in one scheduled pass
+        self._dirty: "set[SocketEndpoint]" = set()
+        #: a flush is already coming: one handed to ``call_soon`` by a send
+        #: from outside the loop, or the end of the running :meth:`_run_callback`
+        self._flush_scheduled = False
+        self._pending_error: Optional[BaseException] = None
+        self._closed = False
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self._bind_instruments()
+
+    @property
+    def clock(self) -> AsyncioClock:
+        return self._clock
+
+    def _bind_instruments(self) -> None:
+        """Cache instrument references so the send path pays no dict probes."""
+        self._frames_sent = self.metrics.counter("transport.frames_sent")
+        self._bytes_sent = self.metrics.counter("transport.bytes_sent")
+        self._write_bytes = self.metrics.histogram("transport.socket_write_bytes")
+
+    def set_metrics_enabled(self, enabled: bool) -> None:
+        """Swap in a fresh registry; call before traffic, not mid-run."""
+        if enabled != self.metrics.enabled:
+            self.metrics = MetricsRegistry(enabled=enabled)
+            self._bind_instruments()
+
+    def set_flush_cap(self, cap: int) -> None:
+        """Retune the live write-batching threshold (instance-level override)."""
+        check_positive("flush_cap", cap)
+        self.FLUSH_CAP = cap
+
+    # --------------------------------------------------------------- callbacks
+    def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
+        """Run the body of one of this node's own loop callbacks.
+
+        A read, a floor release, a fired timer and a closed connection all
+        end the same way: what the body raised is recorded, the frames it
+        sent are written out now (not a loop turn later) and a parked drain
+        is released if idle.
+        """
+        self._flush_scheduled = True
+        try:
+            callback(*args)
+        except BaseException as exc:
+            self._record_error(exc)
+        finally:
+            self._flush_dirty()
+            self._wake_if_idle()
+
+    def _record_error(self, exc: BaseException) -> None:
+        """Keep the first error for the driver to raise, as on the simulator."""
+        if self._pending_error is None:
+            self._pending_error = exc
+
+    def _handshake_refused(self, exc: BaseException) -> None:
+        """A connection was aborted before it was bound to a link."""
+        self._record_error(exc)
+
+    def _wake_if_idle(self) -> None:
+        """A callback ended (the asyncio backend's drain waits on that)."""
+
+    def _raise_pending_error(self) -> None:
+        if self._pending_error is not None:
+            error, self._pending_error = self._pending_error, None
+            raise error
+
+    def _require_open(self) -> None:
+        if self._closed:
+            raise TransportError("transport is closed")
+
+    # ------------------------------------------------------------- connections
+    async def _dial(
+        self, address: Tuple[str, int], inbound: SocketEndpoint, source: str, target: str, **fields
+    ) -> _Receiver:
+        """Connect to ``address`` and open a link from ``source`` to ``target``.
+
+        Returns the receiver once the handshake (``fields``: see
+        :func:`handshake_frame`) is written: ``sock`` is the way out, ``acked``
+        resolves with the acceptor's answer or fails if the connection dies.
+        """
+        receiver = _Receiver(self, source, inbound, acked=self._loop.create_future())
+        sock, _ = await self._loop.create_connection(lambda: receiver, *address)
+        sock.write(handshake_frame(self.codec, source, target, **fields))
+        return receiver
+
+    def _accept(self, name: str, handshake: Dict[str, Any], sock) -> SocketEndpoint:
+        """Bind a connection addressed to ``name``: the endpoint that takes what
+        arrives on it.  Raising refuses it — closed without an answer."""
+        raise NotImplementedError
+
+    def _accepted(self, inbound: SocketEndpoint, handshake: Dict[str, Any]) -> None:
+        """The acceptance was answered; the way back may be used from here on."""
+
+    def _close_connections(self) -> None:
+        """Abort every connection this node still holds."""
+        for receiver in list(self._receivers):
+            receiver._abort()
+
+    # ----------------------------------------------------------------- sending
+    def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:
+        self._frames_sent.inc(count)
+        self._bytes_sent.inc(len(data))
+        if not self.codec.batched:
+            endpoint._writer.write(data)
+            self._write_bytes.observe(len(data))
+            return
+        # hop-level batching: coalesce the dispatch burst into one socket write
+        buffer = endpoint._buffer
+        buffer += data
+        if len(buffer) >= self.FLUSH_CAP:
+            self._flush_endpoint(endpoint)
+            return
+        self._dirty.add(endpoint)
+        if not self._flush_scheduled:
+            self._flush_scheduled = True
+            self._loop.call_soon(self._flush_dirty)
+
+    def _flush_endpoint(self, endpoint: SocketEndpoint) -> None:
+        """Write an endpoint's buffered frames out in a single socket write."""
+        buffer = endpoint._buffer
+        if buffer:
+            if endpoint._writer is not None:
+                # what was buffered for a connection that died meanwhile just drops
+                endpoint._writer.write(bytes(buffer))
+                self._write_bytes.observe(len(buffer))
+            buffer.clear()
+        self._dirty.discard(endpoint)
+
+    def _flush_dirty(self) -> None:
+        """Flush every buffering endpoint: as a callback of the node ends,
+        or one loop turn after a send from outside them."""
+        self._flush_scheduled = False
+        dirty = self._dirty
+        if dirty:
+            self._dirty = set()
+            for endpoint in dirty:
+                self._flush_endpoint(endpoint)
+
+    # ----------------------------------------------------------------- driving
+    def run(self, until: Optional[float] = None) -> float:
+        """Spin the event loop; with ``until``, up to that (absolute) clock time.
+
+        Driving by time is how connections from outside peers get served:
+        their bytes are not work :meth:`run_until_idle` counts.
+        """
+        self._require_open()
+        if until is None:
+            return self.run_until_idle()
+        delay = until - self._clock.now
+        if delay > 0:
+            self._loop.run_until_complete(asyncio.sleep(delay))
+        self._raise_pending_error()
+        return self._clock.now
+
+
+# -------------------------------------------------------------------- asyncio
+
+
+class _AsyncioDirectedEndpoint(SocketEndpoint):
+    """One direction of an :class:`AsyncioLink`; both of its ends live on this node.
+
+    A link that is down drops and reports (``on_drop``), a dead connection
+    refuses loudly, and every frame counts as in flight from the send until
+    the target handled it.
+    """
+
+    def __init__(self, link: "AsyncioLink", source: Process, target: Process):
+        super().__init__(link.transport)
+        self.link = link
+        self.source = source
+        self.target = target
+        self.latency = link.latency
         #: frames written but not yet handed to the target process; lets the
         #: transport reconcile its in-flight counter if the connection dies
         self.undelivered = 0
 
-    def transmit(self, message: Message) -> None:
-        link = self.link
-        if not link.up:
-            self.stats.record_drop()
-            link.on_drop(message, self.source, self.target)
-            return
-        if self._writer is None:  # refused before any accounting: it was never sent
-            raise TransportError("link endpoint is not connected")
-        self.stats.record(message)
-        transport = link.transport
-        transport._send_frames(self, transport.codec.frame_message(message), count=1)
-
-    def transmit_many(self, messages: List[Message]) -> None:
-        if not messages:
-            return
+    def _admit(self, messages) -> bool:
         link = self.link
         if not link.up:
             for message in messages:
                 self.stats.record_drop()
                 link.on_drop(message, self.source, self.target)
-            return
-        if self._writer is None:
+            return False
+        if self._writer is None:  # refused before any accounting: it was never sent
             raise TransportError("link endpoint is not connected")
-        transport = link.transport
-        frame_message = transport.codec.frame_message
-        burst = bytearray()
-        for message in messages:
-            self.stats.record(message)
-            burst += frame_message(message)
-        transport._send_frames(self, bytes(burst), count=len(messages))
+        return True
+
+    def receive(self, message: Message) -> None:
+        link = self.link
+        try:
+            # the up-check happens at *delivery* time — after the floor —
+            # like the sim endpoint's _deliver: a link torn down meanwhile
+            # still drops the message when deliver_in_flight_on_down is off
+            if not link.up and not link.deliver_in_flight_on_down:
+                self.stats.record_drop()
+                link.on_drop(message, self.source, self.target)
+            else:
+                self.target.deliver(message)
+        finally:
+            self.node._inflight -= 1
+            self.undelivered -= 1
+
+    def lost(self) -> None:
+        """Forget frames counted towards the dead connection: they will never
+        arrive, and a later drain must not wait out its timeout on a ghost."""
+        self.node._inflight -= self.undelivered
+        self.undelivered = 0
 
 
 class AsyncioLink:
@@ -595,29 +1033,14 @@ class AsyncioLink:
 
     async def _open(self) -> None:
         """Dial ``b`` and return once it acknowledged: traffic can flow both ways."""
-        transport, out = self.transport, self._a_to_b
-        loop = transport._loop
-        receiver = _Receiver(transport, self.a, acked=loop.create_future())
-        host, port = transport._addresses[self.b.name]
-        out._writer, _ = await loop.create_connection(lambda: receiver, host, port)
-        out._writer.write(self._handshake_frame(out))
+        node = self.transport
+        receiver = await node._dial(
+            node._addresses[self.b.name], self._b_to_a, self.a.name, self.b.name, link=self.link_id
+        )
+        self._a_to_b._writer = receiver.sock
         await receiver.acked
         self.a.attach_link(self.b.name, self._a_to_b)
         self.b.attach_link(self.a.name, self._b_to_a)
-
-    def _endpoint_into(self, target: Process) -> _AsyncioDirectedEndpoint:
-        """The directed endpoint whose traffic arrives at ``target``."""
-        return self._a_to_b if target is self.b else self._b_to_a
-
-    def _handshake_frame(self, endpoint: _AsyncioDirectedEndpoint) -> bytes:
-        """What ``endpoint``'s source opens its direction with (``b``'s is the ack)."""
-        handshake = {
-            "link": self.link_id,
-            "source": endpoint.source.name,
-            "target": endpoint.target.name,
-            **wire.handshake_fields(self.transport.codec),
-        }
-        return wire.frame(wire.encode_control(handshake))
 
     # ------------------------------------------------------------------ state
     def set_up(self, up: bool) -> None:
@@ -681,200 +1104,8 @@ class AsyncioLink:
         return f"AsyncioLink({self.a.name}<->{self.b.name}, {state})"
 
 
-class _ExactEpollSelector(selectors.EpollSelector):
-    """An epoll selector whose timed waits end when they are due.
-
-    The stock one rounds a positive timeout *up* to a whole millisecond (a
-    timer due in 0.3 ms fires after 1 ms).  ``select()`` takes microseconds
-    and an epoll fd is readable exactly when it has events: wait on the epoll
-    fd (I/O still ends the wait at once), then collect without blocking.
-    """
-
-    def select(self, timeout: Optional[float] = None):
-        if timeout is not None and timeout > 0:
-            select.select((self.fileno(),), (), (), timeout)
-            timeout = 0
-        return super().select(timeout)
-
-
-def _new_event_loop() -> asyncio.AbstractEventLoop:
-    """A loop with exact timer waits, or the stock loop where that cannot be had:
-    the default selector is not epoll (kqueue already has the resolution) or
-    the epoll fd is >= ``FD_SETSIZE``, which ``select()`` refuses with ValueError.
-    """
-    if selectors.DefaultSelector is selectors.EpollSelector:
-        selector = _ExactEpollSelector()
-        try:
-            select.select((selector.fileno(),), (), (), 0)
-        except ValueError:
-            selector.close()
-        else:
-            return asyncio.SelectorEventLoop(selector)
-    return asyncio.new_event_loop()
-
-
-class _Receiver(asyncio.Protocol):
-    """One end of a link's connection: reads the direction that arrives there.
-
-    ``b``'s server creates one per accepted connection; ``a`` dials with one
-    as its own protocol (``acked`` is its future for ``b``'s handshake).
-    One loop callback per read: ``data_received`` stamps the read's true
-    arrival time, splits and decodes its frames and hands each to the target
-    process — at once on a zero-latency link, otherwise through ``floor``, a
-    FIFO of ``(due, message)`` released by one ``call_at`` timer.  Reading
-    never waits on a floor, so the floors of a stream do not add up.
-    """
-
-    def __init__(
-        self, owner: "AsyncioTransport", process: Process, acked: Optional[asyncio.Future] = None
-    ):
-        self.owner = owner
-        self.process = process
-        #: the dialling end's wait for the acceptor's handshake (None when accepted)
-        self.acked = acked
-        self.decoder = wire.FrameDecoder()
-        self.saw_handshake = False
-        self.link: Optional[AsyncioLink] = None
-        self.endpoint: Optional[_AsyncioDirectedEndpoint] = None
-        self.sock: Optional[asyncio.BaseTransport] = None
-        self.floor: "deque[Tuple[float, Message]]" = deque()
-        self.timer: Optional[asyncio.TimerHandle] = None
-        self.lost = False
-
-    def connection_made(self, sock: asyncio.BaseTransport) -> None:
-        self.sock = sock
-        self.owner._receivers.add(self)
-
-    def data_received(self, data: bytes) -> None:
-        self.owner._run_callback(self._read, data)
-
-    def _read(self, data: bytes) -> None:
-        loop = self.owner._loop
-        # every frame in this read shares one arrival time; latency is a
-        # delivery floor relative to it, so a burst pays the latency once,
-        # not once per message (pipelined, like the simulator's floors)
-        arrival = loop.time()
-        decode_message = self.owner.codec.decode_message
-        try:
-            bodies = self.decoder.feed(data)
-            if not self.saw_handshake and bodies:
-                self._handshake(bodies.pop(0))
-            link = self.link
-            if link is None or link.latency == 0:
-                for body in bodies:
-                    self._deliver(decode_message(body))
-            elif bodies:
-                due = arrival + link.latency
-                self.floor.extend([(due, decode_message(body)) for body in bodies])
-                if self.timer is None:
-                    self.timer = loop.call_at(due, self.owner._run_callback, self._release)
-        except BaseException:
-            self._abort()
-            raise
-
-    def _handshake(self, body: bytes) -> None:
-        owner, process = self.owner, self.process
-        handshake = wire.decode_control(body)
-        if handshake.get("target") != process.name:
-            raise wire.WireError(
-                f"handshake for {handshake.get('target')!r} arrived at {process.name!r}"
-            )
-        wire.check_handshake_codec(handshake, owner.codec)
-        self.link = link = owner._links.get(handshake.get("link"))
-        if link is not None:
-            if {handshake.get("source"), process.name} != {link.a.name, link.b.name}:
-                raise wire.WireError(
-                    f"handshake from {handshake.get('source')!r} to {process.name!r} names "
-                    f"link {link.link_id}, which joins {link.a.name!r} and {link.b.name!r}"
-                )
-            self.endpoint = link._endpoint_into(process)
-        if self.acked is not None:
-            self.acked.set_result(None)
-        elif link is not None:
-            # accepted: the way back is this same socket; answering tells the
-            # dialler so and lets it check this end's codec in turn
-            back = link._endpoint_into(self.endpoint.source)
-            if back._writer is not None:
-                raise wire.WireError(f"link {link.link_id} is already connected")
-            back._writer = self.sock
-            self.sock.write(link._handshake_frame(back))
-        self.saw_handshake = True
-        # the handshake fixed the codec; from here on every body must lead
-        # with this codec's first byte
-        self.decoder.codec = owner.codec
-
-    def _deliver(self, message: Message) -> None:
-        link, endpoint = self.link, self.endpoint
-        try:
-            # the up-check happens at *delivery* time — after the floor —
-            # like the sim endpoint's _deliver: a link torn down meanwhile
-            # still drops the message when deliver_in_flight_on_down is off
-            if link is not None and not link.up and not link.deliver_in_flight_on_down:
-                endpoint.stats.record_drop()
-                link.on_drop(message, endpoint.source, endpoint.target)
-            else:
-                self.process.deliver(message)
-        finally:
-            self.owner._inflight -= 1
-            if endpoint is not None:
-                endpoint.undelivered -= 1
-
-    def _release(self) -> None:
-        """The floor timer: deliver every queued frame that is due, re-arm for the rest."""
-        loop = self.owner._loop
-        floor = self.floor
-        self.timer = None
-        try:
-            while True:
-                self._deliver(floor.popleft()[1])
-                if not floor or floor[0][0] > loop.time():
-                    break
-        except BaseException:
-            self._abort()
-            raise
-        if floor:
-            self.timer = loop.call_at(floor[0][0], self.owner._run_callback, self._release)
-        elif self.lost:
-            self._reconcile()
-
-    def _abort(self) -> None:
-        """End the connection now (a decode or handler failure, or the transport
-        closing); what still waited behind the floor is never delivered."""
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-        self.floor.clear()
-        self.sock.close()  # a no-op once lost; then nothing else reconciles
-        if self.lost:
-            self._reconcile()
-
-    def connection_lost(self, exc: Optional[BaseException]) -> None:
-        # frames read before the close still wait out their floor (a detach's
-        # farewell is delivered); the endpoint is dead at once, so later
-        # transmits fail loudly instead of re-inflating the counter
-        self.lost = True
-        self.owner._receivers.discard(self)
-        if self.endpoint is not None:
-            self.endpoint._writer = None
-        if self.acked is not None and not self.acked.done():
-            self.acked.set_exception(
-                exc or ConnectionError(f"{self.process.name!r}: link closed before its handshake")
-            )
-        if not self.floor:
-            self._reconcile()
-
-    def _reconcile(self) -> None:
-        """Forget frames counted towards this dead connection: they will never
-        arrive, and a later drain must not wait out its timeout on a ghost."""
-        endpoint = self.endpoint
-        if endpoint is not None:
-            self.owner._inflight -= endpoint.undelivered
-            endpoint.undelivered = 0
-        self.owner._wake_if_idle()
-
-
-class AsyncioTransport(Transport):
-    """Real asyncio TCP sockets on localhost.
+class AsyncioTransport(SocketNode, Transport):
+    """Real asyncio TCP sockets on localhost: N processes on one :class:`SocketNode`.
 
     Every process registered through :meth:`make_link` gets its own TCP
     server on an ephemeral port; a link is one duplex TCP connection from
@@ -885,14 +1116,15 @@ class AsyncioTransport(Transport):
     event loop only spins while the transport is *driven*
     (:meth:`run`/:meth:`run_until_idle`), which keeps the programming model
     identical to the simulator — build, publish, then run to quiescence.
-    Quiescence is exact, not heuristic: every frame written increments an
-    in-flight counter that is only decremented after the receiving process
-    finished handling the message, and every clock timer and dynamic link
-    being established is counted until it has run.  :meth:`run_until_idle`
-    neither polls nor waits out a confirmation window: it parks on one future
-    that the code paths lowering those counters (or recording an error)
-    resolve the moment both read zero, so a drain costs what the traffic
-    costs and an idle transport returns at once.
+    Quiescence is exact, not heuristic: because both ends of every link live
+    here, every frame written increments an in-flight counter that is only
+    decremented after the receiving process finished handling the message,
+    and every clock timer and dynamic link being established is counted until
+    it has run.  :meth:`run_until_idle` neither polls nor waits out a
+    confirmation window: it parks on one future that the code paths lowering
+    those counters (or recording an error) resolve the moment both read
+    zero, so a drain costs what the traffic costs and an idle transport
+    returns at once.
     """
 
     name = "asyncio"
@@ -902,70 +1134,18 @@ class AsyncioTransport(Transport):
     #: default cap on run_until_idle, so a routing bug cannot hang a test run
     DEFAULT_IDLE_TIMEOUT = 30.0
 
-    #: flush threshold for hop-level write batching (batched codecs only): a
-    #: buffered burst is written out as soon as it reaches this many bytes,
-    #: so batching never holds more than one socket write's worth of frames
-    #: (individual frames are still bounded by ``wire.MAX_FRAME_SIZE``)
-    FLUSH_CAP = 64 * 1024
-
     def __init__(self, host: str = "127.0.0.1", codec: "wire.Codec | str | None" = None):
+        super().__init__(codec)
         self.host = host
-        self.codec = wire.get_codec(codec)
-        self._loop = _new_event_loop()
-        self._clock = AsyncioClock(self, run_callback=self._run_callback)
         self._processes: Dict[str, Process] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
         self._addresses: Dict[str, Tuple[str, int]] = {}
         self._links: Dict[int, AsyncioLink] = {}
-        #: both ends of every connection still open (closed with the transport)
-        self._receivers: "set[_Receiver]" = set()
         self._link_seq = itertools.count(1)
         self._inflight = 0
-        self._pending_error: Optional[BaseException] = None
         #: the future a parked run_until_idle waits on (None when not driven)
         self._idle_waiter: Optional[asyncio.Future] = None
-        self._closed = False
         self.links: List[AsyncioLink] = []
-        #: endpoints holding buffered frames, flushed in one scheduled pass
-        self._dirty: "set[_AsyncioDirectedEndpoint]" = set()
-        #: a flush is already coming: one handed to ``call_soon`` by a send
-        #: from outside the loop, or the end of the running :meth:`_run_callback`
-        self._flush_scheduled = False
-        from ..obs.metrics import MetricsRegistry
-
-        self.metrics = MetricsRegistry()
-        self._bind_instruments()
-
-    def _bind_instruments(self) -> None:
-        """Cache instrument references so the send path pays no dict probes."""
-        self._frames_sent = self.metrics.counter("transport.frames_sent")
-        self._bytes_sent = self.metrics.counter("transport.bytes_sent")
-        self._write_bytes = self.metrics.histogram("transport.socket_write_bytes")
-
-    def set_metrics_enabled(self, enabled: bool) -> None:
-        """Swap in a fresh registry; call before traffic, not mid-run."""
-        from ..obs.metrics import MetricsRegistry
-
-        if enabled != self.metrics.enabled:
-            self.metrics = MetricsRegistry(enabled=enabled)
-            self._bind_instruments()
-
-    def set_flush_cap(self, cap: int) -> None:
-        """Retune the live write-batching threshold (instance-level override)."""
-        super().set_flush_cap(cap)
-        self.FLUSH_CAP = cap
-
-    def transport_metrics(self) -> Dict[str, Any]:
-        snapshot = self.metrics.snapshot()
-        return {
-            "counters": snapshot["counters"],
-            "histograms": snapshot["histograms"],
-            "gauges": self.resource_sizes(),
-        }
-
-    @property
-    def clock(self) -> AsyncioClock:
-        return self._clock
 
     # ------------------------------------------------------------------ wiring
     def make_link(
@@ -975,13 +1155,9 @@ class AsyncioTransport(Transport):
         latency: float = 0.001,
         deliver_in_flight_on_down: bool = True,
     ) -> AsyncioLink:
-        self._require_open()
-        self._loop.run_until_complete(self._ensure_server(a))
-        self._loop.run_until_complete(self._ensure_server(b))
-        link = AsyncioLink(self, next(self._link_seq), a, b, latency, deliver_in_flight_on_down)
-        self._links[link.link_id] = link
-        self.links.append(link)
-        self._loop.run_until_complete(link._open())
+        # build-time wiring is a dynamic link established before anything runs
+        link = self.open_dynamic_link(a, b, latency, deliver_in_flight_on_down)
+        self._raise_pending_error()
         return link
 
     def open_dynamic_link(
@@ -1017,8 +1193,7 @@ class AsyncioTransport(Transport):
             except BaseException as exc:
                 # a link that never came up holds no registry slot or socket
                 self.close_dynamic_link(link)
-                if self._pending_error is None:
-                    self._pending_error = exc
+                self._record_error(exc)
             finally:
                 self._clock.pending_timers -= 1
                 self._wake_if_idle()
@@ -1052,92 +1227,44 @@ class AsyncioTransport(Transport):
             pass
 
     async def _ensure_server(self, process: Process) -> None:
-        if process.name in self._servers:
-            if self._processes[process.name] is not process:
-                raise TransportError(f"duplicate process name {process.name!r} on this transport")
+        name = process.name
+        if name in self._servers:
+            if self._processes[name] is not process:
+                raise TransportError(f"duplicate process name {name!r} on this transport")
             return
-        self._processes[process.name] = process
+        self._processes[name] = process
         server = await self._loop.create_server(
-            lambda: _Receiver(self, process), host=self.host, port=0
+            lambda: _Receiver(self, name), host=self.host, port=0
         )
-        self._servers[process.name] = server
-        self._addresses[process.name] = server.sockets[0].getsockname()[:2]
+        self._servers[name] = server
+        self._addresses[name] = server.sockets[0].getsockname()[:2]
 
-    def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
-        """Run the body of one of this transport's own loop callbacks.
-
-        A read, a floor release and a fired timer all end the same way: what
-        the body raised is recorded, the frames it sent are written out now
-        (not a loop turn later) and a parked drain is released if idle.
-        """
-        self._flush_scheduled = True
-        try:
-            self._clock._record_errors(callback, *args)
-        finally:
-            self._flush_dirty()
-            self._wake_if_idle()
+    def _accept(self, name: str, handshake: Dict[str, Any], sock) -> SocketEndpoint:
+        """Only a link's own two ends may open it, and only once."""
+        source, link_id = handshake["source"], handshake.get("link")
+        link = self._links.get(link_id)
+        if link is None or {source, name} != {link.a.name, link.b.name}:
+            raise wire.WireError(
+                f"handshake from {source!r} to {name!r} names link {link_id!r}, "
+                "which is not an open link between them"
+            )
+        inbound, back = link._a_to_b, link._b_to_a
+        if name != link.b.name:
+            inbound, back = back, inbound
+        if back._writer is not None:
+            raise wire.WireError(f"link {link.link_id} is already connected")
+        back._writer = sock
+        return inbound
 
     # ----------------------------------------------------------------- sending
-    def _send_frames(self, endpoint: "_AsyncioDirectedEndpoint", data: bytes, count: int) -> None:
+    def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:
+        # in-flight accounting happens at buffer time, so run_until_idle
+        # cannot declare the system idle before the flush
         self._inflight += count
         endpoint.undelivered += count
-        self._frames_sent.inc(count)
-        self._bytes_sent.inc(len(data))
-        if not self.codec.batched:
-            endpoint._writer.write(data)
-            self._write_bytes.observe(len(data))
-            return
-        # hop-level batching: coalesce the dispatch burst into one socket
-        # write.  In-flight accounting happens at buffer time (above), so
-        # run_until_idle cannot declare the system idle before the flush.
-        buffer = endpoint._buffer
-        buffer += data
-        if len(buffer) >= self.FLUSH_CAP:
-            self._flush_endpoint(endpoint)
-            return
-        self._dirty.add(endpoint)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush_dirty)
-
-    def _flush_endpoint(self, endpoint: "_AsyncioDirectedEndpoint") -> None:
-        """Write an endpoint's buffered frames out in a single socket write."""
-        buffer = endpoint._buffer
-        if buffer:
-            if endpoint._writer is not None:
-                # a dead connection already reconciled the in-flight counter
-                # (see _Receiver.connection_lost); its buffer just drops
-                endpoint._writer.write(bytes(buffer))
-                self._write_bytes.observe(len(buffer))
-            buffer.clear()
-        self._dirty.discard(endpoint)
-
-    def _flush_dirty(self) -> None:
-        """Flush every buffering endpoint: as a callback of the transport ends,
-        or one loop turn after a send from outside them."""
-        self._flush_scheduled = False
-        dirty = self._dirty
-        if dirty:
-            self._dirty = set()
-            for endpoint in dirty:
-                self._flush_endpoint(endpoint)
+        super()._send_frames(endpoint, data, count)
 
     # ----------------------------------------------------------------- driving
-    def run(self, until: Optional[float] = None) -> float:
-        """Spin the event loop; with ``until``, up to that clock time.
-
-        Driving by time is how connections from outside peers get served:
-        their bytes are not work :meth:`run_until_idle` counts.
-        """
-        self._require_open()
-        if until is None:
-            return self.run_until_idle()
-        delay = until - self._clock.now
-        if delay > 0:
-            self._loop.run_until_complete(asyncio.sleep(delay))
-        self._raise_pending_error()
-        return self._clock.now
-
     def run_until_idle(self, timeout: Optional[float] = None) -> float:
         """Drive the loop until no in-flight frames or pending timers remain.
 
@@ -1180,24 +1307,14 @@ class AsyncioTransport(Transport):
         """Release a parked :meth:`run_until_idle` once nothing counted remains.
 
         Called at the end of every loop callback that can lower a counter or
-        record an error: a read batch, a floor release and a fired timer
-        (all through :meth:`_run_callback`), the teardown of a connection
-        (``_Receiver._reconcile``) and a dynamic link's ``establish``.
-        Handlers, ``cancel()`` and ``ready`` only ever run inside one of
-        those, so none of them checks.
+        record an error: a read batch, a floor release, a fired timer and
+        the teardown of a connection (all through :meth:`_run_callback`) and
+        a dynamic link's ``establish``.  Handlers, ``cancel()`` and
+        ``ready`` only ever run inside one of those, so none of them checks.
         """
         waiter = self._idle_waiter
         if waiter is not None and not waiter.done() and self._is_idle():
             waiter.set_result(None)
-
-    def _raise_pending_error(self) -> None:
-        if self._pending_error is not None:
-            error, self._pending_error = self._pending_error, None
-            raise error
-
-    def _require_open(self) -> None:
-        if self._closed:
-            raise TransportError("transport is closed")
 
     def resource_sizes(self) -> Dict[str, int]:
         """Live socket resources; handover/fault churn must not grow them.
@@ -1206,24 +1323,14 @@ class AsyncioTransport(Transport):
         link's connection is still open: two per link, one socket each
         (``links`` counts the connections).
         """
-        open_writers = sum(
-            1
-            for link in self._links.values()
-            for endpoint in (link._a_to_b, link._b_to_a)
-            if endpoint._writer is not None and not endpoint._writer.is_closing()
-        )
-        buffered = sum(
-            len(endpoint._buffer)
-            for link in self._links.values()
-            for endpoint in (link._a_to_b, link._b_to_a)
-        )
+        endpoints = [e for link in self._links.values() for e in (link._a_to_b, link._b_to_a)]
         return {
             "links": len(self._links),
             "servers": len(self._servers),
             "pending_timers": self._clock.pending_timers,
-            "open_writers": open_writers,
+            "open_writers": sum(e.is_open for e in endpoints),
             "inflight_frames": self._inflight,
-            "buffered_bytes": buffered,
+            "buffered_bytes": sum(len(e._buffer) for e in endpoints),
         }
 
     # ----------------------------------------------------------------- closing
@@ -1233,10 +1340,7 @@ class AsyncioTransport(Transport):
         self._closed = True
 
         async def shutdown() -> None:
-            for link in self._links.values():
-                link._close_writers()
-            for receiver in list(self._receivers):
-                receiver._abort()
+            self._close_connections()
             for server in self._servers.values():
                 server.close()
             for server in self._servers.values():

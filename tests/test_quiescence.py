@@ -3,7 +3,9 @@
 The drain neither polls nor waits out a confirmation window: it returns the
 moment the in-flight and timer counters read zero (or an error is recorded).
 These tests pin that by structure — what has happened when the call returns
-— on both codecs, with and without a link latency floor.
+— on both codecs, with and without a link latency floor.  The cluster parent
+runs the same clock on the same loop; where a case needs no in-process link
+it is also run there, against the cluster's counter-poll drain.
 """
 
 import time
@@ -12,6 +14,7 @@ import pytest
 
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport, TransportError
+from repro.pubsub.broker_network import line_topology
 
 
 class Recorder(Process):
@@ -40,6 +43,18 @@ def transport(codec):
     transport.close()
 
 
+@pytest.fixture(params=["asyncio", "cluster"])
+def driven(request, codec):
+    """A transport whose drain is live: the cluster's only polls once booted."""
+    if request.param == "asyncio":
+        transport = AsyncioTransport(codec=codec)
+    else:
+        transport = line_topology(n_brokers=1, transport="cluster", codec=codec).transport
+        transport.boot()
+    yield transport
+    transport.close()
+
+
 def test_idle_transport_returns_without_sleeping(transport, latency, monkeypatch):
     a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
     transport.make_link(a, b, latency=latency)
@@ -57,11 +72,22 @@ def test_idle_transport_returns_without_sleeping(transport, latency, monkeypatch
     assert elapsed < 0.05, f"50 idle drains took {elapsed * 1e3:.1f} ms"
 
 
-def test_lone_timer_firing_ends_the_drain(transport):
+def test_lone_timer_firing_ends_the_drain(driven):
     fired = []
-    transport.clock.schedule(0.005, fired.append, "only event")
-    transport.run_until_idle(timeout=2.0)  # would time out if fire() did not wake it
+    driven.clock.schedule(0.005, fired.append, "only event")
+    driven.run_until_idle(timeout=2.0)  # would time out if fire() did not wake it
     assert fired == ["only event"]
+
+
+def test_timer_that_raises_surfaces_from_the_drain_once(driven):
+    def boom():
+        raise RuntimeError("timer bug")
+
+    driven.clock.schedule(0.001, boom)
+    with pytest.raises(RuntimeError, match="timer bug"):
+        driven.run_until_idle(timeout=2.0)
+    driven.run_until_idle(timeout=2.0)
+    assert driven.resource_sizes()["pending_timers"] == 0
 
 
 def test_relay_chain_is_fully_received_after_one_drain(transport, latency):

@@ -9,9 +9,9 @@ baseline.  Three surfaces:
   link that left its writers behind shows up in ``open_writers`` even after
   being dropped from the registry);
 * **cluster kill/restart** — each supervised recovery cycle closes the dead
-  broker's client sockets and attaches fresh ones; client writers, reader
-  tasks, registry entries, live children and pending timers must all return
-  to the pre-fault baseline;
+  broker's client sockets and attaches fresh ones; open writers, receivers,
+  registry entries, live children and pending timers must all return to the
+  pre-fault baseline;
 * **soak loop** — a short in-process soak run holds its process-level
   plateau (open fds exactly flat) while chaining seeded chaos plans and
   seed-drawn mobility workload members.
@@ -87,8 +87,8 @@ def test_cluster_kill_restart_cycles_return_to_baseline():
         violations = check_non_growth(baseline, resource_snapshot(net), slack=slack)
         assert not violations, [str(v) for v in violations]
         sizes = net.transport.resource_sizes()
-        assert sizes["client_writers"] == baseline["transport:client_writers"]
-        assert sizes["reader_tasks"] == baseline["transport:reader_tasks"]
+        assert sizes["open_writers"] == baseline["transport:open_writers"]
+        assert sizes["receivers"] == baseline["transport:receivers"]
         assert sizes["registry_entries"] == baseline["transport:registry_entries"]
         assert sizes["live_children"] == baseline["transport:live_children"]
         assert sizes["pending_timers"] == baseline["transport:pending_timers"]

@@ -1,12 +1,15 @@
-"""Time on the socket backend: timers fire when due, floors count from arrival.
+"""Time on the socket backends: timers fire when due, floors count from arrival.
 
-Two mechanisms of ``AsyncioTransport`` keep time.  The event loop's selector
-waits with microsecond resolution (the stock epoll selector rounds every
-timer wait up to a whole millisecond), and each accepted connection is a
-callback-driven receiver that stamps a read's true arrival and releases
-frames from a FIFO floor queue with one timer — it never sleeps inline, so
-the floors of a stream cannot add up.  Timing assertions are on *medians*:
-a stalled CI machine delays a few samples, not half of them.
+Two mechanisms of the socket runtime (``SocketNode``) keep time.  The event
+loop's selector waits with microsecond resolution (the stock epoll selector
+rounds every timer wait up to a whole millisecond), and each connection is
+read by a callback-driven receiver that stamps a read's true arrival and
+releases frames from a FIFO floor queue with one timer — it never sleeps
+inline, so the floors of a stream cannot add up.  ``AsyncioTransport`` and
+the cluster's parent and broker children are all instances of that runtime;
+the cases that need no in-process link also run on the cluster.  Timing
+assertions are on *medians*: a stalled CI machine delays a few samples, not
+half of them.
 """
 
 import asyncio
@@ -14,12 +17,17 @@ import random
 import selectors
 import socket
 import statistics
+import time
 
 import pytest
 
 from repro.net import wire
+from repro.net.cluster import ClusterTransport
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport, TransportError
+from repro.pubsub.broker_network import line_topology
+from repro.pubsub.filters import Equals, Filter
+from repro.pubsub.notification import Notification
 
 
 class Recorder(Process):
@@ -39,6 +47,15 @@ class Recorder(Process):
 @pytest.fixture(params=["json", "binary"])
 def transport(request):
     transport = AsyncioTransport(codec=request.param)
+    yield transport
+    transport.close()
+
+
+@pytest.fixture(params=["asyncio-json", "asyncio-binary", "cluster"])
+def clocked(request):
+    """A socket backend with nothing on it: its clock and loop are all a timer needs."""
+    backend, _, codec = request.param.partition("-")
+    transport = AsyncioTransport(codec=codec) if backend == "asyncio" else ClusterTransport()
     yield transport
     transport.close()
 
@@ -137,15 +154,24 @@ def test_handshake_naming_the_wrong_target_surfaces_from_the_driver(transport):
 
 
 @pytest.mark.parametrize(
-    "source,refusal", [("someone else", "joins 'a' and 'b'"), ("a", "already connected")]
+    "link_offset,source,refusal",
+    [
+        (0, "someone else", "not an open link between them"),
+        (0, "a", "already connected"),
+        (7, "a", "not an open link between them"),
+    ],
 )
-def test_handshake_for_a_live_link_from_the_wrong_peer_is_refused(transport, source, refusal):
+def test_handshake_for_a_live_link_from_the_wrong_peer_is_refused(
+    transport, link_offset, source, refusal
+):
     """Regression: a handshake was bound to whatever link id it named once its
     target matched — here it would be handed the live link's way back to ``a``.
-    Only the link's own two ends may open it, and only once."""
+    Only the link's own two ends may open it, and only once; one that names
+    no open link at all used to be served unbound, its frames lowering the
+    in-flight count of links it had no part in."""
     a, b, link = pair(transport, latency=0.0)
     handshake = {
-        "link": link.link_id,
+        "link": link.link_id + link_offset,
         "source": source,
         "target": "b",
         **wire.handshake_fields(transport.codec),
@@ -160,22 +186,54 @@ def test_handshake_for_a_live_link_from_the_wrong_peer_is_refused(transport, sou
     assert a.payloads() == ["still the real way back"]
 
 
+def test_cluster_broker_survives_a_dialler_it_refuses():
+    """Regression: a handshake the broker child rejected failed the whole node
+    (exit 1) — one misconfigured dialler took a broker down.  It now costs
+    that connection only: closed without an answer, as on the asyncio backend."""
+    net = line_topology(n_brokers=2, transport="cluster", codec="binary")
+    try:
+        pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
+        sub.subscribe(Filter([Equals("service", "temp")]))
+        net.run_until_idle()
+        handshake = {
+            "source": "intruder",
+            "target": "B1",
+            "kind": "client",
+            **wire.handshake_fields(wire.get_codec("json")),
+        }
+        start = time.perf_counter()
+        address = net.transport.registry.registered["B1"]
+        with socket.create_connection(address, timeout=2.0) as raw:
+            raw.sendall(wire.frame(wire.encode_control(handshake)))
+            assert raw.recv(1) == b""  # refused: no ack, connection closed
+        assert time.perf_counter() - start < 2.0
+        assert net.transport._children["B1"].poll() is None
+        pub.publish(Notification({"service": "temp"}))
+        net.run_until_idle()
+        assert len(sub.deliveries) == 1
+    finally:
+        net.close()
+    assert net.transport.failures == {}
+
+
 # ------------------------------------------------------------------- timers
 
 
-def test_sub_millisecond_timers_fire_when_due(transport):
+def test_sub_millisecond_timers_fire_when_due(clocked):
     """The stock epoll selector rounds a wait up to whole milliseconds: every
-    one of these fired at >= 1.09 ms, i.e. 0.2 - 0.9 ms late."""
+    one of these fired at >= 1.09 ms, i.e. 0.2 - 0.9 ms late (and the cluster
+    parent, then on a stock loop of its own, fired a 0.3 ms timer at 1.23 ms).
+    Driven by time: a cluster that has not booted has no drain to run."""
     if selectors.DefaultSelector is not selectors.EpollSelector:
         pytest.skip("only the epoll selector rounds; elsewhere the stock loop is kept")
-    clock = transport.clock
+    clock = clocked.clock
     rng = random.Random(15)
     lateness = []
     for _ in range(51):
         delay = rng.uniform(0.0002, 0.0009)
         due = clock.now + delay
         clock.schedule(delay, lambda due=due: lateness.append(clock.now - due))
-        transport.run_until_idle()
+        clocked.run(until=due + 0.001)
     assert len(lateness) == 51
     median = statistics.median(lateness)
     assert median < 0.0003, f"median lateness {median * 1e3:.3f} ms"
@@ -207,6 +265,29 @@ def test_no_task_exists_per_connection(transport):
     assert [node.payloads() for node in nodes[1:]] == [["a"], ["b"], ["c"]]
     assert len(transport._receivers) == 6  # one per direction of three links
     assert asyncio.all_tasks(transport._loop) == set()
+
+
+def test_no_task_exists_per_cluster_client_connection():
+    """The parent read each client connection in a task of its own; its
+    receivers are callbacks too now.  The registry's control channels (one
+    stream task per broker) are all that is left."""
+    net = line_topology(n_brokers=3, transport="cluster", codec="binary")
+    try:
+        transport = net.transport
+        transport.boot()
+        control_tasks = asyncio.all_tasks(transport._loop)
+        assert len(control_tasks) == 3
+        clients = [net.add_client(f"c{i}", f"B{i % 3 + 1}") for i in range(6)]
+        for client in clients:
+            client.subscribe(Filter([Equals("service", "temp")]))
+        net.run_until_idle()
+        clients[0].publish(Notification({"service": "temp"}))
+        net.run_until_idle()
+        assert [len(client.deliveries) for client in clients[1:]] == [1] * 5
+        assert asyncio.all_tasks(transport._loop) == control_tasks
+        assert len(transport._receivers) == 6
+    finally:
+        net.close()
 
 
 # --------------------------------------------------------------- accounting
