@@ -1,24 +1,25 @@
 """Churn benchmark: steady-state matching throughput under subscription churn.
 
-Three sweeps, the first self-gating (the benchmark exits non-zero when its
+Two sweeps, the first self-gating (the benchmark exits non-zero when its
 own acceptance bar fails, independent of ``compare.py``):
 
 * ``churn_destinations`` — the headline table-level microbenchmark: 1k
   Range-heavy subscriptions over a handful of links, then rounds of one
-  retire+admit churn pair followed by hot-shape ``destinations()`` queries.
-  This is exactly the regime where the segment index pays its
-  rebuild-on-dirty cost on every round; the ``"interval"`` matcher's
-  incrementally repaired :class:`~repro.pubsub.matching.IntervalBucketIndex`
-  absorbs the same churn with two bisects.  The gated statistic is
-  ``speedup`` (interval queries/s over indexed queries/s, best of the
-  interleaved repeats); the run *fails* below ``--speedup-floor`` (default
-  3.0).  An untimed verification pass replays the same churn against a
-  lockstep brute-force oracle: ``oracle_mismatch_count`` (every query
-  compared, all three matchers) and ``cache_staleness_count`` (mismatches
-  on queries served from the destination cache) are exact-gated zeros, and
-  ``cache_hit_count`` exact-gates the cache's deterministic hit pattern.
+  retire+admit churn pair followed by hot-shape ``destinations()`` queries,
+  so every query is the first one after a mutation — the normal case in a
+  mobile fabric.  The ``"indexed"`` matcher's incrementally repaired
+  :class:`~repro.pubsub.matching.IntervalBucketIndex` absorbs each churn
+  pair with two bisects and answers from one bucket; ``"brute"`` evaluates
+  every entry.  The gated statistic is ``speedup`` (indexed queries/s over
+  brute queries/s, best of the interleaved repeats); the run *fails* below
+  ``--speedup-floor`` (default 3.0).  An untimed verification pass replays
+  the same churn against a lockstep brute-force oracle:
+  ``oracle_mismatch_count`` (every query compared) and
+  ``cache_staleness_count`` (mismatches on queries served from the
+  destination cache) are exact-gated zeros, and ``cache_hit_count``
+  exact-gates the cache's deterministic hit pattern.
 * ``churn_backends`` — the same Range-heavy churn shape end-to-end: a
-  3-broker line per backend with ``matcher="interval"``, publishes
+  3-broker line per backend with ``matcher="indexed"``, publishes
   interleaved with between-phase subscription swaps, delivered notification
   ids per subscriber compared against a sim run with ``matcher="brute"``.
   ``delivered_count`` and ``oracle_divergence_count`` are exact-gated; the
@@ -93,18 +94,17 @@ def _timed_churn(matcher: str, seed: int) -> float:
 
 
 def _verify_churn(seed: int) -> tuple:
-    """Replay the identical churn with all three matchers in lockstep.
+    """Replay the identical churn with both matchers in lockstep.
 
-    Every query is compared across brute (the oracle), indexed and interval;
-    a query the interval table served from its destination cache that
-    disagrees with a freshly computed brute answer is *staleness* — the one
-    bug class the epoch guard exists to make impossible.
+    Every query is compared between brute (the oracle) and indexed; a query
+    the indexed table served from its destination cache that disagrees with
+    a freshly computed brute answer is *staleness* — the one bug class the
+    epoch guard exists to make impossible.
     Returns (mismatches, staleness, cache_hits).
     """
-    tables = {}
-    for matcher in ("brute", "indexed", "interval"):
-        # identical seed per build -> all three tables start byte-identical
-        tables[matcher], subs = _build_table(matcher, random.Random(seed))
+    # identical seed per build -> both tables start byte-identical
+    brute, _ = _build_table("brute", random.Random(seed))
+    indexed, subs = _build_table("indexed", random.Random(seed))
     hot_rng = random.Random(seed)
     for _ in range(2 * SUBSCRIPTIONS):  # skip the draws _build_table consumed
         hot_rng.random()
@@ -112,44 +112,40 @@ def _verify_churn(seed: int) -> tuple:
     rng = random.Random(seed + 1)
     next_id = SUBSCRIPTIONS
     mismatches = staleness = 0
-    interval = tables["interval"]
     for _ in range(ROUNDS):
         victim = subs.pop(rng.randrange(len(subs)))
         new_filter = _random_filter(rng)
         sub_id = f"s{next_id}"
         next_id += 1
         link = f"L{next_id % LINKS}"
-        for table in tables.values():
+        for table in (brute, indexed):
             table.remove(victim)
             table.add(new_filter, link, sub_id)
         subs.append(sub_id)
         for _ in range(QUERIES_PER_ROUND):
             probe = rng.choice(hot)
-            hits_before = interval.cache_hits
-            got_interval = interval.destinations(probe)
-            from_cache = interval.cache_hits > hits_before
-            want = tables["brute"].destinations(probe)
-            got_indexed = tables["indexed"].destinations(probe)
-            if got_interval != want or got_indexed != want:
+            hits_before = indexed.cache_hits
+            got = indexed.destinations(probe)
+            if got != brute.destinations(probe):
                 mismatches += 1
-                if from_cache and got_interval != want:
+                if indexed.cache_hits > hits_before:
                     staleness += 1
-    return mismatches, staleness, interval.cache_hits
+    return mismatches, staleness, indexed.cache_hits
 
 
 def run_destinations_sweep(repeats: int, speedup_floor: float, seed: int):
     """The headline microbenchmark; returns (record, failures)."""
     failures = []
-    indexed_best = interval_best = 0.0
+    brute_best = indexed_best = 0.0
     for _ in range(repeats):
+        brute_best = max(brute_best, _timed_churn("brute", seed))
         indexed_best = max(indexed_best, _timed_churn("indexed", seed))
-        interval_best = max(interval_best, _timed_churn("interval", seed))
-    speedup = interval_best / indexed_best
+    speedup = indexed_best / brute_best
     mismatches, staleness, cache_hits = _verify_churn(seed)
     if speedup < speedup_floor:
         failures.append(
             f"steady-churn speedup {speedup:.2f}x below the {speedup_floor:.1f}x floor "
-            f"(interval {interval_best:.0f} q/s vs indexed {indexed_best:.0f} q/s)"
+            f"(indexed {indexed_best:.0f} q/s vs brute {brute_best:.0f} q/s)"
         )
     if mismatches:
         failures.append(f"{mismatches} destinations() mismatches against the brute oracle")
@@ -166,10 +162,10 @@ def run_destinations_sweep(repeats: int, speedup_floor: float, seed: int):
         },
         "metrics": {
             "speedup": speedup,
-            "interval_qps": interval_best,
             "indexed_qps": indexed_best,
-            "interval_query_usec": 1e6 / interval_best,
+            "brute_qps": brute_best,
             "indexed_query_usec": 1e6 / indexed_best,
+            "brute_query_usec": 1e6 / brute_best,
             "oracle_mismatch_count": mismatches,
             "cache_staleness_count": staleness,
             "cache_hit_count": cache_hits,
@@ -177,7 +173,7 @@ def run_destinations_sweep(repeats: int, speedup_floor: float, seed: int):
     }
     print(
         f"destinations  subs={SUBSCRIPTIONS} links={LINKS} rounds={ROUNDS} "
-        f"interval={interval_best:8.0f} q/s indexed={indexed_best:8.0f} q/s "
+        f"indexed={indexed_best:8.0f} q/s brute={brute_best:8.0f} q/s "
         f"speedup={speedup:5.2f}x mismatches={mismatches} stale={staleness}"
     )
     return record, failures
@@ -245,9 +241,9 @@ def _run_backend_workload(backend: str, matcher: str, phases: int, per_phase: in
 
 
 def run_backend_sweep(backend: str, oracle, phases: int, per_phase: int, seed: int):
-    """Interval matcher on ``backend`` vs the sim brute oracle; (record, failures)."""
+    """Indexed matcher on ``backend`` vs the sim brute oracle; (record, failures)."""
     failures = []
-    delivered, published, wall = _run_backend_workload(backend, "interval", phases, per_phase, seed)
+    delivered, published, wall = _run_backend_workload(backend, "indexed", phases, per_phase, seed)
     divergences = sum(1 for name, ids in oracle.items() if delivered.get(name) != ids)
     if divergences:
         failures.append(
@@ -284,7 +280,7 @@ def main(argv=None) -> int:
         "--speedup-floor",
         type=float,
         default=3.0,
-        help="minimum interval-over-indexed steady-churn speedup (default: 3.0)",
+        help="minimum indexed-over-brute steady-churn speedup (default: 3.0)",
     )
     parser.add_argument("--seed", type=int, default=7, help="churn workload seed (default: 7)")
     parser.add_argument(

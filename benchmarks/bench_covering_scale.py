@@ -17,7 +17,7 @@ Three sweeps:
   the before and the after.
 * **range-table** — ``RoutingTable.destinations`` on a Range-dominated
   workload (the paper's location/zone band filters), brute vs indexed, which
-  exercises the per-attribute Range segment buckets.
+  exercises the per-attribute Range buckets (``IntervalBucketIndex``).
 
 Emits ``BENCH_covering.json`` (see ``--output``), consumable by
 ``benchmarks/compare.py``.  Absolute wall times are recorded under
@@ -172,9 +172,9 @@ def bench_range_table(links: int, subscriptions: int, notifications: int, seed: 
         table = RoutingTable(matcher=matcher)
         for filter, link, sub_id in filters:
             table.add(filter, link, sub_id)
-        # warm both matchers once so the lazy segment rebuild (a one-off
-        # cost after a churn batch, reported separately) is excluded from
-        # the steady-state per-notification measurement
+        # the first query after the build batch is reported apart from the
+        # steady-state per-notification measurement: it must cost no more
+        # than any other (nothing is rebuilt on a query)
         start = time.perf_counter()
         table.destinations(payloads[0])
         metrics[f"{matcher}_first_query_sec"] = time.perf_counter() - start

@@ -48,6 +48,7 @@ from typing import List, Optional
 
 from .experiments import EXPERIMENTS
 from .experiments.report import QUICK_OVERRIDES, render_markdown, run_experiments
+from .pubsub.routing_table import MATCHER_NAMES
 
 _EXAMPLES = {
     "quickstart": "quickstart.py",
@@ -74,10 +75,10 @@ def _add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--matcher",
-        choices=("brute", "indexed", "interval"),
+        choices=MATCHER_NAMES,
         default=None,
-        help="routing-table matching strategy: brute scan, segment-indexed, or the "
-        "churn-oriented incremental interval index (default: indexed)",
+        help="routing-table matching strategy: brute scan (the oracle) or the "
+        "incrementally maintained attribute index (default: indexed)",
     )
     parser.add_argument(
         "--advertising",

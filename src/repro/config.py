@@ -56,7 +56,7 @@ class SystemConfig:
     >>> SystemConfig(matcher="indxed")
     Traceback (most recent call last):
         ...
-    ValueError: unknown matcher 'indxed'; allowed: brute, indexed, interval
+    ValueError: unknown matcher 'indxed'; allowed: brute, indexed
     """
 
     matcher: str = "indexed"

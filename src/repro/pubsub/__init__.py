@@ -36,9 +36,10 @@ from .filters import (
     match_all,
 )
 from .matching import (
+    AttributeIndex,
     AttributeIndexMatcher,
     BruteForceMatcher,
-    RangeSegmentIndex,
+    IntervalBucketIndex,
     cross_check,
     pick_index_key,
     pick_range_constraint,
@@ -62,6 +63,7 @@ __all__ = [
     "ADVERTISING_NAMES",
     "AtLeast",
     "AtMost",
+    "AttributeIndex",
     "AttributeIndexMatcher",
     "BorderBroker",
     "Broker",
@@ -79,6 +81,7 @@ __all__ = [
     "IdentityRouting",
     "InSet",
     "InnerBroker",
+    "IntervalBucketIndex",
     "LessThan",
     "LocalBroker",
     "MergingRouting",
@@ -86,7 +89,6 @@ __all__ = [
     "Notification",
     "Prefix",
     "Range",
-    "RangeSegmentIndex",
     "RouteEntry",
     "RoutingStrategy",
     "RoutingTable",

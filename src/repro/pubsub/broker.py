@@ -50,10 +50,8 @@ class Broker(Process):
         simple routing throughout, which is the default here.
     matcher:
         Routing-table matching strategy: ``"indexed"`` (default; per-link
-        attribute index, pre-selects candidate entries), ``"interval"``
-        (same index with an incrementally-repaired range structure, built
-        for churn-heavy workloads) or ``"brute"`` (evaluate every entry).
-        All three produce identical forwarding decisions.
+        attribute index, pre-selects candidate entries) or ``"brute"``
+        (evaluate every entry).  Both produce identical forwarding decisions.
     advertising:
         Subscription-control implementation of the routing strategy:
         ``"incremental"`` (default; maintained forwarded-filter index) or
@@ -119,7 +117,7 @@ class Broker(Process):
     # ------------------------------------------------------------------ matcher
     @property
     def matcher(self) -> str:
-        """The routing-table matching strategy ("brute", "indexed" or "interval")."""
+        """The routing-table matching strategy ("brute" or "indexed")."""
         return self.routing_table.matcher
 
     def set_matcher(self, matcher: str) -> None:

@@ -9,26 +9,25 @@ Two strategies are provided:
 
 * :class:`BruteForceMatcher` — evaluates every registered filter; the
   baseline, always correct.
-* :class:`AttributeIndexMatcher` — a pre-selection index on equality
-  constraints (the "counting / pre-filtering" family of algorithms referenced
-  by the paper via [16]).  Candidates are pre-selected by the value of one
-  indexed equality attribute per filter and only those candidates are fully
-  evaluated, so results are identical to brute force.  Filters without an
-  equality constraint but with a :class:`~repro.pubsub.filters.Range`
-  constraint are candidate-pruned through :class:`RangeSegmentIndex`
-  (sorted boundaries + bisect) instead of landing in the always-evaluated
-  fallback set.
+* :class:`AttributeIndexMatcher` — a pre-selection index in the style of the
+  "counting / pre-filtering" family of algorithms referenced by the paper
+  via [16]: only the candidates :class:`AttributeIndex` selects are fully
+  evaluated, so results are identical to brute force.
 
-:class:`RangeSegmentIndex` is shared with the routing table's per-link index
-(:mod:`repro.pubsub.routing_table`), exactly like :func:`pick_index_key`.
+:class:`AttributeIndex` is the system's one attribute index — the matcher
+holds one over its subscriptions, the routing table
+(:mod:`repro.pubsub.routing_table`) one per link — and :class:`EpochCache`
+the one memo of per-notification answers in front of both.  Everything here
+is maintained incrementally (a few dict operations and at most two bisects
+per subscription change; no query ever pays for a rebuild), because in a
+mobile fabric churn is the normal case.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .filters import Equals, Filter, InSet, Range
 from .notification import Notification
@@ -43,28 +42,25 @@ def pick_index_key(filter: Filter) -> Optional[Tuple[str, object]]:
     exactly that value for the attribute.  Returns ``None`` when the filter
     has no such constraint — those filters must always be evaluated.
 
-    Shared by :class:`AttributeIndexMatcher` and the routing table's per-link
-    index (:mod:`repro.pubsub.routing_table`).
+    The equality half of :class:`AttributeIndex`'s placement rule.
     """
     for constraint in filter.constraints:
         if isinstance(constraint, Equals):
-            try:
-                hash(constraint.value)
-            except TypeError:
-                continue
-            return (constraint.attribute, constraint.value)
-        if isinstance(constraint, InSet) and len(constraint.values) == 1:
-            (value,) = tuple(constraint.values)
-            try:
-                hash(value)
-            except TypeError:
-                continue
-            return (constraint.attribute, value)
+            value = constraint.value
+        elif isinstance(constraint, InSet) and len(constraint.values) == 1:
+            (value,) = constraint.values
+        else:
+            continue
+        try:
+            hash(value)
+        except TypeError:
+            continue
+        return (constraint.attribute, value)
     return None
 
 
 def pick_range_constraint(filter: Filter) -> Optional[Range]:
-    """Choose the best ``Range`` constraint for segment-bucket pre-selection.
+    """Choose the best ``Range`` constraint for interval-bucket pre-selection.
 
     Used for filters :func:`pick_index_key` rejects (no usable equality
     constraint): such a filter can still be candidate-pruned by one of its
@@ -85,138 +81,31 @@ def pick_range_constraint(filter: Filter) -> Optional[Range]:
     return best
 
 
-class RangeSegmentIndex:
-    """Interval-stabbing index over the ``Range`` constraints of one attribute.
-
-    The classic segment-bucket scheme: the sorted list of distinct finite
-    range boundaries partitions the number line into elementary segments
-    (alternating open gaps and boundary points); within one segment the set
-    of ranges containing a value is constant.  A query is one ``bisect`` into
-    the boundary list plus a walk over the precomputed member list of the
-    selected segment — a superset of the true matches (endpoint inclusivity
-    is ignored here), made exact by the full filter evaluation that follows.
-
-    Mutations mark the index dirty; the segment lists are rebuilt lazily on
-    the next query, so bulk churn never pays per-operation rebuild costs.
-    Heavily overlapping ranges would make the per-segment member lists
-    quadratic, so the rebuild *coarsens* the boundary list (halving its
-    resolution) until the total membership fits ``MAX_SLOTS_PER_ENTRY``
-    slots per entry — candidate sets get less selective but stay supersets,
-    and memory stays linear in the entry count.
-    """
-
-    __slots__ = ("_entries", "_dirty", "_bounds", "_segments")
-
-    MAX_SLOTS_PER_ENTRY = 32
-
-    def __init__(self) -> None:
-        # id -> (low, high, payload)
-        self._entries: Dict[str, Tuple[float, float, object]] = {}
-        self._dirty = False
-        self._bounds: List[float] = []
-        self._segments: List[List[object]] = []
-
-    def add(self, entry_id: str, constraint: Range, payload: object) -> None:
-        low, high = constraint.bounds()
-        self._entries[entry_id] = (low, high, payload)
-        self._dirty = True
-
-    def discard(self, entry_id: str) -> None:
-        if self._entries.pop(entry_id, None) is not None:
-            self._dirty = True
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, entry_id: str) -> Optional[object]:
-        entry = self._entries.get(entry_id)
-        return entry[2] if entry is not None else None
-
-    def payloads(self) -> List[object]:
-        return [payload for (_low, _high, payload) in self._entries.values()]
-
-    @staticmethod
-    def _segment_of(bounds: List[float], value: float) -> int:
-        """Elementary-segment index of ``value``: even indices are the open
-        gaps between boundaries, odd indices the boundary points themselves."""
-        i = bisect_left(bounds, value)
-        if i < len(bounds) and bounds[i] == value:
-            return 2 * i + 1
-        return 2 * i
-
-    def _rebuild(self) -> None:
-        self._dirty = False
-        entries = self._entries
-        bounds = sorted(
-            {
-                bound
-                for (low, high, _payload) in entries.values()
-                for bound in (low, high)
-                if -math.inf < bound < math.inf
-            }
-        )
-        budget = self.MAX_SLOTS_PER_ENTRY * len(entries) + 64
-        while True:
-            n_segments = 2 * len(bounds) + 1
-            spans = []
-            total = 0
-            for low, high, payload in entries.values():
-                start = 0 if low == -math.inf else self._segment_of(bounds, low)
-                end = n_segments - 1 if high == math.inf else self._segment_of(bounds, high)
-                spans.append((start, end, payload))
-                total += end - start + 1
-            if total <= budget or len(bounds) <= 8:
-                break
-            bounds = bounds[::2]  # coarsen: halve the boundary resolution
-        self._bounds = bounds
-        segments: List[List[object]] = [[] for _ in range(2 * len(bounds) + 1)]
-        for start, end, payload in spans:
-            for segment in range(start, end + 1):
-                segments[segment].append(payload)
-        self._segments = segments
-
-    def candidates(self, value: object) -> List[object]:
-        """Payloads of the ranges that may contain ``value`` (a superset)."""
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return []  # a Range constraint never matches a non-numeric value
-        if value != value:
-            return []  # NaN lies inside no interval (and would misbisect)
-        if self._dirty:
-            self._rebuild()
-        if not self._segments:
-            return []
-        return self._segments[self._segment_of(self._bounds, value)]
-
-
 class IntervalBucketIndex:
     """Incrementally-maintained interval-stabbing index (bucketed boundaries).
 
-    The churn-proof sibling of :class:`RangeSegmentIndex`: instead of a
-    lazily rebuilt elementary-segment table (O(n log n) on the first query
-    after *any* mutation), the number line is partitioned into buckets by a
-    monotonically growing sorted cut list, and every range is stored in each
-    bucket it overlaps.  Insert and remove are two ``bisect`` calls plus a
-    handful of dict operations; a query is one ``bisect`` into the cut list
-    plus the member dict of one bucket — no rebuild, ever.
+    The number line is partitioned into buckets by a monotonically growing
+    sorted cut list, and every range is stored in each bucket it overlaps.
+    Insert and remove are two ``bisect`` calls plus a handful of dict
+    operations; a query is one ``bisect`` into the cut list plus the member
+    dict of one bucket — no rebuild, ever.
 
     Local repair keeps buckets small: when an insert pushes a bucket past
     ``MAX_BUCKET`` entries, the bucket is split at the median of the member
     bounds falling strictly inside it (one ``repairs`` increment, reported
     through the optional ``repair_counter`` as ``index.repair``).  Ranges
     that would straddle more than ``MAX_SPAN`` buckets at insert time go
-    into the always-scanned ``wide`` set instead — the incremental analogue
-    of the segment index's self-coarsening fallback, so heavily overlapping
+    into the always-scanned ``wide`` set instead, so heavily overlapping
     workloads degrade to linear scans of those entries rather than to
     quadratic bucket membership.  A bucket whose members cannot be separated
     (e.g. all-identical point intervals) refuses to split and backs off
     until it doubles, so degenerate workloads cannot trigger repeated O(n)
     split attempts.
 
-    Candidate sets are supersets exactly like the segment index (endpoint
-    inclusivity is ignored; the full filter evaluation downstream restores
-    exactness), and each entry is yielded at most once per query: a narrow
-    entry lives in many buckets but a value stabs exactly one, and wide
-    entries live only in ``wide``.
+    Candidate sets are supersets (endpoint inclusivity is ignored; the full
+    filter evaluation downstream restores exactness), and each entry is
+    yielded at most once per query: a narrow entry lives in many buckets but
+    a value stabs exactly one, and wide entries live only in ``wide``.
     """
 
     __slots__ = ("_entries", "_cuts", "_buckets", "_retry_at", "_wide", "repairs", "repair_counter")
@@ -316,13 +205,6 @@ class IntervalBucketIndex:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, entry_id: str) -> Optional[object]:
-        entry = self._entries.get(entry_id)
-        return entry[2] if entry is not None else None
-
-    def payloads(self) -> List[object]:
-        return [payload for (_low, _high, payload, _wide) in self._entries.values()]
-
     def candidates(self, value: object) -> List[object]:
         """Payloads of the ranges that may contain ``value`` (a superset)."""
         if not isinstance(value, (int, float)) or isinstance(value, bool):
@@ -331,27 +213,169 @@ class IntervalBucketIndex:
             return []  # NaN lies inside no interval
         cuts = self._cuts
         bucket = self._buckets[bisect_left(cuts, value)] if cuts else self._buckets[0]
-        wide = self._wide
-        if not wide:
-            return list(bucket.values())
         out = list(bucket.values())
-        out.extend(wide.values())
+        if self._wide:
+            out.extend(self._wide.values())
         return out
 
 
-#: range-index implementations selectable per matcher: ``"segment"`` is the
-#: lazily rebuilt :class:`RangeSegmentIndex` (the ``"indexed"`` matcher),
-#: ``"interval"`` the incrementally maintained :class:`IntervalBucketIndex`
-RANGE_INDEX_NAMES = ("segment", "interval")
+class AttributeIndex:
+    """Attribute → value → entries pre-selection index over a set of filters.
+
+    ``by_attr`` buckets entries two levels deep — attribute, then equality
+    value — following the ``(attribute, value)`` pair chosen by
+    :func:`pick_index_key`.  Two flat dict probes per notification attribute
+    beat a combined-tuple key: attribute strings cache their hashes, and no
+    tuple is allocated per probe.  Entries without a usable equality
+    constraint but with a ``Range`` constraint go into one
+    :class:`IntervalBucketIndex` per attribute (``by_range``) and are
+    pre-selected by the notification's numeric value; ``unindexed`` holds
+    only the remainder, which must always be evaluated.
+
+    :meth:`candidates` yields payloads (a ``Subscription`` for the matcher, a
+    ``RouteEntry`` for a routing-table link); :meth:`discard` takes the filter
+    the entry was added with, because the filter alone decides where the
+    entry lives.  ``repair_counter`` is handed to every range index.
+    """
+
+    __slots__ = ("by_attr", "by_range", "unindexed", "_repair_counter")
+
+    def __init__(self, repair_counter: object = None) -> None:
+        self.by_attr: Dict[str, Dict[object, Dict[str, object]]] = {}
+        self.by_range: Dict[str, IntervalBucketIndex] = {}
+        self.unindexed: Dict[str, object] = {}
+        self._repair_counter = repair_counter
+
+    def add(self, entry_id: str, filter: Filter, payload: object) -> None:
+        key = pick_index_key(filter)
+        if key is None:
+            range_constraint = pick_range_constraint(filter)
+            if range_constraint is not None:
+                attribute = range_constraint.attribute
+                index = self.by_range.get(attribute)
+                if index is None:
+                    index = self.by_range[attribute] = IntervalBucketIndex(self._repair_counter)
+                index.add(entry_id, range_constraint, payload)
+                return
+            self.unindexed[entry_id] = payload
+            return
+        attribute, value = key
+        buckets = self.by_attr.get(attribute)
+        if buckets is None:
+            buckets = self.by_attr[attribute] = {}
+        bucket = buckets.get(value)
+        if bucket is None:
+            bucket = buckets[value] = {}
+        bucket[entry_id] = payload
+
+    def discard(self, entry_id: str, filter: Filter) -> None:
+        key = pick_index_key(filter)
+        if key is None:
+            range_constraint = pick_range_constraint(filter)
+            if range_constraint is not None:
+                index = self.by_range.get(range_constraint.attribute)
+                if index is not None:
+                    index.discard(entry_id)
+                    if not len(index):
+                        del self.by_range[range_constraint.attribute]
+                return
+            self.unindexed.pop(entry_id, None)
+            return
+        attribute, value = key
+        buckets = self.by_attr.get(attribute)
+        if buckets is None:
+            return
+        bucket = buckets.get(value)
+        if bucket is not None:
+            bucket.pop(entry_id, None)
+            if not bucket:
+                del buckets[value]
+                if not buckets:
+                    del self.by_attr[attribute]
+
+    def empty(self) -> bool:
+        return not self.by_attr and not self.by_range and not self.unindexed
+
+    def candidates(self, items) -> Iterator[object]:
+        """Yield the payloads that could match a notification with ``items``.
+
+        ``items`` is the notification's attribute/value pairs, precomputed
+        once by the caller and shared across every index probed.  Unindexable
+        entries come first, then the equality buckets and range buckets
+        selected by the notification's own pairs.  No entry is yielded twice:
+        each lives in exactly one equality bucket, one range index or in
+        ``unindexed``, and a notification carries each attribute once.  This
+        is the single definition of candidate pre-selection; every query path
+        goes through it.
+        """
+        yield from self.unindexed.values()
+        by_attr = self.by_attr
+        if by_attr:
+            for attribute, value in items:
+                buckets = by_attr.get(attribute)
+                if buckets is None:
+                    continue
+                try:
+                    bucket = buckets.get(value)
+                except TypeError:  # unhashable notification value
+                    continue
+                if bucket:
+                    yield from bucket.values()
+        by_range = self.by_range
+        if by_range:
+            for attribute, value in items:
+                index = by_range.get(attribute)
+                if index is not None:
+                    yield from index.candidates(value)
 
 
-def make_range_index(name: str, repair_counter: object = None):
-    """Instantiate the range index selected by ``name`` (see RANGE_INDEX_NAMES)."""
-    if name == "segment":
-        return RangeSegmentIndex()
-    if name == "interval":
-        return IntervalBucketIndex(repair_counter=repair_counter)
-    raise ValueError(f"unknown range index {name!r}; available: {RANGE_INDEX_NAMES}")
+class EpochCache:
+    """Per-notification answers, memoized until the owner's next mutation.
+
+    The owner bumps ``epoch`` on every mutation and the next :meth:`lookup`
+    drops everything memoized before it, so no stale answer is ever served.
+    Keys are the notification's attribute signature plus a caller-chosen
+    ``scope`` (the routing table's exclude set); :meth:`store` evicts FIFO.
+    """
+
+    __slots__ = ("epoch", "_entries", "_entries_epoch")
+
+    def __init__(self) -> None:
+        self.epoch = 0
+        self._entries: Dict[Tuple, list] = {}
+        self._entries_epoch = 0
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(
+        self, notification: Mapping, scope: Tuple = ()
+    ) -> Tuple[Optional[Tuple], Optional[list]]:
+        """Return ``(key, answer)``: ``answer`` is ``None`` on a miss, and a
+        ``None`` key marks a notification that cannot be memoized at all."""
+        entries = self._entries
+        if self._entries_epoch != self.epoch:
+            entries.clear()
+            self._entries_epoch = self.epoch
+        try:
+            # attributes are unique keys, so sorting never compares values
+            # and the signature is hashable iff every value is
+            signature = tuple(sorted(notification.items()))
+            for _attribute, value in signature:
+                if value is True or value is False:
+                    # 1 == True with equal hashes, yet a Range accepts only 1: key by type too
+                    signature = tuple((a, v, v.__class__) for a, v in signature)
+                    break
+            key = (signature, scope)
+            return key, entries.get(key)
+        except TypeError:  # unorderable items view or unhashable value
+            return None, None
+
+    def store(self, key: Tuple, answer: list, capacity: int) -> None:
+        entries = self._entries
+        if len(entries) >= capacity:
+            del entries[next(iter(entries))]
+        entries[key] = answer
 
 
 class BruteForceMatcher:
@@ -388,19 +412,13 @@ class BruteForceMatcher:
 
 
 class AttributeIndexMatcher:
-    """Pre-select candidate subscriptions by one indexed equality attribute.
+    """Pre-select candidate subscriptions through one :class:`AttributeIndex`.
 
-    For each filter, one ``Equals``/single-value ``InSet`` constraint is
-    chosen as the index key.  At match time only subscriptions whose index key
-    agrees with the notification (plus all unindexable subscriptions) are
-    evaluated in full, which keeps the result identical to brute force while
-    skipping most non-matching filters on selective workloads.  Filters with
-    no equality constraint but at least one ``Range`` constraint are bucketed
-    in a per-attribute range index — the lazily rebuilt
-    :class:`RangeSegmentIndex` (``range_index="segment"``, the default) or
-    the incrementally maintained :class:`IntervalBucketIndex`
-    (``range_index="interval"``) — and pre-selected by the notification's
-    value for that attribute.
+    At match time only the subscriptions the index selects for the
+    notification's own attribute/value pairs (equality buckets, range
+    buckets, plus all unindexable subscriptions) are evaluated in full, which
+    keeps the result identical to brute force while skipping most
+    non-matching filters on selective workloads.
 
     Repeated publishes of a hot notification shape skip candidate gathering
     entirely: results are memoized by the notification's attribute signature
@@ -411,153 +429,60 @@ class AttributeIndexMatcher:
     #: bound on the memoized notification signatures (FIFO eviction)
     CACHE_CAPACITY = 4096
 
-    def __init__(self, range_index: str = "segment") -> None:
-        if range_index not in RANGE_INDEX_NAMES:
-            raise ValueError(
-                f"unknown range index {range_index!r}; available: {RANGE_INDEX_NAMES}"
-            )
-        self._range_index_name = range_index
-        self._by_key: Dict[Tuple[str, object], Dict[str, Subscription]] = defaultdict(dict)
-        self._by_range: Dict[str, object] = {}
-        self._unindexed: Dict[str, Subscription] = {}
-        # sub_id -> ("eq", key) | ("range", attribute) | None (unindexed)
-        self._index_of: Dict[str, Optional[Tuple[str, object]]] = {}
+    def __init__(self) -> None:
+        self._subscriptions: Dict[str, Subscription] = {}
+        self._index = AttributeIndex()
+        self._match_cache = EpochCache()
         self.full_evaluations = 0
         self.cache_hits = 0
-        self._epoch = 0
-        self._cache_epoch = 0
-        self._match_cache: Dict[Tuple, List[Subscription]] = {}
 
     # ------------------------------------------------------------------ admin
     def add(self, subscription: Subscription) -> None:
-        self._epoch += 1
         sub_id = subscription.sub_id
-        key = self._pick_index_key(subscription.filter)
-        if key is not None:
-            self._index_of[sub_id] = ("eq", key)
-            self._by_key[key][sub_id] = subscription
-            return
-        range_constraint = pick_range_constraint(subscription.filter)
-        if range_constraint is not None:
-            attribute = range_constraint.attribute
-            self._index_of[sub_id] = ("range", attribute)
-            index = self._by_range.get(attribute)
-            if index is None:
-                index = self._by_range[attribute] = make_range_index(self._range_index_name)
-            index.add(sub_id, range_constraint, subscription)
-            return
-        self._index_of[sub_id] = None
-        self._unindexed[sub_id] = subscription
+        self.remove(sub_id)  # re-adding an id replaces, like brute force
+        self._match_cache.epoch += 1
+        self._subscriptions[sub_id] = subscription
+        self._index.add(sub_id, subscription.filter, subscription)
 
     def remove(self, sub_id: str) -> Optional[Subscription]:
-        if sub_id not in self._index_of:
-            return None
-        self._epoch += 1
-        tag = self._index_of.pop(sub_id)
-        if tag is None:
-            return self._unindexed.pop(sub_id, None)
-        kind, detail = tag
-        if kind == "range":
-            index = self._by_range.get(detail)
-            if index is None:
-                return None
-            removed = index.get(sub_id)
-            index.discard(sub_id)
-            if not len(index):
-                del self._by_range[detail]
-            return removed
-        bucket = self._by_key.get(detail, {})
-        removed = bucket.pop(sub_id, None)
-        if not bucket and detail in self._by_key:
-            del self._by_key[detail]
+        removed = self._subscriptions.pop(sub_id, None)
+        if removed is not None:
+            self._match_cache.epoch += 1
+            self._index.discard(sub_id, removed.filter)
         return removed
 
     def clear(self) -> None:
-        self._epoch += 1
-        self._by_key.clear()
-        self._by_range.clear()
-        self._unindexed.clear()
-        self._index_of.clear()
+        self._match_cache.epoch += 1
+        self._subscriptions.clear()
+        self._index = AttributeIndex()
 
     def __len__(self) -> int:
-        return len(self._index_of)
+        return len(self._subscriptions)
 
     def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._index_of
+        return sub_id in self._subscriptions
 
     @property
     def subscriptions(self) -> List[Subscription]:
-        subs = list(self._unindexed.values())
-        for bucket in self._by_key.values():
-            subs.extend(bucket.values())
-        for index in self._by_range.values():
-            subs.extend(index.payloads())
-        return subs
+        return list(self._subscriptions.values())
 
     # --------------------------------------------------------------- matching
     def match(self, notification: Mapping) -> List[Subscription]:
-        cache = self._match_cache
-        if self._cache_epoch != self._epoch:
-            cache.clear()
-            self._cache_epoch = self._epoch
-        try:
-            # attributes are unique keys, so sorting never compares values
-            # and the signature is hashable iff every value is
-            signature = tuple(sorted(notification.items()))
-            cached = cache.get(signature)
-        except TypeError:  # unorderable items view or unhashable value
-            signature = None
-            cached = None
+        key, cached = self._match_cache.lookup(notification)
         if cached is not None:
             self.cache_hits += 1
             return list(cached)
-        matched = self._match_uncached(notification)
-        if signature is not None:
-            if len(cache) >= self.CACHE_CAPACITY:
-                del cache[next(iter(cache))]
-            cache[signature] = matched
-        return list(matched)
-
-    def _match_uncached(self, notification: Mapping) -> List[Subscription]:
-        candidates: List[Subscription] = list(self._unindexed.values())
-        for (attribute, value), bucket in self._candidate_buckets(notification):
-            candidates.extend(bucket.values())
-        by_range = self._by_range
-        if by_range:
-            for attribute, value in notification.items():
-                index = by_range.get(attribute)
-                if index is not None:
-                    candidates.extend(index.candidates(value))
         matched = []
-        for sub in candidates:
+        for sub in self._index.candidates(notification.items()):
             self.full_evaluations += 1
             if sub.filter.matches(notification):
                 matched.append(sub)
-        return matched
+        if key is not None:
+            self._match_cache.store(key, matched, self.CACHE_CAPACITY)
+        return list(matched)
 
     def matching_ids(self, notification: Mapping) -> Set[str]:
         return {sub.sub_id for sub in self.match(notification)}
-
-    def _candidate_buckets(self, notification: Mapping):
-        """Buckets keyed by the notification's own attribute/value pairs.
-
-        O(notification attributes) dictionary probes instead of a scan over
-        every distinct index key.  Unhashable attribute values cannot appear
-        as index keys (``pick_index_key`` refuses them), so they are skipped.
-        """
-        by_key = self._by_key
-        if not by_key:
-            return
-        for attribute, value in notification.items():
-            try:
-                bucket = by_key.get((attribute, value))
-            except TypeError:  # unhashable notification value
-                continue
-            if bucket:
-                yield (attribute, value), bucket
-
-    # ------------------------------------------------------------------ index
-    _pick_index_key = staticmethod(pick_index_key)
 
 
 def cross_check(

@@ -9,38 +9,34 @@ The table additionally records which subscription id produced each entry, so
 that unsubscriptions, relocations and shadow garbage collection can remove
 exactly the right entries.
 
-Three matching strategies are available (the ``matcher`` knob):
+Two matching strategies are available (the ``matcher`` knob):
 
 * ``"brute"`` — every entry of every link is evaluated against the
   notification; the always-correct baseline the paper's testbed uses.
-* ``"indexed"`` (default) — a per-link attribute index in the style of the
-  counting/pre-filtering algorithms the paper references via [16].  Each
-  entry with a hashable equality constraint is bucketed under its
-  ``(attribute, value)`` pair; entries whose best constraint is a ``Range``
-  are bucketed in a per-attribute segment index (sorted boundaries +
-  bisect, rebuilt lazily after mutations).  At match time only the
-  buckets/segments selected by the notification's own attribute/value pairs
-  (plus the unindexable entries) are evaluated, and each link
-  short-circuits on its first matching entry.  Results are identical to
-  brute force — the index is purely a candidate pre-selection.
-* ``"interval"`` — the churn-proof variant of ``"indexed"``: range entries
-  go into an incrementally maintained
+* ``"indexed"`` (default) — one :class:`~repro.pubsub.matching.AttributeIndex`
+  per link, in the style of the counting/pre-filtering algorithms the paper
+  references via [16].  Each entry with a hashable equality constraint is
+  bucketed under its ``(attribute, value)`` pair; entries whose best
+  constraint is a ``Range`` go into a per-attribute
   :class:`~repro.pubsub.matching.IntervalBucketIndex` (bucketed boundary
-  cuts with local split repair) instead of the lazily rebuilt segment
-  index, so interleaved subscribe/unsubscribe and publish traffic never
-  pays an O(n log n) rebuild on the first query after a mutation.
+  cuts with local split repair).  At match time only the buckets selected
+  by the notification's own attribute/value pairs (plus the unindexable
+  entries) are evaluated, and each link short-circuits on its first
+  matching entry.  Results are identical to brute force — the index is
+  purely a candidate pre-selection.
 
-The equality index is maintained incrementally by :meth:`RoutingTable.add`,
+The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
 :meth:`RoutingTable.clear`, so subscription churn never forces a rebuild.
 
-On top of any non-brute matcher sits an epoch-guarded destination cache:
-``destinations()`` results are memoized by the notification's attribute
-signature (plus the exclude set) and every table mutation bumps the epoch,
-so repeated publishes of hot notification shapes skip candidate evaluation
-entirely while staleness is impossible by construction.  Cache hits are
-reported through the optional metrics registry as ``match.cache_hit``
-(interval-index split repairs as ``index.repair``).
+On top of the index sits an epoch-guarded destination cache
+(:class:`~repro.pubsub.matching.EpochCache`): ``destinations()`` results are
+memoized by the notification's attribute signature (plus the exclude set)
+and every table mutation bumps the epoch, so repeated publishes of hot
+notification shapes skip candidate evaluation entirely while staleness is
+impossible by construction.  Cache hits are reported through the optional
+metrics registry as ``match.cache_hit`` (range-index split repairs as
+``index.repair``).
 """
 
 from __future__ import annotations
@@ -48,13 +44,13 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from .filters import Equals, Filter, InSet, NotEquals, Prefix, Range
-from .matching import make_range_index, pick_index_key, pick_range_constraint
+from .matching import AttributeIndex, EpochCache
 from .subscription import Subscription
 
-MATCHER_NAMES = ("brute", "indexed", "interval")
+MATCHER_NAMES = ("brute", "indexed")
 
 
 @dataclass(frozen=True)
@@ -74,114 +70,6 @@ class RouteEntry:
 #: evaluation, so tiny links (e.g. one subscription per client link) are
 #: faster brute. Correctness is unaffected — both paths are exact.
 SMALL_LINK_SCAN = 4
-
-
-class _LinkIndex:
-    """The attribute index for the entries of a single link.
-
-    ``by_attr`` buckets entries two levels deep — attribute, then equality
-    value — following the ``(attribute, value)`` pair chosen by
-    :func:`~repro.pubsub.matching.pick_index_key`.  Two flat dict probes per
-    notification attribute beat a combined-tuple key: attribute strings cache
-    their hashes, and no tuple is allocated per probe.  Entries without a
-    usable equality constraint but with a ``Range`` constraint go into a
-    per-attribute range index — the lazily rebuilt
-    :class:`~repro.pubsub.matching.RangeSegmentIndex` for the ``"indexed"``
-    matcher, the incrementally maintained
-    :class:`~repro.pubsub.matching.IntervalBucketIndex` for ``"interval"``
-    — and are pre-selected by the notification's numeric value;
-    ``unindexed`` holds only the remainder, which must always be evaluated.
-    """
-
-    __slots__ = ("by_attr", "by_range", "unindexed", "_make_range_index")
-
-    def __init__(self, make_range_index_fn) -> None:
-        self.by_attr: Dict[str, Dict[object, Dict[str, RouteEntry]]] = {}
-        self.by_range: Dict[str, object] = {}
-        self.unindexed: Dict[str, RouteEntry] = {}
-        self._make_range_index = make_range_index_fn
-
-    def add(self, entry: RouteEntry) -> None:
-        key = pick_index_key(entry.filter)
-        if key is None:
-            range_constraint = pick_range_constraint(entry.filter)
-            if range_constraint is not None:
-                attribute = range_constraint.attribute
-                index = self.by_range.get(attribute)
-                if index is None:
-                    index = self.by_range[attribute] = self._make_range_index()
-                index.add(entry.sub_id, range_constraint, entry)
-                return
-            self.unindexed[entry.sub_id] = entry
-            return
-        attribute, value = key
-        buckets = self.by_attr.get(attribute)
-        if buckets is None:
-            buckets = self.by_attr[attribute] = {}
-        bucket = buckets.get(value)
-        if bucket is None:
-            bucket = buckets[value] = {}
-        bucket[entry.sub_id] = entry
-
-    def discard(self, entry: RouteEntry) -> None:
-        key = pick_index_key(entry.filter)
-        if key is None:
-            range_constraint = pick_range_constraint(entry.filter)
-            if range_constraint is not None:
-                index = self.by_range.get(range_constraint.attribute)
-                if index is not None:
-                    index.discard(entry.sub_id)
-                    if not len(index):
-                        del self.by_range[range_constraint.attribute]
-                return
-            self.unindexed.pop(entry.sub_id, None)
-            return
-        attribute, value = key
-        buckets = self.by_attr.get(attribute)
-        if buckets is None:
-            return
-        bucket = buckets.get(value)
-        if bucket is not None:
-            bucket.pop(entry.sub_id, None)
-            if not bucket:
-                del buckets[value]
-                if not buckets:
-                    del self.by_attr[attribute]
-
-    def empty(self) -> bool:
-        return not self.by_attr and not self.by_range and not self.unindexed
-
-    def candidates(self, items) -> Iterator[RouteEntry]:
-        """Yield the entries that could match a notification with ``items``.
-
-        ``items`` is the notification's attribute/value pairs, precomputed
-        once by the caller and shared across every link probed.  Unindexable
-        entries come first, then the equality buckets and range segments
-        selected by the notification's own pairs.  No entry is yielded twice:
-        each lives in exactly one bucket, one range segment index or in
-        ``unindexed``, and a notification carries each attribute once.  This
-        is the single definition of candidate pre-selection; every query path
-        goes through it.
-        """
-        yield from self.unindexed.values()
-        by_attr = self.by_attr
-        if by_attr:
-            for attribute, value in items:
-                buckets = by_attr.get(attribute)
-                if buckets is None:
-                    continue
-                try:
-                    bucket = buckets.get(value)
-                except TypeError:  # unhashable notification value
-                    continue
-                if bucket:
-                    yield from bucket.values()
-        by_range = self.by_range
-        if by_range:
-            for attribute, value in items:
-                index = by_range.get(attribute)
-                if index is not None:
-                    yield from index.candidates(value)
 
 
 class RoutingTable:
@@ -207,11 +95,9 @@ class RoutingTable:
         self._indexed = matcher != "brute"
         self._by_link: Dict[str, Dict[str, RouteEntry]] = defaultdict(dict)
         self._by_sub: Dict[str, List[RouteEntry]] = defaultdict(list)
-        self._index: Dict[str, _LinkIndex] = {}
+        self._index: Dict[str, AttributeIndex] = {}
         self.cache_hits = 0
-        self._epoch = 0
-        self._cache_epoch = 0
-        self._destination_cache: Dict[Tuple, List[str]] = {}
+        self._destination_cache = EpochCache()
         self._cache_hit_counter = metrics.counter("match.cache_hit") if metrics else None
         self._repair_counter = metrics.counter("index.repair") if metrics else None
 
@@ -234,30 +120,24 @@ class RoutingTable:
             return
         self._matcher = matcher
         self._indexed = matcher != "brute"
-        self._epoch += 1
+        self._destination_cache.epoch += 1
         self._index = {}
         if self._indexed:
             for link, entries in self._by_link.items():
                 for entry in entries.values():
                     self._index_add(entry)
 
-    def _new_link_index(self) -> _LinkIndex:
-        if self._matcher == "interval":
-            repair_counter = self._repair_counter
-            return _LinkIndex(lambda: make_range_index("interval", repair_counter))
-        return _LinkIndex(lambda: make_range_index("segment"))
-
     def _index_add(self, entry: RouteEntry) -> None:
         index = self._index.get(entry.link)
         if index is None:
-            index = self._index[entry.link] = self._new_link_index()
-        index.add(entry)
+            index = self._index[entry.link] = AttributeIndex(self._repair_counter)
+        index.add(entry.sub_id, entry.filter, entry)
 
     def _index_discard(self, entry: RouteEntry) -> None:
         index = self._index.get(entry.link)
         if index is None:
             return
-        index.discard(entry)
+        index.discard(entry.sub_id, entry.filter)
         if index.empty():
             del self._index[entry.link]
 
@@ -265,7 +145,7 @@ class RoutingTable:
     def add(self, filter: Filter, link: str, sub_id: str) -> RouteEntry:
         """Insert an entry; replaces an existing entry for the same (sub_id, link)."""
         entry = RouteEntry(filter=filter, link=link, sub_id=sub_id)
-        self._epoch += 1
+        self._destination_cache.epoch += 1
         previous = self._by_link[link].get(sub_id)
         if previous is not None:
             self._by_sub[sub_id] = [e for e in self._by_sub[sub_id] if e.link != link]
@@ -287,7 +167,7 @@ class RoutingTable:
         keep: List[RouteEntry] = []
         for entry in entries:
             if link is None or entry.link == link:
-                self._epoch += 1
+                self._destination_cache.epoch += 1
                 self._by_link[entry.link].pop(sub_id, None)
                 if not self._by_link[entry.link]:
                     del self._by_link[entry.link]
@@ -305,7 +185,7 @@ class RoutingTable:
     def remove_link(self, link: str) -> List[RouteEntry]:
         """Remove every entry pointing at ``link`` (e.g. a disconnected client)."""
         entries = list(self._by_link.pop(link, {}).values())
-        self._epoch += 1
+        self._destination_cache.epoch += 1
         self._index.pop(link, None)
         for entry in entries:
             remaining = [e for e in self._by_sub.get(entry.sub_id, []) if e.link != link]
@@ -316,7 +196,7 @@ class RoutingTable:
         return entries
 
     def clear(self) -> None:
-        self._epoch += 1
+        self._destination_cache.epoch += 1
         self._by_link.clear()
         self._by_sub.clear()
         self._index.clear()
@@ -327,7 +207,7 @@ class RoutingTable:
 
         Small links (<= :data:`SMALL_LINK_SCAN` entries) yield their entries
         directly — probing the index would cost more than evaluating them;
-        larger links go through :meth:`_LinkIndex.candidates`.
+        larger links go through :meth:`AttributeIndex.candidates`.
         """
         items = None
         index_by_link = self._index
@@ -346,16 +226,7 @@ class RoutingTable:
         excluded = set(exclude)
         if self._indexed:
             cache = self._destination_cache
-            if self._cache_epoch != self._epoch:
-                cache.clear()
-                self._cache_epoch = self._epoch
-            key: Optional[Tuple[Any, ...]] = None
-            try:
-                key = (tuple(sorted(notification.items())), tuple(sorted(excluded)))
-                cached = cache.get(key)
-            except TypeError:  # unhashable attribute value — skip the cache
-                key = None
-                cached = None
+            key, cached = cache.lookup(notification, tuple(sorted(excluded)))
             if cached is not None:
                 self.cache_hits += 1
                 if self._cache_hit_counter is not None:
@@ -369,9 +240,7 @@ class RoutingTable:
                         break
             result.sort()
             if key is not None:
-                if len(cache) >= self.CACHE_CAPACITY:
-                    del cache[next(iter(cache))]
-                cache[key] = result
+                cache.store(key, result, self.CACHE_CAPACITY)
             return list(result)
         matched: Set[str] = set()
         for link, entries in self._by_link.items():

@@ -221,7 +221,7 @@ class FlipWorkloadResult:
 
 
 def _flipped(value: str, names) -> str:
-    """A different member of a knob set (indexed->brute, brute->indexed, interval->brute).
+    """A different member of a knob set (indexed->brute, brute->indexed).
 
     The first name is the fallback everything else flips to, so the flip is
     well-defined even for knobs that grow beyond two names.

@@ -1,12 +1,13 @@
-"""The interval matcher: incremental range index, destination cache, flips.
+"""The range side of the index: incremental buckets, destination cache, flips.
 
-The ``"interval"`` matcher swaps the lazily rebuilt segment index for the
-incrementally repaired :class:`~repro.pubsub.matching.IntervalBucketIndex`
-and adds an epoch-guarded destination cache to the routing table.  Its
-contract is the same as ``"indexed"``: forwarding decisions byte-identical
-to brute force under any churn, at the index level, the table level and
-end-to-end through a broker network — plus the cache must never serve a
-stale entry across a mutation or a live matcher flip.
+The ``"indexed"`` matcher keeps range-only entries in the incrementally
+repaired :class:`~repro.pubsub.matching.IntervalBucketIndex` and puts an
+epoch-guarded destination cache in front of the routing table.  Its
+contract: forwarding decisions byte-identical to brute force under any
+churn, at the index level, the table level and end-to-end through a broker
+network — plus the cache must never serve a stale entry across a mutation
+or a live matcher flip, nor one computed for a merely *equal* notification
+(``1`` vs ``True``) that a ``Range`` tells apart.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ import pytest
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, Range
-from repro.pubsub.matching import (
-    IntervalBucketIndex,
-    RangeSegmentIndex,
-    make_range_index,
-)
+from repro.pubsub.matching import IntervalBucketIndex
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import RoutingTable
 
@@ -76,9 +73,9 @@ class TestIntervalBucketIndex:
         assert {"all", "lo"} <= set(index.candidates(-math.inf))
 
     def test_nan_query_matches_nothing(self):
-        for index in (IntervalBucketIndex(), RangeSegmentIndex()):
-            index.add("a", Range("x", 0, 10), "a")
-            assert index.candidates(math.nan) == []
+        index = IntervalBucketIndex()
+        index.add("a", Range("x", 0, 10), "a")
+        assert index.candidates(math.nan) == []
 
     def test_nan_bounds_rejected_at_construction(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -134,7 +131,7 @@ class TestIntervalBucketIndex:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        index = make_range_index("interval", repair_counter=registry.counter("index.repair"))
+        index = IntervalBucketIndex(repair_counter=registry.counter("index.repair"))
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
         assert index.repairs > 0
@@ -176,7 +173,7 @@ class TestIntervalBucketIndex:
 
     def test_half_open_ranges_exact_through_table(self):
         """Inclusivity is the filter's job; the table restores exactness."""
-        for matcher in ("brute", "indexed", "interval"):
+        for matcher in ("brute", "indexed"):
             table = RoutingTable(matcher=matcher)
             table.add(Filter([Range("x", 0, 10, include_low=False)]), "L1", "s1")
             table.add(Filter([Range("x", 0, 10, include_high=False)]), "L2", "s2")
@@ -188,13 +185,40 @@ class TestIntervalBucketIndex:
             assert table.destinations({"x": 5}) == ["L1", "L2", "L3"], matcher
 
 
-class TestIntervalTableEquivalence:
+def typed_twins(notification):
+    """The notification re-spelt with equal-but-differently-typed values.
+
+    ``1 == True == 1.0`` (and they hash alike), yet a ``Range`` accepts the
+    numbers and rejects the bool — so an answer memoized for one spelling
+    must never be served for another.
+    """
+    twins = []
+    for attribute, value in notification.items():
+        if isinstance(value, (bool, int, float)) and value in (0, 1):
+            for other in (int(value), bool(value), float(value)):
+                if type(other) is not type(value):
+                    twins.append({**notification, attribute: other})
+    return twins
+
+
+def assert_typed_twins_agree(brute, indexed, rng, rounds):
+    """Publish a notification, then its typed twins, then it again: every
+    answer (cached or not, either order) must equal brute force."""
+    for _ in range(rounds):
+        n = dict(random_notification(rng))
+        n["value"] = rng.choice([0, 1, True, False, 1.0])
+        for probe in (n, *typed_twins(n), n):
+            assert indexed.destinations(probe) == brute.destinations(probe), probe
+
+
+class TestRangeTableEquivalence:
     @pytest.mark.parametrize("seed", range(5))
-    def test_randomized_churn(self, seed):
-        """The brute-vs-interval twin of the indexed churn equivalence test."""
+    def test_randomized_churn_with_typed_twins(self, seed):
+        """The churn of ``test_routing_index``, probed with ``1``/``True``/``1.0``
+        back to back so the destination cache sees every collision."""
         rng = random.Random(seed)
         brute = RoutingTable(matcher="brute")
-        interval = RoutingTable(matcher="interval")
+        indexed = RoutingTable(matcher="indexed")
         live_subs = []
         for step in range(300):
             op = rng.random()
@@ -203,32 +227,23 @@ class TestIntervalTableEquivalence:
                 link = f"L{rng.randint(1, 6)}"
                 f = random_filter(rng)
                 brute.add(f, link, sub_id)
-                interval.add(f, link, sub_id)
+                indexed.add(f, link, sub_id)
                 if sub_id not in live_subs:
                     live_subs.append(sub_id)
-            elif op < 0.85:
-                sub_id = rng.choice(live_subs)
-                link = f"L{rng.randint(1, 6)}" if rng.random() < 0.5 else None
-                brute.remove(sub_id, link=link)
-                interval.remove(sub_id, link=link)
-                if not brute.has_subscription(sub_id):
-                    live_subs.remove(sub_id)
             else:
-                link = f"L{rng.randint(1, 6)}"
-                removed_b = {(e.sub_id, e.link) for e in brute.remove_link(link)}
-                removed_i = {(e.sub_id, e.link) for e in interval.remove_link(link)}
-                assert removed_b == removed_i
-                live_subs = [s for s in live_subs if brute.has_subscription(s)]
+                sub_id = rng.choice(live_subs)
+                brute.remove(sub_id)
+                indexed.remove(sub_id)
+                live_subs.remove(sub_id)
             if step % 25 == 0:
-                assert len(brute) == len(interval)
-                assert_tables_agree(brute, interval, rng, rounds=5)
-        assert_tables_agree(brute, interval, rng, rounds=40)
+                assert_typed_twins_agree(brute, indexed, rng, rounds=5)
+        assert_typed_twins_agree(brute, indexed, rng, rounds=40)
 
     def test_range_heavy_churn(self):
-        """Pure-Range filters (the regime the interval index is built for)."""
+        """Pure-Range filters (the regime the bucket index is built for)."""
         rng = random.Random(11)
         brute = RoutingTable(matcher="brute")
-        interval = RoutingTable(matcher="interval")
+        indexed = RoutingTable(matcher="indexed")
         live = []
         for step in range(600):
             if rng.random() < 0.6 or not live:
@@ -237,18 +252,19 @@ class TestIntervalTableEquivalence:
                 f = Filter([Range("value", low, low + rng.uniform(0, 80))])
                 link = f"L{rng.randint(1, 8)}"
                 brute.add(f, link, sub_id)
-                interval.add(f, link, sub_id)
+                indexed.add(f, link, sub_id)
                 live.append(sub_id)
             else:
                 sub_id = live.pop(rng.randrange(len(live)))
                 brute.remove(sub_id)
-                interval.remove(sub_id)
+                indexed.remove(sub_id)
             if step % 50 == 0:
                 for _ in range(10):
-                    probe = {"value": rng.uniform(-50, 1100)}
-                    assert brute.destinations(probe) == interval.destinations(probe)
+                    value = rng.choice([rng.uniform(-50, 1100), True, False, 1, math.inf])
+                    probe = {"value": value}
+                    assert brute.destinations(probe) == indexed.destinations(probe)
 
-    def test_set_matcher_flips_through_interval(self):
+    def test_set_matcher_flips_back_and_forth(self):
         rng = random.Random(7)
         table = RoutingTable(matcher="brute")
         reference = RoutingTable(matcher="brute")
@@ -257,7 +273,7 @@ class TestIntervalTableEquivalence:
             link = f"L{i % 5}"
             table.add(f, link, f"s{i}")
             reference.add(f, link, f"s{i}")
-        for flip in ("interval", "indexed", "interval", "brute", "interval"):
+        for flip in ("indexed", "brute", "indexed", "brute", "indexed"):
             table.set_matcher(flip)
             assert table.matcher == flip
             assert_tables_agree(reference, table, rng, rounds=15)
@@ -273,7 +289,7 @@ class TestDestinationCache:
         table.add(Filter([Range("value", 5, 20)]), "L2", "s2")
         return table
 
-    @pytest.mark.parametrize("matcher", ["indexed", "interval"])
+    @pytest.mark.parametrize("matcher", ["indexed"])
     def test_repeat_publish_hits_cache(self, matcher):
         table = self.build(matcher)
         assert table.destinations(self.probe()) == ["L1", "L2"]
@@ -282,7 +298,7 @@ class TestDestinationCache:
             assert table.destinations(self.probe()) == ["L1", "L2"]
         assert table.cache_hits == 5
 
-    @pytest.mark.parametrize("matcher", ["indexed", "interval"])
+    @pytest.mark.parametrize("matcher", ["indexed"])
     def test_every_mutation_invalidates(self, matcher):
         table = self.build(matcher)
         probe = self.probe()
@@ -306,12 +322,13 @@ class TestDestinationCache:
         assert table.destinations(probe) == ["L1", "L2"]
         table.destinations(probe)
         hits = table.cache_hits
-        table.set_matcher("interval")
+        table.set_matcher("brute")
+        table.set_matcher("indexed")
         assert table.destinations(probe) == ["L1", "L2"]
         assert table.cache_hits == hits  # first post-flip query recomputed
 
     def test_exclusions_are_part_of_the_key(self):
-        table = self.build("interval")
+        table = self.build("indexed")
         probe = self.probe()
         assert table.destinations(probe) == ["L1", "L2"]
         assert table.destinations(probe, exclude=("L1",)) == ["L2"]
@@ -319,22 +336,37 @@ class TestDestinationCache:
         assert table.cache_hits == 0
 
     def test_cached_lists_are_isolated_copies(self):
-        table = self.build("interval")
+        table = self.build("indexed")
         probe = self.probe()
         first = table.destinations(probe)
         first.append("junk")
         assert table.destinations(probe) == ["L1", "L2"]
 
     def test_unhashable_attribute_values_skip_the_cache(self):
-        table = self.build("interval")
+        table = self.build("indexed")
         table.add(Filter([Equals("tags", ["a"])]), "L4", "s4")
         probe = {"service": "stock", "value": 7, "tags": ["a"]}
         assert table.destinations(probe) == ["L1", "L2", "L4"]
         assert table.destinations(probe) == ["L1", "L2", "L4"]
         assert table.cache_hits == 0
 
+    @pytest.mark.parametrize("order", [(1, True, 1.0), (True, 1, 1.0), (1.0, True, 1)])
+    def test_equal_values_of_different_type_do_not_share_an_answer(self, order):
+        """``1 == True`` and they hash alike, but ``Range`` matches only the number:
+        a cached ``["L"]`` served for ``True`` is a wrong delivery, a cached
+        ``[]`` served for ``1`` a lost one."""
+        table = RoutingTable(matcher="indexed")
+        for i in range(6):  # past SMALL_LINK_SCAN: the index answers
+            table.add(Filter([Range("a", 0, 2)]), "L", f"s{i}")
+        brute = RoutingTable(matcher="brute")
+        brute.add(Filter([Range("a", 0, 2)]), "L", "s0")
+        for value in order * 2:
+            assert table.destinations({"a": value}) == brute.destinations({"a": value}), value
+        # 1 and 1.0 share an answer (every constraint treats them alike), True has its own
+        assert table.cache_hits == 4
+
     def test_capacity_bounded_fifo(self):
-        table = RoutingTable(matcher="interval")
+        table = RoutingTable(matcher="indexed")
         table.CACHE_CAPACITY = 8
         table.add(Filter([Range("value", 0, 1000)]), "L1", "s1")
         for i in range(50):
@@ -345,7 +377,7 @@ class TestDestinationCache:
         from repro.obs.metrics import MetricsRegistry
 
         registry = MetricsRegistry()
-        table = RoutingTable(matcher="interval", metrics=registry)
+        table = RoutingTable(matcher="indexed", metrics=registry)
         table.add(Filter([Range("value", 0, 10)]), "L1", "s1")
         table.destinations({"value": 5})
         table.destinations({"value": 5})
@@ -362,7 +394,7 @@ class TestDestinationCache:
 class TestNaNRegression:
     def test_nan_notification_matches_no_range_on_any_matcher(self):
         """NaN used to satisfy brute Ranges but not the indexed path; now neither."""
-        for matcher in ("brute", "indexed", "interval"):
+        for matcher in ("brute", "indexed"):
             table = RoutingTable(matcher=matcher)
             table.add(Filter([Range("value", 0, 10)]), "L1", "s1")
             assert table.destinations({"value": math.nan}) == [], matcher
@@ -370,27 +402,30 @@ class TestNaNRegression:
     def test_nan_equals_still_matches_by_identity_semantics(self):
         # Equals uses ==, and nan != nan: NaN never matches there either,
         # so every constraint family agrees that NaN routes nowhere
-        for matcher in ("brute", "indexed", "interval"):
+        for matcher in ("brute", "indexed"):
             table = RoutingTable(matcher=matcher)
             table.add(Filter([Equals("value", math.nan)]), "L1", "s1")
             assert table.destinations({"value": math.nan}) == [], matcher
 
 
 def _deliveries(matcher: str, seed: int):
-    """End-to-end: randomized pub/sub workload through a broker tree."""
+    """End-to-end: a range-only population through a broker tree, published
+    values spelt as int, float and bool."""
     rng = random.Random(seed)
     sim = Simulator()
     network = random_tree_topology(sim, 6, seed=seed, matcher=matcher)
     brokers = network.broker_names()
     subscribers = []
-    for i in range(12):
+    for i in range(30):
         client = network.add_client(f"sub-{i}", rng.choice(brokers))
-        client.subscribe(random_filter(rng))
+        low = rng.randint(-2, 8)
+        client.subscribe(Filter([Range("value", low, low + rng.randint(0, 4))]))
         subscribers.append(client)
     sim.run_until_idle()
     publisher = network.add_client("pub", rng.choice(brokers))
-    for i in range(40):
-        publisher.publish(Notification(dict(random_notification(rng)), notification_id=1000 + i))
+    for i in range(60):
+        value = rng.choice([rng.randint(0, 10), rng.uniform(0, 10), True, False, 1.0])
+        publisher.publish(Notification({"value": value}, notification_id=1000 + i))
     sim.run_until_idle()
     return {
         client.name: sorted(d.notification.notification_id for d in client.deliveries)
@@ -401,7 +436,7 @@ def _deliveries(matcher: str, seed: int):
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_delivery_sets(self, seed):
-        assert _deliveries("brute", seed) == _deliveries("interval", seed)
+        assert _deliveries("brute", seed) == _deliveries("indexed", seed)
 
 
 _HASHSEED_SCRIPT = """
@@ -415,7 +450,7 @@ from test_routing_index import assert_tables_agree, random_filter
 
 rng = random.Random(5150)
 brute = RoutingTable(matcher="brute")
-interval = RoutingTable(matcher="interval")
+indexed = RoutingTable(matcher="indexed")
 live = []
 for step in range(400):
     if rng.random() < 0.6 or not live:
@@ -423,13 +458,13 @@ for step in range(400):
         f = random_filter(rng)
         link = f"L{{rng.randint(1, 6)}}"
         brute.add(f, link, sub_id)
-        interval.add(f, link, sub_id)
+        indexed.add(f, link, sub_id)
         live.append(sub_id)
     else:
         sub_id = live.pop(rng.randrange(len(live)))
         brute.remove(sub_id)
-        interval.remove(sub_id)
-assert_tables_agree(brute, interval, rng, rounds=60)
+        indexed.remove(sub_id)
+assert_tables_agree(brute, indexed, rng, rounds=60)
 print("OK")
 """
 

@@ -27,7 +27,7 @@ from repro.pubsub.filters import (
 from repro.pubsub.matching import (
     AttributeIndexMatcher,
     BruteForceMatcher,
-    RangeSegmentIndex,
+    IntervalBucketIndex,
     cross_check,
     pick_index_key,
     pick_range_constraint,
@@ -64,7 +64,8 @@ def random_notification(rng: random.Random) -> Notification:
     attrs = {
         "service": rng.choice(SERVICES),
         "location": rng.choice(LOCATIONS),
-        "value": rng.randint(0, 60),
+        # True/False equal 1/0 and hash alike, yet no Range accepts them
+        "value": rng.choice([rng.randint(0, 60), True, False]),
     }
     if rng.random() < 0.15:
         attrs["tags"] = ["unhashable"]
@@ -124,9 +125,36 @@ class TestMatcherEquivalence:
         assert indexed.matching_ids(n) == set()
 
 
+class TestMatcherReplacesAndTellsTypesApart:
+    def test_readding_a_sub_id_replaces_the_old_filter(self):
+        """Same id, new filter: the old filter must stop matching at once and
+        must not survive ``remove`` — what brute force does by construction."""
+        brute, indexed = BruteForceMatcher(), AttributeIndexMatcher()
+        for filter in (Filter([Equals("service", "stock")]), Filter([Range("value", 0, 5)])):
+            for matcher in (brute, indexed):
+                matcher.add(subscription(filter, "c", sub_id="s1"))
+        assert len(indexed) == len(indexed.subscriptions) == 1
+        old, new = Notification({"service": "stock"}), Notification({"value": 3})
+        assert cross_check([brute, indexed], [old, new])
+        assert indexed.matching_ids(old) == set() and indexed.matching_ids(new) == {"s1"}
+        assert indexed.remove("s1") is not None and indexed.remove("s1") is None
+        assert indexed.matching_ids(old) == indexed.matching_ids(new) == set()
+
+    @pytest.mark.parametrize("order", [(1, True, 1.0), (True, 1.0, 1)])
+    def test_cached_match_tells_bool_from_number(self, order):
+        """``1 == True`` with equal hashes, but ``Range`` matches only the number:
+        an answer memoized for one must not be served for the other."""
+        brute, indexed = BruteForceMatcher(), AttributeIndexMatcher()
+        for matcher in (brute, indexed):
+            matcher.add(subscription(Filter([Range("a", 0, 2)]), "c", sub_id="s1"))
+        notifications = [Notification({"a": value}) for value in order * 2]
+        assert cross_check([brute, indexed], notifications)
+        assert indexed.cache_hits == 4  # 1 and 1.0 share an answer, True has its own
+
+
 def random_range_subscription(rng: random.Random, index: int):
     """Filters dominated by Range/LessThan/AtLeast constraints (the paper's
-    location/zone workloads), which must hit the segment index rather than
+    location/zone workloads), which must hit the range buckets rather than
     the always-evaluated fallback set."""
     roll = rng.random()
     attribute = rng.choice(["value", "temperature", "zone"])
@@ -156,7 +184,7 @@ def random_range_notification(rng: random.Random) -> Notification:
     attrs = {
         "value": rng.randint(0, 55),
         "temperature": rng.randint(0, 55),
-        "zone": rng.randint(0, 12),
+        "zone": rng.choice([rng.randint(0, 12), True, False]),
     }
     if rng.random() < 0.3:
         attrs["extra"] = rng.randint(0, 70)
@@ -169,7 +197,7 @@ def random_range_notification(rng: random.Random) -> Notification:
 
 class TestRangeHeavyEquivalence:
     """Satellite acceptance: Range-dominated workloads stay exact under the
-    segment index, for both matchers and all five routing strategies."""
+    range buckets, for both matchers and all five routing strategies."""
 
     @pytest.mark.parametrize("seed", range(8))
     def test_cross_check_randomized(self, seed):
@@ -200,10 +228,12 @@ class TestRangeHeavyEquivalence:
         assert cross_check([brute, indexed], notifications)
 
     def test_range_filters_are_not_unindexed(self):
-        """A range-only filter must land in the segment index, not the
-        always-evaluated fallback set."""
+        """Range-only filters are pruned through the range buckets, not
+        always evaluated: past ``MAX_BUCKET`` entries a match evaluates at
+        most one bucket's worth, however many filters are registered."""
         indexed = AttributeIndexMatcher()
-        for i in range(20):
+        entries = 20 * IntervalBucketIndex.MAX_BUCKET
+        for i in range(entries):
             low = 3 * i
             indexed.add(
                 subscription(Filter([Range("value", low, low + 2)]), "c", sub_id=f"s{i}")
@@ -211,8 +241,7 @@ class TestRangeHeavyEquivalence:
         indexed.full_evaluations = 0
         matched = indexed.match(Notification({"value": 31}))
         assert {s.sub_id for s in matched} == {"s10"}  # [30, 32]
-        # only the segment containing 31 was evaluated, not all 20 filters
-        assert indexed.full_evaluations <= 2
+        assert 1 <= indexed.full_evaluations <= IntervalBucketIndex.MAX_BUCKET < entries
 
     @pytest.mark.parametrize("strategy", ["flooding", "simple", "identity", "covering", "merging"])
     @pytest.mark.parametrize("matcher", ["brute", "indexed"])
@@ -246,63 +275,6 @@ class TestRangeHeavyEquivalence:
             assert received == expected, f"{strategy}/{matcher}: {client.name}"
 
 
-class TestRangeSegmentIndex:
-    def test_stabbing_and_boundaries(self):
-        index = RangeSegmentIndex()
-        index.add("a", Range("v", 0, 10), "A")
-        index.add("b", Range("v", 10, 20), "B")
-        index.add("c", Range("v", 5, 15), "C")
-        assert set(index.candidates(10)) == {"A", "B", "C"}  # boundary point
-        assert set(index.candidates(3)) == {"A"}
-        assert set(index.candidates(12)) == {"B", "C"}
-        assert set(index.candidates(25)) == set()
-        assert index.candidates("nan-string") == []
-        assert index.candidates(True) == []
-
-    def test_half_open_and_infinite_ranges(self):
-        index = RangeSegmentIndex()
-        index.add("lt", LessThan("v", 10), "LT")
-        index.add("ge", AtLeast("v", 5), "GE")
-        index.add("all", Range("v"), "ALL")
-        assert set(index.candidates(0)) == {"LT", "ALL"}
-        assert set(index.candidates(7)) == {"LT", "GE", "ALL"}
-        assert set(index.candidates(100)) == {"GE", "ALL"}
-        # candidacy ignores endpoint inclusivity: LessThan(10) still appears
-        # for value 10 (full evaluation rejects it afterwards)
-        assert "LT" in set(index.candidates(10))
-
-    def test_discard_and_rebuild(self):
-        index = RangeSegmentIndex()
-        index.add("a", Range("v", 0, 10), "A")
-        index.add("b", Range("v", 5, 15), "B")
-        assert set(index.candidates(7)) == {"A", "B"}
-        index.discard("a")
-        assert set(index.candidates(7)) == {"B"}
-        index.discard("b")
-        assert index.candidates(7) == []
-        assert len(index) == 0
-
-    def test_overlapping_ranges_coarsen_but_stay_exact(self):
-        """Heavily overlapping ranges trip the memory guard: the boundary
-        list is coarsened, results stay a superset and memory stays linear."""
-        index = RangeSegmentIndex()
-        for i in range(80):
-            index.add(f"s{i}", Range("v", i, 1000 + i), f"P{i}")
-        candidates = set(index.candidates(500))
-        assert candidates == {f"P{i}" for i in range(80)}
-        slots = sum(len(segment) for segment in index._segments)
-        assert slots <= RangeSegmentIndex.MAX_SLOTS_PER_ENTRY * 80 + 64
-        # selective queries still prune: nothing matches left of all ranges
-        assert index.candidates(-5) == []
-
-    def test_pick_range_constraint_prefers_bounded(self):
-        bounded = Range("a", 0, 5)
-        half = AtLeast("b", 3)
-        assert pick_range_constraint(Filter([half, bounded])) is bounded
-        assert pick_range_constraint(Filter([half])) is half
-        assert pick_range_constraint(Filter([Equals("a", 1)])) is None
-
-
 class TestPickIndexKey:
     def test_equals_is_indexable(self):
         assert pick_index_key(Filter([Equals("a", 1)])) == ("a", 1)
@@ -318,3 +290,10 @@ class TestPickIndexKey:
 
     def test_match_all_unindexable(self):
         assert pick_index_key(match_all()) is None
+
+    def test_pick_range_constraint_prefers_bounded(self):
+        bounded = Range("a", 0, 5)
+        half = AtLeast("b", 3)
+        assert pick_range_constraint(Filter([half, bounded])) is bounded
+        assert pick_range_constraint(Filter([half])) is half
+        assert pick_range_constraint(Filter([Equals("a", 1)])) is None

@@ -49,7 +49,7 @@ def random_filter(rng: random.Random) -> Filter:
     elif roll < 0.90:
         constraints.append(NotEquals("service", rng.choice(SERVICES)))
     elif roll < 0.95:
-        # range-only: indexed through the per-attribute segment buckets
+        # range-only: indexed through the per-attribute range buckets
         low = rng.randint(0, 30)
         return Filter([Range("value", low, low + rng.randint(0, 20))])
     else:
@@ -65,7 +65,8 @@ def random_notification(rng: random.Random) -> Notification:
     attrs = {
         "service": rng.choice(SERVICES),
         "location": rng.choice(LOCATIONS),
-        "value": rng.randint(0, 50),
+        # True/False equal 1/0 and hash alike, yet no Range accepts them
+        "value": rng.choice([rng.randint(0, 50), rng.randint(0, 1), True, False]),
     }
     if rng.random() < 0.1:
         attrs["tags"] = ["a", "b"]  # unhashable attribute value
@@ -155,6 +156,15 @@ class TestTableLevelEquivalence:
             RoutingTable(matcher="magic")
         with pytest.raises(ValueError):
             RoutingTable().set_matcher("magic")
+
+    def test_interval_is_not_a_matcher_name(self):
+        """One index, no alias: the retired name fails like any other typo."""
+        from repro.config import SystemConfig
+
+        with pytest.raises(ValueError, match="unknown matcher 'interval'; allowed: brute, indexed$"):
+            SystemConfig(matcher="interval")
+        with pytest.raises(ValueError):
+            RoutingTable(matcher="interval")
 
 
 def _deliveries(matcher: str, seed: int):
