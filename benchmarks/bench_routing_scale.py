@@ -36,6 +36,8 @@ from repro.pubsub.notification import Notification  # noqa: E402
 from repro.pubsub.routing_table import RoutingTable  # noqa: E402
 
 N_SERVICES = 50
+#: interleaved brute/indexed timing rounds per table row; the minimum is reported
+TABLE_ROUNDS = 5
 
 
 def make_filter(rng: random.Random, selectivity: float) -> Filter:
@@ -74,24 +76,32 @@ def bench_table(links: int, subscriptions: int, selectivity: float, notification
     filters = [(make_filter(rng, selectivity), f"L{i % links}", f"s{i}") for i in range(subscriptions)]
     payloads = [make_notification(rng) for _ in range(notifications)]
 
-    metrics = {}
-    reference = None
+    tables = {}
     for matcher in ("brute", "indexed"):
-        table = RoutingTable(matcher=matcher)
+        table = tables[matcher] = RoutingTable(matcher=matcher)
         for f, link, sub_id in filters:
             table.add(f, link, sub_id)
-        results = []
-        start = time.perf_counter()
-        for n in payloads:
-            results.append(table.destinations(n))
-        elapsed = time.perf_counter() - start
-        metrics[f"{matcher}_us"] = 1e6 * elapsed / notifications
-        if reference is None:
-            reference = results
-        elif results != reference:
-            raise AssertionError(
-                f"matcher divergence at links={links} subs={subscriptions} sel={selectivity}"
-            )
+    # one pass is a few milliseconds: the minimum of interleaved rounds times
+    # the code, not whatever else the box is doing.  Re-adding an entry is a
+    # mutation, so every round starts on an empty destination cache like the
+    # first — the same inputs meet the same misses.
+    best = {matcher: float("inf") for matcher in tables}
+    for _ in range(TABLE_ROUNDS):
+        reference = None
+        for matcher, table in tables.items():
+            table.add(*filters[0])
+            results = []
+            start = time.perf_counter()
+            for n in payloads:
+                results.append(table.destinations(n))
+            best[matcher] = min(best[matcher], time.perf_counter() - start)
+            if reference is None:
+                reference = results
+            elif results != reference:
+                raise AssertionError(
+                    f"matcher divergence at links={links} subs={subscriptions} sel={selectivity}"
+                )
+    metrics = {f"{matcher}_us": 1e6 * best[matcher] / notifications for matcher in tables}
     metrics["speedup"] = metrics["brute_us"] / metrics["indexed_us"]
     return {
         "sweep": "table",

@@ -235,10 +235,11 @@ class Replicator(Process):
         notification: Notification = message.payload
         self.stats.notifications_dispatched += 1
         for virtual_client in self.virtual_clients.values():
-            buffered_before = len(virtual_client.buffer)
-            delivered_live = virtual_client.handle_notification(notification)
-            if not delivered_live and len(virtual_client.buffer) > buffered_before:
-                self.stats.notifications_buffered += 1
+            # the client's own count: a bounded buffer that is full stays the
+            # same length while it keeps accepting (and evicting)
+            buffered_before = virtual_client.buffered_total
+            virtual_client.handle_notification(notification)
+            self.stats.notifications_buffered += virtual_client.buffered_total - buffered_before
 
     def _handle_publish(self, message: Message) -> None:
         """A device published a notification: pass it through to the broker."""

@@ -28,7 +28,7 @@ import enum
 from typing import Dict, List, Mapping, Optional, Protocol
 
 from ..pubsub.filters import Filter
-from ..pubsub.notification import Notification
+from ..pubsub.notification import Notification, attribute_dict
 from ..pubsub.subscription import Subscription
 from .buffering import BufferPolicy, DigestBuffer, NotificationBuffer, SharedNotificationStore
 from .location import LocationSpace
@@ -225,11 +225,12 @@ class VirtualClient:
 
     def matches(self, notification: Notification) -> bool:
         """Does any currently issued filter of this virtual client match?"""
+        attributes = attribute_dict(notification)
         for subscription in self._bound.values():
-            if subscription.filter.matches(notification):
+            if subscription.filter.matches(attributes):
                 return True
         for subscription in self._plain_issued.values():
-            if subscription.filter.matches(notification):
+            if subscription.filter.matches(attributes):
                 return True
         return False
 

@@ -25,7 +25,7 @@ direction required for correct (if occasionally less optimised) routing.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .notification import Notification
 
@@ -37,6 +37,11 @@ _MISSING = object()
 
 def _always_true(value: Any) -> bool:
     return True
+
+
+def _is_number(value: Any) -> bool:
+    """An ``int`` or ``float`` (subclasses included) that is not a ``bool``."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class Constraint:
@@ -275,7 +280,7 @@ class Range(Constraint):
         self.include_high = include_high
 
     def matches_value(self, value: Any) -> bool:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             return False
         if value != value:  # NaN lies inside no interval
             return False
@@ -289,43 +294,41 @@ class Range(Constraint):
         low, high = self.low, self.high
         # one of four specialized closures: a single chained comparison per
         # evaluation, and NaN fails every variant because all its comparisons
-        # are false (the chain is phrased positively)
+        # are false (the chain is phrased positively).  An exact ``int`` or
+        # ``float`` skips the two isinstance calls; ``bool``, subclasses and
+        # everything non-numeric take the general line
         if self.include_low:
             if self.include_high:
 
                 def test(value: Any, _low=low, _high=high) -> bool:
-                    return (
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                        and _low <= value <= _high
-                    )
+                    cls = value.__class__
+                    if cls is int or cls is float:
+                        return _low <= value <= _high
+                    return _is_number(value) and _low <= value <= _high
 
             else:
 
                 def test(value: Any, _low=low, _high=high) -> bool:
-                    return (
-                        isinstance(value, (int, float))
-                        and not isinstance(value, bool)
-                        and _low <= value < _high
-                    )
+                    cls = value.__class__
+                    if cls is int or cls is float:
+                        return _low <= value < _high
+                    return _is_number(value) and _low <= value < _high
 
         elif self.include_high:
 
             def test(value: Any, _low=low, _high=high) -> bool:
-                return (
-                    isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    and _low < value <= _high
-                )
+                cls = value.__class__
+                if cls is int or cls is float:
+                    return _low < value <= _high
+                return _is_number(value) and _low < value <= _high
 
         else:
 
             def test(value: Any, _low=low, _high=high) -> bool:
-                return (
-                    isinstance(value, (int, float))
-                    and not isinstance(value, bool)
-                    and _low < value < _high
-                )
+                cls = value.__class__
+                if cls is int or cls is float:
+                    return _low < value < _high
+                return _is_number(value) and _low < value < _high
 
         return test
 
@@ -454,25 +457,57 @@ def _hashable(value: Any) -> Any:
 
 
 def _compile_matches(constraints: Tuple[Constraint, ...]):
-    """Compile a conjunction of constraints into one ``notification -> bool`` closure.
+    """Compile a conjunction of constraints into one ``mapping -> bool`` closure.
 
-    The compiled form avoids per-call constraint dispatch: each constraint
-    contributes a ``(attribute, value_test)`` pair captured once, and missing
-    attributes are detected with a sentinel instead of a containment probe
-    followed by a second lookup.
+    The closure is picked by the conjunction's *shape*: one constraint and
+    two constraints are unrolled (no loop, no tuple unpacking), and an
+    ``Equals`` in first position is compared inline instead of through its
+    ``value_test`` closure; any other shape runs the generic loop.  Each
+    constraint's attribute and test are captured once, and a missing
+    attribute is detected with a sentinel instead of a containment probe
+    followed by a second lookup.  Constraints are evaluated in order in
+    every shape.
     """
     if not constraints:
         return _match_everything
+    first = constraints[0]
+    a = first.attribute
     if len(constraints) == 1:
-        (constraint,) = constraints
-        attribute = constraint.attribute
-        test = constraint.value_test()
+        if first.__class__ is Equals:
 
-        def matches_one(notification: Mapping[str, Any], _a=attribute, _t=test) -> bool:
+            def matches_equal(notification, _a=a, _e=first.value) -> bool:
+                value = notification.get(_a, _MISSING)
+                return value is not _MISSING and value == _e
+
+            return matches_equal
+
+        def matches_one(notification, _a=a, _s=first.value_test()) -> bool:
             value = notification.get(_a, _MISSING)
-            return value is not _MISSING and _t(value)
+            return value is not _MISSING and _s(value)
 
         return matches_one
+
+    if len(constraints) == 2:
+        b, t = constraints[1].attribute, constraints[1].value_test()
+        if first.__class__ is Equals:
+
+            def matches_equal_and(notification, _a=a, _e=first.value, _b=b, _t=t) -> bool:
+                value = notification.get(_a, _MISSING)
+                if value is _MISSING or not value == _e:
+                    return False
+                value = notification.get(_b, _MISSING)
+                return value is not _MISSING and _t(value)
+
+            return matches_equal_and
+
+        def matches_two(notification, _a=a, _s=first.value_test(), _b=b, _t=t) -> bool:
+            value = notification.get(_a, _MISSING)
+            if value is _MISSING or not _s(value):
+                return False
+            value = notification.get(_b, _MISSING)
+            return value is not _MISSING and _t(value)
+
+        return matches_two
 
     tests = tuple((c.attribute, c.value_test()) for c in constraints)
 
@@ -498,17 +533,22 @@ class Filter:
     conjunction); :func:`match_all` returns it explicitly.
 
     Filters are immutable: the constraint tuple is fixed at construction, at
-    which point :meth:`matches` is precompiled into a closure chain (no
-    per-evaluation generator or method dispatch) and ``key()``/``hash()`` are
-    cached on first use.  Every routing-table candidate pays full filter
-    evaluation, so this is one of the hottest code paths in the system.
+    which point ``matches`` — an instance attribute, not a method — is set to
+    the closure :func:`_compile_matches` picks for the filter's shape, so
+    ``filter.matches(mapping)`` is a single Python frame for any ``Mapping``
+    (True iff every constraint matches).  ``key()``/``hash()`` are cached on
+    first use.  Every routing-table candidate pays full filter evaluation, so
+    this is one of the hottest code paths in the system.
     """
 
-    __slots__ = ("_constraints", "_matches", "_key", "_hash", "_attrs", "_wire_json", "_wire_bin")
+    __slots__ = ("_constraints", "matches", "_key", "_hash", "_attrs", "_wire_json", "_wire_bin")
+
+    #: ``matches(mapping) -> bool``: the compiled conjunction
+    matches: Callable[[Mapping[str, Any]], bool]
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
         self._constraints: Tuple[Constraint, ...] = tuple(constraints)
-        self._matches = _compile_matches(self._constraints)
+        self.matches = _compile_matches(self._constraints)
         self._key: Optional[Tuple] = None
         self._hash: Optional[int] = None
         self._attrs: Optional[frozenset] = None
@@ -517,13 +557,8 @@ class Filter:
         self._wire_json: Optional[str] = None
         self._wire_bin: Optional[bytes] = None
 
-    # ------------------------------------------------------------- evaluation
-    def matches(self, notification: Mapping[str, Any]) -> bool:
-        """True iff every constraint matches the notification."""
-        return self._matches(notification)
-
     def __call__(self, notification: Mapping[str, Any]) -> bool:
-        return self._matches(notification)
+        return self.matches(notification)
 
     # ------------------------------------------------------------------ views
     @property

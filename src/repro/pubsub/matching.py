@@ -27,10 +27,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .filters import Equals, Filter, InSet, Range
-from .notification import Notification
+from .notification import Notification, attribute_dict
 from .subscription import Subscription
 
 
@@ -296,19 +297,23 @@ class AttributeIndex:
     def empty(self) -> bool:
         return not self.by_attr and not self.by_range and not self.unindexed
 
-    def candidates(self, items) -> Iterator[object]:
-        """Yield the payloads that could match a notification with ``items``.
+    def groups(self, items) -> Iterator[Iterable[object]]:
+        """Yield the groups of payloads that could match a notification with ``items``.
 
         ``items`` is the notification's attribute/value pairs, precomputed
-        once by the caller and shared across every index probed.  Unindexable
-        entries come first, then the equality buckets and range buckets
-        selected by the notification's own pairs.  No entry is yielded twice:
-        each lives in exactly one equality bucket, one range index or in
-        ``unindexed``, and a notification carries each attribute once.  This
-        is the single definition of candidate pre-selection; every query path
-        goes through it.
+        once by the caller and shared across every index probed.  Groups are
+        handed out whole — the views of the equality buckets and the lists of
+        the range buckets selected by the notification's own pairs, then the
+        view of the unindexable entries — so a caller's inner loop iterates
+        dict views and lists, not a generator per payload.  The selected
+        groups come first because their members already passed one test: a
+        first-match loop is decided there far more often than among the
+        unindexable rest.  No payload appears twice: each lives in exactly
+        one equality bucket, one range index or in ``unindexed``, and a
+        notification carries each attribute once.  This is the single
+        definition of candidate pre-selection; every query path goes through
+        it.
         """
-        yield from self.unindexed.values()
         by_attr = self.by_attr
         if by_attr:
             for attribute, value in items:
@@ -320,13 +325,19 @@ class AttributeIndex:
                 except TypeError:  # unhashable notification value
                     continue
                 if bucket:
-                    yield from bucket.values()
+                    yield bucket.values()
         by_range = self.by_range
         if by_range:
             for attribute, value in items:
                 index = by_range.get(attribute)
                 if index is not None:
-                    yield from index.candidates(value)
+                    yield index.candidates(value)
+        if self.unindexed:
+            yield self.unindexed.values()
+
+    def candidates(self, items) -> Iterator[object]:
+        """The payloads of :meth:`groups`, one after the other."""
+        return chain.from_iterable(self.groups(items))
 
 
 class EpochCache:
@@ -352,7 +363,8 @@ class EpochCache:
         self, notification: Mapping, scope: Tuple = ()
     ) -> Tuple[Optional[Tuple], Optional[list]]:
         """Return ``(key, answer)``: ``answer`` is ``None`` on a miss, and a
-        ``None`` key marks a notification that cannot be memoized at all."""
+        ``None`` key marks a notification that cannot be memoized at all.
+        Callers pass the notification already unwrapped to its ``dict``."""
         entries = self._entries
         if self._entries_epoch != self.epoch:
             entries.clear()
@@ -468,14 +480,15 @@ class AttributeIndexMatcher:
 
     # --------------------------------------------------------------- matching
     def match(self, notification: Mapping) -> List[Subscription]:
-        key, cached = self._match_cache.lookup(notification)
+        attributes = attribute_dict(notification)
+        key, cached = self._match_cache.lookup(attributes)
         if cached is not None:
             self.cache_hits += 1
             return list(cached)
         matched = []
-        for sub in self._index.candidates(notification.items()):
+        for sub in self._index.candidates(attributes.items()):
             self.full_evaluations += 1
-            if sub.filter.matches(notification):
+            if sub.filter.matches(attributes):
                 matched.append(sub)
         if key is not None:
             self._match_cache.store(key, matched, self.CACHE_CAPACITY)

@@ -12,7 +12,7 @@ mobility layer can detect duplicates and measure delivery latency.
 from __future__ import annotations
 
 import itertools
-from typing import Any, Dict, Iterator, Mapping, Optional
+from typing import Any, Dict, ItemsView, Iterator, KeysView, Mapping, Optional, ValuesView
 
 _notification_ids = itertools.count(1)
 
@@ -72,6 +72,20 @@ class Notification(Mapping[str, Any]):
 
     def get(self, key: str, default: Any = None) -> Any:
         return self._attributes.get(key, default)
+
+    # the dict's own views and containment test: the ``Mapping`` mixins would
+    # build them from ``__iter__`` and ``__getitem__``, one Python call per item
+    def __contains__(self, key: object) -> bool:
+        return key in self._attributes
+
+    def keys(self) -> KeysView[str]:
+        return self._attributes.keys()
+
+    def values(self) -> ValuesView[Any]:
+        return self._attributes.values()
+
+    def items(self) -> ItemsView[str, Any]:
+        return self._attributes.items()
 
     # ---------------------------------------------------------------- helpers
     @property
@@ -137,6 +151,17 @@ class Notification(Mapping[str, Any]):
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in sorted(self._attributes.items()))
         return f"Notification(#{self.notification_id}, {attrs})"
+
+
+def attribute_dict(mapping: Mapping[str, Any]) -> Mapping[str, Any]:
+    """The dict behind a :class:`Notification` (read-only!); any other mapping as is.
+
+    The matching loops unwrap once per notification with this and evaluate
+    every candidate filter on the plain ``dict``, whose ``get`` is a C call.
+    The test is on the exact class: ``isinstance`` against an ABC costs more
+    than the unwrapping saves, and a subclass still answers as a ``Mapping``.
+    """
+    return mapping._attributes if mapping.__class__ is Notification else mapping
 
 
 def notification(**attributes: Any) -> Notification:

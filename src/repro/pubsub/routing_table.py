@@ -48,6 +48,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from .filters import Equals, Filter, InSet, NotEquals, Prefix, Range
 from .matching import AttributeIndex, EpochCache
+from .notification import attribute_dict
 from .subscription import Subscription
 
 MATCHER_NAMES = ("brute", "indexed")
@@ -202,42 +203,46 @@ class RoutingTable:
         self._index.clear()
 
     # ---------------------------------------------------------------- queries
-    def _link_candidates(self, notification: Mapping, excluded):
-        """Yield ``(link, candidate entries)`` per non-excluded link (indexed mode).
+    def _link_groups(self, attributes: Mapping, excluded):
+        """Yield ``(link, candidate groups)`` per non-excluded link (indexed mode).
 
         Small links (<= :data:`SMALL_LINK_SCAN` entries) yield their entries
-        directly — probing the index would cost more than evaluating them;
-        larger links go through :meth:`AttributeIndex.candidates`.
+        as the one group — probing the index would cost more than evaluating
+        them; larger links yield :meth:`AttributeIndex.groups`.
         """
-        items = None
+        items = attributes.items()  # a view: every index probed iterates it, none copies it
         index_by_link = self._index
         for link, entries in self._by_link.items():
             if link in excluded:
                 continue
             if len(entries) <= SMALL_LINK_SCAN:
-                yield link, entries.values()
+                yield link, (entries.values(),)
             else:
-                if items is None:
-                    items = list(notification.items())
-                yield link, index_by_link[link].candidates(items)
+                yield link, index_by_link[link].groups(items)
 
     def destinations(self, notification: Mapping, exclude: Iterable[str] = ()) -> List[str]:
         """Links (deduplicated, sorted) on which ``notification`` must be forwarded."""
         excluded = set(exclude)
+        # unwrapped once: the cache key and every filter below use the plain dict
+        attributes = attribute_dict(notification)
         if self._indexed:
             cache = self._destination_cache
-            key, cached = cache.lookup(notification, tuple(sorted(excluded)))
+            key, cached = cache.lookup(attributes, tuple(sorted(excluded)))
             if cached is not None:
                 self.cache_hits += 1
                 if self._cache_hit_counter is not None:
                     self._cache_hit_counter.inc()
                 return list(cached)
             result = []
-            for link, candidates in self._link_candidates(notification, excluded):
-                for entry in candidates:
-                    if entry.filter.matches(notification):
-                        result.append(link)
-                        break
+            for link, groups in self._link_groups(attributes, excluded):
+                for group in groups:
+                    for entry in group:
+                        if entry.filter.matches(attributes):
+                            result.append(link)
+                            break
+                    else:
+                        continue
+                    break  # the first match decides the link
             result.sort()
             if key is not None:
                 cache.store(key, result, self.CACHE_CAPACITY)
@@ -246,7 +251,7 @@ class RoutingTable:
         for link, entries in self._by_link.items():
             if link in excluded:
                 continue
-            if any(entry.matches(notification) for entry in entries.values()):
+            if any(entry.matches(attributes) for entry in entries.values()):
                 matched.add(link)
         return sorted(matched)
 
@@ -254,15 +259,17 @@ class RoutingTable:
         self, notification: Mapping, exclude: Iterable[str] = ()
     ) -> List[RouteEntry]:
         excluded = set(exclude)
+        attributes = attribute_dict(notification)
         matched: List[RouteEntry] = []
         if self._indexed:
-            for link, candidates in self._link_candidates(notification, excluded):
-                matched.extend(e for e in candidates if e.filter.matches(notification))
+            for _link, groups in self._link_groups(attributes, excluded):
+                for group in groups:
+                    matched.extend(e for e in group if e.filter.matches(attributes))
             return matched
         for link, entries in self._by_link.items():
             if link in excluded:
                 continue
-            matched.extend(entry for entry in entries.values() if entry.matches(notification))
+            matched.extend(entry for entry in entries.values() if entry.matches(attributes))
         return matched
 
     def entries_for_link(self, link: str) -> List[RouteEntry]:

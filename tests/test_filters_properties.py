@@ -7,16 +7,21 @@ Key invariants:
 * soundness of non-overlap: if ``not f.overlaps(g)`` then no notification
   matches both;
 * the merge of two filters covers both operands;
-* filter equality is consistent with hashing.
+* filter equality is consistent with hashing;
+* the compiled ``Filter.matches`` closure, whatever shape it was specialised
+  to, answers exactly like the per-constraint reference on every value type.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
+from types import MappingProxyType
 
 from hypothesis import given, settings, strategies as st
 
-from repro.pubsub.filters import Equals, Filter, InSet, Prefix, Range
+from repro.pubsub.filters import Equals, Exists, Filter, InSet, NotEquals, Prefix, Range
+from repro.pubsub.notification import Notification
 
 ATTRIBUTES = ["service", "location", "value", "priority"]
 STRING_VALUES = ["a", "b", "c", "room-1", "room-2", "news", "news/sport"]
@@ -106,3 +111,57 @@ def test_equality_consistent_with_hash(f, g):
 @given(f=filters(), n=notifications())
 def test_match_is_deterministic(f, n):
     assert f.matches(n) == f.matches(n)
+
+
+# ------------------------------------------------------------ the compiled kernel
+
+
+class Level(int):
+    """An ``int`` subclass: a number to ``Range``, but never the exact-class fast path."""
+
+
+#: every kind of value a notification may carry, hashable or not
+HASHABLE_VALUES = st.one_of(
+    st.integers(-3, 12),
+    st.sampled_from([0.0, -0.0, 1.0, 2.5, 7.0, math.nan, math.inf, -math.inf]),
+    st.booleans(),
+    st.sampled_from(STRING_VALUES),
+    st.none(),
+    st.builds(Level, st.integers(-3, 12)),
+    st.sampled_from([Decimal("1"), Decimal("2.5"), Decimal("NaN")]),
+)
+ANY_VALUES = HASHABLE_VALUES | st.just([1, 2])
+BOUNDS = st.integers(-3, 12) | st.sampled_from([-math.inf, math.inf, 2.5])
+
+
+@st.composite
+def kernel_constraints(draw):
+    attribute = draw(st.sampled_from(ATTRIBUTES))
+    kind = draw(st.sampled_from(["exists", "eq", "ne", "in", "range", "prefix"]))
+    if kind == "exists":
+        return Exists(attribute)
+    if kind == "eq":
+        return Equals(attribute, draw(ANY_VALUES))
+    if kind == "ne":
+        return NotEquals(attribute, draw(ANY_VALUES))
+    if kind == "in":
+        return InSet(attribute, draw(st.lists(HASHABLE_VALUES, max_size=4)))
+    if kind == "range":
+        low, high = sorted((draw(BOUNDS), draw(BOUNDS)))
+        return Range(attribute, low, high, draw(st.booleans()), draw(st.booleans()))
+    return Prefix(attribute, draw(st.sampled_from(["", "n", "news", "room"])))
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    constraint_list=st.lists(kernel_constraints(), min_size=0, max_size=4),
+    attrs=st.dictionaries(st.sampled_from(ATTRIBUTES), ANY_VALUES),
+)
+def test_compiled_matches_equals_the_reference(constraint_list, attrs):
+    expected = all(
+        c.attribute in attrs and bool(c.matches_value(attrs[c.attribute])) for c in constraint_list
+    )
+    f = Filter(constraint_list)
+    for spelling in (attrs, Notification(attrs), MappingProxyType(attrs)):
+        assert bool(f.matches(spelling)) is expected, (f, attrs, type(spelling).__name__)
+        assert bool(f(spelling)) is expected

@@ -18,15 +18,17 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, Range
-from repro.pubsub.matching import IntervalBucketIndex
+from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, IntervalBucketIndex
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import RoutingTable
+from repro.pubsub.subscription import subscription
 
 from test_routing_index import assert_tables_agree, random_filter, random_notification
 
@@ -209,6 +211,43 @@ def assert_typed_twins_agree(brute, indexed, rng, rounds):
         n["value"] = rng.choice([0, 1, True, False, 1.0])
         for probe in (n, *typed_twins(n), n):
             assert indexed.destinations(probe) == brute.destinations(probe), probe
+
+
+def check_mapping_spellings(seed, rounds=60):
+    """One population in both tables and both matchers; every probe — ``1`` /
+    ``True`` / ``1.0`` back to back — asked as a ``Notification``, as its
+    ``dict`` and as a ``MappingProxyType``: the hot loops unwrap the first and
+    take the others as they come, and all must answer like brute force."""
+    rng = random.Random(seed)
+    brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+    brute_matcher, indexed_matcher = BruteForceMatcher(), AttributeIndexMatcher()
+    for i in range(200):
+        f, link = random_filter(rng), f"L{rng.randint(1, 6)}"
+        brute.add(f, link, f"s{i}")
+        indexed.add(f, link, f"s{i}")
+        for matcher in (brute_matcher, indexed_matcher):
+            matcher.add(subscription(f, subscriber="c", sub_id=f"s{i}"))
+    for _ in range(rounds):
+        n = dict(random_notification(rng))
+        n["value"] = rng.choice([0, 1, True, False, 1.0])
+        for probe in (n, *typed_twins(n), n):
+            links = brute.destinations(probe)
+            entries = sorted(
+                (e.sub_id, e.link) for e in brute.matching_entries(probe) if e.link != "L6"
+            )
+            ids = brute_matcher.matching_ids(probe)
+            for spelling in (Notification(probe), probe, MappingProxyType(probe)):
+                assert indexed.destinations(spelling) == links, probe
+                assert brute.destinations(spelling) == links, probe
+                found = indexed.matching_entries(spelling, exclude=["L6"])
+                assert sorted((e.sub_id, e.link) for e in found) == entries, probe
+                assert indexed_matcher.matching_ids(spelling) == ids, probe
+                assert brute_matcher.matching_ids(spelling) == ids, probe
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_notification_dict_and_proxy_answer_alike(seed):
+    check_mapping_spellings(seed)
 
 
 class TestRangeTableEquivalence:
@@ -469,16 +508,13 @@ print("OK")
 """
 
 
-@pytest.mark.parametrize("hashseed", ["0", "1"])
-def test_equivalence_under_pythonhashseed(hashseed):
-    """Dict/set iteration order must not leak into forwarding decisions."""
+def _run_under_hashseed(script: str, hashseed: str) -> None:
     repo_root = Path(__file__).resolve().parent.parent
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hashseed
     env["PYTHONPATH"] = str(repo_root / "src")
-    script = _HASHSEED_SCRIPT.format(tests_dir=str(repo_root / "tests"))
     result = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", script.format(tests_dir=str(repo_root / "tests"))],
         capture_output=True,
         text=True,
         env=env,
@@ -486,3 +522,26 @@ def test_equivalence_under_pythonhashseed(hashseed):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "OK"
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_equivalence_under_pythonhashseed(hashseed):
+    """Dict/set iteration order must not leak into forwarding decisions."""
+    _run_under_hashseed(_HASHSEED_SCRIPT, hashseed)
+
+
+_SPELLINGS_SCRIPT = """
+import sys
+
+sys.path.insert(0, {tests_dir!r})
+from test_interval_index import check_mapping_spellings
+
+check_mapping_spellings(5150)
+print("OK")
+"""
+
+
+@pytest.mark.parametrize("hashseed", ["0", "1"])
+def test_mapping_spellings_under_pythonhashseed(hashseed):
+    """... nor into which spelling of a notification the tables were asked with."""
+    _run_under_hashseed(_SPELLINGS_SCRIPT, hashseed)

@@ -5,7 +5,14 @@ from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.filters import Equals, Filter, InSet, Range, filter_from_dict
 from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, cross_check
-from repro.pubsub.notification import Notification, notification
+from repro.net.process import Message
+from repro.net.wire import (
+    decode_message,
+    decode_message_binary,
+    encode_message,
+    encode_message_binary,
+)
+from repro.pubsub.notification import Notification, attribute_dict, notification
 from repro.pubsub.subscription import Subscription, next_subscription_id, subscription
 
 
@@ -16,6 +23,32 @@ class TestNotification:
         assert n.get("missing") is None
         assert set(n) == {"service", "value"}
         assert len(n) == 2
+
+    def test_views_are_the_dicts_own(self):
+        """``items``/``keys``/``values``/``in`` delegate to the backing dict (C-level
+        views, no per-item Python call) — also on the instances the binary codec
+        builds through ``__new__`` — and what callers derive from them is unchanged."""
+        attrs = {"service": "temperature", "value": 21, "tags": ["a", "b"]}
+        built = Notification(attrs, notification_id=7, published_at=1.5, publisher="p")
+        frame = Message(kind="notify", payload=built, msg_id=1)
+        decoded = decode_message_binary(encode_message_binary(frame)).payload
+        assert decoded is not built
+        for n in (built, decoded):
+            assert type(n.items()) is type(attrs.items())
+            assert type(n.keys()) is type(attrs.keys())
+            assert type(n.values()) is type(attrs.values())
+            assert n.items() == attrs.items() and n.keys() == attrs.keys()
+            assert list(n.values()) == [n[key] for key in n]
+            assert "value" in n and "missing" not in n and ["unhashable"] not in n.values()
+            assert dict(n) == attrs and dict(n) is not attribute_dict(n)
+            assert sorted(n.items()) == sorted(attrs.items())
+            assert attribute_dict(n) == attrs and attribute_dict(attrs) is attrs
+            for encode, decode in (
+                (encode_message, decode_message),
+                (encode_message_binary, decode_message_binary),
+            ):
+                assert encode(Message(kind="notify", payload=n, msg_id=1)) == encode(frame)
+                assert decode(encode(frame)).payload == built
 
     def test_ids_unique(self):
         assert notification(a=1).notification_id != notification(a=1).notification_id

@@ -9,6 +9,7 @@ replay, no loss, garbage collection).
 
 import pytest
 
+from repro.core.buffering import CountBasedPolicy, TimeBasedPolicy
 from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
@@ -214,6 +215,34 @@ class TestClientHandover:
         system.move(client, rooms[3])
         sim.run_until_idle()
         assert system.predictor.transition_probability("B1", "B2") > 0
+
+
+class TestShadowDeliveryCount:
+    """``notifications_buffered`` counts what shadows accepted, not how long their buffers are."""
+
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [lambda: CountBasedPolicy(3), lambda: TimeBasedPolicy(0.5)],
+        ids=["count-based", "time-based"],
+    )
+    def test_full_bounded_buffer_keeps_counting(self, policy_factory):
+        config = MobilitySystemConfig(
+            replicator=ReplicatorConfig(buffer_policy_factory=policy_factory)
+        )
+        sim, space, system = build_system(config=config)
+        client = system.add_mobile_client("alice")
+        client.subscribe_location(location_dependent({"service": "temperature"}))
+        system.attach(client, location=space.locations[0])
+        sim.run_until_idle()
+        sensor = system.add_publisher("sensor", space.locations[3])  # B2 hosts the shadow
+        for value in range(10):
+            sensor.publish({"service": "temperature", "location": space.locations[3], "value": value})
+            sim.run(until=sim.now + 1.0)  # a second apart: the time-based policy evicts each predecessor
+        shadow = system.replicators["B2"].virtual_clients["alice"]
+        assert shadow.buffered_total == 10
+        assert shadow.buffer_size() < 10  # the policy did bound the buffer
+        assert system.replicators["B2"].stats.notifications_buffered == 10
+        assert system.total_shadow_deliveries() == 10
 
 
 class TestClientRemoval:
