@@ -247,15 +247,13 @@ def assert_wire_fragment_caches() -> None:
     filt = Filter([Equals("service", "svc-0"), Range("value", 0, 100)])
     sub = Subscription(sub_id="s-cache", filter=filt, subscriber="c1")
     notif = Notification({"topic": "bench", "value": 7, "pad": "x" * 8})
-    json_slots = {Filter: "_wire_json", Subscription: "_wire_json", Notification: "_wire"}
+    json_slot = "_wire_json"
+
+    def lookup(payload, slot):
+        # a Subscription (frozen dataclass, no slots) has no attribute until cached
+        return getattr(payload, slot, None)
 
     for payload in (filt, sub, notif):
-        json_slot = json_slots[type(payload)]
-        lookup = (
-            (lambda o, s: o.__dict__.get(s))
-            if isinstance(payload, Subscription)  # frozen dataclass, no slots
-            else getattr
-        )
         assert lookup(payload, json_slot) is None, f"{payload!r}: stale json cache"
         assert lookup(payload, "_wire_bin") is None, f"{payload!r}: stale binary cache"
 

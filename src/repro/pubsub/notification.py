@@ -35,7 +35,7 @@ class Notification(Mapping[str, Any]):
         "notification_id",
         "published_at",
         "publisher",
-        "_wire",
+        "_wire_json",
         "_wire_bin",
         "_esize",
     )
@@ -56,7 +56,7 @@ class Notification(Mapping[str, Any]):
         # Canonical wire-encoded fragments (one per codec), filled in lazily
         # by repro.net.wire so forwarding hops don't re-serialize an immutable
         # payload once per outgoing link.  Never part of equality or hashing.
-        self._wire: Optional[str] = None
+        self._wire_json: Optional[str] = None
         self._wire_bin: Optional[bytes] = None
         self._esize: Optional[int] = None
 

@@ -18,7 +18,12 @@ codec demands:
    string-table reference is rejected instead of silently misread;
 4. **Batched framing boundaries** — a dispatch burst exactly at, one byte
    over, and one byte under the asyncio flush cap must flush (or defer)
-   correctly and deliver every message intact.
+   correctly and deliver every message intact;
+5. **Declared once** — the bytes of the payload corpus are pinned by digest
+   under both codecs, the record table equals a literal schema (editing it
+   without bumping ``WIRE_VERSION`` fails), each hand-written specialisation
+   equals the generic walker it shortcuts, and no mutation of a valid body
+   gets anything but a value or a :class:`WireError` out of the decoders.
 """
 
 import hashlib
@@ -27,9 +32,11 @@ import socket
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import repro.net.wire as wire
 from repro.net.process import Message, Process
@@ -41,6 +48,7 @@ from repro.net.wire import (
     FrameDecoder,
     WireError,
     check_handshake_codec,
+    decode_control,
     decode_message,
     decode_message_binary,
     encode_message,
@@ -208,6 +216,283 @@ class TestHashSeedDeterminism:
             hashlib.sha256(_canonical_bytes("json")).hexdigest(),
             hashlib.sha256(_canonical_bytes("binary")).hexdigest(),
         ] == digests["0"]
+
+
+# ------------------------------------------------------------- declared once
+
+#: sha256 of ``_canonical_bytes`` per codec.  The golden traces hash JSON only;
+#: this is what pins the binary bytes.  A change here is a wire change: bump
+#: ``WIRE_VERSION`` (and expect every deployed peer to refuse the handshake).
+_CORPUS_DIGESTS = {
+    "json": (4728, "985cb75586827c3737d9fc4e15fa90529428dea72823c41a7a1c9fcaf42156b8"),
+    "binary": (1463, "ba45fc7230db1b1ce59544b6be505bc2ae6532b9b84a7f8a79578963a6cdb694"),
+}
+
+#: the record table as ``{binary tag byte: (JSON tag, fields)}``, a field being
+#: its JSON key, suffixed with its kind unless that is ``value``; fields are in
+#: binary order.  Pinned for ``WIRE_VERSION`` 1.
+_SCHEMA = {
+    0x0B: ("tuple", "items:items"),
+    0x0C: ("set", "items:sorted"),
+    0x0D: ("frozenset", "items:sorted"),
+    0x0F: ("notification", "attrs id published_at publisher"),
+    0x10: ("filter", "constraints:items"),
+    0x11: ("c:exists", "attr"),
+    0x12: ("c:eq", "attr value"),
+    0x13: ("c:ne", "attr value"),
+    0x14: ("c:in", "attr values:sorted"),
+    0x15: ("c:range", "attr low high include_low:flag include_high:flag"),
+    0x16: ("c:prefix", "attr prefix"),
+    0x17: (
+        "subscription",
+        "sub_id filter subscriber location_dependent:flag template:optional meta",
+    ),
+    0x18: ("message", "kind payload sender msg_id meta"),
+    0x19: ("loctemplate", "static attr scope"),
+    0x1A: (
+        "client_hello",
+        "client_id location templates plain_filters previous_broker reissue",
+    ),
+    0x1B: ("handover_request", "client_id new_broker new_replicator"),
+    0x1C: (
+        "handover_reply",
+        "client_id old_broker plain_filters buffered_plain:items buffered_location:items found",
+    ),
+    0x1D: ("replicator_stats", "stats"),
+}
+
+
+def _walk(obj):
+    """Every object nested in an encodable value, the value itself included."""
+    yield obj
+    if isinstance(obj, dict):
+        children = list(obj.values())
+    elif isinstance(obj, (list, tuple, set, frozenset)):
+        children = list(obj)
+    else:
+        record = wire._BY_CLASS.get(type(obj))
+        children = [getter(obj) for _, _, _, getter, _ in record.fields] if record else []
+    for child in children:
+        yield from _walk(child)
+
+
+class TestDeclaredOnce:
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_corpus_bytes_are_pinned(self, codec_name):
+        data = _canonical_bytes(codec_name)
+        assert (len(data), hashlib.sha256(data).hexdigest()) == _CORPUS_DIGESTS[codec_name]
+
+    def test_record_table_equals_the_pinned_schema(self):
+        assert wire.WIRE_VERSION == 1 and wire.BINARY_VERSION == 1
+        wire._load_table()
+        table = {}
+        for code, record in wire._BY_CODE.items():
+            fields = " ".join(
+                key if kind == wire.VALUE else f"{key}:{kind}" for _, key, kind, _, _ in record.fields
+            )
+            table[code] = (record.tag, fields)
+            assert wire._BY_TAG[record.tag] is record and wire._BY_CLASS[record.cls] is record
+        assert table == _SCHEMA
+        assert len(wire._BY_TAG) == len(_SCHEMA), "two records share a JSON tag"
+
+    def test_every_record_has_a_sample_in_the_corpus(self):
+        wire._load_table()
+        sampled = {type(obj) for payload in _all_payloads().values() for obj in _walk(payload)}
+        sampled.add(Message)  # the envelope of every corpus entry
+        missing = [r.tag for r in set(wire._BY_CODE.values()) if r.cls not in sampled]
+        assert not missing, f"no sample payload exercises {missing}"
+
+    @pytest.mark.parametrize("name", sorted(_all_payloads()))
+    def test_fragment_walker_equals_the_structure_walker(self, name):
+        # _json_fragment splices cached text; _encode_value builds the tagged
+        # structure: one declaration, so the two must print the same bytes
+        payload = _all_payloads()[name]
+        reference = wire._dumps(wire._encode_value(payload))
+        assert wire._json_fragment(payload) == reference
+        assert wire._json_fragment(payload) == reference, "and again, from the caches"
+
+    def test_unrolled_notification_reader_equals_the_walker(self):
+        wire._load_table()
+        record = wire._BY_CODE[wire._B_NOTIFICATION]
+        assert record.read is wire._r_notification
+        notifications = [
+            obj
+            for payload in _all_payloads().values()
+            for obj in _walk(payload)
+            if isinstance(obj, Notification)
+        ]
+        assert len(notifications) >= 3
+        for notification in notifications:
+            buf = bytearray()
+            wire._b_write(buf, notification)
+            buf = bytes(buf) + b"\x00"  # something must follow: end positions are compared
+            fast, fast_end = wire._r_notification(record, buf, 1)
+            slow, slow_end = wire._r_record(record, buf, 1)
+            assert fast == slow == notification
+            assert fast_end == slow_end == len(buf) - 1
+            assert fast._wire_bin == slow._wire_bin == buf[:-1]
+            assert (fast.published_at, fast.publisher) == (slow.published_at, slow.publisher)
+            assert fast._attributes == slow._attributes and fast._wire_json is slow._wire_json
+
+    def test_inlined_envelope_read_equals_the_walker(self):
+        wire._load_table()
+        for name, payload in sorted(_all_payloads().items()):
+            message = Message(kind=name, payload=payload, sender="x", msg_id=7, meta={"hops": 1})
+            body = encode_message_binary(message)
+            fast = decode_message_binary(body)
+            slow, end = wire._r_record(wire._BY_CODE[wire._B_MESSAGE], body, 2)
+            assert end == len(body)
+            assert fast == slow
+            for cache in ("_size", "_frame_json", "_frame_bin"):
+                assert getattr(fast, cache) is None and getattr(slow, cache) is None
+
+    def test_single_buffer_sender_equals_the_walker(self):
+        for name, payload in sorted(_all_payloads().items()):
+            message = Message(kind=name, payload=payload, sender="x", msg_id=1, meta={"hops": 1})
+            assert encode_message_binary(message) == frame_message_binary(message)[4:]
+
+
+# ---------------------------------------------------------------- hostile bytes
+
+
+def _nested(depth, kind="x"):
+    head = bytearray([wire.BINARY_VERSION, wire._B_MESSAGE])
+    wire._w_str(head, kind)
+    return bytes(head) + bytes([wire._B_LIST, 1]) * depth
+
+
+def _binary_message(kind_bytes, payload_bytes):
+    """A binary body written by hand: kind, payload, sender None, msg_id 1, meta {}."""
+    return (
+        bytes([wire.BINARY_VERSION, wire._B_MESSAGE])
+        + kind_bytes
+        + payload_bytes
+        + bytes([wire._B_NONE, wire._B_INT8, 1, wire._B_DICT, 0])
+    )
+
+
+_SREF_X = bytes([wire._B_STR, 1, ord("x")])
+_INVERTED_RANGE = (  # c:range, attr "a", low 5, high 1, both bounds included
+    bytes([0x15, wire._B_STR, 1, ord("a"), wire._B_INT8, 5, wire._B_INT8, 1, 3])
+)
+
+#: well-framed bodies that the seed's decoders answered with something other
+#: than WireError (or accepted although no encoder could have written them),
+#: each with the entry point it was reproduced on; the unhashable tag did raise
+#: WireError there and is kept because a dict lookup is where it now lands
+_REPRODUCED = {
+    "json message without its keys": (decode_message, b'{"__t__":"message","kind":"x"}'),
+    "json inverted range": (
+        decode_message,
+        b'{"__t__":"message","kind":"x","meta":{},"msg_id":1,"sender":null,"payload":'
+        b'{"__t__":"c:range","attr":"a","low":5,"high":1,"include_low":true,"include_high":true}}',
+    ),
+    "binary inverted range": (decode_message_binary, _binary_message(_SREF_X, _INVERTED_RANGE)),
+    "json tuple without items": (decode_control, b'{"__t__":"tuple"}'),
+    "json stats with an unknown counter": (
+        decode_control,
+        b'{"__t__":"replicator_stats","stats":{"bogus":1}}',
+    ),
+    "json runaway nesting": (decode_message, b"[" * 100_000),
+    "json runaway nesting, control": (decode_control, b"[" * 100_000),
+    "binary runaway nesting": (decode_message_binary, _nested(100_000)),
+    "binary int dict key": (
+        decode_message_binary,
+        _binary_message(_SREF_X, bytes([wire._B_DICT, 1, wire._B_INT8, 5, wire._B_NONE])),
+    ),
+    "binary int kind": (
+        decode_message_binary,
+        _binary_message(bytes([wire._B_INT8, 5]), bytes([wire._B_NONE])),
+    ),
+    "json int kind": (
+        decode_message,
+        b'{"__t__":"message","kind":5,"meta":{},"msg_id":1,"payload":null,"sender":null}',
+    ),
+    "json unhashable tag": (decode_control, b'{"__t__":[1]}'),
+    "json filter of non-constraints": (decode_control, b'{"__t__":"filter","constraints":[1]}'),
+}
+
+_DECODERS = (decode_message, decode_message_binary, decode_control)
+
+
+#: every corpus payload in an envelope, under the binary codec then the JSON one
+_CORPUS_BODIES = [
+    codec.encode_message(Message(kind=name, payload=payload, sender="x", msg_id=1))
+    for codec in (BINARY_CODEC, JSON_CODEC)
+    for name, payload in sorted(_all_payloads().items())
+]
+
+
+@st.composite
+def _mutated_bodies(draw):
+    """A valid corpus body after one truncation, byte flip, splice or count/tag overwrite."""
+    bodies = _CORPUS_BODIES
+    body = draw(st.sampled_from(bodies))
+    position = draw(st.integers(0, len(body) - 1))
+    operation = draw(st.sampled_from(["truncate", "flip", "splice", "overwrite"]))
+    if operation == "truncate":
+        return body[:position]
+    if operation == "flip":
+        return body[:position] + bytes([body[position] ^ draw(st.integers(1, 255))]) + body[position + 1 :]
+    if operation == "splice":
+        other = draw(st.sampled_from(bodies))
+        start = draw(st.integers(0, len(other) - 1))
+        piece = other[start : start + draw(st.integers(1, 64))]
+        return body[:position] + piece + body[position + draw(st.integers(0, 8)) :]
+    # a tag byte of the closed set (or just outside it), or the widest count
+    patch = draw(st.sampled_from([bytes([tag]) for tag in range(0x22)] + [b"\xff" * 5, b"\xfe"]))
+    return body[:position] + patch + body[position + len(patch) :]
+
+
+class TestDecodersRaiseOnlyWireError:
+    """``decode_message``, ``decode_message_binary`` and ``decode_control`` are
+    the receive side of a socket: whatever the (well-framed) bytes, they hand
+    back a value or raise ``WireError`` — a receiver has one type to catch."""
+
+    @pytest.mark.parametrize("name", sorted(_REPRODUCED))
+    def test_reproduced_bodies(self, name):
+        decode, body = _REPRODUCED[name]
+        with pytest.raises(WireError):
+            decode(body)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(body=_mutated_bodies())
+    @example(body=_REPRODUCED["json message without its keys"][1])
+    @example(body=_REPRODUCED["binary inverted range"][1])
+    @example(body=_REPRODUCED["json stats with an unknown counter"][1])
+    @example(body=_REPRODUCED["binary int dict key"][1])
+    @example(body=_REPRODUCED["binary int kind"][1])
+    @example(body=_nested(5_000))
+    @example(body=b"")
+    def test_any_mutation_of_a_valid_body(self, body):
+        for decode in _DECODERS:
+            try:
+                decoded = decode(body)
+            except WireError:
+                continue
+            if decode is not decode_control:
+                assert isinstance(decoded, Message) and isinstance(decoded.kind, str)
+
+    def test_a_hostile_count_allocates_nothing(self):
+        # the widest count (0xFF + u32 max) written over every position of every
+        # binary corpus body: a reader that sized a buffer from it would ask for
+        # gigabytes; ours reads item by item and runs off the end of the body
+        patch = b"\xff" * 5
+        tracemalloc.start()
+        try:
+            for body in _CORPUS_BODIES:
+                if body[0] != wire.BINARY_VERSION:
+                    continue
+                for position in range(1, len(body)):
+                    hostile = body[:position] + patch + body[position + len(patch) :]
+                    try:
+                        decode_message_binary(hostile)
+                    except WireError:
+                        pass
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < wire.MAX_FRAME_SIZE
 
 
 # ----------------------------------------------------- loud codec negotiation

@@ -178,13 +178,13 @@ class TestNotificationEncodingCache:
     def test_fragment_cached_and_bytes_identical(self):
         notification = Notification({"b": 1, "a": 2.5}, published_at=1.0, publisher="p",
                                     notification_id=7)
-        assert notification._wire is None
+        assert notification._wire_json is None
         first = encode_message(Message(kind="notify", payload=notification, sender="B1", msg_id=3))
-        assert notification._wire is not None
-        cached_fragment = notification._wire
+        assert notification._wire_json is not None
+        cached_fragment = notification._wire_json
         second = encode_message(Message(kind="notify", payload=notification, sender="B1", msg_id=3))
         assert first == second
-        assert notification._wire is cached_fragment, "the cache must be reused, not rebuilt"
+        assert notification._wire_json is cached_fragment, "the cache must be reused, not rebuilt"
 
     def test_forwarded_copy_shares_the_cache(self):
         notification = Notification({"v": 9}, notification_id=21)
@@ -192,26 +192,51 @@ class TestNotificationEncodingCache:
         encode_message(message)
         forwarded = message.copy()
         assert forwarded.payload is notification, "immutable payloads stay shared"
-        assert forwarded.payload._wire is notification._wire
+        assert forwarded.payload._wire_json is notification._wire_json
 
     def test_decode_primes_the_cache_for_the_next_hop(self):
         notification = Notification({"v": 1, "w": "x"}, published_at=2.0, publisher="p",
                                     notification_id=5)
         encoded = encode_message(Message(kind="notify", payload=notification, sender="B1", msg_id=2))
         decoded = decode_message(encoded)
-        assert decoded.payload._wire is not None, "decoding must prime the fragment cache"
+        assert decoded.payload._wire_json is not None, "decoding must prime the fragment cache"
         re_encoded = encode_message(
             Message(kind="notify", payload=decoded.payload, sender="B1", msg_id=2)
         )
         assert re_encoded == encoded
 
+    def test_decode_primes_every_cached_record_it_builds(self):
+        # not only a top-level payload: a filter inside an ``unsubscribe`` dict
+        # and the notifications inside a ``handover_reply``'s buffers are
+        # forwarded by the next hop too
+        unsubscribe = {"sub_id": "s9", "filter": Filter([Equals("service", "x")])}
+        reply = _sample_payloads()["reply"]
+        for kind, payload in (("unsubscribe", unsubscribe), ("handover_reply", reply)):
+            encoded = encode_message(Message(kind=kind, payload=payload, sender="B1", msg_id=2))
+            decoded = decode_message(encoded).payload
+            if kind == "unsubscribe":
+                built = [decoded["filter"]]
+                sent = [unsubscribe["filter"]]
+            else:
+                built = [*decoded.plain_filters.values(), *decoded.buffered_plain,
+                         *decoded.buffered_location]
+                sent = [*reply.plain_filters.values(), *reply.buffered_plain,
+                        *reply.buffered_location]
+            assert len(built) == len(sent) >= 1
+            for mine, theirs in zip(built, sent):
+                assert mine._wire_json is not None, f"{mine!r} was decoded but not primed"
+                assert mine._wire_json == theirs._wire_json
+            assert encode_message(
+                Message(kind=kind, payload=decoded, sender="B1", msg_id=2)
+            ) == encoded
+
     def test_mutation_paths_get_a_fresh_cache(self):
         notification = Notification({"v": 1}, notification_id=5)
         encode_message(Message(kind="notify", payload=notification, msg_id=1))
         mutated = notification.with_attributes(v=2)
-        assert mutated._wire is None
+        assert mutated._wire_json is None
         stamped = notification.stamped(published_at=3.0, publisher="p")
-        assert stamped._wire is None
+        assert stamped._wire_json is None
         one = encode_message(Message(kind="notify", payload=mutated, msg_id=1))
         assert one != encode_message(Message(kind="notify", payload=notification, msg_id=1))
 
