@@ -34,7 +34,7 @@ baselines (reactive re-subscription = ``pre_subscription=False``, etc.).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from ..net.process import Message, Process
 from ..net.simulator import Simulator
@@ -157,6 +157,12 @@ class Replicator(Process):
             SharedNotificationStore() if self.config.use_shared_store else None
         )
         self._replicator_registry: Dict[str, str] = {}  # broker name -> replicator name
+        # filter key -> (the subscription issued at the broker, sub_ids of its holders)
+        self._issued: Dict[Tuple, Tuple[Subscription, Set[str]]] = {}
+        #: broker subscriptions sent / holders that joined one already issued
+        #: (plain attributes: ReplicatorStats' fields are pinned on the wire)
+        self.subscriptions_issued = 0
+        self.subscriptions_shared = 0
         self.stats = ReplicatorStats()
 
     # ------------------------------------------------------------------ wiring
@@ -173,17 +179,46 @@ class Replicator(Process):
         return self.sim.now
 
     def issue_subscribe(self, subscription: Subscription) -> None:
-        """Pass a subscription downwards to the border broker."""
-        if self.has_link(self.broker_name):
-            self.send(self.broker_name, Message(kind="subscribe", payload=subscription))
+        """Pass a subscription downwards: one broker subscription per distinct filter.
+
+        The first holder of a filter sends one ``subscribe`` under an id this
+        replicator owns; later holders of an equal filter only join it.  The
+        id is never a holder's: a virtual client re-issues *its* id with a new
+        filter when it re-binds, which the broker takes as "re-bound in
+        place" — and would replace the filter the other holders still need.
+        """
+        if not self.has_link(self.broker_name):
+            return
+        key = subscription.filter.key()
+        entry = self._issued.get(key)
+        if entry is not None:
+            if subscription.sub_id not in entry[1]:
+                entry[1].add(subscription.sub_id)
+                self.subscriptions_shared += 1
+            return
+        self.subscriptions_issued += 1
+        issued = Subscription(
+            sub_id=f"{self.name}#{self.subscriptions_issued}",
+            filter=subscription.filter,
+            subscriber=self.name,
+        )
+        self._issued[key] = (issued, {subscription.sub_id})
+        self.send(self.broker_name, Message(kind="subscribe", payload=issued))
 
     def issue_unsubscribe(self, subscription: Subscription) -> None:
-        """Pass an unsubscription downwards to the border broker."""
+        """Pass an unsubscription downwards once the filter's last holder leaves."""
+        key = subscription.filter.key()
+        entry = self._issued.get(key)
+        if entry is None or subscription.sub_id not in entry[1]:
+            return
+        issued, holders = entry
+        holders.remove(subscription.sub_id)
+        if holders:
+            return
+        del self._issued[key]
         if self.has_link(self.broker_name):
-            self.send(
-                self.broker_name,
-                Message(kind="unsubscribe", payload={"sub_id": subscription.sub_id, "filter": subscription.filter}),
-            )
+            payload = {"sub_id": issued.sub_id, "filter": issued.filter}
+            self.send(self.broker_name, Message(kind="unsubscribe", payload=payload))
 
     def deliver_to_device(self, client_id: str, notification: Notification, replayed: bool) -> None:
         """Pass a notification upwards to the connected mobile device."""
@@ -347,7 +382,6 @@ class Replicator(Process):
         virtual_client = self.virtual_clients.get(client_id)
         if virtual_client is None:
             virtual_client = self._create_virtual_client(client_id)
-            self.virtual_clients[client_id] = virtual_client
         if payload.get("template") is not None:
             template_id = payload["template_id"]
             template: LocationDependentFilter = payload["template"]

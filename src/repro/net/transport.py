@@ -620,15 +620,17 @@ class SocketEndpoint(LinkEndpoint):
         """The connection died and everything read from it has been handed over."""
 
 
-class _Receiver(asyncio.Protocol):
+class _Receiver(asyncio.BufferedProtocol):
     """The reading side of one end of a link's connection.
 
     A server creates one per accepted connection (the handshake binds
     ``inbound``, the endpoint that takes what arrives); a dialler passes one,
     already bound, as its own protocol (``acked`` is its future for the
-    acceptor's answer).  One loop callback per read:
-    ``data_received`` stamps the read's true arrival time, splits and decodes
-    its frames and hands each to ``inbound`` — at once on a zero-latency
+    acceptor's answer).  One loop callback per read: the socket reads into
+    the node's one ``_inbox`` (a fresh 256 KiB ``bytes`` per read made glibc
+    grow and trim the heap top — a page fault per read — or not, by heap
+    layout); ``buffer_updated`` stamps the read's true arrival time, splits and
+    decodes its frames and hands each to ``inbound`` — at once on a zero-latency
     link, otherwise through ``floor``, a FIFO of ``(due, message)`` released
     by one ``call_at`` timer.  Reading never waits on a floor, so the floors
     of a stream do not add up.
@@ -658,10 +660,15 @@ class _Receiver(asyncio.Protocol):
         self.sock = sock
         self.node._receivers.add(self)
 
-    def data_received(self, data: bytes) -> None:
-        self.node._run_callback(self._read, data)
+    def get_buffer(self, sizehint: int) -> memoryview:
+        return self.node._inbox
 
-    def _read(self, data: bytes) -> None:
+    def buffer_updated(self, nbytes: int) -> None:
+        # the decoder copies what it keeps, and get_buffer -> recv_into -> here
+        # is one synchronous loop callback: one buffer per node is safe
+        self.node._run_callback(self._read, self.node._inbox[:nbytes])
+
+    def _read(self, data: memoryview) -> None:
         node = self.node
         # every frame in this read shares one arrival time; latency is a
         # delivery floor relative to it, so a burst pays the latency once,
@@ -790,6 +797,9 @@ class SocketNode:
         self._clock = AsyncioClock(self)
         #: the reading side of every connection still open (aborted on close)
         self._receivers: "set[_Receiver]" = set()
+        #: where every socket read lands (one per node, not per connection:
+        #: each attach opens connections and would zero-fill one apiece)
+        self._inbox = memoryview(bytearray(256 * 1024))
         #: endpoints holding buffered frames, flushed in one scheduled pass
         self._dirty: "set[SocketEndpoint]" = set()
         #: a flush is already coming: one handed to ``call_soon`` by a send

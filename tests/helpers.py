@@ -28,3 +28,22 @@ class FakeHost:
 
     def deliver_to_device(self, client_id, notification, replayed):
         self.delivered.append((client_id, notification, replayed))
+
+
+def assert_one_subscription_per_filter(system):
+    """Each replicator holds one broker subscription per distinct bound filter.
+
+    What its border broker's table holds on the replicator's link == the
+    distinct ``bound_filters()`` of the virtual clients it hosts == the keys of
+    its issue table.  Call it on a quiescent system.
+    """
+    for broker_name, replicator in system.replicators.items():
+        table = system.network.brokers[broker_name].routing_table
+        at_broker = [f.key() for f in table.filters_for_link(replicator.name)]
+        hosted = {
+            f.key() for vc in replicator.virtual_clients.values() for f in vc.bound_filters()
+        }
+        assert len(at_broker) == len(set(at_broker)), (broker_name, at_broker)
+        assert set(at_broker) == hosted == set(replicator._issued), broker_name
+        for issued, holders in replicator._issued.values():
+            assert holders and issued.sub_id.startswith(f"{replicator.name}#")

@@ -13,6 +13,7 @@ properties are easy to lose with that shape and are pinned here:
 """
 
 import os
+import resource
 import socket
 import sys
 import time
@@ -21,7 +22,7 @@ import pytest
 
 from repro.net import wire
 from repro.net.process import Message, Process
-from repro.net.transport import AsyncioTransport
+from repro.net.transport import AsyncioTransport, _Receiver
 from repro.pubsub.broker_network import line_topology
 
 
@@ -218,3 +219,28 @@ def test_attach_detach_churn_returns_every_fd(transport):
     assert transport._receivers == set()
     assert a.received == b.received == list(range(-1, 300))
     assert transport.resource_sizes()["links"] == 0
+
+
+# ------------------------------------------------------------- reading buffer
+
+
+def test_reads_land_in_the_node_owned_buffer(transport):
+    """A plain ``Protocol`` gets a fresh 256 KiB ``bytes`` per socket read,
+    which glibc may serve by growing and trimming the heap top — a page fault
+    per read, or none, by what happens to sit at the top of the heap.  Reading
+    into one buffer the node owns takes the allocation (and the lottery) away."""
+    assert not hasattr(_Receiver, "data_received")
+    a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
+    open_link(transport, a, b)
+
+    def one_read_each(count):
+        for i in range(count):
+            a.send("b", Message("x", payload=i))
+            transport.run_until_idle()
+
+    one_read_each(200)  # warm-up
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    one_read_each(2000)
+    grew = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    assert len(b.received) == 2200
+    assert grew < 500, f"{grew} minor faults over 2000 single-frame reads"

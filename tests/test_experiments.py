@@ -175,6 +175,39 @@ class TestE10Scalability:
         for row in table.rows:
             assert row["delivery_rate"] >= 0.8
 
+    def test_paper_numbers_are_pinned_and_sharing_pays(self):
+        """``control_msgs`` and ``delivery_rate`` are pure functions of the seeds:
+        a change to the replicator that moves one of them has to say so here."""
+        table = e10_scalability.run()
+        cells = {
+            (row["brokers"], row["clients"], row["variant"]): (
+                row["control_msgs"],
+                row["delivery_rate"],
+            )
+            for row in table.rows
+        }
+        assert cells == {
+            (4, 2, "reactive"): (20, 0.9783),
+            (4, 2, "replicator"): (84, 0.9783),
+            (4, 6, "reactive"): (58, 0.9713),
+            (4, 6, "replicator"): (244, 0.9852),
+            (9, 2, "reactive"): (19, 0.9737),
+            (9, 2, "replicator"): (108, 0.9737),
+            (9, 6, "reactive"): (59, 0.9829),
+            (9, 6, "replicator"): (348, 0.9912),
+            (16, 2, "reactive"): (20, 0.9737),
+            (16, 2, "replicator"): (135, 0.9737),
+            (16, 6, "reactive"): (59, 0.9912),
+            (16, 6, "replicator"): (389, 0.9912),
+        }
+        # one broker subscription per distinct filter: with six walkers on one
+        # template the replicator costs fewer broker messages than re-subscribing
+        for brokers in (9, 16):
+            replicator = table.rows_where(brokers=brokers, clients=6, variant="replicator")[0]
+            reactive = table.rows_where(brokers=brokers, clients=6, variant="reactive")[0]
+            assert replicator["broker_msgs"] <= reactive["broker_msgs"]
+            assert replicator["shared_share"] > reactive["shared_share"] > 0
+
 
 class TestE11Context:
     def test_context_awareness_improves_precision(self):

@@ -16,6 +16,7 @@ assert the system-wide guarantees the paper's algorithm promises:
 import random
 
 import pytest
+from helpers import assert_one_subscription_per_filter
 
 from repro.core.location_filter import location_dependent
 from repro.core.metrics import evaluate_mobile_delivery
@@ -127,6 +128,7 @@ class TestMultiClientScenario:
         # every replicator hosts at most one virtual client per mobile client
         for replicator in scenario.system.replicators.values():
             assert len(replicator.virtual_clients) == len(set(replicator.virtual_clients))
+        assert_one_subscription_per_filter(scenario.system)
 
     def test_client_removal_leaves_no_state_behind(self):
         scenario = build_office_scenario(n_rooms=6, rooms_per_broker=2)
@@ -140,5 +142,6 @@ class TestMultiClientScenario:
         scenario.system.remove_client(client)
         scenario.sim.run_until_idle()
         assert scenario.system.total_virtual_clients() == 0
+        assert_one_subscription_per_filter(scenario.system)
         for broker in scenario.network.brokers.values():
-            assert not any("ephemeral" in sub for sub in broker.routing_table.subscription_ids())
+            assert broker.routing_table_size() == 0

@@ -10,6 +10,12 @@ either the wire codec, the socket-backed wireless channel or the replicator
 protocol changed observable behaviour on one substrate.
 """
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.core.location import LocationSpace
@@ -52,6 +58,37 @@ class TestHandoverCrossCheck:
         )
         assert mismatches == []
         assert results["sim"].shadows_created == 0
+
+    def test_shared_template_handover_is_substrate_and_hash_seed_invariant(self):
+        """Two walkers on one template walk together, so every replicator on
+        their way shares one broker subscription between them: the delivered
+        multisets must not depend on the backend nor on set iteration order."""
+        script = (
+            "import json;"
+            "from repro.mobility.handover_workload import WorkloadSpec, cross_check_backends;"
+            "results, mismatches = cross_check_backends(spec=WorkloadSpec(walkers=2, commuters=0));"
+            "print(json.dumps([mismatches, results['sim'].delivered_map()]))"
+        )
+        root = Path(__file__).resolve().parents[1]
+        outputs = {}
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = str(root / "src") + os.pathsep + env.get("PYTHONPATH", "")
+            output = subprocess.run(
+                [sys.executable, "-c", script],
+                env=env,
+                cwd=str(root),
+                capture_output=True,
+                text=True,
+                check=True,
+            )
+            outputs[seed] = json.loads(output.stdout)
+        mismatches, delivered = outputs["0"]
+        assert mismatches == []
+        assert outputs["1"] == outputs["0"]
+        for walker in ("m-walk", "m-walk2"):
+            assert any(replayed for _, replayed in delivered[walker])
+            assert not all(replayed for _, replayed in delivered[walker])
 
     def test_asyncio_handover_latencies_are_real(self):
         result = run_handover_workload("asyncio", brokers=3, publishes_per_phase=1)

@@ -8,6 +8,7 @@ replay, no loss, garbage collection).
 """
 
 import pytest
+from helpers import assert_one_subscription_per_filter
 
 from repro.core.buffering import CountBasedPolicy, TimeBasedPolicy
 from repro.core.location import office_floor_space
@@ -257,9 +258,10 @@ class TestClientRemoval:
         sim.run_until_idle()
         assert system.total_virtual_clients() == 0
         assert not client.connected
-        # all routing state for alice is gone
+        # all routing state is gone: alice was the last client anywhere
+        assert_one_subscription_per_filter(system)
         for broker in system.network.brokers.values():
-            assert not any("alice" in sub_id for sub_id in broker.routing_table.subscription_ids())
+            assert broker.routing_table_size() == 0
 
     def test_shadow_delete_never_removes_active_client(self):
         sim, space, system = build_system()
