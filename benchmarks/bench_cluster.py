@@ -52,6 +52,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.config import SystemConfig  # noqa: E402
 from repro.pubsub.broker_network import line_topology  # noqa: E402
 from repro.pubsub.filters import Equals, Filter  # noqa: E402
 from repro.pubsub.notification import Notification  # noqa: E402
@@ -65,7 +66,9 @@ def run_fanout(backend: str, brokers: int, fanout: int, notifications: int, code
     topology boot (process spawning is a deployment cost, not a routing
     cost) but includes the drain to quiescence.
     """
-    net = line_topology(n_brokers=brokers, transport=backend, link_latency=0.0, codec=codec)
+    net = line_topology(
+        n_brokers=brokers, link_latency=0.0, config=SystemConfig(transport=backend, codec=codec)
+    )
     child_failures = {}
     try:
         subscribers = []

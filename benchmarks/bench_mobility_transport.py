@@ -40,6 +40,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.config import SystemConfig  # noqa: E402
 from repro.mobility.handover_workload import cross_check_backends  # noqa: E402
 
 
@@ -85,7 +86,7 @@ def run_config(brokers: int, publishes: int):
             backends=("sim", "asyncio"),
             brokers=brokers,
             publishes_per_phase=publishes,
-            codec=codec,
+            config=SystemConfig(codec=codec),
         )
         all_mismatches.extend(f"codec={codec}: {m}" for m in mismatches)
         backends = ("sim", "asyncio") if codec == "json" else ("asyncio",)

@@ -46,6 +46,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from repro.config import SystemConfig  # noqa: E402
 from repro.pubsub.testing import run_line_workload  # noqa: E402
 
 
@@ -62,7 +63,12 @@ def run_backend(backend: str, brokers: int, notifications: int, codec=None, repe
     mismatches = 0
     for _ in range(max(1, repeats)):
         result = run_line_workload(
-            backend, brokers, notifications, topic="bench", payload_pad="x" * 32, codec=codec
+            backend,
+            brokers,
+            notifications,
+            topic="bench",
+            payload_pad="x" * 32,
+            config=SystemConfig(codec=codec or "json"),
         )
         mismatches = max(mismatches, result.mismatches)
         if best is None or result.wall_sec < best.wall_sec:

@@ -92,8 +92,7 @@ def _add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         help="override any SystemConfig field (repeatable), e.g. "
-        "--set flush_cap=4096 --set metrics=off; the chaos family consumes "
-        "only the codec and matcher fields for now",
+        "--set flush_cap=4096 --set metrics=off",
     )
 
 
@@ -595,7 +594,6 @@ def _command_chaos_demo(args: argparse.Namespace) -> int:
     """
     from .pubsub.chaos import ChaosError, run_chaos_scenario
 
-    # the chaos family consumes only the codec field of the config for now
     config = _fabric_config(args, "chaos-demo")
     if config is None:
         return 2
@@ -611,7 +609,7 @@ def _command_chaos_demo(args: argparse.Namespace) -> int:
         try:
             result = run_chaos_scenario(
                 backend, temps=args.temps, deep=args.deep, kill=kill, sever=sever,
-                seed=args.seed, codec=config.codec,
+                seed=args.seed, config=config,
             )
         except ValueError as exc:
             # degenerate burst sizes (e.g. an empty fault window) are usage errors
@@ -676,8 +674,7 @@ def _command_chaos_fuzz(args: argparse.Namespace) -> int:
             seed,
             backend=args.backend,
             shrink=not args.no_shrink,
-            codec=config.codec,
-            matcher=config.matcher,
+            config=config,
         )
         print("  " + report.summary())
         if not report.ok:
@@ -713,7 +710,7 @@ def _command_soak(args: argparse.Namespace) -> int:
         return 2
     print(f"soak: {args.backend!r} backend for ~{args.budget_sec:.0f}s, seed {args.seed}+")
     result = run_soak(
-        backend=args.backend, budget_sec=args.budget_sec, seed=args.seed, codec=config.codec
+        backend=args.backend, budget_sec=args.budget_sec, seed=args.seed, config=config
     )
     plateau = ", ".join(
         f"{key}={value}" for key, value in sorted(result.plateau_final.items())

@@ -3,15 +3,15 @@
 :class:`SystemConfig` is the one object that names every tunable the
 broker fabric understands — matcher strategy, advertising mode, transport
 backend, wire codec, socket flush cap, duplicate-suppression capacity and
-the live-metrics switch.  It replaces the four-kwarg sprawl
-(``matcher=/advertising=/transport=/codec=``) that used to be threaded
-through :class:`~repro.pubsub.broker_network.BrokerNetwork`, the topology
-builders, the workloads and every CLI demo.
+the live-metrics switch.  It is the only way to choose them:
+:class:`~repro.pubsub.broker_network.BrokerNetwork`, the topology
+builders, the workloads and every CLI demo take one ``config=`` and no
+loose ``matcher=/advertising=/transport=/codec=`` kwargs.
 
 The dataclass is frozen and validated at construction: an unknown name
 fails *immediately* with the allowed set in the message, instead of
-surfacing deep inside broker construction (the old
-``BrokerNetwork(matcher="indxed")`` silent-typo hole).  ``to_dict`` /
+surfacing deep inside broker construction (a silent-typo hole
+``matcher="indxed"`` once fell through).  ``to_dict`` /
 ``from_dict`` round-trip it over the wire — cluster node specs carry one,
 and the ``configure`` control op ships partial overlays validated against
 :data:`RUNTIME_KNOBS`.

@@ -35,29 +35,15 @@ from .uncertainty import (
 
 @dataclass
 class MobilitySystemConfig:
-    """Tunable parameters of a :class:`MobilePubSub` deployment."""
+    """Tunable parameters of the mobility layer of a :class:`MobilePubSub`.
 
-    #: routing strategy used by all brokers ("simple" is the paper's assumption)
-    routing: str = "simple"
-    #: routing-table matching strategy: "indexed" (per-link attribute index,
-    #: the fast path) or "brute" (evaluate every entry); results are identical.
-    #: ``None`` (default) keeps whatever the brokers were built with, so an
-    #: explicitly chosen matcher on the network is never silently overridden.
-    matcher: Optional[str] = None
-    #: subscription-control implementation: "incremental" (maintained
-    #: forwarded-filter index, the fast path) or "scan" (rebuild per query);
-    #: forwarding decisions are identical.  ``None`` (default) keeps whatever
-    #: the brokers were built with.
-    advertising: Optional[str] = None
-    #: transport backend the deployment expects: "sim" (deterministic
-    #: simulator), "asyncio" (real localhost sockets) or "cluster" (one OS
-    #: process per broker).  ``None`` (default) accepts whatever the broker
-    #: network was built with.  The mobility layer runs on any backend with
-    #: dynamic (wireless) link support — the simulator and asyncio both
-    #: qualify; "cluster" freezes its broker topology at boot and is
-    #: rejected loudly (run plain pub/sub workloads there via
-    #: :class:`~repro.pubsub.broker_network.BrokerNetwork` directly).
-    transport: Optional[str] = None
+    The broker fabric underneath (routing, matcher, advertising, transport,
+    codec) is configured once, on the
+    :class:`~repro.pubsub.broker_network.BrokerNetwork` the deployment
+    rides on (``network.config``); this object holds only what the
+    replicator layer adds.
+    """
+
     #: feature switches of the replicator layer
     replicator: ReplicatorConfig = field(default_factory=ReplicatorConfig)
     #: shadow-placement policy: "nlb", "nlb-<k>", "flooding", "none", "markov", or a predictor object
@@ -70,30 +56,6 @@ class MobilitySystemConfig:
     wireless_latency: float = 0.002
     #: time for a device to associate with an access point
     connect_latency: float = 0.05
-    #: the fabric-level :class:`~repro.config.SystemConfig` this deployment
-    #: rides on.  When given, it fills in any ``matcher``/``advertising``/
-    #: ``transport`` field left ``None`` above; a field set on *both* objects
-    #: must agree, so one deployment can never carry two contradicting
-    #: sources of truth.
-    system: Optional[object] = None
-
-    def __post_init__(self) -> None:
-        if self.system is None:
-            return
-        from ..config import SystemConfig  # lazy: config imports the pubsub layer
-
-        if not isinstance(self.system, SystemConfig):
-            raise TypeError(f"system must be a SystemConfig, got {type(self.system).__name__}")
-        for knob in ("matcher", "advertising", "transport"):
-            mine = getattr(self, knob)
-            fabric = getattr(self.system, knob)
-            if mine is None:
-                setattr(self, knob, fabric)
-            elif mine != fabric:
-                raise ValueError(
-                    f"MobilitySystemConfig.{knob}={mine!r} contradicts "
-                    f"system.{knob}={fabric!r}; set the knob in one place"
-                )
 
 
 class MobilePubSub:
@@ -101,7 +63,8 @@ class MobilePubSub:
 
     Runs on any transport backend with dynamic link support: the
     deterministic simulator (the default, and the substrate the experiments
-    use) or real asyncio sockets (``transport="asyncio"`` networks), where
+    use) or real asyncio sockets (networks built with
+    ``config=SystemConfig(transport="asyncio")``), where
     every wireless attach opens an actual TCP connection and the whole
     replicated-handover protocol crosses the wire as encoded frames.
 
@@ -120,7 +83,8 @@ class MobilePubSub:
         location space's adjacency (falling back to the broker network's own
         edges when the space has no adjacency information).
     config:
-        System parameters; see :class:`MobilitySystemConfig`.
+        Mobility-layer parameters; see :class:`MobilitySystemConfig`.  The
+        fabric knobs are the network's own ``network.config``.
     """
 
     def __init__(
@@ -140,39 +104,22 @@ class MobilePubSub:
         self.predictor = self._build_predictor(self.config.predictor)
         self.replicators: Dict[str, Replicator] = {}
         self.mobile_clients: Dict[str, MobileClient] = {}
-        # the network is built by the caller; only override its brokers'
-        # matching strategy when the config explicitly asks for one
-        if self.config.matcher is not None:
-            for broker in self.network.brokers.values():
-                broker.set_matcher(self.config.matcher)
-        if self.config.advertising is not None:
-            for broker in self.network.brokers.values():
-                broker.set_advertising(self.config.advertising)
         self._build_replicators()
 
     # ------------------------------------------------------------------ build
     def _check_transport(self) -> None:
-        """Validate the transport knob against the network's actual backend.
+        """Reject a network whose backend lacks *dynamic links*.
 
-        The knob exists so deployments state their expectation explicitly
-        and fail loudly on a mismatch.  Beyond the name check, the backend
-        must support *dynamic links* (``Transport.supports_mobility``):
-        wireless channels open and tear down links while the substrate runs,
-        which the simulator and asyncio backends provide but the
-        frozen-topology cluster backend does not.
+        Wireless channels open and tear down links while the substrate runs
+        (``Transport.supports_mobility``), which the simulator and asyncio
+        backends provide but the frozen-topology cluster backend does not.
         """
-        backend = getattr(self.network, "transport", None)
-        actual = backend.name if backend is not None else "sim"
-        expected = self.config.transport
-        if expected is not None and expected != actual:
-            raise ValueError(
-                f"config.transport={expected!r} but the broker network runs on {actual!r}"
-            )
-        if backend is not None and not getattr(backend, "supports_mobility", False):
+        backend = self.network.transport
+        if not backend.supports_mobility:
             raise NotImplementedError(
                 "the mobility layer (replicators, wireless channels) needs dynamic "
-                f"link support, which the {actual!r} backend does not provide; run "
-                f"plain pub/sub workloads on {actual!r} through BrokerNetwork directly"
+                f"link support, which the {backend.name!r} backend does not provide; run "
+                f"plain pub/sub workloads on {backend.name!r} through BrokerNetwork directly"
             )
 
     def _default_movement_graph(self) -> MovementGraph:
@@ -235,7 +182,7 @@ class MobilePubSub:
             reissue_on_attach=reissue_on_attach,
             wireless_latency=self.config.wireless_latency,
             connect_latency=self.config.connect_latency,
-            transport=getattr(self.network, "transport", None),
+            transport=self.network.transport,
         )
         self.mobile_clients[name] = client
         self.network.add_process(client)

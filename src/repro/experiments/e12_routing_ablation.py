@@ -17,6 +17,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Sequence
 
+from ..config import SystemConfig
 from ..net.simulator import Simulator
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import AtLeast, AtMost, Equals, Filter
@@ -77,7 +78,9 @@ def _run_once(
 ) -> Dict[str, object]:
     rng = random.Random(seed)
     sim = Simulator()
-    network = line_topology(sim, n_brokers, routing=strategy, advertising=advertising)
+    network = line_topology(
+        sim, n_brokers, routing=strategy, config=SystemConfig(advertising=advertising)
+    )
     brokers = network.broker_names()
 
     subscribers = []

@@ -36,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from ..config import SystemConfig
 from ..core.location import LocationSpace
 from ..core.location_filter import MYLOC, location_dependent
 from ..core.middleware import MobilePubSub, MobilitySystemConfig
@@ -168,8 +169,7 @@ def run_handover_workload(
     predictor: str = "nlb",
     connect_latency: float = 0.01,
     spec: Optional[WorkloadSpec] = None,
-    codec=None,
-    config=None,
+    config: Optional[SystemConfig] = None,
 ) -> HandoverWorkloadResult:
     """Run one member of the handover scenario family on one backend.
 
@@ -180,10 +180,9 @@ def run_handover_workload(
     the subscription state happens between phases — which is what makes the
     delivered multisets backend-invariant for *any* member of the family.
 
-    ``config`` is an optional :class:`~repro.config.SystemConfig` carrying
-    the fabric knobs (matcher, advertising, codec, ...); its ``transport``
-    field is overridden by ``backend``.  Mutually exclusive with the legacy
-    ``codec=`` kwarg.
+    ``config`` is the :class:`~repro.config.SystemConfig` carrying the
+    fabric knobs (matcher, advertising, codec, ...; the defaults when
+    omitted); its ``transport`` field is overridden by ``backend``.
     """
     if spec is None:
         spec = WorkloadSpec(
@@ -200,29 +199,18 @@ def run_handover_workload(
     rng = random.Random(spec.seed) if spec.randomized else None
     locations = [f"l{i + 1}" for i in range(brokers)]
     sim_backend = backend == "sim"
-    if config is not None:
-        if codec is not None:
-            raise ValueError("pass the codec inside config=, not alongside it")
-        net = line_topology(
-            n_brokers=brokers,
-            # the simulator keeps its default simulated latencies; on sockets
-            # the per-message latency floor would be real waiting, so run at
-            # raw speed
-            link_latency=0.001 if sim_backend else 0.0,
-            config=config.replace(transport=backend),
-        )
-    else:
-        net = line_topology(
-            n_brokers=brokers,
-            transport=backend,
-            link_latency=0.001 if sim_backend else 0.0,
-            codec=codec,
-        )
+    net = line_topology(
+        n_brokers=brokers,
+        # the simulator keeps its default simulated latencies; on sockets
+        # the per-message latency floor would be real waiting, so run at
+        # raw speed
+        link_latency=0.001 if sim_backend else 0.0,
+        config=(config or SystemConfig()).replace(transport=backend),
+    )
     mobility_config = MobilitySystemConfig(
         predictor=spec.predictor,
         connect_latency=spec.connect_latency,
         wireless_latency=0.002 if sim_backend else 0.0,
-        system=net.config,
     )
     space = _line_space(brokers)
     started = time.perf_counter()
@@ -377,8 +365,7 @@ def cross_check_backends(
     publishes_per_phase: int = 4,
     predictor: str = "nlb",
     spec: Optional[WorkloadSpec] = None,
-    codec=None,
-    config=None,
+    config: Optional[SystemConfig] = None,
 ) -> Tuple[Dict[str, HandoverWorkloadResult], List[str]]:
     """Run one family member on every backend and diff the delivered multisets.
 
@@ -396,7 +383,6 @@ def cross_check_backends(
             publishes_per_phase=publishes_per_phase,
             predictor=predictor,
             spec=spec,
-            codec=codec,
             config=config,
         )
         for backend in backends

@@ -27,9 +27,10 @@ retry with jitter, a restarted node asks for a resync, links deliver at
 arrival (no latency floor).  The registry channel stays a plain stream.
 
 Topology on the parent side is declared exactly like on the other backends —
-``BrokerNetwork(transport="cluster")`` or any topology builder with
-``transport="cluster"`` — except that :meth:`ClusterTransport.build_broker`
-returns a :class:`RemoteBroker` proxy instead of an in-process
+``BrokerNetwork`` or any topology builder with
+``config=SystemConfig(transport="cluster")`` — except that
+:meth:`ClusterTransport.build_broker` returns a :class:`RemoteBroker` proxy
+instead of an in-process
 :class:`~repro.pubsub.broker.Broker`.  The first client attachment (or an
 explicit :meth:`ClusterTransport.boot`) freezes the broker topology, spawns
 the children and waits for the readiness barrier.
@@ -171,7 +172,8 @@ class _BrokerNode(SocketNode):
         #: (re-)establishes, instead of assuming the peers' tables are fresh
         self.resync_on_connect: bool = bool(spec.get("resync", False))
         #: control-plane knobs shipped in the spec by :class:`SystemConfig`
-        #: (absent when the parent used legacy kwargs; defaults apply then)
+        #: (absent on a bare ``ClusterTransport()`` that never adopted one;
+        #: defaults apply then)
         self.config: Dict[str, Any] = dict(spec.get("config") or {})
         # the wire instruments live in the broker's registry and travel with
         # its ``metrics`` reply

@@ -207,11 +207,10 @@ class Network:
     Links are created through the network's :class:`~repro.net.transport.
     Transport` backend, so the same registry works on the deterministic
     simulator (the default — pass a :class:`Simulator` as before) or on real
-    asyncio sockets (pass ``transport=AsyncioTransport()`` or
-    ``transport="asyncio"``).
+    asyncio sockets (``transport="asyncio"``).
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, transport=None, codec=None):
+    def __init__(self, sim: Optional[Simulator] = None, transport: str = "sim", codec=None):
         from .transport import make_transport  # local: transport imports Link
 
         self.transport = make_transport(transport, sim=sim, codec=codec)

@@ -12,8 +12,8 @@ Three interchangeable backends:
 
 * :class:`SimTransport` (default) — the existing simulator, behaviour
   byte-identical to the pre-refactor substrate (enforced by the golden-trace
-  cross-check in ``tests/test_transport.py``, the way the ``matcher=`` and
-  ``advertising=`` knobs are cross-checked).
+  cross-check in ``tests/test_transport.py``, the way the ``matcher`` and
+  ``advertising`` choices are cross-checked).
 * :class:`AsyncioTransport` — every process gets a real asyncio TCP server
   on localhost; a link is one duplex TCP connection carrying length-prefixed
   wire frames (:mod:`repro.net.wire`) both ways.  Per-direction FIFO comes
@@ -68,7 +68,7 @@ import select
 import selectors
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from . import wire
@@ -76,7 +76,7 @@ from .link import Link, LinkStats
 from .process import LinkEndpoint, Message, Process
 from .simulator import SimulationError, Simulator
 
-#: the names accepted by the ``transport=`` knob
+#: the names accepted by ``SystemConfig.transport``
 TRANSPORT_NAMES = ("sim", "asyncio", "cluster")
 
 #: the fault primitives accepted by :meth:`Transport.inject_fault`
@@ -137,7 +137,7 @@ class Transport(ABC):
       ``run_until_idle``) that processes receive as their ``sim``.
     """
 
-    #: backend name, matching the ``transport=`` knob value that builds it
+    #: backend name, matching the ``SystemConfig.transport`` value that builds it
     name: str = "abstract"
 
     #: whether the mobility layer (wireless channels, replicators) can run on
@@ -151,7 +151,7 @@ class Transport(ABC):
     supports_fault_injection: bool = False
 
     #: the :class:`~repro.config.SystemConfig` adopted via :meth:`apply_config`
-    #: (``None`` until one is applied; legacy kwarg construction never sets it)
+    #: (``None`` until one is applied, e.g. on a bare ``make_transport()``)
     _system_config = None
 
     #: this substrate's own live instruments (socket backends keep the wire
@@ -1371,55 +1371,29 @@ class AsyncioTransport(SocketNode, Transport):
 
 # -------------------------------------------------------------------- factory
 
-TransportSpec = Union[None, str, Simulator, Transport]
-
-
 def make_transport(
-    spec: TransportSpec = None,
+    name: str = "sim",
     sim: Optional[Simulator] = None,
     codec: "wire.Codec | str | None" = None,
 ) -> Transport:
-    """Resolve the ``transport=`` knob into a backend instance.
+    """Build the backend a ``SystemConfig.transport`` name selects.
 
-    Accepts a backend name (``"sim"``/``"asyncio"``), an existing
-    :class:`Transport`, a bare :class:`Simulator` (wrapped in
-    :class:`SimTransport`), or ``None`` (simulator default).  ``sim`` is the
-    simulator to wrap when the spec resolves to the sim backend.  ``codec``
-    selects the wire codec of the socket backends (see
+    ``sim`` is the simulator the ``"sim"`` backend wraps (a fresh one when
+    ``None``); the socket backends run on their own clocks and reject it.
+    ``codec`` selects the wire codec of the socket backends (see
     :data:`repro.net.wire.CODEC_NAMES`); the simulator moves object
     references and never serializes, so it validates the name and ignores it
-    — letting one ``codec=`` knob drive sim-oracle cross-checks unchanged.
+    — letting one config drive sim-oracle cross-checks unchanged.
     """
-    if isinstance(spec, Transport):
-        if sim is not None and not (isinstance(spec, SimTransport) and spec.sim is sim):
-            # silently dropping the caller's Simulator would leave them
-            # driving a clock nothing listens to — fail loudly instead
-            raise ValueError(
-                "got both a Simulator and a Transport with its own clock; "
-                "pass one or the other (or SimTransport(sim) wrapping that simulator)"
-            )
-        if codec is not None:
-            wanted = wire.get_codec(codec)
-            actual = getattr(spec, "codec", None)
-            if actual is not None and actual is not wanted:
-                raise ValueError(
-                    f"transport already speaks the {actual.name!r} codec; "
-                    f"cannot re-resolve it with codec={wanted.name!r}"
-                )
-        return spec
     wire.get_codec(codec)  # validate the name up front for every backend
-    if isinstance(spec, Simulator):
-        return SimTransport(spec)
-    if spec is None or spec == "sim":
+    if name == "sim":
         return SimTransport(sim)
-    if spec == "asyncio":
-        if sim is not None:
-            raise ValueError("the asyncio backend does not take a Simulator")
+    if name not in TRANSPORT_NAMES:
+        raise ValueError(f"unknown transport {name!r}; available: {TRANSPORT_NAMES}")
+    if sim is not None:
+        raise ValueError(f"the {name} backend does not take a Simulator")
+    if name == "asyncio":
         return AsyncioTransport(codec=codec)
-    if spec == "cluster":
-        if sim is not None:
-            raise ValueError("the cluster backend does not take a Simulator")
-        from .cluster import ClusterTransport  # lazy: avoid a subprocess import cycle
+    from .cluster import ClusterTransport  # lazy: avoid a subprocess import cycle
 
-        return ClusterTransport(codec=codec)
-    raise ValueError(f"unknown transport {spec!r}; available: {TRANSPORT_NAMES}")
+    return ClusterTransport(codec=codec)

@@ -28,26 +28,22 @@ class TopologyError(ValueError):
 class BrokerNetwork:
     """A set of brokers connected in an acyclic graph, plus attached clients.
 
-    The preferred way to pick the substrate and knobs is one
-    :class:`~repro.config.SystemConfig` passed as ``config=`` — it selects
-    the transport backend, wire codec, matcher, advertising mode, flush cap
-    and metrics switch in a single validated object.  The legacy kwargs
-    (``matcher=``/``advertising=``/``transport=``/``codec=``) keep working:
-    they are folded into a synthesized ``SystemConfig``, which also means a
-    typo like ``matcher="indxed"`` now fails *here*, at construction, with
-    the allowed names in the message.  Passing ``config=`` *and* a legacy
-    knob is an error — one source of truth.
+    The substrate and every fabric knob come from one
+    :class:`~repro.config.SystemConfig` passed as ``config=`` (the defaults
+    when omitted): transport backend, wire codec, matcher, advertising mode,
+    flush cap, duplicate-suppression capacity and the metrics switch.  A
+    typo like ``SystemConfig(matcher="indxed")`` fails when the config is
+    built, with the allowed names in the message.
 
-    The transport backends: ``"sim"`` / ``None`` (default) is the
-    deterministic discrete-event simulator (pass ``sim`` as before, or let
-    one be created); ``"asyncio"`` (or a
-    :class:`~repro.net.transport.Transport` instance) runs every broker and
-    client on real localhost TCP sockets with wire-serialized messages;
-    ``"cluster"`` shards the broker graph across spawned OS processes
-    coordinated by a TCP registry (:mod:`repro.net.cluster`) — the cluster
-    boots lazily when the first client attaches, freezing the broker
-    topology.  The pub/sub behaviour is identical on all backends; see
-    :mod:`repro.net.transport` for the guarantees each one makes.
+    The transport backends: ``"sim"`` (default) is the deterministic
+    discrete-event simulator (pass ``sim`` to share one, or let one be
+    created); ``"asyncio"`` runs every broker and client on real localhost
+    TCP sockets with wire-serialized messages; ``"cluster"`` shards the
+    broker graph across spawned OS processes coordinated by a TCP registry
+    (:mod:`repro.net.cluster`) — the cluster boots lazily when the first
+    client attaches, freezing the broker topology.  The pub/sub behaviour is
+    identical on all backends; see :mod:`repro.net.transport` for the
+    guarantees each one makes.
     """
 
     def __init__(
@@ -55,47 +51,18 @@ class BrokerNetwork:
         sim: Optional[Simulator] = None,
         routing: str = "simple",
         link_latency: float = 0.001,
-        matcher: Optional[str] = None,
-        advertising: Optional[str] = None,
-        transport=None,
-        codec=None,
         config=None,
     ):
         from ..config import SystemConfig  # lazy: config imports this package
 
-        if config is not None:
-            clashing = [
-                knob
-                for knob, value in (("matcher", matcher), ("advertising", advertising), ("codec", codec))
-                if value is not None
-            ]
-            if clashing:
-                raise ValueError(
-                    f"got config= and legacy knob(s) {', '.join(clashing)}; "
-                    "fold them into the SystemConfig (config.replace(...)) instead"
-                )
-            if not isinstance(config, SystemConfig):
-                raise TypeError(f"config must be a SystemConfig, got {type(config).__name__}")
-            if transport is None:
-                transport = config.transport
-            self.network = Network(sim=sim, transport=transport, codec=config.codec)
-        else:
-            # legacy kwargs: synthesize the equivalent SystemConfig so the
-            # knobs are validated up front and the control plane (metrics,
-            # runtime reconfiguration) is uniformly available
-            self.network = Network(sim=sim, transport=transport, codec=codec)
-            resolved_codec = getattr(self.network.transport, "codec", None)
-            config = SystemConfig(
-                matcher=matcher if matcher is not None else "indexed",
-                advertising=advertising if advertising is not None else "incremental",
-                transport=self.network.transport.name,
-                codec=resolved_codec.name if resolved_codec is not None else "json",
-            )
+        if config is None:
+            config = SystemConfig()
+        elif not isinstance(config, SystemConfig):
+            raise TypeError(f"config must be a SystemConfig, got {type(config).__name__}")
         self.config = config
         self.routing = routing
         self.link_latency = link_latency
-        self.matcher = config.matcher
-        self.advertising = config.advertising
+        self.network = Network(sim=sim, transport=config.transport, codec=config.codec)
         self.transport = self.network.transport
         self.transport.apply_config(config)
         self.sim = self.network.sim
@@ -104,13 +71,7 @@ class BrokerNetwork:
         self._broker_edges: List[Tuple[str, str]] = []
 
     # ------------------------------------------------------------------ build
-    def add_broker(
-        self,
-        name: str,
-        routing: Optional[str] = None,
-        matcher: Optional[str] = None,
-        advertising: Optional[str] = None,
-    ) -> Broker:
+    def add_broker(self, name: str) -> Broker:
         """Create and register a broker process.
 
         The transport decides what a "broker process" is: the in-process
@@ -120,9 +81,9 @@ class BrokerNetwork:
         """
         broker = self.transport.build_broker(
             name,
-            routing=routing or self.routing,
-            matcher=matcher or self.matcher,
-            advertising=advertising or self.advertising,
+            routing=self.routing,
+            matcher=self.config.matcher,
+            advertising=self.config.advertising,
         )
         self.brokers[name] = broker
         self.network.add_process(broker)
@@ -263,23 +224,10 @@ def line_topology(
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
-    matcher: Optional[str] = None,
-    advertising: Optional[str] = None,
-    transport=None,
-    codec=None,
     config=None,
 ) -> BrokerNetwork:
     """Brokers connected in a chain: B1 - B2 - ... - Bn."""
-    net = BrokerNetwork(
-        sim,
-        routing=routing,
-        link_latency=link_latency,
-        matcher=matcher,
-        advertising=advertising,
-        transport=transport,
-        codec=codec,
-        config=config,
-    )
+    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
     names = [f"{prefix}{i + 1}" for i in range(n_brokers)]
     for name in names:
         net.add_broker(name)
@@ -295,23 +243,10 @@ def star_topology(
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
-    matcher: Optional[str] = None,
-    advertising: Optional[str] = None,
-    transport=None,
-    codec=None,
     config=None,
 ) -> BrokerNetwork:
     """One hub broker connected to ``n_leaves`` border brokers."""
-    net = BrokerNetwork(
-        sim,
-        routing=routing,
-        link_latency=link_latency,
-        matcher=matcher,
-        advertising=advertising,
-        transport=transport,
-        codec=codec,
-        config=config,
-    )
+    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
     hub = net.add_broker(f"{prefix}0")
     for i in range(n_leaves):
         leaf = net.add_broker(f"{prefix}{i + 1}")
@@ -327,25 +262,12 @@ def balanced_tree_topology(
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
-    matcher: Optional[str] = None,
-    advertising: Optional[str] = None,
-    transport=None,
-    codec=None,
     config=None,
 ) -> BrokerNetwork:
     """A balanced tree of brokers with the given branching factor and depth."""
     if branching < 1 or depth < 0:
         raise ValueError("branching must be >= 1 and depth >= 0")
-    net = BrokerNetwork(
-        sim,
-        routing=routing,
-        link_latency=link_latency,
-        matcher=matcher,
-        advertising=advertising,
-        transport=transport,
-        codec=codec,
-        config=config,
-    )
+    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
     counter = 0
 
     def make(depth_left: int, parent: Optional[str]) -> None:
@@ -371,24 +293,11 @@ def random_tree_topology(
     link_latency: float = 0.001,
     seed: int = 0,
     prefix: str = "B",
-    matcher: Optional[str] = None,
-    advertising: Optional[str] = None,
-    transport=None,
-    codec=None,
     config=None,
 ) -> BrokerNetwork:
     """A uniformly random tree over ``n_brokers`` brokers (random attachment)."""
     rng = random.Random(seed)
-    net = BrokerNetwork(
-        sim,
-        routing=routing,
-        link_latency=link_latency,
-        matcher=matcher,
-        advertising=advertising,
-        transport=transport,
-        codec=codec,
-        config=config,
-    )
+    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
     names = [f"{prefix}{i + 1}" for i in range(n_brokers)]
     for name in names:
         net.add_broker(name)
@@ -406,10 +315,6 @@ def grid_border_topology(
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
-    matcher: Optional[str] = None,
-    advertising: Optional[str] = None,
-    transport=None,
-    codec=None,
     config=None,
 ) -> Tuple[BrokerNetwork, Dict[Tuple[int, int], str]]:
     """A broker per grid cell as a spanning tree (row backbones joined by the first column).
@@ -419,16 +324,7 @@ def grid_border_topology(
     movement graphs are typically built from, while the broker *network*
     stays an acyclic tree as the paper requires.
     """
-    net = BrokerNetwork(
-        sim,
-        routing=routing,
-        link_latency=link_latency,
-        matcher=matcher,
-        advertising=advertising,
-        transport=transport,
-        codec=codec,
-        config=config,
-    )
+    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
     cells: Dict[Tuple[int, int], str] = {}
     for r in range(rows):
         for c in range(cols):

@@ -35,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from ..config import SystemConfig
 from ..net.faults import FaultInjector
 from .broker_network import line_topology
 from .filters import Equals, Filter, Range
@@ -87,7 +88,7 @@ def run_chaos_scenario(
     kill: bool = True,
     sever: bool = True,
     seed: Optional[int] = None,
-    codec=None,
+    config=None,
 ) -> ChaosResult:
     """Run the chaos storyline on ``backend`` and return its metrics.
 
@@ -96,10 +97,12 @@ def run_chaos_scenario(
     ``seed`` draws the temperature values from a private ``Random(seed)``
     instead of the pinned storyline values — same seed, same values, on any
     backend — so CI can vary the scenario while staying replayable from the
-    logged seed alone.  Raises :class:`ChaosError` as soon as any invariant
-    breaks, and :class:`ValueError` for degenerate burst sizes: a
-    zero-length fault window would make the "publications provably lost"
-    checks pass vacuously, so it is rejected up front.
+    logged seed alone.  ``config`` is the :class:`~repro.config.SystemConfig`
+    the brokers run under (the defaults when omitted; its ``transport``
+    field is overridden by ``backend``).  Raises :class:`ChaosError` as
+    soon as any invariant breaks, and :class:`ValueError` for degenerate
+    burst sizes: a zero-length fault window would make the "publications
+    provably lost" checks pass vacuously, so it is rejected up front.
     """
     if temps < 2:
         raise ValueError(
@@ -110,7 +113,8 @@ def run_chaos_scenario(
             f"chaos scenario needs a non-empty fault window: deep >= 1, got {deep} "
             "(a zero-length window would pass the provable-loss checks vacuously)"
         )
-    net = line_topology(n_brokers=3, routing="covering", transport=backend, codec=codec)
+    config = (config or SystemConfig()).replace(transport=backend)
+    net = line_topology(n_brokers=3, routing="covering", config=config)
     phase_sec: Dict[str, float] = {}
     try:
         s1 = net.add_client("s1", "B1")

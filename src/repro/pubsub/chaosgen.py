@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..config import SystemConfig
 from ..net.faults import FaultInjector
 from .broker_network import line_topology
 from .filters import Equals, Filter, Range
@@ -247,9 +248,7 @@ class ExecutionResult:
 class _PlanRun:
     """Mutable execution state for one plan on one backend."""
 
-    def __init__(
-        self, plan: ChaosPlan, backend: str, inject_bug: Optional[str], codec=None, matcher=None
-    ):
+    def __init__(self, plan: ChaosPlan, backend: str, inject_bug: Optional[str], config=None):
         if inject_bug is not None and inject_bug not in INJECTABLE_BUGS:
             raise ValueError(f"unknown injectable bug {inject_bug!r}; know {INJECTABLE_BUGS}")
         self.plan = plan
@@ -258,9 +257,7 @@ class _PlanRun:
         self.net = line_topology(
             n_brokers=self.params.brokers,
             routing="covering",
-            transport=backend,
-            codec=codec,
-            matcher=matcher,
+            config=(config or SystemConfig()).replace(transport=backend),
         )
         self.injector = FaultInjector(self.net.sim, self.net.network, seed=self.params.seed)
         self.down: set = set()
@@ -531,18 +528,17 @@ def execute_plan(
     plan: ChaosPlan,
     backend: str = "sim",
     inject_bug: Optional[str] = None,
-    codec=None,
-    matcher=None,
+    config=None,
 ) -> ExecutionResult:
     """Execute ``plan`` on ``backend`` and return observations + verdicts.
 
     ``inject_bug`` deliberately de-synchronises execution from the oracle
     (see :data:`INJECTABLE_BUGS`) so tests can prove the fuzzer catches and
-    shrinks real invariant violations.  ``codec`` selects the wire codec of
-    the socket backends (the simulator ignores it); ``matcher`` selects the
-    brokers' routing-table matching strategy.
+    shrinks real invariant violations.  ``config`` is the
+    :class:`~repro.config.SystemConfig` the brokers run under (the defaults
+    when omitted; its ``transport`` field is overridden by ``backend``).
     """
-    return _PlanRun(plan, backend, inject_bug, codec=codec, matcher=matcher).run()
+    return _PlanRun(plan, backend, inject_bug, config=config).run()
 
 
 # ------------------------------------------------------------------ shrinking
@@ -649,21 +645,21 @@ def run_chaos_fuzz(
     backend: str = "sim",
     shrink: bool = True,
     inject_bug: Optional[str] = None,
-    codec=None,
-    matcher=None,
+    config=None,
 ) -> FuzzReport:
     """Generate, execute and judge the plan for ``seed`` on ``backend``.
 
     On a non-sim backend the identical plan also runs on the simulator and
     the per-subscriber delivered sets must converge (the sim is the oracle).
-    The sim oracle always runs with the *default* matcher, so a fuzz sweep
-    with ``matcher=`` set cross-checks that matcher's forwarding decisions
-    against the reference implementation under every drawn fault schedule.
+    The sim oracle always runs on the *default* ``SystemConfig()``, so a
+    fuzz sweep under a non-default ``config`` cross-checks its matcher and
+    advertising choices against the reference implementation under every
+    drawn fault schedule.
     On any violation the schedule is shrunk on the simulator and the minimal
     failing schedule is attached to the report.
     """
     plan = generate_plan(seed)
-    result = execute_plan(plan, backend, inject_bug=inject_bug, codec=codec, matcher=matcher)
+    result = execute_plan(plan, backend, inject_bug=inject_bug, config=config)
     violations = list(result.violations)
     if backend != "sim":
         oracle = execute_plan(plan, "sim", inject_bug=inject_bug)
@@ -676,18 +672,16 @@ def run_chaos_fuzz(
     if violations and shrink:
         report.shrunk = shrink_plan(
             plan,
-            lambda candidate: _candidate_fails(candidate, backend, inject_bug, codec, matcher),
+            lambda candidate: _candidate_fails(candidate, backend, inject_bug, config),
             max_executions=64 if backend == "sim" else 24,
         )
     return report
 
 
-def _candidate_fails(
-    plan: ChaosPlan, backend: str, inject_bug: Optional[str], codec=None, matcher=None
-) -> bool:
+def _candidate_fails(plan: ChaosPlan, backend: str, inject_bug: Optional[str], config=None) -> bool:
     """Shrink predicate: the candidate must fail on the *failing* backend —
     a cluster-only divergence can never be reproduced by a sim-only check."""
-    result = execute_plan(plan, backend, inject_bug=inject_bug, codec=codec, matcher=matcher)
+    result = execute_plan(plan, backend, inject_bug=inject_bug, config=config)
     if result.violations:
         return True
     if backend == "sim":
@@ -697,13 +691,10 @@ def _candidate_fails(
 
 
 def sweep(
-    seeds: Sequence[int], backend: str = "sim", shrink: bool = True, codec=None, matcher=None
+    seeds: Sequence[int], backend: str = "sim", shrink: bool = True, config=None
 ) -> List[FuzzReport]:
     """Run a fuzz sweep; returns one report per seed, failures included."""
-    return [
-        run_chaos_fuzz(seed, backend=backend, shrink=shrink, codec=codec, matcher=matcher)
-        for seed in seeds
-    ]
+    return [run_chaos_fuzz(seed, backend=backend, shrink=shrink, config=config) for seed in seeds]
 
 
 # ----------------------------------------------------------------------- soak
@@ -755,7 +746,7 @@ def run_soak(
     min_iterations: int = 2,
     max_iterations: int = 10_000,
     mobility_every: int = 3,
-    codec=None,
+    config=None,
 ) -> SoakResult:
     """Loop seeded chaos plans under a time budget, gating resource plateaus.
 
@@ -768,7 +759,8 @@ def run_soak(
     backend, so roaming/replication state is part of the plateau too (skipped
     on the cluster backend, which hosts plain pub/sub only).  Any invariant
     violation aborts the loop with the failing seed recorded, so the repro is
-    one ``chaos-fuzz`` away.
+    one ``chaos-fuzz`` away.  ``config`` is the
+    :class:`~repro.config.SystemConfig` both families run under.
     """
     started = time.perf_counter()
     result = SoakResult(backend=backend)
@@ -777,7 +769,7 @@ def run_soak(
         elapsed = time.perf_counter() - started
         if result.iterations >= min_iterations and elapsed >= budget_sec:
             break
-        report = run_chaos_fuzz(next_seed, backend=backend, shrink=False, codec=codec)
+        report = run_chaos_fuzz(next_seed, backend=backend, shrink=False, config=config)
         if (
             mobility_every
             and backend in ("sim", "asyncio")
@@ -787,7 +779,7 @@ def run_soak(
             from ..mobility.handover_workload import WorkloadSpec, run_handover_workload
 
             outcome = run_handover_workload(
-                backend, spec=WorkloadSpec.draw(next_seed), codec=codec
+                backend, spec=WorkloadSpec.draw(next_seed), config=config
             )
             duplicates = {c.name: c.duplicates for c in outcome.clients}
             result.violations.extend(check_no_duplicates(duplicates))

@@ -98,7 +98,6 @@ def run_line_workload(
     topic: str = "demo",
     payload_pad: str = "",
     observer=None,
-    codec=None,
     config=None,
 ) -> LineWorkloadResult:
     """Run the canonical transport workload on ``backend`` and verify it.
@@ -113,31 +112,18 @@ def run_line_workload(
     simulator keeps its default link latency.
 
     ``config`` carries the remaining knobs as one
-    :class:`~repro.config.SystemConfig` (its ``transport`` field is
-    overridden by ``backend``); the legacy ``codec=`` kwarg keeps working
-    but cannot be combined with it.
+    :class:`~repro.config.SystemConfig` (the defaults when omitted; its
+    ``transport`` field is overridden by ``backend``).
     """
+    from ..config import SystemConfig
     from .broker_network import line_topology
     from .filters import AtLeast, Equals, Filter
     from .notification import Notification
 
-    from ..net import wire
-
-    link_latency = 0.001 if backend == "sim" else 0.0
-    if config is not None:
-        if codec is not None:
-            raise ValueError("pass the codec inside config=, not alongside it")
-        config = config.replace(transport=backend)
-        codec_name = config.codec
-        net = line_topology(n_brokers=brokers, link_latency=link_latency, config=config)
-    else:
-        codec_name = wire.get_codec(codec).name
-        net = line_topology(
-            n_brokers=brokers,
-            transport=backend,
-            link_latency=link_latency,
-            codec=codec,
-        )
+    config = (config or SystemConfig()).replace(transport=backend)
+    net = line_topology(
+        n_brokers=brokers, link_latency=0.001 if backend == "sim" else 0.0, config=config
+    )
     try:
         subscribers = []
         for i, broker_name in enumerate(net.broker_names()):
@@ -179,7 +165,7 @@ def run_line_workload(
             notifications=notifications,
             wall_sec=wall,
             subscribers=outcomes,
-            codec=codec_name,
+            codec=config.codec,
         )
     finally:
         # ``observer`` (e.g. the cluster-demo CLI) gets the network just
@@ -260,7 +246,7 @@ def run_flip_workload(
     from .notification import Notification
     from .routing import ADVERTISING_NAMES
 
-    config = (config if config is not None else SystemConfig()).replace(transport=backend)
+    config = (config or SystemConfig()).replace(transport=backend)
     if changes is None:
         changes = {
             "matcher": _flipped(config.matcher, MATCHER_NAMES),

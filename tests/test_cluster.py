@@ -16,6 +16,7 @@ import socket
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport
 from repro.net.process import Process
 from repro.net.registry import (
@@ -44,8 +45,8 @@ def covering_scenario(backend: str):
     net = line_topology(
         n_brokers=3,
         routing="covering",
-        transport=backend,
         link_latency=0.001 if backend == "sim" else 0.0,
+        config=SystemConfig(transport=backend),
     )
     try:
         c1 = net.add_client("c1", "B1")
@@ -111,7 +112,7 @@ def test_cluster_line_workload_delivers_exactly():
 
 def test_cluster_polls_remote_broker_and_link_stats():
     """After quiescence, remote broker/link counters are visible in the parent."""
-    net = line_topology(n_brokers=3, transport="cluster", link_latency=0.0)
+    net = line_topology(n_brokers=3, link_latency=0.0, config=SystemConfig(transport="cluster"))
     try:
         subscriber = net.add_client("sub", "B3")
         subscriber.subscribe(Filter([Equals("topic", "t")]), sub_id="s1")
@@ -143,7 +144,7 @@ def test_run_until_idle_waits_for_scheduled_parent_callbacks():
     a parent-side ``sim.schedule`` callback fires (the asyncio backend's
     idle condition also counts pending timers; the cluster must match).
     """
-    net = line_topology(n_brokers=2, transport="cluster", link_latency=0.0)
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
     try:
         subscriber = net.add_client("sub", "B2")
         subscriber.subscribe(Filter([Equals("topic", "t")]), sub_id="s1")
@@ -251,7 +252,7 @@ def test_registry_ready_barrier():
 
 
 def test_parent_detects_broker_process_death_mid_run():
-    net = line_topology(n_brokers=3, transport="cluster", link_latency=0.0)
+    net = line_topology(n_brokers=3, link_latency=0.0, config=SystemConfig(transport="cluster"))
     try:
         subscriber = net.add_client("sub", "B3")
         subscriber.subscribe(Filter([Equals("topic", "t")]), sub_id="s1")
@@ -269,7 +270,7 @@ def test_parent_detects_broker_process_death_mid_run():
 
 
 def test_topology_frozen_after_boot():
-    net = line_topology(n_brokers=2, transport="cluster", link_latency=0.0)
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
     try:
         net.add_client("c", "B1")  # first attachment boots the cluster
         with pytest.raises(ClusterError, match="frozen|after the cluster has booted"):

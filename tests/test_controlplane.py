@@ -5,9 +5,9 @@ Five groups:
 * **SystemConfig** — construction-time validation (the ``matcher="indxed"``
   silent-typo hole), dict round-trips, ``--set`` overlays and argparse
   resolution;
-* **BrokerNetwork integration** — the config/legacy-kwarg seam: typo
-  rejection at construction, clash detection, and byte-identical behavior
-  between the legacy kwargs and an equivalent ``SystemConfig``;
+* **BrokerNetwork integration** — one way in: typo rejection before any
+  broker is built, and ``BrokerNetwork``, every topology builder and
+  ``MobilitySystemConfig`` refusing the fabric knobs as loose kwargs;
 * **metrics** — the obs instruments themselves, plus
   ``Transport.metrics_snapshot()`` agreeing across all three backends on
   the deterministic broker counters of a fixed workload;
@@ -37,7 +37,14 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
 )
-from repro.pubsub.broker_network import BrokerNetwork
+from repro.pubsub.broker_network import (
+    BrokerNetwork,
+    balanced_tree_topology,
+    grid_border_topology,
+    line_topology,
+    random_tree_topology,
+    star_topology,
+)
 from repro.pubsub.testing import run_flip_workload, run_line_workload
 
 # ------------------------------------------------------------- SystemConfig
@@ -114,12 +121,7 @@ def test_runtime_knobs_are_a_subset_of_config_fields():
 
 def test_broker_network_rejects_typo_matcher_at_construction():
     with pytest.raises(ValueError, match="unknown matcher 'indxed'; allowed: brute, indexed"):
-        BrokerNetwork(matcher="indxed")
-
-
-def test_broker_network_rejects_config_plus_legacy_kwargs():
-    with pytest.raises(ValueError, match="got config= and legacy knob"):
-        BrokerNetwork(config=SystemConfig(), matcher="brute")
+        BrokerNetwork(config=SystemConfig(matcher="indxed"))
 
 
 def test_broker_network_rejects_non_config_object():
@@ -127,19 +129,33 @@ def test_broker_network_rejects_non_config_object():
         BrokerNetwork(config={"matcher": "brute"})
 
 
-def test_broker_network_synthesizes_config_from_legacy_kwargs():
-    net = BrokerNetwork(matcher="brute", advertising="scan")
-    assert net.config == SystemConfig(matcher="brute", advertising="scan")
+#: every fabric knob, with a value the SystemConfig field would accept
+_LOOSE_KNOBS = {
+    "matcher": "brute",
+    "advertising": "scan",
+    "transport": "sim",
+    "codec": "json",
+    "system": SystemConfig(),
+}
 
 
-def test_legacy_kwargs_and_config_run_byte_identically_on_sim():
-    legacy = run_line_workload("sim", 3, 24)
-    configured = run_line_workload("sim", 3, 24, config=SystemConfig())
-    assert [
-        (s.name, s.threshold, s.expected, s.received, s.latencies) for s in legacy.subscribers
-    ] == [
-        (s.name, s.threshold, s.expected, s.received, s.latencies) for s in configured.subscribers
-    ]
+@pytest.mark.parametrize("knob", sorted(_LOOSE_KNOBS))
+@pytest.mark.parametrize(
+    "build",
+    [
+        BrokerNetwork,
+        line_topology,
+        star_topology,
+        balanced_tree_topology,
+        random_tree_topology,
+        grid_border_topology,
+        MobilitySystemConfig,
+    ],
+    ids=lambda build: build.__name__,
+)
+def test_fabric_knobs_have_one_way_in(build, knob):
+    with pytest.raises(TypeError):
+        build(**{knob: _LOOSE_KNOBS[knob]})
 
 
 # ------------------------------------------------------------------ metrics
@@ -293,15 +309,6 @@ def test_cluster_rejects_bad_value_over_the_control_channel():
     run_line_workload("cluster", 2, 4, observer=observer)
 
 
-def test_mobility_config_fills_from_and_contradicts_system():
-    filled = MobilitySystemConfig(system=SystemConfig(matcher="brute"))
-    assert filled.matcher == "brute"
-    with pytest.raises(ValueError, match="contradicts system.matcher"):
-        MobilitySystemConfig(matcher="indexed", system=SystemConfig(matcher="brute"))
-    with pytest.raises(TypeError):
-        MobilitySystemConfig(system={"matcher": "brute"})
-
-
 # ----------------------------------------------------------------- surfaces
 
 
@@ -335,3 +342,33 @@ def test_cli_top_renders_bounded_frames(capsys):
 def test_cli_rejects_unknown_set_key(capsys):
     assert main(["net-demo", "--backend", "sim", "--set", "turbo=1"]) == 2
     assert "unknown SystemConfig key 'turbo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,wanted",
+    [
+        (["chaos-demo", "--backend", "sim", "--matcher", "brute"], {"matcher": "brute"}),
+        (
+            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--advertising", "scan"],
+            {"advertising": "scan"},
+        ),
+        (
+            ["chaos-fuzz", "--advertising", "scan", "--set", "duplicates_capacity=512"],
+            {"advertising": "scan", "duplicates_capacity": 512},
+        ),
+    ],
+    ids=["chaos-demo", "soak", "chaos-fuzz"],
+)
+def test_cli_fabric_flags_reach_every_broker_network(monkeypatch, argv, wanted):
+    seen = []
+    build = BrokerNetwork.__init__
+
+    def spy(self, *args, **kwargs):
+        build(self, *args, **kwargs)
+        seen.append(self.config)
+
+    monkeypatch.setattr(BrokerNetwork, "__init__", spy)
+    assert main(argv) == 0
+    assert seen
+    for config in seen:
+        assert {knob: getattr(config, knob) for knob in wanted} == wanted

@@ -20,10 +20,11 @@ import time
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net import wire
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport, _Receiver
-from repro.pubsub.broker_network import line_topology
+from repro.pubsub.broker_network import BrokerNetwork
 
 
 class Recorder(Process):
@@ -181,10 +182,15 @@ def test_an_open_link_costs_two_fds(transport):
 
 @linux_only
 def test_a_fabric_holds_one_connection_per_link():
-    transport = AsyncioTransport(codec="binary")
+    net = BrokerNetwork(config=SystemConfig(transport="asyncio", codec="binary"))
+    transport = net.transport
     try:
         idle = open_fds()  # the loop's own fds are already open
-        net = line_topology(n_brokers=5, transport=transport)
+        names = [f"B{i + 1}" for i in range(5)]
+        for name in names:
+            net.add_broker(name)
+        for left, right in zip(names, names[1:]):
+            net.connect_brokers(left, right)
         for i in range(6):
             net.add_client(f"c{i}", f"B{i % 5 + 1}")
         net.run_until_idle()
@@ -194,7 +200,7 @@ def test_a_fabric_holds_one_connection_per_link():
         assert len(transport._receivers) == 2 * sizes["links"]
         assert open_fds() - idle == sizes["servers"] + 2 * sizes["links"]
     finally:
-        transport.close()
+        net.close()
 
 
 @linux_only

@@ -19,6 +19,7 @@ import sys
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport
 from repro.net.registry import RegistryError, RegistryServer, register_node
 from repro.net.transport import TransportError
@@ -80,7 +81,7 @@ def test_asyncio_backend_matches_sim():
 
 
 def test_fault_injection_surface_rejects_misuse():
-    net = line_topology(n_brokers=2, transport="cluster", link_latency=0.0)
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
     try:
         net.add_client("c", "B1")  # first attachment boots the cluster
         transport = net.transport
@@ -111,7 +112,7 @@ def test_fault_injection_surface_rejects_misuse():
 
 def test_deliberate_kill_is_not_reported_as_a_crash():
     """``kill_broker`` must not trip the surprise-crash detector."""
-    net = line_topology(n_brokers=2, transport="cluster", link_latency=0.0)
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
     try:
         subscriber = net.add_client("sub", "B1")
         net.run_until_idle()

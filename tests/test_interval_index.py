@@ -22,6 +22,7 @@ from types import MappingProxyType
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, Range
@@ -452,7 +453,7 @@ def _deliveries(matcher: str, seed: int):
     values spelt as int, float and bool."""
     rng = random.Random(seed)
     sim = Simulator()
-    network = random_tree_topology(sim, 6, seed=seed, matcher=matcher)
+    network = random_tree_topology(sim, 6, seed=seed, config=SystemConfig(matcher=matcher))
     brokers = network.broker_names()
     subscribers = []
     for i in range(30):

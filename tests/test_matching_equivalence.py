@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.pubsub.filters import (
     AtLeast,
     Equals,
@@ -251,7 +252,9 @@ class TestRangeHeavyEquivalence:
 
         rng = random.Random(9)
         sim = Simulator()
-        network = random_tree_topology(sim, 5, routing=strategy, seed=3, matcher=matcher)
+        network = random_tree_topology(
+            sim, 5, routing=strategy, seed=3, config=SystemConfig(matcher=matcher)
+        )
         brokers = network.broker_names()
         subscribers = []
         for i in range(10):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.location import LocationSpace
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 from repro.mobility.handover_workload import cross_check_backends, run_handover_workload
@@ -102,9 +103,9 @@ class TestHandoverCrossCheck:
 
 
 def test_mobility_layer_accepts_asyncio_backend():
-    net = line_topology(n_brokers=2, transport="asyncio", link_latency=0.0)
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="asyncio"))
     space = LocationSpace({"l1": "B1", "l2": "B2"}, adjacency={"l1": ["l2"], "l2": ["l1"]})
-    system = MobilePubSub(None, net, space, config=MobilitySystemConfig(transport="asyncio"))
+    system = MobilePubSub(None, net, space, config=MobilitySystemConfig())
     try:
         client = system.add_mobile_client("m1")
         system.attach(client, location="l1")
@@ -116,7 +117,7 @@ def test_mobility_layer_accepts_asyncio_backend():
 
 
 def test_mobility_layer_rejects_cluster_backend():
-    net = line_topology(n_brokers=2, transport="cluster")
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
     try:
         space = LocationSpace({"l1": "B1"})
         with pytest.raises(NotImplementedError):

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport, TransportError
 from repro.pubsub.broker_network import line_topology
@@ -49,7 +50,9 @@ def driven(request, codec):
     if request.param == "asyncio":
         transport = AsyncioTransport(codec=codec)
     else:
-        transport = line_topology(n_brokers=1, transport="cluster", codec=codec).transport
+        transport = line_topology(
+            n_brokers=1, config=SystemConfig(transport="cluster", codec=codec)
+        ).transport
         transport.boot()
     yield transport
     transport.close()

@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology, random_tree_topology
 from repro.pubsub.filters import (
@@ -235,7 +236,7 @@ def run_network(strategy: str, advertising: str, seed: int):
     rng = random.Random(seed)
     sim = Simulator()
     network = random_tree_topology(
-        sim, 6, routing=strategy, seed=seed, advertising=advertising
+        sim, 6, routing=strategy, seed=seed, config=SystemConfig(advertising=advertising)
     )
     brokers = network.broker_names()
     clients = []
@@ -298,7 +299,7 @@ class TestEndToEndEquivalence:
 class TestKnobThreading:
     def test_broker_exposes_advertising(self):
         sim = Simulator()
-        net = line_topology(sim, 2, routing="covering", advertising="scan")
+        net = line_topology(sim, 2, routing="covering", config=SystemConfig(advertising="scan"))
         assert all(b.advertising == "scan" for b in net.brokers.values())
         net.brokers["B1"].set_advertising("incremental")
         assert net.brokers["B1"].advertising == "incremental"
@@ -307,22 +308,12 @@ class TestKnobThreading:
         assert ADVERTISING_NAMES == ("scan", "incremental")
         assert set(INDEXED_STRATEGIES) < set(STRATEGIES)
 
-    def test_middleware_config_overrides_when_explicit(self):
-        from repro.core.location import LocationSpace
-        from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-
-        sim = Simulator()
-        net = line_topology(sim, 2, routing="covering", advertising="scan")
-        space = LocationSpace({"r1": "B1", "r2": "B2"})
-        MobilePubSub(sim, net, space, config=MobilitySystemConfig(advertising="incremental"))
-        assert all(b.advertising == "incremental" for b in net.brokers.values())
-
     def test_middleware_config_none_keeps_network_choice(self):
         from repro.core.location import LocationSpace
         from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 
         sim = Simulator()
-        net = line_topology(sim, 2, routing="covering", advertising="scan")
+        net = line_topology(sim, 2, routing="covering", config=SystemConfig(advertising="scan"))
         space = LocationSpace({"r1": "B1", "r2": "B2"})
         MobilePubSub(sim, net, space, config=MobilitySystemConfig())
         assert all(b.advertising == "scan" for b in net.brokers.values())

@@ -13,6 +13,7 @@ import random
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import (
@@ -171,7 +172,7 @@ def _deliveries(matcher: str, seed: int):
     """Run a randomized pub/sub workload; return {subscriber: sorted notification ids}."""
     rng = random.Random(seed)
     sim = Simulator()
-    network = random_tree_topology(sim, 6, seed=seed, matcher=matcher)
+    network = random_tree_topology(sim, 6, seed=seed, config=SystemConfig(matcher=matcher))
     brokers = network.broker_names()
     subscribers = []
     for i in range(12):
@@ -204,18 +205,7 @@ class TestMiddlewareMatcherConfig:
         from repro.pubsub.broker_network import line_topology
 
         sim = Simulator()
-        net = line_topology(sim, 2, matcher="brute")
+        net = line_topology(sim, 2, config=SystemConfig(matcher="brute"))
         space = LocationSpace({"r1": "B1", "r2": "B2"})
         MobilePubSub(sim, net, space, config=MobilitySystemConfig())
         assert all(b.matcher == "brute" for b in net.brokers.values())
-
-    def test_config_overrides_when_explicit(self):
-        from repro.core.location import LocationSpace
-        from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-        from repro.pubsub.broker_network import line_topology
-
-        sim = Simulator()
-        net = line_topology(sim, 2, matcher="brute")
-        space = LocationSpace({"r1": "B1", "r2": "B2"})
-        MobilePubSub(sim, net, space, config=MobilitySystemConfig(matcher="indexed"))
-        assert all(b.matcher == "indexed" for b in net.brokers.values())

@@ -17,6 +17,7 @@ baseline.  Three surfaces:
   seed-drawn mobility workload members.
 """
 
+from repro.config import SystemConfig
 from repro.net.faults import FaultInjector
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport
@@ -68,7 +69,9 @@ def test_asyncio_dynamic_link_cycles_do_not_leak_sockets():
 
 
 def test_cluster_kill_restart_cycles_return_to_baseline():
-    net = line_topology(n_brokers=3, routing="covering", transport="cluster")
+    net = line_topology(
+        n_brokers=3, routing="covering", config=SystemConfig(transport="cluster")
+    )
     try:
         net.add_client("pub", "B1")
         sub = net.add_client("sub", "B3")

@@ -1,7 +1,7 @@
 """Cross-check tests for the pluggable transport layer.
 
-Three layers of guarantees, in the spirit of the ``matcher=`` and
-``advertising=`` knobs:
+Three layers of guarantees, in the spirit of the ``matcher`` and
+``advertising`` cross-checks:
 
 1. **Golden trace** — a deterministic churn scenario on the default
    (simulator) substrate is captured as a canonical byte trace (every
@@ -11,8 +11,8 @@ Three layers of guarantees, in the spirit of the ``matcher=`` and
    change a single delivered byte.
 2. **Construction equivalence** — building a network the legacy way
    (``BrokerNetwork(sim)``) and the explicit way
-   (``BrokerNetwork(transport=SimTransport(sim))``) yields byte-identical
-   traces.
+   (``BrokerNetwork(config=SystemConfig(transport="sim"))``) yields
+   byte-identical traces.
 3. **Backend equivalence** — the asyncio backend (real localhost TCP
    sockets) delivers the same notification set as the simulator for the same
    scenario on a 3-broker topology.
@@ -22,6 +22,7 @@ import hashlib
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
 from repro.net.wire import encode_control, encode_message, frame
@@ -169,10 +170,8 @@ def test_sim_substrate_matches_pre_refactor_golden_trace(routing):
 
 @pytest.mark.parametrize("routing", sorted(GOLDEN_DIGESTS))
 def test_explicit_sim_transport_is_byte_identical_to_legacy_construction(routing):
-    from repro.net.transport import SimTransport
-
     def explicit_network(routing):
-        return line_topology(n_brokers=4, routing=routing, transport=SimTransport(Simulator()))
+        return line_topology(n_brokers=4, routing=routing, config=SystemConfig(transport="sim"))
 
     explicit = run_scenario(routing, explicit_network)
     legacy = run_scenario(routing, legacy_network)
@@ -181,7 +180,7 @@ def test_explicit_sim_transport_is_byte_identical_to_legacy_construction(routing
 
 
 def test_transport_string_knob_builds_sim_backend():
-    net = line_topology(n_brokers=4, transport="sim")
+    net = line_topology(n_brokers=4, config=SystemConfig(transport="sim"))
     assert net.transport.name == "sim"
     assert net.sim is net.transport.sim  # the clock IS the simulator
 
@@ -234,7 +233,9 @@ def test_asyncio_backend_delivers_same_notification_set_as_simulator():
     expected = asyncio_scenario(sim_net)
     assert expected["c1"] and expected["c3"], "scenario must actually deliver"
 
-    asyncio_net = line_topology(n_brokers=3, routing="covering", transport="asyncio", link_latency=0.0)
+    asyncio_net = line_topology(
+        n_brokers=3, routing="covering", link_latency=0.0, config=SystemConfig(transport="asyncio")
+    )
     try:
         actual = asyncio_scenario(asyncio_net)
     finally:
@@ -442,25 +443,8 @@ class TestAsyncioLink:
             transport.close()
 
 
-def test_make_transport_rejects_simulator_alongside_foreign_transport():
-    from repro.net.transport import SimTransport, make_transport
-
-    sim = Simulator()
-    # a transport wrapping THAT simulator is fine...
-    wrapped = SimTransport(sim)
-    assert make_transport(wrapped, sim=sim) is wrapped
-    # ...but a transport with its own clock would silently orphan `sim`
-    with pytest.raises(ValueError):
-        make_transport(SimTransport(), sim=sim)
-    with pytest.raises(ValueError):
-        BrokerNetwork(sim, transport=SimTransport())
-
-
-def test_transport_mismatch_detected():
-    from repro.core.location import LocationSpace
-    from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-
-    net = line_topology(n_brokers=2)
-    space = LocationSpace({"l1": "B1"})
-    with pytest.raises(ValueError):
-        MobilePubSub(net.sim, net, space, config=MobilitySystemConfig(transport="asyncio"))
+def test_socket_backends_reject_a_simulator():
+    # a socket backend runs on its own clock and would silently orphan `sim`
+    for backend in ("asyncio", "cluster"):
+        with pytest.raises(ValueError, match=f"the {backend} backend does not take a Simulator"):
+            BrokerNetwork(Simulator(), config=SystemConfig(transport=backend))

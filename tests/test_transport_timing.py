@@ -21,6 +21,7 @@ import time
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.net import wire
 from repro.net.cluster import ClusterTransport
 from repro.net.process import Message, Process
@@ -190,7 +191,7 @@ def test_cluster_broker_survives_a_dialler_it_refuses():
     """Regression: a handshake the broker child rejected failed the whole node
     (exit 1) — one misconfigured dialler took a broker down.  It now costs
     that connection only: closed without an answer, as on the asyncio backend."""
-    net = line_topology(n_brokers=2, transport="cluster", codec="binary")
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster", codec="binary"))
     try:
         pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
         sub.subscribe(Filter([Equals("service", "temp")]))
@@ -271,7 +272,7 @@ def test_no_task_exists_per_cluster_client_connection():
     """The parent read each client connection in a task of its own; its
     receivers are callbacks too now.  The registry's control channels (one
     stream task per broker) are all that is left."""
-    net = line_topology(n_brokers=3, transport="cluster", codec="binary")
+    net = line_topology(n_brokers=3, config=SystemConfig(transport="cluster", codec="binary"))
     try:
         transport = net.transport
         transport.boot()
