@@ -16,8 +16,8 @@ location set when casting shadows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..pubsub.filters import Constraint, Equals, Filter, InSet
 from .location import LOCATION_ATTRIBUTE
@@ -65,15 +65,29 @@ class LocationDependentFilter:
     static_filter: Filter
     location_attribute: str = LOCATION_ATTRIBUTE
     scope: Optional[str] = None
+    # location set -> its bound filter; not part of equality, hashing, repr
+    # or the wire, and bounded by the distinct myloc sets of the space
+    _bound: Dict[FrozenSet[str], Filter] = field(
+        default_factory=dict, init=False, compare=False, hash=False, repr=False
+    )
 
     # ---------------------------------------------------------------- binding
     def bind(self, locations: Iterable[str]) -> Filter:
-        """Substitute ``myloc`` with a concrete location set, yielding a routable filter."""
+        """Substitute ``myloc`` with a concrete location set, yielding a routable filter.
+
+        Memoised per location set: an equal set returns the *identical*
+        compiled filter, so its key, hash and wire fragments are computed
+        once per distinct binding rather than once per move or shadow.
+        """
         location_set = frozenset(locations)
-        if not location_set:
-            raise UnboundLocationError("cannot bind myloc to an empty location set")
-        constraint = InSet(self.location_attribute, location_set)
-        return Filter(tuple(self.static_filter.constraints) + (constraint,))
+        bound = self._bound.get(location_set)
+        if bound is None:
+            if not location_set:
+                raise UnboundLocationError("cannot bind myloc to an empty location set")
+            constraint = InSet(self.location_attribute, location_set)
+            bound = Filter(tuple(self.static_filter.constraints) + (constraint,))
+            self._bound[location_set] = bound
+        return bound
 
     def bind_for_location(self, space: "LocationSpaceLike", location: str) -> Filter:
         """Bind against the myloc set of a concrete client location."""

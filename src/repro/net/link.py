@@ -59,7 +59,7 @@ class _DirectedEndpoint(LinkEndpoint):
         if arrival < self._next_delivery_floor:
             arrival = self._next_delivery_floor
         self._next_delivery_floor = arrival
-        sim.schedule_at(arrival, self._deliver, message)
+        sim.push_uncancellable(arrival, self._deliver, (message,))
 
     def transmit_many(self, messages: list[Message]) -> None:
         """Transmit a burst of messages as ONE scheduled delivery event.
@@ -81,7 +81,7 @@ class _DirectedEndpoint(LinkEndpoint):
         if arrival < self._next_delivery_floor:
             arrival = self._next_delivery_floor
         self._next_delivery_floor = arrival
-        sim.schedule_at(arrival, self._deliver_many, tuple(messages))
+        sim.push_uncancellable(arrival, self._deliver_many, (tuple(messages),))
 
     def _deliver(self, message: Message) -> None:
         if not self.link.up and not self.link.deliver_in_flight_on_down:

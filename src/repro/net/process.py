@@ -90,16 +90,18 @@ class Message:
 
 
 def _estimate_size(obj: Any) -> int:
-    if obj is None:
-        return 0
-    if isinstance(obj, (int, float, bool)):
-        return 8
+    # the categories are disjoint, so the order only decides speed: the
+    # commonest payload shapes are tested first
     if isinstance(obj, str):
         return len(obj)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 8 + sum(_estimate_size(item) for item in obj)
+    if isinstance(obj, (int, float, bool)):
+        return 8
+    if obj is None:
+        return 0
     if isinstance(obj, dict):
         return 8 + sum(_estimate_size(k) + _estimate_size(v) for k, v in obj.items())
+    if isinstance(obj, (list, tuple, set, frozenset)):
+        return 8 + sum(_estimate_size(item) for item in obj)
     size_hook = getattr(obj, "estimated_size", None)
     if callable(size_hook):
         return int(size_hook())

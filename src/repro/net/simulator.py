@@ -27,9 +27,11 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly (e.g. scheduling in the past)."""
 
 
-# Heap entries are plain ``(time, seq, handle)`` tuples: ``seq`` is unique, so
-# comparisons never reach the handle, and tuple ordering avoids the dataclass
-# ``__lt__`` dispatch every simulated message used to pay on push/pop.
+# Heap entries have one shape, ``(time, seq, callback, args, handle)``: ``seq``
+# is unique, so comparisons never reach past it, and tuple ordering avoids a
+# ``__lt__`` dispatch per push/pop.  ``handle`` is the :class:`EventHandle` of
+# an event scheduled through the public API, or ``None`` for a link delivery —
+# nothing can cancel those, so a simulated message allocates no handle.
 
 
 class EventHandle:
@@ -84,9 +86,8 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[tuple[float, int, EventHandle]] = []
+        self._queue: list[tuple[float, int, Callable[..., Any], tuple, Optional[EventHandle]]] = []
         self._seq = itertools.count()
-        self._running = False
         self.events_processed = 0
         self.events_scheduled = 0
         # count of cancelled-but-not-yet-popped events, so ``pending`` is O(1);
@@ -113,74 +114,70 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulated ``time``."""
+        self._check_not_past(time)
+        seq = next(self._seq)
+        handle = EventHandle(time, seq, callback, args, self, self._epoch)
+        heapq.heappush(self._queue, (time, seq, callback, args, handle))
+        self.events_scheduled += 1
+        return handle
+
+    def push_uncancellable(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
+        """Queue ``callback(*args)`` at absolute ``time`` without an :class:`EventHandle`.
+
+        For events nothing will ever cancel (a link delivery): ordering and
+        counters are those of :meth:`schedule_at`, minus the handle allocation.
+        """
+        self._check_not_past(time)
+        heapq.heappush(self._queue, (time, next(self._seq), callback, args, None))
+        self.events_scheduled += 1
+
+    def _check_not_past(self, time: float) -> None:
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, which is before now={self._now:.6f}"
             )
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self, self._epoch)
-        heapq.heappush(self._queue, (time, seq, handle))
-        self.events_scheduled += 1
-        return handle
 
     def call_now(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback`` to run at the current time (after pending same-time events)."""
         return self.schedule(0.0, callback, *args)
 
     # ---------------------------------------------------------------- running
-    def step(self) -> bool:
-        """Execute the next pending event.  Returns ``False`` if the queue is empty."""
-        while self._queue:
-            time, _seq, handle = heapq.heappop(self._queue)
-            if handle.cancelled:
-                self._cancelled_in_queue -= 1
-                continue
-            self._now = time
-            self.events_processed += 1
-            handle.executed = True
-            handle.callback(*handle.args)
-            return True
-        return False
-
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run events until the queue drains, ``until`` is reached, or ``max_events`` fire.
 
         Returns the simulated time when the run stopped.
         """
-        self._running = True
+        queue = self._queue
+        pop = heapq.heappop
         processed = 0
-        try:
-            while self._queue:
-                if max_events is not None and processed >= max_events:
+        while queue:
+            if max_events is not None and processed >= max_events:
+                break
+            time, _seq, callback, args, handle = queue[0]
+            if handle is not None and handle.cancelled:
+                pop(queue)
+                self._cancelled_in_queue -= 1
+                if not queue:  # only cancelled events were left: time stays put
                     break
-                next_time = self._peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                if not self.step():
-                    break
-                processed += 1
-            else:
-                if until is not None and until > self._now:
-                    self._now = until
-        finally:
-            self._running = False
+                continue
+            if until is not None and time > until:
+                self._now = until
+                break
+            pop(queue)
+            if handle is not None:
+                handle.executed = True
+            self._now = time
+            self.events_processed += 1
+            callback(*args)
+            processed += 1
+        else:
+            if until is not None and until > self._now:
+                self._now = until
         return self._now
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
         """Run until no events remain (bounded by ``max_events`` as a safety net)."""
         return self.run(max_events=max_events)
-
-    def _peek_time(self) -> Optional[float]:
-        queue = self._queue
-        while queue and queue[0][2].cancelled:
-            heapq.heappop(queue)
-            self._cancelled_in_queue -= 1
-        if not queue:
-            return None
-        return queue[0][0]
 
     # ------------------------------------------------------------------ misc
     @property

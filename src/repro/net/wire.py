@@ -101,8 +101,9 @@ class _Record:
 
     ``fields`` holds ``(attribute, key, kind, getter, bit)`` in binary order
     (``bit``: 0 unless FLAG/OPTIONAL), ``json_fields`` ``(',"key":', kind,
-    getter)`` in ``sort_keys`` order; ``build(**values)`` makes the decoded
-    object and ``read`` is the binary reader (default :func:`_r_record`).
+    getter)`` in ``sort_keys`` order, ``keys`` every key its JSON form may
+    carry; ``build(**values)`` makes the decoded object and ``read`` is the
+    binary reader (default :func:`_r_record`).
 
     ``cached`` types are immutable by contract and remember their fragment per
     codec in ``_wire_json``/``_wire_bin`` (never part of equality or hashing;
@@ -117,7 +118,7 @@ class _Record:
     ``stamped``, ``dataclasses.replace``) builds an object with an empty one.
     """
 
-    __slots__ = ("cls", "tag", "code", "fields", "json_fields", "cached", "build", "read")
+    __slots__ = ("cls", "tag", "code", "fields", "json_fields", "keys", "cached", "build", "read")
 
     def __init__(self, cls, tag, code, fields, cached=False, build=None, read=None):
         self.cls, self.tag, self.code, self.cached = cls, tag, code, cached
@@ -137,6 +138,7 @@ class _Record:
             getter = getter[0] if getter else attrgetter(attribute)
             normalised.append((attribute, key, kind, getter, bit))
         self.fields = tuple(normalised)
+        self.keys = frozenset(key for _, key, _, _, _ in normalised) | {_TAG}
         self.json_fields = tuple(
             (f',"{key}":', kind, getter)
             for _, key, kind, getter, _ in sorted(normalised, key=itemgetter(1))
@@ -332,6 +334,8 @@ def _decode_value(obj: Any) -> Any:
     record = _BY_TAG.get(tag) or _lookup(_BY_TAG, tag)
     if record is None:
         raise WireError(f"unknown wire tag {tag!r}")
+    if not obj.keys() <= record.keys:
+        raise WireError(f"unknown keys in a {tag!r} record: {sorted(obj.keys() - record.keys)}")
     values = {}
     for attribute, key, kind, _, _ in record.fields:
         # an absent optional key decodes as None, like an explicit null

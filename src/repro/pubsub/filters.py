@@ -649,6 +649,8 @@ class Filter:
         return key
 
     def __eq__(self, other: object) -> bool:
+        if other is self:  # a memoised template binding meets itself
+            return True
         if not isinstance(other, Filter):
             return NotImplemented
         return self.key() == other.key()

@@ -81,6 +81,46 @@ class TestBinding:
         assert not bound.matches({"service": "t", "location": "r1"})
 
 
+class TestBindMemo:
+    """``bind`` returns one shared compiled filter per distinct location set."""
+
+    def test_equal_sets_in_any_order_give_the_identical_filter(self, space):
+        template = location_dependent({"service": "temperature"})
+        first = template.bind(["r1", "r2", "r3"])
+        for locations in (["r3", "r1", "r2"], {"r2", "r3", "r1"}, frozenset({"r1", "r2", "r3"})):
+            assert template.bind(locations) is first
+        assert template.bind_for_broker(space, "B1") is template.bind(["r2", "r1"])
+        assert template.bind_for_location(space, "r1") is template.bind({"r1"})
+
+    def test_different_sets_give_different_filters(self):
+        template = location_dependent({"service": "temperature"})
+        one, two = template.bind({"r1"}), template.bind({"r1", "r2"})
+        assert one is not two and one != two
+        assert one.matches({"service": "temperature", "location": "r1"})
+        assert not one.matches({"service": "temperature", "location": "r2"})
+
+    def test_equal_templates_do_not_share_filters_but_bind_equal_ones(self):
+        a, b = location_dependent({"service": "t"}), location_dependent({"service": "t"})
+        assert a.bind({"r1"}) == b.bind({"r1"}) and a.bind({"r1"}) is not b.bind({"r1"})
+
+    def test_an_empty_set_still_raises_and_is_not_cached(self):
+        template = location_dependent({"service": "temperature"})
+        for _ in range(2):
+            with pytest.raises(UnboundLocationError):
+                template.bind([])
+        assert frozenset() not in template._bound
+
+    def test_the_memo_is_invisible_to_eq_hash_and_repr(self):
+        bound, fresh = location_dependent({"service": "t"}), location_dependent({"service": "t"})
+        before = (hash(bound), repr(bound))
+        bound.bind({"r1"})
+        bound.bind({"r2", "r3"})
+        assert len(bound._bound) == 2 and not fresh._bound
+        assert bound == fresh and hash(bound) == hash(fresh) == before[0]
+        assert repr(bound) == repr(fresh) == before[1]
+        assert bound.key() == fresh.key()
+
+
 class TestHelpers:
     def test_matches_ignoring_location(self):
         template = location_dependent({"service": "temperature"})

@@ -1,7 +1,13 @@
 """Unit tests for the discrete-event simulator."""
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import repro.net.simulator as simulator_module
+from repro.net.link import Link
+from repro.net.process import Message, Process
 from repro.net.simulator import PeriodicTask, SimulationError, Simulator, drain
 
 
@@ -242,7 +248,200 @@ class TestPendingAccounting:
     def test_callback_cancelling_own_handle(self):
         sim = Simulator()
         handles = []
-        sim.schedule(1.0, lambda: handles[0].cancel())
-        handles.append(sim._queue[0][2])
+        handles.append(sim.schedule(1.0, lambda: handles[0].cancel()))
         sim.run_until_idle()
         assert sim.pending == 0
+
+
+# ----------------------------------------------------- the queue, as a model
+#
+# A reference for the heap: every event ever queued sits in one list, the next
+# to run is ``min`` over it by ``(time, seq)``, and a cancelled event stays in
+# the list until it would have run -- the lazy deletion the heap does.  Link
+# deliveries share the queue and its ``seq`` counter but carry no handle.
+
+LATENCY = 0.25
+OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # a coarse grid: same-time collisions
+
+
+class _Handle:
+    def __init__(self, entry):
+        self.entry = entry
+
+    def cancel(self):
+        if self.entry[4] == "queued":
+            self.entry[4] = "cancelled"
+
+
+class _ReferenceQueue:
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []  # [time, seq, callback, args, state]
+        self.seq = itertools.count()
+        self.events_processed = 0
+        self.events_scheduled = 0
+        self.executed = []  # (time, seq) of every event run, in order
+
+    @property
+    def pending(self):
+        return sum(entry[4] == "queued" for entry in self.entries)
+
+    def schedule(self, delay, callback, *args):
+        return self.schedule_at(self.now + delay, callback, *args)
+
+    def schedule_at(self, time, callback, *args):
+        entry = [time, next(self.seq), callback, args, "queued"]
+        self.entries.append(entry)
+        self.events_scheduled += 1
+        return _Handle(entry)
+
+    def run(self, until=None, max_events=None):
+        processed = 0
+        while True:
+            live = [e for e in self.entries if e[4] in ("queued", "cancelled")]
+            if not live:
+                if until is not None and until > self.now:
+                    self.now = until
+                break
+            if max_events is not None and processed >= max_events:
+                break
+            entry = min(live, key=lambda e: (e[0], e[1]))
+            if entry[4] == "cancelled":
+                entry[4] = "dropped"
+                if len(live) == 1:  # only cancelled events were left: time stays put
+                    break
+                continue
+            if until is not None and entry[0] > until:
+                self.now = until
+                break
+            entry[4] = "done"
+            self.executed.append((entry[0], entry[1]))
+            self.now = entry[0]
+            self.events_processed += 1
+            entry[2](*entry[3])
+            processed += 1
+
+    def run_until_idle(self):
+        self.run()
+
+
+class _Sink(Process):
+    def __init__(self, sim, name, log):
+        super().__init__(sim, name)
+        self.log = log
+
+    def on_message(self, message):
+        self.log.append(message.payload)
+
+
+#: what an event does when it runs: nothing, cancel a handle (its own
+#: included), schedule a follow-up, or send a burst over the link
+_ACTIONS = st.one_of(
+    st.none(),
+    st.tuples(st.just("cancel"), st.integers(0, 30)),
+    st.tuples(st.just("spawn"), OFFSETS),
+    st.tuples(st.just("send"), st.integers(1, 3)),
+)
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("schedule"), OFFSETS, _ACTIONS),
+        st.tuples(st.just("schedule_at"), OFFSETS, _ACTIONS),
+        st.tuples(st.just("send"), st.integers(1, 3)),
+        st.tuples(st.just("cancel"), st.integers(0, 30)),
+        st.tuples(st.just("run_until"), OFFSETS),
+        st.tuples(st.just("run_max"), st.integers(0, 3)),
+    ),
+    max_size=40,
+)
+
+
+def _drive(clock, send, ops, log):
+    """Apply ``ops`` to ``clock``, events and deliveries appending to ``log``;
+    return a snapshot ``(now, processed, scheduled, pending, logged)`` per op."""
+    handles = []
+    labels = itertools.count()
+
+    def fire(label, action):
+        log.append(label)
+        if action is None:
+            return
+        kind, argument = action
+        if kind == "cancel" and handles:
+            handles[argument % len(handles)].cancel()
+        elif kind == "spawn":
+            handles.append(clock.schedule(argument, fire, f"e{next(labels)}", None))
+        elif kind == "send":
+            send([f"m{next(labels)}" for _ in range(argument)])
+
+    snapshots = []
+    for kind, argument, *action in ops:
+        if kind == "schedule":
+            handles.append(clock.schedule(argument, fire, f"e{next(labels)}", action[0]))
+        elif kind == "schedule_at":
+            time = clock.now + argument
+            handles.append(clock.schedule_at(time, fire, f"e{next(labels)}", action[0]))
+        elif kind == "send":
+            send([f"m{next(labels)}" for _ in range(argument)])
+        elif kind == "cancel" and handles:
+            handles[argument % len(handles)].cancel()
+        elif kind == "run_until":
+            clock.run(until=clock.now + argument)
+        elif kind == "run_max":
+            clock.run(max_events=argument)
+        snapshots.append(
+            (clock.now, clock.events_processed, clock.events_scheduled, clock.pending, len(log))
+        )
+    clock.run_until_idle()
+    snapshots.append((clock.now, clock.events_processed, clock.events_scheduled, clock.pending))
+    return snapshots
+
+
+class TestQueueAgainstAReferenceModel:
+    @settings(max_examples=300, deadline=None)
+    @given(ops=_OPS)
+    def test_random_schedules_sends_cancels_and_slices(self, ops):
+        sim = Simulator()
+        sim_log = []
+        a, b = Process(sim, "a"), _Sink(sim, "b", sim_log)
+        Link(sim, a, b, latency=LATENCY)
+
+        def sim_send(payloads):
+            if len(payloads) == 1:  # Link.transmit
+                a.send("b", Message("m", payload=payloads[0]))
+            else:  # Link.transmit_many: one event for the burst
+                a.send_many("b", [Message("m", payload=p) for p in payloads])
+
+        model = _ReferenceQueue()
+        model_log = []
+
+        def model_send(payloads):
+            model.schedule_at(model.now + LATENCY, model_log.extend, payloads)
+
+        assert _drive(sim, sim_send, ops, sim_log) == _drive(model, model_send, ops, model_log)
+        assert sim_log == model_log
+        # execution order is the (time, seq) order, minus what was cancelled
+        assert model.executed == sorted(model.executed)
+        assert len(model.executed) == sim.events_processed
+        assert sim.pending == 0 and sim._cancelled_in_queue == 0
+
+    def test_a_link_delivery_allocates_no_handle(self, monkeypatch):
+        created = []
+
+        class CountingHandle(simulator_module.EventHandle):
+            def __init__(self, *args):
+                created.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulator_module, "EventHandle", CountingHandle)
+        sim = Simulator()
+        log = []
+        a, b = Process(sim, "a"), _Sink(sim, "b", log)
+        Link(sim, a, b, latency=LATENCY)
+        for i in range(5):
+            a.send("b", Message("m", payload=i))
+        a.send_many("b", [Message("m", payload=i) for i in range(5, 8)])
+        sim.run_until_idle()
+        assert log == list(range(8)) and created == []
+        assert (sim.events_scheduled, sim.events_processed) == (6, 6)
+        sim.schedule(1.0, lambda: None)
+        assert len(created) == 1  # the public API still hands out a handle

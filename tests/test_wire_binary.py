@@ -27,6 +27,7 @@ codec demands:
 """
 
 import hashlib
+import json
 import os
 import socket
 import struct
@@ -39,6 +40,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.net.wire as wire
+from repro.core.location_filter import LocationDependentFilter
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport
 from repro.net.wire import (
@@ -128,10 +130,10 @@ def _all_payloads():
 _CODECS = {"json": JSON_CODEC, "binary": BINARY_CODEC}
 
 
-def _canonical_bytes(codec_name: str) -> bytes:
+def _canonical_bytes(codec_name: str, payloads=None) -> bytes:
     encode = _CODECS[codec_name].encode_message
     chunks = []
-    for name, payload in sorted(_all_payloads().items()):
+    for name, payload in sorted((payloads or _all_payloads()).items()):
         chunks.append(encode(Message(kind=name, payload=payload, sender="x", msg_id=1)))
     return b"".join(chunks)
 
@@ -280,6 +282,23 @@ class TestDeclaredOnce:
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_corpus_bytes_are_pinned(self, codec_name):
         data = _canonical_bytes(codec_name)
+        assert (len(data), hashlib.sha256(data).hexdigest()) == _CORPUS_DIGESTS[codec_name]
+
+    @pytest.mark.parametrize("codec_name", ["json", "binary"])
+    def test_a_bound_template_encodes_as_before(self, codec_name):
+        # a template memoises its bindings; the memo is no field of the record
+        payloads = _all_payloads()
+        templates = [
+            obj
+            for payload in payloads.values()
+            for obj in _walk(payload)
+            if isinstance(obj, LocationDependentFilter)
+        ]
+        assert templates
+        for template in templates:
+            template.bind({"r1"})
+            template.bind(["r2", "r1"])
+        data = _canonical_bytes(codec_name, payloads)
         assert (len(data), hashlib.sha256(data).hexdigest()) == _CORPUS_DIGESTS[codec_name]
 
     def test_record_table_equals_the_pinned_schema(self):
@@ -496,6 +515,46 @@ class TestDecodersRaiseOnlyWireError:
 
 
 # ----------------------------------------------------- loud codec negotiation
+
+
+def _json_with_extra_key(level):
+    """A JSON ``subscribe`` body with one unknown key added at ``level``."""
+    subscription = Subscription(
+        sub_id="s1", filter=Filter([Equals("service", "t")]), subscriber="c"
+    )
+    body = json.loads(encode_message(Message(kind="subscribe", payload=subscription, msg_id=1)))
+    record = {
+        "message": body,
+        "subscription": body["payload"],
+        "filter": body["payload"]["filter"],
+        "constraint": body["payload"]["filter"]["constraints"][0],
+    }[level]
+    record["x"] = 2
+    return json.dumps(body).encode("utf-8")
+
+
+class TestJsonRecordsCarryOnlyTheirKeys:
+    """A tagged JSON record holds ``__t__`` and its declared field keys, nothing else."""
+
+    @pytest.mark.parametrize("level", ["message", "subscription", "filter", "constraint"])
+    def test_an_extra_key_is_a_wire_error(self, level):
+        with pytest.raises(WireError, match="unknown keys"):
+            decode_message(_json_with_extra_key(level))
+
+    def test_the_same_body_without_it_decodes(self):
+        body = _json_with_extra_key("constraint").replace(b', "x": 2', b"")
+        assert decode_message(body).payload.filter == Filter([Equals("service", "t")])
+
+    def test_a_control_record_too(self):
+        with pytest.raises(WireError, match="unknown keys"):
+            decode_control(b'{"__t__":"c:eq","attr":"a","value":1,"x":2}')
+        assert decode_control(b'{"__t__":"c:eq","attr":"a","value":1}') == Equals("a", 1)
+
+    def test_an_absent_optional_key_is_still_accepted(self):
+        subscription = Subscription(sub_id="s", filter=Filter(), subscriber="c")
+        body = encode_message(Message(kind="k", payload=subscription, msg_id=1))
+        assert b'"template"' not in body  # the encoder omits a None template
+        assert decode_message(body).payload == subscription
 
 
 class TestCodecMismatchIsDistinctFromTruncation:
