@@ -1,23 +1,25 @@
 """Fault-tolerance benchmark: chaos-recovery outcomes and recovery times.
 
-Runs the scripted chaos storyline of :mod:`repro.pubsub.chaos` (baseline
-traffic -> ``kill -9`` + supervised restart -> TCP link sever/restore ->
-covering churn) on each backend and records two kinds of metrics:
+Runs the pinned chaos storyline (``repro.pubsub.chaosgen.STORYLINE``: broker
+``kill -9`` + supervised restart -> TCP link sever/restore -> covering
+churn) through ``judge_plan`` on each backend and records two kinds of
+metrics:
 
-* **deterministic outcomes** under ``*_count`` keys — lost/replayed
-  publication counts, duplicate deliveries, resync markers and the
-  transport's recovery-action counters.  ``benchmarks/compare.py`` requires
-  these to match the committed baseline *exactly*, so any change to the
-  recovery protocol's observable behaviour fails the CI gate;
-* **recovery times** under ``*_sec`` keys — wall-clock medians/maxima for
-  the crash-recover and sever-restore phases across ``--repeat`` runs.
+* **deterministic outcomes** under ``*_count`` keys — published, lost and
+  replayed probe counts, delivered totals, applied events, resync markers
+  and the transport's recovery-action counters.
+  ``benchmarks/compare.py`` requires these to match the committed baseline
+  *exactly*, so any change to the recovery protocol's observable behaviour
+  fails the CI gate;
+* **recovery times** under ``*_sec`` keys — wall-clock medians/maxima of the
+  applied ``restart`` and ``restore`` events across ``--repeat`` runs.
   These are machine-dependent and deliberately ignored by the gate; they
   are recorded for the human reading the JSON.
 
-Every run also re-checks the cross-backend convergence claim: the
-post-recovery delivered sets on the real-process cluster must be identical
-to the deterministic simulator's, and the benchmark exits non-zero when
-they are not (or when repeats disagree on any deterministic count).
+Every run is judged by the invariant library, and off the simulator its
+post-recovery delivered sets must equal the simulator oracle's; the
+benchmark exits non-zero on any violation (or when repeats disagree on any
+deterministic count).
 
 Emits ``BENCH_faults.json`` (see ``--output``).  Usage::
 
@@ -33,25 +35,22 @@ import json
 import os
 import statistics
 import sys
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.pubsub.chaos import ChaosError, run_chaos_scenario  # noqa: E402
-
-TEMPS = 8
-DEEP = 4
+from repro.pubsub.chaosgen import STORYLINE, judge_plan  # noqa: E402
 
 
 def _counts(result) -> dict:
     """The deterministic outcome of one chaos run, as gated ``_count`` keys."""
     recovery = result.recovery
     return {
-        "delivered_total_count": result.delivered_total(),
+        "published_count": result.published,
+        "delivered_total_count": sum(len(ids) for ids in result.delivered.values()),
         "messages_lost_count": result.lost,
         "replayed_delivered_count": result.replayed,
-        "duplicate_delivery_count": result.duplicates,
+        "events_applied_count": result.events_applied,
         "resync_marker_count": result.resync_markers,
         "kill_count": recovery.get("kills", 0),
         "restart_count": recovery.get("restarts", 0),
@@ -61,49 +60,44 @@ def _counts(result) -> dict:
     }
 
 
-def run_backend(backend: str, repeat: int):
-    """Run the chaos scenario ``repeat`` times on ``backend``.
+def _event_sec(result, action: str) -> float:
+    return sum(sec for event, sec in result.event_sec.items() if event.action == action)
 
-    Returns ``(metrics, delivered, errors)`` where ``delivered`` is the
-    first run's post-recovery delivered sets (for the cross-backend check)
-    and ``errors`` lists invariant violations and repeat disagreements.
+
+def run_backend(backend: str, repeat: int):
+    """Judge the storyline ``repeat`` times on ``backend``.
+
+    Returns ``(metrics, errors)``; ``errors`` lists invariant violations
+    (convergence against the sim oracle included) and repeat disagreements.
     """
     errors = []
     counts = None
-    delivered = None
-    resync_forwards = None
     walls, recover_times, restore_times = [], [], []
     for _ in range(max(1, repeat)):
-        start = time.perf_counter()
-        try:
-            result = run_chaos_scenario(backend, temps=TEMPS, deep=DEEP)
-        except ChaosError as exc:
-            errors.append(str(exc))
+        report = judge_plan(STORYLINE, backend, shrink=False)
+        result = report.result
+        if not report.ok:
+            errors.extend(f"[{backend}] {violation}" for violation in report.violations)
             break
-        walls.append(time.perf_counter() - start)
-        recover_times.append(result.phase_sec.get("recover", 0.0))
-        restore_times.append(result.phase_sec.get("restore", 0.0))
+        walls.append(result.wall_sec)
+        recover_times.append(_event_sec(result, "restart"))
+        restore_times.append(_event_sec(result, "restore"))
         if counts is None:
             counts = _counts(result)
-            delivered = result.delivered
-            resync_forwards = result.resync_forwards
-        elif _counts(result) != counts or result.delivered != delivered:
+        elif _counts(result) != counts:
             errors.append(
                 f"[{backend}] repeats disagree on deterministic outcomes: "
                 f"{counts} vs {_counts(result)}"
             )
     if counts is None:
-        return None, None, errors
+        return None, errors
     metrics = dict(counts)
-    # timing-dependent on the cluster (covering state may or may not have
-    # been rebuilt when a resync arrives), so reported but never gated
-    metrics["resync_forwards"] = resync_forwards
     metrics["wall_sec"] = min(walls)
     metrics["recover_p50_sec"] = statistics.median(recover_times)
     metrics["recover_max_sec"] = max(recover_times)
     metrics["restore_p50_sec"] = statistics.median(restore_times)
     metrics["restore_max_sec"] = max(restore_times)
-    return metrics, delivered, errors
+    return metrics, errors
 
 
 def main(argv=None) -> int:
@@ -124,28 +118,18 @@ def main(argv=None) -> int:
 
     backends = ["sim", "cluster"] if args.fast else ["sim", "asyncio", "cluster"]
     results = []
-    baseline_delivered = None
     status = 0
     for backend in backends:
-        metrics, delivered, errors = run_backend(backend, args.repeat)
+        metrics, errors = run_backend(backend, args.repeat)
         for error in errors:
             print(f"ERROR: {error}", file=sys.stderr)
             status = 1
         if metrics is None:
             continue
-        if backend == "sim":
-            baseline_delivered = delivered
-        elif baseline_delivered is not None and delivered != baseline_delivered:
-            print(
-                f"ERROR: [{backend}] post-recovery delivered sets diverge from "
-                f"the sim baseline: {delivered} vs {baseline_delivered}",
-                file=sys.stderr,
-            )
-            status = 1
         results.append(
             {
                 "sweep": "chaos_recovery",
-                "config": {"backend": backend, "temps": TEMPS, "deep": DEEP},
+                "config": {"backend": backend, "plan": "storyline"},
                 "metrics": metrics,
             }
         )

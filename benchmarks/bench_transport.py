@@ -55,7 +55,7 @@ def run_backend(backend: str, brokers: int, notifications: int, codec=None, repe
 
     The workload itself (progressive AtLeast filters, per-backend latency,
     delivery verification) lives in ``repro.pubsub.testing.run_line_workload``
-    and is the exact code path the ``repro net-demo`` CLI exercises.  The
+    and is the exact code path the ``repro demo line`` CLI exercises.  The
     fastest of ``repeats`` runs is recorded; every run's delivery sets are
     verified.
     """

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping
 
 from repro.net.transport import RUNTIME_KNOBS, TRANSPORT_NAMES, check_positive
 from repro.net.wire import CODEC_NAMES
@@ -96,28 +96,16 @@ class SystemConfig:
         return dataclasses.replace(self, **changes)
 
     @classmethod
-    def from_args(cls, ns: Any, transport: Optional[str] = None) -> "SystemConfig":
+    def from_args(cls, ns: Any) -> "SystemConfig":
         """Build a config from an argparse namespace.
 
-        Reads the conventional CLI attribute names when present —
-        ``backend`` (transport), ``codec``, ``matcher``, ``advertising`` —
-        then applies any repeatable ``--set key=value`` overlays collected
-        in ``ns.set``.  ``transport`` overrides the namespace backend, for
-        subcommands that resolve it themselves (e.g. ``both`` modes).
+        Reads exactly two attributes: ``backend`` (the transport, when
+        present) and the repeatable ``--set key=value`` overlays collected
+        in ``ns.set``, which name every other field.
         """
-        base: Dict[str, Any] = {}
-        backend = transport if transport is not None else getattr(ns, "backend", None)
-        if backend is not None:
-            base["transport"] = backend
-        for field in ("codec", "matcher", "advertising"):
-            value = getattr(ns, field, None)
-            if value is not None:
-                base[field] = value
-        config = cls(**base)
-        overlays = getattr(ns, "set", None) or ()
-        if overlays:
-            config = config.with_overrides(overlays)
-        return config
+        backend = getattr(ns, "backend", None)
+        config = cls() if backend is None else cls(transport=backend)
+        return config.with_overrides(getattr(ns, "set", None) or ())
 
     def with_overrides(self, pairs: Iterable[str]) -> "SystemConfig":
         """Apply ``key=value`` strings (the ``--set`` flag) onto this config."""

@@ -1,4 +1,4 @@
-"""Experiment harness and the E1..E12 experiment definitions.
+"""Experiment harness and the E1..E13 experiment definitions.
 
 Each experiment module exposes a ``run(...)`` function returning a
 :class:`~repro.experiments.harness.Table`; the benchmark suite under

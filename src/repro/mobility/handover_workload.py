@@ -9,7 +9,7 @@ the deterministic simulator and the asyncio socket backend, and the delivered
 starts, so the only thing allowed to differ between backends is the physical
 interleaving of traffic, never the outcome.
 
-The same workload is the substance of ``repro mobility-demo`` and of
+The same workload is the substance of ``repro demo handover`` and of
 ``benchmarks/bench_mobility_transport.py``, which records handover latency
 and delivery counts per backend.
 
@@ -214,7 +214,11 @@ def run_handover_workload(
     )
     space = _line_space(brokers)
     started = time.perf_counter()
-    system = MobilePubSub(None, net, space, config=mobility_config)
+    try:
+        system = MobilePubSub(None, net, space, config=mobility_config)
+    except NotImplementedError:  # a backend without dynamic links
+        net.close()
+        raise
     result = HandoverWorkloadResult(
         backend=backend,
         brokers=brokers,

@@ -1,17 +1,20 @@
-"""Property-based chaos engine: seeded fault schedules with explicit oracles.
+"""The chaos engine: fault schedules as plans, executed against explicit oracles.
 
-:mod:`repro.pubsub.chaos` scripts *one* storyline; this module draws whole
-families of them.  :func:`generate_plan` derives a :class:`ChaosPlan` — a
-covering line topology plus a round-indexed schedule of crash / restart /
-sever / restore / link-flap / handover / covering-churn / publish-spike
-events — as a pure function of an integer seed, so the same seed produces a
-byte-identical schedule on every machine and every backend.
+A :class:`ChaosPlan` is a covering line topology plus a round-indexed
+schedule of crash / restart / sever / restore / link-flap / handover /
+covering-churn / publish-spike events.  :func:`generate_plan` draws one as a
+pure function of an integer seed, so the same seed produces a byte-identical
+schedule on every machine and every backend; :data:`STORYLINE` is the one
+pinned plan the ``repro demo chaos`` workload and the cluster fault tests
+run (crash and restart a mid-line broker, sever and restore the edge behind
+it, then flip the covering relationship across the recovered state).
 
 :func:`execute_plan` replays a plan through the transport-agnostic
 :meth:`~repro.net.transport.Transport.inject_fault` seam (simulator, asyncio
 sockets or the multi-process cluster) and checks the invariant library of
-:mod:`repro.pubsub.invariants` as it goes.  The oracle stays computable
-because the scenario family is built for it:
+:mod:`repro.pubsub.invariants` as it goes; :func:`judge_plan` adds the
+cross-backend convergence check against the simulator oracle.  The oracle
+stays computable because the scenario family is built for it:
 
 * the topology is a broker line ``B1 — B2 — … — BN`` and the publisher sits
   on ``B1``, so a subscriber on ``Bk`` is reachable iff every broker and
@@ -26,7 +29,7 @@ because the scenario family is built for it:
 * every mutation runs to exact quiescence before the next one, which is what
   makes the delivered sets backend-invariant.
 
-On an invariant violation :func:`run_chaos_fuzz` *shrinks* the schedule —
+On an invariant violation :func:`judge_plan` *shrinks* the schedule —
 binary-searching the minimal failing prefix, then greedily dropping and
 advancing events — and reports a one-line repro command
 (``repro chaos-fuzz --seed N --backend cluster``) that replays the original
@@ -218,6 +221,26 @@ def _line_neighbours(broker: str, brokers: int) -> List[str]:
     return [f"B{k}" for k in (index - 1, index + 1) if 1 <= k <= brokers]
 
 
+#: the pinned chaos storyline on a 3-broker line: a healthy round with the
+#: broad subscription on, then B2 crashes (``kill -9`` on the cluster) and
+#: restarts, the B2-B3 edge is severed and restored, and the broad
+#: subscription is withdrawn so the covering relationship flips across the
+#: recovered state; both fault windows lose probes provably, and five
+#: temperatures (15..35) put one value outside the covered ``Range(10, 30)``
+STORYLINE = ChaosPlan(
+    params=ScenarioParams(
+        seed=0, brokers=3, rounds=4, temps=5, probes=4, spike_factor=1, roam_start="B1"
+    ),
+    events=(
+        ChaosEvent(1, "crash", "B2"),
+        ChaosEvent(2, "restart", "B2"),
+        ChaosEvent(2, "sever", "B2-B3"),
+        ChaosEvent(3, "restore", "B2-B3"),
+        ChaosEvent(3, "churn", ""),
+    ),
+)
+
+
 # ----------------------------------------------------------------- execution
 
 
@@ -238,6 +261,10 @@ class ExecutionResult:
     resources_baseline: Dict[str, int] = field(default_factory=dict)
     resources_final: Dict[str, int] = field(default_factory=dict)
     recovery: Dict[str, int] = field(default_factory=dict)
+    #: ``resync`` markers received across all brokers (0 on warm crashes)
+    resync_markers: int = 0
+    #: wall seconds per applied scheduled event (reporting only, never judged)
+    event_sec: Dict[ChaosEvent, float] = field(default_factory=dict)
     wall_sec: float = 0.0
 
     @property
@@ -455,7 +482,10 @@ class _PlanRun:
             for r in range(self.params.rounds):
                 spike = False
                 for event in self.plan.events_in_round(r):
+                    event_started = time.perf_counter()
                     applied = self.apply_event(event)
+                    if applied:
+                        res.event_sec[event] = time.perf_counter() - event_started
                     res.events_applied += applied
                     res.events_skipped += not applied
                     spike = spike or (applied and event.action == "spike")
@@ -468,6 +498,10 @@ class _PlanRun:
             self._heal_and_settle()
             self._final_checks()
             res.recovery = dict(getattr(self.net.transport, "recovery", {}))
+            res.resync_markers = sum(
+                self.net.brokers[name].stats().get("resyncs", 0)
+                for name in self.net.broker_names()
+            )
             res.wall_sec = time.perf_counter() - started
             return res
         finally:
@@ -609,35 +643,76 @@ def shrink_plan(
 
 @dataclass
 class FuzzReport:
-    """One ``chaos-fuzz`` verdict: plan, violations, shrunk repro if failing."""
+    """One plan's verdict: plan, violations, shrunk repro if failing."""
 
-    seed: int
     backend: str
     plan: ChaosPlan
     result: ExecutionResult
     violations: List[Violation] = field(default_factory=list)
     shrunk: Optional[ChaosPlan] = None
+    #: the seed the plan was drawn from; ``None`` for a pinned plan
+    seed: Optional[int] = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     @property
-    def repro_command(self) -> str:
-        return f"repro chaos-fuzz --seed {self.seed} --backend {self.backend}"
+    def repro_command(self) -> Optional[str]:
+        """The CLI line that replays this plan, if the CLI can name it."""
+        if self.seed is not None:
+            return f"repro chaos-fuzz --seed {self.seed} --backend {self.backend}"
+        if self.plan == STORYLINE:
+            return f"repro demo chaos --backend {self.backend}"
+        return None
 
     def summary(self) -> str:
         verdict = "OK" if self.ok else f"FAIL ({len(self.violations)} violations)"
+        origin = "pinned plan" if self.seed is None else f"seed={self.seed}"
         line = (
-            f"[{verdict}] seed={self.seed} backend={self.backend} "
+            f"[{verdict}] {origin} backend={self.backend} "
             f"events={len(self.plan.events)} published={self.result.published} "
             f"lost={self.result.lost} replayed={self.result.replayed}"
         )
         if self.shrunk is not None:
             line += f" shrunk_events={len(self.shrunk.events)}"
-        if not self.ok:
+        if not self.ok and self.repro_command:
             line += f"  repro: {self.repro_command}"
         return line
+
+
+def judge_plan(
+    plan: ChaosPlan,
+    backend: str = "sim",
+    shrink: bool = True,
+    inject_bug: Optional[str] = None,
+    config=None,
+) -> FuzzReport:
+    """Execute and judge ``plan`` on ``backend``.
+
+    On a non-sim backend the identical plan also runs on the simulator and
+    the per-subscriber delivered sets must converge (the sim is the oracle).
+    The sim oracle always runs on the *default* ``SystemConfig()``, so a
+    plan judged under a non-default ``config`` cross-checks its matcher and
+    advertising choices against the reference implementation.
+    On any violation the schedule is shrunk on the failing backend and the
+    minimal failing schedule is attached to the report.
+    """
+    result = execute_plan(plan, backend, inject_bug=inject_bug, config=config)
+    violations = list(result.violations)
+    if backend != "sim":
+        oracle = execute_plan(plan, "sim", inject_bug=inject_bug)
+        violations.extend(
+            check_convergence(oracle.delivered, result.delivered, candidate_name=backend)
+        )
+    report = FuzzReport(backend=backend, plan=plan, result=result, violations=violations)
+    if violations and shrink:
+        report.shrunk = shrink_plan(
+            plan,
+            lambda candidate: _candidate_fails(candidate, backend, inject_bug, config),
+            max_executions=64 if backend == "sim" else 24,
+        )
+    return report
 
 
 def run_chaos_fuzz(
@@ -647,34 +722,11 @@ def run_chaos_fuzz(
     inject_bug: Optional[str] = None,
     config=None,
 ) -> FuzzReport:
-    """Generate, execute and judge the plan for ``seed`` on ``backend``.
-
-    On a non-sim backend the identical plan also runs on the simulator and
-    the per-subscriber delivered sets must converge (the sim is the oracle).
-    The sim oracle always runs on the *default* ``SystemConfig()``, so a
-    fuzz sweep under a non-default ``config`` cross-checks its matcher and
-    advertising choices against the reference implementation under every
-    drawn fault schedule.
-    On any violation the schedule is shrunk on the simulator and the minimal
-    failing schedule is attached to the report.
-    """
-    plan = generate_plan(seed)
-    result = execute_plan(plan, backend, inject_bug=inject_bug, config=config)
-    violations = list(result.violations)
-    if backend != "sim":
-        oracle = execute_plan(plan, "sim", inject_bug=inject_bug)
-        violations.extend(
-            check_convergence(oracle.delivered, result.delivered, candidate_name=backend)
-        )
-    report = FuzzReport(
-        seed=seed, backend=backend, plan=plan, result=result, violations=violations
+    """Draw the plan for ``seed`` and judge it on ``backend``."""
+    report = judge_plan(
+        generate_plan(seed), backend, shrink=shrink, inject_bug=inject_bug, config=config
     )
-    if violations and shrink:
-        report.shrunk = shrink_plan(
-            plan,
-            lambda candidate: _candidate_fails(candidate, backend, inject_bug, config),
-            max_executions=64 if backend == "sim" else 24,
-        )
+    report.seed = seed
     return report
 
 

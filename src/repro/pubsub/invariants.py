@@ -1,11 +1,10 @@
 """Explicit invariant checkers for chaos and soak runs.
 
-The scripted chaos storyline of :mod:`repro.pubsub.chaos` checks its
-invariants inline, woven into the phases of one hand-written scenario.  The
-randomized schedules of :mod:`repro.pubsub.chaosgen` need the same checks as
-*reusable library functions*: every checker below takes plain observations
-(delivered id sets, duplicate counters, resource-size snapshots) and returns
-a list of :class:`Violation` records — empty means the invariant held.
+Every chaos plan of :mod:`repro.pubsub.chaosgen` — the pinned storyline and
+the seed-drawn schedules alike — is judged by the checkers below.  Each takes
+plain observations (delivered id sets, duplicate counters, resource-size
+snapshots) and returns a list of :class:`Violation` records — empty means
+the invariant held.
 
 The library encodes what "self-repairing" means for the paper's middleware:
 

@@ -7,7 +7,7 @@
   benchmark (``benchmarks/bench_covering_scale.py``).
 * :func:`run_line_workload` — the canonical transport-backend workload (a
   line of brokers, one progressively-narrower subscriber per broker, one
-  publisher, delivery verification); shared by the ``repro net-demo`` CLI
+  publisher, delivery verification); shared by the ``repro demo line`` CLI
   and ``benchmarks/bench_transport.py`` so the demo and the benchmark's
   integration gate can never diverge.
 """
@@ -168,7 +168,7 @@ def run_line_workload(
             codec=config.codec,
         )
     finally:
-        # ``observer`` (e.g. the cluster-demo CLI) gets the network just
+        # ``observer`` (e.g. ``repro demo line`` on the cluster) gets the network just
         # before teardown, so it can keep a transport reference and inspect
         # child exit codes after close(); a raising observer must not skip
         # the close (it would leak broker child processes)

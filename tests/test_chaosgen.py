@@ -15,8 +15,9 @@ Five groups:
 * **invariant library** — each checker fires on the exact observation it
   guards and stays quiet otherwise (including the empty-fault-window
   regression);
-* **seeded scripted chaos** — the hand-written storyline accepts a seed,
-  replays deterministically, and rejects degenerate burst sizes up front.
+* **the pinned storyline** — ``STORYLINE`` holds every invariant with no
+  event skipped, crashes *and* severs (so neither provable-loss check is
+  vacuous), and flips the covering relationship in its churn round.
 """
 
 import random
@@ -25,12 +26,17 @@ import pytest
 
 from repro.net.faults import FaultInjector
 from repro.pubsub.broker_network import line_topology
-from repro.pubsub.chaos import run_chaos_scenario
 from repro.pubsub.chaosgen import (
+    ROUND_BASE,
+    ROUND_SPAN,
+    SLOT_SPAN,
+    STORYLINE,
+    TEMP_SLOT,
     ChaosEvent,
     ChaosPlan,
     execute_plan,
     generate_plan,
+    judge_plan,
     run_chaos_fuzz,
     shrink_plan,
     sweep,
@@ -145,6 +151,18 @@ def test_skipped_replay_is_caught_and_shrunk_minimal():
     assert [e.describe() for e in report.shrunk.events] == ["r0:sever:B1-B2"]
 
 
+def test_a_failing_pinned_plan_never_points_at_a_seed():
+    # chaos-fuzz --seed N replays generate_plan(N), not a pinned plan
+    report = judge_plan(STORYLINE, "sim", shrink=False, inject_bug="skip_replay")
+    assert not report.ok and report.seed is None
+    assert report.repro_command == "repro demo chaos --backend sim"
+    assert "chaos-fuzz" not in report.summary()
+    variant = ChaosPlan(params=STORYLINE.params, events=STORYLINE.events[2:])
+    report = judge_plan(variant, "sim", shrink=False, inject_bug="skip_replay")
+    assert not report.ok and report.repro_command is None
+    assert "repro:" not in report.summary()
+
+
 def test_shrinker_respects_its_execution_budget():
     plan = generate_plan(1)
     calls = []
@@ -220,25 +238,40 @@ def test_require_raises_on_violations():
         require(violations)
 
 
-# ----------------------------------------------------- seeded scripted chaos
+# ------------------------------------------------------------ the storyline
 
 
-def test_chaos_scenario_rejects_degenerate_burst_sizes():
-    with pytest.raises(ValueError, match="non-empty fault window"):
-        run_chaos_scenario("sim", deep=0)
-    with pytest.raises(ValueError, match="temps >= 2"):
-        run_chaos_scenario("sim", temps=1)
+def test_storyline_holds_every_invariant_on_sim():
+    result = execute_plan(STORYLINE)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.events_skipped == 0
+    assert (result.lost, result.replayed) == (12, 12)
+    assert sum(len(ids) for ids in result.delivered.values()) == 77
+    actions = {event.action for event in STORYLINE.events}
+    assert {"crash", "sever"} <= actions, "a provable-loss check would be vacuous"
+    assert not STORYLINE.events_in_round(0), "temperatures must flow before the first fault"
 
 
-def test_seeded_chaos_scenario_is_deterministic():
-    first = run_chaos_scenario("sim", seed=7)
-    second = run_chaos_scenario("sim", seed=7)
-    assert first.seed == 7
-    assert first.delivered == second.delivered
-    assert first.delivered != run_chaos_scenario("sim", seed=8).delivered
+def test_storyline_churn_flips_the_covering_relationship():
+    result = execute_plan(STORYLINE)
+    churn_round = next(e.round for e in STORYLINE.events if e.action == "churn")
+    temps = [15 + 5 * i for i in range(STORYLINE.params.temps)]
 
+    def temp_ids(round_index, keep=lambda value: True):
+        base = ROUND_BASE + round_index * ROUND_SPAN + TEMP_SLOT * SLOT_SPAN
+        return {base + i for i, value in enumerate(temps) if keep(value)}
 
-def test_unseeded_chaos_scenario_keeps_the_pinned_storyline():
-    result = run_chaos_scenario("sim")
-    assert result.seed is None
-    assert result.delivered_total() > 0
+    def in_range(value):
+        return 10 <= value <= 30
+
+    # a healthy round precedes the first fault: the broad subscriber sees
+    # every temperature, the covered one only its range
+    assert temp_ids(0) <= set(result.delivered["s1"])
+    assert temp_ids(0) & set(result.delivered["s2"]) == temp_ids(0, in_range)
+    after = range(churn_round, STORYLINE.params.rounds)
+    all_temps = set().union(*(temp_ids(r) for r in after))
+    covered = set().union(*(temp_ids(r, in_range) for r in after))
+    assert covered, "the covered subscriber must have something to receive"
+    assert all_temps - covered, "a broadened Range filter must have something to leak"
+    assert not all_temps & set(result.delivered["s1"])
+    assert all_temps & set(result.delivered["s2"]) == covered

@@ -1,5 +1,7 @@
 """Tests for the CLI and the markdown report generator."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -10,6 +12,8 @@ from repro.experiments.report import (
     run_experiments,
     write_report,
 )
+from repro.mobility import handover_workload
+from repro.pubsub import chaosgen
 
 
 class TestReport:
@@ -45,33 +49,76 @@ class TestCli:
         args = parser.parse_args(["experiments", "E7", "--quick"])
         assert args.command == "experiments" and args.ids == ["E7"] and args.quick
 
-    def test_net_demo_parser_defaults(self):
-        args = build_parser().parse_args(["net-demo"])
-        assert args.command == "net-demo"
+    def test_demo_parser_defaults(self):
+        args = build_parser().parse_args(["demo", "line"])
+        assert args.command == "demo" and args.workload == "line"
         assert args.backend == "asyncio"
-        assert args.brokers == 3 and args.publishes == 20
+        assert args.brokers is None and args.publishes is None
 
-    def test_net_demo_on_simulator(self, capsys):
-        assert main(["net-demo", "--backend", "sim", "--brokers", "3", "--publishes", "12"]) == 0
-        output = capsys.readouterr().out
-        assert "deliveries verified: OK" in output
-        assert "'sim' backend" in output
+    def test_exactly_eight_subcommands(self):
+        (subcommands,) = [
+            action
+            for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        ]
+        assert " ".join(subcommands.choices) == (
+            "experiments demo chaos-fuzz soak metrics top profile info"
+        )
 
-    def test_net_demo_on_asyncio_sockets(self, capsys):
-        assert main(["net-demo", "--backend", "asyncio", "--brokers", "3", "--publishes", "12"]) == 0
-        output = capsys.readouterr().out
-        assert "deliveries verified: OK" in output
-        assert "localhost TCP" in output
+    @pytest.mark.parametrize("workload", ["line", "handover", "chaos"])
+    def test_demo_on_simulator(self, capsys, workload):
+        assert main(["demo", workload, "--backend", "sim"]) == 0
+        assert ": OK" in capsys.readouterr().out
 
-    def test_net_demo_rejects_degenerate_sizes(self, capsys):
-        assert main(["net-demo", "--brokers", "1"]) == 2
-        assert main(["net-demo", "--publishes", "0"]) == 2
+    @pytest.mark.parametrize("workload", ["line", "handover"])
+    def test_demo_on_asyncio_sockets(self, capsys, workload):
+        assert main(["demo", workload, "--backend", "asyncio"]) == 0
+        assert ": OK" in capsys.readouterr().out
+
+    def test_demo_usage_errors(self, capsys):
+        assert main(["demo", "line", "--brokers", "1"]) == 2
+        assert main(["demo", "line", "--publishes", "0"]) == 2
+        assert main(["demo", "handover", "--brokers", "2"]) == 2
+        # the cluster backend has no dynamic links for the mobility layer
+        assert main(["demo", "handover", "--backend", "cluster"]) == 2
+        # the chaos storyline is a pinned plan
+        assert main(["demo", "chaos", "--backend", "sim", "--brokers", "4"]) == 2
+        assert main(["demo", "chaos", "--backend", "sim", "--publishes", "4"]) == 2
+
+    def test_demo_handover_fails_when_the_backend_diverges(self, monkeypatch, capsys):
+        real = handover_workload.run_handover_workload
+
+        def diverging(backend, **kwargs):
+            result = real(backend, **kwargs)
+            if backend != "sim":
+                result.clients[0].deliveries.pop()
+            return result
+
+        monkeypatch.setattr(handover_workload, "run_handover_workload", diverging)
+        assert main(["demo", "handover", "--backend", "asyncio"]) == 1
+        assert "MISMATCH" in capsys.readouterr().err
+
+    def test_demo_chaos_fails_when_the_backend_diverges(self, monkeypatch, capsys):
+        real = chaosgen.execute_plan
+
+        def diverging(plan, backend, **kwargs):
+            result = real(plan, backend, **kwargs)
+            if backend != "sim":
+                result.delivered["s1"] = result.delivered["s1"][1:]
+            return result
+
+        monkeypatch.setattr(chaosgen, "execute_plan", diverging)
+        assert main(["demo", "chaos", "--backend", "asyncio"]) == 1
+        assert "[convergence] s1" in capsys.readouterr().err
 
     def test_info_command(self, capsys):
         assert main(["info"]) == 0
         output = capsys.readouterr().out
         assert "repro.core" in output
-        assert "E13" in output
+        assert "E1..E13" in output and "E12" in output
+        assert "cluster" in output
+        for workload in ("line", "handover", "chaos"):
+            assert workload in output.split("Demos:")[1]
 
     def test_experiments_command_with_report(self, capsys, tmp_path):
         report = tmp_path / "out.md"
@@ -86,10 +133,6 @@ class TestCli:
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0
         assert "usage" in capsys.readouterr().out.lower()
-
-    def test_demo_command_runs_quickstart(self, capsys):
-        assert main(["demo", "quickstart"]) == 0
-        assert "alice" in capsys.readouterr().out
 
 
 class TestE13Ablation:

@@ -102,14 +102,13 @@ def test_systemconfig_with_overrides():
 
 
 def test_systemconfig_from_args():
-    ns = argparse.Namespace(
-        backend="asyncio", codec="binary", matcher=None, advertising=None, set=["flush_cap=512"]
-    )
+    ns = argparse.Namespace(backend="asyncio", set=["codec=binary", "flush_cap=512"])
     config = SystemConfig.from_args(ns)
     assert (config.transport, config.codec, config.flush_cap) == ("asyncio", "binary", 512)
-    assert config.matcher == "indexed"  # None flags fall back to defaults
-    # an explicit transport= wins over ns.backend (e.g. "both" modes)
-    assert SystemConfig.from_args(ns, transport="sim").transport == "sim"
+    assert config.matcher == "indexed"  # fields no --set names keep their defaults
+    # only backend and --set are read: a stray flag attribute is ignored
+    stray = argparse.Namespace(matcher="brute", codec="binary", set=[])
+    assert SystemConfig.from_args(stray) == SystemConfig()
 
 
 def test_runtime_knobs_are_a_subset_of_config_fields():
@@ -340,24 +339,46 @@ def test_cli_top_renders_bounded_frames(capsys):
 
 
 def test_cli_rejects_unknown_set_key(capsys):
-    assert main(["net-demo", "--backend", "sim", "--set", "turbo=1"]) == 2
+    assert main(["demo", "line", "--backend", "sim", "--set", "turbo=1"]) == 2
     assert "unknown SystemConfig key 'turbo'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiments"],
+        ["demo", "line"],
+        ["chaos-fuzz"],
+        ["soak"],
+        ["metrics"],
+        ["top"],
+        ["profile"],
+        ["info"],
+    ],
+    ids=lambda argv: argv[0],
+)
+@pytest.mark.parametrize("flag", ["--matcher", "--advertising", "--codec"])
+def test_cli_has_one_fabric_flag(argv, flag):
+    # --set is the one way to name a fabric knob on the command line
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + [flag, "brute"])
+    assert exit_info.value.code == 2
 
 
 @pytest.mark.parametrize(
     "argv,wanted",
     [
-        (["chaos-demo", "--backend", "sim", "--matcher", "brute"], {"matcher": "brute"}),
+        (["demo", "chaos", "--backend", "sim", "--set", "matcher=brute"], {"matcher": "brute"}),
         (
-            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--advertising", "scan"],
+            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--set", "advertising=scan"],
             {"advertising": "scan"},
         ),
         (
-            ["chaos-fuzz", "--advertising", "scan", "--set", "duplicates_capacity=512"],
+            ["chaos-fuzz", "--set", "advertising=scan", "--set", "duplicates_capacity=512"],
             {"advertising": "scan", "duplicates_capacity": 512},
         ),
     ],
-    ids=["chaos-demo", "soak", "chaos-fuzz"],
+    ids=["demo-chaos", "soak", "chaos-fuzz"],
 )
 def test_cli_fabric_flags_reach_every_broker_network(monkeypatch, argv, wanted):
     seen = []

@@ -5,7 +5,8 @@ Three groups:
 * **convergence** — ``kill -9`` of a mid-workload broker followed by a
   supervised restart (and a TCP link sever/restore) must converge back to
   the exact delivery sets the deterministic simulator produces for the same
-  scenario — the acceptance criterion of the fault-tolerance work;
+  plan (``chaosgen.STORYLINE``) — the acceptance criterion of the
+  fault-tolerance work;
 * **fault-plane surface** — misuse of the injection API (unknown actions,
   missing targets, double kills) fails loudly instead of corrupting state;
 * **supervision** — a child dying during boot fails fast with its exit code,
@@ -24,34 +25,41 @@ from repro.net.cluster import ClusterError, ClusterTransport
 from repro.net.registry import RegistryError, RegistryServer, register_node
 from repro.net.transport import TransportError
 from repro.pubsub.broker_network import line_topology
-from repro.pubsub.chaos import run_chaos_scenario
+from repro.pubsub.chaosgen import STORYLINE, ChaosPlan, execute_plan
 
 
 # ------------------------------------------------------------- convergence
 
 
+def _judged(plan, backend):
+    """Execute ``plan`` on ``backend``; its invariants must hold."""
+    result = execute_plan(plan, backend)
+    assert result.ok, [str(v) for v in result.violations]
+    assert result.events_skipped == 0
+    return result
+
+
 def test_kill9_and_restart_converge_to_sim_baseline():
     """The tentpole guarantee: chaos on real processes == the sim baseline.
 
-    The scenario SIGKILLs broker B2 mid-workload, restarts it under
+    The storyline SIGKILLs broker B2 mid-workload, restarts it under
     supervision (cold start: re-register, re-dial with backoff, re-sync
     routing state, re-attach clients), then severs and restores the B2-B3
     TCP link — and the post-recovery delivered sets must equal what the
-    simulator's warm-crash model delivers for the identical storyline.
+    simulator's warm-crash model delivers for the identical plan.
     """
-    baseline = run_chaos_scenario("sim")
-    chaotic = run_chaos_scenario("cluster")
+    baseline = _judged(STORYLINE, "sim")
+    chaotic = _judged(STORYLINE, "cluster")
     assert chaotic.delivered == baseline.delivered
-    assert chaotic.duplicates == 0
-    assert chaotic.lost == baseline.lost == 8
-    assert chaotic.replayed == baseline.replayed == 8
-    # every fault primitive fired exactly once, and B2's one client re-attached
+    assert chaotic.lost == baseline.lost == 12
+    assert chaotic.replayed == baseline.replayed == 12
+    # every fault primitive fired exactly once, and B2's two clients re-attached
     assert chaotic.recovery == {
         "kills": 1,
         "restarts": 1,
         "link_severs": 1,
         "link_restores": 1,
-        "client_resubscribes": 1,
+        "client_resubscribes": 2,
     }
     # each re-established link re-syncs in both directions: the restarted
     # B2 re-links to two neighbours (4 markers), the restored edge adds 2
@@ -61,9 +69,14 @@ def test_kill9_and_restart_converge_to_sim_baseline():
 
 
 def test_sever_restore_only_matches_sim():
-    baseline = run_chaos_scenario("sim", kill=False)
-    chaotic = run_chaos_scenario("cluster", kill=False)
+    plan = ChaosPlan(
+        params=STORYLINE.params,
+        events=tuple(e for e in STORYLINE.events if e.action not in ("crash", "restart")),
+    )
+    baseline = _judged(plan, "sim")
+    chaotic = _judged(plan, "cluster")
     assert chaotic.delivered == baseline.delivered
+    assert chaotic.lost == chaotic.replayed == 4
     assert chaotic.resync_markers == 2
     assert chaotic.recovery["kills"] == 0
     assert chaotic.recovery["link_severs"] == 1
@@ -71,10 +84,10 @@ def test_sever_restore_only_matches_sim():
 
 def test_asyncio_backend_matches_sim():
     """The loop-safe in-process fault path converges too (warm crashes)."""
-    baseline = run_chaos_scenario("sim")
-    asyncio_run = run_chaos_scenario("asyncio")
+    baseline = _judged(STORYLINE, "sim")
+    asyncio_run = _judged(STORYLINE, "asyncio")
     assert asyncio_run.delivered == baseline.delivered
-    assert asyncio_run.duplicates == 0
+    assert asyncio_run.resync_markers == 0
 
 
 # ------------------------------------------------------- fault-plane surface
