@@ -1,26 +1,17 @@
-"""Control-plane benchmark: metrics overhead budget + live-flip correctness.
+"""Control-plane benchmark: the live-metrics overhead budget.
 
-Two sweeps, both self-gating (the benchmark exits non-zero when its own
-acceptance criteria fail, independent of ``compare.py``):
-
-* ``controlplane_overhead`` — the headline ``bench_transport`` line workload
-  on the asyncio backend, once with live metrics on (the default) and once
-  with ``metrics=False`` (the registry hands out shared no-op instruments).
-  The two arms run interleaved and the gated statistic is the *minimum of
-  per-pair wall ratios* — the lower bound on the systematic overhead,
-  which a real hot-path cost shifts on every pair but a scheduler noise
-  spike cannot flake; the record's ``speedup`` metric is its inverse —
-  values near (or above) 1.0 mean the instrumentation is free — and the
-  run *fails* beyond ``--overhead-budget`` (default 5%).  ``compare.py``
-  threshold-gates ``speedup`` and exact-gates the deterministic
-  ``*_count`` delivery totals.
-* ``matcher_flip`` — ``run_flip_workload``: every broker is flipped live to
-  the opposite matcher *and* advertising mode mid-traffic (frames genuinely
-  in flight on the socket backends), and the delivered value-sets must be
-  identical to a never-flipped simulator oracle.  ``delivered_count``,
-  ``expected_count`` and ``oracle_divergence_count`` (always 0) are
-  exact-gated by ``compare.py``; the cluster backend joins on the full
-  sweep.
+One sweep, ``controlplane_overhead``, self-gating (the benchmark exits
+non-zero when its own acceptance criterion fails, independent of
+``compare.py``): the headline ``bench_transport`` line workload on the
+asyncio backend, once with live metrics on (the default) and once with
+``metrics=False`` (the registry hands out shared no-op instruments).  The
+two arms run interleaved and the gated statistic is the *minimum of
+per-pair wall ratios* — the lower bound on the systematic overhead, which a
+real hot-path cost shifts on every pair but a scheduler noise spike cannot
+flake; the record's ``speedup`` metric is its inverse — values near (or
+above) 1.0 mean the instrumentation is free — and the run *fails* beyond
+``--overhead-budget`` (default 5%).  ``compare.py`` threshold-gates
+``speedup`` and exact-gates the deterministic ``*_count`` delivery totals.
 
 Emits ``BENCH_controlplane.json`` (see ``--output``).  Usage::
 
@@ -39,7 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import SystemConfig  # noqa: E402
-from repro.pubsub.testing import run_flip_workload, run_line_workload  # noqa: E402
+from repro.pubsub.testing import run_line_workload  # noqa: E402
 
 
 def run_overhead(brokers: int, notifications: int, repeats: int, budget: float):
@@ -112,41 +103,6 @@ def run_overhead(brokers: int, notifications: int, repeats: int, budget: float):
     return record, failures
 
 
-def run_flip(backend: str, brokers: int, notifications: int, oracle):
-    """Live-flip workload vs the never-flipped sim oracle; returns (record, failures)."""
-    failures = []
-    flipped = run_flip_workload(backend, brokers, notifications)
-    if flipped.mismatches:
-        failures.append(f"{backend}: {flipped.mismatches} subscriber(s) missed notifications")
-    divergences = sum(
-        1
-        for name, values in oracle.delivered_values.items()
-        if flipped.delivered_values.get(name) != values
-    )
-    if divergences:
-        failures.append(
-            f"{backend}: {divergences} subscriber(s) diverged from the never-flipped oracle"
-        )
-    metrics = {
-        "wall_sec": flipped.wall_sec,
-        "delivered_count": flipped.delivered,
-        "expected_count": flipped.expected,
-        "oracle_divergence_count": divergences,
-        "brokers_flipped_count": len(flipped.applied),
-    }
-    record = {
-        "sweep": "matcher_flip",
-        "config": {"backend": backend, "brokers": brokers, "notifications": notifications},
-        "metrics": metrics,
-    }
-    print(
-        f"flip      {backend:<8} brokers={brokers} n={notifications:<6} "
-        f"wall={flipped.wall_sec:7.3f}s delivered={flipped.delivered}/{flipped.expected} "
-        f"divergences={divergences}"
-    )
-    return record, failures
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true", help="small sweep for CI smoke runs")
@@ -182,15 +138,6 @@ def main(argv=None) -> int:
         results.append(record)
         failures.extend(errors)
 
-        oracle = run_flip_workload("sim", brokers, notifications, changes={})
-        backends = ["sim", "asyncio"]
-        if not args.fast and (brokers, notifications) == (5, 2000):
-            backends.append("cluster")  # the headline cross-process config
-        for backend in backends:
-            record, errors = run_flip(backend, brokers, notifications, oracle)
-            results.append(record)
-            failures.extend(errors)
-
     payload = {
         "benchmark": "controlplane",
         "mode": "fast" if args.fast else "full",
@@ -201,7 +148,7 @@ def main(argv=None) -> int:
     for failure in failures:
         print(f"ERROR: {failure}", file=sys.stderr)
     if not failures:
-        print("metrics overhead within budget; flips matched the oracle on every backend")
+        print("metrics overhead within budget")
     return 1 if failures else 0
 
 

@@ -11,10 +11,10 @@ loose ``matcher=/advertising=/transport=/codec=`` kwargs.
 The dataclass is frozen and validated at construction: an unknown name
 fails *immediately* with the allowed set in the message, instead of
 surfacing deep inside broker construction (a silent-typo hole
-``matcher="indxed"`` once fell through).  ``to_dict`` /
-``from_dict`` round-trip it over the wire — cluster node specs carry one,
-and the ``configure`` control op ships partial overlays validated against
-:data:`RUNTIME_KNOBS`.
+``matcher="indxed"`` once fell through).  It is read once, when a broker
+is built (``Transport.build_broker``); a running broker keeps its knobs.
+``to_dict`` / ``from_dict`` round-trip it over the wire: every cluster
+node spec carries one, and the broker child reads its knobs from it.
 """
 
 from __future__ import annotations
@@ -23,15 +23,16 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping
 
-from repro.net.transport import RUNTIME_KNOBS, TRANSPORT_NAMES, check_positive
+from repro.net.transport import TRANSPORT_NAMES, SocketNode, check_positive
 from repro.net.wire import CODEC_NAMES
+from repro.pubsub.broker import Broker
 from repro.pubsub.routing import ADVERTISING_NAMES
 from repro.pubsub.routing_table import MATCHER_NAMES
 
-__all__ = ["SystemConfig", "RUNTIME_KNOBS", "DEFAULT_FLUSH_CAP", "DEFAULT_DUPLICATES_CAPACITY"]
+__all__ = ["SystemConfig", "DEFAULT_FLUSH_CAP", "DEFAULT_DUPLICATES_CAPACITY"]
 
-DEFAULT_FLUSH_CAP = 64 * 1024
-DEFAULT_DUPLICATES_CAPACITY = 65536
+DEFAULT_FLUSH_CAP = SocketNode.FLUSH_CAP
+DEFAULT_DUPLICATES_CAPACITY = Broker.DEFAULT_DUPLICATES_CAPACITY
 
 _NAME_SETS = {
     "matcher": MATCHER_NAMES,
@@ -76,7 +77,7 @@ class SystemConfig:
             raise ValueError(f"metrics must be a bool, got {self.metrics!r}")
 
     def to_dict(self) -> Dict[str, Any]:
-        """A JSON-safe dict, suitable for cluster node specs and ``configure``."""
+        """A JSON-safe dict, suitable for cluster node specs."""
         return dataclasses.asdict(self)
 
     @classmethod

@@ -15,15 +15,13 @@ set, so experiment E6 can sweep the whole spectrum:
 * :class:`NoPredictionPredictor` — no shadows at all (the reactive baseline);
 * :class:`MarkovPredictor` — learns transition frequencies from the client's
   observed handover history and keeps only neighbours whose estimated
-  transition probability exceeds a threshold;
-* :class:`RecencyPredictor` — shadows on the most recently visited brokers
-  (useful for commuting patterns: home/office).
+  transition probability exceeds a threshold.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Deque, Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .movement_graph import MovementGraph
 
@@ -141,33 +139,6 @@ class MarkovPredictor(MovementPredictor):
             # degrade gracefully to the movement-graph neighbourhood.
             return self.graph.nlb(current_broker)
         return predicted
-
-
-class RecencyPredictor(MovementPredictor):
-    """Shadows at the ``window`` most recently visited distinct brokers.
-
-    Captures commuting patterns ("the border broker at home ... the border
-    broker at the office", Sect. 1) without requiring a movement graph.
-    """
-
-    def __init__(self, window: int = 3):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = window
-        self._recent: Deque[str] = deque()
-        self.name = f"recency-{window}"
-
-    def observe_handover(self, from_broker: str, to_broker: str) -> None:
-        for broker in (from_broker, to_broker):
-            if broker in self._recent:
-                self._recent.remove(broker)
-            self._recent.append(broker)
-        while len(self._recent) > self.window + 1:
-            self._recent.popleft()
-
-    def predict(self, current_broker: str, history: Sequence[str] = ()) -> FrozenSet[str]:
-        recent = [broker for broker in self._recent if broker != current_broker]
-        return frozenset(recent[-self.window:])
 
 
 # ----------------------------------------------------------------- evaluation

@@ -86,8 +86,6 @@ from .transport import (
     Transport,
     TransportError,
     _Receiver,
-    apply_runtime_knobs,
-    check_runtime_knobs,
 )
 from .wire import Codec
 
@@ -162,6 +160,7 @@ class _BrokerNode(SocketNode):
     DIAL_RETRY_CAP = 2.0
 
     def __init__(self, spec: Dict[str, Any]):
+        from ..config import SystemConfig  # lazy: config imports net/
         from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
 
         self.spec = spec
@@ -171,24 +170,19 @@ class _BrokerNode(SocketNode):
         #: a restarted node re-synchronises routing state over every link it
         #: (re-)establishes, instead of assuming the peers' tables are fresh
         self.resync_on_connect: bool = bool(spec.get("resync", False))
-        #: control-plane knobs shipped in the spec by :class:`SystemConfig`
-        #: (absent on a bare ``ClusterTransport()`` that never adopted one;
-        #: defaults apply then)
-        self.config: Dict[str, Any] = dict(spec.get("config") or {})
+        # every broker knob comes from the parent's SystemConfig, read once
+        config = SystemConfig.from_dict(spec["config"])
         # the wire instruments live in the broker's registry and travel with
         # its ``metrics`` reply
-        super().__init__(
-            spec.get("codec"), MetricsRegistry(enabled=bool(self.config.get("metrics", True)))
-        )
-        if self.config.get("flush_cap") is not None:
-            self.set_flush_cap(self.config["flush_cap"])
+        super().__init__(spec.get("codec"), MetricsRegistry(enabled=config.metrics))
+        self.set_flush_cap(config.flush_cap)
         self.broker = Broker(
             self._clock,
             self.name,
             routing=spec.get("routing", "simple"),
-            matcher=spec.get("matcher", "indexed"),
-            advertising=spec.get("advertising", "incremental"),
-            duplicates_capacity=self.config.get("duplicates_capacity"),
+            matcher=config.matcher,
+            advertising=config.advertising,
+            duplicates_capacity=config.duplicates_capacity,
             metrics=self.metrics,
         )
         self.stop = asyncio.Event()
@@ -324,16 +318,6 @@ class _BrokerNode(SocketNode):
                     channel.send({"re": rid, "ok": True, **self._stats()})
                 elif op == "metrics":
                     channel.send({"re": rid, "ok": True, "metrics": self.broker.metrics_snapshot()})
-                elif op == "configure":
-                    # runtime knobs shipped by the parent's ``configure``:
-                    # ``flush_cap`` is this node's, the rest the broker's
-                    try:
-                        changes = dict(request.get("changes") or {})
-                        applied = apply_runtime_knobs(self, self.broker, changes)
-                    except (ValueError, RuntimeError) as exc:
-                        channel.send({"re": rid, "ok": False, "error": str(exc)})
-                    else:
-                        channel.send({"re": rid, "ok": True, "applied": applied})
                 elif op == "link_down":
                     self._sever_link(request.get("peer"))
                     channel.send({"re": rid, "ok": True})
@@ -508,25 +492,16 @@ class ClusterLink:
 class RemoteBroker(Process):
     """Parent-side proxy for a broker that lives in a child process.
 
-    Carries the broker's configuration until boot and its last polled
-    counters afterwards.  It never routes anything itself — messages to a
-    remote broker go over the TCP attachment, not through ``deliver``.
+    Carries the broker's topology until boot and its last polled counters
+    afterwards (its knobs travel in the node spec).  It never routes
+    anything itself — messages to a remote broker go over the TCP
+    attachment, not through ``deliver``.
     """
 
-    def __init__(
-        self,
-        transport: "ClusterTransport",
-        clock,
-        name: str,
-        routing: str,
-        matcher: str,
-        advertising: str,
-    ):
+    def __init__(self, transport: "ClusterTransport", clock, name: str, routing: str):
         super().__init__(clock, name)
         self.transport = transport
         self.routing_strategy_name = routing
-        self.matcher = matcher
-        self.advertising = advertising
         self._broker_peers: Set[str] = set()
 
     # topology bookkeeping (mirrors Broker's surface used by BrokerNetwork)
@@ -653,14 +628,12 @@ class ClusterTransport(SocketNode, Transport):
         return {name: child.pid for name, child in self._children.items()}
 
     # ---------------------------------------------------------------- topology
-    def build_broker(
-        self,
-        name: str,
-        routing: str = "simple",
-        matcher: str = "indexed",
-        advertising: str = "incremental",
-    ) -> RemoteBroker:
-        """Declare a broker to run in its own process; returns its proxy."""
+    def build_broker(self, name: str, routing: str = "simple") -> RemoteBroker:
+        """Declare a broker to run in its own process; returns its proxy.
+
+        The child reads every broker knob from the spec's ``config``, this
+        transport's :attr:`~repro.net.transport.Transport.system_config`.
+        """
         self._require_open()
         if self._booted:
             raise ClusterError("the broker topology is frozen once the cluster has booted")
@@ -670,18 +643,12 @@ class ClusterTransport(SocketNode, Transport):
             "name": name,
             "host": self.host,
             "routing": routing,
-            "matcher": matcher,
-            "advertising": advertising,
             "codec": self.codec.name,
+            "config": self.system_config.to_dict(),
             "dial": [],
             "accept": [],
         }
-        if self._system_config is not None:
-            # ship the control-plane knobs (metrics on/off, duplicate memory,
-            # flush cap) to the child; the flat keys above stay authoritative
-            # for routing/matcher/advertising so legacy callers are unchanged
-            self._specs[name]["config"] = self._system_config.to_dict()
-        proxy = RemoteBroker(self, self._clock, name, routing, matcher, advertising)
+        proxy = RemoteBroker(self, self._clock, name, routing)
         self._brokers[name] = proxy
         return proxy
 
@@ -777,38 +744,6 @@ class ClusterTransport(SocketNode, Transport):
         client.attach_link(broker_name, endpoint)
 
     # ----------------------------------------------------------- control plane
-    def configure(self, broker, changes: Dict[str, Any]) -> Dict[str, Any]:
-        """Ship runtime knob changes to a live broker child's process.
-
-        The child applies them through the same verified
-        :meth:`~repro.pubsub.broker.Broker.reconfigure` path as the
-        in-process backends (plus its node-level ``flush_cap``; the parent's
-        own :meth:`set_flush_cap` retunes only its clients' write batching)
-        and replies with the applied values; a rejected change surfaces as a
-        :class:`~repro.net.registry.RegistryError` naming the node.
-        """
-        self._require_open()
-        changes = check_runtime_knobs(changes)
-        name = broker if isinstance(broker, str) else broker.name
-        if name not in self._brokers:
-            raise TransportError(f"no broker named {name!r} on this transport")
-        if not self._booted:
-            raise ClusterError(
-                f"cannot configure {name!r} before the cluster has booted; "
-                "runtime knobs reach a broker child over its control channel"
-            )
-        if name in self._down:
-            raise ClusterError(f"broker {name!r} is down; restart it before reconfiguring")
-        if not changes:
-            return {}
-        applied = dict(self._request(name, "configure", changes=changes).get("applied", {}))
-        proxy = self._brokers[name]
-        if "matcher" in applied:
-            proxy.matcher = applied["matcher"]
-        if "advertising" in applied:
-            proxy.advertising = applied["advertising"]
-        return applied
-
     def _request(self, name: str, op: str, timeout: float = 10.0, **fields: Any) -> Dict[str, Any]:
         """One control round-trip with broker ``name``, driven to completion."""
         return self._loop.run_until_complete(

@@ -295,7 +295,7 @@ class RegistryServer:
         """One control round-trip with the ``ok`` convention enforced.
 
         The single request-id + timeout + error-check path behind every
-        control op the parent issues (``stats``, ``metrics``, ``configure``,
+        control op the parent issues (``stats``, ``metrics``,
         ``link_down``/``link_up``, ``shutdown``) — each used to re-implement
         its own slice of this dance.  Raises :class:`RegistryError` when the
         node has no live control channel, does not answer in time, or

@@ -68,7 +68,7 @@ import select
 import selectors
 from abc import ABC, abstractmethod
 from collections import deque
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from . import wire
@@ -82,10 +82,6 @@ TRANSPORT_NAMES = ("sim", "asyncio", "cluster")
 #: the fault primitives accepted by :meth:`Transport.inject_fault`
 FAULT_ACTIONS = ("crash", "restart", "link_down", "link_up")
 
-#: the knobs :meth:`Transport.configure` accepts on a *live* broker
-#: (re-exported as :data:`repro.config.RUNTIME_KNOBS`)
-RUNTIME_KNOBS = ("matcher", "advertising", "flush_cap", "duplicates_capacity")
-
 
 class TransportError(RuntimeError):
     """Raised when a transport is used incorrectly or fails to settle."""
@@ -95,29 +91,6 @@ def check_positive(field: str, value: Any) -> None:
     """Reject anything but a positive ``int`` as the value of knob ``field``."""
     if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise ValueError(f"{field} must be a positive integer, got {value!r}")
-
-
-def check_runtime_knobs(changes: Mapping[str, Any]) -> Dict[str, Any]:
-    """A copy of ``changes``; ``ValueError`` names every key not in :data:`RUNTIME_KNOBS`."""
-    unknown = sorted(set(changes) - set(RUNTIME_KNOBS))
-    if unknown:
-        raise ValueError(
-            f"unknown runtime knob(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(RUNTIME_KNOBS)}"
-        )
-    return dict(changes)
-
-
-def apply_runtime_knobs(owner, broker, changes: Dict[str, Any]) -> Dict[str, Any]:
-    """Apply checked knob changes where the broker lives: ``flush_cap`` to
-    ``owner`` (its transport, or its cluster node), the rest through the
-    broker's verified ``reconfigure``.  Returns the applied values."""
-    flush_cap = changes.pop("flush_cap", None)
-    applied: Dict[str, Any] = broker.reconfigure(changes) if changes else {}
-    if flush_cap is not None:
-        owner.set_flush_cap(flush_cap)
-        applied["flush_cap"] = flush_cap
-    return applied
 
 
 class Transport(ABC):
@@ -277,46 +250,34 @@ class Transport(ABC):
     def apply_config(self, config) -> None:
         """Adopt a :class:`~repro.config.SystemConfig` for this substrate.
 
-        Records the config (later :meth:`build_broker` calls read the broker
-        knobs off it) and applies the transport-level knobs immediately.
+        Records the config (later :meth:`build_broker` calls read every broker
+        knob off it) and applies the transport-level knobs immediately.
         """
         self._system_config = config
         self.set_flush_cap(config.flush_cap)
         self.set_metrics_enabled(config.metrics)
 
+    @property
+    def system_config(self):
+        """The adopted :class:`~repro.config.SystemConfig`, or the defaults."""
+        if self._system_config is None:
+            from ..config import SystemConfig  # lazy: config imports this module
+
+            return SystemConfig()
+        return self._system_config
+
     def set_flush_cap(self, cap: int) -> None:
-        """Retune the wire flush cap.
+        """Set the wire flush cap.
 
         The base implementation only validates the value: the simulator
         moves object references and holds no wire buffers, so the knob is
-        inert there.  Socket backends retune their live write batching
+        inert there.  Socket backends set their write batching threshold
         (:meth:`SocketNode.set_flush_cap`).
         """
         check_positive("flush_cap", cap)
 
     def set_metrics_enabled(self, enabled: bool) -> None:
         """Flip transport-level live instrumentation; a no-op on the simulator."""
-
-    def configure(self, broker, changes: Dict[str, Any]) -> Dict[str, Any]:
-        """Apply runtime knob changes to a *live* broker of this substrate.
-
-        ``broker`` is a broker object built by :meth:`build_broker` or its
-        name; ``changes`` maps knob names (see :data:`RUNTIME_KNOBS`) to new
-        values.  Matcher/advertising flips rebuild the broker's index state
-        from the routing table and are verified in place (identical
-        ``destinations()`` and advertised-filter multisets before and
-        after); ``flush_cap`` retunes this transport's write batching.
-        Returns the applied values.  The cluster backend overrides this to
-        ship the changes to the broker's process as a ``configure`` control
-        op.
-        """
-        changes = check_runtime_knobs(changes)
-        if isinstance(broker, str):
-            try:
-                broker = self.brokers[broker]
-            except KeyError:
-                raise TransportError(f"no broker named {broker!r} on this transport") from None
-        return apply_runtime_knobs(self, broker, changes)
 
     def transport_metrics(self) -> Dict[str, Any]:
         """This substrate's own live instruments plus point-in-time gauges."""
@@ -339,31 +300,27 @@ class Transport(ABC):
             },
         }
 
-    def build_broker(
-        self,
-        name: str,
-        routing: str = "simple",
-        matcher: str = "indexed",
-        advertising: str = "incremental",
-    ):
+    def build_broker(self, name: str, routing: str = "simple"):
         """Construct a broker process for this substrate.
 
         In-process backends return a real :class:`~repro.pubsub.broker.Broker`
         running on this transport's clock; the multi-process cluster backend
         overrides this to return a :class:`~repro.net.cluster.RemoteBroker`
-        proxy whose actual broker lives in a spawned child process.  When a
-        :class:`~repro.config.SystemConfig` was applied, its
-        ``duplicates_capacity`` and ``metrics`` knobs shape the new broker.
+        proxy whose actual broker lives in a spawned child process.  The
+        broker's ``matcher``, ``advertising``, ``duplicates_capacity`` and
+        ``metrics`` come from :attr:`system_config`, read once, here.
         """
         from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
 
-        config = self._system_config
-        extra: Dict[str, Any] = {}
-        if config is not None:
-            extra["duplicates_capacity"] = config.duplicates_capacity
-            extra["metrics"] = MetricsRegistry(enabled=config.metrics)
+        config = self.system_config
         broker = Broker(
-            self.clock, name, routing=routing, matcher=matcher, advertising=advertising, **extra
+            self.clock,
+            name,
+            routing=routing,
+            matcher=config.matcher,
+            advertising=config.advertising,
+            duplicates_capacity=config.duplicates_capacity,
+            metrics=MetricsRegistry(enabled=config.metrics),
         )
         self.brokers[name] = broker
         return broker
@@ -827,7 +784,7 @@ class SocketNode:
             self._bind_instruments()
 
     def set_flush_cap(self, cap: int) -> None:
-        """Retune the live write-batching threshold (instance-level override)."""
+        """Set the write-batching threshold (instance-level override)."""
         check_positive("flush_cap", cap)
         self.FLUSH_CAP = cap
 

@@ -19,7 +19,7 @@ characteristic the paper assumes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from ..net.process import Message, Process
 from ..net.simulator import Simulator
@@ -27,7 +27,7 @@ from ..obs.metrics import DEFAULT_LATENCY_BOUNDS, MetricsRegistry
 from .filters import Filter
 from .notification import Notification
 from .routing import RoutingStrategy, make_strategy
-from .routing_table import RoutingTable, probe_notifications
+from .routing_table import RoutingTable
 from .subscription import Subscription
 
 
@@ -70,10 +70,8 @@ class Broker(Process):
     """
 
     #: default bound on the duplicate-suppression memory
+    #: (re-exported as :data:`repro.config.DEFAULT_DUPLICATES_CAPACITY`)
     DEFAULT_DUPLICATES_CAPACITY = 65536
-
-    #: the knobs a *live* broker accepts through :meth:`reconfigure`
-    RECONFIGURABLE = ("matcher", "advertising", "duplicates_capacity")
 
     def __init__(
         self,
@@ -120,73 +118,10 @@ class Broker(Process):
         """The routing-table matching strategy ("brute" or "indexed")."""
         return self.routing_table.matcher
 
-    def set_matcher(self, matcher: str) -> None:
-        """Switch the routing-table matching strategy (rebuilds the index)."""
-        self.routing_table.set_matcher(matcher)
-
     @property
     def advertising(self) -> str:
         """The subscription-control implementation ("scan" or "incremental")."""
         return self.strategy.advertising
-
-    def set_advertising(self, advertising: str) -> None:
-        """Switch the subscription-control implementation (rebuilds the index)."""
-        self.strategy.set_advertising(advertising)
-
-    def set_duplicates_capacity(self, capacity: int) -> None:
-        """Retune the duplicate-suppression memory bound on a live broker."""
-        if not isinstance(capacity, int) or isinstance(capacity, bool) or capacity < 1:
-            raise ValueError(f"duplicates_capacity must be a positive integer, got {capacity!r}")
-        self.duplicates_capacity = capacity
-        seen = self._seen_notification_ids
-        while len(seen) > capacity:
-            del seen[next(iter(seen))]
-
-    # ------------------------------------------------------------- control plane
-    def reconfigure(self, changes: Mapping[str, object]) -> Dict[str, object]:
-        """Apply runtime knob changes to this *live* broker, verified.
-
-        Accepts a subset of :attr:`RECONFIGURABLE`.  A ``matcher`` or
-        ``advertising`` flip rebuilds the respective index from the routing
-        table and is verified in place: a probe notification set synthesized
-        from the table's own filters must produce identical
-        ``destinations()`` before and after, and the advertised filter
-        multiset per link must be unchanged.  Returns the applied values.
-        """
-        unknown = sorted(set(changes) - set(self.RECONFIGURABLE))
-        if unknown:
-            raise ValueError(
-                f"cannot reconfigure {', '.join(map(repr, unknown))} on a live broker; "
-                f"allowed: {', '.join(self.RECONFIGURABLE)}"
-            )
-        applied: Dict[str, object] = {}
-        if "matcher" in changes:
-            self._verified_flip(lambda: self.set_matcher(changes["matcher"]))
-            applied["matcher"] = self.matcher
-        if "advertising" in changes:
-            before = self.strategy.advertised_multisets()
-            self._verified_flip(lambda: self.set_advertising(changes["advertising"]))
-            if self.strategy.advertised_multisets() != before:
-                raise RuntimeError(
-                    f"{self.name}: advertised filter multisets changed across a live "
-                    "advertising flip"
-                )
-            applied["advertising"] = self.advertising
-        if "duplicates_capacity" in changes:
-            self.set_duplicates_capacity(changes["duplicates_capacity"])
-            applied["duplicates_capacity"] = self.duplicates_capacity
-        return applied
-
-    def _verified_flip(self, mutate) -> None:
-        """Run ``mutate`` and assert routing decisions are unchanged."""
-        probes = probe_notifications(self.routing_table)
-        before = [self.routing_table.destinations(probe) for probe in probes]
-        mutate()
-        after = [self.routing_table.destinations(probe) for probe in probes]
-        if before != after:
-            raise RuntimeError(
-                f"{self.name}: destinations() changed across a live reconfiguration"
-            )
 
     # ------------------------------------------------------------------ wiring
     def register_broker_peer(self, peer_name: str) -> None:

@@ -77,14 +77,11 @@ class BrokerNetwork:
         The transport decides what a "broker process" is: the in-process
         backends return a real :class:`~repro.pubsub.broker.Broker`, the
         ``"cluster"`` backend a :class:`~repro.net.cluster.RemoteBroker`
-        proxy whose broker runs in its own spawned OS process.
+        proxy whose broker runs in its own spawned OS process.  Either way
+        the broker's knobs are read from :attr:`config`, which the transport
+        adopted at construction.
         """
-        broker = self.transport.build_broker(
-            name,
-            routing=self.routing,
-            matcher=self.config.matcher,
-            advertising=self.config.advertising,
-        )
+        broker = self.transport.build_broker(name, routing=self.routing)
         self.brokers[name] = broker
         self.network.add_process(broker)
         return broker

@@ -371,13 +371,6 @@ class _ForwardedFilterIndex:
         state = self._links.get(link)
         return dict(state.subs) if state is not None else {}
 
-    def filters_on(self, link: str) -> List[Filter]:
-        """The advertised multiset of a link (test/diagnostic view)."""
-        state = self._links.get(link)
-        if state is None:
-            return []
-        return [filter for filters in state.subs.values() for filter in filters]
-
 
 class RoutingStrategy:
     """Base class: subscription-forwarding behaviour shared by all strategies."""
@@ -504,26 +497,6 @@ class RoutingStrategy:
     def needs_forwarding(self, filter: Filter, link: str) -> bool:
         """Strategy-specific test: must ``filter`` be advertised over ``link``?"""
         return True
-
-    def set_advertising(self, advertising: str) -> None:
-        """Switch the subscription-control implementation, rebuilding the index."""
-        if advertising not in ADVERTISING_NAMES:
-            raise ValueError(
-                f"unknown advertising mode {advertising!r}; available: {ADVERTISING_NAMES}"
-            )
-        if advertising == self.advertising:
-            return
-        self.advertising = advertising
-        # what the old mode knew about suppressed pairs is void: either the
-        # index holding them is dropped or a fresh one has no memo yet
-        self._pending.clear()
-        if advertising == "scan" or not self.uses_advert_index:
-            self._index = None
-        else:
-            self._index = _ForwardedFilterIndex(hits=self._covering_hits)
-            for sub_id, links in self._forwarded.items():
-                self._contribute(sub_id, links)
-        self._adverts_changed.update(link for links in self._forwarded.values() for link in links)
 
     def _forward_targets(self, from_link: str) -> List[str]:
         return [link for link in self.broker.broker_neighbors() if link != from_link]
@@ -672,26 +645,6 @@ class RoutingStrategy:
     # -------------------------------------------------------------------- stats
     def forwarded_count(self) -> int:
         return sum(len(links) for links in self._forwarded.values())
-
-    def advertised_multisets(self) -> Dict[str, List[Tuple]]:
-        """The advertised filter multiset per forwarded link, as sorted keys.
-
-        In incremental mode this reads the maintained
-        :class:`_ForwardedFilterIndex`; in scan mode it rebuilds the view
-        from the routing table the way every ``needs_forwarding`` query
-        does.  Both modes describe the same state, so the live
-        reconfiguration path asserts this view is invariant across an
-        advertising-mode flip.
-        """
-        links = sorted({link for links in self._forwarded.values() for link in links})
-        result: Dict[str, List[Tuple]] = {}
-        for link in links:
-            if self._index is not None:
-                filters = self._index.filters_on(link)
-            else:
-                filters = self._forwarded_filters(link)
-            result[link] = sorted((filter.key() for filter in filters), key=repr)
-        return result
 
 
 class FloodingRouting(RoutingStrategy):

@@ -41,12 +41,11 @@ metrics registry as ``match.cache_hit`` (range-index split repairs as
 
 from __future__ import annotations
 
-import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from .filters import Equals, Filter, InSet, NotEquals, Prefix, Range
+from .filters import Filter
 from .matching import AttributeIndex, EpochCache
 from .notification import attribute_dict
 from .subscription import Subscription
@@ -106,27 +105,6 @@ class RoutingTable:
     @property
     def matcher(self) -> str:
         return self._matcher
-
-    def set_matcher(self, matcher: str) -> None:
-        """Switch matching strategy, rebuilding the index from current entries.
-
-        The destination cache is invalidated along with the index: the flip
-        bumps the mutation epoch exactly like an entry change, so a matcher
-        arriving through the live control plane can never serve a result
-        computed by its predecessor.
-        """
-        if matcher not in MATCHER_NAMES:
-            raise ValueError(f"unknown matcher {matcher!r}; available: {MATCHER_NAMES}")
-        if matcher == self._matcher:
-            return
-        self._matcher = matcher
-        self._indexed = matcher != "brute"
-        self._destination_cache.epoch += 1
-        self._index = {}
-        if self._indexed:
-            for link, entries in self._by_link.items():
-                for entry in entries.values():
-                    self._index_add(entry)
 
     def _index_add(self, entry: RouteEntry) -> None:
         index = self._index.get(entry.link)
@@ -324,66 +302,3 @@ class RoutingTable:
             parts.append(f"{link}:{len(self._by_link[link])}")
         return f"RoutingTable({', '.join(parts)})"
 
-
-# ----------------------------------------------------------------- probe synthesis
-
-
-def _constraint_witness(constraint) -> Any:
-    """A value the constraint accepts (best effort; ``None`` means unknown)."""
-    if isinstance(constraint, Equals):
-        return constraint.value
-    if isinstance(constraint, InSet):
-        if not constraint.values:
-            return None
-        return min(constraint.values, key=repr)
-    if isinstance(constraint, Range):
-        low, high = constraint.low, constraint.high
-        if math.isfinite(low) and constraint.include_low:
-            return low
-        if math.isfinite(high) and constraint.include_high:
-            return high
-        if math.isfinite(low) and math.isfinite(high):
-            return (low + high) / 2
-        if math.isfinite(low):
-            return low + 1
-        if math.isfinite(high):
-            return high - 1
-        return 0
-    if isinstance(constraint, Prefix):
-        return constraint.prefix + "a"
-    if isinstance(constraint, NotEquals):
-        return 0 if constraint.value != 0 else 1
-    # Exists or an unknown constraint type: any carried value might do
-    return 1
-
-
-def probe_notifications(table: RoutingTable, limit: int = 256) -> List[Dict[str, Any]]:
-    """Synthesize notifications that exercise the table's filters.
-
-    For every distinct filter in the routing table a witness notification is
-    derived from the filter's own constraints (equality values, range
-    endpoints, set members), so each filter contributes at least one probe
-    that matches it — plus two generic probes that match nothing but the
-    empty filter.  Used by the live-reconfiguration path to assert that
-    ``destinations()`` is invariant across a matcher flip: running the probe
-    set through both the old and the new matcher must yield identical
-    forwarding decisions.
-    """
-    probes: List[Dict[str, Any]] = [{}, {"__probe__": 0}]
-    seen: Set = set()
-    for link in table.links():
-        for entry in table.entries_for_link(link):
-            key = entry.filter.key()
-            if key in seen:
-                continue
-            seen.add(key)
-            probe: Dict[str, Any] = {}
-            for constraint in entry.filter.constraints:
-                witness = _constraint_witness(constraint)
-                if witness is not None and constraint.attribute not in probe:
-                    probe[constraint.attribute] = witness
-            if entry.filter.matches(probe):
-                probes.append(probe)
-            if len(probes) >= limit:
-                return probes
-    return probes

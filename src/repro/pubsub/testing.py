@@ -179,137 +179,6 @@ def run_line_workload(
             net.close()
 
 
-@dataclass
-class FlipWorkloadResult:
-    """Outcome of :func:`run_flip_workload` on one backend."""
-
-    backend: str
-    brokers: int
-    notifications: int
-    wall_sec: float
-    subscribers: List[SubscriberOutcome]
-    #: subscriber name -> sorted ``value`` attributes of its deliveries
-    delivered_values: "dict[str, List[int]]"
-    #: broker name -> knob values its live reconfiguration applied
-    applied: "dict[str, dict]"
-
-    @property
-    def delivered(self) -> int:
-        return sum(s.received for s in self.subscribers)
-
-    @property
-    def expected(self) -> int:
-        return sum(s.expected for s in self.subscribers)
-
-    @property
-    def mismatches(self) -> int:
-        return sum(1 for s in self.subscribers if not s.ok)
-
-
-def _flipped(value: str, names) -> str:
-    """A different member of a knob set (indexed->brute, brute->indexed).
-
-    The first name is the fallback everything else flips to, so the flip is
-    well-defined even for knobs that grow beyond two names.
-    """
-    return names[1] if value == names[0] else names[0]
-
-
-def run_flip_workload(
-    backend: str,
-    brokers: int,
-    notifications: int,
-    topic: str = "flip",
-    config=None,
-    changes=None,
-) -> FlipWorkloadResult:
-    """The live-reconfiguration workload: flip every broker mid-traffic.
-
-    Same line topology and subscriber filters as :func:`run_line_workload`,
-    but after publishing the first half of the notifications — *without*
-    draining first on the socket backends, so frames are genuinely in
-    flight — every broker is flipped live through
-    :meth:`~repro.net.transport.Transport.configure` (by default to the
-    opposite matcher *and* advertising mode), then the second half is
-    published and the run drained.  Because the flips are verified in place
-    (identical ``destinations()`` and advertised-filter multisets), the
-    delivered sets must equal a never-flipped run's exactly — that is what
-    the control-plane tests and ``benchmarks/bench_controlplane.py`` pin
-    across all three backends.
-
-    ``changes=None`` derives the flip from the starting config;
-    ``changes={}`` runs the identical workload with no flip (the oracle).
-    """
-    from ..config import MATCHER_NAMES, SystemConfig
-    from .broker_network import line_topology
-    from .filters import AtLeast, Equals, Filter
-    from .notification import Notification
-    from .routing import ADVERTISING_NAMES
-
-    config = (config or SystemConfig()).replace(transport=backend)
-    if changes is None:
-        changes = {
-            "matcher": _flipped(config.matcher, MATCHER_NAMES),
-            "advertising": _flipped(config.advertising, ADVERTISING_NAMES),
-        }
-    net = line_topology(
-        n_brokers=brokers,
-        link_latency=0.001 if backend == "sim" else 0.0,
-        config=config,
-    )
-    try:
-        subscribers = []
-        for i, broker_name in enumerate(net.broker_names()):
-            threshold = i * max(1, notifications // brokers)
-            client = net.add_client(f"sub@{broker_name}", broker_name)
-            client.subscribe(
-                Filter([Equals("topic", topic), AtLeast("value", threshold)]),
-                sub_id=f"{topic}-{broker_name}",
-            )
-            subscribers.append((client, threshold))
-        net.run_until_idle()
-
-        publisher = net.add_client("publisher", net.broker_names()[0])
-        half = notifications // 2
-        start = time.perf_counter()
-        for value in range(half):
-            publisher.publish(Notification({"topic": topic, "value": value}))
-        applied = {}
-        for broker_name in net.broker_names():
-            applied[broker_name] = net.transport.configure(broker_name, changes)
-        for value in range(half, notifications):
-            publisher.publish(Notification({"topic": topic, "value": value}))
-        net.run_until_idle()
-        wall = time.perf_counter() - start
-
-        outcomes = []
-        delivered_values = {}
-        for client, threshold in subscribers:
-            outcomes.append(
-                SubscriberOutcome(
-                    name=client.name,
-                    threshold=threshold,
-                    expected=max(0, notifications - threshold),
-                    received=len(client.deliveries),
-                    latencies=client.delivery_latencies(),
-                )
-            )
-            delivered_values[client.name] = sorted(
-                delivery.notification.attributes["value"] for delivery in client.deliveries
-            )
-        return FlipWorkloadResult(
-            backend=backend,
-            brokers=brokers,
-            notifications=notifications,
-            wall_sec=wall,
-            subscribers=outcomes,
-            delivered_values=delivered_values,
-            applied=applied,
-        )
-    finally:
-        net.close()
-
-
 def normalize_merged_ids(log):
     """Map generated merged-subscription ids to first-appearance ordinals.
 

@@ -1,19 +1,20 @@
-"""Tests for the broker control plane: SystemConfig, live metrics, runtime knobs.
+"""Tests for the broker control plane: SystemConfig and live metrics.
 
-Five groups:
+Four groups:
 
 * **SystemConfig** — construction-time validation (the ``matcher="indxed"``
   silent-typo hole), dict round-trips, ``--set`` overlays and argparse
   resolution;
 * **BrokerNetwork integration** — one way in: typo rejection before any
-  broker is built, and ``BrokerNetwork``, every topology builder and
-  ``MobilitySystemConfig`` refusing the fabric knobs as loose kwargs;
+  broker is built; ``BrokerNetwork``, every topology builder and
+  ``MobilitySystemConfig`` refusing the fabric knobs as loose kwargs; every
+  backend building its brokers from the adopted config (a cluster broker
+  child from the spec's config alone); a brute/scan fabric delivering what
+  the default one does; and no running broker offering a way to change its
+  knobs;
 * **metrics** — the obs instruments themselves, plus
   ``Transport.metrics_snapshot()`` agreeing across all three backends on
   the deterministic broker counters of a fixed workload;
-* **runtime knobs** — live matcher/advertising flips under traffic keep
-  delivered sets identical to a never-flipped oracle, on every backend;
-  rejected knobs/values/targets fail with the documented exception types;
 * **surfaces** — the shared registry request helper's dead-channel path and
   the ``repro metrics`` / ``repro top`` CLI smoke.
 """
@@ -25,11 +26,11 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.config import RUNTIME_KNOBS, SystemConfig
+from repro.config import SystemConfig
 from repro.core.middleware import MobilitySystemConfig
-from repro.net.cluster import ClusterError, ClusterTransport
+from repro.net.cluster import ClusterError, ClusterTransport, _BrokerNode
 from repro.net.registry import RegistryError, RegistryServer
-from repro.net.transport import TransportError, make_transport
+from repro.net.transport import Transport, make_transport
 from repro.obs.metrics import (
     NULL_COUNTER,
     NULL_HISTOGRAM,
@@ -45,7 +46,10 @@ from repro.pubsub.broker_network import (
     random_tree_topology,
     star_topology,
 )
-from repro.pubsub.testing import run_flip_workload, run_line_workload
+from repro.pubsub.broker import Broker
+from repro.pubsub.routing import RoutingStrategy
+from repro.pubsub.routing_table import RoutingTable
+from repro.pubsub.testing import run_line_workload
 
 # ------------------------------------------------------------- SystemConfig
 
@@ -111,10 +115,6 @@ def test_systemconfig_from_args():
     assert SystemConfig.from_args(stray) == SystemConfig()
 
 
-def test_runtime_knobs_are_a_subset_of_config_fields():
-    assert set(RUNTIME_KNOBS) <= set(SystemConfig().to_dict())
-
-
 # ------------------------------------------------- BrokerNetwork integration
 
 
@@ -155,6 +155,117 @@ _LOOSE_KNOBS = {
 def test_fabric_knobs_have_one_way_in(build, knob):
     with pytest.raises(TypeError):
         build(**{knob: _LOOSE_KNOBS[knob]})
+
+
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_in_process_broker_reads_the_adopted_config(backend):
+    with make_transport(backend) as transport:
+        default = transport.build_broker("B0", routing="covering")
+        transport.apply_config(
+            SystemConfig(
+                transport=backend,
+                matcher="brute",
+                advertising="scan",
+                duplicates_capacity=512,
+                metrics=False,
+            )
+        )
+        broker = transport.build_broker("B1", routing="covering")
+        with pytest.raises(ValueError, match="flush_cap must be a positive integer"):
+            transport.set_flush_cap(0)
+    assert (broker.matcher, broker.advertising) == ("brute", "scan")
+    assert broker.duplicates_capacity == 512
+    assert broker.metrics.enabled is False
+    # a broker built before the config was adopted keeps the defaults
+    assert (default.matcher, default.advertising) == ("indexed", "incremental")
+    assert default.duplicates_capacity == SystemConfig().duplicates_capacity
+    assert default.metrics.enabled is True
+
+
+def test_cluster_rejects_bad_declarations_before_boot():
+    transport = ClusterTransport()
+    try:
+        transport.build_broker("B1")
+        transport.apply_config(SystemConfig(transport="cluster", matcher="brute"))
+        transport.build_broker("B2")
+        with pytest.raises(ClusterError, match="duplicate broker name 'B1'"):
+            transport.build_broker("B1")
+        with pytest.raises(ValueError, match="flush_cap must be a positive integer"):
+            transport.set_flush_cap(0)
+        # each spec holds the config adopted when its broker was declared
+        assert transport._specs["B1"]["config"]["matcher"] == "indexed"
+        assert transport._specs["B2"]["config"]["matcher"] == "brute"
+        assert not transport.booted
+    finally:
+        transport.close()
+
+
+def test_cluster_child_rejects_a_bad_spec_config():
+    spec = {"name": "B1", "registry": ["127.0.0.1", 0], "matcher": "brute"}
+    # a flat knob is no substitute for the config
+    with pytest.raises(KeyError, match="config"):
+        _BrokerNode(spec)
+    with pytest.raises(ValueError, match="unknown matcher 'indxed'"):
+        _BrokerNode({**spec, "config": {**SystemConfig().to_dict(), "matcher": "indxed"}})
+    with pytest.raises(ValueError, match="unknown SystemConfig key\\(s\\) 'turbo'"):
+        _BrokerNode({**spec, "config": {**SystemConfig().to_dict(), "turbo": 1}})
+
+
+def _received(result):
+    assert result.mismatches == 0
+    return [(s.name, s.received) for s in result.subscribers]
+
+
+@pytest.mark.parametrize("backend", ["sim", "asyncio"])
+def test_brute_scan_fabric_matches_the_default(backend):
+    built = []
+
+    def observer(net):
+        built.extend((b.matcher, b.advertising) for b in net.brokers.values())
+
+    default = run_line_workload("sim", 3, 40)
+    oracle = run_line_workload(
+        backend,
+        3,
+        40,
+        observer=observer,
+        config=SystemConfig(matcher="brute", advertising="scan"),
+    )
+    assert built == [("brute", "scan")] * 3
+    assert _received(oracle) == _received(default)
+
+
+def test_brute_scan_fabric_matches_the_default_on_cluster():
+    default = run_line_workload("sim", 3, 40)
+    oracle = run_line_workload(
+        "cluster", 3, 40, config=SystemConfig(matcher="brute", advertising="scan")
+    )
+    assert _received(oracle) == _received(default)
+
+
+def test_cluster_child_reads_its_knobs_from_the_spec_config():
+    transport = ClusterTransport()
+    try:
+        transport.apply_config(
+            SystemConfig(transport="cluster", matcher="brute", advertising="scan")
+        )
+        transport.build_broker("B1", routing="covering")
+        spec = dict(transport._specs["B1"], registry=["127.0.0.1", 0])
+    finally:
+        transport.close()
+    # the spec names each knob once, in its config
+    assert not {"matcher", "advertising"} & set(spec)
+    node = _BrokerNode(spec)
+    try:
+        assert (node.broker.matcher, node.broker.advertising) == ("brute", "scan")
+    finally:
+        node._loop.close()
+
+
+@pytest.mark.parametrize("owner", [Broker, RoutingTable, RoutingStrategy, Transport])
+def test_a_running_broker_keeps_its_knobs(owner):
+    for name in "reconfigure set_matcher set_advertising configure".split():
+        assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 
 # ------------------------------------------------------------------ metrics
@@ -239,73 +350,6 @@ def test_metrics_disabled_config_snapshots_empty_registry_counters():
         # but no registry-owned instrument may have been allocated
         assert all(key.startswith("broker.") for key in data["counters"])
         assert data["histograms"] == {}
-
-
-# ------------------------------------------------------------- runtime knobs
-
-
-@pytest.mark.parametrize("backend", ["sim", "asyncio"])
-def test_live_flip_matches_never_flipped_oracle(backend):
-    oracle = run_flip_workload("sim", 3, 40, changes={})
-    flipped = run_flip_workload(backend, 3, 40)
-    assert flipped.mismatches == 0
-    assert flipped.delivered_values == oracle.delivered_values
-    for applied in flipped.applied.values():
-        assert applied == {"matcher": "brute", "advertising": "scan"}
-
-
-def test_live_flip_matches_oracle_on_cluster():
-    oracle = run_flip_workload("sim", 3, 40, changes={})
-    flipped = run_flip_workload("cluster", 3, 40)
-    assert flipped.mismatches == 0
-    assert flipped.delivered_values == oracle.delivered_values
-
-
-def test_flip_from_brute_scan_starting_point():
-    config = SystemConfig(matcher="brute", advertising="scan")
-    result = run_flip_workload("sim", 3, 20, config=config)
-    assert result.mismatches == 0
-    for applied in result.applied.values():
-        assert applied == {"matcher": "indexed", "advertising": "incremental"}
-
-
-def test_in_process_configure_rejections():
-    with make_transport("sim") as transport:
-        broker = transport.build_broker("B1")
-        with pytest.raises(ValueError, match="unknown runtime knob\\(s\\) 'bogus'"):
-            transport.configure("B1", {"bogus": 1})
-        with pytest.raises(TransportError, match="no broker named 'nope'"):
-            transport.configure("nope", {"matcher": "brute"})
-        with pytest.raises(ValueError, match="duplicates_capacity must be a positive integer"):
-            transport.configure(broker, {"duplicates_capacity": 0})
-        with pytest.raises(ValueError, match="flush_cap must be a positive integer"):
-            transport.set_flush_cap(0)
-        applied = transport.configure("B1", {"matcher": "brute", "flush_cap": 2048})
-        assert applied == {"matcher": "brute", "flush_cap": 2048}
-        assert broker.matcher == "brute"
-
-
-def test_cluster_configure_rejections_before_boot():
-    transport = ClusterTransport()
-    try:
-        transport.build_broker("B1")
-        with pytest.raises(ValueError, match="unknown runtime knob"):
-            transport.configure("B1", {"bogus": 1})
-        with pytest.raises(TransportError, match="no broker named 'nope'"):
-            transport.configure("nope", {"matcher": "brute"})
-        with pytest.raises(ClusterError, match="before the cluster has booted"):
-            transport.configure("B1", {"matcher": "brute"})
-    finally:
-        transport.close()
-
-
-def test_cluster_rejects_bad_value_over_the_control_channel():
-    def observer(net):
-        with pytest.raises(RegistryError, match="rejected 'configure': flush_cap"):
-            net.transport.configure("B1", {"flush_cap": 0})
-        assert net.transport.configure("B1", {}) == {}
-
-    run_line_workload("cluster", 2, 4, observer=observer)
 
 
 # ----------------------------------------------------------------- surfaces

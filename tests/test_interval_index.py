@@ -1,12 +1,12 @@
-"""The range side of the index: incremental buckets, destination cache, flips.
+"""The range side of the index: incremental buckets and the destination cache.
 
 The ``"indexed"`` matcher keeps range-only entries in the incrementally
 repaired :class:`~repro.pubsub.matching.IntervalBucketIndex` and puts an
 epoch-guarded destination cache in front of the routing table.  Its
 contract: forwarding decisions byte-identical to brute force under any
 churn, at the index level, the table level and end-to-end through a broker
-network — plus the cache must never serve a stale entry across a mutation
-or a live matcher flip, nor one computed for a merely *equal* notification
+network — plus the cache must never serve a stale entry across a mutation,
+nor one computed for a merely *equal* notification
 (``1`` vs ``True``) that a ``Range`` tells apart.
 """
 
@@ -304,19 +304,26 @@ class TestRangeTableEquivalence:
                     probe = {"value": value}
                     assert brute.destinations(probe) == indexed.destinations(probe)
 
-    def test_set_matcher_flips_back_and_forth(self):
+    def test_remove_link_and_reload_agree_with_brute(self):
+        """Dropping a link's index and growing it back from empty answers
+        like brute force at every stage."""
         rng = random.Random(7)
-        table = RoutingTable(matcher="brute")
-        reference = RoutingTable(matcher="brute")
-        for i in range(120):
-            f = random_filter(rng)
-            link = f"L{i % 5}"
-            table.add(f, link, f"s{i}")
-            reference.add(f, link, f"s{i}")
-        for flip in ("indexed", "brute", "indexed", "brute", "indexed"):
-            table.set_matcher(flip)
-            assert table.matcher == flip
-            assert_tables_agree(reference, table, rng, rounds=15)
+        brute = RoutingTable(matcher="brute")
+        indexed = RoutingTable(matcher="indexed")
+        loaded = [(random_filter(rng), f"L{i % 5}", f"s{i}") for i in range(120)]
+        for table in (brute, indexed):
+            for f, link, sub_id in loaded:
+                table.add(f, link, sub_id)
+        assert_tables_agree(brute, indexed, rng, rounds=15)
+        for table in (brute, indexed):
+            table.remove_link("L2")
+        assert "L2" not in indexed.links()
+        assert_tables_agree(brute, indexed, rng, rounds=15)
+        for table in (brute, indexed):
+            for f, link, sub_id in loaded:
+                if link == "L2":
+                    table.add(f, link, sub_id)
+        assert_tables_agree(brute, indexed, rng, rounds=15)
 
 
 class TestDestinationCache:
@@ -356,16 +363,16 @@ class TestDestinationCache:
         table.add(Filter([Equals("service", "stock")]), "L9", "s9")
         assert table.destinations(probe) == ["L9"]
 
-    def test_matcher_flip_invalidates(self):
-        table = self.build("indexed")
+    def test_brute_matcher_keeps_no_cache(self):
+        """The oracle recomputes every answer: nothing it returns was stored."""
+        table = self.build("brute")
         probe = self.probe()
-        assert table.destinations(probe) == ["L1", "L2"]
-        table.destinations(probe)
-        hits = table.cache_hits
-        table.set_matcher("brute")
-        table.set_matcher("indexed")
-        assert table.destinations(probe) == ["L1", "L2"]
-        assert table.cache_hits == hits  # first post-flip query recomputed
+        for _ in range(3):
+            assert table.destinations(probe) == ["L1", "L2"]
+        table.add(Filter([Range("value", 6, 8)]), "L3", "s3")
+        assert table.destinations(probe) == ["L1", "L2", "L3"]
+        assert table.cache_hits == 0
+        assert len(table._destination_cache) == 0
 
     def test_exclusions_are_part_of_the_key(self):
         table = self.build("indexed")

@@ -110,45 +110,29 @@ class TestStrategyLevelEquivalence:
         }
 
     @pytest.mark.parametrize("strategy", INDEXED_STRATEGIES)
-    def test_set_advertising_rebuilds_index_mid_flight(self, strategy):
+    def test_needs_forwarding_matches_scan_twin(self, strategy):
+        """Probed with filters nobody subscribed, the incremental index
+        answers ``needs_forwarding`` as the scan it replaces would."""
         rng = random.Random(42)
-        broker = FakeBroker(["N1", "N2"])
-        strategy_obj = make_strategy(strategy, broker, advertising="scan")
-        live = []
+        strategies = [
+            make_strategy(strategy, FakeBroker(["N1", "N2"]), advertising=advertising)
+            for advertising in ("incremental", "scan")
+        ]
         for step in range(40):
-            sub_id = f"s{step}"
-            filter = random_filter(rng)
-            strategy_obj.handle_subscribe(
-                Subscription(sub_id=sub_id, filter=filter, subscriber="c1"), "c1"
-            )
-            live.append((sub_id, filter))
-        strategy_obj.set_advertising("incremental")
-        assert strategy_obj.advertising == "incremental"
-        # decisions after the switch must match a pure-scan twin
-        twin_broker = FakeBroker(["N1", "N2"])
-        twin = make_strategy(strategy, twin_broker, advertising="scan")
-        for sub_id, filter in live:
-            twin.handle_subscribe(
-                Subscription(sub_id=sub_id, filter=filter, subscriber="c1"), "c1"
-            )
+            subscription = Subscription(sub_id=f"s{step}", filter=random_filter(rng), subscriber="c1")
+            for strategy_obj in strategies:
+                strategy_obj.handle_subscribe(subscription, "c1")
+        incremental, scan = strategies
         probe_rng = random.Random(7)
-        for i in range(60):
+        for _ in range(60):
             f = random_filter(probe_rng)
             for link in ("N1", "N2"):
-                assert strategy_obj.needs_forwarding(f, link) == twin.needs_forwarding(f, link)
-        # switching back drops the index and keeps agreeing
-        strategy_obj.set_advertising("scan")
-        for i in range(20):
-            f = random_filter(probe_rng)
-            assert strategy_obj.needs_forwarding(f, "N1") == twin.needs_forwarding(f, "N1")
+                assert incremental.needs_forwarding(f, link) == scan.needs_forwarding(f, link)
 
     def test_unknown_advertising_rejected(self):
         broker = FakeBroker(["N1"])
         with pytest.raises(ValueError):
             make_strategy("covering", broker, advertising="magic")
-        strategy = make_strategy("covering", broker)
-        with pytest.raises(ValueError):
-            strategy.set_advertising("magic")
 
     def test_reforward_dedupes_multi_link_subscriptions(self):
         """A subscription with entries on several links re-forwards once per link."""
@@ -301,8 +285,6 @@ class TestKnobThreading:
         sim = Simulator()
         net = line_topology(sim, 2, routing="covering", config=SystemConfig(advertising="scan"))
         assert all(b.advertising == "scan" for b in net.brokers.values())
-        net.brokers["B1"].set_advertising("incremental")
-        assert net.brokers["B1"].advertising == "incremental"
 
     def test_advertising_names_registry(self):
         assert ADVERTISING_NAMES == ("scan", "incremental")
@@ -356,18 +338,15 @@ def rich_filter(rng: random.Random) -> Filter:
     return Filter(constraints)
 
 
-def drive_transitions(strategy_name: str, flips: bool, seed: int, steps: int = 220):
+def drive_transitions(strategy_name: str, advertising: str, seed: int, steps: int = 220):
     """Churn plus every transition that can strand a witness or a pin group.
 
-    ``flips=False`` is the oracle — scan mode throughout.  ``flips=True``
-    starts incremental and flips the mode whenever the schedule says so; the
-    schedule itself is drawn identically in both runs.
+    ``advertising="scan"`` is the oracle; the schedule is drawn identically
+    in either mode.
     """
     rng = random.Random(seed)
     broker = FakeBroker(["N1", "N2", "N3"])
-    strategy = make_strategy(
-        strategy_name, broker, advertising="incremental" if flips else "scan"
-    )
+    strategy = make_strategy(strategy_name, broker, advertising=advertising)
     table = broker.routing_table
     links = ["c1", "c2", "c3", "N1", "N2"]
     live = {}  # sub_id -> {link: filter}
@@ -413,9 +392,6 @@ def drive_transitions(strategy_name: str, flips: bool, seed: int, steps: int = 2
                 broker._neighbors.remove(name)
             else:
                 broker._neighbors.append(name)
-        elif flips:
-            other = {"scan": "incremental", "incremental": "scan"}[strategy.advertising]
-            strategy.set_advertising(other)
     forwarded = {
         sub_id: sorted(links)
         for sub_id, links in strategy._forwarded.items()
@@ -428,8 +404,8 @@ class TestWitnessAndPinStructures:
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     @pytest.mark.parametrize("seed", range(8))
     def test_identical_logs_across_every_transition(self, strategy, seed):
-        oracle_log, oracle_fwd, _ = drive_transitions(strategy, False, seed)
-        log, fwd, _ = drive_transitions(strategy, True, seed)
+        oracle_log, oracle_fwd, _ = drive_transitions(strategy, "scan", seed)
+        log, fwd, _ = drive_transitions(strategy, "incremental", seed)
         assert log == oracle_log
         assert fwd == oracle_fwd
 
@@ -438,8 +414,7 @@ class TestWitnessAndPinStructures:
         """Whoever waits, waits behind a live witness; and once everything is
         unsubscribed nothing is left waiting, memoised or due."""
         for seed in range(4):
-            _log, _fwd, strategy_obj = drive_transitions(strategy, False, seed)
-            strategy_obj.set_advertising("incremental")
+            _log, _fwd, strategy_obj = drive_transitions(strategy, "incremental", seed)
             rng = random.Random(seed)
             for step in range(60):
                 fresh = Subscription(f"x{step}", rich_filter(rng), "c1")
@@ -492,19 +467,19 @@ class TestWitnessAndPinStructures:
             ("subscribe", "n"),
         ]
 
-    def test_flip_does_not_inherit_a_stale_memo(self):
-        """A witness that leaves while the strategy runs in scan mode must not
-        survive, as a memo entry, into the rebuilt incremental index."""
+    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    def test_departed_witness_leaves_no_stale_memo(self, advertising):
+        """Once the witness and the pair it covered are both gone, nothing
+        remembered about them may suppress a fresh subscription."""
         broker = FakeBroker(["N1"])
-        strategy = make_strategy("covering", broker, advertising="incremental")
+        strategy = make_strategy("covering", broker, advertising=advertising)
         broad = Filter([Equals("service", "t")])
         narrow = Filter([Equals("service", "t"), Range("value", 0, 5)])
         strategy.handle_subscribe(Subscription("w", broad, "c1"), "c1")
-        strategy.handle_subscribe(Subscription("n", narrow, "c2"), "c2")  # memoised: covered
-        strategy.set_advertising("scan")
+        strategy.handle_subscribe(Subscription("n", narrow, "c2"), "c2")  # covered by w
+        assert not strategy.needs_forwarding(narrow, "N1")
         strategy.handle_unsubscribe("w", broad, "c1")  # re-advertises n
         strategy.handle_unsubscribe("n", narrow, "c2")
-        strategy.set_advertising("incremental")
         assert strategy.needs_forwarding(narrow, "N1")
         broker.log.clear()
         strategy.handle_subscribe(Subscription("n2", narrow, "c2"), "c2")
@@ -606,13 +581,11 @@ class TestStaleUnsubscribe:
         filter = Filter([Equals("service", "t")])
         strategy_obj.handle_subscribe(Subscription("s1", filter, "c1"), "c1")
         forwarded_before = {k: set(v) for k, v in strategy_obj._forwarded.items()}
-        adverts_before = strategy_obj.advertised_multisets()
         broker.log.clear()
         strategy_obj.handle_unsubscribe("s1", filter, "N2")  # never known on N2
         strategy_obj.handle_unsubscribe("ghost", filter, "c1")  # never known at all
         assert broker.log == []
         assert {k: set(v) for k, v in strategy_obj._forwarded.items()} == forwarded_before
-        assert strategy_obj.advertised_multisets() == adverts_before
         assert broker.routing_table.has_subscription("s1", "c1")
         # the genuine unsubscription still goes through, and a repeat of it is stale
         strategy_obj.handle_unsubscribe("s1", filter, "c1")

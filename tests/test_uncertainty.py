@@ -8,7 +8,6 @@ from repro.core.uncertainty import (
     MarkovPredictor,
     NeighbourhoodPredictor,
     NoPredictionPredictor,
-    RecencyPredictor,
     coverage_and_cost,
 )
 
@@ -85,20 +84,6 @@ class TestMarkovPredictor:
     def test_invalid_threshold(self, line):
         with pytest.raises(ValueError):
             MarkovPredictor(line, threshold=1.5)
-
-
-class TestRecencyPredictor:
-    def test_remembers_recent_brokers(self):
-        predictor = RecencyPredictor(window=2)
-        predictor.observe_handover("home", "office")
-        predictor.observe_handover("office", "gym")
-        predicted = predictor.predict("gym")
-        assert "office" in predicted
-        assert "gym" not in predicted
-
-    def test_window_must_be_positive(self):
-        with pytest.raises(ValueError):
-            RecencyPredictor(window=0)
 
 
 class TestCoverageAndCost:
