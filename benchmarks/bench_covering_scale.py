@@ -4,10 +4,11 @@ Three sweeps:
 
 * **churn** — subscribe/unsubscribe churn driven straight through a routing
   strategy (identity / covering / merging) against a fake broker, comparing
-  the ``advertising="scan"`` baseline (rebuild the forwarded-filter list and
-  re-run ``covers`` per query) with the ``"incremental"`` forwarded-filter
-  index.  Both runs see the same operation sequence and their control-message
-  logs are asserted identical (up to generated merged-subscription ids).
+  the scan oracle (``repro.pubsub.testing.scan_strategy``: rebuild the
+  forwarded-filter list and re-run ``covers`` per query) with the product's
+  incremental forwarded-filter index.  Both runs see the same operation
+  sequence and their control-message logs are asserted identical (up to
+  generated merged-subscription ids).
 * **unsub-churn** — the same drive with every second operation an
   unsubscription (a mobile fabric lives on unsubscribe + subscribe), timing
   ``handle_unsubscribe`` and ``handle_subscribe`` apart: ``unsubscribe_us``
@@ -52,6 +53,7 @@ from repro.pubsub.routing import make_strategy  # noqa: E402
 from repro.pubsub.routing_table import RoutingTable  # noqa: E402
 from repro.pubsub.subscription import Subscription  # noqa: E402
 from repro.pubsub.testing import RecordingBroker as FakeBroker  # noqa: E402
+from repro.pubsub.testing import scan_strategy  # noqa: E402
 from repro.pubsub.testing import normalize_merged_ids as normalized  # noqa: E402
 
 #: share of subscribes followed by an unsubscribe of a random live subscription, per sweep
@@ -95,9 +97,11 @@ def make_ops(subscriptions: int, seed: int, unsubscribe_share: float):
 
 
 def run_churn(strategy_name: str, advertising: str, ops, links: int):
-    """Drive ``ops``; returns (seconds by operation kind, control-message log)."""
+    """Drive ``ops`` through the product strategy (``advertising="incremental"``)
+    or its scan oracle; returns (seconds by operation kind, control-message log)."""
     broker = FakeBroker([f"N{i}" for i in range(links)])
-    strategy = make_strategy(strategy_name, broker, advertising=advertising)
+    build = scan_strategy if advertising == "scan" else make_strategy
+    strategy = build(strategy_name, broker)
     seconds = {"sub": 0.0, "unsub": 0.0}
     for op, sub_id, filter, from_link in ops:
         start = time.perf_counter()

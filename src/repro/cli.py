@@ -60,7 +60,7 @@ def _add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         help="override any SystemConfig field (repeatable), e.g. "
-        "--set codec=binary --set matcher=brute --set flush_cap=4096",
+        "--set codec=binary --set matcher=brute --set metrics=off",
     )
 
 

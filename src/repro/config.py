@@ -1,12 +1,14 @@
 """Unified system configuration for the pub/sub middleware.
 
-:class:`SystemConfig` is the one object that names every tunable the
-broker fabric understands — matcher strategy, advertising mode, transport
-backend, wire codec, socket flush cap, duplicate-suppression capacity and
-the live-metrics switch.  It is the only way to choose them:
+:class:`SystemConfig` is the one object that names what a deployment of
+the broker fabric chooses — matcher strategy, transport backend, wire codec
+and the live-metrics switch.  It is the only way to choose them:
 :class:`~repro.pubsub.broker_network.BrokerNetwork`, the topology
 builders, the workloads and every CLI demo take one ``config=`` and no
-loose ``matcher=/advertising=/transport=/codec=`` kwargs.
+loose ``matcher=/transport=/codec=`` kwargs.  What no deployment chooses is
+a constant of the class that uses it (the socket write-batching threshold,
+the size of the duplicate-suppression memory), and the scan specification
+of subscription control is a test oracle (:mod:`repro.pubsub.testing`).
 
 The dataclass is frozen and validated at construction: an unknown name
 fails *immediately* with the allowed set in the message, instead of
@@ -23,20 +25,14 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping
 
-from repro.net.transport import TRANSPORT_NAMES, SocketNode, check_positive
+from repro.net.transport import TRANSPORT_NAMES
 from repro.net.wire import CODEC_NAMES
-from repro.pubsub.broker import Broker
-from repro.pubsub.routing import ADVERTISING_NAMES
 from repro.pubsub.routing_table import MATCHER_NAMES
 
-__all__ = ["SystemConfig", "DEFAULT_FLUSH_CAP", "DEFAULT_DUPLICATES_CAPACITY"]
-
-DEFAULT_FLUSH_CAP = SocketNode.FLUSH_CAP
-DEFAULT_DUPLICATES_CAPACITY = Broker.DEFAULT_DUPLICATES_CAPACITY
+__all__ = ["SystemConfig"]
 
 _NAME_SETS = {
     "matcher": MATCHER_NAMES,
-    "advertising": ADVERTISING_NAMES,
     "transport": TRANSPORT_NAMES,
     "codec": CODEC_NAMES,
 }
@@ -50,7 +46,7 @@ def _check_name(field: str, value: str) -> None:
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Every system-wide tunable, validated once, passed everywhere.
+    """Every deployment choice of the fabric, validated once, passed everywhere.
 
     >>> SystemConfig(matcher="brute", transport="asyncio").to_dict()["matcher"]
     'brute'
@@ -61,18 +57,13 @@ class SystemConfig:
     """
 
     matcher: str = "indexed"
-    advertising: str = "incremental"
     transport: str = "sim"
     codec: str = "json"
-    flush_cap: int = DEFAULT_FLUSH_CAP
-    duplicates_capacity: int = DEFAULT_DUPLICATES_CAPACITY
     metrics: bool = True
 
     def __post_init__(self) -> None:
-        for field in ("matcher", "advertising", "transport", "codec"):
+        for field in _NAME_SETS:
             _check_name(field, getattr(self, field))
-        check_positive("flush_cap", self.flush_cap)
-        check_positive("duplicates_capacity", self.duplicates_capacity)
         if not isinstance(self.metrics, bool):
             raise ValueError(f"metrics must be a bool, got {self.metrics!r}")
 
@@ -111,7 +102,7 @@ class SystemConfig:
     def with_overrides(self, pairs: Iterable[str]) -> "SystemConfig":
         """Apply ``key=value`` strings (the ``--set`` flag) onto this config."""
         changes: Dict[str, Any] = {}
-        known = {f.name: f for f in dataclasses.fields(self)}
+        known = {f.name for f in dataclasses.fields(self)}
         for pair in pairs:
             key, sep, raw = pair.partition("=")
             if not sep or not key:
@@ -127,18 +118,11 @@ class SystemConfig:
         """One-line human summary (used by ``repro info`` style output)."""
         return (
             f"transport={self.transport} codec={self.codec} matcher={self.matcher} "
-            f"advertising={self.advertising} flush_cap={self.flush_cap} "
-            f"duplicates_capacity={self.duplicates_capacity} "
             f"metrics={'on' if self.metrics else 'off'}"
         )
 
 
 def _coerce(key: str, raw: str) -> Any:
-    if key in ("flush_cap", "duplicates_capacity"):
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValueError(f"{key} expects an integer, got {raw!r}") from None
     if key == "metrics":
         lowered = raw.lower()
         if lowered in ("1", "true", "on", "yes"):

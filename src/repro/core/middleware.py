@@ -37,8 +37,8 @@ from .uncertainty import (
 class MobilitySystemConfig:
     """Tunable parameters of the mobility layer of a :class:`MobilePubSub`.
 
-    The broker fabric underneath (routing, matcher, advertising, transport,
-    codec) is configured once, on the
+    The broker fabric underneath (routing, matcher, transport, codec,
+    metrics) is configured once, on the
     :class:`~repro.pubsub.broker_network.BrokerNetwork` the deployment
     rides on (``network.config``); this object holds only what the
     replicator layer adds.

@@ -22,15 +22,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence
 
-from ..core.buffering import (
-    BufferPolicy,
-    CombinedPolicy,
-    CountBasedPolicy,
-    NotificationBuffer,
-    SemanticPolicy,
-    TimeBasedPolicy,
-    UnboundedPolicy,
-)
+from ..core.buffering import NotificationBuffer, make_policy
 from ..pubsub.notification import Notification
 from .harness import Table
 
@@ -69,18 +61,9 @@ def run(
     return table
 
 
-def _make_policy(name: str, ttl: float, max_entries: int) -> BufferPolicy:
-    if name == "unbounded":
-        return UnboundedPolicy()
-    if name == "time":
-        return TimeBasedPolicy(ttl=ttl)
-    if name == "count":
-        return CountBasedPolicy(max_entries=max_entries)
-    if name == "combined":
-        return CombinedPolicy([TimeBasedPolicy(ttl=ttl), CountBasedPolicy(max_entries=max_entries)])
-    if name == "semantic":
-        return SemanticPolicy(lambda n: (n.get("service"), n.get("location"), n.get("source")))
-    raise ValueError(f"unknown policy {name!r}")
+def _semantic_key(notification: Notification) -> tuple:
+    """A newer reading from the same source at the same place nullifies an older one."""
+    return (notification.get("service"), notification.get("location"), notification.get("source"))
 
 
 def _bursty_stream(
@@ -120,7 +103,7 @@ def _run_policy(
     ttl: float,
     max_entries: int,
 ) -> Dict[str, object]:
-    policy = _make_policy(policy_name, ttl, max_entries)
+    policy = make_policy(policy_name, ttl=ttl, max_entries=max_entries, key_function=_semantic_key)
     buffer = NotificationBuffer(policy)
     peak_memory = 0
     for notification in stream:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Sequence
 
-from ..config import SystemConfig
 from ..net.simulator import Simulator
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import AtLeast, AtMost, Equals, Filter
@@ -32,14 +31,8 @@ def run(
     subscriber_counts: Sequence[int] = (8, 24),
     publications: int = 40,
     seed: int = 12,
-    advertising: str = "incremental",
 ) -> Table:
-    """Run the routing ablation and return the result table.
-
-    ``advertising`` selects the subscription-control implementation
-    (``"incremental"`` index vs ``"scan"`` baseline); the ablation numbers
-    are identical under both, which this experiment relies on.
-    """
+    """Run the routing ablation and return the result table."""
     table = Table(
         "E12: routing strategies under overlapping subscriptions",
         columns=[
@@ -54,7 +47,7 @@ def run(
     )
     for n_subscribers in subscriber_counts:
         for strategy in strategies:
-            row = _run_once(strategy, n_brokers, n_subscribers, publications, seed, advertising)
+            row = _run_once(strategy, n_brokers, n_subscribers, publications, seed)
             table.add_row(subscribers=n_subscribers, strategy=strategy, **row)
     return table
 
@@ -69,18 +62,11 @@ def _subscription_filter(index: int, rng: random.Random) -> Filter:
 
 
 def _run_once(
-    strategy: str,
-    n_brokers: int,
-    n_subscribers: int,
-    publications: int,
-    seed: int,
-    advertising: str = "incremental",
+    strategy: str, n_brokers: int, n_subscribers: int, publications: int, seed: int
 ) -> Dict[str, object]:
     rng = random.Random(seed)
     sim = Simulator()
-    network = line_topology(
-        sim, n_brokers, routing=strategy, config=SystemConfig(advertising=advertising)
-    )
+    network = line_topology(sim, n_brokers, routing=strategy)
     brokers = network.broker_names()
 
     subscribers = []

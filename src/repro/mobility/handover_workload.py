@@ -181,7 +181,7 @@ def run_handover_workload(
     delivered multisets backend-invariant for *any* member of the family.
 
     ``config`` is the :class:`~repro.config.SystemConfig` carrying the
-    fabric knobs (matcher, advertising, codec, ...; the defaults when
+    fabric knobs (matcher, codec, metrics; the defaults when
     omitted); its ``transport`` field is overridden by ``backend``.
     """
     if spec is None:

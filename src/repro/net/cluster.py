@@ -175,14 +175,11 @@ class _BrokerNode(SocketNode):
         # the wire instruments live in the broker's registry and travel with
         # its ``metrics`` reply
         super().__init__(spec.get("codec"), MetricsRegistry(enabled=config.metrics))
-        self.set_flush_cap(config.flush_cap)
         self.broker = Broker(
             self._clock,
             self.name,
             routing=spec.get("routing", "simple"),
             matcher=config.matcher,
-            advertising=config.advertising,
-            duplicates_capacity=config.duplicates_capacity,
             metrics=self.metrics,
         )
         self.stop = asyncio.Event()
@@ -379,13 +376,6 @@ def node_main(argv: Optional[List[str]] = None) -> int:
     except json.JSONDecodeError as exc:
         print(f"invalid node spec: {exc}", file=sys.stderr)
         return 2
-    profile_dir = os.environ.get("REPRO_NODE_PROFILE")
-    profiler = None
-    if profile_dir:
-        import cProfile
-
-        profiler = cProfile.Profile()
-        profiler.enable()
     try:
         node = _BrokerNode(spec)
         return node._loop.run_until_complete(node.serve())
@@ -394,10 +384,6 @@ def node_main(argv: Optional[List[str]] = None) -> int:
 
         traceback.print_exc()
         return 1
-    finally:
-        if profiler is not None:
-            profiler.disable()
-            profiler.dump_stats(os.path.join(profile_dir, f"node-{spec.get('name', '?')}.pstats"))
 
 
 # ------------------------------------------------------------- parent: links

@@ -290,6 +290,10 @@ class RegistryServer:
         except asyncio.TimeoutError:
             self._replies.pop(rid, None)
             raise RegistryError(f"node {name!r} did not answer {payload.get('op')!r} in {timeout}s")
+        except ConnectionError as exc:
+            # the node died between the send and the drain
+            self._replies.pop(rid, None)
+            raise RegistryError(f"control channel to {name!r} lost: {exc}") from exc
 
     async def request(self, name: str, op: str, timeout: float = 10.0, **fields: Any) -> dict:
         """One control round-trip with the ``ok`` convention enforced.

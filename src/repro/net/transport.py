@@ -12,8 +12,8 @@ Three interchangeable backends:
 
 * :class:`SimTransport` (default) — the existing simulator, behaviour
   byte-identical to the pre-refactor substrate (enforced by the golden-trace
-  cross-check in ``tests/test_transport.py``, the way the ``matcher`` and
-  ``advertising`` choices are cross-checked).
+  cross-check in ``tests/test_transport.py``, the way the ``matcher``
+  choices and the scan advertising oracle are cross-checked).
 * :class:`AsyncioTransport` — every process gets a real asyncio TCP server
   on localhost; a link is one duplex TCP connection carrying length-prefixed
   wire frames (:mod:`repro.net.wire`) both ways.  Per-direction FIFO comes
@@ -85,12 +85,6 @@ FAULT_ACTIONS = ("crash", "restart", "link_down", "link_up")
 
 class TransportError(RuntimeError):
     """Raised when a transport is used incorrectly or fails to settle."""
-
-
-def check_positive(field: str, value: Any) -> None:
-    """Reject anything but a positive ``int`` as the value of knob ``field``."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{field} must be a positive integer, got {value!r}")
 
 
 class Transport(ABC):
@@ -251,10 +245,9 @@ class Transport(ABC):
         """Adopt a :class:`~repro.config.SystemConfig` for this substrate.
 
         Records the config (later :meth:`build_broker` calls read every broker
-        knob off it) and applies the transport-level knobs immediately.
+        knob off it) and applies the metrics switch to the transport at once.
         """
         self._system_config = config
-        self.set_flush_cap(config.flush_cap)
         self.set_metrics_enabled(config.metrics)
 
     @property
@@ -265,16 +258,6 @@ class Transport(ABC):
 
             return SystemConfig()
         return self._system_config
-
-    def set_flush_cap(self, cap: int) -> None:
-        """Set the wire flush cap.
-
-        The base implementation only validates the value: the simulator
-        moves object references and holds no wire buffers, so the knob is
-        inert there.  Socket backends set their write batching threshold
-        (:meth:`SocketNode.set_flush_cap`).
-        """
-        check_positive("flush_cap", cap)
 
     def set_metrics_enabled(self, enabled: bool) -> None:
         """Flip transport-level live instrumentation; a no-op on the simulator."""
@@ -307,8 +290,8 @@ class Transport(ABC):
         running on this transport's clock; the multi-process cluster backend
         overrides this to return a :class:`~repro.net.cluster.RemoteBroker`
         proxy whose actual broker lives in a spawned child process.  The
-        broker's ``matcher``, ``advertising``, ``duplicates_capacity`` and
-        ``metrics`` come from :attr:`system_config`, read once, here.
+        broker's ``matcher`` and ``metrics`` come from :attr:`system_config`,
+        read once, here.
         """
         from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
 
@@ -318,8 +301,6 @@ class Transport(ABC):
             name,
             routing=routing,
             matcher=config.matcher,
-            advertising=config.advertising,
-            duplicates_capacity=config.duplicates_capacity,
             metrics=MetricsRegistry(enabled=config.metrics),
         )
         self.brokers[name] = broker
@@ -782,11 +763,6 @@ class SocketNode:
         if enabled != self.metrics.enabled:
             self.metrics = MetricsRegistry(enabled=enabled)
             self._bind_instruments()
-
-    def set_flush_cap(self, cap: int) -> None:
-        """Set the write-batching threshold (instance-level override)."""
-        check_positive("flush_cap", cap)
-        self.FLUSH_CAP = cap
 
     # --------------------------------------------------------------- callbacks
     def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:

@@ -46,7 +46,6 @@ from .matching import (
 )
 from .notification import Notification, notification
 from .routing import (
-    ADVERTISING_NAMES,
     STRATEGIES,
     CoveringRouting,
     FloodingRouting,
@@ -60,7 +59,6 @@ from .routing_table import RouteEntry, RoutingTable
 from .subscription import Subscription, next_subscription_id, subscription
 
 __all__ = [
-    "ADVERTISING_NAMES",
     "AtLeast",
     "AtMost",
     "AttributeIndex",

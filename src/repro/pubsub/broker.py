@@ -52,16 +52,6 @@ class Broker(Process):
         Routing-table matching strategy: ``"indexed"`` (default; per-link
         attribute index, pre-selects candidate entries) or ``"brute"``
         (evaluate every entry).  Both produce identical forwarding decisions.
-    advertising:
-        Subscription-control implementation of the routing strategy:
-        ``"incremental"`` (default; maintained forwarded-filter index) or
-        ``"scan"`` (rebuild the forwarded-filter list per query).  Both
-        produce identical forwarding decisions; the knob only matters for
-        the identity/covering/merging strategies.
-    duplicates_capacity:
-        Maximum number of notification ids remembered for duplicate
-        suppression when :attr:`deduplicate` is on; oldest ids are evicted
-        first, which bounds broker memory on long-running deployments.
     metrics:
         The live :class:`~repro.obs.metrics.MetricsRegistry` this broker
         reports into (one is created when omitted).  Pass a registry
@@ -69,9 +59,10 @@ class Broker(Process):
         instrumentation.
     """
 
-    #: default bound on the duplicate-suppression memory
-    #: (re-exported as :data:`repro.config.DEFAULT_DUPLICATES_CAPACITY`)
-    DEFAULT_DUPLICATES_CAPACITY = 65536
+    #: how many notification ids duplicate suppression remembers when
+    #: :attr:`deduplicate` is on; the oldest is forgotten first, which bounds
+    #: broker memory on long-running deployments
+    duplicates_capacity = 65536
 
     def __init__(
         self,
@@ -79,8 +70,6 @@ class Broker(Process):
         name: str,
         routing: str = "simple",
         matcher: str = "indexed",
-        advertising: str = "incremental",
-        duplicates_capacity: Optional[int] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         super().__init__(sim, name)
@@ -88,9 +77,7 @@ class Broker(Process):
         self.routing_table = RoutingTable(matcher=matcher, metrics=self.metrics)
         self._delivery_age = self.metrics.histogram("broker.delivery_age", DEFAULT_LATENCY_BOUNDS)
         self.routing_strategy_name = routing
-        self.strategy: RoutingStrategy = make_strategy(
-            routing, self, advertising=advertising, metrics=self.metrics
-        )
+        self.strategy: RoutingStrategy = make_strategy(routing, self, metrics=self.metrics)
         self._broker_peers: Set[str] = set()
         # metrics
         self.notifications_routed = 0
@@ -102,13 +89,6 @@ class Broker(Process):
         self.resyncs_sent = 0
         self.resyncs_received = 0
         self.resync_forwards_sent = 0
-        if duplicates_capacity is not None and duplicates_capacity < 1:
-            raise ValueError("duplicates_capacity must be >= 1 (use deduplicate=False to disable)")
-        self.duplicates_capacity = (
-            duplicates_capacity
-            if duplicates_capacity is not None
-            else self.DEFAULT_DUPLICATES_CAPACITY
-        )
         self._seen_notification_ids: Dict[int, None] = {}
         self.deduplicate = False
 
@@ -117,11 +97,6 @@ class Broker(Process):
     def matcher(self) -> str:
         """The routing-table matching strategy ("brute" or "indexed")."""
         return self.routing_table.matcher
-
-    @property
-    def advertising(self) -> str:
-        """The subscription-control implementation ("scan" or "incremental")."""
-        return self.strategy.advertising
 
     # ------------------------------------------------------------------ wiring
     def register_broker_peer(self, peer_name: str) -> None:

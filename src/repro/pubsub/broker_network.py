@@ -30,8 +30,8 @@ class BrokerNetwork:
 
     The substrate and every fabric knob come from one
     :class:`~repro.config.SystemConfig` passed as ``config=`` (the defaults
-    when omitted): transport backend, wire codec, matcher, advertising mode,
-    flush cap, duplicate-suppression capacity and the metrics switch.  A
+    when omitted): transport backend, wire codec, matcher and the metrics
+    switch.  A
     typo like ``SystemConfig(matcher="indxed")`` fails when the config is
     built, with the allowed names in the message.
 

@@ -693,8 +693,8 @@ def judge_plan(
     On a non-sim backend the identical plan also runs on the simulator and
     the per-subscriber delivered sets must converge (the sim is the oracle).
     The sim oracle always runs on the *default* ``SystemConfig()``, so a
-    plan judged under a non-default ``config`` cross-checks its matcher and
-    advertising choices against the reference implementation.
+    plan judged under a non-default ``config`` cross-checks its matcher,
+    codec and metrics choices against the reference implementation.
     On any violation the schedule is shrunk on the failing backend and the
     minimal failing schedule is attached to the report.
     """

@@ -19,24 +19,18 @@ substrate comparison, so this module implements the whole family:
   may accept more notifications, which costs traffic but never correctness
   because border brokers still match against the clients' exact filters).
 
-Two implementations of the subscription-control path are available (the
-``advertising`` knob):
-
-* ``"scan"`` — the baseline: every ``needs_forwarding`` query rebuilds the
-  list of filters forwarded on the link and re-evaluates equality/``covers``
-  against each of them, O(forwarded subscriptions) per query with full
-  ``covers`` evaluations.
-* ``"incremental"`` (default) — a maintained per-link
-  :class:`_ForwardedFilterIndex`: a refcounted multiset of forwarded filter
-  keys, distinct filters grouped by constrained attribute set (the covering
-  candidate bound) and, inside it, by one pinned equality value, a memoised
-  ``covers`` relation, and refcounted constraint counts from which merging
-  reads its merged filter without re-folding the merge chain.  Every
-  suppressed (subscription, link) pair waits behind the advertised filter
-  that suppresses it (its *witness*), so an unsubscription re-examines only
-  the pairs whose witness it took away, not the routing table.  Forwarding
-  decisions are identical to ``"scan"`` — the index is a maintained view of
-  the same state.
+The identity, covering and merging strategies decide through a maintained
+per-link :class:`_ForwardedFilterIndex`: a refcounted multiset of forwarded
+filter keys, distinct filters grouped by constrained attribute set (the
+covering candidate bound) and, inside it, by one pinned equality value, a
+memoised ``covers`` relation, and refcounted constraint counts from which
+merging reads its merged filter without re-folding the merge chain.  Every
+suppressed (subscription, link) pair waits behind the advertised filter that
+suppresses it (its *witness*), so an unsubscription re-examines only the
+pairs whose witness it took away, not the routing table.  The specification
+the index must agree with — rebuild the forwarded-filter list per query and
+re-examine every subscription after every unsubscription — is the test
+oracle :class:`~repro.pubsub.testing.ScanAdvertising`.
 
 All strategies are stateful per broker and interact with their broker through
 a narrow interface (`routing_table`, `broker_neighbors`, `forward_subscribe`,
@@ -53,8 +47,6 @@ from ..obs.metrics import NULL_COUNTER
 from .filters import Constraint, Equals, Filter, InSet
 from .matching import pick_index_key
 from .subscription import Subscription, next_subscription_id
-
-ADVERTISING_NAMES = ("scan", "incremental")
 
 
 class RoutingBroker(Protocol):
@@ -345,7 +337,7 @@ class _ForwardedFilterIndex:
         # an identically-keyed filter may be advertised over the link;
         # covers() is reflexive for every well-behaved constraint, but a
         # NaN-valued equality is not equal to itself, so evaluate the
-        # (memoised) relation instead of assuming — scan mode would
+        # (memoised) relation instead of assuming — the scan oracle would
         if key in state.key_count and self.covers_cached(state.rep[key], filter):
             return key
         attrs = filter.attribute_set
@@ -380,13 +372,8 @@ class RoutingStrategy:
     #: merging; flooding and simple routing never do, so they skip the index.
     uses_advert_index = False
 
-    def __init__(self, broker: RoutingBroker, advertising: str = "incremental", metrics=None):
-        if advertising not in ADVERTISING_NAMES:
-            raise ValueError(
-                f"unknown advertising mode {advertising!r}; available: {ADVERTISING_NAMES}"
-            )
+    def __init__(self, broker: RoutingBroker, metrics=None):
         self.broker = broker
-        self.advertising = advertising
         # the live covering-index-hits counter (a no-op when the owning
         # broker runs without a metrics registry or with metrics disabled)
         self._covering_hits = (
@@ -400,15 +387,13 @@ class RoutingStrategy:
         # sub_id -> links this broker has forwarded the subscription to
         self._forwarded: Dict[str, Set[str]] = defaultdict(set)
         # link -> subscriptions to re-examine at the next re-advertisement
-        # over it (incremental mode).  A subscription with a table entry off
-        # a link listed here, not forwarded on it, is in the link's set or
-        # waits in the index behind a live witness.  Nothing is known yet
-        # about a link not listed: its first re-advertisement walks the table.
+        # over it.  A subscription with a table entry off a link listed here,
+        # not forwarded on it, is in the link's set or waits in the index
+        # behind a live witness.  Nothing is known yet about a link not
+        # listed: its first re-advertisement walks the table.
         self._pending: Dict[str, Set[str]] = {}
         self._index: Optional[_ForwardedFilterIndex] = (
-            _ForwardedFilterIndex(hits=self._covering_hits)
-            if advertising == "incremental" and self.uses_advert_index
-            else None
+            _ForwardedFilterIndex(hits=self._covering_hits) if self.uses_advert_index else None
         )
         # links whose advertised set changed since the last merge fold
         self._adverts_changed: Set[str] = set()
@@ -449,10 +434,9 @@ class RoutingStrategy:
         """The broker removed routing-table entries in bulk (a link detach).
 
         They all left the table before any unsubscription is propagated, so
-        none is re-advertised in place of another.  The incremental index
-        first re-derives the contributions of still-forwarded subscriptions
-        from the live table (scan mode only needs the changed-adverts marks:
-        it reads the table on every query).
+        none is re-advertised in place of another.  The index first
+        re-derives the contributions of still-forwarded subscriptions from
+        the live table.
         """
         entries = list(entries)
         for sub_id in {entry.sub_id for entry in entries}:
@@ -538,13 +522,26 @@ class RoutingStrategy:
         ):
             pending.add(sub_id)
 
-    def _forwarded_filters(self, link: str) -> List[Filter]:
-        filters = []
-        for sub_id, links in self._forwarded.items():
-            if link in links:
-                entries = self.broker.routing_table.entries_for_sub(sub_id)
-                filters.extend(entry.filter for entry in entries)
-        return filters
+    def _reforward_due(self, links: List[str]) -> Dict[str, List[str]]:
+        """The subscriptions to re-examine after an unsubscription, each with
+        the ``links`` it is due on.
+
+        Those due on each link, those whose witness just left among them; a
+        pair left out waits behind a live witness, for which
+        ``needs_forwarding`` would answer no.  Taking a link's set starts a
+        fresh one.
+        """
+        due: Dict[str, List[str]] = {}
+        for link in links:
+            pending = self._pending.get(link)
+            if pending is None:
+                pending = self.broker.routing_table.subscription_ids()
+            elif not pending:
+                continue
+            self._pending[link] = set()
+            for sub_id in pending:
+                due.setdefault(sub_id, []).append(link)
+        return due
 
     def _reforward_uncovered(self, links: List[str]) -> None:
         """After an unsubscription, re-advertise suppressed subscriptions.
@@ -552,29 +549,11 @@ class RoutingStrategy:
         A strategy that suppressed forwarding of subscription *T* because the
         removed subscription's filter made it redundant must now forward *T*,
         otherwise upstream brokers would stop routing T's notifications.
-
-        Scan mode is the specification: every subscription in the table is
-        re-examined on every one of ``links``.  Incremental mode examines the
-        subscriptions due on each link, those whose witness just left among
-        them; a pair it skips waits behind a live witness, for which
-        ``needs_forwarding`` would answer no.
         """
         if not links:
             return
         table = self.broker.routing_table
-        if self.advertising == "scan":
-            due: Dict[str, List[str]] = dict.fromkeys(table.subscription_ids(), links)
-        else:
-            due = {}
-            for link in links:
-                pending = self._pending.get(link)
-                if pending is None:
-                    pending = table.subscription_ids()
-                elif not pending:
-                    continue
-                self._pending[link] = set()
-                for sub_id in pending:
-                    due.setdefault(sub_id, []).append(link)
+        due = self._reforward_due(links)
         # Sorted, so shadow-forward emission order is independent of set/hash
         # ordering (byte-reproducible runs).
         for sub_id in sorted(due):
@@ -686,9 +665,7 @@ class IdentityRouting(SimpleRouting):
     uses_advert_index = True
 
     def needs_forwarding(self, filter: Filter, link: str) -> bool:
-        if self._index is not None:
-            return not self._index.has_key(link, filter.key())
-        return all(existing != filter for existing in self._forwarded_filters(link))
+        return not self._index.has_key(link, filter.key())
 
 
 class CoveringRouting(SimpleRouting):
@@ -698,9 +675,7 @@ class CoveringRouting(SimpleRouting):
     uses_advert_index = True
 
     def needs_forwarding(self, filter: Filter, link: str) -> bool:
-        if self._index is not None:
-            return not self._index.covered(link, filter)
-        return not any(existing.covers(filter) for existing in self._forwarded_filters(link))
+        return not self._index.covered(link, filter)
 
 
 class MergingRouting(CoveringRouting):
@@ -713,16 +688,16 @@ class MergingRouting(CoveringRouting):
     towards this broker but never loses notifications.
 
     The fold is only recomputed for links whose advertised set actually
-    changed since the last call (``_adverts_changed``); in incremental mode
-    the merged filter is additionally read straight from the maintained
-    constraint counts instead of re-folding the merge chain.
+    changed since the last call (``_adverts_changed``), and the merged filter
+    is read straight from the index's constraint counts instead of
+    re-folding the merge chain.
     """
 
     name = "merging"
     merge_threshold = 4
 
-    def __init__(self, broker: RoutingBroker, advertising: str = "incremental", metrics=None):
-        super().__init__(broker, advertising=advertising, metrics=metrics)
+    def __init__(self, broker: RoutingBroker, metrics=None):
+        super().__init__(broker, metrics=metrics)
         # link -> merged subscription currently advertised (if any)
         self._merged_subs: Dict[str, Subscription] = {}
 
@@ -744,17 +719,9 @@ class MergingRouting(CoveringRouting):
         if link not in self._adverts_changed:
             return  # advertised set unchanged since the last fold
         self._adverts_changed.discard(link)
-        if self._index is not None:
-            if self._index.count(link) <= self.merge_threshold:
-                return
-            merged_filter = self._index.merged_filter(link)
-        else:
-            forwarded = self._forwarded_filters(link)
-            if len(forwarded) <= self.merge_threshold:
-                return
-            merged_filter = forwarded[0]
-            for other in forwarded[1:]:
-                merged_filter = merged_filter.merge(other)
+        merged_filter = self._merged_filter(link)
+        if merged_filter is None:
+            return
         previous = self._merged_subs.get(link)
         if previous is not None and previous.filter == merged_filter:
             return
@@ -769,32 +736,29 @@ class MergingRouting(CoveringRouting):
         self._merged_subs[link] = merged
         self._retract_covered_adverts(merged_filter, link)
 
+    def _merged_filter(self, link: str) -> Optional[Filter]:
+        """The filter to advertise over ``link`` in place of its fine-grained
+        advertisements; ``None`` while they number no more than the threshold."""
+        if self._index.count(link) <= self.merge_threshold:
+            return None
+        return self._index.merged_filter(link)
+
     def _retract_covered_adverts(self, merged_filter: Filter, link: str) -> None:
         """Retract the fine-grained advertisements now covered by the merge."""
-        if self._index is not None:
-            link_subs = self._index.subs_on(link)
-            # iterate in _forwarded insertion order: the same retraction
-            # order the scan baseline produces
-            for sub_id in list(self._forwarded):
-                filters = link_subs.get(sub_id)
-                if filters and all(
-                    self._index.covers_cached(merged_filter, filter) for filter in filters
-                ):
-                    self.broker.forward_unsubscribe(sub_id, filters[0], link)
-                    self._forwarded[sub_id].discard(link)
-                    # the merged advertisement is not in the index: the pair
-                    # is due, with whatever waited on its filters
-                    self._fall_due((sub_id, *self._index.remove_contribution(sub_id, link)), link)
-                    self._adverts_changed.add(link)
-            return
-        for sub_id, links in list(self._forwarded.items()):
-            if link in links:
-                entries = self.broker.routing_table.entries_for_sub(sub_id)
-                filters = [entry.filter for entry in entries]
-                if filters and all(merged_filter.covers(f) for f in filters):
-                    self.broker.forward_unsubscribe(sub_id, filters[0], link)
-                    links.discard(link)
-                    self._adverts_changed.add(link)
+        link_subs = self._index.subs_on(link)
+        # iterate in _forwarded insertion order: the same retraction order
+        # the scan oracle produces
+        for sub_id in list(self._forwarded):
+            filters = link_subs.get(sub_id)
+            if filters and all(
+                self._index.covers_cached(merged_filter, filter) for filter in filters
+            ):
+                self.broker.forward_unsubscribe(sub_id, filters[0], link)
+                self._forwarded[sub_id].discard(link)
+                # the merged advertisement is not in the index: the pair is
+                # due, with whatever waited on its filters
+                self._fall_due((sub_id, *self._index.remove_contribution(sub_id, link)), link)
+                self._adverts_changed.add(link)
 
 
 STRATEGIES = {
@@ -806,9 +770,7 @@ STRATEGIES = {
 }
 
 
-def make_strategy(
-    name: str, broker: RoutingBroker, advertising: str = "incremental", metrics=None
-) -> RoutingStrategy:
+def make_strategy(name: str, broker: RoutingBroker, metrics=None) -> RoutingStrategy:
     """Instantiate the routing strategy called ``name`` for ``broker``."""
     try:
         cls = STRATEGIES[name]
@@ -816,4 +778,4 @@ def make_strategy(
         raise ValueError(
             f"unknown routing strategy {name!r}; available: {sorted(STRATEGIES)}"
         ) from None
-    return cls(broker, advertising=advertising, metrics=metrics)
+    return cls(broker, metrics=metrics)

@@ -1,10 +1,14 @@
-"""Doubles and shared workloads for exercising the pub/sub stack.
+"""Doubles, oracles and shared workloads for exercising the pub/sub stack.
 
 * :class:`RecordingBroker` / :func:`normalize_merged_ids` — drive a routing
   strategy outside a full broker network and compare the control messages it
   emits; shared by the equivalence tests
   (``tests/test_routing_advertising.py``) and the subscription-control
   benchmark (``benchmarks/bench_covering_scale.py``).
+* :class:`ScanAdvertising` / :func:`scan_strategy` /
+  :func:`use_scan_advertising` — the scan specification of subscription
+  control, the oracle the routing strategies' maintained forwarded-filter
+  index must agree with, decision for decision.
 * :func:`run_line_workload` — the canonical transport-backend workload (a
   line of brokers, one progressively-narrower subscriber per broker, one
   publisher, delivery verification); shared by the ``repro demo line`` CLI
@@ -16,9 +20,116 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from .broker import Broker
+from .filters import Filter
+from .routing import (
+    CoveringRouting,
+    FloodingRouting,
+    IdentityRouting,
+    MergingRouting,
+    RoutingStrategy,
+    SimpleRouting,
+)
 from .routing_table import RoutingTable
+
+
+class ScanAdvertising:
+    """Mixin: a routing strategy's subscription control, by the specification.
+
+    Every decision rebuilds the list of filters forwarded over the link from
+    the routing table and re-evaluates equality / ``covers`` against each
+    of them, and every unsubscription re-examines every subscription in the
+    table on every link it was forwarded on.  No forwarded-filter index is
+    kept.  Mixed in ahead of a strategy it must make that strategy's
+    decisions, and emit its control messages, exactly.
+    """
+
+    uses_advert_index = False
+
+    def _reforward_due(self, links: List[str]) -> Dict[str, List[str]]:
+        return dict.fromkeys(self.broker.routing_table.subscription_ids(), links)
+
+    def _forwarded_filters(self, link: str) -> List[Filter]:
+        filters = []
+        for sub_id, links in self._forwarded.items():
+            if link in links:
+                entries = self.broker.routing_table.entries_for_sub(sub_id)
+                filters.extend(entry.filter for entry in entries)
+        return filters
+
+
+class _ScanFlooding(ScanAdvertising, FloodingRouting):
+    pass
+
+
+class _ScanSimple(ScanAdvertising, SimpleRouting):
+    pass
+
+
+class _ScanIdentity(ScanAdvertising, IdentityRouting):
+    def needs_forwarding(self, filter: Filter, link: str) -> bool:
+        return all(existing != filter for existing in self._forwarded_filters(link))
+
+
+class _ScanCovering(ScanAdvertising, CoveringRouting):
+    def needs_forwarding(self, filter: Filter, link: str) -> bool:
+        return not any(existing.covers(filter) for existing in self._forwarded_filters(link))
+
+
+class _ScanMerging(_ScanCovering, MergingRouting):
+    def _merged_filter(self, link: str) -> Optional[Filter]:
+        forwarded = self._forwarded_filters(link)
+        if len(forwarded) <= self.merge_threshold:
+            return None
+        merged_filter = forwarded[0]
+        for other in forwarded[1:]:
+            merged_filter = merged_filter.merge(other)
+        return merged_filter
+
+    def _retract_covered_adverts(self, merged_filter: Filter, link: str) -> None:
+        for sub_id, links in list(self._forwarded.items()):
+            if link in links:
+                entries = self.broker.routing_table.entries_for_sub(sub_id)
+                filters = [entry.filter for entry in entries]
+                if filters and all(merged_filter.covers(f) for f in filters):
+                    self.broker.forward_unsubscribe(sub_id, filters[0], link)
+                    links.discard(link)
+                    self._adverts_changed.add(link)
+
+
+_SCAN_STRATEGIES = {
+    cls.name: cls
+    for cls in (_ScanFlooding, _ScanSimple, _ScanIdentity, _ScanCovering, _ScanMerging)
+}
+
+
+def scan_strategy(name: str, broker) -> RoutingStrategy:
+    """The scan oracle of the routing strategy called ``name``, for ``broker``."""
+    try:
+        cls = _SCAN_STRATEGIES[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown routing strategy {name!r}; available: {sorted(_SCAN_STRATEGIES)}"
+        ) from None
+    return cls(broker)
+
+
+def use_scan_advertising(net):
+    """Give every broker of the freshly built network ``net`` its strategy's
+    scan oracle; returns ``net``.
+
+    Only in-process brokers can be swapped (a cluster broker's strategy lives
+    in its child process), and only before they hold routing state.
+    """
+    for broker in net.brokers.values():
+        if not isinstance(broker, Broker):
+            raise TypeError(f"{broker.name}: scan advertising needs an in-process broker")
+        if len(broker.routing_table):
+            raise ValueError(f"{broker.name}: the oracle must be installed before subscriptions")
+        broker.strategy = scan_strategy(broker.routing_strategy_name, broker)
+    return net
 
 
 class RecordingBroker:

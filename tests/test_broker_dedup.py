@@ -21,15 +21,17 @@ class TestDuplicateSuppression:
         assert broker.notifications_routed == 1
 
     def test_memory_is_bounded(self):
-        broker = Broker(Simulator(), "B1", duplicates_capacity=3)
+        broker = Broker(Simulator(), "B1")
         broker.deduplicate = True
+        broker.duplicates_capacity = 3
         for notification_id in range(100):
             publish(broker, notification_id)
         assert len(broker._seen_notification_ids) <= 3
 
     def test_fifo_eviction_forgets_oldest_first(self):
-        broker = Broker(Simulator(), "B1", duplicates_capacity=2)
+        broker = Broker(Simulator(), "B1")
         broker.deduplicate = True
+        broker.duplicates_capacity = 2
         publish(broker, 1)
         publish(broker, 2)
         publish(broker, 3)  # evicts id 1
@@ -41,7 +43,7 @@ class TestDuplicateSuppression:
 
     def test_default_capacity(self):
         broker = Broker(Simulator(), "B1")
-        assert broker.duplicates_capacity == Broker.DEFAULT_DUPLICATES_CAPACITY
+        assert broker.duplicates_capacity == Broker.duplicates_capacity == 65536
 
     def test_dedup_off_keeps_no_state(self):
         broker = Broker(Simulator(), "B1")

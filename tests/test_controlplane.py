@@ -9,9 +9,9 @@ Four groups:
   broker is built; ``BrokerNetwork``, every topology builder and
   ``MobilitySystemConfig`` refusing the fabric knobs as loose kwargs; every
   backend building its brokers from the adopted config (a cluster broker
-  child from the spec's config alone); a brute/scan fabric delivering what
-  the default one does; and no running broker offering a way to change its
-  knobs;
+  child from the spec's config alone); a brute fabric with the scan
+  advertising oracle installed delivering what the default one does; and no
+  running broker offering a way to change its knobs;
 * **metrics** — the obs instruments themselves, plus
   ``Transport.metrics_snapshot()`` agreeing across all three backends on
   the deterministic broker counters of a fixed workload;
@@ -21,6 +21,7 @@ Four groups:
 
 import argparse
 import asyncio
+import dataclasses
 import json
 
 import pytest
@@ -30,7 +31,8 @@ from repro.config import SystemConfig
 from repro.core.middleware import MobilitySystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport, _BrokerNode
 from repro.net.registry import RegistryError, RegistryServer
-from repro.net.transport import Transport, make_transport
+from repro.net.simulator import Simulator
+from repro.net.transport import SocketNode, Transport, make_transport
 from repro.obs.metrics import (
     NULL_COUNTER,
     NULL_HISTOGRAM,
@@ -47,16 +49,22 @@ from repro.pubsub.broker_network import (
     star_topology,
 )
 from repro.pubsub.broker import Broker
-from repro.pubsub.routing import RoutingStrategy
+from repro.pubsub.routing import MergingRouting, RoutingStrategy, make_strategy
 from repro.pubsub.routing_table import RoutingTable
-from repro.pubsub.testing import run_line_workload
+from repro.pubsub import broker_network
+from repro.pubsub.testing import (
+    RecordingBroker,
+    ScanAdvertising,
+    run_line_workload,
+    use_scan_advertising,
+)
 
 # ------------------------------------------------------------- SystemConfig
 
 
 def test_systemconfig_defaults():
     config = SystemConfig()
-    assert (config.matcher, config.advertising) == ("indexed", "incremental")
+    assert config.matcher == "indexed"
     assert (config.transport, config.codec) == ("sim", "json")
     assert config.metrics is True
     assert "matcher=indexed" in config.describe()
@@ -64,18 +72,76 @@ def test_systemconfig_defaults():
 
 @pytest.mark.parametrize(
     "field,value",
-    [("matcher", "indxed"), ("advertising", "scann"), ("transport", "tcp"), ("codec", "xml")],
+    [("matcher", "indxed"), ("transport", "tcp"), ("codec", "xml")],
 )
 def test_systemconfig_rejects_unknown_names(field, value):
     with pytest.raises(ValueError, match=f"unknown {field} {value!r}; allowed: "):
         SystemConfig(**{field: value})
 
 
-@pytest.mark.parametrize("field", ["flush_cap", "duplicates_capacity"])
-@pytest.mark.parametrize("bad", [0, -4, True, "big", None])
-def test_systemconfig_rejects_bad_sizes(field, bad):
-    with pytest.raises(ValueError, match=f"{field} must be a positive integer"):
-        SystemConfig(**{field: bad})
+#: the scan oracle and the two sizes are not deployment choices
+NOT_DEPLOYMENT_CHOICES = {"advertising": "scan", "flush_cap": 4096, "duplicates_capacity": 512}
+
+
+def test_systemconfig_names_only_what_a_deployment_chooses():
+    fields = {field.name for field in dataclasses.fields(SystemConfig)}
+    assert fields == {"matcher", "transport", "codec", "metrics"}
+
+
+@pytest.mark.parametrize("knob", sorted(NOT_DEPLOYMENT_CHOICES))
+def test_systemconfig_refuses_a_knob_no_deployment_chooses(knob):
+    value = NOT_DEPLOYMENT_CHOICES[knob]
+    with pytest.raises(TypeError):
+        SystemConfig(**{knob: value})
+    with pytest.raises(ValueError, match=f"unknown SystemConfig key '{knob}'"):
+        SystemConfig().with_overrides([f"{knob}={value}"])
+    with pytest.raises(ValueError, match=f"unknown SystemConfig key\\(s\\) '{knob}'"):
+        SystemConfig.from_dict({**SystemConfig().to_dict(), knob: value})
+
+
+@pytest.mark.parametrize("knob", sorted(NOT_DEPLOYMENT_CHOICES))
+def test_cli_set_refuses_a_knob_no_deployment_chooses(knob, capsys):
+    argv = ["demo", "line", "--backend", "sim", "--set", f"{knob}={NOT_DEPLOYMENT_CHOICES[knob]}"]
+    assert main(argv) == 2
+    assert f"unknown SystemConfig key '{knob}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("knob", sorted(NOT_DEPLOYMENT_CHOICES))
+def test_broker_node_refuses_a_knob_no_deployment_chooses(knob):
+    spec = {"name": "B1", "registry": ["127.0.0.1", 0]}
+    config = {**SystemConfig().to_dict(), knob: NOT_DEPLOYMENT_CHOICES[knob]}
+    with pytest.raises(ValueError, match=f"unknown SystemConfig key\\(s\\) '{knob}'"):
+        _BrokerNode({**spec, "config": config})
+
+
+def _build_with_a_deleted_parameter(call):
+    broker = RecordingBroker(["N1"])
+    if call == "Broker-advertising":
+        Broker(Simulator(), "B1", advertising="scan")
+    elif call == "Broker-duplicates_capacity":
+        Broker(Simulator(), "B1", duplicates_capacity=3)
+    elif call == "make_strategy-advertising":
+        make_strategy("covering", broker, advertising="scan")
+    elif call == "MergingRouting-advertising":
+        MergingRouting(broker, advertising="scan")
+    else:
+        with make_transport("sim") as transport:
+            transport.build_broker("B1", routing="covering", advertising="scan")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "Broker-advertising",
+        "Broker-duplicates_capacity",
+        "make_strategy-advertising",
+        "MergingRouting-advertising",
+        "build_broker-advertising",
+    ],
+)
+def test_product_api_takes_no_oracle_or_size_parameter(call):
+    with pytest.raises(TypeError, match="unexpected keyword argument"):
+        _build_with_a_deleted_parameter(call)
 
 
 def test_systemconfig_rejects_non_bool_metrics():
@@ -84,31 +150,27 @@ def test_systemconfig_rejects_non_bool_metrics():
 
 
 def test_systemconfig_dict_round_trip():
-    config = SystemConfig(matcher="brute", transport="asyncio", codec="binary", flush_cap=4096)
+    config = SystemConfig(matcher="brute", transport="asyncio", codec="binary", metrics=False)
     assert SystemConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ValueError, match="unknown SystemConfig key"):
         SystemConfig.from_dict({**config.to_dict(), "turbo": 1})
 
 
 def test_systemconfig_with_overrides():
-    config = SystemConfig().with_overrides(
-        ["matcher=brute", "flush_cap=4096", "metrics=off"]
-    )
-    assert (config.matcher, config.flush_cap, config.metrics) == ("brute", 4096, False)
+    config = SystemConfig().with_overrides(["matcher=brute", "codec=binary", "metrics=off"])
+    assert (config.matcher, config.codec, config.metrics) == ("brute", "binary", False)
     with pytest.raises(ValueError, match="expects key=value"):
         SystemConfig().with_overrides(["matcher"])
     with pytest.raises(ValueError, match="unknown SystemConfig key 'turbo'"):
         SystemConfig().with_overrides(["turbo=1"])
-    with pytest.raises(ValueError, match="flush_cap expects an integer"):
-        SystemConfig().with_overrides(["flush_cap=big"])
     with pytest.raises(ValueError, match="metrics expects a boolean"):
         SystemConfig().with_overrides(["metrics=maybe"])
 
 
 def test_systemconfig_from_args():
-    ns = argparse.Namespace(backend="asyncio", set=["codec=binary", "flush_cap=512"])
+    ns = argparse.Namespace(backend="asyncio", set=["codec=binary", "metrics=off"])
     config = SystemConfig.from_args(ns)
-    assert (config.transport, config.codec, config.flush_cap) == ("asyncio", "binary", 512)
+    assert (config.transport, config.codec, config.metrics) == ("asyncio", "binary", False)
     assert config.matcher == "indexed"  # fields no --set names keep their defaults
     # only backend and --set are read: a stray flag attribute is ignored
     stray = argparse.Namespace(matcher="brute", codec="binary", set=[])
@@ -161,24 +223,12 @@ def test_fabric_knobs_have_one_way_in(build, knob):
 def test_in_process_broker_reads_the_adopted_config(backend):
     with make_transport(backend) as transport:
         default = transport.build_broker("B0", routing="covering")
-        transport.apply_config(
-            SystemConfig(
-                transport=backend,
-                matcher="brute",
-                advertising="scan",
-                duplicates_capacity=512,
-                metrics=False,
-            )
-        )
+        transport.apply_config(SystemConfig(transport=backend, matcher="brute", metrics=False))
         broker = transport.build_broker("B1", routing="covering")
-        with pytest.raises(ValueError, match="flush_cap must be a positive integer"):
-            transport.set_flush_cap(0)
-    assert (broker.matcher, broker.advertising) == ("brute", "scan")
-    assert broker.duplicates_capacity == 512
+    assert broker.matcher == "brute"
     assert broker.metrics.enabled is False
     # a broker built before the config was adopted keeps the defaults
-    assert (default.matcher, default.advertising) == ("indexed", "incremental")
-    assert default.duplicates_capacity == SystemConfig().duplicates_capacity
+    assert default.matcher == "indexed"
     assert default.metrics.enabled is True
 
 
@@ -190,8 +240,6 @@ def test_cluster_rejects_bad_declarations_before_boot():
         transport.build_broker("B2")
         with pytest.raises(ClusterError, match="duplicate broker name 'B1'"):
             transport.build_broker("B1")
-        with pytest.raises(ValueError, match="flush_cap must be a positive integer"):
-            transport.set_flush_cap(0)
         # each spec holds the config adopted when its broker was declared
         assert transport._specs["B1"]["config"]["matcher"] == "indexed"
         assert transport._specs["B2"]["config"]["matcher"] == "brute"
@@ -217,54 +265,56 @@ def _received(result):
 
 
 @pytest.mark.parametrize("backend", ["sim", "asyncio"])
-def test_brute_scan_fabric_matches_the_default(backend):
+def test_brute_scan_fabric_matches_the_default(backend, monkeypatch):
     built = []
 
     def observer(net):
-        built.extend((b.matcher, b.advertising) for b in net.brokers.values())
+        built.extend(
+            (b.matcher, isinstance(b.strategy, ScanAdvertising)) for b in net.brokers.values()
+        )
 
     default = run_line_workload("sim", 3, 40)
-    oracle = run_line_workload(
-        backend,
-        3,
-        40,
-        observer=observer,
-        config=SystemConfig(matcher="brute", advertising="scan"),
+    line_topology = broker_network.line_topology
+    monkeypatch.setattr(
+        broker_network,
+        "line_topology",
+        lambda *args, **kwargs: use_scan_advertising(line_topology(*args, **kwargs)),
     )
-    assert built == [("brute", "scan")] * 3
+    oracle = run_line_workload(
+        backend, 3, 40, observer=observer, config=SystemConfig(matcher="brute")
+    )
+    assert built == [("brute", True)] * 3
     assert _received(oracle) == _received(default)
 
 
-def test_brute_scan_fabric_matches_the_default_on_cluster():
+def test_brute_fabric_matches_the_default_on_cluster():
+    # the scan oracle cannot reach a broker child: the cluster runs brute only
     default = run_line_workload("sim", 3, 40)
-    oracle = run_line_workload(
-        "cluster", 3, 40, config=SystemConfig(matcher="brute", advertising="scan")
-    )
+    oracle = run_line_workload("cluster", 3, 40, config=SystemConfig(matcher="brute"))
     assert _received(oracle) == _received(default)
 
 
 def test_cluster_child_reads_its_knobs_from_the_spec_config():
     transport = ClusterTransport()
     try:
-        transport.apply_config(
-            SystemConfig(transport="cluster", matcher="brute", advertising="scan")
-        )
+        transport.apply_config(SystemConfig(transport="cluster", matcher="brute", metrics=False))
         transport.build_broker("B1", routing="covering")
         spec = dict(transport._specs["B1"], registry=["127.0.0.1", 0])
     finally:
         transport.close()
     # the spec names each knob once, in its config
-    assert not {"matcher", "advertising"} & set(spec)
+    assert not {"matcher", "metrics"} & set(spec)
     node = _BrokerNode(spec)
     try:
-        assert (node.broker.matcher, node.broker.advertising) == ("brute", "scan")
+        assert node.broker.matcher == "brute"
+        assert node.broker.metrics.enabled is False
     finally:
         node._loop.close()
 
 
-@pytest.mark.parametrize("owner", [Broker, RoutingTable, RoutingStrategy, Transport])
+@pytest.mark.parametrize("owner", [Broker, RoutingTable, RoutingStrategy, Transport, SocketNode])
 def test_a_running_broker_keeps_its_knobs(owner):
-    for name in "reconfigure set_matcher set_advertising configure".split():
+    for name in "reconfigure set_matcher set_advertising configure set_flush_cap".split():
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 
@@ -368,6 +418,24 @@ def test_registry_request_without_live_channel():
     asyncio.run(scenario())
 
 
+def test_registry_request_to_a_node_that_died_mid_send():
+    class ResetChannel:
+        def send(self, payload):
+            pass
+
+        async def drain(self):
+            raise ConnectionResetError("Connection lost")
+
+    async def scenario():
+        server = RegistryServer()
+        server._controls["B2"] = ResetChannel()
+        with pytest.raises(RegistryError, match="control channel to 'B2' lost"):
+            await server.request("B2", "stats", timeout=0.5)
+        assert not server._replies
+
+    asyncio.run(scenario())
+
+
 def test_cli_metrics_json(capsys):
     assert main(["metrics", "--backend", "sim", "--json", "--publishes", "10"]) == 0
     snapshot = json.loads(capsys.readouterr().out)
@@ -414,12 +482,12 @@ def test_cli_has_one_fabric_flag(argv, flag):
     [
         (["demo", "chaos", "--backend", "sim", "--set", "matcher=brute"], {"matcher": "brute"}),
         (
-            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--set", "advertising=scan"],
-            {"advertising": "scan"},
+            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--set", "matcher=brute"],
+            {"matcher": "brute"},
         ),
         (
-            ["chaos-fuzz", "--set", "advertising=scan", "--set", "duplicates_capacity=512"],
-            {"advertising": "scan", "duplicates_capacity": 512},
+            ["chaos-fuzz", "--set", "matcher=brute", "--set", "metrics=off"],
+            {"matcher": "brute", "metrics": False},
         ),
     ],
     ids=["demo-chaos", "soak", "chaos-fuzz"],

@@ -1,10 +1,11 @@
 """Scan vs incremental subscription-control equivalence.
 
-The incremental forwarded-filter index (``advertising="incremental"``) is a
-maintained view of exactly the state the scan baseline recomputes per query,
-so both modes must make identical forwarding decisions — byte-identical
+The forwarded-filter index of the identity/covering/merging strategies is a
+maintained view of exactly the state the scan oracle
+(:class:`repro.pubsub.testing.ScanAdvertising`) recomputes per query, so
+both must make identical forwarding decisions — byte-identical
 control messages up to the generated ids of merged subscriptions.  These
-tests drive randomized subscribe/unsubscribe/detach churn through both modes
+tests drive randomized subscribe/unsubscribe/detach churn through both
 side by side, at the strategy level (against a fake broker, comparing the
 emitted control-message log) and end to end (comparing deliveries, table
 contents and broker-link message counts).
@@ -16,7 +17,6 @@ import random
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology, random_tree_topology
 from repro.pubsub.filters import (
@@ -28,9 +28,10 @@ from repro.pubsub.filters import (
     match_all,
 )
 from repro.pubsub.notification import Notification
-from repro.pubsub.routing import ADVERTISING_NAMES, STRATEGIES, make_strategy
+from repro.pubsub.routing import STRATEGIES, CoveringRouting, make_strategy
 from repro.pubsub.subscription import Subscription
 from repro.pubsub.testing import RecordingBroker as FakeBroker
+from repro.pubsub.testing import ScanAdvertising, scan_strategy, use_scan_advertising
 from repro.pubsub.testing import normalize_merged_ids as normalized
 
 SERVICES = ["temperature", "stock", "news", "traffic"]
@@ -38,6 +39,14 @@ LOCATIONS = ["r1", "r2", "r3", "r4"]
 
 #: strategies whose forwarding decisions depend on the forwarded-filter set
 INDEXED_STRATEGIES = ("identity", "covering", "merging")
+
+#: the two implementations of subscription control compared here
+ADVERTISING = ("scan", "incremental")
+
+
+def strategy_for(advertising: str, name: str, broker):
+    """The routing strategy ``name`` for ``broker``, or (``"scan"``) its oracle."""
+    return scan_strategy(name, broker) if advertising == "scan" else make_strategy(name, broker)
 
 
 def random_filter(rng: random.Random) -> Filter:
@@ -65,7 +74,7 @@ def drive(strategy_name: str, advertising: str, seed: int, steps: int = 160):
     """Run a random subscribe/unsubscribe workload; return (log, forwarded state)."""
     rng = random.Random(seed)
     broker = FakeBroker(["N1", "N2", "N3"])
-    strategy = make_strategy(strategy_name, broker, advertising=advertising)
+    strategy = strategy_for(advertising, strategy_name, broker)
     links = ["c1", "c2", "N1", "N2"]  # subscriptions arrive from clients and brokers
     live = []
     for step in range(steps):
@@ -111,11 +120,11 @@ class TestStrategyLevelEquivalence:
 
     @pytest.mark.parametrize("strategy", INDEXED_STRATEGIES)
     def test_needs_forwarding_matches_scan_twin(self, strategy):
-        """Probed with filters nobody subscribed, the incremental index
-        answers ``needs_forwarding`` as the scan it replaces would."""
+        """Probed with filters nobody subscribed, the index answers
+        ``needs_forwarding`` as the scan oracle would."""
         rng = random.Random(42)
         strategies = [
-            make_strategy(strategy, FakeBroker(["N1", "N2"]), advertising=advertising)
+            strategy_for(advertising, strategy, FakeBroker(["N1", "N2"]))
             for advertising in ("incremental", "scan")
         ]
         for step in range(40):
@@ -129,15 +138,10 @@ class TestStrategyLevelEquivalence:
             for link in ("N1", "N2"):
                 assert incremental.needs_forwarding(f, link) == scan.needs_forwarding(f, link)
 
-    def test_unknown_advertising_rejected(self):
-        broker = FakeBroker(["N1"])
-        with pytest.raises(ValueError):
-            make_strategy("covering", broker, advertising="magic")
-
     def test_reforward_dedupes_multi_link_subscriptions(self):
         """A subscription with entries on several links re-forwards once per link."""
         broker = FakeBroker(["N1", "N2"])
-        strategy = make_strategy("covering", broker, advertising="incremental")
+        strategy = make_strategy("covering", broker)
         broad = Filter([Equals("service", "t")])
         narrow = Filter([Equals("service", "t"), Equals("location", "r1")])
         strategy.handle_subscribe(Subscription("cover", broad, "c1"), "c1")
@@ -153,14 +157,14 @@ class TestStrategyLevelEquivalence:
         assert sorted(e[1] for e in shadow_forwards) == ["N1", "N2"]
         assert len(shadow_forwards) == len(set(shadow_forwards))
 
-    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    @pytest.mark.parametrize("advertising", ADVERTISING)
     def test_reforward_tries_every_entry_filter(self, advertising):
         """A multi-link subscription whose entries carry *different* filters:
         if the first entry's filter is still covered but the second's is not,
         the second must be re-advertised (regression: the dedupe pass used to
         keep only the first entry)."""
         broker = FakeBroker(["N1"])
-        strategy = make_strategy("covering", broker, advertising=advertising)
+        strategy = strategy_for(advertising, "covering", broker)
         f1 = Filter([Equals("service", "t")])
         f2 = Filter([Equals("service", "s")])
         everything = match_all()
@@ -185,9 +189,9 @@ class TestStrategyLevelEquivalence:
         shortcut used to suppress it)."""
         nan = float("nan")
         logs = {}
-        for advertising in ADVERTISING_NAMES:
+        for advertising in ADVERTISING:
             broker = FakeBroker(["N1"])
-            strategy = make_strategy("covering", broker, advertising=advertising)
+            strategy = strategy_for(advertising, "covering", broker)
             strategy.handle_subscribe(Subscription("a", Filter([Equals("x", nan)]), "c1"), "c1")
             strategy.handle_subscribe(Subscription("b", Filter([Equals("x", nan)]), "c1"), "c1")
             logs[advertising] = broker.log
@@ -195,13 +199,13 @@ class TestStrategyLevelEquivalence:
         assert [entry[2] for entry in logs["scan"]] == ["a", "b"]
 
     def test_scan_merging_refolds_after_resubscription(self):
-        """Scan-mode merging must re-fold when an already-forwarded sub_id
-        gains a table entry from a second link (regression: the dirty flag
-        was only set in incremental mode, silencing the merge)."""
+        """Scan merging must re-fold when an already-forwarded sub_id gains a
+        table entry from a second link (regression: the dirty flag was only
+        set with the index, silencing the merge)."""
         logs = {}
-        for advertising in ADVERTISING_NAMES:
+        for advertising in ADVERTISING:
             broker = FakeBroker(["N1"])
-            strategy = make_strategy("merging", broker, advertising=advertising)
+            strategy = strategy_for(advertising, "merging", broker)
             for i in range(strategy.merge_threshold):
                 strategy.handle_subscribe(
                     Subscription(f"s{i}", Filter([Equals("value", i)]), "c1"), "c1"
@@ -219,9 +223,9 @@ def run_network(strategy: str, advertising: str, seed: int):
     """End-to-end churn: subscribe, unsubscribe, detach, publish."""
     rng = random.Random(seed)
     sim = Simulator()
-    network = random_tree_topology(
-        sim, 6, routing=strategy, seed=seed, config=SystemConfig(advertising=advertising)
-    )
+    network = random_tree_topology(sim, 6, routing=strategy, seed=seed)
+    if advertising == "scan":
+        use_scan_advertising(network)
     brokers = network.broker_names()
     clients = []
     subs = []
@@ -280,25 +284,40 @@ class TestEndToEndEquivalence:
         assert scan[2] == incremental[2]  # control traffic volume
 
 
-class TestKnobThreading:
-    def test_broker_exposes_advertising(self):
-        sim = Simulator()
-        net = line_topology(sim, 2, routing="covering", config=SystemConfig(advertising="scan"))
-        assert all(b.advertising == "scan" for b in net.brokers.values())
+class TestScanOracle:
+    @pytest.mark.parametrize("name", sorted(STRATEGIES))
+    def test_every_strategy_has_an_oracle(self, name):
+        oracle = scan_strategy(name, FakeBroker(["N1"]))
+        assert isinstance(oracle, STRATEGIES[name]) and isinstance(oracle, ScanAdvertising)
+        assert oracle._index is None
+        # the product strategy keeps an index exactly where the oracle differs
+        assert (make_strategy(name, FakeBroker(["N1"]))._index is not None) == (
+            name in INDEXED_STRATEGIES
+        )
 
-    def test_advertising_names_registry(self):
-        assert ADVERTISING_NAMES == ("scan", "incremental")
-        assert set(INDEXED_STRATEGIES) < set(STRATEGIES)
+    def test_unknown_strategy_has_no_oracle(self):
+        with pytest.raises(ValueError, match="unknown routing strategy 'magic'"):
+            scan_strategy("magic", FakeBroker(["N1"]))
 
-    def test_middleware_config_none_keeps_network_choice(self):
+    def test_installed_on_every_broker_and_kept_by_the_middleware(self):
         from repro.core.location import LocationSpace
         from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 
         sim = Simulator()
-        net = line_topology(sim, 2, routing="covering", config=SystemConfig(advertising="scan"))
+        net = use_scan_advertising(line_topology(sim, 2, routing="covering"))
         space = LocationSpace({"r1": "B1", "r2": "B2"})
         MobilePubSub(sim, net, space, config=MobilitySystemConfig())
-        assert all(b.advertising == "scan" for b in net.brokers.values())
+        for broker in net.brokers.values():
+            assert isinstance(broker.strategy, ScanAdvertising)
+            assert isinstance(broker.strategy, CoveringRouting)
+            assert broker.strategy.broker is broker
+
+    def test_only_a_fresh_network_takes_the_oracle(self):
+        net = line_topology(Simulator(), 2, routing="covering")
+        net.add_client("c", "B1").subscribe(Filter([Equals("service", "t")]))
+        net.run_until_idle()
+        with pytest.raises(ValueError, match="before subscriptions"):
+            use_scan_advertising(net)
 
 
 # ------------------------------------------------- witnesses and pin groups
@@ -341,12 +360,12 @@ def rich_filter(rng: random.Random) -> Filter:
 def drive_transitions(strategy_name: str, advertising: str, seed: int, steps: int = 220):
     """Churn plus every transition that can strand a witness or a pin group.
 
-    ``advertising="scan"`` is the oracle; the schedule is drawn identically
-    in either mode.
+    ``advertising="scan"`` drives the oracle; the schedule is drawn
+    identically for either.
     """
     rng = random.Random(seed)
     broker = FakeBroker(["N1", "N2", "N3"])
-    strategy = make_strategy(strategy_name, broker, advertising=advertising)
+    strategy = strategy_for(advertising, strategy_name, broker)
     table = broker.routing_table
     links = ["c1", "c2", "c3", "N1", "N2"]
     live = {}  # sub_id -> {link: filter}
@@ -442,12 +461,12 @@ class TestWitnessAndPinStructures:
             assert not strategy_obj._index._links
             assert not any(strategy_obj._pending.values())
 
-    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    @pytest.mark.parametrize("advertising", ADVERTISING)
     def test_witness_retracted_then_readvertised(self, advertising):
         """The covered pair comes back when its witness leaves, is suppressed
         again by the next witness, and comes back again when that one leaves."""
         broker = FakeBroker(["N1"])
-        strategy = make_strategy("covering", broker, advertising=advertising)
+        strategy = strategy_for(advertising, "covering", broker)
         broad = Filter([Equals("service", "t")])
         narrow = Filter([Equals("service", "t"), Range("value", 0, 5)])
         strategy.handle_subscribe(Subscription("w1", broad, "c1"), "c1")
@@ -467,12 +486,12 @@ class TestWitnessAndPinStructures:
             ("subscribe", "n"),
         ]
 
-    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    @pytest.mark.parametrize("advertising", ADVERTISING)
     def test_departed_witness_leaves_no_stale_memo(self, advertising):
         """Once the witness and the pair it covered are both gone, nothing
         remembered about them may suppress a fresh subscription."""
         broker = FakeBroker(["N1"])
-        strategy = make_strategy("covering", broker, advertising=advertising)
+        strategy = strategy_for(advertising, "covering", broker)
         broad = Filter([Equals("service", "t")])
         narrow = Filter([Equals("service", "t"), Range("value", 0, 5)])
         strategy.handle_subscribe(Subscription("w", broad, "c1"), "c1")
@@ -485,7 +504,7 @@ class TestWitnessAndPinStructures:
         strategy.handle_subscribe(Subscription("n2", narrow, "c2"), "c2")
         assert [entry[:3] for entry in broker.log] == [("subscribe", "N1", "n2")]
 
-    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    @pytest.mark.parametrize("advertising", ADVERTISING)
     def test_strategy_without_an_index_is_re_examined_every_time(self, advertising):
         """``needs_forwarding`` is the extension point: a strategy that
         suppresses by a rule of its own names no witness, so its suppressed
@@ -498,8 +517,11 @@ class TestWitnessAndPinStructures:
             def needs_forwarding(self, filter, link):
                 return sum(link in links for links in self._forwarded.values()) < self.quota
 
+        class ScanQuotaRouting(ScanAdvertising, QuotaRouting):
+            pass
+
         broker = FakeBroker(["N1"])
-        strategy = QuotaRouting(broker, advertising=advertising)
+        strategy = (ScanQuotaRouting if advertising == "scan" else QuotaRouting)(broker)
         filter = Filter([Equals("service", "t")])
         for sub_id in ("a", "b", "c"):
             strategy.handle_subscribe(Subscription(sub_id, filter, "c1"), "c1")
@@ -573,11 +595,11 @@ class TestStaleUnsubscribe:
     (sub_id, link) — used to retract the surviving entry's advertisements
     from the whole neighbourhood and put them straight back."""
 
-    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    @pytest.mark.parametrize("advertising", ADVERTISING)
     @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
     def test_stale_unsubscribe_changes_nothing(self, strategy, advertising):
         broker = FakeBroker(["N1", "N2", "N3"])
-        strategy_obj = make_strategy(strategy, broker, advertising=advertising)
+        strategy_obj = strategy_for(advertising, strategy, broker)
         filter = Filter([Equals("service", "t")])
         strategy_obj.handle_subscribe(Subscription("s1", filter, "c1"), "c1")
         forwarded_before = {k: set(v) for k, v in strategy_obj._forwarded.items()}
@@ -594,14 +616,14 @@ class TestStaleUnsubscribe:
         strategy_obj.handle_unsubscribe("s1", filter, "c1")
         assert len(broker.log) == len(expected)
 
-    @pytest.mark.parametrize("advertising", ADVERTISING_NAMES)
+    @pytest.mark.parametrize("advertising", ADVERTISING)
     @pytest.mark.parametrize("strategy", ["simple", "covering"])
     def test_relocation_overlap_sequence_is_pinned(self, strategy, advertising):
         """The same sub_id known on two links, then withdrawn from the first:
         an entry *was* removed, so today's retract-then-restore sequence stays
         (golden traces may contain it; see ROADMAP follow-ups)."""
         broker = FakeBroker(["N1", "N2", "N3"])
-        strategy_obj = make_strategy(strategy, broker, advertising=advertising)
+        strategy_obj = strategy_for(advertising, strategy, broker)
         filter = Filter([Equals("service", "t")])
         strategy_obj.handle_subscribe(Subscription("s1", filter, "c1"), "c1")
         strategy_obj.handle_subscribe(Subscription("s1", filter, "N2"), "N2")

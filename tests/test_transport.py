@@ -1,7 +1,7 @@
 """Cross-check tests for the pluggable transport layer.
 
-Three layers of guarantees, in the spirit of the ``matcher`` and
-``advertising`` cross-checks:
+Three layers of guarantees, in the spirit of the ``matcher`` cross-checks
+and of the scan advertising oracle's (``tests/test_routing_advertising.py``):
 
 1. **Golden trace** — a deterministic churn scenario on the default
    (simulator) substrate is captured as a canonical byte trace (every
