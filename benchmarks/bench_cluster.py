@@ -14,10 +14,7 @@ the aggregate work grows with the broker count.  The same workload runs on:
   (pipelined along the line), and each child's receive path is a tight
   synchronous loop instead of a per-frame coroutine.
 
-Both backends run once per wire codec (``--codec``, default both): the
-tagged-JSON reference codec and the interned-string binary codec, so the
-committed baseline records how the cluster-vs-asyncio comparison shifts when
-serialization stops dominating.
+Both backends speak the binary wire codec, the only one a socket speaks.
 
 Every run verifies each subscriber received exactly ``notifications``
 deliveries — the benchmark doubles as an integration gate and exits non-zero
@@ -58,17 +55,16 @@ from repro.pubsub.filters import Equals, Filter  # noqa: E402
 from repro.pubsub.notification import Notification  # noqa: E402
 
 
-def run_fanout(backend: str, brokers: int, fanout: int, notifications: int, codec: str = "json"):
-    """Run the fan-out workload on one backend under one wire codec.
+def run_fanout(backend: str, brokers: int, fanout: int, notifications: int):
+    """Run the fan-out workload on one backend.
 
     Returns ``(metrics, mismatches)``; a cluster broker child exiting
     non-zero raises ``SystemExit`` instead.  The publish wall time excludes
     topology boot (process spawning is a deployment cost, not a routing
     cost) but includes the drain to quiescence.
     """
-    net = line_topology(
-        n_brokers=brokers, link_latency=0.0, config=SystemConfig(transport=backend, codec=codec)
-    )
+    config = SystemConfig(transport=backend)
+    net = line_topology(n_brokers=brokers, link_latency=0.0, config=config)
     child_failures = {}
     try:
         subscribers = []
@@ -129,12 +125,6 @@ def main(argv=None) -> int:
         "headline config (used when regenerating the committed baseline)",
     )
     parser.add_argument(
-        "--codec",
-        choices=("json", "binary", "both"),
-        default="both",
-        help="wire codec(s) to sweep (default: both)",
-    )
-    parser.add_argument(
         "--output",
         "-o",
         default=str(Path(__file__).resolve().parent.parent / "BENCH_cluster.json"),
@@ -147,69 +137,62 @@ def main(argv=None) -> int:
     if not args.fast:
         configs.append((2, 3, 1200))
 
-    codecs = ("json", "binary") if args.codec == "both" else (args.codec,)
     results = []
     status = 0
     for brokers, fanout, notifications in configs:
-        for codec in codecs:
-            throughput = {}
-            for backend in ("asyncio", "cluster"):
-                metrics = None
-                best = -1.0
-                for _ in range(max(1, args.repeat)):
-                    candidate, mismatches = run_fanout(
-                        backend, brokers, fanout, notifications, codec=codec
+        throughput = {}
+        for backend in ("asyncio", "cluster"):
+            metrics = None
+            best = -1.0
+            for _ in range(max(1, args.repeat)):
+                candidate, mismatches = run_fanout(backend, brokers, fanout, notifications)
+                if mismatches:
+                    print(
+                        f"ERROR: {mismatches} subscriber(s) missed notifications "
+                        f"(backend={backend}, brokers={brokers}, fanout={fanout})",
+                        file=sys.stderr,
                     )
-                    if mismatches:
-                        print(
-                            f"ERROR: {mismatches} subscriber(s) missed notifications "
-                            f"(backend={backend}, codec={codec}, brokers={brokers}, "
-                            f"fanout={fanout})",
-                            file=sys.stderr,
-                        )
-                        status = 1
-                    if candidate["throughput_ops_per_sec"] > best:
-                        best = candidate["throughput_ops_per_sec"]
-                        metrics = candidate
-                throughput[backend] = metrics["throughput_ops_per_sec"]
-                if backend == "cluster" and throughput["asyncio"] > 0:
-                    metrics["speedup_vs_asyncio"] = throughput["cluster"] / throughput["asyncio"]
-                results.append(
-                    {
-                        "sweep": "cluster",
-                        "config": {
-                            "backend": backend,
-                            "brokers": brokers,
-                            "fanout": fanout,
-                            "notifications": notifications,
-                            "codec": codec,
-                        },
-                        "metrics": metrics,
-                    }
-                )
-                note = ""
-                if "speedup_vs_asyncio" in metrics:
-                    note = f"  speedup_vs_asyncio={metrics['speedup_vs_asyncio']:.2f}x"
-                print(
-                    f"cluster {backend:<8} codec={codec:<7} brokers={brokers} "
-                    f"fanout={fanout} n={notifications:<6} "
-                    f"wall={metrics['wall_sec']:7.3f}s "
-                    f"({metrics['throughput_ops_per_sec']:9.0f} deliveries/s) "
-                    f"delivered={metrics['delivered_fraction']:.3f}{note}"
-                )
-            if (
-                args.require_speedup
-                and codec == "json"
-                and (brokers, fanout, notifications) == HEADLINE
-                and throughput["cluster"] <= throughput["asyncio"]
-            ):
-                print(
-                    f"ERROR: cluster ({throughput['cluster']:.0f}/s) did not beat "
-                    f"single-process asyncio ({throughput['asyncio']:.0f}/s) on the "
-                    f"headline config brokers={brokers}, fanout={fanout}",
-                    file=sys.stderr,
-                )
-                status = 1
+                    status = 1
+                if candidate["throughput_ops_per_sec"] > best:
+                    best = candidate["throughput_ops_per_sec"]
+                    metrics = candidate
+            throughput[backend] = metrics["throughput_ops_per_sec"]
+            if backend == "cluster" and throughput["asyncio"] > 0:
+                metrics["speedup_vs_asyncio"] = throughput["cluster"] / throughput["asyncio"]
+            results.append(
+                {
+                    "sweep": "cluster",
+                    "config": {
+                        "backend": backend,
+                        "brokers": brokers,
+                        "fanout": fanout,
+                        "notifications": notifications,
+                    },
+                    "metrics": metrics,
+                }
+            )
+            note = ""
+            if "speedup_vs_asyncio" in metrics:
+                note = f"  speedup_vs_asyncio={metrics['speedup_vs_asyncio']:.2f}x"
+            print(
+                f"cluster {backend:<8} brokers={brokers} "
+                f"fanout={fanout} n={notifications:<6} "
+                f"wall={metrics['wall_sec']:7.3f}s "
+                f"({metrics['throughput_ops_per_sec']:9.0f} deliveries/s) "
+                f"delivered={metrics['delivered_fraction']:.3f}{note}"
+            )
+        if (
+            args.require_speedup
+            and (brokers, fanout, notifications) == HEADLINE
+            and throughput["cluster"] <= throughput["asyncio"]
+        ):
+            print(
+                f"ERROR: cluster ({throughput['cluster']:.0f}/s) did not beat "
+                f"single-process asyncio ({throughput['asyncio']:.0f}/s) on the "
+                f"headline config brokers={brokers}, fanout={fanout}",
+                file=sys.stderr,
+            )
+            status = 1
 
     payload = {
         "benchmark": "cluster",

@@ -235,55 +235,33 @@ def assert_cheapest_first_probe_order() -> None:
 
 
 def assert_wire_fragment_caches() -> None:
-    """Micro-assert: domain wire fragments are cached once per codec.
+    """Micro-assert: domain wire fragments are cached once.
 
-    Filters, subscriptions and notifications are immutable, so their wire
-    fragments are memoized on the object — one slot per codec.  Encoding the
-    same payload twice under the same codec must return a byte-identical
-    frame *via the cache* (the second encode reuses the stored fragment
-    object), and encoding under the other codec must fill its own slot
-    without disturbing the first: the caches are keyed per codec, never
-    shared.
+    Filters, subscriptions and notifications are immutable, so their binary
+    wire fragment is memoized on the object.  Encoding the same payload
+    twice must go *via the cache* (the second encode reuses the stored
+    fragment object).
     """
     from repro.net.process import Message
-    from repro.net.wire import BINARY_CODEC, JSON_CODEC
+    from repro.net.wire import frame_message_binary
 
     filt = Filter([Equals("service", "svc-0"), Range("value", 0, 100)])
     sub = Subscription(sub_id="s-cache", filter=filt, subscriber="c1")
     notif = Notification({"topic": "bench", "value": 7, "pad": "x" * 8})
-    json_slot = "_wire_json"
 
-    def lookup(payload, slot):
+    def lookup(payload):
         # a Subscription (frozen dataclass, no slots) has no attribute until cached
-        return getattr(payload, slot, None)
+        return getattr(payload, "_wire_bin", None)
 
     for payload in (filt, sub, notif):
-        assert lookup(payload, json_slot) is None, f"{payload!r}: stale json cache"
-        assert lookup(payload, "_wire_bin") is None, f"{payload!r}: stale binary cache"
-
-        message = Message(kind="publish", payload=payload, sender="bench")
-        JSON_CODEC.frame_message(message)
-        json_frag = lookup(payload, json_slot)
-        assert json_frag is not None, f"{type(payload).__name__}: json fragment not cached"
-        assert lookup(payload, "_wire_bin") is None, (
-            f"{type(payload).__name__}: json encode touched the binary slot"
-        )
-
-        BINARY_CODEC.frame_message(message)
-        bin_frag = lookup(payload, "_wire_bin")
-        assert bin_frag is not None, f"{type(payload).__name__}: binary fragment not cached"
-        assert isinstance(bin_frag, bytes) and isinstance(json_frag, str), (
-            f"{type(payload).__name__}: codec caches collided"
-        )
-
-        # re-encodes must *hit* the caches: same fragment object, not a rebuild
-        JSON_CODEC.frame_message(Message(kind="publish", payload=payload, sender="bench"))
-        BINARY_CODEC.frame_message(Message(kind="publish", payload=payload, sender="bench"))
-        assert lookup(payload, json_slot) is json_frag, (
-            f"{type(payload).__name__}: json re-encode rebuilt the fragment"
-        )
-        assert lookup(payload, "_wire_bin") is bin_frag, (
-            f"{type(payload).__name__}: binary re-encode rebuilt the fragment"
+        assert lookup(payload) is None, f"{payload!r}: stale binary cache"
+        frame_message_binary(Message(kind="publish", payload=payload, sender="bench"))
+        fragment = lookup(payload)
+        assert isinstance(fragment, bytes), f"{type(payload).__name__}: fragment not cached"
+        # a re-encode must *hit* the cache: same fragment object, not a rebuild
+        frame_message_binary(Message(kind="publish", payload=payload, sender="bench"))
+        assert lookup(payload) is fragment, (
+            f"{type(payload).__name__}: re-encode rebuilt the fragment"
         )
     print("wire-fragment cache micro-assert: ok")
 

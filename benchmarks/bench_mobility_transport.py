@@ -13,9 +13,7 @@ records what the paper's experiments care about, per backend:
 Every config doubles as an integration gate: the delivered
 ``(notification, replayed)`` multisets of both backends are cross-checked
 and the benchmark exits non-zero on any divergence.  The asyncio backend
-runs once per wire codec (``json`` and ``binary``) and is cross-checked
-against the sim reference under each, so the exact-gated outcome counts are
-verified to be codec-independent.
+speaks the binary wire codec, the only one a socket speaks.
 
 Emits ``BENCH_mobility.json`` (see ``--output``), consumable by
 ``benchmarks/compare.py``.  All wall-clock metrics are stored under
@@ -40,7 +38,6 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import SystemConfig  # noqa: E402
 from repro.mobility.handover_workload import cross_check_backends  # noqa: E402
 
 
@@ -53,7 +50,7 @@ def _percentile(values, p: float) -> float:
 def _metrics(result) -> dict:
     latencies = result.all_handover_latencies()
     # *_count metrics are deterministic outcomes of the phase-quiesced
-    # workload (identical on both backends, both codecs and every machine),
+    # workload (identical on both backends and every machine),
     # so compare.py gates them for EXACT equality against the baseline;
     # wall/latency metrics live under *_sec keys it ignores
     return {
@@ -72,41 +69,26 @@ def _metrics(result) -> dict:
 
 
 def run_config(brokers: int, publishes: int):
-    """Cross-check one config per wire codec; returns (records, mismatches).
-
-    The asyncio backend runs once per codec and is cross-checked against the
-    sim reference each time, so the exact-gated ``*_count`` outcomes are
-    verified to be codec-independent.  The sim backend never serializes, so
-    its single record carries no codec key.
-    """
+    """Cross-check one config on both backends; returns (records, mismatches)."""
+    results, mismatches = cross_check_backends(
+        backends=("sim", "asyncio"), brokers=brokers, publishes_per_phase=publishes
+    )
     records = []
-    all_mismatches = []
-    for codec in ("json", "binary"):
-        results, mismatches = cross_check_backends(
-            backends=("sim", "asyncio"),
-            brokers=brokers,
-            publishes_per_phase=publishes,
-            config=SystemConfig(codec=codec),
+    for backend in ("sim", "asyncio"):
+        metrics = _metrics(results[backend])
+        config = {"backend": backend, "brokers": brokers, "publishes": publishes}
+        records.append({"sweep": "mobility", "config": config, "metrics": metrics})
+        m = metrics
+        print(
+            f"mobility {backend:<8} "
+            f"brokers={brokers} pub/phase={publishes:<3} "
+            f"wall={m['wall_sec']:6.2f}s "
+            f"handover p50={m['handover_p50_sec'] * 1000:6.2f}ms "
+            f"p95={m['handover_p95_sec'] * 1000:6.2f}ms "
+            f"live={m['live_count']:<4} replayed={m['replayed_count']:<4} "
+            f"control={m['control_message_count']}"
         )
-        all_mismatches.extend(f"codec={codec}: {m}" for m in mismatches)
-        backends = ("sim", "asyncio") if codec == "json" else ("asyncio",)
-        for backend in backends:
-            metrics = _metrics(results[backend])
-            config = {"backend": backend, "brokers": brokers, "publishes": publishes}
-            if backend != "sim":
-                config["codec"] = codec
-            records.append({"sweep": "mobility", "config": config, "metrics": metrics})
-            m = metrics
-            print(
-                f"mobility {backend:<8} codec={codec if backend != 'sim' else '-':<7} "
-                f"brokers={brokers} pub/phase={publishes:<3} "
-                f"wall={m['wall_sec']:6.2f}s "
-                f"handover p50={m['handover_p50_sec'] * 1000:6.2f}ms "
-                f"p95={m['handover_p95_sec'] * 1000:6.2f}ms "
-                f"live={m['live_count']:<4} replayed={m['replayed_count']:<4} "
-                f"control={m['control_message_count']}"
-            )
-    return records, all_mismatches
+    return records, mismatches
 
 
 def main(argv=None) -> int:

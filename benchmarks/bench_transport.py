@@ -1,4 +1,4 @@
-"""Transport backend benchmark: simulator vs socket backends, per wire codec.
+"""Transport backend benchmark: simulator vs socket backends.
 
 Measures end-to-end notification throughput and delivery-latency percentiles
 of the same pub/sub workload (a line of brokers, one subscriber per broker,
@@ -13,13 +13,9 @@ one publisher) across the transport backends:
 * ``cluster`` — one OS process per broker (full sweep only, on the headline
   config): the same workload across real process boundaries.
 
-The socket backends run once per wire codec (``json``, the golden-trace
-reference, and ``binary``, the interned-string performance codec); each
-binary record carries a ``speedup`` metric — the ratio of the JSON wall time
-to the binary wall time for the same backend and config, measured in the
-same invocation.  ``compare.py`` gates ``speedup`` (higher is better) and
-the deterministic ``*_count`` delivery totals (exact), so both the headline
-codec win and the delivery sets are CI-guarded.  Each row is the best of
+The socket backends speak the binary wire codec, the only one a socket
+speaks.  ``compare.py`` gates the deterministic ``*_count`` delivery totals
+(exact), so the delivery sets are CI-guarded.  Each row is the best of
 ``--repeats`` runs: best-of damps scheduler noise, which otherwise dominates
 sub-second walls on small machines.
 
@@ -33,7 +29,6 @@ stored under ``*_sec``/``*_ops_per_sec``/``*_latency_sec`` keys, which
 
     PYTHONPATH=src python benchmarks/bench_transport.py          # full sweep
     PYTHONPATH=src python benchmarks/bench_transport.py --fast   # CI smoke
-    PYTHONPATH=src python benchmarks/bench_transport.py --fast --codec binary
     python benchmarks/compare.py BENCH_transport.json new.json
 """
 
@@ -46,11 +41,10 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import SystemConfig  # noqa: E402
 from repro.pubsub.testing import run_line_workload  # noqa: E402
 
 
-def run_backend(backend: str, brokers: int, notifications: int, codec=None, repeats: int = 3):
+def run_backend(backend: str, brokers: int, notifications: int, repeats: int = 3):
     """Run the shared line workload on one backend; returns (metrics, mismatches).
 
     The workload itself (progressive AtLeast filters, per-backend latency,
@@ -63,12 +57,7 @@ def run_backend(backend: str, brokers: int, notifications: int, codec=None, repe
     mismatches = 0
     for _ in range(max(1, repeats)):
         result = run_line_workload(
-            backend,
-            brokers,
-            notifications,
-            topic="bench",
-            payload_pad="x" * 32,
-            config=SystemConfig(codec=codec or "json"),
+            backend, brokers, notifications, topic="bench", payload_pad="x" * 32
         )
         mismatches = max(mismatches, result.mismatches)
         if best is None or result.wall_sec < best.wall_sec:
@@ -98,17 +87,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--fast", action="store_true", help="small sweep for CI smoke runs")
     parser.add_argument(
-        "--codec",
-        choices=("json", "binary", "both"),
-        default="both",
-        help="wire codec(s) for the socket backends (default: both; the "
-        "binary rows only carry a speedup metric when json ran too)",
-    )
-    parser.add_argument(
         "--repeats",
         type=int,
         default=3,
-        help="runs per (backend, codec, config); the best one is recorded (default: 3)",
+        help="runs per (backend, config); the best one is recorded (default: 3)",
     )
     parser.add_argument(
         "--output",
@@ -116,8 +98,6 @@ def main(argv=None) -> int:
         default=str(Path(__file__).resolve().parent.parent / "BENCH_transport.json"),
     )
     args = parser.parse_args(argv)
-
-    codecs = ("json", "binary") if args.codec == "both" else (args.codec,)
 
     # fast mode keeps the (3, 600) record so its config key matches the
     # committed full-sweep baseline and compare.py finds shared records
@@ -128,50 +108,29 @@ def main(argv=None) -> int:
     results = []
     status = 0
     for brokers, notifications in configs:
-        # sim rows are codec-free: the simulator passes object references and
-        # never serializes, so its config key deliberately has no codec
-        plan = [("sim", None)]
-        backends = ["asyncio"]
+        backends = ["sim", "asyncio"]
         if not args.fast and (brokers, notifications) == (5, 2000):
             backends.append("cluster")  # the headline cross-process config
         for backend in backends:
-            for codec in codecs:
-                plan.append((backend, codec))
-
-        walls = {}
-        for backend, codec in plan:
-            metrics, mismatches = run_backend(
-                backend, brokers, notifications, codec=codec, repeats=args.repeats
-            )
+            metrics, mismatches = run_backend(backend, brokers, notifications, args.repeats)
             if mismatches:
                 print(
                     f"ERROR: {mismatches} subscriber(s) missed notifications "
-                    f"(backend={backend}, codec={codec}, brokers={brokers})",
+                    f"(backend={backend}, brokers={brokers})",
                     file=sys.stderr,
                 )
                 status = 1
-            config = {
-                "backend": backend,
-                "brokers": brokers,
-                "notifications": notifications,
-            }
-            note = ""
-            if codec is not None:
-                config["codec"] = codec
-                walls[codec] = (backend, metrics["wall_sec"])
-                if codec == "binary" and walls.get("json", (None,))[0] == backend:
-                    metrics["speedup"] = walls["json"][1] / metrics["wall_sec"]
-                    note = f"  speedup={metrics['speedup']:.2f}x vs json"
+            config = {"backend": backend, "brokers": brokers, "notifications": notifications}
             results.append({"sweep": "transport", "config": config, "metrics": metrics})
             m = metrics
             print(
-                f"transport {backend:<8} codec={codec or '-':<7} "
+                f"transport {backend:<8} "
                 f"brokers={brokers} n={notifications:<6} "
                 f"wall={m['wall_sec']:7.3f}s "
                 f"({m['throughput_ops_per_sec']:9.0f} deliveries/s) "
                 f"p50={m['p50_latency_sec'] * 1000:7.2f}ms "
                 f"p95={m['p95_latency_sec'] * 1000:7.2f}ms "
-                f"delivered={m['delivered_fraction']:.3f}{note}"
+                f"delivered={m['delivered_fraction']:.3f}"
             )
 
     payload = {

@@ -1,14 +1,17 @@
 """Unified system configuration for the pub/sub middleware.
 
 :class:`SystemConfig` is the one object that names what a deployment of
-the broker fabric chooses — matcher strategy, transport backend, wire codec
-and the live-metrics switch.  It is the only way to choose them:
+the broker fabric chooses — matcher strategy, transport backend and the
+live-metrics switch.  It is the only way to choose them:
 :class:`~repro.pubsub.broker_network.BrokerNetwork`, the topology
 builders, the workloads and every CLI demo take one ``config=`` and no
-loose ``matcher=/transport=/codec=`` kwargs.  What no deployment chooses is
-a constant of the class that uses it (the socket write-batching threshold,
+loose ``matcher=/transport=`` kwargs.  What no deployment chooses is a
+constant of the class that uses it (the socket write-batching threshold,
 the size of the duplicate-suppression memory), and the scan specification
 of subscription control is a test oracle (:mod:`repro.pubsub.testing`).
+Sockets speak one wire, the binary codec: ``codec`` has the one value
+``"binary"`` and stays a field only because the benchmark ledger
+(``benchmarks/budget``) names it.
 
 The dataclass is frozen and validated at construction: an unknown name
 fails *immediately* with the allowed set in the message, instead of
@@ -26,7 +29,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, Mapping
 
 from repro.net.transport import TRANSPORT_NAMES
-from repro.net.wire import CODEC_NAMES
 from repro.pubsub.routing_table import MATCHER_NAMES
 
 __all__ = ["SystemConfig"]
@@ -34,7 +36,8 @@ __all__ = ["SystemConfig"]
 _NAME_SETS = {
     "matcher": MATCHER_NAMES,
     "transport": TRANSPORT_NAMES,
-    "codec": CODEC_NAMES,
+    # the one wire every socket speaks (JSON is a reference codec, no choice)
+    "codec": ("binary",),
 }
 
 
@@ -58,7 +61,7 @@ class SystemConfig:
 
     matcher: str = "indexed"
     transport: str = "sim"
-    codec: str = "json"
+    codec: str = "binary"
     metrics: bool = True
 
     def __post_init__(self) -> None:
@@ -117,7 +120,7 @@ class SystemConfig:
     def describe(self) -> str:
         """One-line human summary (used by ``repro info`` style output)."""
         return (
-            f"transport={self.transport} codec={self.codec} matcher={self.matcher} "
+            f"transport={self.transport} matcher={self.matcher} "
             f"metrics={'on' if self.metrics else 'off'}"
         )
 

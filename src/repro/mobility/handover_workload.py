@@ -181,8 +181,8 @@ def run_handover_workload(
     delivered multisets backend-invariant for *any* member of the family.
 
     ``config`` is the :class:`~repro.config.SystemConfig` carrying the
-    fabric knobs (matcher, codec, metrics; the defaults when
-    omitted); its ``transport`` field is overridden by ``backend``.
+    fabric knobs (matcher, metrics; the defaults when omitted); its
+    ``transport`` field is overridden by ``backend``.
     """
     if spec is None:
         spec = WorkloadSpec(

@@ -38,10 +38,10 @@ the children and waits for the readiness barrier.
 Failure semantics: a broker child that hits an internal error exits with a
 non-zero code; the parent polls child liveness during boot and on every
 ``run_until_idle`` tick and raises :class:`ClusterError` naming the dead
-broker and its exit code.  A connection refused at the handshake (wrong
-codec or target) is closed unanswered and costs the broker nothing else.  A
-child whose registry control channel hits EOF (the parent died) shuts
-itself down, so no orphan broker processes are left behind.
+broker and its exit code.  A connection refused at the handshake (skewed
+wire revision or wrong target) is closed unanswered and costs the broker
+nothing else.  A child whose registry control channel hits EOF (the parent
+died) shuts itself down, so no orphan broker processes are left behind.
 
 Quiescence: the parent cannot observe in-flight frames inside other
 processes, so ``run_until_idle`` polls the message counters of every broker
@@ -87,7 +87,6 @@ from .transport import (
     TransportError,
     _Receiver,
 )
-from .wire import Codec
 
 
 class ClusterError(TransportError):
@@ -174,7 +173,7 @@ class _BrokerNode(SocketNode):
         config = SystemConfig.from_dict(spec["config"])
         # the wire instruments live in the broker's registry and travel with
         # its ``metrics`` reply
-        super().__init__(spec.get("codec"), MetricsRegistry(enabled=config.metrics))
+        super().__init__(MetricsRegistry(enabled=config.metrics))
         self.broker = Broker(
             self._clock,
             self.name,
@@ -192,7 +191,7 @@ class _BrokerNode(SocketNode):
         self._rng = random.Random(f"dial-jitter:{self.name}")
 
     def _record_error(self, exc: BaseException) -> None:
-        """Routing and codec bugs must fail the node, loudly."""
+        """Routing and wire bugs must fail the node, loudly."""
         super()._record_error(exc)
         self.stop.set()
 
@@ -260,7 +259,7 @@ class _BrokerNode(SocketNode):
                 await asyncio.sleep(pause + self._rng.uniform(0.0, pause / 4))
                 pause = min(pause * 2, self.DIAL_RETRY_CAP)
         # the acceptor reads the handshake first, so the link is usable at
-        # once; its answer only confirms that it speaks this node's codec
+        # once; its answer only confirms that it speaks this node's wire revision
         endpoint._writer = receiver.sock
         self.broker.attach_link(peer, endpoint)
         self.broker.register_broker_peer(peer)
@@ -564,9 +563,8 @@ class ClusterTransport(SocketNode, Transport):
         registry_port: Optional[int] = None,
         boot_timeout: float = DEFAULT_BOOT_TIMEOUT,
         idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
-        codec: "Codec | str | None" = None,
     ):
-        super().__init__(codec)
+        super().__init__()
         self.host = host
         self.boot_timeout = boot_timeout
         self.idle_timeout = idle_timeout
@@ -629,7 +627,6 @@ class ClusterTransport(SocketNode, Transport):
             "name": name,
             "host": self.host,
             "routing": routing,
-            "codec": self.codec.name,
             "config": self.system_config.to_dict(),
             "dial": [],
             "accept": [],

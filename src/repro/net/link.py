@@ -210,10 +210,10 @@ class Network:
     asyncio sockets (``transport="asyncio"``).
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, transport: str = "sim", codec=None):
+    def __init__(self, sim: Optional[Simulator] = None, transport: str = "sim"):
         from .transport import make_transport  # local: transport imports Link
 
-        self.transport = make_transport(transport, sim=sim, codec=codec)
+        self.transport = make_transport(transport, sim=sim)
         self.processes: Dict[str, Process] = {}
         self.links: list = []
 

@@ -45,11 +45,10 @@ class Message:
     msg_id: int = field(default_factory=lambda: next(_message_ids))
     meta: Dict[str, Any] = field(default_factory=dict)
     _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    # per-codec encoded-frame caches, populated by the wire layer so one
-    # message fanned out to many socket links is framed exactly once; they
-    # are keyed on the sender baked into the frame, so ``send`` drops them
-    # whenever the sender changes (e.g. a broker forwarding a peer's frame)
-    _frame_json: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+    # the encoded-frame cache, populated by the wire layer so one message
+    # fanned out to many socket links is framed exactly once; it is keyed on
+    # the sender baked into the frame, so ``send`` drops it whenever the
+    # sender changes (e.g. a broker forwarding a peer's frame)
     _frame_bin: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def size(self) -> int:
@@ -157,7 +156,6 @@ class Process:
         endpoint = self.links[peer_name]
         if message.sender != self.name:
             message.sender = self.name
-            message._frame_json = None
             message._frame_bin = None
         # counted once the endpoint accepted it: a refused send was not sent
         endpoint.transmit(message)
@@ -180,7 +178,6 @@ class Process:
         for message in messages:
             if message.sender != self.name:
                 message.sender = self.name
-                message._frame_json = None
                 message._frame_bin = None
             size += message.size()
         # counted once the endpoint accepted the burst (see send)
@@ -217,7 +214,7 @@ class LinkEndpoint:
 
     #: True when this endpoint serialises messages to the wire, so a broker
     #: fanning one notification out to many such endpoints may hand them the
-    #: *same* Message object and amortise encoding via its frame caches.
+    #: *same* Message object and amortise encoding via its frame cache.
     #: In-memory endpoints keep this False: their Message objects are the
     #: delivered artifacts and must stay distinct per destination.
     shares_fanout = False

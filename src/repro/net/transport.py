@@ -16,7 +16,7 @@ Three interchangeable backends:
   choices and the scan advertising oracle are cross-checked).
 * :class:`AsyncioTransport` — every process gets a real asyncio TCP server
   on localhost; a link is one duplex TCP connection carrying length-prefixed
-  wire frames (:mod:`repro.net.wire`) both ways.  Per-direction FIFO comes
+  binary wire frames (:mod:`repro.net.wire`) both ways.  Per-direction FIFO comes
   from TCP itself; time is the event loop's monotonic clock.  Runs are *not*
   deterministic — that is the point: this is the deployment shape of the
   paper's original REBECA testbed (broker processes talking over sockets).
@@ -48,8 +48,8 @@ latency model                exact simulated seconds     ``latency`` is a
                                                          timers fire when
                                                          due (µs waits)
 real concurrency / sockets   no                          yes (localhost TCP)
-serialization                none (object references)    length-prefixed wire
-                                                         frames per message
+serialization                none (object references)    binary wire frames,
+                                                         batched per hop
 mobility layer support       full                        full (a wireless link
                                                          is a real TCP conn
                                                          opened per attach)
@@ -485,15 +485,15 @@ def _new_event_loop() -> asyncio.AbstractEventLoop:
     return asyncio.new_event_loop()
 
 
-def handshake_frame(codec, source: str, target: str, link=None, kind=None, resync=False) -> bytes:
+def handshake_frame(source: str, target: str, link=None, kind=None, resync=False) -> bytes:
     """The control frame that opens a connection, and the one that answers it.
 
-    ``source``/``target`` name the two ends and the codec fields let each
-    check the other's dialect.  Optional: ``link`` (which link, where one
+    ``source``/``target`` name the two ends and the wire fields let each
+    check the other's revision.  Optional: ``link`` (which link, where one
     server accepts for several), ``kind`` (a broker or a client dials a
     cluster broker), ``resync`` (the acceptor is to re-advertise from scratch).
     """
-    handshake = {"source": source, "target": target, **wire.handshake_fields(codec)}
+    handshake = {"source": source, "target": target, **wire.handshake_fields()}
     optional = {"link": link, "kind": kind, "resync": resync}
     handshake.update((key, value) for key, value in optional.items() if value)
     return wire.frame(wire.encode_control(handshake))
@@ -502,8 +502,8 @@ def handshake_frame(codec, source: str, target: str, link=None, kind=None, resyn
 class SocketEndpoint(LinkEndpoint):
     """One direction of a link carried by a socket: frame, buffer, one write per burst.
 
-    ``transmit`` serializes to length-prefixed wire frames for the node's
-    send path; a :class:`_Receiver` hands what arrives to :meth:`receive`.
+    ``transmit`` serializes to length-prefixed binary wire frames for the
+    node's send path; a :class:`_Receiver` hands what arrives to :meth:`receive`.
     Per-direction FIFO is TCP's.  Serialising endpoints share fan-out
     messages, so a broker hop reuses one pre-encoded frame across every
     destination link.  Runtime policy: :meth:`_admit`, :meth:`receive`,
@@ -522,7 +522,7 @@ class SocketEndpoint(LinkEndpoint):
         #: either end of its connection died)
         self._writer: Optional[asyncio.WriteTransport] = None
         #: frames framed but not yet written to the socket (hop-level write
-        #: batching under a batched codec; always empty under JSON)
+        #: batching)
         self._buffer = bytearray()
 
     @property
@@ -533,18 +533,16 @@ class SocketEndpoint(LinkEndpoint):
     def transmit(self, message: Message) -> None:
         if self._admit((message,)):
             self.stats.record(message)
-            node = self.node
-            node._send_frames(self, node.codec.frame_message(message), 1)
+            self.node._send_frames(self, wire.frame_message_binary(message), 1)
 
     def transmit_many(self, messages: List[Message]) -> None:
         if messages and self._admit(messages):
-            node = self.node
-            frame_message = node.codec.frame_message
+            frame_message = wire.frame_message_binary
             burst = bytearray()
             for message in messages:
                 self.stats.record(message)
                 burst += frame_message(message)
-            node._send_frames(self, bytes(burst), len(messages))
+            self.node._send_frames(self, bytes(burst), len(messages))
 
     def _admit(self, messages) -> bool:
         """Whether ``messages`` can be sent now (else: dropped and counted, or raise)."""
@@ -612,7 +610,7 @@ class _Receiver(asyncio.BufferedProtocol):
         # delivery floor relative to it, so a burst pays the latency once,
         # not once per message (pipelined, like the simulator's floors)
         arrival = node._loop.time()
-        decode_message = node.codec.decode_message
+        decode_message = wire.decode_message_binary
         try:
             bodies = self.decoder.feed(data)
             if not self.saw_handshake and bodies:
@@ -642,19 +640,16 @@ class _Receiver(asyncio.BufferedProtocol):
             raise wire.WireError(
                 f"handshake from {source!r} for {target!r} arrived at {self.name!r}"
             )
-        wire.check_handshake_codec(handshake, node.codec)
+        wire.check_handshake_codec(handshake)
         if self.acked is not None:
             self.acked.set_result(None)
         else:
             # accepted: the way back is this same socket; answering tells the
-            # dialler so and lets it check this end's codec in turn
+            # dialler so and lets it check this end's wire revision in turn
             self.inbound = node._accept(self.name, handshake, self.sock)
-            self.sock.write(handshake_frame(node.codec, self.name, source))
+            self.sock.write(handshake_frame(self.name, source))
             node._accepted(self.inbound, handshake)
         self.saw_handshake = True
-        # the handshake fixed the codec; from here on every body must lead
-        # with this codec's first byte
-        self.decoder.codec = node.codec
 
     def _release(self) -> None:
         """The floor timer: deliver every queued frame that is due, re-arm for the rest."""
@@ -714,23 +709,22 @@ class SocketNode:
     """One process's socket runtime; every socket backend is an instance of it.
 
     A node owns a loop whose timers fire when due, an :class:`AsyncioClock`
-    on it, the wire codec with its three instruments, and the one path a
-    link's frames take: out through :meth:`_send_frames` (under a batched
-    codec written when the loop callback that sent them ends, or one loop
-    turn after a send from outside one), in through a :class:`_Receiver` per
-    connection, opened by :meth:`_dial` and a handshake the acceptor answers
-    so each end checks the other's codec.  What its callbacks raise is kept
-    for whoever drives it.  What a node *hosts* is its subclass's business.
+    on it, three wire instruments, and the one path a link's frames take:
+    out through :meth:`_send_frames` (written when the loop callback that
+    sent them ends, or one loop turn after a send from outside one), in
+    through a :class:`_Receiver` per connection, opened by :meth:`_dial` and
+    a handshake the acceptor answers so each end checks the other's wire
+    revision.  What its callbacks raise is kept for whoever drives it.
+    What a node *hosts* is its subclass's business.
     """
 
-    #: flush threshold for hop-level write batching (batched codecs only): a
-    #: buffered burst is written out as soon as it reaches this many bytes,
-    #: so batching never holds more than one socket write's worth of frames
-    #: (individual frames are still bounded by ``wire.MAX_FRAME_SIZE``)
+    #: flush threshold for hop-level write batching: a buffered burst is
+    #: written out as soon as it reaches this many bytes, so batching never
+    #: holds more than one socket write's worth of frames (individual frames
+    #: are still bounded by ``wire.MAX_FRAME_SIZE``)
     FLUSH_CAP = 64 * 1024
 
-    def __init__(self, codec: "wire.Codec | str | None" = None, metrics=None):
-        self.codec = wire.get_codec(codec)
+    def __init__(self, metrics=None):
         self._loop = _new_event_loop()
         self._clock = AsyncioClock(self)
         #: the reading side of every connection still open (aborted on close)
@@ -815,7 +809,7 @@ class SocketNode:
         """
         receiver = _Receiver(self, source, inbound, acked=self._loop.create_future())
         sock, _ = await self._loop.create_connection(lambda: receiver, *address)
-        sock.write(handshake_frame(self.codec, source, target, **fields))
+        sock.write(handshake_frame(source, target, **fields))
         return receiver
 
     def _accept(self, name: str, handshake: Dict[str, Any], sock) -> SocketEndpoint:
@@ -835,10 +829,6 @@ class SocketNode:
     def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:
         self._frames_sent.inc(count)
         self._bytes_sent.inc(len(data))
-        if not self.codec.batched:
-            endpoint._writer.write(data)
-            self._write_bytes.observe(len(data))
-            return
         # hop-level batching: coalesce the dispatch burst into one socket write
         buffer = endpoint._buffer
         buffer += data
@@ -1077,8 +1067,8 @@ class AsyncioTransport(SocketNode, Transport):
     #: default cap on run_until_idle, so a routing bug cannot hang a test run
     DEFAULT_IDLE_TIMEOUT = 30.0
 
-    def __init__(self, host: str = "127.0.0.1", codec: "wire.Codec | str | None" = None):
-        super().__init__(codec)
+    def __init__(self, host: str = "127.0.0.1"):
+        super().__init__()
         self.host = host
         self._processes: Dict[str, Process] = {}
         self._servers: Dict[str, asyncio.AbstractServer] = {}
@@ -1304,21 +1294,12 @@ class AsyncioTransport(SocketNode, Transport):
 
 # -------------------------------------------------------------------- factory
 
-def make_transport(
-    name: str = "sim",
-    sim: Optional[Simulator] = None,
-    codec: "wire.Codec | str | None" = None,
-) -> Transport:
+def make_transport(name: str = "sim", sim: Optional[Simulator] = None) -> Transport:
     """Build the backend a ``SystemConfig.transport`` name selects.
 
     ``sim`` is the simulator the ``"sim"`` backend wraps (a fresh one when
     ``None``); the socket backends run on their own clocks and reject it.
-    ``codec`` selects the wire codec of the socket backends (see
-    :data:`repro.net.wire.CODEC_NAMES`); the simulator moves object
-    references and never serializes, so it validates the name and ignores it
-    — letting one config drive sim-oracle cross-checks unchanged.
     """
-    wire.get_codec(codec)  # validate the name up front for every backend
     if name == "sim":
         return SimTransport(sim)
     if name not in TRANSPORT_NAMES:
@@ -1326,7 +1307,7 @@ def make_transport(
     if sim is not None:
         raise ValueError(f"the {name} backend does not take a Simulator")
     if name == "asyncio":
-        return AsyncioTransport(codec=codec)
+        return AsyncioTransport()
     from .cluster import ClusterTransport  # lazy: avoid a subprocess import cycle
 
-    return ClusterTransport(codec=codec)
+    return ClusterTransport()

@@ -8,39 +8,32 @@ templates, the ``client_hello`` and ``handover_request``/``handover_reply``
 payloads of the replicated-handover protocol, replicator stats — can be
 encoded to a length-prefixed frame and decoded back to an equal object, which
 is what lets ``MobilePubSub`` run on real sockets.  The payload set is
-declared once, in :func:`_load_table`; both codecs are derived from it.
+declared once, in :func:`_load_table`; both encodings are derived from it.
 
 Design notes
 ------------
 * **Framing** is a 4-byte big-endian length prefix followed by the body
   (:func:`frame`/:class:`FrameDecoder`), the standard way to delimit messages
   on a TCP stream.
-* **Encoding** is tagged JSON: domain objects become ``{"__t__": tag, ...}``
-  dictionaries, containers recurse, and the final body is emitted with sorted
-  keys and no whitespace so that *the same message always encodes to the same
-  bytes*.  That determinism is what the ``SimTransport`` cross-check tests
-  hash.
-* Non-finite floats (``Range`` uses ``±inf`` bounds) rely on Python's JSON
-  ``Infinity`` extension, which is symmetric between ``dumps`` and ``loads``.
+* **Sockets speak the binary codec**: a version byte, one tag byte per
+  value, compact (varint-style) lengths, and protocol strings interned
+  through a static :data:`STRING_TABLE`.  The same message always encodes
+  to the same bytes.
+* **JSON is the reference codec** (:func:`encode_message`/
+  :func:`decode_message`): domain objects become ``{"__t__": tag, ...}``
+  dictionaries, emitted with sorted keys and no whitespace.  The golden
+  traces and corpus digests hash it, and every binary round-trip decodes to
+  an object whose JSON encoding is byte-identical to the original's.
+  Non-finite floats (``Range`` uses ``±inf`` bounds) rely on Python's JSON
+  ``Infinity`` extension, symmetric between ``dumps`` and ``loads``.
 * The codec is deliberately closed: encoding an object it does not know about
   raises :class:`WireError` instead of silently pickling arbitrary state.
   (``pickle`` would accept everything but turn every broker into a remote
   code execution endpoint; a closed codec is the safe default for sockets.)
 
-Two codecs share that closed payload set (see :func:`get_codec`):
-
-* ``"json"`` — the tagged-JSON reference codec described above.  Its byte
-  encodings are pinned by golden-trace digests and never change.
-* ``"binary"`` — a versioned binary codec for the socket hot path: a
-  version byte, one tag byte per value, compact (varint-style) lengths,
-  and protocol strings interned through a static :data:`STRING_TABLE`
-  whose revision is negotiated in the connection handshake
-  (:func:`handshake_fields`/:func:`check_handshake_codec`).  Every binary
-  round-trip decodes to an object whose JSON re-encoding is byte-identical
-  to a direct JSON encoding, so the golden traces keep pinning semantics.
-
-Handshakes themselves are always JSON control frames under both codecs —
-a codec mismatch is therefore detected loudly at connection setup
+Handshakes are JSON control frames (:func:`encode_control`) carrying the
+binary wire revision and string-table length (:func:`handshake_fields`), so
+a skewed peer is refused loudly at connection setup
 (:class:`CodecMismatchError`) instead of surfacing as garbage frames.
 """
 
@@ -48,7 +41,7 @@ from __future__ import annotations
 
 import json
 import struct
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Any, Dict, Iterator, List, Tuple
 
 from .process import Message
@@ -66,12 +59,12 @@ class WireError(ValueError):
 
 
 class CodecMismatchError(WireError):
-    """A peer speaks a different codec or wire revision than this endpoint.
+    """A peer speaks a different wire revision than this endpoint.
 
     Distinct from plain :class:`WireError` so transports can tell a
-    negotiation failure (wrong codec, wrong binary version, skewed string
-    table) apart from truncation or corruption of an otherwise agreed
-    stream.
+    negotiation failure (a skewed wire revision or string table, a body
+    that does not lead with the binary version byte) apart from truncation
+    or corruption of an otherwise agreed stream.
     """
 
 
@@ -100,15 +93,14 @@ class _Record:
     """One payload type of the closed wire set.
 
     ``fields`` holds ``(attribute, key, kind, getter, bit)`` in binary order
-    (``bit``: 0 unless FLAG/OPTIONAL), ``json_fields`` ``(',"key":', kind,
-    getter)`` in ``sort_keys`` order, ``keys`` every key its JSON form may
+    (``bit``: 0 unless FLAG/OPTIONAL), ``keys`` every key its JSON form may
     carry; ``build(**values)`` makes the decoded object and ``read`` is the
     binary reader (default :func:`_r_record`).
 
-    ``cached`` types are immutable by contract and remember their fragment per
-    codec in ``_wire_json``/``_wire_bin`` (never part of equality or hashing;
-    set with ``object.__setattr__``, which serves ``Notification``/``Filter``
-    slots and the ``__dict__`` of the frozen ``Subscription`` dataclass alike).
+    ``cached`` types are immutable by contract and remember their binary
+    fragment in ``_wire_bin`` (never part of equality or hashing; set with
+    ``object.__setattr__``, which serves ``Notification``/``Filter`` slots
+    and the ``__dict__`` of the frozen ``Subscription`` dataclass alike).
     Computed by the first encode, or primed by the decoder from the bytes it
     just read, it is spliced by every later encode: a broker fanning a
     notification out to K links serializes it once, a hop forwards what it
@@ -118,7 +110,7 @@ class _Record:
     ``stamped``, ``dataclasses.replace``) builds an object with an empty one.
     """
 
-    __slots__ = ("cls", "tag", "code", "fields", "json_fields", "keys", "cached", "build", "read")
+    __slots__ = ("cls", "tag", "code", "fields", "keys", "cached", "build", "read")
 
     def __init__(self, cls, tag, code, fields, cached=False, build=None, read=None):
         self.cls, self.tag, self.code, self.cached = cls, tag, code, cached
@@ -139,10 +131,6 @@ class _Record:
             normalised.append((attribute, key, kind, getter, bit))
         self.fields = tuple(normalised)
         self.keys = frozenset(key for _, key, _, _, _ in normalised) | {_TAG}
-        self.json_fields = tuple(
-            (f',"{key}":', kind, getter)
-            for _, key, kind, getter, _ in sorted(normalised, key=itemgetter(1))
-        )
 
 
 _BY_CLASS: Dict[type, _Record] = {}
@@ -292,7 +280,6 @@ _dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":"), allow_nan=True)
 _DECODE_ERRORS = (
     LookupError, TypeError, ValueError, AttributeError, OverflowError, RecursionError, struct.error
 )
-_SCALARS = frozenset((bool, int, float, str))
 
 
 def _encode_value(obj: Any) -> Any:
@@ -340,62 +327,12 @@ def _decode_value(obj: Any) -> Any:
     for attribute, key, kind, _, _ in record.fields:
         # an absent optional key decodes as None, like an explicit null
         values[attribute] = _decode_value(obj.get(key) if kind is OPTIONAL else obj[key])
-    decoded = record.build(**values)
-    if record.cached:
-        # prime the fragment cache from the parsed body: re-dumping the
-        # already-canonical sub-structure is byte-identical to the sender's
-        # encoding, so the next hop forwards without re-encoding
-        object.__setattr__(decoded, "_wire_json", _dumps(obj))
-    return decoded
-
-
-def _json_fragment(obj: Any) -> str:
-    """Emit the canonical JSON text of any encodable value, using caches.
-
-    Byte-identical to ``_dumps(_encode_value(obj))`` by construction (same
-    sorted keys, same separators), but records are spliced from their fields'
-    fragments and containers recurse, so a cached sub-tree is reused wherever
-    it nests: a filter in a fresh subscription or an ``unsubscribe`` dict.
-    """
-    if obj is None or type(obj) in _SCALARS:
-        return _dumps(obj)
-    if isinstance(obj, dict):
-        _check_keys(obj)
-        items = ",".join(f"{_dumps(key)}:{_json_fragment(obj[key])}" for key in sorted(obj))
-        return f"{{{items}}}"
-    if isinstance(obj, list):
-        return f'[{",".join(map(_json_fragment, obj))}]'
-    record = _BY_CLASS.get(type(obj)) or _lookup(_BY_CLASS, type(obj))
-    if record is None:
-        # a scalar subclass, or the closed-set refusal
-        return _dumps(_encode_value(obj))
-    if record.cached:
-        fragment = getattr(obj, "_wire_json", None)
-        if fragment is not None:
-            return fragment
-    parts = [f'{{"{_TAG}":"{record.tag}"']
-    for prefix, kind, getter in record.json_fields:
-        value = getter(obj)
-        if kind is VALUE:
-            parts.append(prefix + _json_fragment(value))
-        elif kind is ITEMS:
-            parts.append(f'{prefix}[{",".join(map(_json_fragment, value))}]')
-        elif kind is SORTED:
-            parts.append(prefix + _dumps(sorted(map(_encode_value, value), key=repr)))
-        elif kind is FLAG:
-            parts.append(prefix + ("true" if value else "false"))
-        elif value is not None:
-            parts.append(prefix + _json_fragment(value))
-    parts.append("}")
-    fragment = "".join(parts)
-    if record.cached:
-        object.__setattr__(obj, "_wire_json", fragment)
-    return fragment
+    return record.build(**values)
 
 
 def encode_message(message: Message) -> bytes:
-    """Serialize a message to its canonical (deterministic) byte body."""
-    return _json_fragment(message).encode("utf-8")
+    """Serialize a message to its canonical (deterministic) JSON body."""
+    return encode_control(message)
 
 
 def _decode_json(data: bytes) -> Any:
@@ -409,10 +346,6 @@ def _decode_json(data: bytes) -> Any:
 
 def decode_message(data: bytes) -> Message:
     """Parse a body from :func:`encode_message`; any failure is a :class:`WireError`."""
-    if data[:1] == _BINARY_PREFIX:
-        raise CodecMismatchError(
-            "received a binary frame on a JSON-codec connection (codec mismatch)"
-        )
     return _envelope(_decode_json(data))
 
 
@@ -442,8 +375,8 @@ def decode_control(data: bytes) -> Any:
 # Protocol strings (message kinds, common payload keys and workload attribute
 # names) are interned through the static STRING_TABLE: a 2-byte reference
 # instead of the spelled-out string.  The table is part of the wire revision:
-# handshakes carry (codec, WIRE_VERSION, table length) and a skew is rejected
-# loudly at connection setup, so indices are connection-independent and the
+# handshakes carry (WIRE_VERSION, table length) and a skew is rejected loudly
+# at connection setup, so indices are connection-independent and the
 # per-object binary fragments below are globally cacheable.
 #
 # Determinism mirrors the JSON codec: dict keys are emitted sorted,
@@ -455,8 +388,6 @@ BINARY_VERSION = 1
 #: revision of the binary format *and* the string table; negotiated in the
 #: connection handshake.  Bump whenever tags, layouts or STRING_TABLE change.
 WIRE_VERSION = 1
-
-_BINARY_PREFIX = bytes([BINARY_VERSION])
 
 #: static interned protocol strings (message kinds, wire payload keys, common
 #: workload attribute names).  Append-only; any change bumps WIRE_VERSION.
@@ -824,7 +755,6 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     notification.notification_id = nid
     notification.published_at = published_at
     notification.publisher = publisher
-    notification._wire_json = None
     notification._esize = None
     notification._wire_bin = buf[start:pos]
     return notification, pos
@@ -833,7 +763,7 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
 def encode_message_binary(message: Message) -> bytes:
     """Serialize a message to its binary byte body (version byte + value)."""
     # through the walker, so tests can hold frame_message_binary against it
-    out = bytearray(_BINARY_PREFIX)
+    out = bytearray((BINARY_VERSION,))
     _b_write(out, message)
     return bytes(out)
 
@@ -843,10 +773,6 @@ def decode_message_binary(data: bytes) -> Message:
     if not data:
         raise WireError("empty binary wire body")
     if data[0] != BINARY_VERSION:
-        if data[0] == 0x7B:  # "{" — a tagged-JSON body
-            raise CodecMismatchError(
-                "received a JSON frame on a binary-codec connection (codec mismatch)"
-            )
         raise CodecMismatchError(
             f"unsupported binary wire version byte 0x{data[0]:02x} "
             f"(this endpoint speaks version {BINARY_VERSION})"
@@ -869,7 +795,6 @@ def decode_message_binary(data: bytes) -> Message:
                 "msg_id": msg_id,
                 "meta": meta,
                 "_size": None,
-                "_frame_json": None,
                 "_frame_bin": None,
             }
         else:
@@ -884,13 +809,15 @@ def decode_message_binary(data: bytes) -> Message:
 
 
 def frame_message_binary(message: Message) -> bytes:
-    """Encode and frame a binary message in one step (the sender hot path).
+    """Encode and frame a binary message in one step (the socket send path).
 
     Specialisation 3 of 3: builds the length prefix, version byte and body in
     a single buffer and writes the envelope fields directly (in the Message
     record's order), skipping both the intermediate body copy of
     ``frame(encode_message_binary(...))`` and :func:`_b_write`'s type dispatch
-    for the outer :class:`Message`.  Memoized on the message (:func:`frame_message`).
+    for the outer :class:`Message`.  The finished frame is memoized on the
+    message (``Process.send`` drops it when the sender changes), so a broker
+    fanning one notification out to N socket links encodes it once.
     """
     cached = message._frame_bin
     if cached is not None:
@@ -915,85 +842,59 @@ def frame_message_binary(message: Message) -> bytes:
 
 
 class Codec:
-    """A named message codec selectable through the ``codec=`` knob.
+    """A named message codec: the reference interface over both encodings.
 
     ``encode_message``/``decode_message``/``frame_message`` are the per-codec
-    entry points; control frames (handshakes, registry traffic) always use
-    the JSON :func:`encode_control`/:func:`decode_control` pair so that codec
-    negotiation itself is codec-independent.  ``body_first`` is the one byte
-    every message body of this codec starts with, used by
-    :class:`FrameDecoder` to reject foreign frames loudly; ``batched`` marks
-    the codec as eligible for hop-level write batching (the JSON reference
-    codec keeps the one-write-per-frame behaviour its golden traces and
-    benchmarks were pinned with).
+    entry points; ``body_first`` is the one byte every message body of this
+    codec starts with, which an armed :class:`FrameDecoder` checks.  Sockets
+    call the binary functions directly; this seam serves measurements and
+    tests that hold the two encodings side by side.
     """
 
-    __slots__ = (
-        "name",
-        "encode_message",
-        "decode_message",
-        "frame_message",
-        "body_first",
-        "batched",
-    )
+    __slots__ = ("name", "encode_message", "decode_message", "frame_message", "body_first")
 
-    def __init__(self, name, encode, decode, frame_one, body_first, batched):
+    def __init__(self, name, encode, decode, frame_one, body_first):
         self.name = name
         self.encode_message = encode
         self.decode_message = decode
         self.frame_message = frame_one
         self.body_first = body_first
-        self.batched = batched
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Codec({self.name!r})"
 
 
-#: codec names accepted by ``get_codec`` and every ``codec=`` knob
-CODEC_NAMES = ("json", "binary")
-
-
-def get_codec(spec: "str | Codec | None" = None) -> Codec:
-    """Resolve a ``codec=`` knob value to a :class:`Codec` (default JSON)."""
-    if spec is None:
-        return JSON_CODEC
+def get_codec(spec: "str | Codec") -> Codec:
+    """Resolve ``"json"``, ``"binary"`` (or a :class:`Codec`) to a :class:`Codec`."""
     if isinstance(spec, Codec):
         return spec
     if spec == "json":
         return JSON_CODEC
     if spec == "binary":
         return BINARY_CODEC
-    raise WireError(f"unknown codec {spec!r} (choose from {CODEC_NAMES})")
+    raise WireError(f"unknown codec {spec!r} (choose from json, binary)")
 
 
-def handshake_fields(codec: Codec) -> Dict[str, Any]:
-    """The codec-negotiation fields a connection handshake must carry."""
-    return {"codec": codec.name, "wire": WIRE_VERSION, "table": _TABLE_LEN}
+def handshake_fields() -> Dict[str, Any]:
+    """The wire-negotiation fields a connection handshake must carry."""
+    return {"wire": WIRE_VERSION, "table": _TABLE_LEN}
 
 
-def check_handshake_codec(handshake: Dict[str, Any], codec: Codec) -> None:
-    """Validate a peer's handshake against this endpoint's codec.
+def check_handshake_codec(handshake: Dict[str, Any]) -> None:
+    """Validate a peer's handshake against this endpoint's wire revision.
 
-    Raises :class:`CodecMismatchError` when the peer negotiated a different
-    codec, or (for the binary codec) a different wire revision or string
-    table — the loud failure mode, instead of garbage frames later.
-    Handshakes without a ``codec`` field are from pre-codec peers and are
-    treated as JSON.
+    Raises :class:`CodecMismatchError` when the peer speaks a different
+    binary wire revision or string table — the loud failure mode, instead
+    of garbage frames later.
     """
-    peer = handshake.get("codec", "json")
-    if peer != codec.name:
+    peer_wire = handshake.get("wire")
+    peer_table = handshake.get("table")
+    if peer_wire != WIRE_VERSION or peer_table != _TABLE_LEN:
         raise CodecMismatchError(
-            f"peer negotiated codec {peer!r} but this endpoint speaks {codec.name!r}"
+            f"peer speaks binary wire revision {peer_wire!r} with a "
+            f"{peer_table!r}-entry string table; this endpoint speaks "
+            f"revision {WIRE_VERSION} with {_TABLE_LEN} entries"
         )
-    if codec.name == "binary":
-        peer_wire = handshake.get("wire")
-        peer_table = handshake.get("table")
-        if peer_wire != WIRE_VERSION or peer_table != _TABLE_LEN:
-            raise CodecMismatchError(
-                f"peer speaks binary wire revision {peer_wire!r} with a "
-                f"{peer_table!r}-entry string table; this endpoint speaks "
-                f"revision {WIRE_VERSION} with {_TABLE_LEN} entries"
-            )
 
 
 # -------------------------------------------------------------------- framing
@@ -1007,16 +908,8 @@ def frame(body: bytes) -> bytes:
 
 
 def frame_message(message: Message) -> bytes:
-    """Encode and frame a message in one step (the sender hot path).
-
-    The finished frame is memoized on the message (invalidated by
-    :meth:`~repro.net.process.Process.send` when the sender changes), so a
-    broker fanning one notification out to N socket links encodes it once.
-    """
-    cached = message._frame_json
-    if cached is None:
-        cached = message._frame_json = frame(encode_message(message))
-    return cached
+    """Encode a message as JSON and frame it (the reference codec)."""
+    return frame(encode_message(message))
 
 
 class FrameDecoder:
@@ -1030,11 +923,12 @@ class FrameDecoder:
     memmove instead of one per frame (``del buffer[:end]`` inside the loop
     made long-lived connections pay O(bytes x frames) per read).
 
-    When :attr:`codec` is set (receivers arm it once the connection
-    handshake has fixed the codec), every completed body's first byte is
-    checked against the codec's expected leading byte and a foreign frame
-    raises :class:`CodecMismatchError` — distinct from the plain
-    :class:`WireError` raised for truncated or oversized frames.
+    When :attr:`codec` is set, every completed body's first byte is checked
+    against the codec's expected leading byte and a foreign frame raises
+    :class:`CodecMismatchError` — distinct from the plain :class:`WireError`
+    raised for truncated or oversized frames.  Socket receivers leave it
+    unset: :func:`decode_message_binary` checks the version byte of every
+    body itself.
     """
 
     __slots__ = ("_buffer", "codec")
@@ -1089,15 +983,10 @@ def iter_frames(data: bytes) -> Iterator[bytes]:
         raise WireError(f"{decoder.pending_bytes} trailing bytes after the last frame")
 
 
-#: the tagged-JSON reference codec — golden-trace pinned, one write per frame
-JSON_CODEC = Codec("json", encode_message, decode_message, frame_message, 0x7B, False)
+#: the tagged-JSON reference codec — what golden traces and corpus digests pin
+JSON_CODEC = Codec("json", encode_message, decode_message, frame_message, 0x7B)
 
-#: the binary performance codec — interned strings, hop-level write batching
+#: the binary codec every socket speaks — interned strings, memoized frames
 BINARY_CODEC = Codec(
-    "binary",
-    encode_message_binary,
-    decode_message_binary,
-    frame_message_binary,
-    BINARY_VERSION,
-    True,
+    "binary", encode_message_binary, decode_message_binary, frame_message_binary, BINARY_VERSION
 )

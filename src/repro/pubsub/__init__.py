@@ -7,7 +7,7 @@ merging), brokers, clients with local brokers, and acyclic broker-network
 topologies.
 """
 
-from .broker import BorderBroker, Broker, InnerBroker
+from .broker import Broker
 from .broker_network import (
     BrokerNetwork,
     TopologyError,
@@ -63,7 +63,6 @@ __all__ = [
     "AtMost",
     "AttributeIndex",
     "AttributeIndexMatcher",
-    "BorderBroker",
     "Broker",
     "BrokerNetwork",
     "BruteForceMatcher",
@@ -78,7 +77,6 @@ __all__ = [
     "GreaterThan",
     "IdentityRouting",
     "InSet",
-    "InnerBroker",
     "IntervalBucketIndex",
     "LessThan",
     "LocalBroker",

@@ -222,8 +222,8 @@ class Broker(Process):
         broker_peers = self._broker_peers
         links = self.links
         # One Message per kind is shared across every serialising destination
-        # endpoint on this hop, so the frame caches encode it exactly once
-        # per codec.  In-memory endpoints (shares_fanout False) still get a
+        # endpoint on this hop, so the frame cache encodes it exactly once.
+        # In-memory endpoints (shares_fanout False) still get a
         # fresh Message each: the object they carry *is* the delivery.
         shared_publish: Optional[Message] = None
         shared_notify: Optional[Message] = None
@@ -323,15 +323,3 @@ class Broker(Process):
                 "broker.forwarded_subscriptions": self.strategy.forwarded_count(),
             },
         }
-
-
-class InnerBroker(Broker):
-    """A broker intended to carry only broker-to-broker links (Fig. 2)."""
-
-
-class BorderBroker(Broker):
-    """A broker intended to also carry client links (Fig. 2).
-
-    Functionally identical to :class:`Broker`; the distinct class makes
-    topology descriptions and assertions in tests more readable.
-    """

@@ -30,15 +30,14 @@ class BrokerNetwork:
 
     The substrate and every fabric knob come from one
     :class:`~repro.config.SystemConfig` passed as ``config=`` (the defaults
-    when omitted): transport backend, wire codec, matcher and the metrics
-    switch.  A
+    when omitted): transport backend, matcher and the metrics switch.  A
     typo like ``SystemConfig(matcher="indxed")`` fails when the config is
     built, with the allowed names in the message.
 
     The transport backends: ``"sim"`` (default) is the deterministic
     discrete-event simulator (pass ``sim`` to share one, or let one be
     created); ``"asyncio"`` runs every broker and client on real localhost
-    TCP sockets with wire-serialized messages; ``"cluster"`` shards the
+    TCP sockets with binary wire-serialized messages; ``"cluster"`` shards the
     broker graph across spawned OS processes coordinated by a TCP registry
     (:mod:`repro.net.cluster`) — the cluster boots lazily when the first
     client attaches, freezing the broker topology.  The pub/sub behaviour is
@@ -62,7 +61,7 @@ class BrokerNetwork:
         self.config = config
         self.routing = routing
         self.link_latency = link_latency
-        self.network = Network(sim=sim, transport=config.transport, codec=config.codec)
+        self.network = Network(sim=sim, transport=config.transport)
         self.transport = self.network.transport
         self.transport.apply_config(config)
         self.sim = self.network.sim

@@ -541,7 +541,7 @@ class Filter:
     this is one of the hottest code paths in the system.
     """
 
-    __slots__ = ("_constraints", "matches", "_key", "_hash", "_attrs", "_wire_json", "_wire_bin")
+    __slots__ = ("_constraints", "matches", "_key", "_hash", "_attrs", "_wire_bin")
 
     #: ``matches(mapping) -> bool``: the compiled conjunction
     matches: Callable[[Mapping[str, Any]], bool]
@@ -552,9 +552,8 @@ class Filter:
         self._key: Optional[Tuple] = None
         self._hash: Optional[int] = None
         self._attrs: Optional[frozenset] = None
-        # per-codec wire fragments, cached by repro.net.wire (filters are
+        # the binary wire fragment, cached by repro.net.wire (filters are
         # immutable); never part of equality or hashing
-        self._wire_json: Optional[str] = None
         self._wire_bin: Optional[bytes] = None
 
     def __call__(self, notification: Mapping[str, Any]) -> bool:

@@ -35,7 +35,6 @@ class Notification(Mapping[str, Any]):
         "notification_id",
         "published_at",
         "publisher",
-        "_wire_json",
         "_wire_bin",
         "_esize",
     )
@@ -53,10 +52,9 @@ class Notification(Mapping[str, Any]):
         )
         self.published_at = published_at
         self.publisher = publisher
-        # Canonical wire-encoded fragments (one per codec), filled in lazily
-        # by repro.net.wire so forwarding hops don't re-serialize an immutable
-        # payload once per outgoing link.  Never part of equality or hashing.
-        self._wire_json: Optional[str] = None
+        # The binary wire fragment, filled in lazily by repro.net.wire so
+        # forwarding hops don't re-serialize an immutable payload once per
+        # outgoing link.  Never part of equality or hashing.
         self._wire_bin: Optional[bytes] = None
         self._esize: Optional[int] = None
 

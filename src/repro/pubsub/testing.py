@@ -184,7 +184,6 @@ class LineWorkloadResult:
     notifications: int
     wall_sec: float
     subscribers: List[SubscriberOutcome]
-    codec: str = "json"
 
     @property
     def delivered(self) -> int:
@@ -276,7 +275,6 @@ def run_line_workload(
             notifications=notifications,
             wall_sec=wall,
             subscribers=outcomes,
-            codec=config.codec,
         )
     finally:
         # ``observer`` (e.g. ``repro demo line`` on the cluster) gets the network just

@@ -5,6 +5,18 @@ this plain module (``from helpers import FakeHost``) instead of relative
 imports, which break pytest collection.
 """
 
+#: the two shapes a socket link's writes take: a dispatch burst coalesced into
+#: one socket write (up to ``SocketNode.FLUSH_CAP`` bytes), or every frame
+#: written the moment it is sent (a cap of one byte)
+WRITE_PATHS = ("batched", "per-frame")
+
+
+def with_write_path(transport, write_path):
+    """Make the sends of a socket ``transport`` take ``write_path``."""
+    if write_path == "per-frame":
+        transport.FLUSH_CAP = 1
+    return transport
+
 
 class FakeHost:
     """Records what the virtual client asks the replicator to do."""

@@ -65,7 +65,7 @@ from repro.pubsub.testing import (
 def test_systemconfig_defaults():
     config = SystemConfig()
     assert config.matcher == "indexed"
-    assert (config.transport, config.codec) == ("sim", "json")
+    assert (config.transport, config.codec) == ("sim", "binary")
     assert config.metrics is True
     assert "matcher=indexed" in config.describe()
 
@@ -195,7 +195,7 @@ _LOOSE_KNOBS = {
     "matcher": "brute",
     "advertising": "scan",
     "transport": "sim",
-    "codec": "json",
+    "codec": "binary",
     "system": SystemConfig(),
 }
 

@@ -10,6 +10,9 @@ properties are easy to lose with that shape and are pinned here:
 * the dialler waits for the acceptor's handshake, so a rejected or dead
   accept must fail the open promptly instead of parking the drain;
 * the socket census: two fds per open link, none left behind by churn.
+
+The cases on the ``transport`` fixture run on both write paths: bursts
+batched into one socket write, and a socket write per frame.
 """
 
 import os
@@ -19,6 +22,7 @@ import sys
 import time
 
 import pytest
+from helpers import WRITE_PATHS, with_write_path
 
 from repro.config import SystemConfig
 from repro.net import wire
@@ -36,9 +40,9 @@ class Recorder(Process):
         self.received.append(message.payload)
 
 
-@pytest.fixture(params=["json", "binary"])
+@pytest.fixture(params=WRITE_PATHS)
 def transport(request):
-    transport = AsyncioTransport(codec=request.param)
+    transport = with_write_path(AsyncioTransport(), request.param)
     yield transport
     transport.close()
 
@@ -86,8 +90,8 @@ def test_farewells_in_both_directions_survive_the_close(transport, latency):
 # --------------------------------------------------------------- failed open
 
 
-def skewed_fields(codec):
-    return {"codec": codec.name, "wire": wire.WIRE_VERSION + 1, "table": -1}
+def skewed_fields():
+    return {"wire": wire.WIRE_VERSION + 1, "table": -1}
 
 
 def drain_failed_open(transport):
@@ -103,17 +107,17 @@ def drain_failed_open(transport):
 def test_codec_skew_at_either_end_fails_the_open_promptly(monkeypatch, skewed_end):
     """The acceptor checks the dialler's handshake and the dialler the
     acceptor's ack, so a skew on only one side of the negotiation is caught."""
-    transport = AsyncioTransport(codec="binary")
+    transport = AsyncioTransport()
     try:
         a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
         baseline = sizes_after_one_cycle(transport, a, b)
         honest = wire.handshake_fields
         calls = []
 
-        def fields(codec):
-            calls.append(codec)
+        def fields():
+            calls.append(skewed_end)
             skewed = len(calls) == (1 if skewed_end == "handshake" else 2)
-            return skewed_fields(codec) if skewed else honest(codec)
+            return skewed_fields() if skewed else honest()
 
         monkeypatch.setattr(wire, "handshake_fields", fields)
         opened = []
@@ -182,7 +186,7 @@ def test_an_open_link_costs_two_fds(transport):
 
 @linux_only
 def test_a_fabric_holds_one_connection_per_link():
-    net = BrokerNetwork(config=SystemConfig(transport="asyncio", codec="binary"))
+    net = BrokerNetwork(config=SystemConfig(transport="asyncio"))
     transport = net.transport
     try:
         idle = open_fds()  # the loop's own fds are already open

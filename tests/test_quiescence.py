@@ -3,14 +3,16 @@
 The drain neither polls nor waits out a confirmation window: it returns the
 moment the in-flight and timer counters read zero (or an error is recorded).
 These tests pin that by structure — what has happened when the call returns
-— on both codecs, with and without a link latency floor.  The cluster parent
-runs the same clock on the same loop; where a case needs no in-process link
-it is also run there, against the cluster's counter-poll drain.
+— on both write paths (batched bursts and a write per frame), with and
+without a link latency floor.  The cluster parent runs the same clock on the
+same loop; where a case needs no in-process link it is also run there,
+against the cluster's counter-poll drain.
 """
 
 import time
 
 import pytest
+from helpers import WRITE_PATHS, with_write_path
 
 from repro.config import SystemConfig
 from repro.net.process import Message, Process
@@ -27,33 +29,32 @@ class Recorder(Process):
         self.received.append(message.payload)
 
 
-@pytest.fixture(params=["json", "binary"])
-def codec(request):
-    return request.param
-
-
 @pytest.fixture(params=[0.0, 0.002])
 def latency(request):
     return request.param
 
 
+@pytest.fixture(params=WRITE_PATHS)
+def write_path(request):
+    return request.param
+
+
 @pytest.fixture
-def transport(codec):
-    transport = AsyncioTransport(codec=codec)
+def transport(write_path):
+    transport = with_write_path(AsyncioTransport(), write_path)
     yield transport
     transport.close()
 
 
 @pytest.fixture(params=["asyncio", "cluster"])
-def driven(request, codec):
+def driven(request, write_path):
     """A transport whose drain is live: the cluster's only polls once booted."""
     if request.param == "asyncio":
-        transport = AsyncioTransport(codec=codec)
+        transport = AsyncioTransport()
     else:
-        transport = line_topology(
-            n_brokers=1, config=SystemConfig(transport="cluster", codec=codec)
-        ).transport
+        transport = line_topology(n_brokers=1, config=SystemConfig(transport="cluster")).transport
         transport.boot()
+    with_write_path(transport, write_path)
     yield transport
     transport.close()
 

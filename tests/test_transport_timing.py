@@ -7,7 +7,9 @@ read by a callback-driven receiver that stamps a read's true arrival and
 releases frames from a FIFO floor queue with one timer — it never sleeps
 inline, so the floors of a stream cannot add up.  ``AsyncioTransport`` and
 the cluster's parent and broker children are all instances of that runtime;
-the cases that need no in-process link also run on the cluster.  Timing
+the cases that need no in-process link also run on the cluster.  The
+asyncio cases run on both write paths (batched bursts, a write per frame),
+so a stream of small writes meets the floor queue as well.  Timing
 assertions are on *medians*: a stalled CI machine delays a few samples, not
 half of them.
 """
@@ -20,6 +22,7 @@ import statistics
 import time
 
 import pytest
+from helpers import WRITE_PATHS, with_write_path
 
 from repro.config import SystemConfig
 from repro.net import wire
@@ -45,18 +48,21 @@ class Recorder(Process):
         return [payload for payload, _at in self.received]
 
 
-@pytest.fixture(params=["json", "binary"])
+@pytest.fixture(params=WRITE_PATHS)
 def transport(request):
-    transport = AsyncioTransport(codec=request.param)
+    transport = with_write_path(AsyncioTransport(), request.param)
     yield transport
     transport.close()
 
 
-@pytest.fixture(params=["asyncio-json", "asyncio-binary", "cluster"])
+@pytest.fixture(params=[f"asyncio-{path}" for path in WRITE_PATHS] + ["cluster"])
 def clocked(request):
     """A socket backend with nothing on it: its clock and loop are all a timer needs."""
-    backend, _, codec = request.param.partition("-")
-    transport = AsyncioTransport(codec=codec) if backend == "asyncio" else ClusterTransport()
+    backend, _, write_path = request.param.partition("-")
+    if backend == "asyncio":
+        transport = with_write_path(AsyncioTransport(), write_path)
+    else:
+        transport = ClusterTransport()
     yield transport
     transport.close()
 
@@ -145,7 +151,7 @@ def test_handshake_naming_the_wrong_target_surfaces_from_the_driver(transport):
         "link": 1,
         "source": "a",
         "target": "someone else",
-        **wire.handshake_fields(transport.codec),
+        **wire.handshake_fields(),
     }
     with socket.create_connection(transport._addresses["b"]) as raw:
         raw.sendall(wire.frame(wire.encode_control(handshake)))
@@ -175,7 +181,7 @@ def test_handshake_for_a_live_link_from_the_wrong_peer_is_refused(
         "link": link.link_id + link_offset,
         "source": source,
         "target": "b",
-        **wire.handshake_fields(transport.codec),
+        **wire.handshake_fields(),
     }
     with socket.create_connection(transport._addresses["b"], timeout=2.0) as raw:
         raw.sendall(wire.frame(wire.encode_control(handshake)))
@@ -191,7 +197,7 @@ def test_cluster_broker_survives_a_dialler_it_refuses():
     """Regression: a handshake the broker child rejected failed the whole node
     (exit 1) — one misconfigured dialler took a broker down.  It now costs
     that connection only: closed without an answer, as on the asyncio backend."""
-    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster", codec="binary"))
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
     try:
         pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
         sub.subscribe(Filter([Equals("service", "temp")]))
@@ -200,7 +206,8 @@ def test_cluster_broker_survives_a_dialler_it_refuses():
             "source": "intruder",
             "target": "B1",
             "kind": "client",
-            **wire.handshake_fields(wire.get_codec("json")),
+            **wire.handshake_fields(),
+            "wire": wire.WIRE_VERSION + 1,
         }
         start = time.perf_counter()
         address = net.transport.registry.registered["B1"]
@@ -272,7 +279,7 @@ def test_no_task_exists_per_cluster_client_connection():
     """The parent read each client connection in a task of its own; its
     receivers are callbacks too now.  The registry's control channels (one
     stream task per broker) are all that is left."""
-    net = line_topology(n_brokers=3, config=SystemConfig(transport="cluster", codec="binary"))
+    net = line_topology(n_brokers=3, config=SystemConfig(transport="cluster"))
     try:
         transport = net.transport
         transport.boot()

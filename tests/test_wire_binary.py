@@ -1,7 +1,7 @@
-"""Binary wire codec: round-trips, codec negotiation, and batched framing.
+"""Binary wire codec: round-trips, the fragment cache, negotiation, batched framing.
 
-Four concerns, matching what swapping the socket backends onto the binary
-codec demands:
+Sockets speak only the binary codec; JSON is the reference codec the golden
+traces and corpus digests hash.  The concerns:
 
 1. **Round-trips under both codecs** — every payload type in the closed wire
    set must satisfy encode → decode → encode *byte equality* under the JSON
@@ -11,15 +11,18 @@ codec demands:
 2. **Determinism across hash seeds** — the binary bytes must not depend on
    ``PYTHONHASHSEED`` any more than the JSON bytes do (subprocess
    cross-check, same pattern as the mobility wire tests);
-3. **Loud codec negotiation** — a codec, wire-revision or string-table skew
-   fails at the handshake (:class:`CodecMismatchError`, distinct from the
-   :class:`WireError` raised for truncation), an armed
-   :class:`FrameDecoder` rejects foreign frames, and an out-of-range
-   string-table reference is rejected instead of silently misread;
-4. **Batched framing boundaries** — a dispatch burst exactly at, one byte
+3. **The fragment cache** — an immutable payload is encoded once, shared by
+   forwarded copies and primed by the decoder, and never enters equality;
+4. **Loud negotiation** — a wire-revision or string-table skew fails at the
+   handshake (:class:`CodecMismatchError`, distinct from the
+   :class:`WireError` raised for truncation), a body that is not binary is
+   refused on a live link, an armed :class:`FrameDecoder` rejects foreign
+   frames, and an out-of-range string-table reference is rejected instead
+   of silently misread;
+5. **Batched framing boundaries** — a dispatch burst exactly at, one byte
    over, and one byte under the asyncio flush cap must flush (or defer)
    correctly and deliver every message intact;
-5. **Declared once** — the bytes of the payload corpus are pinned by digest
+6. **Declared once** — the bytes of the payload corpus are pinned by digest
    under both codecs, the record table equals a literal schema (editing it
    without bumping ``WIRE_VERSION`` fails), each hand-written specialisation
    equals the generic walker it shortcuts, and no mutation of a valid body
@@ -33,6 +36,7 @@ import socket
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -40,6 +44,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import repro.net.wire as wire
+from repro.cli import main
+from repro.config import SystemConfig
 from repro.core.location_filter import LocationDependentFilter
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport
@@ -58,6 +64,7 @@ from repro.net.wire import (
     frame,
     frame_message_binary,
     handshake_fields,
+    iter_frames,
 )
 from repro.pubsub.filters import (
     Equals,
@@ -220,6 +227,88 @@ class TestHashSeedDeterminism:
         ] == digests["0"]
 
 
+# -------------------------------------------------------------- fragment cache
+
+
+def _notify(payload, msg_id=1):
+    return Message(kind="notify", payload=payload, sender="B1", msg_id=msg_id)
+
+
+def _cached_records(reply):
+    return [*reply.plain_filters.values(), *reply.buffered_plain, *reply.buffered_location]
+
+
+class TestBinaryFragmentCache:
+    """``_wire_bin``: an immutable payload's binary fragment, encoded once."""
+
+    def test_a_re_encode_reuses_the_fragment(self):
+        notification = Notification(
+            {"b": 1, "a": 2.5}, published_at=1.0, publisher="p", notification_id=7
+        )
+        assert notification._wire_bin is None
+        first = encode_message_binary(_notify(notification, msg_id=3))
+        cached_fragment = notification._wire_bin
+        assert cached_fragment is not None
+        assert encode_message_binary(_notify(notification, msg_id=3)) == first
+        assert notification._wire_bin is cached_fragment, "the cache must be reused, not rebuilt"
+
+    def test_a_forwarded_copy_shares_the_fragment(self):
+        notification = Notification({"v": 9}, notification_id=21)
+        message = _notify(notification)
+        frame_message_binary(message)
+        forwarded = message.copy()
+        assert forwarded.payload is notification, "immutable payloads stay shared"
+        assert forwarded.payload._wire_bin is notification._wire_bin is not None
+
+    def test_decode_primes_the_fragment_for_the_next_hop(self):
+        notification = Notification(
+            {"v": 1, "w": "x"}, published_at=2.0, publisher="p", notification_id=5
+        )
+        encoded = encode_message_binary(_notify(notification, msg_id=2))
+        decoded = decode_message_binary(encoded).payload
+        assert decoded._wire_bin == notification._wire_bin is not None
+        assert encode_message_binary(_notify(decoded, msg_id=2)) == encoded
+
+    def test_decode_primes_every_cached_record_it_builds(self):
+        # not only a top-level payload: a filter inside an ``unsubscribe`` dict
+        # and the filters and notifications inside a ``handover_reply`` are
+        # forwarded by the next hop too
+        unsubscribe = {"sub_id": "s9", "filter": Filter([Equals("service", "x")])}
+        reply = _sample_payloads()["reply"]
+        for payload in (unsubscribe, reply):
+            encoded = encode_message_binary(_notify(payload, msg_id=2))
+            decoded = decode_message_binary(encoded).payload
+            if payload is unsubscribe:
+                built, sent = [decoded["filter"]], [unsubscribe["filter"]]
+            else:
+                built, sent = _cached_records(decoded), _cached_records(reply)
+            assert len(built) == len(sent) >= 1
+            for mine, theirs in zip(built, sent):
+                assert mine._wire_bin is not None, f"{mine!r} was decoded but not primed"
+                assert mine._wire_bin == theirs._wire_bin
+            assert encode_message_binary(_notify(decoded, msg_id=2)) == encoded
+
+    def test_mutation_paths_start_with_an_empty_cache(self):
+        notification = Notification({"v": 1}, notification_id=5)
+        encode_message_binary(_notify(notification))
+        mutated = notification.with_attributes(v=2)
+        stamped = notification.stamped(published_at=3.0, publisher="p")
+        assert mutated._wire_bin is None and stamped._wire_bin is None
+        original = encode_message_binary(_notify(notification))
+        assert encode_message_binary(_notify(mutated)) != original
+
+    def test_the_cache_never_enters_equality_or_hashing(self):
+        plain = Notification({"v": 1}, notification_id=5)
+        cached = Notification({"v": 1}, notification_id=5)
+        encode_message_binary(_notify(cached))
+        assert cached._wire_bin is not None and plain._wire_bin is None
+        assert plain == cached
+        assert hash(plain) == hash(cached)
+        plain_filter, cached_filter = Filter([Equals("a", 1)]), Filter([Equals("a", 1)])
+        encode_message_binary(_notify(cached_filter))
+        assert plain_filter == cached_filter and hash(plain_filter) == hash(cached_filter)
+
+
 # ------------------------------------------------------------- declared once
 
 #: sha256 of ``_canonical_bytes`` per codec.  The golden traces hash JSON only;
@@ -322,13 +411,20 @@ class TestDeclaredOnce:
         assert not missing, f"no sample payload exercises {missing}"
 
     @pytest.mark.parametrize("name", sorted(_all_payloads()))
-    def test_fragment_walker_equals_the_structure_walker(self, name):
-        # _json_fragment splices cached text; _encode_value builds the tagged
-        # structure: one declaration, so the two must print the same bytes
+    def test_fragment_walker_equals_the_structure_walker(self, name, monkeypatch):
+        # _b_write splices a cached record's ``_wire_bin``; with no record
+        # cached it walks every field inline: one declaration, so the two
+        # must write the same bytes
+        def encode(payload):
+            return encode_message_binary(Message(kind=name, payload=payload, sender="x", msg_id=1))
+
         payload = _all_payloads()[name]
-        reference = wire._dumps(wire._encode_value(payload))
-        assert wire._json_fragment(payload) == reference
-        assert wire._json_fragment(payload) == reference, "and again, from the caches"
+        spliced = encode(payload)
+        assert encode(payload) == spliced, "and again, from the caches"
+        wire._load_table()
+        for record in set(wire._BY_CODE.values()):
+            monkeypatch.setattr(record, "cached", False)
+        assert encode(_all_payloads()[name]) == spliced
 
     def test_unrolled_notification_reader_equals_the_walker(self):
         wire._load_table()
@@ -351,7 +447,7 @@ class TestDeclaredOnce:
             assert fast_end == slow_end == len(buf) - 1
             assert fast._wire_bin == slow._wire_bin == buf[:-1]
             assert (fast.published_at, fast.publisher) == (slow.published_at, slow.publisher)
-            assert fast._attributes == slow._attributes and fast._wire_json is slow._wire_json
+            assert fast._attributes == slow._attributes
 
     def test_inlined_envelope_read_equals_the_walker(self):
         wire._load_table()
@@ -362,7 +458,7 @@ class TestDeclaredOnce:
             slow, end = wire._r_record(wire._BY_CODE[wire._B_MESSAGE], body, 2)
             assert end == len(body)
             assert fast == slow
-            for cache in ("_size", "_frame_json", "_frame_bin"):
+            for cache in ("_size", "_frame_bin"):
                 assert getattr(fast, cache) is None and getattr(slow, cache) is None
 
     def test_single_buffer_sender_equals_the_walker(self):
@@ -558,15 +654,15 @@ class TestJsonRecordsCarryOnlyTheirKeys:
 
 
 class TestCodecMismatchIsDistinctFromTruncation:
-    def test_json_decoder_names_a_binary_body(self):
-        body = encode_message_binary(Message(kind="x", payload=1, msg_id=1))
-        with pytest.raises(CodecMismatchError, match="binary frame on a JSON-codec"):
-            decode_message(body)
-
-    def test_binary_decoder_names_a_json_body(self):
+    def test_binary_decoder_refuses_a_json_body(self):
         body = encode_message(Message(kind="x", payload=1, msg_id=1))
-        with pytest.raises(CodecMismatchError, match="JSON frame on a binary-codec"):
+        with pytest.raises(CodecMismatchError, match="version byte 0x7b"):
             decode_message_binary(body)
+
+    def test_json_reference_decoder_refuses_a_binary_body(self):
+        body = encode_message_binary(Message(kind="x", payload=1, msg_id=1))
+        with pytest.raises(WireError, match="malformed wire body"):
+            decode_message(body)
 
     def test_binary_decoder_names_an_unknown_wire_version(self):
         with pytest.raises(CodecMismatchError, match="version"):
@@ -607,32 +703,32 @@ class TestCodecMismatchIsDistinctFromTruncation:
 
 
 class TestHandshakeVersionNegotiation:
-    def test_codec_name_mismatch_rejected(self):
-        with pytest.raises(CodecMismatchError, match="peer negotiated codec 'binary'"):
-            check_handshake_codec(handshake_fields(BINARY_CODEC), JSON_CODEC)
-        with pytest.raises(CodecMismatchError, match="peer negotiated codec 'json'"):
-            check_handshake_codec(handshake_fields(JSON_CODEC), BINARY_CODEC)
-
     def test_matching_handshakes_accepted(self):
-        check_handshake_codec(handshake_fields(JSON_CODEC), JSON_CODEC)
-        check_handshake_codec(handshake_fields(BINARY_CODEC), BINARY_CODEC)
+        assert handshake_fields() == {"wire": wire.WIRE_VERSION, "table": wire._TABLE_LEN}
+        check_handshake_codec(handshake_fields())
 
-    def test_pre_codec_handshake_is_treated_as_json(self):
-        check_handshake_codec({"peer": "B1"}, JSON_CODEC)
+    def test_a_peer_that_still_names_its_codec_is_judged_by_revision_alone(self):
+        # earlier revisions also sent ``"codec": "binary"``; a binary peer of
+        # the same wire revision and string table speaks this wire
+        check_handshake_codec({**handshake_fields(), "codec": "binary"})
+        with pytest.raises(CodecMismatchError, match="wire revision"):
+            check_handshake_codec({**handshake_fields(), "codec": "binary", "wire": 0})
+
+    def test_handshake_without_wire_fields_is_refused(self):
         with pytest.raises(CodecMismatchError):
-            check_handshake_codec({"peer": "B1"}, BINARY_CODEC)
+            check_handshake_codec({"peer": "B1"})
 
     def test_binary_wire_revision_skew_rejected(self):
-        fields = handshake_fields(BINARY_CODEC)
+        fields = handshake_fields()
         fields["wire"] = wire.WIRE_VERSION + 1
         with pytest.raises(CodecMismatchError, match="wire revision"):
-            check_handshake_codec(fields, BINARY_CODEC)
+            check_handshake_codec(fields)
 
     def test_binary_string_table_skew_rejected(self):
-        fields = handshake_fields(BINARY_CODEC)
+        fields = handshake_fields()
         fields["table"] = wire._TABLE_LEN + 1
         with pytest.raises(CodecMismatchError, match="string table"):
-            check_handshake_codec(fields, BINARY_CODEC)
+            check_handshake_codec(fields)
 
 
 class TestStringTableHardening:
@@ -657,34 +753,75 @@ class TestStringTableHardening:
             decode_message_binary(bytes(body))
 
 
-class TestMixedCodecHandshakeOverSockets:
-    @pytest.mark.parametrize("server_codec,client_codec", [("json", "binary"), ("binary", "json")])
-    def test_foreign_codec_client_fails_loudly(self, server_codec, client_codec):
-        """A client that negotiated the other codec is rejected at the
-        handshake — surfacing CodecMismatchError to the driver instead of
-        feeding garbage frames to the decoder later.
+class TestHostileBytesOnALiveLink:
+    """Bytes no binary peer writes, fed to a real asyncio socket.
 
-        The raw socket is a connection the transport never opened, so its
-        bytes are not counted work and ``run_until_idle`` would return at
-        once; outside peers are served by driving the loop by time."""
-        transport = AsyncioTransport(codec=server_codec)
+    A raw socket is a connection the transport never opened, so its bytes are
+    not counted work and ``run_until_idle`` would return at once; outside
+    peers are served by driving the loop by time."""
+
+    def test_a_skewed_wire_revision_is_refused_at_the_handshake(self):
+        transport = AsyncioTransport()
         try:
-            a = Recorder(transport.clock, "a")
-            b = Recorder(transport.clock, "b")
+            a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
             transport.make_link(a, b, latency=0.0)
-            host, port = transport._addresses["b"]
-            handshake = {
-                "link": 999,
-                "source": "z",
-                "target": "b",
-                **handshake_fields(_CODECS[client_codec]),
-            }
-            with socket.create_connection((host, port)) as raw:
+            handshake = {"link": 1, "source": "a", "target": "b", **handshake_fields()}
+            handshake["wire"] = wire.WIRE_VERSION + 1
+            with socket.create_connection(transport._addresses["b"], timeout=2.0) as raw:
                 raw.sendall(frame(wire.encode_control(handshake)))
-                with pytest.raises(CodecMismatchError):
+                with pytest.raises(CodecMismatchError, match="wire revision"):
                     transport.run(until=transport.clock.now + 0.2)
+                assert raw.recv(1) == b""  # refused: no ack, connection closed
         finally:
             transport.close()
+
+    def test_a_json_body_after_the_handshake_aborts_only_its_connection(self):
+        """``b``'s address is a raw peer that acks the handshake honestly, then
+        sends one JSON frame: the dialler's driver raises, that connection is
+        closed, and another link of the same transport still delivers."""
+        transport = AsyncioTransport()
+        try:
+            a, b, c = (Recorder(transport.clock, name) for name in "abc")
+            transport.make_link(a, c, latency=0.0)
+            transport.make_link(b, c, latency=0.0)  # every server now exists
+            with socket.socket() as listener:
+                listener.bind(("127.0.0.1", 0))
+                listener.listen()
+                listener.settimeout(2.0)
+                transport._addresses["b"] = listener.getsockname()
+                peer = []
+
+                def hostile_acceptor():
+                    conn, _ = listener.accept()
+                    conn.settimeout(2.0)
+                    peer.append(conn)
+                    (hello,) = iter_frames(conn.recv(65536))
+                    assert wire.decode_control(hello)["target"] == "b"
+                    ack = {"source": "b", "target": "a", **handshake_fields()}
+                    json_frame = JSON_CODEC.frame_message(Message("x", payload=1, sender="b"))
+                    conn.sendall(frame(wire.encode_control(ack)) + json_frame)
+
+                thread = threading.Thread(target=hostile_acceptor)
+                thread.start()
+                transport.open_dynamic_link(a, b, latency=0.0)
+                with pytest.raises(CodecMismatchError, match="version byte 0x7b"):
+                    transport.run_until_idle(timeout=2.0)
+                thread.join(timeout=2.0)
+                (conn,) = peer
+                with conn:
+                    assert conn.recv(1) == b""  # the transport closed that connection
+            transport.run_until_idle(timeout=2.0)
+            a.send("c", Message("x", payload="still delivered"))
+            transport.run_until_idle(timeout=2.0)
+            assert [m.payload for m in c.received] == ["still delivered"]
+        finally:
+            transport.close()
+
+    def test_json_is_no_socket_codec_choice(self, capsys):
+        with pytest.raises(ValueError, match="unknown codec 'json'; allowed: binary"):
+            SystemConfig(codec="json")
+        assert main(["demo", "line", "--set", "codec=json"]) == 2
+        assert "allowed: binary" in capsys.readouterr().err
 
 
 # ------------------------------------------------------ batched-frame boundary
@@ -701,7 +838,7 @@ class Recorder(Process):
 
 @pytest.fixture
 def binary_pair():
-    transport = AsyncioTransport(codec="binary")
+    transport = AsyncioTransport()
     a = Recorder(transport.clock, "a")
     b = Recorder(transport.clock, "b")
     link = transport.make_link(a, b, latency=0.0)
@@ -714,7 +851,7 @@ class TestBatchedFrameBoundary:
     flush immediately; one byte under must stay buffered until the event
     loop spins.  Every case must deliver all messages intact."""
 
-    def _burst(self, transport):
+    def _burst(self):
         # two equal-sized messages with pinned msg_ids, so the framed burst
         # size is exact and reproducible
         messages = [
@@ -726,12 +863,12 @@ class TestBatchedFrameBoundary:
             probe = Message(
                 message.kind, payload=message.payload, sender="a", msg_id=message.msg_id
             )
-            total += len(transport.codec.frame_message(probe))
+            total += len(frame_message_binary(probe))
         return messages, total
 
     def test_burst_exactly_at_cap_flushes_immediately(self, binary_pair):
         transport, a, b, link = binary_pair
-        messages, total = self._burst(transport)
+        messages, total = self._burst()
         transport.FLUSH_CAP = total
         a.send_many("b", messages)
         endpoint = link._a_to_b
@@ -742,7 +879,7 @@ class TestBatchedFrameBoundary:
 
     def test_burst_one_byte_over_cap_flushes_immediately(self, binary_pair):
         transport, a, b, link = binary_pair
-        messages, total = self._burst(transport)
+        messages, total = self._burst()
         transport.FLUSH_CAP = total - 1
         a.send_many("b", messages)
         endpoint = link._a_to_b
@@ -753,7 +890,7 @@ class TestBatchedFrameBoundary:
 
     def test_burst_one_byte_under_cap_defers_to_the_loop(self, binary_pair):
         transport, a, b, link = binary_pair
-        messages, total = self._burst(transport)
+        messages, total = self._burst()
         transport.FLUSH_CAP = total + 1
         a.send_many("b", messages)
         endpoint = link._a_to_b
@@ -768,7 +905,7 @@ class TestBatchedFrameBoundary:
         # the cap check runs per _send_frames call: the send that crosses
         # the cap flushes everything buffered so far, frames never split
         transport, a, b, link = binary_pair
-        messages, total = self._burst(transport)
+        messages, total = self._burst()
         transport.FLUSH_CAP = total
         first, second = messages
         a.send("b", first)
@@ -778,17 +915,3 @@ class TestBatchedFrameBoundary:
         assert len(endpoint._buffer) == 0 and endpoint not in transport._dirty
         transport.run_until_idle()
         assert [m.payload for m in b.received] == ["a" * 32, "b" * 32]
-
-    def test_json_codec_never_buffers(self):
-        transport = AsyncioTransport(codec="json")
-        try:
-            a = Recorder(transport.clock, "a")
-            b = Recorder(transport.clock, "b")
-            link = transport.make_link(a, b, latency=0.0)
-            a.send_many("b", [Message("x", payload=1), Message("x", payload=2)])
-            assert len(link._a_to_b._buffer) == 0
-            assert not transport._dirty
-            transport.run_until_idle()
-            assert [m.payload for m in b.received] == [1, 2]
-        finally:
-            transport.close()
