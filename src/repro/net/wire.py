@@ -704,6 +704,9 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     two together).  Every hop of every delivery decodes one: a prototype that
     read them through the walker and looked interned keys up through a helper
     lost 5–6 % ``deliveries_per_s`` on ``line_sat_tcp`` in 6 of 6 pairs.
+    Inline: interned keys and int/short-str/float values, an int32 id, a float
+    or None ``published_at``, a short-str or None ``publisher``; any other
+    tag is read by :func:`_b_read`, with all its checks.
     """
     start = pos - 1
     if buf[pos] != _B_DICT:  # never what an encoder wrote: the walker's checks decide
@@ -745,9 +748,32 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
         else:
             value, pos = _b_read(buf, pos)
         attrs[key] = value
-    nid, pos = _b_read(buf, pos)
-    published_at, pos = _b_read(buf, pos)
-    publisher, pos = _b_read(buf, pos)
+    if buf[pos] == _B_INT32:
+        nid = _PACK_I32.unpack_from(buf, pos + 1)[0]
+        pos += 5
+    else:
+        nid, pos = _b_read(buf, pos)
+    t = buf[pos]
+    if t == _B_FLOAT:
+        published_at = _PACK_D.unpack_from(buf, pos + 1)[0]
+        pos += 9
+    elif t == _B_NONE:
+        published_at = None
+        pos += 1
+    else:
+        published_at, pos = _b_read(buf, pos)
+    t = buf[pos]
+    if t == _B_STR and buf[pos + 1] < 255:
+        end = pos + 2 + buf[pos + 1]
+        if end > len(buf):
+            raise WireError("truncated binary string")
+        publisher = buf[pos + 2:end].decode("utf-8")
+        pos = end
+    elif t == _B_NONE:
+        publisher = None
+        pos += 1
+    else:
+        publisher, pos = _b_read(buf, pos)
     # build without __init__: ``attrs`` is a freshly decoded dict this
     # notification can own outright, so the defensive copy is waste
     notification = record.cls.__new__(record.cls)
@@ -781,12 +807,34 @@ def decode_message_binary(data: bytes) -> Message:
         if len(data) > 1 and data[1] == _B_MESSAGE:
             # specialisation 2 of 3, the envelope read inlined: every
             # well-formed body is a Message, so skip the tag dispatch, the
-            # values dict and __init__ (fields in the Message record's order)
-            kind, pos = _b_read(data, 2)
-            payload, pos = _b_read(data, pos)
-            sender, pos = _b_read(data, pos)
-            msg_id, pos = _b_read(data, pos)
-            meta, pos = _b_read(data, pos)
+            # values dict and __init__ (fields in the Message record's order).
+            # Inline: an interned kind, a notification payload, a short-str
+            # sender, an int32 msg_id, an empty meta; any other tag goes to
+            # _b_read, with all its checks
+            if data[2] == _B_SREF and data[3] < _TABLE_LEN:
+                kind, pos = STRING_TABLE[data[3]], 4
+            else:
+                kind, pos = _b_read(data, 2)
+            if data[pos] == _B_NOTIFICATION:
+                record = _BY_CODE.get(_B_NOTIFICATION) or _lookup(_BY_CODE, _B_NOTIFICATION)
+                payload, pos = record.read(record, data, pos + 1)
+            else:
+                payload, pos = _b_read(data, pos)
+            if data[pos] == _B_STR and data[pos + 1] < 255:
+                end = pos + 2 + data[pos + 1]
+                if end > len(data):
+                    raise WireError("truncated binary string")
+                sender, pos = data[pos + 2:end].decode("utf-8"), end
+            else:
+                sender, pos = _b_read(data, pos)
+            if data[pos] == _B_INT32:
+                msg_id, pos = _PACK_I32.unpack_from(data, pos + 1)[0], pos + 5
+            else:
+                msg_id, pos = _b_read(data, pos)
+            if data[pos] == _B_DICT and data[pos + 1] == 0:
+                meta, pos = {}, pos + 2
+            else:
+                meta, pos = _b_read(data, pos)
             obj: Any = Message.__new__(Message)
             obj.__dict__ = {
                 "kind": kind,
@@ -815,21 +863,44 @@ def frame_message_binary(message: Message) -> bytes:
     a single buffer and writes the envelope fields directly (in the Message
     record's order), skipping both the intermediate body copy of
     ``frame(encode_message_binary(...))`` and :func:`_b_write`'s type dispatch
-    for the outer :class:`Message`.  The finished frame is memoized on the
+    for the outer :class:`Message`.  Inline: an interned kind, the set
+    fragment of a cached record, a short uninterned str sender, an empty
+    meta dict; any other value goes to :func:`_b_write`, which also refuses
+    an object outside the closed set.  The finished frame is memoized on the
     message (``Process.send`` drops it when the sender changes), so a broker
     fanning one notification out to N socket links encodes it once.
     """
     cached = message._frame_bin
     if cached is not None:
         return cached
-    out = bytearray(4)  # length prefix, patched once the body is complete
-    out.append(BINARY_VERSION)
-    out.append(_B_MESSAGE)
-    _w_str(out, message.kind)
-    _b_write(out, message.payload)
-    _b_write(out, message.sender)
+    kind_id = _STRING_IDS.get(message.kind)
+    # four zero bytes: the length prefix, patched once the body is complete
+    if kind_id is not None:
+        out = bytearray((0, 0, 0, 0, BINARY_VERSION, _B_MESSAGE, _B_SREF, kind_id))
+    else:
+        out = bytearray((0, 0, 0, 0, BINARY_VERSION, _B_MESSAGE))
+        _w_str(out, message.kind)
+    payload = message.payload
+    record = _BY_CLASS.get(payload.__class__)
+    fragment = getattr(payload, "_wire_bin", None) if record is not None and record.cached else None
+    if fragment is not None:
+        out += fragment
+    else:
+        _b_write(out, payload)
+    sender = message.sender
+    if sender.__class__ is str and sender not in _STRING_IDS and len(data := sender.encode()) < 255:
+        out.append(_B_STR)
+        out.append(len(data))
+        out += data
+    else:
+        _b_write(out, sender)
     _w_int(out, message.msg_id)
-    _b_write(out, message.meta)
+    meta = message.meta
+    if meta.__class__ is dict and not meta:
+        out.append(_B_DICT)
+        out.append(0)
+    else:
+        _b_write(out, meta)
     body_len = len(out) - 4
     if body_len > MAX_FRAME_SIZE:
         raise WireError(f"frame body of {body_len} bytes exceeds MAX_FRAME_SIZE")

@@ -25,8 +25,11 @@ traces and corpus digests hash.  The concerns:
 6. **Declared once** — the bytes of the payload corpus are pinned by digest
    under both codecs, the record table equals a literal schema (editing it
    without bumping ``WIRE_VERSION`` fails), each hand-written specialisation
-   equals the generic walker it shortcuts, and no mutation of a valid body
-   gets anything but a value or a :class:`WireError` out of the decoders.
+   equals the generic walker it shortcuts — its inline fast paths over every
+   envelope shape they take or decline, byte for byte and object for object —
+   and no mutation of a valid body (corpus or hot-path shape) gets anything
+   but a value or a :class:`WireError` out of the decoders, nor anything but
+   an aborted connection out of a live receiver.
 """
 
 import hashlib
@@ -367,6 +370,70 @@ def _walk(obj):
         yield from _walk(child)
 
 
+class _NotificationSubclass(Notification):
+    __slots__ = ()
+
+
+#: each side of the int8, int32 and int64 edges, and a bigint
+_EDGE_INTS = [0, 127, -128, 128, -129, 2**31 - 1, -(2**31), 2**31, -(2**31) - 1]
+_EDGE_INTS += [2**63 - 1, -(2**63), 2**63, -(2**63) - 1, 2**100]
+
+_NON_ASCII = st.characters(min_codepoint=128, blacklist_categories=("Cs",))
+#: a str the sender fast path takes (under 255 UTF-8 bytes, not interned) ...
+_SHORT_STRS = st.one_of(
+    st.text(st.characters(max_codepoint=127), max_size=30),
+    st.text(_NON_ASCII, min_size=1, max_size=40),
+    st.just("x" * 254),
+)
+#: ... and one it declines
+_LONG_STRS = st.sampled_from(["x" * 255, "é" * 128, "y" * 300])
+
+
+@st.composite
+def _envelopes(draw):
+    """A message of every envelope shape the fast paths take or fall back from."""
+    kind = draw(st.one_of(st.sampled_from(wire.STRING_TABLE), st.sampled_from(["x", "kind-é"])))
+    payload = draw(st.sampled_from(["notification", "subclass", "dict", "none"]))
+    if payload in ("notification", "subclass"):
+        cls = Notification if payload == "notification" else _NotificationSubclass
+        payload = cls(
+            {"topic": "t", "seq": draw(st.sampled_from(_EDGE_INTS))},
+            published_at=draw(st.sampled_from([None, 1.5, -0.0, 3, 2**40])),
+            publisher=draw(st.one_of(st.none(), _SHORT_STRS, _LONG_STRS)),
+            notification_id=draw(st.sampled_from(_EDGE_INTS)),
+        )
+        if draw(st.booleans()):  # primed, as a decoded or already-sent one is
+            wire._b_write(bytearray(), payload)
+    else:
+        payload = {"sub_id": "s9", "n": 1} if payload == "dict" else None
+    return Message(
+        kind,
+        payload,
+        sender=draw(
+            st.one_of(st.none(), st.sampled_from(wire.STRING_TABLE), _SHORT_STRS, _LONG_STRS)
+        ),
+        msg_id=draw(st.sampled_from(_EDGE_INTS)),
+        # None is falsy but no empty dict: the walker must write it
+        meta=draw(st.sampled_from([{}, {"replayed": True}, {"hops": 2, "sub": "s1"}, None])),
+    )
+
+
+def _shape(message):
+    """Every field of a decoded message, with the types ``==`` would let slide."""
+    payload = message.payload
+    if isinstance(payload, Notification):
+        payload = (
+            type(payload),
+            payload._attributes,
+            payload.notification_id,
+            repr(payload.published_at),
+            payload.publisher,
+            payload._wire_bin,
+        )
+    fields = (message.kind, payload, message.sender, message.msg_id, message.meta)
+    return [(type(value), value) for value in fields] + [message._size, message._frame_bin]
+
+
 class TestDeclaredOnce:
     @pytest.mark.parametrize("codec_name", ["json", "binary"])
     def test_corpus_bytes_are_pinned(self, codec_name):
@@ -466,6 +533,32 @@ class TestDeclaredOnce:
             message = Message(kind=name, payload=payload, sender="x", msg_id=1, meta={"hops": 1})
             assert encode_message_binary(message) == frame_message_binary(message)[4:]
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(message=_envelopes())
+    def test_fast_paths_equal_the_walker_over_every_envelope_shape(self, message):
+        # framed first, so an unprimed payload reaches the sender unprimed
+        body = frame_message_binary(message)[4:]
+        assert body == encode_message_binary(message)
+        fast = decode_message_binary(body)
+        notification_record = wire._BY_CODE[wire._B_NOTIFICATION]
+        notification_record.read = wire._r_record  # the walker all the way down
+        try:
+            slow, end = wire._r_record(wire._BY_CODE[wire._B_MESSAGE], body, 2)
+        finally:
+            notification_record.read = wire._r_notification
+        assert end == len(body)
+        assert _shape(fast) == _shape(slow)
+        assert fast._size is None and fast._frame_bin is None
+        if isinstance(message.payload, Notification):
+            assert fast.payload._wire_bin == message.payload._wire_bin is not None
+
+    def test_an_object_outside_the_table_is_refused_despite_a_fragment(self):
+        class Impostor:
+            _wire_bin = bytes([wire._B_NONE])
+
+        with pytest.raises(WireError, match="cannot encode Impostor"):
+            frame_message_binary(Message("publish", Impostor(), sender="x", msg_id=1))
+
 
 # ---------------------------------------------------------------- hostile bytes
 
@@ -537,11 +630,36 @@ _CORPUS_BODIES = [
     for name, payload in sorted(_all_payloads().items())
 ]
 
+#: the shapes the envelope fast paths take: a stamped notification under an
+#: interned kind, a str sender, an int32 msg_id and an empty meta — and a
+#: replayed notify, whose meta falls back to the walker (binary only, and
+#: kept out of the corpus so its digests stay pinned)
+_HOT_BODIES = [
+    encode_message_binary(
+        Message(
+            kind,
+            Notification({"topic": "bench", "seq": 70000, "value": 21.5}, notification_id=70001)
+            .stamped(published_at=1.5, publisher="P1"),
+            sender="B2",
+            msg_id=2**20,
+            meta=meta,
+        )
+    )
+    for kind, meta in (("publish", {}), ("notify", {}), ("notify", {"replayed": True}))
+]
+
+
+def _hostile_hot_body():
+    """A publish whose sender claims 200 bytes the body does not hold."""
+    body = bytearray(_HOT_BODIES[0])
+    body[body.rindex(b"B2") - 1] = 200  # the sender's length byte
+    return bytes(body)
+
 
 @st.composite
 def _mutated_bodies(draw):
     """A valid corpus body after one truncation, byte flip, splice or count/tag overwrite."""
-    bodies = _CORPUS_BODIES
+    bodies = _CORPUS_BODIES + _HOT_BODIES
     body = draw(st.sampled_from(bodies))
     position = draw(st.integers(0, len(body) - 1))
     operation = draw(st.sampled_from(["truncate", "flip", "splice", "overwrite"]))
@@ -578,6 +696,7 @@ class TestDecodersRaiseOnlyWireError:
     @example(body=_REPRODUCED["binary int dict key"][1])
     @example(body=_REPRODUCED["binary int kind"][1])
     @example(body=_nested(5_000))
+    @example(body=_hostile_hot_body())
     @example(body=b"")
     def test_any_mutation_of_a_valid_body(self, body):
         for decode in _DECODERS:
@@ -595,7 +714,7 @@ class TestDecodersRaiseOnlyWireError:
         patch = b"\xff" * 5
         tracemalloc.start()
         try:
-            for body in _CORPUS_BODIES:
+            for body in _CORPUS_BODIES + _HOT_BODIES:
                 if body[0] != wire.BINARY_VERSION:
                     continue
                 for position in range(1, len(body)):
@@ -742,6 +861,13 @@ class TestStringTableHardening:
         with pytest.raises(WireError, match="out of range"):
             decode_message_binary(body)
 
+    def test_out_of_range_index_rejected_as_the_kind(self):
+        # the envelope reads an interned kind inline; an index past the table
+        # must still be named as one, not surface as a bare IndexError
+        body = _binary_message(bytes([wire._B_SREF, wire._TABLE_LEN]), bytes([wire._B_NONE]))
+        with pytest.raises(WireError, match="string-table index .* out of range"):
+            decode_message_binary(body)
+
     def test_out_of_range_index_rejected_inside_notification_attrs(self):
         # the notification decode inlines its attrs-dict read; the bounds
         # check must hold on that fast path too, not only in the generic
@@ -775,10 +901,11 @@ class TestHostileBytesOnALiveLink:
         finally:
             transport.close()
 
-    def test_a_json_body_after_the_handshake_aborts_only_its_connection(self):
-        """``b``'s address is a raw peer that acks the handshake honestly, then
-        sends one JSON frame: the dialler's driver raises, that connection is
-        closed, and another link of the same transport still delivers."""
+    def _after_an_honest_handshake(self, hostile, error, match):
+        """``b``'s address is a raw peer that acks the handshake honestly and,
+        once the link is up, sends ``hostile``: the dialler's driver raises
+        ``error`` within a bounded ``run``, that connection is closed, and
+        another link of the same transport still delivers."""
         transport = AsyncioTransport()
         try:
             a, b, c = (Recorder(transport.clock, name) for name in "abc")
@@ -790,6 +917,7 @@ class TestHostileBytesOnALiveLink:
                 listener.settimeout(2.0)
                 transport._addresses["b"] = listener.getsockname()
                 peer = []
+                link_up = threading.Event()
 
                 def hostile_acceptor():
                     conn, _ = listener.accept()
@@ -798,15 +926,18 @@ class TestHostileBytesOnALiveLink:
                     (hello,) = iter_frames(conn.recv(65536))
                     assert wire.decode_control(hello)["target"] == "b"
                     ack = {"source": "b", "target": "a", **handshake_fields()}
-                    json_frame = JSON_CODEC.frame_message(Message("x", payload=1, sender="b"))
-                    conn.sendall(frame(wire.encode_control(ack)) + json_frame)
+                    conn.sendall(frame(wire.encode_control(ack)))
+                    link_up.wait(2.0)
+                    conn.sendall(hostile)
 
                 thread = threading.Thread(target=hostile_acceptor)
                 thread.start()
                 transport.open_dynamic_link(a, b, latency=0.0)
-                with pytest.raises(CodecMismatchError, match="version byte 0x7b"):
-                    transport.run_until_idle(timeout=2.0)
+                link_up.set()
                 thread.join(timeout=2.0)
+                assert not thread.is_alive()
+                with pytest.raises(error, match=match):
+                    transport.run(until=transport.clock.now + 0.5)
                 (conn,) = peer
                 with conn:
                     assert conn.recv(1) == b""  # the transport closed that connection
@@ -816,6 +947,20 @@ class TestHostileBytesOnALiveLink:
             assert [m.payload for m in c.received] == ["still delivered"]
         finally:
             transport.close()
+
+    def test_a_json_body_after_the_handshake_aborts_only_its_connection(self):
+        json_frame = JSON_CODEC.frame_message(Message("x", payload=1, sender="b"))
+        self._after_an_honest_handshake(json_frame, CodecMismatchError, "version byte 0x7b")
+
+    def test_an_oversized_length_header_aborts_only_its_connection(self):
+        header = struct.pack(">I", wire.MAX_FRAME_SIZE + 1)
+        self._after_an_honest_handshake(header, WireError, "exceeds MAX_FRAME_SIZE")
+
+    def test_a_mutated_hot_shape_body_aborts_only_its_connection(self):
+        # the sender's length byte overruns the body: the inline sender read
+        # must keep the walker's truncation check
+        body = _hostile_hot_body()
+        self._after_an_honest_handshake(frame(body), WireError, "truncated binary string")
 
     def test_json_is_no_socket_codec_choice(self, capsys):
         with pytest.raises(ValueError, match="unknown codec 'json'; allowed: binary"):
