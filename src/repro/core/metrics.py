@@ -235,7 +235,6 @@ class OverheadReport:
     subscription_messages: int
     replication_messages: int
     total_messages: int
-    total_bytes: int
     shadow_count: int
     buffer_memory: int
 
@@ -244,7 +243,6 @@ class OverheadReport:
             "sub_msgs": self.subscription_messages,
             "repl_msgs": self.replication_messages,
             "total_msgs": self.total_messages,
-            "total_bytes": self.total_bytes,
             "shadows": self.shadow_count,
             "buffer_bytes": self.buffer_memory,
         }
@@ -256,7 +254,6 @@ def overhead_report(system) -> OverheadReport:
         subscription_messages=system.subscription_message_count(),
         replication_messages=system.control_message_count(),
         total_messages=system.network.total_messages(),
-        total_bytes=system.network.total_bytes(),
         shadow_count=system.total_shadow_count(),
         buffer_memory=system.total_buffer_memory(),
     )

@@ -133,7 +133,6 @@ class ClusterEndpoint(SocketEndpoint):
 def _stats_payload(stats: LinkStats) -> Dict[str, Any]:
     return {
         "messages": stats.messages,
-        "bytes": stats.bytes,
         "dropped": stats.dropped,
         "by_kind": dict(stats.by_kind),
     }
@@ -455,16 +454,12 @@ class ClusterLink:
         polled = self._polled(owner, towards)
         stats = LinkStats()
         stats.messages = polled.get("messages", 0)
-        stats.bytes = polled.get("bytes", 0)
         stats.dropped = polled.get("dropped", 0)
         stats.by_kind = dict(polled.get("by_kind", {}))
         return stats
 
     def total_messages(self) -> int:
         return self.stats_a_to_b.messages + self.stats_b_to_a.messages
-
-    def total_bytes(self) -> int:
-        return self.stats_a_to_b.bytes + self.stats_b_to_a.bytes
 
     def messages_of_kind(self, kind: str) -> int:
         return self.stats_a_to_b.by_kind.get(kind, 0) + self.stats_b_to_a.by_kind.get(kind, 0)

@@ -19,16 +19,14 @@ from .simulator import Simulator
 
 @dataclass
 class LinkStats:
-    """Per-direction traffic counters, used by the bandwidth/overhead metrics."""
+    """Per-direction traffic counters, used by the overhead metrics."""
 
     messages: int = 0
-    bytes: int = 0
     dropped: int = 0
     by_kind: Dict[str, int] = field(default_factory=dict)
 
     def record(self, message: Message) -> None:
         self.messages += 1
-        self.bytes += message.size()
         self.by_kind[message.kind] = self.by_kind.get(message.kind, 0) + 1
 
     def record_drop(self) -> None:
@@ -181,10 +179,6 @@ class Link:
         """Total messages transmitted in either direction."""
         return self._a_to_b.stats.messages + self._b_to_a.stats.messages
 
-    def total_bytes(self) -> int:
-        """Total abstract bytes transmitted in either direction."""
-        return self._a_to_b.stats.bytes + self._b_to_a.stats.bytes
-
     def messages_of_kind(self, kind: str) -> int:
         return self._a_to_b.stats.by_kind.get(kind, 0) + self._b_to_a.stats.by_kind.get(kind, 0)
 
@@ -249,6 +243,3 @@ class Network:
         if kind is None:
             return sum(link.total_messages() for link in self.links)
         return sum(link.messages_of_kind(kind) for link in self.links)
-
-    def total_bytes(self) -> int:
-        return sum(link.total_bytes() for link in self.links)

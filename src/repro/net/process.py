@@ -44,30 +44,11 @@ class Message:
     sender: Optional[str] = None
     msg_id: int = field(default_factory=lambda: next(_message_ids))
     meta: Dict[str, Any] = field(default_factory=dict)
-    _size: Optional[int] = field(default=None, init=False, repr=False, compare=False)
     # the encoded-frame cache, populated by the wire layer so one message
     # fanned out to many socket links is framed exactly once; it is keyed on
     # the sender baked into the frame, so ``send`` drops it whenever the
     # sender changes (e.g. a broker forwarding a peer's frame)
     _frame_bin: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
-
-    def size(self) -> int:
-        """A crude size estimate in abstract bytes, used for bandwidth metrics.
-
-        Memoized: ``send`` and per-link stats both ask for it, and payload
-        and meta are not mutated once a message is in flight.
-        """
-        size = self._size
-        if size is None:
-            payload = self.payload
-            # fast path for domain payloads: ask the (memoized) hook directly
-            # instead of walking _estimate_size's isinstance ladder
-            hook = getattr(payload, "estimated_size", None)
-            payload_size = int(hook()) if callable(hook) else _estimate_size(payload)
-            meta = self.meta
-            meta_size = 8 if meta == {} else _estimate_size(meta)
-            size = self._size = 16 + payload_size + meta_size
-        return size
 
     def copy(self) -> "Message":
         """Return a copy with a fresh message id (used when forwarding).
@@ -88,25 +69,6 @@ class Message:
         return Message(kind=self.kind, payload=payload, sender=self.sender, meta=dict(self.meta))
 
 
-def _estimate_size(obj: Any) -> int:
-    # the categories are disjoint, so the order only decides speed: the
-    # commonest payload shapes are tested first
-    if isinstance(obj, str):
-        return len(obj)
-    if isinstance(obj, (int, float, bool)):
-        return 8
-    if obj is None:
-        return 0
-    if isinstance(obj, dict):
-        return 8 + sum(_estimate_size(k) + _estimate_size(v) for k, v in obj.items())
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 8 + sum(_estimate_size(item) for item in obj)
-    size_hook = getattr(obj, "estimated_size", None)
-    if callable(size_hook):
-        return int(size_hook())
-    return 32
-
-
 class Process:
     """Base class for all simulated processes.
 
@@ -125,7 +87,6 @@ class Process:
         self.links: Dict[str, "LinkEndpoint"] = {}
         self.messages_received = 0
         self.messages_sent = 0
-        self.bytes_sent = 0
         self.alive = True
 
     # ----------------------------------------------------------------- wiring
@@ -160,7 +121,6 @@ class Process:
         # counted once the endpoint accepted it: a refused send was not sent
         endpoint.transmit(message)
         self.messages_sent += 1
-        self.bytes_sent += message.size()
 
     def send_many(self, peer_name: str, messages: "list[Message]") -> None:
         """Send a burst of messages to ``peer_name`` as one batched link event.
@@ -174,16 +134,13 @@ class Process:
         if not messages:
             return
         endpoint = self.links[peer_name]
-        size = 0
         for message in messages:
             if message.sender != self.name:
                 message.sender = self.name
                 message._frame_bin = None
-            size += message.size()
         # counted once the endpoint accepted the burst (see send)
         endpoint.transmit_many(messages)
         self.messages_sent += len(messages)
-        self.bytes_sent += size
 
     def deliver(self, message: Message) -> None:
         """Entry point used by links to hand a message to this process."""

@@ -6,7 +6,7 @@ algorithms, but it hard-wired the *algorithm* (brokers, routing, mobility) to
 the *substrate* (the simulator's event queue).  This module separates the
 two: a :class:`Transport` owns link construction, message movement and time,
 and everything above (``Process.send``/``send_many``, link FIFO semantics,
-connect/disconnect events, latency/bandwidth accounting) goes through it.
+connect/disconnect events, latency, message and kind counts) goes through it.
 
 Three interchangeable backends:
 
@@ -97,8 +97,8 @@ class Transport(ABC):
       works immediately afterwards);
     * the returned link exposes the :class:`~repro.net.link.Link` surface —
       ``up``/``set_up``/``disconnect``/``reconnect``, per-direction
-      :class:`~repro.net.link.LinkStats`, ``total_messages``/``total_bytes``
-      /``messages_of_kind`` and the ``on_drop`` hook;
+      :class:`~repro.net.link.LinkStats`, ``total_messages``/
+      ``messages_of_kind`` and the ``on_drop`` hook;
     * :attr:`clock` is a Simulator-compatible scheduling surface (``now``,
       ``schedule``, ``schedule_at``, ``call_now``, ``run``,
       ``run_until_idle``) that processes receive as their ``sim``.
@@ -1015,9 +1015,6 @@ class AsyncioLink:
 
     def total_messages(self) -> int:
         return self._a_to_b.stats.messages + self._b_to_a.stats.messages
-
-    def total_bytes(self) -> int:
-        return self._a_to_b.stats.bytes + self._b_to_a.stats.bytes
 
     def messages_of_kind(self, kind: str) -> int:
         return self._a_to_b.stats.by_kind.get(kind, 0) + self._b_to_a.stats.by_kind.get(kind, 0)

@@ -842,8 +842,6 @@ def decode_message_binary(data: bytes) -> Message:
                 "sender": sender,
                 "msg_id": msg_id,
                 "meta": meta,
-                "_size": None,
-                "_frame_bin": None,
             }
         else:
             obj, pos = _b_read(data, 1)

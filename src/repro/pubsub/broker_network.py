@@ -182,9 +182,6 @@ class BrokerNetwork:
     def total_messages(self, kind: Optional[str] = None) -> int:
         return self.network.total_messages(kind)
 
-    def total_bytes(self) -> int:
-        return self.network.total_bytes()
-
     def broker_link_messages(self, kind: Optional[str] = None) -> int:
         """Messages that crossed broker-to-broker links only (network load metric)."""
         total = 0

@@ -665,10 +665,6 @@ class Filter:
             return "Filter(<match-all>)"
         return "Filter(" + " AND ".join(c.describe() for c in self._constraints) + ")"
 
-    def estimated_size(self) -> int:
-        """Abstract byte size of the filter, for control-message overhead metrics."""
-        return 8 + 24 * len(self._constraints)
-
 
 def match_all() -> Filter:
     """The filter that matches every notification."""

@@ -119,9 +119,8 @@ class Notification(Mapping[str, Any]):
     def estimated_size(self) -> int:
         """Abstract size in bytes, used for buffer-memory metrics.
 
-        Memoized: attributes are immutable, and every forwarding hop wraps
-        the same notification in a fresh envelope whose size estimate walks
-        the payload again.
+        Memoized: attributes are immutable, and a buffer's memory is summed
+        over every notification it holds each time it is read.
         """
         total = self._esize
         if total is None:

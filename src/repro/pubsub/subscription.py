@@ -76,10 +76,6 @@ class Subscription:
         """Convenience: evaluate the subscription's filter on a notification."""
         return self.filter.matches(notification)
 
-    def estimated_size(self) -> int:
-        """Abstract size of the subscription message on the wire."""
-        return 16 + len(self.sub_id) + self.filter.estimated_size()
-
     def __repr__(self) -> str:
         tag = " [myloc]" if self.location_dependent else ""
         return f"Subscription({self.sub_id}, by={self.subscriber}{tag}, {self.filter!r})"

@@ -238,6 +238,3 @@ class TestFilterMerge:
         combined = f1.conjoin(f2)
         assert combined.matches({"s": "t", "loc": "a"})
         assert not combined.matches({"s": "t", "loc": "b"})
-
-    def test_estimated_size_positive(self):
-        assert filter_from_dict({"s": "t"}).estimated_size() > 0

@@ -99,10 +99,6 @@ class TestSubscription:
         assert shadow.sub_id == sub.sub_id
         assert shadow.subscriber == "shadow-of-alice"
 
-    def test_estimated_size(self):
-        sub = subscription(filter_from_dict({"service": "t"}), subscriber="alice")
-        assert sub.estimated_size() > 0
-
 
 def _make_subs():
     return [

@@ -1,18 +1,10 @@
 """Unit tests for processes, messages and FIFO links."""
 
-import enum
-from collections import OrderedDict
-
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core.location_filter import location_dependent
 from repro.net.link import Link, Network
-from repro.net.process import Message, Process, _estimate_size
+from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
-from repro.pubsub.filters import Equals, Filter, Range
-from repro.pubsub.notification import Notification
-from repro.pubsub.subscription import Subscription
 
 
 class Recorder(Process):
@@ -67,18 +59,6 @@ class TestMessage:
 
         notification = Notification({"v": 1})
         assert Message("notify", payload=notification).copy().payload is notification
-
-    def test_size_grows_with_payload(self):
-        small = Message("x", payload="a")
-        large = Message("x", payload="a" * 500)
-        assert large.size() > small.size()
-
-    def test_size_uses_estimated_size_hook(self):
-        class Sized:
-            def estimated_size(self):
-                return 1234
-
-        assert Message("x", payload=Sized()).size() >= 1234
 
 
 class TestLinkDelivery:
@@ -211,7 +191,6 @@ class TestNetwork:
         sim.run_until_idle()
         assert network.total_messages() == 1
         assert network.total_messages("hello") == 1
-        assert network.total_bytes() > 0
 
 
 class TestBatchedDelivery:
@@ -249,100 +228,40 @@ class TestBatchedDelivery:
         assert a.messages_sent == 0
 
 
-# ------------------------------------------------------------ size estimates
+# ------------------------------------------------------- counted, not weighed
 
 
-def _ladder_size(obj):
-    """The isinstance ladder in its original order, kept as the oracle:
-    reordering the checks must leave every size the same number."""
-    if obj is None:
-        return 0
-    if isinstance(obj, (int, float, bool)):
-        return 8
-    if isinstance(obj, str):
-        return len(obj)
-    if isinstance(obj, (list, tuple, set, frozenset)):
-        return 8 + sum(_ladder_size(item) for item in obj)
-    if isinstance(obj, dict):
-        return 8 + sum(_ladder_size(k) + _ladder_size(v) for k, v in obj.items())
-    size_hook = getattr(obj, "estimated_size", None)
-    if callable(size_hook):
-        return int(size_hook())
-    return 32
+class _Trap:
+    """A payload that fails the test the moment anything looks inside it."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"a send asked the payload for {name!r}")
+
+    def __len__(self):
+        raise AssertionError("a send took the payload's length")
+
+    def __iter__(self):
+        raise AssertionError("a send iterated over the payload")
 
 
-class _Level(enum.IntEnum):
-    LOW = 1
-    HIGH = 250
-
-
-class _Tag(str):
-    pass
-
-
-class _NoHook:
-    pass
-
-
-_HASHABLE = st.one_of(
-    st.none(),
-    st.booleans(),
-    st.integers(),
-    st.floats(allow_nan=False),
-    st.text(max_size=12),
-    st.sampled_from(list(_Level)),
-    st.text(max_size=12).map(_Tag),
-    st.builds(_NoHook),
-    st.sampled_from(
-        [
-            Filter([Equals("service", "t")]),
-            Filter([Equals("a", 1), Range("b", 0, 5)]),
-            location_dependent({"service": "t"}),  # no size hook: 32
-        ]
-    ),
-)
-_LEAVES = st.one_of(
-    _HASHABLE,
-    st.sampled_from(
-        [
-            Notification({"service": "t", "location": "r1", "value": 2.5}),
-            Subscription(sub_id="s1", filter=Filter([Equals("a", 1)]), subscriber="c"),
-        ]
-    ),
-)
-_PAYLOADS = st.recursive(
-    _LEAVES,
-    lambda inner: st.one_of(
-        st.lists(inner, max_size=4),
-        st.lists(inner, max_size=4).map(tuple),
-        st.sets(_HASHABLE, max_size=4),
-        st.frozensets(_HASHABLE, max_size=4),
-        st.dictionaries(_HASHABLE, inner, max_size=4),
-        st.dictionaries(st.text(max_size=6), inner, max_size=4).map(OrderedDict),
-    ),
-    max_leaves=24,
-)
-
-
-class TestEstimateSize:
-    @settings(max_examples=400, deadline=None)
-    @given(payload=_PAYLOADS)
-    def test_sizes_equal_the_isinstance_ladder(self, payload):
-        assert _estimate_size(payload) == _ladder_size(payload)
-
-    @pytest.mark.parametrize(
-        "obj, size",
-        [
-            (None, 0),
-            (True, 8),
-            (_Level.HIGH, 8),
-            (_Tag("abc"), 3),
-            ("héllo", 5),
-            (2.5, 8),
-            ({"a": [1, (2,)]}, 8 + 1 + 8 + 8 + 8 + 8),
-            (location_dependent({"service": "t"}), 32),
-            (_NoHook(), 32),
-        ],
-    )
-    def test_pinned_sizes(self, obj, size):
-        assert _estimate_size(obj) == _ladder_size(obj) == size
+class TestSendNeverLooksInside:
+    @pytest.mark.parametrize("batched", [False, True], ids=["send", "send_many"])
+    @pytest.mark.parametrize("where", ["payload", "meta"])
+    def test_a_trap_arrives_untouched_and_counted(self, pair, batched, where):
+        sim, a, b, link = pair
+        trap = _Trap()
+        if where == "payload":
+            message = Message("trap", payload=trap)
+        else:
+            message = Message("trap", meta={"value": trap})
+        if batched:
+            a.send_many("b", [message])
+        else:
+            a.send("b", message)
+        sim.run_until_idle()
+        [(_time, received)] = b.received
+        carried = received.payload if where == "payload" else received.meta["value"]
+        assert carried is trap
+        assert a.messages_sent == 1
+        assert link.stats_a_to_b.messages == 1
+        assert link.messages_of_kind("trap") == 1

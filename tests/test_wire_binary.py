@@ -431,7 +431,7 @@ def _shape(message):
             payload._wire_bin,
         )
     fields = (message.kind, payload, message.sender, message.msg_id, message.meta)
-    return [(type(value), value) for value in fields] + [message._size, message._frame_bin]
+    return [(type(value), value) for value in fields] + [message._frame_bin]
 
 
 class TestDeclaredOnce:
@@ -525,8 +525,24 @@ class TestDeclaredOnce:
             slow, end = wire._r_record(wire._BY_CODE[wire._B_MESSAGE], body, 2)
             assert end == len(body)
             assert fast == slow
-            for cache in ("_size", "_frame_bin"):
-                assert getattr(fast, cache) is None and getattr(slow, cache) is None
+            assert fast._frame_bin is None and slow._frame_bin is None
+
+    @pytest.mark.parametrize("name", ["stamped-publish", "shadow_create"] + sorted(_all_payloads()))
+    def test_the_decoder_builds_the_dataclass_fields_and_no_more(self, name):
+        # decode_message_binary hand-builds the __dict__: it must hold what
+        # Message.__init__ sets, no more (a cache field keeps its class
+        # default). A stamped publish takes every inline branch; the rest
+        # carry a wide msg_id and a meta, so their fields go to the walker
+        if name == "stamped-publish":
+            notification = Notification({"topic": "t"}).stamped(1.5, "P1")
+            message = Message("publish", notification, sender="B1", msg_id=3)
+        else:
+            payloads = dict(_all_payloads(), shadow_create={"client_id": "c1", "templates": []})
+            message = Message(
+                name, payloads[name], sender="R@B1", msg_id=2**40, meta={"replayed": True}
+            )
+        decoded = decode_message_binary(frame_message_binary(message)[4:])
+        assert vars(decoded).keys() == vars(Message("x")).keys()
 
     def test_single_buffer_sender_equals_the_walker(self):
         for name, payload in sorted(_all_payloads().items()):
@@ -548,7 +564,7 @@ class TestDeclaredOnce:
             notification_record.read = wire._r_notification
         assert end == len(body)
         assert _shape(fast) == _shape(slow)
-        assert fast._size is None and fast._frame_bin is None
+        assert fast._frame_bin is None
         if isinstance(message.payload, Notification):
             assert fast.payload._wire_bin == message.payload._wire_bin is not None
 
