@@ -108,7 +108,7 @@ class Broker(Process):
 
     def broker_neighbors(self) -> List[str]:
         """Names of neighbouring brokers this broker currently has a link to."""
-        return sorted(peer for peer in self._broker_peers if self.has_link(peer))
+        return sorted(self._broker_peers.intersection(self.links))
 
     def client_links(self) -> List[str]:
         """Names of attached client-side processes (local brokers, replicators)."""

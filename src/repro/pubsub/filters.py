@@ -369,15 +369,6 @@ class Range(Constraint):
     def _make_key(self) -> Tuple:
         return ("range", self.attribute, self.low, self.high, self.include_low, self.include_high)
 
-    def bounds(self) -> Tuple[float, float]:
-        """The (low, high) boundary pair, for segment-bucket index construction.
-
-        Inclusivity is intentionally dropped: an index built from these
-        bounds yields a superset of the matching candidates, and the full
-        constraint evaluation that follows restores exactness.
-        """
-        return (self.low, self.high)
-
     def describe(self) -> str:
         left = "[" if self.include_low else "("
         right = "]" if self.include_high else ")"
@@ -537,11 +528,13 @@ class Filter:
     the closure :func:`_compile_matches` picks for the filter's shape, so
     ``filter.matches(mapping)`` is a single Python frame for any ``Mapping``
     (True iff every constraint matches).  ``key()``/``hash()`` are cached on
-    first use.  Every routing-table candidate pays full filter evaluation, so
-    this is one of the hottest code paths in the system.
+    first use, and so is the filter's place in an attribute index
+    (:func:`repro.pubsub.matching.placement`).  Every routing-table candidate
+    pays full filter evaluation, so this is one of the hottest code paths in
+    the system.
     """
 
-    __slots__ = ("_constraints", "matches", "_key", "_hash", "_attrs", "_wire_bin")
+    __slots__ = ("_constraints", "matches", "_key", "_hash", "_attrs", "_placement", "_wire_bin")
 
     #: ``matches(mapping) -> bool``: the compiled conjunction
     matches: Callable[[Mapping[str, Any]], bool]
@@ -552,6 +545,7 @@ class Filter:
         self._key: Optional[Tuple] = None
         self._hash: Optional[int] = None
         self._attrs: Optional[frozenset] = None
+        self._placement: Optional[Tuple] = None
         # the binary wire fragment, cached by repro.net.wire (filters are
         # immutable); never part of equality or hashing
         self._wire_bin: Optional[bytes] = None

@@ -14,16 +14,19 @@ Two matching strategies are available (the ``matcher`` knob):
 * ``"brute"`` — every entry of every link is evaluated against the
   notification; the always-correct baseline the paper's testbed uses.
 * ``"indexed"`` (default) — one :class:`~repro.pubsub.matching.AttributeIndex`
-  per link, in the style of the counting/pre-filtering algorithms the paper
-  references via [16].  Each entry with a hashable equality constraint is
-  bucketed under its ``(attribute, value)`` pair; entries whose best
-  constraint is a ``Range`` go into a per-attribute
-  :class:`~repro.pubsub.matching.IntervalBucketIndex` (bucketed boundary
-  cuts with local split repair).  At match time only the buckets selected
-  by the notification's own attribute/value pairs (plus the unindexable
-  entries) are evaluated, and each link short-circuits on its first
-  matching entry.  Results are identical to brute force — the index is
-  purely a candidate pre-selection.
+  over all of the table's entries, keyed by the :class:`RouteEntry` itself,
+  in the style of the counting/pre-filtering algorithms the paper references
+  via [16].  Each entry with a hashable equality constraint is bucketed under
+  its ``(attribute, value)`` pair, and inside that bucket by its ``Range``
+  (if it has one) in an :class:`~repro.pubsub.matching.IntervalBucketIndex`
+  (bucketed boundary cuts, split when a query finds a bucket oversized);
+  entries without an equality key are placed by their ``Range`` alone.  At
+  match time the index is probed once: only the entries the notification's
+  own values select (plus the unindexable ones) are candidates, and a
+  candidate whose link is already decided or excluded is skipped without
+  being evaluated.  A table of at most :data:`SMALL_TABLE_SCAN` entries is
+  scanned link by link instead, first match deciding each link.  Results are
+  identical to brute force — the index is purely a candidate pre-selection.
 
 The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
@@ -53,9 +56,14 @@ from .subscription import Subscription
 MATCHER_NAMES = ("brute", "indexed")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RouteEntry:
-    """One (filter, link) pair, annotated with the subscription that created it."""
+    """One (filter, link) pair, annotated with the subscription that created it.
+
+    Entries compare and hash by identity: the table's index is keyed by the
+    entry object, and the table never holds two entries for one
+    ``(sub_id, link)``.
+    """
 
     filter: Filter
     link: str
@@ -65,11 +73,12 @@ class RouteEntry:
         return self.filter.matches(notification)
 
 
-#: Links with at most this many entries are scanned directly even in indexed
-#: mode: probing the index costs about as much as one compiled filter
-#: evaluation, so tiny links (e.g. one subscription per client link) are
-#: faster brute. Correctness is unaffected — both paths are exact.
-SMALL_LINK_SCAN = 4
+#: Tables with at most this many entries are scanned link by link even in
+#: indexed mode, first match deciding each link: one index probe costs more
+#: than evaluating that few compiled filters (every table of a line of
+#: brokers with one subscription per client is this small).  Correctness is
+#: unaffected — both paths are exact.
+SMALL_TABLE_SCAN = 8
 
 
 class RoutingTable:
@@ -77,12 +86,12 @@ class RoutingTable:
 
     Entries are grouped by link for efficient forwarding decisions ("which
     links need this notification?") and indexed by subscription id for
-    efficient removal.  With a non-brute ``matcher`` each link additionally
-    maintains an attribute index so forwarding decisions only evaluate
-    candidate entries, and ``destinations()`` results are memoized in an
-    epoch-guarded cache invalidated by every mutation.  ``metrics`` is an
-    optional :class:`~repro.obs.metrics.MetricsRegistry` receiving the
-    ``match.cache_hit`` and ``index.repair`` counters.
+    efficient removal.  With a non-brute ``matcher`` the table additionally
+    maintains one attribute index over all of its entries so forwarding
+    decisions only evaluate candidate entries, and ``destinations()`` results
+    are memoized in an epoch-guarded cache invalidated by every mutation.
+    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
+    receiving the ``match.cache_hit`` and ``index.repair`` counters.
     """
 
     #: bound on the memoized notification signatures (FIFO eviction)
@@ -95,30 +104,17 @@ class RoutingTable:
         self._indexed = matcher != "brute"
         self._by_link: Dict[str, Dict[str, RouteEntry]] = defaultdict(dict)
         self._by_sub: Dict[str, List[RouteEntry]] = defaultdict(list)
-        self._index: Dict[str, AttributeIndex] = {}
+        self._size = 0
         self.cache_hits = 0
         self._destination_cache = EpochCache()
         self._cache_hit_counter = metrics.counter("match.cache_hit") if metrics else None
         self._repair_counter = metrics.counter("index.repair") if metrics else None
+        self._index = AttributeIndex(self._repair_counter)
 
     # ----------------------------------------------------------------- matcher
     @property
     def matcher(self) -> str:
         return self._matcher
-
-    def _index_add(self, entry: RouteEntry) -> None:
-        index = self._index.get(entry.link)
-        if index is None:
-            index = self._index[entry.link] = AttributeIndex(self._repair_counter)
-        index.add(entry.sub_id, entry.filter, entry)
-
-    def _index_discard(self, entry: RouteEntry) -> None:
-        index = self._index.get(entry.link)
-        if index is None:
-            return
-        index.discard(entry.sub_id, entry.filter)
-        if index.empty():
-            del self._index[entry.link]
 
     # ------------------------------------------------------------------ admin
     def add(self, filter: Filter, link: str, sub_id: str) -> RouteEntry:
@@ -126,14 +122,16 @@ class RoutingTable:
         entry = RouteEntry(filter=filter, link=link, sub_id=sub_id)
         self._destination_cache.epoch += 1
         previous = self._by_link[link].get(sub_id)
-        if previous is not None:
+        if previous is None:
+            self._size += 1
+        else:
             self._by_sub[sub_id] = [e for e in self._by_sub[sub_id] if e.link != link]
             if self._indexed:
-                self._index_discard(previous)
+                self._index.discard(previous, previous.filter)
         self._by_link[link][sub_id] = entry
         self._by_sub[sub_id].append(entry)
         if self._indexed:
-            self._index_add(entry)
+            self._index.add(entry, filter, entry)
         return entry
 
     def add_subscription(self, subscription: Subscription, link: str) -> RouteEntry:
@@ -151,10 +149,11 @@ class RoutingTable:
                 if not self._by_link[entry.link]:
                     del self._by_link[entry.link]
                 if self._indexed:
-                    self._index_discard(entry)
+                    self._index.discard(entry, entry.filter)
                 removed.append(entry)
             else:
                 keep.append(entry)
+        self._size -= len(removed)
         if keep:
             self._by_sub[sub_id] = keep
         else:
@@ -165,8 +164,10 @@ class RoutingTable:
         """Remove every entry pointing at ``link`` (e.g. a disconnected client)."""
         entries = list(self._by_link.pop(link, {}).values())
         self._destination_cache.epoch += 1
-        self._index.pop(link, None)
+        self._size -= len(entries)
         for entry in entries:
+            if self._indexed:
+                self._index.discard(entry, entry.filter)
             remaining = [e for e in self._by_sub.get(entry.sub_id, []) if e.link != link]
             if remaining:
                 self._by_sub[entry.sub_id] = remaining
@@ -178,25 +179,42 @@ class RoutingTable:
         self._destination_cache.epoch += 1
         self._by_link.clear()
         self._by_sub.clear()
-        self._index.clear()
+        self._size = 0
+        self._index = AttributeIndex(self._repair_counter)
 
     # ---------------------------------------------------------------- queries
-    def _link_groups(self, attributes: Mapping, excluded):
-        """Yield ``(link, candidate groups)`` per non-excluded link (indexed mode).
-
-        Small links (<= :data:`SMALL_LINK_SCAN` entries) yield their entries
-        as the one group — probing the index would cost more than evaluating
-        them; larger links yield :meth:`AttributeIndex.groups`.
-        """
-        items = attributes.items()  # a view: every index probed iterates it, none copies it
-        index_by_link = self._index
+    def _scan(self, attributes: Mapping, excluded: Set[str]) -> List[str]:
+        """The links :meth:`destinations` answers for a small table, unsorted:
+        link by link, the first matching entry deciding."""
+        result = []
         for link, entries in self._by_link.items():
             if link in excluded:
                 continue
-            if len(entries) <= SMALL_LINK_SCAN:
-                yield link, (entries.values(),)
-            else:
-                yield link, index_by_link[link].groups(items)
+            for entry in entries.values():
+                if entry.filter.matches(attributes):
+                    result.append(link)
+                    break
+        return result
+
+    def _probe(self, attributes: Mapping, excluded: Set[str]) -> List[str]:
+        """The links :meth:`destinations` answers, unsorted, from one probe of
+        the index: a candidate on a link already decided or excluded is
+        skipped unevaluated, and the probe stops once every link is decided."""
+        decided = set(excluded)
+        undecided = len(self._by_link.keys() - decided)
+        result: List[str] = []
+        if not undecided:
+            return result
+        for group in self._index.groups(attributes):
+            for entry in group:
+                link = entry.link
+                if link in decided or not entry.filter.matches(attributes):
+                    continue
+                decided.add(link)
+                result.append(link)
+                if len(result) == undecided:
+                    return result
+        return result
 
     def destinations(self, notification: Mapping, exclude: Iterable[str] = ()) -> List[str]:
         """Links (deduplicated, sorted) on which ``notification`` must be forwarded."""
@@ -211,16 +229,10 @@ class RoutingTable:
                 if self._cache_hit_counter is not None:
                     self._cache_hit_counter.inc()
                 return list(cached)
-            result = []
-            for link, groups in self._link_groups(attributes, excluded):
-                for group in groups:
-                    for entry in group:
-                        if entry.filter.matches(attributes):
-                            result.append(link)
-                            break
-                    else:
-                        continue
-                    break  # the first match decides the link
+            if self._size <= SMALL_TABLE_SCAN:
+                result = self._scan(attributes, excluded)
+            else:
+                result = self._probe(attributes, excluded)
             result.sort()
             if key is not None:
                 cache.store(key, result, self.CACHE_CAPACITY)
@@ -238,12 +250,14 @@ class RoutingTable:
     ) -> List[RouteEntry]:
         excluded = set(exclude)
         attributes = attribute_dict(notification)
-        matched: List[RouteEntry] = []
         if self._indexed:
-            for _link, groups in self._link_groups(attributes, excluded):
-                for group in groups:
-                    matched.extend(e for e in group if e.filter.matches(attributes))
-            return matched
+            return [
+                entry
+                for group in self._index.groups(attributes)
+                for entry in group
+                if entry.link not in excluded and entry.filter.matches(attributes)
+            ]
+        matched: List[RouteEntry] = []
         for link, entries in self._by_link.items():
             if link in excluded:
                 continue
@@ -291,7 +305,7 @@ class RoutingTable:
 
     def __len__(self) -> int:
         """Total number of entries (the routing-table size metric of E12)."""
-        return sum(len(entries) for entries in self._by_link.values())
+        return self._size
 
     def size_by_link(self) -> Dict[str, int]:
         return {link: len(entries) for link, entries in self._by_link.items()}

@@ -103,6 +103,31 @@ class TestBrokerBasics:
         assert net.brokers["B2"].client_links() == ["alice"]
         assert net.brokers["B2"].broker_neighbors() == ["B1", "B3"]
 
+    def test_broker_neighbors_are_registered_peers_with_a_link(self, line3):
+        """Registration and attachment move independently: a neighbour is a
+        peer that is both registered and linked, whatever order they came in."""
+        _sim, net = line3
+        broker = net.brokers["B2"]
+        endpoint = broker.links["B1"]
+
+        def check():
+            expected = sorted(p for p in broker._broker_peers if broker.has_link(p))
+            assert broker.broker_neighbors() == expected
+            return expected
+
+        assert check() == ["B1", "B3"]
+        broker.register_broker_peer("B9")  # registered, no link yet
+        assert check() == ["B1", "B3"]
+        broker.attach_link("B9", endpoint)
+        assert check() == ["B1", "B3", "B9"]
+        broker.detach_link("B1")
+        assert check() == ["B3", "B9"]
+        broker.unregister_broker_peer("B3")  # linked, no longer a peer
+        assert check() == ["B9"]
+        broker.attach_link("B1", endpoint)
+        broker.register_broker_peer("B3")
+        assert check() == ["B1", "B3", "B9"]
+
     def test_stats_snapshot(self, line3):
         sim, net = line3
         alice = net.add_client("alice", "B1")

@@ -12,6 +12,7 @@ nor one computed for a merely *equal* notification
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 import random
@@ -28,7 +29,7 @@ from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, Range
 from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, IntervalBucketIndex
 from repro.pubsub.notification import Notification
-from repro.pubsub.routing_table import RoutingTable
+from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
 from repro.pubsub.subscription import subscription
 
 from test_routing_index import assert_tables_agree, random_filter, random_notification
@@ -54,15 +55,16 @@ class TestIntervalBucketIndex:
         assert len(index) == 2
 
     def test_exact_after_splits(self):
-        """Once churn has grown the cut list, buckets localize candidates."""
+        """Once queries have grown the cut list, buckets localize candidates."""
         index = IntervalBucketIndex()
         for i in range(300):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
-        assert index.repairs > 0
         # candidate sets are localized: a probe yields far fewer than n entries
         assert len(index.candidates(451)) <= 2 * IntervalBucketIndex.MAX_BUCKET
+        assert index.repairs > 0
         assert "n150" in index.candidates(451)
-        assert "n150" not in index.candidates(470)
+        # more than one bucket's worth of ranges away
+        assert "n150" not in index.candidates(600)
 
     def test_infinite_bounds(self):
         index = IntervalBucketIndex()
@@ -118,9 +120,12 @@ class TestIntervalBucketIndex:
     def test_wide_entries_fall_back_to_scan(self):
         """Entries spanning > MAX_SPAN buckets join the always-scanned wide set."""
         index = IntervalBucketIndex()
-        # enough disjoint narrow ranges to force splits and grow the cut list
+        # enough disjoint narrow ranges, each stabbed once, to force splits
+        # and grow the cut list
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
+        for i in range(200):
+            index.candidates(3 * i + 1)
         assert index.repairs > 0
         assert len(index._cuts) > IntervalBucketIndex.MAX_SPAN
         index.add("wide", Range("x", 0, 600), "wide")
@@ -137,6 +142,7 @@ class TestIntervalBucketIndex:
         index = IntervalBucketIndex(repair_counter=registry.counter("index.repair"))
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
+        index.candidates(301)
         assert index.repairs > 0
         assert registry.counter("index.repair").value == index.repairs
 
@@ -144,11 +150,54 @@ class TestIntervalBucketIndex:
         index = IntervalBucketIndex()
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
+        index.candidates(301)
         assert len(index._cuts) > 0
         for i in range(200):
             index.discard(f"n{i}")
         assert len(index) == 0
         assert index._cuts == [] and index._buckets == [{}]
+
+    def test_adds_alone_never_split(self):
+        """An insert is two bisects and dict stores: however large a bucket
+        grows, no split happens until a query stabs it."""
+        index = IntervalBucketIndex()
+        for i in range(10 * IntervalBucketIndex.MAX_BUCKET):
+            index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
+        for i in range(0, 10 * IntervalBucketIndex.MAX_BUCKET, 2):
+            index.discard(f"n{i}")
+        assert index.repairs == 0
+        assert index._cuts == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_a_query_repairs_the_bucket_it_stabs(self, seed):
+        """After a query the stabbed bucket holds at most MAX_BUCKET entries or
+        cannot be split (no member bound strictly inside it), and every split
+        the query made is counted."""
+        from repro.obs.metrics import MetricsRegistry
+
+        rng = random.Random(seed)
+        registry = MetricsRegistry()
+        index = IntervalBucketIndex(repair_counter=registry.counter("index.repair"))
+        for i in range(400):
+            low = rng.choice([rng.uniform(0, 1000), 500.0])  # some share one point
+            width = 0.0 if rng.random() < 0.2 else rng.uniform(0, 40)
+            index.add(f"e{i}", Range("x", low, low + width), f"e{i}")
+        for _ in range(60):
+            value = rng.choice([rng.uniform(-10, 1050), 500.0])
+            index.candidates(value)
+            i = bisect.bisect_left(index._cuts, value)
+            bucket = index._buckets[i]
+            bucket_lo = index._cuts[i - 1] if i > 0 else -math.inf
+            bucket_hi = index._cuts[i] if i < len(index._cuts) else math.inf
+            interior = [
+                bound
+                for entry_id in bucket
+                for bound in (index._ranges[entry_id].low, index._ranges[entry_id].high)
+                if bucket_lo < bound < bucket_hi
+            ]
+            assert len(bucket) <= IntervalBucketIndex.MAX_BUCKET or not interior
+        assert index.repairs > 0
+        assert registry.counter("index.repair").value == index.repairs
 
     @pytest.mark.parametrize("seed", range(3))
     def test_randomized_churn_vs_linear_oracle(self, seed):
@@ -403,7 +452,7 @@ class TestDestinationCache:
         a cached ``["L"]`` served for ``True`` is a wrong delivery, a cached
         ``[]`` served for ``1`` a lost one."""
         table = RoutingTable(matcher="indexed")
-        for i in range(6):  # past SMALL_LINK_SCAN: the index answers
+        for i in range(SMALL_TABLE_SCAN + 1):  # past the small-table scan: the index answers
             table.add(Filter([Range("a", 0, 2)]), "L", f"s{i}")
         brute = RoutingTable(matcher="brute")
         brute.add(Filter([Range("a", 0, 2)]), "L", "s0")

@@ -9,9 +9,11 @@ at every step, at the table level and end-to-end through a broker network.
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
 from repro.net.simulator import Simulator
@@ -25,6 +27,7 @@ from repro.pubsub.filters import (
     Range,
     match_all,
 )
+from repro.pubsub.matching import IntervalBucketIndex
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import RoutingTable
 
@@ -206,3 +209,112 @@ class TestMiddlewareMatcherConfig:
         space = LocationSpace({"r1": "B1", "r2": "B2"})
         MobilePubSub(sim, net, space, config=MobilitySystemConfig())
         assert all(b.matcher == "brute" for b in net.brokers.values())
+
+
+# ------------------------------------------------------- one index vs brute
+
+TOPICS = ["t0", "t1", "t2"]
+ONE_INDEX_LINKS = ["L0", "L1", "L2", "L3"]
+ONE_INDEX_SUBS = [f"s{i}" for i in range(12)]
+
+_ranges = st.builds(
+    lambda low, width: Range("value", low, low + width), st.integers(0, 30), st.integers(0, 15)
+)
+_topics = st.sampled_from(TOPICS)
+_filters = st.one_of(
+    st.builds(lambda topic, r: Filter([Equals("topic", topic), r]), _topics, _ranges),
+    st.builds(lambda topic: Filter([Equals("topic", topic)]), _topics),
+    st.builds(
+        lambda topics: Filter([InSet("topic", topics)]),
+        st.lists(_topics, min_size=1, max_size=2, unique=True),
+    ),
+    st.builds(lambda prefix: Filter([Prefix("topic", prefix)]), st.sampled_from(["t", "t1", "x"])),
+    _ranges.map(lambda r: Filter([r])),
+    st.just(match_all()),
+    st.sampled_from(
+        [
+            Filter([Equals("flag", True), Range("value", 0, 5)]),  # bool key, 1 == True
+            Filter([Equals("value", 1)]),
+            Filter([Equals("value", math.nan)]),  # NaN key: never equal
+            Filter([Equals("tags", ["a"]), Range("value", 0, 20)]),  # unhashable value
+        ]
+    ),
+)
+_values = st.one_of(
+    st.integers(-2, 50),
+    st.floats(-2, 50, allow_nan=False),
+    st.booleans(),
+    st.just(math.nan),
+    st.none(),
+)
+_notifications = st.fixed_dictionaries(
+    {},
+    optional={
+        "topic": st.one_of(_topics, st.just(["a"]), st.just(1)),
+        "value": _values,
+        "flag": st.one_of(st.booleans(), st.just(1)),
+        "tags": st.just(["a"]),
+    },
+)
+_subs = st.sampled_from(ONE_INDEX_SUBS)
+_links = st.sampled_from(ONE_INDEX_LINKS)
+_ops = st.one_of(
+    st.tuples(st.just("add"), _filters, _links, _subs),
+    st.tuples(st.just("remove"), _subs, st.one_of(st.none(), _links)),
+    st.tuples(st.just("remove_link"), _links),
+    st.tuples(st.just("clear")),
+)
+
+
+def _assert_one_index_agrees(brute, indexed, notifications, exclude):
+    for n in notifications:
+        assert indexed.destinations(n, exclude=exclude) == brute.destinations(n, exclude=exclude), n
+        found = {(e.sub_id, e.link) for e in indexed.matching_entries(n, exclude=exclude)}
+        assert found == {(e.sub_id, e.link) for e in brute.matching_entries(n, exclude=exclude)}, n
+    assert len(indexed) == len(brute)
+
+
+class TestOneIndexEqualsBrute:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_filters, _links, _subs), min_size=0, max_size=14),
+        st.lists(_ops, min_size=1, max_size=25),
+        st.lists(_notifications, min_size=1, max_size=5),
+        st.lists(_links, max_size=2, unique=True),
+    )
+    def test_every_step_answers_like_brute(self, population, ops, notifications, exclude):
+        """One index over the whole table, under any add / remove / remove_link
+        / clear sequence, answers every probe like the brute-force twin — with
+        ``shared`` on two links, bool/NaN/unhashable values on both sides, and
+        tables on both sides of the small-table scan."""
+        brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+        shared = Filter([Equals("topic", "t1"), Range("value", 0, 10)])
+        for table in (brute, indexed):
+            table.add(shared, "L0", "shared")
+            table.add(shared, "L1", "shared")
+            for f, link, sub_id in population:
+                table.add(f, link, sub_id)
+        _assert_one_index_agrees(brute, indexed, notifications, exclude)
+        for op in ops:
+            for table in (brute, indexed):
+                getattr(table, op[0])(*op[1:])
+            _assert_one_index_agrees(brute, indexed, notifications, exclude)
+
+
+def test_equality_buckets_stab_their_ranges():
+    """200 ``Equals(topic) AND Range(value)`` entries over three links, one
+    topic: the index hands out only the stabbed range bucket of the topic's
+    equality bucket, never the whole bucket."""
+    table = RoutingTable(matcher="indexed")
+    rng = random.Random(3)
+    for i in range(200):
+        low = rng.randrange(10_000)
+        f = Filter([Equals("topic", "t"), Range("value", low, low + 50)])
+        table.add(f, f"L{i % 3}", f"s{i}")
+    for value in (0, 2_500, 5_000, 7_777, 10_049):
+        probe = {"topic": "t", "value": value}
+        candidates = [e for group in table._index.groups(probe) for e in group]
+        assert len(candidates) <= 2 * IntervalBucketIndex.MAX_BUCKET, value
+        assert {e.sub_id for e in candidates} >= {
+            e.sub_id for e in table.matching_entries(probe)
+        }
