@@ -1,4 +1,4 @@
-"""Benchmark/driver for experiment E8 (Sect. 4): shared digest buffer memory."""
+"""Benchmark/driver for experiment E8 (Sect. 4): shared buffer memory."""
 
 from repro.experiments import e08_shared_buffer
 
@@ -11,4 +11,4 @@ def test_e08_shared_buffer_table(experiment_runner):
     individual = table.column("individual_bytes")
     shared = table.column("shared_bytes")
     assert individual[-1] / individual[0] > 10  # individual memory grows ~linearly
-    assert shared[-1] / shared[0] < 5           # shared store grows much slower
+    assert shared[-1] / shared[0] < 5           # shared footprint grows much slower

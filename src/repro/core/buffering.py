@@ -12,9 +12,12 @@ policy space reproduced here:
 * **combined** — "both schemes can be combined" (:class:`CombinedPolicy`);
 * **semantic-based** — "new events can nullify old events"
   (:class:`SemanticPolicy`);
-* **shared buffer with digests** — "a shared buffer at the border broker can
-  be used and virtual clients can keep only the digest (e.g., IDs or hash) of
-  the events" (:class:`SharedNotificationStore` + :class:`DigestBuffer`).
+* **shared buffer** — "a shared buffer at the border broker can be used and
+  virtual clients can keep only the digest (e.g., IDs or hash) of the
+  events": a replicator hands one notification object to every matching
+  shadow, so the per-client buffers hold references to it and that is the
+  shared buffer, collected once no shadow holds it; :func:`shared_footprint`
+  is its accounting (E8, E13).
 
 Buffers never drop notifications silently: every eviction is counted so the
 experiments can report the memory/recall trade-off (E7, E8).
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 from ..pubsub.notification import Notification
 
@@ -218,114 +221,20 @@ class NotificationBuffer:
 
 # ----------------------------------------------------------- shared buffering
 
+#: abstract size of one buffer entry: the reference a shadow keeps to a notification
+REFERENCE_SIZE = 16
 
-class SharedNotificationStore:
-    """A reference-counted notification store shared by co-located virtual clients.
 
-    Each notification is stored once (keyed by its digest); digest buffers
-    hold only the digests.  When the last referencing digest is released the
-    notification is garbage collected — "the events can be garbage collected
-    according to a chosen policy when none of the virtual clients need them"
-    (Sect. 4).
+def shared_footprint(buffers: Iterable[NotificationBuffer]) -> int:
+    """Abstract memory of co-located buffers: each notification once, plus a reference per entry.
+
+    A replicator dispatches one :class:`Notification` object to every matching
+    shadow, so the buffers already share it; counting by identity charges its
+    size once however many shadows hold it.
     """
-
-    #: abstract size of a digest entry held by a virtual client
-    DIGEST_SIZE = 16
-
-    def __init__(self) -> None:
-        self._store: Dict[int, Notification] = {}
-        self._refcounts: Dict[int, int] = {}
-        self.stored = 0
-        self.collected = 0
-
-    def put(self, notification: Notification) -> int:
-        """Store (or re-reference) a notification; returns its digest."""
-        digest = notification.digest()
-        if digest not in self._store:
-            self._store[digest] = notification
-            self._refcounts[digest] = 0
-            self.stored += 1
-        self._refcounts[digest] += 1
-        return digest
-
-    def get(self, digest: int) -> Optional[Notification]:
-        return self._store.get(digest)
-
-    def release(self, digest: int) -> None:
-        """Drop one reference; the notification is collected when none remain."""
-        if digest not in self._refcounts:
-            return
-        self._refcounts[digest] -= 1
-        if self._refcounts[digest] <= 0:
-            del self._refcounts[digest]
-            del self._store[digest]
-            self.collected += 1
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def memory_bytes(self) -> int:
-        """Memory held by the shared store (each notification stored exactly once)."""
-        return sum(n.estimated_size() for n in self._store.values())
-
-
-class DigestBuffer:
-    """A virtual-client buffer that keeps only digests into a shared store."""
-
-    def __init__(self, store: SharedNotificationStore, policy: Optional[BufferPolicy] = None):
-        self.store = store
-        self.policy = policy or UnboundedPolicy()
-        self._entries: List[Tuple[int, BufferedNotification]] = []
-        self.added = 0
-        self.evicted = 0
-        self.replayed = 0
-
-    def add(self, notification: Notification, now: float) -> None:
-        digest = self.store.put(notification)
-        self._entries.append((digest, BufferedNotification(notification, buffered_at=now)))
-        self.added += 1
-        self._apply_policy(now)
-
-    def drain(self, now: Optional[float] = None) -> List[Notification]:
-        """Fetch all live notifications from the shared store, releasing the digests."""
-        if now is not None:
-            self._apply_policy(now)
-        notifications: List[Notification] = []
-        for digest, _entry in self._entries:
-            stored = self.store.get(digest)
-            if stored is not None:
-                notifications.append(stored)
-            self.store.release(digest)
-        self.replayed += len(notifications)
-        self._entries = []
-        return notifications
-
-    def clear(self) -> None:
-        for digest, _entry in self._entries:
-            self.store.release(digest)
-        self._entries = []
-
-    def _apply_policy(self, now: float) -> None:
-        shadow_entries = [entry for _digest, entry in self._entries]
-        evictions = self.policy.select_evictions(shadow_entries, now)
-        if not evictions:
-            return
-        evicted_ids = {id(entry) for entry in evictions}
-        kept: List[Tuple[int, BufferedNotification]] = []
-        for digest, entry in self._entries:
-            if id(entry) in evicted_ids:
-                self.store.release(digest)
-                self.evicted += 1
-            else:
-                kept.append((digest, entry))
-        self._entries = kept
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def memory_bytes(self) -> int:
-        """Memory held *by this virtual client*: digests only."""
-        return SharedNotificationStore.DIGEST_SIZE * len(self._entries)
+    held = [notification for buffer in buffers for notification in buffer.contents()]
+    distinct = {id(notification): notification for notification in held}
+    return sum(n.estimated_size() for n in distinct.values()) + REFERENCE_SIZE * len(held)
 
 
 def make_policy(spec: str, **kwargs) -> BufferPolicy:

@@ -41,7 +41,7 @@ from ..net.simulator import Simulator
 from ..pubsub.filters import Filter
 from ..pubsub.notification import Notification
 from ..pubsub.subscription import Subscription
-from .buffering import BufferPolicy, SharedNotificationStore
+from .buffering import BufferPolicy, shared_footprint
 from .location import LocationSpace
 from .location_filter import LocationDependentFilter
 from .physical_mobility import (
@@ -109,8 +109,6 @@ class ReplicatorConfig:
     exception_mode: bool = True
     #: factory for the buffer policy of each virtual client (None = unbounded)
     buffer_policy_factory: Optional[Callable[[], BufferPolicy]] = None
-    #: share one notification store among co-located virtual clients (digest buffers)
-    use_shared_store: bool = False
     #: replay only buffered notifications that match the newly bound filters
     filter_replay: bool = True
 
@@ -153,9 +151,6 @@ class Replicator(Process):
         self.relocation = RelocationManager(broker_name, name)
         self.virtual_clients: Dict[str, VirtualClient] = {}
         self.active_clients: Dict[str, str] = {}  # client_id -> device process name
-        self.shared_store: Optional[SharedNotificationStore] = (
-            SharedNotificationStore() if self.config.use_shared_store else None
-        )
         self._replicator_registry: Dict[str, str] = {}  # broker name -> replicator name
         # filter key -> (the subscription issued at the broker, sub_ids of its holders)
         self._issued: Dict[Tuple, Tuple[Subscription, Set[str]]] = {}
@@ -518,7 +513,6 @@ class Replicator(Process):
             broker_name=self.broker_name,
             space=self.space,
             buffer_policy=policy,
-            shared_store=self.shared_store,
         )
         self.virtual_clients[client_id] = virtual_client
         return virtual_client
@@ -558,7 +552,4 @@ class Replicator(Process):
         return sum(len(vc.buffer) for vc in self.virtual_clients.values())
 
     def total_buffer_memory(self) -> int:
-        memory = sum(vc.memory_bytes() for vc in self.virtual_clients.values())
-        if self.shared_store is not None:
-            memory += self.shared_store.memory_bytes()
-        return memory
+        return shared_footprint(vc.buffer for vc in self.virtual_clients.values())

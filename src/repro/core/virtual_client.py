@@ -30,7 +30,7 @@ from typing import Dict, List, Mapping, Optional, Protocol
 from ..pubsub.filters import Filter
 from ..pubsub.notification import Notification, attribute_dict
 from ..pubsub.subscription import Subscription
-from .buffering import BufferPolicy, DigestBuffer, NotificationBuffer, SharedNotificationStore
+from .buffering import BufferPolicy, NotificationBuffer
 from .location import LocationSpace
 from .location_filter import LocationDependentFilter
 
@@ -70,9 +70,6 @@ class VirtualClient:
         The location space used to bind ``myloc``.
     buffer_policy:
         Eviction policy for the shadow buffer.
-    shared_store:
-        When given, the buffer keeps only digests into this shared store
-        (the memory optimisation of Sect. 4, experiment E8).
     """
 
     def __init__(
@@ -82,7 +79,6 @@ class VirtualClient:
         broker_name: str,
         space: LocationSpace,
         buffer_policy: Optional[BufferPolicy] = None,
-        shared_store: Optional[SharedNotificationStore] = None,
     ):
         self.client_id = client_id
         self.host = host
@@ -96,10 +92,7 @@ class VirtualClient:
         # What is currently issued at the broker (via the host replicator).
         self._bound: Dict[str, Subscription] = {}
         self._plain_issued: Dict[str, Subscription] = {}
-        if shared_store is not None:
-            self.buffer: NotificationBuffer | DigestBuffer = DigestBuffer(shared_store, buffer_policy)
-        else:
-            self.buffer = NotificationBuffer(buffer_policy)
+        self.buffer = NotificationBuffer(buffer_policy)
         # Counters used by the experiments.
         self.delivered_live = 0
         self.buffered_total = 0
@@ -285,9 +278,6 @@ class VirtualClient:
     # ------------------------------------------------------------------ stats
     def buffer_size(self) -> int:
         return len(self.buffer)
-
-    def memory_bytes(self) -> int:
-        return self.buffer.memory_bytes()
 
     def bound_filters(self) -> List[Filter]:
         return [s.filter for s in self._bound.values()] + [s.filter for s in self._plain_issued.values()]

@@ -1,4 +1,4 @@
-"""E8 — Shared digest buffer vs per-virtual-client buffers (Sect. 4).
+"""E8 — Shared buffer vs per-virtual-client buffers (Sect. 4).
 
 "If virtual clients buffer notifications individually, they may consume
 memory redundantly by keeping the same data.  A shared buffer at the border
@@ -6,14 +6,18 @@ broker can be used and virtual clients can keep only the digest (e.g., IDs or
 hash) of the events."
 
 This experiment co-locates ``k`` shadow virtual clients with overlapping
-location-dependent subscriptions at one border broker, feeds them the same
-notification stream, and compares the memory footprint of individual
-:class:`~repro.core.buffering.NotificationBuffer` instances against digest
-buffers backed by one :class:`~repro.core.buffering.SharedNotificationStore`.
+location-dependent subscriptions at one border broker and feeds their
+:class:`~repro.core.buffering.NotificationBuffer` instances the same
+notification objects, as a replicator does.  It then compares two accountings
+of the same buffers: ``individual_bytes`` charges every client for every
+notification it holds, ``shared_bytes``
+(:func:`~repro.core.buffering.shared_footprint`) charges each distinct
+notification once plus one reference per entry.  ``stored_once`` counts the
+distinct notifications, ``digests_held`` the references.
 
 Expected shape: individual memory grows ~linearly with ``k`` while the shared
-store stays ~flat (every notification stored once) plus a small per-client
-digest cost.
+footprint stays ~flat (every notification counted once) plus a small
+per-client reference cost.
 """
 
 from __future__ import annotations
@@ -21,12 +25,7 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence
 
-from ..core.buffering import (
-    CountBasedPolicy,
-    DigestBuffer,
-    NotificationBuffer,
-    SharedNotificationStore,
-)
+from ..core.buffering import CountBasedPolicy, NotificationBuffer, shared_footprint
 from ..pubsub.notification import Notification
 from .harness import Table
 
@@ -90,27 +89,18 @@ def _run_once(
         else:
             interest.append([rng.random() < overlap for _ in stream])
 
-    # Individual buffers.
-    individual = [NotificationBuffer(CountBasedPolicy(max_entries)) for _ in range(k)]
+    buffers = [NotificationBuffer(CountBasedPolicy(max_entries)) for _ in range(k)]
     for index, notification in enumerate(stream):
         for client in range(k):
             if interest[client][index]:
-                individual[client].add(notification, now=notification.published_at)
-    individual_bytes = sum(buffer.memory_bytes() for buffer in individual)
-
-    # Shared store + digest buffers.
-    store = SharedNotificationStore()
-    shared = [DigestBuffer(store, CountBasedPolicy(max_entries)) for _ in range(k)]
-    for index, notification in enumerate(stream):
-        for client in range(k):
-            if interest[client][index]:
-                shared[client].add(notification, now=notification.published_at)
-    shared_bytes = store.memory_bytes() + sum(buffer.memory_bytes() for buffer in shared)
+                buffers[client].add(notification, now=notification.published_at)
+    individual_bytes = sum(buffer.memory_bytes() for buffer in buffers)
+    shared_bytes = shared_footprint(buffers)
 
     return {
         "individual_bytes": individual_bytes,
         "shared_bytes": shared_bytes,
         "saving_ratio": round(individual_bytes / shared_bytes, 2) if shared_bytes else 0.0,
-        "stored_once": len(store),
-        "digests_held": sum(len(buffer) for buffer in shared),
+        "stored_once": len({id(n) for buffer in buffers for n in buffer.contents()}),
+        "digests_held": sum(len(buffer) for buffer in buffers),
     }

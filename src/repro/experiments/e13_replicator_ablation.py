@@ -1,21 +1,22 @@
 """E13 (ablation) — design choices inside the replicator layer.
 
-DESIGN.md calls out three implementation choices the paper leaves open; this
-ablation measures each of them in the full system on the same car-on-a-route
-workload as E4:
+Two implementation choices the paper leaves open are ``ReplicatorConfig``
+knobs (README, "Every knob and the row that chooses it"); this ablation
+measures each of them in the full system on the same car-on-a-route workload
+as E4:
 
 * **replay filtering** — on activation, replay only the buffered
   notifications that match the client's precise (newly bound) ``myloc``
   filters (``filter_replay=True``, the default) vs replaying the whole
   broker-scope buffer;
 * **buffer policy** — unbounded shadow buffers vs the combined
-  time+count policy of Sect. 4;
-* **shared digest store** — per-virtual-client buffers vs one shared store
-  per border broker.
+  time+count policy of Sect. 4.
 
 Measured per configuration: delivery rate for location-relevant
 notifications, notifications replayed to the device, replay discarded by the
-filter, and peak buffer memory across the system.
+filter, and peak buffer memory across the system (the one definition,
+:func:`~repro.core.buffering.shared_footprint`: co-hosted shadows share the
+notification objects their replicator dispatched).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ CONFIGURATIONS = (
     "baseline",
     "unfiltered-replay",
     "combined-buffer-policy",
-    "shared-store",
 )
 
 
@@ -86,8 +86,6 @@ def _replicator_config(configuration: str) -> ReplicatorConfig:
                 [TimeBasedPolicy(ttl=20.0), CountBasedPolicy(max_entries=25)]
             )
         )
-    if configuration == "shared-store":
-        return ReplicatorConfig(use_shared_store=True)
     raise ValueError(f"unknown configuration {configuration!r}")
 
 

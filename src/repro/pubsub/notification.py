@@ -106,16 +106,6 @@ class Notification(Mapping[str, Any]):
             notification_id=self.notification_id,
         )
 
-    def digest(self) -> int:
-        """A stable digest of the notification identity.
-
-        Used by the shared-buffer scheme of Sect. 4 ("virtual clients can keep
-        only the digest (e.g., IDs or hash) of the events").
-        """
-        return hash(
-            (self.notification_id, tuple(sorted(self._attributes.items(), key=lambda kv: kv[0])))
-        )
-
     def estimated_size(self) -> int:
         """Abstract size in bytes, used for buffer-memory metrics.
 
@@ -143,7 +133,9 @@ class Notification(Mapping[str, Any]):
         )
 
     def __hash__(self) -> int:
-        return self.digest()
+        return hash(
+            (self.notification_id, tuple(sorted(self._attributes.items(), key=lambda kv: kv[0])))
+        )
 
     def __repr__(self) -> str:
         attrs = ", ".join(f"{k}={v!r}" for k, v in sorted(self._attributes.items()))

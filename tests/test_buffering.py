@@ -1,18 +1,18 @@
-"""Unit and property tests for buffering policies, buffers and the shared store."""
+"""Unit and property tests for buffering policies, buffers and the shared footprint."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.buffering import (
+    REFERENCE_SIZE,
     CombinedPolicy,
     CountBasedPolicy,
-    DigestBuffer,
     NotificationBuffer,
     SemanticPolicy,
-    SharedNotificationStore,
     TimeBasedPolicy,
     UnboundedPolicy,
     make_policy,
+    shared_footprint,
 )
 from repro.pubsub.notification import Notification
 
@@ -124,73 +124,42 @@ class TestNotificationBuffer:
 
 
 class TestSharedStore:
-    def test_single_storage_for_shared_notifications(self):
-        store = SharedNotificationStore()
-        n = reading("r1", 1)
-        digest_a = store.put(n)
-        digest_b = store.put(n)
-        assert digest_a == digest_b
-        assert len(store) == 1
-        assert store.get(digest_a) is n
-
-    def test_release_garbage_collects_at_zero_references(self):
-        store = SharedNotificationStore()
-        n = reading("r1", 1)
-        digest = store.put(n)
-        store.put(n)
-        store.release(digest)
-        assert len(store) == 1
-        store.release(digest)
-        assert len(store) == 0
-        assert store.collected == 1
-
-    def test_release_unknown_digest_is_noop(self):
-        store = SharedNotificationStore()
-        store.release(12345)
-        assert len(store) == 0
-
-    def test_digest_buffer_drain_fetches_and_releases(self):
-        store = SharedNotificationStore()
-        buffer = DigestBuffer(store)
-        notifications = [reading("r1", i) for i in range(4)]
-        for i, n in enumerate(notifications):
-            buffer.add(n, now=float(i))
-        assert len(store) == 4
-        drained = buffer.drain()
-        assert drained == notifications
-        assert len(store) == 0
-        assert len(buffer) == 0
-
-    def test_digest_buffer_respects_policy(self):
-        store = SharedNotificationStore()
-        buffer = DigestBuffer(store, CountBasedPolicy(max_entries=2))
-        for i in range(5):
-            buffer.add(reading("r1", i), now=float(i))
-        assert len(buffer) == 2
-        assert len(store) == 2  # evicted digests released their store entries
-
     def test_shared_memory_smaller_than_individual_for_overlap(self):
         notifications = [reading("r1", i) for i in range(50)]
-        individual = [NotificationBuffer() for _ in range(5)]
-        for buffer in individual:
+        buffers = [NotificationBuffer() for _ in range(5)]
+        for buffer in buffers:
             for n in notifications:
                 buffer.add(n, now=0.0)
-        individual_bytes = sum(b.memory_bytes() for b in individual)
+        individual_bytes = sum(b.memory_bytes() for b in buffers)
+        assert shared_footprint(buffers) < individual_bytes
 
-        store = SharedNotificationStore()
-        shared = [DigestBuffer(store) for _ in range(5)]
-        for buffer in shared:
-            for n in notifications:
-                buffer.add(n, now=0.0)
-        shared_bytes = store.memory_bytes() + sum(b.memory_bytes() for b in shared)
-        assert shared_bytes < individual_bytes
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("shared", [False, True], ids=["disjoint", "same-objects"])
+    def test_footprint_counts_each_object_once_plus_a_reference_per_entry(self, k, shared):
+        n = 4
+        batches = [[reading("r1", i, index=b) for i in range(n)] for b in range(k)]
+        if shared:
+            batches = [batches[0]] * k
+        buffers = [NotificationBuffer() for _ in range(k)]
+        for buffer, batch in zip(buffers, batches):
+            for notification in batch:
+                buffer.add(notification, now=0.0)
+        if shared:
+            expected = buffers[0].memory_bytes() + REFERENCE_SIZE * k * n
+        else:
+            expected = sum(b.memory_bytes() for b in buffers) + REFERENCE_SIZE * k * n
+        assert shared_footprint(buffers) == expected
 
-    def test_digest_buffer_clear_releases(self):
-        store = SharedNotificationStore()
-        buffer = DigestBuffer(store)
-        buffer.add(reading("r1", 1), now=0.0)
-        buffer.clear()
-        assert len(store) == 0
+    def test_equal_but_distinct_objects_are_each_counted_and_replayed(self):
+        # a stamped copy keeps id and content: equal, same hash, another object
+        original = reading("r1", 1)
+        copy = original.stamped(published_at=5.0, publisher="p")
+        assert copy == original and hash(copy) == hash(original)
+        first, second = NotificationBuffer(), NotificationBuffer()
+        first.add(original, now=0.0)
+        second.add(copy, now=0.0)
+        assert shared_footprint([first, second]) == 2 * (original.estimated_size() + REFERENCE_SIZE)
+        assert second.drain()[0] is copy
 
 
 # ------------------------------------------------------------------ properties

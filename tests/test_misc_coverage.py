@@ -5,7 +5,6 @@ import pytest
 from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-from repro.core.replicator import ReplicatorConfig
 from repro.net.process import Message
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
@@ -115,14 +114,6 @@ class TestMiddlewareExtras:
         sim.run_until_idle()
         assert len(client.attachments) == attachments_before
         assert client.connected
-
-    def test_shared_store_config_builds_stores(self):
-        sim = Simulator()
-        space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
-        config = MobilitySystemConfig(replicator=ReplicatorConfig(use_shared_store=True))
-        system = MobilePubSub(sim, network, space, config=config)
-        assert all(r.shared_store is not None for r in system.replicators.values())
 
     def test_overhead_report_shape(self, system):
         from repro.core.metrics import overhead_report

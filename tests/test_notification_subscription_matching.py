@@ -69,7 +69,7 @@ class TestNotification:
 
     def test_digest_stable(self):
         n = notification(a=1, b="x")
-        assert n.digest() == n.digest()
+        assert hash(n) == hash(n)
 
     def test_estimated_size_counts_strings(self):
         small = notification(a="x")

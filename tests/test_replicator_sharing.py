@@ -8,6 +8,7 @@ owns, the last one to leave sends the one ``unsubscribe``.
 
 from helpers import assert_one_subscription_per_filter
 
+from repro.core.buffering import REFERENCE_SIZE
 from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub
@@ -117,6 +118,34 @@ def build_system():
 
 
 class TestSharedAcrossClients:
+    def test_co_hosted_shadows_buffer_the_one_dispatched_notification(self):
+        sim, space, system = build_system()
+        rooms = space.locations  # rooms[0..2] are B1's, rooms[3..5] B2's
+        template = location_dependent({"service": "temperature"})
+        clients = [system.add_mobile_client(name) for name in ("alice", "bob")]
+        for client in clients:
+            client.subscribe_location(template)
+            system.attach(client, location=rooms[0])
+        sim.run_until_idle()
+        replicator = system.replicators["B2"]
+        shadows = [replicator.virtual_clients[client.name] for client in clients]
+        assert not any(shadow.is_active for shadow in shadows)
+
+        sensor = system.add_publisher("sensor", rooms[3])
+        sensor.publish({"service": "temperature", "location": rooms[3], "value": 21})
+        sim.run_until_idle()
+        [held] = shadows[0].buffer.contents()
+        assert [n is held for n in shadows[1].buffer.contents()] == [True]
+        assert replicator.total_buffer_memory() == held.estimated_size() + 2 * REFERENCE_SIZE
+
+        for client in clients:
+            system.move(client, rooms[3])
+        sim.run_until_idle()
+        for client in clients:
+            replayed = [d.notification for d in client.deliveries if d.replayed]
+            assert [n is held for n in replayed] == [True]
+        assert replicator.total_buffer_memory() == 0
+
     def test_rebind_of_one_holder_keeps_the_shared_filter_at_the_broker(self):
         # the trap: had the subscription been issued under the first holder's own
         # id, its re-bind (same id, new filter) would replace, at the broker,

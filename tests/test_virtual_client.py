@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.buffering import CountBasedPolicy, SharedNotificationStore
+from repro.core.buffering import CountBasedPolicy
 from repro.core.location import LocationSpace
 from repro.core.location_filter import location_dependent
 from repro.core.virtual_client import VirtualClient, VirtualClientMode
@@ -170,18 +170,6 @@ class TestBufferOptions:
         for _ in range(5):
             vc.handle_notification(temp("r1"))
         assert len(vc.buffer) == 2
-
-    def test_shared_store_buffering(self, host, space):
-        store = SharedNotificationStore()
-        vc1 = VirtualClient("alice", host, "B1", space, shared_store=store)
-        vc2 = VirtualClient("bob", host, "B1", space, shared_store=store)
-        for vc in (vc1, vc2):
-            vc.add_template("temp", location_dependent({"service": "temperature"}))
-        n = temp("r1")
-        vc1.handle_notification(n)
-        vc2.handle_notification(n)
-        assert len(store) == 1  # stored once, referenced twice
-        assert vc1.memory_bytes() < n.estimated_size()
 
     def test_matches_and_bound_filters(self, shadow):
         assert shadow.matches(temp("r1"))
