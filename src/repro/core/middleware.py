@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..net.simulator import Simulator
+from ..net.transport import SimTransport
 from ..pubsub.broker_network import BrokerNetwork
 from ..pubsub.client import Client
 from .location import LocationSpace
@@ -33,27 +34,30 @@ from .uncertainty import (
 )
 
 
+#: the simulator's one-way latencies of the links :class:`MobilePubSub`
+#: builds: a wired publisher or subscriber to its broker, a replicator to
+#: its broker and to every other replicator, a mobile client's wireless hop
+STATIC_CLIENT_LATENCY = 0.001
+REPLICATOR_LINK_LATENCY = 0.0005
+WIRELESS_LATENCY = 0.002
+
+
 @dataclass
 class MobilitySystemConfig:
-    """Tunable parameters of the mobility layer of a :class:`MobilePubSub`.
+    """What a deployment chooses for the mobility layer of a :class:`MobilePubSub`.
 
     The broker fabric underneath (routing, matcher, transport, metrics)
     is configured once, on the
     :class:`~repro.pubsub.broker_network.BrokerNetwork` the deployment
     rides on (``network.config``); this object holds only what the
-    replicator layer adds.
+    replicator layer adds.  Link latencies are no choice; see
+    :class:`MobilePubSub`.
     """
 
     #: feature switches of the replicator layer
     replicator: ReplicatorConfig = field(default_factory=ReplicatorConfig)
     #: shadow-placement policy: "nlb", "nlb-<k>", "flooding", "none", "markov", or a predictor object
     predictor: str | MovementPredictor = "nlb"
-    #: latency of broker-to-broker and client-to-broker links
-    broker_link_latency: float = 0.001
-    #: latency of replicator-to-broker and replicator-to-replicator links
-    replicator_link_latency: float = 0.0005
-    #: one-way latency of the wireless hop
-    wireless_latency: float = 0.002
     #: time for a device to associate with an access point
     connect_latency: float = 0.05
 
@@ -67,6 +71,11 @@ class MobilePubSub:
     ``config=SystemConfig(transport="asyncio")``), where
     every wireless attach opens an actual TCP connection and the whole
     replicated-handover protocol crosses the wire as encoded frames.
+
+    Simulated latency stays on the simulator: on sockets a link latency is
+    a real wait on every message, so there the publisher, replicator and
+    wireless links are built with 0 (on the simulator, with the constants
+    above).
 
     Parameters
     ----------
@@ -147,8 +156,13 @@ class MobilePubSub:
             return MarkovPredictor(self.movement_graph)
         raise ValueError(f"unknown predictor spec {spec!r}")
 
+    def _link_latency(self, simulated: float) -> float:
+        """The latency of a link this system builds: ``simulated`` on the simulator, 0 on sockets."""
+        return simulated if isinstance(self.network.transport, SimTransport) else 0.0
+
     def _build_replicators(self) -> None:
         registry: Dict[str, str] = {}
+        latency = self._link_latency(REPLICATOR_LINK_LATENCY)
         for broker_name in self.network.broker_names():
             replicator = Replicator(
                 self.sim,
@@ -160,16 +174,12 @@ class MobilePubSub:
             )
             self.replicators[broker_name] = replicator
             self.network.add_process(replicator)
-            self.network.connect_processes(
-                replicator.name, broker_name, latency=self.config.replicator_link_latency
-            )
+            self.network.connect_processes(replicator.name, broker_name, latency=latency)
             registry[broker_name] = replicator.name
         replicator_names = sorted(registry.values())
         for i, name_a in enumerate(replicator_names):
             for name_b in replicator_names[i + 1 :]:
-                self.network.connect_processes(
-                    name_a, name_b, latency=self.config.replicator_link_latency
-                )
+                self.network.connect_processes(name_a, name_b, latency=latency)
         for replicator in self.replicators.values():
             replicator.set_replicator_registry(registry)
 
@@ -180,7 +190,7 @@ class MobilePubSub:
             self.sim,
             name,
             reissue_on_attach=reissue_on_attach,
-            wireless_latency=self.config.wireless_latency,
+            wireless_latency=self._link_latency(WIRELESS_LATENCY),
             connect_latency=self.config.connect_latency,
             transport=self.network.transport,
         )
@@ -190,7 +200,9 @@ class MobilePubSub:
 
     def add_static_client(self, name: str, broker_name: str) -> Client:
         """Create an ordinary wired client attached directly to a border broker."""
-        return self.network.add_client(name, broker_name, latency=self.config.broker_link_latency)
+        return self.network.add_client(
+            name, broker_name, latency=self._link_latency(STATIC_CLIENT_LATENCY)
+        )
 
     def add_publisher(self, name: str, location: str) -> Client:
         """Create a wired publisher attached to the broker covering ``location``."""

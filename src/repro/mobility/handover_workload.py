@@ -198,19 +198,16 @@ def run_handover_workload(
     # consult it anywhere, so its pinned multisets stay byte-identical
     rng = random.Random(spec.seed) if spec.randomized else None
     locations = [f"l{i + 1}" for i in range(brokers)]
-    sim_backend = backend == "sim"
     net = line_topology(
         n_brokers=brokers,
-        # the simulator keeps its default simulated latencies; on sockets
-        # the per-message latency floor would be real waiting, so run at
-        # raw speed
-        link_latency=0.001 if sim_backend else 0.0,
+        # the simulator keeps its simulated broker-to-broker latency; on
+        # sockets a link latency is a real wait on every message, so the
+        # fabric runs at wire speed, as MobilePubSub builds its own links
+        link_latency=0.001 if backend == "sim" else 0.0,
         config=(config or SystemConfig()).replace(transport=backend),
     )
     mobility_config = MobilitySystemConfig(
-        predictor=spec.predictor,
-        connect_latency=spec.connect_latency,
-        wireless_latency=0.002 if sim_backend else 0.0,
+        predictor=spec.predictor, connect_latency=spec.connect_latency
     )
     space = _line_space(brokers)
     started = time.perf_counter()

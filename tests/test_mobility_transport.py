@@ -116,6 +116,46 @@ def test_mobility_layer_accepts_asyncio_backend():
         system.close()
 
 
+@pytest.mark.parametrize(
+    "backend, expected",
+    [
+        # publisher, replicator<->broker, replicator<->replicator, wireless
+        ("sim", (0.001, 0.0005, 0.0005, 0.002)),
+        ("asyncio", (0.0, 0.0, 0.0, 0.0)),
+    ],
+)
+def test_simulated_latency_stays_on_the_simulator(backend, expected):
+    """On sockets a link latency is a real wait on every message, so every
+    link MobilePubSub builds there carries none; the simulator keeps its own."""
+    net = line_topology(n_brokers=2, config=SystemConfig(transport=backend))
+    space = LocationSpace({"l1": "B1", "l2": "B2"}, adjacency={"l1": ["l2"], "l2": ["l1"]})
+    system = MobilePubSub(None, net, space)
+    try:
+        system.add_publisher("pub-l1", "l1")
+        client = system.add_mobile_client("m1")
+        system.attach(client, location="l1")
+        system.run_until_idle()
+        assert client.connected
+        links = net.network
+        built = (
+            links.link_between("pub-l1", "B1").latency,
+            links.link_between("R@B1", "B1").latency,
+            links.link_between("R@B1", "R@B2").latency,
+            client.channel._link.latency,
+        )
+        assert built == expected
+    finally:
+        system.close()
+
+
+@pytest.mark.parametrize(
+    "knob", ["broker_link_latency", "replicator_link_latency", "wireless_latency"]
+)
+def test_link_latency_is_no_mobility_config_knob(knob):
+    with pytest.raises(TypeError):
+        MobilitySystemConfig(**{knob: 0.0})
+
+
 def test_mobility_layer_rejects_cluster_backend():
     net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
     try:
