@@ -165,9 +165,6 @@ class Replicator(Process):
         """Tell this replicator which replicator process serves which broker."""
         self._replicator_registry = dict(registry)
 
-    def replicator_of(self, broker_name: str) -> Optional[str]:
-        return self._replicator_registry.get(broker_name)
-
     # --------------------------------------------------- VirtualClientHost API
     @property
     def now(self) -> float:
@@ -547,9 +544,6 @@ class Replicator(Process):
 
     def hosted_client_ids(self) -> List[str]:
         return sorted(self.virtual_clients.keys())
-
-    def total_buffered(self) -> int:
-        return sum(len(vc.buffer) for vc in self.virtual_clients.values())
 
     def total_buffer_memory(self) -> int:
         return shared_footprint(vc.buffer for vc in self.virtual_clients.values())

@@ -128,14 +128,6 @@ class VirtualClient:
         if issued is not None:
             self.host.issue_unsubscribe(issued)
 
-    def set_plain_filters(self, filters: Mapping[str, Filter]) -> None:
-        """Replace the set of location-independent subscriptions."""
-        for sub_id in list(self.plain_filters):
-            if sub_id not in filters:
-                self.remove_plain_filter(sub_id)
-        for sub_id, filter in filters.items():
-            self.add_plain_filter(sub_id, filter)
-
     def add_plain_filter(self, sub_id: str, filter: Filter) -> None:
         """Add a location-independent subscription.
 

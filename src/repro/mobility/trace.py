@@ -42,12 +42,6 @@ class MovementTrace:
         ]
         return cls(entries)
 
-    @classmethod
-    def from_client(cls, client) -> "MovementTrace":
-        """Extract the trace a :class:`~repro.core.mobile_client.MobileClient` actually recorded."""
-        entries = [TraceEntry(time=t, broker=b) for t, b in client.broker_trace]
-        return cls(entries)
-
     def append(self, entry: TraceEntry) -> None:
         self.entries.append(entry)
         self.entries.sort(key=lambda e: e.time)

@@ -601,11 +601,6 @@ class ClusterTransport(SocketNode, Transport):
         """Broker name -> non-zero exit code, for every child that failed."""
         return {name: code for name, code in self.exit_codes.items() if code != 0}
 
-    @property
-    def broker_pids(self) -> Dict[str, int]:
-        """Broker name -> OS pid of its spawned process (empty before boot)."""
-        return {name: child.pid for name, child in self._children.items()}
-
     # ---------------------------------------------------------------- topology
     def build_broker(self, name: str, routing: str = "simple") -> RemoteBroker:
         """Declare a broker to run in its own process; returns its proxy.

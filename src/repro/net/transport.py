@@ -14,10 +14,11 @@ Three interchangeable backends:
   byte-identical to the pre-refactor substrate (enforced by the golden-trace
   cross-check in ``tests/test_transport.py``, the way the ``matcher``
   choices and the scan advertising oracle are cross-checked).
-* :class:`AsyncioTransport` — every process gets a real asyncio TCP server
-  on localhost; a link is one duplex TCP connection carrying length-prefixed
-  binary wire frames (:mod:`repro.net.wire`) both ways.  Per-direction FIFO comes
-  from TCP itself; time is the event loop's monotonic clock.  Runs are *not*
+* :class:`AsyncioTransport` — a link is one duplex localhost TCP connection
+  carrying length-prefixed binary wire frames (:mod:`repro.net.wire`) both
+  ways; the transport owns both ends, so it pairs them itself with one
+  loopback connect to its own listener.  Per-direction FIFO comes from TCP
+  itself; time is the event loop's monotonic clock.  Runs are *not*
   deterministic — that is the point: this is the deployment shape of the
   paper's original REBECA testbed (broker processes talking over sockets).
 * :class:`~repro.net.cluster.ClusterTransport` (``transport="cluster"``) —
@@ -33,7 +34,10 @@ pubsub layer runs unchanged on any substrate.
 The two socket backends are one runtime, :class:`SocketNode`:
 ``AsyncioTransport`` is "N processes on one node", a cluster broker child
 "one broker plus a control channel", the cluster parent "the clients,
-dial-only".  What differs is policy, kept in their own endpoint classes.
+dial-only".  What differs is policy, kept in their own endpoint classes,
+and how a connection comes to exist: cluster connections cross OS
+processes, so their ends meet by a dial and a handshake that checks the
+peer's wire revision; an ``AsyncioTransport`` link is born connected.
 
 What each backend guarantees:
 
@@ -63,9 +67,9 @@ wireless links the mobility layer needs.)
 from __future__ import annotations
 
 import asyncio
-import itertools
 import select
 import selectors
+import socket
 from abc import ABC, abstractmethod
 from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -227,7 +231,7 @@ class Transport(ABC):
         cycle has fully quiesced, every size reported here must be back at
         its pre-fault baseline — the non-growth invariant gated by the chaos
         fuzzer and soak harness (:mod:`repro.pubsub.invariants`).  Backends
-        report whatever they actually allocate (links, servers, timers,
+        report whatever they actually allocate (links, listeners, timers,
         writers, registry entries); the base transport holds nothing.
         """
         return {}
@@ -485,16 +489,16 @@ def _new_event_loop() -> asyncio.AbstractEventLoop:
     return asyncio.new_event_loop()
 
 
-def handshake_frame(source: str, target: str, link=None, kind=None, resync=False) -> bytes:
-    """The control frame that opens a connection, and the one that answers it.
+def handshake_frame(source: str, target: str, kind=None, resync=False) -> bytes:
+    """The control frame that opens a cluster connection, and the one that answers it.
 
     ``source``/``target`` name the two ends and the wire fields let each
-    check the other's revision.  Optional: ``link`` (which link, where one
-    server accepts for several), ``kind`` (a broker or a client dials a
-    cluster broker), ``resync`` (the acceptor is to re-advertise from scratch).
+    check the other's revision.  Optional: ``kind`` (a broker or a client
+    dials a cluster broker), ``resync`` (the acceptor is to re-advertise from
+    scratch).
     """
     handshake = {"source": source, "target": target, **wire.handshake_fields()}
-    optional = {"link": link, "kind": kind, "resync": resync}
+    optional = {"kind": kind, "resync": resync}
     handshake.update((key, value) for key, value in optional.items() if value)
     return wire.frame(wire.encode_control(handshake))
 
@@ -559,17 +563,20 @@ class SocketEndpoint(LinkEndpoint):
 class _Receiver(asyncio.BufferedProtocol):
     """The reading side of one end of a link's connection.
 
-    A server creates one per accepted connection (the handshake binds
-    ``inbound``, the endpoint that takes what arrives); a dialler passes one,
-    already bound, as its own protocol (``acked`` is its future for the
-    acceptor's answer).  One loop callback per read: the socket reads into
-    the node's one ``_inbox`` (a fresh 256 KiB ``bytes`` per read made glibc
-    grow and trim the heap top — a page fault per read — or not, by heap
-    layout); ``buffer_updated`` stamps the read's true arrival time, splits and
-    decodes its frames and hands each to ``inbound`` — at once on a zero-latency
-    link, otherwise through ``floor``, a FIFO of ``(due, message)`` released
-    by one ``call_at`` timer.  Reading never waits on a floor, so the floors
-    of a stream do not add up.
+    A cluster server creates one per accepted connection (the handshake
+    binds ``inbound``, the endpoint that takes what arrives); a cluster
+    dialler passes one, already bound, as its own protocol (``acked`` is its
+    future for the acceptor's answer); an :class:`AsyncioTransport` wraps
+    each end of a link it paired in one already bound and waiting for
+    nothing, which reads no handshake.  One loop callback per read: the
+    socket reads into the node's one ``_inbox`` (a fresh 256 KiB ``bytes``
+    per read made glibc grow and trim the heap top — a page fault per read —
+    or not, by heap layout); ``buffer_updated`` stamps the read's true
+    arrival time, splits and decodes its frames and hands each to
+    ``inbound`` — at once on a zero-latency link, otherwise through
+    ``floor``, a FIFO of ``(due, message)`` released by one ``call_at``
+    timer.  Reading never waits on a floor, so the floors of a stream do not
+    add up.
     """
 
     def __init__(
@@ -583,10 +590,11 @@ class _Receiver(asyncio.BufferedProtocol):
         #: the process at this end; a handshake must be addressed to it
         self.name = name
         self.inbound = inbound
-        #: the dialling end's wait for the acceptor's handshake (None when accepted)
+        #: a cluster dialler's wait for the acceptor's handshake (None otherwise)
         self.acked = acked
         self.decoder = wire.FrameDecoder()
-        self.saw_handshake = False
+        #: bound and waiting for no answer: the link was born connected
+        self.saw_handshake = inbound is not None and acked is None
         self.sock: Optional[asyncio.BaseTransport] = None
         self.floor: "deque[Tuple[float, Message]]" = deque()
         self.timer: Optional[asyncio.TimerHandle] = None
@@ -712,10 +720,11 @@ class SocketNode:
     on it, three wire instruments, and the one path a link's frames take:
     out through :meth:`_send_frames` (written when the loop callback that
     sent them ends, or one loop turn after a send from outside one), in
-    through a :class:`_Receiver` per connection, opened by :meth:`_dial` and
-    a handshake the acceptor answers so each end checks the other's wire
-    revision.  What its callbacks raise is kept for whoever drives it.
-    What a node *hosts* is its subclass's business.
+    through a :class:`_Receiver` per connection.  A cross-process connection
+    is opened by :meth:`_dial` and a handshake the acceptor answers so each
+    end checks the other's wire revision; a node that owns both ends of a
+    connection needs neither.  What its callbacks raise is kept for whoever
+    drives it.  What a node *hosts* is its subclass's business.
     """
 
     #: flush threshold for hop-level write batching: a buffered burst is
@@ -935,18 +944,18 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
 class AsyncioLink:
     """A bidirectional link carried by one duplex localhost TCP connection.
 
-    ``a`` dials ``b``'s server; each end writes its direction on the socket
-    it reads the other on.  Mirrors the :class:`~repro.net.link.Link`
-    surface.  ``latency`` is honoured as a per-message delivery floor
-    measured from the moment the receiver read the frame (it keeps reading
-    while earlier frames wait, so floors never add up along a stream), on top
-    of whatever the real sockets add; pass ``0.0`` for raw socket speed.
+    The transport pairs the connection's two sockets, one for ``a`` and one
+    for ``b``; each end writes its direction on the socket it reads the other
+    on.  Mirrors the :class:`~repro.net.link.Link` surface.  ``latency`` is
+    honoured as a per-message delivery floor measured from the moment the
+    receiver read the frame (it keeps reading while earlier frames wait, so
+    floors never add up along a stream), on top of whatever the real sockets
+    add; pass ``0.0`` for raw socket speed.
     """
 
     def __init__(
         self,
         transport: "AsyncioTransport",
-        link_id: int,
         a: Process,
         b: Process,
         latency: float,
@@ -955,7 +964,6 @@ class AsyncioLink:
         if latency < 0:
             raise ValueError("latency must be non-negative")
         self.transport = transport
-        self.link_id = link_id
         self.a = a
         self.b = b
         self.latency = latency
@@ -963,17 +971,6 @@ class AsyncioLink:
         self.deliver_in_flight_on_down = deliver_in_flight_on_down
         self._a_to_b = _AsyncioDirectedEndpoint(self, a, b)
         self._b_to_a = _AsyncioDirectedEndpoint(self, b, a)
-
-    async def _open(self) -> None:
-        """Dial ``b`` and return once it acknowledged: traffic can flow both ways."""
-        node = self.transport
-        receiver = await node._dial(
-            node._addresses[self.b.name], self._b_to_a, self.a.name, self.b.name, link=self.link_id
-        )
-        self._a_to_b._writer = receiver.sock
-        await receiver.acked
-        self.a.attach_link(self.b.name, self._a_to_b)
-        self.b.attach_link(self.a.name, self._b_to_a)
 
     # ------------------------------------------------------------------ state
     def set_up(self, up: bool) -> None:
@@ -1037,10 +1034,11 @@ class AsyncioLink:
 class AsyncioTransport(SocketNode, Transport):
     """Real asyncio TCP sockets on localhost: N processes on one :class:`SocketNode`.
 
-    Every process registered through :meth:`make_link` gets its own TCP
-    server on an ephemeral port; a link is one duplex TCP connection from
-    ``link.a`` to ``link.b``'s server, opened by a handshake frame naming the
-    link each way, then carrying one length-prefixed wire frame per message.
+    A link is one duplex TCP connection carrying one length-prefixed wire
+    frame per message.  The transport owns both of its ends, so a link is
+    born connected: one blocking loopback connect to the transport's own
+    listening socket, and the accept that returns it, pair the two sockets
+    (:meth:`_pair`); no process has a server and no handshake is exchanged.
 
     The stack above stays synchronous: sends buffer onto the socket and the
     event loop only spins while the transport is *driven*
@@ -1064,14 +1062,16 @@ class AsyncioTransport(SocketNode, Transport):
     #: default cap on run_until_idle, so a routing bug cannot hang a test run
     DEFAULT_IDLE_TIMEOUT = 30.0
 
+    #: cap on each blocking step of :meth:`_pair`, which runs on the loop's
+    #: thread: a listener backlog full of strangers fails the open, not the loop
+    PAIR_TIMEOUT = 2.0
+
     def __init__(self, host: str = "127.0.0.1"):
         super().__init__()
         self.host = host
         self._processes: Dict[str, Process] = {}
-        self._servers: Dict[str, asyncio.AbstractServer] = {}
-        self._addresses: Dict[str, Tuple[str, int]] = {}
-        self._links: Dict[int, AsyncioLink] = {}
-        self._link_seq = itertools.count(1)
+        #: where every link's connection is accepted (opened with the first link)
+        self._listener: Optional[socket.socket] = None
         self._inflight = 0
         #: the future a parked run_until_idle waits on (None when not driven)
         self._idle_waiter: Optional[asyncio.Future] = None
@@ -1102,22 +1102,34 @@ class AsyncioTransport(SocketNode, Transport):
 
         A wireless attach completes inside a scheduled callback, i.e. inside
         the running loop, where :meth:`make_link`'s ``run_until_complete``
-        would deadlock.  The connection setup (server registration, TCP
-        connect, handshakes) therefore runs as a task; it is counted as
-        pending work so ``run_until_idle`` cannot declare the system idle
-        while an attachment is still being established.  ``ready(link)``
-        fires from inside the loop once traffic can flow.
+        would deadlock.  The connection setup (pairing the two sockets,
+        then handing each to the loop) therefore runs as a task; it is
+        counted as pending work so ``run_until_idle`` cannot declare the
+        system idle while an attachment is still being established.
+        ``ready(link)`` fires from inside the loop once traffic can flow.
         """
         self._require_open()
-        link = AsyncioLink(self, next(self._link_seq), a, b, latency, deliver_in_flight_on_down)
-        self._links[link.link_id] = link
+        link = AsyncioLink(self, a, b, latency, deliver_in_flight_on_down)
         self.links.append(link)
 
         async def establish() -> None:
             try:
-                await self._ensure_server(a)
-                await self._ensure_server(b)
-                await link._open()
+                self._register(a)
+                self._register(b)
+                dialled, accepted = self._pair()
+                wrap = self._loop.connect_accepted_socket
+                try:
+                    link._a_to_b._writer, _ = await wrap(
+                        lambda: _Receiver(self, a.name, link._b_to_a), dialled
+                    )
+                except BaseException:
+                    accepted.close()  # never handed to the loop
+                    raise
+                link._b_to_a._writer, _ = await wrap(
+                    lambda: _Receiver(self, b.name, link._a_to_b), accepted
+                )
+                a.attach_link(b.name, link._a_to_b)
+                b.attach_link(a.name, link._b_to_a)
                 if ready is not None:
                     self._run_callback(ready, link)
             except BaseException as exc:
@@ -1150,41 +1162,47 @@ class AsyncioTransport(SocketNode, Transport):
             self._flush_endpoint(endpoint)
             if endpoint._writer is not None:
                 endpoint._writer.write_eof()
-        self._links.pop(link.link_id, None)
         try:
             self.links.remove(link)
         except ValueError:
             pass
 
-    async def _ensure_server(self, process: Process) -> None:
-        name = process.name
-        if name in self._servers:
-            if self._processes[name] is not process:
-                raise TransportError(f"duplicate process name {name!r} on this transport")
-            return
-        self._processes[name] = process
-        server = await self._loop.create_server(
-            lambda: _Receiver(self, name), host=self.host, port=0
-        )
-        self._servers[name] = server
-        self._addresses[name] = server.sockets[0].getsockname()[:2]
+    def _register(self, process: Process) -> None:
+        known = self._processes.setdefault(process.name, process)
+        if known is not process:
+            raise TransportError(f"duplicate process name {process.name!r} on this transport")
 
-    def _accept(self, name: str, handshake: Dict[str, Any], sock) -> SocketEndpoint:
-        """Only a link's own two ends may open it, and only once."""
-        source, link_id = handshake["source"], handshake.get("link")
-        link = self._links.get(link_id)
-        if link is None or {source, name} != {link.a.name, link.b.name}:
-            raise wire.WireError(
-                f"handshake from {source!r} to {name!r} names link {link_id!r}, "
-                "which is not an open link between them"
-            )
-        inbound, back = link._a_to_b, link._b_to_a
-        if name != link.b.name:
-            inbound, back = back, inbound
-        if back._writer is not None:
-            raise wire.WireError(f"link {link.link_id} is already connected")
-        back._writer = sock
-        return inbound
+    def _pair(self) -> Tuple[socket.socket, socket.socket]:
+        """The two ends of a new connection: dialled end first, accepted end second.
+
+        The only accept in this transport, and the one place that checks a
+        peer: a connection whose address is not the dialler's own was made
+        by a stranger, and is closed unread.  Both ends send every write at
+        once (``TCP_NODELAY``: asyncio sets it only on sockets created with
+        ``proto=IPPROTO_TCP``, and Nagle plus a delayed ACK would hold each
+        drain's last small write back ~25 ms).
+        """
+        listener = self._listener
+        if listener is None:
+            listener = socket.socket(socket.AF_INET6 if ":" in self.host else socket.AF_INET)
+            listener.settimeout(self.PAIR_TIMEOUT)
+            listener.bind((self.host, 0))
+            listener.listen()
+            self._listener = listener
+        dialled = socket.create_connection(listener.getsockname()[:2], self.PAIR_TIMEOUT)
+        try:
+            own = dialled.getsockname()
+            while True:
+                accepted, peer = listener.accept()
+                if peer == own:
+                    break
+                accepted.close()
+        except BaseException:
+            dialled.close()
+            raise
+        for sock in (dialled, accepted):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return dialled, accepted
 
     # ----------------------------------------------------------------- sending
     def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:
@@ -1253,10 +1271,10 @@ class AsyncioTransport(SocketNode, Transport):
         link's connection is still open: two per link, one socket each
         (``links`` counts the connections).
         """
-        endpoints = [e for link in self._links.values() for e in (link._a_to_b, link._b_to_a)]
+        endpoints = [e for link in self.links for e in (link._a_to_b, link._b_to_a)]
         return {
-            "links": len(self._links),
-            "servers": len(self._servers),
+            "links": len(self.links),
+            "listeners": int(self._listener is not None),
             "pending_timers": self._clock.pending_timers,
             "open_writers": sum(e.is_open for e in endpoints),
             "inflight_frames": self._inflight,
@@ -1271,10 +1289,6 @@ class AsyncioTransport(SocketNode, Transport):
 
         async def shutdown() -> None:
             self._close_connections()
-            for server in self._servers.values():
-                server.close()
-            for server in self._servers.values():
-                await server.wait_closed()
             current = asyncio.current_task()
             tasks = [t for t in asyncio.all_tasks() if t is not current and not t.done()]
             for task in tasks:
@@ -1283,6 +1297,8 @@ class AsyncioTransport(SocketNode, Transport):
 
         self._loop.run_until_complete(shutdown())
         self._loop.close()
+        if self._listener is not None:
+            self._listener.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else f"{len(self._processes)} processes"

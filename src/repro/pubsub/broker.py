@@ -271,9 +271,6 @@ class Broker(Process):
         self.send(link, Message(kind="unsubscribe", payload={"sub_id": sub_id, "filter": filter}))
 
     # -------------------------------------------------------------------- admin
-    def active_subscription_ids(self) -> Set[str]:
-        return self.routing_table.subscription_ids()
-
     def routing_table_size(self) -> int:
         return len(self.routing_table)
 

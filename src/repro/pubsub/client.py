@@ -16,15 +16,13 @@ current border broker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from ..net.process import Message, Process
 from ..net.simulator import Simulator
 from .filters import Filter
 from .notification import Notification
 from .subscription import Subscription, subscription as make_subscription
-
-NotifyCallback = Callable[[Notification], None]
 
 
 @dataclass
@@ -112,7 +110,6 @@ class Client(Process):
         self.deliveries: List[Delivery] = []
         self.published: List[Notification] = []
         self.undeliverable_calls = 0
-        self._notify_callbacks: List[NotifyCallback] = []
 
     # ------------------------------------------------------------- connection
     def connect_to(self, border_broker_name: str, reissue: bool = True) -> None:
@@ -176,15 +173,10 @@ class Client(Process):
             )
             self.deliveries.append(delivery)
             self.on_notify(notification)
-            for callback in list(self._notify_callbacks):
-                callback(notification)
         # Clients ignore every other message kind.
 
     def on_notify(self, notification: Notification) -> None:
         """Application hook, called for every delivered notification.  Override freely."""
-
-    def add_notify_callback(self, callback: NotifyCallback) -> None:
-        self._notify_callbacks.append(callback)
 
     # ------------------------------------------------------------------ stats
     def received_notifications(self) -> List[Notification]:

@@ -5,6 +5,12 @@ this plain module (``from helpers import FakeHost``) instead of relative
 imports, which break pytest collection.
 """
 
+import contextlib
+import socket
+import threading
+
+from repro.net import wire
+
 #: the two shapes a socket link's writes take: a dispatch burst coalesced into
 #: one socket write (up to ``SocketNode.FLUSH_CAP`` bytes), or every frame
 #: written the moment it is sent (a cap of one byte)
@@ -16,6 +22,44 @@ def with_write_path(transport, write_path):
     if write_path == "per-frame":
         transport.FLUSH_CAP = 1
     return transport
+
+
+@contextlib.contextmanager
+def impostor_of(net, broker, **ack):
+    """Stand a raw listener in for cluster ``broker`` while the block runs.
+
+    The cluster's registry sends the next dialler of ``broker`` to it.  It
+    accepts that one connection, reads the handshake, and answers with an
+    honest ack whose fields ``ack`` overrides.  Then it waits for the
+    dialler to hang up.  Yields what it heard: the handshake body, then
+    ``b""`` for the hang-up.
+    """
+    registered = net.transport.registry.registered
+    heard = []
+    with socket.socket() as impostor:
+        impostor.bind(("127.0.0.1", 0))
+        impostor.listen()
+        impostor.settimeout(2.0)
+
+        def answer():
+            conn, _ = impostor.accept()
+            with conn:
+                conn.settimeout(2.0)
+                heard.extend(wire.FrameDecoder().feed(conn.recv(65536)))
+                source = wire.decode_control(heard[0])["source"]
+                reply = {"source": broker, "target": source, **wire.handshake_fields(), **ack}
+                conn.sendall(wire.frame(wire.encode_control(reply)))
+                heard.append(conn.recv(1))
+
+        thread = threading.Thread(target=answer)
+        honest, registered[broker] = registered[broker], impostor.getsockname()
+        thread.start()
+        try:
+            yield heard
+        finally:
+            registered[broker] = honest
+            thread.join(timeout=2.0)
+    assert not thread.is_alive()
 
 
 class FakeHost:

@@ -1,15 +1,20 @@
 """One TCP connection per ``AsyncioLink``: what the single socket must still do.
 
-A link's two directions share one duplex connection (``link.a`` dials
-``link.b``'s server; each end writes on the socket it reads on).  Three
-properties are easy to lose with that shape and are pinned here:
+A link's two directions share one duplex connection (the transport pairs
+its two sockets with one loopback connect to its own listener; each end
+writes on the socket it reads on).  Four properties are easy to lose with
+that shape and are pinned here:
 
 * a detach closes by *half-close* — what either end wrote just before
   ``close_dynamic_link`` is still read by the other (``close()`` on both
   ends makes each stop reading at once and drops all of it);
-* the dialler waits for the acceptor's handshake, so a rejected or dead
-  accept must fail the open promptly instead of parking the drain;
-* the socket census: two fds per open link, none left behind by churn.
+* a pairing step that raises or times out fails the open promptly and
+  leaves nothing behind, and a stranger at the listener is never served
+  (the cluster, whose ends live in different processes, still negotiates
+  the wire revision at open, and a skew at either end fails it);
+* both sockets of every link send each write at once (``TCP_NODELAY``);
+* the socket census: one listener, opened with the first link and closed
+  with the transport, two fds per open link, none left behind by churn.
 
 The cases on the ``transport`` fixture run on both write paths: bursts
 batched into one socket write, and a socket write per frame.
@@ -22,13 +27,15 @@ import sys
 import time
 
 import pytest
-from helpers import WRITE_PATHS, with_write_path
+from helpers import WRITE_PATHS, impostor_of, with_write_path
 
 from repro.config import SystemConfig
 from repro.net import wire
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport, _Receiver
-from repro.pubsub.broker_network import BrokerNetwork
+from repro.pubsub.broker_network import BrokerNetwork, line_topology
+from repro.pubsub.filters import Equals, Filter
+from repro.pubsub.notification import Notification
 
 
 class Recorder(Process):
@@ -56,12 +63,24 @@ def open_link(transport, a, b, latency=0.0):
 
 
 def sizes_after_one_cycle(transport, a, b):
-    """The baseline a failed open must return to: servers exist, no link does."""
+    """The baseline a failed open must return to: the listener exists, no link does."""
     link = open_link(transport, a, b)
     link.disconnect()
     transport.close_dynamic_link(link)
     transport.run_until_idle()
     return transport.resource_sizes()
+
+
+linux_only = pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
+
+
+def open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def settle(transport):
+    """Closing is asynchronous (EOF out, EOF back): give the last sockets a moment."""
+    transport.run(until=transport.clock.now + 0.05)
 
 
 # ------------------------------------------------------------ graceful close
@@ -94,87 +113,147 @@ def skewed_fields():
     return {"wire": wire.WIRE_VERSION + 1, "table": -1}
 
 
-def drain_failed_open(transport):
-    """Let a failed open finish unwinding.  Both ends report: the dialler's own
-    "closed before its handshake" may follow the rejection already raised."""
-    try:
-        transport.run_until_idle(timeout=2.0)
-    except ConnectionError:
-        transport.run_until_idle(timeout=2.0)
 
-
-@pytest.mark.parametrize("skewed_end", ["handshake", "ack"])
-def test_codec_skew_at_either_end_fails_the_open_promptly(monkeypatch, skewed_end):
-    """The acceptor checks the dialler's handshake and the dialler the
-    acceptor's ack, so a skew on only one side of the negotiation is caught."""
-    transport = AsyncioTransport()
-    try:
-        a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
-        baseline = sizes_after_one_cycle(transport, a, b)
-        honest = wire.handshake_fields
-        calls = []
-
-        def fields():
-            calls.append(skewed_end)
-            skewed = len(calls) == (1 if skewed_end == "handshake" else 2)
-            return skewed_fields() if skewed else honest()
-
-        monkeypatch.setattr(wire, "handshake_fields", fields)
-        opened = []
-        transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
-        start = time.perf_counter()
-        with pytest.raises(wire.CodecMismatchError):
-            transport.run_until_idle()
-        assert time.perf_counter() - start < 2.0
-        drain_failed_open(transport)
-        assert opened == []
-        assert len(calls) == (1 if skewed_end == "handshake" else 2)
-        assert transport.resource_sizes() == baseline
-        assert transport.links == []
-    finally:
-        transport.close()
-
-
-def test_accept_that_dies_before_the_ack_fails_the_open_promptly(transport):
-    """``b``'s address is a listener that accepts and hangs up without a word."""
+@linux_only
+def test_an_accept_that_dies_fails_the_open_promptly(transport, monkeypatch):
+    """The pairing's accept raises: the dialled socket is closed, the link is
+    forgotten, and the connection left queued at the listener is turned away
+    by the next pairing as a stranger."""
     a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
     baseline = sizes_after_one_cycle(transport, a, b)
-    with socket.socket() as mute:
-        mute.bind(("127.0.0.1", 0))
-        mute.listen()
-        mute.settimeout(2.0)
-        transport._addresses["b"] = mute.getsockname()
-        opened = []
-        transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
-        transport.clock.schedule(0.02, lambda: mute.accept()[0].close())
-        start = time.perf_counter()
-        with pytest.raises(ConnectionError):
-            transport.run_until_idle()
-        assert time.perf_counter() - start < 2.0
+    fds = open_fds()
+
+    def dies(listener):
+        raise ConnectionAbortedError("accept died")
+
+    monkeypatch.setattr(socket.socket, "accept", dies)
+    opened = []
+    transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
+    start = time.perf_counter()
+    with pytest.raises(ConnectionAbortedError):
+        transport.run_until_idle()
+    assert time.perf_counter() - start < 2.0
     assert opened == []
     assert transport.resource_sizes() == baseline
     assert transport.links == []
+    assert open_fds() == fds
+    monkeypatch.undo()
+    assert sizes_after_one_cycle(transport, a, b) == baseline
+
+
+@pytest.mark.parametrize("skewed_end", ["handshake", "ack"])
+def test_codec_skew_at_either_end_fails_the_open_promptly(monkeypatch, capfd, skewed_end):
+    """A link is born connected and negotiates nothing; a cluster connection
+    still does.  The acceptor checks the dialler's handshake and the dialler
+    the acceptor's ack, so a skew on only one side is caught: the attach
+    fails promptly, the end that refused names the mismatch, and the
+    cluster goes on delivering."""
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
+    try:
+        pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
+        sub.subscribe(Filter([Equals("service", "temp")]))
+        net.run_until_idle()
+        capfd.readouterr()
+        start = time.perf_counter()
+        if skewed_end == "handshake":
+            honest = wire.handshake_fields
+            monkeypatch.setattr(wire, "handshake_fields", lambda: {**honest(), **skewed_fields()})
+            with pytest.raises(ConnectionError, match="closed before its handshake"):
+                net.add_client("late", "B1")
+            monkeypatch.undo()
+            net.run_until_idle()  # the refusal is the broker's, not the driver's
+            refused = capfd.readouterr().err
+            assert "B1: refused a connection" in refused
+            assert "wire revision" in refused
+        else:
+            with impostor_of(net, "B1", **skewed_fields()) as heard:
+                with pytest.raises(ConnectionError, match="closed before its handshake"):
+                    net.add_client("late", "B1")
+                with pytest.raises(wire.CodecMismatchError, match="wire revision"):
+                    net.run_until_idle()
+            assert heard[1:] == [b""]  # the dialler hung up
+        assert time.perf_counter() - start < 2.0
+        assert net.transport._children["B1"].poll() is None
+        pub.publish(Notification({"service": "temp"}))
+        net.run_until_idle()
+        assert len(sub.deliveries) == 1
+    finally:
+        net.close()
+    assert net.transport.failures == {}
+
+
+@pytest.mark.parametrize("says", [b"", wire.frame(b"\x01hello")], ids=["silent", "speaking"])
+def test_a_stranger_at_the_listener_is_never_served(transport, says):
+    """A connection the transport did not dial is closed unread by the next
+    pairing: it is bound to no link, its bytes reach no process, and the
+    link opened after it delivers both ways."""
+    a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
+    baseline = sizes_after_one_cycle(transport, a, b)
+    with socket.create_connection(transport._listener.getsockname(), timeout=2.0) as stranger:
+        stranger.sendall(says)
+        link = open_link(transport, a, b)
+        a.send("b", Message("x", payload="there"))
+        b.send("a", Message("x", payload="back"))
+        transport.run_until_idle()
+        assert (a.received, b.received) == (["back"], ["there"])
+        served = {r.sock.get_extra_info("peername") for r in transport._receivers}
+        assert stranger.getsockname() not in served
+        assert len(transport._receivers) == 2
+        try:
+            assert stranger.recv(1) == b""  # closed by the transport
+        except ConnectionResetError:
+            assert says  # closed with the stranger's bytes unread
+    link.disconnect()
+    transport.close_dynamic_link(link)
+    transport.run_until_idle()
+    assert transport.resource_sizes() == baseline
+
+
+def test_a_listener_backlog_full_of_strangers_fails_the_open_not_the_loop():
+    """The pairing blocks the loop's thread, so each of its steps has a time
+    limit.  Strangers fill the listener's accept queue, the pairing's connect
+    times out, and that open fails promptly, leaving nothing behind; a link
+    opened before it still delivers both ways."""
+    transport = AsyncioTransport()
+    transport.PAIR_TIMEOUT = 0.2
+    strangers = []
+    try:
+        a, b, c = (Recorder(transport.clock, name) for name in "abc")
+        open_link(transport, a, c)
+        baseline = transport.resource_sizes()
+        address = transport._listener.getsockname()
+        for _ in range(4096):
+            try:
+                strangers.append(socket.create_connection(address, timeout=0.05))
+            except TimeoutError:
+                break  # the accept queue is full
+        else:
+            pytest.fail("the listener's accept queue never filled")
+        opened = []
+        transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            transport.run_until_idle()
+        assert time.perf_counter() - start < 2.0
+        assert opened == []
+        assert transport.resource_sizes() == baseline
+        a.send("c", Message("x", payload="there"))
+        c.send("a", Message("x", payload="back"))
+        transport.run_until_idle()
+        assert (a.received, c.received) == (["back"], ["there"])
+    finally:
+        for stranger in strangers:
+            stranger.close()
+        transport.close()
 
 
 # ------------------------------------------------------------- socket census
-
-linux_only = pytest.mark.skipif(sys.platform != "linux", reason="counts /proc/self/fd")
-
-
-def open_fds():
-    return len(os.listdir("/proc/self/fd"))
-
-
-def settle(transport):
-    """Closing is asynchronous (EOF out, EOF back): give the last sockets a moment."""
-    transport.run(until=transport.clock.now + 0.05)
-
 
 @linux_only
 def test_an_open_link_costs_two_fds(transport):
     a, b, c = (Recorder(transport.clock, name) for name in "abc")
     transport.make_link(a, b, latency=0.0)
-    transport.make_link(b, c, latency=0.0)  # every server now exists
+    transport.make_link(b, c, latency=0.0)  # the listener now exists
     before = open_fds()
     transport.make_link(a, c, latency=0.0)
     assert open_fds() - before == 2  # the two ends of one connection (was 4)
@@ -182,6 +261,27 @@ def test_an_open_link_costs_two_fds(transport):
     c.send("a", Message("x", payload="back"))
     transport.run_until_idle()
     assert (a.received, c.received) == (["back"], ["there"])
+
+
+def test_the_listener_opens_with_the_first_link_and_closes_with_the_transport():
+    """One listening socket serves every pairing: none before the first link,
+    the same one for each link after it, and nothing accepting once the
+    transport is closed."""
+    transport = AsyncioTransport()
+    try:
+        a, b, c = (Recorder(transport.clock, name) for name in "abc")
+        assert transport.resource_sizes()["listeners"] == 0
+        transport.make_link(a, b, latency=0.0)
+        listener = transport._listener
+        address = listener.getsockname()
+        transport.make_link(b, c, latency=0.0)
+        assert transport._listener is listener
+        assert transport.resource_sizes()["listeners"] == 1
+    finally:
+        transport.close()
+    assert listener.fileno() == -1
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(address, timeout=2.0).close()
 
 
 @linux_only
@@ -199,12 +299,32 @@ def test_a_fabric_holds_one_connection_per_link():
             net.add_client(f"c{i}", f"B{i % 5 + 1}")
         net.run_until_idle()
         sizes = transport.resource_sizes()
-        assert (sizes["servers"], sizes["links"]) == (11, 10)
+        assert (sizes["listeners"], sizes["links"]) == (1, 10)
         assert sizes["open_writers"] == 2 * sizes["links"]
         assert len(transport._receivers) == 2 * sizes["links"]
-        assert open_fds() - idle == sizes["servers"] + 2 * sizes["links"]
+        assert open_fds() - idle == sizes["listeners"] + 2 * sizes["links"]
     finally:
         net.close()
+
+
+def test_every_link_sends_each_write_at_once(transport):
+    """Both sockets of every link carry ``TCP_NODELAY``.  asyncio sets it only
+    on a socket created with ``proto=IPPROTO_TCP``, which an accepted one is
+    not; without it Nagle and a delayed ACK hold a drain's last small write
+    back ~25 ms and ``handover_tcp`` runs at a tenth of its rate, while every
+    functional test still passes."""
+    a, b, c = (Recorder(transport.clock, name) for name in "abc")
+    transport.make_link(a, b, latency=0.0)
+    transport.make_link(b, c, latency=0.0)
+    open_link(transport, a, c)
+    sockets = [
+        endpoint._writer.get_extra_info("socket")
+        for link in transport.links
+        for endpoint in (link._a_to_b, link._b_to_a)
+    ]
+    assert len(sockets) == 6
+    for sock in sockets:
+        assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
 
 
 @linux_only
@@ -219,7 +339,7 @@ def test_attach_detach_churn_returns_every_fd(transport):
         transport.close_dynamic_link(link)
         transport.run_until_idle()
 
-    cycle(-1)  # warm-up: the servers are created lazily
+    cycle(-1)  # warm-up: the listener is created lazily
     settle(transport)
     baseline = open_fds()
     for i in range(300):

@@ -52,7 +52,7 @@ def test_asyncio_dynamic_link_cycles_do_not_leak_sockets():
     try:
         a = Recorder(transport.clock, "a")
         b = Recorder(transport.clock, "b")
-        # warmup: servers and the event loop's plumbing are created lazily
+        # warmup: the listener and the event loop's plumbing are created lazily
         _dynamic_link_cycle(transport, a, b)
         baseline = transport.resource_sizes()
         for _ in range(5):

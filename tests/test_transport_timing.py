@@ -22,7 +22,7 @@ import statistics
 import time
 
 import pytest
-from helpers import WRITE_PATHS, with_write_path
+from helpers import WRITE_PATHS, impostor_of, with_write_path
 
 from repro.config import SystemConfig
 from repro.net import wire
@@ -145,58 +145,10 @@ def test_raising_handler_behind_the_floor_surfaces_and_does_not_wedge(transport)
     assert transport.resource_sizes()["inflight_frames"] == 0
 
 
-def test_handshake_naming_the_wrong_target_surfaces_from_the_driver(transport):
-    _a, _b, _link = pair(transport, latency=0.0)
-    handshake = {
-        "link": 1,
-        "source": "a",
-        "target": "someone else",
-        **wire.handshake_fields(),
-    }
-    with socket.create_connection(transport._addresses["b"]) as raw:
-        raw.sendall(wire.frame(wire.encode_control(handshake)))
-        with pytest.raises(wire.WireError, match="arrived at 'b'"):
-            transport.run(until=transport.clock.now + 0.2)
-    transport.run_until_idle(timeout=2.0)
-
-
-@pytest.mark.parametrize(
-    "link_offset,source,refusal",
-    [
-        (0, "someone else", "not an open link between them"),
-        (0, "a", "already connected"),
-        (7, "a", "not an open link between them"),
-    ],
-)
-def test_handshake_for_a_live_link_from_the_wrong_peer_is_refused(
-    transport, link_offset, source, refusal
-):
-    """Regression: a handshake was bound to whatever link id it named once its
-    target matched — here it would be handed the live link's way back to ``a``.
-    Only the link's own two ends may open it, and only once; one that names
-    no open link at all used to be served unbound, its frames lowering the
-    in-flight count of links it had no part in."""
-    a, b, link = pair(transport, latency=0.0)
-    handshake = {
-        "link": link.link_id + link_offset,
-        "source": source,
-        "target": "b",
-        **wire.handshake_fields(),
-    }
-    with socket.create_connection(transport._addresses["b"], timeout=2.0) as raw:
-        raw.sendall(wire.frame(wire.encode_control(handshake)))
-        with pytest.raises(wire.WireError, match=refusal):
-            transport.run(until=transport.clock.now + 0.2)
-        assert raw.recv(1) == b""  # aborted, and sent no ack
-    b.send("a", Message("x", payload="still the real way back"))
-    transport.run_until_idle(timeout=2.0)
-    assert a.payloads() == ["still the real way back"]
-
-
 def test_cluster_broker_survives_a_dialler_it_refuses():
     """Regression: a handshake the broker child rejected failed the whole node
     (exit 1) — one misconfigured dialler took a broker down.  It now costs
-    that connection only: closed without an answer, as on the asyncio backend."""
+    that connection only: closed without an answer."""
     net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
     try:
         pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
@@ -216,6 +168,35 @@ def test_cluster_broker_survives_a_dialler_it_refuses():
             assert raw.recv(1) == b""  # refused: no ack, connection closed
         assert time.perf_counter() - start < 2.0
         assert net.transport._children["B1"].poll() is None
+        pub.publish(Notification({"service": "temp"}))
+        net.run_until_idle()
+        assert len(sub.deliveries) == 1
+    finally:
+        net.close()
+    assert net.transport.failures == {}
+
+
+@pytest.mark.parametrize("write_path", WRITE_PATHS)
+def test_handshake_naming_the_wrong_target_surfaces_from_the_driver(write_path):
+    """The dialler checks that the acceptor's answer is addressed to it.  An
+    attach to an impostor whose ack names another process fails promptly,
+    the driver raises the refusal, and the cluster goes on delivering on the
+    parent's write path."""
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
+    with_write_path(net.transport, write_path)
+    try:
+        pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
+        sub.subscribe(Filter([Equals("service", "temp")]))
+        net.run_until_idle()
+        start = time.perf_counter()
+        with impostor_of(net, "B1", target="someone else") as heard:
+            with pytest.raises(ConnectionError, match="closed before its handshake"):
+                net.add_client("late", "B1")
+            with pytest.raises(wire.WireError, match="for 'someone else' arrived at 'late'"):
+                net.run_until_idle()
+        assert time.perf_counter() - start < 2.0
+        assert wire.decode_control(heard[0])["target"] == "B1"
+        assert heard[1:] == [b""]  # the dialler hung up
         pub.publish(Notification({"service": "temp"}))
         net.run_until_idle()
         assert len(sub.deliveries) == 1

@@ -13,8 +13,8 @@ traces and corpus digests hash.  The concerns:
    cross-check, same pattern as the mobility wire tests);
 3. **The fragment cache** — an immutable payload is encoded once, shared by
    forwarded copies and primed by the decoder, and never enters equality;
-4. **Loud negotiation** — a wire-revision or string-table skew fails at the
-   handshake (:class:`CodecMismatchError`, distinct from the
+4. **Loud negotiation** — a wire-revision or string-table skew fails the
+   cluster's handshake check (:class:`CodecMismatchError`, distinct from the
    :class:`WireError` raised for truncation), a body that is not binary is
    refused on a live link, an armed :class:`FrameDecoder` rejects foreign
    frames, and an out-of-range string-table reference is rejected instead
@@ -36,11 +36,9 @@ import hashlib
 import json
 import os
 import re
-import socket
 import struct
 import subprocess
 import sys
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -68,7 +66,6 @@ from repro.net.wire import (
     frame,
     frame_message_binary,
     handshake_fields,
-    iter_frames,
 )
 from repro.pubsub.filters import (
     Equals,
@@ -899,74 +896,36 @@ class TestStringTableHardening:
 class TestHostileBytesOnALiveLink:
     """Bytes no binary peer writes, fed to a real asyncio socket.
 
-    A raw socket is a connection the transport never opened, so its bytes are
-    not counted work and ``run_until_idle`` would return at once; outside
-    peers are served by driving the loop by time."""
+    The far end writes them past the send path, so they are not counted work
+    and ``run_until_idle`` would return at once; they are served by driving
+    the loop by time."""
 
-    def test_a_skewed_wire_revision_is_refused_at_the_handshake(self):
-        transport = AsyncioTransport()
-        try:
-            a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
-            transport.make_link(a, b, latency=0.0)
-            handshake = {"link": 1, "source": "a", "target": "b", **handshake_fields()}
-            handshake["wire"] = wire.WIRE_VERSION + 1
-            with socket.create_connection(transport._addresses["b"], timeout=2.0) as raw:
-                raw.sendall(frame(wire.encode_control(handshake)))
-                with pytest.raises(CodecMismatchError, match="wire revision"):
-                    transport.run(until=transport.clock.now + 0.2)
-                assert raw.recv(1) == b""  # refused: no ack, connection closed
-        finally:
-            transport.close()
-
-    def _after_an_honest_handshake(self, hostile, error=None, match=None):
-        """``b``'s address is a raw peer that acks the handshake honestly and,
-        once the link is up, sends ``hostile``: nothing but a ``WireError``
-        escapes a bounded ``run`` (``error`` matching ``match``, when given;
-        bytes that stop inside a frame raise nothing), a raise closes that
-        connection only, and another link of the same transport still
-        delivers."""
+    def _from_the_far_end(self, hostile, error=None, match=None):
+        """``b`` writes ``hostile`` onto its born-connected link to ``a``, past
+        the framing: nothing but a ``WireError`` escapes a bounded ``run``
+        (``error`` matching ``match``, when given; bytes that stop inside a
+        frame raise nothing), a raise closes that connection only, and
+        another link of the same transport still delivers."""
         transport = AsyncioTransport()
         try:
             a, b, c = (Recorder(transport.clock, name) for name in "abc")
-            transport.make_link(a, c, latency=0.0)
-            transport.make_link(b, c, latency=0.0)  # every server now exists
-            with socket.socket() as listener:
-                listener.bind(("127.0.0.1", 0))
-                listener.listen()
-                listener.settimeout(2.0)
-                transport._addresses["b"] = listener.getsockname()
-                peer = []
-                link_up = threading.Event()
-
-                def hostile_acceptor():
-                    conn, _ = listener.accept()
-                    conn.settimeout(2.0)
-                    peer.append(conn)
-                    (hello,) = iter_frames(conn.recv(65536))
-                    assert wire.decode_control(hello)["target"] == "b"
-                    ack = {"source": "b", "target": "a", **handshake_fields()}
-                    conn.sendall(frame(wire.encode_control(ack)))
-                    link_up.wait(2.0)
-                    conn.sendall(hostile)
-
-                thread = threading.Thread(target=hostile_acceptor)
-                thread.start()
-                transport.open_dynamic_link(a, b, latency=0.0)
-                link_up.set()
-                thread.join(timeout=2.0)
-                assert not thread.is_alive()
-                try:
-                    transport.run(until=transport.clock.now + 0.2)
-                except WireError as exc:
-                    escaped = exc
-                else:
-                    escaped = None
-                if error is not None:
-                    assert isinstance(escaped, error) and re.search(match, str(escaped))
-                (conn,) = peer
-                with conn:
-                    if escaped is not None:
-                        assert conn.recv(1) == b""  # the transport closed that connection
+            other = transport.make_link(a, c, latency=0.0)
+            link = transport.make_link(a, b, latency=0.0)
+            link._b_to_a._writer.write(hostile)
+            try:
+                transport.run(until=transport.clock.now + 0.2)
+            except WireError as exc:
+                escaped = exc
+            else:
+                escaped = None
+            if error is not None:
+                assert isinstance(escaped, error) and re.search(match, str(escaped))
+            if escaped is not None:
+                # both ends of the offending connection are gone, the other link's are not
+                assert not link._a_to_b.is_open and not link._b_to_a.is_open
+            assert other._a_to_b.is_open and other._b_to_a.is_open
+            # hang up; the EOF reconciles what a whole hostile frame delivered uncounted
+            transport.close_dynamic_link(link)
             transport.run_until_idle(timeout=2.0)
             a.send("c", Message("x", payload="still delivered"))
             transport.run_until_idle(timeout=2.0)
@@ -974,19 +933,19 @@ class TestHostileBytesOnALiveLink:
         finally:
             transport.close()
 
-    def test_a_json_body_after_the_handshake_aborts_only_its_connection(self):
+    def test_a_json_body_aborts_only_its_connection(self):
         json_frame = JSON_CODEC.frame_message(Message("x", payload=1, sender="b"))
-        self._after_an_honest_handshake(json_frame, CodecMismatchError, "version byte 0x7b")
+        self._from_the_far_end(json_frame, CodecMismatchError, "version byte 0x7b")
 
     def test_an_oversized_length_header_aborts_only_its_connection(self):
         header = struct.pack(">I", wire.MAX_FRAME_SIZE + 1)
-        self._after_an_honest_handshake(header, WireError, "exceeds MAX_FRAME_SIZE")
+        self._from_the_far_end(header, WireError, "exceeds MAX_FRAME_SIZE")
 
     def test_a_mutated_hot_shape_body_aborts_only_its_connection(self):
         # the sender's length byte overruns the body: the inline sender read
         # must keep the walker's truncation check
         body = _hostile_hot_body()
-        self._after_an_honest_handshake(frame(body), WireError, "truncated binary string")
+        self._from_the_far_end(frame(body), WireError, "truncated binary string")
 
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
@@ -998,7 +957,7 @@ class TestHostileBytesOnALiveLink:
     )
     @example(hostile=frame(_HOT_BODIES[1]) + b"\xff" * 8)  # a good frame, then a bad header
     def test_random_bytes_abort_only_their_connection(self, hostile):
-        self._after_an_honest_handshake(hostile)
+        self._from_the_far_end(hostile)
 
     def test_json_is_no_socket_codec_choice(self, capsys):
         with pytest.raises(ValueError, match="unknown codec 'json'; allowed: binary"):
