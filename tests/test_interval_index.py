@@ -1,13 +1,12 @@
-"""The range side of the index: incremental buckets and the destination cache.
+"""The range side of the index: incremental buckets and the table's answers.
 
 The ``"indexed"`` matcher keeps range-only entries in the incrementally
-repaired :class:`~repro.pubsub.matching.IntervalBucketIndex` and puts an
-epoch-guarded destination cache in front of the routing table.  Its
-contract: forwarding decisions byte-identical to brute force under any
-churn, at the index level, the table level and end-to-end through a broker
-network — plus the cache must never serve a stale entry across a mutation,
-nor one computed for a merely *equal* notification
-(``1`` vs ``True``) that a ``Range`` tells apart.
+repaired :class:`~repro.pubsub.matching.IntervalBucketIndex`.  Its contract:
+forwarding decisions byte-identical to brute force under any churn, at the
+index level, the table level and end-to-end through a broker network — every
+mutation seen by the next query, a merely *equal* notification (``1`` vs
+``True``) that a ``Range`` tells apart answered on its own, and nothing kept
+per notification answered.
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import MappingProxyType
 
@@ -255,7 +255,7 @@ def typed_twins(notification):
 
 def assert_typed_twins_agree(brute, indexed, rng, rounds):
     """Publish a notification, then its typed twins, then it again: every
-    answer (cached or not, either order) must equal brute force."""
+    answer (in either order) must equal brute force."""
     for _ in range(rounds):
         n = dict(random_notification(rng))
         n["value"] = rng.choice([0, 1, True, False, 1.0])
@@ -304,7 +304,7 @@ class TestRangeTableEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_churn_with_typed_twins(self, seed):
         """The churn of ``test_routing_index``, probed with ``1``/``True``/``1.0``
-        back to back so the destination cache sees every collision."""
+        back to back so every collision of equal values is asked."""
         rng = random.Random(seed)
         brute = RoutingTable(matcher="brute")
         indexed = RoutingTable(matcher="indexed")
@@ -375,82 +375,83 @@ class TestRangeTableEquivalence:
         assert_tables_agree(brute, indexed, rng, rounds=15)
 
 
-class TestDestinationCache:
+class TestDestinations:
+    """What every ``destinations()`` caller is promised, checked against a
+    brute table holding the same entries — on the small-table scan and, with
+    filler entries past :data:`SMALL_TABLE_SCAN`, on the index probe."""
+
     def probe(self):
         return {"service": "stock", "value": 7}
 
-    def build(self, matcher):
-        table = RoutingTable(matcher=matcher)
-        table.add(Filter([Equals("service", "stock"), Range("value", 0, 10)]), "L1", "s1")
-        table.add(Filter([Range("value", 5, 20)]), "L2", "s2")
-        return table
+    def build(self, path):
+        tables = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+        for table in tables:
+            table.add(Filter([Equals("service", "stock"), Range("value", 0, 10)]), "L1", "s1")
+            table.add(Filter([Range("value", 5, 20)]), "L2", "s2")
+            if path == "probe":  # entries the probe never matches, on a link of their own
+                for i in range(SMALL_TABLE_SCAN):
+                    table.add(Filter([Equals("service", f"weather{i}")]), "L8", f"w{i}")
+        return tables
 
-    @pytest.mark.parametrize("matcher", ["indexed"])
-    def test_repeat_publish_hits_cache(self, matcher):
-        table = self.build(matcher)
-        assert table.destinations(self.probe()) == ["L1", "L2"]
-        assert table.cache_hits == 0
-        for _ in range(5):
-            assert table.destinations(self.probe()) == ["L1", "L2"]
-        assert table.cache_hits == 5
+    def assert_agree(self, tables, probe, **kwargs):
+        brute, indexed = tables
+        answer = indexed.destinations(probe, **kwargs)
+        assert answer == brute.destinations(probe, **kwargs), (probe, kwargs)
+        return answer
 
-    @pytest.mark.parametrize("matcher", ["indexed"])
-    def test_every_mutation_invalidates(self, matcher):
-        table = self.build(matcher)
+    @pytest.mark.parametrize("path", ["scan", "probe"])
+    def test_every_mutation_is_seen_by_the_next_query(self, path):
+        tables = self.build(path)
         probe = self.probe()
-        table.destinations(probe)
+        assert self.assert_agree(tables, probe) == ["L1", "L2"]
+        mutations = [
+            lambda table: table.add(Filter([Range("value", 6, 8)]), "L3", "s3"),
+            lambda table: table.add(Filter([Range("value", 8, 9)]), "L3", "s3"),  # replaces
+            lambda table: table.remove("s3"),
+            lambda table: table.remove_link("L2"),
+            lambda table: table.clear(),
+            lambda table: table.add(Filter([Equals("service", "stock")]), "L9", "s9"),
+        ]
+        answers = []
+        for mutate in mutations:
+            for table in tables:
+                mutate(table)
+            answers.append(self.assert_agree(tables, probe))
+        assert answers == [["L1", "L2", "L3"], ["L1", "L2"], ["L1", "L2"], ["L1"], [], ["L9"]]
 
-        table.add(Filter([Range("value", 6, 8)]), "L3", "s3")
-        assert table.destinations(probe) == ["L1", "L2", "L3"]
-        table.remove("s3")
-        assert table.destinations(probe) == ["L1", "L2"]
-        table.remove_link("L2")
-        assert table.destinations(probe) == ["L1"]
-        table.clear()
-        assert table.destinations(probe) == []
-        # only the identical re-queries above could have hit; mutations never serve stale
-        table.add(Filter([Equals("service", "stock")]), "L9", "s9")
-        assert table.destinations(probe) == ["L9"]
-
-    def test_brute_matcher_keeps_no_cache(self):
-        """The oracle recomputes every answer: nothing it returns was stored."""
-        table = self.build("brute")
+    @pytest.mark.parametrize("path", ["scan", "probe"])
+    def test_exclusions_are_honoured(self, path):
+        tables = self.build(path)
         probe = self.probe()
-        for _ in range(3):
-            assert table.destinations(probe) == ["L1", "L2"]
-        table.add(Filter([Range("value", 6, 8)]), "L3", "s3")
-        assert table.destinations(probe) == ["L1", "L2", "L3"]
-        assert table.cache_hits == 0
-        assert len(table._destination_cache) == 0
+        assert self.assert_agree(tables, probe) == ["L1", "L2"]
+        assert self.assert_agree(tables, probe, exclude=("L1",)) == ["L2"]
+        assert self.assert_agree(tables, probe, exclude=("L2",)) == ["L1"]
+        assert self.assert_agree(tables, probe, exclude=("L1", "L2", "L8")) == []
 
-    def test_exclusions_are_part_of_the_key(self):
-        table = self.build("indexed")
+    @pytest.mark.parametrize("path", ["scan", "probe"])
+    def test_a_returned_list_is_the_callers_own(self, path):
+        tables = self.build(path)
         probe = self.probe()
-        assert table.destinations(probe) == ["L1", "L2"]
-        assert table.destinations(probe, exclude=("L1",)) == ["L2"]
-        assert table.destinations(probe, exclude=("L2",)) == ["L1"]
-        assert table.cache_hits == 0
-
-    def test_cached_lists_are_isolated_copies(self):
-        table = self.build("indexed")
-        probe = self.probe()
-        first = table.destinations(probe)
+        first = self.assert_agree(tables, probe)
         first.append("junk")
-        assert table.destinations(probe) == ["L1", "L2"]
+        assert self.assert_agree(tables, probe) == ["L1", "L2"]
+        assert self.assert_agree(tables, probe) is not self.assert_agree(tables, probe)
 
-    def test_unhashable_attribute_values_skip_the_cache(self):
-        table = self.build("indexed")
-        table.add(Filter([Equals("tags", ["a"])]), "L4", "s4")
+    @pytest.mark.parametrize("path", ["scan", "probe"])
+    def test_unhashable_values_still_route(self, path):
+        tables = self.build(path)
+        for table in tables:
+            table.add(Filter([Equals("tags", ["a"])]), "L4", "s4")
         probe = {"service": "stock", "value": 7, "tags": ["a"]}
-        assert table.destinations(probe) == ["L1", "L2", "L4"]
-        assert table.destinations(probe) == ["L1", "L2", "L4"]
-        assert table.cache_hits == 0
+        for _ in range(2):
+            assert self.assert_agree(tables, probe) == ["L1", "L2", "L4"]
+        assert self.assert_agree(tables, {**probe, "tags": ["b"]}) == ["L1", "L2"]
 
     @pytest.mark.parametrize("order", [(1, True, 1.0), (True, 1, 1.0), (1.0, True, 1)])
     def test_equal_values_of_different_type_do_not_share_an_answer(self, order):
         """``1 == True`` and they hash alike, but ``Range`` matches only the number:
-        a cached ``["L"]`` served for ``True`` is a wrong delivery, a cached
-        ``[]`` served for ``1`` a lost one."""
+        ``["L"]`` answered for ``True`` is a wrong delivery, ``[]`` answered
+        for ``1`` a lost one."""
         table = RoutingTable(matcher="indexed")
         for i in range(SMALL_TABLE_SCAN + 1):  # past the small-table scan: the index answers
             table.add(Filter([Range("a", 0, 2)]), "L", f"s{i}")
@@ -458,33 +459,34 @@ class TestDestinationCache:
         brute.add(Filter([Range("a", 0, 2)]), "L", "s0")
         for value in order * 2:
             assert table.destinations({"a": value}) == brute.destinations({"a": value}), value
-        # 1 and 1.0 share an answer (every constraint treats them alike), True has its own
-        assert table.cache_hits == 4
 
-    def test_capacity_bounded_fifo(self):
+    @pytest.mark.parametrize("entries", [5, 40], ids=["scan", "probe"])
+    def test_distinct_notifications_leave_nothing_behind(self, entries):
+        """A broker sees a stream of notifications it never sees again: after
+        a warm-up, answering 20 000 distinct ones must not grow the table's
+        memory (a memo of past answers held ~1 MB here)."""
         table = RoutingTable(matcher="indexed")
-        table.CACHE_CAPACITY = 8
-        table.add(Filter([Range("value", 0, 1000)]), "L1", "s1")
-        for i in range(50):
-            table.destinations({"value": i})
-        assert len(table._destination_cache) <= 8
+        for i in range(entries):
+            low = i % 10 * 10
+            constraints = [Range("value", low, low + 15)]
+            if i % 2:
+                constraints.append(Equals("service", f"s{i % 4}"))
+            table.add(Filter(constraints), f"L{i % 5}", f"sub{i}")
 
-    def test_cache_hit_counter_wired(self):
-        from repro.obs.metrics import MetricsRegistry
+        def answer(first, count):
+            for i in range(first, first + count):
+                notification = {"service": f"s{i % 4}", "value": i % 100, "seq": i}
+                table.destinations(Notification(notification))
 
-        registry = MetricsRegistry()
-        table = RoutingTable(matcher="indexed", metrics=registry)
-        table.add(Filter([Range("value", 0, 10)]), "L1", "s1")
-        table.destinations({"value": 5})
-        table.destinations({"value": 5})
-        assert registry.counter("match.cache_hit").value == 1
-
-    def test_brute_matcher_stays_uncached(self):
-        table = self.build("brute")
-        probe = self.probe()
-        table.destinations(probe)
-        table.destinations(probe)
-        assert table.cache_hits == 0
+        answer(0, 2_000)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            answer(2_000, 20_000)
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 16 * 1024
 
 
 class TestNaNRegression:
