@@ -49,9 +49,10 @@ class Broker(Process):
         ``"identity"``, ``"covering"``, ``"merging"``).  The paper assumes
         simple routing throughout, which is the default here.
     matcher:
-        Routing-table matching strategy: ``"indexed"`` (default; per-link
-        attribute index, pre-selects candidate entries) or ``"brute"``
-        (evaluate every entry).  Both produce identical forwarding decisions.
+        Routing-table matching strategy: ``"indexed"`` (default; one
+        attribute index over the whole table pre-selects candidate entries)
+        or ``"brute"`` (evaluate every entry).  Both produce identical
+        forwarding decisions.
     metrics:
         The live :class:`~repro.obs.metrics.MetricsRegistry` this broker
         reports into (one is created when omitted).  Pass a registry

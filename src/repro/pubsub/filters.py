@@ -458,9 +458,16 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
     attribute is detected with a sentinel instead of a containment probe
     followed by a second lookup.  Constraints are evaluated in order in
     every shape.
+
+    Returns ``(matches, tail)``.  The *tail* is the second constraint's
+    ``(attribute, value test)`` of an ``Equals``-first pair whose value
+    hashes and equals itself (NaN does not): such a filter sits in the
+    attribute index's equality bucket for exactly that value, and a
+    candidate handed out from that bucket has passed the ``Equals`` already,
+    so the caller may test the tail alone.  Every other shape has no tail.
     """
     if not constraints:
-        return _match_everything
+        return _match_everything, None
     first = constraints[0]
     a = first.attribute
     if len(constraints) == 1:
@@ -470,13 +477,13 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
                 value = notification.get(_a, _MISSING)
                 return value is not _MISSING and value == _e
 
-            return matches_equal
+            return matches_equal, None
 
         def matches_one(notification, _a=a, _s=first.value_test()) -> bool:
             value = notification.get(_a, _MISSING)
             return value is not _MISSING and _s(value)
 
-        return matches_one
+        return matches_one, None
 
     if len(constraints) == 2:
         b, t = constraints[1].attribute, constraints[1].value_test()
@@ -489,7 +496,7 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
                 value = notification.get(_b, _MISSING)
                 return value is not _MISSING and _t(value)
 
-            return matches_equal_and
+            return matches_equal_and, ((b, t) if _decides_itself(first.value) else None)
 
         def matches_two(notification, _a=a, _s=first.value_test(), _b=b, _t=t) -> bool:
             value = notification.get(_a, _MISSING)
@@ -498,7 +505,7 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
             value = notification.get(_b, _MISSING)
             return value is not _MISSING and _t(value)
 
-        return matches_two
+        return matches_two, None
 
     tests = tuple((c.attribute, c.value_test()) for c in constraints)
 
@@ -510,7 +517,17 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
                 return False
         return True
 
-    return matches
+    return matches, None
+
+
+def _decides_itself(value: Any) -> bool:
+    """True when a dict lookup keyed by ``value`` finds exactly the values
+    ``== value``: the value hashes and equals itself."""
+    try:
+        hash(value)
+    except TypeError:
+        return False
+    return value == value
 
 
 def _match_everything(notification: Mapping[str, Any]) -> bool:
@@ -530,18 +547,24 @@ class Filter:
     (True iff every constraint matches).  ``key()``/``hash()`` are cached on
     first use, and so is the filter's place in an attribute index
     (:func:`repro.pubsub.matching.placement`).  Every routing-table candidate
-    pays full filter evaluation, so this is one of the hottest code paths in
+    pays filter evaluation — in full, or only its ``tail`` when its equality
+    bucket decided the rest — so this is one of the hottest code paths in
     the system.
     """
 
-    __slots__ = ("_constraints", "matches", "_key", "_hash", "_attrs", "_placement", "_wire_bin")
+    __slots__ = (
+        "_constraints", "matches", "tail", "_key", "_hash", "_attrs", "_placement", "_wire_bin"
+    )
 
     #: ``matches(mapping) -> bool``: the compiled conjunction
     matches: Callable[[Mapping[str, Any]], bool]
+    #: ``(attribute, value test)`` left open once the filter's equality
+    #: bucket has been probed, or ``None`` (see :func:`_compile_matches`)
+    tail: Optional[Tuple[str, Callable[[Any], bool]]]
 
     def __init__(self, constraints: Iterable[Constraint] = ()):
         self._constraints: Tuple[Constraint, ...] = tuple(constraints)
-        self.matches = _compile_matches(self._constraints)
+        self.matches, self.tail = _compile_matches(self._constraints)
         self._key: Optional[Tuple] = None
         self._hash: Optional[int] = None
         self._attrs: Optional[frozenset] = None

@@ -16,7 +16,10 @@ Two strategies are provided:
 
 :class:`AttributeIndex` is the system's one attribute index: the matcher
 holds one over its subscriptions, the routing table
-(:mod:`repro.pubsub.routing_table`) one over all of its entries.  Every query
+(:mod:`repro.pubsub.routing_table`) one over all of its entries.  A query
+is one call of :meth:`AttributeIndex.groups`, with no generator under it: it
+walks the equality buckets the notification selects and the range buckets
+its values stab, and returns the views it reached in one list.  Every query
 is answered from the index as it stands; nothing is memoized per
 notification, so a mutation is seen by the next query and a notification
 leaves nothing behind.  The index is maintained incrementally (a few dict
@@ -276,14 +279,6 @@ class _Shelf:
     def empty(self) -> bool:
         return not self.by_range and not self.unindexed
 
-    def groups(self, notification: Mapping) -> Iterator[Iterable[object]]:
-        """The range buckets ``notification``'s values stab, then ``unindexed``."""
-        for attribute, index in self.by_range.items():
-            # a missing attribute reads None, which stabs nothing
-            yield from index.stab(notification.get(attribute))
-        if self.unindexed:
-            yield self.unindexed.values()
-
 
 class AttributeIndex:
     """Attribute → value → entries pre-selection index over a set of filters.
@@ -301,10 +296,12 @@ class AttributeIndex:
     their ``Range`` if they have one, else in its ``unindexed`` remainder,
     which must always be evaluated.
 
-    :meth:`candidates` yields payloads (a ``Subscription`` for the matcher, a
-    ``RouteEntry`` for the routing table); :meth:`discard` takes the filter
-    the entry was added with, because the filter alone decides where the
-    entry lives.  ``repair_counter`` is handed to every range index.
+    :meth:`groups` returns, in one list, the groups of payloads (a
+    ``Subscription`` for the matcher, a ``RouteEntry`` for the routing
+    table) a notification selects, and :meth:`candidates` the same payloads
+    one after the other; :meth:`discard` takes the filter the entry was
+    added with, because the filter alone decides where the entry lives.
+    ``repair_counter`` is handed to every range index.
     """
 
     __slots__ = ("by_attr", "rest", "_repair_counter")
@@ -345,22 +342,24 @@ class AttributeIndex:
                 if not buckets:
                     del self.by_attr[attribute]
 
-    def groups(self, notification: Mapping) -> Iterator[Iterable[object]]:
-        """Yield the groups of payloads that could match ``notification``.
+    def groups(self, notification: Mapping) -> List[Iterable[object]]:
+        """The groups of payloads that could match ``notification``, in one list.
 
         ``notification`` is the plain attribute mapping, unwrapped once by
         the caller.  Groups are handed out whole — per equality bucket the
         notification's own pairs select, the range buckets its values stab
         and the view of the bucket's other entries; then the same for the
         entries without an equality key — so a caller's inner loop iterates
-        dict views, not a generator per payload.  The equality buckets come
-        first because their members already passed one test: a first-match
-        loop is decided there far more often than among the rest.  No payload
-        appears twice: each lives in exactly one place, a notification
-        carries each attribute once, and a value stabs one range bucket.
-        This is the single definition of candidate pre-selection; every
-        query path goes through it.
+        dict views, not a generator per payload, and the whole walk is this
+        one frame plus one ``stab`` call per range index reached.  The
+        equality buckets come first because their members already passed one
+        test: a first-match loop is decided there far more often than among
+        the rest.  No payload appears twice: each lives in exactly one place,
+        a notification carries each attribute once, and a value stabs one
+        range bucket.  This is the single definition of candidate
+        pre-selection; every query path goes through it.
         """
+        shelves = []
         by_attr = self.by_attr
         if by_attr:
             for attribute, value in notification.items():
@@ -368,12 +367,20 @@ class AttributeIndex:
                 if buckets is None:
                     continue
                 try:
-                    bucket = buckets.get(value)
+                    shelf = buckets.get(value)
                 except TypeError:  # unhashable notification value
                     continue
-                if bucket is not None:
-                    yield from bucket.groups(notification)
-        yield from self.rest.groups(notification)
+                if shelf is not None:
+                    shelves.append(shelf)
+        shelves.append(self.rest)
+        views: List[Iterable[object]] = []
+        for shelf in shelves:
+            for attribute, index in shelf.by_range.items():
+                # a missing attribute reads None, which stabs nothing
+                views += index.stab(notification.get(attribute))
+            if shelf.unindexed:
+                views.append(shelf.unindexed.values())
+        return views
 
     def candidates(self, notification: Mapping) -> Iterator[object]:
         """The payloads of :meth:`groups`, one after the other."""
@@ -459,10 +466,11 @@ class AttributeIndexMatcher:
     def match(self, notification: Mapping) -> List[Subscription]:
         attributes = attribute_dict(notification)
         matched = []
-        for sub in self._index.candidates(attributes):
-            self.full_evaluations += 1
-            if sub.filter.matches(attributes):
-                matched.append(sub)
+        for group in self._index.groups(attributes):
+            for sub in group:
+                self.full_evaluations += 1
+                if sub.filter.matches(attributes):
+                    matched.append(sub)
         return matched
 
     def matching_ids(self, notification: Mapping) -> Set[str]:

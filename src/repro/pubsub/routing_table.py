@@ -21,12 +21,15 @@ Two matching strategies are available (the ``matcher`` knob):
   (if it has one) in an :class:`~repro.pubsub.matching.IntervalBucketIndex`
   (bucketed boundary cuts, split when a query finds a bucket oversized);
   entries without an equality key are placed by their ``Range`` alone.  At
-  match time the index is probed once: only the entries the notification's
-  own values select (plus the unindexable ones) are candidates, and a
-  candidate whose link is already decided or excluded is skipped without
-  being evaluated.  A table of at most :data:`SMALL_TABLE_SCAN` entries is
-  scanned link by link instead, first match deciding each link.  Results are
-  identical to brute force — the index is purely a candidate pre-selection.
+  match time the index is probed once and hands back one list of groups:
+  only the entries the notification's own values select (plus the
+  unindexable ones) are candidates, a candidate whose link is already
+  decided or excluded is skipped without being evaluated, and a candidate
+  whose filter has a ``tail`` (:class:`~repro.pubsub.filters.Filter`) is
+  tested on that alone, because its equality bucket decided the rest.  A
+  table of at most :data:`SMALL_TABLE_SCAN` entries is scanned link by link
+  instead, first match deciding each link.  Results are identical to brute
+  force — the index is purely a candidate pre-selection.
 
 The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
@@ -44,7 +47,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
-from .filters import Filter
+from .filters import _MISSING, Filter
 from .matching import AttributeIndex
 from .notification import attribute_dict
 from .subscription import Subscription
@@ -181,20 +184,36 @@ class RoutingTable:
                     break
         return result
 
-    def _probe(self, attributes: Mapping, excluded: Set[str]) -> List[str]:
+    def _probe(self, attributes: Mapping, decided: Set[str]) -> List[str]:
         """The links :meth:`destinations` answers, unsorted, from one probe of
         the index: a candidate on a link already decided or excluded is
-        skipped unevaluated, and the probe stops once every link is decided."""
-        decided = set(excluded)
-        undecided = len(self._by_link.keys() - decided)
+        skipped unevaluated, a candidate with a ``tail`` is tested on that
+        alone (its equality bucket decided the rest), and the probe stops
+        once every link is decided.  ``decided`` is the caller's own set of
+        excluded links; the probe adds each link it decides."""
+        by_link = self._by_link
+        undecided = len(by_link)
+        for link in decided:
+            if link in by_link:
+                undecided -= 1
         result: List[str] = []
         if not undecided:
             return result
+        get = attributes.get
         for group in self._index.groups(attributes):
             for entry in group:
                 link = entry.link
-                if link in decided or not entry.filter.matches(attributes):
+                if link in decided:
                     continue
+                filter = entry.filter
+                tail = filter.tail
+                if tail is None:
+                    if not filter.matches(attributes):
+                        continue
+                else:
+                    value = get(tail[0], _MISSING)
+                    if value is _MISSING or not tail[1](value):
+                        continue
                 decided.add(link)
                 result.append(link)
                 if len(result) == undecided:
@@ -227,12 +246,23 @@ class RoutingTable:
         excluded = set(exclude)
         attributes = attribute_dict(notification)
         if self._indexed:
-            return [
-                entry
-                for group in self._index.groups(attributes)
-                for entry in group
-                if entry.link not in excluded and entry.filter.matches(attributes)
-            ]
+            get = attributes.get
+            found: List[RouteEntry] = []
+            for group in self._index.groups(attributes):
+                for entry in group:
+                    if entry.link in excluded:
+                        continue
+                    filter = entry.filter
+                    tail = filter.tail
+                    if tail is None:
+                        if not filter.matches(attributes):
+                            continue
+                    else:
+                        value = get(tail[0], _MISSING)
+                        if value is _MISSING or not tail[1](value):
+                            continue
+                    found.append(entry)
+            return found
         matched: List[RouteEntry] = []
         for link, entries in self._by_link.items():
             if link in excluded:

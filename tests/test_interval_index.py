@@ -505,6 +505,19 @@ class TestNaNRegression:
             table.add(Filter([Equals("value", math.nan)]), "L1", "s1")
             assert table.destinations({"value": math.nan}) == [], matcher
 
+    def test_nan_equals_on_the_probe_path(self):
+        """A table too large to scan, every entry ``Equals("k", nan) AND
+        Range``, probed with the *same* NaN object: the dict finds the
+        equality bucket by identity, and ``nan == nan`` still says no."""
+        nan = math.nan
+        probe = {"k": nan, "value": 5}
+        for matcher in ("brute", "indexed"):
+            table = RoutingTable(matcher=matcher)
+            for i in range(SMALL_TABLE_SCAN + 4):
+                table.add(Filter([Equals("k", nan), Range("value", 0, 10)]), f"L{i % 3}", f"s{i}")
+            assert table.destinations(probe) == [], matcher
+            assert table.matching_entries(probe) == [], matcher
+
 
 def _deliveries(matcher: str, seed: int):
     """End-to-end: a range-only population through a broker tree, published

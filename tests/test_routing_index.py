@@ -35,8 +35,43 @@ SERVICES = ["temperature", "stock", "news", "traffic"]
 LOCATIONS = ["r1", "r2", "r3", "r4", "r5"]
 
 
+#: one NaN object: a notification carrying it finds an ``Equals(NAN)``
+#: bucket by identity, although ``NAN == NAN`` is false
+NAN = float("nan")
+
+
+def bucket_shape_filter(rng: random.Random) -> Filter:
+    """A two-constraint filter led by an ``Equals`` whose equality bucket may
+    or may not decide that ``Equals`` on a candidate's behalf."""
+    low = rng.randint(0, 30)
+    second = Range("value", low, low + rng.randint(0, 20))
+    shape = rng.randrange(5)
+    if shape == 0:
+        # NaN key: the bucket is found by identity, the Equals still says no
+        return Filter([Equals("service", NAN), second])
+    if shape == 1:
+        # unhashable first Equals: the bucket is the second constraint's, and
+        # a candidate from it has passed the second, not the first
+        return Filter([Equals("tags", ["a", "b"]), Equals("service", rng.choice(SERVICES))])
+    if shape == 2:
+        # repeated Equals on one attribute: matches only when both agree
+        return Filter(
+            [Equals("service", rng.choice(SERVICES)), Equals("service", rng.choice(SERVICES))]
+        )
+    if shape == 3:
+        # the second constraint's attribute is mostly absent, and a missing
+        # attribute fails even a NotEquals
+        return Filter([Equals("service", rng.choice(SERVICES)), NotEquals("tags", ["b"])])
+    # 1 == True == 1.0 share one bucket, whichever spelling keyed it
+    return Filter([Equals("flag", rng.choice([1, True, 1.0])), second])
+
+
 def random_filter(rng: random.Random) -> Filter:
-    """A random filter; roughly half get an indexable equality constraint."""
+    """A random filter; roughly half get an indexable equality constraint,
+    and one in eight is a :func:`bucket_shape_filter`."""
+    roll = rng.random()
+    if roll < 0.125:
+        return bucket_shape_filter(rng)
     roll = rng.random()
     if roll < 0.05:
         return match_all()
@@ -67,10 +102,11 @@ def random_filter(rng: random.Random) -> Filter:
 
 def random_notification(rng: random.Random) -> Notification:
     attrs = {
-        "service": rng.choice(SERVICES),
+        "service": NAN if rng.random() < 0.05 else rng.choice(SERVICES),
         "location": rng.choice(LOCATIONS),
         # True/False equal 1/0 and hash alike, yet no Range accepts them
         "value": rng.choice([rng.randint(0, 50), rng.randint(0, 1), True, False]),
+        "flag": rng.choice([1, True, 1.0, 0, False]),
     }
     if rng.random() < 0.1:
         attrs["tags"] = ["a", "b"]  # unhashable attribute value
