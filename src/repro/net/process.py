@@ -128,7 +128,7 @@ class Process:
         All messages share a single delivery event on the simulator (they
         arrive at the same time, in list order), so a burst of per-entry
         control messages — e.g. re-issuing every subscription on reconnect —
-        costs one heap entry per link instead of one per message.  Per-message
+        costs one queued event per link instead of one per message.  Per-message
         stats are recorded exactly as with :meth:`send`.
         """
         if not messages:

@@ -18,8 +18,8 @@ Typical usage::
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
 
@@ -27,29 +27,32 @@ class SimulationError(RuntimeError):
     """Raised when the simulator is used incorrectly (e.g. scheduling in the past)."""
 
 
-# Heap entries have one shape, ``(time, seq, callback, args, handle)``: ``seq``
-# is unique, so comparisons never reach past it, and tuple ordering avoids a
-# ``__lt__`` dispatch per push/pop.  ``handle`` is the :class:`EventHandle` of
-# an event scheduled through the public API, or ``None`` for a link delivery —
-# nothing can cancel those, so a simulated message allocates no handle.
+# The queue is one FIFO per timestamp plus a heap of the distinct pending
+# times.  An entry is ``(callback, args, handle)``, appended to its time's
+# deque in scheduling order, so each deque is already in the order events at
+# that time must run, and the heap is sifted once per distinct time, not once
+# per event: a blast of thousands of same-time deliveries is thousands of
+# ``popleft`` calls, each freeing its entry (and the message it carries) as
+# it runs, not when its time is done.  ``handle`` is the :class:`EventHandle`
+# of an event scheduled through the public API, or ``None`` for a link
+# delivery — nothing can cancel those, so a simulated message allocates no
+# handle.
 
 
 class EventHandle:
     """Handle returned by :meth:`Simulator.schedule`, usable for cancellation."""
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "executed", "_sim", "_epoch")
+    __slots__ = ("time", "callback", "args", "cancelled", "executed", "_sim", "_epoch")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         callback: Callable[..., Any],
         args: tuple,
         sim: "Simulator" = None,
         epoch: int = 0,
     ):
         self.time = time
-        self.seq = seq
         self.callback = callback
         self.args = args
         self.cancelled = False
@@ -86,12 +89,14 @@ class Simulator:
 
     def __init__(self, start_time: float = 0.0):
         self._now = float(start_time)
-        self._queue: list[tuple[float, int, Callable[..., Any], tuple, Optional[EventHandle]]] = []
-        self._seq = itertools.count()
+        self._buckets: dict[float, deque[tuple]] = {}
+        self._times: list[float] = []  # heap of the keys of ``_buckets``
         self.events_processed = 0
         self.events_scheduled = 0
-        # count of cancelled-but-not-yet-popped events, so ``pending`` is O(1);
-        # the epoch guards the counter against handles cancelled after clear()
+        # events that left the queue unrun (cancelled ones popped, all that
+        # clear() dropped) and cancelled ones still queued, so ``pending`` is
+        # O(1); the epoch guards the latter against a cancel after clear()
+        self._discarded = 0
         self._cancelled_in_queue = 0
         self._epoch = 0
 
@@ -114,10 +119,8 @@ class Simulator:
 
     def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to run at absolute simulated ``time``."""
-        self._check_not_past(time)
-        seq = next(self._seq)
-        handle = EventHandle(time, seq, callback, args, self, self._epoch)
-        heapq.heappush(self._queue, (time, seq, callback, args, handle))
+        handle = EventHandle(time, callback, args, self, self._epoch)
+        self._bucket(time).append((callback, args, handle))
         self.events_scheduled += 1
         return handle
 
@@ -127,15 +130,25 @@ class Simulator:
         For events nothing will ever cancel (a link delivery): ordering and
         counters are those of :meth:`schedule_at`, minus the handle allocation.
         """
-        self._check_not_past(time)
-        heapq.heappush(self._queue, (time, next(self._seq), callback, args, None))
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            bucket = self._bucket(time)
+        bucket.append((callback, args, None))
         self.events_scheduled += 1
 
-    def _check_not_past(self, time: float) -> None:
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at t={time:.6f}, which is before now={self._now:.6f}"
-            )
+    def _bucket(self, time: float) -> deque[tuple]:
+        """The FIFO of ``time``; a time that has one is never before now, so only opening checks."""
+        bucket = self._buckets.get(time)
+        if bucket is None:
+            if not time >= self._now:  # not ``time < now``: that is false for NaN
+                raise SimulationError(
+                    "cannot schedule at t=nan: an event needs a time to run at"
+                    if time != time
+                    else f"cannot schedule at t={time:.6f}, which is before now={self._now:.6f}"
+                )
+            bucket = self._buckets[time] = deque()
+            heappush(self._times, time)
+        return bucket
 
     def call_now(self, callback: Callable[..., Any], *args: Any) -> EventHandle:
         """Schedule ``callback`` to run at the current time (after pending same-time events)."""
@@ -147,32 +160,40 @@ class Simulator:
 
         Returns the simulated time when the run stopped.
         """
-        queue = self._queue
-        pop = heapq.heappop
+        buckets = self._buckets
+        times = self._times
         processed = 0
-        while queue:
-            if max_events is not None and processed >= max_events:
-                break
-            time, _seq, callback, args, handle = queue[0]
-            if handle is not None and handle.cancelled:
-                pop(queue)
-                self._cancelled_in_queue -= 1
-                if not queue:  # only cancelled events were left: time stays put
-                    break
-                continue
-            if until is not None and time > until:
-                self._now = until
-                break
-            pop(queue)
-            if handle is not None:
-                handle.executed = True
-            self._now = time
-            self.events_processed += 1
-            callback(*args)
-            processed += 1
-        else:
-            if until is not None and until > self._now:
-                self._now = until
+        dropped = False  # whether the last entry taken was a cancelled one
+        while times:
+            time = times[0]
+            bucket = buckets[time]
+            late = until is not None and time > until
+            while bucket:
+                if max_events is not None and processed >= max_events:
+                    return self._now
+                callback, args, handle = bucket.popleft()
+                if handle is not None and handle.cancelled:
+                    self._cancelled_in_queue -= 1
+                    self._discarded += 1
+                    dropped = True
+                    continue
+                if late:
+                    bucket.appendleft((callback, args, handle))
+                    self._now = until
+                    return until
+                if handle is not None:
+                    handle.executed = True
+                self._now = time
+                self.events_processed += 1
+                dropped = False
+                callback(*args)
+                processed += 1
+            if buckets.get(time) is bucket:  # else a callback cleared or ran the queue
+                heappop(times)
+                del buckets[time]
+        # the queue ran dry; if only cancelled events were left, time stays put
+        if not dropped and until is not None and until > self._now:
+            self._now = until
         return self._now
 
     def run_until_idle(self, max_events: int = 10_000_000) -> float:
@@ -182,12 +203,17 @@ class Simulator:
     # ------------------------------------------------------------------ misc
     @property
     def pending(self) -> int:
-        """Number of non-cancelled events still in the queue (O(1))."""
-        return len(self._queue) - self._cancelled_in_queue
+        """Number of non-cancelled events still in the queue (O(1), from the counters)."""
+        queued = self.events_scheduled - self.events_processed - self._discarded
+        return queued - self._cancelled_in_queue
 
     def clear(self) -> None:
         """Drop all pending events (useful between experiment repetitions)."""
-        self._queue.clear()
+        for bucket in self._buckets.values():  # a run in progress sees them go
+            bucket.clear()
+        self._buckets.clear()
+        self._times.clear()
+        self._discarded = self.events_scheduled - self.events_processed
         self._cancelled_in_queue = 0
         # cancelling a handle from before the clear must not skew the counter
         self._epoch += 1

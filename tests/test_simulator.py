@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event simulator."""
 
 import itertools
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -57,6 +58,23 @@ class TestScheduling:
         with pytest.raises(SimulationError):
             sim.schedule_at(1.0, lambda: None)
 
+    def test_nan_time_rejected(self):
+        """``nan < now`` is false, so a NaN time once slipped past the check and
+        ran out of order, with the clock reading NaN while it ran."""
+        sim = Simulator()
+        order = []
+        for delay in (3.0, 1.0, 2.0, 0.5):
+            sim.schedule(delay, lambda: order.append(sim.now))
+        with pytest.raises(SimulationError, match="t=nan"):
+            sim.schedule(float("nan"), lambda: order.append(sim.now))
+        with pytest.raises(SimulationError, match="t=nan"):
+            sim.schedule_at(float("nan"), lambda: order.append(sim.now))
+        assert (sim.events_scheduled, sim.pending) == (4, 4)
+        sim.run_until_idle()
+        assert order == [0.5, 1.0, 2.0, 3.0]
+        with pytest.raises(SimulationError, match="t=nan"):
+            sim.schedule_at(float("nan"), lambda: None)
+
     def test_call_now_runs_after_pending_same_time_events(self):
         sim = Simulator()
         order = []
@@ -105,6 +123,18 @@ class TestCancellation:
         sim.clear()
         assert sim.pending == 0
         assert sim.run_until_idle() == 0.0
+
+    def test_clear_inside_a_callback_drops_the_rest_of_its_time(self):
+        sim = Simulator()
+        order = []
+        sim.schedule(1.0, sim.clear)
+        sim.schedule(1.0, order.append, "same time")
+        sim.schedule(2.0, order.append, "later")
+        sim.run_until_idle()
+        assert order == [] and sim.pending == 0 and sim.now == 1.0
+        sim.call_now(order.append, "after")
+        sim.run_until_idle()
+        assert order == ["after"] and sim.pending == 0
 
 
 class TestRunControl:
@@ -255,13 +285,21 @@ class TestPendingAccounting:
 
 # ----------------------------------------------------- the queue, as a model
 #
-# A reference for the heap: every event ever queued sits in one list, the next
-# to run is ``min`` over it by ``(time, seq)``, and a cancelled event stays in
-# the list until it would have run -- the lazy deletion the heap does.  Link
-# deliveries share the queue and its ``seq`` counter but carry no handle.
+# A reference for the queue: every event ever queued sits in one list, the
+# next to run is ``min`` over it by ``(time, seq)``, and a cancelled event
+# stays in the list until it would have run -- the lazy deletion the queue
+# does.  Link deliveries share the list and its ``seq`` counter but carry no
+# handle.  The simulator keeps no ``seq``: a time's FIFO is its order.
 
 LATENCY = 0.25
 OFFSETS = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # a coarse grid: same-time collisions
+#: one link per sink: the grid's latency, zero (a send lands in the time that
+#: is running), and another on the grid (two arrival streams interleave)
+LATENCIES = {"b": LATENCY, "c": 0.0, "d": 0.5}
+
+
+class _Raised(Exception):
+    """What a ``raise`` action throws; ``_drive`` catches it and resumes."""
 
 
 class _Handle:
@@ -334,19 +372,21 @@ class _Sink(Process):
         self.log.append(message.payload)
 
 
+_SENDS = st.tuples(st.sampled_from(sorted(LATENCIES)), st.integers(1, 3))
 #: what an event does when it runs: nothing, cancel a handle (its own
-#: included), schedule a follow-up, or send a burst over the link
+#: included), schedule a follow-up, send a burst over a link, or raise
 _ACTIONS = st.one_of(
     st.none(),
     st.tuples(st.just("cancel"), st.integers(0, 30)),
     st.tuples(st.just("spawn"), OFFSETS),
-    st.tuples(st.just("send"), st.integers(1, 3)),
+    st.tuples(st.just("send"), _SENDS),
+    st.tuples(st.just("raise"), st.none()),
 )
 _OPS = st.lists(
     st.one_of(
         st.tuples(st.just("schedule"), OFFSETS, _ACTIONS),
         st.tuples(st.just("schedule_at"), OFFSETS, _ACTIONS),
-        st.tuples(st.just("send"), st.integers(1, 3)),
+        st.tuples(st.just("send"), _SENDS),
         st.tuples(st.just("cancel"), st.integers(0, 30)),
         st.tuples(st.just("run_until"), OFFSETS),
         st.tuples(st.just("run_max"), st.integers(0, 3)),
@@ -357,7 +397,8 @@ _OPS = st.lists(
 
 def _drive(clock, send, ops, log):
     """Apply ``ops`` to ``clock``, events and deliveries appending to ``log``;
-    return a snapshot ``(now, processed, scheduled, pending, logged)`` per op."""
+    return a snapshot ``(now, processed, scheduled, pending, logged)`` per op.
+    A ``raise`` escapes the run that fired it; it is logged and the ops go on."""
     handles = []
     labels = itertools.count()
 
@@ -371,7 +412,20 @@ def _drive(clock, send, ops, log):
         elif kind == "spawn":
             handles.append(clock.schedule(argument, fire, f"e{next(labels)}", None))
         elif kind == "send":
-            send([f"m{next(labels)}" for _ in range(argument)])
+            burst(*argument)
+        elif kind == "raise":
+            raise _Raised(label)
+
+    def burst(sink, count):
+        send(sink, [f"m{next(labels)}" for _ in range(count)])
+
+    def run(**bounds):
+        try:
+            clock.run(**bounds)
+        except _Raised as raised:
+            log.append(f"raised {raised}")
+            return True
+        return False
 
     snapshots = []
     for kind, argument, *action in ops:
@@ -381,48 +435,99 @@ def _drive(clock, send, ops, log):
             time = clock.now + argument
             handles.append(clock.schedule_at(time, fire, f"e{next(labels)}", action[0]))
         elif kind == "send":
-            send([f"m{next(labels)}" for _ in range(argument)])
+            burst(*argument)
         elif kind == "cancel" and handles:
             handles[argument % len(handles)].cancel()
         elif kind == "run_until":
-            clock.run(until=clock.now + argument)
+            run(until=clock.now + argument)
         elif kind == "run_max":
-            clock.run(max_events=argument)
+            run(max_events=argument)
         snapshots.append(
             (clock.now, clock.events_processed, clock.events_scheduled, clock.pending, len(log))
         )
-    clock.run_until_idle()
+    while run():  # run_until_idle, resumed after every raise
+        pass
     snapshots.append((clock.now, clock.events_processed, clock.events_scheduled, clock.pending))
     return snapshots
+
+
+def _simulator_and_model_agree(ops):
+    """Drive the simulator (deliveries over real links) and the model on
+    ``ops``; assert they agree step by step and return the simulator's log."""
+    sim = Simulator()
+    sim_log = []
+    a = Process(sim, "a")
+    for name, latency in LATENCIES.items():
+        Link(sim, a, _Sink(sim, name, sim_log), latency=latency)
+
+    def sim_send(sink, payloads):
+        if len(payloads) == 1:  # Link.transmit
+            a.send(sink, Message("m", payload=payloads[0]))
+        else:  # Link.transmit_many: one event for the burst
+            a.send_many(sink, [Message("m", payload=p) for p in payloads])
+
+    model = _ReferenceQueue()
+    model_log = []
+
+    def model_send(sink, payloads):
+        model.schedule_at(model.now + LATENCIES[sink], model_log.extend, payloads)
+
+    assert _drive(sim, sim_send, ops, sim_log) == _drive(model, model_send, ops, model_log)
+    assert sim_log == model_log
+    # execution order is the (time, seq) order, minus what was cancelled
+    assert model.executed == sorted(model.executed)
+    assert len(model.executed) == sim.events_processed
+    assert sim.pending == 0 and sim._cancelled_in_queue == 0
+    return sim_log
 
 
 class TestQueueAgainstAReferenceModel:
     @settings(max_examples=300, deadline=None)
     @given(ops=_OPS)
     def test_random_schedules_sends_cancels_and_slices(self, ops):
-        sim = Simulator()
-        sim_log = []
-        a, b = Process(sim, "a"), _Sink(sim, "b", sim_log)
-        Link(sim, a, b, latency=LATENCY)
+        _simulator_and_model_agree(ops)
 
-        def sim_send(payloads):
-            if len(payloads) == 1:  # Link.transmit
-                a.send("b", Message("m", payload=payloads[0]))
-            else:  # Link.transmit_many: one event for the burst
-                a.send_many("b", [Message("m", payload=p) for p in payloads])
+    def test_a_zero_latency_send_lands_in_the_running_time(self):
+        log = _simulator_and_model_agree(
+            [
+                ("schedule", 0.25, ("send", ("c", 2))),
+                ("schedule", 0.25, ("send", ("c", 1))),
+                ("schedule", 0.25, None),
+                ("run_until", 0.25),
+                ("send", ("c", 1)),  # between runs: opens a time at now
+                ("schedule", 0.0, None),
+            ]
+        )
+        # the sends join the back of t=0.25, behind e2, in the order sent
+        assert log == ["e0", "e1", "e2", "m3", "m4", "m5", "m6", "e7"]
 
-        model = _ReferenceQueue()
-        model_log = []
+    def test_two_arrival_streams_interleave(self):
+        log = _simulator_and_model_agree(
+            [
+                ("send", ("d", 1)),  # arrives at 0.5
+                ("send", ("b", 2)),  # arrives at 0.25
+                ("run_until", 0.25),
+                ("send", ("b", 1)),  # arrives at 0.5, behind m0
+                ("send", ("d", 1)),  # arrives at 0.75
+                ("run_until", 0.25),
+                ("send", ("b", 1)),  # arrives at 0.75, behind m4
+            ]
+        )
+        assert log == ["m1", "m2", "m0", "m3", "m4", "m5"]
 
-        def model_send(payloads):
-            model.schedule_at(model.now + LATENCY, model_log.extend, payloads)
-
-        assert _drive(sim, sim_send, ops, sim_log) == _drive(model, model_send, ops, model_log)
-        assert sim_log == model_log
-        # execution order is the (time, seq) order, minus what was cancelled
-        assert model.executed == sorted(model.executed)
-        assert len(model.executed) == sim.events_processed
-        assert sim.pending == 0 and sim._cancelled_in_queue == 0
+    def test_a_raising_event_leaves_the_rest_of_its_time_queued(self):
+        log = _simulator_and_model_agree(
+            [
+                ("schedule", 0.25, None),
+                ("schedule", 0.25, ("raise", None)),
+                ("schedule", 0.25, ("send", ("c", 1))),
+                ("schedule", 0.5, None),
+                ("run_until", 1.0),  # e1 raises: e2 and e3 stay queued
+                ("run_max", 1),  # the next to run is e2, at the same time
+                ("schedule", 0.0, ("raise", None)),  # the last event of t=0.25 raises
+            ]
+        )
+        assert log == ["e0", "e1", "raised e1", "e2", "m4", "e5", "raised e5", "e3"]
 
     def test_a_link_delivery_allocates_no_handle(self, monkeypatch):
         created = []
@@ -445,3 +550,63 @@ class TestQueueAgainstAReferenceModel:
         assert (sim.events_scheduled, sim.events_processed) == (6, 6)
         sim.schedule(1.0, lambda: None)
         assert len(created) == 1  # the public API still hands out a handle
+
+
+class _Payload:
+    __slots__ = ("n", "__weakref__")
+
+    def __init__(self, n):
+        self.n = n
+
+
+class _CountingSink(Process):
+    """Logs each payload's number and, every 500 deliveries, checks the queue
+    and how many payloads delivered so far are still alive."""
+
+    def __init__(self, sim, name, refs, checks):
+        super().__init__(sim, name)
+        self.refs = refs
+        self.checks = checks
+        self.log = []
+
+    def on_message(self, message):
+        self.log.append(message.payload.n)
+        delivered = len(self.log)
+        if delivered % 500 == 0:
+            alive = sum(ref() is not None for ref in self.refs[:delivered])
+            self.checks.append((delivered, self.sim.events_processed, self.sim.pending, alive))
+
+
+def _counters(sim):
+    return sim.events_scheduled, sim.events_processed, sim.pending
+
+
+class TestSameTimeBlast:
+    BLAST = 5_000
+
+    def test_a_blast_runs_in_order_and_frees_each_delivery_as_it_runs(self):
+        sim = Simulator()
+        refs, checks = [], []
+        a, c = Process(sim, "a"), Process(sim, "c")
+        sink = _CountingSink(sim, "b", refs, checks)
+        Link(sim, a, sink, latency=LATENCY)
+        Link(sim, c, sink, latency=LATENCY)
+        for n in range(self.BLAST):  # alternate the two links
+            payload = _Payload(n)
+            refs.append(weakref.ref(payload))
+            (a if n % 2 == 0 else c).send("b", Message("m", payload=payload))
+        del payload
+        assert _counters(sim) == (self.BLAST, 0, self.BLAST)
+
+        sim.run_until_idle()
+
+        assert sink.log == list(range(self.BLAST))
+        assert sim.now == LATENCY
+        assert _counters(sim) == (self.BLAST, self.BLAST, 0)
+        # mid-blast the rest of the time is still queued, yet at most the
+        # delivery that is running is alive: a run does not keep what it ran
+        assert [(k, processed, pending) for k, processed, pending, _ in checks] == [
+            (k, k, self.BLAST - k) for k in range(500, self.BLAST + 1, 500)
+        ]
+        assert max(alive for *_, alive in checks) <= 2
+        assert all(ref() is None for ref in refs)
