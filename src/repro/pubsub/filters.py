@@ -546,14 +546,22 @@ class Filter:
     ``filter.matches(mapping)`` is a single Python frame for any ``Mapping``
     (True iff every constraint matches).  ``key()``/``hash()`` are cached on
     first use, and so is the filter's place in an attribute index
-    (:func:`repro.pubsub.matching.placement`).  Every routing-table candidate
-    pays filter evaluation — in full, or only its ``tail`` when its equality
-    bucket decided the rest — so this is one of the hottest code paths in
-    the system.
+    (:func:`repro.pubsub.matching.placement`) and the constraints :meth:`covers`
+    reads by attribute.  Every routing-table candidate pays filter evaluation
+    — in full, or only its ``tail`` when its equality bucket decided the
+    rest — so this is one of the hottest code paths in the system.
     """
 
     __slots__ = (
-        "_constraints", "matches", "tail", "_key", "_hash", "_attrs", "_placement", "_wire_bin"
+        "_constraints",
+        "matches",
+        "tail",
+        "_key",
+        "_hash",
+        "_attrs",
+        "_on_attr",
+        "_placement",
+        "_wire_bin",
     )
 
     #: ``matches(mapping) -> bool``: the compiled conjunction
@@ -568,6 +576,7 @@ class Filter:
         self._key: Optional[Tuple] = None
         self._hash: Optional[int] = None
         self._attrs: Optional[frozenset] = None
+        self._on_attr: Optional[Dict[str, List[Constraint]]] = None
         self._placement: Optional[Tuple] = None
         # the binary wire fragment, cached by repro.net.wire (filters are
         # immutable); never part of equality or hashing
@@ -619,13 +628,19 @@ class Filter:
         constraint of ``other`` on the same attribute that is covered by
         ``c``.  The empty filter covers everything.
         """
-        if not self.attribute_set <= other.attribute_set:
+        # the cached attribute sets, read past the property once computed
+        if not (self._attrs or self.attribute_set) <= (other._attrs or other.attribute_set):
             return False
+        on_attr = other._on_attr
+        if on_attr is None:
+            on_attr = other._on_attr = {}
+            for constraint in other._constraints:
+                on_attr.setdefault(constraint.attribute, []).append(constraint)
         for mine in self._constraints:
-            others = other.constraints_on(mine.attribute)
-            if not others:
-                return False
-            if not any(mine.covers(theirs) for theirs in others):
+            for theirs in on_attr[mine.attribute]:
+                if mine.covers(theirs):
+                    break
+            else:
                 return False
         return True
 

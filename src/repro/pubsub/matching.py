@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from itertools import chain
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .filters import Equals, Filter, InSet, Range
 from .notification import Notification, attribute_dict
@@ -298,10 +298,9 @@ class AttributeIndex:
 
     :meth:`groups` returns, in one list, the groups of payloads (a
     ``Subscription`` for the matcher, a ``RouteEntry`` for the routing
-    table) a notification selects, and :meth:`candidates` the same payloads
-    one after the other; :meth:`discard` takes the filter the entry was
-    added with, because the filter alone decides where the entry lives.
-    ``repair_counter`` is handed to every range index.
+    table) a notification selects; :meth:`discard` takes the filter the
+    entry was added with, because the filter alone decides where the entry
+    lives.  ``repair_counter`` is handed to every range index.
     """
 
     __slots__ = ("by_attr", "rest", "_repair_counter")
@@ -357,7 +356,8 @@ class AttributeIndex:
         the rest.  No payload appears twice: each lives in exactly one place,
         a notification carries each attribute once, and a value stabs one
         range bucket.  This is the single definition of candidate
-        pre-selection; every query path goes through it.
+        pre-selection; every query path goes through it.  An unhashable value
+        (it may equal a pin) raises ``TypeError``: evaluate every entry.
         """
         shelves = []
         by_attr = self.by_attr
@@ -366,10 +366,7 @@ class AttributeIndex:
                 buckets = by_attr.get(attribute)
                 if buckets is None:
                     continue
-                try:
-                    shelf = buckets.get(value)
-                except TypeError:  # unhashable notification value
-                    continue
+                shelf = buckets.get(value)
                 if shelf is not None:
                     shelves.append(shelf)
         shelves.append(self.rest)
@@ -381,10 +378,6 @@ class AttributeIndex:
             if shelf.unindexed:
                 views.append(shelf.unindexed.values())
         return views
-
-    def candidates(self, notification: Mapping) -> Iterator[object]:
-        """The payloads of :meth:`groups`, one after the other."""
-        return chain.from_iterable(self.groups(notification))
 
 
 class BruteForceMatcher:
@@ -465,8 +458,12 @@ class AttributeIndexMatcher:
     # --------------------------------------------------------------- matching
     def match(self, notification: Mapping) -> List[Subscription]:
         attributes = attribute_dict(notification)
+        try:
+            groups = self._index.groups(attributes)
+        except TypeError:  # an unhashable value: every subscription in full
+            groups = [self._subscriptions.values()]
         matched = []
-        for group in self._index.groups(attributes):
+        for group in groups:
             for sub in group:
                 self.full_evaluations += 1
                 if sub.filter.matches(attributes):

@@ -22,15 +22,15 @@ substrate comparison, so this module implements the whole family:
 The identity, covering and merging strategies decide through a maintained
 per-link :class:`_ForwardedFilterIndex`: a refcounted multiset of forwarded
 filter keys, distinct filters grouped by constrained attribute set (the
-covering candidate bound) and, inside it, by one pinned equality value, a
-memoised ``covers`` relation, and refcounted constraint counts from which
-merging reads its merged filter without re-folding the merge chain.  Every
-suppressed (subscription, link) pair waits behind the advertised filter that
-suppresses it (its *witness*), so an unsubscription re-examines only the
-pairs whose witness it took away, not the routing table.  The specification
-the index must agree with — rebuild the forwarded-filter list per query and
-re-examine every subscription after every unsubscription — is the test
-oracle :class:`~repro.pubsub.testing.ScanAdvertising`.
+covering candidate bound) and, inside it, by one pinned equality value, and
+refcounted constraint counts from which merging reads its merged filter
+without re-folding the merge chain.  Every suppressed (subscription, link)
+pair waits behind the advertised filter that suppresses it (its *witness*),
+so an unsubscription re-examines only the pairs whose witness it took away,
+not the routing table.  The specification the index must agree with —
+rebuild the forwarded-filter list per query and re-examine every
+subscription after every unsubscription — is the test oracle
+:class:`~repro.pubsub.testing.ScanAdvertising`.
 
 All strategies are stateful per broker and interact with their broker through
 a narrow interface (`routing_table`, `broker_neighbors`, `forward_subscribe`,
@@ -119,13 +119,14 @@ class _LinkAdverts:
 
     On top sits the suppression record.  ``witness`` maps the key of a filter
     found redundant here to the key of the advertised filter that makes it so
-    (``covers`` is a pure function of the two keys), ``witnessed`` is its
-    inverse, and ``waiting`` holds the subscriptions suppressed on this link,
-    by the key of their suppressed filter.  A ``witness`` entry lives only
-    while its witness is advertised, so its presence *is* the answer "still
-    covered"; when the witness's refcount reaches zero the entry goes and
-    the subscriptions waiting on it are handed back as *orphans* — the only
-    ones an unsubscription has to re-examine.
+    (``covers`` taken as a function of keys, though ``v == 1`` and
+    ``v == True`` share one), ``witnessed`` is its inverse, and ``waiting``
+    holds the subscriptions suppressed on this link, by the key of their
+    suppressed filter.  A ``witness`` entry lives only while its witness is
+    advertised, so its presence *is* the answer "still covered"; when the
+    witness's refcount reaches zero the entry goes and the subscriptions
+    waiting on it are handed back as *orphans* — the only ones an
+    unsubscription has to re-examine.
     """
 
     __slots__ = (
@@ -247,19 +248,14 @@ class _LinkAdverts:
 class _ForwardedFilterIndex:
     """Incrementally maintained cover structure over forwarded filters.
 
-    One :class:`_LinkAdverts` per link plus a globally memoised ``covers``
-    relation keyed by filter-key pairs (filter keys identify filters up to
-    semantic equality, so the memo is sound).  The cache is cleared when it
-    exceeds :data:`COVERS_CACHE_LIMIT` entries, bounding broker memory; the
-    per-link witness memo needs no bound of its own — an entry dies with its
-    witness, with the last subscription waiting on it, or with the link.
+    One :class:`_LinkAdverts` per link.  A candidate is tested with
+    ``Filter.covers`` itself: a memo keyed by filter-key pairs cost more than
+    the test.  The per-link witness memo needs no bound — an entry dies with
+    its witness, with the last subscription waiting on it, or with the link.
     """
-
-    COVERS_CACHE_LIMIT = 1 << 20
 
     def __init__(self, hits=NULL_COUNTER) -> None:
         self._links: Dict[str, _LinkAdverts] = {}
-        self._covers_cache: Dict[Tuple[Tuple, Tuple], bool] = {}
         # live-metrics counter bumped whenever the index answers "covered"
         # (the forwarding suppressions the incremental structure exists for)
         self._hits = hits
@@ -308,17 +304,6 @@ class _ForwardedFilterIndex:
         state = self._links.get(link)
         return state is not None and key in state.key_count
 
-    def covers_cached(self, coverer: Filter, coveree: Filter) -> bool:
-        pair = (coverer.key(), coveree.key())
-        cache = self._covers_cache
-        verdict = cache.get(pair)
-        if verdict is None:
-            verdict = coverer.covers(coveree)
-            if len(cache) >= self.COVERS_CACHE_LIMIT:
-                cache.clear()
-            cache[pair] = verdict
-        return verdict
-
     def covered(self, link: str, filter: Filter) -> bool:
         """True iff some filter advertised over ``link`` covers ``filter``."""
         state = self._links.get(link)
@@ -337,8 +322,8 @@ class _ForwardedFilterIndex:
         # an identically-keyed filter may be advertised over the link;
         # covers() is reflexive for every well-behaved constraint, but a
         # NaN-valued equality is not equal to itself, so evaluate the
-        # (memoised) relation instead of assuming — the scan oracle would
-        if key in state.key_count and self.covers_cached(state.rep[key], filter):
+        # relation instead of assuming — the scan oracle would
+        if key in state.key_count and state.rep[key].covers(filter):
             return key
         attrs = filter.attribute_set
         pins = _probe_groups(filter)
@@ -348,7 +333,7 @@ class _ForwardedFilterIndex:
             probed = groups.values() if pins is None else [groups[p] for p in pins if p in groups]
             for group in probed:
                 for rep in group:
-                    if self.covers_cached(rep, filter):
+                    if rep.covers(filter):
                         return rep.key()
         return None
 
@@ -750,9 +735,7 @@ class MergingRouting(CoveringRouting):
         # the scan oracle produces
         for sub_id in list(self._forwarded):
             filters = link_subs.get(sub_id)
-            if filters and all(
-                self._index.covers_cached(merged_filter, filter) for filter in filters
-            ):
+            if filters and all(merged_filter.covers(filter) for filter in filters):
                 self.broker.forward_unsubscribe(sub_id, filters[0], link)
                 self._forwarded[sub_id].discard(link)
                 # the merged advertisement is not in the index: the pair is

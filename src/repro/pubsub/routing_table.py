@@ -28,8 +28,9 @@ Two matching strategies are available (the ``matcher`` knob):
   whose filter has a ``tail`` (:class:`~repro.pubsub.filters.Filter`) is
   tested on that alone, because its equality bucket decided the rest.  A
   table of at most :data:`SMALL_TABLE_SCAN` entries is scanned link by link
-  instead, first match deciding each link.  Results are identical to brute
-  force — the index is purely a candidate pre-selection.
+  instead, first match deciding each link, and so is a notification with an
+  unhashable value (``{1}`` equals a ``frozenset({1})`` pin).  Results are
+  identical to brute force — the index is purely a candidate pre-selection.
 
 The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
@@ -172,7 +173,7 @@ class RoutingTable:
 
     # ---------------------------------------------------------------- queries
     def _scan(self, attributes: Mapping, excluded: Set[str]) -> List[str]:
-        """The links :meth:`destinations` answers for a small table, unsorted:
+        """The links :meth:`destinations` answers without the index, unsorted:
         link by link, the first matching entry deciding."""
         result = []
         for link, entries in self._by_link.items():
@@ -199,8 +200,12 @@ class RoutingTable:
         result: List[str] = []
         if not undecided:
             return result
+        try:
+            groups = self._index.groups(attributes)
+        except TypeError:  # an unhashable value: every entry in full
+            return self._scan(attributes, decided)
         get = attributes.get
-        for group in self._index.groups(attributes):
+        for group in groups:
             for entry in group:
                 link = entry.link
                 if link in decided:
@@ -225,20 +230,12 @@ class RoutingTable:
         excluded = set(exclude)
         # unwrapped once: every filter below evaluates on the plain dict
         attributes = attribute_dict(notification)
-        if self._indexed:
-            if self._size <= SMALL_TABLE_SCAN:
-                result = self._scan(attributes, excluded)
-            else:
-                result = self._probe(attributes, excluded)
-            result.sort()
-            return result
-        matched: Set[str] = set()
-        for link, entries in self._by_link.items():
-            if link in excluded:
-                continue
-            if any(entry.matches(attributes) for entry in entries.values()):
-                matched.add(link)
-        return sorted(matched)
+        if self._indexed and self._size > SMALL_TABLE_SCAN:
+            result = self._probe(attributes, excluded)
+        else:
+            result = self._scan(attributes, excluded)
+        result.sort()
+        return result
 
     def matching_entries(
         self, notification: Mapping, exclude: Iterable[str] = ()
@@ -246,9 +243,13 @@ class RoutingTable:
         excluded = set(exclude)
         attributes = attribute_dict(notification)
         if self._indexed:
+            try:
+                groups = self._index.groups(attributes)
+            except TypeError:  # an unhashable value: every entry in full
+                return self._every_match(attributes, excluded)
             get = attributes.get
             found: List[RouteEntry] = []
-            for group in self._index.groups(attributes):
+            for group in groups:
                 for entry in group:
                     if entry.link in excluded:
                         continue
@@ -263,6 +264,9 @@ class RoutingTable:
                             continue
                     found.append(entry)
             return found
+        return self._every_match(attributes, excluded)
+
+    def _every_match(self, attributes: Mapping, excluded: Set[str]) -> List[RouteEntry]:
         matched: List[RouteEntry] = []
         for link, entries in self._by_link.items():
             if link in excluded:

@@ -165,3 +165,41 @@ def test_compiled_matches_equals_the_reference(constraint_list, attrs):
     for spelling in (attrs, Notification(attrs), MappingProxyType(attrs)):
         assert bool(f.matches(spelling)) is expected, (f, attrs, type(spelling).__name__)
         assert bool(f(spelling)) is expected
+
+
+def reference_covers(f: Filter, g: Filter) -> bool:
+    """``f.covers(g)`` spelt out per constraint: each constraint of ``f``
+    covers some constraint of ``g`` on its attribute, tried in order; a
+    constraint whose attribute ``g`` leaves free is covered by none, and is
+    found before any constraint is asked."""
+    if not {c.attribute for c in f.constraints} <= {c.attribute for c in g.constraints}:
+        return False
+    return all(
+        any(mine.covers(theirs) for theirs in g.constraints if theirs.attribute == mine.attribute)
+        for mine in f.constraints
+    )
+
+
+def outcome(call):
+    """The answer of ``call()``, or ``TypeError`` when it raised one (an
+    unhashable value can make a constraint's ``covers`` raise it)."""
+    try:
+        return call()
+    except TypeError:
+        return TypeError
+
+
+@settings(max_examples=600, deadline=None)
+@given(
+    mine=st.lists(kernel_constraints(), min_size=0, max_size=4),
+    theirs=st.lists(kernel_constraints(), min_size=0, max_size=4),
+)
+def test_covers_equals_the_reference(mine, theirs):
+    """The kernel reads the coveree's constraints grouped by attribute, built
+    on first use and cached on the filter: its answer is the reference rule's
+    in both argument orders, and again when asked a second time."""
+    f, g = Filter(mine), Filter(theirs)
+    for coverer, coveree in ((f, g), (g, f), (f, f), (g, g)):
+        expected = outcome(lambda: reference_covers(coverer, coveree))
+        for _ in range(2):  # the second time from the cached grouping
+            assert outcome(lambda: coverer.covers(coveree)) == expected, (coverer, coveree)

@@ -26,7 +26,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
-from repro.pubsub.filters import Equals, Filter, Range
+from repro.pubsub.filters import Equals, Filter, InSet, Range
 from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, IntervalBucketIndex
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
@@ -517,6 +517,60 @@ class TestNaNRegression:
                 table.add(Filter([Equals("k", nan), Range("value", 0, 10)]), f"L{i % 3}", f"s{i}")
             assert table.destinations(probe) == [], matcher
             assert table.matching_entries(probe) == [], matcher
+
+
+class TestUnhashableValueRegression:
+    """An unhashable notification value can equal a hashable pin
+    (``{1} == frozenset({1})``, ``bytearray(b"ab") == b"ab"``).  The equality
+    buckets used to be skipped for it, so every query path answered nothing
+    where brute force answered the pinned entry.  Past the small-table scan,
+    next to a bucket-mate whose tail alone would pass: a fix that handed out
+    buckets the value never selected would answer its link too."""
+
+    CASES = [(frozenset({1}), {1}, frozenset({2})), (b"ab", bytearray(b"ab"), b"ba")]
+
+    def populate(self, pin, other):
+        filters = [
+            Filter([Equals("tags", pin)]),
+            Filter([Equals("tags", pin), Range("value", 0, 10)]),
+            Filter([Equals("tags", other), Range("value", 0, 10)]),
+            # a singleton InSet shares the pin's bucket; it admits {1} (a set
+            # probes a frozenset as a frozenset) but not a bytearray
+            Filter([InSet("tags", [pin])]),
+        ]
+        filters += [Filter([Equals("topic", f"t{i}"), Range("value", 0, 5)]) for i in range(7)]
+        assert len(filters) == 11 > SMALL_TABLE_SCAN
+        return [(f, f"L{i}", f"s{i}") for i, f in enumerate(filters)]
+
+    @pytest.mark.parametrize("pin,value,other", CASES, ids=["set", "bytearray"])
+    def test_every_query_path_answers_like_brute(self, pin, value, other):
+        entries = self.populate(pin, other)
+        tables = {matcher: RoutingTable(matcher=matcher) for matcher in ("brute", "indexed")}
+        matchers = {"brute": BruteForceMatcher(), "indexed": AttributeIndexMatcher()}
+        for f, link, sub_id in entries:
+            for table in tables.values():
+                table.add(f, link, sub_id)
+            for matcher in matchers.values():
+                matcher.add(subscription(f, "c", sub_id=sub_id))
+        for probe, expected in (
+            ({"tags": value}, ["L0"]),
+            ({"tags": value, "value": 5}, ["L0", "L1"]),
+            ({"tags": value, "value": 50}, ["L0"]),
+            ({"tags": value, "topic": "t1", "value": 5}, ["L0", "L1", "L5"]),
+        ):
+            answers = {
+                name: (
+                    table.destinations(probe),
+                    sorted(e.sub_id for e in table.matching_entries(probe)),
+                    sorted(matchers[name].matching_ids(probe)),
+                )
+                for name, table in tables.items()
+            }
+            assert answers["indexed"] == answers["brute"], probe
+            links, entry_ids, sub_ids = answers["brute"]
+            assert [link for link in links if link != "L3"] == expected, probe
+            assert entry_ids == sub_ids == [f"s{link[1:]}" for link in links], probe
+            assert tables["indexed"].destinations(probe, exclude=["L0"]) == links[1:], probe
 
 
 def _deliveries(matcher: str, seed: int):

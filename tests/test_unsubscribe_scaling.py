@@ -67,13 +67,16 @@ def churn_work(strategy_name: str, live: int, seed: int = 7):
     table = broker.routing_table
     strategy.needs_forwarding = counted("needs_forwarding", strategy.needs_forwarding)
     table.subscription_ids = counted("walks", table.subscription_ids)
-    if strategy._index is not None:
-        strategy._index.covers_cached = counted("covers", strategy._index.covers_cached)
-    for serial in range(live + 20, live + 20 + CHURN):
-        unsubscribing = True
-        retire()
-        unsubscribing = False
-        admit(serial)
+    covers = Filter.covers
+    Filter.covers = counted("covers", covers)  # every probe, whoever makes it
+    try:
+        for serial in range(live + 20, live + 20 + CHURN):
+            unsubscribing = True
+            retire()
+            unsubscribing = False
+            admit(serial)
+    finally:
+        Filter.covers = covers
     return {name: count / CHURN for name, count in calls.items()}
 
 
