@@ -173,11 +173,7 @@ def _run_backend_workload(backend: str, matcher: str, phases: int, per_phase: in
     ids per subscriber are an exact cross-backend/cross-matcher invariant.
     """
     rng = random.Random(seed)
-    net = line_topology(
-        n_brokers=3,
-        link_latency=0.001 if backend == "sim" else 0.0,
-        config=SystemConfig(matcher=matcher, transport=backend),
-    )
+    net = line_topology(n_brokers=3, config=SystemConfig(matcher=matcher, transport=backend))
     try:
         subscribers = []
         serial = 0

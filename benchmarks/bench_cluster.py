@@ -64,7 +64,7 @@ def run_fanout(backend: str, brokers: int, fanout: int, notifications: int):
     cost) but includes the drain to quiescence.
     """
     config = SystemConfig(transport=backend)
-    net = line_topology(n_brokers=brokers, link_latency=0.0, config=config)
+    net = line_topology(n_brokers=brokers, config=config)
     child_failures = {}
     try:
         subscribers = []

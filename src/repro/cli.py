@@ -641,11 +641,7 @@ def _command_top(args: argparse.Namespace) -> int:
         return 2
 
     print(f"top: {args.brokers} brokers on {args.backend!r} — {config.describe()}")
-    net = line_topology(
-        n_brokers=args.brokers,
-        link_latency=0.001 if args.backend == "sim" else 0.0,
-        config=config,
-    )
+    net = line_topology(n_brokers=args.brokers, config=config)
     try:
         for i, broker_name in enumerate(net.broker_names()):
             client = net.add_client(f"sub@{broker_name}", broker_name)

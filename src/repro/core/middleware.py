@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..net.simulator import Simulator
-from ..net.transport import SimTransport
 from ..pubsub.broker_network import BrokerNetwork
 from ..pubsub.client import Client
 from .location import LocationSpace
@@ -156,13 +155,8 @@ class MobilePubSub:
             return MarkovPredictor(self.movement_graph)
         raise ValueError(f"unknown predictor spec {spec!r}")
 
-    def _link_latency(self, simulated: float) -> float:
-        """The latency of a link this system builds: ``simulated`` on the simulator, 0 on sockets."""
-        return simulated if isinstance(self.network.transport, SimTransport) else 0.0
-
     def _build_replicators(self) -> None:
         registry: Dict[str, str] = {}
-        latency = self._link_latency(REPLICATOR_LINK_LATENCY)
         for broker_name in self.network.broker_names():
             replicator = Replicator(
                 self.sim,
@@ -174,12 +168,14 @@ class MobilePubSub:
             )
             self.replicators[broker_name] = replicator
             self.network.add_process(replicator)
-            self.network.connect_processes(replicator.name, broker_name, latency=latency)
+            self.network.connect_processes(
+                replicator.name, broker_name, latency=REPLICATOR_LINK_LATENCY
+            )
             registry[broker_name] = replicator.name
         replicator_names = sorted(registry.values())
         for i, name_a in enumerate(replicator_names):
             for name_b in replicator_names[i + 1 :]:
-                self.network.connect_processes(name_a, name_b, latency=latency)
+                self.network.connect_processes(name_a, name_b, latency=REPLICATOR_LINK_LATENCY)
         for replicator in self.replicators.values():
             replicator.set_replicator_registry(registry)
 
@@ -190,7 +186,7 @@ class MobilePubSub:
             self.sim,
             name,
             reissue_on_attach=reissue_on_attach,
-            wireless_latency=self._link_latency(WIRELESS_LATENCY),
+            wireless_latency=WIRELESS_LATENCY,
             connect_latency=self.config.connect_latency,
             transport=self.network.transport,
         )
@@ -200,9 +196,7 @@ class MobilePubSub:
 
     def add_static_client(self, name: str, broker_name: str) -> Client:
         """Create an ordinary wired client attached directly to a border broker."""
-        return self.network.add_client(
-            name, broker_name, latency=self._link_latency(STATIC_CLIENT_LATENCY)
-        )
+        return self.network.add_client(name, broker_name, latency=STATIC_CLIENT_LATENCY)
 
     def add_publisher(self, name: str, location: str) -> Client:
         """Create a wired publisher attached to the broker covering ``location``."""

@@ -199,12 +199,7 @@ def run_handover_workload(
     rng = random.Random(spec.seed) if spec.randomized else None
     locations = [f"l{i + 1}" for i in range(brokers)]
     net = line_topology(
-        n_brokers=brokers,
-        # the simulator keeps its simulated broker-to-broker latency; on
-        # sockets a link latency is a real wait on every message, so the
-        # fabric runs at wire speed, as MobilePubSub builds its own links
-        link_latency=0.001 if backend == "sim" else 0.0,
-        config=(config or SystemConfig()).replace(transport=backend),
+        n_brokers=brokers, config=(config or SystemConfig()).replace(transport=backend)
     )
     mobility_config = MobilitySystemConfig(
         predictor=spec.predictor, connect_latency=spec.connect_latency

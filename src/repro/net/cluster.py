@@ -23,8 +23,8 @@ Both kinds of process run on the asyncio backend's runtime
 plus a control channel", the parent "the clients, dial-only".  The cluster's
 own is policy: a send onto a closing connection is dropped and counted
 (:class:`ClusterEndpoint`), a lost link is reported to the broker, dials
-retry with jitter, a restarted node asks for a resync, links deliver at
-arrival (no latency floor).  The registry channel stays a plain stream.
+retry with jitter, a restarted node asks for a resync.  The registry
+channel stays a plain stream.
 
 Topology on the parent side is declared exactly like on the other backends —
 ``BrokerNetwork`` or any topology builder with
@@ -396,13 +396,14 @@ class ClusterLink:
     the poll that declares the cluster idle is also the freshest snapshot).
     """
 
-    def __init__(self, transport: "ClusterTransport", a: Process, b: Process, latency: float):
+    #: simulated seconds this link adds (none: see ``Transport.make_link``)
+    latency = 0.0
+
+    def __init__(self, transport: "ClusterTransport", a: Process, b: Process):
         self.transport = transport
         self.a = a
         self.b = b
-        self.latency = latency
         self.up = True
-        self.deliver_in_flight_on_down = True
         self._local_out = LinkStats()  # a -> b as recorded locally (client links)
         self._local_in = LinkStats()  # b -> a as recorded locally (client links)
 
@@ -625,16 +626,10 @@ class ClusterTransport(SocketNode, Transport):
         self._brokers[name] = proxy
         return proxy
 
-    def make_link(
-        self,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
-    ) -> ClusterLink:
+    def make_link(self, a: Process, b: Process, latency: float = 0.001) -> ClusterLink:
         self._require_open()
         remote_a, remote_b = isinstance(a, RemoteBroker), isinstance(b, RemoteBroker)
-        link = ClusterLink(self, a, b, latency)
+        link = ClusterLink(self, a, b)
         if remote_a and remote_b:
             if self._booted:
                 raise ClusterError("cannot add broker edges after the cluster has booted")

@@ -57,7 +57,7 @@ class _DirectedEndpoint(LinkEndpoint):
         if arrival < self._next_delivery_floor:
             arrival = self._next_delivery_floor
         self._next_delivery_floor = arrival
-        sim.push_uncancellable(arrival, self._deliver, (message,))
+        sim.push_uncancellable(arrival, self.target.deliver, (message,))
 
     def transmit_many(self, messages: list[Message]) -> None:
         """Transmit a burst of messages as ONE scheduled delivery event.
@@ -81,16 +81,10 @@ class _DirectedEndpoint(LinkEndpoint):
         self._next_delivery_floor = arrival
         sim.push_uncancellable(arrival, self._deliver_many, (tuple(messages),))
 
-    def _deliver(self, message: Message) -> None:
-        if not self.link.up and not self.link.deliver_in_flight_on_down:
-            self.stats.record_drop()
-            self.link.on_drop(message, self.source, self.target)
-            return
-        self.target.deliver(message)
-
     def _deliver_many(self, messages: tuple[Message, ...]) -> None:
+        deliver = self.target.deliver
         for message in messages:
-            self._deliver(message)
+            deliver(message)
 
 
 class Link:
@@ -105,20 +99,12 @@ class Link:
         other's name, so ``a.send(b.name, msg)`` works immediately.
     latency:
         One-way delivery latency in simulated seconds.
-    deliver_in_flight_on_down:
-        If ``True`` (default), messages already in flight when the link goes
-        down are still delivered (models buffered TCP segments); if ``False``
-        they are dropped.
+
+    A message already in flight when the link goes down is still delivered
+    (it models a buffered TCP segment); only a send on a down link drops.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
-    ):
+    def __init__(self, sim: Simulator, a: Process, b: Process, latency: float = 0.001):
         if latency < 0:
             raise ValueError("latency must be non-negative")
         self.sim = sim
@@ -126,7 +112,6 @@ class Link:
         self.b = b
         self.latency = latency
         self.up = True
-        self.deliver_in_flight_on_down = deliver_in_flight_on_down
         self._a_to_b = _DirectedEndpoint(self, a, b)
         self._b_to_a = _DirectedEndpoint(self, b, a)
         a.attach_link(b.name, self._a_to_b)

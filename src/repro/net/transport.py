@@ -46,9 +46,8 @@ property                     SimTransport                AsyncioTransport
 ===========================  ==========================  ====================
 determinism                  bit-exact, seedable         no (real scheduler)
 per-link FIFO                yes (delivery floors)       yes (TCP streams)
-latency model                exact simulated seconds     ``latency`` is a
-                                                         floor from each
-                                                         frame's arrival;
+latency model                exact simulated seconds     none: a frame is
+                                                         delivered at arrival;
                                                          timers fire when
                                                          due (µs waits)
 real concurrency / sockets   no                          yes (localhost TCP)
@@ -71,7 +70,6 @@ import select
 import selectors
 import socket
 from abc import ABC, abstractmethod
-from collections import deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
@@ -135,14 +133,14 @@ class Transport(ABC):
         """The scheduling surface handed to processes as their ``sim``."""
 
     @abstractmethod
-    def make_link(
-        self,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
-    ):
-        """Create, attach and return a bidirectional FIFO link between ``a`` and ``b``."""
+    def make_link(self, a: Process, b: Process, latency: float = 0.001):
+        """Create, attach and return a bidirectional FIFO link between ``a`` and ``b``.
+
+        ``latency`` is simulated seconds: only the simulator applies it.  A
+        socket link delivers each frame at arrival (the wire sets the time)
+        and reports ``latency == 0.0``.  Whatever is in flight when a link
+        goes down is still delivered, on every backend.
+        """
 
     @abstractmethod
     def run(self, until: Optional[float] = None) -> float:
@@ -194,7 +192,6 @@ class Transport(ABC):
         a: Process,
         b: Process,
         latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
         ready: Optional[Callable[[Any], None]] = None,
     ):
         """Create a link *at runtime* — the substrate half of a wireless attach.
@@ -209,9 +206,7 @@ class Transport(ABC):
         The default implementation is synchronous (correct for the
         simulator): create the link and call ``ready`` immediately.
         """
-        link = self.make_link(
-            a, b, latency=latency, deliver_in_flight_on_down=deliver_in_flight_on_down
-        )
+        link = self.make_link(a, b, latency=latency)
         if ready is not None:
             ready(link)
         return link
@@ -352,16 +347,8 @@ class SimTransport(Transport):
     def clock(self) -> Simulator:
         return self.sim
 
-    def make_link(
-        self,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
-    ) -> Link:
-        return Link(
-            self.sim, a, b, latency=latency, deliver_in_flight_on_down=deliver_in_flight_on_down
-        )
+    def make_link(self, a: Process, b: Process, latency: float = 0.001) -> Link:
+        return Link(self.sim, a, b, latency=latency)
 
     def run(self, until: Optional[float] = None) -> float:
         return self.sim.run(until=until)
@@ -516,9 +503,6 @@ class SocketEndpoint(LinkEndpoint):
 
     shares_fanout = True
 
-    #: delivery floor (seconds from a frame's arrival) of what :meth:`receive` gets
-    latency = 0.0
-
     def __init__(self, node: "SocketNode", stats: Optional[LinkStats] = None):
         self.node = node
         self.stats = stats if stats is not None else LinkStats()
@@ -571,12 +555,9 @@ class _Receiver(asyncio.BufferedProtocol):
     nothing, which reads no handshake.  One loop callback per read: the
     socket reads into the node's one ``_inbox`` (a fresh 256 KiB ``bytes``
     per read made glibc grow and trim the heap top — a page fault per read —
-    or not, by heap layout); ``buffer_updated`` stamps the read's true
-    arrival time, splits and decodes its frames and hands each to
-    ``inbound`` — at once on a zero-latency link, otherwise through
-    ``floor``, a FIFO of ``(due, message)`` released by one ``call_at``
-    timer.  Reading never waits on a floor, so the floors of a stream do not
-    add up.
+    or not, by heap layout); ``buffer_updated`` splits and decodes its
+    frames and hands each to ``inbound`` at once: a socket delivers at
+    arrival.
     """
 
     def __init__(
@@ -596,9 +577,6 @@ class _Receiver(asyncio.BufferedProtocol):
         #: bound and waiting for no answer: the link was born connected
         self.saw_handshake = inbound is not None and acked is None
         self.sock: Optional[asyncio.BaseTransport] = None
-        self.floor: "deque[Tuple[float, Message]]" = deque()
-        self.timer: Optional[asyncio.TimerHandle] = None
-        self.lost = False
 
     def connection_made(self, sock: asyncio.BaseTransport) -> None:
         self.sock = sock
@@ -613,32 +591,20 @@ class _Receiver(asyncio.BufferedProtocol):
         self.node._run_callback(self._read, self.node._inbox[:nbytes])
 
     def _read(self, data: memoryview) -> None:
-        node = self.node
-        # every frame in this read shares one arrival time; latency is a
-        # delivery floor relative to it, so a burst pays the latency once,
-        # not once per message (pipelined, like the simulator's floors)
-        arrival = node._loop.time()
         decode_message = wire.decode_message_binary
         try:
             bodies = self.decoder.feed(data)
             if not self.saw_handshake and bodies:
                 self._handshake(bodies.pop(0))
             if bodies:
-                inbound = self.inbound
-                if inbound.latency == 0:
-                    receive = inbound.receive
-                    for body in bodies:
-                        receive(decode_message(body))
-                else:
-                    due = arrival + inbound.latency
-                    self.floor.extend([(due, decode_message(body)) for body in bodies])
-                    if self.timer is None:
-                        self.timer = node._loop.call_at(due, node._run_callback, self._release)
+                receive = self.inbound.receive
+                for body in bodies:
+                    receive(decode_message(body))
         except BaseException as exc:
             self._abort()
             if self.saw_handshake:
                 raise
-            node._handshake_refused(exc)
+            self.node._handshake_refused(exc)
 
     def _handshake(self, body: bytes) -> None:
         node = self.node
@@ -659,57 +625,25 @@ class _Receiver(asyncio.BufferedProtocol):
             node._accepted(self.inbound, handshake)
         self.saw_handshake = True
 
-    def _release(self) -> None:
-        """The floor timer: deliver every queued frame that is due, re-arm for the rest."""
-        loop = self.node._loop
-        floor = self.floor
-        receive = self.inbound.receive
-        self.timer = None
-        try:
-            while True:
-                receive(floor.popleft()[1])
-                if not floor or floor[0][0] > loop.time():
-                    break
-        except BaseException:
-            self._abort()
-            raise
-        if floor:
-            self.timer = loop.call_at(floor[0][0], self.node._run_callback, self._release)
-        elif self.lost:
-            self._drained()
-
     def _abort(self) -> None:
         """End the connection now (a refused handshake, a decode or handler
-        failure, or the node closing); what still waited behind the floor is
-        never delivered."""
-        if self.timer is not None:
-            self.timer.cancel()
-            self.timer = None
-        self.floor.clear()
-        self.sock.close()  # a no-op once lost; then nothing else calls _drained
-        if self.lost:
-            self._drained()
+        failure, or the node closing)."""
+        self.sock.close()
 
     def connection_lost(self, exc: Optional[BaseException]) -> None:
         self.node._run_callback(self._closed, exc)
 
     def _closed(self, exc: Optional[BaseException]) -> None:
-        # frames read before the close still wait out their floor (a detach's
-        # farewell is delivered); the direction that arrived here is dead at
+        # frames read before the close were delivered as they arrived (a
+        # detach's farewell); the direction that arrived here is dead at
         # once, so later transmits are refused, not written into the void
-        self.lost = True
         self.node._receivers.discard(self)
-        if self.inbound is not None:
-            self.inbound._writer = None
         if self.acked is not None and not self.acked.done():
             self.acked.set_exception(
                 exc or ConnectionError(f"{self.name!r}: link closed before its handshake")
             )
-        if not self.floor:
-            self._drained()
-
-    def _drained(self) -> None:
         if self.inbound is not None:
+            self.inbound._writer = None
             self.inbound.lost()
 
 
@@ -771,7 +705,7 @@ class SocketNode:
     def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
         """Run the body of one of this node's own loop callbacks.
 
-        A read, a floor release, a fired timer and a closed connection all
+        A read, a fired timer and a closed connection all
         end the same way: what the body raised is recorded, the frames it
         sent are written out now (not a loop turn later) and a parked drain
         is released if idle.
@@ -903,7 +837,6 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
         self.link = link
         self.source = source
         self.target = target
-        self.latency = link.latency
         #: frames written but not yet handed to the target process; lets the
         #: transport reconcile its in-flight counter if the connection dies
         self.undelivered = 0
@@ -920,16 +853,8 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
         return True
 
     def receive(self, message: Message) -> None:
-        link = self.link
         try:
-            # the up-check happens at *delivery* time — after the floor —
-            # like the sim endpoint's _deliver: a link torn down meanwhile
-            # still drops the message when deliver_in_flight_on_down is off
-            if not link.up and not link.deliver_in_flight_on_down:
-                self.stats.record_drop()
-                link.on_drop(message, self.source, self.target)
-            else:
-                self.target.deliver(message)
+            self.target.deliver(message)
         finally:
             self.node._inflight -= 1
             self.undelivered -= 1
@@ -946,29 +871,19 @@ class AsyncioLink:
 
     The transport pairs the connection's two sockets, one for ``a`` and one
     for ``b``; each end writes its direction on the socket it reads the other
-    on.  Mirrors the :class:`~repro.net.link.Link` surface.  ``latency`` is
-    honoured as a per-message delivery floor measured from the moment the
-    receiver read the frame (it keeps reading while earlier frames wait, so
-    floors never add up along a stream), on top of whatever the real sockets
-    add; pass ``0.0`` for raw socket speed.
+    on.  Mirrors the :class:`~repro.net.link.Link` surface.  A frame is
+    delivered when it arrives: the wire sets the time, so the link applies
+    no latency of its own.
     """
 
-    def __init__(
-        self,
-        transport: "AsyncioTransport",
-        a: Process,
-        b: Process,
-        latency: float,
-        deliver_in_flight_on_down: bool,
-    ):
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+    #: simulated seconds this link adds (none: see ``Transport.make_link``)
+    latency = 0.0
+
+    def __init__(self, transport: "AsyncioTransport", a: Process, b: Process):
         self.transport = transport
         self.a = a
         self.b = b
-        self.latency = latency
         self.up = True
-        self.deliver_in_flight_on_down = deliver_in_flight_on_down
         self._a_to_b = _AsyncioDirectedEndpoint(self, a, b)
         self._b_to_a = _AsyncioDirectedEndpoint(self, b, a)
 
@@ -1079,15 +994,9 @@ class AsyncioTransport(SocketNode, Transport):
         self.links: List[AsyncioLink] = []
 
     # ------------------------------------------------------------------ wiring
-    def make_link(
-        self,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
-    ) -> AsyncioLink:
+    def make_link(self, a: Process, b: Process, latency: float = 0.001) -> AsyncioLink:
         # build-time wiring is a dynamic link established before anything runs
-        link = self.open_dynamic_link(a, b, latency, deliver_in_flight_on_down)
+        link = self.open_dynamic_link(a, b, latency)
         self._raise_pending_error()
         return link
 
@@ -1096,7 +1005,6 @@ class AsyncioTransport(SocketNode, Transport):
         a: Process,
         b: Process,
         latency: float = 0.001,
-        deliver_in_flight_on_down: bool = True,
         ready: Optional[Callable[[Any], None]] = None,
     ) -> AsyncioLink:
         """Establish a link while the event loop may already be running.
@@ -1110,7 +1018,7 @@ class AsyncioTransport(SocketNode, Transport):
         ``ready(link)`` fires from inside the loop once traffic can flow.
         """
         self._require_open()
-        link = AsyncioLink(self, a, b, latency, deliver_in_flight_on_down)
+        link = AsyncioLink(self, a, b)
         self.links.append(link)
 
         async def establish() -> None:
@@ -1277,7 +1185,7 @@ class AsyncioTransport(SocketNode, Transport):
         """Release a parked :meth:`run_until_idle` once nothing counted remains.
 
         Called at the end of every loop callback that can lower a counter or
-        record an error: a read batch, a floor release, a fired timer and
+        record an error: a read batch, a fired timer and
         the teardown of a connection (all through :meth:`_run_callback`) and
         a dynamic link's ``establish``.  Handlers, ``cancel()`` and
         ``ready`` only ever run inside one of those, so none of them checks.

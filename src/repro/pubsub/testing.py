@@ -218,8 +218,8 @@ def run_line_workload(
     values from the first broker, drains to quiescence and reports the
     per-subscriber delivered counts (with real delivery latencies) against
     what each filter promises.  The socket backends (``asyncio`` and the
-    multi-process ``cluster``) run at raw socket speed (latency 0); the
-    simulator keeps its default link latency.
+    multi-process ``cluster``) deliver at arrival; the simulator applies
+    its default link latency.
 
     ``config`` carries the remaining knobs as one
     :class:`~repro.config.SystemConfig` (the defaults when omitted; its
@@ -231,9 +231,7 @@ def run_line_workload(
     from .notification import Notification
 
     config = (config or SystemConfig()).replace(transport=backend)
-    net = line_topology(
-        n_brokers=brokers, link_latency=0.001 if backend == "sim" else 0.0, config=config
-    )
+    net = line_topology(n_brokers=brokers, config=config)
     try:
         subscribers = []
         for i, broker_name in enumerate(net.broker_names()):

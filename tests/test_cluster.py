@@ -42,12 +42,7 @@ def covering_scenario(backend: str):
     ids, subscription ids) is pinned, so the delivered sets are comparable
     across backends and across OS processes.
     """
-    net = line_topology(
-        n_brokers=3,
-        routing="covering",
-        link_latency=0.001 if backend == "sim" else 0.0,
-        config=SystemConfig(transport=backend),
-    )
+    net = line_topology(n_brokers=3, routing="covering", config=SystemConfig(transport=backend))
     try:
         c1 = net.add_client("c1", "B1")
         c2 = net.add_client("c2", "B3")

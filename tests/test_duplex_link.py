@@ -129,7 +129,7 @@ def test_an_accept_that_dies_fails_the_open_promptly(transport, monkeypatch):
 
     monkeypatch.setattr(socket.socket, "accept", dies)
     opened = []
-    transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
+    transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, opened.append)
     start = time.perf_counter()
     with pytest.raises(ConnectionAbortedError):
         transport.run_until_idle()
@@ -236,7 +236,7 @@ def test_a_listener_backlog_full_of_strangers_moves_the_open_to_a_fresh_listener
             for stranger in strangers:
                 stranger.close()
         opened = []
-        transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, True, opened.append)
+        transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, opened.append)
         start = time.perf_counter()
         transport.run_until_idle()
         assert time.perf_counter() - start < 2.0

@@ -125,8 +125,9 @@ def test_mobility_layer_accepts_asyncio_backend():
     ],
 )
 def test_simulated_latency_stays_on_the_simulator(backend, expected):
-    """On sockets a link latency is a real wait on every message, so every
-    link MobilePubSub builds there carries none; the simulator keeps its own."""
+    """MobilePubSub passes its simulated latencies to every backend: the
+    simulator applies them, a socket delivers at arrival and its links
+    report 0."""
     net = line_topology(n_brokers=2, config=SystemConfig(transport=backend))
     space = LocationSpace({"l1": "B1", "l2": "B2"}, adjacency={"l1": ["l2"], "l2": ["l1"]})
     system = MobilePubSub(None, net, space)

@@ -144,16 +144,6 @@ class TestLinkFailure:
         sim.run_until_idle()
         assert len(b.received) == 1
 
-    def test_in_flight_dropped_when_configured(self):
-        sim = Simulator()
-        a = Recorder(sim, "a")
-        b = Recorder(sim, "b")
-        link = Link(sim, a, b, latency=0.5, deliver_in_flight_on_down=False)
-        a.send("b", Message("x"))
-        link.set_up(False)
-        sim.run_until_idle()
-        assert b.received == []
-
     def test_reconnect_restores_delivery(self, pair):
         sim, a, b, link = pair
         link.disconnect()

@@ -4,9 +4,10 @@ The drain neither polls nor waits out a confirmation window: it returns the
 moment the in-flight and timer counters read zero (or an error is recorded).
 These tests pin that by structure — what has happened when the call returns
 — on both write paths (batched bursts and a write per frame), with and
-without a link latency floor.  The cluster parent runs the same clock on the
-same loop; where a case needs no in-process link it is also run there,
-against the cluster's counter-poll drain.
+without a link latency.  A socket delivers at arrival whatever latency its
+link is given, so no case may wait on one.  The cluster parent
+runs the same clock on the same loop; where a case needs no in-process link
+it is also run there, against the cluster's counter-poll drain.
 """
 
 import time

@@ -27,6 +27,7 @@ from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
 from repro.net.wire import encode_control, encode_message, frame
 from repro.pubsub.broker_network import BrokerNetwork, line_topology
+from repro.pubsub.client import Client
 from repro.pubsub.filters import Equals, Filter, Prefix, Range
 from repro.pubsub.notification import Notification
 
@@ -344,61 +345,14 @@ class TestAsyncioLink:
         with pytest.raises(TransportError):
             transport.make_link(impostor, b, latency=0.0)
 
-    def test_latency_is_a_floor_not_a_serial_sleep(self):
-        # regression: per-message sleeps used to accumulate, so a 20-message
-        # burst over a 50ms link took >1s instead of ~50ms
-        from repro.net.transport import AsyncioTransport
-
-        transport = AsyncioTransport()
-        try:
-            a = Recorder(transport.clock, "a")
-            b = Recorder(transport.clock, "b")
-            transport.make_link(a, b, latency=0.05)
-            import time as _time
-
-            start = _time.perf_counter()
-            for i in range(20):
-                a.send("b", Message("seq", payload=i))
-            transport.run_until_idle()
-            elapsed = _time.perf_counter() - start
-            assert [m.payload for m in b.received] == list(range(20))
-            assert elapsed < 0.5, f"latency accumulated serially: burst took {elapsed:.2f}s"
-        finally:
-            transport.close()
-
-    def test_link_down_during_latency_window_drops_when_configured(self):
-        # parity with the sim endpoint's _deliver: the up-check happens at
-        # delivery time, so a message still in its latency window when the
-        # link goes down is dropped under deliver_in_flight_on_down=False
-        from repro.net.transport import AsyncioTransport
-
-        transport = AsyncioTransport()
-        try:
-            a = Recorder(transport.clock, "a")
-            b = Recorder(transport.clock, "b")
-            link = transport.make_link(a, b, latency=0.2, deliver_in_flight_on_down=False)
-            a.send("b", Message("x"))
-            transport.clock.schedule(0.02, link.set_up, False)
-            transport.run_until_idle()
-            assert b.received == []
-            assert link.stats_a_to_b.dropped == 1
-        finally:
-            transport.close()
-
-    def test_link_down_during_latency_window_delivers_by_default(self):
-        from repro.net.transport import AsyncioTransport
-
-        transport = AsyncioTransport()
-        try:
-            a = Recorder(transport.clock, "a")
-            b = Recorder(transport.clock, "b")
-            link = transport.make_link(a, b, latency=0.2)  # buffered-TCP default
-            a.send("b", Message("x"))
-            transport.clock.schedule(0.02, link.set_up, False)
-            transport.run_until_idle()
-            assert len(b.received) == 1
-        finally:
-            transport.close()
+    def test_link_down_during_latency_window_delivers_by_default(self, tcp_pair):
+        # what was sent before the link went down is in flight, and is delivered
+        transport, a, b, link = tcp_pair
+        a.send("b", Message("x"))
+        link.set_up(False)
+        transport.run_until_idle()
+        assert len(b.received) == 1
+        assert link.stats_a_to_b.dropped == 0
 
     def test_raising_scheduled_callback_fails_the_run(self, tcp_pair):
         # parity with the simulator backend, where a raising event fails run()
@@ -442,6 +396,32 @@ class TestAsyncioLink:
             transport.run_until_idle(timeout=2.0)  # still not wedged
         finally:
             transport.close()
+
+
+@pytest.mark.parametrize(
+    "backend, reported",
+    [("sim", 0.05), ("asyncio", 0.0), ("cluster", 0.0)],
+    ids=["sim", "asyncio", "cluster"],
+)
+def test_latency_is_simulated_seconds(backend, reported):
+    """A link latency is simulated seconds: the simulator applies it, a socket
+    delivers at arrival and its link says so.  Regression: the cluster's link
+    reported the 0.05 s it was given yet never applied it, while the asyncio
+    link held every frame behind a 0.05 s floor."""
+    net = BrokerNetwork(config=SystemConfig(transport=backend))
+    try:
+        net.add_broker("B1")
+        publisher, subscriber = Client(net.sim, "pub"), Client(net.sim, "sub")
+        for client in (subscriber, publisher):
+            assert net.attach_client(client, "B1", latency=0.05).latency == reported
+        subscriber.subscribe(Filter([Equals("topic", "seq")]))
+        net.run_until_idle()
+        for i in range(20):
+            publisher.publish(Notification({"topic": "seq", "i": i}))
+        net.run_until_idle()
+        assert [d.notification["i"] for d in subscriber.deliveries] == list(range(20))
+    finally:
+        net.close()
 
 
 def test_socket_backends_reject_a_simulator():
