@@ -38,7 +38,7 @@ _template_counter = itertools.count(1)
 _plain_counter = itertools.count(1)
 
 
-@dataclass
+@dataclass(slots=True)
 class MobileDelivery:
     """A notification as received by the mobile device."""
 

@@ -10,6 +10,7 @@ time the next message may be delivered.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -51,20 +52,23 @@ class _DirectedEndpoint(LinkEndpoint):
             self.stats.record_drop()
             link.on_drop(message, self.source, self.target)
             return
-        self.stats.record(message)
+        stats = self.stats  # LinkStats.record, inline: this runs once per hop
+        stats.messages += 1
+        stats.by_kind[message.kind] = stats.by_kind.get(message.kind, 0) + 1
         sim = link.sim
-        arrival = sim.now + link.latency
+        arrival = sim._now + link.latency
         if arrival < self._next_delivery_floor:
             arrival = self._next_delivery_floor
         self._next_delivery_floor = arrival
-        sim.push_uncancellable(arrival, self.target.deliver, (message,))
+        sim.push_delivery(arrival, self.target, message)
 
     def transmit_many(self, messages: list[Message]) -> None:
         """Transmit a burst of messages as ONE scheduled delivery event.
 
         FIFO order within the burst (and relative to earlier traffic) is
         preserved: all messages share the same arrival time, which also
-        becomes the delivery floor for later traffic.
+        becomes the delivery floor for later traffic.  The event is this
+        endpoint's :meth:`deliver`, which hands the burst over in order.
         """
         link = self.link
         if not link.up:
@@ -75,13 +79,14 @@ class _DirectedEndpoint(LinkEndpoint):
         for message in messages:
             self.stats.record(message)
         sim = link.sim
-        arrival = sim.now + link.latency
+        arrival = sim._now + link.latency
         if arrival < self._next_delivery_floor:
             arrival = self._next_delivery_floor
         self._next_delivery_floor = arrival
-        sim.push_uncancellable(arrival, self._deliver_many, (tuple(messages),))
+        sim.push_delivery(arrival, self, tuple(messages))
 
-    def _deliver_many(self, messages: tuple[Message, ...]) -> None:
+    def deliver(self, messages: tuple[Message, ...]) -> None:
+        """Run a burst's delivery: each message to the target's ``deliver``, in order."""
         deliver = self.target.deliver
         for message in messages:
             deliver(message)
@@ -105,8 +110,8 @@ class Link:
     """
 
     def __init__(self, sim: Simulator, a: Process, b: Process, latency: float = 0.001):
-        if latency < 0:
-            raise ValueError("latency must be non-negative")
+        if not 0 <= latency < math.inf:  # a NaN fails both comparisons
+            raise ValueError(f"latency must be finite and non-negative, not {latency!r}")
         self.sim = sim
         self.a = a
         self.b = b

@@ -17,9 +17,11 @@ from typing import Any, Dict, Optional
 from .simulator import Simulator
 
 _message_ids = itertools.count(1)
+#: an omitted ``msg_id`` / ``meta`` (an explicit ``None`` is kept as given)
+_OMITTED: Any = object()
 
 
-@dataclass
+@dataclass(init=False)
 class Message:
     """A message exchanged between processes.
 
@@ -39,16 +41,33 @@ class Message:
         Free-form metadata (e.g. the subscription id a publish matched).
     """
 
+    # the defaults are those of ``__init__``
     kind: str
-    payload: Any = None
-    sender: Optional[str] = None
-    msg_id: int = field(default_factory=lambda: next(_message_ids))
-    meta: Dict[str, Any] = field(default_factory=dict)
+    payload: Any
+    sender: Optional[str]
+    msg_id: int
+    meta: Dict[str, Any]
     # the encoded-frame cache, populated by the wire layer so one message
     # fanned out to many socket links is framed exactly once; it is keyed on
     # the sender baked into the frame, so ``send`` drops it whenever the
     # sender changes (e.g. a broker forwarding a peer's frame)
     _frame_bin: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
+
+    def __init__(
+        self,
+        kind: str,
+        payload: Any = None,
+        sender: Optional[str] = None,
+        msg_id: int = _OMITTED,
+        meta: Dict[str, Any] = _OMITTED,
+    ):
+        # not generated, which calls a factory per omitted field; the keys set
+        # are the ones ``wire.decode_message_binary`` builds by hand
+        self.kind = kind
+        self.payload = payload
+        self.sender = sender
+        self.msg_id = next(_message_ids) if msg_id is _OMITTED else msg_id
+        self.meta = {} if meta is _OMITTED else meta
 
     def copy(self) -> "Message":
         """Return a copy with a fresh message id (used when forwarding).

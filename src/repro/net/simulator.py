@@ -28,15 +28,17 @@ class SimulationError(RuntimeError):
 
 
 # The queue is one FIFO per timestamp plus a heap of the distinct pending
-# times.  An entry is ``(callback, args, handle)``, appended to its time's
-# deque in scheduling order, so each deque is already in the order events at
-# that time must run, and the heap is sifted once per distinct time, not once
-# per event: a blast of thousands of same-time deliveries is thousands of
-# ``popleft`` calls, each freeing its entry (and the message it carries) as
-# it runs, not when its time is done.  ``handle`` is the :class:`EventHandle`
-# of an event scheduled through the public API, or ``None`` for a link
-# delivery — nothing can cancel those, so a simulated message allocates no
-# handle.
+# times.  Entries are appended to their time's deque in scheduling order, so
+# each deque is already in the order events at that time must run, and the
+# heap is sifted once per distinct time, not once per event: a blast of
+# thousands of same-time deliveries is thousands of ``popleft`` calls, each
+# freeing its entry (and the message it carries) as it runs.  An entry is
+# ``(callback, args, handle)`` for an event scheduled through the public API,
+# or ``(receiver, payload, _DELIVER)`` for a link delivery, run as
+# ``receiver.deliver(payload)``: nothing cancels a delivery, so it has no
+# handle, and ``deliver`` is looked up when it runs (a ``deliver`` replaced
+# on the instance after its link was built still fires).
+_DELIVER = object()
 
 
 class EventHandle:
@@ -124,16 +126,17 @@ class Simulator:
         self.events_scheduled += 1
         return handle
 
-    def push_uncancellable(self, time: float, callback: Callable[..., Any], args: tuple) -> None:
-        """Queue ``callback(*args)`` at absolute ``time`` without an :class:`EventHandle`.
+    def push_delivery(self, time: float, receiver: Any, payload: Any) -> None:
+        """Queue ``receiver.deliver(payload)`` at absolute ``time``, with no :class:`EventHandle`.
 
-        For events nothing will ever cancel (a link delivery): ordering and
-        counters are those of :meth:`schedule_at`, minus the handle allocation.
+        For a link delivery, which nothing cancels: ordering and counters are
+        those of :meth:`schedule_at`, and ``deliver`` is looked up when the
+        event runs, not now.
         """
         bucket = self._buckets.get(time)
         if bucket is None:
             bucket = self._bucket(time)
-        bucket.append((callback, args, None))
+        bucket.append((receiver, payload, _DELIVER))
         self.events_scheduled += 1
 
     def _bucket(self, time: float) -> deque[tuple]:
@@ -162,6 +165,7 @@ class Simulator:
         """
         buckets = self._buckets
         times = self._times
+        delivery = _DELIVER  # a local: it is read twice per event
         processed = 0
         dropped = False  # whether the last entry taken was a cancelled one
         while times:
@@ -171,22 +175,24 @@ class Simulator:
             while bucket:
                 if max_events is not None and processed >= max_events:
                     return self._now
-                callback, args, handle = bucket.popleft()
-                if handle is not None and handle.cancelled:
+                first, second, handle = entry = bucket.popleft()  # either shape
+                if handle is not delivery and handle.cancelled:
                     self._cancelled_in_queue -= 1
                     self._discarded += 1
                     dropped = True
                     continue
                 if late:
-                    bucket.appendleft((callback, args, handle))
+                    bucket.appendleft(entry)
                     self._now = until
                     return until
-                if handle is not None:
-                    handle.executed = True
                 self._now = time
                 self.events_processed += 1
                 dropped = False
-                callback(*args)
+                if handle is delivery:
+                    first.deliver(second)
+                else:
+                    handle.executed = True
+                    first(*second)
                 processed += 1
             if buckets.get(time) is bucket:  # else a callback cleared or ran the queue
                 heappop(times)

@@ -25,7 +25,7 @@ from .notification import Notification
 from .subscription import Subscription, subscription as make_subscription
 
 
-@dataclass
+@dataclass(slots=True)
 class Delivery:
     """A notification as received by a client, with reception metadata."""
 

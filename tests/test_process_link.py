@@ -5,6 +5,7 @@ import pytest
 from repro.net.link import Link, Network
 from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
+from repro.net.transport import SimTransport
 
 
 class Recorder(Process):
@@ -158,6 +159,21 @@ class TestLinkFailure:
         b = Recorder(sim, "b")
         with pytest.raises(ValueError):
             Link(sim, a, b, latency=-1.0)
+
+    @pytest.mark.parametrize("latency", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("build", ["link", "transport"])
+    def test_a_latency_that_is_not_finite_is_refused_at_construction(self, latency, build):
+        # a NaN passes ``latency < 0`` and used to fail only at the first send;
+        # an infinite one delivered at t=inf and left the clock there
+        sim = Simulator()
+        a = Recorder(sim, "a")
+        b = Recorder(sim, "b")
+        with pytest.raises(ValueError, match="finite"):
+            if build == "link":
+                Link(sim, a, b, latency=latency)
+            else:
+                SimTransport(sim).make_link(a, b, latency=latency)
+        assert a.links == {} and b.links == {}
 
 
 class TestNetwork:

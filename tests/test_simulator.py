@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulator."""
 
+import dataclasses
 import itertools
 import weakref
 
@@ -551,6 +552,33 @@ class TestQueueAgainstAReferenceModel:
         sim.schedule(1.0, lambda: None)
         assert len(created) == 1  # the public API still hands out a handle
 
+    def test_a_deliver_replaced_after_the_link_was_built_sees_every_message(self):
+        # a delivery entry names its receiver, not a bound ``deliver``: the
+        # method is looked up when the entry runs, so a hook installed on the
+        # instance after the link exists (as a trace capture does) sees every
+        # single send and every burst message, in order
+        sim = Simulator()
+        log, seen = [], []
+        a, b = Process(sim, "a"), _Sink(sim, "b", log)
+        Link(sim, a, b, latency=LATENCY)
+        a.send("b", Message("m", payload=0))
+        original = b.deliver
+
+        def hook(message):
+            seen.append((sim.now, message.payload))
+            original(message)
+
+        b.deliver = hook
+        a.send("b", Message("m", payload=1))
+        a.send_many("b", [Message("m", payload=i) for i in (2, 3, 4)])
+        sim.run(until=LATENCY)
+        a.send_many("b", [Message("m", payload=i) for i in (5, 6)])
+        a.send("b", Message("m", payload=7))
+        sim.run_until_idle()
+        assert log == list(range(8))
+        assert seen == [(LATENCY, n) for n in range(5)] + [(2 * LATENCY, n) for n in (5, 6, 7)]
+        assert (sim.events_scheduled, sim.events_processed) == (5, 5)
+
 
 class _Payload:
     __slots__ = ("n", "__weakref__")
@@ -610,3 +638,77 @@ class TestSameTimeBlast:
         ]
         assert max(alive for *_, alive in checks) <= 2
         assert all(ref() is None for ref in refs)
+
+    def test_a_blast_of_bursts_runs_in_order_and_frees_each_burst_as_it_runs(self):
+        # the same blast sent as ``send_many`` bursts: one entry per burst,
+        # whose messages are alive while it runs and freed once it has
+        burst = 10
+        sim = Simulator()
+        refs, checks = [], []
+        a, c = Process(sim, "a"), Process(sim, "c")
+        sink = _CountingSink(sim, "b", refs, checks)
+        Link(sim, a, sink, latency=LATENCY)
+        Link(sim, c, sink, latency=LATENCY)
+        for start in range(0, self.BLAST, burst):  # alternate the two links
+            payloads = [_Payload(n) for n in range(start, start + burst)]
+            refs.extend(weakref.ref(payload) for payload in payloads)
+            messages = [Message("m", payload=payload) for payload in payloads]
+            (a if start // burst % 2 == 0 else c).send_many("b", messages)
+        del payloads, messages
+        entries = self.BLAST // burst
+        assert _counters(sim) == (entries, 0, entries)
+
+        sim.run_until_idle()
+
+        assert sink.log == list(range(self.BLAST))
+        assert sim.now == LATENCY
+        assert _counters(sim) == (entries, entries, 0)
+        # every check lands on the last message of a burst, whose entry is
+        # the one running: it alone (plus the message in hand) may be alive
+        assert [(k, processed, pending) for k, processed, pending, _ in checks] == [
+            (k, k // burst, entries - k // burst) for k in range(500, self.BLAST + 1, 500)
+        ]
+        assert max(alive for *_, alive in checks) <= burst + 1
+        assert all(ref() is None for ref in refs)
+
+
+class TestMessageConstruction:
+    """``Message`` writes its own ``__init__``; it keeps the dataclass's contract."""
+
+    def test_an_omitted_meta_is_a_fresh_dict_per_message(self):
+        first, second = Message("m"), Message("m")
+        assert first.meta == {} and second.meta == {}
+        assert first.meta is not second.meta
+        meta = {"hops": 1}
+        assert Message("m", meta=meta).meta is meta  # a given one is kept, not copied
+
+    def test_a_msg_id_is_drawn_only_when_omitted(self):
+        before = Message("m").msg_id
+        assert Message("m", msg_id=before + 100).msg_id == before + 100
+        assert Message("m").msg_id == before + 1  # the explicit id drew nothing
+        # an explicit None is a value like any other (a decoder may pass it)
+        assert Message("m", msg_id=None, meta=None).msg_id is None
+
+    def test_positional_fields_equality_and_repr(self):
+        message = Message("k", 1, "s", 7, {"a": 1})
+        assert (message.kind, message.payload, message.sender) == ("k", 1, "s")
+        assert (message.msg_id, message.meta) == (7, {"a": 1})
+        assert repr(message) == "Message(kind='k', payload=1, sender='s', msg_id=7, meta={'a': 1})"
+        twin = Message(kind="k", payload=1, sender="s", msg_id=7, meta={"a": 1})
+        twin._frame_bin = b"cached"  # the frame cache is not compared
+        assert message == twin
+        assert message != Message("k", 1, "s", 8, {"a": 1})
+        assert message != Message("k", 1, "t", 7, {"a": 1})
+
+    def test_the_instance_holds_the_five_fields_and_no_cache(self):
+        message = Message("k")
+        assert list(vars(message)) == ["kind", "payload", "sender", "msg_id", "meta"]
+        assert message._frame_bin is None  # the class default
+        assert [f.name for f in dataclasses.fields(Message)] == [
+            "kind",
+            "payload",
+            "sender",
+            "msg_id",
+            "meta",
+            "_frame_bin",
+        ]
