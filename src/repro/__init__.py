@@ -14,12 +14,11 @@ The package is organised in four layers:
   workload generators, scenario composition and the experiment harness used
   by the benchmark suite.
 
-The most convenient entry point is :class:`repro.core.MobilePubSub`; see
-``examples/quickstart.py``.
+The most convenient entry point is :class:`repro.core.middleware.MobilePubSub`;
+see ``examples/quickstart.py``.  Importing :mod:`repro` loads none of the
+layers: each name is imported from its defining module.
 """
-
-from . import core, net, pubsub
 
 __version__ = "1.0.0"
 
-__all__ = ["core", "net", "pubsub", "__version__"]
+__all__ = ["__version__"]

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Eight subcommands mirror what a user of the library typically wants to do
+Seven subcommands mirror what a user of the library typically wants to do
 without writing code:
 
 * ``repro experiments`` — run (a subset of) the E1..E13 experiment suite and
@@ -25,8 +25,6 @@ without writing code:
   per-broker rates table (matches/s, forwards/s, deliveries/s, mean
   delivery age, routing table and duplicate-buffer gauges) for a bounded
   number of frames;
-* ``repro profile`` — cProfile the seeded handover workload with the
-  subscription-churn knob forced up and print the hottest functions;
 * ``repro info`` — show the system inventory: packages, experiments,
   scenarios, and the paper-to-module map.
 
@@ -218,44 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="notifications published per frame (default: 50)",
     )
     _add_fabric_arguments(top)
-
-    profile = subparsers.add_parser(
-        "profile",
-        help="profile the replicator handover workload under churn with cProfile",
-    )
-    profile.add_argument(
-        "--backend",
-        choices=("sim", "asyncio", "cluster"),
-        default="sim",
-        help="transport backend to profile (default: sim — pure routing/matching cost, "
-        "no socket noise in the profile)",
-    )
-    profile.add_argument(
-        "--brokers", type=int, default=4, help="brokers in the handover line (default: 4)"
-    )
-    profile.add_argument(
-        "--publishes", type=int, default=6, help="publishes per mobility phase (default: 6)"
-    )
-    profile.add_argument(
-        "--churn",
-        type=float,
-        default=0.5,
-        help="per-phase probability each walker toggles its covering 'alerts' "
-        "subscription (default: 0.5 — the churn-heavy regime)",
-    )
-    profile.add_argument(
-        "--seed", type=int, default=0, help="workload-family seed to replay (default: 0)"
-    )
-    profile.add_argument(
-        "--top", type=int, default=15, help="profile rows to print (default: 15)"
-    )
-    profile.add_argument(
-        "--sort",
-        choices=("cumulative", "tottime", "ncalls"),
-        default="cumulative",
-        help="pstats sort order (default: cumulative)",
-    )
-    _add_fabric_arguments(profile)
 
     subparsers.add_parser("info", help="show the system inventory")
     return parser
@@ -703,57 +663,6 @@ def _command_top(args: argparse.Namespace) -> int:
         net.close()
 
 
-def _command_profile(args: argparse.Namespace) -> int:
-    """cProfile the handover workload under churn and print the hotspots.
-
-    The workload is the seeded handover-scenario family with the churn knob
-    forced up, which is exactly the interleaved subscribe/unsubscribe +
-    publish regime the matching engine is tuned for.  Only the workload run
-    itself is inside the profiler — topology setup and teardown stay out.
-    """
-    import cProfile
-    import dataclasses
-    import io
-    import pstats
-
-    from .mobility.handover_workload import WorkloadSpec, run_handover_workload
-
-    if args.brokers < 3:
-        print("profile needs at least 3 brokers (handover line)", file=sys.stderr)
-        return 2
-    if not 0.0 <= args.churn <= 1.0:
-        print("profile needs --churn in [0, 1]", file=sys.stderr)
-        return 2
-    config = _fabric_config(args, "profile")
-    if config is None:
-        return 2
-    spec = dataclasses.replace(
-        WorkloadSpec.draw(args.seed),
-        brokers=args.brokers,
-        publishes_per_phase=args.publishes,
-        churn_rate=args.churn,
-    )
-    print(
-        f"profile: handover workload on {args.backend!r} — seed={args.seed} "
-        f"brokers={spec.brokers} publishes/phase={spec.publishes_per_phase} "
-        f"churn={spec.churn_rate:g} walkers={spec.walkers} commuters={spec.commuters}"
-    )
-    print(f"  fabric: {config.describe()}")
-    profiler = cProfile.Profile()
-    profiler.enable()
-    result = run_handover_workload(args.backend, spec=spec, config=config)
-    profiler.disable()
-    print(
-        f"  done: published={result.published} delivered={result.delivered_total()} "
-        f"handovers={result.handovers} wall={result.wall_sec:.3f}s"
-    )
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.strip_dirs().sort_stats(args.sort).print_stats(args.top)
-    print(stream.getvalue().rstrip())
-    return 0
-
-
 def _command_info(_args: argparse.Namespace) -> int:
     print("repro — mobile publish/subscribe middleware reproduction")
     print()
@@ -783,7 +692,6 @@ _COMMANDS = {
     "soak": _command_soak,
     "metrics": _command_metrics,
     "top": _command_top,
-    "profile": _command_profile,
     "info": _command_info,
 }
 

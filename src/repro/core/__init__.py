@@ -6,180 +6,31 @@ contribution — *extended logical mobility* through a replicator layer that
 casts pre-subscriptions (shadow virtual clients with buffers) at the brokers
 a client may move to next, as determined by a movement graph (``nlb``) or a
 more refined movement predictor.
+
+Only the names the examples use are re-exported here; everything else is
+imported from its defining module.
 """
 
-from .buffering import (
-    BufferPolicy,
-    BufferedNotification,
-    CombinedPolicy,
-    CountBasedPolicy,
-    NotificationBuffer,
-    SemanticPolicy,
-    TimeBasedPolicy,
-    UnboundedPolicy,
-    make_policy,
-)
-from .context import (
-    ContextAwareClient,
-    ContextDependentFilter,
-    ContextMarker,
-    context_dependent,
-)
-from .location import (
-    LOCATION_ATTRIBUTE,
-    Location,
-    LocationSpace,
-    cell_grid_space,
-    cell_name,
-    office_floor_space,
-    route_space,
-)
-from .location_filter import (
-    MYLOC,
-    LocationDependentFilter,
-    UnboundLocationError,
-    is_location_relevant,
-    location_dependent,
-)
+from .location import office_floor_space
+from .location_filter import location_dependent
 from .logical_mobility import LocationAwareClient
-from .metrics import (
-    DeliveryOutcome,
-    HandoverLatency,
-    OverheadReport,
-    evaluate_mobile_delivery,
-    evaluate_plain_delivery,
-    handover_latencies,
-    location_at_factory,
-    mean,
-    overhead_report,
-    percentile,
-    relevant_notification_ids,
-)
+from .metrics import evaluate_mobile_delivery, evaluate_plain_delivery, handover_latencies, mean
 from .middleware import MobilePubSub, MobilitySystemConfig
-from .mobile_client import AttachmentRecord, MobileClient, MobileDelivery
-from .movement_graph import (
-    MovementGraph,
-    complete_graph,
-    from_broker_network,
-    from_edges,
-    from_location_space,
-    grid_graph,
-    line_graph,
-)
-from .physical_mobility import (
-    HANDOVER_REPLY,
-    HANDOVER_REQUEST,
-    HandoverReply,
-    HandoverRequest,
-    RelocationManager,
-    RelocationStats,
-)
-from .replicator import (
-    CLIENT_BYE,
-    CLIENT_HELLO,
-    CLIENT_LEAVING,
-    CLIENT_SUBSCRIBE,
-    CLIENT_UNSUBSCRIBE,
-    LOCATION_UPDATE,
-    REPLICATION_CONTROL_KINDS,
-    SHADOW_CREATE,
-    SHADOW_DELETE,
-    SHADOW_SUB,
-    SHADOW_UNSUB,
-    WELCOME,
-    ClientHello,
-    Replicator,
-    ReplicatorConfig,
-    ReplicatorStats,
-)
-from .uncertainty import (
-    FloodingPredictor,
-    MarkovPredictor,
-    MovementPredictor,
-    NeighbourhoodPredictor,
-    NoPredictionPredictor,
-    coverage_and_cost,
-)
-from .virtual_client import VirtualClient, VirtualClientMode
+from .movement_graph import from_location_space
+from .replicator import ReplicatorConfig
+from .uncertainty import MarkovPredictor
 
 __all__ = [
-    "AttachmentRecord",
-    "BufferPolicy",
-    "BufferedNotification",
-    "CLIENT_BYE",
-    "CLIENT_HELLO",
-    "CLIENT_LEAVING",
-    "CLIENT_SUBSCRIBE",
-    "CLIENT_UNSUBSCRIBE",
-    "ClientHello",
-    "CombinedPolicy",
-    "ContextAwareClient",
-    "ContextDependentFilter",
-    "ContextMarker",
-    "CountBasedPolicy",
-    "DeliveryOutcome",
-    "FloodingPredictor",
-    "HANDOVER_REPLY",
-    "HANDOVER_REQUEST",
-    "HandoverLatency",
-    "HandoverReply",
-    "HandoverRequest",
-    "LOCATION_ATTRIBUTE",
-    "LOCATION_UPDATE",
-    "Location",
     "LocationAwareClient",
-    "LocationDependentFilter",
-    "LocationSpace",
-    "MYLOC",
     "MarkovPredictor",
-    "MobileClient",
-    "MobileDelivery",
     "MobilePubSub",
     "MobilitySystemConfig",
-    "MovementGraph",
-    "MovementPredictor",
-    "NeighbourhoodPredictor",
-    "NoPredictionPredictor",
-    "NotificationBuffer",
-    "OverheadReport",
-    "REPLICATION_CONTROL_KINDS",
-    "RelocationManager",
-    "RelocationStats",
-    "Replicator",
     "ReplicatorConfig",
-    "ReplicatorStats",
-    "SHADOW_CREATE",
-    "SHADOW_DELETE",
-    "SHADOW_SUB",
-    "SHADOW_UNSUB",
-    "SemanticPolicy",
-    "TimeBasedPolicy",
-    "UnboundLocationError",
-    "UnboundedPolicy",
-    "VirtualClient",
-    "VirtualClientMode",
-    "WELCOME",
-    "cell_grid_space",
-    "cell_name",
-    "complete_graph",
-    "context_dependent",
-    "coverage_and_cost",
     "evaluate_mobile_delivery",
     "evaluate_plain_delivery",
-    "from_broker_network",
-    "from_edges",
     "from_location_space",
-    "grid_graph",
     "handover_latencies",
-    "is_location_relevant",
-    "line_graph",
-    "location_at_factory",
     "location_dependent",
-    "make_policy",
     "mean",
     "office_floor_space",
-    "overhead_report",
-    "percentile",
-    "relevant_notification_ids",
-    "route_space",
 ]

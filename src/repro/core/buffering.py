@@ -26,7 +26,7 @@ experiments can report the memory/recall trade-off (E7, E8).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Hashable, Iterable, List, Optional
 
 from ..pubsub.notification import Notification
@@ -172,12 +172,6 @@ class NotificationBuffer:
         self._entries.append(BufferedNotification(notification, buffered_at=now))
         self.added += 1
         self._apply_policy(now)
-
-    def expire(self, now: float) -> int:
-        """Apply the policy without adding anything; returns how many entries were evicted."""
-        before = len(self._entries)
-        self._apply_policy(now)
-        return before - len(self._entries)
 
     def drain(self, now: Optional[float] = None) -> List[Notification]:
         """Return all live notifications in order and empty the buffer (the replay)."""

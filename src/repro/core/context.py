@@ -17,8 +17,8 @@ of a single ``location`` marker.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..net.simulator import Simulator
 from ..pubsub.client import Client
@@ -118,7 +118,6 @@ class ContextAwareClient(Client):
         self.templates: Dict[str, ContextDependentFilter] = {}
         self._bound_subs: Dict[str, Subscription] = {}
         self.rebinds = 0
-        self.context_trace: List[Tuple[float, Dict[str, Any]]] = [(sim.now, dict(self.context))]
 
     # ---------------------------------------------------------------- templates
     def subscribe_context(
@@ -129,17 +128,10 @@ class ContextAwareClient(Client):
         self._bind(template_id)
         return template_id
 
-    def unsubscribe_context(self, template_id: str) -> None:
-        self.templates.pop(template_id, None)
-        bound = self._bound_subs.pop(template_id, None)
-        if bound is not None:
-            self.unsubscribe(bound)
-
     # ------------------------------------------------------------------- context
     def update_context(self, **values: Any) -> None:
         """Change the client's local state and re-bind every affected template."""
         self.context.update(values)
-        self.context_trace.append((self.sim.now, dict(self.context)))
         changed_markers = set(values.keys())
         for template_id, template in self.templates.items():
             if changed_markers & set(template.markers()):
@@ -165,12 +157,3 @@ class ContextAwareClient(Client):
     # --------------------------------------------------------------------- stats
     def bound_filters(self) -> List[Filter]:
         return [sub.filter for sub in self._bound_subs.values()]
-
-    def context_at(self, time: float) -> Dict[str, Any]:
-        context: Dict[str, Any] = {}
-        for timestamp, snapshot in self.context_trace:
-            if timestamp <= time:
-                context = snapshot
-            else:
-                break
-        return context

@@ -84,9 +84,6 @@ class LocationSpace:
         """All logical locations covered by a border broker."""
         return sorted(loc for loc, broker in self._broker_of.items() if broker == broker_name)
 
-    def region_of(self, location: str) -> Optional[str]:
-        return self._regions.get(location)
-
     def locations_of_region(self, region: str) -> List[str]:
         return sorted(loc for loc, reg in self._regions.items() if reg == region)
 

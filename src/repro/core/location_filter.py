@@ -98,9 +98,6 @@ class LocationDependentFilter:
         return self.bind(space.myloc_for_broker(broker_name))
 
     # ------------------------------------------------------------------ misc
-    def matches_ignoring_location(self, notification: Mapping[str, Any]) -> bool:
-        """Evaluate only the static part (used to classify notifications in metrics)."""
-        return self.static_filter.matches(notification)
 
     def key(self) -> Tuple:
         return ("myloc-template", self.static_filter.key(), self.location_attribute, self.scope)
@@ -147,17 +144,3 @@ def location_dependent(
         else:
             constraints.append(Equals(attribute, value))
     return LocationDependentFilter(Filter(constraints), location_attribute, scope)
-
-
-def is_location_relevant(
-    notification: Mapping[str, Any],
-    template: LocationDependentFilter,
-    locations: Iterable[str],
-) -> bool:
-    """Would this notification match the template bound to ``locations``?
-
-    Used by the metrics module to decide, after the fact, which published
-    notifications were *relevant* to a client at a given location — the
-    ground truth against which missed notifications are counted.
-    """
-    return template.bind(locations).matches(notification)

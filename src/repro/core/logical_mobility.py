@@ -46,7 +46,6 @@ class LocationAwareClient(Client):
         self.templates: Dict[str, LocationDependentFilter] = {}
         self._bound_subs: Dict[str, Subscription] = {}
         self.rebinds = 0
-        self.reissues = 0
         self.location_trace: List[Tuple[float, str]] = []
 
     # ---------------------------------------------------------------- templates
@@ -76,26 +75,13 @@ class LocationAwareClient(Client):
         for template_id in self.templates:
             self._bind(template_id)
 
-    def reissue_at(self, border_broker_name: str) -> None:
-        """Reactive cross-broker mobility: re-issue every subscription at a new broker.
-
-        The caller is responsible for having wired a link to the new broker
-        (see :meth:`repro.pubsub.broker_network.BrokerNetwork.attach_client`);
-        this method performs the subscription re-issuing the paper describes
-        as the costly part of leaving a border broker's range.
-        """
-        self.local_broker.connect(border_broker_name, reissue=False)
-        self.reissues += 1
-        for template_id in list(self.templates):
-            self._bind(template_id, force=True)
-
     # ------------------------------------------------------------------ binding
-    def _bind(self, template_id: str, force: bool = False) -> None:
+    def _bind(self, template_id: str) -> None:
         template = self.templates[template_id]
         assert self.location is not None
         desired: Filter = template.bind_for_location(self.space, self.location)
         current = self._bound_subs.get(template_id)
-        if current is not None and current.filter == desired and not force:
+        if current is not None and current.filter == desired:
             return
         if current is not None:
             self.unsubscribe(current)

@@ -21,8 +21,8 @@ the simulated system.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..pubsub.notification import Notification
 from .location import LocationSpace
@@ -226,34 +226,3 @@ def percentile(values: Sequence[float], q: float) -> float:
     high = min(low + 1, len(values) - 1)
     fraction = rank - low
     return values[low] * (1 - fraction) + values[high] * fraction
-
-
-@dataclass
-class OverheadReport:
-    """Control-traffic and state overhead of a run."""
-
-    subscription_messages: int
-    replication_messages: int
-    total_messages: int
-    shadow_count: int
-    buffer_memory: int
-
-    def as_row(self) -> Dict[str, int]:
-        return {
-            "sub_msgs": self.subscription_messages,
-            "repl_msgs": self.replication_messages,
-            "total_msgs": self.total_messages,
-            "shadows": self.shadow_count,
-            "buffer_bytes": self.buffer_memory,
-        }
-
-
-def overhead_report(system) -> OverheadReport:
-    """Collect the overhead counters from a :class:`~repro.core.middleware.MobilePubSub` system."""
-    return OverheadReport(
-        subscription_messages=system.subscription_message_count(),
-        replication_messages=system.control_message_count(),
-        total_messages=system.network.total_messages(),
-        shadow_count=system.total_shadow_count(),
-        buffer_memory=system.total_buffer_memory(),
-    )

@@ -71,10 +71,9 @@ class MobilePubSub:
     every wireless attach opens an actual TCP connection and the whole
     replicated-handover protocol crosses the wire as encoded frames.
 
-    Simulated latency stays on the simulator: on sockets a link latency is
-    a real wait on every message, so there the publisher, replicator and
-    wireless links are built with 0 (on the simulator, with the constants
-    above).
+    Simulated latency stays on the simulator: every backend builds the
+    publisher, replicator and wireless links with the constants above, and
+    only the simulator applies them (a socket link delivers at arrival).
 
     Parameters
     ----------

@@ -11,14 +11,13 @@ The movement graph is the paper's formalisation of *uncertainty in client
 movement*: the wider the neighbourhoods, the more places the client might pop
 up, and the more shadow virtual clients the replicator has to maintain.  The
 builders below construct movement graphs from the structures the paper
-mentions (broker-network adjacency, GSM cell neighbourhoods, office floors)
-and the analysis helpers quantify the flooding degeneration discussed in
-Sect. 4.
+mentions (broker-network adjacency, GSM cell neighbourhoods, office floors),
+and :meth:`MovementGraph.average_degree` measures how wide the
+neighbourhoods are.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 
@@ -45,10 +44,6 @@ class MovementGraph:
             return
         self._adjacency.setdefault(a, set()).add(b)
         self._adjacency.setdefault(b, set()).add(a)
-
-    def remove_edge(self, a: str, b: str) -> None:
-        self._adjacency.get(a, set()).discard(b)
-        self._adjacency.get(b, set()).discard(a)
 
     # -------------------------------------------------------------------- nlb
     def nlb(self, broker: str) -> FrozenSet[str]:
@@ -99,88 +94,17 @@ class MovementGraph:
                 seen.add(edge)  # type: ignore[arg-type]
         return sorted(seen)
 
-    def degree(self, broker: str) -> int:
-        return len(self._adjacency[broker])
-
     def __contains__(self, broker: str) -> bool:
         return broker in self._adjacency
 
     def __len__(self) -> int:
         return len(self._adjacency)
 
-    def has_edge(self, a: str, b: str) -> bool:
-        return b in self._adjacency.get(a, set())
-
     # --------------------------------------------------------------- analysis
     def average_degree(self) -> float:
         if not self._adjacency:
             return 0.0
         return sum(len(n) for n in self._adjacency.values()) / len(self._adjacency)
-
-    def max_degree(self) -> int:
-        if not self._adjacency:
-            return 0
-        return max(len(n) for n in self._adjacency.values())
-
-    def is_flooding(self) -> bool:
-        """True if every broker's neighbourhood is every other broker.
-
-        This is the degenerate case of Sect. 4: "a virtual client is running
-        (almost) everywhere in the system ... the scheme would degenerate to
-        flooding, a very unpleasant situation."
-        """
-        n = len(self._adjacency)
-        if n <= 1:
-            return False
-        return all(len(neigh) == n - 1 for neigh in self._adjacency.values())
-
-    def flooding_ratio(self) -> float:
-        """Average fraction of all other brokers contained in a neighbourhood (0..1)."""
-        n = len(self._adjacency)
-        if n <= 1:
-            return 0.0
-        return self.average_degree() / (n - 1)
-
-    def shortest_path_length(self, a: str, b: str) -> Optional[int]:
-        """Hop distance in the movement graph, or ``None`` if unreachable."""
-        if a == b:
-            return 0
-        visited = {a}
-        queue: deque[Tuple[str, int]] = deque([(a, 0)])
-        while queue:
-            node, dist = queue.popleft()
-            for neighbour in self._adjacency[node]:
-                if neighbour == b:
-                    return dist + 1
-                if neighbour not in visited:
-                    visited.add(neighbour)
-                    queue.append((neighbour, dist + 1))
-        return None
-
-    def respects(self, trace: Sequence[str]) -> bool:
-        """Does a broker-level movement trace only use edges of this graph?"""
-        for previous, current in zip(trace, trace[1:]):
-            if previous == current:
-                continue
-            if not self.has_edge(previous, current):
-                return False
-        return True
-
-    def coverage_of_trace(self, trace: Sequence[str]) -> float:
-        """Fraction of trace transitions whose target is in ``nlb`` of the source.
-
-        This is the probability that the replicator's shadow set covers the
-        client's next attachment — the quantity experiment E6 sweeps.
-        """
-        transitions = [
-            (previous, current)
-            for previous, current in zip(trace, trace[1:])
-            if previous != current
-        ]
-        if not transitions:
-            return 1.0
-        covered = sum(1 for previous, current in transitions if current in self.nlb(previous))
-        return covered / len(transitions)
 
 
 # ------------------------------------------------------------------- builders
@@ -195,14 +119,6 @@ def from_broker_network(network: "BrokerNetworkLike") -> MovementGraph:
     """
     graph = MovementGraph(network.broker_names())
     for a, b in network.broker_edges():
-        graph.add_edge(a, b)
-    return graph
-
-
-def from_edges(edges: Iterable[Tuple[str, str]], brokers: Iterable[str] = ()) -> MovementGraph:
-    """Movement graph from an explicit edge list."""
-    graph = MovementGraph(brokers)
-    for a, b in edges:
         graph.add_edge(a, b)
     return graph
 

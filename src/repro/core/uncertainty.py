@@ -113,12 +113,6 @@ class MarkovPredictor(MovementPredictor):
         self._counts[from_broker][to_broker] += 1
         self._totals[from_broker] += 1
 
-    def transition_probability(self, from_broker: str, to_broker: str) -> float:
-        total = self._totals.get(from_broker, 0)
-        if total == 0:
-            return 0.0
-        return self._counts[from_broker].get(to_broker, 0) / total
-
     def predict(self, current_broker: str, history: Sequence[str] = ()) -> FrozenSet[str]:
         total = self._totals.get(current_broker, 0)
         if total < self.min_observations:

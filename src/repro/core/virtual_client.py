@@ -25,7 +25,7 @@ subscriptions bound to the broker's own coverage area, deliveries buffered).
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Mapping, Optional, Protocol
+from typing import Dict, List, Optional, Protocol
 
 from ..pubsub.filters import Filter
 from ..pubsub.notification import Notification, attribute_dict
@@ -108,13 +108,6 @@ class VirtualClient:
         return self.mode is VirtualClientMode.ACTIVE
 
     # ---------------------------------------------------------- subscriptions
-    def set_templates(self, templates: Mapping[str, LocationDependentFilter]) -> None:
-        """Replace the whole set of location-dependent templates (client setup)."""
-        for template_id in list(self.templates):
-            if template_id not in templates:
-                self.remove_template(template_id)
-        for template_id, template in templates.items():
-            self.add_template(template_id, template)
 
     def add_template(self, template_id: str, template: LocationDependentFilter) -> None:
         """Mimic the client's subscribe call for a location-dependent filter."""
@@ -268,8 +261,6 @@ class VirtualClient:
         self.host.issue_subscribe(subscription)
 
     # ------------------------------------------------------------------ stats
-    def buffer_size(self) -> int:
-        return len(self.buffer)
 
     def bound_filters(self) -> List[Filter]:
         return [s.filter for s in self._bound.values()] + [s.filter for s in self._plain_issued.values()]

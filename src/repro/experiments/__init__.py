@@ -24,7 +24,7 @@ from . import (
     e12_routing_ablation,
     e13_replicator_ablation,
 )
-from .harness import ExperimentResult, Table, geometric_sizes
+from .harness import Table
 
 #: Registry of all experiments: id -> (title, run callable).
 EXPERIMENTS = {
@@ -45,9 +45,7 @@ EXPERIMENTS = {
 
 __all__ = [
     "EXPERIMENTS",
-    "ExperimentResult",
     "Table",
-    "geometric_sizes",
     "e01_routing",
     "e02_physical",
     "e03_logical",

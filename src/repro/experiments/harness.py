@@ -8,8 +8,7 @@ appendix would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Mapping, Sequence
 
 
 class Table:
@@ -94,42 +93,3 @@ def _fmt(value: Any) -> str:
     if isinstance(value, float):
         return f"{value:.4g}"
     return str(value)
-
-
-@dataclass
-class ExperimentResult:
-    """Everything an experiment produces: its id, tables and free-form notes."""
-
-    experiment_id: str
-    title: str
-    tables: List[Table] = field(default_factory=list)
-    notes: List[str] = field(default_factory=list)
-
-    def add_table(self, table: Table) -> Table:
-        self.tables.append(table)
-        return table
-
-    def formatted(self) -> str:
-        parts = [f"=== {self.experiment_id}: {self.title} ==="]
-        for table in self.tables:
-            parts.append(table.formatted())
-        for note in self.notes:
-            parts.append(f"note: {note}")
-        return "\n\n".join(parts)
-
-
-def geometric_sizes(smallest: int, largest: int, steps: int) -> List[int]:
-    """A small geometric sweep of integer sizes, endpoints included."""
-    if steps < 2 or smallest >= largest:
-        return [smallest]
-    sizes = []
-    ratio = (largest / smallest) ** (1 / (steps - 1))
-    value = float(smallest)
-    for _ in range(steps):
-        sizes.append(int(round(value)))
-        value *= ratio
-    deduped: List[int] = []
-    for size in sizes:
-        if not deduped or size > deduped[-1]:
-            deduped.append(size)
-    return deduped

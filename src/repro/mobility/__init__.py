@@ -4,84 +4,19 @@ This package provides the evaluation substrate: how clients move (models),
 what gets published where (workloads), how movement is recorded and analysed
 (traces), and ready-made scenario builders matching the paper's motivating
 examples (office floor, car route, cellular grid).
+
+Only the names the examples use are re-exported here; everything else is
+imported from its defining module.
 """
 
-from .handover_workload import (
-    HandoverWorkloadResult,
-    MobileOutcome,
-    cross_check_backends,
-    run_handover_workload,
-)
-from .models import (
-    MarkovMobility,
-    MobilityDriver,
-    MobilityModel,
-    RandomWalkMobility,
-    RoutePathMobility,
-    StaticMobility,
-    TeleportMobility,
-    Waypoint,
-)
-from .scenario import (
-    RoamingSubscriber,
-    Scenario,
-    build_grid_scenario,
-    build_office_scenario,
-    build_route_scenario,
-    grid_route,
-)
-from .trace import (
-    MovementTrace,
-    TraceEntry,
-    coverage_against_graph,
-    synthetic_commuter_trace,
-    trace_from_model,
-)
-from .workload import (
-    BurstyLocationPublisher,
-    GlobalServicePublisher,
-    LocationServicePublishers,
-    PoissonLocationPublishers,
-    PublisherHandle,
-    WorkloadRecorder,
-    restaurant_workload,
-    stock_workload,
-    temperature_workload,
-    weather_workload,
-)
+from .models import RoutePathMobility
+from .scenario import build_office_scenario, build_route_scenario
+from .workload import restaurant_workload, stock_workload
 
 __all__ = [
-    "BurstyLocationPublisher",
-    "GlobalServicePublisher",
-    "HandoverWorkloadResult",
-    "LocationServicePublishers",
-    "MobileOutcome",
-    "cross_check_backends",
-    "run_handover_workload",
-    "MarkovMobility",
-    "MobilityDriver",
-    "MobilityModel",
-    "MovementTrace",
-    "PoissonLocationPublishers",
-    "PublisherHandle",
-    "RandomWalkMobility",
-    "RoamingSubscriber",
     "RoutePathMobility",
-    "Scenario",
-    "StaticMobility",
-    "TeleportMobility",
-    "TraceEntry",
-    "Waypoint",
-    "WorkloadRecorder",
-    "build_grid_scenario",
     "build_office_scenario",
     "build_route_scenario",
-    "coverage_against_graph",
-    "grid_route",
     "restaurant_workload",
     "stock_workload",
-    "synthetic_commuter_trace",
-    "temperature_workload",
-    "trace_from_model",
-    "weather_workload",
 ]

@@ -24,8 +24,8 @@ seeded random generator; :class:`MobilityDriver` schedules the corresponding
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence
 
 from ..core.location import LocationSpace
 from ..core.middleware import MobilePubSub
@@ -56,19 +56,6 @@ class MobilityModel:
     def broker_trace(self, space: LocationSpace, duration: float, rng: random.Random) -> List[str]:
         """Convenience: the broker sequence induced by the movement schedule."""
         return [space.broker_of(w.location) for w in self.waypoints(duration, rng)]
-
-
-class StaticMobility(MobilityModel):
-    """A client that never moves (control case)."""
-
-    name = "static"
-
-    def __init__(self, location: str, start_time: float = 0.0):
-        self.location = location
-        self.start_time = start_time
-
-    def waypoints(self, duration: float, rng: random.Random) -> List[Waypoint]:
-        return [Waypoint(time=self.start_time, location=self.location)]
 
 
 class RandomWalkMobility(MobilityModel):

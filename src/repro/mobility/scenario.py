@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from ..core.location import LocationSpace, cell_grid_space, cell_name, office_floor_space, route_space
+from ..core.location import LocationSpace, cell_grid_space, office_floor_space, route_space
 from ..core.location_filter import LocationDependentFilter
 from ..core.metrics import DeliveryOutcome, evaluate_mobile_delivery
 from ..core.middleware import MobilePubSub, MobilitySystemConfig
@@ -88,9 +88,6 @@ class Scenario:
             subscriber.client, self.recorder.published, subscriber.template, self.space
         )
 
-    def evaluate_all(self) -> Dict[str, DeliveryOutcome]:
-        return {s.client.name: self.evaluate(s) for s in self.subscribers}
-
 
 # ------------------------------------------------------------------ builders
 
@@ -141,24 +138,3 @@ def build_grid_scenario(
     )
     system = MobilePubSub(sim, network, space, config=config)
     return Scenario(sim=sim, network=network, space=space, system=system)
-
-
-def grid_route(rows: int, cols: int, seed: int = 3, length: Optional[int] = None) -> List[str]:
-    """A random lawn-mower style path over a cell grid, for route mobility on grids."""
-    rng = random.Random(seed)
-    path: List[str] = []
-    r, c = rng.randrange(rows), rng.randrange(cols)
-    length = length or rows * cols
-    for _ in range(length):
-        path.append(cell_name(r, c))
-        moves = []
-        if r + 1 < rows:
-            moves.append((r + 1, c))
-        if r > 0:
-            moves.append((r - 1, c))
-        if c + 1 < cols:
-            moves.append((r, c + 1))
-        if c > 0:
-            moves.append((r, c - 1))
-        r, c = rng.choice(moves)
-    return path

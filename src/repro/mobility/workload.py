@@ -11,12 +11,12 @@ published notification so the metrics module has the ground truth.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, List, Mapping, Optional, Sequence
 
-from ..core.location import LOCATION_ATTRIBUTE, LocationSpace
+from ..core.location import LOCATION_ATTRIBUTE
 from ..core.middleware import MobilePubSub
-from ..net.simulator import PeriodicTask, Simulator
+from ..net.simulator import PeriodicTask
 from ..pubsub.client import Client
 from ..pubsub.notification import Notification
 
@@ -30,12 +30,6 @@ class WorkloadRecorder:
     def record(self, notification: Optional[Notification]) -> None:
         if notification is not None:
             self.published.append(notification)
-
-    def of_service(self, service: str) -> List[Notification]:
-        return [n for n in self.published if n.get("service") == service]
-
-    def at_location(self, location: str) -> List[Notification]:
-        return [n for n in self.published if n.get(LOCATION_ATTRIBUTE) == location]
 
     def __len__(self) -> int:
         return len(self.published)
@@ -123,33 +117,6 @@ class LocationServicePublishers:
         return len(self.publishers)
 
 
-class PoissonLocationPublishers(LocationServicePublishers):
-    """Like :class:`LocationServicePublishers` but with exponential inter-arrival times."""
-
-    def _deploy(self, phase_spread: bool) -> None:
-        for location in self.locations:
-            client = self.system.add_publisher(f"pub-{self.service}-{location}", location)
-            jitter = self._exponential_jitter()
-            task = PeriodicTask(
-                self.system.sim,
-                period=self.period,
-                callback=self._publish_callback(client, location),
-                start_delay=self.rng.uniform(0, self.period),
-                jitter=jitter,
-                until=self.until,
-            )
-            self.publishers.append(
-                PublisherHandle(client=client, task=task, location=location, service=self.service)
-            )
-
-    def _exponential_jitter(self) -> Callable[[], float]:
-        def jitter() -> float:
-            # Turn the fixed period into an exponential inter-arrival with the same mean.
-            return self.rng.expovariate(1.0 / self.period) - self.period
-
-        return jitter
-
-
 class GlobalServicePublisher:
     """A single location-independent publisher (e.g. a stock ticker).
 
@@ -185,54 +152,6 @@ class GlobalServicePublisher:
         attributes = {"service": self.service, "symbol": self.symbol, "seq": self.sequence}
         attributes.update(self.value_function(self.system.sim.now))
         self.recorder.record(self.client.publish(attributes))
-
-    def stop(self) -> None:
-        self.task.stop()
-
-
-class BurstyLocationPublisher:
-    """A publisher that emits bursts of notifications at one location.
-
-    Used by the buffering experiments (E7): bursts stress count-based
-    policies, long quiet periods stress time-based policies.
-    """
-
-    def __init__(
-        self,
-        system: MobilePubSub,
-        service: str,
-        location: str,
-        recorder: WorkloadRecorder,
-        burst_size: int = 5,
-        burst_period: float = 20.0,
-        intra_burst_gap: float = 0.1,
-        until: Optional[float] = None,
-    ):
-        self.system = system
-        self.service = service
-        self.location = location
-        self.recorder = recorder
-        self.burst_size = burst_size
-        self.intra_burst_gap = intra_burst_gap
-        self.client = system.add_publisher(f"pub-burst-{service}-{location}", location)
-        self.bursts_emitted = 0
-        self.task = PeriodicTask(system.sim, period=burst_period, callback=self._burst, until=until)
-
-    def _burst(self) -> None:
-        self.bursts_emitted += 1
-        for i in range(self.burst_size):
-            self.system.sim.schedule(i * self.intra_burst_gap, self._publish_one, i)
-
-    def _publish_one(self, index: int) -> None:
-        notification = self.client.publish(
-            {
-                "service": self.service,
-                LOCATION_ATTRIBUTE: self.location,
-                "burst": self.bursts_emitted,
-                "index": index,
-            }
-        )
-        self.recorder.record(notification)
 
     def stop(self) -> None:
         self.task.stop()

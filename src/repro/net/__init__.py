@@ -5,57 +5,11 @@ middleware (TCP links between Java broker processes, wireless access links to
 mobile devices) with a deterministic, laptop-scale simulation that preserves
 the properties the paper's algorithms rely on: per-link FIFO delivery, known
 latencies and explicit connection awareness.
+
+Only the names the examples use are re-exported here; everything else is
+imported from its defining module.
 """
 
-from .cluster import ClusterError, ClusterTransport, RemoteBroker
-from .faults import FaultEvent, FaultInjector, FaultLog
-from .link import Link, LinkStats, Network
-from .process import LinkEndpoint, Message, Process
-from .registry import RegistryError, RegistryServer
-from .simulator import EventHandle, PeriodicTask, SimulationError, Simulator, drain
-from .transport import (
-    TRANSPORT_NAMES,
-    AsyncioTransport,
-    SimTransport,
-    Transport,
-    TransportError,
-    make_transport,
-)
-from .wire import FrameDecoder, WireError, decode_message, encode_message, frame_message
-from .wireless import CoverageMap, WirelessChannel, WirelessStats
+from .simulator import PeriodicTask, Simulator
 
-__all__ = [
-    "AsyncioTransport",
-    "ClusterError",
-    "ClusterTransport",
-    "CoverageMap",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultLog",
-    "EventHandle",
-    "FrameDecoder",
-    "Link",
-    "LinkEndpoint",
-    "LinkStats",
-    "Message",
-    "Network",
-    "PeriodicTask",
-    "Process",
-    "RegistryError",
-    "RegistryServer",
-    "RemoteBroker",
-    "SimTransport",
-    "SimulationError",
-    "Simulator",
-    "TRANSPORT_NAMES",
-    "Transport",
-    "TransportError",
-    "WireError",
-    "WirelessChannel",
-    "WirelessStats",
-    "decode_message",
-    "drain",
-    "encode_message",
-    "frame_message",
-    "make_transport",
-]
+__all__ = ["PeriodicTask", "Simulator"]

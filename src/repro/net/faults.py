@@ -24,8 +24,8 @@ link severing (see :mod:`repro.net.cluster`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from .link import Link, Network
 from .process import Process
@@ -93,17 +93,6 @@ class FaultInjector:
         self.rng.setstate(state)
 
     # ------------------------------------------------------------------ links
-    def link_outage(self, a: str, b: str, start: float, duration: float) -> None:
-        """Take the link between ``a`` and ``b`` down for ``duration`` seconds."""
-        link = self._require_link(a, b)
-        self.sim.schedule_at(start, self._set_link, link, False, f"{a}<->{b}")
-        self.sim.schedule_at(start + duration, self._set_link, link, True, f"{a}<->{b}")
-
-    def cut_link(self, a: str, b: str, at: float) -> None:
-        """Permanently cut the link between ``a`` and ``b``."""
-        link = self._require_link(a, b)
-        self.sim.schedule_at(at, self._set_link, link, False, f"{a}<->{b}")
-
     def link_down_now(self, a: str, b: str) -> None:
         """Sever the link between ``a`` and ``b`` immediately (any backend)."""
         self._set_link(self._require_link(a, b), False, f"{a}<->{b}")
@@ -137,11 +126,6 @@ class FaultInjector:
         """
         process = self._require_process(name)
         self.sim.schedule_at(at, self._set_process_alive, process, True)
-
-    def crash_for(self, name: str, start: float, duration: float) -> None:
-        """Crash a process for ``duration`` seconds, then bring it back."""
-        self.crash_process(name, start)
-        self.restart_process(name, start + duration)
 
     def crash_now(self, name: str) -> None:
         """Crash a process immediately (``kill -9`` on the cluster backend)."""
@@ -189,8 +173,3 @@ class FaultInjector:
                 self.sim.schedule_at(start + duration, self._set_link, link, True, label)
                 affected += 1
         return affected
-
-    # ------------------------------------------------------------------ stats
-    def downtime_events(self) -> Tuple[int, int]:
-        """Return ``(link_down_events, process_down_events)`` injected so far."""
-        return len(self.log.of_kind("link_down")), len(self.log.of_kind("process_down"))

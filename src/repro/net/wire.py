@@ -42,7 +42,7 @@ from __future__ import annotations
 import json
 import struct
 from operator import attrgetter
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from .process import Message
 
@@ -1041,15 +1041,6 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
         return len(self._buffer)
-
-
-def iter_frames(data: bytes) -> Iterator[bytes]:
-    """Split a complete byte string into frame bodies (test/diagnostic helper)."""
-    decoder = FrameDecoder()
-    for body in decoder.feed(data):
-        yield body
-    if decoder.pending_bytes:
-        raise WireError(f"{decoder.pending_bytes} trailing bytes after the last frame")
 
 
 #: the tagged-JSON reference codec — what golden traces and corpus digests pin

@@ -11,16 +11,16 @@ reachable distance.
 :class:`WirelessChannel` models exactly that: at any time the device is
 attached to at most one access point (border broker / replicator process);
 attachment changes are explicit events with connect/disconnect latencies, and
-both sides receive callbacks so that virtual clients can switch between
-*active* and *buffering* mode (Sect. 3.2.3).
+the device side receives a callback on each attach so that virtual clients
+can switch between *active* and *buffering* mode (Sect. 3.2.3).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
-from .link import Link, LinkStats
+from .link import Link
 from .process import Message, Process
 from .simulator import Simulator
 
@@ -85,7 +85,6 @@ class WirelessChannel:
         self._attach_epoch = 0
         self.stats = WirelessStats()
         self._on_connect: List[ConnectionCallback] = []
-        self._on_disconnect: List[ConnectionCallback] = []
 
     # ------------------------------------------------------------ awareness
     @property
@@ -100,10 +99,6 @@ class WirelessChannel:
     def on_connect(self, callback: ConnectionCallback) -> None:
         """Register a callback invoked (with the AP name) after each attach completes."""
         self._on_connect.append(callback)
-
-    def on_disconnect(self, callback: ConnectionCallback) -> None:
-        """Register a callback invoked (with the AP name) after each detach."""
-        self._on_disconnect.append(callback)
 
     # ------------------------------------------------------------ attachment
     def attach(self, access_point: Process, immediate: bool = False) -> None:
@@ -189,8 +184,6 @@ class WirelessChannel:
         self._link = None
         self.stats.disconnects += 1
         self.stats.attachment_history.append((self.sim.now, "detach", ap_name))
-        for callback in list(self._on_disconnect):
-            callback(ap_name)
 
     def handover(self, new_access_point: Process, gap: float = 0.0) -> None:
         """Detach from the current AP and attach to ``new_access_point``.
@@ -215,38 +208,3 @@ class WirelessChannel:
         self.stats.messages_up += 1
         self.device.send(self.current_ap.name, message)
         return True
-
-    def link_stats(self) -> Optional[LinkStats]:
-        if self._link is None:
-            return None
-        return self._link.stats_a_to_b
-
-
-class CoverageMap:
-    """Maps physical positions to the access points that cover them.
-
-    The scenario code uses a coverage map to decide, whenever the mobility
-    model moves a device, which border broker (if any) is "in reachable
-    distance" — the second half of the paper's connection-awareness
-    assumption.
-    """
-
-    def __init__(self) -> None:
-        self._cells: Dict[str, str] = {}
-
-    def set_cell(self, cell_id: str, access_point_name: str) -> None:
-        """Declare that physical cell ``cell_id`` is covered by ``access_point_name``."""
-        self._cells[cell_id] = access_point_name
-
-    def access_point_for(self, cell_id: str) -> Optional[str]:
-        """Return the covering access point's name, or ``None`` if out of coverage."""
-        return self._cells.get(cell_id)
-
-    def cells_of(self, access_point_name: str) -> List[str]:
-        return [cell for cell, ap in self._cells.items() if ap == access_point_name]
-
-    def __contains__(self, cell_id: str) -> bool:
-        return cell_id in self._cells
-
-    def __len__(self) -> int:
-        return len(self._cells)

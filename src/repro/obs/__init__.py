@@ -1,19 +1,6 @@
-"""Live observability layer: counters, histograms, per-broker registries."""
+"""Live observability layer: counters, histograms, per-broker registries.
 
-from repro.obs.metrics import (
-    DEFAULT_SIZE_BOUNDS,
-    NULL_COUNTER,
-    NULL_HISTOGRAM,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+The names live in :mod:`repro.obs.metrics`; nothing is re-exported here.
+"""
 
-__all__ = [
-    "Counter",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_HISTOGRAM",
-    "DEFAULT_SIZE_BOUNDS",
-]
+__all__ = []

@@ -7,13 +7,14 @@ is assumed to be acyclic and connected." (Sect. 2, Fig. 2)
 together over FIFO links, registers the broker-to-broker peer relationships
 (so brokers can distinguish broker links from client links) and validates the
 acyclic/connected assumption.  The module also provides the standard topology
-builders used by the experiments: line, star, balanced tree and random tree.
+builders used by the experiments: line, balanced tree (a star is a tree of
+depth 1) and random tree.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..net.link import Link, Network
 from ..net.simulator import Simulator
@@ -165,19 +166,6 @@ class BrokerNetwork:
     def broker_names(self) -> List[str]:
         return sorted(self.brokers.keys())
 
-    def border_brokers(self) -> List[Broker]:
-        return [broker for broker in self.brokers.values() if broker.is_border]
-
-    def neighbors_of(self, broker_name: str) -> List[str]:
-        """Broker-graph neighbourhood of a broker (used as a default movement graph)."""
-        result = []
-        for a, b in self._broker_edges:
-            if a == broker_name:
-                result.append(b)
-            elif b == broker_name:
-                result.append(a)
-        return sorted(result)
-
     # ------------------------------------------------------------------ stats
     def total_messages(self, kind: Optional[str] = None) -> int:
         return self.network.total_messages(kind)
@@ -226,24 +214,6 @@ def line_topology(
         net.add_broker(name)
     for left, right in zip(names, names[1:]):
         net.connect_brokers(left, right)
-    net.validate()
-    return net
-
-
-def star_topology(
-    sim: Optional[Simulator] = None,
-    n_leaves: int = 2,
-    routing: str = "simple",
-    link_latency: float = 0.001,
-    prefix: str = "B",
-    config=None,
-) -> BrokerNetwork:
-    """One hub broker connected to ``n_leaves`` border brokers."""
-    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
-    hub = net.add_broker(f"{prefix}0")
-    for i in range(n_leaves):
-        leaf = net.add_broker(f"{prefix}{i + 1}")
-        net.connect_brokers(hub.name, leaf.name)
     net.validate()
     return net
 

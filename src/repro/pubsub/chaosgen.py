@@ -63,18 +63,6 @@ from .invariants import (
 )
 from .notification import Notification
 
-#: schedule event vocabulary, in the order the generator may draw them
-EVENT_ACTIONS = (
-    "crash",
-    "restart",
-    "sever",
-    "restore",
-    "flap",
-    "handover",
-    "churn",
-    "spike",
-)
-
 #: deliberate executor bugs for fuzzer self-tests: the oracle keeps believing
 #: the schedule while the execution silently deviates from it
 INJECTABLE_BUGS = ("skip_sever", "skip_replay")
@@ -126,9 +114,6 @@ class ChaosPlan:
 
     def events_in_round(self, round_index: int) -> List[ChaosEvent]:
         return [event for event in self.events if event.round == round_index]
-
-    def fault_events(self) -> List[ChaosEvent]:
-        return [e for e in self.events if e.action in ("crash", "sever", "flap")]
 
     def describe(self) -> str:
         """A stable one-line description; equal seeds give equal strings."""

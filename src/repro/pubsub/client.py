@@ -15,7 +15,7 @@ current border broker.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..net.process import Message, Process
@@ -179,8 +179,6 @@ class Client(Process):
         """Application hook, called for every delivered notification.  Override freely."""
 
     # ------------------------------------------------------------------ stats
-    def received_notifications(self) -> List[Notification]:
-        return [delivery.notification for delivery in self.deliveries]
 
     def received_ids(self) -> List[int]:
         return [delivery.notification.notification_id for delivery in self.deliveries]

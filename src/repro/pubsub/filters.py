@@ -25,9 +25,7 @@ direction required for correct (if occasionally less optimised) routing.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-from .notification import Notification
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 # --------------------------------------------------------------------------- operators
 
@@ -615,10 +613,6 @@ class Filter:
             attrs = self._attrs = frozenset(c.attribute for c in self._constraints)
         return attrs
 
-    def is_empty(self) -> bool:
-        """True for the match-everything filter."""
-        return not self._constraints
-
     # ---------------------------------------------------------------- algebra
     def covers(self, other: "Filter") -> bool:
         """Conservative implication: True only if every notification matching
@@ -667,10 +661,6 @@ class Filter:
         theirs = {c.key(): c for c in other._constraints}
         shared = [c for key, c in mine.items() if key in theirs]
         return Filter(shared)
-
-    def conjoin(self, other: "Filter") -> "Filter":
-        """Return the conjunction of both filters (all constraints of both)."""
-        return Filter(self._constraints + other._constraints)
 
     # ------------------------------------------------------------------- misc
     def key(self) -> Tuple:

@@ -36,16 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
-#: the invariant names used by the checkers below, in severity order
-INVARIANT_NAMES = (
-    "no-duplicates",
-    "exactly-once",
-    "provable-loss",
-    "convergence",
-    "non-growth",
-    "conservation",
-)
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -69,9 +69,6 @@ class RouteEntry:
     link: str
     sub_id: str
 
-    def matches(self, notification: Mapping) -> bool:
-        return self.filter.matches(notification)
-
 
 #: Tables with at most this many entries are scanned link by link even in
 #: indexed mode, first match deciding each link: one index probe costs more
@@ -237,46 +234,6 @@ class RoutingTable:
         result.sort()
         return result
 
-    def matching_entries(
-        self, notification: Mapping, exclude: Iterable[str] = ()
-    ) -> List[RouteEntry]:
-        excluded = set(exclude)
-        attributes = attribute_dict(notification)
-        if self._indexed:
-            try:
-                groups = self._index.groups(attributes)
-            except TypeError:  # an unhashable value: every entry in full
-                return self._every_match(attributes, excluded)
-            get = attributes.get
-            found: List[RouteEntry] = []
-            for group in groups:
-                for entry in group:
-                    if entry.link in excluded:
-                        continue
-                    filter = entry.filter
-                    tail = filter.tail
-                    if tail is None:
-                        if not filter.matches(attributes):
-                            continue
-                    else:
-                        value = get(tail[0], _MISSING)
-                        if value is _MISSING or not tail[1](value):
-                            continue
-                    found.append(entry)
-            return found
-        return self._every_match(attributes, excluded)
-
-    def _every_match(self, attributes: Mapping, excluded: Set[str]) -> List[RouteEntry]:
-        matched: List[RouteEntry] = []
-        for link, entries in self._by_link.items():
-            if link in excluded:
-                continue
-            matched.extend(entry for entry in entries.values() if entry.matches(attributes))
-        return matched
-
-    def entries_for_link(self, link: str) -> List[RouteEntry]:
-        return list(self._by_link.get(link, {}).values())
-
     def entries_for_sub(self, sub_id: str) -> List[RouteEntry]:
         return list(self._by_sub.get(sub_id, []))
 
@@ -284,9 +241,6 @@ class RoutingTable:
         """:meth:`entries_for_sub` without the copy, for the routing strategy's
         hot path: read-only, and void after the next table mutation."""
         return self._by_sub.get(sub_id, ())
-
-    def filters_for_link(self, link: str) -> List[Filter]:
-        return [entry.filter for entry in self._by_link.get(link, {}).values()]
 
     def links(self) -> List[str]:
         return sorted(self._by_link.keys())
@@ -300,29 +254,12 @@ class RoutingTable:
             return bool(entries)
         return any(entry.link == link for entry in entries)
 
-    def covered_by_other_link(self, filter: Filter, excluding_link: str) -> bool:
-        """True if some entry on a link other than ``excluding_link`` covers ``filter``.
-
-        Used by covering-based routing to decide whether forwarding a new
-        subscription towards a neighbour is necessary.
-        """
-        for link, entries in self._by_link.items():
-            if link == excluding_link:
-                continue
-            if any(entry.filter.covers(filter) for entry in entries.values()):
-                return True
-        return False
-
     def __len__(self) -> int:
         """Total number of entries (the routing-table size metric of E12)."""
         return self._size
-
-    def size_by_link(self) -> Dict[str, int]:
-        return {link: len(entries) for link, entries in self._by_link.items()}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = []
         for link in sorted(self._by_link):
             parts.append(f"{link}:{len(self._by_link[link])}")
         return f"RoutingTable({', '.join(parts)})"
-

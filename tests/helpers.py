@@ -86,6 +86,17 @@ class FakeHost:
         self.delivered.append((client_id, notification, replayed))
 
 
+def entries_on_link(table, link):
+    """The entries ``table`` holds on ``link``, read by subscription as the
+    routing strategies read a table."""
+    return [
+        entry
+        for sub_id in sorted(table.subscription_ids())
+        for entry in table.entries_for_sub(sub_id)
+        if entry.link == link
+    ]
+
+
 def assert_one_subscription_per_filter(system):
     """Each replicator holds one broker subscription per distinct bound filter.
 
@@ -95,7 +106,7 @@ def assert_one_subscription_per_filter(system):
     """
     for broker_name, replicator in system.replicators.items():
         table = system.network.brokers[broker_name].routing_table
-        at_broker = [f.key() for f in table.filters_for_link(replicator.name)]
+        at_broker = [e.filter.key() for e in entries_on_link(table, replicator.name)]
         hosted = {
             f.key() for vc in replicator.virtual_clients.values() for f in vc.bound_filters()
         }

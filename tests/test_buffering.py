@@ -40,8 +40,9 @@ class TestPolicies:
     def test_time_based_expire_without_add(self):
         buffer = NotificationBuffer(TimeBasedPolicy(ttl=5.0))
         buffer.add(reading("r1", 1), now=0.0)
-        assert buffer.expire(now=10.0) == 1
+        assert buffer.contents(now=10.0) == []
         assert len(buffer) == 0
+        assert buffer.evicted == 1
 
     def test_count_based_keeps_last_n(self):
         buffer = NotificationBuffer(CountBasedPolicy(max_entries=3))
@@ -195,7 +196,7 @@ def test_time_policy_only_keeps_fresh_entries(ttl, gaps):
         pass  # contents() already applied the policy at `now`
     assert all(now - ttl <= now for _ in buffer.contents(now=now))
     # explicit check: after expiring at a much later time everything is gone
-    buffer.expire(now + ttl + 1.0)
+    buffer.contents(now + ttl + 1.0)
     assert len(buffer) == 0
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS, e13_replicator_ablation
-from repro.experiments.report import (
-    QUICK_OVERRIDES,
-    render_markdown,
-    run_experiments,
-    write_report,
-)
+from repro.experiments.report import QUICK_OVERRIDES, render_markdown, run_experiments
 from repro.mobility import handover_workload
 from repro.pubsub import chaosgen
 
@@ -34,11 +29,6 @@ class TestReport:
         assert "## E7" in text
         assert "| policy |" in text
 
-    def test_write_report_creates_file(self, tmp_path):
-        path = write_report(tmp_path / "report.md", experiment_ids=["E8"], overrides={"E8": {"client_counts": (1, 2)}})
-        content = path.read_text()
-        assert "## E8" in content
-
     def test_quick_overrides_reference_known_experiments(self):
         assert set(QUICK_OVERRIDES) <= set(EXPERIMENTS)
 
@@ -55,14 +45,14 @@ class TestCli:
         assert args.backend == "asyncio"
         assert args.brokers is None and args.publishes is None
 
-    def test_exactly_eight_subcommands(self):
+    def test_exactly_seven_subcommands(self):
         (subcommands,) = [
             action
             for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert " ".join(subcommands.choices) == (
-            "experiments demo chaos-fuzz soak metrics top profile info"
+            "experiments demo chaos-fuzz soak metrics top info"
         )
 
     @pytest.mark.parametrize("workload", ["line", "handover", "chaos"])

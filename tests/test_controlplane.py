@@ -46,7 +46,6 @@ from repro.pubsub.broker_network import (
     grid_border_topology,
     line_topology,
     random_tree_topology,
-    star_topology,
 )
 from repro.pubsub.broker import Broker
 from repro.pubsub.routing import MergingRouting, RoutingStrategy, make_strategy
@@ -206,7 +205,6 @@ _LOOSE_KNOBS = {
     [
         BrokerNetwork,
         line_topology,
-        star_topology,
         balanced_tree_topology,
         random_tree_topology,
         grid_border_topology,
@@ -464,7 +462,6 @@ def test_cli_rejects_unknown_set_key(capsys):
         ["soak"],
         ["metrics"],
         ["top"],
-        ["profile"],
         ["info"],
     ],
     ids=lambda argv: argv[0],

@@ -22,7 +22,7 @@ from repro.experiments import (
     e11_context,
     e12_routing_ablation,
 )
-from repro.experiments.harness import ExperimentResult, Table, geometric_sizes
+from repro.experiments.harness import Table
 
 
 class TestHarness:
@@ -53,19 +53,6 @@ class TestHarness:
         assert "title" in text and "desc" in text and "-" in text
         markdown = table.to_markdown()
         assert markdown.startswith("### title")
-
-    def test_experiment_result_container(self):
-        result = ExperimentResult("E0", "demo")
-        table = result.add_table(Table("t", ["a"]))
-        table.add_row(a=1)
-        result.notes.append("note")
-        assert "E0" in result.formatted()
-
-    def test_geometric_sizes(self):
-        sizes = geometric_sizes(5, 40, 4)
-        assert sizes[0] == 5 and sizes[-1] == 40
-        assert sizes == sorted(sizes)
-        assert geometric_sizes(5, 5, 3) == [5]
 
     def test_registry_complete(self):
         assert len(EXPERIMENTS) == 13

@@ -14,6 +14,23 @@ from repro.pubsub.filters import Equals, Filter
 from repro.pubsub.notification import Notification
 
 
+def outage(sim, injector, a, b, start, duration):
+    """Take the ``a``-``b`` link down at ``start`` and up again ``duration`` later."""
+    sim.schedule_at(start, injector.link_down_now, a, b)
+    sim.schedule_at(start + duration, injector.link_up_now, a, b)
+
+
+def crash_for(injector, name, start, duration):
+    """Crash process ``name`` at ``start`` and restart it ``duration`` later."""
+    injector.crash_process(name, start)
+    injector.restart_process(name, start + duration)
+
+
+def downtime_events(injector):
+    """``(link_down, process_down)`` events in the injector's log."""
+    return len(injector.log.of_kind("link_down")), len(injector.log.of_kind("process_down"))
+
+
 class Echo(Process):
     def __init__(self, sim, name):
         super().__init__(sim, name)
@@ -39,40 +56,32 @@ class TestFaultInjector:
     def test_link_outage_drops_then_recovers(self, small_network):
         sim, network, a, b, _c = small_network
         injector = FaultInjector(sim, network)
-        injector.link_outage("a", "b", start=1.0, duration=2.0)
+        outage(sim, injector, "a", "b", start=1.0, duration=2.0)
         sim.schedule_at(1.5, lambda: a.send("b", Message("during-outage")))
         sim.schedule_at(4.0, lambda: a.send("b", Message("after-repair")))
         sim.run_until_idle()
         kinds = [message.kind for message in b.received]
         assert kinds == ["after-repair"]
-        assert injector.downtime_events() == (1, 0)
+        assert downtime_events(injector) == (1, 0)
         assert len(injector.log.of_kind("link_up")) == 1
-
-    def test_cut_link_is_permanent(self, small_network):
-        sim, network, a, b, _c = small_network
-        injector = FaultInjector(sim, network)
-        injector.cut_link("a", "b", at=1.0)
-        sim.schedule_at(2.0, lambda: a.send("b", Message("late")))
-        sim.run_until_idle()
-        assert b.received == []
 
     def test_unknown_link_or_process_rejected(self, small_network):
         sim, network, _a, _b, _c = small_network
         injector = FaultInjector(sim, network)
         with pytest.raises(KeyError):
-            injector.link_outage("a", "zzz", start=1.0, duration=1.0)
+            injector.link_down_now("a", "zzz")
         with pytest.raises(KeyError):
             injector.crash_process("zzz", at=1.0)
 
     def test_crash_and_restart_process(self, small_network):
         sim, network, a, b, _c = small_network
         injector = FaultInjector(sim, network)
-        injector.crash_for("b", start=1.0, duration=2.0)
+        crash_for(injector, "b", start=1.0, duration=2.0)
         sim.schedule_at(1.5, lambda: a.send("b", Message("while-down")))
         sim.schedule_at(4.0, lambda: a.send("b", Message("while-up")))
         sim.run_until_idle()
         assert [message.kind for message in b.received] == ["while-up"]
-        assert injector.downtime_events() == (0, 1)
+        assert downtime_events(injector) == (0, 1)
 
     def test_partition_disables_all_crossing_links(self, small_network):
         sim, network, a, _b, c = small_network
@@ -89,8 +98,8 @@ class TestFaultLog:
         sim, network, _a, _b, _c = small_network
         injector = FaultInjector(sim, network)
         # scheduled in reverse order; the log must record execution order
-        injector.crash_for("b", start=3.0, duration=1.0)
-        injector.link_outage("a", "b", start=1.0, duration=0.5)
+        crash_for(injector, "b", start=3.0, duration=1.0)
+        outage(sim, injector, "a", "b", start=1.0, duration=0.5)
         sim.run_until_idle()
         assert [e.kind for e in injector.log] == [
             "link_down",
@@ -105,9 +114,9 @@ class TestFaultLog:
     def test_of_kind_filters_without_reordering(self, small_network):
         sim, network, _a, _b, _c = small_network
         injector = FaultInjector(sim, network)
-        injector.link_outage("a", "b", start=1.0, duration=0.5)
-        injector.link_outage("b", "c", start=2.0, duration=0.5)
-        injector.crash_for("b", start=1.5, duration=0.2)
+        outage(sim, injector, "a", "b", start=1.0, duration=0.5)
+        outage(sim, injector, "b", "c", start=2.0, duration=0.5)
+        crash_for(injector, "b", start=1.5, duration=0.2)
         sim.run_until_idle()
         downs = injector.log.of_kind("link_down")
         assert [e.target for e in downs] == ["a<->b", "b<->c"]
@@ -125,7 +134,7 @@ class TestFaultLog:
         a.send("b", Message("ping"))
         sim.run_until_idle()
         assert [m.kind for m in b.received] == ["ping"]
-        assert injector.downtime_events() == (1, 1)
+        assert downtime_events(injector) == (1, 1)
 
 
 class TestPartitionValidation:
@@ -156,7 +165,7 @@ class TestSystemUnderFaults:
         subscriber.subscribe(Filter([Equals("service", "t")]))
         sim.run_until_idle()
         injector = FaultInjector(sim, network.network)
-        injector.link_outage("B2", "B3", start=5.0, duration=5.0)
+        outage(sim, injector, "B2", "B3", start=5.0, duration=5.0)
         for second in range(15):
             sim.schedule_at(second + 0.01, lambda s=second: publisher.publish({"service": "t", "seq": s}))
         sim.run_until_idle()
@@ -177,7 +186,7 @@ class TestSystemUnderFaults:
         sim.run_until_idle()
 
         injector = FaultInjector(sim, system.network.network)
-        injector.link_outage("R@B1", "B1", start=2.0, duration=1.0)
+        outage(sim, injector, "R@B1", "B1", start=2.0, duration=1.0)
         sim.schedule_at(1.0, lambda: sensor.publish({"service": "temperature", "location": space.locations[0], "value": 1}))
         sim.schedule_at(4.0, lambda: sensor.publish({"service": "temperature", "location": space.locations[0], "value": 2}))
         sim.run_until_idle()
@@ -195,7 +204,7 @@ class TestSystemUnderFaults:
         return sim, space, system, loc_b1, loc_b2
 
     def test_handover_enters_exception_mode_when_outage_ate_the_shadow(self):
-        """``link_outage`` interleaved with attach: the lost SHADOW_CREATE
+        """A link outage interleaved with attach: the lost SHADOW_CREATE
         forces the next handover into exception (reactive) mode."""
         sim, space, system, loc_b1, loc_b2 = self._mobility_system()
         sensor = system.add_publisher("sensor", loc_b2)
@@ -204,7 +213,7 @@ class TestSystemUnderFaults:
         injector = FaultInjector(sim, system.network.network)
         # the replicator-to-replicator control link is down across the attach,
         # so R@B1's pre-subscription SHADOW_CREATE for B2 is silently lost
-        injector.link_outage("R@B1", "R@B2", start=0.5, duration=5.0)
+        outage(sim, injector, "R@B1", "R@B2", start=0.5, duration=5.0)
         sim.schedule_at(1.0, lambda: system.attach(client, location=loc_b1))
         sim.run_until_idle()
 
@@ -219,14 +228,14 @@ class TestSystemUnderFaults:
         assert [d.notification["value"] for d in client.deliveries] == [7]
 
     def test_handover_enters_exception_mode_when_replicator_was_crashed(self):
-        """``crash_for`` interleaved with attach: a dead target replicator
+        """A crash interleaved with attach: a dead target replicator
         drops the SHADOW_CREATE, with the same exception-mode consequence."""
         sim, space, system, loc_b1, loc_b2 = self._mobility_system()
         sensor = system.add_publisher("sensor", loc_b2)
         client = system.add_mobile_client("bob")
         client.subscribe_location(location_dependent({"service": "temperature"}))
         injector = FaultInjector(sim, system.network.network)
-        injector.crash_for("R@B2", start=0.5, duration=5.0)
+        crash_for(injector, "R@B2", start=0.5, duration=5.0)
         sim.schedule_at(1.0, lambda: system.attach(client, location=loc_b1))
         sim.run_until_idle()
 
@@ -273,10 +282,14 @@ class TestFaultInjectorDeterminism:
         for _ in range(5):
             a, b = edges[rng.randrange(len(edges))]
             start = round(rng.uniform(1.0, 20.0), 3)
-            injector.link_outage(a, b, start=start, duration=round(rng.uniform(0.5, 3.0), 3))
+            outage(sim, injector, a, b, start=start, duration=round(rng.uniform(0.5, 3.0), 3))
         crash_target = network.broker_names()[rng.randrange(len(network.broker_names()))]
-        injector.crash_for(crash_target, start=round(rng.uniform(1.0, 15.0), 3),
-                           duration=round(rng.uniform(0.5, 2.0), 3))
+        crash_for(
+            injector,
+            crash_target,
+            start=round(rng.uniform(1.0, 15.0), 3),
+            duration=round(rng.uniform(0.5, 2.0), 3),
+        )
 
         publisher = network.add_client("pub", "B2")
         for i in range(40):
@@ -312,4 +325,4 @@ class TestFaultInjectorDeterminism:
         affected = injector.partition(["B1", "B2"], ["B3", "B4"], start=1.0, duration=2.0)
         assert affected == 1  # the single tree edge between the two sides
         sim.run_until_idle()
-        assert injector.downtime_events() == (1, 0)
+        assert downtime_events(injector) == (1, 0)

@@ -150,7 +150,7 @@ class TestFilter:
     def test_empty_filter_matches_everything(self):
         assert match_all().matches({"anything": 1})
         assert match_all().matches({})
-        assert match_all().is_empty()
+        assert match_all().constraints == ()
 
     def test_conjunction_semantics(self):
         f = conjunction(Equals("service", "temperature"), Range("value", 0, 30))
@@ -232,9 +232,9 @@ class TestFilterMerge:
         f = filter_from_dict({"s": "t", "loc": "a"})
         assert f.merge(f) == f
 
-    def test_conjoin(self):
+    def test_concatenated_constraints_conjoin(self):
         f1 = filter_from_dict({"s": "t"})
         f2 = filter_from_dict({"loc": "a"})
-        combined = f1.conjoin(f2)
+        combined = Filter(f1.constraints + f2.constraints)
         assert combined.matches({"s": "t", "loc": "a"})
         assert not combined.matches({"s": "t", "loc": "b"})

@@ -83,8 +83,8 @@ def test_merge_covers_both_operands(f, g):
 
 @settings(max_examples=150, deadline=None)
 @given(f=filters(), g=filters(), n=notifications())
-def test_conjoin_is_intersection(f, g, n):
-    combined = f.conjoin(g)
+def test_conjunction_is_intersection(f, g, n):
+    combined = Filter(f.constraints + g.constraints)
     assert combined.matches(n) == (f.matches(n) and g.matches(n))
 
 

@@ -113,5 +113,4 @@ class TestBuilders:
         mapping = {(r, c): f"X{r}" for r in range(2) for c in range(3)}
         space = cell_grid_space(2, 3, broker_for_cell=mapping, region_rows=1, myloc_scope="region")
         assert space.broker_of(cell_name(1, 2)) == "X1"
-        assert space.region_of(cell_name(0, 1)) == "region-0"
         assert space.myloc(cell_name(0, 1)) == frozenset({cell_name(0, 0), cell_name(0, 1), cell_name(0, 2)})

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.location import LocationSpace, office_floor_space
+from repro.core.location import LocationSpace
 from repro.core.location_filter import (
     MYLOC,
     LocationDependentFilter,
     UnboundLocationError,
-    is_location_relevant,
     location_dependent,
 )
 from repro.pubsub.filters import Equals, Filter
@@ -122,17 +121,6 @@ class TestBindMemo:
 
 
 class TestHelpers:
-    def test_matches_ignoring_location(self):
-        template = location_dependent({"service": "temperature"})
-        assert template.matches_ignoring_location({"service": "temperature", "location": "anywhere"})
-        assert not template.matches_ignoring_location({"service": "stock"})
-
-    def test_is_location_relevant(self, space):
-        template = location_dependent({"service": "temperature"})
-        notification = {"service": "temperature", "location": "r1"}
-        assert is_location_relevant(notification, template, {"r1"})
-        assert not is_location_relevant(notification, template, {"r3"})
-
     def test_key_distinguishes_scopes(self):
         a = location_dependent({"service": "t"})
         b = location_dependent({"service": "t"}, scope="region")

@@ -8,7 +8,6 @@ from repro.core.location_filter import location_dependent
 from repro.core.logical_mobility import LocationAwareClient
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
-from repro.pubsub.filters import Equals, Filter
 
 
 @pytest.fixture
@@ -97,27 +96,6 @@ class TestLocationAwareClient:
         sim.run_until_idle()
         assert client.deliveries == []
 
-    def test_reissue_at_new_broker(self):
-        sim = Simulator()
-        space = office_floor_space(n_rooms=6, rooms_per_broker=3)
-        network = line_topology(sim, 2)
-        sensor_far = network.add_client("sensor", "B2")
-        client = LocationAwareClient(sim, "alice", space)
-        network.attach_client(client, "B1")
-        rooms = space.locations
-        client.set_location(rooms[0])
-        client.subscribe_location(location_dependent({"service": "temperature"}))
-        sim.run_until_idle()
-        # walk to a room covered by B2 and re-attach reactively
-        network.attach_client(client, "B2")
-        client.set_location(rooms[4])
-        client.reissue_at("B2")
-        sim.run_until_idle()
-        sensor_far.publish({"service": "temperature", "location": rooms[4], "value": 20})
-        sim.run_until_idle()
-        assert [d.notification["location"] for d in client.deliveries] == [rooms[4]]
-        assert client.reissues == 1
-
 
 class TestContextDependentFilters:
     def test_bind_with_scalar_and_set_values(self):
@@ -189,26 +167,3 @@ class TestContextAwareClient:
         rebinds = client.rebinds
         client.update_context(battery=50)
         assert client.rebinds == rebinds
-
-    def test_unsubscribe_context(self):
-        sim, network, publisher = self._system()
-        client = ContextAwareClient(sim, "device", initial_context={"min_priority": {1, 2, 3}})
-        network.attach_client(client, "B2")
-        template_id = client.subscribe_context(
-            context_dependent({"service": "reminder"}, {"priority": "min_priority"})
-        )
-        sim.run_until_idle()
-        client.unsubscribe_context(template_id)
-        sim.run_until_idle()
-        publisher.publish({"service": "reminder", "priority": 1})
-        sim.run_until_idle()
-        assert client.deliveries == []
-
-    def test_context_at_history(self):
-        sim, network, _publisher = self._system()
-        client = ContextAwareClient(sim, "device", initial_context={"battery": 100})
-        network.attach_client(client, "B2")
-        sim.schedule(5.0, lambda: client.update_context(battery=40))
-        sim.run_until_idle()
-        assert client.context_at(1.0)["battery"] == 100
-        assert client.context_at(10.0)["battery"] == 40

@@ -115,20 +115,6 @@ class TestMiddlewareExtras:
         assert len(client.attachments) == attachments_before
         assert client.connected
 
-    def test_overhead_report_shape(self, system):
-        from repro.core.metrics import overhead_report
-
-        sim, space, system = system
-        client = system.add_mobile_client("alice")
-        client.subscribe_location(location_dependent({"service": "temperature"}))
-        system.attach(client, location=space.locations[0])
-        sim.run_until_idle()
-        report = overhead_report(system)
-        row = report.as_row()
-        assert row["sub_msgs"] > 0
-        assert row["total_msgs"] >= row["sub_msgs"]
-        assert report.shadow_count == system.total_shadow_count()
-
 
 class TestReplicatorEdgeCases:
     def test_location_update_for_unknown_client_is_ignored(self):

@@ -4,25 +4,17 @@ import random
 
 import pytest
 
-from repro.core.location import cell_grid_space, cell_name, office_floor_space
+from repro.core.location import cell_grid_space, cell_name
 from repro.core.location_filter import location_dependent
-from repro.core.movement_graph import from_location_space
 from repro.mobility.models import (
     MarkovMobility,
     MobilityDriver,
     RandomWalkMobility,
     RoutePathMobility,
-    StaticMobility,
     TeleportMobility,
 )
-from repro.mobility.scenario import build_office_scenario, grid_route
-from repro.mobility.trace import (
-    MovementTrace,
-    TraceEntry,
-    coverage_against_graph,
-    synthetic_commuter_trace,
-    trace_from_model,
-)
+from repro.mobility.scenario import build_office_scenario
+from repro.mobility.trace import MovementTrace, trace_from_model
 
 
 @pytest.fixture
@@ -31,11 +23,6 @@ def grid_space():
 
 
 class TestModels:
-    def test_static_model_single_waypoint(self):
-        waypoints = StaticMobility("r1").waypoints(100.0, random.Random(0))
-        assert len(waypoints) == 1
-        assert waypoints[0].location == "r1"
-
     def test_random_walk_respects_adjacency(self, grid_space):
         model = RandomWalkMobility(grid_space, start=cell_name(0, 0), dwell_time=5.0)
         waypoints = model.waypoints(500.0, random.Random(1))
@@ -105,38 +92,6 @@ class TestMovementTrace:
         assert trace.handovers() == [("B_0_0", "B_0_1")]
         assert trace.handover_count() == 1
 
-    def test_broker_at(self):
-        trace = MovementTrace([TraceEntry(0.0, "B1"), TraceEntry(10.0, "B2")])
-        assert trace.broker_at(5.0) == "B1"
-        assert trace.broker_at(10.0) == "B2"
-        assert trace.broker_at(-1.0) is None
-        assert trace.duration() == 10.0
-
-    def test_append_keeps_order(self):
-        trace = MovementTrace([TraceEntry(10.0, "B2")])
-        trace.append(TraceEntry(0.0, "B1"))
-        assert trace.brokers() == ["B1", "B2"]
-
-    def test_synthetic_commuter_trace_alternates(self):
-        trace = synthetic_commuter_trace("home", "office", days=3, detour_probability=0.0)
-        handovers = trace.handovers()
-        assert ("home", "office") in handovers
-        assert ("office", "home") in handovers
-
-    def test_commuter_detours_present_when_probability_high(self):
-        trace = synthetic_commuter_trace(
-            "home", "office", days=5, detour_brokers=["mall"], detour_probability=1.0
-        )
-        assert "mall" in trace.brokers()
-
-    def test_coverage_against_graph(self, grid_space):
-        graph = from_location_space(grid_space)
-        good = MovementTrace([TraceEntry(0.0, "B_0_0"), TraceEntry(1.0, "B_0_1")])
-        bad = MovementTrace([TraceEntry(0.0, "B_0_0"), TraceEntry(1.0, "B_2_2")])
-        assert coverage_against_graph(good, graph) == 1.0
-        assert coverage_against_graph(bad, graph) == 0.0
-        assert coverage_against_graph(MovementTrace([]), graph) == 1.0
-
     def test_trace_from_model(self, grid_space):
         model = RandomWalkMobility(grid_space, start=cell_name(1, 1), dwell_time=10.0)
         trace = trace_from_model(model, grid_space, duration=200.0, seed=2)
@@ -178,12 +133,3 @@ class TestMobilityDriver:
         assert driver.broker_trace() == [
             scenario.space.broker_of(w.location) for w in driver.waypoints
         ]
-
-
-class TestGridRoute:
-    def test_grid_route_is_adjacent_path(self):
-        path = grid_route(3, 3, seed=1, length=10)
-        space = cell_grid_space(3, 3)
-        assert len(path) == 10
-        for previous, current in zip(path, path[1:]):
-            assert current in space.neighbours_of(previous)

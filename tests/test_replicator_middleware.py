@@ -14,7 +14,7 @@ from repro.core.buffering import CountBasedPolicy, TimeBasedPolicy
 from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-from repro.core.replicator import SHADOW_CREATE, SHADOW_DELETE, ReplicatorConfig
+from repro.core.replicator import SHADOW_DELETE, ReplicatorConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter
@@ -215,7 +215,8 @@ class TestClientHandover:
         sim.run_until_idle()
         system.move(client, rooms[3])
         sim.run_until_idle()
-        assert system.predictor.transition_probability("B1", "B2") > 0
+        system.predictor.min_observations = 1
+        assert system.predictor.predict("B1") == frozenset({"B2"})
 
 
 class TestShadowDeliveryCount:
@@ -241,7 +242,7 @@ class TestShadowDeliveryCount:
             sim.run(until=sim.now + 1.0)  # a second apart: the time-based policy evicts each predecessor
         shadow = system.replicators["B2"].virtual_clients["alice"]
         assert shadow.buffered_total == 10
-        assert shadow.buffer_size() < 10  # the policy did bound the buffer
+        assert len(shadow.buffer) < 10  # the policy did bound the buffer
         assert system.replicators["B2"].stats.notifications_buffered == 10
         assert system.total_shadow_deliveries() == 10
 

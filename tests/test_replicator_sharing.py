@@ -6,7 +6,7 @@ equal: the first holder sends one ``subscribe`` under an id the replicator
 owns, the last one to leave sends the one ``unsubscribe``.
 """
 
-from helpers import assert_one_subscription_per_filter
+from helpers import assert_one_subscription_per_filter, entries_on_link
 
 from repro.core.buffering import REFERENCE_SIZE
 from repro.core.location import office_floor_space
@@ -164,12 +164,12 @@ class TestSharedAcrossClients:
         [alice_filter] = replicator.virtual_clients["alice"].bound_filters()
         assert alice_filter is shared
         table = system.network.brokers["B1"].routing_table
-        assert table.filters_for_link(replicator.name) == [shared]
+        assert [e.filter for e in entries_on_link(table, replicator.name)] == [shared]
 
         system.move(alice, rooms[1])  # within B1: alice re-binds, bob does not
         sim.run_until_idle()
-        assert shared in table.filters_for_link(replicator.name)
-        assert len(table.filters_for_link(replicator.name)) == 2
+        assert shared in [e.filter for e in entries_on_link(table, replicator.name)]
+        assert len([e.filter for e in entries_on_link(table, replicator.name)]) == 2
         assert_one_subscription_per_filter(system)
         assert replicator.virtual_clients["bob"].bound_filters() == [shared]
 
@@ -182,7 +182,7 @@ class TestSharedAcrossClients:
         system.move(alice, rooms[0])  # back: the re-bind hands out the shared filter again
         sim.run_until_idle()
         assert replicator.virtual_clients["alice"].bound_filters()[0] is shared
-        assert table.filters_for_link(replicator.name) == [shared]
+        assert [e.filter for e in entries_on_link(table, replicator.name)] == [shared]
         assert_one_subscription_per_filter(system)
 
     def test_identical_plain_filters_of_two_clients_are_shared(self):
@@ -195,7 +195,7 @@ class TestSharedAcrossClients:
         sim.run_until_idle()
         replicator = system.replicators["B1"]
         table = system.network.brokers["B1"].routing_table
-        assert table.filters_for_link(replicator.name) == [stock]
+        assert [e.filter for e in entries_on_link(table, replicator.name)] == [stock]
         assert replicator.subscriptions_shared == 1
         [(issued, holders)] = replicator._issued.values()
         assert issued.sub_id.startswith("R@B1#") and len(holders) == 2
@@ -207,7 +207,7 @@ class TestSharedAcrossClients:
 
         system.remove_client(alice)
         sim.run_until_idle()
-        assert table.filters_for_link(replicator.name) == [stock]
+        assert [e.filter for e in entries_on_link(table, replicator.name)] == [stock]
         system.remove_client(bob)
         sim.run_until_idle()
         assert all(b.routing_table_size() == 0 for b in system.network.brokers.values())

@@ -260,8 +260,8 @@ def run_network(strategy: str, advertising: str, seed: int):
             (e.sub_id, e.link, e.filter.key())
             for e in (
                 entry
-                for link in broker.routing_table.links()
-                for entry in broker.routing_table.entries_for_link(link)
+                for sub_id in broker.routing_table.subscription_ids()
+                for entry in broker.routing_table.entries_for_sub(sub_id)
             )
             if not e.sub_id.startswith("merged-")
         }

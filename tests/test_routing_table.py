@@ -64,35 +64,13 @@ class TestRoutingTable:
         assert table.links() == ["L2"]
         assert table.subscription_ids() == {"s3"}
 
-    def test_entries_and_filters_for_link(self):
-        table = RoutingTable()
-        table.add(filter_from_dict({"service": "t"}), "L1", "s1")
-        assert len(table.entries_for_link("L1")) == 1
-        assert len(table.filters_for_link("L1")) == 1
-        assert table.entries_for_link("L9") == []
-
-    def test_covered_by_other_link(self):
-        table = RoutingTable()
-        broad = filter_from_dict({"service": "t"})
-        narrow = filter_from_dict({"service": "t", "location": "r1"})
-        table.add(broad, "L1", "s1")
-        assert table.covered_by_other_link(narrow, excluding_link="L2")
-        assert not table.covered_by_other_link(narrow, excluding_link="L1")
-
-    def test_size_by_link_and_len(self):
+    def test_len_counts_entries_on_every_link(self):
         table = RoutingTable()
         table.add(filter_from_dict({"a": 1}), "L1", "s1")
         table.add(filter_from_dict({"a": 2}), "L1", "s2")
         table.add(filter_from_dict({"a": 3}), "L2", "s3")
         assert len(table) == 3
-        assert table.size_by_link() == {"L1": 2, "L2": 1}
-
-    def test_matching_entries(self):
-        table = RoutingTable()
-        table.add(filter_from_dict({"service": "t"}), "L1", "s1")
-        table.add(filter_from_dict({"service": "x"}), "L2", "s2")
-        entries = table.matching_entries({"service": "t"})
-        assert [entry.sub_id for entry in entries] == ["s1"]
+        assert table.links() == ["L1", "L2"]
 
     def test_clear(self):
         table = RoutingTable()

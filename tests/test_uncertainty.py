@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.movement_graph import complete_graph, grid_graph, line_graph
+from repro.core.movement_graph import grid_graph, line_graph
 from repro.core.uncertainty import (
     FloodingPredictor,
     MarkovPredictor,
@@ -51,7 +51,11 @@ class TestMarkovPredictor:
             predictor.observe_handover("B", "C")
         predictor.observe_handover("B", "A")
         assert predictor.predict("B") == frozenset({"C"})
-        assert predictor.transition_probability("B", "C") == pytest.approx(0.9)
+        # B -> C holds 9 of the 10 observations: kept at 0.9, dropped above it
+        predictor.threshold = 0.9
+        assert predictor.predict("B") == frozenset({"C"})
+        predictor.threshold = 0.95
+        assert predictor.predict("B") == line.nlb("B")
 
     def test_threshold_keeps_multiple_candidates(self, line):
         predictor = MarkovPredictor(line, threshold=0.2, min_observations=2)
@@ -77,9 +81,11 @@ class TestMarkovPredictor:
         assert predictor.predict("B") == frozenset({"C"})
 
     def test_self_transition_ignored(self, line):
-        predictor = MarkovPredictor(line)
+        predictor = MarkovPredictor(line, min_observations=1)
         predictor.observe_handover("B", "B")
-        assert predictor.transition_probability("B", "B") == 0.0
+        assert predictor.predict("B") == line.nlb("B")  # nothing observed yet
+        predictor.observe_handover("B", "C")
+        assert predictor.predict("B") == frozenset({"C"})  # B -> B never counted
 
     def test_invalid_threshold(self, line):
         with pytest.raises(ValueError):

@@ -128,14 +128,6 @@ class TestSubscriptionManagement:
         assert host.subscribed == {}
         assert len(host.unsubscribed) == 1
 
-    def test_set_templates_reconciles(self, shadow, host, space):
-        new_templates = {
-            "menu": location_dependent({"service": "restaurant-menu"}),
-        }
-        shadow.set_templates(new_templates)
-        assert set(shadow.templates) == {"menu"}
-        assert len([s for s in host.subscribed.values()]) == 1
-
     def test_remove_plain_filter(self, shadow, host):
         shadow.add_plain_filter("stock", Filter([Equals("service", "stock")]))
         shadow.activate("r1")

@@ -14,7 +14,6 @@ from repro.net.wire import (
     encode_message,
     frame,
     frame_message,
-    iter_frames,
 )
 from repro.pubsub.filters import (
     Equals,
@@ -141,10 +140,12 @@ class TestMessageRoundTrip:
 
 
 class TestFraming:
-    def test_frame_and_iter_frames(self):
+    def test_frame_round_trips_through_the_decoder(self):
         bodies = [b"alpha", b"", b"gamma" * 100]
         stream = b"".join(frame(b) for b in bodies)
-        assert list(iter_frames(stream)) == bodies
+        decoder = FrameDecoder()
+        assert decoder.feed(stream) == bodies
+        assert decoder.pending_bytes == 0
 
     def test_decoder_handles_arbitrary_chunking(self):
         message = Message(kind="notify", payload=Notification({"v": 1}), sender="B1")
@@ -171,10 +172,6 @@ class TestFraming:
         decoder = FrameDecoder()
         with pytest.raises(WireError):
             decoder.feed(struct.pack(">I", 1 << 30))
-
-    def test_trailing_garbage_detected(self):
-        with pytest.raises(WireError):
-            list(iter_frames(frame(b"ok") + b"\x00\x01"))
 
     def test_many_frames_on_one_connection_compact_buffer(self):
         """Regression: a long-lived connection must not pay per-frame slicing.

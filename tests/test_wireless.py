@@ -4,7 +4,7 @@ import pytest
 
 from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
-from repro.net.wireless import CoverageMap, WirelessChannel
+from repro.net.wireless import WirelessChannel
 
 
 class Device(Process):
@@ -60,11 +60,12 @@ class TestAttachment:
         sim, _device, ap1, _ap2, channel = setup
         events = []
         channel.on_connect(lambda ap: events.append(("connect", ap)))
-        channel.on_disconnect(lambda ap: events.append(("disconnect", ap)))
         channel.attach(ap1)
         sim.run_until_idle()
+        assert events == [("connect", "ap1")]
         channel.detach()
-        assert events == [("connect", "ap1"), ("disconnect", "ap1")]
+        assert events == [("connect", "ap1")]
+        assert channel.stats.attachment_history[-1] == (sim.now, "detach", "ap1")
 
     def test_handover_switches_access_point(self, setup):
         sim, _device, ap1, ap2, channel = setup
@@ -152,7 +153,7 @@ class TestBatchedSendOverWireless:
         assert sim.events_scheduled == scheduled_before + 1
         sim.run_until_idle()
         assert [m.payload for m in ap1.received] == [0, 1, 2, 3, 4]
-        assert channel.link_stats().messages == 5
+        assert channel._link.stats_a_to_b.messages == 5
 
     def test_send_many_on_lossy_channel_drops_whole_burst(self, setup):
         sim, device, ap1, _ap2, channel = setup
@@ -164,7 +165,7 @@ class TestBatchedSendOverWireless:
         device.send_many("ap1", [Message("subscribe", payload=i) for i in range(3)])
         sim.run_until_idle()
         assert ap1.received == []
-        assert channel.link_stats().dropped == 3
+        assert channel._link.stats_a_to_b.dropped == 3
 
     def test_burst_in_flight_during_signal_loss_still_delivered(self, setup):
         sim, device, ap1, _ap2, channel = setup
@@ -187,17 +188,4 @@ class TestBatchedSendOverWireless:
         device.send_many("ap1", [Message("second"), Message("third")])
         sim.run_until_idle()
         assert [m.kind for m in ap1.received] == ["first", "second", "third"]
-        assert channel.link_stats().dropped == 1
-
-
-class TestCoverageMap:
-    def test_lookup(self):
-        coverage = CoverageMap()
-        coverage.set_cell("cell-1", "B1")
-        coverage.set_cell("cell-2", "B1")
-        coverage.set_cell("cell-3", "B2")
-        assert coverage.access_point_for("cell-1") == "B1"
-        assert coverage.access_point_for("unknown") is None
-        assert coverage.cells_of("B1") == ["cell-1", "cell-2"]
-        assert "cell-3" in coverage
-        assert len(coverage) == 3
+        assert channel._link.stats_a_to_b.dropped == 1
