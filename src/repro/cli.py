@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Seven subcommands mirror what a user of the library typically wants to do
+Six subcommands mirror what a user of the library typically wants to do
 without writing code:
 
 * ``repro experiments`` — run (a subset of) the E1..E13 experiment suite and
@@ -18,13 +18,12 @@ without writing code:
   shrink any failing schedule to a minimal repro;
 * ``repro soak`` — loop seeded chaos scenarios under a time budget and
   assert that fds, RSS and every routing/transport resource plateau;
-* ``repro metrics`` — run the line workload and dump the control-plane
-  metrics snapshot (per-broker counters, histograms and gauges plus the
-  transport's own instruments), human-readable or ``--json``;
 * ``repro top`` — drive a live broker fabric and render a refreshing
   per-broker rates table (matches/s, forwards/s, deliveries/s, mean
   delivery age, routing table and duplicate-buffer gauges) for a bounded
-  number of frames;
+  number of frames, or with ``--json`` print the last frame's control-plane
+  snapshot (per-broker counters, histograms and gauges plus the transport's
+  own instruments);
 * ``repro info`` — show the system inventory: packages, experiments,
   scenarios, and the paper-to-module map.
 
@@ -169,27 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fabric_arguments(soak)
 
-    metrics = subparsers.add_parser(
-        "metrics",
-        help="run the line workload and dump the control-plane metrics snapshot",
-    )
-    metrics.add_argument(
-        "--backend",
-        choices=("sim", "asyncio", "cluster"),
-        default="sim",
-        help="transport backend to instrument (default: sim)",
-    )
-    metrics.add_argument(
-        "--brokers", type=int, default=3, help="brokers in the line topology (default: 3)"
-    )
-    metrics.add_argument(
-        "--publishes", type=int, default=20, help="notifications to publish (default: 20)"
-    )
-    metrics.add_argument(
-        "--json", action="store_true", help="print the raw snapshot as JSON (machine-readable)"
-    )
-    _add_fabric_arguments(metrics)
-
     top = subparsers.add_parser(
         "top",
         help="drive a live fabric and render a refreshing per-broker rates table",
@@ -214,6 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=50,
         help="notifications published per frame (default: 50)",
+    )
+    top.add_argument(
+        "--json",
+        action="store_true",
+        help="print only the last frame's metrics snapshot, as JSON (machine-readable)",
     )
     _add_fabric_arguments(top)
 
@@ -510,80 +493,18 @@ def _command_soak(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_metrics(args: argparse.Namespace) -> int:
-    """One-shot control-plane dump: run the line workload, print the snapshot.
-
-    The snapshot is gathered through ``Transport.metrics_snapshot()`` just
-    before teardown — in-process for sim/asyncio, over the registry control
-    channel for the cluster backend — so ``--json`` against ``--backend
-    cluster`` exercises the full remote metrics path.
-    """
-    import json
-
-    from .pubsub.testing import run_line_workload
-
-    if args.brokers < 2:
-        print("metrics needs at least 2 brokers", file=sys.stderr)
-        return 2
-    if args.publishes < 1:
-        print("metrics needs at least 1 publish", file=sys.stderr)
-        return 2
-    config = _fabric_config(args, "metrics")
-    if config is None:
-        return 2
-
-    captured = {}
-
-    def observer(net):
-        captured["snapshot"] = net.transport.metrics_snapshot()
-
-    result = run_line_workload(
-        args.backend, args.brokers, args.publishes, observer=observer, config=config
-    )
-    snapshot = captured["snapshot"]
-    if args.json:
-        print(json.dumps(snapshot, indent=2, sort_keys=True))
-        return 1 if result.mismatches else 0
-    print(
-        f"metrics: {args.brokers} brokers on {args.backend!r} after "
-        f"{args.publishes} publishes\n  fabric: {config.describe()}"
-    )
-    transport_gauges = snapshot["transport"].get("gauges", {})
-    transport_counters = snapshot["transport"].get("counters", {})
-    if transport_counters or transport_gauges:
-        print("  transport:")
-        for key, value in sorted(transport_counters.items()):
-            print(f"    {key:<36} {value}")
-        for key, value in sorted(transport_gauges.items()):
-            print(f"    {key:<36} {value}  (gauge)")
-    for name, broker in sorted(snapshot["brokers"].items()):
-        print(f"  {name}:")
-        for key, value in sorted(broker["counters"].items()):
-            if value:
-                print(f"    {key:<36} {value}")
-        for key, stats in sorted(broker["histograms"].items()):
-            if stats.get("count"):
-                mean = stats["sum"] / stats["count"]
-                print(f"    {key:<36} count={stats['count']} mean={mean:.6g} sum={round(stats['sum'], 6)}")
-        for key, value in sorted(broker["gauges"].items()):
-            print(f"    {key:<36} {value}  (gauge)")
-    if result.mismatches:
-        print(
-            f"metrics FAILED: {result.mismatches} subscriber(s) missed notifications",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _command_top(args: argparse.Namespace) -> int:
     """Drive a live fabric and render per-broker rates, one frame at a time.
 
     Each frame publishes a batch, drains to quiescence, snapshots the
     control plane and prints the per-broker counter *deltas* as rates over
     the frame's wall time, next to the point-in-time gauges.  ``--frames``
-    bounds the loop so CI (and impatient humans) get a clean exit.
+    bounds the loop so CI (and impatient humans) get a clean exit.  With
+    ``--json`` no table is printed: the last frame's snapshot (gathered by
+    ``Transport.metrics_snapshot()``, over the registry control channel on
+    the cluster backend) is printed as JSON instead.
     """
+    import json
     import time
 
     from .pubsub.broker_network import line_topology
@@ -600,7 +521,8 @@ def _command_top(args: argparse.Namespace) -> int:
     if config is None:
         return 2
 
-    print(f"top: {args.brokers} brokers on {args.backend!r} — {config.describe()}")
+    if not args.json:
+        print(f"top: {args.brokers} brokers on {args.backend!r} — {config.describe()}")
     net = line_topology(n_brokers=args.brokers, config=config)
     try:
         for i, broker_name in enumerate(net.broker_names()):
@@ -623,6 +545,8 @@ def _command_top(args: argparse.Namespace) -> int:
             net.run_until_idle()
             elapsed = max(time.perf_counter() - start, 1e-9)
             snapshot = net.transport.metrics_snapshot()
+            if args.json:
+                continue
             print(
                 f"-- frame {frame + 1}/{args.frames}: {args.batch} publishes "
                 f"in {elapsed * 1000:.1f}ms"
@@ -657,7 +581,10 @@ def _command_top(args: argparse.Namespace) -> int:
                 )
                 previous[name] = dict(counters)
                 previous_ages[name] = dict(age_stats)
-        print(f"top: published {published} notifications over {args.frames} frame(s)")
+        if args.json:
+            print(json.dumps(snapshot, indent=2, sort_keys=True))
+        else:
+            print(f"top: published {published} notifications over {args.frames} frame(s)")
         return 0
     finally:
         net.close()
@@ -690,7 +617,6 @@ _COMMANDS = {
     "demo": _command_demo,
     "chaos-fuzz": _command_chaos_fuzz,
     "soak": _command_soak,
-    "metrics": _command_metrics,
     "top": _command_top,
     "info": _command_info,
 }

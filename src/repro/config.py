@@ -16,8 +16,10 @@ Sockets speak one wire, the binary codec: ``codec`` has the one value
 The dataclass is frozen and validated at construction: an unknown name
 fails *immediately* with the allowed set in the message, instead of
 surfacing deep inside broker construction (a silent-typo hole
-``matcher="indxed"`` once fell through).  It is read once, when a broker
-is built (``Transport.build_broker``); a running broker keeps its knobs.
+``matcher="indxed"`` once fell through).  It is read once, when its
+transport is built (``make_transport``): the transport keeps it as
+``system_config``, its own metrics registry follows ``metrics`` and every
+broker it builds takes its knobs from it; a running broker keeps them.
 ``to_dict`` / ``from_dict`` round-trip it over the wire: every cluster
 node spec carries one, and the broker child reads its knobs from it.
 """
@@ -96,11 +98,15 @@ class SystemConfig:
 
         Reads exactly two attributes: ``backend`` (the transport, when
         present) and the repeatable ``--set key=value`` overlays collected
-        in ``ns.set``, which name every other field.
+        in ``ns.set``, which name every other field.  The transport has one
+        flag: ``--set transport=...`` is refused.
         """
+        pairs = getattr(ns, "set", None) or ()
+        if any(pair.partition("=")[0] == "transport" for pair in pairs):
+            raise ValueError("the transport is not a --set key; name it with --backend")
         backend = getattr(ns, "backend", None)
         config = cls() if backend is None else cls(transport=backend)
-        return config.with_overrides(getattr(ns, "set", None) or ())
+        return config.with_overrides(pairs)
 
     def with_overrides(self, pairs: Iterable[str]) -> "SystemConfig":
         """Apply ``key=value`` strings (the ``--set`` flag) onto this config."""

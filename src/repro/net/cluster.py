@@ -295,7 +295,7 @@ class _BrokerNode(SocketNode):
         return {
             "received": self.broker.messages_received,
             "sent": self.broker.messages_sent,
-            "broker": self.broker.stats(),
+            "table_size": self.broker.routing_table_size(),
             "links": links,
         }
 
@@ -473,9 +473,10 @@ class ClusterLink:
 class RemoteBroker(Process):
     """Parent-side proxy for a broker that lives in a child process.
 
-    Carries the broker's topology until boot and its last polled counters
-    afterwards (its knobs travel in the node spec).  It never routes
-    anything itself — messages to a remote broker go over the TCP
+    Carries the broker's topology until boot and its last polled routing
+    table size afterwards (its knobs travel in the node spec; its counters
+    are read through :meth:`ClusterTransport.metrics_snapshot`).  It never
+    routes anything itself — messages to a remote broker go over the TCP
     attachment, not through ``deliver``.
     """
 
@@ -502,16 +503,9 @@ class RemoteBroker(Process):
     def is_border(self) -> bool:
         return bool(self.transport.clients_of(self.name))
 
-    # remote state, refreshed by the transport's stats polls
-    @property
-    def last_stats(self) -> Dict[str, Any]:
-        return self.transport.polled_stats.get(self.name, {})
-
-    def stats(self) -> Dict[str, int]:
-        return dict(self.last_stats.get("broker", {}))
-
     def routing_table_size(self) -> int:
-        return int(self.last_stats.get("broker", {}).get("table_size", 0))
+        """The table size the transport's last stats poll reported."""
+        return int(self.transport.polled_stats.get(self.name, {}).get("table_size", 0))
 
     def on_message(self, message: Message) -> None:  # pragma: no cover - guard
         raise ClusterError(
@@ -545,7 +539,9 @@ class ClusterTransport(SocketNode, Transport):
     # faults are real here: SIGKILL + supervised respawn, TCP-level severing
     supports_fault_injection = True
 
-    DEFAULT_BOOT_TIMEOUT = 60.0
+    #: cap on a boot's (or a restart's) readiness barrier and a link restore
+    BOOT_TIMEOUT = 60.0
+    #: default cap on run_until_idle
     DEFAULT_IDLE_TIMEOUT = 120.0
     #: once a fault has dropped frames, sent==received never holds again;
     #: quiescence then requires this many consecutive identical poll rounds
@@ -554,19 +550,13 @@ class ClusterTransport(SocketNode, Transport):
     POLL_INTERVAL = 0.005
 
     def __init__(
-        self,
-        host: str = "127.0.0.1",
-        registry_port: Optional[int] = None,
-        boot_timeout: float = DEFAULT_BOOT_TIMEOUT,
-        idle_timeout: float = DEFAULT_IDLE_TIMEOUT,
+        self, host: str = "127.0.0.1", registry_port: Optional[int] = None, config=None
     ):
-        super().__init__()
+        Transport.__init__(self, config)
+        SocketNode.__init__(self, MetricsRegistry(enabled=self.system_config.metrics))
         self.host = host
-        self.boot_timeout = boot_timeout
-        self.idle_timeout = idle_timeout
         self.registry = RegistryServer(host, port=registry_port)
         self._specs: Dict[str, Dict[str, Any]] = {}
-        self._brokers: Dict[str, RemoteBroker] = {}
         self._children: Dict[str, subprocess.Popen] = {}
         self._local: Dict[str, Process] = {}
         self._client_peers: Dict[str, Set[str]] = {}
@@ -623,7 +613,7 @@ class ClusterTransport(SocketNode, Transport):
             "accept": [],
         }
         proxy = RemoteBroker(self, self._clock, name, routing)
-        self._brokers[name] = proxy
+        self.brokers[name] = proxy
         return proxy
 
     def make_link(self, a: Process, b: Process, latency: float = 0.001) -> ClusterLink:
@@ -664,7 +654,7 @@ class ClusterTransport(SocketNode, Transport):
             spec["registry"] = list(self.registry.address)
             self._children[name] = self._spawn(spec)
         barrier = self.registry.wait_ready(
-            self._specs, self.boot_timeout, liveness=self._check_children
+            self._specs, self.BOOT_TIMEOUT, liveness=self._check_children
         )
         try:
             self._loop.run_until_complete(barrier)
@@ -788,7 +778,7 @@ class ClusterTransport(SocketNode, Transport):
         spec["resync"] = True
         self._children[name] = self._spawn(spec)
         self._down.discard(name)
-        barrier = self.registry.wait_ready([name], self.boot_timeout, liveness=self._check_children)
+        barrier = self.registry.wait_ready([name], self.BOOT_TIMEOUT, liveness=self._check_children)
         self._loop.run_until_complete(barrier)
         self.recovery["restarts"] += 1
         for client_name in sorted(self._client_peers.get(name, ())):
@@ -847,7 +837,7 @@ class ClusterTransport(SocketNode, Transport):
                 f"cannot restore {dialer}<->{acceptor}: one side is down; restart it first"
             )
         try:
-            self._request(dialer, "link_up", peer=acceptor, timeout=self.boot_timeout)
+            self._request(dialer, "link_up", peer=acceptor, timeout=self.BOOT_TIMEOUT)
         except RegistryError as exc:
             raise ClusterError(f"link restore {dialer}->{acceptor} failed: {exc}") from exc
         link.up = True
@@ -864,7 +854,7 @@ class ClusterTransport(SocketNode, Transport):
         self._require_open()
         if not self._booted:
             return self._clock.now
-        timeout = timeout if timeout is not None else self.idle_timeout
+        timeout = timeout if timeout is not None else self.DEFAULT_IDLE_TIMEOUT
 
         async def drain() -> None:
             deadline = self._loop.time() + timeout

@@ -191,13 +191,14 @@ class Network:
     Links are created through the network's :class:`~repro.net.transport.
     Transport` backend, so the same registry works on the deterministic
     simulator (the default — pass a :class:`Simulator` as before) or on real
-    asyncio sockets (``transport="asyncio"``).
+    asyncio sockets (``config=SystemConfig(transport="asyncio")``).
     """
 
-    def __init__(self, sim: Optional[Simulator] = None, transport: str = "sim"):
+    def __init__(self, sim: Optional[Simulator] = None, config=None):
+        from ..config import SystemConfig  # local: config imports this package
         from .transport import make_transport  # local: transport imports Link
 
-        self.transport = make_transport(transport, sim=sim)
+        self.transport = make_transport(config or SystemConfig(), sim=sim)
         self.processes: Dict[str, Process] = {}
         self.links: list = []
 

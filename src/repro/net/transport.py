@@ -119,13 +119,20 @@ class Transport(ABC):
     #: explicitly, the same way they opt into mobility.
     supports_fault_injection: bool = False
 
-    #: the :class:`~repro.config.SystemConfig` adopted via :meth:`apply_config`
-    #: (``None`` until one is applied, e.g. on a bare ``make_transport()``)
-    _system_config = None
-
     #: this substrate's own live instruments (socket backends keep the wire
     #: counters here; the simulator has none)
     metrics = None
+
+    def __init__(self, config=None):
+        if config is None:
+            from ..config import SystemConfig  # lazy: config imports this module
+
+            config = SystemConfig(transport=self.name)
+        #: the :class:`~repro.config.SystemConfig` this substrate was built
+        #: with; :meth:`build_broker` reads every broker knob off it
+        self.system_config = config
+        #: brokers built on this transport, by name (the control-plane roster)
+        self.brokers: Dict[str, Any] = {}
 
     @property
     @abstractmethod
@@ -232,35 +239,6 @@ class Transport(ABC):
         return {}
 
     # ----------------------------------------------------------- control plane
-    @property
-    def brokers(self) -> Dict[str, Any]:
-        """Brokers built on this transport, by name (the control-plane roster)."""
-        roster = getattr(self, "_brokers", None)
-        if roster is None:
-            roster = self._brokers = {}
-        return roster
-
-    def apply_config(self, config) -> None:
-        """Adopt a :class:`~repro.config.SystemConfig` for this substrate.
-
-        Records the config (later :meth:`build_broker` calls read every broker
-        knob off it) and applies the metrics switch to the transport at once.
-        """
-        self._system_config = config
-        self.set_metrics_enabled(config.metrics)
-
-    @property
-    def system_config(self):
-        """The adopted :class:`~repro.config.SystemConfig`, or the defaults."""
-        if self._system_config is None:
-            from ..config import SystemConfig  # lazy: config imports this module
-
-            return SystemConfig()
-        return self._system_config
-
-    def set_metrics_enabled(self, enabled: bool) -> None:
-        """Flip transport-level live instrumentation; a no-op on the simulator."""
-
     def transport_metrics(self) -> Dict[str, Any]:
         """This substrate's own live instruments plus point-in-time gauges."""
         instruments = {"counters": {}, "histograms": {}}
@@ -335,7 +313,8 @@ class SimTransport(Transport):
     supports_mobility = True
     supports_fault_injection = True
 
-    def __init__(self, sim: Optional[Simulator] = None):
+    def __init__(self, sim: Optional[Simulator] = None, config=None):
+        super().__init__(config)
         if sim is not None and not isinstance(sim, Simulator):
             raise TypeError(
                 f"SimTransport wraps a Simulator, got {type(sim).__name__} "
@@ -667,7 +646,7 @@ class SocketNode:
     #: are still bounded by ``wire.MAX_FRAME_SIZE``)
     FLUSH_CAP = 64 * 1024
 
-    def __init__(self, metrics=None):
+    def __init__(self, metrics: MetricsRegistry):
         self._loop = _new_event_loop()
         self._clock = AsyncioClock(self)
         #: the reading side of every connection still open (aborted on close)
@@ -682,24 +661,15 @@ class SocketNode:
         self._flush_scheduled = False
         self._pending_error: Optional[BaseException] = None
         self._closed = False
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._bind_instruments()
+        self.metrics = metrics
+        # instrument references cached so the send path pays no dict probes
+        self._frames_sent = metrics.counter("transport.frames_sent")
+        self._bytes_sent = metrics.counter("transport.bytes_sent")
+        self._write_bytes = metrics.histogram("transport.socket_write_bytes")
 
     @property
     def clock(self) -> AsyncioClock:
         return self._clock
-
-    def _bind_instruments(self) -> None:
-        """Cache instrument references so the send path pays no dict probes."""
-        self._frames_sent = self.metrics.counter("transport.frames_sent")
-        self._bytes_sent = self.metrics.counter("transport.bytes_sent")
-        self._write_bytes = self.metrics.histogram("transport.socket_write_bytes")
-
-    def set_metrics_enabled(self, enabled: bool) -> None:
-        """Swap in a fresh registry; call before traffic, not mid-run."""
-        if enabled != self.metrics.enabled:
-            self.metrics = MetricsRegistry(enabled=enabled)
-            self._bind_instruments()
 
     # --------------------------------------------------------------- callbacks
     def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
@@ -982,8 +952,9 @@ class AsyncioTransport(SocketNode, Transport):
     #: and a fresh listener, not the loop
     PAIR_TIMEOUT = 2.0
 
-    def __init__(self, host: str = "127.0.0.1"):
-        super().__init__()
+    def __init__(self, host: str = "127.0.0.1", config=None):
+        Transport.__init__(self, config)
+        SocketNode.__init__(self, MetricsRegistry(enabled=self.system_config.metrics))
         self.host = host
         self._processes: Dict[str, Process] = {}
         #: where every link's connection is accepted (opened with the first link)
@@ -1237,20 +1208,18 @@ class AsyncioTransport(SocketNode, Transport):
 
 # -------------------------------------------------------------------- factory
 
-def make_transport(name: str = "sim", sim: Optional[Simulator] = None) -> Transport:
-    """Build the backend a ``SystemConfig.transport`` name selects.
+def make_transport(config, sim: Optional[Simulator] = None) -> Transport:
+    """Build the backend ``config.transport`` names, configured by ``config``.
 
     ``sim`` is the simulator the ``"sim"`` backend wraps (a fresh one when
     ``None``); the socket backends run on their own clocks and reject it.
     """
-    if name == "sim":
-        return SimTransport(sim)
-    if name not in TRANSPORT_NAMES:
-        raise ValueError(f"unknown transport {name!r}; available: {TRANSPORT_NAMES}")
+    if config.transport == "sim":
+        return SimTransport(sim, config)
     if sim is not None:
-        raise ValueError(f"the {name} backend does not take a Simulator")
-    if name == "asyncio":
-        return AsyncioTransport()
+        raise ValueError(f"the {config.transport} backend does not take a Simulator")
+    if config.transport == "asyncio":
+        return AsyncioTransport(config=config)
     from .cluster import ClusterTransport  # lazy: avoid a subprocess import cycle
 
-    return ClusterTransport()
+    return ClusterTransport(config=config)

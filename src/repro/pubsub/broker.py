@@ -275,20 +275,6 @@ class Broker(Process):
     def routing_table_size(self) -> int:
         return len(self.routing_table)
 
-    def stats(self) -> Dict[str, int]:
-        """A snapshot of the broker's counters, used by the experiment harness."""
-        return {
-            "routed": self.notifications_routed,
-            "delivered_locally": self.notifications_delivered_locally,
-            "subscriptions": self.subscriptions_handled,
-            "unsubscriptions": self.unsubscriptions_handled,
-            "resyncs": self.resyncs_received,
-            "resync_forwards": self.resync_forwards_sent,
-            "table_size": self.routing_table_size(),
-            "messages_sent": self.messages_sent,
-            "messages_received": self.messages_received,
-        }
-
     def metrics_snapshot(self) -> Dict[str, object]:
         """The live control-plane view of this broker, as a plain dict.
 

@@ -62,9 +62,8 @@ class BrokerNetwork:
         self.config = config
         self.routing = routing
         self.link_latency = link_latency
-        self.network = Network(sim=sim, transport=config.transport)
+        self.network = Network(sim, config)
         self.transport = self.network.transport
-        self.transport.apply_config(config)
         self.sim = self.network.sim
         self.brokers: Dict[str, Broker] = {}
         self.clients: Dict[str, Client] = {}
@@ -79,7 +78,7 @@ class BrokerNetwork:
         ``"cluster"`` backend a :class:`~repro.net.cluster.RemoteBroker`
         proxy whose broker runs in its own spawned OS process.  Either way
         the broker's knobs are read from :attr:`config`, which the transport
-        adopted at construction.
+        was built with.
         """
         broker = self.transport.build_broker(name, routing=self.routing)
         self.brokers[name] = broker

@@ -483,9 +483,9 @@ class _PlanRun:
             self._heal_and_settle()
             self._final_checks()
             res.recovery = dict(getattr(self.net.transport, "recovery", {}))
+            brokers = self.net.transport.metrics_snapshot()["brokers"]
             res.resync_markers = sum(
-                self.net.brokers[name].stats().get("resyncs", 0)
-                for name in self.net.broker_names()
+                broker["counters"]["broker.resyncs_received"] for broker in brokers.values()
             )
             res.wall_sec = time.perf_counter() - started
             return res

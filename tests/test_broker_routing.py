@@ -129,9 +129,9 @@ class TestBrokerBasics:
         sim.run_until_idle()
         alice.publish({"service": "t"})
         sim.run_until_idle()
-        stats = net.brokers["B2"].stats()
-        assert stats["routed"] == 1
-        assert stats["subscriptions"] >= 1
+        counters = net.transport.metrics_snapshot()["brokers"]["B2"]["counters"]
+        assert counters["broker.matches"] == 1
+        assert counters["broker.subscriptions"] >= 1
 
 
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))

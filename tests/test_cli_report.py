@@ -45,14 +45,14 @@ class TestCli:
         assert args.backend == "asyncio"
         assert args.brokers is None and args.publishes is None
 
-    def test_exactly_seven_subcommands(self):
+    def test_exactly_six_subcommands(self):
         (subcommands,) = [
             action
             for action in build_parser()._actions
             if isinstance(action, argparse._SubParsersAction)
         ]
         assert " ".join(subcommands.choices) == (
-            "experiments demo chaos-fuzz soak metrics top info"
+            "experiments demo chaos-fuzz soak top info"
         )
 
     @pytest.mark.parametrize("workload", ["line", "handover", "chaos"])

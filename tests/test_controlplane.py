@@ -8,15 +8,17 @@ Four groups:
 * **BrokerNetwork integration** — one way in: typo rejection before any
   broker is built; ``BrokerNetwork``, every topology builder and
   ``MobilitySystemConfig`` refusing the fabric knobs as loose kwargs; every
-  backend building its brokers from the adopted config (a cluster broker
-  child from the spec's config alone); a brute fabric with the scan
+  backend building its brokers from the config it was built with (a cluster
+  broker child from the spec's config alone); a brute fabric with the scan
   advertising oracle installed delivering what the default one does; and no
-  running broker offering a way to change its knobs;
+  running broker or transport offering a way to change its knobs;
 * **metrics** — the obs instruments themselves, plus
   ``Transport.metrics_snapshot()`` agreeing across all three backends on
-  the deterministic broker counters of a fixed workload;
+  the deterministic broker counters of a fixed workload, and the metrics
+  switch reaching every backend's own wire instruments;
 * **surfaces** — the shared registry request helper's dead-channel path and
-  the ``repro metrics`` / ``repro top`` CLI smoke.
+  the ``repro top`` CLI smoke (its table and its ``--json`` snapshot), with
+  ``--backend`` the one way to name the transport.
 """
 
 import argparse
@@ -124,7 +126,7 @@ def _build_with_a_deleted_parameter(call):
     elif call == "MergingRouting-advertising":
         MergingRouting(broker, advertising="scan")
     else:
-        with make_transport("sim") as transport:
+        with make_transport(SystemConfig()) as transport:
             transport.build_broker("B1", routing="covering", advertising="scan")
 
 
@@ -219,28 +221,22 @@ def test_fabric_knobs_have_one_way_in(build, knob):
 
 @pytest.mark.parametrize("backend", ["sim", "asyncio"])
 def test_in_process_broker_reads_the_adopted_config(backend):
-    with make_transport(backend) as transport:
-        default = transport.build_broker("B0", routing="covering")
-        transport.apply_config(SystemConfig(transport=backend, matcher="brute", metrics=False))
+    config = SystemConfig(transport=backend, matcher="brute", metrics=False)
+    with make_transport(config) as transport:
         broker = transport.build_broker("B1", routing="covering")
+    assert transport.system_config is config
     assert broker.matcher == "brute"
     assert broker.metrics.enabled is False
-    # a broker built before the config was adopted keeps the defaults
-    assert default.matcher == "indexed"
-    assert default.metrics.enabled is True
 
 
 def test_cluster_rejects_bad_declarations_before_boot():
-    transport = ClusterTransport()
+    transport = ClusterTransport(config=SystemConfig(transport="cluster", matcher="brute"))
     try:
         transport.build_broker("B1")
-        transport.apply_config(SystemConfig(transport="cluster", matcher="brute"))
-        transport.build_broker("B2")
         with pytest.raises(ClusterError, match="duplicate broker name 'B1'"):
             transport.build_broker("B1")
-        # each spec holds the config adopted when its broker was declared
-        assert transport._specs["B1"]["config"]["matcher"] == "indexed"
-        assert transport._specs["B2"]["config"]["matcher"] == "brute"
+        # the spec holds the config the transport was built with
+        assert transport._specs["B1"]["config"]["matcher"] == "brute"
         assert not transport.booted
     finally:
         transport.close()
@@ -293,9 +289,9 @@ def test_brute_fabric_matches_the_default_on_cluster():
 
 
 def test_cluster_child_reads_its_knobs_from_the_spec_config():
-    transport = ClusterTransport()
+    config = SystemConfig(transport="cluster", matcher="brute", metrics=False)
+    transport = ClusterTransport(config=config)
     try:
-        transport.apply_config(SystemConfig(transport="cluster", matcher="brute", metrics=False))
         transport.build_broker("B1", routing="covering")
         spec = dict(transport._specs["B1"], registry=["127.0.0.1", 0])
     finally:
@@ -312,7 +308,10 @@ def test_cluster_child_reads_its_knobs_from_the_spec_config():
 
 @pytest.mark.parametrize("owner", [Broker, RoutingTable, RoutingStrategy, Transport, SocketNode])
 def test_a_running_broker_keeps_its_knobs(owner):
-    for name in "reconfigure set_matcher set_advertising configure set_flush_cap".split():
+    for name in (
+        "reconfigure set_matcher set_advertising configure set_flush_cap "
+        "apply_config set_metrics_enabled"
+    ).split():
         assert not hasattr(owner, name), f"{owner.__name__}.{name}"
 
 
@@ -384,20 +383,30 @@ def test_metrics_snapshot_counters_agree_across_backends():
     assert _broker_counters("cluster", **workload) == sim
 
 
-def test_metrics_disabled_config_snapshots_empty_registry_counters():
-    captured = {}
+@pytest.mark.parametrize("backend", ["sim", "asyncio", "cluster"])
+def test_metrics_disabled_config_snapshots_empty_registry_counters(backend):
+    def snapshot(metrics):
+        captured = {}
 
-    def observer(net):
-        captured["snapshot"] = net.transport.metrics_snapshot()
+        def observer(net):
+            captured["snapshot"] = net.transport.metrics_snapshot()
 
-    run_line_workload(
-        "sim", 2, 6, observer=observer, config=SystemConfig(metrics=False)
-    )
-    for data in captured["snapshot"]["brokers"].values():
+        config = SystemConfig(metrics=metrics)
+        result = run_line_workload(backend, 2, 6, observer=observer, config=config)
+        assert result.mismatches == 0
+        return captured["snapshot"]
+
+    off = snapshot(False)
+    for data in off["brokers"].values():
         # the integer hot-path counters remain (they are plain attributes),
         # but no registry-owned instrument may have been allocated
         assert all(key.startswith("broker.") for key in data["counters"])
         assert data["histograms"] == {}
+    # the transport's own wire instruments follow the same switch
+    assert off["transport"]["counters"] == {}
+    assert off["transport"]["histograms"] == {}
+    if backend == "asyncio":
+        assert snapshot(True)["transport"]["counters"]["transport.frames_sent"] > 0
 
 
 # ----------------------------------------------------------------- surfaces
@@ -434,11 +443,14 @@ def test_registry_request_to_a_node_that_died_mid_send():
     asyncio.run(scenario())
 
 
-def test_cli_metrics_json(capsys):
-    assert main(["metrics", "--backend", "sim", "--json", "--publishes", "10"]) == 0
+def test_cli_top_json(capsys):
+    argv = ["top", "--backend", "sim", "--frames", "2", "--batch", "10", "--json"]
+    assert main(argv) == 0
     snapshot = json.loads(capsys.readouterr().out)
+    assert sorted(snapshot) == ["brokers", "transport"]
     assert sorted(snapshot["brokers"]) == ["B1", "B2", "B3"]
-    assert snapshot["brokers"]["B1"]["counters"]["broker.matches"] == 10
+    # the last frame's snapshot: both frames' publishes are counted
+    assert snapshot["brokers"]["B1"]["counters"]["broker.matches"] == 20
 
 
 def test_cli_top_renders_bounded_frames(capsys):
@@ -454,13 +466,22 @@ def test_cli_rejects_unknown_set_key(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv", [["demo", "line"], ["chaos-fuzz"], ["soak"], ["top"]], ids="-".join
+)
+def test_cli_names_the_transport_once(argv, capsys):
+    # --backend names the transport; a --set naming it too is refused, not
+    # resolved one way by one command and the other way by another
+    assert main(argv + ["--backend", "sim", "--set", "transport=asyncio"]) == 2
+    assert "name it with --backend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["experiments"],
         ["demo", "line"],
         ["chaos-fuzz"],
         ["soak"],
-        ["metrics"],
         ["top"],
         ["info"],
     ],

@@ -140,7 +140,7 @@ def test_deliberate_kill_is_not_reported_as_a_crash():
 
 
 def test_child_death_during_boot_fails_fast_with_exit_code(monkeypatch):
-    transport = ClusterTransport(boot_timeout=30.0)
+    transport = ClusterTransport()
     try:
         a = transport.build_broker("B1")
         b = transport.build_broker("B2")
