@@ -26,7 +26,9 @@ leaves nothing behind.  The index is maintained incrementally (a few dict
 operations and at most two bisects per subscription change; no query ever
 pays for a rebuild), because in a mobile fabric churn is the normal case.
 The one deferred cost is a range bucket's split, paid by the first query
-that stabs the bucket oversized, not by the insert that grew it.
+that stabs the bucket oversized, not by the insert that grew it: one pass
+cuts the whole bucket into pieces of about half ``MAX_BUCKET`` entries, so
+the queries after it land in pieces that are already small.
 """
 
 from __future__ import annotations
@@ -110,10 +112,13 @@ class IntervalBucketIndex:
     ``Range`` itself, not a copy of its bounds.
 
     Local repair keeps the buckets queries land in small: when a query stabs
-    a bucket holding more than ``MAX_BUCKET`` entries, the bucket is split at
-    the median of the member bounds falling strictly inside it, and again
-    until the stabbed bucket is small or unsplittable (one ``repairs``
-    increment per split, reported through the optional ``repair_counter`` as
+    a bucket holding more than ``MAX_BUCKET`` entries, the bucket is split in
+    one pass — the member bounds falling strictly inside it sorted once, cuts
+    placed at evenly spaced ones, each member put by two bisects into every
+    piece it overlaps — into pieces of about ``MAX_BUCKET / 2`` entries.  A
+    piece that is still oversized (heavily overlapping members) is split
+    again the same way when the query lands in it (one ``repairs`` increment
+    per split, reported through the optional ``repair_counter`` as
     ``index.repair``).  Inserts never split, so a bucket no query reaches
     never pays for one.  Ranges that would straddle more than ``MAX_SPAN``
     buckets at insert time go into the always-scanned ``wide`` set instead,
@@ -179,7 +184,9 @@ class IntervalBucketIndex:
             self._wide = {}
 
     def _split(self, i: int) -> None:
-        """Split bucket ``i`` at the median interior bound (local repair)."""
+        """Split bucket ``i`` in one pass into pieces of about half
+        ``MAX_BUCKET`` members each, cut at evenly spaced interior bounds
+        (local repair)."""
         bucket = self._buckets[i]
         cuts = self._cuts
         ranges = self._ranges
@@ -198,18 +205,18 @@ class IntervalBucketIndex:
             # back off until the bucket doubles before trying again
             self._retry_at[i] = 2 * len(bucket)
             return
-        cut = points[len(points) // 2]
-        left: Dict[object, object] = {}
-        right: Dict[object, object] = {}
+        # pieces of about MAX_BUCKET / 2 members; no more cuts than bounds
+        count = min(math.ceil(2 * len(bucket) / self.MAX_BUCKET), len(points) + 1)
+        new_cuts = [points[k * len(points) // count] for k in range(1, count)]
+        pieces: List[Dict[object, object]] = [{} for _ in range(count)]
         for entry_id, payload in bucket.items():
             constraint = ranges[entry_id]
-            if constraint.low <= cut:
-                left[entry_id] = payload
-            if constraint.high > cut:
-                right[entry_id] = payload
-        cuts.insert(i, cut)
-        self._buckets[i : i + 1] = [left, right]
-        self._retry_at[i : i + 1] = [0, 0]
+            first = bisect_left(new_cuts, constraint.low)
+            for piece in pieces[first : bisect_left(new_cuts, constraint.high, first) + 1]:
+                piece[entry_id] = payload
+        cuts[i:i] = new_cuts
+        self._buckets[i : i + 1] = pieces
+        self._retry_at[i : i + 1] = [0] * count
         self.repairs += 1
         counter = self.repair_counter
         if counter is not None:

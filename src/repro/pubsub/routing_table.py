@@ -19,7 +19,9 @@ Two matching strategies are available (the ``matcher`` knob):
   via [16].  Each entry with a hashable equality constraint is bucketed under
   its ``(attribute, value)`` pair, and inside that bucket by its ``Range``
   (if it has one) in an :class:`~repro.pubsub.matching.IntervalBucketIndex`
-  (bucketed boundary cuts, split when a query finds a bucket oversized);
+  (bucketed boundary cuts; a bucket a query finds oversized is split in one
+  pass, at evenly spaced member bounds, into pieces of about half the size
+  limit);
   entries without an equality key are placed by their ``Range`` alone.  At
   match time the index is probed once and hands back one list of groups:
   only the entries the notification's own values select (plus the

@@ -40,6 +40,23 @@ def linear_candidates(live, value):
     return sorted(p for p, (low, high) in live.items() if low <= value <= high)
 
 
+def assert_placed_where_bisect_says(index, live):
+    """Every live entry sits in exactly the buckets ``bisect_left(cuts, low)``
+    … ``bisect_left(cuts, high)`` — the ones ``discard`` empties — or in
+    ``_wide`` alone, and no bucket holds anything else."""
+    cuts = index._cuts
+    assert len(index._buckets) == len(index._retry_at) == len(cuts) + 1
+    assert cuts == sorted(set(cuts))
+    expected = [set() for _ in index._buckets]
+    for entry_id, (low, high) in live.items():
+        if entry_id in index._wide:
+            continue
+        for i in range(bisect.bisect_left(cuts, low), bisect.bisect_left(cuts, high) + 1):
+            expected[i].add(entry_id)
+    assert [set(bucket) for bucket in index._buckets] == expected
+    assert set(index._wide) <= set(live)
+
+
 class TestIntervalBucketIndex:
     def test_basic_stabbing(self):
         """Candidates are a superset of the true hits and discard is exact."""
@@ -168,6 +185,20 @@ class TestIntervalBucketIndex:
         assert index.repairs == 0
         assert index._cuts == []
 
+    def test_one_query_splits_an_oversized_bucket_once(self):
+        """A stab splits an oversized bucket in one pass into pieces of at most
+        MAX_BUCKET members, so stabbing each of them afterwards splits nothing."""
+        count = 10 * IntervalBucketIndex.MAX_BUCKET
+        index = IntervalBucketIndex()
+        for i in range(count):
+            index.add(f"n{i}", Range("x", 10 * i, 10 * i + 5), f"n{i}")
+        index.candidates(0)
+        assert index.repairs == 1
+        assert all(len(bucket) <= IntervalBucketIndex.MAX_BUCKET for bucket in index._buckets)
+        for i in range(count):
+            assert f"n{i}" in index.candidates(10 * i + 2)
+        assert index.repairs == 1
+
     @pytest.mark.parametrize("seed", range(3))
     def test_a_query_repairs_the_bucket_it_stabs(self, seed):
         """After a query the stabbed bucket holds at most MAX_BUCKET entries or
@@ -220,8 +251,10 @@ class TestIntervalBucketIndex:
                 value = rng.uniform(-120, 120)
                 got = sorted(index.candidates(value))
                 assert len(got) == len(set(got))  # no duplicate yields
-                # candidates is a superset; it must contain every true hit
-                assert set(linear_candidates(live, value)) <= set(got)
+                # candidates is a superset; it must contain every true hit,
+                # and nothing discarded (the caller would evaluate it)
+                assert set(linear_candidates(live, value)) <= set(got) <= set(live)
+            assert_placed_where_bisect_says(index, live)
 
     def test_half_open_ranges_exact_through_table(self):
         """Inclusivity is the filter's job; the table restores exactness."""
