@@ -553,7 +553,7 @@ def _command_top(args: argparse.Namespace) -> int:
             )
             print(
                 f"   {'broker':<8} {'match/s':>9} {'fwd/s':>9} {'deliver/s':>9} "
-                f"{'age-ms':>8} {'routes':>7} {'dups':>6} {'fwd-subs':>8}"
+                f"{'age-ms':>8} {'routes':>7} {'fwd-subs':>8}"
             )
             for name, broker in sorted(snapshot["brokers"].items()):
                 counters, gauges = broker["counters"], broker["gauges"]
@@ -576,7 +576,6 @@ def _command_top(args: argparse.Namespace) -> int:
                     f"{rate('broker.delivered_locally'):>9.0f} "
                     f"{age_ms:>8} "
                     f"{gauges.get('broker.routing_table_size', 0):>7} "
-                    f"{gauges.get('broker.duplicates_remembered', 0):>6} "
                     f"{gauges.get('broker.forwarded_subscriptions', 0):>8}"
                 )
                 previous[name] = dict(counters)

@@ -87,10 +87,9 @@ class MobileClient(Process):
         Parameters of the wireless access link (see
         :class:`~repro.net.wireless.WirelessChannel`).
     transport:
-        The substrate carrying the wireless hop.  ``None`` (legacy default)
-        builds simulator links directly from ``sim``; a mobility-capable
-        :class:`~repro.net.transport.Transport` carries each attachment on
-        that backend (real TCP connections on asyncio).
+        The mobility-capable :class:`~repro.net.transport.Transport` that
+        carries each attachment (a simulator link on ``"sim"``, a real TCP
+        connection on ``"asyncio"``).
     """
 
     def __init__(
@@ -100,7 +99,8 @@ class MobileClient(Process):
         reissue_on_attach: bool = True,
         wireless_latency: float = 0.002,
         connect_latency: float = 0.05,
-        transport=None,
+        *,
+        transport,
     ):
         super().__init__(sim, name)
         self.reissue_on_attach = reissue_on_attach

@@ -425,15 +425,6 @@ class ClusterLink:
         else:
             self.transport._sever_link(self)
 
-    def disconnect(self) -> None:
-        self.set_up(False)
-
-    def reconnect(self) -> None:
-        self.set_up(True)
-
-    def on_drop(self, message: Message, source: Process, target: Process) -> None:
-        """Drop hook for interface parity; cluster links never drop by policy."""
-
     # ------------------------------------------------------------------ stats
     def _polled(self, owner: str, towards: str) -> Dict[str, Any]:
         stats = self.transport.polled_stats.get(owner, {})
@@ -484,24 +475,11 @@ class RemoteBroker(Process):
         super().__init__(clock, name)
         self.transport = transport
         self.routing_strategy_name = routing
-        self._broker_peers: Set[str] = set()
 
-    # topology bookkeeping (mirrors Broker's surface used by BrokerNetwork)
     def register_broker_peer(self, peer_name: str) -> None:
-        self._broker_peers.add(peer_name)
-
-    def unregister_broker_peer(self, peer_name: str) -> None:
-        self._broker_peers.discard(peer_name)
-
-    def broker_neighbors(self) -> List[str]:
-        return sorted(self._broker_peers)
-
-    def client_links(self) -> List[str]:
-        return sorted(self.transport.clients_of(self.name))
-
-    @property
-    def is_border(self) -> bool:
-        return bool(self.transport.clients_of(self.name))
+        """Nothing to record here: the child learns its broker peers from
+        the handshakes of its links (``BrokerNetwork`` calls this on every
+        broker it connects)."""
 
     def routing_table_size(self) -> int:
         """The table size the transport's last stats poll reported."""
@@ -579,9 +557,6 @@ class ClusterTransport(SocketNode, Transport):
             "client_resubscribes": 0,
         }
         self._booted = False
-
-    def clients_of(self, broker_name: str) -> Set[str]:
-        return self._client_peers.get(broker_name, set())
 
     @property
     def booted(self) -> bool:

@@ -50,7 +50,6 @@ class _DirectedEndpoint(LinkEndpoint):
         link = self.link
         if not link.up:
             self.stats.record_drop()
-            link.on_drop(message, self.source, self.target)
             return
         stats = self.stats  # LinkStats.record, inline: this runs once per hop
         stats.messages += 1
@@ -72,9 +71,8 @@ class _DirectedEndpoint(LinkEndpoint):
         """
         link = self.link
         if not link.up:
-            for message in messages:
+            for _ in messages:
                 self.stats.record_drop()
-                link.on_drop(message, self.source, self.target)
             return
         for message in messages:
             self.stats.record(message)
@@ -139,23 +137,6 @@ class Link:
         self.a.attach_link(self.b.name, self._a_to_b)
         self.b.attach_link(self.a.name, self._b_to_a)
 
-    def abandon(self) -> None:
-        """Tear down a link that lost an attachment race.
-
-        Unlike :meth:`disconnect`, which detaches whatever endpoint is
-        registered under the peer names, this removes only entries this
-        link actually owns — a rival link established concurrently between
-        the same processes may have re-registered those names, and its
-        attachment must survive.
-        """
-        self.up = False
-        for owner, peer_name, endpoint in (
-            (self.a, self.b.name, self._a_to_b),
-            (self.b, self.a.name, self._b_to_a),
-        ):
-            if owner.links.get(peer_name) is endpoint:
-                owner.detach_link(peer_name)
-
     # ------------------------------------------------------------------ stats
     @property
     def stats_a_to_b(self) -> LinkStats:
@@ -171,10 +152,6 @@ class Link:
 
     def messages_of_kind(self, kind: str) -> int:
         return self._a_to_b.stats.by_kind.get(kind, 0) + self._b_to_a.stats.by_kind.get(kind, 0)
-
-    # ------------------------------------------------------------------ hooks
-    def on_drop(self, message: Message, source: Process, target: Process) -> None:
-        """Hook invoked when a message is dropped; overridden in tests if needed."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"

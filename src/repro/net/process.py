@@ -120,11 +120,6 @@ class Process:
     def has_link(self, peer_name: str) -> bool:
         return peer_name in self.links
 
-    @property
-    def neighbors(self) -> list[str]:
-        """Names of processes this process currently has a link to."""
-        return list(self.links.keys())
-
     # -------------------------------------------------------------- messaging
     def send(self, peer_name: str, message: Message) -> None:
         """Send ``message`` to ``peer_name`` over the attached link.

@@ -281,10 +281,6 @@ class PeriodicTask:
         if self._handle is not None:
             self._handle.cancel()
 
-    @property
-    def stopped(self) -> bool:
-        return self._stopped
-
 
 def drain(sim: Simulator, rounds: Iterable[float]) -> None:
     """Run the simulator to each timestamp in ``rounds`` in order.

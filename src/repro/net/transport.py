@@ -98,9 +98,10 @@ class Transport(ABC):
       processes and attaches an endpoint on each side (``a.send(b.name, m)``
       works immediately afterwards);
     * the returned link exposes the :class:`~repro.net.link.Link` surface —
-      ``up``/``set_up``/``disconnect``/``reconnect``, per-direction
-      :class:`~repro.net.link.LinkStats`, ``total_messages``/
-      ``messages_of_kind`` and the ``on_drop`` hook;
+      ``up``/``set_up`` (and ``disconnect``/``reconnect`` on a backend that
+      :attr:`supports_mobility`), per-direction
+      :class:`~repro.net.link.LinkStats` and ``total_messages``/
+      ``messages_of_kind``;
     * :attr:`clock` is a Simulator-compatible scheduling surface (``now``,
       ``schedule``, ``schedule_at``, ``call_now``, ``run``,
       ``run_until_idle``) that processes receive as their ``sim``.
@@ -797,7 +798,7 @@ class SocketNode:
 class _AsyncioDirectedEndpoint(SocketEndpoint):
     """One direction of an :class:`AsyncioLink`; both of its ends live on this node.
 
-    A link that is down drops and reports (``on_drop``), a dead connection
+    A link that is down drops and counts the drop, a dead connection
     refuses loudly, and every frame counts as in flight from the send until
     the target handled it.
     """
@@ -814,9 +815,8 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
     def _admit(self, messages) -> bool:
         link = self.link
         if not link.up:
-            for message in messages:
+            for _ in messages:
                 self.stats.record_drop()
-                link.on_drop(message, self.source, self.target)
             return False
         if self._writer is None:  # refused before any accounting: it was never sent
             raise TransportError("link endpoint is not connected")
@@ -873,10 +873,13 @@ class AsyncioLink:
         self.b.attach_link(self.a.name, self._b_to_a)
 
     def abandon(self) -> None:
-        """Tear down a link that lost an attachment race (see Link.abandon).
+        """Tear down a link that lost an attachment race.
 
-        Only routing entries this link actually owns are removed; a rival
-        link's endpoints registered under the same peer names survive.
+        Unlike :meth:`disconnect`, which detaches whatever endpoint is
+        registered under the peer names, this removes only entries this
+        link actually owns — a rival link established concurrently between
+        the same processes may have re-registered those names, and its
+        attachment must survive.
         """
         self.up = False
         for owner, peer_name, endpoint in (
@@ -900,10 +903,6 @@ class AsyncioLink:
 
     def messages_of_kind(self, kind: str) -> int:
         return self._a_to_b.stats.by_kind.get(kind, 0) + self._b_to_a.stats.by_kind.get(kind, 0)
-
-    # ------------------------------------------------------------------ hooks
-    def on_drop(self, message: Message, source: Process, target: Process) -> None:
-        """Hook invoked when a message is dropped; overridden in tests if needed."""
 
     def _close_writers(self) -> None:
         """The hard kill: both ends stop reading at once (see ``close_dynamic_link``)."""

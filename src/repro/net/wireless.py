@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from .link import Link
 from .process import Message, Process
 from .simulator import Simulator
 
@@ -52,12 +51,10 @@ class WirelessChannel:
     two operations from it — *open a link at runtime* and *release a
     torn-down link* — which is the small dynamic-link interface every
     mobility-capable :class:`~repro.net.transport.Transport` exposes
-    (``open_dynamic_link``/``close_dynamic_link``).  Pass ``transport=`` to
-    carry the wireless hop on that backend: on the simulator attachment is
-    the classic synchronous :class:`~repro.net.link.Link`, on asyncio each
-    attach opens a real TCP connection and each detach closes it.  With no
-    transport (the legacy construction) the channel builds simulator links
-    directly from ``sim``.
+    (``open_dynamic_link``/``close_dynamic_link``).  ``transport`` carries
+    the wireless hop: on the simulator attachment is the classic synchronous
+    :class:`~repro.net.link.Link`, on asyncio each attach opens a real TCP
+    connection and each detach closes it.
     """
 
     def __init__(
@@ -66,20 +63,21 @@ class WirelessChannel:
         device: Process,
         latency: float = 0.002,
         connect_latency: float = 0.05,
-        transport=None,
+        *,
+        transport,
     ):
         self.sim = sim
         self.device = device
         self.latency = latency
         self.connect_latency = connect_latency
         self.transport = transport
-        if transport is not None and not getattr(transport, "supports_mobility", False):
+        if not getattr(transport, "supports_mobility", False):
             raise ValueError(
                 f"transport {getattr(transport, 'name', transport)!r} does not support "
                 "dynamic (wireless) links"
             )
         self.current_ap: Optional[Process] = None
-        self._link: Optional[Link] = None
+        self._link = None
         # bumped by every attach and detach; a pending attach completion
         # carrying a stale epoch was superseded and must not take effect
         self._attach_epoch = 0
@@ -117,29 +115,21 @@ class WirelessChannel:
         delay = 0.0 if immediate else self.connect_latency
         self.sim.schedule(delay, self._complete_attach, access_point, self._attach_epoch)
 
-    def _complete_attach(self, access_point: Process, epoch: Optional[int] = None) -> None:
-        if epoch is None:
-            epoch = self._attach_epoch
+    def _complete_attach(self, access_point: Process, epoch: int) -> None:
         if epoch != self._attach_epoch or self.current_ap is not None:
             # superseded by a later attach/detach; ignore the stale completion
             return
-        if self.transport is None:
-            # legacy path: a simulator link, created synchronously
-            link = Link(self.sim, self.device, access_point, latency=self.latency)
-            self._finish_attach(access_point, link, epoch)
-        else:
-            # through the dynamic-link interface; on socket backends the
-            # connection setup completes asynchronously and _finish_attach
-            # fires once traffic can flow
-            self.transport.open_dynamic_link(
-                self.device,
-                access_point,
-                latency=self.latency,
-                ready=lambda link, _ap=access_point, _e=epoch: self._finish_attach(_ap, link, _e),
-            )
+        # on socket backends the connection setup completes asynchronously
+        # and _finish_attach fires once traffic can flow
+        self.transport.open_dynamic_link(
+            self.device,
+            access_point,
+            latency=self.latency,
+            ready=lambda link, _ap=access_point, _e=epoch: self._finish_attach(_ap, link, _e),
+        )
 
-    def _finish_attach(self, access_point: Process, link, epoch: Optional[int] = None) -> None:
-        if (epoch is not None and epoch != self._attach_epoch) or self.current_ap is not None:
+    def _finish_attach(self, access_point: Process, link, epoch: int) -> None:
+        if epoch != self._attach_epoch or self.current_ap is not None:
             # superseded while this link was being established; tear the late
             # arrival down instead of hijacking the current attachment
             self._discard_stale_link(link)
@@ -154,14 +144,15 @@ class WirelessChannel:
     def _discard_stale_link(self, stale) -> None:
         """Tear down a link whose establishment lost the attachment race.
 
+        Only a socket backend can lose it: the simulator's ``ready`` fires
+        inside :meth:`_complete_attach`, after the epoch check.
         ``abandon`` (not ``disconnect``) so that, when the stale
         establishment targeted the *same* access point as the winning one,
         the winner's endpoint registrations survive; they are re-attached
         afterwards in case the stale establishment overwrote them.
         """
         stale.abandon()
-        if self.transport is not None:
-            self.transport.close_dynamic_link(stale)
+        self.transport.close_dynamic_link(stale)
         if self._link is not None and self.current_ap is not None:
             self._link.reconnect()
 
@@ -178,8 +169,7 @@ class WirelessChannel:
         ap_name = self.current_ap.name
         if self._link is not None:
             self._link.disconnect()
-            if self.transport is not None:
-                self.transport.close_dynamic_link(self._link)
+            self.transport.close_dynamic_link(self._link)
         self.current_ap = None
         self._link = None
         self.stats.disconnects += 1

@@ -60,11 +60,6 @@ class Broker(Process):
         instrumentation.
     """
 
-    #: how many notification ids duplicate suppression remembers when
-    #: :attr:`deduplicate` is on; the oldest is forgotten first, which bounds
-    #: broker memory on long-running deployments
-    duplicates_capacity = 65536
-
     def __init__(
         self,
         sim: "Simulator | object",
@@ -86,12 +81,9 @@ class Broker(Process):
         self.notifications_delivered_locally = 0
         self.subscriptions_handled = 0
         self.unsubscriptions_handled = 0
-        self.duplicate_publishes_dropped = 0
         self.resyncs_sent = 0
         self.resyncs_received = 0
         self.resync_forwards_sent = 0
-        self._seen_notification_ids: Dict[int, None] = {}
-        self.deduplicate = False
 
     # ------------------------------------------------------------------ matcher
     @property
@@ -104,21 +96,9 @@ class Broker(Process):
         """Declare that the link towards ``peer_name`` leads to another broker."""
         self._broker_peers.add(peer_name)
 
-    def unregister_broker_peer(self, peer_name: str) -> None:
-        self._broker_peers.discard(peer_name)
-
     def broker_neighbors(self) -> List[str]:
         """Names of neighbouring brokers this broker currently has a link to."""
         return sorted(self._broker_peers.intersection(self.links))
-
-    def client_links(self) -> List[str]:
-        """Names of attached client-side processes (local brokers, replicators)."""
-        return sorted(name for name in self.links if name not in self._broker_peers)
-
-    @property
-    def is_border(self) -> bool:
-        """A broker is a border broker iff it has at least one client link."""
-        return bool(self.client_links())
 
     # --------------------------------------------------------------- messaging
     def on_message(self, message: Message) -> None:
@@ -209,15 +189,6 @@ class Broker(Process):
     def _handle_publish(self, message: Message) -> None:
         notification: Notification = message.payload
         from_link = message.sender or ""
-        if self.deduplicate:
-            seen = self._seen_notification_ids
-            if notification.notification_id in seen:
-                self.duplicate_publishes_dropped += 1
-                return
-            seen[notification.notification_id] = None
-            if len(seen) > self.duplicates_capacity:
-                # bounded memory: forget the oldest id (FIFO eviction)
-                del seen[next(iter(seen))]
         self.notifications_routed += 1
         destinations = self.strategy.route(notification, from_link)
         broker_peers = self._broker_peers
@@ -291,7 +262,6 @@ class Broker(Process):
                 "broker.matches": self.notifications_routed,
                 "broker.forwards": self.notifications_forwarded,
                 "broker.delivered_locally": self.notifications_delivered_locally,
-                "broker.duplicates_dropped": self.duplicate_publishes_dropped,
                 "broker.subscriptions": self.subscriptions_handled,
                 "broker.unsubscriptions": self.unsubscriptions_handled,
                 "broker.resyncs_received": self.resyncs_received,
@@ -303,7 +273,6 @@ class Broker(Process):
             "histograms": snapshot["histograms"],
             "gauges": {
                 "broker.routing_table_size": self.routing_table_size(),
-                "broker.duplicates_remembered": len(self._seen_notification_ids),
                 "broker.forwarded_subscriptions": self.strategy.forwarded_count(),
             },
         }

@@ -20,8 +20,9 @@ stays computable because the scenario family is built for it:
   on ``B1``, so a subscriber on ``Bk`` is reachable iff every broker and
   every edge on the ``B1..Bk`` prefix is healthy;
 * every subscriber owns a *unique* probe filter, so a replayed burst matches
-  exactly the subscriber that provably missed it (brokers do not deduplicate
-  by default — replaying a shared filter would double-deliver);
+  exactly the subscriber that provably missed it (brokers do not deduplicate,
+  so a replay under its old id is routed again — replaying a shared filter
+  would double-deliver);
 * a roaming subscription (``probe == "roam"``) hops between brokers on
   handover events, interleaving subscription movement with faults;
 * shared-temperature bursts (the covering-churn traffic) run only in fully

@@ -56,8 +56,6 @@ class RoutingBroker(Protocol):
 
     def broker_neighbors(self) -> List[str]: ...
 
-    def client_links(self) -> List[str]: ...
-
     def forward_subscribe(self, subscription: Subscription, link: str) -> None: ...
 
     def forward_unsubscribe(self, sub_id: str, filter: Filter, link: str) -> None: ...

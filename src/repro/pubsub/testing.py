@@ -148,9 +148,6 @@ class RecordingBroker:
     def broker_neighbors(self):
         return list(self._neighbors)
 
-    def client_links(self):
-        return []
-
     def forward_subscribe(self, subscription, link):
         self.log.append(
             ("subscribe", link, subscription.sub_id, subscription.filter.key())

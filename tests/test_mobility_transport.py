@@ -268,6 +268,62 @@ class TestWirelessChannelOnAsyncio:
         transport.run_until_idle()
         assert [m.payload for m in ap1.received] == [7]
 
+    @pytest.mark.parametrize("second", ["ap1", "ap2"])
+    def test_a_link_ready_after_a_later_attach_is_torn_down(
+        self, asyncio_channel, second, monkeypatch
+    ):
+        # the device moves on (to the same or the other access point) while
+        # its first link is still being paired: the first link becomes ready
+        # stale, and must leave neither a second attachment nor a socket
+        transport, channel, _device, ap1, ap2 = asyncio_channel
+        winner, loser = (ap1, ap2) if second == "ap1" else (ap2, ap1)
+        probe = WirelessChannel(
+            transport.clock, Recorder(transport.clock, "probe"), latency=0.0, transport=transport
+        )
+        probe.attach(ap2, immediate=True)
+        transport.run_until_idle()
+        one_link = transport.resource_sizes()
+        probe.detach()
+        transport.run_until_idle()
+        no_link = transport.resource_sizes()
+        assert (one_link["links"], one_link["open_writers"]) == (1, 2)
+        assert (no_link["links"], no_link["open_writers"]) == (0, 0)
+
+        discarded = []
+        discard = channel._discard_stale_link
+        monkeypatch.setattr(
+            channel, "_discard_stale_link", lambda link: (discarded.append(link), discard(link))
+        )
+        channel.attach(ap1, immediate=True)
+        transport.clock.schedule(0.0, channel.attach, winner, True)
+        transport.run_until_idle()
+        assert len(discarded) == 1, "the first link must become ready stale"
+        assert channel.stats.connects == 1
+        assert channel.access_point_name == second
+        assert transport.resource_sizes() == one_link
+
+        assert channel.send_up(Message("ping", payload=5))
+        transport.run_until_idle()
+        assert [m.payload for m in winner.received] == [5]
+        assert loser.received == []
+
+        channel.detach()
+        transport.run_until_idle()
+        assert transport.resource_sizes() == no_link
+
+    def test_a_link_ready_after_a_power_off_is_torn_down(self, asyncio_channel):
+        # the device powers off while its link is being paired: the link
+        # becomes ready stale and must not connect it, nor stay open
+        transport, channel, device, ap1, _ap2 = asyncio_channel
+        channel.attach(ap1, immediate=True)
+        transport.clock.schedule(0.0, channel.detach)
+        transport.run_until_idle()
+        assert not channel.connected
+        assert channel.stats.connects == 0
+        assert not device.has_link("ap1") and not ap1.has_link("device")
+        sizes = transport.resource_sizes()
+        assert (sizes["links"], sizes["open_writers"]) == (0, 0)
+
     def test_open_dynamic_link_from_inside_the_running_loop(self):
         from repro.net.transport import AsyncioTransport
 

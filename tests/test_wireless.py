@@ -4,6 +4,7 @@ import pytest
 
 from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
+from repro.net.transport import SimTransport
 from repro.net.wireless import WirelessChannel
 
 
@@ -31,7 +32,9 @@ def setup():
     device = Device(sim, "device")
     ap1 = AccessPoint(sim, "ap1")
     ap2 = AccessPoint(sim, "ap2")
-    channel = WirelessChannel(sim, device, latency=0.01, connect_latency=0.1)
+    channel = WirelessChannel(
+        sim, device, latency=0.01, connect_latency=0.1, transport=SimTransport(sim)
+    )
     return sim, device, ap1, ap2, channel
 
 
@@ -96,6 +99,30 @@ class TestAttachment:
         sim.run_until_idle()
         assert channel.access_point_name == "ap2"
         assert channel.stats.connects == 1
+
+    @pytest.mark.parametrize("second", ["ap1", "ap2"])
+    def test_a_simulated_link_is_never_ready_stale(self, setup, second, monkeypatch):
+        # the move that races a socket link's pairing: on the simulator the
+        # first link is ready inside its attach, so the second attach hands
+        # over from it and no link is ever left to tear down as stale
+        sim, device, ap1, ap2, channel = setup
+        winner = ap1 if second == "ap1" else ap2
+        discarded = []
+        monkeypatch.setattr(channel, "_discard_stale_link", discarded.append)
+        channel.attach(ap1, immediate=True)
+        sim.schedule(0.0, channel.attach, winner, True)
+        sim.run_until_idle()
+        assert discarded == []
+        assert (channel.stats.connects, channel.stats.disconnects) == (2, 1)
+        assert channel.access_point_name == second
+        assert list(device.links) == [second]
+        channel.detach()
+        assert device.links == {}
+
+    def test_a_channel_needs_a_transport(self):
+        sim = Simulator()
+        with pytest.raises(TypeError):
+            WirelessChannel(sim, Device(sim, "device"))
 
     def test_attachment_history_recorded(self, setup):
         sim, _device, ap1, ap2, channel = setup
