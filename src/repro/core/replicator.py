@@ -153,7 +153,7 @@ class Replicator(Process):
         self.active_clients: Dict[str, str] = {}  # client_id -> device process name
         self._replicator_registry: Dict[str, str] = {}  # broker name -> replicator name
         # filter key -> (the subscription issued at the broker, sub_ids of its holders)
-        self._issued: Dict[Tuple, Tuple[Subscription, Set[str]]] = {}
+        self._issued: Dict[frozenset, Tuple[Subscription, Set[str]]] = {}
         #: broker subscriptions sent / holders that joined one already issued
         #: (plain attributes: ReplicatorStats' fields are pinned on the wire)
         self.subscriptions_issued = 0

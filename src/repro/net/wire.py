@@ -706,7 +706,8 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     lost 5–6 % ``deliveries_per_s`` on ``line_sat_tcp`` in 6 of 6 pairs.
     Inline: interned keys and int/short-str/float values, an int32 id, a float
     or None ``published_at``, a short-str or None ``publisher``; any other
-    tag is read by :func:`_b_read`, with all its checks.
+    tag is read by :func:`_b_read`, with all its checks, and an attribute
+    value so read must lie in the value domain (``check_value``).
     """
     start = pos - 1
     if buf[pos] != _B_DICT:  # never what an encoder wrote: the walker's checks decide
@@ -746,7 +747,10 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
             value = _PACK_D.unpack_from(buf, pos + 1)[0]
             pos += 9
         else:
+            from ..pubsub.notification import check_value  # net imports without pubsub
+
             value, pos = _b_read(buf, pos)
+            check_value(value)
         attrs[key] = value
     if buf[pos] == _B_INT32:
         nid = _PACK_I32.unpack_from(buf, pos + 1)[0]

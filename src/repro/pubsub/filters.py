@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
+from .notification import check_value
+
 # --------------------------------------------------------------------------- operators
 
 #: Sentinel distinguishing "attribute absent" from any real attribute value.
@@ -35,11 +37,6 @@ _MISSING = object()
 
 def _always_true(value: Any) -> bool:
     return True
-
-
-def _is_number(value: Any) -> bool:
-    """An ``int`` or ``float`` (subclasses included) that is not a ``bool``."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class Constraint:
@@ -136,7 +133,7 @@ class Equals(Constraint):
 
     def __init__(self, attribute: str, value: Any):
         super().__init__(attribute)
-        self.value = value
+        self.value = check_value(value, constraint=True)
 
     def matches_value(self, value: Any) -> bool:
         return value == self.value
@@ -155,7 +152,7 @@ class Equals(Constraint):
         if isinstance(other, Equals):
             return other.value == self.value
         if isinstance(other, InSet):
-            return set(other.values) == {self.value}
+            return other.values == {self.value}
         return False
 
     def overlaps(self, other: Constraint) -> bool:
@@ -164,7 +161,7 @@ class Equals(Constraint):
         return other.matches_value(self.value)
 
     def _make_key(self) -> Tuple:
-        return ("eq", self.attribute, _hashable(self.value))
+        return ("eq", self.attribute, self.value)
 
     def describe(self) -> str:
         return f"{self.attribute} == {self.value!r}"
@@ -175,7 +172,7 @@ class NotEquals(Constraint):
 
     def __init__(self, attribute: str, value: Any):
         super().__init__(attribute)
-        self.value = value
+        self.value = check_value(value, constraint=True)
 
     def matches_value(self, value: Any) -> bool:
         return value != self.value
@@ -192,7 +189,7 @@ class NotEquals(Constraint):
         return False
 
     def _make_key(self) -> Tuple:
-        return ("ne", self.attribute, _hashable(self.value))
+        return ("ne", self.attribute, self.value)
 
     def describe(self) -> str:
         return f"{self.attribute} != {self.value!r}"
@@ -210,24 +207,13 @@ class InSet(Constraint):
 
     def __init__(self, attribute: str, values: Iterable[Any]):
         super().__init__(attribute)
-        self.values = frozenset(values)
+        self.values = frozenset(check_value(tuple(values), constraint=True))
 
     def matches_value(self, value: Any) -> bool:
-        try:
-            return value in self.values
-        except TypeError:  # unhashable notification value can never be a member
-            return False
+        return value in self.values
 
     def value_test(self):
-        members = self.values
-
-        def test(value: Any, _members=members) -> bool:
-            try:
-                return value in _members
-            except TypeError:  # unhashable notification value
-                return False
-
-        return test
+        return self.values.__contains__
 
     def covers(self, other: Constraint) -> bool:
         if other.attribute != self.attribute:
@@ -248,7 +234,7 @@ class InSet(Constraint):
         return any(other.matches_value(v) for v in self.values)
 
     def _make_key(self) -> Tuple:
-        return ("in", self.attribute, tuple(sorted(map(repr, self.values))))
+        return ("in", self.attribute, self.values)
 
     def describe(self) -> str:
         return f"{self.attribute} in {{{', '.join(sorted(map(repr, self.values)))}}}"
@@ -278,7 +264,7 @@ class Range(Constraint):
         self.include_high = include_high
 
     def matches_value(self, value: Any) -> bool:
-        if not _is_number(value):
+        if not isinstance(value, (int, float)):  # a bool is its int
             return False
         if value != value:  # NaN lies inside no interval
             return False
@@ -293,8 +279,8 @@ class Range(Constraint):
         # one of four specialized closures: a single chained comparison per
         # evaluation, and NaN fails every variant because all its comparisons
         # are false (the chain is phrased positively).  An exact ``int`` or
-        # ``float`` skips the two isinstance calls; ``bool``, subclasses and
-        # everything non-numeric take the general line
+        # ``float`` skips the isinstance call; ``bool`` (compared as its int),
+        # subclasses and everything non-numeric take the general line
         if self.include_low:
             if self.include_high:
 
@@ -302,7 +288,7 @@ class Range(Constraint):
                     cls = value.__class__
                     if cls is int or cls is float:
                         return _low <= value <= _high
-                    return _is_number(value) and _low <= value <= _high
+                    return isinstance(value, (int, float)) and _low <= value <= _high
 
             else:
 
@@ -310,7 +296,7 @@ class Range(Constraint):
                     cls = value.__class__
                     if cls is int or cls is float:
                         return _low <= value < _high
-                    return _is_number(value) and _low <= value < _high
+                    return isinstance(value, (int, float)) and _low <= value < _high
 
         elif self.include_high:
 
@@ -318,7 +304,7 @@ class Range(Constraint):
                 cls = value.__class__
                 if cls is int or cls is float:
                     return _low < value <= _high
-                return _is_number(value) and _low < value <= _high
+                return isinstance(value, (int, float)) and _low < value <= _high
 
         else:
 
@@ -326,7 +312,7 @@ class Range(Constraint):
                 cls = value.__class__
                 if cls is int or cls is float:
                     return _low < value < _high
-                return _is_number(value) and _low < value < _high
+                return isinstance(value, (int, float)) and _low < value < _high
 
         return test
 
@@ -334,9 +320,9 @@ class Range(Constraint):
         if other.attribute != self.attribute:
             return False
         if isinstance(other, Equals):
-            return isinstance(other.value, (int, float)) and self.matches_value(other.value)
+            return self.matches_value(other.value)
         if isinstance(other, InSet):
-            return all(isinstance(v, (int, float)) and self.matches_value(v) for v in other.values)
+            return all(self.matches_value(v) for v in other.values)
         if isinstance(other, Range):
             low_ok = self.low < other.low or (
                 self.low == other.low and (self.include_low or not other.include_low)
@@ -409,9 +395,9 @@ class Prefix(Constraint):
         if other.attribute != self.attribute:
             return False
         if isinstance(other, Equals):
-            return isinstance(other.value, str) and other.value.startswith(self.prefix)
+            return self.matches_value(other.value)
         if isinstance(other, InSet):
-            return all(isinstance(v, str) and v.startswith(self.prefix) for v in other.values)
+            return all(self.matches_value(v) for v in other.values)
         if isinstance(other, Prefix):
             return other.prefix.startswith(self.prefix)
         return False
@@ -434,14 +420,6 @@ class Prefix(Constraint):
         return f"{self.attribute} startswith {self.prefix!r}"
 
 
-def _hashable(value: Any) -> Any:
-    if isinstance(value, (list, set)):
-        return tuple(sorted(map(repr, value)))
-    if isinstance(value, dict):
-        return tuple(sorted((k, repr(v)) for k, v in value.items()))
-    return value
-
-
 # --------------------------------------------------------------------------- filters
 
 
@@ -458,11 +436,11 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
     every shape.
 
     Returns ``(matches, tail)``.  The *tail* is the second constraint's
-    ``(attribute, value test)`` of an ``Equals``-first pair whose value
-    hashes and equals itself (NaN does not): such a filter sits in the
-    attribute index's equality bucket for exactly that value, and a
-    candidate handed out from that bucket has passed the ``Equals`` already,
-    so the caller may test the tail alone.  Every other shape has no tail.
+    ``(attribute, value test)`` of an ``Equals``-first pair: such a filter
+    sits in the attribute index's equality bucket for exactly that value
+    (every constraint value hashes and equals itself), and a candidate
+    handed out from that bucket has passed the ``Equals`` already, so the
+    caller may test the tail alone.  Every other shape has no tail.
     """
     if not constraints:
         return _match_everything, None
@@ -494,7 +472,7 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
                 value = notification.get(_b, _MISSING)
                 return value is not _MISSING and _t(value)
 
-            return matches_equal_and, ((b, t) if _decides_itself(first.value) else None)
+            return matches_equal_and, (b, t)
 
         def matches_two(notification, _a=a, _s=first.value_test(), _b=b, _t=t) -> bool:
             value = notification.get(_a, _MISSING)
@@ -516,16 +494,6 @@ def _compile_matches(constraints: Tuple[Constraint, ...]):
         return True
 
     return matches, None
-
-
-def _decides_itself(value: Any) -> bool:
-    """True when a dict lookup keyed by ``value`` finds exactly the values
-    ``== value``: the value hashes and equals itself."""
-    try:
-        hash(value)
-    except TypeError:
-        return False
-    return value == value
 
 
 def _match_everything(notification: Mapping[str, Any]) -> bool:
@@ -571,7 +539,7 @@ class Filter:
     def __init__(self, constraints: Iterable[Constraint] = ()):
         self._constraints: Tuple[Constraint, ...] = tuple(constraints)
         self.matches, self.tail = _compile_matches(self._constraints)
-        self._key: Optional[Tuple] = None
+        self._key: Optional[frozenset] = None
         self._hash: Optional[int] = None
         self._attrs: Optional[frozenset] = None
         self._on_attr: Optional[Dict[str, List[Constraint]]] = None
@@ -658,15 +626,14 @@ class Filter:
         merge used by merging-based routing.
         """
         mine = {c.key(): c for c in self._constraints}
-        theirs = {c.key(): c for c in other._constraints}
-        shared = [c for key, c in mine.items() if key in theirs]
-        return Filter(shared)
+        return Filter([c for key, c in mine.items() if key in other.key()])
 
     # ------------------------------------------------------------------- misc
-    def key(self) -> Tuple:
+    def key(self) -> frozenset:
+        """The constraint keys as a set: a conjunction is one, whatever its order."""
         key = self._key
         if key is None:
-            key = self._key = tuple(sorted((c.key() for c in self._constraints), key=repr))
+            key = self._key = frozenset(c.key() for c in self._constraints)
         return key
 
     def __eq__(self, other: object) -> bool:
@@ -696,10 +663,11 @@ def match_all() -> Filter:
 def filter_from_dict(spec: Mapping[str, Any]) -> Filter:
     """Build a filter from a simple ``{attribute: value}`` specification.
 
-    Values map to constraints as follows: a set/frozenset/list/tuple becomes
+    Values map to constraints as follows: a set/frozenset/list becomes
     :class:`InSet`, a 2-tuple tagged ``("range", (low, high))`` becomes
-    :class:`Range`, everything else becomes :class:`Equals`.  This is the
-    convenience entry point used by the examples.
+    :class:`Range`, everything else (another tuple too) becomes
+    :class:`Equals`.  This is the convenience entry point used by the
+    examples.
     """
     constraints: List[Constraint] = []
     for attribute, value in spec.items():

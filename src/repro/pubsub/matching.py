@@ -44,7 +44,7 @@ from .subscription import Subscription
 
 
 def pick_index_key(filter: Filter) -> Optional[Tuple[str, object]]:
-    """Choose one hashable ``(attribute, value)`` equality pair as index key.
+    """Choose one ``(attribute, value)`` equality pair as index key.
 
     A filter can be pre-selected by an equality constraint (``Equals`` or a
     single-value ``InSet``): it can only match notifications that carry
@@ -59,10 +59,6 @@ def pick_index_key(filter: Filter) -> Optional[Tuple[str, object]]:
         elif isinstance(constraint, InSet) and len(constraint.values) == 1:
             (value,) = constraint.values
         else:
-            continue
-        try:
-            hash(value)
-        except TypeError:
             continue
         return (constraint.attribute, value)
     return None
@@ -229,10 +225,8 @@ class IntervalBucketIndex:
         """The groups of payloads whose ranges may contain ``value`` (a
         superset): the stabbed bucket — split first while it is oversized —
         and the wide entries."""
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            return ()  # a Range constraint never matches a non-numeric value
-        if value != value:
-            return ()  # NaN lies inside no interval
+        if not isinstance(value, (int, float)) or value != value:
+            return ()  # a Range never matches a non-number, and NaN lies in no interval
         cuts = self._cuts
         buckets = self._buckets
         i = bisect_left(cuts, value)
@@ -360,11 +354,13 @@ class AttributeIndex:
         one frame plus one ``stab`` call per range index reached.  The
         equality buckets come first because their members already passed one
         test: a first-match loop is decided there far more often than among
-        the rest.  No payload appears twice: each lives in exactly one place,
-        a notification carries each attribute once, and a value stabs one
-        range bucket.  This is the single definition of candidate
-        pre-selection; every query path goes through it.  An unhashable value
-        (it may equal a pin) raises ``TypeError``: evaluate every entry.
+        the rest.  A value selects the bucket whose pin ``==`` it, the value
+        domain's one equality (:mod:`repro.pubsub.notification`): ``1``,
+        ``1.0`` and ``True`` select one bucket and stab alike, so they are
+        answered alike.  No payload appears twice: each lives in exactly one
+        place, a notification carries each attribute once, and a value stabs
+        one range bucket.  This is the single definition of candidate
+        pre-selection; every query path goes through it.
         """
         shelves = []
         by_attr = self.by_attr
@@ -465,12 +461,8 @@ class AttributeIndexMatcher:
     # --------------------------------------------------------------- matching
     def match(self, notification: Mapping) -> List[Subscription]:
         attributes = attribute_dict(notification)
-        try:
-            groups = self._index.groups(attributes)
-        except TypeError:  # an unhashable value: every subscription in full
-            groups = [self._subscriptions.values()]
         matched = []
-        for group in groups:
+        for group in self._index.groups(attributes):
             for sub in group:
                 self.full_evaluations += 1
                 if sub.filter.matches(attributes):

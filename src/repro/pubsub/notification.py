@@ -7,6 +7,11 @@ set of named attributes; filters are predicates over those attributes.
 Notifications in this reproduction are immutable mappings from attribute
 names to values, with a publication timestamp and a unique id so that the
 mobility layer can detect duplicates and measure delivery latency.
+
+Every value is ``None``, ``bool``, ``int``, ``float``, ``str`` (subclasses
+included) or a tuple of values — what the binary codec carries, and what
+hashes — so Python's ``==`` and ``hash`` are the one equality of filters,
+index and keys alike (``1 == 1.0 == True``); :func:`check_value` decides.
 """
 
 from __future__ import annotations
@@ -14,7 +19,29 @@ from __future__ import annotations
 import itertools
 from typing import Any, Dict, ItemsView, Iterator, KeysView, Mapping, Optional, ValuesView
 
+from ..net.wire import WireError
+
 _notification_ids = itertools.count(1)
+
+
+def check_value(value: Any, constraint: bool = False) -> Any:
+    """``value`` if it lies in the value domain, else :class:`WireError`.
+
+    A constraint value must also not be or hold NaN, which equals nothing.
+    Called at publish (:meth:`Notification.stamped`), by the ``Equals`` /
+    ``NotEquals`` / ``InSet`` constructors, and by the wire decoder.
+    """
+    cls = value.__class__
+    if cls is str or cls is int:  # the common case first: every publish pays this
+        return value
+    if isinstance(value, tuple):
+        for item in value:
+            check_value(item, constraint)
+    elif value is not None and not isinstance(value, (int, float, str)):
+        raise WireError(f"{type(value).__name__} value {value!r} is outside the value domain")
+    elif constraint and value != value:
+        raise WireError(f"NaN constraint value {value!r}: it equals nothing")
+    return value
 
 
 class Notification(Mapping[str, Any]):
@@ -98,7 +125,10 @@ class Notification(Mapping[str, Any]):
         return Notification(merged, published_at=self.published_at, publisher=self.publisher)
 
     def stamped(self, published_at: float, publisher: str) -> "Notification":
-        """Return a copy carrying publication metadata (same id and content)."""
+        """A copy carrying publication metadata (same id and content); every
+        publish comes here, so a value outside the domain is refused here."""
+        for value in self._attributes.values():
+            check_value(value)
         return Notification(
             self._attributes,
             published_at=published_at,

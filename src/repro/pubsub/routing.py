@@ -75,8 +75,7 @@ def _probe_groups(filter: Filter) -> Optional[List[Optional[Tuple]]]:
     ``Equals(a, v)`` or the singleton ``InSet(a, {v})``) covers only filters
     that themselves constrain ``a`` to exactly ``v``, so besides the unpinned
     general group (key ``None``) only ``filter``'s own pins name candidates.
-    An unhashable pin may equal a hashable one (``{1} == frozenset({1})``)
-    and every ``InSet`` covers the empty one: neither can be looked up.
+    Every ``InSet`` covers the empty one, which no lookup finds.
     """
     groups: List[Optional[Tuple]] = [None]
     for constraint in filter.constraints:
@@ -88,10 +87,6 @@ def _probe_groups(filter: Filter) -> Optional[List[Optional[Tuple]]]:
             (value,) = constraint.values
         else:
             continue
-        try:
-            hash(value)
-        except TypeError:
-            return None
         groups.append((constraint.attribute, value))
     return groups
 
@@ -117,8 +112,8 @@ class _LinkAdverts:
 
     On top sits the suppression record.  ``witness`` maps the key of a filter
     found redundant here to the key of the advertised filter that makes it so
-    (``covers`` taken as a function of keys, though ``v == 1`` and
-    ``v == True`` share one), ``witnessed`` is its inverse, and ``waiting``
+    (``covers`` taken as a function of keys: filters with equal keys match
+    alike), ``witnessed`` is its inverse, and ``waiting``
     holds the subscriptions suppressed on this link, by the key of their
     suppressed filter.  A ``witness`` entry lives only while its witness is
     advertised, so its presence *is* the answer "still covered"; when the
@@ -142,15 +137,15 @@ class _LinkAdverts:
 
     def __init__(self) -> None:
         self.subs: Dict[str, List[Filter]] = {}
-        self.key_count: Dict[Tuple, int] = {}
-        self.rep: Dict[Tuple, Filter] = {}
+        self.key_count: Dict[frozenset, int] = {}
+        self.rep: Dict[frozenset, Filter] = {}
         self.by_attrs: Dict[frozenset, Dict[Optional[Tuple], List[Filter]]] = {}
         self.constraint_count: Dict[Tuple, int] = {}
         self.constraint_rep: Dict[Tuple, Constraint] = {}
         self.total = 0
-        self.witness: Dict[Tuple, Tuple] = {}
-        self.witnessed: Dict[Tuple, Set[Tuple]] = {}
-        self.waiting: Dict[Tuple, Set[str]] = {}
+        self.witness: Dict[frozenset, frozenset] = {}
+        self.witnessed: Dict[frozenset, Set[frozenset]] = {}
+        self.waiting: Dict[frozenset, Set[str]] = {}
 
     def set_contribution(self, sub_id: str, filters: List[Filter]) -> Iterable[str]:
         """Replace ``sub_id``'s advertised filters; returns the orphans of the old ones."""
@@ -208,11 +203,11 @@ class _LinkAdverts:
     def empty(self) -> bool:
         return not self.subs
 
-    def set_witness(self, key: Tuple, witness: Tuple) -> None:
+    def set_witness(self, key: frozenset, witness: frozenset) -> None:
         self.witness[key] = witness
         self.witnessed.setdefault(witness, set()).add(key)
 
-    def stop_waiting(self, sub_id: str, key: Tuple) -> None:
+    def stop_waiting(self, sub_id: str, key: frozenset) -> None:
         """``sub_id`` no longer waits on filter ``key``; a memo entry nobody waits on goes too."""
         waiters = self.waiting.get(key)
         if waiters is not None:
@@ -274,7 +269,7 @@ class _ForwardedFilterIndex:
             del self._links[link]
         return orphans
 
-    def block(self, sub_id: str, link: str, key: Tuple) -> bool:
+    def block(self, sub_id: str, link: str, key: frozenset) -> bool:
         """Park ``sub_id`` behind the advertisement that suppresses filter ``key`` on ``link``.
 
         False when no such advertisement is on record — the caller must then
@@ -292,13 +287,13 @@ class _ForwardedFilterIndex:
         state.waiting.setdefault(key, set()).add(sub_id)
         return True
 
-    def unblock(self, sub_id: str, key: Tuple) -> None:
+    def unblock(self, sub_id: str, key: frozenset) -> None:
         """``sub_id`` lost a table entry with filter ``key``: it waits on that nowhere."""
         for state in self._links.values():
             state.stop_waiting(sub_id, key)
 
     # --------------------------------------------------------------- queries
-    def has_key(self, link: str, key: Tuple) -> bool:
+    def has_key(self, link: str, key: frozenset) -> bool:
         state = self._links.get(link)
         return state is not None and key in state.key_count
 
@@ -309,20 +304,18 @@ class _ForwardedFilterIndex:
             return False
         key = filter.key()
         if key not in state.witness:
-            witness = self._find_coverer(state, filter, key)
+            witness = self._find_coverer(state, filter)
             if witness is None:
                 return False
             state.set_witness(key, witness)
         self._hits.inc()
         return True
 
-    def _find_coverer(self, state: _LinkAdverts, filter: Filter, key: Tuple) -> Optional[Tuple]:
-        # an identically-keyed filter may be advertised over the link;
-        # covers() is reflexive for every well-behaved constraint, but a
-        # NaN-valued equality is not equal to itself, so evaluate the
-        # relation instead of assuming — the scan oracle would
-        if key in state.key_count and state.rep[key].covers(filter):
-            return key
+    def _find_coverer(self, state: _LinkAdverts, filter: Filter) -> Optional[frozenset]:
+        # an identically-keyed filter advertised over the link covers it:
+        # every constraint value equals itself (the value domain holds no NaN)
+        if filter.key() in state.key_count:
+            return filter.key()
         attrs = filter.attribute_set
         pins = _probe_groups(filter)
         for bucket_attrs, groups in state.by_attrs.items():
@@ -447,13 +440,16 @@ class RoutingStrategy:
         """``sub_id``'s table entries ``removed`` are gone: it waits on their
         filters no more.  An entry that survives them — relocation overlap, or
         the entry that replaced them — is due on every link: it may be
-        neither forwarded nor waiting there now."""
+        neither forwarded nor waiting there now.  With none left it is due nowhere."""
         if self._index is not None:
             for entry in removed:
                 self._index.unblock(sub_id, entry.filter.key())
-        if self._pending and self.broker.routing_table.has_subscription(sub_id):
+        if self.broker.routing_table.has_subscription(sub_id):
             for link in self._pending:
                 self._fall_due((sub_id,), link)
+        else:  # a link no unsubscription drains would keep it for good
+            for pending in self._pending.values():
+                pending.discard(sub_id)
 
     # ------------------------------------------------------------- notifications
     def route(self, notification: Mapping, from_link: str) -> List[str]:

@@ -16,7 +16,7 @@ Two matching strategies are available (the ``matcher`` knob):
 * ``"indexed"`` (default) — one :class:`~repro.pubsub.matching.AttributeIndex`
   over all of the table's entries, keyed by the :class:`RouteEntry` itself,
   in the style of the counting/pre-filtering algorithms the paper references
-  via [16].  Each entry with a hashable equality constraint is bucketed under
+  via [16].  Each entry with an equality constraint is bucketed under
   its ``(attribute, value)`` pair, and inside that bucket by its ``Range``
   (if it has one) in an :class:`~repro.pubsub.matching.IntervalBucketIndex`
   (bucketed boundary cuts; a bucket a query finds oversized is split in one
@@ -30,9 +30,8 @@ Two matching strategies are available (the ``matcher`` knob):
   whose filter has a ``tail`` (:class:`~repro.pubsub.filters.Filter`) is
   tested on that alone, because its equality bucket decided the rest.  A
   table of at most :data:`SMALL_TABLE_SCAN` entries is scanned link by link
-  instead, first match deciding each link, and so is a notification with an
-  unhashable value (``{1}`` equals a ``frozenset({1})`` pin).  Results are
-  identical to brute force — the index is purely a candidate pre-selection.
+  instead, first match deciding each link.  Results are identical to brute
+  force — the index is purely a candidate pre-selection.
 
 The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
@@ -199,12 +198,8 @@ class RoutingTable:
         result: List[str] = []
         if not undecided:
             return result
-        try:
-            groups = self._index.groups(attributes)
-        except TypeError:  # an unhashable value: every entry in full
-            return self._scan(attributes, decided)
         get = attributes.get
-        for group in groups:
+        for group in self._index.groups(attributes):
             for entry in group:
                 link = entry.link
                 if link in decided:

@@ -1,7 +1,14 @@
-"""Unit tests for content-based filters: matching, covering, overlap, merging."""
+"""Unit tests for content-based filters: matching, covering, overlap, merging,
+and the one value domain they are defined over."""
+
+import math
+from decimal import Decimal
 
 import pytest
 
+from repro.config import SystemConfig
+from repro.net.wire import WireError
+from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import (
     AtLeast,
     AtMost,
@@ -18,7 +25,7 @@ from repro.pubsub.filters import (
     filter_from_dict,
     match_all,
 )
-from repro.pubsub.notification import notification
+from repro.pubsub.notification import Notification, notification
 
 
 class TestConstraintMatching:
@@ -59,7 +66,9 @@ class TestConstraintMatching:
     def test_range_rejects_non_numeric(self):
         constraint = Range("value", low=0, high=10)
         assert not constraint.matches({"value": "five"})
-        assert not constraint.matches({"value": True})
+        # a bool is a number: True == 1 and hashes alike, so Range reads it as 1
+        assert constraint.matches({"value": True})
+        assert not Range("value", low=2, high=10).matches({"value": True})
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
@@ -238,3 +247,63 @@ class TestFilterMerge:
         combined = Filter(f1.constraints + f2.constraints)
         assert combined.matches({"s": "t", "loc": "a"})
         assert not combined.matches({"s": "t", "loc": "b"})
+
+
+class TestValueDomain:
+    """One value domain — ``None``, ``bool``, ``int``, ``float``, ``str`` and
+    tuples of them — and one equality, Python's ``==`` and ``hash``."""
+
+    def test_a_nan_constraint_value_is_refused(self):
+        # nan != nan: an Equals(nan) would match nothing, not even the NaN
+        # object it was built from, so no constraint may pin one
+        for build in (
+            lambda: Equals("v", math.nan),
+            lambda: NotEquals("v", math.nan),
+            lambda: InSet("v", [math.nan]),
+            lambda: Equals("v", (1, math.nan)),
+        ):
+            with pytest.raises(WireError, match="NaN"):
+                build()
+        # a notification may carry NaN: it lies in no range and equals nothing
+        assert not Filter([Range("v")]).matches({"v": math.nan})
+        assert NotEquals("v", 1).matches({"v": math.nan})
+
+    def test_equal_sets_of_differently_typed_members_are_one_filter(self):
+        spellings = [Filter([InSet("v", ["1", member])]) for member in (1, 1.0, True)]
+        assert len(set(spellings)) == 1
+        assert len({hash(f) for f in spellings}) == 1
+        assert all(f == spellings[0] for f in spellings)
+
+    def test_a_filter_key_does_not_depend_on_set_order(self):
+        # frozenset([1, 9]) prints as {1, 9} and frozenset([9, 1]) as {9, 1}:
+        # a key sorted by repr would put InSet({5}) after one and before the other
+        a = Filter([InSet("v", [1, 9]), InSet("v", [5])])
+        b = Filter([InSet("v", [9, 1]), InSet("v", [5])])
+        assert a.key() == b.key() and hash(a) == hash(b) and a == b
+
+    def test_equal_values_are_one_value_to_every_constraint(self):
+        assert len({Filter([Equals("v", value)]) for value in (1, True, 1.0)}) == 1
+        assert Range("v", 0, 5).covers(Equals("v", 1))
+        for value in (1, True, 1.0):
+            assert Range("v", 0, 5).matches({"v": value})
+            assert Equals("v", 1).matches({"v": value})
+            assert InSet("v", [True]).matches({"v": value})
+        assert Equals("v", (1, "a")).matches({"v": (True, "a")})
+        assert not Equals("v", (1, "a")).matches({"v": ("1", "a")})
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_a_publish_outside_the_domain_fails_alike_on_every_backend(self, backend):
+        net = line_topology(n_brokers=2, config=SystemConfig(transport=backend))
+        try:
+            subscriber = net.add_client("sub", "B2")
+            subscriber.subscribe(Filter([Exists("v")]))
+            publisher = net.add_client("pub", "B1")
+            net.run_until_idle()
+            for value in (Decimal(1), b"x", [1]):
+                with pytest.raises(WireError, match="outside the value domain"):
+                    publisher.publish(Notification({"v": value}))
+            publisher.publish(Notification({"v": (1, "x")}))
+            net.run_until_idle()
+            assert [d.notification["v"] for d in subscriber.deliveries] == [(1, "x")]
+        finally:
+            net.close()

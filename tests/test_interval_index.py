@@ -4,9 +4,8 @@ The ``"indexed"`` matcher keeps range-only entries in the incrementally
 repaired :class:`~repro.pubsub.matching.IntervalBucketIndex`.  Its contract:
 forwarding decisions byte-identical to brute force under any churn, at the
 index level, the table level and end-to-end through a broker network — every
-mutation seen by the next query, a merely *equal* notification (``1`` vs
-``True``) that a ``Range`` tells apart answered on its own, and nothing kept
-per notification answered.
+mutation seen by the next query, *equal* notifications (``1``, ``1.0`` and
+``True``) answered alike, and nothing kept per notification answered.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import pytest
 from repro.config import SystemConfig
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
-from repro.pubsub.filters import Equals, Filter, InSet, Range
+from repro.pubsub.filters import Equals, Filter, InSet, NotEquals, Range
 from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, IntervalBucketIndex
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
@@ -110,7 +109,7 @@ class TestIntervalBucketIndex:
         index.add("a", Range("x", 0, 10), "a")
         assert index.candidates("5") == []
         assert index.candidates(None) == []
-        assert index.candidates(True) == []  # bool is not a numeric match
+        assert index.candidates(True) == ["a"]  # a bool stabs as its int
 
     def test_duplicate_boundaries(self):
         """Many ranges sharing boundary points: still exact, each yielded once."""
@@ -273,9 +272,9 @@ class TestIntervalBucketIndex:
 def typed_twins(notification):
     """The notification re-spelt with equal-but-differently-typed values.
 
-    ``1 == True == 1.0`` (and they hash alike), yet a ``Range`` accepts the
-    numbers and rejects the bool — so an answer memoized for one spelling
-    must never be served for another.
+    ``1 == True == 1.0`` (and they hash alike), and every constraint answers
+    them alike — a ``Range`` reads a bool as its int — so each spelling must
+    get brute force's answer, whichever was asked first.
     """
     twins = []
     for attribute, value in notification.items():
@@ -468,27 +467,26 @@ class TestDestinations:
         assert self.assert_agree(tables, probe) is not self.assert_agree(tables, probe)
 
     @pytest.mark.parametrize("path", ["scan", "probe"])
-    def test_unhashable_values_still_route(self, path):
+    def test_tuple_values_route_by_equality(self, path):
         tables = self.build(path)
         for table in tables:
-            table.add(Filter([Equals("tags", ["a"])]), "L4", "s4")
-        probe = {"service": "stock", "value": 7, "tags": ["a"]}
-        for _ in range(2):
-            assert self.assert_agree(tables, probe) == ["L1", "L2", "L4"]
-        assert self.assert_agree(tables, {**probe, "tags": ["b"]}) == ["L1", "L2"]
+            table.add(Filter([Equals("tags", ("a", 1))]), "L4", "s4")
+        probe = {"service": "stock", "value": 7, "tags": ("a", 1)}
+        for tags in [("a", 1), ("a", True), ("a", 1.0)]:
+            assert self.assert_agree(tables, {**probe, "tags": tags}) == ["L1", "L2", "L4"]
+        assert self.assert_agree(tables, {**probe, "tags": ("a", "1")}) == ["L1", "L2"]
 
     @pytest.mark.parametrize("order", [(1, True, 1.0), (True, 1, 1.0), (1.0, True, 1)])
-    def test_equal_values_of_different_type_do_not_share_an_answer(self, order):
-        """``1 == True`` and they hash alike, but ``Range`` matches only the number:
-        ``["L"]`` answered for ``True`` is a wrong delivery, ``[]`` answered
-        for ``1`` a lost one."""
+    def test_equal_values_of_different_type_get_one_answer(self, order):
+        """``1 == True == 1.0`` and they hash alike, and ``Range`` reads a bool
+        as its int: every spelling, in any order, is answered ``["L"]``."""
         table = RoutingTable(matcher="indexed")
         for i in range(SMALL_TABLE_SCAN + 1):  # past the small-table scan: the index answers
             table.add(Filter([Range("a", 0, 2)]), "L", f"s{i}")
         brute = RoutingTable(matcher="brute")
         brute.add(Filter([Range("a", 0, 2)]), "L", "s0")
         for value in order * 2:
-            assert table.destinations({"a": value}) == brute.destinations({"a": value}), value
+            assert table.destinations({"a": value}) == brute.destinations({"a": value}) == ["L"]
 
     @pytest.mark.parametrize("entries", [5, 40], ids=["scan", "probe"])
     def test_distinct_notifications_leave_nothing_behind(self, entries):
@@ -527,51 +525,42 @@ class TestNaNRegression:
             table.add(Filter([Range("value", 0, 10)]), "L1", "s1")
             assert table.destinations({"value": math.nan}) == [], matcher
 
-    def test_nan_equals_still_matches_by_identity_semantics(self):
-        # Equals uses ==, and nan != nan: NaN never matches there either,
-        # so every constraint family agrees that NaN routes nowhere
-        for matcher in ("brute", "indexed"):
-            table = RoutingTable(matcher=matcher)
-            table.add(Filter([Equals("value", math.nan)]), "L1", "s1")
-            assert table.destinations({"value": math.nan}) == [], matcher
-
-    def test_nan_equals_on_the_probe_path(self):
-        """A table too large to scan, every entry ``Equals("k", nan) AND
-        Range``, probed with the *same* NaN object: the dict finds the
-        equality bucket by identity, and ``nan == nan`` still says no."""
-        nan = math.nan
-        probe = {"k": nan, "value": 5}
+    def test_a_nan_value_selects_no_bucket_on_the_probe_path(self):
+        """A table too large to scan, every entry ``Equals("k", 0.0) AND
+        Range``: a NaN notification value selects no equality bucket, and a
+        ``NotEquals`` still admits it (``nan != 0.0``)."""
+        probe = {"k": math.nan, "value": 5}
         for matcher in ("brute", "indexed"):
             table = RoutingTable(matcher=matcher)
             for i in range(SMALL_TABLE_SCAN + 4):
-                table.add(Filter([Equals("k", nan), Range("value", 0, 10)]), f"L{i % 3}", f"s{i}")
+                table.add(Filter([Equals("k", 0.0), Range("value", 0, 10)]), f"L{i % 3}", f"s{i}")
             assert table.destinations(probe) == [], matcher
+            table.add(Filter([NotEquals("k", 0.0)]), "L9", "s9")
+            assert table.destinations(probe) == ["L9"], matcher
 
 
-class TestUnhashableValueRegression:
-    """An unhashable notification value can equal a hashable pin
-    (``{1} == frozenset({1})``, ``bytearray(b"ab") == b"ab"``).  The equality
-    buckets used to be skipped for it, so every query path answered nothing
-    where brute force answered the pinned entry.  Past the small-table scan,
-    next to a bucket-mate whose tail alone would pass: a fix that handed out
-    buckets the value never selected would answer its link too."""
+class TestEqualTupleValues:
+    """A notification value equal to a pin but spelt with other types
+    (``(True, "a") == (1, "a")``) selects the pin's equality bucket, and
+    every query path answers like brute force.  Past the small-table scan,
+    next to a bucket-mate whose tail alone would pass: an answer handed out
+    from a bucket the value never selected would name its link too."""
 
-    CASES = [(frozenset({1}), {1}, frozenset({2})), (b"ab", bytearray(b"ab"), b"ba")]
+    CASES = [((1, "a"), (True, "a"), (2, "a")), ((1.0,), (1,), (1.5,))]
 
     def populate(self, pin, other):
         filters = [
             Filter([Equals("tags", pin)]),
             Filter([Equals("tags", pin), Range("value", 0, 10)]),
             Filter([Equals("tags", other), Range("value", 0, 10)]),
-            # a singleton InSet shares the pin's bucket; it admits {1} (a set
-            # probes a frozenset as a frozenset) but not a bytearray
+            # a singleton InSet shares the pin's bucket
             Filter([InSet("tags", [pin])]),
         ]
         filters += [Filter([Equals("topic", f"t{i}"), Range("value", 0, 5)]) for i in range(7)]
         assert len(filters) == 11 > SMALL_TABLE_SCAN
         return [(f, f"L{i}", f"s{i}") for i, f in enumerate(filters)]
 
-    @pytest.mark.parametrize("pin,value,other", CASES, ids=["set", "bytearray"])
+    @pytest.mark.parametrize("pin,value,other", CASES, ids=["bool", "float"])
     def test_every_query_path_answers_like_brute(self, pin, value, other):
         entries = self.populate(pin, other)
         tables = {matcher: RoutingTable(matcher=matcher) for matcher in ("brute", "indexed")}
@@ -582,10 +571,10 @@ class TestUnhashableValueRegression:
             for matcher in matchers.values():
                 matcher.add(subscription(f, "c", sub_id=sub_id))
         for probe, expected in (
-            ({"tags": value}, ["L0"]),
-            ({"tags": value, "value": 5}, ["L0", "L1"]),
-            ({"tags": value, "value": 50}, ["L0"]),
-            ({"tags": value, "topic": "t1", "value": 5}, ["L0", "L1", "L5"]),
+            ({"tags": value}, ["L0", "L3"]),
+            ({"tags": value, "value": 5}, ["L0", "L1", "L3"]),
+            ({"tags": value, "value": 50}, ["L0", "L3"]),
+            ({"tags": value, "topic": "t1", "value": 5}, ["L0", "L1", "L3", "L5"]),
         ):
             answers = {
                 name: (table.destinations(probe), sorted(matchers[name].matching_ids(probe)))
@@ -593,7 +582,7 @@ class TestUnhashableValueRegression:
             }
             assert answers["indexed"] == answers["brute"], probe
             links, sub_ids = answers["brute"]
-            assert [link for link in links if link != "L3"] == expected, probe
+            assert links == expected, probe
             assert sub_ids == [f"s{link[1:]}" for link in links], probe
             assert tables["indexed"].destinations(probe, exclude=["L0"]) == links[1:], probe
 

@@ -3,9 +3,8 @@
 Feeds randomized subscriptions and notifications through
 :func:`repro.pubsub.matching.cross_check`, covering the cases that exercise
 the index's edges: ``InSet`` constraints (single- and multi-value),
-unhashable filter values (which must take the unindexed fallback path) and
-unhashable notification attribute values (which can never hit an index
-bucket).
+tuple filter values and notification values, and equal values of different
+types (``1``, ``1.0``, ``True``), which select one index bucket.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ def random_subscription(rng: random.Random, index: int):
     elif roll < 0.60:
         constraints.append(InSet("location", rng.sample(LOCATIONS, rng.randint(1, 3))))
     elif roll < 0.70:
-        constraints.append(Equals("tags", ["unhashable"]))  # unindexable value
+        constraints.append(Equals("tags", ("t", 1)))  # a tuple value, bucketed like any
     elif roll < 0.80:
         constraints.append(Prefix("service", rng.choice(["t", "s"])))
     elif roll < 0.90:
@@ -65,11 +64,11 @@ def random_notification(rng: random.Random) -> Notification:
     attrs = {
         "service": rng.choice(SERVICES),
         "location": rng.choice(LOCATIONS),
-        # True/False equal 1/0 and hash alike, yet no Range accepts them
+        # True/False equal 1/0 and hash alike, and Range reads them as 1/0
         "value": rng.choice([rng.randint(0, 60), True, False]),
     }
     if rng.random() < 0.15:
-        attrs["tags"] = ["unhashable"]
+        attrs["tags"] = rng.choice([("t", 1), ("t", True), ("t", 1.5)])
     if rng.random() < 0.1:
         del attrs["service"]
     return Notification(attrs)
@@ -115,18 +114,20 @@ class TestMatcherEquivalence:
         # only the stock bucket was evaluated, not all 30 subscriptions
         assert indexed.full_evaluations == 10
 
-    def test_unhashable_notification_value_skips_buckets(self):
+    def test_an_equal_tuple_value_selects_the_pins_bucket(self):
         indexed = AttributeIndexMatcher()
         brute = BruteForceMatcher()
-        sub = subscription(Filter([Equals("tags", "x")]), "c", sub_id="s1")
+        sub = subscription(Filter([Equals("tags", ("a", 1))]), "c", sub_id="s1")
         indexed.add(sub)
         brute.add(sub)
-        n = Notification({"tags": ["a", "b"]})  # unhashable value under an indexed attribute
-        assert cross_check([brute, indexed], [n])
-        assert indexed.matching_ids(n) == set()
+        hits = [Notification({"tags": tags}) for tags in [("a", 1), ("a", True), ("a", 1.0)]]
+        miss = Notification({"tags": ("a", "1")})
+        assert cross_check([brute, indexed], hits + [miss])
+        assert [indexed.matching_ids(n) for n in hits] == [{"s1"}] * 3
+        assert indexed.matching_ids(miss) == set()
 
 
-class TestMatcherReplacesAndTellsTypesApart:
+class TestMatcherReplacesAndAnswersEqualValuesAlike:
     def test_readding_a_sub_id_replaces_the_old_filter(self):
         """Same id, new filter: the old filter must stop matching at once and
         must not survive ``remove`` — what brute force does by construction."""
@@ -142,14 +143,15 @@ class TestMatcherReplacesAndTellsTypesApart:
         assert indexed.matching_ids(old) == indexed.matching_ids(new) == set()
 
     @pytest.mark.parametrize("order", [(1, True, 1.0), (True, 1.0, 1)])
-    def test_cached_match_tells_bool_from_number(self, order):
-        """``1 == True`` with equal hashes, but ``Range`` matches only the number:
-        the answer for one must not be given for the other."""
+    def test_equal_values_match_alike(self, order):
+        """``1 == True == 1.0`` with equal hashes, and ``Range`` reads a bool
+        as its int: every spelling, in any order, is matched."""
         brute, indexed = BruteForceMatcher(), AttributeIndexMatcher()
         for matcher in (brute, indexed):
             matcher.add(subscription(Filter([Range("a", 0, 2)]), "c", sub_id="s1"))
         notifications = [Notification({"a": value}) for value in order * 2]
         assert cross_check([brute, indexed], notifications)
+        assert all(indexed.matching_ids(n) == {"s1"} for n in notifications)
 
 
 def random_range_subscription(rng: random.Random, index: int):
@@ -287,8 +289,9 @@ class TestPickIndexKey:
     def test_multi_value_inset_is_not(self):
         assert pick_index_key(Filter([InSet("a", ["x", "y"])])) is None
 
-    def test_unhashable_equals_falls_through(self):
-        assert pick_index_key(Filter([Equals("a", ["x"]), Equals("b", 2)])) == ("b", 2)
+    def test_the_first_equality_pin_is_the_key(self):
+        assert pick_index_key(Filter([Equals("a", ("x",)), Equals("b", 2)])) == ("a", ("x",))
+        assert pick_index_key(Filter([InSet("a", ["x", "y"]), Equals("b", True)])) == ("b", 1)
 
     def test_match_all_unindexable(self):
         assert pick_index_key(match_all()) is None

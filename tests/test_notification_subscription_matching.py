@@ -28,7 +28,7 @@ class TestNotification:
         """``items``/``keys``/``values``/``in`` delegate to the backing dict (C-level
         views, no per-item Python call) — also on the instances the binary codec
         builds through ``__new__`` — and what callers derive from them is unchanged."""
-        attrs = {"service": "temperature", "value": 21, "tags": ["a", "b"]}
+        attrs = {"service": "temperature", "value": 21, "tags": ("a", "b")}
         built = Notification(attrs, notification_id=7, published_at=1.5, publisher="p")
         frame = Message(kind="notify", payload=built, msg_id=1)
         decoded = decode_message_binary(encode_message_binary(frame)).payload
@@ -39,7 +39,7 @@ class TestNotification:
             assert type(n.values()) is type(attrs.values())
             assert n.items() == attrs.items() and n.keys() == attrs.keys()
             assert list(n.values()) == [n[key] for key in n]
-            assert "value" in n and "missing" not in n and ["unhashable"] not in n.values()
+            assert "value" in n and "missing" not in n and ("a",) not in n.values()
             assert dict(n) == attrs and dict(n) is not attribute_dict(n)
             assert sorted(n.items()) == sorted(attrs.items())
             assert attribute_dict(n) == attrs and attribute_dict(attrs) is attrs

@@ -182,21 +182,22 @@ class TestStrategyLevelEquivalence:
         ]
         assert [entry[3] for entry in multi_forwards] == [f2.key()]
 
-    def test_nan_equality_filter_is_not_self_covering(self):
-        """covers() is not reflexive for NaN-valued equality constraints
-        (nan != nan), so a second identical NaN subscription must still be
-        forwarded in both modes (regression: the incremental exact-key
-        shortcut used to suppress it)."""
-        nan = float("nan")
+    def test_an_equal_key_filter_is_covered_in_both_modes(self):
+        """Filters with equal keys match alike, so the incremental exact-key
+        shortcut and the scan oracle's ``covers`` both suppress the second
+        one, however its values are spelt."""
+        first = Filter([Equals("x", 1), InSet("y", ["1", 1])])
+        second = Filter([InSet("y", ["1", True]), Equals("x", 1.0)])
+        assert first.key() == second.key()
         logs = {}
         for advertising in ADVERTISING:
             broker = FakeBroker(["N1"])
             strategy = strategy_for(advertising, "covering", broker)
-            strategy.handle_subscribe(Subscription("a", Filter([Equals("x", nan)]), "c1"), "c1")
-            strategy.handle_subscribe(Subscription("b", Filter([Equals("x", nan)]), "c1"), "c1")
+            strategy.handle_subscribe(Subscription("a", first, "c1"), "c1")
+            strategy.handle_subscribe(Subscription("b", second, "c1"), "c1")
             logs[advertising] = broker.log
         assert logs["scan"] == logs["incremental"]
-        assert [entry[2] for entry in logs["scan"]] == ["a", "b"]
+        assert [entry[2] for entry in logs["scan"]] == ["a"]
 
     def test_scan_merging_refolds_after_resubscription(self):
         """Scan merging must re-fold when an already-forwarded sub_id gains a
@@ -284,6 +285,32 @@ class TestEndToEndEquivalence:
         assert scan[2] == incremental[2]  # control traffic volume
 
 
+class TestCoveringOverTheValueDomain:
+    """The first convergence counterexample: on a 2-broker covering line,
+    clients at B2 subscribe ``Range("v", 0, 5)``, ``Equals("v", 1)`` and
+    ``Equals("v", True)``, and a client at B1 publishes ``{"v": True}``.
+    ``True == 1`` and ``Range`` reads a bool as its int, so all three match
+    and the covering decisions must forward what reaches them.  With
+    ``Range`` blind to bools the product delivered ``[0, 0, 0]`` and the
+    scan oracle ``[0, 1, 1]``."""
+
+    @pytest.mark.parametrize("advertising", ADVERTISING)
+    def test_a_bool_reaches_a_range_an_int_and_a_bool_subscriber(self, advertising):
+        sim = Simulator()
+        network = line_topology(sim, 2, routing="covering")
+        if advertising == "scan":
+            use_scan_advertising(network)
+        clients = []
+        for i, constraint in enumerate([Range("v", 0, 5), Equals("v", 1), Equals("v", True)]):
+            client = network.add_client(f"c{i}", "B2")
+            client.subscribe(Filter([constraint]))
+            sim.run_until_idle()
+            clients.append(client)
+        network.add_client("pub", "B1").publish(Notification({"v": True}))
+        sim.run_until_idle()
+        assert [len(client.deliveries) for client in clients] == [1, 1, 1]
+
+
 class TestScanOracle:
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_every_strategy_has_an_oracle(self, name):
@@ -322,15 +349,10 @@ class TestScanOracle:
 
 # ------------------------------------------------- witnesses and pin groups
 
-#: two distinct NaN objects, shared by the runs being compared (a filter key
-#: holding a NaN equals only a key holding the same object)
-NANS = [float("nan"), float("nan")]
-
-
 def rich_filter(rng: random.Random) -> Filter:
     """Filters that stress the pin partition and the witness memo: the paper's
     ``service == x AND location in {…}`` shape, singleton and empty sets,
-    equal-but-differently-typed pins, unhashable values, NaN."""
+    equal-but-differently-typed pins and sets, tuples, signed zeros."""
     roll = rng.random()
     if roll < 0.04:
         return match_all()
@@ -341,14 +363,14 @@ def rich_filter(rng: random.Random) -> Filter:
         constraints.append(pin)
         if rng.random() < 0.6:
             constraints.append(InSet("location", rng.sample(LOCATIONS, rng.randint(0, 3))))
-    elif roll < 0.60:
+    elif roll < 0.52:
         constraints.append(Equals("level", rng.choice([1, 1.0, True, 2, 2.0, "1"])))
+    elif roll < 0.60:
+        constraints.append(InSet("level", rng.choice([["1", 1], ["1", 1.0], ["1", True], [2]])))
     elif roll < 0.72:
-        constraints.append(
-            Equals("tags", rng.choice([["a", "b"], {1}, frozenset({1}), ("a", "b"), {"k": 1}]))
-        )
+        constraints.append(Equals("tags", rng.choice([("a", "b"), ("a", 1), ("a", True), ()])))
     elif roll < 0.82:
-        constraints.append(Equals("x", rng.choice(NANS + [0.5])))
+        constraints.append(Equals("x", rng.choice([0.5, 0.0, -0.0, 0])))
     else:
         constraints.append(Prefix("service", rng.choice(["t", "s", "ne"])))
     if rng.random() < 0.5:
@@ -551,22 +573,18 @@ class TestWitnessAndPinStructures:
             assert index.covered("L", Filter([InSet("level", [probe])]))
             assert not index.covered("L", Filter([Equals("level", 2)]))
 
-    def test_unhashable_and_nan_pins(self):
+    def test_tuple_pins_and_the_empty_set(self):
         from repro.pubsub.routing import _ForwardedFilterIndex
 
         index = _ForwardedFilterIndex()
-        nan = NANS[0]
-        index.set_contribution("u", "L", [Filter([Equals("tags", ["a"])])])  # general group
-        index.set_contribution("f", "L", [Filter([Equals("tags", frozenset({1}))])])
-        index.set_contribution("n", "L", [Filter([Equals("x", nan)])])
+        index.set_contribution("u", "L", [Filter([Equals("tags", ("a",))])])
+        index.set_contribution("f", "L", [Filter([Equals("tags", (1, "b"))])])
         state = index._links["L"]
-        assert set(state.by_attrs[frozenset({"tags"})]) == {None, ("tags", frozenset({1}))}
-        assert index.covered("L", Filter([Equals("tags", ["a"]), Range("value", 0, 1)]))
-        # an unhashable pin equal to a hashable one: every group is probed
-        assert index.covered("L", Filter([Equals("tags", {1})]))
-        # NaN never covers, not even itself — found by identity in its group or not
-        assert not index.covered("L", Filter([Equals("x", nan)]))
-        assert not index.covered("L", Filter([Equals("x", NANS[1]), Range("value", 0, 1)]))
+        assert set(state.by_attrs[frozenset({"tags"})]) == {("tags", ("a",)), ("tags", (1, "b"))}
+        assert index.covered("L", Filter([Equals("tags", ("a",)), Range("value", 0, 1)]))
+        # an equal tuple of other member types names the same group
+        assert index.covered("L", Filter([Equals("tags", (True, "b"))]))
+        assert not index.covered("L", Filter([Equals("tags", ("b",))]))
         # the empty set is covered by every set on the attribute, whatever its pin
         index.set_contribution("s", "L", [Filter([InSet("location", ["r1"])])])
         assert index.covered("L", Filter([InSet("location", [])]))

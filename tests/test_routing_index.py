@@ -35,8 +35,7 @@ SERVICES = ["temperature", "stock", "news", "traffic"]
 LOCATIONS = ["r1", "r2", "r3", "r4", "r5"]
 
 
-#: one NaN object: a notification carrying it finds an ``Equals(NAN)``
-#: bucket by identity, although ``NAN == NAN`` is false
+#: a notification may carry NaN; it equals no pin, so it selects no bucket
 NAN = float("nan")
 
 
@@ -47,12 +46,13 @@ def bucket_shape_filter(rng: random.Random) -> Filter:
     second = Range("value", low, low + rng.randint(0, 20))
     shape = rng.randrange(5)
     if shape == 0:
-        # NaN key: the bucket is found by identity, the Equals still says no
-        return Filter([Equals("service", NAN), second])
+        # tuple key: equal tuples of differently typed members share one bucket
+        return Filter([Equals("tags", ("a", rng.choice([1, True, 1.0]))), second])
     if shape == 1:
-        # unhashable first Equals: the bucket is the second constraint's, and
-        # a candidate from it has passed the second, not the first
-        return Filter([Equals("tags", ["a", "b"]), Equals("service", rng.choice(SERVICES))])
+        # the bucket is the second constraint's, and a candidate from it has
+        # passed the second, not the first
+        pair = [InSet("service", rng.sample(SERVICES, 2)), Equals("flag", rng.choice([1, 0]))]
+        return Filter(pair)
     if shape == 2:
         # repeated Equals on one attribute: matches only when both agree
         return Filter(
@@ -61,7 +61,7 @@ def bucket_shape_filter(rng: random.Random) -> Filter:
     if shape == 3:
         # the second constraint's attribute is mostly absent, and a missing
         # attribute fails even a NotEquals
-        return Filter([Equals("service", rng.choice(SERVICES)), NotEquals("tags", ["b"])])
+        return Filter([Equals("service", rng.choice(SERVICES)), NotEquals("tags", ("b",))])
     # 1 == True == 1.0 share one bucket, whichever spelling keyed it
     return Filter([Equals("flag", rng.choice([1, True, 1.0])), second])
 
@@ -92,8 +92,8 @@ def random_filter(rng: random.Random) -> Filter:
         low = rng.randint(0, 30)
         return Filter([Range("value", low, low + rng.randint(0, 20))])
     else:
-        # unhashable equality value: must fall back to the unindexed path
-        constraints.append(Equals("tags", ["a", "b"]))
+        # a tuple equality value: bucketed like any other
+        constraints.append(Equals("tags", ("a", "b")))
     if rng.random() < 0.5:
         low = rng.randint(0, 30)
         constraints.append(Range("value", low, low + rng.randint(0, 20)))
@@ -104,12 +104,12 @@ def random_notification(rng: random.Random) -> Notification:
     attrs = {
         "service": NAN if rng.random() < 0.05 else rng.choice(SERVICES),
         "location": rng.choice(LOCATIONS),
-        # True/False equal 1/0 and hash alike, yet no Range accepts them
+        # True/False equal 1/0 and hash alike, and Range reads them as 1/0
         "value": rng.choice([rng.randint(0, 50), rng.randint(0, 1), True, False]),
         "flag": rng.choice([1, True, 1.0, 0, False]),
     }
     if rng.random() < 0.1:
-        attrs["tags"] = ["a", "b"]  # unhashable attribute value
+        attrs["tags"] = rng.choice([("a", "b"), ("a", 1.0), ("a", True), ("b",)])
     return Notification(attrs)
 
 
@@ -278,8 +278,8 @@ _filters = st.one_of(
         [
             Filter([Equals("flag", True), Range("value", 0, 5)]),  # bool key, 1 == True
             Filter([Equals("value", 1)]),
-            Filter([Equals("value", math.nan)]),  # NaN key: never equal
-            Filter([Equals("tags", ["a"]), Range("value", 0, 20)]),  # unhashable value
+            Filter([InSet("value", [1.0, "1"])]),  # 1.0 == 1 == True, not "1"
+            Filter([Equals("tags", ("a",)), Range("value", 0, 20)]),  # tuple value
         ]
     ),
 )
@@ -293,10 +293,10 @@ _values = st.one_of(
 _notifications = st.fixed_dictionaries(
     {},
     optional={
-        "topic": st.one_of(_topics, st.just(["a"]), st.just(1)),
+        "topic": st.one_of(_topics, st.just(("a",)), st.just(1)),
         "value": _values,
         "flag": st.one_of(st.booleans(), st.just(1)),
-        "tags": st.just(["a"]),
+        "tags": st.sampled_from([("a",), ("a", 1)]),
     },
 )
 _subs = st.sampled_from(ONE_INDEX_SUBS)
@@ -327,7 +327,7 @@ class TestOneIndexEqualsBrute:
     def test_every_step_answers_like_brute(self, population, ops, notifications, exclude):
         """One index over the whole table, under any add / remove / remove_link
         / clear sequence, answers every probe like the brute-force twin — with
-        ``shared`` on two links, bool/NaN/unhashable values on both sides, and
+        ``shared`` on two links, bool/NaN/tuple values on both sides, and
         tables on both sides of the small-table scan."""
         brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
         shared = Filter([Equals("topic", "t1"), Range("value", 0, 10)])

@@ -742,6 +742,18 @@ class TestDecodersRaiseOnlyWireError:
             tracemalloc.stop()
         assert peak < wire.MAX_FRAME_SIZE
 
+    @pytest.mark.parametrize("value", [[1], {1}, frozenset({1}), {"k": 1}], ids=repr)
+    def test_a_notification_value_outside_the_domain_is_refused(self, value):
+        """The walker can write a list- or set-valued notification; the
+        notification read refuses it, as a publish would have."""
+        body = encode_message_binary(Message("notify", Notification({"v": value}), msg_id=1))
+        with pytest.raises(WireError, match="outside the value domain"):
+            decode_message_binary(body)
+        # a tuple, None, a bool and a long string leave the fast path and pass
+        inside = {"t": (1, "a"), "n": None, "b": True, "s": "x" * 300}
+        body = encode_message_binary(Message("notify", Notification(inside), msg_id=1))
+        assert dict(decode_message_binary(body).payload) == inside
+
 
 # ----------------------------------------------------- loud codec negotiation
 
