@@ -501,8 +501,8 @@ def _command_top(args: argparse.Namespace) -> int:
     the frame's wall time, next to the point-in-time gauges.  ``--frames``
     bounds the loop so CI (and impatient humans) get a clean exit.  With
     ``--json`` no table is printed: the last frame's snapshot (gathered by
-    ``Transport.metrics_snapshot()``, over the registry control channel on
-    the cluster backend) is printed as JSON instead.
+    ``Transport.metrics_snapshot()``, over the control connections on the
+    cluster backend) is printed as JSON instead.
     """
     import json
     import time

@@ -1,30 +1,32 @@
 """Multi-process cluster runner: one OS process per broker.
 
-PR 3 proved the wire seam works — the whole pub/sub stack runs over real
-localhost TCP sockets — but every broker still shared one Python process and
-one GIL.  This module shards the broker graph across *spawned OS processes*,
-the deployment shape of the paper's original REBECA testbed (Java broker
+This module shards the broker graph across *spawned OS processes*, the
+deployment shape of the paper's original REBECA testbed (Java broker
 processes on separate hosts):
 
 * each broker runs in its own child process (``python -m
-  repro.net.cluster_node '<json spec>'``) hosting a TCP server; links
-  between brokers are duplex TCP connections carrying the same
-  length-prefixed wire frames
+  repro.net.cluster_node '<json spec>'``); links between brokers are duplex
+  TCP connections carrying the same length-prefixed wire frames
   (:mod:`repro.net.wire`) as the in-process asyncio backend;
-* the parent process runs a :class:`~repro.net.registry.RegistryServer` for
-  broker discovery (name -> host:port), the boot readiness barrier, counter
-  polling and orderly shutdown;
-* client processes attach *by name*: the parent resolves a broker through
-  the registry and dials it, so publishers/subscribers never hardcode
-  addresses.
+* the parent binds and listens on one TCP socket per broker before it
+  spawns any child, hands it to the child (``pass_fds``) and holds it for
+  the transport's whole life: a broker's address is fixed before it runs
+  and survives a kill and restart, every spec carries every broker's
+  address, and a dial never meets a port that is not listening;
+* the parent keeps one control connection per child, one end of a
+  ``socketpair``: the child's first frame on it reports ready (the boot
+  barrier), its later frames answer the parent's requests (counter polls,
+  link faults, shutdown), and its EOF means the child died;
+* clients live in the parent and dial the address of their broker.
 
 Both kinds of process run on the asyncio backend's runtime
 (:class:`~repro.net.transport.SocketNode`): a broker child is "one broker
-plus a control channel", the parent "the clients, dial-only".  The cluster's
-own is policy: a send onto a closing connection is dropped and counted
-(:class:`ClusterEndpoint`), a lost link is reported to the broker, dials
-retry with jitter, a restarted node asks for a resync.  The registry
-channel stays a plain stream.
+plus a control connection", the parent "the clients plus the control
+connections, dial-only".  The cluster's own is policy: a send onto a closing
+connection is dropped and counted (:class:`ClusterEndpoint`), a lost link is
+reported to the broker, a restarted node asks for a resync.  Control frames
+(:class:`ControlEndpoint`) go straight to their socket, so they count in no
+broker counter, no ``transport.*`` instrument and no idle-detector total.
 
 Topology on the parent side is declared exactly like on the other backends —
 ``BrokerNetwork`` or any topology builder with
@@ -36,16 +38,17 @@ explicit :meth:`ClusterTransport.boot`) freezes the broker topology, spawns
 the children and waits for the readiness barrier.
 
 Failure semantics: a broker child that hits an internal error exits with a
-non-zero code; the parent polls child liveness during boot and on every
-``run_until_idle`` tick and raises :class:`ClusterError` naming the dead
-broker and its exit code.  A connection refused at the handshake (skewed
-wire revision or wrong target) is closed unanswered and costs the broker
-nothing else.  A child whose registry control channel hits EOF (the parent
-died) shuts itself down, so no orphan broker processes are left behind.
+non-zero code; its control connection closes, and the parent raises
+:class:`ClusterError` naming the dead broker and its exit code — at once
+during boot, on the next poll round of ``run_until_idle`` mid-run.  A
+connection refused at the handshake (skewed wire revision or wrong target)
+is closed unanswered and costs the broker nothing else.  A child whose
+control connection closes (the parent died) shuts itself down, so no orphan
+broker processes are left behind.
 
 Quiescence: the parent cannot observe in-flight frames inside other
 processes, so ``run_until_idle`` polls the message counters of every broker
-child (over the registry control channels) together with the local clients'
+child (over the control connections) together with the local clients'
 counters, and declares the cluster idle once two consecutive poll rounds
 return *identical* counter vectors whose global sent and received totals
 are *equal*.  This is exact, not heuristic: every transmitted message is
@@ -60,25 +63,19 @@ two rounds and one interval on top of the traffic.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import os
-import random
+import socket
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Coroutine, Dict, List, Optional, Set, Tuple
 
 from ..obs.metrics import MetricsRegistry
+from . import wire
 from .link import LinkStats
 from .process import Message, Process
-from .registry import (
-    FrameChannel,
-    RegistryError,
-    RegistryServer,
-    lookup,
-    register_node,
-    report_ready,
-)
 from .transport import (
     FAULT_ACTIONS,
     SocketEndpoint,
@@ -130,6 +127,46 @@ class ClusterEndpoint(SocketEndpoint):
             self._on_lost(self)
 
 
+class ControlEndpoint(SocketEndpoint):
+    """One end of the control connection between the parent and a broker child.
+
+    A link of the node's own runtime whose frames are not traffic: each is
+    written straight to the socket, so it counts in no broker counter, no
+    ``transport.*`` instrument and no idle-detector total.  On the parent's
+    end, ``ready`` turns true with the child's first frame and ``replies``
+    holds the futures of the requests its later frames answer, by ``rid``.
+    """
+
+    def __init__(
+        self,
+        node: SocketNode,
+        peer: str,
+        on_frame: Callable[["ControlEndpoint", Message], None],
+        on_lost: Callable[["ControlEndpoint"], None],
+    ):
+        super().__init__(node)
+        self.peer = peer
+        self._on_frame = on_frame
+        self._on_lost = on_lost
+        self.ready = False
+        self.replies: Dict[int, asyncio.Future] = {}
+
+    def transmit(self, message: Message) -> None:
+        if self.is_open:
+            self._writer.write(wire.frame_message_binary(message))
+
+    def receive(self, message: Message) -> None:
+        self._on_frame(self, message)
+
+    def lost(self) -> None:
+        self._on_lost(self)
+
+
+def _control_message(kind: str, **fields: Any) -> Message:
+    # msg_id 0: a control frame draws nothing from the message-id counter
+    return Message(kind, fields, msg_id=0)
+
+
 def _stats_payload(stats: LinkStats) -> Dict[str, Any]:
     return {
         "messages": stats.messages,
@@ -142,20 +179,14 @@ def _stats_payload(stats: LinkStats) -> Dict[str, Any]:
 
 
 class _BrokerNode(SocketNode):
-    """One broker, hosted in its own OS process: a node plus a control channel.
+    """One broker, hosted in its own OS process: a node plus a control connection.
 
-    Lifecycle: start the TCP server -> register with the registry -> dial
-    the peers this node initiates -> wait for the peers that dial us ->
-    report ready -> answer control requests (stats/shutdown) until told to
-    stop or the parent disappears.  Nobody drives this node from outside, so
-    an error recorded by one of its callbacks stops it and becomes its exit.
+    Lifecycle: serve on the listener the parent bound -> dial the peers this
+    node initiates -> send ``ready`` on the control connection -> answer
+    control requests until told to stop or the parent disappears.  Nobody
+    drives this node from outside, so an error recorded by one of its
+    callbacks stops it and becomes its exit.
     """
-
-    LINK_SETUP_TIMEOUT = 30.0
-    #: first retry pause when dialling a peer that is not accepting yet
-    DIAL_RETRY_BASE = 0.05
-    #: upper bound on the exponential backoff between dial retries
-    DIAL_RETRY_CAP = 2.0
 
     def __init__(self, spec: Dict[str, Any]):
         from ..config import SystemConfig  # lazy: config imports net/
@@ -163,15 +194,13 @@ class _BrokerNode(SocketNode):
 
         self.spec = spec
         self.name: str = spec["name"]
-        self.host: str = spec.get("host", "127.0.0.1")
-        self.registry_address: Tuple[str, int] = tuple(spec["registry"])
         #: a restarted node re-synchronises routing state over every link it
         #: (re-)establishes, instead of assuming the peers' tables are fresh
         self.resync_on_connect: bool = bool(spec.get("resync", False))
         # every broker knob comes from the parent's SystemConfig, read once
         config = SystemConfig.from_dict(spec["config"])
-        # the wire instruments live in the broker's registry and travel with
-        # its ``metrics`` reply
+        # the wire instruments live in the broker's metrics registry and
+        # travel with its ``metrics`` reply
         super().__init__(MetricsRegistry(enabled=config.metrics))
         self.broker = Broker(
             self._clock,
@@ -181,13 +210,8 @@ class _BrokerNode(SocketNode):
             metrics=self.metrics,
         )
         self.stop = asyncio.Event()
-        #: peers expected to dial in before this node is ready
-        self._accept_pending: Set[str] = set(spec.get("accept", ()))
-        self._accepts_done = asyncio.Event()
-        # dial-retry jitter comes from a private, name-seeded RNG: broker
-        # children must never mutate the module-level ``random`` state (the
-        # chaos fuzzer's seeded schedules rely on nobody sharing that dice)
-        self._rng = random.Random(f"dial-jitter:{self.name}")
+        #: the boot and any link restore, cancelled when the node stops
+        self._tasks: Set[asyncio.Task] = set()
 
     def _record_error(self, exc: BaseException) -> None:
         """Routing and wire bugs must fail the node, loudly."""
@@ -197,6 +221,19 @@ class _BrokerNode(SocketNode):
     def _handshake_refused(self, exc: BaseException) -> None:
         """One misconfigured dialler must not take the broker down."""
         print(f"{self.name}: refused a connection: {exc}", file=sys.stderr)
+
+    def _background(self, work: Coroutine[Any, Any, None]) -> None:
+        """Run ``work`` beside the control connection; what it raises fails the node."""
+
+        async def run() -> None:
+            try:
+                await work
+            except Exception as exc:
+                self._record_error(exc)
+
+        task = self._loop.create_task(run())
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------ link traffic
     def _endpoint(self, peer: str) -> ClusterEndpoint:
@@ -219,9 +256,6 @@ class _BrokerNode(SocketNode):
         self.broker.attach_link(peer, endpoint)
         if handshake.get("kind") == "broker":
             self.broker.register_broker_peer(peer)
-        self._accept_pending.discard(peer)
-        if not self._accept_pending:
-            self._accepts_done.set()
         return endpoint
 
     def _accepted(self, inbound: ClusterEndpoint, handshake: Dict[str, Any]) -> None:
@@ -231,32 +265,16 @@ class _BrokerNode(SocketNode):
             self.broker.resync_link(inbound.peer)
 
     async def _dial_peer(self, peer: str, resync: bool = False) -> None:
-        """Initiate the link for an edge this node is the dialer of.
+        """Open the link of an edge this node dials, at the address the parent holds.
 
-        Connection attempts are retried with bounded exponential backoff and
-        jitter until :data:`LINK_SETUP_TIMEOUT` runs out: during recovery the
-        peer may be mid-restart, registered but not yet accepting, and a
-        thundering herd of reconnecting neighbours must not synchronise.
+        Returns once the acceptor has answered, so it has attached the link:
+        when every dialler is ready, every edge is up at both ends.
         """
-        loop = self._loop
-        deadline = loop.time() + self.LINK_SETUP_TIMEOUT
-        pause = self.DIAL_RETRY_BASE
         endpoint = self._endpoint(peer)
-        while True:
-            address = await lookup(self.registry_address, peer, timeout=self.LINK_SETUP_TIMEOUT)
-            try:
-                receiver = await self._dial(
-                    address, endpoint, self.name, peer, kind="broker", resync=resync
-                )
-                break
-            except OSError as exc:
-                if loop.time() + pause > deadline:
-                    raise ClusterError(
-                        f"{self.name}: could not connect to {peer!r} at {address} "
-                        f"within {self.LINK_SETUP_TIMEOUT}s: {exc}"
-                    )
-                await asyncio.sleep(pause + self._rng.uniform(0.0, pause / 4))
-                pause = min(pause * 2, self.DIAL_RETRY_CAP)
+        address = self.spec["addresses"][peer]
+        receiver = await self._dial(
+            address, endpoint, self.name, peer, kind="broker", resync=resync
+        )
         # the acceptor reads the handshake first, so the link is usable at
         # once; its answer only confirms that it speaks this node's wire revision
         endpoint._writer = receiver.sock
@@ -278,15 +296,6 @@ class _BrokerNode(SocketNode):
         if self.broker.has_link(peer):
             self.broker.handle_link_lost(peer)
 
-    async def _wait_for_accepts(self) -> None:
-        if self._accept_pending:
-            try:
-                await asyncio.wait_for(self._accepts_done.wait(), self.LINK_SETUP_TIMEOUT)
-            except asyncio.TimeoutError:
-                raise ClusterError(
-                    f"{self.name}: peers never dialled in: {sorted(self._accept_pending)}"
-                ) from None
-
     # ---------------------------------------------------------------- control
     def _stats(self) -> Dict[str, Any]:
         links = {
@@ -299,66 +308,59 @@ class _BrokerNode(SocketNode):
             "links": links,
         }
 
-    async def _control_loop(self, channel: FrameChannel) -> None:
-        try:
-            while True:
-                request = await channel.recv()
-                if request is None:
-                    # parent (and its registry) are gone: shut down, no orphan
-                    self.stop.set()
-                    return
-                rid = request.get("rid")
-                op = request.get("op")
-                if op == "stats":
-                    channel.send({"re": rid, "ok": True, **self._stats()})
-                elif op == "metrics":
-                    channel.send({"re": rid, "ok": True, "metrics": self.broker.metrics_snapshot()})
-                elif op == "link_down":
-                    self._sever_link(request.get("peer"))
-                    channel.send({"re": rid, "ok": True})
-                elif op == "link_up":
-                    try:
-                        await self._dial_peer(request.get("peer"), resync=True)
-                    except (ClusterError, RegistryError, OSError) as exc:
-                        channel.send({"re": rid, "ok": False, "error": str(exc)})
-                    else:
-                        channel.send({"re": rid, "ok": True})
-                elif op == "shutdown":
-                    channel.send({"re": rid, "ok": True})
-                    await channel.drain()
-                    self.stop.set()
-                    return
-                else:
-                    channel.send({"re": rid, "ok": False, "error": f"unknown op {op!r}"})
-                await channel.drain()
-        except (ConnectionResetError, asyncio.CancelledError):
+    def _on_request(self, control: ControlEndpoint, request: Message) -> None:
+        """Answer one request of the parent; a ``link_up`` once its dial is done."""
+        op, rid = request.kind, request.payload["rid"]
+        reply: Dict[str, Any] = {}
+        if op == "stats":
+            reply = self._stats()
+        elif op == "metrics":
+            reply = {"metrics": self.broker.metrics_snapshot()}
+        elif op == "link_down":
+            self._sever_link(request.payload["peer"])
+        elif op == "link_up":
+            self._background(self._link_up(control, rid, request.payload["peer"]))
+            return
+        elif op == "shutdown":
             self.stop.set()
-        except BaseException as exc:
-            self._record_error(exc)
+        else:
+            raise ClusterError(f"{self.name}: unknown control op {op!r}")
+        control.transmit(_control_message("reply", re=rid, ok=True, **reply))
+
+    async def _link_up(self, control: ControlEndpoint, rid: int, peer: str) -> None:
+        try:
+            await self._dial_peer(peer, resync=True)
+        except OSError as exc:
+            control.transmit(_control_message("reply", re=rid, ok=False, error=str(exc)))
+        else:
+            control.transmit(_control_message("reply", re=rid, ok=True))
+
+    async def _boot(self, control: ControlEndpoint) -> None:
+        for peer in self.spec["dial"]:
+            await self._dial_peer(peer, resync=self.resync_on_connect)
+        control.transmit(_control_message("ready"))
 
     # -------------------------------------------------------------------- run
     async def serve(self) -> int:
         """The node's whole life; returns its exit code, or raises what failed it."""
-        server = await self._loop.create_server(
-            lambda: _Receiver(self, self.name), host=self.host, port=0
+        loop = self._loop
+        listener = socket.socket(fileno=self.spec["listen_fd"])
+        server = await loop.create_server(lambda: _Receiver(self, self.name), sock=listener)
+        # the parent's end closing means it is gone: shut down, no orphan
+        control = ControlEndpoint(self, "parent", self._on_request, lambda _: self.stop.set())
+        control._writer, _ = await loop.connect_accepted_socket(
+            lambda: _Receiver(self, self.name, control),
+            socket.socket(fileno=self.spec["control_fd"]),
         )
-        port = server.sockets[0].getsockname()[1]
-        channel = await register_node(self.registry_address, self.name, self.host, port)
-        control: Optional[asyncio.Future] = None
+        self._background(self._boot(control))
         try:
-            for peer in self.spec.get("dial", ()):
-                await self._dial_peer(peer, resync=self.resync_on_connect)
-            await self._wait_for_accepts()
-            await report_ready(channel, self.name)
-            control = asyncio.ensure_future(self._control_loop(channel))
             await self.stop.wait()
         finally:
+            for task in self._tasks:
+                task.cancel()
+            await asyncio.gather(*self._tasks, return_exceptions=True)
             server.close()
             self._close_connections()
-            channel.close()
-            if control is not None:
-                control.cancel()
-                await asyncio.gather(control, return_exceptions=True)
         self._raise_pending_error()
         return 0
 
@@ -498,12 +500,12 @@ class RemoteBroker(Process):
 class ClusterTransport(SocketNode, Transport):
     """Run each broker of the graph in its own spawned OS process.
 
-    The parent process hosts the registry, the clients and this transport —
-    a dial-only :class:`~repro.net.transport.SocketNode`; each declared
-    broker becomes a child process connected to its peers by duplex TCP
-    links.  Booting happens lazily on the first client attachment (or
-    explicitly via :meth:`boot`); the broker topology is frozen from that
-    point on.
+    The parent process hosts the clients, every broker's listening socket,
+    one control connection per child and this transport — a dial-only
+    :class:`~repro.net.transport.SocketNode`; each declared broker becomes a
+    child process connected to its peers by duplex TCP links.  Booting
+    happens lazily on the first client attachment (or explicitly via
+    :meth:`boot`); the broker topology is frozen from that point on.
 
     ``run_until_idle`` uses counter-stability quiescence (see the module
     docstring) and doubles as the crash detector: a child that exited is
@@ -527,15 +529,22 @@ class ClusterTransport(SocketNode, Transport):
     #: pause between two counter-poll rounds of :meth:`run_until_idle`
     POLL_INTERVAL = 0.005
 
-    def __init__(
-        self, host: str = "127.0.0.1", registry_port: Optional[int] = None, config=None
-    ):
+    def __init__(self, host: str = "127.0.0.1", config=None):
         Transport.__init__(self, config)
         SocketNode.__init__(self, MetricsRegistry(enabled=self.system_config.metrics))
         self.host = host
-        self.registry = RegistryServer(host, port=registry_port)
         self._specs: Dict[str, Dict[str, Any]] = {}
         self._children: Dict[str, subprocess.Popen] = {}
+        #: broker name -> the socket its child serves on, bound at boot and
+        #: held until close, so the broker's address never changes
+        self._listeners: Dict[str, socket.socket] = {}
+        #: broker name -> its listener's (host, port), where peers and clients dial it
+        self.addresses: Dict[str, Tuple[str, int]] = {}
+        #: broker name -> the parent's end of its child's control connection
+        self._controls: Dict[str, ControlEndpoint] = {}
+        self._rids = itertools.count(1)
+        #: the future a parked readiness barrier waits on (None when not waiting)
+        self._waiter: Optional[asyncio.Future] = None
         self._local: Dict[str, Process] = {}
         self._client_peers: Dict[str, Set[str]] = {}
         self.links: List[ClusterLink] = []
@@ -581,11 +590,9 @@ class ClusterTransport(SocketNode, Transport):
             raise ClusterError(f"duplicate broker name {name!r}")
         self._specs[name] = {
             "name": name,
-            "host": self.host,
             "routing": routing,
             "config": self.system_config.to_dict(),
             "dial": [],
-            "accept": [],
         }
         proxy = RemoteBroker(self, self._clock, name, routing)
         self.brokers[name] = proxy
@@ -600,10 +607,10 @@ class ClusterTransport(SocketNode, Transport):
                 raise ClusterError("cannot add broker edges after the cluster has booted")
             # the edge's first broker dials, the second accepts
             self._specs[a.name]["dial"].append(b.name)
-            self._specs[b.name]["accept"].append(a.name)
         elif remote_a or remote_b:
             client, broker = (b, a) if remote_a else (a, b)
             self.boot()
+            self._require_up(f"attach {client.name} to {broker.name}", broker.name)
             self._local[client.name] = client
             self._client_peers.setdefault(broker.name, set()).add(client.name)
             self._loop.run_until_complete(self._attach_client(client, broker.name, link))
@@ -617,26 +624,48 @@ class ClusterTransport(SocketNode, Transport):
 
     # -------------------------------------------------------------------- boot
     def boot(self) -> None:
-        """Spawn one OS process per declared broker and wait for readiness."""
+        """Bind every broker's listener, spawn one OS process per broker, await readiness."""
         self._require_open()
         if self._booted:
             return
         if not self._specs:
             raise ClusterError("no brokers declared; add brokers before attaching clients")
         self._booted = True
-        self._loop.run_until_complete(self.registry.start())
-        for name, spec in self._specs.items():
-            spec["registry"] = list(self.registry.address)
-            self._children[name] = self._spawn(spec)
-        barrier = self.registry.wait_ready(
-            self._specs, self.BOOT_TIMEOUT, liveness=self._check_children
-        )
+        family = socket.AF_INET6 if ":" in self.host else socket.AF_INET
         try:
-            self._loop.run_until_complete(barrier)
+            for name in self._specs:
+                listener = socket.create_server((self.host, 0), family=family)
+                self._listeners[name] = listener
+                self.addresses[name] = listener.getsockname()[:2]
+            for name, spec in self._specs.items():
+                self._start(name, spec)
+            self._await_ready(list(self._specs))
         except Exception:
             # a failed boot must not leak half a cluster
             self.close()
             raise
+
+    def _start(self, name: str, spec: Dict[str, Any]) -> None:
+        """Spawn ``name``'s child on its held listener and open its control connection."""
+        ours, theirs = socket.socketpair()
+        spec = {
+            **spec,
+            "addresses": self.addresses,
+            "listen_fd": self._listeners[name].fileno(),
+            "control_fd": theirs.fileno(),
+        }
+        try:
+            self._children[name] = self._spawn(spec)
+        except BaseException:
+            ours.close()
+            raise
+        finally:
+            theirs.close()  # the child holds its own copy: EOF on ours means it died
+        control = ControlEndpoint(self, name, self._on_control, self._on_control_lost)
+        control._writer, _ = self._loop.run_until_complete(
+            self._loop.connect_accepted_socket(lambda: _Receiver(self, name, control), ours)
+        )
+        self._controls[name] = control
 
     def _spawn(self, spec: Dict[str, Any]) -> subprocess.Popen:
         src_dir = Path(__file__).resolve().parents[2]
@@ -647,21 +676,58 @@ class ClusterTransport(SocketNode, Transport):
         return subprocess.Popen(
             [sys.executable, "-m", "repro.net.cluster_node", json.dumps(spec)],
             env=env,
+            pass_fds=(spec["listen_fd"], spec["control_fd"]),
         )
 
-    def _check_children(self) -> None:
-        """Raise if any broker child exited; called on every liveness tick."""
-        if self._closed:
-            return
-        for name, child in self._children.items():
-            if name in self._down:
-                continue  # deliberately killed; not a surprise crash
-            code = child.poll()
-            if code is not None:
-                raise ClusterError(
-                    f"broker process {name!r} exited with code {code} "
-                    "(see its traceback on stderr)"
-                )
+    def _await_ready(self, names: List[str]) -> None:
+        """The readiness barrier: every child in ``names`` sent its ``ready`` frame.
+
+        Woken by the frames of the control connections; one that closes
+        before its ``ready`` means the child died, reported with its exit code.
+        """
+
+        async def barrier() -> None:
+            deadline = self._loop.time() + self.BOOT_TIMEOUT
+            while True:
+                waiting = [name for name in names if not self._controls[name].ready]
+                if not waiting:
+                    return
+                for name in waiting:
+                    if not self._controls[name].is_open:
+                        raise self._died(name)
+                self._waiter = self._loop.create_future()
+                try:
+                    await asyncio.wait_for(self._waiter, deadline - self._loop.time())
+                except asyncio.TimeoutError:
+                    raise ClusterError(
+                        f"brokers never became ready within {self.BOOT_TIMEOUT}s: {waiting}"
+                    ) from None
+                finally:
+                    self._waiter = None
+
+        self._loop.run_until_complete(barrier())
+
+    def _wake_if_idle(self) -> None:
+        """A callback ended: a parked readiness barrier looks again."""
+        waiter = self._waiter
+        if waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def _died(self, name: str) -> ClusterError:
+        """The error for a child whose control connection closed under it."""
+        return ClusterError(
+            f"broker process {name!r} exited with code {self._reap(name)} "
+            "(see its traceback on stderr)"
+        )
+
+    def _reap(self, name: str) -> int:
+        """Wait for ``name``'s child to exit (killing it if it hangs); its exit code."""
+        child = self._children[name]
+        try:
+            return child.wait(timeout=10.0)
+        except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+            child.kill()
+            return child.wait()
 
     async def _attach_client(self, client: Process, broker_name: str, link: ClusterLink) -> None:
         def receive(message: Message) -> None:
@@ -670,21 +736,54 @@ class ClusterTransport(SocketNode, Transport):
 
         # the link owns the counters of both directions
         endpoint = ClusterEndpoint(self, broker_name, receive, stats=link._local_out)
-        address = self.registry.registered[broker_name]
+        address = self.addresses[broker_name]
         receiver = await self._dial(address, endpoint, client.name, broker_name, kind="client")
         endpoint._writer = receiver.sock
         await receiver.acked
         client.attach_link(broker_name, endpoint)
 
     # ----------------------------------------------------------- control plane
+    def _on_control(self, control: ControlEndpoint, message: Message) -> None:
+        if message.kind == "ready":
+            control.ready = True
+            return
+        future = control.replies.pop(message.payload["re"], None)
+        if future is not None and not future.done():
+            future.set_result(message.payload)
+
+    def _on_control_lost(self, control: ControlEndpoint) -> None:
+        for future in control.replies.values():
+            if not future.done():
+                future.set_exception(ClusterError(f"control connection to {control.peer!r} closed"))
+        control.replies.clear()
+
+    async def _call(
+        self, name: str, op: str, timeout: float = 10.0, **fields: Any
+    ) -> Dict[str, Any]:
+        """One control round trip with broker ``name``: its ``ok`` reply, or
+        :class:`ClusterError` (connection closed, no answer in time, rejected)."""
+        control = self._controls[name]
+        if not control.is_open:
+            raise ClusterError(f"control connection to {name!r} closed")
+        rid = next(self._rids)
+        future = self._loop.create_future()
+        control.replies[rid] = future
+        control.transmit(_control_message(op, rid=rid, **fields))
+        try:
+            reply = await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
+            control.replies.pop(rid, None)
+            raise ClusterError(f"broker {name!r} did not answer {op!r} in {timeout}s") from None
+        if not reply["ok"]:
+            raise ClusterError(f"broker {name!r} rejected {op!r}: {reply['error']}")
+        return reply
+
     def _request(self, name: str, op: str, timeout: float = 10.0, **fields: Any) -> Dict[str, Any]:
-        """One control round-trip with broker ``name``, driven to completion."""
-        return self._loop.run_until_complete(
-            self.registry.request(name, op, timeout=timeout, **fields)
-        )
+        """One control round trip with broker ``name``, driven to completion."""
+        return self._loop.run_until_complete(self._call(name, op, timeout=timeout, **fields))
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        """Gather every live child's metrics over the registry control channel."""
+        """Gather every live child's metrics over its control connection."""
         self._require_open()
         live = [name for name in self._specs if self._booted and name not in self._down]
         brokers = {name: self._request(name, "metrics")["metrics"] for name in live}
@@ -706,11 +805,16 @@ class ClusterTransport(SocketNode, Transport):
                 f"unknown fault action {action!r}; available: {FAULT_ACTIONS}"
             )
 
+    def _require_up(self, what: str, *names: str) -> None:
+        for name in names:
+            if name in self._down:
+                raise ClusterError(f"cannot {what}: {name} is down; restart it first")
+
     def kill_broker(self, name: str) -> None:
         """``kill -9`` a broker child mid-run (chaos testing).
 
-        The registry forgets the node so its stale address cannot satisfy a
-        lookup, and liveness checks stop treating the death as a crash.
+        Liveness checks stop treating the death as a crash, and nothing
+        dials the broker until it is restarted on the same listener.
         Frames in flight towards the dead broker are lost — exactly what the
         real fault would lose.
         """
@@ -723,7 +827,6 @@ class ClusterTransport(SocketNode, Transport):
         if child.poll() is None:
             child.kill()
         child.wait()
-        self.registry.forget(name)
         self._down.add(name)
         self._lossy = True
         self.recovery["kills"] += 1
@@ -737,24 +840,20 @@ class ClusterTransport(SocketNode, Transport):
     def restart_broker(self, name: str) -> None:
         """Supervised restart of a killed broker: respawn, re-link, re-sync.
 
-        The respawned child re-registers under its old name, dials every
-        surviving neighbour with the resync flag (both sides re-advertise
-        their routing state from scratch), and the parent re-attaches the
-        broker's clients, whose local brokers re-issue their subscriptions —
-        after the next drain the delivery sets converge back to the sim
-        baseline.
+        The respawned child serves on the broker's old listener, dials every
+        neighbour that is up with the resync flag (both sides re-advertise
+        their routing state from scratch; a neighbour that is down dials it
+        back when it restarts), and the parent re-attaches the broker's
+        clients, whose local brokers re-issue their subscriptions — after
+        the next drain the delivery sets converge back to the sim baseline.
         """
         self._require_open()
         if name not in self._down:
             raise ClusterError(f"broker {name!r} is not down; kill it before restarting")
-        spec = dict(self._specs[name])
-        spec["dial"] = self._neighbors_of(name)
-        spec["accept"] = []
-        spec["resync"] = True
-        self._children[name] = self._spawn(spec)
+        spec = {**self._specs[name], "dial": self._neighbors_of(name), "resync": True}
+        self._start(name, spec)
         self._down.discard(name)
-        barrier = self.registry.wait_ready([name], self.BOOT_TIMEOUT, liveness=self._check_children)
-        self._loop.run_until_complete(barrier)
+        self._await_ready([name])
         self.recovery["restarts"] += 1
         for client_name in sorted(self._client_peers.get(name, ())):
             client = self._local[client_name]
@@ -765,16 +864,12 @@ class ClusterTransport(SocketNode, Transport):
                 self.recovery["client_resubscribes"] += len(client.subscriptions)
 
     def _neighbors_of(self, name: str) -> List[str]:
-        """Broker peers reachable over currently-up edges (for re-dialling)."""
+        """Broker peers that are up, over edges that are up (for re-dialling)."""
         peers: Set[str] = set()
         for link in self.links:
-            if not link.is_broker_edge or not link.up:
-                continue
-            if link.a.name == name:
-                peers.add(link.b.name)
-            elif link.b.name == name:
-                peers.add(link.a.name)
-        return sorted(peers)
+            if link.is_broker_edge and link.up and name in (link.a.name, link.b.name):
+                peers.add(link.b.name if link.a.name == name else link.a.name)
+        return sorted(peers - self._down)
 
     def _client_link(self, client_name: str, broker_name: str) -> ClusterLink:
         for link in self.links:
@@ -807,13 +902,10 @@ class ClusterTransport(SocketNode, Transport):
         if link.up:
             return
         dialer, acceptor = link.a.name, link.b.name
-        if dialer in self._down or acceptor in self._down:
-            raise ClusterError(
-                f"cannot restore {dialer}<->{acceptor}: one side is down; restart it first"
-            )
+        self._require_up(f"restore {dialer}<->{acceptor}", dialer, acceptor)
         try:
             self._request(dialer, "link_up", peer=acceptor, timeout=self.BOOT_TIMEOUT)
-        except RegistryError as exc:
+        except ClusterError as exc:
             raise ClusterError(f"link restore {dialer}->{acceptor} failed: {exc}") from exc
         link.up = True
         self.recovery["link_restores"] += 1
@@ -838,7 +930,6 @@ class ClusterTransport(SocketNode, Transport):
             while True:
                 if self._pending_error is not None:
                     return
-                self._check_children()
                 snapshot = await self._poll_counters()
                 stable_rounds = stable_rounds + 1 if snapshot == previous else 0
                 received_total = sum(received for received, _ in snapshot.values())
@@ -866,20 +957,19 @@ class ClusterTransport(SocketNode, Transport):
         return self._clock.now
 
     async def _poll_counters(self) -> Dict[str, Tuple[int, int]]:
-        # every broker has its own control channel, so the stats calls are
+        # every broker has its own control connection, so the stats calls are
         # independent: one concurrent round costs one RTT, not n_brokers RTTs
         names = [name for name in self._specs if name not in self._down]
-        calls = [self.registry.call(name, {"op": "stats"}, timeout=5.0) for name in names]
+        calls = [self._call(name, "stats", timeout=5.0) for name in names]
         replies = await asyncio.gather(*calls, return_exceptions=True)
         snapshot: Dict[str, Tuple[int, int]] = {}
         for name, reply in zip(names, replies):
             if isinstance(reply, BaseException):
-                if not isinstance(reply, RegistryError):
-                    raise reply
-                self._check_children()  # a dead child explains it better
-                raise ClusterError(f"lost contact with broker {name!r}: {reply}") from reply
+                if not self._controls[name].is_open:
+                    raise self._died(name) from None
+                raise reply
             self.polled_stats[name] = reply
-            snapshot[name] = (reply.get("received", 0), reply.get("sent", 0))
+            snapshot[name] = (reply["received"], reply["sent"])
         for name, process in self._local.items():
             snapshot[name] = (process.messages_received, process.messages_sent)
         return snapshot
@@ -887,18 +977,20 @@ class ClusterTransport(SocketNode, Transport):
     def resource_sizes(self) -> Dict[str, int]:
         """Parent-side resource sizes; kill/restart cycles must not grow them.
 
-        ``receivers`` counts the client connections still open,
-        ``open_writers`` the client endpoints that can still send; a quiesced
-        snapshot after a recovery cycle is directly comparable to the
-        pre-fault baseline — the soak harness's non-growth gate.
+        ``receivers`` counts the connections the parent reads (its clients'
+        and the control connections), ``open_writers`` the client endpoints
+        that can still send, ``listeners`` the brokers' held listening
+        sockets and ``control_connections`` the open control connections; a
+        quiesced snapshot after a recovery cycle is directly comparable to
+        the pre-fault baseline — the soak harness's non-growth gate.
         """
         endpoints = [e for process in self._local.values() for e in process.links.values()]
         return {
             "links": len(self.links),
             "receivers": len(self._receivers),
             "open_writers": sum(e.is_open for e in endpoints),
-            "registry_entries": len(self.registry.registered),
-            "registry_disconnected": len(self.registry.disconnected),
+            "listeners": len(self._listeners),
+            "control_connections": sum(c.is_open for c in self._controls.values()),
             "live_children": sum(1 for child in self._children.values() if child.poll() is None),
             "pending_timers": self._clock.pending_timers,
         }
@@ -914,21 +1006,18 @@ class ClusterTransport(SocketNode, Transport):
         if self._closed:
             return
         self._closed = True
-        if self._booted:
-            for name, child in self._children.items():
-                if child.poll() is None:
-                    try:
-                        self._request(name, "shutdown", timeout=5.0)
-                    except (RegistryError, ConnectionError):
-                        pass
+
+        async def shutdown() -> None:
+            live = [name for name, control in self._controls.items() if control.is_open]
+            calls = [self._call(name, "shutdown", timeout=5.0) for name in live]
+            await asyncio.gather(*calls, return_exceptions=True)
             self._close_connections()
-            self._loop.run_until_complete(self.registry.close())
-            for name, child in self._children.items():
-                try:
-                    self.exit_codes[name] = child.wait(timeout=10.0)
-                except subprocess.TimeoutExpired:  # pragma: no cover - last resort
-                    child.kill()
-                    self.exit_codes[name] = child.wait()
+
+        self._loop.run_until_complete(shutdown())
+        for name in self._children:
+            self.exit_codes[name] = self._reap(name)
+        for listener in self._listeners.values():
+            listener.close()
         self._loop.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

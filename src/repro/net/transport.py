@@ -22,10 +22,10 @@ Three interchangeable backends:
   deterministic — that is the point: this is the deployment shape of the
   paper's original REBECA testbed (broker processes talking over sockets).
 * :class:`~repro.net.cluster.ClusterTransport` (``transport="cluster"``) —
-  every *broker* runs in its own spawned OS process, discovered through a
-  TCP registry in the parent (:mod:`repro.net.registry`); same wire frames,
-  one duplex TCP connection per link, real multi-core scale-out past the
-  single-process GIL ceiling.
+  every *broker* runs in its own spawned OS process, serving on a listening
+  socket the parent bound before spawning it and holds, so every address is
+  known before any child runs; same wire frames, one duplex TCP connection
+  per link, real multi-core scale-out past the single-process GIL ceiling.
 
 Every backend exposes the same clock surface (``now``/``schedule``/``run``/
 ``run_until_idle``), so processes keep their ``self.sim`` attribute and the
@@ -33,11 +33,12 @@ pubsub layer runs unchanged on any substrate.
 
 The two socket backends are one runtime, :class:`SocketNode`:
 ``AsyncioTransport`` is "N processes on one node", a cluster broker child
-"one broker plus a control channel", the cluster parent "the clients,
-dial-only".  What differs is policy, kept in their own endpoint classes,
-and how a connection comes to exist: cluster connections cross OS
-processes, so their ends meet by a dial and a handshake that checks the
-peer's wire revision; an ``AsyncioTransport`` link is born connected.
+"one broker plus a control connection", the cluster parent "the clients
+plus the control connections, dial-only".  What differs is policy, kept in
+their own endpoint classes, and how a connection comes to exist: cluster
+links cross OS processes, so their ends meet by a dial and a handshake that
+checks the peer's wire revision; an ``AsyncioTransport`` link, like a
+cluster control connection, is born connected.
 
 What each backend guarantees:
 
@@ -235,7 +236,7 @@ class Transport(ABC):
         its pre-fault baseline — the non-growth invariant gated by the chaos
         fuzzer and soak harness (:mod:`repro.pubsub.invariants`).  Backends
         report whatever they actually allocate (links, listeners, timers,
-        writers, registry entries); the base transport holds nothing.
+        writers, control connections); the base transport holds nothing.
         """
         return {}
 
@@ -252,7 +253,7 @@ class Transport(ABC):
 
         A plain (JSON-safe) dict.  In-process backends read their brokers
         directly; the cluster backend overrides this to gather the same
-        shape over the registry control channel.
+        shape over its control connections.
         """
         return {
             "transport": self.transport_metrics(),
@@ -531,8 +532,9 @@ class _Receiver(asyncio.BufferedProtocol):
     binds ``inbound``, the endpoint that takes what arrives); a cluster
     dialler passes one, already bound, as its own protocol (``acked`` is its
     future for the acceptor's answer); an :class:`AsyncioTransport` wraps
-    each end of a link it paired in one already bound and waiting for
-    nothing, which reads no handshake.  One loop callback per read: the
+    each end of a link it paired (the cluster, each end of a control
+    connection) in one already bound and waiting for nothing, which reads
+    no handshake.  One loop callback per read: the
     socket reads into the node's one ``_inbox`` (a fresh 256 KiB ``bytes``
     per read made glibc grow and trim the heap top — a page fault per read —
     or not, by heap layout); ``buffer_updated`` splits and decodes its

@@ -39,9 +39,9 @@ class BrokerNetwork:
     discrete-event simulator (pass ``sim`` to share one, or let one be
     created); ``"asyncio"`` runs every broker and client on real localhost
     TCP sockets with binary wire-serialized messages; ``"cluster"`` shards the
-    broker graph across spawned OS processes coordinated by a TCP registry
-    (:mod:`repro.net.cluster`) — the cluster boots lazily when the first
-    client attaches, freezing the broker topology.  The pub/sub behaviour is
+    broker graph across spawned OS processes, each serving on a listener
+    the parent holds (:mod:`repro.net.cluster`) — the cluster boots lazily
+    when the first client attaches, freezing the broker topology.  The pub/sub behaviour is
     identical on all backends; see :mod:`repro.net.transport` for the
     guarantees each one makes.
     """

@@ -178,7 +178,7 @@ def check_non_growth(
     """No tracked resource may exceed its baseline (plus optional slack).
 
     ``baseline`` and ``current`` are size snapshots — routing-table entries,
-    registry entries, live dynamic links, pending timers, open file
+    held listeners, live dynamic links, pending timers, open file
     descriptors — taken at comparable quiesced points.  Shrinking is fine
     (recovery may prune); growth is the leak signal.  ``slack`` grants named
     keys a small absolute allowance (e.g. one or two fds for a lazily
@@ -216,7 +216,7 @@ def resource_snapshot(net) -> Dict[str, int]:
 
     Merges per-broker routing-table sizes with whatever the transport
     reports through :meth:`~repro.net.transport.Transport.resource_sizes`
-    (links, registries, timers, writers).  Comparable before/after fault
+    (links, listeners, timers, writers).  Comparable before/after fault
     cycles via :func:`check_non_growth`.
     """
     sizes: Dict[str, int] = {}

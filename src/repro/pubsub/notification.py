@@ -126,8 +126,11 @@ class Notification(Mapping[str, Any]):
 
     def stamped(self, published_at: float, publisher: str) -> "Notification":
         """A copy carrying publication metadata (same id and content); every
-        publish comes here, so a value outside the domain is refused here."""
-        for value in self._attributes.values():
+        publish comes here, so a name that is no ``str`` or a value outside
+        the domain is refused here."""
+        for name, value in self._attributes.items():
+            if not isinstance(name, str):
+                raise WireError(f"{type(name).__name__} attribute name {name!r} is not a str")
             check_value(value)
         return Notification(
             self._attributes,

@@ -28,13 +28,13 @@ def with_write_path(transport, write_path):
 def impostor_of(net, broker, **ack):
     """Stand a raw listener in for cluster ``broker`` while the block runs.
 
-    The cluster's registry sends the next dialler of ``broker`` to it.  It
+    The parent's address map sends the next dialler of ``broker`` to it.  It
     accepts that one connection, reads the handshake, and answers with an
     honest ack whose fields ``ack`` overrides.  Then it waits for the
     dialler to hang up.  Yields what it heard: the handshake body, then
     ``b""`` for the hang-up.
     """
-    registered = net.transport.registry.registered
+    addresses = net.transport.addresses
     heard = []
     with socket.socket() as impostor:
         impostor.bind(("127.0.0.1", 0))
@@ -52,12 +52,12 @@ def impostor_of(net, broker, **ack):
                 heard.append(conn.recv(1))
 
         thread = threading.Thread(target=answer)
-        honest, registered[broker] = registered[broker], impostor.getsockname()
+        honest, addresses[broker] = addresses[broker], impostor.getsockname()
         thread.start()
         try:
             yield heard
         finally:
-            registered[broker] = honest
+            addresses[broker] = honest
             thread.join(timeout=2.0)
     assert not thread.is_alive()
 

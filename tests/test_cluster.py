@@ -1,31 +1,31 @@
-"""Tests for the multi-process cluster runner and its registry.
+"""Tests for the multi-process cluster runner.
 
 Three groups:
 
 * **backend equivalence** — the cluster backend (one OS process per broker)
   must deliver exactly the notification sets the deterministic simulator
   delivers for the same scenario, on a covering 3-broker topology;
-* **registry edge cases** — duplicate broker names, lookups of unknown
-  brokers, port collision retry;
+* **bootstrap** — the parent binds every broker's listener before it spawns
+  the broker and holds it until close; a dial to a child that is not
+  serving yet waits in that listener; the boot barrier waits for each
+  child's ready frame;
 * **failure semantics** — a broker process dying mid-run is detected and
   reported by the parent; the broker topology freezes once booted.
 """
 
-import asyncio
+import json
+import os
 import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.config import SystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport
 from repro.net.process import Process
-from repro.net.registry import (
-    RegistryError,
-    RegistryServer,
-    lookup,
-    register_node,
-    report_ready,
-)
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter, Prefix, Range
 from repro.pubsub.notification import Notification
@@ -118,7 +118,7 @@ def test_cluster_polls_remote_broker_and_link_stats():
         net.run_until_idle()
 
         assert len(subscriber.deliveries) == 5
-        # per-broker counters gathered over the registry control channels
+        # per-broker counters gathered over the control connections
         snapshot = net.transport.metrics_snapshot()
         assert snapshot["brokers"]["B2"]["counters"]["broker.matches"] == 5
         # the table size comes from the freshest idle poll
@@ -130,7 +130,7 @@ def test_cluster_polls_remote_broker_and_link_stats():
         net.close()
 
 
-# ----------------------------------------------------------------- registry
+# ---------------------------------------------------------------- bootstrap
 
 
 def test_run_until_idle_waits_for_scheduled_parent_callbacks():
@@ -153,95 +153,114 @@ def test_run_until_idle_waits_for_scheduled_parent_callbacks():
         net.close()
 
 
-def test_registry_rejects_duplicate_broker_name():
-    async def scenario():
-        registry = RegistryServer()
-        await registry.start()
-        try:
-            first = await register_node(registry.address, "B1", "127.0.0.1", 1111)
-            try:
-                with pytest.raises(RegistryError, match="duplicate broker name 'B1'"):
-                    await register_node(registry.address, "B1", "127.0.0.1", 2222)
-            finally:
-                first.close()
-        finally:
-            await registry.close()
-
-    asyncio.run(scenario())
-
-
-def test_registry_lookup_unknown_broker_times_out():
-    async def scenario():
-        registry = RegistryServer()
-        await registry.start()
-        try:
-            with pytest.raises(RegistryError, match="unknown broker 'nope'"):
-                await lookup(registry.address, "nope", timeout=0.2)
-        finally:
-            await registry.close()
-
-    asyncio.run(scenario())
-
-
-def test_registry_lookup_waits_for_late_registration():
-    async def scenario():
-        registry = RegistryServer()
-        await registry.start()
-        try:
-            async def register_later():
-                await asyncio.sleep(0.1)
-                return await register_node(registry.address, "late", "127.0.0.1", 4242)
-
-            register_task = asyncio.ensure_future(register_later())
-            address = await lookup(registry.address, "late", timeout=5.0)
-            assert address == ("127.0.0.1", 4242)
-            (await register_task).close()
-        finally:
-            await registry.close()
-
-    asyncio.run(scenario())
-
-
-def test_registry_port_collision_retries_next_port():
-    blocker = socket.socket()
-    blocker.bind(("127.0.0.1", 0))
-    blocker.listen(1)
-    taken = blocker.getsockname()[1]
-
-    async def scenario():
-        registry = RegistryServer(port=taken, port_retries=4)
-        bound = await registry.start()
-        try:
-            assert taken < bound[1] <= taken + 4
-        finally:
-            await registry.close()
-
-        # with retries disabled the collision is fatal
-        stubborn = RegistryServer(port=taken, port_retries=0)
-        with pytest.raises(RegistryError, match="could not bind"):
-            await stubborn.start()
-
+def test_each_broker_listens_at_its_own_address_until_close():
+    """The parent binds one listener per broker at boot and holds it: every
+    address is distinct and accepts a connection, and close releases them."""
+    net = line_topology(n_brokers=3, config=SystemConfig(transport="cluster"))
+    transport = net.transport
+    assert transport.addresses == {}  # nothing is bound before boot
     try:
-        asyncio.run(scenario())
+        transport.boot()
+        addresses = transport.addresses
+        assert sorted(addresses) == ["B1", "B2", "B3"]
+        assert len(set(addresses.values())) == 3
+        for address in addresses.values():
+            socket.create_connection(address, timeout=2.0).close()
+        assert transport.resource_sizes()["listeners"] == 3
     finally:
-        blocker.close()
+        net.close()
+    for address in addresses.values():
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=2.0)
 
 
-def test_registry_ready_barrier():
-    async def scenario():
-        registry = RegistryServer()
-        await registry.start()
-        try:
-            channel = await register_node(registry.address, "B1", "127.0.0.1", 9999)
-            with pytest.raises(RegistryError, match="never became ready"):
-                await registry.wait_ready(["B1"], timeout=0.2)
-            await report_ready(channel, "B1")
-            await registry.wait_ready(["B1"], timeout=1.0)
-            channel.close()
-        finally:
-            await registry.close()
+def _late_spawn(transport, late, delay):
+    """``transport._spawn`` with broker ``late``'s child starting ``delay`` s late."""
+    real_spawn = transport._spawn
 
-    asyncio.run(scenario())
+    def spawn(spec):
+        if spec["name"] != late:
+            return real_spawn(spec)
+        code = (
+            f"import sys, time; time.sleep({delay}); "
+            "from repro.net.cluster import node_main; sys.exit(node_main())"
+        )
+        return subprocess.Popen(
+            [sys.executable, "-c", code, json.dumps(spec)],
+            env={**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])},
+            pass_fds=(spec["listen_fd"], spec["control_fd"]),
+        )
+
+    return spawn
+
+
+def test_a_dial_waits_in_the_held_listener_for_a_late_child(monkeypatch):
+    """B1 dials B2 before B2's child serves: the connection waits in the
+    listener the parent holds, with no lookup and no retry, and the edge
+    carries traffic once B2 accepts it."""
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
+    try:
+        monkeypatch.setattr(net.transport, "_spawn", _late_spawn(net.transport, "B2", 0.5))
+        sub = net.add_client("sub", "B1")
+        sub.subscribe(Filter([Equals("topic", "t")]))
+        net.run_until_idle()
+        net.add_client("pub", "B2").publish(Notification({"topic": "t"}))
+        net.run_until_idle()
+        assert len(sub.deliveries) == 1
+    finally:
+        net.close()
+    assert net.transport.failures == {}
+
+
+def test_boot_barrier_waits_for_a_ready_frame(monkeypatch):
+    """A child that lives but never sends its ready frame holds the barrier
+    until it times out; the failed boot leaves nothing behind."""
+    transport = ClusterTransport()
+    monkeypatch.setattr(transport, "BOOT_TIMEOUT", 0.5)
+    real_spawn = transport._spawn
+
+    def mute_spawn(spec):
+        if spec["name"] != "B2":
+            return real_spawn(spec)
+        # holds its control connection and exits when anything arrives on it
+        code = "import socket, sys; socket.socket(fileno=int(sys.argv[1])).recv(1)"
+        fd = spec["control_fd"]
+        return subprocess.Popen([sys.executable, "-c", code, str(fd)], pass_fds=(fd,))
+
+    monkeypatch.setattr(transport, "_spawn", mute_spawn)
+    try:
+        b1 = transport.build_broker("B1")
+        transport.make_link(transport.build_broker("B2"), b1)  # the mute child dials nobody
+        with pytest.raises(ClusterError, match=r"never became ready within 0.5s: \['B2'\]"):
+            transport.boot()
+        assert "closed" in repr(transport)
+    finally:
+        transport.close()
+    assert transport.exit_codes == {"B1": 0, "B2": 0}
+
+
+def test_control_frames_count_in_no_counter():
+    """Ready frames, counter polls and metrics requests cross the control
+    connections only: no broker counter, ``transport.*`` instrument or idle
+    total sees them."""
+    net = line_topology(n_brokers=2, config=SystemConfig(transport="cluster"))
+    try:
+        transport = net.transport
+        transport.boot()
+        for _ in range(3):
+            net.run_until_idle()
+        transport.metrics_snapshot()
+        snapshot = transport.metrics_snapshot()
+        owners = [snapshot["transport"], *snapshot["brokers"].values()]
+        for metrics in owners:
+            assert metrics["counters"]["transport.frames_sent"] == 0
+            assert metrics["counters"]["transport.bytes_sent"] == 0
+            assert metrics["histograms"]["transport.socket_write_bytes"]["count"] == 0
+        for name, polled in transport.polled_stats.items():
+            assert (polled["received"], polled["sent"]) == (0, 0), name
+            assert snapshot["brokers"][name]["counters"]["broker.matches"] == 0
+    finally:
+        net.close()
 
 
 # ----------------------------------------------------------------- failures

@@ -16,13 +16,11 @@ Four groups:
   ``Transport.metrics_snapshot()`` agreeing across all three backends on
   the deterministic broker counters of a fixed workload, and the metrics
   switch reaching every backend's own wire instruments;
-* **surfaces** — the shared registry request helper's dead-channel path and
-  the ``repro top`` CLI smoke (its table and its ``--json`` snapshot), with
+* **surfaces** — the ``repro top`` CLI smoke (its table and its ``--json`` snapshot), with
   ``--backend`` the one way to name the transport.
 """
 
 import argparse
-import asyncio
 import dataclasses
 import json
 
@@ -32,7 +30,6 @@ from repro.cli import main
 from repro.config import SystemConfig
 from repro.core.middleware import MobilitySystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport, _BrokerNode
-from repro.net.registry import RegistryError, RegistryServer
 from repro.net.simulator import Simulator
 from repro.net.transport import SocketNode, Transport, make_transport
 from repro.obs.metrics import (
@@ -109,7 +106,7 @@ def test_cli_set_refuses_a_knob_no_deployment_chooses(knob, capsys):
 
 @pytest.mark.parametrize("knob", sorted(NOT_DEPLOYMENT_CHOICES))
 def test_broker_node_refuses_a_knob_no_deployment_chooses(knob):
-    spec = {"name": "B1", "registry": ["127.0.0.1", 0]}
+    spec = {"name": "B1"}
     config = {**SystemConfig().to_dict(), knob: NOT_DEPLOYMENT_CHOICES[knob]}
     with pytest.raises(ValueError, match=f"unknown SystemConfig key\\(s\\) '{knob}'"):
         _BrokerNode({**spec, "config": config})
@@ -243,7 +240,7 @@ def test_cluster_rejects_bad_declarations_before_boot():
 
 
 def test_cluster_child_rejects_a_bad_spec_config():
-    spec = {"name": "B1", "registry": ["127.0.0.1", 0], "matcher": "brute"}
+    spec = {"name": "B1", "matcher": "brute"}
     # a flat knob is no substitute for the config
     with pytest.raises(KeyError, match="config"):
         _BrokerNode(spec)
@@ -293,7 +290,7 @@ def test_cluster_child_reads_its_knobs_from_the_spec_config():
     transport = ClusterTransport(config=config)
     try:
         transport.build_broker("B1", routing="covering")
-        spec = dict(transport._specs["B1"], registry=["127.0.0.1", 0])
+        spec = dict(transport._specs["B1"])
     finally:
         transport.close()
     # the spec names each knob once, in its config
@@ -410,37 +407,6 @@ def test_metrics_disabled_config_snapshots_empty_registry_counters(backend):
 
 
 # ----------------------------------------------------------------- surfaces
-
-
-def test_registry_request_without_live_channel():
-    async def scenario():
-        server = RegistryServer()
-        await server.start()
-        try:
-            with pytest.raises(RegistryError, match="no live control channel for 'ghost'"):
-                await server.request("ghost", "stats", timeout=0.5)
-        finally:
-            await server.close()
-
-    asyncio.run(scenario())
-
-
-def test_registry_request_to_a_node_that_died_mid_send():
-    class ResetChannel:
-        def send(self, payload):
-            pass
-
-        async def drain(self):
-            raise ConnectionResetError("Connection lost")
-
-    async def scenario():
-        server = RegistryServer()
-        server._controls["B2"] = ResetChannel()
-        with pytest.raises(RegistryError, match="control channel to 'B2' lost"):
-            await server.request("B2", "stats", timeout=0.5)
-        assert not server._replies
-
-    asyncio.run(scenario())
 
 
 def test_cli_top_json(capsys):

@@ -10,22 +10,27 @@ Three groups:
 * **fault-plane surface** — misuse of the injection API (unknown actions,
   missing targets, double kills) fails loudly instead of corrupting state;
 * **supervision** — a child dying during boot fails fast with its exit code,
-  and the registry supports re-registration after a deliberate kill while
-  still rejecting genuinely duplicate live names.
+  a restarted broker serves on its old address, a broker restarted beside a
+  neighbour that is down dials only the neighbours that are up, a control
+  call to a dead child fails at once, and a child whose control connection
+  closes exits on its own.
 """
 
-import asyncio
+import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
 from repro.config import SystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport
-from repro.net.registry import RegistryError, RegistryServer, register_node
 from repro.net.transport import TransportError
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.chaosgen import STORYLINE, ChaosPlan, execute_plan
+from repro.pubsub.filters import Equals, Filter
+from repro.pubsub.notification import Notification
 
 
 # ------------------------------------------------------------- convergence
@@ -43,7 +48,7 @@ def test_kill9_and_restart_converge_to_sim_baseline():
     """The tentpole guarantee: chaos on real processes == the sim baseline.
 
     The storyline SIGKILLs broker B2 mid-workload, restarts it under
-    supervision (cold start: re-register, re-dial with backoff, re-sync
+    supervision (cold start: serve on its old listener, re-dial, re-sync
     routing state, re-attach clients), then severs and restores the B2-B3
     TCP link — and the post-recovery delivered sets must equal what the
     simulator's warm-crash model delivers for the identical plan.
@@ -161,28 +166,118 @@ def test_child_death_during_boot_fails_fast_with_exit_code(monkeypatch):
         transport.close()
 
 
-def test_registry_allows_reregistration_after_forget():
-    async def scenario():
-        registry = RegistryServer()
-        await registry.start()
-        try:
-            first = await register_node(registry.address, "B1", "127.0.0.1", 1111)
-            # a live holder of the name is still a genuine duplicate
-            with pytest.raises(RegistryError, match="duplicate broker name 'B1'"):
-                await register_node(registry.address, "B1", "127.0.0.1", 2222)
-            registry.forget("B1")
-            assert "B1" not in registry.registered
-            # ...but after a deliberate kill the name is free again
-            second = await register_node(registry.address, "B1", "127.0.0.1", 3333)
-            assert registry.registered["B1"] == ("127.0.0.1", 3333)
-            assert "B1" not in registry.disconnected
-            # the stale first channel's EOF must not clobber the fresh one
-            first.close()
-            await asyncio.sleep(0.05)
-            assert "B1" in registry.registered
-            assert "B1" not in registry.disconnected
-            second.close()
-        finally:
-            await registry.close()
+def test_a_restarted_broker_keeps_its_address():
+    """The respawned child serves on the listener its predecessor served on,
+    and the dead child's control connection closing leaves the new one be."""
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    try:
+        transport = net.transport
+        pub, sub = net.add_client("pub", "B1"), net.add_client("sub", "B2")
+        sub.subscribe(Filter([Equals("topic", "t")]))
+        net.run_until_idle()
+        addresses = dict(transport.addresses)
+        transport.kill_broker("B2")
+        transport.restart_broker("B2")
+        net.run_until_idle()
+        assert transport.addresses == addresses
+        sizes = transport.resource_sizes()
+        assert (sizes["listeners"], sizes["control_connections"]) == (2, 2)
+        assert sorted(transport.metrics_snapshot()["brokers"]) == ["B1", "B2"]
+        pub.publish(Notification({"topic": "t"}))
+        net.run_until_idle()
+        assert len(sub.deliveries) == 1
+    finally:
+        net.close()
 
-    asyncio.run(scenario())
+
+def test_attaching_a_client_to_a_killed_broker_fails_before_any_dial():
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    try:
+        net.add_client("c1", "B1")
+        transport = net.transport
+        transport.kill_broker("B2")
+        net.run_until_idle()
+        before = transport.resource_sizes()
+        with pytest.raises(ClusterError, match="cannot attach c2 to B2: B2 is down; restart"):
+            net.add_client("c2", "B2")
+        assert transport.resource_sizes() == before
+        assert "c2" not in transport._local
+    finally:
+        net.close()
+
+
+def test_restarting_a_broker_beside_a_down_neighbour_converges():
+    """Kill B2 and B3, then restart them in turn: B2 dials only B1 (B3 is
+    down), B3 dials B2 back, and every subscriber gets every later
+    notification exactly once."""
+    net = line_topology(n_brokers=3, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    try:
+        pub = net.add_client("pub", "B1")
+        subs = [net.add_client(f"sub{i}", f"B{i}") for i in (2, 3)]
+        for sub in subs:
+            sub.subscribe(Filter([Equals("topic", "t")]))
+        net.run_until_idle()
+        start = time.perf_counter()
+        for name in ("B2", "B3"):
+            net.transport.kill_broker(name)
+        for name in ("B2", "B3"):
+            net.transport.restart_broker(name)
+        net.run_until_idle()
+        for i in range(5):
+            pub.publish(Notification({"topic": "t"}, notification_id=9000 + i))
+        net.run_until_idle()
+        assert time.perf_counter() - start < 10.0
+        for sub in subs:
+            ids = sorted(d.notification.notification_id for d in sub.deliveries)
+            assert ids == list(range(9000, 9005))
+    finally:
+        net.close()
+
+
+def test_a_control_call_to_a_killed_child_fails_fast():
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    try:
+        net.add_client("c", "B1")
+        net.transport.kill_broker("B2")
+        start = time.perf_counter()
+        with pytest.raises(ClusterError, match="control connection to 'B2' closed"):
+            net.transport._request("B2", "stats", timeout=5.0)
+        assert time.perf_counter() - start < 1.0
+    finally:
+        net.close()
+
+
+def test_a_child_dying_under_a_request_fails_it_at_once():
+    """A stopped child cannot answer; killing it fails the outstanding
+    request as its control connection closes, not when the timeout ends."""
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    try:
+        net.add_client("c", "B1")
+        transport = net.transport
+        child = transport._children["B2"]
+        os.kill(child.pid, signal.SIGSTOP)
+        transport._loop.call_later(0.2, child.kill)
+        start = time.perf_counter()
+        with pytest.raises(ClusterError, match="control connection to 'B2' closed"):
+            transport._request("B2", "stats", timeout=5.0)
+        assert time.perf_counter() - start < 2.0
+        assert not transport._controls["B2"].replies
+    finally:
+        net.close()
+    assert net.transport.failures == {"B2": -signal.SIGKILL}
+
+
+def test_a_child_exits_when_its_control_connection_closes():
+    """The parent going away closes every control connection; each child
+    then shuts itself down, cleanly, so no orphan is left behind."""
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    try:
+        transport = net.transport
+        transport.boot()
+        transport._controls["B1"]._writer.close()
+        transport.run(until=transport.clock.now + 0.05)  # the close reaches the socket
+        assert transport._children["B1"].wait(timeout=5.0) == 0
+        assert transport._children["B2"].poll() is None
+    finally:
+        net.close()
+    assert net.transport.failures == {}

@@ -307,3 +307,19 @@ class TestValueDomain:
             assert [d.notification["v"] for d in subscriber.deliveries] == [(1, "x")]
         finally:
             net.close()
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_an_attribute_name_that_is_no_str_fails_alike_on_every_backend(self, backend):
+        net = line_topology(n_brokers=2, config=SystemConfig(transport=backend))
+        try:
+            subscriber = net.add_client("sub", "B2")
+            subscriber.subscribe(Filter([Exists("v")]))
+            publisher = net.add_client("pub", "B1")
+            net.run_until_idle()
+            for name in (1, None, ("v",)):
+                with pytest.raises(WireError, match="attribute name .* is not a str"):
+                    publisher.publish(Notification({name: "x", "v": 1}))
+            net.run_until_idle()
+            assert subscriber.deliveries == []
+        finally:
+            net.close()

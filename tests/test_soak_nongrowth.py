@@ -1,4 +1,4 @@
-"""Resource non-growth under churn: sockets, writers, timers, registries.
+"""Resource non-growth under churn: sockets, writers, timers, listeners.
 
 The leak class the soak harness gates: repeated attach/detach and
 kill/restart cycles must leave every transport-held resource at its
@@ -9,9 +9,10 @@ baseline.  Three surfaces:
   link that left its writers behind shows up in ``open_writers`` even after
   being dropped from the registry);
 * **cluster kill/restart** — each supervised recovery cycle closes the dead
-  broker's client sockets and attaches fresh ones; open writers, receivers,
-  registry entries, live children and pending timers must all return to the
-  pre-fault baseline;
+  broker's client sockets and control connection and opens fresh ones on
+  the listener the parent holds; open writers, receivers, held listeners,
+  control connections, live children and pending timers must all return
+  to the pre-fault baseline;
 * **soak loop** — a short in-process soak run holds its process-level
   plateau (open fds exactly flat) while chaining seeded chaos plans and
   seed-drawn mobility workload members.
@@ -92,7 +93,8 @@ def test_cluster_kill_restart_cycles_return_to_baseline():
         sizes = net.transport.resource_sizes()
         assert sizes["open_writers"] == baseline["transport:open_writers"]
         assert sizes["receivers"] == baseline["transport:receivers"]
-        assert sizes["registry_entries"] == baseline["transport:registry_entries"]
+        assert sizes["listeners"] == baseline["transport:listeners"] == 3
+        assert sizes["control_connections"] == baseline["transport:control_connections"] == 3
         assert sizes["live_children"] == baseline["transport:live_children"]
         assert sizes["pending_timers"] == baseline["transport:pending_timers"]
     finally:

@@ -160,7 +160,7 @@ def test_cluster_broker_survives_a_dialler_it_refuses():
             "wire": wire.WIRE_VERSION + 1,
         }
         start = time.perf_counter()
-        address = net.transport.registry.registered["B1"]
+        address = net.transport.addresses["B1"]
         with socket.create_connection(address, timeout=2.0) as raw:
             raw.sendall(wire.frame(wire.encode_control(handshake)))
             assert raw.recv(1) == b""  # refused: no ack, connection closed
@@ -256,14 +256,14 @@ def test_no_task_exists_per_connection(transport):
 
 def test_no_task_exists_per_cluster_client_connection():
     """The parent read each client connection in a task of its own; its
-    receivers are callbacks too now.  The registry's control channels (one
-    stream task per broker) are all that is left."""
+    receivers are callbacks, and so are those of the control connections
+    (one per broker): the parent runs no task at all."""
     net = line_topology(n_brokers=3, config=SystemConfig(transport="cluster"))
     try:
         transport = net.transport
         transport.boot()
-        control_tasks = asyncio.all_tasks(transport._loop)
-        assert len(control_tasks) == 3
+        assert asyncio.all_tasks(transport._loop) == set()
+        assert len(transport._receivers) == 3  # the control connections
         clients = [net.add_client(f"c{i}", f"B{i % 3 + 1}") for i in range(6)]
         for client in clients:
             client.subscribe(Filter([Equals("service", "temp")]))
@@ -271,8 +271,8 @@ def test_no_task_exists_per_cluster_client_connection():
         clients[0].publish(Notification({"service": "temp"}))
         net.run_until_idle()
         assert [len(client.deliveries) for client in clients[1:]] == [1] * 5
-        assert asyncio.all_tasks(transport._loop) == control_tasks
-        assert len(transport._receivers) == 6
+        assert asyncio.all_tasks(transport._loop) == set()
+        assert len(transport._receivers) == 3 + 6
     finally:
         net.close()
 
