@@ -80,8 +80,8 @@ def test_bench_end_to_end_publication_path(benchmark):
     """Publish 100 notifications through a 10-broker line with 20 subscribers."""
 
     def run_once():
-        sim = Simulator()
-        network = line_topology(sim, 10)
+        network = line_topology(10)
+        sim = network.sim
         subscribers = []
         for index in range(20):
             client = network.add_client(f"sub{index}", f"B{(index % 10) + 1}")

@@ -30,7 +30,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.config import SystemConfig  # noqa: E402
-from repro.net.simulator import Simulator  # noqa: E402
 from repro.pubsub.broker_network import random_tree_topology  # noqa: E402
 from repro.pubsub.filters import Equals, Filter, InSet, Range  # noqa: E402
 from repro.pubsub.notification import Notification  # noqa: E402
@@ -114,8 +113,8 @@ def bench_table(links: int, subscriptions: int, selectivity: float, notification
 def run_network(matcher: str, brokers: int, subscriptions: int, selectivity: float,
                 publications: int, seed: int = 0):
     rng = random.Random(seed)
-    sim = Simulator()
-    network = random_tree_topology(sim, brokers, seed=seed, config=SystemConfig(matcher=matcher))
+    network = random_tree_topology(brokers, seed=seed, config=SystemConfig(matcher=matcher))
+    sim = network.sim
     names = network.broker_names()
     subscribers = []
     for i in range(subscriptions):

@@ -66,8 +66,8 @@ def commute_once(variant: str, days: int = 5) -> dict:
     for day in range(days):
         morning = day * DAY + DAY * 0.25
         evening = day * DAY + DAY * 0.75
-        scenario.sim.schedule_at(morning, _commute, scenario, pda, office, predictor)
-        scenario.sim.schedule_at(evening, _commute, scenario, pda, home, predictor)
+        scenario.network.sim.schedule_at(morning, _commute, scenario, pda, office, predictor)
+        scenario.network.sim.schedule_at(evening, _commute, scenario, pda, home, predictor)
 
     scenario.run(duration)
     ticker.stop()

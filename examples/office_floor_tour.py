@@ -23,15 +23,15 @@ from __future__ import annotations
 import random
 
 from repro.core import LocationAwareClient, location_dependent, office_floor_space
-from repro.net import PeriodicTask, Simulator
+from repro.net import PeriodicTask
 from repro.pubsub import Equals, Filter, line_topology
 
 
 def main(duration: float = 120.0) -> None:
     rng = random.Random(42)
-    sim = Simulator()
     space = office_floor_space(n_rooms=10, rooms_per_broker=10)  # one broker covers the floor
-    network = line_topology(sim, n_brokers=1)
+    network = line_topology(n_brokers=1)
+    sim = network.sim
     broker = space.brokers()[0]
     rooms = space.locations
 

@@ -28,19 +28,18 @@ from repro.core import (
     location_dependent,
     office_floor_space,
 )
-from repro.net import Simulator
 from repro.pubsub import line_topology
 
 
 def main() -> None:
-    # 1. Simulation substrate and broker network (Fig. 2 of the paper).
-    sim = Simulator()
+    # 1. Broker network (Fig. 2 of the paper), on the simulator it owns.
     space = office_floor_space(n_rooms=6, rooms_per_broker=2)  # rooms room-00..room-05 on B1..B3
-    network = line_topology(sim, n_brokers=len(space.brokers()))
+    network = line_topology(n_brokers=len(space.brokers()))
+    sim = network.sim
 
     # 2. The mobility middleware: one replicator per border broker,
     #    shadows placed on the movement-graph neighbourhood (nlb).
-    system = MobilePubSub(sim, network, space, config=MobilitySystemConfig())
+    system = MobilePubSub(network, space, config=MobilitySystemConfig())
 
     # 3. Wired publishers: a temperature sensor in every room.
     sensors = {room: system.add_publisher(f"sensor-{room}", room) for room in space.locations}

@@ -2,8 +2,10 @@
 
 The package is organised in four layers:
 
-* :mod:`repro.net` — deterministic discrete-event simulation substrate
-  (processes, FIFO links, wireless channels);
+* :mod:`repro.net` — the substrate (processes, FIFO links, wireless
+  channels) and its interchangeable transports: the deterministic
+  discrete-event simulator, asyncio sockets and a multi-process cluster,
+  each owning its clock;
 * :mod:`repro.pubsub` — the REBECA-style content-based publish/subscribe
   substrate (notifications, filters, routing, brokers, clients);
 * :mod:`repro.core` — the paper's contribution: physical mobility

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..net.simulator import Simulator
 from ..pubsub.broker_network import BrokerNetwork
 from ..pubsub.client import Client
 from .location import LocationSpace
@@ -77,12 +76,10 @@ class MobilePubSub:
 
     Parameters
     ----------
-    sim:
-        The clock everything runs on — the discrete-event simulator on the
-        default backend, the transport's clock otherwise.  Pass ``None`` to
-        use the network's own clock (``network.sim``).
     network:
-        The (already built, validated) acyclic broker network.
+        The (already built, validated) acyclic broker network.  Everything
+        runs on its clock (``network.sim``): the discrete-event simulator on
+        the default backend, the transport's clock otherwise.
     space:
         The location space mapping logical locations to border brokers.
     movement_graph:
@@ -96,13 +93,13 @@ class MobilePubSub:
 
     def __init__(
         self,
-        sim: Optional[Simulator],
         network: BrokerNetwork,
         space: LocationSpace,
+        *,
         movement_graph: Optional[MovementGraph] = None,
         config: Optional[MobilitySystemConfig] = None,
     ):
-        self.sim = sim if sim is not None else network.sim
+        self.sim = network.sim
         self.network = network
         self.space = space
         self.config = config or MobilitySystemConfig()
@@ -182,7 +179,6 @@ class MobilePubSub:
     def add_mobile_client(self, name: str, reissue_on_attach: bool = True) -> MobileClient:
         """Create a mobile (wireless, roaming) client."""
         client = MobileClient(
-            self.sim,
             name,
             reissue_on_attach=reissue_on_attach,
             wireless_latency=WIRELESS_LATENCY,
@@ -302,9 +298,6 @@ class MobilePubSub:
             for broker, replicator in self.replicators.items()
             if replicator.virtual_clients
         }
-
-    def run(self, until: Optional[float] = None) -> float:
-        return self.sim.run(until=until)
 
     def run_until_idle(self) -> float:
         return self.sim.run_until_idle()

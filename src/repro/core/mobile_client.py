@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..net.process import Message, Process
-from ..net.simulator import Simulator
 from ..net.wireless import WirelessChannel
 from ..pubsub.filters import Filter
 from ..pubsub.notification import Notification
@@ -76,8 +75,6 @@ class MobileClient(Process):
 
     Parameters
     ----------
-    sim:
-        The simulator.
     name:
         Client identity (also used as the virtual clients' ``client_id``).
     reissue_on_attach:
@@ -89,24 +86,22 @@ class MobileClient(Process):
     transport:
         The mobility-capable :class:`~repro.net.transport.Transport` that
         carries each attachment (a simulator link on ``"sim"``, a real TCP
-        connection on ``"asyncio"``).
+        connection on ``"asyncio"``); the client runs on its clock.
     """
 
     def __init__(
         self,
-        sim: Simulator,
         name: str,
+        *,
         reissue_on_attach: bool = True,
         wireless_latency: float = 0.002,
         connect_latency: float = 0.05,
-        *,
         transport,
     ):
-        super().__init__(sim, name)
+        super().__init__(transport.clock, name)
         self.reissue_on_attach = reissue_on_attach
         self.channel = WirelessChannel(
-            sim, self, latency=wireless_latency, connect_latency=connect_latency,
-            transport=transport,
+            self, latency=wireless_latency, connect_latency=connect_latency, transport=transport
         )
         self.channel.on_connect(self._on_channel_connect)
         self.templates: Dict[str, LocationDependentFilter] = {}

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
+from ..pubsub.broker_network import BrokerNetwork
+from .location import LocationSpace
+
 
 class MovementGraph:
     """An undirected graph over border brokers restricting client movement.
@@ -110,7 +113,7 @@ class MovementGraph:
 # ------------------------------------------------------------------- builders
 
 
-def from_broker_network(network: "BrokerNetworkLike") -> MovementGraph:
+def from_broker_network(network: BrokerNetwork) -> MovementGraph:
     """Movement graph = the broker network's own adjacency.
 
     "In general, the movement graph in logical mobility is a refinement of
@@ -123,7 +126,7 @@ def from_broker_network(network: "BrokerNetworkLike") -> MovementGraph:
     return graph
 
 
-def from_location_space(space: "LocationSpaceWithAdjacency") -> MovementGraph:
+def from_location_space(space: LocationSpace) -> MovementGraph:
     """Movement graph induced by a location space.
 
     Two brokers are movement-adjacent iff some location of one is adjacent to
@@ -186,24 +189,3 @@ def line_graph(brokers: Sequence[str]) -> MovementGraph:
         graph.add_edge(a, b)
     return graph
 
-
-class BrokerNetworkLike:
-    """Structural interface required by :func:`from_broker_network`."""
-
-    def broker_names(self) -> List[str]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def broker_edges(self) -> List[Tuple[str, str]]:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class LocationSpaceWithAdjacency:
-    """Structural interface required by :func:`from_location_space`."""
-
-    locations: List[str]
-
-    def broker_of(self, location: str) -> str:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def neighbours_of(self, location: str) -> Set[str]:  # pragma: no cover - interface
-        raise NotImplementedError

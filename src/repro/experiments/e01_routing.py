@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Sequence
 
-from ..net.simulator import Simulator
 from ..pubsub.broker_network import random_tree_topology
 from ..pubsub.filters import Equals, Filter
 from .harness import Table
@@ -68,8 +67,8 @@ def _run_once(
     seed: int,
 ) -> Dict[str, int]:
     rng = random.Random(seed)
-    sim = Simulator()
-    network = random_tree_topology(sim, n_brokers, routing=strategy, seed=seed)
+    network = random_tree_topology(n_brokers, routing=strategy, seed=seed)
+    sim = network.sim
     brokers = network.broker_names()
 
     subscribers = []

@@ -26,7 +26,7 @@ from typing import Dict
 from ..core.location import office_floor_space
 from ..core.location_filter import location_dependent
 from ..core.logical_mobility import LocationAwareClient
-from ..net.simulator import PeriodicTask, Simulator
+from ..net.simulator import PeriodicTask
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import Equals, Filter
 from .harness import Table
@@ -61,9 +61,9 @@ def _run_once(
     seed: int,
 ) -> Dict[str, Dict[str, object]]:
     rng = random.Random(seed)
-    sim = Simulator()
     space = office_floor_space(n_rooms, rooms_per_broker)
-    network = line_topology(sim, len(space.brokers()))
+    network = line_topology(len(space.brokers()))
+    sim = network.sim
     broker = space.brokers()[0]
 
     # Per-room temperature sensors attached to the covering broker.

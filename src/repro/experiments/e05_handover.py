@@ -122,7 +122,7 @@ def _run_once(
     sample_period = max(dwell_time, 1.0)
     sample_times = [t * sample_period for t in range(1, int(duration / sample_period))]
     for t in sample_times:
-        scenario.sim.schedule_at(t, lambda: shadow_samples.append(scenario.system.total_shadow_count()))
+        scenario.network.sim.schedule_at(t, lambda: shadow_samples.append(scenario.system.total_shadow_count()))
 
     scenario.run(duration)
     publishers.stop()

@@ -136,7 +136,7 @@ def _run_once(
     shared = sum(r.subscriptions_shared for r in replicators)
 
     return {
-        "events": scenario.sim.events_processed,
+        "events": scenario.network.sim.events_processed,
         "broker_msgs": scenario.network.broker_link_messages(),
         "control_msgs": scenario.system.control_message_count(),
         "mean_latency": round(mean(latencies), 5),

@@ -20,7 +20,7 @@ import random
 from typing import Dict, List
 
 from ..core.context import ContextAwareClient, ContextMarker, context_dependent
-from ..net.simulator import PeriodicTask, Simulator
+from ..net.simulator import PeriodicTask
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import AtLeast, Equals, Filter
 from .harness import Table
@@ -57,8 +57,8 @@ def _run_once(
     publish_period: float, battery_step_period: float, duration: float, seed: int
 ) -> Dict[str, Dict[str, object]]:
     rng = random.Random(seed)
-    sim = Simulator()
-    network = line_topology(sim, 3)
+    network = line_topology(3)
+    sim = network.sim
 
     publisher = network.add_client("reminder-service", "B1")
     published = []

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Sequence
 
-from ..net.simulator import Simulator
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import AtLeast, AtMost, Equals, Filter
 from .harness import Table
@@ -65,8 +64,8 @@ def _run_once(
     strategy: str, n_brokers: int, n_subscribers: int, publications: int, seed: int
 ) -> Dict[str, object]:
     rng = random.Random(seed)
-    sim = Simulator()
-    network = line_topology(sim, n_brokers, routing=strategy)
+    network = line_topology(n_brokers, routing=strategy)
+    sim = network.sim
     brokers = network.broker_names()
 
     subscribers = []

@@ -113,7 +113,7 @@ def _run_once(
 
     memory_samples: List[int] = []
     for sample_time in range(5, int(duration), 5):
-        scenario.sim.schedule_at(
+        scenario.network.sim.schedule_at(
             float(sample_time), lambda: memory_samples.append(scenario.system.total_buffer_memory())
         )
 

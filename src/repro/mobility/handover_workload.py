@@ -207,7 +207,7 @@ def run_handover_workload(
     space = _line_space(brokers)
     started = time.perf_counter()
     try:
-        system = MobilePubSub(None, net, space, config=mobility_config)
+        system = MobilePubSub(net, space, config=mobility_config)
     except NotImplementedError:  # a backend without dynamic links
         net.close()
         raise

@@ -19,7 +19,6 @@ from ..core.location_filter import LocationDependentFilter
 from ..core.metrics import DeliveryOutcome, evaluate_mobile_delivery
 from ..core.middleware import MobilePubSub, MobilitySystemConfig
 from ..core.mobile_client import MobileClient
-from ..net.simulator import Simulator
 from ..pubsub.broker_network import BrokerNetwork, grid_border_topology, line_topology
 from .models import MobilityDriver, MobilityModel
 from .workload import WorkloadRecorder
@@ -37,9 +36,8 @@ class RoamingSubscriber:
 
 @dataclass
 class Scenario:
-    """A fully wired simulation ready to run."""
+    """A fully wired simulation ready to run, on ``network.sim``."""
 
-    sim: Simulator
     network: BrokerNetwork
     space: LocationSpace
     system: MobilePubSub
@@ -78,8 +76,9 @@ class Scenario:
     # -------------------------------------------------------------------- run
     def run(self, duration: float) -> None:
         """Advance the simulation to ``duration`` and then drain remaining events."""
-        self.sim.run(until=duration)
-        self.sim.run_until_idle()
+        sim = self.network.sim
+        sim.run(until=duration)
+        sim.run_until_idle()
 
     # --------------------------------------------------------------- evaluate
     def evaluate(self, subscriber: RoamingSubscriber) -> DeliveryOutcome:
@@ -99,12 +98,11 @@ def build_office_scenario(
     myloc_scope: str = "location",
 ) -> Scenario:
     """The office floor of Fig. 1: a corridor of rooms over a line of border brokers."""
-    sim = Simulator()
     space = office_floor_space(n_rooms, rooms_per_broker, myloc_scope=myloc_scope)
     n_brokers = len(space.brokers())
-    network = line_topology(sim, n_brokers)
-    system = MobilePubSub(sim, network, space, config=config)
-    return Scenario(sim=sim, network=network, space=space, system=system)
+    network = line_topology(n_brokers)
+    system = MobilePubSub(network, space, config=config)
+    return Scenario(network=network, space=space, system=system)
 
 
 def build_route_scenario(
@@ -114,12 +112,11 @@ def build_route_scenario(
     myloc_scope: str = "neighbourhood",
 ) -> Scenario:
     """The car-on-a-route scenario: road segments over a chain of roadside brokers."""
-    sim = Simulator()
     space = route_space(n_segments, segments_per_broker, myloc_scope=myloc_scope)
     n_brokers = len(space.brokers())
-    network = line_topology(sim, n_brokers)
-    system = MobilePubSub(sim, network, space, config=config)
-    return Scenario(sim=sim, network=network, space=space, system=system)
+    network = line_topology(n_brokers)
+    system = MobilePubSub(network, space, config=config)
+    return Scenario(network=network, space=space, system=system)
 
 
 def build_grid_scenario(
@@ -130,11 +127,10 @@ def build_grid_scenario(
     myloc_scope: str = "location",
 ) -> Scenario:
     """A GSM-style cellular grid: one border broker per cell, grid movement graph."""
-    sim = Simulator()
-    network, cells = grid_border_topology(sim, rows, cols)
+    network, cells = grid_border_topology(rows, cols)
     broker_for_cell = {(r, c): cells[(r, c)] for r in range(rows) for c in range(cols)}
     space = cell_grid_space(
         rows, cols, broker_for_cell=broker_for_cell, region_rows=region_rows, myloc_scope=myloc_scope
     )
-    system = MobilePubSub(sim, network, space, config=config)
-    return Scenario(sim=sim, network=network, space=space, system=system)
+    system = MobilePubSub(network, space, config=config)
+    return Scenario(network=network, space=space, system=system)

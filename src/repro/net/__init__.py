@@ -1,15 +1,15 @@
-"""Discrete-event simulation substrate.
+"""The substrate: processes, FIFO links, wireless channels and the transports that carry them.
 
-This package replaces the physical deployment of the original REBECA
-middleware (TCP links between Java broker processes, wireless access links to
-mobile devices) with a deterministic, laptop-scale simulation that preserves
-the properties the paper's algorithms rely on: per-link FIFO delivery, known
-latencies and explicit connection awareness.
+The paper's mechanisms only exchange messages over FIFO links, so the
+substrate is pluggable (:mod:`repro.net.transport`): a deterministic
+discrete-event simulator (the default), real localhost asyncio sockets, or a
+multi-process broker cluster.  Each backend owns its clock, which a network
+exposes as ``network.sim``; ``SystemConfig.transport`` names the backend.
 
 Only the names the examples use are re-exported here; everything else is
 imported from its defining module.
 """
 
-from .simulator import PeriodicTask, Simulator
+from .simulator import PeriodicTask
 
-__all__ = ["PeriodicTask", "Simulator"]
+__all__ = ["PeriodicTask"]

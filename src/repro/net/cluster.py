@@ -133,8 +133,9 @@ class ControlEndpoint(SocketEndpoint):
     A link of the node's own runtime whose frames are not traffic: each is
     written straight to the socket, so it counts in no broker counter, no
     ``transport.*`` instrument and no idle-detector total.  On the parent's
-    end, ``ready`` turns true with the child's first frame and ``replies``
-    holds the futures of the requests its later frames answer, by ``rid``.
+    end, ``ready`` turns true with the child's first frame, ``replies``
+    holds the futures of the requests its later frames answer, by ``rid``,
+    and ``closed`` resolves when the connection is lost: the child died.
     """
 
     def __init__(
@@ -150,6 +151,7 @@ class ControlEndpoint(SocketEndpoint):
         self._on_lost = on_lost
         self.ready = False
         self.replies: Dict[int, asyncio.Future] = {}
+        self.closed: asyncio.Future = node._loop.create_future()
 
     def transmit(self, message: Message) -> None:
         if self.is_open:
@@ -159,6 +161,7 @@ class ControlEndpoint(SocketEndpoint):
         self._on_frame(self, message)
 
     def lost(self) -> None:
+        self.closed.set_result(None)
         self._on_lost(self)
 
 
@@ -378,7 +381,10 @@ def node_main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         node = _BrokerNode(spec)
-        return node._loop.run_until_complete(node.serve())
+        try:
+            return node._loop.run_until_complete(node.serve())
+        finally:
+            node._loop.close()
     except Exception:  # a child must die loudly, with a traceback on stderr
         import traceback
 
@@ -516,8 +522,6 @@ class ClusterTransport(SocketNode, Transport):
     # the broker topology freezes at boot, so the dynamically attaching
     # wireless links of the mobility layer cannot be hosted here
     supports_mobility = False
-    # faults are real here: SIGKILL + supervised respawn, TCP-level severing
-    supports_fault_injection = True
 
     #: cap on a boot's (or a restart's) readiness barrier and a link restore
     BOOT_TIMEOUT = 60.0
@@ -730,6 +734,13 @@ class ClusterTransport(SocketNode, Transport):
             return child.wait()
 
     async def _attach_client(self, client: Process, broker_name: str, link: ClusterLink) -> None:
+        """Dial ``broker_name`` for ``client``; :meth:`_died` if its child is dead.
+
+        The parent holds every broker's listener, so a dial to a dead child
+        still connects and its handshake is never answered: the ack races
+        the loss of the child's control connection.
+        """
+
         def receive(message: Message) -> None:
             link._local_in.record(message)
             client.deliver(message)
@@ -737,9 +748,15 @@ class ClusterTransport(SocketNode, Transport):
         # the link owns the counters of both directions
         endpoint = ClusterEndpoint(self, broker_name, receive, stats=link._local_out)
         address = self.addresses[broker_name]
+        closed = self._controls[broker_name].closed
         receiver = await self._dial(address, endpoint, client.name, broker_name, kind="client")
         endpoint._writer = receiver.sock
-        await receiver.acked
+        await asyncio.wait((receiver.acked, closed), return_when=asyncio.FIRST_COMPLETED)
+        if not receiver.acked.done():
+            receiver.acked.cancel()
+            receiver._abort()
+            raise self._died(broker_name)
+        receiver.acked.result()
         client.attach_link(broker_name, endpoint)
 
     # ----------------------------------------------------------- control plane

@@ -27,9 +27,8 @@ import random
 from dataclasses import dataclass
 from typing import List, Optional
 
-from .link import Link, Network
+from .link import Link
 from .process import Process
-from .simulator import Simulator
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,11 @@ class FaultLog:
 
 
 class FaultInjector:
-    """Schedules faults against a :class:`~repro.net.link.Network`.
+    """Schedules faults against a :class:`~repro.pubsub.broker_network.BrokerNetwork`.
 
-    All methods accept absolute simulated times; scheduling in the past
-    raises (through the simulator), which keeps experiment scripts honest.
+    All methods accept absolute times on the network's own clock
+    (``network.sim``); scheduling in the past raises (through the
+    simulator), which keeps experiment scripts honest.
 
     Randomized fault decisions (the chaos fuzzer's flap repetitions, jittered
     schedules) draw from :attr:`rng`, a *private* ``random.Random(seed)`` —
@@ -75,8 +75,8 @@ class FaultInjector:
     original run drew it.
     """
 
-    def __init__(self, sim: Simulator, network: Network, seed: Optional[int] = None):
-        self.sim = sim
+    def __init__(self, network, *, seed: Optional[int] = None):
+        self.sim = network.sim
         self.network = network
         self.transport = network.transport
         self.log = FaultLog()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict
 
 from .process import LinkEndpoint, Message, Process
 from .simulator import Simulator
@@ -156,58 +156,3 @@ class Link:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"
         return f"Link({self.a.name}<->{self.b.name}, latency={self.latency}, {state})"
-
-
-class Network:
-    """A registry of processes and the links between them.
-
-    This is a convenience container used by topology builders and by the
-    metric collectors (which need to iterate over all links to sum up
-    control-message overhead).
-
-    Links are created through the network's :class:`~repro.net.transport.
-    Transport` backend, so the same registry works on the deterministic
-    simulator (the default — pass a :class:`Simulator` as before) or on real
-    asyncio sockets (``config=SystemConfig(transport="asyncio")``).
-    """
-
-    def __init__(self, sim: Optional[Simulator] = None, config=None):
-        from ..config import SystemConfig  # local: config imports this package
-        from .transport import make_transport  # local: transport imports Link
-
-        self.transport = make_transport(config or SystemConfig(), sim=sim)
-        self.processes: Dict[str, Process] = {}
-        self.links: list = []
-
-    @property
-    def sim(self):
-        """The backend's clock — the actual :class:`Simulator` on the sim backend."""
-        return self.transport.clock
-
-    def add_process(self, process: Process) -> Process:
-        if process.name in self.processes:
-            raise ValueError(f"duplicate process name {process.name!r}")
-        self.processes[process.name] = process
-        return process
-
-    def get(self, name: str) -> Process:
-        return self.processes[name]
-
-    def connect(self, a: str, b: str, latency: float = 0.001):
-        """Create (and register) a link between two already-added processes."""
-        link = self.transport.make_link(self.processes[a], self.processes[b], latency=latency)
-        self.links.append(link)
-        return link
-
-    def link_between(self, a: str, b: str) -> Optional[Link]:
-        for link in self.links:
-            names = {link.a.name, link.b.name}
-            if names == {a, b}:
-                return link
-        return None
-
-    def total_messages(self, kind: Optional[str] = None) -> int:
-        """Total messages across all links, optionally restricted to one kind."""
-        if kind is None:
-            return sum(link.total_messages() for link in self.links)
-        return sum(link.messages_of_kind(kind) for link in self.links)

@@ -117,10 +117,6 @@ class Transport(ABC):
     #: not just wired up at build time.  Backends opt in explicitly.
     supports_mobility: bool = False
 
-    #: whether :meth:`inject_fault` works on this backend.  Backends opt in
-    #: explicitly, the same way they opt into mobility.
-    supports_fault_injection: bool = False
-
     #: this substrate's own live instruments (socket backends keep the wire
     #: counters here; the simulator has none)
     metrics = None
@@ -172,10 +168,6 @@ class Transport(ABC):
         simulator; the cluster backend overrides this with real
         SIGKILL/respawn and TCP-level link severing.
         """
-        if not self.supports_fault_injection:
-            raise TransportError(
-                f"the {self.name!r} transport does not support fault injection"
-            )
         if action == "crash":
             self._fault_target(process, "process").alive = False
         elif action == "restart":
@@ -313,16 +305,10 @@ class SimTransport(Transport):
 
     name = "sim"
     supports_mobility = True
-    supports_fault_injection = True
 
-    def __init__(self, sim: Optional[Simulator] = None, config=None):
+    def __init__(self, *, config=None):
         super().__init__(config)
-        if sim is not None and not isinstance(sim, Simulator):
-            raise TypeError(
-                f"SimTransport wraps a Simulator, got {type(sim).__name__} "
-                "(did you pass a positional argument into the wrong slot?)"
-            )
-        self.sim = sim if sim is not None else Simulator()
+        self.sim = Simulator()
 
     @property
     def clock(self) -> Simulator:
@@ -943,7 +929,6 @@ class AsyncioTransport(SocketNode, Transport):
 
     name = "asyncio"
     supports_mobility = True
-    supports_fault_injection = True
 
     #: default cap on run_until_idle, so a routing bug cannot hang a test run
     DEFAULT_IDLE_TIMEOUT = 30.0
@@ -1209,16 +1194,15 @@ class AsyncioTransport(SocketNode, Transport):
 
 # -------------------------------------------------------------------- factory
 
-def make_transport(config, sim: Optional[Simulator] = None) -> Transport:
+def make_transport(config) -> Transport:
     """Build the backend ``config.transport`` names, configured by ``config``.
 
-    ``sim`` is the simulator the ``"sim"`` backend wraps (a fresh one when
-    ``None``); the socket backends run on their own clocks and reject it.
+    Every backend owns its clock: the ``"sim"`` backend a fresh
+    :class:`~repro.net.simulator.Simulator`, the socket backends their event
+    loop's.
     """
     if config.transport == "sim":
-        return SimTransport(sim, config)
-    if sim is not None:
-        raise ValueError(f"the {config.transport} backend does not take a Simulator")
+        return SimTransport(config=config)
     if config.transport == "asyncio":
         return AsyncioTransport(config=config)
     from .cluster import ClusterTransport  # lazy: avoid a subprocess import cycle

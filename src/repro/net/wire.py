@@ -151,7 +151,7 @@ def _load_table() -> None:
     from ..core.physical_mobility import HandoverReply, HandoverRequest
     from ..core.replicator import ClientHello, ReplicatorStats
     from ..pubsub import filters as f
-    from ..pubsub.notification import Notification
+    from ..pubsub.notification import Notification, check_value
     from ..pubsub.subscription import Subscription
 
     def add(*row: Any, **options: Any) -> None:
@@ -163,6 +163,14 @@ def _load_table() -> None:
     for cls, code, kind in ((tuple, 0x0B, ITEMS), (set, 0x0C, SORTED), (frozenset, 0x0D, SORTED)):
         items = ("items", "items", kind, lambda obj: obj)
         add(cls, cls.__name__, code, (items,), build=lambda items, cls=cls: cls(items))
+    def notification(attributes: Any, **fields: Any) -> Notification:
+        # the JSON decoder and the walker build here, so each value read must
+        # lie in the value domain, as at publish; _r_notification's inline
+        # read checks what it reads itself
+        for value in attributes.values():
+            check_value(value)
+        return Notification(attributes, **fields)
+
     attr = ("attribute", "attr", VALUE)
     add(
         Notification,
@@ -176,6 +184,7 @@ def _load_table() -> None:
             "publisher",
         ),
         cached=True,
+        build=notification,
         read=_r_notification,
     )
     add(f.Filter, "filter", 0x10, (("constraints", ITEMS),), cached=True)

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 from .process import Message, Process
-from .simulator import Simulator
 
 ConnectionCallback = Callable[[str], None]
 
@@ -54,28 +53,28 @@ class WirelessChannel:
     (``open_dynamic_link``/``close_dynamic_link``).  ``transport`` carries
     the wireless hop: on the simulator attachment is the classic synchronous
     :class:`~repro.net.link.Link`, on asyncio each attach opens a real TCP
-    connection and each detach closes it.
+    connection and each detach closes it.  The channel's clock is the
+    transport's.
     """
 
     def __init__(
         self,
-        sim: Simulator,
         device: Process,
+        *,
         latency: float = 0.002,
         connect_latency: float = 0.05,
-        *,
         transport,
     ):
-        self.sim = sim
-        self.device = device
-        self.latency = latency
-        self.connect_latency = connect_latency
-        self.transport = transport
         if not getattr(transport, "supports_mobility", False):
             raise ValueError(
                 f"transport {getattr(transport, 'name', transport)!r} does not support "
                 "dynamic (wireless) links"
             )
+        self.sim = transport.clock
+        self.device = device
+        self.latency = latency
+        self.connect_latency = connect_latency
+        self.transport = transport
         self.current_ap: Optional[Process] = None
         self._link = None
         # bumped by every attach and detach; a pending attach completion

@@ -5,8 +5,10 @@ is assumed to be acyclic and connected." (Sect. 2, Fig. 2)
 
 :class:`BrokerNetwork` wires :class:`~repro.pubsub.broker.Broker` processes
 together over FIFO links, registers the broker-to-broker peer relationships
-(so brokers can distinguish broker links from client links) and validates the
-acyclic/connected assumption.  The module also provides the standard topology
+(so brokers can distinguish broker links from client links), keeps the
+registry of every process and link (which the metric collectors and the
+fault injector iterate over) and validates the acyclic/connected
+assumption.  The module also provides the standard topology
 builders used by the experiments: line, balanced tree (a star is a tree of
 depth 1) and random tree.
 """
@@ -16,8 +18,9 @@ from __future__ import annotations
 import random
 from typing import Dict, List, Optional, Tuple
 
-from ..net.link import Link, Network
-from ..net.simulator import Simulator
+from ..net.link import Link
+from ..net.process import Process
+from ..net.transport import make_transport
 from .broker import Broker
 from .client import Client
 
@@ -36,19 +39,21 @@ class BrokerNetwork:
     built, with the allowed names in the message.
 
     The transport backends: ``"sim"`` (default) is the deterministic
-    discrete-event simulator (pass ``sim`` to share one, or let one be
-    created); ``"asyncio"`` runs every broker and client on real localhost
-    TCP sockets with binary wire-serialized messages; ``"cluster"`` shards the
-    broker graph across spawned OS processes, each serving on a listener
-    the parent holds (:mod:`repro.net.cluster`) — the cluster boots lazily
-    when the first client attaches, freezing the broker topology.  The pub/sub behaviour is
-    identical on all backends; see :mod:`repro.net.transport` for the
-    guarantees each one makes.
+    discrete-event simulator; ``"asyncio"`` runs every broker and client on
+    real localhost TCP sockets with binary wire-serialized messages;
+    ``"cluster"`` shards the broker graph across spawned OS processes, each
+    serving on a listener the parent holds (:mod:`repro.net.cluster`) — the
+    cluster boots lazily when the first client attaches, freezing the broker
+    topology.  The pub/sub behaviour is identical on all backends; see
+    :mod:`repro.net.transport` for the guarantees each one makes.  The
+    transport owns the clock, and :attr:`sim` is that clock: the
+    :class:`~repro.net.simulator.Simulator` on ``"sim"``, the event loop's
+    on the socket backends.
     """
 
     def __init__(
         self,
-        sim: Optional[Simulator] = None,
+        *,
         routing: str = "simple",
         link_latency: float = 0.001,
         config=None,
@@ -62,9 +67,12 @@ class BrokerNetwork:
         self.config = config
         self.routing = routing
         self.link_latency = link_latency
-        self.network = Network(sim, config)
-        self.transport = self.network.transport
-        self.sim = self.network.sim
+        self.transport = make_transport(config)
+        self.sim = self.transport.clock
+        #: every registered process (brokers, clients, replicators), by name
+        self.processes: Dict[str, Process] = {}
+        #: every link, in the order it was made
+        self.links: list = []
         self.brokers: Dict[str, Broker] = {}
         self.clients: Dict[str, Client] = {}
         self._broker_edges: List[Tuple[str, str]] = []
@@ -81,17 +89,15 @@ class BrokerNetwork:
         was built with.
         """
         broker = self.transport.build_broker(name, routing=self.routing)
+        self.add_process(broker)
         self.brokers[name] = broker
-        self.network.add_process(broker)
         return broker
 
     def connect_brokers(self, a: str, b: str, latency: Optional[float] = None) -> Link:
         """Create a broker-to-broker link and register the peer relation on both ends."""
         if a not in self.brokers or b not in self.brokers:
             raise KeyError(f"both {a!r} and {b!r} must be brokers in this network")
-        link = self.network.connect(
-            a, b, latency=latency if latency is not None else self.link_latency
-        )
+        link = self.connect_processes(a, b, latency)
         self.brokers[a].register_broker_peer(b)
         self.brokers[b].register_broker_peer(a)
         self._broker_edges.append((a, b))
@@ -100,8 +106,8 @@ class BrokerNetwork:
     def add_client(self, name: str, broker_name: str, latency: Optional[float] = None) -> Client:
         """Create a client process and attach it to a border broker."""
         client = Client(self.sim, name)
+        self.add_process(client)
         self.clients[name] = client
-        self.network.add_process(client)
         self.attach_client(client, broker_name, latency=latency)
         return client
 
@@ -111,24 +117,36 @@ class BrokerNetwork:
         """Attach an existing client process to ``broker_name`` and connect its local broker."""
         if broker_name not in self.brokers:
             raise KeyError(f"{broker_name!r} is not a broker in this network")
-        if client.name not in self.network.processes:
-            self.network.add_process(client)
+        if client.name not in self.processes:
+            self.add_process(client)
             self.clients[client.name] = client
-        link = self.network.connect(
-            client.name, broker_name, latency=latency if latency is not None else self.link_latency
-        )
+        link = self.connect_processes(client.name, broker_name, latency)
         client.connect_to(broker_name)
         return link
 
-    def add_process(self, process) -> None:
-        """Register a non-broker, non-client process (e.g. a replicator)."""
-        self.network.add_process(process)
+    def add_process(self, process: Process) -> Process:
+        """Register a process (broker, client, replicator) under its unique name."""
+        if process.name in self.processes:
+            raise ValueError(f"duplicate process name {process.name!r}")
+        self.processes[process.name] = process
+        return process
 
     def connect_processes(self, a: str, b: str, latency: Optional[float] = None) -> Link:
-        """Create a link between two arbitrary registered processes."""
-        return self.network.connect(
-            a, b, latency=latency if latency is not None else self.link_latency
+        """Create (and register) a link between two registered processes."""
+        link = self.transport.make_link(
+            self.processes[a],
+            self.processes[b],
+            latency=latency if latency is not None else self.link_latency,
         )
+        self.links.append(link)
+        return link
+
+    def link_between(self, a: str, b: str) -> Optional[Link]:
+        """The link joining ``a`` and ``b``, or ``None``."""
+        for link in self.links:
+            if {link.a.name, link.b.name} == {a, b}:
+                return link
+        return None
 
     # -------------------------------------------------------------- validation
     def validate(self) -> None:
@@ -167,13 +185,16 @@ class BrokerNetwork:
 
     # ------------------------------------------------------------------ stats
     def total_messages(self, kind: Optional[str] = None) -> int:
-        return self.network.total_messages(kind)
+        """Total messages across all links, optionally restricted to one kind."""
+        if kind is None:
+            return sum(link.total_messages() for link in self.links)
+        return sum(link.messages_of_kind(kind) for link in self.links)
 
     def broker_link_messages(self, kind: Optional[str] = None) -> int:
         """Messages that crossed broker-to-broker links only (network load metric)."""
         total = 0
         for a, b in self._broker_edges:
-            link = self.network.link_between(a, b)
+            link = self.link_between(a, b)
             if link is None:
                 continue
             total += link.total_messages() if kind is None else link.messages_of_kind(kind)
@@ -199,15 +220,15 @@ class BrokerNetwork:
 
 
 def line_topology(
-    sim: Optional[Simulator] = None,
     n_brokers: int = 2,
+    *,
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
     config=None,
 ) -> BrokerNetwork:
     """Brokers connected in a chain: B1 - B2 - ... - Bn."""
-    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
+    net = BrokerNetwork(routing=routing, link_latency=link_latency, config=config)
     names = [f"{prefix}{i + 1}" for i in range(n_brokers)]
     for name in names:
         net.add_broker(name)
@@ -218,9 +239,9 @@ def line_topology(
 
 
 def balanced_tree_topology(
-    sim: Optional[Simulator] = None,
     branching: int = 2,
     depth: int = 1,
+    *,
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
@@ -229,7 +250,7 @@ def balanced_tree_topology(
     """A balanced tree of brokers with the given branching factor and depth."""
     if branching < 1 or depth < 0:
         raise ValueError("branching must be >= 1 and depth >= 0")
-    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
+    net = BrokerNetwork(routing=routing, link_latency=link_latency, config=config)
     counter = 0
 
     def make(depth_left: int, parent: Optional[str]) -> None:
@@ -249,8 +270,8 @@ def balanced_tree_topology(
 
 
 def random_tree_topology(
-    sim: Optional[Simulator] = None,
     n_brokers: int = 2,
+    *,
     routing: str = "simple",
     link_latency: float = 0.001,
     seed: int = 0,
@@ -259,7 +280,7 @@ def random_tree_topology(
 ) -> BrokerNetwork:
     """A uniformly random tree over ``n_brokers`` brokers (random attachment)."""
     rng = random.Random(seed)
-    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
+    net = BrokerNetwork(routing=routing, link_latency=link_latency, config=config)
     names = [f"{prefix}{i + 1}" for i in range(n_brokers)]
     for name in names:
         net.add_broker(name)
@@ -271,9 +292,9 @@ def random_tree_topology(
 
 
 def grid_border_topology(
-    sim: Optional[Simulator] = None,
     rows: int = 1,
     cols: int = 2,
+    *,
     routing: str = "simple",
     link_latency: float = 0.001,
     prefix: str = "B",
@@ -286,7 +307,7 @@ def grid_border_topology(
     movement graphs are typically built from, while the broker *network*
     stays an acyclic tree as the paper requires.
     """
-    net = BrokerNetwork(sim, routing=routing, link_latency=link_latency, config=config)
+    net = BrokerNetwork(routing=routing, link_latency=link_latency, config=config)
     cells: Dict[Tuple[int, int], str] = {}
     for r in range(rows):
         for c in range(cols):

@@ -272,7 +272,7 @@ class _PlanRun:
             routing="covering",
             config=(config or SystemConfig()).replace(transport=backend),
         )
-        self.injector = FaultInjector(self.net.sim, self.net.network, seed=self.params.seed)
+        self.injector = FaultInjector(self.net, seed=self.params.seed)
         self.down: set = set()
         self.severed: set = set()
         self.roam_at = self.params.roam_start

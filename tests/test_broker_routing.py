@@ -9,7 +9,6 @@ property-style in ``test_routing_equivalence.py``.
 
 import pytest
 
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import (
     BrokerNetwork,
     TopologyError,
@@ -24,8 +23,8 @@ from repro.pubsub.routing import STRATEGIES, make_strategy
 
 @pytest.fixture
 def line3():
-    sim = Simulator()
-    net = line_topology(sim, 3)
+    net = line_topology(3)
+    sim = net.sim
     return sim, net
 
 
@@ -36,22 +35,21 @@ class TestTopologies:
         assert net.broker_edges() == [("B1", "B2"), ("B2", "B3")]
 
     def test_balanced_tree(self):
-        net = balanced_tree_topology(Simulator(), branching=2, depth=2)
+        net = balanced_tree_topology(branching=2, depth=2)
         assert len(net.broker_names()) == 7
 
     def test_random_tree_is_valid(self):
-        net = random_tree_topology(Simulator(), 12, seed=3)
+        net = random_tree_topology(12, seed=3)
         net.validate()
         assert len(net.broker_edges()) == 11
 
     def test_grid_border_topology(self):
-        net, cells = grid_border_topology(Simulator(), 2, 3)
+        net, cells = grid_border_topology(2, 3)
         assert len(cells) == 6
         net.validate()
 
     def test_validation_rejects_cycle(self):
-        sim = Simulator()
-        net = BrokerNetwork(sim)
+        net = BrokerNetwork()
         for name in ("A", "B", "C"):
             net.add_broker(name)
         net.connect_brokers("A", "B")
@@ -61,8 +59,7 @@ class TestTopologies:
             net.validate()
 
     def test_validation_rejects_disconnected(self):
-        sim = Simulator()
-        net = BrokerNetwork(sim)
+        net = BrokerNetwork()
         for name in ("A", "B", "C", "D"):
             net.add_broker(name)
         net.connect_brokers("A", "B")
@@ -71,7 +68,7 @@ class TestTopologies:
             net.validate()
 
     def test_connect_unknown_broker_rejected(self):
-        net = BrokerNetwork(Simulator())
+        net = BrokerNetwork()
         net.add_broker("A")
         with pytest.raises(KeyError):
             net.connect_brokers("A", "nope")
@@ -124,8 +121,8 @@ class TestBrokerBasics:
 @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
 class TestEndToEndDelivery:
     def test_matching_notification_delivered_across_network(self, strategy):
-        sim = Simulator()
-        net = line_topology(sim, 4, routing=strategy)
+        net = line_topology(4, routing=strategy)
+        sim = net.sim
         publisher = net.add_client("pub", "B1")
         subscriber = net.add_client("sub", "B4")
         subscriber.subscribe(filter_from_dict({"service": "temperature"}))
@@ -137,8 +134,8 @@ class TestEndToEndDelivery:
         assert received == ["temperature"]
 
     def test_no_delivery_to_publisher_itself(self, strategy):
-        sim = Simulator()
-        net = line_topology(sim, 2, routing=strategy)
+        net = line_topology(2, routing=strategy)
+        sim = net.sim
         client = net.add_client("both", "B1")
         client.subscribe(filter_from_dict({"service": "t"}))
         sim.run_until_idle()
@@ -149,9 +146,9 @@ class TestEndToEndDelivery:
         assert len(client.deliveries) == 0
 
     def test_multiple_subscribers_all_served(self, strategy):
-        sim = Simulator()
         # a star: hub B1, leaves B2..B5
-        net = balanced_tree_topology(sim, branching=4, depth=1, routing=strategy)
+        net = balanced_tree_topology(branching=4, depth=1, routing=strategy)
+        sim = net.sim
         publisher = net.add_client("pub", "B2")
         subscribers = [net.add_client(f"s{i}", f"B{i}") for i in range(3, 6)]
         for sub in subscribers:
@@ -162,8 +159,8 @@ class TestEndToEndDelivery:
         assert all(len(sub.deliveries) == 1 for sub in subscribers)
 
     def test_unsubscribe_stops_delivery(self, strategy):
-        sim = Simulator()
-        net = line_topology(sim, 3, routing=strategy)
+        net = line_topology(3, routing=strategy)
+        sim = net.sim
         publisher = net.add_client("pub", "B1")
         subscriber = net.add_client("sub", "B3")
         sub = subscriber.subscribe(filter_from_dict({"service": "t"}))
@@ -177,8 +174,8 @@ class TestEndToEndDelivery:
         assert len(subscriber.deliveries) == 1
 
     def test_unsubscribe_does_not_break_other_subscribers(self, strategy):
-        sim = Simulator()
-        net = line_topology(sim, 3, routing=strategy)
+        net = line_topology(3, routing=strategy)
+        sim = net.sim
         publisher = net.add_client("pub", "B1")
         keep = net.add_client("keep", "B3")
         leave = net.add_client("leave", "B3")
@@ -197,8 +194,8 @@ class TestRoutingStrategyBehaviour:
     def test_simple_routing_traffic_lower_than_flooding(self):
         results = {}
         for strategy in ("flooding", "simple"):
-            sim = Simulator()
-            net = line_topology(sim, 6, routing=strategy)
+            net = line_topology(6, routing=strategy)
+            sim = net.sim
             publisher = net.add_client("pub", "B1")
             subscriber = net.add_client("sub", "B2")
             subscriber.subscribe(filter_from_dict({"service": "t"}))
@@ -211,8 +208,8 @@ class TestRoutingStrategyBehaviour:
 
     def test_covering_suppresses_redundant_forwarding(self):
         def setup(strategy):
-            sim = Simulator()
-            net = line_topology(sim, 4, routing=strategy)
+            net = line_topology(4, routing=strategy)
+            sim = net.sim
             broad = net.add_client("broad", "B1")
             narrow = net.add_client("narrow", "B1")
             broad.subscribe(filter_from_dict({"service": "t"}))
@@ -226,8 +223,8 @@ class TestRoutingStrategyBehaviour:
         assert covering.broker_link_messages("subscribe") < simple.broker_link_messages("subscribe")
 
     def test_covering_unsubscribe_reforwards_uncovered(self):
-        sim = Simulator()
-        net = line_topology(sim, 3, routing="covering")
+        net = line_topology(3, routing="covering")
+        sim = net.sim
         broad = net.add_client("broad", "B1")
         narrow = net.add_client("narrow", "B1")
         publisher = net.add_client("pub", "B3")
@@ -245,8 +242,8 @@ class TestRoutingStrategyBehaviour:
         assert len(broad.deliveries) == 0
 
     def test_identity_suppresses_duplicate_filters(self):
-        sim = Simulator()
-        net = line_topology(sim, 3, routing="identity")
+        net = line_topology(3, routing="identity")
+        sim = net.sim
         clients = [net.add_client(f"c{i}", "B1") for i in range(4)]
         for client in clients:
             client.subscribe(filter_from_dict({"service": "t"}))
@@ -255,14 +252,13 @@ class TestRoutingStrategyBehaviour:
         assert net.broker_link_messages("subscribe") == 2
 
     def test_unknown_strategy_rejected(self):
-        sim = Simulator()
-        net = line_topology(sim, 2)
+        net = line_topology(2)
         with pytest.raises(ValueError):
             make_strategy("nonsense", net.brokers["B1"])
 
     def test_merging_still_delivers(self):
-        sim = Simulator()
-        net = line_topology(sim, 3, routing="merging")
+        net = line_topology(3, routing="merging")
+        sim = net.sim
         publisher = net.add_client("pub", "B3")
         subscribers = []
         for i in range(8):
@@ -276,8 +272,8 @@ class TestRoutingStrategyBehaviour:
         assert all(len(c.deliveries) == 1 for c in subscribers)
 
     def test_detach_message_cleans_routing_state(self):
-        sim = Simulator()
-        net = line_topology(sim, 3, routing="simple")
+        net = line_topology(3, routing="simple")
+        sim = net.sim
         subscriber = net.add_client("sub", "B1")
         subscriber.subscribe(filter_from_dict({"service": "t"}))
         sim.run_until_idle()

@@ -188,8 +188,8 @@ def test_unknown_injectable_bug_is_rejected():
 def test_fault_injector_rng_is_private_and_seeded():
     net = line_topology(n_brokers=3)
     try:
-        first = FaultInjector(net.sim, net.network, seed=99)
-        second = FaultInjector(net.sim, net.network, seed=99)
+        first = FaultInjector(net, seed=99)
+        second = FaultInjector(net, seed=99)
         draws = [first.rng.random() for _ in range(5)]
         assert draws == [second.rng.random() for _ in range(5)]
         state = first.snapshot()

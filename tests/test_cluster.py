@@ -10,7 +10,8 @@ Three groups:
   serving yet waits in that listener; the boot barrier waits for each
   child's ready frame;
 * **failure semantics** — a broker process dying mid-run is detected and
-  reported by the parent; the broker topology freezes once booted.
+  reported by the parent; a broker child closes its event loop as it
+  exits; the broker topology freezes once booted.
 """
 
 import json
@@ -282,6 +283,25 @@ def test_parent_detects_broker_process_death_mid_run():
         net.close()
     # close() records the killed child's exit code as a failure
     assert "B2" in net.transport.failures
+
+
+def test_a_broker_child_closes_its_event_loop():
+    """Development mode reports an event loop collected unclosed on stderr;
+    every broker child closes its own before it exits."""
+    command = "demo line --backend cluster --brokers 2 --publishes 2".split()
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro", *command],
+        env={
+            **os.environ,
+            "PYTHONDEVMODE": "1",
+            "PYTHONPATH": str(Path(repro.__file__).parents[1]),
+        },
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "unclosed event loop" not in completed.stderr
 
 
 def test_topology_frozen_after_boot():

@@ -188,13 +188,15 @@ def test_broker_network_rejects_non_config_object():
         BrokerNetwork(config={"matcher": "brute"})
 
 
-#: every fabric knob, with a value the SystemConfig field would accept
+#: every fabric knob, with a value the SystemConfig field would accept, and
+#: the clock, which the transport SystemConfig names owns
 _LOOSE_KNOBS = {
     "matcher": "brute",
     "advertising": "scan",
     "transport": "sim",
     "codec": "binary",
     "system": SystemConfig(),
+    "sim": Simulator(),
 }
 
 

@@ -6,10 +6,8 @@ from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 from repro.core.location import office_floor_space
 from repro.net.faults import FaultInjector
-from repro.net.link import Network
 from repro.net.process import Message, Process
-from repro.net.simulator import Simulator
-from repro.pubsub.broker_network import line_topology
+from repro.pubsub.broker_network import BrokerNetwork, line_topology
 from repro.pubsub.filters import Equals, Filter
 from repro.pubsub.notification import Notification
 
@@ -42,20 +40,20 @@ class Echo(Process):
 
 @pytest.fixture
 def small_network():
-    sim = Simulator()
-    network = Network(sim)
+    network = BrokerNetwork()
+    sim = network.sim
     a = network.add_process(Echo(sim, "a"))
     b = network.add_process(Echo(sim, "b"))
     c = network.add_process(Echo(sim, "c"))
-    network.connect("a", "b")
-    network.connect("b", "c")
+    network.connect_processes("a", "b")
+    network.connect_processes("b", "c")
     return sim, network, a, b, c
 
 
 class TestFaultInjector:
     def test_link_outage_drops_then_recovers(self, small_network):
         sim, network, a, b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         outage(sim, injector, "a", "b", start=1.0, duration=2.0)
         sim.schedule_at(1.5, lambda: a.send("b", Message("during-outage")))
         sim.schedule_at(4.0, lambda: a.send("b", Message("after-repair")))
@@ -67,7 +65,7 @@ class TestFaultInjector:
 
     def test_unknown_link_or_process_rejected(self, small_network):
         sim, network, _a, _b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         with pytest.raises(KeyError):
             injector.link_down_now("a", "zzz")
         with pytest.raises(KeyError):
@@ -75,7 +73,7 @@ class TestFaultInjector:
 
     def test_crash_and_restart_process(self, small_network):
         sim, network, a, b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         crash_for(injector, "b", start=1.0, duration=2.0)
         sim.schedule_at(1.5, lambda: a.send("b", Message("while-down")))
         sim.schedule_at(4.0, lambda: a.send("b", Message("while-up")))
@@ -85,7 +83,7 @@ class TestFaultInjector:
 
     def test_partition_disables_all_crossing_links(self, small_network):
         sim, network, a, _b, c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         affected = injector.partition(["a"], ["b", "c"], start=1.0, duration=1.0)
         assert affected == 1
         sim.schedule_at(1.5, lambda: a.send("b", Message("blocked")))
@@ -96,7 +94,7 @@ class TestFaultInjector:
 class TestFaultLog:
     def test_log_is_chronological_even_when_scheduled_out_of_order(self, small_network):
         sim, network, _a, _b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         # scheduled in reverse order; the log must record execution order
         crash_for(injector, "b", start=3.0, duration=1.0)
         outage(sim, injector, "a", "b", start=1.0, duration=0.5)
@@ -113,7 +111,7 @@ class TestFaultLog:
 
     def test_of_kind_filters_without_reordering(self, small_network):
         sim, network, _a, _b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         outage(sim, injector, "a", "b", start=1.0, duration=0.5)
         outage(sim, injector, "b", "c", start=2.0, duration=0.5)
         crash_for(injector, "b", start=1.5, duration=0.2)
@@ -125,7 +123,7 @@ class TestFaultLog:
 
     def test_immediate_fault_helpers_record_and_recover(self, small_network):
         sim, network, a, b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         injector.crash_now("b")
         injector.link_down_now("a", "b")
         assert [e.kind for e in injector.log] == ["process_down", "link_down"]
@@ -140,7 +138,7 @@ class TestFaultLog:
 class TestPartitionValidation:
     def test_partition_rejects_empty_sides(self, small_network):
         sim, network, _a, _b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         with pytest.raises(ValueError, match="non-empty"):
             injector.partition([], ["a"], start=1.0, duration=1.0)
         with pytest.raises(ValueError, match="non-empty"):
@@ -149,7 +147,7 @@ class TestPartitionValidation:
 
     def test_partition_rejects_overlapping_sides(self, small_network):
         sim, network, _a, _b, _c = small_network
-        injector = FaultInjector(sim, network)
+        injector = FaultInjector(network)
         with pytest.raises(ValueError, match="disjoint; both contain"):
             injector.partition(["a", "b"], ["b", "c"], start=1.0, duration=1.0)
         sim.run_until_idle()
@@ -158,13 +156,13 @@ class TestPartitionValidation:
 
 class TestSystemUnderFaults:
     def test_broker_link_outage_loses_only_the_outage_window(self):
-        sim = Simulator()
-        network = line_topology(sim, 3)
+        network = line_topology(3)
+        sim = network.sim
         publisher = network.add_client("pub", "B1")
         subscriber = network.add_client("sub", "B3")
         subscriber.subscribe(Filter([Equals("service", "t")]))
         sim.run_until_idle()
-        injector = FaultInjector(sim, network.network)
+        injector = FaultInjector(network)
         outage(sim, injector, "B2", "B3", start=5.0, duration=5.0)
         for second in range(15):
             sim.schedule_at(second + 0.01, lambda s=second: publisher.publish({"service": "t", "seq": s}))
@@ -175,17 +173,17 @@ class TestSystemUnderFaults:
         assert lost <= set(range(4, 11))  # ...but only within/around the outage window
 
     def test_mobile_client_rides_out_replicator_link_outage(self):
-        sim = Simulator()
         space = office_floor_space(n_rooms=6, rooms_per_broker=2)
-        network = line_topology(sim, 3)
-        system = MobilePubSub(sim, network, space, config=MobilitySystemConfig())
+        network = line_topology(3)
+        sim = network.sim
+        system = MobilePubSub(network, space, config=MobilitySystemConfig())
         sensor = system.add_publisher("sensor", space.locations[0])
         client = system.add_mobile_client("alice")
         client.subscribe_location(location_dependent({"service": "temperature"}))
         system.attach(client, location=space.locations[0])
         sim.run_until_idle()
 
-        injector = FaultInjector(sim, system.network.network)
+        injector = FaultInjector(system.network)
         outage(sim, injector, "R@B1", "B1", start=2.0, duration=1.0)
         sim.schedule_at(1.0, lambda: sensor.publish({"service": "temperature", "location": space.locations[0], "value": 1}))
         sim.schedule_at(4.0, lambda: sensor.publish({"service": "temperature", "location": space.locations[0], "value": 2}))
@@ -195,10 +193,10 @@ class TestSystemUnderFaults:
 
     @staticmethod
     def _mobility_system():
-        sim = Simulator()
         space = office_floor_space(n_rooms=6, rooms_per_broker=2)
-        network = line_topology(sim, 3)
-        system = MobilePubSub(sim, network, space, config=MobilitySystemConfig())
+        network = line_topology(3)
+        sim = network.sim
+        system = MobilePubSub(network, space, config=MobilitySystemConfig())
         loc_b1 = next(l for l in space.locations if space.broker_of(l) == "B1")
         loc_b2 = next(l for l in space.locations if space.broker_of(l) == "B2")
         return sim, space, system, loc_b1, loc_b2
@@ -210,7 +208,7 @@ class TestSystemUnderFaults:
         sensor = system.add_publisher("sensor", loc_b2)
         client = system.add_mobile_client("alice")
         client.subscribe_location(location_dependent({"service": "temperature"}))
-        injector = FaultInjector(sim, system.network.network)
+        injector = FaultInjector(system.network)
         # the replicator-to-replicator control link is down across the attach,
         # so R@B1's pre-subscription SHADOW_CREATE for B2 is silently lost
         outage(sim, injector, "R@B1", "R@B2", start=0.5, duration=5.0)
@@ -234,7 +232,7 @@ class TestSystemUnderFaults:
         sensor = system.add_publisher("sensor", loc_b2)
         client = system.add_mobile_client("bob")
         client.subscribe_location(location_dependent({"service": "temperature"}))
-        injector = FaultInjector(sim, system.network.network)
+        injector = FaultInjector(system.network)
         crash_for(injector, "R@B2", start=0.5, duration=5.0)
         sim.schedule_at(1.0, lambda: system.attach(client, location=loc_b1))
         sim.run_until_idle()
@@ -268,8 +266,8 @@ class TestFaultInjectorDeterminism:
         import random
 
         rng = random.Random(seed)
-        sim = Simulator()
-        network = line_topology(sim, 4)
+        network = line_topology(4)
+        sim = network.sim
         clients = []
         for i, broker in enumerate(network.broker_names()):
             client = network.add_client(f"c{i}", broker)
@@ -277,7 +275,7 @@ class TestFaultInjectorDeterminism:
             clients.append(client)
         sim.run_until_idle()
 
-        injector = FaultInjector(sim, network.network)
+        injector = FaultInjector(network)
         edges = network.broker_edges()
         for _ in range(5):
             a, b = edges[rng.randrange(len(edges))]
@@ -319,9 +317,9 @@ class TestFaultInjectorDeterminism:
         assert log_a != log_b
 
     def test_log_survives_partition_bookkeeping(self):
-        sim = Simulator()
-        network = line_topology(sim, 4)
-        injector = FaultInjector(sim, network.network)
+        network = line_topology(4)
+        sim = network.sim
+        injector = FaultInjector(network)
         affected = injector.partition(["B1", "B2"], ["B3", "B4"], start=1.0, duration=2.0)
         assert affected == 1  # the single tree edge between the two sides
         sim.run_until_idle()

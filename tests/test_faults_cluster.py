@@ -26,7 +26,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.net.cluster import ClusterError, ClusterTransport
-from repro.net.transport import TransportError
+from repro.net.transport import Transport, TransportError
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.chaosgen import STORYLINE, ChaosPlan, execute_plan
 from repro.pubsub.filters import Equals, Filter
@@ -103,7 +103,9 @@ def test_fault_injection_surface_rejects_misuse():
     try:
         net.add_client("c", "B1")  # first attachment boots the cluster
         transport = net.transport
-        assert transport.supports_fault_injection
+        # the cluster's faults are real (SIGKILL, TCP severing), not the
+        # in-process backends' switches
+        assert type(transport).inject_fault is not Transport.inject_fault
         with pytest.raises(ClusterError, match="unknown broker 'ZZ'"):
             transport.kill_broker("ZZ")
         with pytest.raises(TransportError, match="unknown fault action 'explode'"):
@@ -203,6 +205,31 @@ def test_attaching_a_client_to_a_killed_broker_fails_before_any_dial():
         assert transport.resource_sizes() == before
         assert "c2" not in transport._local
     finally:
+        net.close()
+
+
+def test_attaching_a_client_to_a_dead_child_fails_with_its_exit_code():
+    """A child that died behind the parent's back (no ``kill_broker``) fails
+    the attach with its exit code instead of hanging: the parent holds the
+    child's listener, so the dial connects and its handshake is never
+    answered; only the control connection's loss tells."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the attach to a dead child hung")
+
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        net.transport.boot()
+        child = net.transport._children["B2"]
+        child.kill()
+        child.wait()
+        with pytest.raises(ClusterError, match=f"'B2' exited with code {-signal.SIGKILL}"):
+            net.add_client("c", "B2")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
         net.close()
 
 

@@ -39,7 +39,7 @@ def run_random_walk_scenario(seed, duration=60.0, rows=3, cols=3, dwell=5.0):
     )
     scenario.run(duration)
     publishers.stop()
-    scenario.sim.run_until_idle()
+    scenario.network.sim.run_until_idle()
     return scenario, subscriber
 
 
@@ -118,7 +118,7 @@ class TestMultiClientScenario:
             )
         scenario.run(duration)
         publishers.stop()
-        scenario.sim.run_until_idle()
+        scenario.network.sim.run_until_idle()
 
         for subscriber in subscribers:
             outcome = scenario.evaluate(subscriber)
@@ -136,11 +136,11 @@ class TestMultiClientScenario:
         client = scenario.system.add_mobile_client("ephemeral")
         client.subscribe_location(template)
         scenario.system.attach(client, location=scenario.space.locations[0])
-        scenario.sim.run_until_idle()
+        scenario.network.sim.run_until_idle()
         scenario.system.move(client, scenario.space.locations[3])
-        scenario.sim.run_until_idle()
+        scenario.network.sim.run_until_idle()
         scenario.system.remove_client(client)
-        scenario.sim.run_until_idle()
+        scenario.network.sim.run_until_idle()
         assert scenario.system.total_virtual_clients() == 0
         assert_one_subscription_per_filter(scenario.system)
         for broker in scenario.network.brokers.values():

@@ -23,7 +23,6 @@ from types import MappingProxyType
 import pytest
 
 from repro.config import SystemConfig
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, InSet, NotEquals, Range
 from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, IntervalBucketIndex
@@ -591,8 +590,8 @@ def _deliveries(matcher: str, seed: int):
     """End-to-end: a range-only population through a broker tree, published
     values spelt as int, float and bool."""
     rng = random.Random(seed)
-    sim = Simulator()
-    network = random_tree_topology(sim, 6, seed=seed, config=SystemConfig(matcher=matcher))
+    network = random_tree_topology(6, seed=seed, config=SystemConfig(matcher=matcher))
+    sim = network.sim
     brokers = network.broker_names()
     subscribers = []
     for i in range(30):

@@ -6,15 +6,14 @@ from repro.core.context import ContextAwareClient, ContextMarker, context_depend
 from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.logical_mobility import LocationAwareClient
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
 
 
 @pytest.fixture
 def floor():
-    sim = Simulator()
     space = office_floor_space(n_rooms=6, rooms_per_broker=6)
-    network = line_topology(sim, 1)
+    network = line_topology(1)
+    sim = network.sim
     sensor = network.add_client("sensor", "B1")
     return sim, space, network, sensor
 
@@ -126,8 +125,8 @@ class TestContextDependentFilters:
 
 class TestContextAwareClient:
     def _system(self):
-        sim = Simulator()
-        network = line_topology(sim, 2)
+        network = line_topology(2)
+        sim = network.sim
         publisher = network.add_client("publisher", "B1")
         return sim, network, publisher
 

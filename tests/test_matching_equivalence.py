@@ -248,14 +248,13 @@ class TestRangeHeavyEquivalence:
     @pytest.mark.parametrize("strategy", ["flooding", "simple", "identity", "covering", "merging"])
     @pytest.mark.parametrize("matcher", ["brute", "indexed"])
     def test_all_strategies_deliver_exactly_under_range_workload(self, strategy, matcher):
-        from repro.net.simulator import Simulator
         from repro.pubsub.broker_network import random_tree_topology
 
         rng = random.Random(9)
-        sim = Simulator()
         network = random_tree_topology(
-            sim, 5, routing=strategy, seed=3, config=SystemConfig(matcher=matcher)
+            5, routing=strategy, seed=3, config=SystemConfig(matcher=matcher)
         )
+        sim = network.sim
         brokers = network.broker_names()
         subscribers = []
         for i in range(10):

@@ -14,7 +14,6 @@ from repro.core.metrics import (
     relevant_notification_ids,
 )
 from repro.core.mobile_client import AttachmentRecord, MobileClient, MobileDelivery
-from repro.net.simulator import Simulator
 from repro.net.transport import SimTransport
 from repro.pubsub.filters import Equals, Filter
 from repro.pubsub.notification import Notification
@@ -90,8 +89,7 @@ class TestOutcomes:
 
 class TestHandoverLatencies:
     def test_first_delivery_assigned_to_the_right_attachment(self):
-        sim = Simulator()
-        client = MobileClient(sim, "alice", transport=SimTransport(sim))
+        client = MobileClient("alice", transport=SimTransport())
         client.attachments.extend(
             [
                 AttachmentRecord(broker="B1", requested_at=0.0, welcomed_at=0.1),
@@ -111,8 +109,7 @@ class TestHandoverLatencies:
         assert latencies[0].setup_latency == pytest.approx(0.1)
 
     def test_attachment_without_delivery(self):
-        sim = Simulator()
-        client = MobileClient(sim, "alice", transport=SimTransport(sim))
+        client = MobileClient("alice", transport=SimTransport())
         client.attachments.append(AttachmentRecord(broker="B1", requested_at=0.0))
         (latency,) = handover_latencies(client)
         assert latency.first_delivery_latency is None

@@ -6,7 +6,6 @@ from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 from repro.net.process import Message
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter
 from repro.pubsub.notification import Notification
@@ -16,8 +15,8 @@ class TestBrokerExtras:
     def test_a_repeated_publish_is_routed_again(self):
         # brokers keep no memory of routed notification ids: the chaos
         # replays rely on a replay reaching its subscriber again
-        sim = Simulator()
-        network = line_topology(sim, 2)
+        network = line_topology(2)
+        sim = network.sim
         subscriber = network.add_client("sub", "B2")
         subscriber.subscribe(Filter([Equals("service", "t")]))
         publisher = network.add_client("pub", "B1")
@@ -32,16 +31,16 @@ class TestBrokerExtras:
         assert not any("duplicate" in key for part in snapshot.values() for key in part)
 
     def test_unknown_message_kind_ignored(self):
-        sim = Simulator()
-        network = line_topology(sim, 2)
+        network = line_topology(2)
+        sim = network.sim
         client = network.add_client("c", "B1")
         client.send("B1", Message(kind="mystery", payload=None))
         sim.run_until_idle()  # must not raise
         assert network.brokers["B1"].messages_received == 1
 
     def test_broker_network_run_passthrough(self):
-        sim = Simulator()
-        network = line_topology(sim, 2)
+        network = line_topology(2)
+        sim = network.sim
         sim.schedule(5.0, lambda: None)
         assert network.run(until=2.0) == 2.0
 
@@ -49,10 +48,10 @@ class TestBrokerExtras:
 class TestMiddlewareExtras:
     @pytest.fixture
     def system(self):
-        sim = Simulator()
         space = office_floor_space(n_rooms=4, rooms_per_broker=2)
-        network = line_topology(sim, 2)
-        return sim, space, MobilePubSub(sim, network, space)
+        network = line_topology(2)
+        sim = network.sim
+        return sim, space, MobilePubSub(network, space)
 
     def test_replicator_lookup_by_location_and_broker(self, system):
         _sim, space, system = system
@@ -86,21 +85,19 @@ class TestMiddlewareExtras:
         assert client.current_broker == space.broker_of(space.locations[3])
 
     def test_unknown_predictor_spec_rejected(self):
-        sim = Simulator()
         space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
+        network = line_topology(2)
         with pytest.raises(ValueError):
-            MobilePubSub(sim, network, space, config=MobilitySystemConfig(predictor="psychic"))
+            MobilePubSub(network, space, config=MobilitySystemConfig(predictor="psychic"))
 
     def test_predictor_object_passthrough(self):
         from repro.core.uncertainty import NoPredictionPredictor
 
-        sim = Simulator()
         space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
+        network = line_topology(2)
         predictor = NoPredictionPredictor()
         system = MobilePubSub(
-            sim, network, space, config=MobilitySystemConfig(predictor=predictor)
+            network, space, config=MobilitySystemConfig(predictor=predictor)
         )
         assert system.predictor is predictor
 
@@ -118,10 +115,9 @@ class TestMiddlewareExtras:
 
 class TestReplicatorEdgeCases:
     def test_location_update_for_unknown_client_is_ignored(self):
-        sim = Simulator()
         space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
-        system = MobilePubSub(sim, network, space)
+        network = line_topology(2)
+        system = MobilePubSub(network, space)
         replicator = system.replicators["B1"]
         replicator.deliver(
             Message(kind="location_update", payload={"client_id": "ghost", "location": space.locations[0]})
@@ -129,10 +125,9 @@ class TestReplicatorEdgeCases:
         assert replicator.virtual_clients == {}
 
     def test_unsubscribe_for_unknown_client_is_ignored(self):
-        sim = Simulator()
         space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
-        system = MobilePubSub(sim, network, space)
+        network = line_topology(2)
+        system = MobilePubSub(network, space)
         replicator = system.replicators["B1"]
         replicator.deliver(
             Message(kind="client_unsubscribe", payload={"client_id": "ghost", "template_id": "x", "sub_id": None})
@@ -140,19 +135,17 @@ class TestReplicatorEdgeCases:
         assert replicator.virtual_clients == {}
 
     def test_device_disconnect_for_unknown_client_is_ignored(self):
-        sim = Simulator()
         space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
-        system = MobilePubSub(sim, network, space)
+        network = line_topology(2)
+        system = MobilePubSub(network, space)
         system.replicators["B1"].device_disconnected("ghost")  # must not raise
 
     def test_handover_reply_for_departed_client_is_dropped(self):
         from repro.core.physical_mobility import HandoverReply
 
-        sim = Simulator()
         space = office_floor_space(n_rooms=2, rooms_per_broker=1)
-        network = line_topology(sim, 2)
-        system = MobilePubSub(sim, network, space)
+        network = line_topology(2)
+        system = MobilePubSub(network, space)
         replicator = system.replicators["B1"]
         reply = HandoverReply(client_id="ghost", old_broker="B2")
         replicator.deliver(Message(kind="handover_reply", payload=reply, sender="R@B2"))

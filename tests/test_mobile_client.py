@@ -8,7 +8,6 @@ from repro.core.middleware import MobilePubSub
 from repro.core.mobile_client import MobileClient
 from repro.core.replicator import CLIENT_HELLO, CLIENT_SUBSCRIBE
 from repro.net.process import Message, Process
-from repro.net.simulator import Simulator
 from repro.net.transport import SimTransport
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter
@@ -30,15 +29,15 @@ class FakeReplicator(Process):
 
 @pytest.fixture
 def device_setup():
-    sim = Simulator()
+    client = MobileClient("alice", connect_latency=0.1, transport=SimTransport())
+    sim = client.sim
     replicator = FakeReplicator(sim, "R@B1")
-    client = MobileClient(sim, "alice", connect_latency=0.1, transport=SimTransport(sim))
     return sim, replicator, client
 
 
 def test_a_mobile_client_needs_a_transport():
     with pytest.raises(TypeError):
-        MobileClient(Simulator(), "alice")
+        MobileClient("alice")
 
 
 class TestHelloProtocol:

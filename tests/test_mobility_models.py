@@ -120,7 +120,7 @@ class TestMobilityDriver:
         driver = MobilityDriver(scenario.system, client, model, duration=16.0)
         driver.start()
         # at t=12 the client should be inside its first off period (10..15)
-        scenario.sim.run(until=12.0)
+        scenario.network.sim.run(until=12.0)
         assert not client.connected
         scenario.run(20.0)
         assert client.connected

@@ -105,7 +105,7 @@ class TestHandoverCrossCheck:
 def test_mobility_layer_accepts_asyncio_backend():
     net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="asyncio"))
     space = LocationSpace({"l1": "B1", "l2": "B2"}, adjacency={"l1": ["l2"], "l2": ["l1"]})
-    system = MobilePubSub(None, net, space, config=MobilitySystemConfig())
+    system = MobilePubSub(net, space, config=MobilitySystemConfig())
     try:
         client = system.add_mobile_client("m1")
         system.attach(client, location="l1")
@@ -130,18 +130,17 @@ def test_simulated_latency_stays_on_the_simulator(backend, expected):
     report 0."""
     net = line_topology(n_brokers=2, config=SystemConfig(transport=backend))
     space = LocationSpace({"l1": "B1", "l2": "B2"}, adjacency={"l1": ["l2"], "l2": ["l1"]})
-    system = MobilePubSub(None, net, space)
+    system = MobilePubSub(net, space)
     try:
         system.add_publisher("pub-l1", "l1")
         client = system.add_mobile_client("m1")
         system.attach(client, location="l1")
         system.run_until_idle()
         assert client.connected
-        links = net.network
         built = (
-            links.link_between("pub-l1", "B1").latency,
-            links.link_between("R@B1", "B1").latency,
-            links.link_between("R@B1", "R@B2").latency,
+            net.link_between("pub-l1", "B1").latency,
+            net.link_between("R@B1", "B1").latency,
+            net.link_between("R@B1", "R@B2").latency,
             client.channel._link.latency,
         )
         assert built == expected
@@ -162,7 +161,7 @@ def test_mobility_layer_rejects_cluster_backend():
     try:
         space = LocationSpace({"l1": "B1"})
         with pytest.raises(NotImplementedError):
-            MobilePubSub(net.sim, net, space)
+            MobilePubSub(net, space)
     finally:
         net.close()
 
@@ -187,9 +186,7 @@ def asyncio_channel():
     device = Recorder(transport.clock, "device")
     ap1 = Recorder(transport.clock, "ap1")
     ap2 = Recorder(transport.clock, "ap2")
-    channel = WirelessChannel(
-        transport.clock, device, latency=0.0, connect_latency=0.005, transport=transport
-    )
+    channel = WirelessChannel(device, latency=0.0, connect_latency=0.005, transport=transport)
     yield transport, channel, device, ap1, ap2
     transport.close()
 
@@ -277,9 +274,7 @@ class TestWirelessChannelOnAsyncio:
         # stale, and must leave neither a second attachment nor a socket
         transport, channel, _device, ap1, ap2 = asyncio_channel
         winner, loser = (ap1, ap2) if second == "ap1" else (ap2, ap1)
-        probe = WirelessChannel(
-            transport.clock, Recorder(transport.clock, "probe"), latency=0.0, transport=transport
-        )
+        probe = WirelessChannel(Recorder(transport.clock, "probe"), latency=0.0, transport=transport)
         probe.attach(ap2, immediate=True)
         transport.run_until_idle()
         one_link = transport.resource_sizes()
@@ -347,10 +342,9 @@ class TestWirelessChannelOnAsyncio:
 
 
 def test_sim_transport_dynamic_link_is_synchronous():
-    from repro.net.simulator import Simulator
     from repro.net.transport import SimTransport
 
-    transport = SimTransport(Simulator())
+    transport = SimTransport()
     a = Recorder(transport.clock, "a")
     b = Recorder(transport.clock, "b")
     opened = []

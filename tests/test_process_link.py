@@ -2,10 +2,11 @@
 
 import pytest
 
-from repro.net.link import Link, Network
+from repro.net.link import Link
 from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
 from repro.net.transport import SimTransport
+from repro.pubsub.broker_network import BrokerNetwork
 
 
 class Recorder(Process):
@@ -172,24 +173,24 @@ class TestLinkFailure:
             if build == "link":
                 Link(sim, a, b, latency=latency)
             else:
-                SimTransport(sim).make_link(a, b, latency=latency)
+                SimTransport().make_link(a, b, latency=latency)
         assert a.links == {} and b.links == {}
 
 
-class TestNetwork:
+class TestBrokerNetworkRegistry:
     def test_duplicate_process_names_rejected(self):
-        sim = Simulator()
-        network = Network(sim)
+        network = BrokerNetwork()
+        sim = network.sim
         network.add_process(Recorder(sim, "a"))
         with pytest.raises(ValueError):
             network.add_process(Recorder(sim, "a"))
 
     def test_connect_and_lookup(self):
-        sim = Simulator()
-        network = Network(sim)
+        network = BrokerNetwork()
+        sim = network.sim
         a = network.add_process(Recorder(sim, "a"))
         b = network.add_process(Recorder(sim, "b"))
-        network.connect("a", "b", latency=0.1)
+        network.connect_processes("a", "b", latency=0.1)
         assert network.link_between("a", "b") is not None
         assert network.link_between("b", "a") is not None
         assert network.link_between("a", "c") is None

@@ -15,16 +15,15 @@ from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 from repro.core.replicator import SHADOW_DELETE, ReplicatorConfig
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter
 
 
 def build_system(config=None, n_rooms=12, rooms_per_broker=3):
-    sim = Simulator()
     space = office_floor_space(n_rooms=n_rooms, rooms_per_broker=rooms_per_broker)
-    network = line_topology(sim, len(space.brokers()))
-    system = MobilePubSub(sim, network, space, config=config)
+    network = line_topology(len(space.brokers()))
+    sim = network.sim
+    system = MobilePubSub(network, space, config=config)
     return sim, space, system
 
 

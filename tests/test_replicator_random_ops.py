@@ -27,7 +27,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
 
 N_ROOMS = 12
@@ -55,10 +54,10 @@ operations = st.lists(
 @settings(max_examples=40, deadline=None)
 @given(ops=operations)
 def test_replicator_invariants_under_random_operations(ops):
-    sim = Simulator()
     space = office_floor_space(n_rooms=N_ROOMS, rooms_per_broker=ROOMS_PER_BROKER)
-    network = line_topology(sim, len(space.brokers()))
-    system = MobilePubSub(sim, network, space, config=MobilitySystemConfig())
+    network = line_topology(len(space.brokers()))
+    sim = network.sim
+    system = MobilePubSub(network, space, config=MobilitySystemConfig())
     rooms = space.locations
 
     sensors = {room: system.add_publisher(f"sensor-{room}", room) for room in rooms}

@@ -111,10 +111,10 @@ class TestIssueTable:
 
 
 def build_system():
-    sim = Simulator()
     space = office_floor_space(n_rooms=6, rooms_per_broker=3)
-    network = line_topology(sim, len(space.brokers()))
-    return sim, space, MobilePubSub(sim, network, space)
+    network = line_topology(len(space.brokers()))
+    sim = network.sim
+    return sim, space, MobilePubSub(network, space)
 
 
 class TestSharedAcrossClients:

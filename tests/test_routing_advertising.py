@@ -17,7 +17,6 @@ import random
 
 import pytest
 
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology, random_tree_topology
 from repro.pubsub.filters import (
     Equals,
@@ -223,8 +222,8 @@ class TestStrategyLevelEquivalence:
 def run_network(strategy: str, advertising: str, seed: int):
     """End-to-end churn: subscribe, unsubscribe, detach, publish."""
     rng = random.Random(seed)
-    sim = Simulator()
-    network = random_tree_topology(sim, 6, routing=strategy, seed=seed)
+    network = random_tree_topology(6, routing=strategy, seed=seed)
+    sim = network.sim
     if advertising == "scan":
         use_scan_advertising(network)
     brokers = network.broker_names()
@@ -296,8 +295,8 @@ class TestCoveringOverTheValueDomain:
 
     @pytest.mark.parametrize("advertising", ADVERTISING)
     def test_a_bool_reaches_a_range_an_int_and_a_bool_subscriber(self, advertising):
-        sim = Simulator()
-        network = line_topology(sim, 2, routing="covering")
+        network = line_topology(2, routing="covering")
+        sim = network.sim
         if advertising == "scan":
             use_scan_advertising(network)
         clients = []
@@ -330,17 +329,16 @@ class TestScanOracle:
         from repro.core.location import LocationSpace
         from repro.core.middleware import MobilePubSub, MobilitySystemConfig
 
-        sim = Simulator()
-        net = use_scan_advertising(line_topology(sim, 2, routing="covering"))
+        net = use_scan_advertising(line_topology(2, routing="covering"))
         space = LocationSpace({"r1": "B1", "r2": "B2"})
-        MobilePubSub(sim, net, space, config=MobilitySystemConfig())
+        MobilePubSub(net, space, config=MobilitySystemConfig())
         for broker in net.brokers.values():
             assert isinstance(broker.strategy, ScanAdvertising)
             assert isinstance(broker.strategy, CoveringRouting)
             assert broker.strategy.broker is broker
 
     def test_only_a_fresh_network_takes_the_oracle(self):
-        net = line_topology(Simulator(), 2, routing="covering")
+        net = line_topology(2, routing="covering")
         net.add_client("c", "B1").subscribe(Filter([Equals("service", "t")]))
         net.run_until_idle()
         with pytest.raises(ValueError, match="before subscriptions"):

@@ -12,7 +12,6 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, InSet, Range
 from repro.pubsub.routing import STRATEGIES
@@ -48,8 +47,8 @@ def publication_specs(draw):
 
 
 def _run(strategy, n_brokers, subs, pubs, seed):
-    sim = Simulator()
-    network = random_tree_topology(sim, n_brokers, routing=strategy, seed=seed)
+    network = random_tree_topology(n_brokers, routing=strategy, seed=seed)
+    sim = network.sim
     brokers = network.broker_names()
     subscribers = []
     for index, (broker_index, filter) in enumerate(subs):

@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import SystemConfig
-from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import (
     Equals,
@@ -214,8 +213,8 @@ class TestTableLevelEquivalence:
 def _deliveries(matcher: str, seed: int):
     """Run a randomized pub/sub workload; return {subscriber: sorted notification ids}."""
     rng = random.Random(seed)
-    sim = Simulator()
-    network = random_tree_topology(sim, 6, seed=seed, config=SystemConfig(matcher=matcher))
+    network = random_tree_topology(6, seed=seed, config=SystemConfig(matcher=matcher))
+    sim = network.sim
     brokers = network.broker_names()
     subscribers = []
     for i in range(12):
@@ -247,10 +246,9 @@ class TestMiddlewareMatcherConfig:
         from repro.core.middleware import MobilePubSub, MobilitySystemConfig
         from repro.pubsub.broker_network import line_topology
 
-        sim = Simulator()
-        net = line_topology(sim, 2, config=SystemConfig(matcher="brute"))
+        net = line_topology(2, config=SystemConfig(matcher="brute"))
         space = LocationSpace({"r1": "B1", "r2": "B2"})
-        MobilePubSub(sim, net, space, config=MobilitySystemConfig())
+        MobilePubSub(net, space, config=MobilitySystemConfig())
         assert all(b.matcher == "brute" for b in net.brokers.values())
 
 

@@ -78,7 +78,7 @@ def test_cluster_kill_restart_cycles_return_to_baseline():
         sub = net.add_client("sub", "B3")
         sub.subscribe(Filter([Equals("service", "temp")]), sub_id="leak-probe")
         net.run_until_idle()
-        injector = FaultInjector(net.sim, net.network)
+        injector = FaultInjector(net)
         baseline = resource_snapshot(net)
         for _ in range(2):
             injector.crash_now("B2")

@@ -1,6 +1,6 @@
 """Cross-check tests for the pluggable transport layer.
 
-Three layers of guarantees, in the spirit of the ``matcher`` cross-checks
+Two layers of guarantees, in the spirit of the ``matcher`` cross-checks
 and of the scan advertising oracle's (``tests/test_routing_advertising.py``):
 
 1. **Golden trace** — a deterministic churn scenario on the default
@@ -8,12 +8,9 @@ and of the scan advertising oracle's (``tests/test_routing_advertising.py``):
    delivered message, wire-encoded with normalized message ids) and hashed.
    The digest below was recorded on the pre-refactor substrate, so
    ``SimTransport`` producing the same digest proves the refactor did not
-   change a single delivered byte.
-2. **Construction equivalence** — building a network the legacy way
-   (``BrokerNetwork(sim)``) and the explicit way
-   (``BrokerNetwork(config=SystemConfig(transport="sim"))``) yields
-   byte-identical traces.
-3. **Backend equivalence** — the asyncio backend (real localhost TCP
+   change a single delivered byte.  There is one way to build that network,
+   ``line_topology(4, routing=...)``: the transport owns the simulator.
+2. **Backend equivalence** — the asyncio backend (real localhost TCP
    sockets) delivers the same notification set as the simulator for the same
    scenario on a 3-broker topology.
 """
@@ -23,9 +20,15 @@ import hashlib
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.location import LocationSpace
+from repro.core.middleware import MobilePubSub
+from repro.core.mobile_client import MobileClient
+from repro.net.faults import FaultInjector
 from repro.net.process import Message, Process
 from repro.net.simulator import Simulator
+from repro.net.transport import SimTransport, make_transport
 from repro.net.wire import encode_control, encode_message, frame
+from repro.net.wireless import WirelessChannel
 from repro.pubsub.broker_network import BrokerNetwork, line_topology
 from repro.pubsub.client import Client
 from repro.pubsub.filters import Equals, Filter, Prefix, Range
@@ -48,7 +51,7 @@ def _instrument(network) -> list:
     """Wrap every registered process's deliver() to record arriving messages."""
     trace = []
     sim_clock = network.sim
-    for process in network.network.processes.values():
+    for process in network.processes.values():
         original = process.deliver
 
         def hook(message, _original=original, _name=process.name):
@@ -126,7 +129,7 @@ def scenario(routing: str, net: BrokerNetwork) -> None:
     net.run(until=5.0)
 
     # a link outage drops traffic mid-run, then the link heals
-    link = net.network.link_between("B2", "B3")
+    link = net.link_between("B2", "B3")
     link.set_up(False)
     publish(10, service="temp", value=12, room="r0")
     net.run(until=6.0)
@@ -141,16 +144,11 @@ def scenario(routing: str, net: BrokerNetwork) -> None:
     net.sim.run_until_idle()
 
 
-def run_scenario(routing: str, net_factory) -> bytes:
-    net = net_factory(routing)
+def run_scenario(routing: str) -> bytes:
+    net = line_topology(4, routing=routing)
     trace = _instrument(net)
     scenario(routing, net)
     return canonical_trace_bytes(trace)
-
-
-def legacy_network(routing: str) -> BrokerNetwork:
-    """The pre-refactor construction path: a BrokerNetwork over a Simulator."""
-    return line_topology(Simulator(), 4, routing=routing)
 
 
 def trace_digest(trace_bytes: bytes) -> str:
@@ -162,22 +160,11 @@ def trace_digest(trace_bytes: bytes) -> str:
 
 @pytest.mark.parametrize("routing", sorted(GOLDEN_DIGESTS))
 def test_sim_substrate_matches_pre_refactor_golden_trace(routing):
-    digest = trace_digest(run_scenario(routing, legacy_network))
+    digest = trace_digest(run_scenario(routing))
     assert digest == GOLDEN_DIGESTS[routing], (
         "the simulator substrate no longer reproduces the pre-refactor "
         "byte trace — SimTransport changed observable delivery behaviour"
     )
-
-
-@pytest.mark.parametrize("routing", sorted(GOLDEN_DIGESTS))
-def test_explicit_sim_transport_is_byte_identical_to_legacy_construction(routing):
-    def explicit_network(routing):
-        return line_topology(n_brokers=4, routing=routing, config=SystemConfig(transport="sim"))
-
-    explicit = run_scenario(routing, explicit_network)
-    legacy = run_scenario(routing, legacy_network)
-    assert explicit == legacy
-    assert trace_digest(explicit) == GOLDEN_DIGESTS[routing]
 
 
 def test_transport_string_knob_builds_sim_backend():
@@ -230,7 +217,7 @@ def asyncio_scenario(net: BrokerNetwork):
 
 
 def test_asyncio_backend_delivers_same_notification_set_as_simulator():
-    sim_net = line_topology(Simulator(), n_brokers=3, routing="covering")
+    sim_net = line_topology(n_brokers=3, routing="covering")
     expected = asyncio_scenario(sim_net)
     assert expected["c1"] and expected["c3"], "scenario must actually deliver"
 
@@ -425,7 +412,48 @@ def test_latency_is_simulated_seconds(backend, reported):
 
 
 def test_socket_backends_reject_a_simulator():
-    # a socket backend runs on its own clock and would silently orphan `sim`
+    # every backend owns its clock; a Simulator handed in beside it fails at the call
     for backend in ("asyncio", "cluster"):
-        with pytest.raises(ValueError, match=f"the {backend} backend does not take a Simulator"):
+        with pytest.raises(TypeError):
             BrokerNetwork(Simulator(), config=SystemConfig(transport=backend))
+
+
+#: each owner of a clock, called with a Simulator beside the object that owns
+#: one: (the old positional call, the same Simulator passed as ``sim=``)
+_CLOCK_OWNERS = {
+    "make_transport": (
+        lambda net, sim: make_transport(SystemConfig(), sim),
+        lambda net, sim: make_transport(SystemConfig(), sim=sim),
+    ),
+    "SimTransport": (
+        lambda net, sim: SimTransport(sim),
+        lambda net, sim: SimTransport(sim=sim),
+    ),
+    "MobilePubSub": (
+        lambda net, sim: MobilePubSub(sim, net, LocationSpace({"l1": "B1"})),
+        lambda net, sim: MobilePubSub(net, LocationSpace({"l1": "B1"}), sim=sim),
+    ),
+    "FaultInjector": (
+        lambda net, sim: FaultInjector(sim, net),
+        lambda net, sim: FaultInjector(net, sim=sim),
+    ),
+    "MobileClient": (
+        lambda net, sim: MobileClient(sim, "m", transport=net.transport),
+        lambda net, sim: MobileClient("m", sim=sim, transport=net.transport),
+    ),
+    "WirelessChannel": (
+        lambda net, sim: WirelessChannel(sim, Process(net.sim, "d"), transport=net.transport),
+        lambda net, sim: WirelessChannel(Process(net.sim, "d"), sim=sim, transport=net.transport),
+    ),
+}
+
+
+@pytest.mark.parametrize("spelling", ["positional", "keyword"])
+@pytest.mark.parametrize("owner", sorted(_CLOCK_OWNERS))
+def test_an_object_that_owns_a_clock_refuses_a_simulator(owner, spelling):
+    # the clock is the transport's (``network.sim``); a second one handed in
+    # beside it fails at the call instead of binding to the next parameter
+    build = _CLOCK_OWNERS[owner][spelling == "keyword"]
+    net = line_topology(n_brokers=1)
+    with pytest.raises(TypeError):
+        build(net, Simulator())

@@ -744,15 +744,29 @@ class TestDecodersRaiseOnlyWireError:
 
     @pytest.mark.parametrize("value", [[1], {1}, frozenset({1}), {"k": 1}], ids=repr)
     def test_a_notification_value_outside_the_domain_is_refused(self, value):
-        """The walker can write a list- or set-valued notification; the
-        notification read refuses it, as a publish would have."""
-        body = encode_message_binary(Message("notify", Notification({"v": value}), msg_id=1))
-        with pytest.raises(WireError, match="outside the value domain"):
-            decode_message_binary(body)
+        """The encoders can write a list- or set-valued notification; every
+        notification read refuses it, as a publish would have: the binary
+        fast path, the JSON decoder and the walker."""
+        outside = Message("notify", Notification({"v": value}), msg_id=1)
+        walked = bytearray()
+        wire._b_write(walked, outside.payload)
+        record = wire._BY_CODE[wire._B_NOTIFICATION]
+        reads = [
+            lambda: decode_message_binary(encode_message_binary(outside)),
+            lambda: decode_message(encode_message(outside)),
+            lambda: wire._r_record(record, bytes(walked), 1),
+        ]
+        for read in reads:
+            with pytest.raises(WireError, match="outside the value domain"):
+                read()
         # a tuple, None, a bool and a long string leave the fast path and pass
         inside = {"t": (1, "a"), "n": None, "b": True, "s": "x" * 300}
-        body = encode_message_binary(Message("notify", Notification(inside), msg_id=1))
-        assert dict(decode_message_binary(body).payload) == inside
+        message = Message("notify", Notification(inside), msg_id=1)
+        for encode, decode in (
+            (encode_message_binary, decode_message_binary),
+            (encode_message, decode_message),
+        ):
+            assert dict(decode(encode(message)).payload) == inside
 
 
 # ----------------------------------------------------- loud codec negotiation

@@ -28,13 +28,12 @@ class AccessPoint(Process):
 
 @pytest.fixture
 def setup():
-    sim = Simulator()
+    transport = SimTransport()
+    sim = transport.sim
     device = Device(sim, "device")
     ap1 = AccessPoint(sim, "ap1")
     ap2 = AccessPoint(sim, "ap2")
-    channel = WirelessChannel(
-        sim, device, latency=0.01, connect_latency=0.1, transport=SimTransport(sim)
-    )
+    channel = WirelessChannel(device, latency=0.01, connect_latency=0.1, transport=transport)
     return sim, device, ap1, ap2, channel
 
 
@@ -122,7 +121,7 @@ class TestAttachment:
     def test_a_channel_needs_a_transport(self):
         sim = Simulator()
         with pytest.raises(TypeError):
-            WirelessChannel(sim, Device(sim, "device"))
+            WirelessChannel(Device(sim, "device"))
 
     def test_attachment_history_recorded(self, setup):
         sim, _device, ap1, ap2, channel = setup

@@ -61,8 +61,8 @@ class TestWorkloads:
         publishers, recorder = temperature_workload(
             scenario.system, period=1.0, recorder=scenario.recorder, until=5.0
         )
-        scenario.sim.run_until_idle()
-        assert scenario.sim.now <= 6.0
+        scenario.network.sim.run_until_idle()
+        assert scenario.network.sim.now <= 6.0
         assert all(n.published_at <= 5.0 for n in recorder.published)
 
     def test_stop_halts_publication(self):
@@ -70,10 +70,10 @@ class TestWorkloads:
         publishers, recorder = temperature_workload(
             scenario.system, period=1.0, recorder=scenario.recorder, until=100.0
         )
-        scenario.sim.run(until=3.0)
+        scenario.network.sim.run(until=3.0)
         count = len(recorder)
         publishers.stop()
-        scenario.sim.run_until_idle()
+        scenario.network.sim.run_until_idle()
         assert len(recorder) == count
 
     def test_restaurant_and_weather_payloads(self):
