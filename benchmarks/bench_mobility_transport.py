@@ -38,7 +38,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.mobility.handover_workload import cross_check_backends  # noqa: E402
+from repro.mobility.handover_workload import WorkloadSpec, cross_check_backends  # noqa: E402
 
 
 def _percentile(values, p: float) -> float:
@@ -71,7 +71,8 @@ def _metrics(result) -> dict:
 def run_config(brokers: int, publishes: int):
     """Cross-check one config on both backends; returns (records, mismatches)."""
     results, mismatches = cross_check_backends(
-        backends=("sim", "asyncio"), brokers=brokers, publishes_per_phase=publishes
+        backends=("sim", "asyncio"),
+        spec=WorkloadSpec(brokers=brokers, publishes_per_phase=publishes),
     )
     records = []
     for backend in ("sim", "asyncio"):

@@ -326,7 +326,7 @@ def _demo_handover(args: argparse.Namespace, config) -> int:
     virtual clients and the exception mode engaged; every mobile client's
     ``(notification, replayed)`` multiset must equal the simulator's.
     """
-    from .mobility.handover_workload import cross_check_backends
+    from .mobility.handover_workload import WorkloadSpec, cross_check_backends
 
     backends = ("sim",) if args.backend == "sim" else ("sim", args.backend)
     print(
@@ -336,8 +336,7 @@ def _demo_handover(args: argparse.Namespace, config) -> int:
     try:
         results, mismatches = cross_check_backends(
             backends=backends,
-            brokers=args.brokers,
-            publishes_per_phase=args.publishes,
+            spec=WorkloadSpec(brokers=args.brokers, publishes_per_phase=args.publishes),
             config=config,
         )
     except NotImplementedError as exc:  # a backend without dynamic links

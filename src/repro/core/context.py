@@ -120,10 +120,8 @@ class ContextAwareClient(Client):
         self.rebinds = 0
 
     # ---------------------------------------------------------------- templates
-    def subscribe_context(
-        self, template: ContextDependentFilter, template_id: Optional[str] = None
-    ) -> str:
-        template_id = template_id or f"ctx-{next(_context_counter)}"
+    def subscribe_context(self, template: ContextDependentFilter) -> str:
+        template_id = f"ctx-{next(_context_counter)}"
         self.templates[template_id] = template
         self._bind(template_id)
         return template_id

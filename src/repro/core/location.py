@@ -20,22 +20,10 @@ locations ``myloc`` binds to for a client sitting at a given location.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 #: The attribute name used for locations in notifications and filters.
 LOCATION_ATTRIBUTE = "location"
-
-
-@dataclass(frozen=True)
-class Location:
-    """A logical location (a room, a cell, a road segment, a region member)."""
-
-    name: str
-    region: Optional[str] = None
-
-    def __str__(self) -> str:
-        return self.name
 
 
 class LocationSpace:
@@ -148,9 +136,6 @@ class LocationSpace:
 def office_floor_space(
     n_rooms: int,
     rooms_per_broker: int = 4,
-    broker_prefix: str = "B",
-    room_prefix: str = "room",
-    myloc_scope: str = "location",
 ) -> LocationSpace:
     """An office floor: a corridor of rooms, consecutive rooms share a border broker.
 
@@ -162,16 +147,16 @@ def office_floor_space(
     broker_of: Dict[str, str] = {}
     adjacency: Dict[str, Set[str]] = {}
     width = max(2, len(str(n_rooms - 1)))
-    rooms = [f"{room_prefix}-{i:0{width}d}" for i in range(n_rooms)]
+    rooms = [f"room-{i:0{width}d}" for i in range(n_rooms)]
     for i, room in enumerate(rooms):
-        broker_of[room] = f"{broker_prefix}{i // rooms_per_broker + 1}"
+        broker_of[room] = f"B{i // rooms_per_broker + 1}"
         neighbours = set()
         if i > 0:
             neighbours.add(rooms[i - 1])
         if i < n_rooms - 1:
             neighbours.add(rooms[i + 1])
         adjacency[room] = neighbours
-    return LocationSpace(broker_of, adjacency=adjacency, myloc_scope=myloc_scope)
+    return LocationSpace(broker_of, adjacency=adjacency)
 
 
 def cell_grid_space(
@@ -215,28 +200,25 @@ def cell_grid_space(
 def route_space(
     n_segments: int,
     segments_per_broker: int = 3,
-    broker_prefix: str = "B",
-    segment_prefix: str = "km",
-    myloc_scope: str = "neighbourhood",
 ) -> LocationSpace:
     """A linear route (a road) divided into segments; the car example of Sect. 1.
 
-    ``myloc`` defaults to the neighbourhood scope so a car sees "the
+    ``myloc`` binds to the neighbourhood scope so a car sees "the
     restaurants along the route", i.e. its segment and the adjacent ones.
     """
     broker_of: Dict[str, str] = {}
     adjacency: Dict[str, Set[str]] = {}
     width = max(2, len(str(n_segments - 1)))
-    segments = [f"{segment_prefix}-{i:0{width}d}" for i in range(n_segments)]
+    segments = [f"km-{i:0{width}d}" for i in range(n_segments)]
     for i, segment in enumerate(segments):
-        broker_of[segment] = f"{broker_prefix}{i // segments_per_broker + 1}"
+        broker_of[segment] = f"B{i // segments_per_broker + 1}"
         neighbours = set()
         if i > 0:
             neighbours.add(segments[i - 1])
         if i < n_segments - 1:
             neighbours.add(segments[i + 1])
         adjacency[segment] = neighbours
-    return LocationSpace(broker_of, adjacency=adjacency, myloc_scope=myloc_scope)
+    return LocationSpace(broker_of, adjacency=adjacency, myloc_scope="neighbourhood")
 
 
 def cell_name(row: int, col: int) -> str:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from ..pubsub.filters import Constraint, Equals, Filter, InSet
-from .location import LOCATION_ATTRIBUTE
+from .location import LOCATION_ATTRIBUTE, LocationSpace
 
 
 class _MyLocMarker:
@@ -89,11 +89,11 @@ class LocationDependentFilter:
             self._bound[location_set] = bound
         return bound
 
-    def bind_for_location(self, space: "LocationSpaceLike", location: str) -> Filter:
+    def bind_for_location(self, space: LocationSpace, location: str) -> Filter:
         """Bind against the myloc set of a concrete client location."""
         return self.bind(space.myloc(location, scope=self.scope))
 
-    def bind_for_broker(self, space: "LocationSpaceLike", broker_name: str) -> Filter:
+    def bind_for_broker(self, space: LocationSpace, broker_name: str) -> Filter:
         """Bind against the location set covered by a broker (shadow binding)."""
         return self.bind(space.myloc_for_broker(broker_name))
 
@@ -107,16 +107,6 @@ class LocationDependentFilter:
             f"LocationDependentFilter({self.static_filter!r} AND "
             f"{self.location_attribute} in MYLOC, scope={self.scope or 'default'})"
         )
-
-
-class LocationSpaceLike:
-    """Structural interface for what templates need from a location space."""
-
-    def myloc(self, location: str, scope: Optional[str] = None) -> FrozenSet[str]:  # pragma: no cover
-        raise NotImplementedError
-
-    def myloc_for_broker(self, broker_name: str) -> FrozenSet[str]:  # pragma: no cover
-        raise NotImplementedError
 
 
 def location_dependent(

@@ -11,7 +11,7 @@ also be done by wiring the lower-level pieces manually.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..pubsub.broker_network import BrokerNetwork
 from ..pubsub.client import Client
@@ -81,11 +81,10 @@ class MobilePubSub:
         runs on its clock (``network.sim``): the discrete-event simulator on
         the default backend, the transport's clock otherwise.
     space:
-        The location space mapping logical locations to border brokers.
-    movement_graph:
-        The movement restriction; when omitted it is derived from the
-        location space's adjacency (falling back to the broker network's own
-        edges when the space has no adjacency information).
+        The location space mapping logical locations to border brokers.  The
+        movement restriction is derived from its adjacency (falling back to
+        the broker network's own edges when the space has no adjacency
+        information).
     config:
         Mobility-layer parameters; see :class:`MobilitySystemConfig`.  The
         fabric knobs are the network's own ``network.config``.
@@ -96,7 +95,6 @@ class MobilePubSub:
         network: BrokerNetwork,
         space: LocationSpace,
         *,
-        movement_graph: Optional[MovementGraph] = None,
         config: Optional[MobilitySystemConfig] = None,
     ):
         self.sim = network.sim
@@ -104,7 +102,7 @@ class MobilePubSub:
         self.space = space
         self.config = config or MobilitySystemConfig()
         self._check_transport()
-        self.movement_graph = movement_graph or self._default_movement_graph()
+        self.movement_graph = self._default_movement_graph()
         self.predictor = self._build_predictor(self.config.predictor)
         self.replicators: Dict[str, Replicator] = {}
         self.mobile_clients: Dict[str, MobileClient] = {}
@@ -209,7 +207,6 @@ class MobilePubSub:
         client: MobileClient,
         location: Optional[str] = None,
         broker: Optional[str] = None,
-        immediate: bool = False,
     ) -> str:
         """Attach a mobile client at a location (or directly at a broker).  Returns the broker name."""
         if location is not None:
@@ -218,7 +215,7 @@ class MobilePubSub:
         if broker is None:
             raise ValueError("attach needs either a location or a broker")
         replicator = self.replicators[broker]
-        client.attach(replicator, broker, immediate=immediate)
+        client.attach(replicator, broker)
         return broker
 
     def detach(self, client: MobileClient) -> Optional[str]:
@@ -229,13 +226,7 @@ class MobilePubSub:
             self.replicators[broker].device_disconnected(client.name)
         return broker
 
-    def move(
-        self,
-        client: MobileClient,
-        new_location: str,
-        gap: float = 0.0,
-        immediate: bool = False,
-    ) -> str:
+    def move(self, client: MobileClient, new_location: str, gap: float = 0.0) -> str:
         """Move a client to ``new_location``.
 
         Movement within the current broker's coverage is pure logical
@@ -252,27 +243,27 @@ class MobilePubSub:
         client.set_location(new_location)
         replicator = self.replicators[new_broker]
         if gap > 0:
-            self.sim.schedule(gap, client.attach, replicator, new_broker, immediate)
+            self.sim.schedule(gap, client.attach, replicator, new_broker)
         else:
-            client.attach(replicator, new_broker, immediate=immediate)
+            client.attach(replicator, new_broker)
         return new_broker
 
     def power_off(self, client: MobileClient) -> None:
         """Power-saving disconnect: the client disappears without telling anyone where to."""
         self.detach(client)
 
-    def power_on(self, client: MobileClient, location: str, immediate: bool = False) -> str:
+    def power_on(self, client: MobileClient, location: str) -> str:
         """Reconnect after a power-off, possibly far away from the last known broker."""
-        return self.attach(client, location=location, immediate=immediate)
+        return self.attach(client, location=location)
 
     def remove_client(self, client: MobileClient) -> None:
         """Application shutdown: garbage collect the client's virtual clients everywhere."""
         client.shutdown_application()
 
     # ------------------------------------------------------------------ stats
-    def control_message_count(self, kinds: Sequence[str] = REPLICATION_CONTROL_KINDS) -> int:
+    def control_message_count(self) -> int:
         """Messages of the extended-logical-mobility control protocol sent so far."""
-        return sum(self.network.total_messages(kind) for kind in kinds)
+        return sum(self.network.total_messages(kind) for kind in REPLICATION_CONTROL_KINDS)
 
     def subscription_message_count(self) -> int:
         return self.network.total_messages("subscribe") + self.network.total_messages("unsubscribe")

@@ -189,12 +189,12 @@ class MobileClient(Process):
             )
 
     # --------------------------------------------------------- API: attachment
-    def attach(self, replicator: Process, broker_name: str, immediate: bool = False) -> None:
+    def attach(self, replicator: Process, broker_name: str) -> None:
         """Associate with the replicator serving ``broker_name`` (wireless attach)."""
         self.attachments.append(AttachmentRecord(broker=broker_name, requested_at=self.sim.now))
         self.current_broker = broker_name
         self.broker_trace.append((self.sim.now, broker_name))
-        self.channel.attach(replicator, immediate=immediate)
+        self.channel.attach(replicator)
 
     def detach(self, announce: bool = True) -> None:
         """Leave the current access point (range loss, roaming, power saving)."""

@@ -32,10 +32,8 @@ class MovementGraph:
     edge, *excluding* ``b`` itself.
     """
 
-    def __init__(self, brokers: Iterable[str], edges: Iterable[Tuple[str, str]] = ()):
+    def __init__(self, brokers: Iterable[str]):
         self._adjacency: Dict[str, Set[str]] = {broker: set() for broker in brokers}
-        for a, b in edges:
-            self.add_edge(a, b)
 
     # ------------------------------------------------------------------ build
     def add_broker(self, broker: str) -> None:

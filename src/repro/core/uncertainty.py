@@ -21,7 +21,7 @@ set, so experiment E6 can sweep the whole spectrum:
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 from .movement_graph import MovementGraph
 
@@ -85,24 +85,19 @@ class MarkovPredictor(MovementPredictor):
     The predictor counts transitions ``from -> to``; the predicted shadow set
     for broker ``b`` is every broker whose estimated transition probability
     from ``b`` is at least ``threshold``.  Until enough observations exist
-    (fewer than ``min_observations`` transitions out of ``b``), it falls back
-    to the movement-graph neighbourhood, so coverage never starts worse than
-    the paper's baseline.
+    (fewer than :data:`MIN_OBSERVATIONS` transitions out of ``b``), it falls
+    back to the movement-graph neighbourhood, so coverage never starts worse
+    than the paper's baseline.
     """
 
-    def __init__(
-        self,
-        graph: MovementGraph,
-        threshold: float = 0.15,
-        min_observations: int = 5,
-        max_candidates: Optional[int] = None,
-    ):
+    #: transitions out of a broker before its learned estimate is trusted
+    MIN_OBSERVATIONS = 5
+
+    def __init__(self, graph: MovementGraph, threshold: float = 0.15):
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be within [0, 1]")
         self.graph = graph
         self.threshold = threshold
-        self.min_observations = min_observations
-        self.max_candidates = max_candidates
         self._counts: Dict[str, Dict[str, int]] = defaultdict(lambda: defaultdict(int))
         self._totals: Dict[str, int] = defaultdict(int)
         self.name = f"markov(p>={threshold})"
@@ -115,19 +110,15 @@ class MarkovPredictor(MovementPredictor):
 
     def predict(self, current_broker: str, history: Sequence[str] = ()) -> FrozenSet[str]:
         total = self._totals.get(current_broker, 0)
-        if total < self.min_observations:
+        if total < self.MIN_OBSERVATIONS:
             if current_broker in self.graph:
                 return self.graph.nlb(current_broker)
             return frozenset()
-        candidates: List[Tuple[float, str]] = []
-        for target, count in self._counts[current_broker].items():
-            probability = count / total
-            if probability >= self.threshold:
-                candidates.append((probability, target))
-        candidates.sort(reverse=True)
-        if self.max_candidates is not None:
-            candidates = candidates[: self.max_candidates]
-        predicted = frozenset(target for _, target in candidates)
+        predicted = frozenset(
+            target
+            for target, count in self._counts[current_broker].items()
+            if count / total >= self.threshold
+        )
         if not predicted and current_broker in self.graph:
             # Never predict an empty set while movement knowledge exists:
             # degrade gracefully to the movement-graph neighbourhood.
@@ -138,12 +129,8 @@ class MarkovPredictor(MovementPredictor):
 # ----------------------------------------------------------------- evaluation
 
 
-def coverage_and_cost(
-    predictor: MovementPredictor,
-    trace: Sequence[str],
-    learn: bool = True,
-) -> Tuple[float, float]:
-    """Replay a broker-level trace through a predictor.
+def coverage_and_cost(predictor: MovementPredictor, trace: Sequence[str]) -> Tuple[float, float]:
+    """Replay a broker-level trace through a predictor, teaching it each handover.
 
     Returns ``(coverage, mean_shadow_count)`` where *coverage* is the
     fraction of handovers whose target broker was in the predicted shadow
@@ -165,6 +152,5 @@ def coverage_and_cost(
         shadow_counts.append(len(predicted))
         if to_broker in predicted:
             covered += 1
-        if learn:
-            predictor.observe_handover(from_broker, to_broker)
+        predictor.observe_handover(from_broker, to_broker)
     return covered / len(transitions), sum(shadow_counts) / len(shadow_counts)

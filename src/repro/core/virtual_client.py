@@ -93,10 +93,8 @@ class VirtualClient:
         self._bound: Dict[str, Subscription] = {}
         self._plain_issued: Dict[str, Subscription] = {}
         self.buffer = NotificationBuffer(buffer_policy)
-        # Counters used by the experiments.
-        self.delivered_live = 0
+        # Counters used by the replicator and the tests.
         self.buffered_total = 0
-        self.replayed_total = 0
         self.rebinds = 0
 
     # --------------------------------------------------------------- identity
@@ -155,9 +153,7 @@ class VirtualClient:
             self._rebind_template(template_id)
         for sub_id in self.plain_filters:
             self._issue_plain(sub_id)
-        replay = self.buffer.drain(self.host.now)
-        self.replayed_total += len(replay)
-        return replay
+        return self.buffer.drain(self.host.now)
 
     def deactivate(self) -> None:
         """Disconnect the device: fall back to shadow behaviour.
@@ -194,7 +190,6 @@ class VirtualClient:
         if not self.matches(notification):
             return False
         if self.is_active:
-            self.delivered_live += 1
             self.host.deliver_to_device(self.client_id, notification, replayed=False)
             return True
         self.buffer.add(notification, self.host.now)

@@ -164,18 +164,13 @@ def _line_space(brokers: int) -> LocationSpace:
 
 def run_handover_workload(
     backend: str = "sim",
-    brokers: int = 3,
-    publishes_per_phase: int = 4,
-    predictor: str = "nlb",
-    connect_latency: float = 0.01,
-    spec: Optional[WorkloadSpec] = None,
+    spec: WorkloadSpec = WorkloadSpec(),
     config: Optional[SystemConfig] = None,
 ) -> HandoverWorkloadResult:
     """Run one member of the handover scenario family on one backend.
 
-    With ``spec=None`` (or the default :class:`WorkloadSpec`) this is the
-    historical fixed scenario, operation for operation.  A ``spec`` with a
-    seed replays the drawn member deterministically: every notification id
+    The default :class:`WorkloadSpec` is the historical fixed scenario,
+    operation for operation.  A ``spec`` with a seed replays the drawn member deterministically: every notification id
     is pinned, every phase runs to exact quiescence, and every mutation of
     the subscription state happens between phases — which is what makes the
     delivered multisets backend-invariant for *any* member of the family.
@@ -184,13 +179,6 @@ def run_handover_workload(
     fabric knobs (matcher, metrics; the defaults when omitted); its
     ``transport`` field is overridden by ``backend``.
     """
-    if spec is None:
-        spec = WorkloadSpec(
-            brokers=brokers,
-            publishes_per_phase=publishes_per_phase,
-            predictor=predictor,
-            connect_latency=connect_latency,
-        )
     brokers, publishes_per_phase = spec.brokers, spec.publishes_per_phase
     if brokers < 3:
         raise ValueError("the handover workload needs at least 3 brokers")
@@ -357,31 +345,20 @@ def _outcome_of(client: MobileClient) -> MobileOutcome:
 
 def cross_check_backends(
     backends: Tuple[str, ...] = ("sim", "asyncio"),
-    brokers: int = 3,
-    publishes_per_phase: int = 4,
-    predictor: str = "nlb",
-    spec: Optional[WorkloadSpec] = None,
+    spec: WorkloadSpec = WorkloadSpec(),
     config: Optional[SystemConfig] = None,
 ) -> Tuple[Dict[str, HandoverWorkloadResult], List[str]]:
     """Run one family member on every backend and diff the delivered multisets.
 
     Returns the per-backend results and a (hopefully empty) list of
-    mismatch descriptions; the first backend is the reference.  Pass a drawn
-    :class:`WorkloadSpec` to cross-check a randomized member instead of the
-    legacy fixed scenario, and/or a :class:`~repro.config.SystemConfig` to
-    cross-check under specific fabric knobs (each backend run overrides its
-    ``transport`` field).
+    mismatch descriptions; the first backend is the reference.  ``spec``
+    picks the member (the legacy fixed scenario by default, or a drawn
+    :class:`WorkloadSpec`), ``config`` the
+    :class:`~repro.config.SystemConfig` fabric knobs (each backend run
+    overrides its ``transport`` field).
     """
     results = {
-        backend: run_handover_workload(
-            backend,
-            brokers=brokers,
-            publishes_per_phase=publishes_per_phase,
-            predictor=predictor,
-            spec=spec,
-            config=config,
-        )
-        for backend in backends
+        backend: run_handover_workload(backend, spec=spec, config=config) for backend in backends
     }
     reference_name = backends[0]
     reference = results[reference_name].delivered_map()

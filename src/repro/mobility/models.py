@@ -8,9 +8,6 @@ the movement patterns its motivating examples imply:
   locations (office floor, Fig. 1 right);
 * :class:`RoutePathMobility` — a vehicle following a fixed path (the
   "restaurant menus along the route of a car" example);
-* :class:`MarkovMobility` — movement with statistical structure (commuting
-  between home and office, Fig. 1 left), which the Markov predictor of
-  :mod:`repro.core.uncertainty` can learn;
 * :class:`TeleportMobility` — power-off periods after which the client "may
   always pop up at any place in the broker network" (Sect. 4), the workload
   for the exception-mode experiment.
@@ -25,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.location import LocationSpace
 from ..core.middleware import MobilePubSub
@@ -63,40 +60,33 @@ class RandomWalkMobility(MobilityModel):
 
     ``dwell_time`` is the mean time spent at each location; each dwell is
     drawn uniformly from ``[0.5, 1.5] * dwell_time`` to avoid artificial
-    synchronisation between clients.  With probability ``stay_probability``
-    the client stays where it is for another dwell period.
+    synchronisation between clients.  After each dwell the client moves to
+    a uniformly chosen neighbour.
     """
 
     name = "random-walk"
 
-    def __init__(
-        self,
-        space: LocationSpace,
-        start: str,
-        dwell_time: float = 10.0,
-        stay_probability: float = 0.0,
-        start_time: float = 0.0,
-    ):
+    def __init__(self, space: LocationSpace, start: str, dwell_time: float = 10.0):
         if dwell_time <= 0:
             raise ValueError("dwell_time must be positive")
         self.space = space
         self.start = start
         self.dwell_time = dwell_time
-        self.stay_probability = stay_probability
-        self.start_time = start_time
 
     def waypoints(self, duration: float, rng: random.Random) -> List[Waypoint]:
-        waypoints = [Waypoint(time=self.start_time, location=self.start)]
-        time = self.start_time
+        waypoints = [Waypoint(time=0.0, location=self.start)]
+        time = 0.0
         current = self.start
         while True:
             time += self.dwell_time * rng.uniform(0.5, 1.5)
             if time > duration:
                 break
-            if rng.random() >= self.stay_probability:
-                neighbours = sorted(self.space.neighbours_of(current))
-                if neighbours:
-                    current = rng.choice(neighbours)
+            # unused, but dropping this draw would change every seeded walk
+            # the experiments report
+            rng.random()
+            neighbours = sorted(self.space.neighbours_of(current))
+            if neighbours:
+                current = rng.choice(neighbours)
             waypoints.append(Waypoint(time=time, location=current))
         return waypoints
 
@@ -110,25 +100,18 @@ class RoutePathMobility(MobilityModel):
 
     name = "route"
 
-    def __init__(
-        self,
-        path: Sequence[str],
-        dwell_time: float = 10.0,
-        start_time: float = 0.0,
-        loop: bool = False,
-    ):
+    def __init__(self, path: Sequence[str], dwell_time: float = 10.0, loop: bool = False):
         if not path:
             raise ValueError("path must contain at least one location")
         if dwell_time <= 0:
             raise ValueError("dwell_time must be positive")
         self.path = list(path)
         self.dwell_time = dwell_time
-        self.start_time = start_time
         self.loop = loop
 
     def waypoints(self, duration: float, rng: random.Random) -> List[Waypoint]:
         waypoints: List[Waypoint] = []
-        time = self.start_time
+        time = 0.0
         index = 0
         while time <= duration:
             waypoints.append(Waypoint(time=time, location=self.path[index]))
@@ -140,52 +123,6 @@ class RoutePathMobility(MobilityModel):
             else:
                 break
         return waypoints
-
-
-class MarkovMobility(MobilityModel):
-    """Movement following a first-order Markov chain over locations.
-
-    ``transitions`` maps each location to a distribution over next locations
-    (``{location: {next_location: probability}}``); missing mass is assigned
-    to staying put.  This is the model that gives movement the statistical
-    regularity a learned predictor can exploit (commuting, lunch runs).
-    """
-
-    name = "markov"
-
-    def __init__(
-        self,
-        transitions: Mapping[str, Mapping[str, float]],
-        start: str,
-        dwell_time: float = 10.0,
-        start_time: float = 0.0,
-    ):
-        self.transitions = {loc: dict(dist) for loc, dist in transitions.items()}
-        self.start = start
-        self.dwell_time = dwell_time
-        self.start_time = start_time
-
-    def waypoints(self, duration: float, rng: random.Random) -> List[Waypoint]:
-        waypoints = [Waypoint(time=self.start_time, location=self.start)]
-        time = self.start_time
-        current = self.start
-        while True:
-            time += self.dwell_time * rng.uniform(0.8, 1.2)
-            if time > duration:
-                break
-            current = self._next(current, rng)
-            waypoints.append(Waypoint(time=time, location=current))
-        return waypoints
-
-    def _next(self, current: str, rng: random.Random) -> str:
-        distribution = self.transitions.get(current, {})
-        roll = rng.random()
-        cumulative = 0.0
-        for target in sorted(distribution):
-            cumulative += distribution[target]
-            if roll < cumulative:
-                return target
-        return current
 
 
 class TeleportMobility(MobilityModel):
@@ -200,22 +137,16 @@ class TeleportMobility(MobilityModel):
     name = "teleport"
 
     def __init__(
-        self,
-        space: LocationSpace,
-        start: str,
-        on_time: float = 30.0,
-        off_time: float = 20.0,
-        start_time: float = 0.0,
+        self, space: LocationSpace, start: str, on_time: float = 30.0, off_time: float = 20.0
     ):
         self.space = space
         self.start = start
         self.on_time = on_time
         self.off_time = off_time
-        self.start_time = start_time
 
     def waypoints(self, duration: float, rng: random.Random) -> List[Waypoint]:
-        waypoints = [Waypoint(time=self.start_time, location=self.start)]
-        time = self.start_time
+        waypoints = [Waypoint(time=0.0, location=self.start)]
+        time = 0.0
         locations = self.space.locations
         while True:
             time += self.on_time + self.off_time

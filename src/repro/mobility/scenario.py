@@ -52,11 +52,10 @@ class Scenario:
         model: MobilityModel,
         duration: float,
         seed: int = 0,
-        reissue_on_attach: bool = True,
         handover_gap: float = 0.0,
     ) -> RoamingSubscriber:
         """Create a mobile client subscribing to ``template`` and moving per ``model``."""
-        client = self.system.add_mobile_client(name, reissue_on_attach=reissue_on_attach)
+        client = self.system.add_mobile_client(name)
         template_id = client.subscribe_location(template)
         driver = MobilityDriver(
             self.system,
@@ -95,10 +94,9 @@ def build_office_scenario(
     n_rooms: int = 12,
     rooms_per_broker: int = 4,
     config: Optional[MobilitySystemConfig] = None,
-    myloc_scope: str = "location",
 ) -> Scenario:
     """The office floor of Fig. 1: a corridor of rooms over a line of border brokers."""
-    space = office_floor_space(n_rooms, rooms_per_broker, myloc_scope=myloc_scope)
+    space = office_floor_space(n_rooms, rooms_per_broker)
     n_brokers = len(space.brokers())
     network = line_topology(n_brokers)
     system = MobilePubSub(network, space, config=config)
@@ -109,10 +107,9 @@ def build_route_scenario(
     n_segments: int = 18,
     segments_per_broker: int = 3,
     config: Optional[MobilitySystemConfig] = None,
-    myloc_scope: str = "neighbourhood",
 ) -> Scenario:
     """The car-on-a-route scenario: road segments over a chain of roadside brokers."""
-    space = route_space(n_segments, segments_per_broker, myloc_scope=myloc_scope)
+    space = route_space(n_segments, segments_per_broker)
     n_brokers = len(space.brokers())
     network = line_topology(n_brokers)
     system = MobilePubSub(network, space, config=config)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, List, Mapping, Optional, Sequence
+from typing import Callable, List, Mapping, Optional
 
 from ..core.location import LOCATION_ATTRIBUTE
 from ..core.middleware import MobilePubSub
@@ -63,10 +63,7 @@ class LocationServicePublishers:
         service: str,
         period: float,
         recorder: WorkloadRecorder,
-        locations: Optional[Sequence[str]] = None,
         value_function: Optional[Callable[[str, float], Mapping]] = None,
-        rng: Optional[random.Random] = None,
-        phase_spread: bool = True,
         until: Optional[float] = None,
     ):
         self.system = system
@@ -74,19 +71,20 @@ class LocationServicePublishers:
         self.period = period
         self.recorder = recorder
         self.until = until
-        self.rng = rng or random.Random(7)
+        self.rng = random.Random(7)
         self.value_function = value_function or self._default_value
         self.publishers: List[PublisherHandle] = []
-        self.locations = list(locations) if locations is not None else system.space.locations
-        self._deploy(phase_spread)
+        self.locations = system.space.locations
+        self._deploy()
 
     def _default_value(self, location: str, now: float) -> Mapping:
         return {"value": round(15.0 + 10.0 * self.rng.random(), 2)}
 
-    def _deploy(self, phase_spread: bool) -> None:
+    def _deploy(self) -> None:
+        # phases spread evenly over one period, so the fleet does not publish in bursts
         for index, location in enumerate(self.locations):
             client = self.system.add_publisher(f"pub-{self.service}-{location}", location)
-            start_delay = (index / max(1, len(self.locations))) * self.period if phase_spread else 0.0
+            start_delay = (index / max(1, len(self.locations))) * self.period
             task = PeriodicTask(
                 self.system.sim,
                 period=self.period,
@@ -131,27 +129,29 @@ class GlobalServicePublisher:
         service: str,
         period: float,
         recorder: WorkloadRecorder,
-        broker_name: Optional[str] = None,
-        value_function: Optional[Callable[[float], Mapping]] = None,
-        symbol: str = "ACME",
         until: Optional[float] = None,
     ):
         self.system = system
         self.service = service
         self.period = period
         self.recorder = recorder
-        self.symbol = symbol
-        self.value_function = value_function or (lambda now: {"price": round(100 + now % 17, 2)})
-        broker = broker_name or system.network.broker_names()[0]
-        self.client = system.add_static_client(f"pub-{service}", broker)
+        self.client = system.add_static_client(f"pub-{service}", system.network.broker_names()[0])
         self.sequence = 0
         self.task = PeriodicTask(system.sim, period=period, callback=self._publish, until=until)
 
     def _publish(self) -> None:
         self.sequence += 1
-        attributes = {"service": self.service, "symbol": self.symbol, "seq": self.sequence}
-        attributes.update(self.value_function(self.system.sim.now))
-        self.recorder.record(self.client.publish(attributes))
+        now = self.system.sim.now
+        self.recorder.record(
+            self.client.publish(
+                {
+                    "service": self.service,
+                    "symbol": "ACME",
+                    "seq": self.sequence,
+                    "price": round(100 + now % 17, 2),
+                }
+            )
+        )
 
     def stop(self) -> None:
         self.task.stop()

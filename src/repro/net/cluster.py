@@ -115,10 +115,9 @@ class ClusterEndpoint(SocketEndpoint):
         self.receive = receive
         self._on_lost = lost
 
-    def _admit(self, messages) -> bool:
+    def _admit(self) -> bool:
         if not self.is_open:
-            for _ in messages:
-                self.stats.record_drop()
+            self.stats.record_drop()
             return False
         return True
 

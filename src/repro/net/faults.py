@@ -23,9 +23,8 @@ link severing (see :mod:`repro.net.cluster`).
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List
 
 from .link import Link
 from .process import Process
@@ -65,32 +64,13 @@ class FaultInjector:
     All methods accept absolute times on the network's own clock
     (``network.sim``); scheduling in the past raises (through the
     simulator), which keeps experiment scripts honest.
-
-    Randomized fault decisions (the chaos fuzzer's flap repetitions, jittered
-    schedules) draw from :attr:`rng`, a *private* ``random.Random(seed)`` —
-    never the module-level ``random`` — so two injectors with the same seed
-    make bit-identical draws regardless of what the rest of the process does
-    with the global RNG.  :meth:`snapshot`/:meth:`restore` expose the RNG
-    state so a shrinking run can replay a schedule suffix exactly as the
-    original run drew it.
     """
 
-    def __init__(self, network, *, seed: Optional[int] = None):
+    def __init__(self, network):
         self.sim = network.sim
         self.network = network
         self.transport = network.transport
         self.log = FaultLog()
-        #: private seeded RNG; all randomized fault decisions come from here
-        self.rng = random.Random(seed)
-
-    # ------------------------------------------------------------------- rng
-    def snapshot(self) -> object:
-        """Capture the private RNG state (for deterministic suffix replay)."""
-        return self.rng.getstate()
-
-    def restore(self, state: object) -> None:
-        """Rewind the private RNG to a state from :meth:`snapshot`."""
-        self.rng.setstate(state)
 
     # ------------------------------------------------------------------ links
     def link_down_now(self, a: str, b: str) -> None:

@@ -61,34 +61,6 @@ class _DirectedEndpoint(LinkEndpoint):
         self._next_delivery_floor = arrival
         sim.push_delivery(arrival, self.target, message)
 
-    def transmit_many(self, messages: list[Message]) -> None:
-        """Transmit a burst of messages as ONE scheduled delivery event.
-
-        FIFO order within the burst (and relative to earlier traffic) is
-        preserved: all messages share the same arrival time, which also
-        becomes the delivery floor for later traffic.  The event is this
-        endpoint's :meth:`deliver`, which hands the burst over in order.
-        """
-        link = self.link
-        if not link.up:
-            for _ in messages:
-                self.stats.record_drop()
-            return
-        for message in messages:
-            self.stats.record(message)
-        sim = link.sim
-        arrival = sim._now + link.latency
-        if arrival < self._next_delivery_floor:
-            arrival = self._next_delivery_floor
-        self._next_delivery_floor = arrival
-        sim.push_delivery(arrival, self, tuple(messages))
-
-    def deliver(self, messages: tuple[Message, ...]) -> None:
-        """Run a burst's delivery: each message to the target's ``deliver``, in order."""
-        deliver = self.target.deliver
-        for message in messages:
-            deliver(message)
-
 
 class Link:
     """A bidirectional point-to-point FIFO link between two processes.

@@ -137,24 +137,13 @@ class Process:
         self.messages_sent += 1
 
     def send_many(self, peer_name: str, messages: "list[Message]") -> None:
-        """Send a burst of messages to ``peer_name`` as one batched link event.
+        """:meth:`send` each of ``messages`` to ``peer_name``, in order.
 
-        All messages share a single delivery event on the simulator (they
-        arrive at the same time, in list order), so a burst of per-entry
-        control messages — e.g. re-issuing every subscription on reconnect —
-        costs one queued event per link instead of one per message.  Per-message
-        stats are recorded exactly as with :meth:`send`.
+        The product sends one message at a time; this loop remains for the
+        budget benchmark's bare-transport probe, which calls it.
         """
-        if not messages:
-            return
-        endpoint = self.links[peer_name]
         for message in messages:
-            if message.sender != self.name:
-                message.sender = self.name
-                message._frame_bin = None
-        # counted once the endpoint accepted the burst (see send)
-        endpoint.transmit_many(messages)
-        self.messages_sent += len(messages)
+            self.send(peer_name, message)
 
     def deliver(self, message: Message) -> None:
         """Entry point used by links to hand a message to this process."""
@@ -192,8 +181,3 @@ class LinkEndpoint:
 
     def transmit(self, message: Message) -> None:  # pragma: no cover - interface
         raise NotImplementedError
-
-    def transmit_many(self, messages: "list[Message]") -> None:
-        """Transmit a burst; endpoints that can batch override this."""
-        for message in messages:
-            self.transmit(message)

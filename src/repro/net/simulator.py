@@ -89,8 +89,8 @@ class Simulator:
     behaviour and preserves FIFO semantics for same-latency links.
     """
 
-    def __init__(self, start_time: float = 0.0):
-        self._now = float(start_time)
+    def __init__(self):
+        self._now = 0.0
         self._buckets: dict[float, deque[tuple]] = {}
         self._times: list[float] = []  # heap of the keys of ``_buckets``
         self.events_processed = 0
@@ -241,7 +241,6 @@ class PeriodicTask:
         period: float,
         callback: Callable[[], Any],
         start_delay: float = 0.0,
-        jitter: Callable[[], float] | None = None,
         until: Optional[float] = None,
     ):
         if period <= 0:
@@ -249,7 +248,6 @@ class PeriodicTask:
         self.sim = sim
         self.period = period
         self.callback = callback
-        self.jitter = jitter
         self.until = until
         self._stopped = False
         self._handle: Optional[EventHandle] = None
@@ -266,14 +264,10 @@ class PeriodicTask:
         self.callback()
         if self._stopped:
             return
-        delay = self.period
-        if self.jitter is not None:
-            delay = max(1e-9, delay + self.jitter())
-        next_time = self.sim.now + delay
-        if self.until is not None and next_time > self.until:
+        if self.until is not None and self.sim.now + self.period > self.until:
             self._stopped = True
             return
-        self._handle = self.sim.schedule(delay, self._fire)
+        self._handle = self.sim.schedule(self.period, self._fire)
 
     def stop(self) -> None:
         """Stop the task; the pending occurrence (if any) is cancelled."""

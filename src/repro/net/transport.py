@@ -5,7 +5,7 @@ simulator.  That was the right substrate for reproducing the paper's
 algorithms, but it hard-wired the *algorithm* (brokers, routing, mobility) to
 the *substrate* (the simulator's event queue).  This module separates the
 two: a :class:`Transport` owns link construction, message movement and time,
-and everything above (``Process.send``/``send_many``, link FIFO semantics,
+and everything above (``Process.send``, link FIFO semantics,
 connect/disconnect events, latency, message and kind counts) goes through it.
 
 Three interchangeable backends:
@@ -486,21 +486,12 @@ class SocketEndpoint(LinkEndpoint):
         return self._writer is not None and not self._writer.is_closing()
 
     def transmit(self, message: Message) -> None:
-        if self._admit((message,)):
+        if self._admit():
             self.stats.record(message)
-            self.node._send_frames(self, wire.frame_message_binary(message), 1)
+            self.node._send_frame(self, wire.frame_message_binary(message))
 
-    def transmit_many(self, messages: List[Message]) -> None:
-        if messages and self._admit(messages):
-            frame_message = wire.frame_message_binary
-            burst = bytearray()
-            for message in messages:
-                self.stats.record(message)
-                burst += frame_message(message)
-            self.node._send_frames(self, bytes(burst), len(messages))
-
-    def _admit(self, messages) -> bool:
-        """Whether ``messages`` can be sent now (else: dropped and counted, or raise)."""
+    def _admit(self) -> bool:
+        """Whether a message can be sent now (else: dropped and counted, or raise)."""
         raise NotImplementedError
 
     def receive(self, message: Message) -> None:
@@ -620,7 +611,7 @@ class SocketNode:
 
     A node owns a loop whose timers fire when due, an :class:`AsyncioClock`
     on it, three wire instruments, and the one path a link's frames take:
-    out through :meth:`_send_frames` (written when the loop callback that
+    out through :meth:`_send_frame` (written when the loop callback that
     sent them ends, or one loop turn after a send from outside one), in
     through a :class:`_Receiver` per connection.  A cross-process connection
     is opened by :meth:`_dial` and a handshake the acceptor answers so each
@@ -728,12 +719,12 @@ class SocketNode:
             receiver._abort()
 
     # ----------------------------------------------------------------- sending
-    def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:
-        self._frames_sent.inc(count)
-        self._bytes_sent.inc(len(data))
+    def _send_frame(self, endpoint: SocketEndpoint, frame: bytes) -> None:
+        self._frames_sent.inc()
+        self._bytes_sent.inc(len(frame))
         # hop-level batching: coalesce the dispatch burst into one socket write
         buffer = endpoint._buffer
-        buffer += data
+        buffer += frame
         if len(buffer) >= self.FLUSH_CAP:
             self._flush_endpoint(endpoint)
             return
@@ -800,11 +791,9 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
         #: transport reconcile its in-flight counter if the connection dies
         self.undelivered = 0
 
-    def _admit(self, messages) -> bool:
-        link = self.link
-        if not link.up:
-            for _ in messages:
-                self.stats.record_drop()
+    def _admit(self) -> bool:
+        if not self.link.up:
+            self.stats.record_drop()
             return False
         if self._writer is None:  # refused before any accounting: it was never sent
             raise TransportError("link endpoint is not connected")
@@ -1092,12 +1081,12 @@ class AsyncioTransport(SocketNode, Transport):
             raise
 
     # ----------------------------------------------------------------- sending
-    def _send_frames(self, endpoint: SocketEndpoint, data: bytes, count: int) -> None:
+    def _send_frame(self, endpoint: SocketEndpoint, frame: bytes) -> None:
         # in-flight accounting happens at buffer time, so run_until_idle
         # cannot declare the system idle before the flush
-        self._inflight += count
-        endpoint.undelivered += count
-        super()._send_frames(endpoint, data, count)
+        self._inflight += 1
+        endpoint.undelivered += 1
+        super()._send_frame(endpoint, frame)
 
     # ----------------------------------------------------------------- driving
     def run_until_idle(self, timeout: Optional[float] = None) -> float:

@@ -31,9 +31,6 @@ class WirelessStats:
 
     connects: int = 0
     disconnects: int = 0
-    handovers: int = 0
-    messages_up: int = 0
-    messages_down: int = 0
     dropped_while_disconnected: int = 0
     attachment_history: List[tuple] = field(default_factory=list)
 
@@ -44,7 +41,7 @@ class WirelessChannel:
     The channel owns the (single) dynamic link between the device process and
     whatever access-point process it is currently attached to.  Attachment is
     driven externally by the mobility model / scenario code through
-    :meth:`attach`, :meth:`detach` and :meth:`handover`.
+    :meth:`attach` and :meth:`detach`.
 
     The substrate carrying that link is pluggable.  The channel needs exactly
     two operations from it — *open a link at runtime* and *release a
@@ -98,12 +95,12 @@ class WirelessChannel:
         self._on_connect.append(callback)
 
     # ------------------------------------------------------------ attachment
-    def attach(self, access_point: Process, immediate: bool = False) -> None:
+    def attach(self, access_point: Process) -> None:
         """Attach the device to ``access_point``.
 
         The attachment completes after ``connect_latency`` simulated seconds
         (associating with the access point, establishing the virtual-client
-        connection), unless ``immediate`` is set.  A later :meth:`attach` or
+        connection).  A later :meth:`attach` or
         :meth:`detach` issued while the attachment is still completing
         supersedes it: the latest instruction wins, a pending attach never
         resurrects a connection the device has since been told to drop.
@@ -111,8 +108,7 @@ class WirelessChannel:
         if self.current_ap is not None:
             self.detach()
         self._attach_epoch += 1
-        delay = 0.0 if immediate else self.connect_latency
-        self.sim.schedule(delay, self._complete_attach, access_point, self._attach_epoch)
+        self.sim.schedule(self.connect_latency, self._complete_attach, access_point, self._attach_epoch)
 
     def _complete_attach(self, access_point: Process, epoch: int) -> None:
         if epoch != self._attach_epoch or self.current_ap is not None:
@@ -174,16 +170,6 @@ class WirelessChannel:
         self.stats.disconnects += 1
         self.stats.attachment_history.append((self.sim.now, "detach", ap_name))
 
-    def handover(self, new_access_point: Process, gap: float = 0.0) -> None:
-        """Detach from the current AP and attach to ``new_access_point``.
-
-        ``gap`` models the out-of-coverage interval between leaving the old
-        cell and associating with the new one.
-        """
-        self.stats.handovers += 1
-        self.detach()
-        self.sim.schedule(gap, self.attach, new_access_point)
-
     # ------------------------------------------------------------- messaging
     def send_up(self, message: Message) -> bool:
         """Send a message from the device to the current access point.
@@ -194,6 +180,5 @@ class WirelessChannel:
         if not self.connected or self.current_ap is None:
             self.stats.dropped_while_disconnected += 1
             return False
-        self.stats.messages_up += 1
         self.device.send(self.current_ap.name, message)
         return True

@@ -93,11 +93,11 @@ class BrokerNetwork:
         self.brokers[name] = broker
         return broker
 
-    def connect_brokers(self, a: str, b: str, latency: Optional[float] = None) -> Link:
+    def connect_brokers(self, a: str, b: str) -> Link:
         """Create a broker-to-broker link and register the peer relation on both ends."""
         if a not in self.brokers or b not in self.brokers:
             raise KeyError(f"both {a!r} and {b!r} must be brokers in this network")
-        link = self.connect_processes(a, b, latency)
+        link = self.connect_processes(a, b)
         self.brokers[a].register_broker_peer(b)
         self.brokers[b].register_broker_peer(a)
         self._broker_edges.append((a, b))
@@ -224,12 +224,11 @@ def line_topology(
     *,
     routing: str = "simple",
     link_latency: float = 0.001,
-    prefix: str = "B",
     config=None,
 ) -> BrokerNetwork:
     """Brokers connected in a chain: B1 - B2 - ... - Bn."""
     net = BrokerNetwork(routing=routing, link_latency=link_latency, config=config)
-    names = [f"{prefix}{i + 1}" for i in range(n_brokers)]
+    names = [f"B{i + 1}" for i in range(n_brokers)]
     for name in names:
         net.add_broker(name)
     for left, right in zip(names, names[1:]):
@@ -244,7 +243,6 @@ def balanced_tree_topology(
     *,
     routing: str = "simple",
     link_latency: float = 0.001,
-    prefix: str = "B",
     config=None,
 ) -> BrokerNetwork:
     """A balanced tree of brokers with the given branching factor and depth."""
@@ -256,7 +254,7 @@ def balanced_tree_topology(
     def make(depth_left: int, parent: Optional[str]) -> None:
         nonlocal counter
         counter += 1
-        name = f"{prefix}{counter}"
+        name = f"B{counter}"
         net.add_broker(name)
         if parent is not None:
             net.connect_brokers(parent, name)
@@ -275,13 +273,12 @@ def random_tree_topology(
     routing: str = "simple",
     link_latency: float = 0.001,
     seed: int = 0,
-    prefix: str = "B",
     config=None,
 ) -> BrokerNetwork:
     """A uniformly random tree over ``n_brokers`` brokers (random attachment)."""
     rng = random.Random(seed)
     net = BrokerNetwork(routing=routing, link_latency=link_latency, config=config)
-    names = [f"{prefix}{i + 1}" for i in range(n_brokers)]
+    names = [f"B{i + 1}" for i in range(n_brokers)]
     for name in names:
         net.add_broker(name)
     for i in range(1, n_brokers):
@@ -297,7 +294,6 @@ def grid_border_topology(
     *,
     routing: str = "simple",
     link_latency: float = 0.001,
-    prefix: str = "B",
     config=None,
 ) -> Tuple[BrokerNetwork, Dict[Tuple[int, int], str]]:
     """A broker per grid cell as a spanning tree (row backbones joined by the first column).
@@ -311,7 +307,7 @@ def grid_border_topology(
     cells: Dict[Tuple[int, int], str] = {}
     for r in range(rows):
         for c in range(cols):
-            name = f"{prefix}_{r}_{c}"
+            name = f"B_{r}_{c}"
             net.add_broker(name)
             cells[(r, c)] = name
     for r in range(rows):

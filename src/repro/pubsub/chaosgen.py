@@ -272,7 +272,7 @@ class _PlanRun:
             routing="covering",
             config=(config or SystemConfig()).replace(transport=backend),
         )
-        self.injector = FaultInjector(self.net, seed=self.params.seed)
+        self.injector = FaultInjector(self.net)
         self.down: set = set()
         self.severed: set = set()
         self.roam_at = self.params.roam_start
@@ -728,13 +728,6 @@ def _candidate_fails(plan: ChaosPlan, backend: str, inject_bug: Optional[str], c
     return bool(check_convergence(oracle.delivered, result.delivered, candidate_name=backend))
 
 
-def sweep(
-    seeds: Sequence[int], backend: str = "sim", shrink: bool = True, config=None
-) -> List[FuzzReport]:
-    """Run a fuzz sweep; returns one report per seed, failures included."""
-    return [run_chaos_fuzz(seed, backend=backend, shrink=shrink, config=config) for seed in seeds]
-
-
 # ----------------------------------------------------------------------- soak
 
 
@@ -776,14 +769,15 @@ class SoakResult:
 #: arena churn; fds must stay exactly flat
 SOAK_SLACK = {"rss_kb": 4096}
 
+#: every this many soak iterations also runs a drawn handover workload
+SOAK_MOBILITY_EVERY = 3
+
 
 def run_soak(
     backend: str = "sim",
     budget_sec: float = 10.0,
     seed: int = 0,
     min_iterations: int = 2,
-    max_iterations: int = 10_000,
-    mobility_every: int = 3,
     config=None,
 ) -> SoakResult:
     """Loop seeded chaos plans under a time budget, gating resource plateaus.
@@ -791,8 +785,8 @@ def run_soak(
     The first iteration is warmup (interpreters allocate lazily: event loops,
     import caches, socket machinery); the plateau baseline is taken after it,
     and every later iteration must return to it — open fds exactly, RSS
-    within :data:`SOAK_SLACK`.  Every ``mobility_every``-th iteration also
-    runs a seed-drawn member of the mobility handover family
+    within :data:`SOAK_SLACK`.  Every :data:`SOAK_MOBILITY_EVERY`-th iteration
+    also runs a seed-drawn member of the mobility handover family
     (:class:`repro.mobility.handover_workload.WorkloadSpec`) on the same
     backend, so roaming/replication state is part of the plateau too (skipped
     on the cluster backend, which hosts plain pub/sub only).  Any invariant
@@ -803,15 +797,14 @@ def run_soak(
     started = time.perf_counter()
     result = SoakResult(backend=backend)
     next_seed = seed
-    while result.iterations < max_iterations:
+    while True:
         elapsed = time.perf_counter() - started
         if result.iterations >= min_iterations and elapsed >= budget_sec:
             break
         report = run_chaos_fuzz(next_seed, backend=backend, shrink=False, config=config)
         if (
-            mobility_every
-            and backend in ("sim", "asyncio")
-            and result.iterations % mobility_every == mobility_every - 1
+            backend in ("sim", "asyncio")
+            and result.iterations % SOAK_MOBILITY_EVERY == SOAK_MOBILITY_EVERY - 1
         ):
             # deferred import: mobility sits above pubsub in the layering
             from ..mobility.handover_workload import WorkloadSpec, run_handover_workload

@@ -1,16 +1,15 @@
-"""Clients and local brokers.
+"""Clients.
 
 "Processes of a system based on pub/sub communication ... can act both as
 producers and consumers, they are clients of the underlying notification
 service.  The communication interface to the service is rather simple and
 consists of pub, sub, unsub, and notify calls only." (Sect. 2)
 
-A :class:`Client` is a simulated process with exactly that interface.  The
-*local broker* of the paper — the piece of the middleware library loaded into
-the client — is modelled by :class:`LocalBroker`, which keeps the client's
-active subscriptions so they can be re-issued after reconnection (the basis
-of physical mobility) and translates the API calls into messages to the
-current border broker.
+A :class:`Client` is a simulated process with exactly that interface.  It
+also plays the paper's *local broker* — the piece of the middleware library
+loaded into the client: it keeps the client's active subscriptions so they
+can be re-issued after reconnection (the basis of physical mobility) and
+translates the API calls into messages to the current border broker.
 """
 
 from __future__ import annotations
@@ -40,60 +39,6 @@ class Delivery:
         return self.received_at - self.notification.published_at
 
 
-class LocalBroker:
-    """The client-side library component: tracks subscriptions, talks to the border broker."""
-
-    def __init__(self, client: "Client"):
-        self.client = client
-        self.subscriptions: Dict[str, Subscription] = {}
-        self.border_broker: Optional[str] = None
-
-    # ------------------------------------------------------------- connection
-    def connect(self, border_broker_name: str, reissue: bool = True) -> None:
-        """Point the local broker at a border broker and (re-)issue subscriptions."""
-        self.border_broker = border_broker_name
-        if reissue and self.subscriptions:
-            if not self.connected:
-                self.client.undeliverable_calls += len(self.subscriptions)
-                return
-            # one batched link event for the whole burst, not one per entry
-            self.client.send_many(
-                border_broker_name,
-                [Message(kind="subscribe", payload=sub) for sub in self.subscriptions.values()],
-            )
-
-    def disconnect(self, notify_broker: bool = False) -> None:
-        """Forget the border broker; optionally tell it to drop our routing entries."""
-        if notify_broker and self.border_broker and self.client.has_link(self.border_broker):
-            self.client.send(self.border_broker, Message(kind="detach"))
-        self.border_broker = None
-
-    @property
-    def connected(self) -> bool:
-        return self.border_broker is not None and self.client.has_link(self.border_broker)
-
-    # ------------------------------------------------------------------ calls
-    def sub(self, sub: Subscription) -> None:
-        self.subscriptions[sub.sub_id] = sub
-        self._send("subscribe", sub)
-
-    def unsub(self, sub_id: str) -> Optional[Subscription]:
-        sub = self.subscriptions.pop(sub_id, None)
-        if sub is not None:
-            self._send("unsubscribe", {"sub_id": sub_id, "filter": sub.filter})
-        return sub
-
-    def pub(self, notification: Notification) -> bool:
-        return self._send("publish", notification)
-
-    def _send(self, kind: str, payload: Any) -> bool:
-        if not self.connected or self.border_broker is None:
-            self.client.undeliverable_calls += 1
-            return False
-        self.client.send(self.border_broker, Message(kind=kind, payload=payload))
-        return True
-
-
 class Client(Process):
     """A producer/consumer attached to the notification service.
 
@@ -106,26 +51,35 @@ class Client(Process):
 
     def __init__(self, sim: Simulator, name: str):
         super().__init__(sim, name)
-        self.local_broker = LocalBroker(self)
+        self._subscriptions: Dict[str, Subscription] = {}
+        self.border_broker: Optional[str] = None
         self.deliveries: List[Delivery] = []
         self.published: List[Notification] = []
         self.undeliverable_calls = 0
 
     # ------------------------------------------------------------- connection
     def connect_to(self, border_broker_name: str, reissue: bool = True) -> None:
-        """Use the (already wired) link to ``border_broker_name`` as the access point."""
-        self.local_broker.connect(border_broker_name, reissue=reissue)
+        """Use the (already wired) link to ``border_broker_name`` as the access point.
+
+        With ``reissue``, every active subscription is sent to it again.
+        """
+        self.border_broker = border_broker_name
+        if reissue and self._subscriptions:
+            if not self.connected:
+                self.undeliverable_calls += len(self._subscriptions)
+                return
+            for sub in self._subscriptions.values():
+                self.send(border_broker_name, Message(kind="subscribe", payload=sub))
 
     def disconnect(self, notify_broker: bool = False) -> None:
-        self.local_broker.disconnect(notify_broker=notify_broker)
+        """Forget the border broker; optionally tell it to drop our routing entries."""
+        if notify_broker and self.border_broker and self.has_link(self.border_broker):
+            self.send(self.border_broker, Message(kind="detach"))
+        self.border_broker = None
 
     @property
     def connected(self) -> bool:
-        return self.local_broker.connected
-
-    @property
-    def border_broker(self) -> Optional[str]:
-        return self.local_broker.border_broker
+        return self.border_broker is not None and self.has_link(self.border_broker)
 
     # ------------------------------------------------------------ pub/sub API
     def subscribe(
@@ -143,13 +97,17 @@ class Client(Process):
             location_dependent=location_dependent,
             template=template,
         )
-        self.local_broker.sub(sub)
+        self._subscriptions[sub.sub_id] = sub
+        self._call("subscribe", sub)
         return sub
 
     def unsubscribe(self, sub: Subscription | str) -> Optional[Subscription]:
         """Withdraw a subscription (by object or id)."""
         sub_id = sub if isinstance(sub, str) else sub.sub_id
-        return self.local_broker.unsub(sub_id)
+        withdrawn = self._subscriptions.pop(sub_id, None)
+        if withdrawn is not None:
+            self._call("unsubscribe", {"sub_id": sub_id, "filter": withdrawn.filter})
+        return withdrawn
 
     def publish(self, notification: Notification | Mapping[str, Any]) -> Notification:
         """Publish a notification (or a plain attribute mapping)."""
@@ -157,12 +115,19 @@ class Client(Process):
             notification = Notification(notification)
         stamped = notification.stamped(published_at=self.sim.now, publisher=self.name)
         self.published.append(stamped)
-        self.local_broker.pub(stamped)
+        self._call("publish", stamped)
         return stamped
+
+    def _call(self, kind: str, payload: Any) -> None:
+        """Send one API call to the border broker, or count it undeliverable."""
+        if not self.connected:
+            self.undeliverable_calls += 1
+            return
+        self.send(self.border_broker, Message(kind=kind, payload=payload))
 
     @property
     def subscriptions(self) -> List[Subscription]:
-        return list(self.local_broker.subscriptions.values())
+        return list(self._subscriptions.values())
 
     # --------------------------------------------------------------- delivery
     def on_message(self, message: Message) -> None:

@@ -77,10 +77,7 @@ def check_no_duplicates(duplicates_by_client: Mapping[str, int]) -> List[Violati
 
 
 def check_exactly_once(
-    subject: str,
-    expected: Iterable[int],
-    delivered: Iterable[int],
-    context: str = "",
+    subject: str, expected: Iterable[int], delivered: Iterable[int]
 ) -> List[Violation]:
     """Every expected id delivered exactly once, nothing unexpected.
 
@@ -88,7 +85,6 @@ def check_exactly_once(
     in ``expected`` are judged, so the checker composes per publish burst.
     """
     expected_set = set(expected)
-    note = f" ({context})" if context else ""
     violations: List[Violation] = []
     seen: Dict[int, int] = {}
     for nid in delivered:
@@ -96,13 +92,11 @@ def check_exactly_once(
             seen[nid] = seen.get(nid, 0) + 1
     missing = sorted(expected_set - set(seen))
     if missing:
-        violations.append(
-            Violation("exactly-once", subject, f"never delivered: {missing[:8]}{note}")
-        )
+        violations.append(Violation("exactly-once", subject, f"never delivered: {missing[:8]}"))
     repeated = sorted(nid for nid, count in seen.items() if count > 1)
     if repeated:
         violations.append(
-            Violation("exactly-once", subject, f"delivered more than once: {repeated[:8]}{note}")
+            Violation("exactly-once", subject, f"delivered more than once: {repeated[:8]}")
         )
     return violations
 
@@ -144,10 +138,9 @@ def check_provable_loss(
 def check_convergence(
     reference: Mapping[str, Sequence[Tuple]],
     candidate: Mapping[str, Sequence[Tuple]],
-    reference_name: str = "sim",
     candidate_name: str = "candidate",
 ) -> List[Violation]:
-    """Per-subscriber delivered sets must be identical across backends."""
+    """Per-subscriber delivered sets must equal the simulator's ``reference``."""
     violations: List[Violation] = []
     for name in sorted(set(reference) | set(candidate)):
         expected = list(reference.get(name, ()))
@@ -160,7 +153,7 @@ def check_convergence(
             Violation(
                 "convergence",
                 name,
-                f"{candidate_name} delivered {len(actual)} vs {reference_name} "
+                f"{candidate_name} delivered {len(actual)} vs sim "
                 f"{len(expected)} (missing {missing[:5]}, extra {extra[:5]})",
             )
         )

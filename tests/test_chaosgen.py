@@ -24,8 +24,6 @@ import random
 
 import pytest
 
-from repro.net.faults import FaultInjector
-from repro.pubsub.broker_network import line_topology
 from repro.pubsub.chaosgen import (
     ROUND_BASE,
     ROUND_SPAN,
@@ -39,7 +37,6 @@ from repro.pubsub.chaosgen import (
     judge_plan,
     run_chaos_fuzz,
     shrink_plan,
-    sweep,
 )
 from repro.pubsub.invariants import (
     InvariantError,
@@ -98,7 +95,7 @@ def test_execution_never_touches_module_level_random():
 
 
 def test_sim_sweep_holds_every_invariant():
-    reports = sweep(range(25), backend="sim")
+    reports = [run_chaos_fuzz(seed, backend="sim") for seed in range(25)]
     failures = [report.summary() for report in reports if not report.ok]
     assert not failures, failures
 
@@ -180,24 +177,6 @@ def test_shrinker_respects_its_execution_budget():
 def test_unknown_injectable_bug_is_rejected():
     with pytest.raises(ValueError, match="unknown injectable bug"):
         execute_plan(generate_plan(0), inject_bug="skip_everything")
-
-
-# -------------------------------------------------------- fault injector rng
-
-
-def test_fault_injector_rng_is_private_and_seeded():
-    net = line_topology(n_brokers=3)
-    try:
-        first = FaultInjector(net, seed=99)
-        second = FaultInjector(net, seed=99)
-        draws = [first.rng.random() for _ in range(5)]
-        assert draws == [second.rng.random() for _ in range(5)]
-        state = first.snapshot()
-        replay = [first.rng.random() for _ in range(3)]
-        first.restore(state)
-        assert [first.rng.random() for _ in range(3)] == replay
-    finally:
-        net.close()
 
 
 # --------------------------------------------------------- invariant library

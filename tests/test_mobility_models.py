@@ -7,7 +7,6 @@ import pytest
 from repro.core.location import cell_grid_space, cell_name
 from repro.core.location_filter import location_dependent
 from repro.mobility.models import (
-    MarkovMobility,
     MobilityDriver,
     RandomWalkMobility,
     RoutePathMobility,
@@ -56,20 +55,6 @@ class TestModels:
             RoutePathMobility([])
         with pytest.raises(ValueError):
             RoutePathMobility(["a"], dwell_time=0)
-
-    def test_markov_mobility_follows_transition_matrix(self):
-        transitions = {"home": {"office": 1.0}, "office": {"home": 1.0}}
-        model = MarkovMobility(transitions, start="home", dwell_time=10.0)
-        waypoints = model.waypoints(100.0, random.Random(3))
-        locations = [w.location for w in waypoints]
-        # strictly alternates because both transitions are certain
-        for previous, current in zip(locations, locations[1:]):
-            assert previous != current
-
-    def test_markov_mobility_stays_put_with_missing_mass(self):
-        model = MarkovMobility({"home": {}}, start="home", dwell_time=10.0)
-        waypoints = model.waypoints(100.0, random.Random(3))
-        assert all(w.location == "home" for w in waypoints)
 
     def test_teleport_marks_power_off(self, grid_space):
         model = TeleportMobility(grid_space, start=cell_name(0, 0), on_time=10.0, off_time=5.0)

@@ -21,7 +21,11 @@ import pytest
 from repro.config import SystemConfig
 from repro.core.location import LocationSpace
 from repro.core.middleware import MobilePubSub, MobilitySystemConfig
-from repro.mobility.handover_workload import cross_check_backends, run_handover_workload
+from repro.mobility.handover_workload import (
+    WorkloadSpec,
+    cross_check_backends,
+    run_handover_workload,
+)
 from repro.net.process import Message, Process
 from repro.net.wireless import WirelessChannel
 from repro.pubsub.broker_network import line_topology
@@ -33,9 +37,7 @@ from repro.pubsub.broker_network import line_topology
 class TestHandoverCrossCheck:
     def test_asyncio_handover_delivers_identical_sets_to_simulator(self):
         """The acceptance gate: 3-broker walk + exception mode, sim == asyncio."""
-        results, mismatches = cross_check_backends(
-            backends=("sim", "asyncio"), brokers=3, publishes_per_phase=4
-        )
+        results, mismatches = cross_check_backends(backends=("sim", "asyncio"))
         assert mismatches == []
         reference = results["sim"]
         # the scenario must actually exercise the machinery it claims to
@@ -55,7 +57,8 @@ class TestHandoverCrossCheck:
     def test_cross_check_holds_without_prediction(self):
         """The reactive baseline (no shadows) must also be substrate-invariant."""
         results, mismatches = cross_check_backends(
-            backends=("sim", "asyncio"), brokers=3, publishes_per_phase=2, predictor="none"
+            backends=("sim", "asyncio"),
+            spec=WorkloadSpec(publishes_per_phase=2, predictor="none"),
         )
         assert mismatches == []
         assert results["sim"].shadows_created == 0
@@ -92,7 +95,7 @@ class TestHandoverCrossCheck:
             assert not all(replayed for _, replayed in delivered[walker])
 
     def test_asyncio_handover_latencies_are_real(self):
-        result = run_handover_workload("asyncio", brokers=3, publishes_per_phase=1)
+        result = run_handover_workload("asyncio", spec=WorkloadSpec(publishes_per_phase=1))
         latencies = result.all_handover_latencies()
         assert latencies, "every attach must be welcomed"
         # the connect_latency floor (10ms) is honoured by the real clock
@@ -210,14 +213,14 @@ class TestWirelessChannelOnAsyncio:
         transport, channel, device, ap1, ap2 = asyncio_channel
         channel.attach(ap1)
         transport.run_until_idle()
-        channel.handover(ap2, gap=0.0)
+        channel.detach()
+        channel.attach(ap2)
         transport.run_until_idle()
         assert channel.access_point_name == "ap2"
         channel.send_up(Message("ping", payload=2))
         transport.run_until_idle()
         assert [m.payload for m in ap2.received] == [2]
         assert ap1.received == []
-        assert channel.stats.handovers == 1
         assert channel.stats.connects == 2
 
     def test_detach_drops_uplink_traffic(self, asyncio_channel):
@@ -272,10 +275,13 @@ class TestWirelessChannelOnAsyncio:
         # the device moves on (to the same or the other access point) while
         # its first link is still being paired: the first link becomes ready
         # stale, and must leave neither a second attachment nor a socket
-        transport, channel, _device, ap1, ap2 = asyncio_channel
+        transport, _channel, device, ap1, ap2 = asyncio_channel
+        channel = WirelessChannel(device, latency=0.0, connect_latency=0.0, transport=transport)
         winner, loser = (ap1, ap2) if second == "ap1" else (ap2, ap1)
-        probe = WirelessChannel(Recorder(transport.clock, "probe"), latency=0.0, transport=transport)
-        probe.attach(ap2, immediate=True)
+        probe = WirelessChannel(
+            Recorder(transport.clock, "probe"), latency=0.0, connect_latency=0.0, transport=transport
+        )
+        probe.attach(ap2)
         transport.run_until_idle()
         one_link = transport.resource_sizes()
         probe.detach()
@@ -289,8 +295,8 @@ class TestWirelessChannelOnAsyncio:
         monkeypatch.setattr(
             channel, "_discard_stale_link", lambda link: (discarded.append(link), discard(link))
         )
-        channel.attach(ap1, immediate=True)
-        transport.clock.schedule(0.0, channel.attach, winner, True)
+        channel.attach(ap1)
+        transport.clock.schedule(0.0, channel.attach, winner)
         transport.run_until_idle()
         assert len(discarded) == 1, "the first link must become ready stale"
         assert channel.stats.connects == 1
@@ -309,8 +315,9 @@ class TestWirelessChannelOnAsyncio:
     def test_a_link_ready_after_a_power_off_is_torn_down(self, asyncio_channel):
         # the device powers off while its link is being paired: the link
         # becomes ready stale and must not connect it, nor stay open
-        transport, channel, device, ap1, _ap2 = asyncio_channel
-        channel.attach(ap1, immediate=True)
+        transport, _channel, device, ap1, _ap2 = asyncio_channel
+        channel = WirelessChannel(device, latency=0.0, connect_latency=0.0, transport=transport)
+        channel.attach(ap1)
         transport.clock.schedule(0.0, channel.detach)
         transport.run_until_idle()
         assert not channel.connected

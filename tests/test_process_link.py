@@ -201,18 +201,6 @@ class TestBrokerNetworkRegistry:
 
 
 class TestBatchedDelivery:
-    def test_send_many_is_one_event_per_link(self, pair):
-        sim, a, b, link = pair
-        messages = [Message("subscribe", payload=i) for i in range(5)]
-        scheduled_before = sim.events_scheduled
-        a.send_many("b", messages)
-        assert sim.events_scheduled == scheduled_before + 1
-        sim.run_until_idle()
-        assert [m.payload for (_, m) in b.received] == [0, 1, 2, 3, 4]
-        assert all(t == pytest.approx(0.5) for (t, _) in b.received)
-        assert a.messages_sent == 5
-        assert link.stats_a_to_b.messages == 5
-
     def test_send_many_preserves_fifo_with_earlier_traffic(self, pair):
         sim, a, b, link = pair
         a.send("b", Message("x", payload="first"))
@@ -227,12 +215,6 @@ class TestBatchedDelivery:
         sim.run_until_idle()
         assert b.received == []
         assert link.stats_a_to_b.dropped == 2
-
-    def test_send_many_empty_is_noop(self, pair):
-        sim, a, b, _ = pair
-        a.send_many("b", [])
-        assert sim.events_scheduled == 0
-        assert a.messages_sent == 0
 
 
 # ------------------------------------------------------- counted, not weighed
@@ -252,19 +234,15 @@ class _Trap:
 
 
 class TestSendNeverLooksInside:
-    @pytest.mark.parametrize("batched", [False, True], ids=["send", "send_many"])
     @pytest.mark.parametrize("where", ["payload", "meta"])
-    def test_a_trap_arrives_untouched_and_counted(self, pair, batched, where):
+    def test_a_trap_arrives_untouched_and_counted(self, pair, where):
         sim, a, b, link = pair
         trap = _Trap()
         if where == "payload":
             message = Message("trap", payload=trap)
         else:
             message = Message("trap", meta={"value": trap})
-        if batched:
-            a.send_many("b", [message])
-        else:
-            a.send("b", message)
+        a.send("b", message)
         sim.run_until_idle()
         [(_time, received)] = b.received
         carried = received.payload if where == "payload" else received.meta["value"]

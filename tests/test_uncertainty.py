@@ -42,11 +42,13 @@ class TestTrivialPredictors:
 
 class TestMarkovPredictor:
     def test_falls_back_to_nlb_without_observations(self, line):
-        predictor = MarkovPredictor(line, min_observations=3)
+        predictor = MarkovPredictor(line)
+        for _ in range(MarkovPredictor.MIN_OBSERVATIONS - 1):
+            predictor.observe_handover("B", "C")
         assert predictor.predict("B") == line.nlb("B")
 
     def test_learns_dominant_transition(self, line):
-        predictor = MarkovPredictor(line, threshold=0.5, min_observations=3)
+        predictor = MarkovPredictor(line, threshold=0.5)
         for _ in range(9):
             predictor.observe_handover("B", "C")
         predictor.observe_handover("B", "A")
@@ -58,7 +60,7 @@ class TestMarkovPredictor:
         assert predictor.predict("B") == line.nlb("B")
 
     def test_threshold_keeps_multiple_candidates(self, line):
-        predictor = MarkovPredictor(line, threshold=0.2, min_observations=2)
+        predictor = MarkovPredictor(line, threshold=0.2)
         for _ in range(5):
             predictor.observe_handover("B", "C")
         for _ in range(5):
@@ -66,25 +68,20 @@ class TestMarkovPredictor:
         assert predictor.predict("B") == frozenset({"A", "C"})
 
     def test_never_predicts_empty_when_graph_known(self, line):
-        predictor = MarkovPredictor(line, threshold=0.99, min_observations=1)
-        predictor.observe_handover("B", "C")
-        predictor.observe_handover("B", "A")
+        predictor = MarkovPredictor(line, threshold=0.99)
+        for _ in range(3):
+            predictor.observe_handover("B", "C")
+            predictor.observe_handover("B", "A")
         # No single transition reaches 0.99, but the predictor degrades to nlb.
         assert predictor.predict("B") == line.nlb("B")
 
-    def test_max_candidates_cap(self, line):
-        predictor = MarkovPredictor(line, threshold=0.1, min_observations=1, max_candidates=1)
-        for _ in range(6):
-            predictor.observe_handover("B", "C")
-        for _ in range(4):
-            predictor.observe_handover("B", "A")
-        assert predictor.predict("B") == frozenset({"C"})
-
     def test_self_transition_ignored(self, line):
-        predictor = MarkovPredictor(line, min_observations=1)
-        predictor.observe_handover("B", "B")
+        predictor = MarkovPredictor(line)
+        for _ in range(MarkovPredictor.MIN_OBSERVATIONS):
+            predictor.observe_handover("B", "B")
         assert predictor.predict("B") == line.nlb("B")  # nothing observed yet
-        predictor.observe_handover("B", "C")
+        for _ in range(MarkovPredictor.MIN_OBSERVATIONS):
+            predictor.observe_handover("B", "C")
         assert predictor.predict("B") == frozenset({"C"})  # B -> B never counted
 
     def test_invalid_threshold(self, line):
@@ -118,7 +115,7 @@ class TestCoverageAndCost:
     def test_markov_learns_during_replay(self):
         graph = grid_graph(3, 3)
         trace = ["B_0_0", "B_0_1", "B_0_0", "B_0_1", "B_0_0", "B_0_1"] * 5
-        predictor = MarkovPredictor(graph, threshold=0.5, min_observations=2)
+        predictor = MarkovPredictor(graph, threshold=0.5)
         coverage, shadows = coverage_and_cost(predictor, trace)
         assert coverage == 1.0
         # once learned, the predictor maintains a single shadow instead of the

@@ -1038,7 +1038,8 @@ class TestBatchedFrameBoundary:
         transport, a, b, link = binary_pair
         messages, total = self._burst()
         transport.FLUSH_CAP = total
-        a.send_many("b", messages)
+        for message in messages:
+            a.send("b", message)
         endpoint = link._a_to_b
         assert len(endpoint._buffer) == 0, "a burst at the cap must flush synchronously"
         assert endpoint not in transport._dirty
@@ -1049,7 +1050,8 @@ class TestBatchedFrameBoundary:
         transport, a, b, link = binary_pair
         messages, total = self._burst()
         transport.FLUSH_CAP = total - 1
-        a.send_many("b", messages)
+        for message in messages:
+            a.send("b", message)
         endpoint = link._a_to_b
         assert len(endpoint._buffer) == 0, "a burst over the cap must flush synchronously"
         assert endpoint not in transport._dirty
@@ -1060,7 +1062,8 @@ class TestBatchedFrameBoundary:
         transport, a, b, link = binary_pair
         messages, total = self._burst()
         transport.FLUSH_CAP = total + 1
-        a.send_many("b", messages)
+        for message in messages:
+            a.send("b", message)
         endpoint = link._a_to_b
         assert len(endpoint._buffer) == total, "an under-cap burst must buffer"
         assert endpoint in transport._dirty
@@ -1070,7 +1073,7 @@ class TestBatchedFrameBoundary:
         assert [m.payload for m in b.received] == ["a" * 32, "b" * 32]
 
     def test_sequential_sends_cross_the_cap_mid_burst(self, binary_pair):
-        # the cap check runs per _send_frames call: the send that crosses
+        # the cap check runs per _send_frame call: the send that crosses
         # the cap flushes everything buffered so far, frames never split
         transport, a, b, link = binary_pair
         messages, total = self._burst()
