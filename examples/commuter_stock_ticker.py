@@ -33,7 +33,6 @@ from repro.core import (
     ReplicatorConfig,
     evaluate_plain_delivery,
     from_location_space,
-    office_floor_space,
 )
 from repro.mobility import build_office_scenario, stock_workload
 from repro.pubsub import Equals, Filter

@@ -133,6 +133,19 @@ class LocationSpace:
 # ------------------------------------------------------------------- builders
 
 
+def line_space(names: List[str], per_broker: int, myloc_scope: str) -> LocationSpace:
+    """Locations along a line: each is adjacent to the one before and after it,
+    and each run of ``per_broker`` consecutive ones shares a border broker
+    (``B1``, ``B2``, ... in order)."""
+    if not names or per_broker < 1:
+        raise ValueError("a line needs at least one location and a positive number per broker")
+    broker_of = {name: f"B{i // per_broker + 1}" for i, name in enumerate(names)}
+    adjacency = {
+        name: names[max(0, i - 1) : i] + names[i + 1 : i + 2] for i, name in enumerate(names)
+    }
+    return LocationSpace(broker_of, adjacency=adjacency, myloc_scope=myloc_scope)
+
+
 def office_floor_space(
     n_rooms: int,
     rooms_per_broker: int = 4,
@@ -142,21 +155,9 @@ def office_floor_space(
     Adjacency is the corridor order (room-i is adjacent to room-(i±1)), the
     setting of the paper's office-floor example (Fig. 1, right).
     """
-    if n_rooms < 1 or rooms_per_broker < 1:
-        raise ValueError("n_rooms and rooms_per_broker must be positive")
-    broker_of: Dict[str, str] = {}
-    adjacency: Dict[str, Set[str]] = {}
     width = max(2, len(str(n_rooms - 1)))
     rooms = [f"room-{i:0{width}d}" for i in range(n_rooms)]
-    for i, room in enumerate(rooms):
-        broker_of[room] = f"B{i // rooms_per_broker + 1}"
-        neighbours = set()
-        if i > 0:
-            neighbours.add(rooms[i - 1])
-        if i < n_rooms - 1:
-            neighbours.add(rooms[i + 1])
-        adjacency[room] = neighbours
-    return LocationSpace(broker_of, adjacency=adjacency)
+    return line_space(rooms, rooms_per_broker, "location")
 
 
 def cell_grid_space(
@@ -206,19 +207,9 @@ def route_space(
     ``myloc`` binds to the neighbourhood scope so a car sees "the
     restaurants along the route", i.e. its segment and the adjacent ones.
     """
-    broker_of: Dict[str, str] = {}
-    adjacency: Dict[str, Set[str]] = {}
     width = max(2, len(str(n_segments - 1)))
     segments = [f"km-{i:0{width}d}" for i in range(n_segments)]
-    for i, segment in enumerate(segments):
-        broker_of[segment] = f"B{i // segments_per_broker + 1}"
-        neighbours = set()
-        if i > 0:
-            neighbours.add(segments[i - 1])
-        if i < n_segments - 1:
-            neighbours.add(segments[i + 1])
-        adjacency[segment] = neighbours
-    return LocationSpace(broker_of, adjacency=adjacency, myloc_scope="neighbourhood")
+    return line_space(segments, segments_per_broker, "neighbourhood")
 
 
 def cell_name(row: int, col: int) -> str:

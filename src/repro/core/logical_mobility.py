@@ -27,6 +27,7 @@ from ..pubsub.filters import Filter
 from ..pubsub.subscription import Subscription
 from .location import LocationSpace
 from .location_filter import LocationDependentFilter
+from .metrics import value_at_factory
 
 _binding_counter = itertools.count(1)
 
@@ -100,9 +101,10 @@ class LocationAwareClient(Client):
 
     def relevant_deliveries(self) -> int:
         """Deliveries that matched the binding for the location the client had at reception time."""
+        location_at = value_at_factory(self.location_trace)
         relevant = 0
         for delivery in self.deliveries:
-            location = self._location_at(delivery.received_at)
+            location = location_at(delivery.received_at)
             if location is None:
                 continue
             for template in self.templates.values():
@@ -110,12 +112,3 @@ class LocationAwareClient(Client):
                     relevant += 1
                     break
         return relevant
-
-    def _location_at(self, time: float) -> Optional[str]:
-        location = None
-        for timestamp, loc in self.location_trace:
-            if timestamp <= time:
-                location = loc
-            else:
-                break
-        return location

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..pubsub.notification import Notification
 from .location import LocationSpace
@@ -32,18 +32,23 @@ from .mobile_client import MobileClient
 LocationAt = Callable[[float], Optional[str]]
 
 
-def location_at_factory(trace: Sequence[Tuple[float, str]]) -> LocationAt:
-    """Build a "where was the client at time t" function from a location trace."""
-    times = [timestamp for timestamp, _loc in trace]
-    locations = [loc for _timestamp, loc in trace]
+def value_at_factory(trace: Sequence[Tuple[float, Any]]) -> Callable[[float], Any]:
+    """Build the "value at time t" function of a time-ordered ``(time, value)`` trace.
 
-    def location_at(time: float) -> Optional[str]:
+    The value at ``t`` is the last one recorded at or before ``t`` (None
+    before the first): where a client was (its location trace), or what its
+    context held (a battery level).
+    """
+    times = [timestamp for timestamp, _value in trace]
+    values = [value for _timestamp, value in trace]
+
+    def value_at(time: float) -> Any:
         index = bisect.bisect_right(times, time) - 1
         if index < 0:
             return None
-        return locations[index]
+        return values[index]
 
-    return location_at
+    return value_at
 
 
 def relevant_notification_ids(
@@ -117,7 +122,7 @@ def evaluate_mobile_delivery(
     space: LocationSpace,
 ) -> DeliveryOutcome:
     """Compare a mobile client's deliveries against the ground-truth relevant set."""
-    location_at = location_at_factory(client.location_trace)
+    location_at = value_at_factory(client.location_trace)
     relevant = relevant_notification_ids(published, location_at, template, space)
     delivered_ids = [d.notification.notification_id for d in client.deliveries]
     delivered_set = set(delivered_ids)

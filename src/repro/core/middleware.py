@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
+from ..net.simulator import EventHandle
 from ..pubsub.broker_network import BrokerNetwork
 from ..pubsub.client import Client
 from .location import LocationSpace
@@ -106,6 +107,9 @@ class MobilePubSub:
         self.predictor = self._build_predictor(self.config.predictor)
         self.replicators: Dict[str, Replicator] = {}
         self.mobile_clients: Dict[str, MobileClient] = {}
+        # the attach a gapped move scheduled, per client name: a later attach
+        # or detach cancels it, so a superseded move never reattaches
+        self._pending_attach: Dict[str, EventHandle] = {}
         self._build_replicators()
 
     # ------------------------------------------------------------------ build
@@ -209,6 +213,7 @@ class MobilePubSub:
         broker: Optional[str] = None,
     ) -> str:
         """Attach a mobile client at a location (or directly at a broker).  Returns the broker name."""
+        self._cancel_pending_attach(client)
         if location is not None:
             client.set_location(location)
             broker = self.space.broker_of(location)
@@ -220,6 +225,7 @@ class MobilePubSub:
 
     def detach(self, client: MobileClient) -> Optional[str]:
         """Detach a mobile client from its current access point (connection-aware)."""
+        self._cancel_pending_attach(client)
         broker = client.current_broker
         client.detach(announce=False)
         if broker is not None and broker in self.replicators:
@@ -243,10 +249,18 @@ class MobilePubSub:
         client.set_location(new_location)
         replicator = self.replicators[new_broker]
         if gap > 0:
-            self.sim.schedule(gap, client.attach, replicator, new_broker)
+            self._pending_attach[client.name] = self.sim.schedule(
+                gap, client.attach, replicator, new_broker
+            )
         else:
             client.attach(replicator, new_broker)
         return new_broker
+
+    def _cancel_pending_attach(self, client: MobileClient) -> None:
+        # cancelling a handle that already ran is a no-op on every clock
+        handle = self._pending_attach.pop(client.name, None)
+        if handle is not None:
+            handle.cancel()
 
     def power_off(self, client: MobileClient) -> None:
         """Power-saving disconnect: the client disappears without telling anyone where to."""

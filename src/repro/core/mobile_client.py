@@ -14,7 +14,7 @@ experiments to compute loss, duplication and latency.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from ..net.process import Message, Process
@@ -45,7 +45,6 @@ class MobileDelivery:
     received_at: float
     replayed: bool
     location: Optional[str]
-    broker: Optional[str]
 
     @property
     def latency(self) -> Optional[float]:
@@ -111,10 +110,8 @@ class MobileClient(Process):
         self.previous_broker: Optional[str] = None
         self.deliveries: List[MobileDelivery] = []
         self.published: List[Notification] = []
-        self.publish_failures = 0
         self.attachments: List[AttachmentRecord] = []
         self.location_trace: List[tuple] = []  # (time, location)
-        self.broker_trace: List[tuple] = []  # (time, broker)
 
     # --------------------------------------------------------------- API: subs
     def subscribe_location(
@@ -172,7 +169,6 @@ class MobileClient(Process):
             notification = Notification(notification)
         stamped = notification.stamped(published_at=self.sim.now, publisher=self.name)
         if not self.connected:
-            self.publish_failures += 1
             return None
         self.published.append(stamped)
         self._send_up(Message(kind="publish", payload=stamped))
@@ -193,7 +189,6 @@ class MobileClient(Process):
         """Associate with the replicator serving ``broker_name`` (wireless attach)."""
         self.attachments.append(AttachmentRecord(broker=broker_name, requested_at=self.sim.now))
         self.current_broker = broker_name
-        self.broker_trace.append((self.sim.now, broker_name))
         self.channel.attach(replicator)
 
     def detach(self, announce: bool = True) -> None:
@@ -247,7 +242,6 @@ class MobileClient(Process):
                     received_at=self.sim.now,
                     replayed=bool(message.meta.get("replayed", False)),
                     location=self.location,
-                    broker=self.current_broker,
                 )
             )
             self.on_notify(message.payload, replayed=bool(message.meta.get("replayed", False)))

@@ -67,17 +67,6 @@ class HandoverReply:
     found: bool = True
 
 
-@dataclass
-class RelocationStats:
-    """Counters kept per replicator for the physical-mobility experiments (E2)."""
-
-    requests_sent: int = 0
-    requests_served: int = 0
-    notifications_relocated: int = 0
-    notifications_dropped_stale: int = 0
-    exception_recoveries: int = 0
-
-
 class RelocationManager:
     """Implements both sides of the handover/relocation exchange on virtual clients.
 
@@ -89,12 +78,12 @@ class RelocationManager:
     def __init__(self, broker_name: str, replicator_name: str):
         self.broker_name = broker_name
         self.replicator_name = replicator_name
-        self.stats = RelocationStats()
+        #: location-dependent notifications the exception mode replayed (E9)
+        self.exception_recoveries = 0
 
     # ------------------------------------------------------------- new side
     def build_request(self, client_id: str) -> HandoverRequest:
         """Build the handover request the new replicator sends to the old one."""
-        self.stats.requests_sent += 1
         return HandoverRequest(
             client_id=client_id,
             new_broker=self.broker_name,
@@ -125,12 +114,9 @@ class RelocationManager:
             if sub_id not in virtual_client.plain_filters:
                 virtual_client.add_plain_filter(sub_id, filter)
         replay.extend(reply.buffered_plain)
-        self.stats.notifications_relocated += len(reply.buffered_plain)
         if deliver_location_history:
             replay.extend(reply.buffered_location)
-            self.stats.exception_recoveries += len(reply.buffered_location)
-        else:
-            self.stats.notifications_dropped_stale += len(reply.buffered_location)
+            self.exception_recoveries += len(reply.buffered_location)
         return replay
 
     # ------------------------------------------------------------- old side
@@ -150,7 +136,6 @@ class RelocationManager:
         as a shadow is decided by the shadow-set reconfiguration of the
         extended-logical-mobility algorithm (Sect. 3.2.3).
         """
-        self.stats.requests_served += 1
         if virtual_client is None:
             return HandoverReply(
                 client_id=request.client_id, old_broker=self.broker_name, found=False

@@ -93,9 +93,8 @@ class VirtualClient:
         self._bound: Dict[str, Subscription] = {}
         self._plain_issued: Dict[str, Subscription] = {}
         self.buffer = NotificationBuffer(buffer_policy)
-        # Counters used by the replicator and the tests.
+        # notifications buffered so far, read by the replicator's stats
         self.buffered_total = 0
-        self.rebinds = 0
 
     # --------------------------------------------------------------- identity
     def _sub_id(self, key: str) -> str:
@@ -241,7 +240,6 @@ class VirtualClient:
         )
         self._bound[template_id] = subscription
         self.host.issue_subscribe(subscription)
-        self.rebinds += 1
 
     def _issue_plain(self, sub_id: str) -> None:
         if sub_id in self._plain_issued:

@@ -19,7 +19,7 @@ Measured per (broker count, routing strategy):
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 from ..pubsub.broker_network import random_tree_topology
 from ..pubsub.filters import Equals, Filter

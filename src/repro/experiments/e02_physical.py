@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from typing import Dict, Sequence
 
-from ..core.location import office_floor_space
 from ..core.metrics import evaluate_plain_delivery
 from ..core.middleware import MobilitySystemConfig
 from ..core.replicator import ReplicatorConfig

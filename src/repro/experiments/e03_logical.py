@@ -26,6 +26,7 @@ from typing import Dict
 from ..core.location import office_floor_space
 from ..core.location_filter import location_dependent
 from ..core.logical_mobility import LocationAwareClient
+from ..core.metrics import value_at_factory
 from ..net.simulator import PeriodicTask
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import Equals, Filter
@@ -85,7 +86,6 @@ def _run_once(
     # The location-aware user and the naive (service-wide) user.
     aware = LocationAwareClient(sim, "aware-user", space)
     network.attach_client(aware, broker)
-    unaware_deliver_log = []
     unaware = network.add_client("unaware-user", broker)
     unaware.subscribe(Filter([Equals("service", "temperature")]))
 
@@ -112,9 +112,10 @@ def _run_once(
     # walk would consider current — it has no location, so we measure against the
     # aware client's location trace to keep the comparison meaningful.
     unaware_total = len(unaware.deliveries)
+    location_at = value_at_factory(aware.location_trace)
     unaware_relevant = 0
     for delivery in unaware.deliveries:
-        location = _location_at(aware.location_trace, delivery.received_at)
+        location = location_at(delivery.received_at)
         if location is not None and delivery.notification.get("location") in space.myloc(location):
             unaware_relevant += 1
 
@@ -132,13 +133,3 @@ def _run_once(
             "rebinds": 0,
         },
     }
-
-
-def _location_at(trace, time):
-    location = None
-    for timestamp, loc in trace:
-        if timestamp <= time:
-            location = loc
-        else:
-            break
-    return location

@@ -22,7 +22,7 @@ mode).
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 from ..core.location import cell_grid_space, cell_name
 from ..core.movement_graph import grid_graph
@@ -34,8 +34,7 @@ from ..core.uncertainty import (
     NoPredictionPredictor,
     coverage_and_cost,
 )
-from ..mobility.models import RandomWalkMobility, TeleportMobility
-from ..mobility.trace import trace_from_model
+from ..mobility.models import MobilityModel, RandomWalkMobility, TeleportMobility
 from .harness import Table
 
 PREDICTORS = ("none", "nlb-1", "nlb-2", "nlb-3", "markov", "flooding")
@@ -62,15 +61,16 @@ def run(
     broker_names = graph.brokers
 
     for workload in workloads:
-        trace = _workload_trace(workload, space, duration, dwell_time, seed)
-        brokers = trace.brokers()
+        model = _workload_model(workload, space, dwell_time)
+        brokers = model.broker_trace(space, duration, random.Random(seed))
+        handovers = sum(1 for previous, current in zip(brokers, brokers[1:]) if previous != current)
         for predictor_name in predictors:
             predictor = _make_predictor(predictor_name, graph, broker_names)
             coverage, mean_shadows = coverage_and_cost(predictor, brokers)
             table.add_row(
                 workload=workload,
                 predictor=predictor_name,
-                handovers=trace.handover_count(),
+                handovers=handovers,
                 coverage=round(coverage, 4),
                 mean_shadows=round(mean_shadows, 2),
                 broker_count=len(broker_names),
@@ -78,15 +78,13 @@ def run(
     return table
 
 
-def _workload_trace(workload: str, space, duration: float, dwell_time: float, seed: int):
+def _workload_model(workload: str, space, dwell_time: float) -> MobilityModel:
     start = cell_name(0, 0)
     if workload == "random-walk":
-        model = RandomWalkMobility(space, start=start, dwell_time=dwell_time)
-    elif workload == "teleport":
-        model = TeleportMobility(space, start=start, on_time=dwell_time * 2, off_time=dwell_time)
-    else:
-        raise ValueError(f"unknown workload {workload!r}")
-    return trace_from_model(model, space, duration, seed=seed)
+        return RandomWalkMobility(space, start=start, dwell_time=dwell_time)
+    if workload == "teleport":
+        return TeleportMobility(space, start=start, on_time=dwell_time * 2, off_time=dwell_time)
+    raise ValueError(f"unknown workload {workload!r}")
 
 
 def _make_predictor(name: str, graph, broker_names: List[str]) -> MovementPredictor:

@@ -98,7 +98,7 @@ def _run_variant(
 
     outcome = scenario.evaluate(subscriber)
     uncovered = sum(r.stats.exception_activations for r in scenario.system.replicators.values())
-    recoveries = sum(r.relocation.stats.exception_recoveries for r in scenario.system.replicators.values())
+    recoveries = sum(r.relocation.exception_recoveries for r in scenario.system.replicators.values())
     reconnections = max(0, len(subscriber.client.attachments) - 1)
     return {
         "reconnections": reconnections,

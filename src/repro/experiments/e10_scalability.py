@@ -39,7 +39,7 @@ client.  Before / after that change (``control_msgs``, ``mean_latency`` and
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Sequence
 
 from ..core.location import cell_name
 from ..core.location_filter import location_dependent

@@ -20,6 +20,7 @@ import random
 from typing import Dict, List
 
 from ..core.context import ContextAwareClient, ContextMarker, context_dependent
+from ..core.metrics import value_at_factory
 from ..net.simulator import PeriodicTask
 from ..pubsub.broker_network import line_topology
 from ..pubsub.filters import AtLeast, Equals, Filter
@@ -97,14 +98,7 @@ def _run_once(
     sim.run(until=duration)
     sim.run_until_idle()
 
-    def battery_at(time: float) -> int:
-        level = battery_levels[0][1]
-        for timestamp, value in battery_levels:
-            if timestamp <= time:
-                level = value
-            else:
-                break
-        return level
+    battery_at = value_at_factory(battery_levels)
 
     def wanted(priority: int, time: float) -> bool:
         return priority in _min_priority_for_battery(battery_at(time))

@@ -1,9 +1,9 @@
-"""Mobility models, workloads, traces and scenario composition.
+"""Mobility models, workloads and scenario composition.
 
 This package provides the evaluation substrate: how clients move (models),
-what gets published where (workloads), how movement is recorded and analysed
-(traces), and ready-made scenario builders matching the paper's motivating
-examples (office floor, car route, cellular grid).
+what gets published where (workloads), and ready-made scenario builders
+matching the paper's motivating examples (office floor, car route, cellular
+grid).
 
 Only the names the examples use are re-exported here; everything else is
 imported from its defining module.

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..config import SystemConfig
-from ..core.location import LocationSpace
+from ..core.location import line_space
 from ..core.location_filter import MYLOC, location_dependent
 from ..core.middleware import MobilePubSub, MobilitySystemConfig
 from ..core.mobile_client import MobileClient
@@ -127,7 +127,6 @@ class HandoverWorkloadResult:
     exception_activations: int = 0
     shadows_created: int = 0
     control_messages: int = 0
-    subscription_messages: int = 0
     #: the spec seed this run replayed (None = the legacy fixed scenario)
     seed: Optional[int] = None
 
@@ -142,24 +141,6 @@ class HandoverWorkloadResult:
 
     def delivered_total(self) -> int:
         return sum(len(outcome.deliveries) for outcome in self.clients)
-
-
-def _line_space(brokers: int) -> LocationSpace:
-    locations = [f"l{i + 1}" for i in range(brokers)]
-    adjacency = {
-        location: [
-            n
-            for n in (
-                locations[i - 1] if i else None,
-                locations[i + 1] if i + 1 < brokers else None,
-            )
-            if n
-        ]
-        for i, location in enumerate(locations)
-    }
-    return LocationSpace(
-        {location: f"B{i + 1}" for i, location in enumerate(locations)}, adjacency=adjacency
-    )
 
 
 def run_handover_workload(
@@ -192,7 +173,7 @@ def run_handover_workload(
     mobility_config = MobilitySystemConfig(
         predictor=spec.predictor, connect_latency=spec.connect_latency
     )
-    space = _line_space(brokers)
+    space = line_space(locations, 1, "location")
     started = time.perf_counter()
     try:
         system = MobilePubSub(net, space, config=mobility_config)
@@ -322,7 +303,6 @@ def run_handover_workload(
         )
         result.shadows_created = sum(r.stats.shadows_created for r in system.replicators.values())
         result.control_messages = system.control_message_count()
-        result.subscription_messages = system.subscription_message_count()
         return result
     finally:
         system.close()

@@ -51,7 +51,11 @@ class MobilityModel:
         raise NotImplementedError  # pragma: no cover - interface
 
     def broker_trace(self, space: LocationSpace, duration: float, rng: random.Random) -> List[str]:
-        """Convenience: the broker sequence induced by the movement schedule."""
+        """The broker sequence the movement schedule induces (repeats kept).
+
+        The uncertainty analysis of Sect. 4 is about this sequence: does the
+        next broker lie inside ``nlb`` of the previous one?
+        """
         return [space.broker_of(w.location) for w in self.waypoints(duration, rng)]
 
 
@@ -184,12 +188,8 @@ class MobilityDriver:
     ):
         self.system = system
         self.client = client
-        self.model = model
-        self.duration = duration
         self.handover_gap = handover_gap
-        self.rng = rng or random.Random(0)
-        self.waypoints = self.model.waypoints(duration, self.rng)
-        self.moves_executed = 0
+        self.waypoints = model.waypoints(duration, rng or random.Random(0))
 
     def start(self) -> None:
         """Schedule every waypoint on the system's simulator."""
@@ -207,7 +207,6 @@ class MobilityDriver:
 
     def _attach_first(self, waypoint: Waypoint) -> None:
         self.system.attach(self.client, location=waypoint.location)
-        self.moves_executed += 1
 
     def _power_off(self) -> None:
         self.system.power_off(self.client)
@@ -219,8 +218,3 @@ class MobilityDriver:
             self.system.power_on(self.client, waypoint.location)
         else:
             self.system.move(self.client, waypoint.location, gap=self.handover_gap)
-        self.moves_executed += 1
-
-    def broker_trace(self) -> List[str]:
-        """The broker-level trace implied by the scheduled waypoints."""
-        return [self.system.space.broker_of(w.location) for w in self.waypoints]

@@ -26,12 +26,13 @@ from .workload import WorkloadRecorder
 
 @dataclass
 class RoamingSubscriber:
-    """A mobile client together with its movement driver and subscription template."""
+    """A mobile client together with the subscription template it roams with.
+
+    Its movement is scheduled on the simulator when it is added.
+    """
 
     client: MobileClient
-    driver: MobilityDriver
     template: LocationDependentFilter
-    template_id: str
 
 
 @dataclass
@@ -56,19 +57,16 @@ class Scenario:
     ) -> RoamingSubscriber:
         """Create a mobile client subscribing to ``template`` and moving per ``model``."""
         client = self.system.add_mobile_client(name)
-        template_id = client.subscribe_location(template)
-        driver = MobilityDriver(
+        client.subscribe_location(template)
+        MobilityDriver(
             self.system,
             client,
             model,
             duration=duration,
             rng=random.Random(seed),
             handover_gap=handover_gap,
-        )
-        driver.start()
-        subscriber = RoamingSubscriber(
-            client=client, driver=driver, template=template, template_id=template_id
-        )
+        ).start()
+        subscriber = RoamingSubscriber(client=client, template=template)
         self.subscribers.append(subscriber)
         return subscriber
 

@@ -250,8 +250,6 @@ class PeriodicTask:
         self.callback = callback
         self.until = until
         self._stopped = False
-        self._handle: Optional[EventHandle] = None
-        self.fired = 0
         self._handle = sim.schedule(start_delay, self._fire)
 
     def _fire(self) -> None:
@@ -260,7 +258,6 @@ class PeriodicTask:
         if self.until is not None and self.sim.now > self.until:
             self._stopped = True
             return
-        self.fired += 1
         self.callback()
         if self._stopped:
             return

@@ -17,7 +17,7 @@ can switch between *active* and *buffering* mode (Sect. 3.2.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from .process import Message, Process
@@ -32,7 +32,6 @@ class WirelessStats:
     connects: int = 0
     disconnects: int = 0
     dropped_while_disconnected: int = 0
-    attachment_history: List[tuple] = field(default_factory=list)
 
 
 class WirelessChannel:
@@ -132,7 +131,6 @@ class WirelessChannel:
         self.current_ap = access_point
         self._link = link
         self.stats.connects += 1
-        self.stats.attachment_history.append((self.sim.now, "attach", access_point.name))
         for callback in list(self._on_connect):
             callback(access_point.name)
 
@@ -161,14 +159,12 @@ class WirelessChannel:
         self._attach_epoch += 1
         if self.current_ap is None:
             return
-        ap_name = self.current_ap.name
         if self._link is not None:
             self._link.disconnect()
             self.transport.close_dynamic_link(self._link)
         self.current_ap = None
         self._link = None
         self.stats.disconnects += 1
-        self.stats.attachment_history.append((self.sim.now, "detach", ap_name))
 
     # ------------------------------------------------------------- messaging
     def send_up(self, message: Message) -> bool:

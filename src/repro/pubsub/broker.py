@@ -81,7 +81,6 @@ class Broker(Process):
         self.notifications_delivered_locally = 0
         self.subscriptions_handled = 0
         self.unsubscriptions_handled = 0
-        self.resyncs_sent = 0
         self.resyncs_received = 0
         self.resync_forwards_sent = 0
 
@@ -165,7 +164,6 @@ class Broker(Process):
         """
         if not self.has_link(peer_name):
             return 0
-        self.resyncs_sent += 1
         self.send(peer_name, Message(kind="resync"))
         forwards = self.strategy.resync_link(peer_name)
         self.resync_forwards_sent += forwards

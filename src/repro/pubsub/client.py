@@ -30,7 +30,6 @@ class Delivery:
 
     notification: Notification
     received_at: float
-    via: Optional[str] = None
 
     @property
     def latency(self) -> Optional[float]:
@@ -55,19 +54,16 @@ class Client(Process):
         self.border_broker: Optional[str] = None
         self.deliveries: List[Delivery] = []
         self.published: List[Notification] = []
-        self.undeliverable_calls = 0
 
     # ------------------------------------------------------------- connection
     def connect_to(self, border_broker_name: str, reissue: bool = True) -> None:
         """Use the (already wired) link to ``border_broker_name`` as the access point.
 
-        With ``reissue``, every active subscription is sent to it again.
+        With ``reissue``, every active subscription is sent to it again
+        (if the link is up; a disconnected client sends nothing).
         """
         self.border_broker = border_broker_name
-        if reissue and self._subscriptions:
-            if not self.connected:
-                self.undeliverable_calls += len(self._subscriptions)
-                return
+        if reissue and self.connected:
             for sub in self._subscriptions.values():
                 self.send(border_broker_name, Message(kind="subscribe", payload=sub))
 
@@ -119,9 +115,8 @@ class Client(Process):
         return stamped
 
     def _call(self, kind: str, payload: Any) -> None:
-        """Send one API call to the border broker, or count it undeliverable."""
+        """Send one API call to the border broker; a disconnected client drops it."""
         if not self.connected:
-            self.undeliverable_calls += 1
             return
         self.send(self.border_broker, Message(kind=kind, payload=payload))
 
@@ -133,10 +128,7 @@ class Client(Process):
     def on_message(self, message: Message) -> None:
         if message.kind == "notify":
             notification: Notification = message.payload
-            delivery = Delivery(
-                notification=notification, received_at=self.sim.now, via=message.sender
-            )
-            self.deliveries.append(delivery)
+            self.deliveries.append(Delivery(notification=notification, received_at=self.sim.now))
             self.on_notify(notification)
         # Clients ignore every other message kind.
 

@@ -17,7 +17,7 @@ from repro.pubsub.broker_network import (
     line_topology,
     random_tree_topology,
 )
-from repro.pubsub.filters import Equals, Filter, filter_from_dict
+from repro.pubsub.filters import filter_from_dict
 from repro.pubsub.routing import STRATEGIES, make_strategy
 
 

@@ -1,7 +1,6 @@
 """Smoke tests: every example script must run to completion via its main()."""
 
 import runpy
-import sys
 from pathlib import Path
 
 import pytest

@@ -88,6 +88,16 @@ class TestE03Logical:
         assert unaware["precision"] < aware["precision"]
         assert unaware["deliveries"] > aware["deliveries"]
 
+    def test_default_rows_are_pinned(self):
+        """The rows are pure functions of the seed: a change that moves one
+        has to say so here."""
+        assert e03_logical.run().rows == [
+            {"client": "location-aware (myloc)", "deliveries": 120,
+             "relevant_deliveries": 120, "precision": 1.0, "rebinds": 16},
+            {"client": "location-unaware (service-wide)", "deliveries": 960,
+             "relevant_deliveries": 120, "precision": 0.125, "rebinds": 0},
+        ]
+
 
 class TestE04Replicator:
     def test_pre_subscription_reduces_misses_and_latency(self):
@@ -121,6 +131,29 @@ class TestE06NlbSweep:
         assert walk_none["coverage"] == 0.0
         assert walk_flood["mean_shadows"] > walk_nlb1["mean_shadows"]
         assert teleport_nlb1["coverage"] < 1.0  # power-off teleports break nlb
+
+    def test_default_rows_are_pinned(self):
+        """``(workload, predictor, handovers, coverage, mean_shadows)`` per row,
+        every row over the 25 brokers of the 5x5 grid."""
+        table = e06_nlb_sweep.run()
+        assert {row["broker_count"] for row in table.rows} == {25}
+        assert [
+            (row["workload"], row["predictor"], row["handovers"], row["coverage"], row["mean_shadows"])
+            for row in table.rows
+        ] == [
+            ("random-walk", "none", 199, 0.0, 0.0),
+            ("random-walk", "nlb-1", 199, 1.0, 3.35),
+            ("random-walk", "nlb-2", 199, 1.0, 8.58),
+            ("random-walk", "nlb-3", 199, 1.0, 14.19),
+            ("random-walk", "markov", 199, 0.9397, 3.12),
+            ("random-walk", "flooding", 199, 1.0, 24.0),
+            ("teleport", "none", 65, 0.0, 0.0),
+            ("teleport", "nlb-1", 65, 0.1077, 3.17),
+            ("teleport", "nlb-2", 65, 0.3077, 7.98),
+            ("teleport", "nlb-3", 65, 0.4923, 13.28),
+            ("teleport", "markov", 65, 0.1077, 3.17),
+            ("teleport", "flooding", 65, 1.0, 24.0),
+        ]
 
 
 class TestE07Buffering:
@@ -203,6 +236,14 @@ class TestE11Context:
         static = table.rows_where(client="static (subscribe-everything)")[0]
         assert aware["precision"] > static["precision"]
         assert aware["rebinds"] > 0
+
+    def test_default_rows_are_pinned(self):
+        assert e11_context.run().rows == [
+            {"client": "context-aware", "deliveries": 96, "state_relevant": 96,
+             "precision": 1.0, "recall": 0.9897, "rebinds": 3},
+            {"client": "static (subscribe-everything)", "deliveries": 180,
+             "state_relevant": 96, "precision": 0.5333, "recall": 0.9897, "rebinds": 0},
+        ]
 
 
 class TestE12RoutingAblation:

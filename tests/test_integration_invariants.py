@@ -13,15 +13,13 @@ assert the system-wide guarantees the paper's algorithm promises:
   reported at the time.
 """
 
-import random
-
 import pytest
 from helpers import assert_one_subscription_per_filter
 
 from repro.core.location_filter import location_dependent
 from repro.core.metrics import evaluate_mobile_delivery
 from repro.core.middleware import MobilitySystemConfig
-from repro.mobility.models import MobilityDriver, RandomWalkMobility
+from repro.mobility.models import RandomWalkMobility
 from repro.mobility.scenario import build_grid_scenario, build_office_scenario
 from repro.mobility.workload import temperature_workload
 

@@ -6,6 +6,7 @@ from repro.core.location import (
     LocationSpace,
     cell_grid_space,
     cell_name,
+    line_space,
     office_floor_space,
     route_space,
 )
@@ -86,6 +87,14 @@ class TestBuilders:
     def test_office_floor_rejects_bad_params(self):
         with pytest.raises(ValueError):
             office_floor_space(0)
+
+    def test_line_space_chains_names_over_consecutive_brokers(self):
+        space = line_space(["a", "b", "c"], 2, "neighbourhood")
+        assert [space.broker_of(name) for name in "abc"] == ["B1", "B1", "B2"]
+        assert [space.neighbours_of(name) for name in "abc"] == [{"b"}, {"a", "c"}, {"b"}]
+        assert space.myloc("b") == frozenset("abc")
+        with pytest.raises(ValueError):
+            line_space(["a"], 0, "location")
 
     def test_route_space_defaults_to_neighbourhood_scope(self):
         space = route_space(n_segments=6, segments_per_broker=3)

@@ -8,7 +8,7 @@ from repro.core.metrics import (
     DeliveryOutcome,
     evaluate_plain_delivery,
     handover_latencies,
-    location_at_factory,
+    value_at_factory,
     mean,
     percentile,
     relevant_notification_ids,
@@ -25,7 +25,7 @@ def make_notification(room, at, service="temperature"):
 
 class TestLocationAt:
     def test_lookup_between_trace_points(self):
-        location_at = location_at_factory([(0.0, "r1"), (10.0, "r2"), (20.0, "r3")])
+        location_at = value_at_factory([(0.0, "r1"), (10.0, "r2"), (20.0, "r3")])
         assert location_at(-1.0) is None
         assert location_at(0.0) == "r1"
         assert location_at(9.9) == "r1"
@@ -33,7 +33,12 @@ class TestLocationAt:
         assert location_at(99.0) == "r3"
 
     def test_empty_trace(self):
-        assert location_at_factory([])(5.0) is None
+        assert value_at_factory([])(5.0) is None
+
+    def test_the_last_value_recorded_at_a_time_wins(self):
+        battery_at = value_at_factory([(0.0, 100), (10.0, 85), (10.0, 70), (20.0, 55)])
+        assert battery_at(10.0) == 70
+        assert battery_at(19.9) == 70
 
 
 class TestRelevance:
@@ -41,7 +46,7 @@ class TestRelevance:
         space = office_floor_space(n_rooms=4, rooms_per_broker=4)
         rooms = space.locations
         template = location_dependent({"service": "temperature"})
-        location_at = location_at_factory([(0.0, rooms[0]), (10.0, rooms[1])])
+        location_at = value_at_factory([(0.0, rooms[0]), (10.0, rooms[1])])
         published = [
             make_notification(rooms[0], 5.0),   # relevant (client in rooms[0])
             make_notification(rooms[1], 5.0),   # not relevant yet
@@ -60,7 +65,7 @@ class TestRelevance:
             make_notification(space.locations[0], 100.0),  # before the trace starts
         ]
         relevant = relevant_notification_ids(
-            published, location_at_factory([(200.0, space.locations[0])]), template, space
+            published, value_at_factory([(200.0, space.locations[0])]), template, space
         )
         assert relevant == set()
 
@@ -98,8 +103,8 @@ class TestHandoverLatencies:
         )
         client.deliveries.extend(
             [
-                MobileDelivery(Notification({"a": 1}), received_at=0.5, replayed=False, location=None, broker="B1"),
-                MobileDelivery(Notification({"a": 2}), received_at=11.0, replayed=True, location=None, broker="B2"),
+                MobileDelivery(Notification({"a": 1}), received_at=0.5, replayed=False, location=None),
+                MobileDelivery(Notification({"a": 2}), received_at=11.0, replayed=True, location=None),
             ]
         )
         latencies = handover_latencies(client)

@@ -2,14 +2,11 @@
 
 import pytest
 
-from repro.core.location import office_floor_space
 from repro.core.location_filter import location_dependent
-from repro.core.middleware import MobilePubSub
 from repro.core.mobile_client import MobileClient
 from repro.core.replicator import CLIENT_HELLO, CLIENT_SUBSCRIBE
 from repro.net.process import Message, Process
 from repro.net.transport import SimTransport
-from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter
 
 
@@ -159,4 +156,4 @@ class TestDeliveryBookkeeping:
         sim.run_until_idle()
         client.set_location("room-01")
         assert [loc for _t, loc in client.location_trace] == ["room-00", "room-01"]
-        assert [broker for _t, broker in client.broker_trace] == ["B1"]
+        assert [(record.broker, record.requested_at) for record in client.attachments] == [("B1", 0.0)]

@@ -1,4 +1,4 @@
-"""Unit tests for mobility models, traces and the movement driver."""
+"""Unit tests for mobility models, their broker traces and the movement driver."""
 
 import random
 
@@ -13,7 +13,6 @@ from repro.mobility.models import (
     TeleportMobility,
 )
 from repro.mobility.scenario import build_office_scenario
-from repro.mobility.trace import MovementTrace, trace_from_model
 
 
 @pytest.fixture
@@ -68,19 +67,10 @@ class TestModels:
         trace = model.broker_trace(grid_space, 100.0, random.Random(1))
         assert all(broker.startswith("B_") for broker in trace)
 
-
-class TestMovementTrace:
-    def test_from_waypoints_and_handovers(self, grid_space):
+    def test_broker_trace_keeps_repeats(self, grid_space):
         model = RoutePathMobility([cell_name(0, 0), cell_name(0, 1), cell_name(0, 1)], dwell_time=5.0)
-        trace = MovementTrace.from_waypoints(model.waypoints(100.0, random.Random(0)), grid_space)
-        assert trace.brokers() == ["B_0_0", "B_0_1", "B_0_1"]
-        assert trace.handovers() == [("B_0_0", "B_0_1")]
-        assert trace.handover_count() == 1
-
-    def test_trace_from_model(self, grid_space):
-        model = RandomWalkMobility(grid_space, start=cell_name(1, 1), dwell_time=10.0)
-        trace = trace_from_model(model, grid_space, duration=200.0, seed=2)
-        assert len(trace) >= 2
+        trace = model.broker_trace(grid_space, 100.0, random.Random(0))
+        assert trace == ["B_0_0", "B_0_1", "B_0_1"]
 
 
 class TestMobilityDriver:
@@ -93,7 +83,7 @@ class TestMobilityDriver:
         driver = MobilityDriver(scenario.system, client, model, duration=40.0)
         driver.start()
         scenario.run(40.0)
-        assert driver.moves_executed == len(driver.waypoints)
+        assert [location for _t, location in client.location_trace] == rooms
         assert client.current_broker == scenario.space.broker_of(rooms[-1])
         assert len(client.attachments) == len(scenario.space.brokers())
 
@@ -109,12 +99,3 @@ class TestMobilityDriver:
         assert not client.connected
         scenario.run(20.0)
         assert client.connected
-
-    def test_broker_trace_matches_waypoints(self):
-        scenario = build_office_scenario(n_rooms=6, rooms_per_broker=2)
-        client = scenario.system.add_mobile_client("alice")
-        model = RoutePathMobility(scenario.space.locations, dwell_time=5.0)
-        driver = MobilityDriver(scenario.system, client, model, duration=40.0)
-        assert driver.broker_trace() == [
-            scenario.space.broker_of(w.location) for w in driver.waypoints
-        ]

@@ -13,7 +13,7 @@ from repro.net.wire import (
     encode_message_binary,
 )
 from repro.pubsub.notification import Notification, attribute_dict, notification
-from repro.pubsub.subscription import Subscription, next_subscription_id, subscription
+from repro.pubsub.subscription import next_subscription_id, subscription
 
 
 class TestNotification:

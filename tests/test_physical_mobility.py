@@ -62,7 +62,6 @@ class TestServeRequest:
         manager = RelocationManager("B1", "R@B1")
         reply = manager.serve_request(None, HandoverRequest("ghost", "B2", "R@B2"), now=0.0)
         assert not reply.found
-        assert manager.stats.requests_served == 1
 
 
 class TestApplyReply:
@@ -87,8 +86,6 @@ class TestApplyReply:
         assert [n["price"] for n in replay] == [1, 2]
         assert "stock" in vc.plain_filters
         assert any("plain-stock" in sub_id for sub_id in host.subscribed)
-        assert manager.stats.notifications_relocated == 2
-        assert manager.stats.notifications_dropped_stale == 1
 
     def test_exception_mode_salvages_location_history(self, space):
         _host, vc = self._new_side(space)
@@ -100,7 +97,7 @@ class TestApplyReply:
         )
         replay = manager.apply_reply(vc, reply, deliver_location_history=True)
         assert len(replay) == 2
-        assert manager.stats.exception_recoveries == 2
+        assert manager.exception_recoveries == 2
 
     def test_not_found_reply_is_noop(self, space):
         _host, vc = self._new_side(space)
@@ -125,6 +122,6 @@ class TestApplyReply:
 
         new_host, new_vc = self._new_side(space)
         replay = new_manager.apply_reply(new_vc, reply, deliver_location_history=False)
+        assert request == HandoverRequest("alice", "B2", "R@B2")
+        assert reply.old_broker == "B1"
         assert [n["price"] for n in replay] == [10, 11, 12]
-        assert new_manager.stats.requests_sent == 1
-        assert old_manager.stats.requests_served == 1

@@ -104,7 +104,7 @@ class TestClientOperation:
         sim, space, system = build_system()
         client = system.add_mobile_client("alice")
         assert client.publish({"service": "chat"}) is None
-        assert client.publish_failures == 1
+        assert client.published == []
 
     def test_subscribe_after_attach_propagates_to_shadows(self):
         sim, space, system = build_system()
@@ -220,6 +220,24 @@ class TestClientHandover:
             system.move(client, rooms[0])
             sim.run_until_idle()
         assert system.predictor.predict("B1") == frozenset({"B3"})
+
+    def test_a_gapped_move_superseded_inside_its_gap_never_attaches(self):
+        # the move to room-08 starts before the move to room-04 reattaches:
+        # the client must not attach at B2 while it stands in room-08
+        sim, space, system = build_system(rooms_per_broker=4)
+        client = system.add_mobile_client("alice")
+        client.subscribe_location(location_dependent({"service": "temperature"}))
+        system.attach(client, location="room-00")
+        sim.schedule_at(1.0, system.move, client, "room-04", 2.0)
+        sim.schedule_at(2.0, system.move, client, "room-08", 2.0)
+        sim.run_until_idle()
+        assert [(a.broker, a.requested_at) for a in client.attachments] == [
+            ("B1", 0.0),
+            ("B3", 4.0),
+        ]
+        assert client.current_broker == "B3" and client.connected
+        assert system.replicators["B3"].virtual_clients["alice"].is_active
+        assert not system.replicators["B2"].virtual_clients["alice"].is_active
 
 
 class TestShadowDeliveryCount:

@@ -8,8 +8,6 @@ correct reference; the other strategies must agree with it.
 
 from __future__ import annotations
 
-import random
-
 from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.broker_network import random_tree_topology

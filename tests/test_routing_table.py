@@ -1,6 +1,6 @@
 """Unit tests for the (filter, link) routing table."""
 
-from repro.pubsub.filters import Equals, Filter, filter_from_dict
+from repro.pubsub.filters import filter_from_dict
 from repro.pubsub.routing_table import RoutingTable
 from repro.pubsub.subscription import subscription
 

@@ -150,9 +150,10 @@ class TestSubscriptionManagement:
         assert len(shadow.buffer) == 0
 
     def test_rebind_is_idempotent(self, shadow, host):
-        before = shadow.rebinds
+        before = dict(host.subscribed)
         shadow.deactivate()  # binding unchanged (already broker scope)
-        assert shadow.rebinds == before
+        assert host.subscribed == before
+        assert host.unsubscribed == []
 
 
 class TestBufferOptions:

@@ -61,7 +61,8 @@ class TestAttachment:
         assert events == [("connect", "ap1")]
         channel.detach()
         assert events == [("connect", "ap1")]
-        assert channel.stats.attachment_history[-1] == (sim.now, "detach", "ap1")
+        assert not channel.connected
+        assert channel.stats.disconnects == 1
 
     def test_handover_switches_access_point(self, setup):
         sim, _device, ap1, ap2, channel = setup
@@ -120,15 +121,15 @@ class TestAttachment:
         with pytest.raises(TypeError):
             WirelessChannel(Device(sim, "device"))
 
-    def test_attachment_history_recorded(self, setup):
+    def test_attaches_and_detaches_are_counted(self, setup):
         sim, _device, ap1, ap2, channel = setup
         channel.attach(ap1)
         sim.run_until_idle()
         channel.detach()
         channel.attach(ap2)
         sim.run_until_idle()
-        kinds = [entry[1] for entry in channel.stats.attachment_history]
-        assert kinds == ["attach", "detach", "attach"]
+        assert (channel.stats.connects, channel.stats.disconnects) == (2, 1)
+        assert channel.access_point_name == "ap2"
 
 
 class TestMessaging:
