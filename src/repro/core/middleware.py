@@ -271,7 +271,12 @@ class MobilePubSub:
         return self.attach(client, location=location)
 
     def remove_client(self, client: MobileClient) -> None:
-        """Application shutdown: garbage collect the client's virtual clients everywhere."""
+        """Application shutdown: garbage collect the client's virtual clients everywhere.
+
+        A gapped move's attach still pending is cancelled first, so the
+        removed client never reattaches.
+        """
+        self._cancel_pending_attach(client)
         client.shutdown_application()
 
     # ------------------------------------------------------------------ stats

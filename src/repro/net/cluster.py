@@ -82,7 +82,7 @@ from .transport import (
     SocketNode,
     Transport,
     TransportError,
-    _Receiver,
+    _Connection,
 )
 
 
@@ -250,11 +250,11 @@ class _BrokerNode(SocketNode):
         # dropping a client link's entries may forward unsubscribes
         self.broker.handle_link_lost(endpoint.peer)
 
-    def _accept(self, name: str, handshake: Dict[str, Any], sock) -> ClusterEndpoint:
+    def _accept(self, name: str, handshake: Dict[str, Any], connection) -> ClusterEndpoint:
         """Accept an inbound link: the handshake names the peer and its kind."""
         peer = handshake["source"]
         endpoint = self._endpoint(peer)
-        endpoint._writer = sock
+        endpoint._writer = connection
         self.broker.attach_link(peer, endpoint)
         if handshake.get("kind") == "broker":
             self.broker.register_broker_peer(peer)
@@ -274,17 +274,17 @@ class _BrokerNode(SocketNode):
         """
         endpoint = self._endpoint(peer)
         address = self.spec["addresses"][peer]
-        receiver = await self._dial(
+        connection = await self._dial(
             address, endpoint, self.name, peer, kind="broker", resync=resync
         )
         # the acceptor reads the handshake first, so the link is usable at
         # once; its answer only confirms that it speaks this node's wire revision
-        endpoint._writer = receiver.sock
+        endpoint._writer = connection
         self.broker.attach_link(peer, endpoint)
         self.broker.register_broker_peer(peer)
         if resync:
             self.broker.resync_link(peer)
-        await receiver.acked
+        await connection.acked
 
     def _sever_link(self, peer: str) -> None:
         """Tear the TCP link to ``peer`` down for real (fault injection).
@@ -342,17 +342,28 @@ class _BrokerNode(SocketNode):
             await self._dial_peer(peer, resync=self.resync_on_connect)
         control.transmit(_control_message("ready"))
 
+    def _on_acceptable(self, listener: socket.socket) -> None:
+        """A dialler is waiting: its connection reads the handshake first."""
+        try:
+            sock, _ = listener.accept()
+        except (BlockingIOError, InterruptedError, ConnectionAbortedError):
+            return
+        except OSError as exc:
+            self._record_error(exc)
+            return
+        _Connection(self, sock, self.name)
+
     # -------------------------------------------------------------------- run
     async def serve(self) -> int:
         """The node's whole life; returns its exit code, or raises what failed it."""
         loop = self._loop
         listener = socket.socket(fileno=self.spec["listen_fd"])
-        server = await loop.create_server(lambda: _Receiver(self, self.name), sock=listener)
+        listener.setblocking(False)
+        loop.add_reader(listener.fileno(), self._on_acceptable, listener)
         # the parent's end closing means it is gone: shut down, no orphan
         control = ControlEndpoint(self, "parent", self._on_request, lambda _: self.stop.set())
-        control._writer, _ = await loop.connect_accepted_socket(
-            lambda: _Receiver(self, self.name, control),
-            socket.socket(fileno=self.spec["control_fd"]),
+        control._writer = _Connection(
+            self, socket.socket(fileno=self.spec["control_fd"]), self.name, control
         )
         self._background(self._boot(control))
         try:
@@ -361,7 +372,8 @@ class _BrokerNode(SocketNode):
             for task in self._tasks:
                 task.cancel()
             await asyncio.gather(*self._tasks, return_exceptions=True)
-            server.close()
+            loop.remove_reader(listener.fileno())
+            listener.close()
             self._close_connections()
         self._raise_pending_error()
         return 0
@@ -665,9 +677,7 @@ class ClusterTransport(SocketNode, Transport):
         finally:
             theirs.close()  # the child holds its own copy: EOF on ours means it died
         control = ControlEndpoint(self, name, self._on_control, self._on_control_lost)
-        control._writer, _ = self._loop.run_until_complete(
-            self._loop.connect_accepted_socket(lambda: _Receiver(self, name, control), ours)
-        )
+        control._writer = _Connection(self, ours, name, control)
         self._controls[name] = control
 
     def _spawn(self, spec: Dict[str, Any]) -> subprocess.Popen:
@@ -748,14 +758,14 @@ class ClusterTransport(SocketNode, Transport):
         endpoint = ClusterEndpoint(self, broker_name, receive, stats=link._local_out)
         address = self.addresses[broker_name]
         closed = self._controls[broker_name].closed
-        receiver = await self._dial(address, endpoint, client.name, broker_name, kind="client")
-        endpoint._writer = receiver.sock
-        await asyncio.wait((receiver.acked, closed), return_when=asyncio.FIRST_COMPLETED)
-        if not receiver.acked.done():
-            receiver.acked.cancel()
-            receiver._abort()
+        connection = await self._dial(address, endpoint, client.name, broker_name, kind="client")
+        endpoint._writer = connection
+        await asyncio.wait((connection.acked, closed), return_when=asyncio.FIRST_COMPLETED)
+        if not connection.acked.done():
+            connection.acked.cancel()
+            connection.close()
             raise self._died(broker_name)
-        receiver.acked.result()
+        connection.acked.result()
         client.attach_link(broker_name, endpoint)
 
     # ----------------------------------------------------------- control plane
@@ -996,19 +1006,22 @@ class ClusterTransport(SocketNode, Transport):
         ``receivers`` counts the connections the parent reads (its clients'
         and the control connections), ``open_writers`` the client endpoints
         that can still send, ``listeners`` the brokers' held listening
-        sockets and ``control_connections`` the open control connections; a
-        quiesced snapshot after a recovery cycle is directly comparable to
-        the pre-fault baseline — the soak harness's non-growth gate.
+        sockets, ``control_connections`` the open control connections and
+        ``unsent_bytes`` what the kernel refused so far and the parent's
+        connections hold; a quiesced snapshot after a recovery cycle is
+        directly comparable to the pre-fault baseline — the soak harness's
+        non-growth gate.
         """
         endpoints = [e for process in self._local.values() for e in process.links.values()]
         return {
             "links": len(self.links),
-            "receivers": len(self._receivers),
+            "receivers": len(self._connections),
             "open_writers": sum(e.is_open for e in endpoints),
             "listeners": len(self._listeners),
             "control_connections": sum(c.is_open for c in self._controls.values()),
             "live_children": sum(1 for child in self._children.values() if child.poll() is None),
             "pending_timers": self._clock.pending_timers,
+            "unsent_bytes": self._unsent_bytes(),
         }
 
     # ----------------------------------------------------------------- closing

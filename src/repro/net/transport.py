@@ -17,8 +17,9 @@ Three interchangeable backends:
 * :class:`AsyncioTransport` — a link is one duplex localhost TCP connection
   carrying length-prefixed binary wire frames (:mod:`repro.net.wire`) both
   ways; the transport owns both ends, so it pairs them itself with one
-  loopback connect to its own listener.  Per-direction FIFO comes from TCP
-  itself; time is the event loop's monotonic clock.  Runs are *not*
+  loopback connect to its own listener, and the link is open when
+  ``make_link`` returns, even inside a running loop.  Per-direction FIFO
+  comes from TCP itself; time is the event loop's monotonic clock.  Runs are *not*
   deterministic — that is the point: this is the deployment shape of the
   paper's original REBECA testbed (broker processes talking over sockets).
 * :class:`~repro.net.cluster.ClusterTransport` (``transport="cluster"``) —
@@ -31,14 +32,17 @@ Every backend exposes the same clock surface (``now``/``schedule``/``run``/
 ``run_until_idle``), so processes keep their ``self.sim`` attribute and the
 pubsub layer runs unchanged on any substrate.
 
-The two socket backends are one runtime, :class:`SocketNode`:
-``AsyncioTransport`` is "N processes on one node", a cluster broker child
-"one broker plus a control connection", the cluster parent "the clients
-plus the control connections, dial-only".  What differs is policy, kept in
-their own endpoint classes, and how a connection comes to exist: cluster
-links cross OS processes, so their ends meet by a dial and a handshake that
-checks the peer's wire revision; an ``AsyncioTransport`` link, like a
-cluster control connection, is born connected.
+The two socket backends are one runtime, :class:`SocketNode`, and every
+socket it holds is driven by one connection class, :class:`_Connection`,
+with the loop's public reader and writer callbacks: no asyncio transport
+or protocol is involved.  ``AsyncioTransport`` is "N processes on one
+node", a cluster broker child "one broker plus a control connection", the
+cluster parent "the clients plus the control connections, dial-only".
+What differs is policy, kept in their own endpoint classes, and how a
+connection comes to exist: cluster links cross OS processes, so their ends
+meet by a dial and a handshake that checks the peer's wire revision; an
+``AsyncioTransport`` link, like a cluster control connection, is born
+connected.
 
 What each backend guarantees:
 
@@ -55,8 +59,9 @@ real concurrency / sockets   no                          yes (localhost TCP)
 serialization                none (object references)    binary wire frames,
                                                          batched per hop
 mobility layer support       full                        full (a wireless link
-                                                         is a real TCP conn
-                                                         opened per attach)
+                                                         is a real TCP conn,
+                                                         opened in the attach
+                                                         as on the simulator)
 ===========================  ==========================  ====================
 
 (The cluster backend supports the plain pub/sub layer only; its broker
@@ -112,9 +117,10 @@ class Transport(ABC):
     name: str = "abstract"
 
     #: whether the mobility layer (wireless channels, replicators) can run on
-    #: this backend.  Requires dynamic link support: links that can be opened
-    #: and torn down *while the substrate is running* (a wireless attach),
-    #: not just wired up at build time.  Backends opt in explicitly.
+    #: this backend.  Requires dynamic link support: links that
+    #: :meth:`make_link` opens and :meth:`close_dynamic_link` tears down
+    #: *while the substrate is running* (a wireless attach), not just wired
+    #: up at build time.  Backends opt in explicitly.
     supports_mobility: bool = False
 
     #: this substrate's own live instruments (socket backends keep the wire
@@ -141,6 +147,9 @@ class Transport(ABC):
     def make_link(self, a: Process, b: Process, latency: float = 0.001):
         """Create, attach and return a bidirectional FIFO link between ``a`` and ``b``.
 
+        Build-time wiring and a wireless attach alike: it may be called from
+        inside a running substrate (a scheduled attach completion), and the
+        link carries traffic the moment it returns, on every backend.
         ``latency`` is simulated seconds: only the simulator applies it.  A
         socket link delivers each frame at arrival (the wire sets the time)
         and reports ``latency == 0.0``.  Whatever is in flight when a link
@@ -188,29 +197,10 @@ class Transport(ABC):
         return target
 
     # ------------------------------------------------------------ dynamic links
-    def open_dynamic_link(
-        self,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        ready: Optional[Callable[[Any], None]] = None,
-    ):
-        """Create a link *at runtime* — the substrate half of a wireless attach.
-
-        Unlike :meth:`make_link` (build-time wiring), this may be called from
-        inside a running substrate (a scheduled attach completion), so
-        backends with asynchronous connection setup establish the link in the
-        background.  ``ready(link)`` fires exactly once, after both endpoints
-        are attached and traffic can flow; until then the link must not be
-        used.  The returned link is the same object ``ready`` receives.
-
-        The default implementation is synchronous (correct for the
-        simulator): create the link and call ``ready`` immediately.
-        """
-        link = self.make_link(a, b, latency=latency)
-        if ready is not None:
-            ready(link)
-        return link
+    def open_dynamic_link(self, a: Process, b: Process, latency: float = 0.001):
+        """:meth:`make_link` by its former name, which the cost ledger's
+        ``net.transport.link_open_ms`` probe still calls."""
+        return self.make_link(a, b, latency=latency)
 
     def close_dynamic_link(self, link) -> None:
         """Release substrate resources of a dynamically opened link.
@@ -461,7 +451,7 @@ class SocketEndpoint(LinkEndpoint):
     """One direction of a link carried by a socket: frame, buffer, one write per burst.
 
     ``transmit`` serializes to length-prefixed binary wire frames for the
-    node's send path; a :class:`_Receiver` hands what arrives to :meth:`receive`.
+    node's send path; a :class:`_Connection` hands what arrives to :meth:`receive`.
     Per-direction FIFO is TCP's.  Serialising endpoints share fan-out
     messages, so a broker hop reuses one pre-encoded frame across every
     destination link.  Runtime policy: :meth:`_admit`, :meth:`receive`,
@@ -473,9 +463,9 @@ class SocketEndpoint(LinkEndpoint):
     def __init__(self, node: "SocketNode", stats: Optional[LinkStats] = None):
         self.node = node
         self.stats = stats if stats is not None else LinkStats()
-        #: the socket this direction is written on (None until open, and once
-        #: either end of its connection died)
-        self._writer: Optional[asyncio.WriteTransport] = None
+        #: the connection this direction is written on (None until open, and
+        #: once either end of it died)
+        self._writer: Optional[_Connection] = None
         #: frames framed but not yet written to the socket (hop-level write
         #: batching)
         self._buffer = bytearray()
@@ -483,7 +473,7 @@ class SocketEndpoint(LinkEndpoint):
     @property
     def is_open(self) -> bool:
         """Whether a frame written now still has a socket to go out on."""
-        return self._writer is not None and not self._writer.is_closing()
+        return self._writer is not None and not self._writer.closing
 
     def transmit(self, message: Message) -> None:
         if self._admit():
@@ -502,52 +492,73 @@ class SocketEndpoint(LinkEndpoint):
         """The connection died and everything read from it has been handed over."""
 
 
-class _Receiver(asyncio.BufferedProtocol):
-    """The reading side of one end of a link's connection.
+class _Connection:
+    """One end of a connection, driven by its node's loop with public calls only.
 
-    A cluster server creates one per accepted connection (the handshake
-    binds ``inbound``, the endpoint that takes what arrives); a cluster
-    dialler passes one, already bound, as its own protocol (``acked`` is its
-    future for the acceptor's answer); an :class:`AsyncioTransport` wraps
-    each end of a link it paired (the cluster, each end of a control
-    connection) in one already bound and waiting for nothing, which reads
-    no handshake.  One loop callback per read: the
-    socket reads into the node's one ``_inbox`` (a fresh 256 KiB ``bytes``
-    per read made glibc grow and trim the heap top — a page fault per read —
-    or not, by heap layout); ``buffer_updated`` splits and decodes its
-    frames and hands each to ``inbound`` at once: a socket delivers at
-    arrival.
+    Every socket role is one of these: both ends of an
+    :class:`AsyncioTransport` link and of a cluster control connection (born
+    connected: bound to the endpoint that takes what arrives, they read no
+    handshake), a cluster dial (``acked`` is its wait for the acceptor's
+    answer) and a cluster accept (the handshake binds ``inbound``).
+
+    Reading is one ``recv_into`` the node's one ``_inbox`` per readiness
+    (a fresh 256 KiB ``bytes`` per read made glibc grow and trim the heap
+    top — a page fault per read — or not, by heap layout); :meth:`_read`
+    splits and decodes its frames and hands each to ``inbound`` in the same
+    callback: a socket delivers at arrival.  :meth:`write` sends at once
+    without blocking and keeps only what the kernel refused, in ``unsent``,
+    for when the socket is writable again.  The peer's EOF, an ``OSError``
+    or :meth:`close` end in :meth:`_closed`.
     """
 
     def __init__(
         self,
         node: "SocketNode",
+        sock: socket.socket,
         name: str,
         inbound: Optional[SocketEndpoint] = None,
         acked: Optional[asyncio.Future] = None,
     ):
         self.node = node
+        self.sock = sock
         #: the process at this end; a handshake must be addressed to it
         self.name = name
         self.inbound = inbound
         #: a cluster dialler's wait for the acceptor's handshake (None otherwise)
         self.acked = acked
         self.decoder = wire.FrameDecoder()
-        #: bound and waiting for no answer: the link was born connected
+        #: bound and waiting for no answer: the connection was born connected
         self.saw_handshake = inbound is not None and acked is None
-        self.sock: Optional[asyncio.BaseTransport] = None
+        #: bytes written but refused by the kernel, sent once it takes more
+        self.unsent = bytearray()
+        #: no longer read, and written only to finish ``unsent``
+        self.closing = False
+        self._eof = False
+        self._fd = sock.fileno()
+        sock.setblocking(False)
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            # Nagle plus a delayed ACK would hold each drain's last small
+            # write back ~25 ms
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        node._connections.add(self)
+        node._loop.add_reader(self._fd, self._on_readable)
 
-    def connection_made(self, sock: asyncio.BaseTransport) -> None:
-        self.sock = sock
-        self.node._receivers.add(self)
-
-    def get_buffer(self, sizehint: int) -> memoryview:
-        return self.node._inbox
-
-    def buffer_updated(self, nbytes: int) -> None:
-        # the decoder copies what it keeps, and get_buffer -> recv_into -> here
-        # is one synchronous loop callback: one buffer per node is safe
-        self.node._run_callback(self._read, self.node._inbox[:nbytes])
+    # ----------------------------------------------------------------- reading
+    def _on_readable(self) -> None:
+        node = self.node
+        try:
+            nbytes = self.sock.recv_into(node._inbox)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self._fail(exc)
+            return
+        if nbytes:
+            # the decoder copies what it keeps, and recv_into -> _read is one
+            # synchronous loop callback: one buffer per node is safe
+            node._run_callback(self._read, node._inbox[:nbytes])
+        else:
+            self.close()  # the peer's EOF: what is unsent still goes out
 
     def _read(self, data: memoryview) -> None:
         decode_message = wire.decode_message_binary
@@ -560,7 +571,7 @@ class _Receiver(asyncio.BufferedProtocol):
                 for body in bodies:
                     receive(decode_message(body))
         except BaseException as exc:
-            self._abort()
+            self.close()
             if self.saw_handshake:
                 raise
             self.node._handshake_refused(exc)
@@ -579,24 +590,106 @@ class _Receiver(asyncio.BufferedProtocol):
         else:
             # accepted: the way back is this same socket; answering tells the
             # dialler so and lets it check this end's wire revision in turn
-            self.inbound = node._accept(self.name, handshake, self.sock)
-            self.sock.write(handshake_frame(self.name, source))
+            self.inbound = node._accept(self.name, handshake, self)
+            self.write(handshake_frame(self.name, source))
             node._accepted(self.inbound, handshake)
         self.saw_handshake = True
 
-    def _abort(self) -> None:
-        """End the connection now (a refused handshake, a decode or handler
-        failure, or the node closing)."""
-        self.sock.close()
+    # ----------------------------------------------------------------- writing
+    def write(self, data) -> None:
+        """Send ``data`` now; what the kernel refuses goes out when it is writable.
 
-    def connection_lost(self, exc: Optional[BaseException]) -> None:
-        self.node._run_callback(self._closed, exc)
+        Dropped once the connection is closing or half-closed: nothing reads
+        it there.
+        """
+        if self.closing or self._eof:
+            return
+        if self.unsent:
+            self.unsent += data
+            return
+        try:
+            sent = self.sock.send(data)
+        except (BlockingIOError, InterruptedError):
+            sent = 0
+        except OSError as exc:
+            self._fail(exc)
+            return
+        if sent < len(data):
+            self.unsent += memoryview(data)[sent:]
+            self.node._loop.add_writer(self._fd, self._on_writable)
+
+    def _on_writable(self) -> None:
+        try:
+            sent = self.sock.send(self.unsent)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:
+            self._fail(exc)
+            return
+        del self.unsent[:sent]
+        if self.unsent:
+            return
+        self.node._loop.remove_writer(self._fd)
+        if self.closing:
+            self._lose(None)
+        elif self._eof:
+            self._shutdown_write()
+
+    def write_eof(self) -> None:
+        """Half-close: EOF follows what is unsent, and reading goes on."""
+        if self.closing or self._eof:
+            return
+        self._eof = True
+        if not self.unsent:
+            self._shutdown_write()
+
+    def _shutdown_write(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_WR)
+        except OSError as exc:
+            self._fail(exc)
+
+    # ----------------------------------------------------------------- closing
+    def close(self) -> None:
+        """Stop reading now; the socket closes once what is unsent went out."""
+        if self.closing:
+            return
+        self.closing = True
+        loop = self.node._loop
+        loop.remove_reader(self._fd)
+        if not self.unsent:
+            loop.call_soon(self._lose, None)
+
+    def _fail(self, exc: OSError) -> None:
+        """The socket failed: what is unsent is lost with it."""
+        self._drop()
+        self.node._loop.call_soon(self._lose, exc)
+
+    def _lose(self, exc: Optional[BaseException]) -> None:
+        if self in self.node._connections:  # else the node closed it already
+            self._discard()
+            self.node._run_callback(self._closed, exc)
+
+    def _discard(self) -> None:
+        """Close the socket at once, leaving what is unread and unsent."""
+        self._drop()
+        self.sock.close()
+        self.node._connections.discard(self)
+
+    def _drop(self) -> None:
+        """Stop reading, and forget what is unsent: take both callbacks off the loop."""
+        loop = self.node._loop
+        if not self.closing:
+            self.closing = True
+            loop.remove_reader(self._fd)
+        if self.unsent:
+            self.unsent.clear()
+            loop.remove_writer(self._fd)
 
     def _closed(self, exc: Optional[BaseException]) -> None:
         # frames read before the close were delivered as they arrived (a
         # detach's farewell); the direction that arrived here is dead at
         # once, so later transmits are refused, not written into the void
-        self.node._receivers.discard(self)
         if self.acked is not None and not self.acked.done():
             self.acked.set_exception(
                 exc or ConnectionError(f"{self.name!r}: link closed before its handshake")
@@ -613,11 +706,13 @@ class SocketNode:
     on it, three wire instruments, and the one path a link's frames take:
     out through :meth:`_send_frame` (written when the loop callback that
     sent them ends, or one loop turn after a send from outside one), in
-    through a :class:`_Receiver` per connection.  A cross-process connection
-    is opened by :meth:`_dial` and a handshake the acceptor answers so each
-    end checks the other's wire revision; a node that owns both ends of a
-    connection needs neither.  What its callbacks raise is kept for whoever
-    drives it.  What a node *hosts* is its subclass's business.
+    through the :class:`_Connection` at either end of every socket it
+    holds.  A cross-process connection is opened by :meth:`_dial` and a
+    handshake the acceptor answers so each end checks the other's wire
+    revision; a node that owns both ends of a connection needs neither, and
+    wraps both the moment the sockets exist.  What its callbacks raise is
+    kept for whoever drives it.  What a node *hosts* is its subclass's
+    business.
     """
 
     #: flush threshold for hop-level write batching: a buffered burst is
@@ -629,8 +724,8 @@ class SocketNode:
     def __init__(self, metrics: MetricsRegistry):
         self._loop = _new_event_loop()
         self._clock = AsyncioClock(self)
-        #: the reading side of every connection still open (aborted on close)
-        self._receivers: "set[_Receiver]" = set()
+        #: every connection end still open (closed with the node)
+        self._connections: "set[_Connection]" = set()
         #: where every socket read lands (one per node, not per connection:
         #: each attach opens connections and would zero-fill one apiece)
         self._inbox = memoryview(bytearray(256 * 1024))
@@ -693,19 +788,26 @@ class SocketNode:
     # ------------------------------------------------------------- connections
     async def _dial(
         self, address: Tuple[str, int], inbound: SocketEndpoint, source: str, target: str, **fields
-    ) -> _Receiver:
+    ) -> _Connection:
         """Connect to ``address`` and open a link from ``source`` to ``target``.
 
-        Returns the receiver once the handshake (``fields``: see
-        :func:`handshake_frame`) is written: ``sock`` is the way out, ``acked``
-        resolves with the acceptor's answer or fails if the connection dies.
+        Returns the connection once the handshake (``fields``: see
+        :func:`handshake_frame`) is written: it is the way out, and its
+        ``acked`` resolves with the acceptor's answer or fails if it dies.
         """
-        receiver = _Receiver(self, source, inbound, acked=self._loop.create_future())
-        sock, _ = await self._loop.create_connection(lambda: receiver, *address)
-        sock.write(handshake_frame(source, target, **fields))
-        return receiver
+        host, port = address
+        sock = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET)
+        sock.setblocking(False)
+        try:
+            await self._loop.sock_connect(sock, (host, port))
+        except BaseException:
+            sock.close()
+            raise
+        connection = _Connection(self, sock, source, inbound, acked=self._loop.create_future())
+        connection.write(handshake_frame(source, target, **fields))
+        return connection
 
-    def _accept(self, name: str, handshake: Dict[str, Any], sock) -> SocketEndpoint:
+    def _accept(self, name: str, handshake: Dict[str, Any], connection) -> SocketEndpoint:
         """Bind a connection addressed to ``name``: the endpoint that takes what
         arrives on it.  Raising refuses it — closed without an answer."""
         raise NotImplementedError
@@ -714,9 +816,13 @@ class SocketNode:
         """The acceptance was answered; the way back may be used from here on."""
 
     def _close_connections(self) -> None:
-        """Abort every connection this node still holds."""
-        for receiver in list(self._receivers):
-            receiver._abort()
+        """Close every connection this node still holds, at once: it is closing."""
+        for connection in list(self._connections):
+            connection._discard()
+
+    def _unsent_bytes(self) -> int:
+        """What the kernel refused so far and the connections still hold."""
+        return sum(len(connection.unsent) for connection in self._connections)
 
     # ----------------------------------------------------------------- sending
     def _send_frame(self, endpoint: SocketEndpoint, frame: bytes) -> None:
@@ -739,7 +845,7 @@ class SocketNode:
         if buffer:
             if endpoint._writer is not None:
                 # what was buffered for a connection that died meanwhile just drops
-                endpoint._writer.write(bytes(buffer))
+                endpoint._writer.write(buffer)
                 self._write_bytes.observe(len(buffer))
             buffer.clear()
         self._dirty.discard(endpoint)
@@ -849,23 +955,6 @@ class AsyncioLink:
         self.a.attach_link(self.b.name, self._a_to_b)
         self.b.attach_link(self.a.name, self._b_to_a)
 
-    def abandon(self) -> None:
-        """Tear down a link that lost an attachment race.
-
-        Unlike :meth:`disconnect`, which detaches whatever endpoint is
-        registered under the peer names, this removes only entries this
-        link actually owns — a rival link established concurrently between
-        the same processes may have re-registered those names, and its
-        attachment must survive.
-        """
-        self.up = False
-        for owner, peer_name, endpoint in (
-            (self.a, self.b.name, self._a_to_b),
-            (self.b, self.a.name, self._b_to_a),
-        ):
-            if owner.links.get(peer_name) is endpoint:
-                owner.detach_link(peer_name)
-
     # ------------------------------------------------------------------ stats
     @property
     def stats_a_to_b(self) -> LinkStats:
@@ -900,6 +989,10 @@ class AsyncioTransport(SocketNode, Transport):
     born connected: one blocking loopback connect to the transport's own
     listening socket, and the accept that returns it, pair the two sockets
     (:meth:`_pair`); no process has a server and no handshake is exchanged.
+    :meth:`make_link` wraps both ends and attaches them before it returns,
+    from inside a running loop (a wireless attach completing in a scheduled
+    callback) as from outside one: a link open costs no task and no loop
+    turn.
 
     The stack above stays synchronous: sends buffer onto the socket and the
     event loop only spins while the transport is *driven*
@@ -908,12 +1001,12 @@ class AsyncioTransport(SocketNode, Transport):
     Quiescence is exact, not heuristic: because both ends of every link live
     here, every frame written increments an in-flight counter that is only
     decremented after the receiving process finished handling the message,
-    and every clock timer and dynamic link being established is counted until
-    it has run.  :meth:`run_until_idle` neither polls nor waits out a
-    confirmation window: it parks on one future that the code paths lowering
-    those counters (or recording an error) resolve the moment both read
-    zero, so a drain costs what the traffic costs and an idle transport
-    returns at once.
+    and every clock timer is counted until it has run.
+    :meth:`run_until_idle` neither polls nor waits out a confirmation
+    window: it parks on one future that the code paths lowering those
+    counters (or recording an error) resolve the moment both read zero, so
+    a drain costs what the traffic costs and an idle transport returns at
+    once.
     """
 
     name = "asyncio"
@@ -941,65 +1034,16 @@ class AsyncioTransport(SocketNode, Transport):
 
     # ------------------------------------------------------------------ wiring
     def make_link(self, a: Process, b: Process, latency: float = 0.001) -> AsyncioLink:
-        # build-time wiring is a dynamic link established before anything runs
-        link = self.open_dynamic_link(a, b, latency)
-        self._raise_pending_error()
-        return link
-
-    def open_dynamic_link(
-        self,
-        a: Process,
-        b: Process,
-        latency: float = 0.001,
-        ready: Optional[Callable[[Any], None]] = None,
-    ) -> AsyncioLink:
-        """Establish a link while the event loop may already be running.
-
-        A wireless attach completes inside a scheduled callback, i.e. inside
-        the running loop, where :meth:`make_link`'s ``run_until_complete``
-        would deadlock.  The connection setup (pairing the two sockets,
-        then handing each to the loop) therefore runs as a task; it is
-        counted as pending work so ``run_until_idle`` cannot declare the
-        system idle while an attachment is still being established.
-        ``ready(link)`` fires from inside the loop once traffic can flow.
-        """
         self._require_open()
+        self._register(a)
+        self._register(b)
+        dialled, accepted = self._pair()
         link = AsyncioLink(self, a, b)
+        link._a_to_b._writer = _Connection(self, dialled, a.name, link._b_to_a)
+        link._b_to_a._writer = _Connection(self, accepted, b.name, link._a_to_b)
+        a.attach_link(b.name, link._a_to_b)
+        b.attach_link(a.name, link._b_to_a)
         self.links.append(link)
-
-        async def establish() -> None:
-            try:
-                self._register(a)
-                self._register(b)
-                dialled, accepted = self._pair()
-                wrap = self._loop.connect_accepted_socket
-                try:
-                    link._a_to_b._writer, _ = await wrap(
-                        lambda: _Receiver(self, a.name, link._b_to_a), dialled
-                    )
-                except BaseException:
-                    accepted.close()  # never handed to the loop
-                    raise
-                link._b_to_a._writer, _ = await wrap(
-                    lambda: _Receiver(self, b.name, link._a_to_b), accepted
-                )
-                a.attach_link(b.name, link._a_to_b)
-                b.attach_link(a.name, link._b_to_a)
-                if ready is not None:
-                    self._run_callback(ready, link)
-            except BaseException as exc:
-                # a link that never came up holds no registry slot or socket
-                self.close_dynamic_link(link)
-                self._record_error(exc)
-            finally:
-                self._clock.pending_timers -= 1
-                self._wake_if_idle()
-
-        self._clock.pending_timers += 1
-        if self._loop.is_running():
-            self._loop.create_task(establish())
-        else:
-            self._loop.run_until_complete(establish())
         return link
 
     def close_dynamic_link(self, link: AsyncioLink) -> None:
@@ -1032,10 +1076,8 @@ class AsyncioTransport(SocketNode, Transport):
 
         The only accept in this transport, and the one place that checks a
         peer: a connection whose address is not the dialler's own was made
-        by a stranger, and is closed unread.  Both ends send every write at
-        once (``TCP_NODELAY``: asyncio sets it only on sockets created with
-        ``proto=IPPROTO_TCP``, and Nagle plus a delayed ACK would hold each
-        drain's last small write back ~25 ms).
+        by a stranger, and is closed unread.  The connect goes straight to
+        the listener's address, with no name lookup.
 
         A step that times out means strangers fill the accept queue (and may
         have hung up there, where no accept drains them, since only a pairing
@@ -1047,14 +1089,11 @@ class AsyncioTransport(SocketNode, Transport):
         if listener is None:
             listener = self._listen()
         try:
-            dialled, accepted = self._connect_and_accept(listener)
+            return self._connect_and_accept(listener)
         except TimeoutError:
             listener.close()
             self._listener = None
-            dialled, accepted = self._connect_and_accept(self._listen())
-        for sock in (dialled, accepted):
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return dialled, accepted
+            return self._connect_and_accept(self._listen())
 
     def _listen(self) -> socket.socket:
         """Open the transport's one listener (with the first link, or anew)."""
@@ -1068,8 +1107,10 @@ class AsyncioTransport(SocketNode, Transport):
     def _connect_and_accept(
         self, listener: socket.socket
     ) -> Tuple[socket.socket, socket.socket]:
-        dialled = socket.create_connection(listener.getsockname()[:2], self.PAIR_TIMEOUT)
+        dialled = socket.socket(listener.family)
         try:
+            dialled.settimeout(self.PAIR_TIMEOUT)
+            dialled.connect(listener.getsockname())
             own = dialled.getsockname()
             while True:
                 accepted, peer = listener.accept()
@@ -1092,8 +1133,8 @@ class AsyncioTransport(SocketNode, Transport):
     def run_until_idle(self, timeout: Optional[float] = None) -> float:
         """Drive the loop until no in-flight frames or pending timers remain.
 
-        *Idle* means: no frame this transport sent is undelivered, no clock
-        timer is pending and no dynamic link is being established.  Returns
+        *Idle* means: no frame this transport sent is undelivered and no
+        clock timer is pending.  Returns
         at once when that already holds; otherwise parks on a future that
         :meth:`_wake_if_idle` resolves.  Bytes arriving on a connection the
         transport did not open are not counted work — drive by time
@@ -1131,10 +1172,9 @@ class AsyncioTransport(SocketNode, Transport):
         """Release a parked :meth:`run_until_idle` once nothing counted remains.
 
         Called at the end of every loop callback that can lower a counter or
-        record an error: a read batch, a fired timer and
-        the teardown of a connection (all through :meth:`_run_callback`) and
-        a dynamic link's ``establish``.  Handlers, ``cancel()`` and
-        ``ready`` only ever run inside one of those, so none of them checks.
+        record an error: a read batch, a fired timer and the teardown of a
+        connection (all through :meth:`_run_callback`).  Handlers and
+        ``cancel()`` only ever run inside one of those, so none of them checks.
         """
         waiter = self._idle_waiter
         if waiter is not None and not waiter.done() and self._is_idle():
@@ -1145,7 +1185,9 @@ class AsyncioTransport(SocketNode, Transport):
 
         ``open_writers`` counts the directed endpoints whose end of the
         link's connection is still open: two per link, one socket each
-        (``links`` counts the connections).
+        (``links`` counts the connections).  ``buffered_bytes`` is what
+        waits for the end of a dispatch burst, ``unsent_bytes`` what the
+        kernel refused so far and the connections hold.
         """
         endpoints = [e for link in self.links for e in (link._a_to_b, link._b_to_a)]
         return {
@@ -1155,6 +1197,7 @@ class AsyncioTransport(SocketNode, Transport):
             "open_writers": sum(e.is_open for e in endpoints),
             "inflight_frames": self._inflight,
             "buffered_bytes": sum(len(e._buffer) for e in endpoints),
+            "unsent_bytes": self._unsent_bytes(),
         }
 
     # ----------------------------------------------------------------- closing
@@ -1162,16 +1205,7 @@ class AsyncioTransport(SocketNode, Transport):
         if self._closed:
             return
         self._closed = True
-
-        async def shutdown() -> None:
-            self._close_connections()
-            current = asyncio.current_task()
-            tasks = [t for t in asyncio.all_tasks() if t is not current and not t.done()]
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-
-        self._loop.run_until_complete(shutdown())
+        self._close_connections()
         self._loop.close()
         if self._listener is not None:
             self._listener.close()

@@ -44,13 +44,14 @@ class WirelessChannel:
 
     The substrate carrying that link is pluggable.  The channel needs exactly
     two operations from it — *open a link at runtime* and *release a
-    torn-down link* — which is the small dynamic-link interface every
-    mobility-capable :class:`~repro.net.transport.Transport` exposes
-    (``open_dynamic_link``/``close_dynamic_link``).  ``transport`` carries
-    the wireless hop: on the simulator attachment is the classic synchronous
-    :class:`~repro.net.link.Link`, on asyncio each attach opens a real TCP
-    connection and each detach closes it.  The channel's clock is the
-    transport's.
+    torn-down link* — which every mobility-capable
+    :class:`~repro.net.transport.Transport` offers as ``make_link`` and
+    ``close_dynamic_link``.  ``transport`` carries the wireless hop: on the
+    simulator attachment is the classic :class:`~repro.net.link.Link`, on
+    asyncio each attach opens a real TCP connection and each detach closes
+    it.  Either way the link is open when ``make_link`` returns, so an
+    attach completes in one step on every backend.  The channel's clock is
+    the transport's.
     """
 
     def __init__(
@@ -113,41 +114,11 @@ class WirelessChannel:
         if epoch != self._attach_epoch or self.current_ap is not None:
             # superseded by a later attach/detach; ignore the stale completion
             return
-        # on socket backends the connection setup completes asynchronously
-        # and _finish_attach fires once traffic can flow
-        self.transport.open_dynamic_link(
-            self.device,
-            access_point,
-            latency=self.latency,
-            ready=lambda link, _ap=access_point, _e=epoch: self._finish_attach(_ap, link, _e),
-        )
-
-    def _finish_attach(self, access_point: Process, link, epoch: int) -> None:
-        if epoch != self._attach_epoch or self.current_ap is not None:
-            # superseded while this link was being established; tear the late
-            # arrival down instead of hijacking the current attachment
-            self._discard_stale_link(link)
-            return
+        self._link = self.transport.make_link(self.device, access_point, latency=self.latency)
         self.current_ap = access_point
-        self._link = link
         self.stats.connects += 1
         for callback in list(self._on_connect):
             callback(access_point.name)
-
-    def _discard_stale_link(self, stale) -> None:
-        """Tear down a link whose establishment lost the attachment race.
-
-        Only a socket backend can lose it: the simulator's ``ready`` fires
-        inside :meth:`_complete_attach`, after the epoch check.
-        ``abandon`` (not ``disconnect``) so that, when the stale
-        establishment targeted the *same* access point as the winning one,
-        the winner's endpoint registrations survive; they are re-attached
-        afterwards in case the stale establishment overwrote them.
-        """
-        stale.abandon()
-        self.transport.close_dynamic_link(stale)
-        if self._link is not None and self.current_ap is not None:
-            self._link.reconnect()
 
     def detach(self) -> None:
         """Detach from the current access point (range loss, power-off, roaming).

@@ -33,7 +33,7 @@ from helpers import WRITE_PATHS, impostor_of, with_write_path
 from repro.config import SystemConfig
 from repro.net import wire
 from repro.net.process import Message, Process
-from repro.net.transport import AsyncioTransport, _Receiver
+from repro.net.transport import AsyncioTransport, _Connection
 from repro.pubsub.broker_network import BrokerNetwork, line_topology
 from repro.pubsub.filters import Equals, Filter
 from repro.pubsub.notification import Notification
@@ -56,10 +56,8 @@ def transport(request):
 
 
 def open_link(transport, a, b, latency=0.0):
-    opened = []
-    link = transport.open_dynamic_link(a, b, latency=latency, ready=opened.append)
+    link = transport.make_link(a, b, latency=latency)
     transport.run_until_idle()
-    assert opened == [link]
     return link
 
 
@@ -129,7 +127,7 @@ def test_an_accept_that_dies_fails_the_open_promptly(transport, monkeypatch):
 
     monkeypatch.setattr(socket.socket, "accept", dies)
     opened = []
-    transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, opened.append)
+    transport.clock.schedule(0.0, lambda: opened.append(transport.make_link(a, b, 0.0)))
     start = time.perf_counter()
     with pytest.raises(ConnectionAbortedError):
         transport.run_until_idle()
@@ -197,9 +195,9 @@ def test_a_stranger_at_the_listener_is_never_served(transport, says):
         b.send("a", Message("x", payload="back"))
         transport.run_until_idle()
         assert (a.received, b.received) == (["back"], ["there"])
-        served = {r.sock.get_extra_info("peername") for r in transport._receivers}
+        served = {c.sock.getpeername() for c in transport._connections}
         assert stranger.getsockname() not in served
-        assert len(transport._receivers) == 2
+        assert len(transport._connections) == 2
         try:
             assert stranger.recv(1) == b""  # closed by the transport
         except ConnectionResetError:
@@ -236,7 +234,7 @@ def test_a_listener_backlog_full_of_strangers_moves_the_open_to_a_fresh_listener
             for stranger in strangers:
                 stranger.close()
         opened = []
-        transport.clock.schedule(0.0, transport.open_dynamic_link, a, b, 0.0, opened.append)
+        transport.clock.schedule(0.0, lambda: opened.append(transport.make_link(a, b, 0.0)))
         start = time.perf_counter()
         transport.run_until_idle()
         assert time.perf_counter() - start < 2.0
@@ -257,6 +255,26 @@ def test_a_listener_backlog_full_of_strangers_moves_the_open_to_a_fresh_listener
         for stranger in strangers:
             stranger.close()
         transport.close()
+
+
+# ------------------------------------------------------------- partial sends
+
+
+def test_a_burst_the_kernel_refuses_is_held_then_sent_whole_and_in_order(transport):
+    """Sent before the loop runs, a burst far larger than the loopback
+    socket buffers is taken only in part: the connection holds the rest
+    (``unsent_bytes``) and sends it as the socket drains."""
+    a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
+    open_link(transport, a, b)
+    n, pad = 40_000, "x" * 240
+    for i in range(n):
+        a.send("b", Message("x", payload=(i, pad)))
+    held = transport.resource_sizes()["unsent_bytes"]
+    assert held > 0
+    transport.run_until_idle(timeout=10.0)
+    assert [payload[0] for payload in b.received] == list(range(n))
+    sizes = transport.resource_sizes()
+    assert (sizes["unsent_bytes"], sizes["inflight_frames"]) == (0, 0)
 
 
 # ------------------------------------------------------------- socket census
@@ -313,24 +331,23 @@ def test_a_fabric_holds_one_connection_per_link():
         sizes = transport.resource_sizes()
         assert (sizes["listeners"], sizes["links"]) == (1, 10)
         assert sizes["open_writers"] == 2 * sizes["links"]
-        assert len(transport._receivers) == 2 * sizes["links"]
+        assert len(transport._connections) == 2 * sizes["links"]
         assert open_fds() - idle == sizes["listeners"] + 2 * sizes["links"]
     finally:
         net.close()
 
 
 def test_every_link_sends_each_write_at_once(transport):
-    """Both sockets of every link carry ``TCP_NODELAY``.  asyncio sets it only
-    on a socket created with ``proto=IPPROTO_TCP``, which an accepted one is
-    not; without it Nagle and a delayed ACK hold a drain's last small write
-    back ~25 ms and ``handover_tcp`` runs at a tenth of its rate, while every
-    functional test still passes."""
+    """Both sockets of every link carry ``TCP_NODELAY``; without it Nagle and
+    a delayed ACK hold a drain's last small write back ~25 ms and
+    ``handover_tcp`` runs at a tenth of its rate, while every functional
+    test still passes."""
     a, b, c = (Recorder(transport.clock, name) for name in "abc")
     transport.make_link(a, b, latency=0.0)
     transport.make_link(b, c, latency=0.0)
     open_link(transport, a, c)
     sockets = [
-        endpoint._writer.get_extra_info("socket")
+        endpoint._writer.sock
         for link in transport.links
         for endpoint in (link._a_to_b, link._b_to_a)
     ]
@@ -358,7 +375,7 @@ def test_attach_detach_churn_returns_every_fd(transport):
         cycle(i)
     settle(transport)
     assert open_fds() == baseline
-    assert transport._receivers == set()
+    assert transport._connections == set()
     assert a.received == b.received == list(range(-1, 300))
     assert transport.resource_sizes()["links"] == 0
 
@@ -367,11 +384,12 @@ def test_attach_detach_churn_returns_every_fd(transport):
 
 
 def test_reads_land_in_the_node_owned_buffer(transport):
-    """A plain ``Protocol`` gets a fresh 256 KiB ``bytes`` per socket read,
-    which glibc may serve by growing and trimming the heap top — a page fault
-    per read, or none, by what happens to sit at the top of the heap.  Reading
-    into one buffer the node owns takes the allocation (and the lottery) away."""
-    assert not hasattr(_Receiver, "data_received")
+    """A fresh 256 KiB ``bytes`` per socket read (an asyncio ``Protocol``'s
+    ``data_received``) may be served by glibc growing and trimming the heap
+    top — a page fault per read, or none, by what happens to sit at the top
+    of the heap.  Reading into one buffer the node owns takes the allocation
+    (and the lottery) away."""
+    assert not hasattr(_Connection, "data_received")
     a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
     open_link(transport, a, b)
 

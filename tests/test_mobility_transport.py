@@ -268,81 +268,23 @@ class TestWirelessChannelOnAsyncio:
         transport.run_until_idle()
         assert [m.payload for m in ap1.received] == [7]
 
-    @pytest.mark.parametrize("second", ["ap1", "ap2"])
-    def test_a_link_ready_after_a_later_attach_is_torn_down(
-        self, asyncio_channel, second, monkeypatch
-    ):
-        # the device moves on (to the same or the other access point) while
-        # its first link is still being paired: the first link becomes ready
-        # stale, and must leave neither a second attachment nor a socket
-        transport, _channel, device, ap1, ap2 = asyncio_channel
-        channel = WirelessChannel(device, latency=0.0, connect_latency=0.0, transport=transport)
-        winner, loser = (ap1, ap2) if second == "ap1" else (ap2, ap1)
-        probe = WirelessChannel(
-            Recorder(transport.clock, "probe"), latency=0.0, connect_latency=0.0, transport=transport
-        )
-        probe.attach(ap2)
-        transport.run_until_idle()
-        one_link = transport.resource_sizes()
-        probe.detach()
-        transport.run_until_idle()
-        no_link = transport.resource_sizes()
-        assert (one_link["links"], one_link["open_writers"]) == (1, 2)
-        assert (no_link["links"], no_link["open_writers"]) == (0, 0)
-
-        discarded = []
-        discard = channel._discard_stale_link
-        monkeypatch.setattr(
-            channel, "_discard_stale_link", lambda link: (discarded.append(link), discard(link))
-        )
-        channel.attach(ap1)
-        transport.clock.schedule(0.0, channel.attach, winner)
-        transport.run_until_idle()
-        assert len(discarded) == 1, "the first link must become ready stale"
-        assert channel.stats.connects == 1
-        assert channel.access_point_name == second
-        assert transport.resource_sizes() == one_link
-
-        assert channel.send_up(Message("ping", payload=5))
-        transport.run_until_idle()
-        assert [m.payload for m in winner.received] == [5]
-        assert loser.received == []
-
-        channel.detach()
-        transport.run_until_idle()
-        assert transport.resource_sizes() == no_link
-
-    def test_a_link_ready_after_a_power_off_is_torn_down(self, asyncio_channel):
-        # the device powers off while its link is being paired: the link
-        # becomes ready stale and must not connect it, nor stay open
-        transport, _channel, device, ap1, _ap2 = asyncio_channel
-        channel = WirelessChannel(device, latency=0.0, connect_latency=0.0, transport=transport)
-        channel.attach(ap1)
-        transport.clock.schedule(0.0, channel.detach)
-        transport.run_until_idle()
-        assert not channel.connected
-        assert channel.stats.connects == 0
-        assert not device.has_link("ap1") and not ap1.has_link("device")
-        sizes = transport.resource_sizes()
-        assert (sizes["links"], sizes["open_writers"]) == (0, 0)
-
-    def test_open_dynamic_link_from_inside_the_running_loop(self):
+    def test_make_link_from_a_running_callback_is_usable_at_once(self):
         from repro.net.transport import AsyncioTransport
 
         transport = AsyncioTransport()
         try:
             a = Recorder(transport.clock, "a")
             b = Recorder(transport.clock, "b")
-            opened = []
+            pending = []
 
             def open_late():
-                transport.open_dynamic_link(a, b, latency=0.0, ready=opened.append)
+                transport.make_link(a, b, latency=0.0)
+                pending.append(transport.resource_sizes()["pending_timers"])
+                a.send("b", Message("x", payload=42))
 
             transport.clock.schedule(0.005, open_late)
             transport.run_until_idle()
-            assert len(opened) == 1
-            a.send("b", Message("x", payload=42))
-            transport.run_until_idle()
+            assert pending == [0], "a link open is no pending work"
             assert [m.payload for m in b.received] == [42]
         finally:
             transport.close()
@@ -354,9 +296,68 @@ def test_sim_transport_dynamic_link_is_synchronous():
     transport = SimTransport()
     a = Recorder(transport.clock, "a")
     b = Recorder(transport.clock, "b")
-    opened = []
-    link = transport.open_dynamic_link(a, b, latency=0.0, ready=opened.append)
-    assert opened == [link], "the simulator attaches dynamic links immediately"
+    transport.make_link(a, b, latency=0.0)
+    assert a.has_link("b") and b.has_link("a"), "the simulator attaches a link inside make_link"
+    assert transport.resource_sizes() == {"pending_events": 0}
     a.send("b", Message("x", payload=1))
     transport.run_until_idle()
     assert [m.payload for m in b.received] == [1]
+
+
+def one_instant_of_moves(backend):
+    """Attach, re-attach (to the same access point, then the other) and
+    detach, each pair of instructions at one instant; what the channel ends
+    with after each, and whether the transport is back at its baseline."""
+    from repro.net.transport import make_transport
+
+    transport = make_transport(SystemConfig(transport=backend))
+    try:
+        device, ap1, ap2 = (Recorder(transport.clock, name) for name in ("device", "ap1", "ap2"))
+        channel = WirelessChannel(device, latency=0.0, connect_latency=0.0, transport=transport)
+        clock = transport.clock
+        channel.attach(ap2)  # warm-up: a socket transport opens its listener with its first link
+        transport.run_until_idle()
+        channel.detach()
+        transport.run_until_idle()
+        baseline = transport.resource_sizes()
+        seconds = [
+            lambda: channel.attach(ap1),  # the same access point again
+            lambda: channel.attach(ap2),  # the other one
+            channel.detach,
+        ]
+        ends = []
+        for step, second in enumerate(seconds):
+            channel.attach(ap1)
+            clock.schedule(0.0, second)
+            transport.run_until_idle()
+            ends.append((
+                channel.stats.connects,
+                channel.stats.disconnects,
+                channel.access_point_name,
+                sorted(device.links),
+                channel.send_up(Message("ping", payload=step)),
+            ))  # fmt: skip
+            transport.run_until_idle()
+            channel.detach()
+            transport.run_until_idle()
+            ends.append(transport.resource_sizes() == baseline)
+        received = ([m.payload for m in ap1.received], [m.payload for m in ap2.received])
+        return ends, received
+    finally:
+        transport.close()
+
+
+def test_moves_at_one_instant_end_alike_on_the_simulator_and_on_sockets():
+    """The second instruction of each pair runs after the first attach
+    completed, so it hands over from a link that is already open: on
+    sockets as on the simulator, no link is ever left to tear down as
+    stale, and none outlives its detach."""
+    sim = one_instant_of_moves("sim")
+    assert sim == one_instant_of_moves("asyncio")
+    ends, received = sim
+    assert ends == [
+        (3, 2, "ap1", ["ap1"], True), True,
+        (5, 4, "ap2", ["ap2"], True), True,
+        (6, 6, None, [], False), True,
+    ]  # fmt: skip
+    assert received == ([0], [1])

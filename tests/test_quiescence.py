@@ -155,13 +155,11 @@ def test_dynamic_link_opened_from_a_callback_is_ready_and_used_before_idle(trans
     a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
     opened = []
 
-    def ready(link):
-        opened.append(link)
+    def open_and_send():
+        opened.append(transport.make_link(a, b, latency=latency))
         a.send("b", Message("x", payload="first over the new link"))
 
-    transport.clock.schedule(
-        0.005, lambda: transport.open_dynamic_link(a, b, latency=latency, ready=ready)
-    )
+    transport.clock.schedule(0.005, open_and_send)
     transport.run_until_idle()
     assert len(opened) == 1
     assert b.received == ["first over the new link"]
@@ -201,9 +199,7 @@ def test_failed_dynamic_link_is_forgotten_and_fails_the_drain_promptly(transport
     transport._listener.close()  # nothing accepts any more: the pairing's connect fails
     before = transport.resource_sizes()
     opened = []
-    transport.clock.schedule(
-        0.0, lambda: transport.open_dynamic_link(a, b, latency=0.0, ready=opened.append)
-    )
+    transport.clock.schedule(0.0, lambda: opened.append(transport.make_link(a, b, latency=0.0)))
     start = time.perf_counter()
     with pytest.raises(OSError):
         transport.run_until_idle()

@@ -239,6 +239,19 @@ class TestClientHandover:
         assert system.replicators["B3"].virtual_clients["alice"].is_active
         assert not system.replicators["B2"].virtual_clients["alice"].is_active
 
+    def test_a_client_removed_inside_a_gapped_move_stays_removed(self):
+        # removed while out of coverage: the attach the move scheduled must
+        # not bring the client back
+        sim, space, system = build_system(rooms_per_broker=4)
+        client = system.add_mobile_client("alice")
+        client.subscribe_location(location_dependent({"service": "temperature"}))
+        system.attach(client, location="room-00")
+        sim.schedule_at(1.0, system.move, client, "room-04", 2.0)
+        sim.schedule_at(2.0, system.remove_client, client)
+        sim.run_until_idle()
+        assert [a.broker for a in client.attachments] == ["B1"]
+        assert not client.connected and client.current_broker is None
+
 
 class TestShadowDeliveryCount:
     """``notifications_buffered`` counts what shadows accepted, not how long their buffers are."""

@@ -38,10 +38,8 @@ class Recorder(Process):
 
 
 def _dynamic_link_cycle(transport, a, b):
-    opened = []
-    link = transport.open_dynamic_link(a, b, latency=0.0, ready=opened.append)
+    link = transport.make_link(a, b, latency=0.0)
     transport.run_until_idle()
-    assert opened == [link]
     a.send("b", Message("ping", payload=1))
     transport.run_until_idle()
     transport.close_dynamic_link(link)
@@ -97,6 +95,7 @@ def test_cluster_kill_restart_cycles_return_to_baseline():
         assert sizes["control_connections"] == baseline["transport:control_connections"] == 3
         assert sizes["live_children"] == baseline["transport:live_children"]
         assert sizes["pending_timers"] == baseline["transport:pending_timers"]
+        assert sizes["unsent_bytes"] == baseline["transport:unsent_bytes"] == 0
     finally:
         net.close()
 

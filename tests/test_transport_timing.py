@@ -253,7 +253,7 @@ def test_no_task_exists_per_connection(transport):
         node.send(successor, Message("x", payload=node.name))
     transport.run_until_idle()
     assert [node.payloads() for node in nodes[1:]] == [["a"], ["b"], ["c"]]
-    assert len(transport._receivers) == 6  # one per direction of three links
+    assert len(transport._connections) == 6  # one per direction of three links
     assert asyncio.all_tasks(transport._loop) == set()
 
 
@@ -266,7 +266,7 @@ def test_no_task_exists_per_cluster_client_connection():
         transport = net.transport
         transport.boot()
         assert asyncio.all_tasks(transport._loop) == set()
-        assert len(transport._receivers) == 3  # the control connections
+        assert len(transport._connections) == 3  # the control connections
         clients = [net.add_client(f"c{i}", f"B{i % 3 + 1}") for i in range(6)]
         for client in clients:
             client.subscribe(Filter([Equals("service", "temp")]))
@@ -275,7 +275,7 @@ def test_no_task_exists_per_cluster_client_connection():
         net.run_until_idle()
         assert [len(client.deliveries) for client in clients[1:]] == [1] * 5
         assert asyncio.all_tasks(transport._loop) == set()
-        assert len(transport._receivers) == 3 + 6
+        assert len(transport._connections) == 3 + 6
     finally:
         net.close()
 

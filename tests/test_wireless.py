@@ -95,26 +95,28 @@ class TestAttachment:
         assert channel.stats.connects == 1
 
     @pytest.mark.parametrize("second", ["ap1", "ap2"])
-    def test_a_simulated_link_is_never_ready_stale(self, setup, second, monkeypatch):
-        # the move that races a socket link's pairing: on the simulator the
-        # first link is ready inside its attach, so the second attach hands
-        # over from it and no link is ever left to tear down as stale
+    def test_a_simulated_link_is_never_ready_stale(self, setup, second):
+        # a move at the instant of an attach: the first link is open inside
+        # its attach, so the second attach hands over from it and no link is
+        # ever left to tear down as stale
         sim, device, ap1, ap2, channel = setup
         channel = WirelessChannel(
             device, latency=0.01, connect_latency=0.0, transport=channel.transport
         )
-        winner = ap1 if second == "ap1" else ap2
-        discarded = []
-        monkeypatch.setattr(channel, "_discard_stale_link", discarded.append)
+        winner, loser = (ap1, ap2) if second == "ap1" else (ap2, ap1)
         channel.attach(ap1)
         sim.schedule(0.0, channel.attach, winner)
         sim.run_until_idle()
-        assert discarded == []
         assert (channel.stats.connects, channel.stats.disconnects) == (2, 1)
         assert channel.access_point_name == second
         assert list(device.links) == [second]
+        assert channel.send_up(Message("ping", payload=5))
+        sim.run_until_idle()
+        assert [m.payload for m in winner.received] == [5]
+        assert loser.received == []
         channel.detach()
         assert device.links == {}
+        assert not winner.has_link("device")
 
     def test_a_channel_needs_a_transport(self):
         sim = Simulator()
