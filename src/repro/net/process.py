@@ -69,24 +69,6 @@ class Message:
         self.msg_id = next(_message_ids) if msg_id is _OMITTED else msg_id
         self.meta = {} if meta is _OMITTED else meta
 
-    def copy(self) -> "Message":
-        """Return a copy with a fresh message id (used when forwarding).
-
-        ``meta`` is always copied.  A mutable container payload (dict/list)
-        is shallow-copied too, so adding/removing/replacing its *top-level*
-        entries on the forwarded copy cannot corrupt the original in flight
-        (values nested inside those entries remain shared — don't mutate
-        them).  Domain payloads (:class:`~repro.pubsub.notification.
-        Notification`, ``Filter``, ``Subscription``) are immutable by
-        contract and stay shared.
-        """
-        payload = self.payload
-        if isinstance(payload, dict):
-            payload = dict(payload)
-        elif isinstance(payload, list):
-            payload = list(payload)
-        return Message(kind=self.kind, payload=payload, sender=self.sender, meta=dict(self.meta))
-
 
 class Process:
     """Base class for all simulated processes.

@@ -505,10 +505,12 @@ class _Connection:
     (a fresh 256 KiB ``bytes`` per read made glibc grow and trim the heap
     top — a page fault per read — or not, by heap layout); :meth:`_read`
     splits and decodes its frames and hands each to ``inbound`` in the same
-    callback: a socket delivers at arrival.  :meth:`write` sends at once
-    without blocking and keeps only what the kernel refused, in ``unsent``,
-    for when the socket is writable again.  The peer's EOF, an ``OSError``
-    or :meth:`close` end in :meth:`_closed`.
+    callback: a socket delivers at arrival.  A notification that the node
+    decoded already (an earlier hop or delivery) comes out of the node's
+    :class:`~repro.net.wire.NotificationMemo`, the same object again.
+    :meth:`write` sends at once without blocking and keeps only what the
+    kernel refused, in ``unsent``, for when the socket is writable again.
+    The peer's EOF, an ``OSError`` or :meth:`close` end in :meth:`_closed`.
     """
 
     def __init__(
@@ -527,6 +529,8 @@ class _Connection:
         #: a cluster dialler's wait for the acceptor's handshake (None otherwise)
         self.acked = acked
         self.decoder = wire.FrameDecoder()
+        #: the bytes that followed the last notification read here (the memo's guess)
+        self.tail = 0
         #: bound and waiting for no answer: the connection was born connected
         self.saw_handshake = inbound is not None and acked is None
         #: bytes written but refused by the kernel, sent once it takes more
@@ -562,14 +566,17 @@ class _Connection:
 
     def _read(self, data: memoryview) -> None:
         decode_message = wire.decode_message_binary
+        memo = self.node._memo
         try:
             bodies = self.decoder.feed(data)
             if not self.saw_handshake and bodies:
                 self._handshake(bodies.pop(0))
             if bodies:
                 receive = self.inbound.receive
+                memo.tail = self.tail
                 for body in bodies:
-                    receive(decode_message(body))
+                    receive(decode_message(body, memo))
+                self.tail = memo.tail
         except BaseException as exc:
             self.close()
             if self.saw_handshake:
@@ -703,16 +710,16 @@ class SocketNode:
     """One process's socket runtime; every socket backend is an instance of it.
 
     A node owns a loop whose timers fire when due, an :class:`AsyncioClock`
-    on it, three wire instruments, and the one path a link's frames take:
-    out through :meth:`_send_frame` (written when the loop callback that
-    sent them ends, or one loop turn after a send from outside one), in
-    through the :class:`_Connection` at either end of every socket it
-    holds.  A cross-process connection is opened by :meth:`_dial` and a
-    handshake the acceptor answers so each end checks the other's wire
-    revision; a node that owns both ends of a connection needs neither, and
-    wraps both the moment the sockets exist.  What its callbacks raise is
-    kept for whoever drives it.  What a node *hosts* is its subclass's
-    business.
+    on it, four wire instruments, a memo of the notifications it decoded,
+    and the one path a link's frames take: out through :meth:`_send_frame`
+    (written when the loop callback that sent them ends, or one loop turn
+    after a send from outside one), in through the :class:`_Connection` at
+    either end of every socket it holds.  A cross-process connection is
+    opened by :meth:`_dial` and a handshake the acceptor answers so each end
+    checks the other's wire revision; a node that owns both ends of a
+    connection needs neither, and wraps both the moment the sockets exist.
+    What its callbacks raise is kept for whoever drives it.  What a node
+    *hosts* is its subclass's business.
     """
 
     #: flush threshold for hop-level write batching: a buffered burst is
@@ -741,6 +748,8 @@ class SocketNode:
         self._frames_sent = metrics.counter("transport.frames_sent")
         self._bytes_sent = metrics.counter("transport.bytes_sent")
         self._write_bytes = metrics.histogram("transport.socket_write_bytes")
+        #: the notifications this node decoded, so each is decoded once
+        self._memo = wire.NotificationMemo(metrics.counter("transport.notifications_reused"))
 
     @property
     def clock(self) -> AsyncioClock:

@@ -105,8 +105,9 @@ class _Record:
     just read, it is spliced by every later encode: a broker fanning a
     notification out to K links serializes it once, a hop forwards what it
     decoded without re-walking it, and ``rebound``/``for_subscriber`` copies
-    of a subscription share one filter's fragment.  ``Message.copy()`` shares
-    the payload and so the cache; every mutation path (``with_attributes``,
+    of a subscription share one filter's fragment.  A notification's
+    fragment is also the key of the :class:`NotificationMemo` that lets a
+    node decode it once.  Every mutation path (``with_attributes``,
     ``stamped``, ``dataclasses.replace``) builds an object with an empty one.
     """
 
@@ -710,9 +711,10 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     """Specialisation 1 of 3: :func:`_r_record` for a notification, unrolled.
 
     Same bytes, an equal object, the same primed fragment (the tests hold the
-    two together).  Every hop of every delivery decodes one: a prototype that
-    read them through the walker and looked interned keys up through a helper
-    lost 5–6 % ``deliveries_per_s`` on ``line_sat_tcp`` in 6 of 6 pairs.
+    two together).  Each node reads each notification once (the first hop or
+    delivery through it; :class:`NotificationMemo` serves the rest): a
+    prototype that read them through the walker and looked interned keys up
+    through a helper lost 5–6 % ``deliveries_per_s`` on ``line_sat_tcp``.
     Inline: interned keys and int/short-str/float values, an int32 id, a float
     or None ``published_at``, a short-str or None ``publisher``; any other
     tag is read by :func:`_b_read`, with all its checks, and an attribute
@@ -799,6 +801,58 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     return notification, pos
 
 
+#: the fragment bytes a :class:`NotificationMemo` holds before it is emptied
+MEMO_BUDGET = 1 << 20
+
+
+class NotificationMemo(dict):
+    """The notifications a socket node decoded, keyed by their fragment bytes.
+
+    Each hop or local delivery through a node brings a notification's bytes
+    unchanged (the sender spliced ``_wire_bin``): :meth:`read` builds it once
+    and hands the same immutable object out after, as the simulator does.
+    ``size`` counts the bytes held; a fragment that takes it past
+    :data:`MEMO_BUDGET` empties the memo first (a frame may carry 16 MiB, so
+    no entry count bounds it), and one larger is never held.  ``tail``
+    guesses the bytes after the fragment (sender, ``msg_id``, ``meta``): the
+    caller sets what its connection's last read found, as a sender repeats.
+    """
+
+    __slots__ = ("size", "tail", "reused")
+
+    def __init__(self, reused: Any) -> None:
+        super().__init__()
+        self.size = self.tail = 0
+        self.reused = reused  # a counter of the record reads skipped
+
+    def read(self, data: bytes, pos: int) -> Tuple[Any, int]:
+        """The notification whose tag byte is ``data[pos]``, and the position after it.
+
+        A held fragment is a complete record whose reader depends on its own
+        bytes only: a full read would build an equal object and end where it
+        ends.  A wrong ``tail`` is only a miss.
+        """
+        fragment = data[pos : len(data) - self.tail]
+        notification = self.get(fragment)
+        if notification is not None:
+            self.reused.inc()
+            pos += len(fragment)
+        else:
+            notification, pos = _b_read(data, pos)
+            fragment = notification._wire_bin
+            known = self.get(fragment)
+            if known is not None:
+                notification = known
+            elif len(fragment) <= MEMO_BUDGET:
+                self.size += len(fragment)
+                if self.size > MEMO_BUDGET:  # emptied, not evicted one by one
+                    self.clear()
+                    self.size = len(fragment)
+                self[fragment] = notification
+        self.tail = len(data) - pos
+        return notification, pos
+
+
 def encode_message_binary(message: Message) -> bytes:
     """Serialize a message to its binary byte body (version byte + value)."""
     # through the walker, so tests can hold frame_message_binary against it
@@ -807,8 +861,12 @@ def encode_message_binary(message: Message) -> bytes:
     return bytes(out)
 
 
-def decode_message_binary(data: bytes) -> Message:
-    """Parse a body from :func:`encode_message_binary`; any failure is a :class:`WireError`."""
+def decode_message_binary(data: bytes, memo: "NotificationMemo | None" = None) -> Message:
+    """Parse a body from :func:`encode_message_binary`; any failure is a :class:`WireError`.
+
+    A notification payload that ``memo`` holds is reused (:meth:`NotificationMemo.read`);
+    the rest is parsed and checked as without one: an equal result, the same errors.
+    """
     if not data:
         raise WireError("empty binary wire body")
     if data[0] != BINARY_VERSION:
@@ -828,11 +886,13 @@ def decode_message_binary(data: bytes) -> Message:
                 kind, pos = STRING_TABLE[data[3]], 4
             else:
                 kind, pos = _b_read(data, 2)
-            if data[pos] == _B_NOTIFICATION:
+            if data[pos] != _B_NOTIFICATION:
+                payload, pos = _b_read(data, pos)
+            elif memo is not None:
+                payload, pos = memo.read(data, pos)
+            else:
                 record = _BY_CODE.get(_B_NOTIFICATION) or _lookup(_BY_CODE, _B_NOTIFICATION)
                 payload, pos = record.read(record, data, pos + 1)
-            else:
-                payload, pos = _b_read(data, pos)
             if data[pos] == _B_STR and data[pos + 1] < 255:
                 end = pos + 2 + data[pos + 1]
                 if end > len(data):
@@ -1001,9 +1061,8 @@ class FrameDecoder:
     in order.  Partial frames are buffered until their remainder shows up.
 
     Completed frames are scanned with a moving offset and the buffer is
-    compacted once per :meth:`feed` call, so a burst of many frames costs one
-    memmove instead of one per frame (``del buffer[:end]`` inside the loop
-    made long-lived connections pay O(bytes x frames) per read).
+    compacted once per :meth:`feed` call: a burst of many frames costs one
+    memmove, not one per frame (O(bytes x frames) per read).
 
     When :attr:`codec` is set, every completed body's first byte is checked
     against the codec's expected leading byte and a foreign frame raises
@@ -1045,9 +1104,7 @@ class FrameDecoder:
             bodies.append(body)
             offset = end
         if offset:
-            # single compaction: the consumed prefix goes away, the partial
-            # tail (if any) stays buffered for the next feed
-            del buffer[:offset]
+            del buffer[:offset]  # the partial tail (if any) stays for the next feed
         return bodies
 
     @property

@@ -33,35 +33,6 @@ class TestMessage:
     def test_unique_ids(self):
         assert Message("x").msg_id != Message("x").msg_id
 
-    def test_copy_gets_fresh_id_same_payload(self):
-        original = Message("publish", payload={"k": 1}, meta={"m": 2})
-        duplicate = original.copy()
-        assert duplicate.msg_id != original.msg_id
-        assert duplicate.payload == original.payload
-        assert duplicate.meta == original.meta
-
-    def test_copy_does_not_share_mutable_payload(self):
-        # regression: copy() used to copy meta but alias a dict payload, so
-        # mutating the forwarded copy corrupted the original in flight
-        original = Message("unsubscribe", payload={"sub_id": "s1"}, meta={"m": 2})
-        duplicate = original.copy()
-        duplicate.payload["sub_id"] = "clobbered"
-        duplicate.meta["m"] = 99
-        assert original.payload == {"sub_id": "s1"}
-        assert original.meta == {"m": 2}
-
-    def test_copy_does_not_share_list_payload(self):
-        original = Message("batch", payload=[1, 2, 3])
-        duplicate = original.copy()
-        duplicate.payload.append(4)
-        assert original.payload == [1, 2, 3]
-
-    def test_copy_shares_immutable_domain_payloads(self):
-        from repro.pubsub.notification import Notification
-
-        notification = Notification({"v": 1})
-        assert Message("notify", payload=notification).copy().payload is notification
-
 
 class TestLinkDelivery:
     def test_message_arrives_after_latency(self, pair):

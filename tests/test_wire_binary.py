@@ -51,6 +51,7 @@ from repro.config import SystemConfig
 from repro.core.location_filter import LocationDependentFilter
 from repro.net.process import Message, Process
 from repro.net.transport import AsyncioTransport
+from repro.obs.metrics import Counter
 from repro.net.wire import (
     BINARY_CODEC,
     JSON_CODEC,
@@ -76,6 +77,7 @@ from repro.pubsub.filters import (
     Prefix,
     Range,
 )
+from repro.pubsub.broker_network import line_topology
 from repro.pubsub.notification import Notification
 from repro.pubsub.subscription import Subscription
 
@@ -253,13 +255,19 @@ class TestBinaryFragmentCache:
         assert encode_message_binary(_notify(notification, msg_id=3)) == first
         assert notification._wire_bin is cached_fragment, "the cache must be reused, not rebuilt"
 
-    def test_a_forwarded_copy_shares_the_fragment(self):
+    def test_the_next_hop_reuses_the_decoded_notification(self):
+        # a broker forwards what it decoded in a new message; the node that
+        # decoded it reads the spliced fragment back as the same object
+        memo = _memo()
         notification = Notification({"v": 9}, notification_id=21)
-        message = _notify(notification)
-        frame_message_binary(message)
-        forwarded = message.copy()
-        assert forwarded.payload is notification, "immutable payloads stay shared"
-        assert forwarded.payload._wire_bin is notification._wire_bin is not None
+        body = frame_message_binary(_notify(notification))[4:]
+        decoded = decode_message_binary(body, memo).payload
+        assert decoded == notification and decoded is not notification
+        forwarded = Message("notify", decoded, sender="B2", msg_id=2)
+        again = decode_message_binary(frame_message_binary(forwarded)[4:], memo).payload
+        assert again is decoded, "the next hop reuses the decoded notification"
+        assert decoded._wire_bin == notification._wire_bin is not None
+        assert memo.reused.value == 1
 
     def test_decode_primes_the_fragment_for_the_next_hop(self):
         notification = Notification(
@@ -308,6 +316,192 @@ class TestBinaryFragmentCache:
         plain_filter, cached_filter = Filter([Equals("a", 1)]), Filter([Equals("a", 1)])
         encode_message_binary(_notify(cached_filter))
         assert plain_filter == cached_filter and hash(plain_filter) == hash(cached_filter)
+
+
+# ---------------------------------------------------------- notification memo
+
+
+def _memo():
+    return wire.NotificationMemo(Counter("transport.notifications_reused"))
+
+
+def _header(kind):
+    """The bytes of a body before its payload: version, message tag, kind."""
+    header = bytearray([wire.BINARY_VERSION, wire._B_MESSAGE])
+    wire._w_str(header, kind)
+    return bytes(header)
+
+
+def _fingerprint(message):
+    """A decoded message as bytes: its JSON walks every decoded value (NaN
+    included, which ``==`` would refuse), and the fragment it primed."""
+    return encode_message(message), message.payload._wire_bin
+
+
+def _outcome(decode, body):
+    """What a decode gives: the message's fingerprint, or the error it raised."""
+    try:
+        return _fingerprint(decode(body))
+    except WireError as exc:
+        return type(exc), str(exc)
+
+
+_DOMAIN_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=6)
+)
+
+
+@st.composite
+def _domain_notifications(draw):
+    """A notification over the value domain, under interned and uninterned keys."""
+    keys = st.sampled_from(["topic", "value", "pad", "k", "ключ"])
+    values = _DOMAIN_SCALARS | st.tuples(_DOMAIN_SCALARS, _DOMAIN_SCALARS)
+    return Notification(
+        draw(st.dictionaries(keys, values, max_size=4)),
+        published_at=draw(st.sampled_from([None, 1.5, 3])),
+        publisher=draw(st.sampled_from([None, "P1", "p" * 300])),
+        notification_id=draw(st.sampled_from(_EDGE_INTS)),
+    )
+
+
+@st.composite
+def _memo_streams(draw):
+    """Bodies carrying a few notifications again and again, each with a tail guess."""
+    pool = draw(st.lists(_domain_notifications(), min_size=1, max_size=4))
+    stream = []
+    for _ in range(draw(st.integers(1, 12))):
+        message = Message(
+            draw(st.sampled_from(["notify", "publish", "x", "kind-é"])),
+            draw(st.sampled_from(pool)),
+            # short, interned, and 255 bytes or longer
+            sender=draw(st.sampled_from(["B1", "sub0", "broker", "x" * 255, "é" * 150])),
+            # INT8, INT32, INT64
+            msg_id=draw(st.sampled_from([5, -3, 70_000, -(2**31), 2**40])),
+            meta=draw(st.sampled_from([{}, {"replayed": True}, {"replayed": False}])),
+        )
+        stream.append((message.kind, encode_message_binary(message), draw(st.booleans())))
+    return stream
+
+
+class TestNotificationMemo:
+    """``NotificationMemo``: a node decodes each notification once, and the
+    memo changes no result, no error and no byte — only which object."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(stream=_memo_streams())
+    def test_a_stream_through_one_memo_equals_the_memo_free_decode(self, stream):
+        memo = _memo()
+        seen = {}  # fragment -> the object the memo handed out for it
+        for kind, body, right_guess in stream:
+            want = decode_message_binary(body)
+            fragment = want.payload._wire_bin
+            tail = len(body) - len(_header(kind)) - len(fragment)
+            if right_guess:  # else the last body's tail, as on a connection
+                memo.tail = tail
+            hit = fragment in seen and memo.tail == tail
+            reused = memo.reused.value
+            got = decode_message_binary(body, memo)
+            assert _fingerprint(got) == _fingerprint(want)
+            assert type(got.payload) is Notification
+            assert memo.reused.value == reused + hit, "a right guess skips the read"
+            assert memo.tail == tail
+            if fragment in seen:
+                assert got.payload is seen[fragment]
+            else:
+                assert all(got.payload is not earlier for earlier in seen.values())
+                seen[fragment] = got.payload
+        assert memo.size == sum(map(len, memo)) == sum(map(len, seen))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        stream=_memo_streams(),
+        cut=st.integers(0, 40),
+        flip=st.integers(1, 255),
+        operation=st.sampled_from(["truncate", "corrupt", "extend"]),
+    )
+    def test_a_remembered_fragment_with_a_bad_tail_raises_as_without_a_memo(
+        self, stream, cut, flip, operation
+    ):
+        kind, body, _ = stream[0]
+        memo = _memo()
+        decode_message_binary(body, memo)
+        start = len(_header(kind))
+        end = start + len(decode_message_binary(body).payload._wire_bin)
+        tail = body[end:]
+        if operation == "truncate":
+            tail = tail[: cut % len(tail)]
+        elif operation == "corrupt":
+            at = cut % len(tail)
+            tail = tail[:at] + bytes([tail[at] ^ flip]) + tail[at + 1 :]
+        else:
+            tail += bytes([flip]) * (cut % 5 + 1)
+        hostile = body[:end] + tail
+        memo.tail = len(tail)  # the guess that takes the remembered fragment
+        reused = memo.reused.value
+        outcome = _outcome(lambda body: decode_message_binary(body, memo), hostile)
+        assert memo.reused.value == reused + 1
+        assert outcome == _outcome(decode_message_binary, hostile)
+
+    @staticmethod
+    def _padded(size, notification_id):
+        """A notify body whose notification fragment is about ``size`` bytes."""
+        notification = Notification({"pad": "x" * size}, notification_id=notification_id)
+        return encode_message_binary(_notify(notification))
+
+    def test_fragments_past_the_budget_leave_the_memo_within_it(self):
+        memo = _memo()
+        held = []
+        for i in range(7):  # a little over a quarter of the budget each
+            decode_message_binary(self._padded(wire.MEMO_BUDGET // 4, i), memo)
+            assert memo.size == sum(map(len, memo)) <= wire.MEMO_BUDGET
+            held.append(len(memo))
+        assert held == [1, 2, 3, 1, 2, 3, 1], "emptied by the fragment that would exceed it"
+
+    def test_a_fragment_larger_than_the_budget_is_never_remembered(self):
+        memo = _memo()
+        body = self._padded(wire.MEMO_BUDGET, 1)
+        first = decode_message_binary(body, memo).payload
+        assert len(first._wire_bin) > wire.MEMO_BUDGET
+        assert len(memo) == memo.size == 0
+        again = decode_message_binary(body, memo).payload
+        assert again == first and again is not first
+
+    def test_a_notification_decoded_after_the_memo_emptied_is_equal_and_fresh(self):
+        memo = _memo()
+        body = self._padded(100, 1)
+        first = decode_message_binary(body, memo).payload
+        assert decode_message_binary(body, memo).payload is first
+        for i in range(2, 5):
+            decode_message_binary(self._padded(wire.MEMO_BUDGET // 3, i), memo)
+        assert first._wire_bin not in memo, "the memo was emptied"
+        again = decode_message_binary(body, memo).payload
+        assert again == first and again is not first
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    def test_three_clients_on_one_node_get_one_object(self, backend):
+        # the simulator hands every subscriber the object the broker routed;
+        # a socket node decodes the notification once and does the same
+        net = line_topology(n_brokers=3, link_latency=0.0, config=SystemConfig(transport=backend))
+        try:
+            clients = [net.add_client(f"c{i}", f"B{i}") for i in (1, 2, 3)]
+            for client in clients:
+                client.subscribe(Filter([Equals("topic", "t")]))
+            net.run_until_idle()
+            publisher = net.add_client("pub", "B1")
+            for value in (1, 2):
+                publisher.publish(Notification({"topic": "t", "value": value}))
+                net.run_until_idle()
+            delivered = [[d.notification for d in client.deliveries] for client in clients]
+            counters = net.transport.metrics_snapshot()["transport"]["counters"]
+        finally:
+            net.close()
+        for first, second, third in zip(*delivered, strict=True):
+            assert first is second is third
+        assert len(delivered[0]) == 2 and delivered[0][0] is not delivered[0][1]
+        if backend == "asyncio":
+            # each connection's first notification tells it the tail to
+            # guess, so reads of the second skip the record read
+            assert counters["transport.notifications_reused"] > 0
 
 
 # ------------------------------------------------------------- declared once
