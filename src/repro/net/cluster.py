@@ -110,8 +110,7 @@ class ClusterEndpoint(SocketEndpoint):
         lost: Optional[Callable[["ClusterEndpoint"], None]] = None,
         stats: Optional[LinkStats] = None,
     ):
-        super().__init__(node, stats)
-        self.peer = peer
+        super().__init__(node, peer, stats)
         self.receive = receive
         self._on_lost = lost
 
@@ -144,8 +143,7 @@ class ControlEndpoint(SocketEndpoint):
         on_frame: Callable[["ControlEndpoint", Message], None],
         on_lost: Callable[["ControlEndpoint"], None],
     ):
-        super().__init__(node)
-        self.peer = peer
+        super().__init__(node, peer)
         self._on_frame = on_frame
         self._on_lost = on_lost
         self.ready = False
@@ -165,8 +163,7 @@ class ControlEndpoint(SocketEndpoint):
 
 
 def _control_message(kind: str, **fields: Any) -> Message:
-    # msg_id 0: a control frame draws nothing from the message-id counter
-    return Message(kind, fields, msg_id=0)
+    return Message(kind, fields)
 
 
 def _stats_payload(stats: LinkStats) -> Dict[str, Any]:

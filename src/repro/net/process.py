@@ -34,9 +34,13 @@ class Message:
     payload:
         Arbitrary message body (a notification, a filter, a dict of fields).
     sender:
-        Name of the originating process; filled in by :meth:`Process.send`.
+        Name of the originating process; filled in by :meth:`Process.send`,
+        or on a socket by the receiving link, which names its peer (a frame
+        carries no sender).
     msg_id:
-        Globally unique id, useful for duplicate detection in tests.
+        Unique among the messages one process made (a link frame carries
+        none: what a socket delivers draws its own), useful for duplicate
+        detection in tests.
     meta:
         Free-form metadata (e.g. the subscription id a publish matched).
     """
@@ -48,9 +52,8 @@ class Message:
     msg_id: int
     meta: Dict[str, Any]
     # the encoded-frame cache, populated by the wire layer so one message
-    # fanned out to many socket links is framed exactly once; it is keyed on
-    # the sender baked into the frame, so ``send`` drops it whenever the
-    # sender changes (e.g. a broker forwarding a peer's frame)
+    # fanned out to many socket links is framed exactly once; a frame holds
+    # no sender, so it serves whoever sends the message
     _frame_bin: Optional[bytes] = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(
@@ -111,9 +114,7 @@ class Process:
         :meth:`has_link` first.
         """
         endpoint = self.links[peer_name]
-        if message.sender != self.name:
-            message.sender = self.name
-            message._frame_bin = None
+        message.sender = self.name
         # counted once the endpoint accepted it: a refused send was not sent
         endpoint.transmit(message)
         self.messages_sent += 1

@@ -81,7 +81,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..obs.metrics import MetricsRegistry
 from . import wire
 from .link import Link, LinkStats
-from .process import LinkEndpoint, Message, Process
+from .process import LinkEndpoint, Message, Process, _message_ids
 from .simulator import SimulationError, Simulator
 
 #: the names accepted by ``SystemConfig.transport``
@@ -451,7 +451,8 @@ class SocketEndpoint(LinkEndpoint):
     """One direction of a link carried by a socket: frame, buffer, one write per burst.
 
     ``transmit`` serializes to length-prefixed binary wire frames for the
-    node's send path; a :class:`_Connection` hands what arrives to :meth:`receive`.
+    node's send path; a :class:`_Connection` hands what arrives to :meth:`receive`,
+    sent by ``peer``: a frame names no sender, the link does.
     Per-direction FIFO is TCP's.  Serialising endpoints share fan-out
     messages, so a broker hop reuses one pre-encoded frame across every
     destination link.  Runtime policy: :meth:`_admit`, :meth:`receive`,
@@ -460,8 +461,10 @@ class SocketEndpoint(LinkEndpoint):
 
     shares_fanout = True
 
-    def __init__(self, node: "SocketNode", stats: Optional[LinkStats] = None):
+    def __init__(self, node: "SocketNode", peer: str, stats: Optional[LinkStats] = None):
         self.node = node
+        #: the process at the other end: the sender of all that arrives here
+        self.peer = peer
         self.stats = stats if stats is not None else LinkStats()
         #: the connection this direction is written on (None until open, and
         #: once either end of it died)
@@ -505,9 +508,10 @@ class _Connection:
     (a fresh 256 KiB ``bytes`` per read made glibc grow and trim the heap
     top — a page fault per read — or not, by heap layout); :meth:`_read`
     splits and decodes its frames and hands each to ``inbound`` in the same
-    callback: a socket delivers at arrival.  A notification that the node
-    decoded already (an earlier hop or delivery) comes out of the node's
-    :class:`~repro.net.wire.NotificationMemo`, the same object again.
+    callback: a socket delivers at arrival.  The peer ``inbound`` names is
+    each message's sender, and each draws its own ``msg_id``.  A body that
+    the node decoded already (an earlier hop or delivery) comes out of the
+    node's :class:`~repro.net.wire.NotificationMemo`, unparsed.
     :meth:`write` sends at once without blocking and keeps only what the
     kernel refused, in ``unsent``, for when the socket is writable again.
     The peer's EOF, an ``OSError`` or :meth:`close` end in :meth:`_closed`.
@@ -529,8 +533,6 @@ class _Connection:
         #: a cluster dialler's wait for the acceptor's handshake (None otherwise)
         self.acked = acked
         self.decoder = wire.FrameDecoder()
-        #: the bytes that followed the last notification read here (the memo's guess)
-        self.tail = 0
         #: bound and waiting for no answer: the connection was born connected
         self.saw_handshake = inbound is not None and acked is None
         #: bytes written but refused by the kernel, sent once it takes more
@@ -572,11 +574,12 @@ class _Connection:
             if not self.saw_handshake and bodies:
                 self._handshake(bodies.pop(0))
             if bodies:
-                receive = self.inbound.receive
-                memo.tail = self.tail
+                receive, peer = self.inbound.receive, self.inbound.peer
                 for body in bodies:
-                    receive(decode_message(body, memo))
-                self.tail = memo.tail
+                    message = decode_message(body, memo)
+                    message.sender = peer
+                    message.msg_id = next(_message_ids)
+                    receive(message)
         except BaseException as exc:
             self.close()
             if self.saw_handshake:
@@ -710,7 +713,7 @@ class SocketNode:
     """One process's socket runtime; every socket backend is an instance of it.
 
     A node owns a loop whose timers fire when due, an :class:`AsyncioClock`
-    on it, four wire instruments, a memo of the notifications it decoded,
+    on it, four wire instruments, a memo of the link bodies it decoded,
     and the one path a link's frames take: out through :meth:`_send_frame`
     (written when the loop callback that sent them ends, or one loop turn
     after a send from outside one), in through the :class:`_Connection` at
@@ -748,7 +751,8 @@ class SocketNode:
         self._frames_sent = metrics.counter("transport.frames_sent")
         self._bytes_sent = metrics.counter("transport.bytes_sent")
         self._write_bytes = metrics.histogram("transport.socket_write_bytes")
-        #: the notifications this node decoded, so each is decoded once
+        #: the link bodies carrying a notification this node decoded, so each
+        #: is parsed once
         self._memo = wire.NotificationMemo(metrics.counter("transport.notifications_reused"))
 
     @property
@@ -898,7 +902,7 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
     """
 
     def __init__(self, link: "AsyncioLink", source: Process, target: Process):
-        super().__init__(link.transport)
+        super().__init__(link.transport, source.name)
         self.link = link
         self.source = source
         self.target = target

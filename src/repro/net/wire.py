@@ -18,7 +18,7 @@ Design notes
 * **Sockets speak the binary codec**: a version byte, one tag byte per
   value, compact (varint-style) lengths, and protocol strings interned
   through a static :data:`STRING_TABLE`.  The same message always encodes
-  to the same bytes.
+  to the same bytes; a link frames it with no sender (the link names it).
 * **JSON is the reference codec** (:func:`encode_message`/
   :func:`decode_message`): domain objects become ``{"__t__": tag, ...}``
   dictionaries, emitted with sorted keys and no whitespace.  The golden
@@ -27,9 +27,8 @@ Design notes
   Non-finite floats (``Range`` uses ``±inf`` bounds) rely on Python's JSON
   ``Infinity`` extension, symmetric between ``dumps`` and ``loads``.
 * The codec is deliberately closed: encoding an object it does not know about
-  raises :class:`WireError` instead of silently pickling arbitrary state.
-  (``pickle`` would accept everything but turn every broker into a remote
-  code execution endpoint; a closed codec is the safe default for sockets.)
+  raises :class:`WireError` instead of silently pickling arbitrary state
+  (``pickle`` would turn every broker into a remote code execution endpoint).
 
 Handshakes are JSON control frames (:func:`encode_control`) carrying the
 binary wire revision and string-table length (:func:`handshake_fields`), so
@@ -95,20 +94,19 @@ class _Record:
     ``fields`` holds ``(attribute, key, kind, getter, bit)`` in binary order
     (``bit``: 0 unless FLAG/OPTIONAL), ``keys`` every key its JSON form may
     carry; ``build(**values)`` makes the decoded object and ``read`` is the
-    binary reader (default :func:`_r_record`).
-
-    ``cached`` types are immutable by contract and remember their binary
-    fragment in ``_wire_bin`` (never part of equality or hashing; set with
+    binary reader (default :func:`_r_record`).  ``cached`` types are
+    immutable by contract and remember their binary fragment in
+    ``_wire_bin`` (never part of equality or hashing; set with
     ``object.__setattr__``, which serves ``Notification``/``Filter`` slots
     and the ``__dict__`` of the frozen ``Subscription`` dataclass alike).
     Computed by the first encode, or primed by the decoder from the bytes it
     just read, it is spliced by every later encode: a broker fanning a
     notification out to K links serializes it once, a hop forwards what it
-    decoded without re-walking it, and ``rebound``/``for_subscriber`` copies
-    of a subscription share one filter's fragment.  A notification's
-    fragment is also the key of the :class:`NotificationMemo` that lets a
-    node decode it once.  Every mutation path (``with_attributes``,
-    ``stamped``, ``dataclasses.replace``) builds an object with an empty one.
+    decoded without re-walking it (the same link body, which
+    :class:`NotificationMemo` parses once), and ``rebound``/``for_subscriber``
+    copies of a subscription share one filter's fragment.  Every mutation path
+    (``with_attributes``, ``stamped``, ``dataclasses.replace``) builds an
+    object with an empty one.
     """
 
     __slots__ = ("cls", "tag", "code", "fields", "keys", "cached", "build", "read")
@@ -396,8 +394,10 @@ def decode_control(data: bytes) -> Any:
 BINARY_VERSION = 1
 
 #: revision of the binary format *and* the string table; negotiated in the
-#: connection handshake.  Bump whenever tags, layouts or STRING_TABLE change.
-WIRE_VERSION = 1
+#: connection handshake.  Bump whenever tags, layouts or STRING_TABLE change,
+#: or what a link leaves out of its frames (2: the sender and the id, which
+#: a revision-1 reader would have routed as written)
+WIRE_VERSION = 2
 
 #: static interned protocol strings (message kinds, wire payload keys, common
 #: workload attribute names).  Append-only; any change bumps WIRE_VERSION.
@@ -711,14 +711,12 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     """Specialisation 1 of 3: :func:`_r_record` for a notification, unrolled.
 
     Same bytes, an equal object, the same primed fragment (the tests hold the
-    two together).  Each node reads each notification once (the first hop or
-    delivery through it; :class:`NotificationMemo` serves the rest): a
-    prototype that read them through the walker and looked interned keys up
-    through a helper lost 5–6 % ``deliveries_per_s`` on ``line_sat_tcp``.
-    Inline: interned keys and int/short-str/float values, an int32 id, a float
-    or None ``published_at``, a short-str or None ``publisher``; any other
-    tag is read by :func:`_b_read`, with all its checks, and an attribute
-    value so read must lie in the value domain (``check_value``).
+    two together); a node reads each notification once (its first body
+    through it: :class:`NotificationMemo` serves the rest).  Inline: interned
+    keys and int/short-str/float values, an int32 id, a float or None
+    ``published_at``, a short-str or None ``publisher``; any other tag is
+    read by :func:`_b_read`, with all its checks, and an attribute value so
+    read must lie in the value domain (``check_value``).
     """
     start = pos - 1
     if buf[pos] != _B_DICT:  # never what an encoder wrote: the walker's checks decide
@@ -801,56 +799,58 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     return notification, pos
 
 
-#: the fragment bytes a :class:`NotificationMemo` holds before it is emptied
+#: the body bytes a :class:`NotificationMemo` holds before it is emptied
 MEMO_BUDGET = 1 << 20
+#: the meta values a held body may carry (a hit copies ``meta`` one level deep)
+_FLAT = (bool, int, float, str, type(None))
 
 
 class NotificationMemo(dict):
-    """The notifications a socket node decoded, keyed by their fragment bytes.
+    """The link bodies carrying a notification that a socket node decoded.
 
-    Each hop or local delivery through a node brings a notification's bytes
-    unchanged (the sender spliced ``_wire_bin``): :meth:`read` builds it once
-    and hands the same immutable object out after, as the simulator does.
-    ``size`` counts the bytes held; a fragment that takes it past
-    :data:`MEMO_BUDGET` empties the memo first (a frame may carry 16 MiB, so
-    no entry count bounds it), and one larger is never held.  ``tail``
-    guesses the bytes after the fragment (sender, ``msg_id``, ``meta``): the
-    caller sets what its connection's last read found, as a sender repeats.
+    A link frame names no sender and no id, and a sender splices the
+    notification's ``_wire_bin``: each hop or local delivery through a node
+    brings the same body again.  A held body maps to its ``(kind, payload,
+    meta items)`` (to the bare payload if its kind is interned and its meta
+    empty), so the node parses it once and hands the same notification out
+    after, as the simulator does, with a fresh ``meta``.  Only what
+    :func:`frame_message_binary` writes is held: sender None, id 0, a flat
+    meta.  ``known`` maps each held notification's fragment to it: one object
+    whatever kind it comes under, unparsed if the body ends in the link's
+    empty tail.  ``size`` counts the body bytes held; a body that takes it
+    past :data:`MEMO_BUDGET` empties the memo (a frame may carry 16 MiB, so
+    no entry count bounds it), and a larger one is never held.
     """
 
-    __slots__ = ("size", "tail", "reused")
+    __slots__ = ("size", "reused", "known")
 
     def __init__(self, reused: Any) -> None:
         super().__init__()
-        self.size = self.tail = 0
-        self.reused = reused  # a counter of the record reads skipped
+        self.size = 0
+        self.reused = reused  # a counter of the parses skipped
+        self.known: Dict[bytes, Any] = {}
 
-    def read(self, data: bytes, pos: int) -> Tuple[Any, int]:
-        """The notification whose tag byte is ``data[pos]``, and the position after it.
+    def notification(self, body: bytes, pos: int) -> Any:
+        """The held notification from ``pos`` to the link's empty tail, or None."""
+        if body.endswith(_LINK_TAIL):  # then the fragment ends where it begins
+            return self.known.get(body[pos : len(body) - len(_LINK_TAIL)])
+        return None
 
-        A held fragment is a complete record whose reader depends on its own
-        bytes only: a full read would build an equal object and end where it
-        ends.  A wrong ``tail`` is only a miss.
-        """
-        fragment = data[pos : len(data) - self.tail]
-        notification = self.get(fragment)
-        if notification is not None:
-            self.reused.inc()
-            pos += len(fragment)
-        else:
-            notification, pos = _b_read(data, pos)
-            fragment = notification._wire_bin
-            known = self.get(fragment)
-            if known is not None:
-                notification = known
-            elif len(fragment) <= MEMO_BUDGET:
-                self.size += len(fragment)
-                if self.size > MEMO_BUDGET:  # emptied, not evicted one by one
-                    self.clear()
-                    self.size = len(fragment)
-                self[fragment] = notification
-        self.tail = len(data) - pos
-        return notification, pos
+    def hold(self, body: bytes, kind: str, payload: Any, meta: Any) -> Any:
+        """Hold the checked decode of a link body: the notification to hand out."""
+        if len(body) > MEMO_BUDGET or meta.__class__ is not dict:
+            return payload
+        if any(value.__class__ not in _FLAT for value in meta.values()):
+            return payload
+        self.size += len(body)
+        if self.size > MEMO_BUDGET:  # emptied, not evicted one by one
+            self.clear()
+            self.known.clear()
+            self.size = len(body)
+        payload = self.known.setdefault(payload._wire_bin, payload)
+        bare = body[2] == _B_SREF and not meta
+        self[body] = payload if bare else (kind, payload, tuple(meta.items()))
+        return payload
 
 
 def encode_message_binary(message: Message) -> bytes:
@@ -864,9 +864,20 @@ def encode_message_binary(message: Message) -> bytes:
 def decode_message_binary(data: bytes, memo: "NotificationMemo | None" = None) -> Message:
     """Parse a body from :func:`encode_message_binary`; any failure is a :class:`WireError`.
 
-    A notification payload that ``memo`` holds is reused (:meth:`NotificationMemo.read`);
-    the rest is parsed and checked as without one: an equal result, the same errors.
+    A body that ``memo`` holds is not parsed; any other is parsed and checked
+    as without one (an equal result, the same errors) and held if it may be.
     """
+    held = memo.get(data) if memo is not None else None
+    if held is not None:
+        memo.reused.inc()
+        if held.__class__ is tuple:  # a kind outside the string table, or a meta
+            kind, payload, meta = held[0], held[1], dict(held[2])
+        else:
+            kind, payload, meta = STRING_TABLE[data[3]], held, {}
+        obj: Any = Message.__new__(Message)
+        obj.__dict__ = {"kind": kind, "payload": payload, "sender": None, "msg_id": 0}
+        obj.meta = meta
+        return obj
     if not data:
         raise WireError("empty binary wire body")
     if data[0] != BINARY_VERSION:
@@ -879,8 +890,8 @@ def decode_message_binary(data: bytes, memo: "NotificationMemo | None" = None) -
             # specialisation 2 of 3, the envelope read inlined: every
             # well-formed body is a Message, so skip the tag dispatch, the
             # values dict and __init__ (fields in the Message record's order).
-            # Inline: an interned kind, a notification payload, a short-str
-            # sender, an int32 msg_id, an empty meta; any other tag goes to
+            # Inline: an interned kind, a notification payload, the link's
+            # sender None and id 0, an empty meta; any other tag goes to
             # _b_read, with all its checks
             if data[2] == _B_SREF and data[3] < _TABLE_LEN:
                 kind, pos = STRING_TABLE[data[3]], 4
@@ -888,95 +899,84 @@ def decode_message_binary(data: bytes, memo: "NotificationMemo | None" = None) -
                 kind, pos = _b_read(data, 2)
             if data[pos] != _B_NOTIFICATION:
                 payload, pos = _b_read(data, pos)
-            elif memo is not None:
-                payload, pos = memo.read(data, pos)
+                memo = None  # only a notification is held
+            elif memo is not None and (payload := memo.notification(data, pos)) is not None:
+                memo.reused.inc()
+                pos = len(data) - len(_LINK_TAIL)
             else:
                 record = _BY_CODE.get(_B_NOTIFICATION) or _lookup(_BY_CODE, _B_NOTIFICATION)
                 payload, pos = record.read(record, data, pos + 1)
-            if data[pos] == _B_STR and data[pos + 1] < 255:
-                end = pos + 2 + data[pos + 1]
-                if end > len(data):
-                    raise WireError("truncated binary string")
-                sender, pos = data[pos + 2:end].decode("utf-8"), end
+            if data.startswith(_ANONYMOUS, pos):
+                sender, msg_id, pos = None, 0, pos + len(_ANONYMOUS)
             else:
                 sender, pos = _b_read(data, pos)
-            if data[pos] == _B_INT32:
-                msg_id, pos = _PACK_I32.unpack_from(data, pos + 1)[0], pos + 5
-            else:
                 msg_id, pos = _b_read(data, pos)
+                memo = None  # a hit answers sender None, id 0
             if data[pos] == _B_DICT and data[pos + 1] == 0:
                 meta, pos = {}, pos + 2
             else:
                 meta, pos = _b_read(data, pos)
-            obj: Any = Message.__new__(Message)
-            obj.__dict__ = {
-                "kind": kind,
-                "payload": payload,
-                "sender": sender,
-                "msg_id": msg_id,
-                "meta": meta,
-            }
+            obj = Message.__new__(Message)
+            obj.__dict__ = {"kind": kind, "payload": payload, "sender": sender, "msg_id": msg_id}
+            obj.meta = meta
         else:
             obj, pos = _b_read(data, 1)
+            memo = None
     except WireError:
         raise
     except _DECODE_ERRORS as exc:
         raise WireError(f"malformed binary wire body: {exc!r}") from exc
     if pos != len(data):
         raise WireError(f"{len(data) - pos} trailing bytes after the binary message")
-    return _envelope(obj)
+    _envelope(obj)
+    if memo is not None:
+        obj.payload = memo.hold(data, kind, payload, meta)
+    return obj
+
+
+#: the head of a link body with an interned kind: version, message tag, kind
+_HEADS = {k: bytes((BINARY_VERSION, _B_MESSAGE, _B_SREF, i)) for i, k in enumerate(STRING_TABLE)}
+#: a link body's sender (None) and id (0): the link that reads it names the sender
+_ANONYMOUS = bytes((_B_NONE, _B_INT8, 0))
+#: ... and an empty meta after them: the tail of nearly every link body
+_LINK_TAIL = _ANONYMOUS + bytes((_B_DICT, 0))
 
 
 def frame_message_binary(message: Message) -> bytes:
-    """Encode and frame a binary message in one step (the socket send path).
+    """Frame a message as a link carries it: ``frame(encode_message_binary(
+    Message(kind, payload, None, 0, meta)))``, the socket send path.
 
-    Specialisation 3 of 3: builds the length prefix, version byte and body in
-    a single buffer and writes the envelope fields directly (in the Message
-    record's order), skipping both the intermediate body copy of
-    ``frame(encode_message_binary(...))`` and :func:`_b_write`'s type dispatch
-    for the outer :class:`Message`.  Inline: an interned kind, the set
-    fragment of a cached record, a short uninterned str sender, an empty
-    meta dict; any other value goes to :func:`_b_write`, which also refuses
-    an object outside the closed set.  The finished frame is memoized on the
-    message (``Process.send`` drops it when the sender changes), so a broker
-    fanning one notification out to N socket links encodes it once.
+    No sender (the receiving link names it) and no id, so a notification's
+    body is the same bytes on every hop.  Specialisation 3 of 3: a join of
+    the length, the kind's head (held if interned), the payload's
+    ``_wire_bin`` and the tail (held if meta is empty); any other value goes
+    to :func:`_b_write`, which also refuses an object outside the closed
+    set.  Memoized on the message: a broker fanning one notification out to
+    N socket links frames it once.
     """
-    cached = message._frame_bin
-    if cached is not None:
-        return cached
-    kind_id = _STRING_IDS.get(message.kind)
-    # four zero bytes: the length prefix, patched once the body is complete
-    if kind_id is not None:
-        out = bytearray((0, 0, 0, 0, BINARY_VERSION, _B_MESSAGE, _B_SREF, kind_id))
-    else:
-        out = bytearray((0, 0, 0, 0, BINARY_VERSION, _B_MESSAGE))
-        _w_str(out, message.kind)
+    framed = message._frame_bin
+    if framed is not None:
+        return framed
+    head = _HEADS.get(message.kind)
+    if head is None:
+        head = bytearray((BINARY_VERSION, _B_MESSAGE))
+        _w_str(head, message.kind)
     payload = message.payload
     record = _BY_CLASS.get(payload.__class__)
     fragment = getattr(payload, "_wire_bin", None) if record is not None and record.cached else None
-    if fragment is not None:
-        out += fragment
-    else:
-        _b_write(out, payload)
-    sender = message.sender
-    if sender.__class__ is str and sender not in _STRING_IDS and len(data := sender.encode()) < 255:
-        out.append(_B_STR)
-        out.append(len(data))
-        out += data
-    else:
-        _b_write(out, sender)
-    _w_int(out, message.msg_id)
+    if fragment is None:
+        fragment = bytearray()
+        _b_write(fragment, payload)
     meta = message.meta
     if meta.__class__ is dict and not meta:
-        out.append(_B_DICT)
-        out.append(0)
+        tail = _LINK_TAIL
     else:
-        _b_write(out, meta)
-    body_len = len(out) - 4
+        tail = bytearray(_ANONYMOUS)
+        _b_write(tail, meta)
+    body_len = len(head) + len(fragment) + len(tail)
     if body_len > MAX_FRAME_SIZE:
         raise WireError(f"frame body of {body_len} bytes exceeds MAX_FRAME_SIZE")
-    _LENGTH.pack_into(out, 0, body_len)
-    framed = message._frame_bin = bytes(out)
+    framed = message._frame_bin = b"".join((_LENGTH.pack(body_len), head, fragment, tail))
     return framed
 
 
@@ -1061,15 +1061,12 @@ class FrameDecoder:
     in order.  Partial frames are buffered until their remainder shows up.
 
     Completed frames are scanned with a moving offset and the buffer is
-    compacted once per :meth:`feed` call: a burst of many frames costs one
-    memmove, not one per frame (O(bytes x frames) per read).
-
+    compacted once per :meth:`feed` call (one memmove per burst, not per frame).
     When :attr:`codec` is set, every completed body's first byte is checked
-    against the codec's expected leading byte and a foreign frame raises
-    :class:`CodecMismatchError` — distinct from the plain :class:`WireError`
-    raised for truncated or oversized frames.  Socket receivers leave it
-    unset: :func:`decode_message_binary` checks the version byte of every
-    body itself.
+    against the codec's leading byte and a foreign frame raises
+    :class:`CodecMismatchError`, not the plain :class:`WireError` of a
+    truncated or oversized frame.  Socket receivers leave it unset:
+    :func:`decode_message_binary` checks the version byte itself.
     """
 
     __slots__ = ("_buffer", "codec")

@@ -176,11 +176,12 @@ class TestRoundTripsUnderBothCodecs:
         assert encode_message(decoded) == reference
 
     def test_frame_message_binary_matches_frame_of_encode(self):
-        # the single-buffer sender fast path must be byte-identical to the
-        # compositional framing it shortcuts
+        # the joined frame must be byte-identical to the compositional
+        # framing of the message as a link carries it: no sender, no id
         for name, payload in sorted(_all_payloads().items()):
             message = Message(kind=name, payload=payload, sender="x", msg_id=1)
-            assert frame_message_binary(message) == frame(encode_message_binary(message))
+            link = Message(name, payload, None, 0, {})
+            assert frame_message_binary(message) == frame(encode_message_binary(link))
 
     def test_binary_envelope_fields_survive(self):
         message = Message(
@@ -325,11 +326,9 @@ def _memo():
     return wire.NotificationMemo(Counter("transport.notifications_reused"))
 
 
-def _header(kind):
-    """The bytes of a body before its payload: version, message tag, kind."""
-    header = bytearray([wire.BINARY_VERSION, wire._B_MESSAGE])
-    wire._w_str(header, kind)
-    return bytes(header)
+def _link_body(message):
+    """The body a link carries for ``message``."""
+    return frame_message_binary(message)[4:]
 
 
 def _fingerprint(message):
@@ -364,105 +363,143 @@ def _domain_notifications(draw):
     )
 
 
+_KINDS = st.sampled_from(["notify", "publish", "x", "kind-é"])
+_METAS = st.sampled_from([{}, {"replayed": True}, {"replayed": False}])
+
+
 @st.composite
 def _memo_streams(draw):
-    """Bodies carrying a few notifications again and again, each with a tail guess."""
+    """Bodies carrying a few notifications again and again: ``(body, held)``,
+    a link body, or one that names a sender and an id, which is never held."""
     pool = draw(st.lists(_domain_notifications(), min_size=1, max_size=4))
     stream = []
     for _ in range(draw(st.integers(1, 12))):
-        message = Message(
-            draw(st.sampled_from(["notify", "publish", "x", "kind-é"])),
-            draw(st.sampled_from(pool)),
-            # short, interned, and 255 bytes or longer
-            sender=draw(st.sampled_from(["B1", "sub0", "broker", "x" * 255, "é" * 150])),
-            # INT8, INT32, INT64
-            msg_id=draw(st.sampled_from([5, -3, 70_000, -(2**31), 2**40])),
-            meta=draw(st.sampled_from([{}, {"replayed": True}, {"replayed": False}])),
-        )
-        stream.append((message.kind, encode_message_binary(message), draw(st.booleans())))
+        message = Message(draw(_KINDS), draw(st.sampled_from(pool)), meta=draw(_METAS))
+        if draw(st.integers(0, 3)):
+            stream.append((_link_body(message), True))
+        else:
+            message.sender = draw(st.sampled_from([None, "B1", "x" * 255]))
+            message.msg_id = draw(st.sampled_from([5, 70_000, 2**40]))
+            stream.append((encode_message_binary(message), False))
     return stream
 
 
 class TestNotificationMemo:
-    """``NotificationMemo``: a node decodes each notification once, and the
-    memo changes no result, no error and no byte — only which object."""
+    """``NotificationMemo``: a node parses each link body carrying a
+    notification once, and the memo changes no result, no error and no
+    byte — only which object."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(stream=_memo_streams())
     def test_a_stream_through_one_memo_equals_the_memo_free_decode(self, stream):
         memo = _memo()
-        seen = {}  # fragment -> the object the memo handed out for it
-        for kind, body, right_guess in stream:
+        bodies, objects = set(), {}  # the bodies held; fragment -> its one object
+        for body, held in stream:
             want = decode_message_binary(body)
             fragment = want.payload._wire_bin
-            tail = len(body) - len(_header(kind)) - len(fragment)
-            if right_guess:  # else the last body's tail, as on a connection
-                memo.tail = tail
-            hit = fragment in seen and memo.tail == tail
+            # a held body, or a held notification ahead of the link's empty tail
+            unparsed = body in bodies or (
+                held and body.endswith(wire._LINK_TAIL) and fragment in objects
+            )
             reused = memo.reused.value
             got = decode_message_binary(body, memo)
             assert _fingerprint(got) == _fingerprint(want)
             assert type(got.payload) is Notification
-            assert memo.reused.value == reused + hit, "a right guess skips the read"
-            assert memo.tail == tail
-            if fragment in seen:
-                assert got.payload is seen[fragment]
+            assert memo.reused.value == reused + unparsed
+            if held:
+                bodies.add(body)
+                assert got.payload is objects.setdefault(fragment, got.payload)
             else:
-                assert all(got.payload is not earlier for earlier in seen.values())
-                seen[fragment] = got.payload
-        assert memo.size == sum(map(len, memo)) == sum(map(len, seen))
+                assert all(got.payload is not known for known in objects.values())
+        assert memo.keys() == bodies and memo.known.keys() == objects.keys()
+        assert memo.size == sum(map(len, memo))
+
+    def test_one_notification_is_one_object_whatever_kind_or_meta_it_comes_under(self):
+        memo = _memo()
+        notification = Notification({"topic": "t"}, notification_id=3)
+        publish = decode_message_binary(_link_body(Message("publish", notification)), memo)
+        assert memo.reused.value == 0
+        notify = decode_message_binary(_link_body(Message("notify", notification)), memo)
+        assert memo.reused.value == 1, "the empty tail spans the held fragment: no parse"
+        replayed = Message("notify", notification, meta={"replayed": True})
+        assert decode_message_binary(_link_body(replayed), memo).payload is publish.payload
+        assert notify.payload is publish.payload and len(memo) == 3 and len(memo.known) == 1
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
-        stream=_memo_streams(),
-        cut=st.integers(0, 40),
+        notification=_domain_notifications(),
+        kind=_KINDS,
+        meta=_METAS,
+        cut=st.integers(0, 200),
         flip=st.integers(1, 255),
         operation=st.sampled_from(["truncate", "corrupt", "extend"]),
     )
-    def test_a_remembered_fragment_with_a_bad_tail_raises_as_without_a_memo(
-        self, stream, cut, flip, operation
+    def test_a_mutated_held_body_raises_as_without_a_memo(
+        self, notification, kind, meta, cut, flip, operation
     ):
-        kind, body, _ = stream[0]
+        body = _link_body(Message(kind, notification, meta=meta))
         memo = _memo()
         decode_message_binary(body, memo)
-        start = len(_header(kind))
-        end = start + len(decode_message_binary(body).payload._wire_bin)
-        tail = body[end:]
         if operation == "truncate":
-            tail = tail[: cut % len(tail)]
+            hostile = body[: cut % len(body)]
         elif operation == "corrupt":
-            at = cut % len(tail)
-            tail = tail[:at] + bytes([tail[at] ^ flip]) + tail[at + 1 :]
+            at = cut % len(body)
+            hostile = body[:at] + bytes([body[at] ^ flip]) + body[at + 1 :]
         else:
-            tail += bytes([flip]) * (cut % 5 + 1)
-        hostile = body[:end] + tail
-        memo.tail = len(tail)  # the guess that takes the remembered fragment
-        reused = memo.reused.value
+            hostile = body + bytes([flip]) * (cut % 5 + 1)
         outcome = _outcome(lambda body: decode_message_binary(body, memo), hostile)
-        assert memo.reused.value == reused + 1
         assert outcome == _outcome(decode_message_binary, hostile)
+
+    @pytest.mark.parametrize("meta", [{}, {"replayed": True}], ids=["empty", "replayed"])
+    def test_a_receiver_that_mutates_meta_cannot_change_the_next_read(self, meta):
+        memo = _memo()
+        notification = Notification({"topic": "t"}, notification_id=1)
+        body = _link_body(Message("notify", notification, meta=dict(meta)))
+        for _ in range(3):
+            message = decode_message_binary(body, memo)
+            assert message.meta == meta
+            message.meta["replayed"] = "changed"
+            message.meta["extra"] = 1
+        assert memo.reused.value == 2
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            Message("subscribe", {"sub_id": "s9", "n": 1}),
+            Message("notify", Notification({"v": 1}), sender="B1", msg_id=5),
+            Message("notify", Notification({"v": 1}), meta={"path": ["B1"]}),
+        ],
+        ids=["no-notification", "a-sender-and-an-id", "a-list-in-meta"],
+    )
+    def test_only_a_link_body_carrying_a_notification_with_a_flat_meta_is_held(self, message):
+        memo = _memo()
+        body = encode_message_binary(message) if message.sender else _link_body(message)
+        first, again = (decode_message_binary(body, memo) for _ in range(2))
+        assert len(memo) == len(memo.known) == memo.size == memo.reused.value == 0
+        assert encode_message(again) == encode_message(first)
+        assert again.payload is not first.payload and again.meta is not first.meta
 
     @staticmethod
     def _padded(size, notification_id):
-        """A notify body whose notification fragment is about ``size`` bytes."""
+        """A link body about ``size`` bytes long, carrying a notification."""
         notification = Notification({"pad": "x" * size}, notification_id=notification_id)
-        return encode_message_binary(_notify(notification))
+        return _link_body(_notify(notification))
 
-    def test_fragments_past_the_budget_leave_the_memo_within_it(self):
+    def test_bodies_past_the_budget_leave_the_memo_within_it(self):
         memo = _memo()
         held = []
         for i in range(7):  # a little over a quarter of the budget each
             decode_message_binary(self._padded(wire.MEMO_BUDGET // 4, i), memo)
             assert memo.size == sum(map(len, memo)) <= wire.MEMO_BUDGET
             held.append(len(memo))
-        assert held == [1, 2, 3, 1, 2, 3, 1], "emptied by the fragment that would exceed it"
+        assert held == [1, 2, 3, 1, 2, 3, 1], "emptied by the body that would exceed it"
 
-    def test_a_fragment_larger_than_the_budget_is_never_remembered(self):
+    def test_a_body_larger_than_the_budget_is_never_held(self):
         memo = _memo()
         body = self._padded(wire.MEMO_BUDGET, 1)
+        assert len(body) > wire.MEMO_BUDGET
         first = decode_message_binary(body, memo).payload
-        assert len(first._wire_bin) > wire.MEMO_BUDGET
-        assert len(memo) == memo.size == 0
+        assert len(memo) == len(memo.known) == memo.size == 0
         again = decode_message_binary(body, memo).payload
         assert again == first and again is not first
 
@@ -473,14 +510,14 @@ class TestNotificationMemo:
         assert decode_message_binary(body, memo).payload is first
         for i in range(2, 5):
             decode_message_binary(self._padded(wire.MEMO_BUDGET // 3, i), memo)
-        assert first._wire_bin not in memo, "the memo was emptied"
+        assert body not in memo, "the memo was emptied"
         again = decode_message_binary(body, memo).payload
         assert again == first and again is not first
 
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
     def test_three_clients_on_one_node_get_one_object(self, backend):
         # the simulator hands every subscriber the object the broker routed;
-        # a socket node decodes the notification once and does the same
+        # a socket node parses the one notify body once and does the same
         net = line_topology(n_brokers=3, link_latency=0.0, config=SystemConfig(transport=backend))
         try:
             clients = [net.add_client(f"c{i}", f"B{i}") for i in (1, 2, 3)]
@@ -499,9 +536,10 @@ class TestNotificationMemo:
             assert first is second is third
         assert len(delivered[0]) == 2 and delivered[0][0] is not delivered[0][1]
         if backend == "asyncio":
-            # each connection's first notification tells it the tail to
-            # guess, so reads of the second skip the record read
-            assert counters["transport.notifications_reused"] > 0
+            # per notification one parse, of the publish body at B1: B2 and
+            # B3 read that body again, c1 its notification under "notify",
+            # and c2 and c3 that body again
+            assert counters["transport.notifications_reused"] == 2 * (2 + 1 + 2)
 
 
 # ------------------------------------------------------------- declared once
@@ -516,7 +554,7 @@ _CORPUS_DIGESTS = {
 
 #: the record table as ``{binary tag byte: (JSON tag, fields)}``, a field being
 #: its JSON key, suffixed with its kind unless that is ``value``; fields are in
-#: binary order.  Pinned for ``WIRE_VERSION`` 1.
+#: binary order.  Pinned for ``WIRE_VERSION`` 1, and kept by 2.
 _SCHEMA = {
     0x0B: ("tuple", "items:items"),
     0x0C: ("set", "items:sorted"),
@@ -650,7 +688,9 @@ class TestDeclaredOnce:
         assert (len(data), hashlib.sha256(data).hexdigest()) == _CORPUS_DIGESTS[codec_name]
 
     def test_record_table_equals_the_pinned_schema(self):
-        assert wire.WIRE_VERSION == 1 and wire.BINARY_VERSION == 1
+        # revision 2 kept revision 1's layout: its link frames leave out the
+        # sender and the id, which a revision-1 reader would route as written
+        assert wire.WIRE_VERSION == 2 and wire.BINARY_VERSION == 1
         wire._load_table()
         table = {}
         for code, record in wire._BY_CODE.items():
@@ -736,29 +776,44 @@ class TestDeclaredOnce:
         decoded = decode_message_binary(frame_message_binary(message)[4:])
         assert vars(decoded).keys() == vars(Message("x")).keys()
 
-    def test_single_buffer_sender_equals_the_walker(self):
+    def test_the_joined_frame_with_a_meta_equals_the_walker(self):
         for name, payload in sorted(_all_payloads().items()):
             message = Message(kind=name, payload=payload, sender="x", msg_id=1, meta={"hops": 1})
-            assert encode_message_binary(message) == frame_message_binary(message)[4:]
+            link = Message(name, payload, None, 0, {"hops": 1})
+            assert encode_message_binary(link) == frame_message_binary(message)[4:]
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(message=_envelopes())
     def test_fast_paths_equal_the_walker_over_every_envelope_shape(self, message):
-        # framed first, so an unprimed payload reaches the sender unprimed
-        body = frame_message_binary(message)[4:]
-        assert body == encode_message_binary(message)
-        fast = decode_message_binary(body)
-        notification_record = wire._BY_CODE[wire._B_NOTIFICATION]
-        notification_record.read = wire._r_record  # the walker all the way down
-        try:
-            slow, end = wire._r_record(wire._BY_CODE[wire._B_MESSAGE], body, 2)
-        finally:
-            notification_record.read = wire._r_notification
-        assert end == len(body)
-        assert _shape(fast) == _shape(slow)
-        assert fast._frame_bin is None
-        if isinstance(message.payload, Notification):
-            assert fast.payload._wire_bin == message.payload._wire_bin is not None
+        # framed first, so an unprimed payload reaches the framer unprimed;
+        # the link body and the one that names a sender and an id
+        link_body = frame_message_binary(message)[4:]
+        for body in (link_body, encode_message_binary(message)):
+            fast = decode_message_binary(body)
+            notification_record = wire._BY_CODE[wire._B_NOTIFICATION]
+            notification_record.read = wire._r_record  # the walker all the way down
+            try:
+                slow, end = wire._r_record(wire._BY_CODE[wire._B_MESSAGE], body, 2)
+            finally:
+                notification_record.read = wire._r_notification
+            assert end == len(body)
+            assert _shape(fast) == _shape(slow)
+            assert fast._frame_bin is None
+            if isinstance(message.payload, Notification):
+                assert fast.payload._wire_bin == message.payload._wire_bin is not None
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(message=_envelopes())
+    def test_a_link_frame_is_the_message_without_sender_or_id(self, message):
+        link = Message(message.kind, message.payload, None, 0, message.meta)
+        framed = frame_message_binary(message)
+        assert framed == frame(encode_message_binary(link))
+        memo = _memo()
+        memo_free = decode_message_binary(framed[4:])
+        for decoded in [memo_free] + [decode_message_binary(framed[4:], memo) for _ in range(2)]:
+            # the JSON reference: a subclass payload encodes as its record
+            assert encode_message(decoded) == encode_message(link)
+            assert _shape(decoded) == _shape(memo_free)
 
     def test_an_object_outside_the_table_is_refused_despite_a_fragment(self):
         class Impostor:
