@@ -19,9 +19,9 @@ processes on separate hosts):
   link faults, shutdown), and its EOF means the child died;
 * clients live in the parent and dial the address of their broker.
 
-Both kinds of process run on the asyncio backend's runtime
-(:class:`~repro.net.transport.SocketNode`): a broker child is "one broker
-plus a control connection", the parent "the clients plus the control
+Both kinds of process run on the socket runtime every socket backend
+shares (:class:`~repro.net.transport.SocketNode`): a broker child is "one
+broker plus a control connection", the parent "the clients plus the control
 connections, dial-only".  The cluster's own is policy: a send onto a closing
 connection is dropped and counted (:class:`ClusterEndpoint`), a lost link is
 reported to the broker, a restarted node asks for a resync.  Control frames
@@ -62,7 +62,6 @@ two rounds and one interval on top of the traffic.
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import json
 import os
@@ -70,7 +69,8 @@ import socket
 import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Callable, Coroutine, Dict, List, Optional, Set, Tuple
+from selectors import EVENT_READ
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from . import wire
@@ -131,9 +131,9 @@ class ControlEndpoint(SocketEndpoint):
     A link of the node's own runtime whose frames are not traffic: each is
     written straight to the socket, so it counts in no broker counter, no
     ``transport.*`` instrument and no idle-detector total.  On the parent's
-    end, ``ready`` turns true with the child's first frame, ``replies``
-    holds the futures of the requests its later frames answer, by ``rid``,
-    and ``closed`` resolves when the connection is lost: the child died.
+    end, ``ready`` turns true with the child's first frame, and ``replies``
+    maps the ``rid`` of each request still awaited to its answer (None
+    until its frame arrives).  A lost connection means the child died.
     """
 
     def __init__(
@@ -141,14 +141,13 @@ class ControlEndpoint(SocketEndpoint):
         node: SocketNode,
         peer: str,
         on_frame: Callable[["ControlEndpoint", Message], None],
-        on_lost: Callable[["ControlEndpoint"], None],
+        on_lost: Optional[Callable[["ControlEndpoint"], None]] = None,
     ):
         super().__init__(node, peer)
         self._on_frame = on_frame
         self._on_lost = on_lost
         self.ready = False
-        self.replies: Dict[int, asyncio.Future] = {}
-        self.closed: asyncio.Future = node._loop.create_future()
+        self.replies: Dict[int, Optional[Dict[str, Any]]] = {}
 
     def transmit(self, message: Message) -> None:
         if self.is_open:
@@ -158,8 +157,8 @@ class ControlEndpoint(SocketEndpoint):
         self._on_frame(self, message)
 
     def lost(self) -> None:
-        self.closed.set_result(None)
-        self._on_lost(self)
+        if self._on_lost is not None:
+            self._on_lost(self)
 
 
 def _control_message(kind: str, **fields: Any) -> Message:
@@ -182,9 +181,10 @@ class _BrokerNode(SocketNode):
 
     Lifecycle: serve on the listener the parent bound -> dial the peers this
     node initiates -> send ``ready`` on the control connection -> answer
-    control requests until told to stop or the parent disappears.  Nobody
-    drives this node from outside, so an error recorded by one of its
-    callbacks stops it and becomes its exit.
+    control requests until told to stop or the parent disappears.  All of
+    it runs as callbacks of the node's own steps.  Nobody drives this node
+    from outside, so an error recorded by one of its callbacks stops it and
+    becomes its exit.
     """
 
     def __init__(self, spec: Dict[str, Any]):
@@ -208,31 +208,19 @@ class _BrokerNode(SocketNode):
             matcher=config.matcher,
             metrics=self.metrics,
         )
-        self.stop = asyncio.Event()
-        #: the boot and any link restore, cancelled when the node stops
-        self._tasks: Set[asyncio.Task] = set()
+        self.stopping = False
+
+    def _stop(self, *_: Any) -> None:
+        self.stopping = True
 
     def _record_error(self, exc: BaseException) -> None:
         """Routing and wire bugs must fail the node, loudly."""
         super()._record_error(exc)
-        self.stop.set()
+        self._stop()
 
     def _handshake_refused(self, exc: BaseException) -> None:
         """One misconfigured dialler must not take the broker down."""
         print(f"{self.name}: refused a connection: {exc}", file=sys.stderr)
-
-    def _background(self, work: Coroutine[Any, Any, None]) -> None:
-        """Run ``work`` beside the control connection; what it raises fails the node."""
-
-        async def run() -> None:
-            try:
-                await work
-            except Exception as exc:
-                self._record_error(exc)
-
-        task = self._loop.create_task(run())
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
 
     # ------------------------------------------------------------ link traffic
     def _endpoint(self, peer: str) -> ClusterEndpoint:
@@ -240,7 +228,7 @@ class _BrokerNode(SocketNode):
 
     def _link_lost(self, endpoint: ClusterEndpoint) -> None:
         """React to a link dying under us (peer crashed or was severed)."""
-        if self.stop.is_set():
+        if self.stopping:
             return  # orderly shutdown closes every link; nothing to recover
         if self.broker.links.get(endpoint.peer) is not endpoint:
             return  # a reconnect already replaced this link; stale EOF
@@ -263,16 +251,19 @@ class _BrokerNode(SocketNode):
             # void what it advertised before and send ours from scratch
             self.broker.resync_link(inbound.peer)
 
-    async def _dial_peer(self, peer: str, resync: bool = False) -> None:
+    def _dial_peer(
+        self, peer: str, resync: bool, answered: Callable[[Optional[BaseException]], None]
+    ) -> None:
         """Open the link of an edge this node dials, at the address the parent holds.
 
-        Returns once the acceptor has answered, so it has attached the link:
-        when every dialler is ready, every edge is up at both ends.
+        ``answered`` learns when the acceptor has answered, so it has
+        attached the link: when every dialler is ready, every edge is up at
+        both ends.
         """
         endpoint = self._endpoint(peer)
         address = self.spec["addresses"][peer]
-        connection = await self._dial(
-            address, endpoint, self.name, peer, kind="broker", resync=resync
+        connection = self._dial(
+            address, endpoint, self.name, peer, answered, kind="broker", resync=resync
         )
         # the acceptor reads the handshake first, so the link is usable at
         # once; its answer only confirms that it speaks this node's wire revision
@@ -281,7 +272,6 @@ class _BrokerNode(SocketNode):
         self.broker.register_broker_peer(peer)
         if resync:
             self.broker.resync_link(peer)
-        await connection.acked
 
     def _sever_link(self, peer: str) -> None:
         """Tear the TCP link to ``peer`` down for real (fault injection).
@@ -308,7 +298,7 @@ class _BrokerNode(SocketNode):
         }
 
     def _on_request(self, control: ControlEndpoint, request: Message) -> None:
-        """Answer one request of the parent; a ``link_up`` once its dial is done."""
+        """Answer one request of the parent; a ``link_up`` once its dial is answered."""
         op, rid = request.kind, request.payload["rid"]
         reply: Dict[str, Any] = {}
         if op == "stats":
@@ -318,31 +308,44 @@ class _BrokerNode(SocketNode):
         elif op == "link_down":
             self._sever_link(request.payload["peer"])
         elif op == "link_up":
-            self._background(self._link_up(control, rid, request.payload["peer"]))
+            self._link_up(control, rid, request.payload["peer"])
             return
         elif op == "shutdown":
-            self.stop.set()
+            self._stop()
         else:
             raise ClusterError(f"{self.name}: unknown control op {op!r}")
         control.transmit(_control_message("reply", re=rid, ok=True, **reply))
 
-    async def _link_up(self, control: ControlEndpoint, rid: int, peer: str) -> None:
+    def _link_up(self, control: ControlEndpoint, rid: int, peer: str) -> None:
+        def answer(exc: Optional[BaseException]) -> None:
+            fields = {"ok": True} if exc is None else {"ok": False, "error": str(exc)}
+            control.transmit(_control_message("reply", re=rid, **fields))
+
         try:
-            await self._dial_peer(peer, resync=True)
+            self._dial_peer(peer, resync=True, answered=answer)
         except OSError as exc:
-            control.transmit(_control_message("reply", re=rid, ok=False, error=str(exc)))
-        else:
-            control.transmit(_control_message("reply", re=rid, ok=True))
+            answer(exc)
 
-    async def _boot(self, control: ControlEndpoint) -> None:
-        for peer in self.spec["dial"]:
-            await self._dial_peer(peer, resync=self.resync_on_connect)
-        control.transmit(_control_message("ready"))
+    def _boot(self, control: ControlEndpoint) -> None:
+        """Dial every peer this node initiates; ``ready`` once each has answered."""
+        peers, answers = self.spec["dial"], []
 
-    def _on_acceptable(self, listener: socket.socket) -> None:
+        def answered(exc: Optional[BaseException]) -> None:
+            if exc is not None:
+                raise exc
+            answers.append(exc)
+            if len(answers) == len(peers):
+                control.transmit(_control_message("ready"))
+
+        for peer in peers:
+            self._dial_peer(peer, self.resync_on_connect, answered)
+        if not peers:
+            control.transmit(_control_message("ready"))
+
+    def _on_acceptable(self, mask: int) -> None:
         """A dialler is waiting: its connection reads the handshake first."""
         try:
-            sock, _ = listener.accept()
+            sock, _ = self._listener.accept()
         except (BlockingIOError, InterruptedError, ConnectionAbortedError):
             return
         except OSError as exc:
@@ -351,25 +354,21 @@ class _BrokerNode(SocketNode):
         _Connection(self, sock, self.name)
 
     # -------------------------------------------------------------------- run
-    async def serve(self) -> int:
+    def serve(self) -> int:
         """The node's whole life; returns its exit code, or raises what failed it."""
-        loop = self._loop
-        listener = socket.socket(fileno=self.spec["listen_fd"])
+        listener = self._listener = socket.socket(fileno=self.spec["listen_fd"])
         listener.setblocking(False)
-        loop.add_reader(listener.fileno(), self._on_acceptable, listener)
+        self._selector.register(listener, EVENT_READ, self._on_acceptable)
         # the parent's end closing means it is gone: shut down, no orphan
-        control = ControlEndpoint(self, "parent", self._on_request, lambda _: self.stop.set())
+        control = ControlEndpoint(self, "parent", self._on_request, self._stop)
         control._writer = _Connection(
             self, socket.socket(fileno=self.spec["control_fd"]), self.name, control
         )
-        self._background(self._boot(control))
+        self._clock.call_now(self._boot, control)
         try:
-            await self.stop.wait()
+            self._wait(lambda: self.stopping)
         finally:
-            for task in self._tasks:
-                task.cancel()
-            await asyncio.gather(*self._tasks, return_exceptions=True)
-            loop.remove_reader(listener.fileno())
+            self._selector.unregister(listener)
             listener.close()
             self._close_connections()
         self._raise_pending_error()
@@ -390,9 +389,9 @@ def node_main(argv: Optional[List[str]] = None) -> int:
     try:
         node = _BrokerNode(spec)
         try:
-            return node._loop.run_until_complete(node.serve())
+            return node.serve()
         finally:
-            node._loop.close()
+            node._selector.close()
     except Exception:  # a child must die loudly, with a traceback on stderr
         import traceback
 
@@ -531,7 +530,8 @@ class ClusterTransport(SocketNode, Transport):
     # wireless links of the mobility layer cannot be hosted here
     supports_mobility = False
 
-    #: cap on a boot's (or a restart's) readiness barrier and a link restore
+    #: cap on a boot's (or a restart's) readiness barrier, a link restore
+    #: and a client attach
     BOOT_TIMEOUT = 60.0
     #: default cap on run_until_idle
     DEFAULT_IDLE_TIMEOUT = 120.0
@@ -555,8 +555,6 @@ class ClusterTransport(SocketNode, Transport):
         #: broker name -> the parent's end of its child's control connection
         self._controls: Dict[str, ControlEndpoint] = {}
         self._rids = itertools.count(1)
-        #: the future a parked readiness barrier waits on (None when not waiting)
-        self._waiter: Optional[asyncio.Future] = None
         self._local: Dict[str, Process] = {}
         self._client_peers: Dict[str, Set[str]] = {}
         self.links: List[ClusterLink] = []
@@ -625,7 +623,7 @@ class ClusterTransport(SocketNode, Transport):
             self._require_up(f"attach {client.name} to {broker.name}", broker.name)
             self._local[client.name] = client
             self._client_peers.setdefault(broker.name, set()).add(client.name)
-            self._loop.run_until_complete(self._attach_client(client, broker.name, link))
+            self._attach_client(client, broker.name, link)
         else:
             raise ClusterError(
                 "cluster links connect clients to brokers or brokers to brokers; "
@@ -673,7 +671,7 @@ class ClusterTransport(SocketNode, Transport):
             raise
         finally:
             theirs.close()  # the child holds its own copy: EOF on ours means it died
-        control = ControlEndpoint(self, name, self._on_control, self._on_control_lost)
+        control = ControlEndpoint(self, name, self._on_control)
         control._writer = _Connection(self, ours, name, control)
         self._controls[name] = control
 
@@ -692,36 +690,21 @@ class ClusterTransport(SocketNode, Transport):
     def _await_ready(self, names: List[str]) -> None:
         """The readiness barrier: every child in ``names`` sent its ``ready`` frame.
 
-        Woken by the frames of the control connections; one that closes
-        before its ``ready`` means the child died, reported with its exit code.
+        A control connection that closes before its ``ready`` means the
+        child died, reported with its exit code.
         """
+        controls = [self._controls[name] for name in names]
 
-        async def barrier() -> None:
-            deadline = self._loop.time() + self.BOOT_TIMEOUT
-            while True:
-                waiting = [name for name in names if not self._controls[name].ready]
-                if not waiting:
-                    return
-                for name in waiting:
-                    if not self._controls[name].is_open:
-                        raise self._died(name)
-                self._waiter = self._loop.create_future()
-                try:
-                    await asyncio.wait_for(self._waiter, deadline - self._loop.time())
-                except asyncio.TimeoutError:
-                    raise ClusterError(
-                        f"brokers never became ready within {self.BOOT_TIMEOUT}s: {waiting}"
-                    ) from None
-                finally:
-                    self._waiter = None
+        def dead() -> List[str]:
+            return [c.peer for c in controls if not c.ready and not c.is_open]
 
-        self._loop.run_until_complete(barrier())
-
-    def _wake_if_idle(self) -> None:
-        """A callback ended: a parked readiness barrier looks again."""
-        waiter = self._waiter
-        if waiter is not None and not waiter.done():
-            waiter.set_result(None)
+        deadline = self._clock.now + self.BOOT_TIMEOUT
+        self._wait(lambda: all(control.ready for control in controls) or dead(), deadline)
+        for name in dead():
+            raise self._died(name)
+        waiting = [control.peer for control in controls if not control.ready]
+        if waiting:
+            raise ClusterError(f"brokers never became ready within {self.BOOT_TIMEOUT}s: {waiting}")
 
     def _died(self, name: str) -> ClusterError:
         """The error for a child whose control connection closed under it."""
@@ -739,11 +722,11 @@ class ClusterTransport(SocketNode, Transport):
             child.kill()
             return child.wait()
 
-    async def _attach_client(self, client: Process, broker_name: str, link: ClusterLink) -> None:
+    def _attach_client(self, client: Process, broker_name: str, link: ClusterLink) -> None:
         """Dial ``broker_name`` for ``client``; :meth:`_died` if its child is dead.
 
         The parent holds every broker's listener, so a dial to a dead child
-        still connects and its handshake is never answered: the ack races
+        still connects and its handshake is never answered: the answer races
         the loss of the child's control connection.
         """
 
@@ -754,15 +737,23 @@ class ClusterTransport(SocketNode, Transport):
         # the link owns the counters of both directions
         endpoint = ClusterEndpoint(self, broker_name, receive, stats=link._local_out)
         address = self.addresses[broker_name]
-        closed = self._controls[broker_name].closed
-        connection = await self._dial(address, endpoint, client.name, broker_name, kind="client")
+        control = self._controls[broker_name]
+        answers: List[Optional[BaseException]] = []
+        connection = self._dial(
+            address, endpoint, client.name, broker_name, answers.append, kind="client"
+        )
         endpoint._writer = connection
-        await asyncio.wait((connection.acked, closed), return_when=asyncio.FIRST_COMPLETED)
-        if not connection.acked.done():
-            connection.acked.cancel()
+        self._wait(lambda: answers or not control.is_open, self._clock.now + self.BOOT_TIMEOUT)
+        if not answers:
             connection.close()
+            if control.is_open:
+                raise ClusterError(
+                    f"broker {broker_name!r} did not answer the attach of {client.name!r} "
+                    f"within {self.BOOT_TIMEOUT}s"
+                )
             raise self._died(broker_name)
-        connection.acked.result()
+        if answers[0] is not None:
+            raise answers[0]
         client.attach_link(broker_name, endpoint)
 
     # ----------------------------------------------------------- control plane
@@ -770,46 +761,48 @@ class ClusterTransport(SocketNode, Transport):
         if message.kind == "ready":
             control.ready = True
             return
-        future = control.replies.pop(message.payload["re"], None)
-        if future is not None and not future.done():
-            future.set_result(message.payload)
+        rid = message.payload["re"]
+        if rid in control.replies:  # else its request gave up waiting
+            control.replies[rid] = message.payload
 
-    def _on_control_lost(self, control: ControlEndpoint) -> None:
-        for future in control.replies.values():
-            if not future.done():
-                future.set_exception(ClusterError(f"control connection to {control.peer!r} closed"))
-        control.replies.clear()
-
-    async def _call(
-        self, name: str, op: str, timeout: float = 10.0, **fields: Any
-    ) -> Dict[str, Any]:
-        """One control round trip with broker ``name``: its ``ok`` reply, or
-        :class:`ClusterError` (connection closed, no answer in time, rejected)."""
-        control = self._controls[name]
-        if not control.is_open:
-            raise ClusterError(f"control connection to {name!r} closed")
-        rid = next(self._rids)
-        future = self._loop.create_future()
-        control.replies[rid] = future
-        control.transmit(_control_message(op, rid=rid, **fields))
+    def _call(
+        self, names: List[str], op: str, timeout: float = 10.0, **fields: Any
+    ) -> Dict[str, Dict[str, Any]]:
+        """One control round trip with every broker in ``names`` at once: their
+        ``ok`` replies, or :class:`ClusterError` (connection closed, no answer
+        in time, rejected).  One round costs one RTT, not one per broker."""
+        asked = {name: (self._controls[name], next(self._rids)) for name in names}
         try:
-            reply = await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            control.replies.pop(rid, None)
-            raise ClusterError(f"broker {name!r} did not answer {op!r} in {timeout}s") from None
-        if not reply["ok"]:
-            raise ClusterError(f"broker {name!r} rejected {op!r}: {reply['error']}")
-        return reply
+            for name, (control, rid) in asked.items():
+                if not control.is_open:
+                    raise ClusterError(f"control connection to {name!r} closed")
+                control.replies[rid] = None
+                control.transmit(_control_message(op, rid=rid, **fields))
+            self._wait(
+                lambda: all(c.replies[r] is not None or not c.is_open for c, r in asked.values()),
+                self._clock.now + timeout,
+            )
+        finally:
+            replies = {name: c.replies.pop(r, None) for name, (c, r) in asked.items()}
+        for name, reply in replies.items():
+            if reply is None:
+                if not asked[name][0].is_open:
+                    raise ClusterError(f"control connection to {name!r} closed")
+                raise ClusterError(f"broker {name!r} did not answer {op!r} in {timeout}s")
+            if not reply["ok"]:
+                raise ClusterError(f"broker {name!r} rejected {op!r}: {reply['error']}")
+        return replies
 
     def _request(self, name: str, op: str, timeout: float = 10.0, **fields: Any) -> Dict[str, Any]:
-        """One control round trip with broker ``name``, driven to completion."""
-        return self._loop.run_until_complete(self._call(name, op, timeout=timeout, **fields))
+        """One control round trip with broker ``name``."""
+        return self._call([name], op, timeout=timeout, **fields)[name]
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         """Gather every live child's metrics over its control connection."""
         self._require_open()
         live = [name for name in self._specs if self._booted and name not in self._down]
-        brokers = {name: self._request(name, "metrics")["metrics"] for name in live}
+        replies = self._call(live, "metrics")
+        brokers = {name: replies[name]["metrics"] for name in live}
         return {"transport": self.transport_metrics(), "brokers": brokers}
 
     # ------------------------------------------------------------- fault plane
@@ -881,7 +874,7 @@ class ClusterTransport(SocketNode, Transport):
         for client_name in sorted(self._client_peers.get(name, ())):
             client = self._local[client_name]
             link = self._client_link(client_name, name)
-            self._loop.run_until_complete(self._attach_client(client, name, link))
+            self._attach_client(client, name, link)
             if hasattr(client, "connect_to"):
                 client.connect_to(name, reissue=True)
                 self.recovery["client_resubscribes"] += len(client.subscriptions)
@@ -946,51 +939,47 @@ class ClusterTransport(SocketNode, Transport):
             return self._clock.now
         timeout = timeout if timeout is not None else self.DEFAULT_IDLE_TIMEOUT
 
-        async def drain() -> None:
-            deadline = self._loop.time() + timeout
-            previous: Optional[Dict[str, Tuple[int, int]]] = None
-            stable_rounds = 0
-            while True:
-                if self._pending_error is not None:
-                    return
-                snapshot = await self._poll_counters()
-                stable_rounds = stable_rounds + 1 if snapshot == previous else 0
-                received_total = sum(received for received, _ in snapshot.values())
-                sent_total = sum(sent for _, sent in snapshot.values())
-                if self._lossy:
-                    # a fault dropped frames, so conservation is broken for
-                    # good; require several consecutive identical rounds
-                    idle = stable_rounds >= self.LOSSY_STABLE_ROUNDS
-                else:
-                    idle = sent_total == received_total and stable_rounds >= 1
-                # parity with the asyncio backend: a scheduled-but-unfired
-                # parent-side clock callback also keeps the cluster busy
-                if idle and self._clock.pending_timers == 0:
-                    return
-                previous = snapshot
-                if self._loop.time() > deadline:
-                    raise ClusterError(
-                        f"cluster did not reach quiescence within {timeout}s "
-                        f"(last snapshot: {snapshot})"
-                    )
-                await asyncio.sleep(self.POLL_INTERVAL)
-
-        self._loop.run_until_complete(drain())
+        deadline = self._clock.now + timeout
+        previous: Optional[Dict[str, Tuple[int, int]]] = None
+        stable_rounds = 0
+        while self._pending_error is None:
+            snapshot = self._poll_counters()
+            stable_rounds = stable_rounds + 1 if snapshot == previous else 0
+            received_total = sum(received for received, _ in snapshot.values())
+            sent_total = sum(sent for _, sent in snapshot.values())
+            if self._lossy:
+                # a fault dropped frames, so conservation is broken for
+                # good; require several consecutive identical rounds
+                idle = stable_rounds >= self.LOSSY_STABLE_ROUNDS
+            else:
+                idle = sent_total == received_total and stable_rounds >= 1
+            # parity with the asyncio backend: a scheduled-but-unfired
+            # parent-side clock event also keeps the cluster busy
+            if idle and self._clock.pending == 0:
+                break
+            previous = snapshot
+            if self._clock.now > deadline:
+                raise ClusterError(
+                    f"cluster did not reach quiescence within {timeout}s "
+                    f"(last snapshot: {snapshot})"
+                )
+            self._wait(
+                lambda: self._pending_error is not None, self._clock.now + self.POLL_INTERVAL
+            )
         self._raise_pending_error()
         return self._clock.now
 
-    async def _poll_counters(self) -> Dict[str, Tuple[int, int]]:
-        # every broker has its own control connection, so the stats calls are
-        # independent: one concurrent round costs one RTT, not n_brokers RTTs
+    def _poll_counters(self) -> Dict[str, Tuple[int, int]]:
         names = [name for name in self._specs if name not in self._down]
-        calls = [self._call(name, "stats", timeout=5.0) for name in names]
-        replies = await asyncio.gather(*calls, return_exceptions=True)
-        snapshot: Dict[str, Tuple[int, int]] = {}
-        for name, reply in zip(names, replies):
-            if isinstance(reply, BaseException):
+        try:
+            replies = self._call(names, "stats", timeout=5.0)
+        except ClusterError:
+            for name in names:
                 if not self._controls[name].is_open:
                     raise self._died(name) from None
-                raise reply
+            raise
+        snapshot: Dict[str, Tuple[int, int]] = {}
+        for name, reply in replies.items():
             self.polled_stats[name] = reply
             snapshot[name] = (reply["received"], reply["sent"])
         for name, process in self._local.items():
@@ -1017,7 +1006,7 @@ class ClusterTransport(SocketNode, Transport):
             "listeners": len(self._listeners),
             "control_connections": sum(c.is_open for c in self._controls.values()),
             "live_children": sum(1 for child in self._children.values() if child.poll() is None),
-            "pending_timers": self._clock.pending_timers,
+            "pending_timers": self._clock.pending,
             "unsent_bytes": self._unsent_bytes(),
         }
 
@@ -1032,19 +1021,17 @@ class ClusterTransport(SocketNode, Transport):
         if self._closed:
             return
         self._closed = True
-
-        async def shutdown() -> None:
-            live = [name for name, control in self._controls.items() if control.is_open]
-            calls = [self._call(name, "shutdown", timeout=5.0) for name in live]
-            await asyncio.gather(*calls, return_exceptions=True)
-            self._close_connections()
-
-        self._loop.run_until_complete(shutdown())
+        live = [name for name, control in self._controls.items() if control.is_open]
+        try:
+            self._call(live, "shutdown", timeout=5.0)
+        except ClusterError:
+            pass  # a child that cannot answer is reaped (or killed) all the same
+        self._close_connections()
         for name in self._children:
             self.exit_codes[name] = self._reap(name)
         for listener in self._listeners.values():
             listener.close()
-        self._loop.close()
+        self._selector.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else ("booted" if self._booted else "declared")

@@ -84,8 +84,8 @@ class Process:
 
     def __init__(self, sim: "Simulator | object", name: str):
         # ``sim`` is the transport backend's clock: the Simulator itself on
-        # the default backend, an AsyncioClock on real sockets.  Both expose
-        # now/schedule/schedule_at/call_now/run/run_until_idle.
+        # the default backend, its queue on a WallClock on real sockets.  Both
+        # expose now/schedule/schedule_at/call_now/run/run_until_idle.
         self.sim = sim
         self.name = name
         self.links: Dict[str, "LinkEndpoint"] = {}

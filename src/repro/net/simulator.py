@@ -225,7 +225,7 @@ class Simulator:
         self._epoch += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Simulator(now={self._now:.3f}, pending={self.pending})"
+        return f"{type(self).__name__}(now={self.now:.3f}, pending={self.pending})"
 
 
 class PeriodicTask:

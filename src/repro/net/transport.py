@@ -1,48 +1,39 @@
 """Pluggable transport backends: deterministic simulator or real sockets.
 
-PRs 1–2 ran the whole pub/sub stack on a single deterministic discrete-event
-simulator.  That was the right substrate for reproducing the paper's
-algorithms, but it hard-wired the *algorithm* (brokers, routing, mobility) to
-the *substrate* (the simulator's event queue).  This module separates the
-two: a :class:`Transport` owns link construction, message movement and time,
-and everything above (``Process.send``, link FIFO semantics,
-connect/disconnect events, latency, message and kind counts) goes through it.
+A :class:`Transport` owns link construction, message movement and time, so
+the algorithm (brokers, routing, mobility) is independent of the substrate:
+everything above (``Process.send``, link FIFO semantics, connect/disconnect
+events, latency, message and kind counts) goes through it.
 
 Three interchangeable backends:
 
-* :class:`SimTransport` (default) — the existing simulator, behaviour
-  byte-identical to the pre-refactor substrate (enforced by the golden-trace
-  cross-check in ``tests/test_transport.py``, the way the ``matcher``
-  choices and the scan advertising oracle are cross-checked).
-* :class:`AsyncioTransport` — a link is one duplex localhost TCP connection
-  carrying length-prefixed binary wire frames (:mod:`repro.net.wire`) both
-  ways; the transport owns both ends, so it pairs them itself with one
-  loopback connect to its own listener, and the link is open when
-  ``make_link`` returns, even inside a running loop.  Per-direction FIFO
-  comes from TCP itself; time is the event loop's monotonic clock.  Runs are *not*
+* :class:`SimTransport` (default) — the deterministic discrete-event
+  simulator, pinned byte-identical by the golden-trace cross-check in
+  ``tests/test_transport.py``.
+* :class:`AsyncioTransport` (``transport="asyncio"``) — a link is one duplex
+  localhost TCP connection carrying length-prefixed binary wire frames
+  (:mod:`repro.net.wire`) both ways; the transport owns both ends and pairs
+  them itself, so the link is open when ``make_link`` returns.  Per-direction
+  FIFO comes from TCP; time is monotonic wall time.  Runs are *not*
   deterministic — that is the point: this is the deployment shape of the
-  paper's original REBECA testbed (broker processes talking over sockets).
+  paper's REBECA testbed (broker processes talking over sockets).
 * :class:`~repro.net.cluster.ClusterTransport` (``transport="cluster"``) —
   every *broker* runs in its own spawned OS process, serving on a listening
-  socket the parent bound before spawning it and holds, so every address is
-  known before any child runs; same wire frames, one duplex TCP connection
-  per link, real multi-core scale-out past the single-process GIL ceiling.
+  socket the parent bound before spawning it and holds; same wire frames,
+  one duplex TCP connection per link, real multi-core scale-out.
 
-Every backend exposes the same clock surface (``now``/``schedule``/``run``/
-``run_until_idle``), so processes keep their ``self.sim`` attribute and the
-pubsub layer runs unchanged on any substrate.
+Every backend exposes the same clock surface (``now``/``schedule``/
+``schedule_at``/``call_now``/``run``/``run_until_idle``) over the same event
+queue, so processes keep their ``self.sim`` attribute and the pubsub layer
+runs unchanged on any substrate.
 
-The two socket backends are one runtime, :class:`SocketNode`, and every
-socket it holds is driven by one connection class, :class:`_Connection`,
-with the loop's public reader and writer callbacks: no asyncio transport
-or protocol is involved.  ``AsyncioTransport`` is "N processes on one
-node", a cluster broker child "one broker plus a control connection", the
-cluster parent "the clients plus the control connections, dial-only".
-What differs is policy, kept in their own endpoint classes, and how a
-connection comes to exist: cluster links cross OS processes, so their ends
-meet by a dial and a handshake that checks the peer's wire revision; an
-``AsyncioTransport`` link, like a cluster control connection, is born
-connected.
+Both socket backends are one runtime, :class:`SocketNode`: a selector, the
+simulator's queue on a :class:`WallClock`, and one step that fires what is
+due, else selects until the next due time, and dispatches readiness to the
+one connection class, :class:`_Connection`.  ``AsyncioTransport`` is "N
+processes on one node", a cluster broker child "one broker plus a control
+connection", the cluster parent "the clients plus the control connections,
+dial-only"; their policy lives in their endpoint classes.
 
 What each backend guarantees:
 
@@ -71,18 +62,20 @@ wireless links the mobility layer needs.)
 
 from __future__ import annotations
 
-import asyncio
 import select
 import selectors
 import socket
 from abc import ABC, abstractmethod
+from heapq import heappop
+from selectors import EVENT_READ, EVENT_WRITE
+from time import monotonic
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from . import wire
 from .link import Link, LinkStats
 from .process import LinkEndpoint, Message, Process, _message_ids
-from .simulator import SimulationError, Simulator
+from .simulator import EventHandle, SimulationError, Simulator
 
 #: the names accepted by ``SystemConfig.transport``
 TRANSPORT_NAMES = ("sim", "asyncio", "cluster")
@@ -268,7 +261,7 @@ class Transport(ABC):
         return broker
 
     def close(self) -> None:
-        """Release substrate resources (sockets, event loops).  Idempotent."""
+        """Release substrate resources (sockets, selectors, child processes).  Idempotent."""
 
     def __enter__(self) -> "Transport":
         return self
@@ -322,83 +315,66 @@ class SimTransport(Transport):
 # ------------------------------------------------------------- socket runtime
 
 
-class _ClockHandle:
-    """Cancellation handle for :meth:`AsyncioClock.schedule` (EventHandle-shaped)."""
+class WallClock(Simulator):
+    """The simulator's event queue on a wall clock: a :class:`SocketNode`'s clock.
 
-    __slots__ = ("cancelled", "executed", "_timer", "_clock")
-
-    def __init__(self, clock: "AsyncioClock"):
-        self.cancelled = False
-        self.executed = False
-        self._timer: Optional[asyncio.TimerHandle] = None
-        self._clock = clock
-
-    def cancel(self) -> None:
-        if self.cancelled or self.executed:
-            return
-        self.cancelled = True
-        if self._timer is not None:
-            self._timer.cancel()
-        self._clock.pending_timers -= 1
-
-
-class AsyncioClock:
-    """Simulator-compatible scheduling surface over a :class:`SocketNode`'s loop.
-
-    ``now`` is monotonic wall time since the node started, so delivery
-    latencies measured against it are real end-to-end latencies.  Scheduled
-    callbacks only fire while the node is being driven (``run`` /
-    ``run_until_idle``), mirroring how simulator events only fire inside
-    ``Simulator.run``; a due callback runs as one of the node's own loop
-    callbacks (:meth:`SocketNode._run_callback`).
+    ``now`` is monotonic seconds since the node started, so latencies
+    measured against it are real.  Events fire only while the node steps
+    (:meth:`SocketNode._step`), each as one of its callbacks; ``run`` and
+    ``run_until_idle`` drive the node.
     """
 
     def __init__(self, node: "SocketNode"):
+        super().__init__()
         self._node = node
-        self._loop = node._loop
-        self._t0 = self._loop.time()
-        #: scheduled-but-not-yet-fired callbacks; part of the idle condition
-        self.pending_timers = 0
+        self._t0 = monotonic()
 
     @property
     def now(self) -> float:
-        return self._loop.time() - self._t0
+        return monotonic() - self._t0
 
-    # ------------------------------------------------------------- scheduling
-    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> _ClockHandle:
+    def schedule(self, delay: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event {delay} seconds in the past")
-        handle = _ClockHandle(self)
-        self.pending_timers += 1
+        return Simulator.schedule_at(self, self.now + delay, callback, *args)
 
-        def fire() -> None:
-            handle.executed = True
-            self.pending_timers -= 1
-            self._node._run_callback(callback, *args)
-
-        handle._timer = self._loop.call_later(delay, fire)
-        return handle
-
-    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> _ClockHandle:
+    def schedule_at(self, time: float, callback: Callable[..., Any], *args: Any) -> EventHandle:
         now = self.now
         if time < now:
             raise SimulationError(
                 f"cannot schedule at t={time:.6f}, which is before now={now:.6f}"
             )
-        return self.schedule(time - now, callback, *args)
+        return Simulator.schedule_at(self, time, callback, *args)
 
-    def call_now(self, callback: Callable[..., Any], *args: Any) -> _ClockHandle:
-        return self.schedule(0.0, callback, *args)
+    @property
+    def next_due(self) -> Optional[float]:
+        """When the earliest queued event is due (None: the queue is empty)."""
+        return self._times[0] if self._times else None
 
-    # ---------------------------------------------------------------- running
+    def fire_due(self, run: Callable[..., None]) -> None:
+        """Run every event due by now, each as ``run(callback, *args)``."""
+        times, buckets, now = self._times, self._buckets, self.now
+        while times and times[0] <= now:
+            time = times[0]
+            bucket = buckets[time]
+            while bucket:
+                callback, args, handle = bucket.popleft()
+                if handle.cancelled:
+                    self._cancelled_in_queue -= 1
+                    self._discarded += 1
+                    continue
+                self.events_processed += 1
+                handle.executed = True
+                run(callback, *args)
+            if buckets.get(time) is bucket:  # else a nested step got there first
+                heappop(times)
+                del buckets[time]
+
     def run(self, until: Optional[float] = None) -> float:
         return self._node.run(until=until)
 
     def run_until_idle(self, max_events: int = 0) -> float:
         return self._node.run_until_idle()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"AsyncioClock(now={self.now:.3f}, pending_timers={self.pending_timers})"
 
 
 class _ExactEpollSelector(selectors.EpollSelector):
@@ -417,8 +393,8 @@ class _ExactEpollSelector(selectors.EpollSelector):
         return super().select(timeout)
 
 
-def _new_event_loop() -> asyncio.AbstractEventLoop:
-    """A loop with exact timer waits, or the stock loop where that cannot be had:
+def _new_selector() -> selectors.BaseSelector:
+    """A selector with exact timed waits, or the default where that cannot be had:
     the default selector is not epoll (kqueue already has the resolution) or
     the epoll fd is >= ``FD_SETSIZE``, which ``select()`` refuses with ValueError.
     """
@@ -429,8 +405,8 @@ def _new_event_loop() -> asyncio.AbstractEventLoop:
         except ValueError:
             selector.close()
         else:
-            return asyncio.SelectorEventLoop(selector)
-    return asyncio.new_event_loop()
+            return selector
+    return selectors.DefaultSelector()
 
 
 def handshake_frame(source: str, target: str, kind=None, resync=False) -> bytes:
@@ -496,13 +472,13 @@ class SocketEndpoint(LinkEndpoint):
 
 
 class _Connection:
-    """One end of a connection, driven by its node's loop with public calls only.
+    """One end of a connection, selected and driven by its node's step.
 
     Every socket role is one of these: both ends of an
     :class:`AsyncioTransport` link and of a cluster control connection (born
     connected: bound to the endpoint that takes what arrives, they read no
-    handshake), a cluster dial (``acked`` is its wait for the acceptor's
-    answer) and a cluster accept (the handshake binds ``inbound``).
+    handshake), a cluster dial (``answered`` learns how its handshake
+    fared) and a cluster accept (the handshake binds ``inbound``).
 
     Reading is one ``recv_into`` the node's one ``_inbox`` per readiness
     (a fresh 256 KiB ``bytes`` per read made glibc grow and trim the heap
@@ -523,31 +499,61 @@ class _Connection:
         sock: socket.socket,
         name: str,
         inbound: Optional[SocketEndpoint] = None,
-        acked: Optional[asyncio.Future] = None,
+        answered: Optional[Callable[[Optional[BaseException]], None]] = None,
     ):
         self.node = node
         self.sock = sock
         #: the process at this end; a handshake must be addressed to it
         self.name = name
         self.inbound = inbound
-        #: a cluster dialler's wait for the acceptor's handshake (None otherwise)
-        self.acked = acked
+        #: a cluster dialler's: called once, with None when the acceptor's
+        #: handshake arrives or with the error if the connection closes first
+        self.answered = answered
         self.decoder = wire.FrameDecoder()
         #: bound and waiting for no answer: the connection was born connected
-        self.saw_handshake = inbound is not None and acked is None
+        self.saw_handshake = inbound is not None and answered is None
         #: bytes written but refused by the kernel, sent once it takes more
         self.unsent = bytearray()
         #: no longer read, and written only to finish ``unsent``
         self.closing = False
         self._eof = False
         self._fd = sock.fileno()
+        #: what the node's selector watches this socket for
+        self._events = 0
+        #: :meth:`_read` is handing a batch over (a handler may wait in turn)
+        self._reading = False
         sock.setblocking(False)
         if sock.family in (socket.AF_INET, socket.AF_INET6):
             # Nagle plus a delayed ACK would hold each drain's last small
             # write back ~25 ms
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         node._connections.add(self)
-        node._loop.add_reader(self._fd, self._on_readable)
+        self._select(EVENT_READ)
+
+    def _select(self, events: int) -> None:
+        """Have the node's selector watch the socket for ``events`` (0: not at all)."""
+        if events == self._events:
+            return
+        selector = self.node._selector
+        if not self._events:
+            selector.register(self._fd, events, self._on_ready)
+        elif not events:
+            selector.unregister(self._fd)
+        else:
+            selector.modify(self._fd, events, self._on_ready)
+        self._events = events
+
+    def _on_ready(self, mask: int) -> None:
+        if mask & EVENT_READ and not self.closing:
+            if self._reading:
+                # a wait nested in a handler of this connection's own read:
+                # reading on would hand later frames over before the batch's
+                # rest, so the socket is not watched until the batch is done
+                self._select(self._events & ~EVENT_READ)
+            else:
+                self._on_readable()
+        if mask & EVENT_WRITE and self.unsent:
+            self._on_writable()
 
     # ----------------------------------------------------------------- reading
     def _on_readable(self) -> None:
@@ -560,15 +566,16 @@ class _Connection:
             self._fail(exc)
             return
         if nbytes:
-            # the decoder copies what it keeps, and recv_into -> _read is one
-            # synchronous loop callback: one buffer per node is safe
-            node._run_callback(self._read, node._inbox[:nbytes])
+            # the decoder copies what it keeps, and each body it returns:
+            # one buffer per node is safe
+            self._read(node._inbox[:nbytes])
         else:
             self.close()  # the peer's EOF: what is unsent still goes out
 
     def _read(self, data: memoryview) -> None:
         decode_message = wire.decode_message_binary
         memo = self.node._memo
+        self._reading = True
         try:
             bodies = self.decoder.feed(data)
             if not self.saw_handshake and bodies:
@@ -585,6 +592,10 @@ class _Connection:
             if self.saw_handshake:
                 raise
             self.node._handshake_refused(exc)
+        finally:
+            self._reading = False
+            if not self._events & EVENT_READ and not self.closing:
+                self._select(self._events | EVENT_READ)
 
     def _handshake(self, body: bytes) -> None:
         node = self.node
@@ -595,14 +606,15 @@ class _Connection:
                 f"handshake from {source!r} for {target!r} arrived at {self.name!r}"
             )
         wire.check_handshake_codec(handshake)
-        if self.acked is not None:
-            self.acked.set_result(None)
-        else:
-            # accepted: the way back is this same socket; answering tells the
-            # dialler so and lets it check this end's wire revision in turn
-            self.inbound = node._accept(self.name, handshake, self)
-            self.write(handshake_frame(self.name, source))
-            node._accepted(self.inbound, handshake)
+        if self.answered is not None:
+            self.saw_handshake = True
+            self.answered(None)
+            return
+        # accepted: the way back is this same socket; answering tells the
+        # dialler so and lets it check this end's wire revision in turn
+        self.inbound = node._accept(self.name, handshake, self)
+        self.write(handshake_frame(self.name, source))
+        node._accepted(self.inbound, handshake)
         self.saw_handshake = True
 
     # ----------------------------------------------------------------- writing
@@ -626,7 +638,7 @@ class _Connection:
             return
         if sent < len(data):
             self.unsent += memoryview(data)[sent:]
-            self.node._loop.add_writer(self._fd, self._on_writable)
+            self._select(self._events | EVENT_WRITE)
 
     def _on_writable(self) -> None:
         try:
@@ -639,7 +651,7 @@ class _Connection:
         del self.unsent[:sent]
         if self.unsent:
             return
-        self.node._loop.remove_writer(self._fd)
+        self._select(self._events & ~EVENT_WRITE)
         if self.closing:
             self._lose(None)
         elif self._eof:
@@ -665,20 +677,19 @@ class _Connection:
         if self.closing:
             return
         self.closing = True
-        loop = self.node._loop
-        loop.remove_reader(self._fd)
+        self._select(self._events & ~EVENT_READ)
         if not self.unsent:
-            loop.call_soon(self._lose, None)
+            self.node._losses.append((self, None))
 
     def _fail(self, exc: OSError) -> None:
         """The socket failed: what is unsent is lost with it."""
         self._drop()
-        self.node._loop.call_soon(self._lose, exc)
+        self.node._losses.append((self, exc))
 
     def _lose(self, exc: Optional[BaseException]) -> None:
         if self in self.node._connections:  # else the node closed it already
             self._discard()
-            self.node._run_callback(self._closed, exc)
+            self._closed(exc)
 
     def _discard(self) -> None:
         """Close the socket at once, leaving what is unread and unsent."""
@@ -687,21 +698,17 @@ class _Connection:
         self.node._connections.discard(self)
 
     def _drop(self) -> None:
-        """Stop reading, and forget what is unsent: take both callbacks off the loop."""
-        loop = self.node._loop
-        if not self.closing:
-            self.closing = True
-            loop.remove_reader(self._fd)
-        if self.unsent:
-            self.unsent.clear()
-            loop.remove_writer(self._fd)
+        """Stop reading, and forget what is unsent."""
+        self.closing = True
+        self.unsent.clear()
+        self._select(0)
 
     def _closed(self, exc: Optional[BaseException]) -> None:
         # frames read before the close were delivered as they arrived (a
         # detach's farewell); the direction that arrived here is dead at
         # once, so later transmits are refused, not written into the void
-        if self.acked is not None and not self.acked.done():
-            self.acked.set_exception(
+        if self.answered is not None and not self.saw_handshake:
+            self.answered(
                 exc or ConnectionError(f"{self.name!r}: link closed before its handshake")
             )
         if self.inbound is not None:
@@ -712,17 +719,18 @@ class _Connection:
 class SocketNode:
     """One process's socket runtime; every socket backend is an instance of it.
 
-    A node owns a loop whose timers fire when due, an :class:`AsyncioClock`
-    on it, four wire instruments, a memo of the link bodies it decoded,
-    and the one path a link's frames take: out through :meth:`_send_frame`
-    (written when the loop callback that sent them ends, or one loop turn
-    after a send from outside one), in through the :class:`_Connection` at
-    either end of every socket it holds.  A cross-process connection is
-    opened by :meth:`_dial` and a handshake the acceptor answers so each end
-    checks the other's wire revision; a node that owns both ends of a
-    connection needs neither, and wraps both the moment the sockets exist.
-    What its callbacks raise is kept for whoever drives it.  What a node
-    *hosts* is its subclass's business.
+    A node owns a selector whose timed waits end when due, a
+    :class:`WallClock`, four wire instruments, a memo of the link bodies it
+    decoded, and the one path a link's frames take: out through
+    :meth:`_send_frame` (written when the callback that sent them ends, or
+    at the next step after a send from outside one), in through the
+    :class:`_Connection` at either end of every socket it holds.  It is
+    driven by one :meth:`_step` and waits in one way, :meth:`_wait`.  A
+    cross-process connection is opened by :meth:`_dial` and a handshake the
+    acceptor answers so each end checks the other's wire revision; a node
+    that owns both ends of a connection needs neither, and wraps both the
+    moment the sockets exist.  What its callbacks raise is kept for whoever
+    drives it.  What a node *hosts* is its subclass's business.
     """
 
     #: flush threshold for hop-level write batching: a buffered burst is
@@ -731,19 +739,24 @@ class SocketNode:
     #: are still bounded by ``wire.MAX_FRAME_SIZE``)
     FLUSH_CAP = 64 * 1024
 
+    #: cap on each blocking step of opening a connection (a connect, the
+    #: accept that pairs an in-process link), which runs on the node's
+    #: thread: it completes from a listener's backlog at once
+    PAIR_TIMEOUT = 2.0
+
     def __init__(self, metrics: MetricsRegistry):
-        self._loop = _new_event_loop()
-        self._clock = AsyncioClock(self)
+        self._selector = _new_selector()
+        self._clock = WallClock(self)
         #: every connection end still open (closed with the node)
         self._connections: "set[_Connection]" = set()
+        #: connections that closed or failed, with the error, lost at the next step
+        self._losses: List[Tuple[_Connection, Optional[BaseException]]] = []
         #: where every socket read lands (one per node, not per connection:
         #: each attach opens connections and would zero-fill one apiece)
         self._inbox = memoryview(bytearray(256 * 1024))
-        #: endpoints holding buffered frames, flushed in one scheduled pass
+        #: endpoints holding buffered frames, flushed when the running
+        #: callback ends or, after a send from outside one, by the next step
         self._dirty: "set[SocketEndpoint]" = set()
-        #: a flush is already coming: one handed to ``call_soon`` by a send
-        #: from outside the loop, or the end of the running :meth:`_run_callback`
-        self._flush_scheduled = False
         self._pending_error: Optional[BaseException] = None
         self._closed = False
         self.metrics = metrics
@@ -756,26 +769,22 @@ class SocketNode:
         self._memo = wire.NotificationMemo(metrics.counter("transport.notifications_reused"))
 
     @property
-    def clock(self) -> AsyncioClock:
+    def clock(self) -> WallClock:
         return self._clock
 
     # --------------------------------------------------------------- callbacks
     def _run_callback(self, callback: Callable[..., Any], *args: Any) -> None:
-        """Run the body of one of this node's own loop callbacks.
+        """Run one of this node's callbacks: a fired timer, a readiness, a loss.
 
-        A read, a fired timer and a closed connection all
-        end the same way: what the body raised is recorded, the frames it
-        sent are written out now (not a loop turn later) and a parked drain
-        is released if idle.
+        What the callback raised is recorded and the frames it sent are
+        written out now, not a step later.
         """
-        self._flush_scheduled = True
         try:
             callback(*args)
         except BaseException as exc:
             self._record_error(exc)
         finally:
             self._flush_dirty()
-            self._wake_if_idle()
 
     def _record_error(self, exc: BaseException) -> None:
         """Keep the first error for the driver to raise, as on the simulator."""
@@ -785,9 +794,6 @@ class SocketNode:
     def _handshake_refused(self, exc: BaseException) -> None:
         """A connection was aborted before it was bound to a link."""
         self._record_error(exc)
-
-    def _wake_if_idle(self) -> None:
-        """A callback ended (the asyncio backend's drain waits on that)."""
 
     def _raise_pending_error(self) -> None:
         if self._pending_error is not None:
@@ -799,24 +805,32 @@ class SocketNode:
             raise TransportError("transport is closed")
 
     # ------------------------------------------------------------- connections
-    async def _dial(
-        self, address: Tuple[str, int], inbound: SocketEndpoint, source: str, target: str, **fields
+    def _dial(
+        self,
+        address: Tuple[str, int],
+        inbound: SocketEndpoint,
+        source: str,
+        target: str,
+        answered: Callable[[Optional[BaseException]], None],
+        **fields,
     ) -> _Connection:
         """Connect to ``address`` and open a link from ``source`` to ``target``.
 
-        Returns the connection once the handshake (``fields``: see
-        :func:`handshake_frame`) is written: it is the way out, and its
-        ``acked`` resolves with the acceptor's answer or fails if it dies.
+        The connect blocks, up to :attr:`PAIR_TIMEOUT`: every address dialled
+        is a listener the cluster parent holds, so it completes from the
+        backlog.  Returns the connection once the handshake (``fields``: see
+        :func:`handshake_frame`) is written: it is the way out, and
+        ``answered`` learns how the acceptor answered.
         """
         host, port = address
         sock = socket.socket(socket.AF_INET6 if ":" in host else socket.AF_INET)
-        sock.setblocking(False)
         try:
-            await self._loop.sock_connect(sock, (host, port))
+            sock.settimeout(self.PAIR_TIMEOUT)
+            sock.connect((host, port))
         except BaseException:
             sock.close()
             raise
-        connection = _Connection(self, sock, source, inbound, acked=self._loop.create_future())
+        connection = _Connection(self, sock, source, inbound, answered)
         connection.write(handshake_frame(source, target, **fields))
         return connection
 
@@ -848,9 +862,6 @@ class SocketNode:
             self._flush_endpoint(endpoint)
             return
         self._dirty.add(endpoint)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            self._loop.call_soon(self._flush_dirty)
 
     def _flush_endpoint(self, endpoint: SocketEndpoint) -> None:
         """Write an endpoint's buffered frames out in a single socket write."""
@@ -864,9 +875,7 @@ class SocketNode:
         self._dirty.discard(endpoint)
 
     def _flush_dirty(self) -> None:
-        """Flush every buffering endpoint: as a callback of the node ends,
-        or one loop turn after a send from outside them."""
-        self._flush_scheduled = False
+        """Flush every buffering endpoint."""
         dirty = self._dirty
         if dirty:
             self._dirty = set()
@@ -874,8 +883,46 @@ class SocketNode:
                 self._flush_endpoint(endpoint)
 
     # ----------------------------------------------------------------- driving
+    def _step(self, deadline: Optional[float] = None) -> None:
+        """One turn: write what was sent from outside a callback, select until
+        the next due time or ``deadline`` (not at all when something is due
+        or lost), dispatch every readiness, fire all that is due by now, and
+        lose the connections that closed."""
+        self._flush_dirty()
+        clock = self._clock
+        until = clock.next_due
+        if until is None or (deadline is not None and deadline < until):
+            until = deadline
+        if self._losses:
+            timeout = 0.0
+        else:
+            timeout = None if until is None else max(0.0, until - clock.now)
+        for key, mask in self._selector.select(timeout):
+            self._run_callback(key.data, mask)
+        clock.fire_due(self._run_callback)
+        while self._losses:
+            losses, self._losses = self._losses, []
+            for connection, exc in losses:
+                self._run_callback(connection._lose, exc)
+
+    def _wait(self, done: Callable[[], bool], deadline: Optional[float] = None) -> bool:
+        """Step until ``done()`` holds or the clock reaches ``deadline``; whether it holds.
+
+        The one way a node waits (for quiescence, a reply, a dial's answer, a
+        child's readiness, or time).  The first step waits for nothing, so
+        what is ready is served even if ``done()`` holds.  A callback may
+        wait in turn (an attach from a timer): the steps nest.
+        """
+        clock = self._clock
+        self._step(clock.now)
+        while not done():
+            if deadline is not None and clock.now >= deadline:
+                return False
+            self._step(deadline)
+        return True
+
     def run(self, until: Optional[float] = None) -> float:
-        """Spin the event loop; with ``until``, up to that (absolute) clock time.
+        """Step; with ``until``, up to that (absolute) clock time or an error.
 
         Driving by time is how connections from outside peers get served:
         their bytes are not work :meth:`run_until_idle` counts.
@@ -883,9 +930,7 @@ class SocketNode:
         self._require_open()
         if until is None:
             return self.run_until_idle()
-        delay = until - self._clock.now
-        if delay > 0:
-            self._loop.run_until_complete(asyncio.sleep(delay))
+        self._wait(lambda: self._pending_error is not None, until)
         self._raise_pending_error()
         return self._clock.now
 
@@ -995,31 +1040,28 @@ class AsyncioLink:
 
 
 class AsyncioTransport(SocketNode, Transport):
-    """Real asyncio TCP sockets on localhost: N processes on one :class:`SocketNode`.
+    """Real TCP sockets on localhost: N processes on one :class:`SocketNode`.
 
-    A link is one duplex TCP connection carrying one length-prefixed wire
-    frame per message.  The transport owns both of its ends, so a link is
-    born connected: one blocking loopback connect to the transport's own
-    listening socket, and the accept that returns it, pair the two sockets
-    (:meth:`_pair`); no process has a server and no handshake is exchanged.
-    :meth:`make_link` wraps both ends and attaches them before it returns,
-    from inside a running loop (a wireless attach completing in a scheduled
-    callback) as from outside one: a link open costs no task and no loop
-    turn.
+    (It keeps the name ``"asyncio"`` that configs and the cost ledger select
+    it by.)  A link is one duplex TCP connection carrying one
+    length-prefixed wire frame per message.  The transport owns both of its
+    ends, so a link is born connected: one blocking loopback connect to the
+    transport's own listening socket, and the accept that returns it, pair
+    the two sockets (:meth:`_pair`); no process has a server and no
+    handshake is exchanged.  :meth:`make_link` wraps both ends and attaches
+    them before it returns, from inside a callback (a wireless attach
+    completing in a scheduled one) as from outside one.
 
     The stack above stays synchronous: sends buffer onto the socket and the
-    event loop only spins while the transport is *driven*
+    node only steps while the transport is *driven*
     (:meth:`run`/:meth:`run_until_idle`), which keeps the programming model
     identical to the simulator — build, publish, then run to quiescence.
     Quiescence is exact, not heuristic: because both ends of every link live
     here, every frame written increments an in-flight counter that is only
     decremented after the receiving process finished handling the message,
-    and every clock timer is counted until it has run.
-    :meth:`run_until_idle` neither polls nor waits out a confirmation
-    window: it parks on one future that the code paths lowering those
-    counters (or recording an error) resolve the moment both read zero, so
-    a drain costs what the traffic costs and an idle transport returns at
-    once.
+    and every clock event is counted until it has run.
+    :meth:`run_until_idle` steps until both read zero, so a drain costs
+    what the traffic costs and an idle transport returns at once.
     """
 
     name = "asyncio"
@@ -1027,11 +1069,6 @@ class AsyncioTransport(SocketNode, Transport):
 
     #: default cap on run_until_idle, so a routing bug cannot hang a test run
     DEFAULT_IDLE_TIMEOUT = 30.0
-
-    #: cap on each blocking step of :meth:`_pair`, which runs on the loop's
-    #: thread: a listener backlog full of strangers costs one open this long
-    #: and a fresh listener, not the loop
-    PAIR_TIMEOUT = 2.0
 
     def __init__(self, host: str = "127.0.0.1", config=None):
         Transport.__init__(self, config)
@@ -1041,8 +1078,6 @@ class AsyncioTransport(SocketNode, Transport):
         #: where every link's connection is accepted (opened with the first link)
         self._listener: Optional[socket.socket] = None
         self._inflight = 0
-        #: the future a parked run_until_idle waits on (None when not driven)
-        self._idle_waiter: Optional[asyncio.Future] = None
         self.links: List[AsyncioLink] = []
 
     # ------------------------------------------------------------------ wiring
@@ -1144,54 +1179,28 @@ class AsyncioTransport(SocketNode, Transport):
 
     # ----------------------------------------------------------------- driving
     def run_until_idle(self, timeout: Optional[float] = None) -> float:
-        """Drive the loop until no in-flight frames or pending timers remain.
+        """Step until no in-flight frames or pending clock events remain.
 
-        *Idle* means: no frame this transport sent is undelivered and no
-        clock timer is pending.  Returns
-        at once when that already holds; otherwise parks on a future that
-        :meth:`_wake_if_idle` resolves.  Bytes arriving on a connection the
-        transport did not open are not counted work — drive by time
-        (``run(until=...)``) to serve outside peers.
+        Returns at once when that already holds.  Bytes arriving on a
+        connection the transport did not open are not counted work — drive
+        by time (``run(until=...)``) to serve outside peers.
         """
         self._require_open()
         timeout = timeout if timeout is not None else self.DEFAULT_IDLE_TIMEOUT
-
-        async def drain() -> None:
-            deadline = self._loop.time() + timeout
-            while not self._is_idle():
-                self._idle_waiter = self._loop.create_future()
-                try:
-                    await asyncio.wait_for(self._idle_waiter, deadline - self._loop.time())
-                except asyncio.TimeoutError:
-                    raise TransportError(
-                        f"run_until_idle timed out after {timeout}s "
-                        f"({self._inflight} frames in flight, "
-                        f"{self._clock.pending_timers} timers pending)"
-                    ) from None
-                finally:
-                    self._idle_waiter = None
-
-        self._loop.run_until_complete(drain())
+        if not self._wait(self._is_idle, self._clock.now + timeout):
+            raise TransportError(
+                f"run_until_idle timed out after {timeout}s "
+                f"({self._inflight} frames in flight, "
+                f"{self._clock.pending} timers pending)"
+            )
         self._raise_pending_error()
         return self._clock.now
 
     def _is_idle(self) -> bool:
         """Nothing counted remains — or an error is waiting to be raised."""
         return self._pending_error is not None or (
-            self._inflight == 0 and self._clock.pending_timers == 0
+            self._inflight == 0 and self._clock.pending == 0
         )
-
-    def _wake_if_idle(self) -> None:
-        """Release a parked :meth:`run_until_idle` once nothing counted remains.
-
-        Called at the end of every loop callback that can lower a counter or
-        record an error: a read batch, a fired timer and the teardown of a
-        connection (all through :meth:`_run_callback`).  Handlers and
-        ``cancel()`` only ever run inside one of those, so none of them checks.
-        """
-        waiter = self._idle_waiter
-        if waiter is not None and not waiter.done() and self._is_idle():
-            waiter.set_result(None)
 
     def resource_sizes(self) -> Dict[str, int]:
         """Live socket resources; handover/fault churn must not grow them.
@@ -1206,7 +1215,7 @@ class AsyncioTransport(SocketNode, Transport):
         return {
             "links": len(self.links),
             "listeners": int(self._listener is not None),
-            "pending_timers": self._clock.pending_timers,
+            "pending_timers": self._clock.pending,
             "open_writers": sum(e.is_open for e in endpoints),
             "inflight_frames": self._inflight,
             "buffered_bytes": sum(len(e._buffer) for e in endpoints),
@@ -1219,7 +1228,7 @@ class AsyncioTransport(SocketNode, Transport):
             return
         self._closed = True
         self._close_connections()
-        self._loop.close()
+        self._selector.close()
         if self._listener is not None:
             self._listener.close()
 
@@ -1234,8 +1243,8 @@ def make_transport(config) -> Transport:
     """Build the backend ``config.transport`` names, configured by ``config``.
 
     Every backend owns its clock: the ``"sim"`` backend a fresh
-    :class:`~repro.net.simulator.Simulator`, the socket backends their event
-    loop's.
+    :class:`~repro.net.simulator.Simulator`, the socket backends a
+    :class:`WallClock`.
     """
     if config.transport == "sim":
         return SimTransport(config=config)

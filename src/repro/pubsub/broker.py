@@ -39,7 +39,7 @@ class Broker(Process):
     sim:
         The transport backend's clock: the discrete-event
         :class:`~repro.net.simulator.Simulator` on the default ``"sim"``
-        backend, or an :class:`~repro.net.transport.AsyncioClock` when the
+        backend, or a :class:`~repro.net.transport.WallClock` when the
         broker runs on real sockets.  Brokers only read time and never
         schedule, so the same routing logic runs unchanged on either.
     name:

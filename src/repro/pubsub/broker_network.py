@@ -47,8 +47,8 @@ class BrokerNetwork:
     topology.  The pub/sub behaviour is identical on all backends; see
     :mod:`repro.net.transport` for the guarantees each one makes.  The
     transport owns the clock, and :attr:`sim` is that clock: the
-    :class:`~repro.net.simulator.Simulator` on ``"sim"``, the event loop's
-    on the socket backends.
+    :class:`~repro.net.simulator.Simulator` on ``"sim"``, a
+    :class:`~repro.net.transport.WallClock` on the socket backends.
     """
 
     def __init__(

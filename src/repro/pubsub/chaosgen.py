@@ -782,7 +782,7 @@ def run_soak(
 ) -> SoakResult:
     """Loop seeded chaos plans under a time budget, gating resource plateaus.
 
-    The first iteration is warmup (interpreters allocate lazily: event loops,
+    The first iteration is warmup (interpreters allocate lazily: selectors,
     import caches, socket machinery); the plateau baseline is taken after it,
     and every later iteration must return to it — open fds exactly, RSS
     within :data:`SOAK_SLACK`.  Every :data:`SOAK_MOBILITY_EVERY`-th iteration

@@ -302,7 +302,7 @@ def test_cluster_child_reads_its_knobs_from_the_spec_config():
         assert node.broker.matcher == "brute"
         assert node.broker.metrics.enabled is False
     finally:
-        node._loop.close()
+        node._selector.close()
 
 
 @pytest.mark.parametrize("owner", [Broker, RoutingTable, RoutingStrategy, Transport, SocketNode])

@@ -12,8 +12,9 @@ Three groups:
 * **supervision** — a child dying during boot fails fast with its exit code,
   a restarted broker serves on its old address, a broker restarted beside a
   neighbour that is down dials only the neighbours that are up, a control
-  call to a dead child fails at once, and a child whose control connection
-  closes exits on its own.
+  call to a dead child fails at once, an attach to a stopped child gives up
+  after the boot timeout, and a child whose control connection closes exits
+  on its own.
 """
 
 import os
@@ -233,6 +234,33 @@ def test_attaching_a_client_to_a_dead_child_fails_with_its_exit_code():
         net.close()
 
 
+def test_attaching_a_client_to_a_stopped_child_fails_within_the_timeout(monkeypatch):
+    """A child that is alive but stopped never answers the attach's
+    handshake and keeps its control connection open: the attach gives up
+    after ``BOOT_TIMEOUT`` and names the broker, instead of waiting forever."""
+
+    def hung(signum, frame):
+        raise TimeoutError("the attach to a stopped child hung")
+
+    net = line_topology(n_brokers=2, link_latency=0.0, config=SystemConfig(transport="cluster"))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        net.transport.boot()
+        monkeypatch.setattr(net.transport, "BOOT_TIMEOUT", 0.5)
+        child = net.transport._children["B2"]
+        os.kill(child.pid, signal.SIGSTOP)
+        start = time.perf_counter()
+        with pytest.raises(ClusterError, match="'B2' did not answer the attach of 'c'"):
+            net.add_client("c", "B2")
+        assert time.perf_counter() - start < 2.0
+        child.kill()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        net.close()
+
+
 def test_restarting_a_broker_beside_a_down_neighbour_converges():
     """Kill B2 and B3, then restart them in turn: B2 dials only B1 (B3 is
     down), B3 dials B2 back, and every subscriber gets every later
@@ -283,7 +311,7 @@ def test_a_child_dying_under_a_request_fails_it_at_once():
         transport = net.transport
         child = transport._children["B2"]
         os.kill(child.pid, signal.SIGSTOP)
-        transport._loop.call_later(0.2, child.kill)
+        transport.clock.schedule(0.2, child.kill)
         start = time.perf_counter()
         with pytest.raises(ClusterError, match="control connection to 'B2' closed"):
             transport._request("B2", "stats", timeout=5.0)

@@ -128,6 +128,24 @@ class TestMultiClientScenario:
             assert len(replicator.virtual_clients) == len(set(replicator.virtual_clients))
         assert_one_subscription_per_filter(scenario.system)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a detached client's removal sends no client_bye, so its virtual "
+        "clients at B1 and B2 stay",
+    )
+    def test_removing_a_powered_off_client_leaves_no_virtual_clients(self):
+        """Application shutdown garbage-collects the client's virtual clients
+        even when the client is powered off (detached) at the time."""
+        scenario = build_office_scenario(12, 4)
+        system = scenario.system
+        alice = system.add_mobile_client("alice")
+        system.attach(alice, location="room-00")
+        scenario.network.sim.run_until_idle()
+        system.power_off(alice)
+        system.remove_client(alice)
+        scenario.network.sim.run_until_idle()
+        assert system.total_virtual_clients() == 0, system.shadow_map()
+
     def test_client_removal_leaves_no_state_behind(self):
         scenario = build_office_scenario(n_rooms=6, rooms_per_broker=2)
         template = location_dependent({"service": "temperature"})

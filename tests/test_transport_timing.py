@@ -1,9 +1,9 @@
 """Time on the socket backends: timers fire when due, frames at arrival.
 
-Two mechanisms of the socket runtime (``SocketNode``) keep time.  The event
-loop's selector waits with microsecond resolution (the stock epoll selector
-rounds every timer wait up to a whole millisecond), and each connection is
-read by a callback-driven receiver that hands every frame of a read to its
+Two mechanisms of the socket runtime (``SocketNode``) keep time.  Its
+selector waits with microsecond resolution (the stock epoll selector rounds
+every timer wait up to a whole millisecond), and each connection is read by
+a callback-driven receiver that hands every frame of a read to its
 process in that same callback — a socket link applies no latency of its
 own.  ``AsyncioTransport`` and the cluster's parent and broker children are
 all instances of that runtime; the cases that need no in-process link also
@@ -12,7 +12,6 @@ bursts, a write per frame).  Timing assertions are on *medians*: a stalled
 CI machine delays a few samples, not half of them.
 """
 
-import asyncio
 import random
 import selectors
 import socket
@@ -55,7 +54,7 @@ def transport(request):
 
 @pytest.fixture(params=[f"asyncio-{path}" for path in WRITE_PATHS] + ["cluster"])
 def clocked(request):
-    """A socket backend with nothing on it: its clock and loop are all a timer needs."""
+    """A socket backend with nothing on it: its clock and selector are all a timer needs."""
     backend, _, write_path = request.param.partition("-")
     if backend == "asyncio":
         transport = with_write_path(AsyncioTransport(), write_path)
@@ -244,6 +243,14 @@ def test_io_preempts_a_long_timer_wait(transport):
 # ---------------------------------------------------------------- structure
 
 
+def only_readers_pending(node):
+    """Nothing waits on the node but its connections' readers: no clock
+    event, no connection loss, no socket watched for anything but reading."""
+    watched = {key.fd: key.events for key in node._selector.get_map().values()}
+    readers = {connection.sock.fileno(): selectors.EVENT_READ for connection in node._connections}
+    return node.clock.pending == 0 and not node._losses and watched == readers
+
+
 def test_no_task_exists_per_connection(transport):
     names = ["a", "b", "c", "d"]
     nodes = [Recorder(transport.clock, name) for name in names]
@@ -254,18 +261,18 @@ def test_no_task_exists_per_connection(transport):
     transport.run_until_idle()
     assert [node.payloads() for node in nodes[1:]] == [["a"], ["b"], ["c"]]
     assert len(transport._connections) == 6  # one per direction of three links
-    assert asyncio.all_tasks(transport._loop) == set()
+    assert only_readers_pending(transport)
 
 
 def test_no_task_exists_per_cluster_client_connection():
     """The parent read each client connection in a task of its own; its
     receivers are callbacks, and so are those of the control connections
-    (one per broker): the parent runs no task at all."""
+    (one per broker): nothing else waits in the parent."""
     net = line_topology(n_brokers=3, config=SystemConfig(transport="cluster"))
     try:
         transport = net.transport
         transport.boot()
-        assert asyncio.all_tasks(transport._loop) == set()
+        assert only_readers_pending(transport)
         assert len(transport._connections) == 3  # the control connections
         clients = [net.add_client(f"c{i}", f"B{i % 3 + 1}") for i in range(6)]
         for client in clients:
@@ -274,7 +281,7 @@ def test_no_task_exists_per_cluster_client_connection():
         clients[0].publish(Notification({"service": "temp"}))
         net.run_until_idle()
         assert [len(client.deliveries) for client in clients[1:]] == [1] * 5
-        assert asyncio.all_tasks(transport._loop) == set()
+        assert only_readers_pending(transport)
         assert len(transport._connections) == 3 + 6
     finally:
         net.close()
