@@ -513,9 +513,10 @@ class Filter:
     (True iff every constraint matches).  ``key()``/``hash()`` are cached on
     first use, and so is the filter's place in an attribute index
     (:func:`repro.pubsub.matching.placement`) and the constraints :meth:`covers`
-    reads by attribute.  Every routing-table candidate pays filter evaluation
-    — in full, or only its ``tail`` when its equality bucket decided the
-    rest — so this is one of the hottest code paths in the system.
+    reads by attribute.  Every routing-table candidate whose bounds admit the
+    value and whose place does not decide it pays filter evaluation — in
+    full, or only its ``tail`` when its equality bucket decided the rest —
+    so this is one of the hottest code paths in the system.
     """
 
     __slots__ = (

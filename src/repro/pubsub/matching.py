@@ -19,7 +19,11 @@ holds one over its subscriptions, the routing table
 (:mod:`repro.pubsub.routing_table`) one over all of its entries.  A query
 is one call of :meth:`AttributeIndex.groups`, with no generator under it: it
 walks the equality buckets the notification selects and the range buckets
-its values stab, and returns the views it reached in one list.  Every query
+its values stab, and returns the views it reached in one list, each paired
+with the value its members' bounds are tested on.  A member is the tuple
+``(low, high, payload)``, so a caller rejects a candidate whose range misses
+the value with one comparison, and a filter its place decides
+(:func:`placement`'s ``exact``) needs no evaluation at all.  Every query
 is answered from the index as it stands; nothing is memoized per
 notification, so a mutation is seen by the next query and a notification
 leaves nothing behind.  The index is maintained incrementally (a few dict
@@ -35,12 +39,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from itertools import chain
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .filters import Equals, Filter, InSet, Range
 from .notification import Notification, attribute_dict
 from .subscription import Subscription
+
+#: ``(low, high, payload)``: one range-index entry with its closed bounds
+Member = Tuple[float, float, object]
 
 
 def pick_index_key(filter: Filter) -> Optional[Tuple[str, object]]:
@@ -88,12 +94,22 @@ def pick_range_constraint(filter: Filter) -> Optional[Range]:
     return best
 
 
-def placement(filter: Filter) -> Tuple[Optional[Tuple[str, object]], Optional[Range]]:
-    """``(pick_index_key(filter), pick_range_constraint(filter))``, computed
-    once per filter and cached on it (filters are immutable)."""
+def placement(filter: Filter) -> Tuple[Optional[Tuple[str, object]], Optional[Range], bool]:
+    """``(pick_index_key(filter), pick_range_constraint(filter), exact)``,
+    computed once per filter and cached on it (filters are immutable).
+
+    ``exact`` is true iff the filter is its equality key and/or one closed
+    ``Range`` and nothing else (the empty filter too): its place then decides
+    it.  The equality bucket's dict lookup agrees with ``==`` (no constraint
+    value is NaN), and for every number :meth:`IntervalBucketIndex.stab` lets
+    through, ``low <= value <= high`` is the closed ``Range``'s own test.
+    """
     placed = filter._placement
     if placed is None:
-        placed = filter._placement = (pick_index_key(filter), pick_range_constraint(filter))
+        key, constraint = pick_index_key(filter), pick_range_constraint(filter)
+        closed = constraint is None or (constraint.include_low and constraint.include_high)
+        exact = closed and len(filter.constraints) == (key is not None) + (constraint is not None)
+        placed = filter._placement = (key, constraint, exact)
     return placed
 
 
@@ -104,8 +120,10 @@ class IntervalBucketIndex:
     sorted cut list, and every range is stored in each bucket it overlaps.
     Insert and remove are two ``bisect`` calls plus a handful of dict
     operations; a query is one ``bisect`` into the cut list plus the member
-    dict of one bucket — no rebuild, ever.  The index keeps each entry's
-    ``Range`` itself, not a copy of its bounds.
+    dict of one bucket — no rebuild, ever.  Each entry is one member tuple
+    ``(low, high, payload)``, built once by :meth:`add` and shared by
+    ``_ranges``, every bucket it sits in and ``wide``, so a caller rejects a
+    member that does not contain its value with one inline comparison.
 
     Local repair keeps the buckets queries land in small: when a query stabs
     a bucket holding more than ``MAX_BUCKET`` entries, the bucket is split in
@@ -124,10 +142,11 @@ class IntervalBucketIndex:
     and backs off until it doubles, so degenerate workloads cannot trigger
     repeated O(n) split attempts.
 
-    Candidate sets are supersets (endpoint inclusivity is ignored; the full
-    filter evaluation downstream restores exactness), and each entry is
-    yielded at most once per query: a narrow entry lives in many buckets but
-    a value stabs exactly one, and wide entries live only in ``wide``.
+    A query hands out whole buckets, so a member may not contain the value;
+    its closed bounds tell (endpoint inclusivity is the filter's).  Each
+    member is handed out at most once per query: a narrow entry lives in many
+    buckets but a value stabs exactly one, and wide entries live only in
+    ``wide``.
     """
 
     __slots__ = ("_ranges", "_cuts", "_buckets", "_retry_at", "_wide", "repairs", "repair_counter")
@@ -136,12 +155,12 @@ class IntervalBucketIndex:
     MAX_SPAN = 4
 
     def __init__(self, repair_counter: object = None) -> None:
-        self._ranges: Dict[object, Range] = {}  # id -> the Range it was added with
+        self._ranges: Dict[object, Member] = {}  # id -> its member
         self._cuts: List[float] = []  # bucket i covers (cuts[i-1], cuts[i]]
-        self._buckets: List[Dict[object, object]] = [{}]
+        self._buckets: List[Dict[object, Member]] = [{}]
         #: per-bucket size below which a failed split is not re-attempted
         self._retry_at: List[int] = [0]
-        self._wide: Dict[object, object] = {}
+        self._wide: Dict[object, Member] = {}
         self.repairs = 0
         #: optional live metrics Counter observing every split
         self.repair_counter = repair_counter
@@ -149,28 +168,29 @@ class IntervalBucketIndex:
     def add(self, entry_id: object, constraint: Range, payload: object) -> None:
         if entry_id in self._ranges:
             self.discard(entry_id)
-        self._ranges[entry_id] = constraint
+        low, high = constraint.low, constraint.high
+        member = self._ranges[entry_id] = (low, high, payload)
         cuts = self._cuts
-        lo = bisect_left(cuts, constraint.low)
-        hi = bisect_left(cuts, constraint.high)
+        lo = bisect_left(cuts, low)
+        hi = bisect_left(cuts, high)
         if hi - lo >= self.MAX_SPAN:
-            self._wide[entry_id] = payload
+            self._wide[entry_id] = member
             return
         buckets = self._buckets
         for i in range(lo, hi + 1):
-            buckets[i][entry_id] = payload
+            buckets[i][entry_id] = member
 
     def discard(self, entry_id: object) -> None:
-        constraint = self._ranges.pop(entry_id, None)
-        if constraint is None:
+        member = self._ranges.pop(entry_id, None)
+        if member is None:
             return
         if entry_id in self._wide:
             del self._wide[entry_id]
         else:
             cuts = self._cuts
             buckets = self._buckets
-            lo = bisect_left(cuts, constraint.low)
-            for i in range(lo, bisect_left(cuts, constraint.high) + 1):
+            lo = bisect_left(cuts, member[0])
+            for i in range(lo, bisect_left(cuts, member[1]) + 1):
                 del buckets[i][entry_id]
         if not self._ranges:
             # compaction: cuts only ever grow, so reset once the index drains
@@ -185,14 +205,13 @@ class IntervalBucketIndex:
         (local repair)."""
         bucket = self._buckets[i]
         cuts = self._cuts
-        ranges = self._ranges
         bucket_lo = cuts[i - 1] if i > 0 else -math.inf
         bucket_hi = cuts[i] if i < len(cuts) else math.inf
         points = sorted(
             {
                 bound
-                for entry_id in bucket
-                for bound in (ranges[entry_id].low, ranges[entry_id].high)
+                for low, high, _ in bucket.values()
+                for bound in (low, high)
                 if bucket_lo < bound < bucket_hi
             }
         )
@@ -204,12 +223,11 @@ class IntervalBucketIndex:
         # pieces of about MAX_BUCKET / 2 members; no more cuts than bounds
         count = min(math.ceil(2 * len(bucket) / self.MAX_BUCKET), len(points) + 1)
         new_cuts = [points[k * len(points) // count] for k in range(1, count)]
-        pieces: List[Dict[object, object]] = [{} for _ in range(count)]
-        for entry_id, payload in bucket.items():
-            constraint = ranges[entry_id]
-            first = bisect_left(new_cuts, constraint.low)
-            for piece in pieces[first : bisect_left(new_cuts, constraint.high, first) + 1]:
-                piece[entry_id] = payload
+        pieces: List[Dict[object, Member]] = [{} for _ in range(count)]
+        for entry_id, member in bucket.items():
+            first = bisect_left(new_cuts, member[0])
+            for piece in pieces[first : bisect_left(new_cuts, member[1], first) + 1]:
+                piece[entry_id] = member
         cuts[i:i] = new_cuts
         self._buckets[i : i + 1] = pieces
         self._retry_at[i : i + 1] = [0] * count
@@ -221,10 +239,10 @@ class IntervalBucketIndex:
     def __len__(self) -> int:
         return len(self._ranges)
 
-    def stab(self, value: object) -> Tuple[Iterable[object], ...]:
-        """The groups of payloads whose ranges may contain ``value`` (a
-        superset): the stabbed bucket — split first while it is oversized —
-        and the wide entries."""
+    def stab(self, value: object) -> Tuple[Iterable[Member], ...]:
+        """The groups of members whose ranges may contain ``value``: the
+        stabbed bucket — split first while it is oversized — and the wide
+        entries.  Nothing for a non-number or NaN."""
         if not isinstance(value, (int, float)) or value != value:
             return ()  # a Range never matches a non-number, and NaN lies in no interval
         cuts = self._cuts
@@ -240,27 +258,28 @@ class IntervalBucketIndex:
         return (bucket.values(),)
 
     def candidates(self, value: object) -> List[object]:
-        """Payloads of the ranges that may contain ``value`` (a superset)."""
-        return list(chain.from_iterable(self.stab(value)))
+        """Payloads of the members :meth:`stab` hands out for ``value``: every
+        range that contains it, and the rest of its bucket."""
+        return [member[2] for group in self.stab(value) for member in group]
 
 
 class _Shelf:
     """The entries one equality bucket holds — or, in :class:`AttributeIndex`,
     the entries no equality bucket holds: those placed with a ``Range`` in one
     :class:`IntervalBucketIndex` per range attribute (``by_range``), the rest
-    in ``unindexed``."""
+    in ``unindexed`` as members ``(-inf, inf, payload)``."""
 
     __slots__ = ("by_range", "unindexed")
 
     def __init__(self) -> None:
         self.by_range: Dict[str, IntervalBucketIndex] = {}
-        self.unindexed: Dict[object, object] = {}
+        self.unindexed: Dict[object, Member] = {}
 
     def add(
         self, entry_id: object, constraint: Optional[Range], payload: object, repair_counter: object
     ) -> None:
         if constraint is None:
-            self.unindexed[entry_id] = payload
+            self.unindexed[entry_id] = (-math.inf, math.inf, payload)
             return
         index = self.by_range.get(constraint.attribute)
         if index is None:
@@ -295,11 +314,12 @@ class AttributeIndex:
     and the notification's numeric value admit.  Entries without a usable
     equality constraint are placed the same way one level up (``rest``): by
     their ``Range`` if they have one, else in its ``unindexed`` remainder,
-    which must always be evaluated.
+    which every query hands out.
 
-    :meth:`groups` returns, in one list, the groups of payloads (a
-    ``Subscription`` for the matcher, a ``RouteEntry`` for the routing
-    table) a notification selects; :meth:`discard` takes the filter the
+    :meth:`groups` returns, in one list, the groups of members
+    ``(low, high, payload)`` (a ``Subscription`` for the matcher, a
+    ``RouteEntry`` for the routing table) a notification selects, each with
+    the value their bounds are tested on; :meth:`discard` takes the filter the
     entry was added with, because the filter alone decides where the entry
     lives.  ``repair_counter`` is handed to every range index.
     """
@@ -312,7 +332,7 @@ class AttributeIndex:
         self._repair_counter = repair_counter
 
     def add(self, entry_id: object, filter: Filter, payload: object) -> None:
-        key, constraint = placement(filter)
+        key, constraint, _ = placement(filter)
         if key is None:
             self.rest.add(entry_id, constraint, payload, self._repair_counter)
             return
@@ -326,7 +346,7 @@ class AttributeIndex:
         bucket.add(entry_id, constraint, payload, self._repair_counter)
 
     def discard(self, entry_id: object, filter: Filter) -> None:
-        key, constraint = placement(filter)
+        key, constraint, _ = placement(filter)
         if key is None:
             self.rest.discard(entry_id, constraint)
             return
@@ -342,8 +362,9 @@ class AttributeIndex:
                 if not buckets:
                     del self.by_attr[attribute]
 
-    def groups(self, notification: Mapping) -> List[Iterable[object]]:
-        """The groups of payloads that could match ``notification``, in one list.
+    def groups(self, notification: Mapping) -> List[Tuple[object, Iterable[Member]]]:
+        """The ``(value, members)`` groups that could match ``notification``,
+        in one list.
 
         ``notification`` is the plain attribute mapping, unwrapped once by
         the caller.  Groups are handed out whole — per equality bucket the
@@ -351,7 +372,11 @@ class AttributeIndex:
         and the view of the bucket's other entries; then the same for the
         entries without an equality key — so a caller's inner loop iterates
         dict views, not a generator per payload, and the whole walk is this
-        one frame plus one ``stab`` call per range index reached.  The
+        one frame plus one ``stab`` call per range index reached.  A range
+        group's ``value`` is the notification's value for that range's
+        attribute, a range-less group's is ``0.0`` (its members are
+        ``(-inf, inf, payload)``): a member can match only if
+        ``low <= value <= high``.  The
         equality buckets come first because their members already passed one
         test: a first-match loop is decided there far more often than among
         the rest.  A value selects the bucket whose pin ``==`` it, the value
@@ -373,14 +398,17 @@ class AttributeIndex:
                 if shelf is not None:
                     shelves.append(shelf)
         shelves.append(self.rest)
-        views: List[Iterable[object]] = []
+        groups: List[Tuple[object, Iterable[Member]]] = []
         for shelf in shelves:
             for attribute, index in shelf.by_range.items():
                 # a missing attribute reads None, which stabs nothing
-                views += index.stab(notification.get(attribute))
+                value = notification.get(attribute)
+                for view in index.stab(value):
+                    groups.append((value, view))
             if shelf.unindexed:
-                views.append(shelf.unindexed.values())
-        return views
+                # a float: comparing it with the infinite bounds takes the fast path
+                groups.append((0.0, shelf.unindexed.values()))
+        return groups
 
 
 class BruteForceMatcher:
@@ -462,8 +490,8 @@ class AttributeIndexMatcher:
     def match(self, notification: Mapping) -> List[Subscription]:
         attributes = attribute_dict(notification)
         matched = []
-        for group in self._index.groups(attributes):
-            for sub in group:
+        for _, group in self._index.groups(attributes):
+            for _, _, sub in group:
                 self.full_evaluations += 1
                 if sub.filter.matches(attributes):
                     matched.append(sub)

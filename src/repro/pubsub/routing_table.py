@@ -25,10 +25,13 @@ Two matching strategies are available (the ``matcher`` knob):
   entries without an equality key are placed by their ``Range`` alone.  At
   match time the index is probed once and hands back one list of groups:
   only the entries the notification's own values select (plus the
-  unindexable ones) are candidates, a candidate whose link is already
-  decided or excluded is skipped without being evaluated, and a candidate
-  whose filter has a ``tail`` (:class:`~repro.pubsub.filters.Filter`) is
-  tested on that alone, because its equality bucket decided the rest.  A
+  unindexable ones) are candidates.  Each candidate comes with its range's
+  bounds: one whose bounds miss the value, or whose link is already decided
+  or excluded, is skipped without being evaluated; one whose place decides
+  its filter (:func:`~repro.pubsub.matching.placement`'s ``exact``) decides
+  its link unevaluated; and one whose filter has a ``tail``
+  (:class:`~repro.pubsub.filters.Filter`) is tested on that alone, because
+  its equality bucket decided the rest.  A
   table of at most :data:`SMALL_TABLE_SCAN` entries is scanned link by link
   instead, first match deciding each link.  Results are identical to brute
   force — the index is purely a candidate pre-selection.
@@ -57,7 +60,7 @@ from .subscription import Subscription
 MATCHER_NAMES = ("brute", "indexed")
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class RouteEntry:
     """One (filter, link) pair, annotated with the subscription that created it.
 
@@ -185,11 +188,14 @@ class RoutingTable:
 
     def _probe(self, attributes: Mapping, decided: Set[str]) -> List[str]:
         """The links :meth:`destinations` answers, unsorted, from one probe of
-        the index: a candidate on a link already decided or excluded is
-        skipped unevaluated, a candidate with a ``tail`` is tested on that
-        alone (its equality bucket decided the rest), and the probe stops
-        once every link is decided.  ``decided`` is the caller's own set of
-        excluded links; the probe adds each link it decides."""
+        the index: a candidate whose bounds miss its group's value, or on a
+        link already decided or excluded, is skipped unevaluated; an
+        ``exact`` one (:func:`~repro.pubsub.matching.placement`) decides its
+        link unevaluated; an inexact one with a ``tail`` is tested on that
+        alone (its equality bucket decided the rest), any other in full; and
+        the probe stops once every link is decided.  ``decided`` is the
+        caller's own set of excluded links; the probe adds each link it
+        decides."""
         by_link = self._by_link
         undecided = len(by_link)
         for link in decided:
@@ -199,20 +205,24 @@ class RoutingTable:
         if not undecided:
             return result
         get = attributes.get
-        for group in self._index.groups(attributes):
-            for entry in group:
+        for value, group in self._index.groups(attributes):
+            for low, high, entry in group:
+                if not low <= value <= high:
+                    continue
                 link = entry.link
                 if link in decided:
                     continue
                 filter = entry.filter
-                tail = filter.tail
-                if tail is None:
-                    if not filter.matches(attributes):
-                        continue
-                else:
-                    value = get(tail[0], _MISSING)
-                    if value is _MISSING or not tail[1](value):
-                        continue
+                # placement(filter)[2], cached when the entry was indexed
+                if not filter._placement[2]:
+                    tail = filter.tail
+                    if tail is None:
+                        if not filter.matches(attributes):
+                            continue
+                    else:
+                        got = get(tail[0], _MISSING)
+                        if got is _MISSING or not tail[1](got):
+                            continue
                 decided.add(link)
                 result.append(link)
                 if len(result) == undecided:

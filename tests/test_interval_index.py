@@ -41,10 +41,12 @@ def linear_candidates(live, value):
 def assert_placed_where_bisect_says(index, live):
     """Every live entry sits in exactly the buckets ``bisect_left(cuts, low)``
     … ``bisect_left(cuts, high)`` — the ones ``discard`` empties — or in
-    ``_wide`` alone, and no bucket holds anything else."""
+    ``_wide`` alone, and no bucket holds anything else.  Wherever it sits, it
+    is its one member ``(low, high, payload)``, the tuple ``_ranges`` holds."""
     cuts = index._cuts
     assert len(index._buckets) == len(index._retry_at) == len(cuts) + 1
     assert cuts == sorted(set(cuts))
+    assert {entry_id: member[:2] for entry_id, member in index._ranges.items()} == live
     expected = [set() for _ in index._buckets]
     for entry_id, (low, high) in live.items():
         if entry_id in index._wide:
@@ -53,6 +55,8 @@ def assert_placed_where_bisect_says(index, live):
             expected[i].add(entry_id)
     assert [set(bucket) for bucket in index._buckets] == expected
     assert set(index._wide) <= set(live)
+    for members in (*index._buckets, index._wide):
+        assert all(member is index._ranges[entry_id] for entry_id, member in members.items())
 
 
 class TestIntervalBucketIndex:
@@ -220,8 +224,8 @@ class TestIntervalBucketIndex:
             bucket_hi = index._cuts[i] if i < len(index._cuts) else math.inf
             interior = [
                 bound
-                for entry_id in bucket
-                for bound in (index._ranges[entry_id].low, index._ranges[entry_id].high)
+                for low, high, _ in bucket.values()
+                for bound in (low, high)
                 if bucket_lo < bound < bucket_hi
             ]
             assert len(bucket) <= IntervalBucketIndex.MAX_BUCKET or not interior

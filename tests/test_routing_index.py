@@ -18,17 +18,22 @@ from hypothesis import given, settings, strategies as st
 from repro.config import SystemConfig
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import (
+    AtLeast,
+    AtMost,
     Equals,
+    Exists,
     Filter,
+    GreaterThan,
     InSet,
+    LessThan,
     NotEquals,
     Prefix,
     Range,
     match_all,
 )
-from repro.pubsub.matching import IntervalBucketIndex
+from repro.pubsub.matching import IntervalBucketIndex, placement
 from repro.pubsub.notification import Notification
-from repro.pubsub.routing_table import RoutingTable
+from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
 
 SERVICES = ["temperature", "stock", "news", "traffic"]
 LOCATIONS = ["r1", "r2", "r3", "r4", "r5"]
@@ -38,12 +43,29 @@ LOCATIONS = ["r1", "r2", "r3", "r4", "r5"]
 NAN = float("nan")
 
 
-def bucket_shape_filter(rng: random.Random) -> Filter:
-    """A two-constraint filter led by an ``Equals`` whose equality bucket may
-    or may not decide that ``Equals`` on a candidate's behalf."""
+def random_range(rng: random.Random, attribute: str = "value") -> Range:
+    """A ``Range`` whose place may or may not decide it: closed or half-open
+    at either end, bounds spelt as ints, as equal floats or off the integers.
+    Notification values are small integers (spelt ``5``, ``5.0`` or ``True``),
+    so they hit an integral bound exactly, where inclusivity decides."""
     low = rng.randint(0, 30)
-    second = Range("value", low, low + rng.randint(0, 20))
-    shape = rng.randrange(5)
+    high = low + rng.randint(0, 20)
+    spelling = rng.random()
+    if spelling < 0.2:
+        low, high = float(low), float(high)
+    elif spelling < 0.3:
+        low, high = low - 0.5, high + 0.25
+    return Range(
+        attribute, low, high, include_low=rng.random() < 0.7, include_high=rng.random() < 0.7
+    )
+
+
+def bucket_shape_filter(rng: random.Random) -> Filter:
+    """A filter led by an ``Equals`` whose equality bucket may or may not
+    decide that ``Equals`` on a candidate's behalf, and whose place may or
+    may not decide the rest."""
+    second = random_range(rng)
+    shape = rng.randrange(7)
     if shape == 0:
         # tuple key: equal tuples of differently typed members share one bucket
         return Filter([Equals("tags", ("a", rng.choice([1, True, 1.0]))), second])
@@ -61,6 +83,13 @@ def bucket_shape_filter(rng: random.Random) -> Filter:
         # the second constraint's attribute is mostly absent, and a missing
         # attribute fails even a NotEquals
         return Filter([Equals("service", rng.choice(SERVICES)), NotEquals("tags", ("b",))])
+    if shape == 4:
+        # a third constraint after the range: key and range pass, it may not
+        third = Prefix("location", rng.choice(["r", "r1"]))
+        return Filter([Equals("service", rng.choice(SERVICES)), second, third])
+    if shape == 5:
+        # two ranges on different attributes: the index places one of them
+        return Filter([Equals("service", rng.choice(SERVICES)), second, random_range(rng, "level")])
     # 1 == True == 1.0 share one bucket, whichever spelling keyed it
     return Filter([Equals("flag", rng.choice([1, True, 1.0])), second])
 
@@ -87,26 +116,37 @@ def random_filter(rng: random.Random) -> Filter:
     elif roll < 0.90:
         constraints.append(NotEquals("service", rng.choice(SERVICES)))
     elif roll < 0.95:
-        # range-only: indexed through the per-attribute range buckets
-        low = rng.randint(0, 30)
-        return Filter([Range("value", low, low + rng.randint(0, 20))])
+        # range-only: indexed through the per-attribute range buckets, maybe
+        # beside a range on a second attribute
+        constraints.append(random_range(rng))
+        if rng.random() < 0.3:
+            constraints.append(random_range(rng, "level"))
+        return Filter(constraints)
     else:
         # a tuple equality value: bucketed like any other
         constraints.append(Equals("tags", ("a", "b")))
     if rng.random() < 0.5:
-        low = rng.randint(0, 30)
-        constraints.append(Range("value", low, low + rng.randint(0, 20)))
+        constraints.append(random_range(rng))
+        extra = rng.random()
+        if extra < 0.15:
+            constraints.append(Prefix("location", rng.choice(["r", "r1"])))
+        elif extra < 0.3:
+            constraints.append(random_range(rng, "level"))
     return Filter(constraints)
 
 
 def random_notification(rng: random.Random) -> Notification:
+    value = rng.choice([rng.randint(0, 50), rng.randint(0, 1)])
     attrs = {
         "service": NAN if rng.random() < 0.05 else rng.choice(SERVICES),
         "location": rng.choice(LOCATIONS),
-        # True/False equal 1/0 and hash alike, and Range reads them as 1/0
-        "value": rng.choice([rng.randint(0, 50), rng.randint(0, 1), True, False]),
+        # 5, 5.0 and True/1 are equal and hash alike, and Range reads a bool
+        # as its int; bounds are hit exactly in every spelling
+        "value": rng.choice([value, float(value), bool(value) if value in (0, 1) else value]),
         "flag": rng.choice([1, True, 1.0, 0, False]),
     }
+    if rng.random() < 0.8:
+        attrs["level"] = rng.choice([rng.randint(0, 50), float(rng.randint(0, 50))])
     if rng.random() < 0.1:
         attrs["tags"] = rng.choice([("a", "b"), ("a", 1.0), ("a", True), ("b",)])
     return Notification(attrs)
@@ -354,8 +394,101 @@ def test_equality_buckets_stab_their_ranges():
         table.add(f, f"L{i % 3}", f"s{i}")
     for value in (0, 2_500, 5_000, 7_777, 10_049):
         probe = {"topic": "t", "value": value}
-        candidates = [e for group in table._index.groups(probe) for e in group]
+        candidates = [e for _, group in table._index.groups(probe) for _, _, e in group]
         assert len(candidates) <= 2 * IntervalBucketIndex.MAX_BUCKET, value
         assert {e.sub_id for e in candidates} >= {
             sub_id for sub_id, f in filters.items() if f.matches(probe)
         }
+
+
+#: filter shapes and whether their index placement decides them
+EXACTNESS = {
+    "equals+closed-range": (Filter([Equals("topic", "t"), Range("value", 0, 5)]), True),
+    "closed-range+equals": (Filter([Range("value", 0, 5), Equals("topic", "t")]), True),
+    "lone-closed-range": (Filter([Range("value", 0.5, 5)]), True),
+    "lone-at-least": (Filter([AtLeast("value", 3)]), True),
+    "lone-at-most": (Filter([AtMost("value", 3)]), True),
+    "lone-equals": (Filter([Equals("topic", "t")]), True),
+    "lone-single-inset": (Filter([InSet("topic", ["t"])]), True),
+    "single-inset+closed-range": (Filter([InSet("topic", ["t"]), Range("value", 0, 5)]), True),
+    "empty": (match_all(), True),
+    "greater-than": (Filter([GreaterThan("value", 3)]), False),
+    "less-than": (Filter([LessThan("value", 3)]), False),
+    "open-low-range": (Filter([Range("value", 0, 5, include_low=False)]), False),
+    "open-high-range": (Filter([Range("value", 0, 5, include_high=False)]), False),
+    "empty-point-range": (Filter([Range("value", 5, 5, include_low=False)]), False),
+    "equals+half-open-range": (
+        Filter([Equals("topic", "t"), Range("value", 0, 5, include_high=False)]),
+        False,
+    ),
+    "equals+closed-range+prefix": (
+        Filter([Equals("topic", "t"), Range("value", 0, 5), Prefix("location", "r")]),
+        False,
+    ),
+    "two-ranges": (Filter([Range("value", 0, 5), Range("level", 0, 5)]), False),
+    "equals+two-ranges": (
+        Filter([Equals("topic", "t"), Range("value", 0, 5), Range("level", 0, 5)]),
+        False,
+    ),
+    "equals+inset": (Filter([Equals("topic", "t"), InSet("location", ["r1", "r2"])]), False),
+    "two-equals": (Filter([Equals("topic", "t"), Equals("flag", 1)]), False),
+    "multi-inset": (Filter([InSet("topic", ["t", "u"])]), False),
+    "lone-prefix": (Filter([Prefix("topic", "t")]), False),
+    "lone-not-equals": (Filter([NotEquals("topic", "t")]), False),
+    "lone-exists": (Filter([Exists("topic")]), False),
+}
+
+
+@pytest.mark.parametrize("shape", EXACTNESS)
+def test_placement_is_exact_only_where_it_decides_the_filter(shape):
+    """``exact`` holds iff the filter is its equality key and/or one closed
+    ``Range``, and nothing else."""
+    f, exact = EXACTNESS[shape]
+    assert placement(f)[2] is exact
+
+
+def _raise(*args):
+    raise AssertionError("a filter its place decides was evaluated")
+
+
+def test_a_decided_entry_is_never_evaluated():
+    """A table of exact entries only, past the small-table scan, answers like
+    brute force while every indexed filter's ``matches`` and ``tail`` raise:
+    the probe decides each from its place alone."""
+    rng = random.Random(5)
+    shapes = [
+        lambda: [Equals("topic", rng.choice(TOPICS)), Range("value", *_bounds(rng))],
+        lambda: [Range("value", *_bounds(rng))],
+        lambda: [Equals("topic", rng.choice(TOPICS))],
+        lambda: [InSet("topic", [rng.choice(TOPICS)]), Range("value", *_bounds(rng))],
+    ]
+    population = [([], "L0")]  # the empty filter, on one link
+    population += [(rng.choice(shapes)(), f"L{i % 12}") for i in range(6 * SMALL_TABLE_SCAN)]
+    brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+    for i, (constraints, link) in enumerate(population):
+        decided = Filter(constraints)
+        assert placement(decided)[2]
+        decided.matches, decided.tail = _raise, ("value", _raise)
+        brute.add(Filter(constraints), link, f"s{i}")
+        indexed.add(decided, link, f"s{i}")
+    assert len(indexed) > SMALL_TABLE_SCAN
+    answers = set()
+    for _ in range(300):
+        value = rng.randint(-2, 52)
+        n = {
+            "topic": rng.choice(TOPICS + ["other"]),
+            "value": rng.choice([value, float(value), value == 1]),
+        }
+        if rng.random() < 0.1:
+            del n["value"]
+        exclude = rng.sample(brute.links(), rng.randint(0, 2))
+        expected = brute.destinations(n, exclude=exclude)
+        assert indexed.destinations(n, exclude=exclude) == expected, n
+        assert_each_link_decided_alike(brute, indexed, n)
+        answers.add(tuple(expected))
+    assert len(answers) > 20  # the answers depend on the notification
+
+
+def _bounds(rng: random.Random):
+    low = rng.randint(0, 40)
+    return (low, low + rng.randint(0, 10)) if rng.random() < 0.7 else (float(low), low + 0.5)
