@@ -431,7 +431,9 @@ class SocketEndpoint(LinkEndpoint):
     sent by ``peer``: a frame names no sender, the link does.
     Per-direction FIFO is TCP's.  Serialising endpoints share fan-out
     messages, so a broker hop reuses one pre-encoded frame across every
-    destination link.  Runtime policy: :meth:`_admit`, :meth:`receive`,
+    destination link.  A node that reads this direction itself (asyncio's
+    endpoint) also holds each immutable payload's body in its memo as it
+    frames it.  Runtime policy: :meth:`_admit`, :meth:`receive`,
     :meth:`lost`.
     """
 
@@ -486,8 +488,9 @@ class _Connection:
     splits and decodes its frames and hands each to ``inbound`` in the same
     callback: a socket delivers at arrival.  The peer ``inbound`` names is
     each message's sender, and each draws its own ``msg_id``.  A body that
-    the node decoded already (an earlier hop or delivery) comes out of the
-    node's :class:`~repro.net.wire.NotificationMemo`, unparsed.
+    the node decoded already (an earlier hop or delivery) or framed itself
+    (an immutable payload sent on an asyncio link) comes out of the node's
+    :class:`~repro.net.wire.NotificationMemo`, unparsed.
     :meth:`write` sends at once without blocking and keeps only what the
     kernel refused, in ``unsent``, for when the socket is writable again.
     The peer's EOF, an ``OSError`` or :meth:`close` end in :meth:`_closed`.
@@ -721,7 +724,7 @@ class SocketNode:
 
     A node owns a selector whose timed waits end when due, a
     :class:`WallClock`, four wire instruments, a memo of the link bodies it
-    decoded, and the one path a link's frames take: out through
+    decoded or framed, and the one path a link's frames take: out through
     :meth:`_send_frame` (written when the callback that sent them ends, or
     at the next step after a send from outside one), in through the
     :class:`_Connection` at either end of every socket it holds.  It is
@@ -764,8 +767,8 @@ class SocketNode:
         self._frames_sent = metrics.counter("transport.frames_sent")
         self._bytes_sent = metrics.counter("transport.bytes_sent")
         self._write_bytes = metrics.histogram("transport.socket_write_bytes")
-        #: the link bodies carrying a notification this node decoded, so each
-        #: is parsed once
+        #: the link bodies carrying an immutable record this node decoded or
+        #: framed, each parsed at most once; the counter counts every parse skipped
         self._memo = wire.NotificationMemo(metrics.counter("transport.notifications_reused"))
 
     @property
@@ -943,7 +946,12 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
 
     A link that is down drops and counts the drop, a dead connection
     refuses loudly, and every frame counts as in flight from the send until
-    the target handled it.
+    the target handled it.  The node that frames a body here is the node
+    that reads it, so a payload of an immutable record type (``Notification``,
+    ``Subscription``) goes into its memo as it is framed: the reading end
+    hands the sender's object over unparsed, as the simulator does.  Any
+    other payload (a dict, a ``ClientHello``, a handover record) is mutable
+    and parsed, so each receiver gets its own.
     """
 
     def __init__(self, link: "AsyncioLink", source: Process, target: Process):
@@ -954,6 +962,19 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
         #: frames written but not yet handed to the target process; lets the
         #: transport reconcile its in-flight counter if the connection dies
         self.undelivered = 0
+
+    def transmit(self, message: Message) -> None:
+        if self._admit():
+            self.stats.record(message)
+            framed = wire.frame_message_binary(message)
+            payload = message.payload
+            record = wire._BY_CLASS.get(payload.__class__)  # loaded: the payload was framed
+            # an immutable record, not a subclass (which the reader decodes as its base)
+            if record is not None and record.cached and record.cls is payload.__class__:
+                body, memo = framed[4:], self.node._memo
+                if body not in memo:
+                    memo.hold(body, message.kind, payload, message.meta)
+            self.node._send_frame(self, framed)
 
     def _admit(self) -> bool:
         if not self.link.up:

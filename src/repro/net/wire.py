@@ -799,27 +799,28 @@ def _r_notification(record: _Record, buf: bytes, pos: int) -> Tuple[Any, int]:
     return notification, pos
 
 
-#: the body bytes a :class:`NotificationMemo` holds before it is emptied
-MEMO_BUDGET = 1 << 20
+#: the bytes a :class:`NotificationMemo` holds, entry overheads counted, before
+#: it is emptied: one ``line_sat_tcp`` repetition (2.4 MB so counted) fits
+MEMO_BUDGET = 3 << 20
+#: an entry's cost beside its body, by ``sys.getsizeof``: the key's header, a slot
+#: in each table (60 at most, just grown); a tuple entry adds itself and its meta
+_ENTRY, _TUPLE, _ITEM = 33 + 2 * 60, 64 + 40, 8 + 56
 #: the meta values a held body may carry (a hit copies ``meta`` one level deep)
-_FLAT = (bool, int, float, str, type(None))
+_FLAT = frozenset((bool, int, float, str, type(None)))
 
 
 class NotificationMemo(dict):
-    """The link bodies carrying a notification that a socket node decoded.
+    """The link bodies carrying an immutable record that a socket node decoded or framed.
 
-    A link frame names no sender and no id, and a sender splices the
-    notification's ``_wire_bin``: each hop or local delivery through a node
-    brings the same body again.  A held body maps to its ``(kind, payload,
-    meta items)`` (to the bare payload if its kind is interned and its meta
-    empty), so the node parses it once and hands the same notification out
-    after, as the simulator does, with a fresh ``meta``.  Only what
-    :func:`frame_message_binary` writes is held: sender None, id 0, a flat
-    meta.  ``known`` maps each held notification's fragment to it: one object
-    whatever kind it comes under, unparsed if the body ends in the link's
-    empty tail.  ``size`` counts the body bytes held; a body that takes it
-    past :data:`MEMO_BUDGET` empties the memo (a frame may carry 16 MiB, so
-    no entry count bounds it), and a larger one is never held.
+    A link frame names no sender and no id, and a sender splices the payload's
+    ``_wire_bin``: each hop or delivery through a node brings the same body again
+    (on a link whose ends it owns, one it framed).  A held body maps to ``(kind,
+    payload, meta items)`` (the bare notification if kind is interned and meta
+    empty), handed out unparsed, as the simulator shares one object, with a fresh
+    ``meta``.  Held only: what :func:`frame_message_binary` writes (sender None,
+    id 0, a flat meta).  ``known`` maps a held notification's fragment to it (one
+    object under every kind; unparsed before the link's empty tail).  ``size``
+    counts bodies and overheads: one past :data:`MEMO_BUDGET` empties the memo.
     """
 
     __slots__ = ("size", "reused", "known")
@@ -837,18 +838,21 @@ class NotificationMemo(dict):
         return None
 
     def hold(self, body: bytes, kind: str, payload: Any, meta: Any) -> Any:
-        """Hold the checked decode of a link body: the notification to hand out."""
-        if len(body) > MEMO_BUDGET or meta.__class__ is not dict:
+        """Hold a link body that carries a cached record: the payload to hand out."""
+        if meta.__class__ is not dict or meta and not _FLAT.issuperset(map(type, meta.values())):
             return payload
-        if any(value.__class__ not in _FLAT for value in meta.values()):
+        note = payload._wire_bin[0] == _B_NOTIFICATION
+        bare = note and not meta and body[2] == _B_SREF
+        cost = len(body) + _ENTRY if bare else len(body) + _ENTRY + _TUPLE + _ITEM * len(meta)
+        if cost > MEMO_BUDGET:
             return payload
-        self.size += len(body)
+        self.size += cost
         if self.size > MEMO_BUDGET:  # emptied, not evicted one by one
             self.clear()
             self.known.clear()
-            self.size = len(body)
-        payload = self.known.setdefault(payload._wire_bin, payload)
-        bare = body[2] == _B_SREF and not meta
+            self.size = cost
+        if note:
+            payload = self.known.setdefault(payload._wire_bin, payload)
         self[body] = payload if bare else (kind, payload, tuple(meta.items()))
         return payload
 

@@ -257,11 +257,6 @@ class IntervalBucketIndex:
             return (bucket.values(), self._wide.values())
         return (bucket.values(),)
 
-    def candidates(self, value: object) -> List[object]:
-        """Payloads of the members :meth:`stab` hands out for ``value``: every
-        range that contains it, and the rest of its bucket."""
-        return [member[2] for group in self.stab(value) for member in group]
-
 
 class _Shelf:
     """The entries one equality bucket holds — or, in :class:`AttributeIndex`,

@@ -9,6 +9,9 @@
   :func:`use_scan_advertising` — the scan specification of subscription
   control, the oracle the routing strategies' maintained forwarded-filter
   index must agree with, decision for decision.
+* :func:`interval_candidates` — what an interval index's stab hands out for
+  a value, the view its tests hold against a linear scan
+  (``tests/test_interval_index.py``).
 * :func:`run_line_workload` — the canonical transport-backend workload (a
   line of brokers, one progressively-narrower subscriber per broker, one
   publisher, delivery verification); shared by the ``repro demo line`` CLI
@@ -24,6 +27,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .broker import Broker
 from .filters import Filter
+from .matching import IntervalBucketIndex
 from .routing import (
     CoveringRouting,
     FloodingRouting,
@@ -130,6 +134,12 @@ def use_scan_advertising(net):
             raise ValueError(f"{broker.name}: the oracle must be installed before subscriptions")
         broker.strategy = scan_strategy(broker.routing_strategy_name, broker)
     return net
+
+
+def interval_candidates(index: IntervalBucketIndex, value: object) -> List[object]:
+    """Payloads of the members ``index.stab`` hands out for ``value``: every
+    range that contains it, and the rest of its bucket."""
+    return [member[2] for group in index.stab(value) for member in group]
 
 
 class RecordingBroker:

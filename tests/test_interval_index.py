@@ -29,6 +29,7 @@ from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, Inte
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
 from repro.pubsub.subscription import subscription
+from repro.pubsub.testing import interval_candidates
 
 from test_routing_index import assert_tables_agree, random_filter, random_notification
 
@@ -66,11 +67,11 @@ class TestIntervalBucketIndex:
         index.add("a", Range("x", 0, 10), "a")
         index.add("b", Range("x", 5, 20), "b")
         index.add("c", Range("x", 15, 30), "c")
-        assert {"a", "b"} <= set(index.candidates(7))
-        assert {"b", "c"} <= set(index.candidates(17))
+        assert {"a", "b"} <= set(interval_candidates(index, 7))
+        assert {"b", "c"} <= set(interval_candidates(index, 17))
         index.discard("b")
-        assert "b" not in index.candidates(7)
-        assert "a" in index.candidates(7)
+        assert "b" not in interval_candidates(index, 7)
+        assert "a" in interval_candidates(index, 7)
         assert len(index) == 2
 
     def test_exact_after_splits(self):
@@ -79,27 +80,27 @@ class TestIntervalBucketIndex:
         for i in range(300):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
         # candidate sets are localized: a probe yields far fewer than n entries
-        assert len(index.candidates(451)) <= 2 * IntervalBucketIndex.MAX_BUCKET
+        assert len(interval_candidates(index, 451)) <= 2 * IntervalBucketIndex.MAX_BUCKET
         assert index.repairs > 0
-        assert "n150" in index.candidates(451)
+        assert "n150" in interval_candidates(index, 451)
         # more than one bucket's worth of ranges away
-        assert "n150" not in index.candidates(600)
+        assert "n150" not in interval_candidates(index, 600)
 
     def test_infinite_bounds(self):
         index = IntervalBucketIndex()
         index.add("lo", Range("x", high=5), "lo")  # (-inf, 5]
         index.add("hi", Range("x", low=5), "hi")  # [5, inf)
         index.add("all", Range("x"), "all")  # (-inf, inf)
-        assert {"all", "lo"} <= set(index.candidates(-1e18))
-        assert {"all", "hi"} <= set(index.candidates(1e18))
-        assert {"all", "hi", "lo"} <= set(index.candidates(5))
-        assert {"all", "hi"} <= set(index.candidates(math.inf))
-        assert {"all", "lo"} <= set(index.candidates(-math.inf))
+        assert {"all", "lo"} <= set(interval_candidates(index, -1e18))
+        assert {"all", "hi"} <= set(interval_candidates(index, 1e18))
+        assert {"all", "hi", "lo"} <= set(interval_candidates(index, 5))
+        assert {"all", "hi"} <= set(interval_candidates(index, math.inf))
+        assert {"all", "lo"} <= set(interval_candidates(index, -math.inf))
 
     def test_nan_query_matches_nothing(self):
         index = IntervalBucketIndex()
         index.add("a", Range("x", 0, 10), "a")
-        assert index.candidates(math.nan) == []
+        assert interval_candidates(index, math.nan) == []
 
     def test_nan_bounds_rejected_at_construction(self):
         with pytest.raises(ValueError, match="NaN"):
@@ -110,9 +111,9 @@ class TestIntervalBucketIndex:
     def test_non_numeric_queries(self):
         index = IntervalBucketIndex()
         index.add("a", Range("x", 0, 10), "a")
-        assert index.candidates("5") == []
-        assert index.candidates(None) == []
-        assert index.candidates(True) == ["a"]  # a bool stabs as its int
+        assert interval_candidates(index, "5") == []
+        assert interval_candidates(index, None) == []
+        assert interval_candidates(index, True) == ["a"]  # a bool stabs as its int
 
     def test_duplicate_boundaries(self):
         """Many ranges sharing boundary points: still exact, each yielded once."""
@@ -121,9 +122,9 @@ class TestIntervalBucketIndex:
             index.add(f"p{i}", Range("x", 5, 5), f"p{i}")  # identical points
         for i in range(20):
             index.add(f"r{i}", Range("x", 5, 10), f"r{i}")
-        got = index.candidates(5)
+        got = interval_candidates(index, 5)
         assert len(got) == len(set(got)) == 120
-        assert sorted(index.candidates(7)) == sorted(f"r{i}" for i in range(20))
+        assert sorted(interval_candidates(index, 7)) == sorted(f"r{i}" for i in range(20))
 
     def test_unsplittable_bucket_backs_off(self):
         """All-identical point intervals cannot be separated: no repair loop."""
@@ -133,8 +134,8 @@ class TestIntervalBucketIndex:
         # at most one degenerate split (at the shared point); every later
         # attempt finds no interior bound, refuses and backs off
         assert index.repairs <= 1
-        assert len(index.candidates(1)) == 8 * IntervalBucketIndex.MAX_BUCKET
-        assert index.candidates(2) == []
+        assert len(interval_candidates(index, 1)) == 8 * IntervalBucketIndex.MAX_BUCKET
+        assert interval_candidates(index, 2) == []
 
     def test_wide_entries_fall_back_to_scan(self):
         """Entries spanning > MAX_SPAN buckets join the always-scanned wide set."""
@@ -144,15 +145,15 @@ class TestIntervalBucketIndex:
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
         for i in range(200):
-            index.candidates(3 * i + 1)
+            interval_candidates(index, 3 * i + 1)
         assert index.repairs > 0
         assert len(index._cuts) > IntervalBucketIndex.MAX_SPAN
         index.add("wide", Range("x", 0, 600), "wide")
         assert "wide" in index._wide
         for probe in (1, 299, 599):
-            assert "wide" in index.candidates(probe)
+            assert "wide" in interval_candidates(index, probe)
         index.discard("wide")
-        assert "wide" not in index.candidates(299)
+        assert "wide" not in interval_candidates(index, 299)
 
     def test_repair_counter_wired(self):
         from repro.obs.metrics import MetricsRegistry
@@ -161,7 +162,7 @@ class TestIntervalBucketIndex:
         index = IntervalBucketIndex(repair_counter=registry.counter("index.repair"))
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
-        index.candidates(301)
+        interval_candidates(index, 301)
         assert index.repairs > 0
         assert registry.counter("index.repair").value == index.repairs
 
@@ -169,7 +170,7 @@ class TestIntervalBucketIndex:
         index = IntervalBucketIndex()
         for i in range(200):
             index.add(f"n{i}", Range("x", 3 * i, 3 * i + 2), f"n{i}")
-        index.candidates(301)
+        interval_candidates(index, 301)
         assert len(index._cuts) > 0
         for i in range(200):
             index.discard(f"n{i}")
@@ -194,11 +195,11 @@ class TestIntervalBucketIndex:
         index = IntervalBucketIndex()
         for i in range(count):
             index.add(f"n{i}", Range("x", 10 * i, 10 * i + 5), f"n{i}")
-        index.candidates(0)
+        interval_candidates(index, 0)
         assert index.repairs == 1
         assert all(len(bucket) <= IntervalBucketIndex.MAX_BUCKET for bucket in index._buckets)
         for i in range(count):
-            assert f"n{i}" in index.candidates(10 * i + 2)
+            assert f"n{i}" in interval_candidates(index, 10 * i + 2)
         assert index.repairs == 1
 
     @pytest.mark.parametrize("seed", range(3))
@@ -217,7 +218,7 @@ class TestIntervalBucketIndex:
             index.add(f"e{i}", Range("x", low, low + width), f"e{i}")
         for _ in range(60):
             value = rng.choice([rng.uniform(-10, 1050), 500.0])
-            index.candidates(value)
+            interval_candidates(index, value)
             i = bisect.bisect_left(index._cuts, value)
             bucket = index._buckets[i]
             bucket_lo = index._cuts[i - 1] if i > 0 else -math.inf
@@ -251,7 +252,7 @@ class TestIntervalBucketIndex:
                 del live[entry_id]
             else:
                 value = rng.uniform(-120, 120)
-                got = sorted(index.candidates(value))
+                got = sorted(interval_candidates(index, value))
                 assert len(got) == len(set(got))  # no duplicate yields
                 # candidates is a superset; it must contain every true hit,
                 # and nothing discarded (the caller would evaluate it)

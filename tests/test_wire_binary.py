@@ -49,8 +49,10 @@ import repro.net.wire as wire
 from repro.cli import main
 from repro.config import SystemConfig
 from repro.core.location_filter import LocationDependentFilter
+from repro.core.replicator import ClientHello
+from repro.mobility.handover_workload import WorkloadSpec, run_handover_workload
 from repro.net.process import Message, Process
-from repro.net.transport import AsyncioTransport
+from repro.net.transport import AsyncioTransport, _AsyncioDirectedEndpoint
 from repro.obs.metrics import Counter
 from repro.net.wire import (
     BINARY_CODEC,
@@ -331,6 +333,33 @@ def _link_body(message):
     return frame_message_binary(message)[4:]
 
 
+def _held_cost(memo):
+    """``memo.size`` recounted: each body, its entry's overhead, and a tuple
+    entry's own and per meta item."""
+    total = 0
+    for body, held in memo.items():
+        total += len(body) + wire._ENTRY
+        if type(held) is tuple:
+            total += wire._TUPLE + wire._ITEM * len(held[2])
+    return total
+
+
+def _own_bytes(body, held):
+    """What one memo entry holds of its own, by ``sys.getsizeof``: the body and,
+    for a tuple entry, the tuple, its meta items and their pairs (the payload
+    is the sender's or the receiver's, not the memo's)."""
+    size = sys.getsizeof(body)
+    if type(held) is tuple:
+        size += sys.getsizeof(held) + sys.getsizeof(held[2]) + sum(map(sys.getsizeof, held[2]))
+    return size
+
+
+def _footprint(memo):
+    """The memo's own bytes: its two tables and every entry's (``_own_bytes``)."""
+    entries = sum(_own_bytes(body, held) for body, held in memo.items())
+    return sys.getsizeof(memo) + sys.getsizeof(memo.known) + entries
+
+
 def _fingerprint(message):
     """A decoded message as bytes: its JSON walks every decoded value (NaN
     included, which ``==`` would refuse), and the fragment it primed."""
@@ -412,7 +441,7 @@ class TestNotificationMemo:
             else:
                 assert all(got.payload is not known for known in objects.values())
         assert memo.keys() == bodies and memo.known.keys() == objects.keys()
-        assert memo.size == sum(map(len, memo))
+        assert memo.size == _held_cost(memo)
 
     def test_one_notification_is_one_object_whatever_kind_or_meta_it_comes_under(self):
         memo = _memo()
@@ -490,7 +519,7 @@ class TestNotificationMemo:
         held = []
         for i in range(7):  # a little over a quarter of the budget each
             decode_message_binary(self._padded(wire.MEMO_BUDGET // 4, i), memo)
-            assert memo.size == sum(map(len, memo)) <= wire.MEMO_BUDGET
+            assert memo.size == _held_cost(memo) <= wire.MEMO_BUDGET
             held.append(len(memo))
         assert held == [1, 2, 3, 1, 2, 3, 1], "emptied by the body that would exceed it"
 
@@ -514,6 +543,33 @@ class TestNotificationMemo:
         again = decode_message_binary(body, memo).payload
         assert again == first and again is not first
 
+    def test_the_held_footprint_stays_within_the_budget(self):
+        # what a link carries most: fresh publishes, replayed notifies (a
+        # tuple entry with its meta) and subscriptions, held as they are
+        # framed, past the budget; the footprint is read at every step, so
+        # also just after each table grows and just before the memo empties
+        memo, own, emptied = _memo(), 0, 0
+        for i in range(25_000):
+            notification = Notification({"topic": "t", "value": i, "pad": "x" * (i % 64)})
+            if i % 3 == 0:
+                message = _notify(notification)
+            elif i % 3 == 1:
+                message = Message("notify", notification, meta={"replayed": True})
+            else:
+                filter = Filter([Equals("topic", "t"), Range("value", 0, i)])
+                message = Message("subscribe", Subscription(f"s{i}", filter, "c"))
+            body = _link_body(message)
+            before = len(memo)
+            memo.hold(body, message.kind, message.payload, message.meta)
+            if len(memo) < before:
+                emptied += 1
+                own = sum(_own_bytes(key, held) for key, held in memo.items())
+            else:
+                own += _own_bytes(body, memo[body])
+            footprint = sys.getsizeof(memo) + sys.getsizeof(memo.known) + own
+            assert footprint <= wire.MEMO_BUDGET and memo.size <= wire.MEMO_BUDGET
+        assert emptied >= 2 and footprint == _footprint(memo)
+
     @pytest.mark.parametrize("backend", ["sim", "asyncio"])
     def test_three_clients_on_one_node_get_one_object(self, backend):
         # the simulator hands every subscriber the object the broker routed;
@@ -536,10 +592,12 @@ class TestNotificationMemo:
             assert first is second is third
         assert len(delivered[0]) == 2 and delivered[0][0] is not delivered[0][1]
         if backend == "asyncio":
-            # per notification one parse, of the publish body at B1: B2 and
-            # B3 read that body again, c1 its notification under "notify",
-            # and c2 and c3 that body again
-            assert counters["transport.notifications_reused"] == 2 * (2 + 1 + 2)
+            # the node frames every body it reads, so it parses none: nine
+            # subscribe frames (c1..c3 to their brokers, then each filter on
+            # down the line both ways: 2 + 2 + 2) and, per notification, six
+            # frames (pub to B1, B1 to B2, B2 to B3, and a notify to each client)
+            reused = counters["transport.notifications_reused"]
+            assert reused == counters["transport.frames_sent"] == 9 + 2 * 6
 
 
 # ------------------------------------------------------------- declared once
@@ -623,8 +681,10 @@ _LONG_STRS = st.sampled_from(["x" * 255, "é" * 128, "y" * 300])
 def _envelopes(draw):
     """A message of every envelope shape the fast paths take or fall back from."""
     kind = draw(st.one_of(st.sampled_from(wire.STRING_TABLE), st.sampled_from(["x", "kind-é"])))
-    payload = draw(st.sampled_from(["notification", "subclass", "dict", "none"]))
-    if payload in ("notification", "subclass"):
+    payload = draw(st.sampled_from(["notification", "subclass", "subscription", "dict", "none"]))
+    if payload == "subscription":
+        payload = Subscription(draw(st.sampled_from(["s1", "s2"])), Filter([Equals("t", 1)]), "c")
+    elif payload in ("notification", "subclass"):
         cls = Notification if payload == "notification" else _NotificationSubclass
         payload = cls(
             {"topic": "t", "seq": draw(st.sampled_from(_EDGE_INTS))},
@@ -1335,3 +1395,120 @@ class TestBatchedFrameBoundary:
         assert len(endpoint._buffer) == 0 and endpoint not in transport._dirty
         transport.run_until_idle()
         assert [m.payload for m in b.received] == ["a" * 32, "b" * 32]
+
+
+# ------------------------------------------------------------ held at send
+
+#: the payload types a node holds as it frames them: immutable records
+_HELD_AT_SEND = (Notification, Subscription)
+
+
+class _Received(Recorder):
+    """A recorder that notes, with each message, how many parses the node skipped."""
+
+    def __init__(self, sim, name, memo):
+        super().__init__(sim, name)
+        self.memo = memo
+        self.reused = []
+
+    def on_message(self, message):
+        super().on_message(message)
+        self.reused.append(self.memo.reused.value)
+
+
+class TestHeldAtSend:
+    """A node that owns both ends of a link holds each body carrying an
+    immutable record as it frames it, so the reading end parses none; a
+    mutable payload is parsed, a fresh object for each receiver.  Either way
+    a receiver is handed what the memo-free decode of the body reads."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(messages=st.lists(_envelopes(), min_size=1, max_size=6))
+    def test_a_link_hands_over_what_the_memo_free_decode_reads(self, messages):
+        transport = AsyncioTransport()
+        try:
+            a = Recorder(transport.clock, "a")
+            b = _Received(transport.clock, "b", transport._memo)
+            transport.make_link(a, b, latency=0.0)
+            bodies, kept, first = [], [], {}  # first: what the first hold of a key kept
+            for message in messages:
+                payload = message.payload
+                a.send("b", message)
+                bodies.append(message._frame_bin[4:])
+                if type(payload) in _HELD_AT_SEND and type(message.meta) is dict:
+                    # a notification is one object per fragment, whatever the body
+                    key = payload._wire_bin if type(payload) is Notification else bodies[-1]
+                    kept.append(first.setdefault(key, payload))
+                else:
+                    kept.append(None)
+            transport.run_until_idle()
+        finally:
+            transport.close()
+        assert len(b.received) == len(messages)
+        reused = [0, *b.reused]
+        for i, (sent, got, body) in enumerate(zip(messages, b.received, bodies)):
+            assert got.sender == "a"
+            got.sender, got.msg_id = None, 0  # the link names the sender and draws the id
+            want = decode_message_binary(body)
+            assert _shape(got) == _shape(want) and encode_message(got) == encode_message(want)
+            if kept[i] is not None:
+                assert got.payload is kept[i] and reused[i + 1] == reused[i] + 1, "unparsed"
+            elif sent.payload is not None:
+                assert got.payload is not sent.payload
+
+    def test_a_mutable_payload_arrives_as_a_fresh_object(self):
+        hello = ClientHello("d1", location="l1", plain_filters={"p": Filter([Equals("t", 1)])})
+        sent = [{"sub_id": "s9", "n": 1}, hello, hello]
+        transport = AsyncioTransport()
+        try:
+            a, b = Recorder(transport.clock, "a"), Recorder(transport.clock, "b")
+            transport.make_link(a, b, latency=0.0)
+            for payload in sent:
+                a.send("b", Message("client_hello", payload))
+            transport.run_until_idle()
+            memo = transport._memo
+        finally:
+            transport.close()
+        got = [message.payload for message in b.received]
+        assert got == sent and all(g is not s for g, s in zip(got, sent))
+        assert got[1] is not got[2]
+        assert len(memo) == len(memo.known) == memo.reused.value == 0
+
+    def test_a_handover_run_reads_what_the_memo_free_decode_reads(self, monkeypatch):
+        decode = wire.decode_message_binary
+        answered = mismatched = 0
+
+        def checking_decode(body, memo):
+            nonlocal answered, mismatched
+            reused = memo.reused.value
+            got = decode(body, memo)
+            if memo.reused.value > reused:  # the memo answered: compare with a parse
+                want = decode(body)
+                answered += 1
+                mismatched += _shape(got) != _shape(want)
+                mismatched += encode_message(got) != encode_message(want)
+            return got
+
+        monkeypatch.setattr(wire, "decode_message_binary", checking_decode)
+        for i in range(10):
+            run_handover_workload("asyncio", spec=WorkloadSpec.draw(i))
+        assert answered > 0 and mismatched == 0
+
+    def test_a_handover_run_parses_no_notification_or_subscription(self, monkeypatch):
+        carried, counters = [], {}
+        receive, close = _AsyncioDirectedEndpoint.receive, AsyncioTransport.close
+
+        def counting_receive(self, message):
+            carried.append(type(message.payload) in _HELD_AT_SEND)
+            receive(self, message)
+
+        def reading_close(self):
+            counters.update(self.metrics_snapshot()["transport"]["counters"])
+            close(self)
+
+        monkeypatch.setattr(_AsyncioDirectedEndpoint, "receive", counting_receive)
+        monkeypatch.setattr(AsyncioTransport, "close", reading_close)
+        result = run_handover_workload("asyncio", spec=WorkloadSpec.draw(0))
+        assert result.handovers > 0 and not all(carried), "mutable payloads ran too"
+        assert counters["transport.frames_sent"] == len(carried)
+        assert counters["transport.notifications_reused"] == sum(carried)
