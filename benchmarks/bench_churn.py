@@ -7,18 +7,20 @@ own acceptance bar fails, independent of ``compare.py``):
   Range-heavy subscriptions over a handful of links, then rounds of one
   retire+admit churn pair followed by hot-shape ``destinations()`` queries,
   so every query is the first one after a mutation — the normal case in a
-  mobile fabric.  The ``"indexed"`` matcher's incrementally repaired
+  mobile fabric.  The product table's incrementally repaired
   :class:`~repro.pubsub.matching.IntervalBucketIndex` absorbs each churn
-  pair with two bisects and answers from one bucket; ``"brute"`` evaluates
-  every entry.  The gated statistic is ``speedup`` (indexed queries/s over
+  pair with two bisects and answers from one bucket; the brute-force oracle
+  (:class:`~repro.pubsub.testing.BruteRoutingTable`) keeps no index and
+  evaluates every entry.  The gated statistic is ``speedup`` (indexed queries/s over
   brute queries/s, best of the interleaved repeats); the run *fails* below
   ``--speedup-floor`` (default 3.0).  An untimed verification pass replays
   the same churn against a lockstep brute-force oracle:
   ``oracle_mismatch_count`` (every query compared) is an exact-gated zero.
 * ``churn_backends`` — the same Range-heavy churn shape end-to-end: a
-  3-broker line per backend with ``matcher="indexed"``, publishes
+  3-broker line per backend with the product's tables, publishes
   interleaved with between-phase subscription swaps, delivered notification
-  ids per subscriber compared against a sim run with ``matcher="brute"``.
+  ids per subscriber compared against a sim run on the brute-force oracle
+  (:func:`~repro.pubsub.testing.use_brute_matching`).
   ``delivered_count`` and ``oracle_divergence_count`` are exact-gated; the
   cluster backend joins on the full sweep.
 
@@ -45,6 +47,7 @@ from repro.pubsub.broker_network import line_topology  # noqa: E402
 from repro.pubsub.filters import Filter, Range  # noqa: E402
 from repro.pubsub.notification import Notification  # noqa: E402
 from repro.pubsub.routing_table import RoutingTable  # noqa: E402
+from repro.pubsub.testing import BruteRoutingTable, use_brute_matching  # noqa: E402
 
 SUBSCRIPTIONS = 1000
 LINKS = 4
@@ -59,8 +62,12 @@ def _random_filter(rng: random.Random) -> Filter:
     return Filter([Range("value", low, low + rng.uniform(1, 120))])
 
 
+#: the product table and its brute-force oracle, by name
+TABLES = {"brute": BruteRoutingTable, "indexed": RoutingTable}
+
+
 def _build_table(matcher: str, rng: random.Random) -> tuple:
-    table = RoutingTable(matcher=matcher)
+    table = TABLES[matcher]()
     subs = []
     for i in range(SUBSCRIPTIONS):
         sub_id = f"s{i}"
@@ -173,8 +180,10 @@ def _run_backend_workload(backend: str, matcher: str, phases: int, per_phase: in
     ids per subscriber are an exact cross-backend/cross-matcher invariant.
     """
     rng = random.Random(seed)
-    net = line_topology(n_brokers=3, config=SystemConfig(matcher=matcher, transport=backend))
+    net = line_topology(n_brokers=3, config=SystemConfig(transport=backend))
     try:
+        if matcher == "brute":
+            use_brute_matching(net)
         subscribers = []
         serial = 0
         for broker_name in net.broker_names():

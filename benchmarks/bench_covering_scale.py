@@ -17,7 +17,8 @@ Three sweeps:
   of the parent commit, on the same machine — so the committed record holds
   the before and the after.
 * **range-table** — ``RoutingTable.destinations`` on a Range-dominated
-  workload (the paper's location/zone band filters), brute vs indexed, which
+  workload (the paper's location/zone band filters), the brute-force oracle
+  (``repro.pubsub.testing.BruteRoutingTable``) vs the indexed table, which
   exercises the per-attribute Range buckets (``IntervalBucketIndex``).
 
 Emits ``BENCH_covering.json`` (see ``--output``), consumable by
@@ -52,6 +53,7 @@ from repro.pubsub.notification import Notification  # noqa: E402
 from repro.pubsub.routing import make_strategy  # noqa: E402
 from repro.pubsub.routing_table import RoutingTable  # noqa: E402
 from repro.pubsub.subscription import Subscription  # noqa: E402
+from repro.pubsub.testing import BruteRoutingTable  # noqa: E402
 from repro.pubsub.testing import RecordingBroker as FakeBroker  # noqa: E402
 from repro.pubsub.testing import scan_strategy  # noqa: E402
 from repro.pubsub.testing import normalize_merged_ids as normalized  # noqa: E402
@@ -172,8 +174,8 @@ def bench_range_table(links: int, subscriptions: int, notifications: int, seed: 
     ]
     metrics = {}
     reference = None
-    for matcher in ("brute", "indexed"):
-        table = RoutingTable(matcher=matcher)
+    for matcher, make_table in (("brute", BruteRoutingTable), ("indexed", RoutingTable)):
+        table = make_table()
         for filter, link, sub_id in filters:
             table.add(filter, link, sub_id)
         # the first query after the build batch is reported apart from the

@@ -10,9 +10,10 @@ import random
 from repro.net.simulator import Simulator
 from repro.pubsub.broker_network import line_topology
 from repro.pubsub.filters import Equals, Filter, InSet, Range
-from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher
+from repro.pubsub.matching import AttributeIndexMatcher
 from repro.pubsub.notification import Notification
 from repro.pubsub.subscription import subscription
+from repro.pubsub.testing import BruteForceMatcher
 
 SERVICES = ["temperature", "stock", "news", "weather", "traffic"]
 

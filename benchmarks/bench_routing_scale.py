@@ -1,8 +1,10 @@
 """Routing fast-path scaling benchmark: brute-force vs indexed matching.
 
 Sweeps broker-network size x subscription count x filter selectivity and
-measures the notification forwarding hot path under both routing-table
-matchers.  Two sweeps are produced:
+measures the notification forwarding hot path on the product's indexed
+routing table and on the brute-force oracle
+(:class:`repro.pubsub.testing.BruteRoutingTable`, every entry evaluated).
+Two sweeps are produced:
 
 * **table** — a single routing table queried directly (pure matching cost,
   no simulator); the headline speedup number comes from here.
@@ -29,11 +31,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.config import SystemConfig  # noqa: E402
 from repro.pubsub.broker_network import random_tree_topology  # noqa: E402
 from repro.pubsub.filters import Equals, Filter, InSet, Range  # noqa: E402
 from repro.pubsub.notification import Notification  # noqa: E402
 from repro.pubsub.routing_table import RoutingTable  # noqa: E402
+from repro.pubsub.testing import BruteRoutingTable, use_brute_matching  # noqa: E402
 
 N_SERVICES = 50
 #: interleaved brute/indexed timing rounds per table row; the minimum is reported
@@ -77,8 +79,8 @@ def bench_table(links: int, subscriptions: int, selectivity: float, notification
     payloads = [make_notification(rng) for _ in range(notifications)]
 
     tables = {}
-    for matcher in ("brute", "indexed"):
-        table = tables[matcher] = RoutingTable(matcher=matcher)
+    for matcher, make_table in (("brute", BruteRoutingTable), ("indexed", RoutingTable)):
+        table = tables[matcher] = make_table()
         for f, link, sub_id in filters:
             table.add(f, link, sub_id)
     # one pass is a few milliseconds: the minimum of interleaved rounds times
@@ -113,7 +115,9 @@ def bench_table(links: int, subscriptions: int, selectivity: float, notification
 def run_network(matcher: str, brokers: int, subscriptions: int, selectivity: float,
                 publications: int, seed: int = 0):
     rng = random.Random(seed)
-    network = random_tree_topology(brokers, seed=seed, config=SystemConfig(matcher=matcher))
+    network = random_tree_topology(brokers, seed=seed)
+    if matcher == "brute":
+        use_brute_matching(network)
     sim = network.sim
     names = network.broker_names()
     subscribers = []

@@ -57,7 +57,7 @@ def _add_fabric_arguments(parser: argparse.ArgumentParser) -> None:
         action="append",
         default=[],
         help="override any SystemConfig field (repeatable), e.g. "
-        "--set matcher=brute --set metrics=off",
+        "--set metrics=off",
     )
 
 

@@ -1,22 +1,23 @@
 """Unified system configuration for the pub/sub middleware.
 
 :class:`SystemConfig` is the one object that names what a deployment of
-the broker fabric chooses — matcher strategy, transport backend and the
-live-metrics switch.  It is the only way to choose them:
+the broker fabric chooses — the transport backend and the live-metrics
+switch.  It is the only way to choose them:
 :class:`~repro.pubsub.broker_network.BrokerNetwork`, the topology
 builders, the workloads and every CLI demo take one ``config=`` and no
-loose ``matcher=/transport=`` kwargs.  What no deployment chooses is a
-constant of the class that uses it (the socket write-batching threshold,
-the size of the duplicate-suppression memory), and the scan specification
-of subscription control is a test oracle (:mod:`repro.pubsub.testing`).
-Sockets speak one wire, the binary codec: ``codec`` has the one value
-``"binary"`` and stays a field only because the benchmark ledger
-(``benchmarks/budget``) names it.
+loose ``transport=`` kwarg.  What no deployment chooses is a constant of
+the class that uses it (the socket write-batching threshold), and the
+oracles — the scan specification of subscription control, the routing
+table that evaluates every entry — are test doubles
+(:mod:`repro.pubsub.testing`).  Sockets speak one wire, the binary codec:
+``codec`` has the one value ``"binary"`` and stays a field only because
+the benchmark ledger (``benchmarks/budget``) names it; for the same reason
+the class keeps the constant ``matcher = "indexed"``, the one matcher.
 
 The dataclass is frozen and validated at construction: an unknown name
 fails *immediately* with the allowed set in the message, instead of
-surfacing deep inside broker construction (a silent-typo hole
-``matcher="indxed"`` once fell through).  It is read once, when its
+surfacing deep inside broker construction (a typo such as
+``transport="asyncoi"``).  It is read once, when its
 transport is built (``make_transport``): the transport keeps it as
 ``system_config``, its own metrics registry follows ``metrics`` and every
 broker it builds takes its knobs from it; a running broker keeps them.
@@ -28,15 +29,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, Mapping
+from typing import Any, ClassVar, Dict, Iterable, Mapping
 
 from repro.net.transport import TRANSPORT_NAMES
-from repro.pubsub.routing_table import MATCHER_NAMES
 
 __all__ = ["SystemConfig"]
 
 _NAME_SETS = {
-    "matcher": MATCHER_NAMES,
     "transport": TRANSPORT_NAMES,
     # the one wire every socket speaks (JSON is a reference codec, no choice)
     "codec": ("binary",),
@@ -53,15 +52,17 @@ def _check_name(field: str, value: str) -> None:
 class SystemConfig:
     """Every deployment choice of the fabric, validated once, passed everywhere.
 
-    >>> SystemConfig(matcher="brute", transport="asyncio").to_dict()["matcher"]
-    'brute'
-    >>> SystemConfig(matcher="indxed")
+    >>> SystemConfig(transport="asyncio").to_dict()
+    {'transport': 'asyncio', 'codec': 'binary', 'metrics': True}
+    >>> SystemConfig(transport="asyncoi")
     Traceback (most recent call last):
         ...
-    ValueError: unknown matcher 'indxed'; allowed: brute, indexed
+    ValueError: unknown transport 'asyncoi'; allowed: sim, asyncio, cluster
     """
 
-    matcher: str = "indexed"
+    #: not a field: the one matcher, kept only because the benchmark ledger
+    #: reads ``SystemConfig().matcher``
+    matcher: ClassVar[str] = "indexed"
     transport: str = "sim"
     codec: str = "binary"
     metrics: bool = True
@@ -125,10 +126,7 @@ class SystemConfig:
 
     def describe(self) -> str:
         """One-line human summary (used by ``repro info`` style output)."""
-        return (
-            f"transport={self.transport} matcher={self.matcher} "
-            f"metrics={'on' if self.metrics else 'off'}"
-        )
+        return f"transport={self.transport} metrics={'on' if self.metrics else 'off'}"
 
 
 def _coerce(key: str, raw: str) -> Any:

@@ -45,7 +45,7 @@ WIRELESS_LATENCY = 0.002
 class MobilitySystemConfig:
     """What a deployment chooses for the mobility layer of a :class:`MobilePubSub`.
 
-    The broker fabric underneath (routing, matcher, transport, metrics)
+    The broker fabric underneath (routing, transport, metrics)
     is configured once, on the
     :class:`~repro.pubsub.broker_network.BrokerNetwork` the deployment
     rides on (``network.config``); this object holds only what the

@@ -157,7 +157,7 @@ def run_handover_workload(
     delivered multisets backend-invariant for *any* member of the family.
 
     ``config`` is the :class:`~repro.config.SystemConfig` carrying the
-    fabric knobs (matcher, metrics; the defaults when omitted); its
+    fabric knobs (metrics; the defaults when omitted); its
     ``transport`` field is overridden by ``backend``.
     """
     brokers, publishes_per_phase = spec.brokers, spec.publishes_per_phase

@@ -205,7 +205,6 @@ class _BrokerNode(SocketNode):
             self._clock,
             self.name,
             routing=spec.get("routing", "simple"),
-            matcher=config.matcher,
             metrics=self.metrics,
         )
         self.stopping = False

@@ -244,8 +244,8 @@ class Transport(ABC):
         running on this transport's clock; the multi-process cluster backend
         overrides this to return a :class:`~repro.net.cluster.RemoteBroker`
         proxy whose actual broker lives in a spawned child process.  The
-        broker's ``matcher`` and ``metrics`` come from :attr:`system_config`,
-        read once, here.
+        broker's ``metrics`` switch comes from :attr:`system_config`, read
+        once, here.
         """
         from ..pubsub.broker import Broker  # lazy: net/ stays importable alone
 
@@ -254,7 +254,6 @@ class Transport(ABC):
             self.clock,
             name,
             routing=routing,
-            matcher=config.matcher,
             metrics=MetricsRegistry(enabled=config.metrics),
         )
         self.brokers[name] = broker

@@ -48,11 +48,6 @@ class Broker(Process):
         Name of the routing strategy (``"flooding"``, ``"simple"``,
         ``"identity"``, ``"covering"``, ``"merging"``).  The paper assumes
         simple routing throughout, which is the default here.
-    matcher:
-        Routing-table matching strategy: ``"indexed"`` (default; one
-        attribute index over the whole table pre-selects candidate entries)
-        or ``"brute"`` (evaluate every entry).  Both produce identical
-        forwarding decisions.
     metrics:
         The live :class:`~repro.obs.metrics.MetricsRegistry` this broker
         reports into (one is created when omitted).  Pass a registry
@@ -65,12 +60,11 @@ class Broker(Process):
         sim: "Simulator | object",
         name: str,
         routing: str = "simple",
-        matcher: str = "indexed",
         metrics: Optional[MetricsRegistry] = None,
     ):
         super().__init__(sim, name)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.routing_table = RoutingTable(matcher=matcher, metrics=self.metrics)
+        self.routing_table = RoutingTable(metrics=self.metrics)
         self._delivery_age = self.metrics.histogram("broker.delivery_age", DEFAULT_LATENCY_BOUNDS)
         self.routing_strategy_name = routing
         self.strategy: RoutingStrategy = make_strategy(routing, self, metrics=self.metrics)
@@ -83,12 +77,6 @@ class Broker(Process):
         self.unsubscriptions_handled = 0
         self.resyncs_received = 0
         self.resync_forwards_sent = 0
-
-    # ------------------------------------------------------------------ matcher
-    @property
-    def matcher(self) -> str:
-        """The routing-table matching strategy ("brute" or "indexed")."""
-        return self.routing_table.matcher
 
     # ------------------------------------------------------------------ wiring
     def register_broker_peer(self, peer_name: str) -> None:

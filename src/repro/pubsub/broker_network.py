@@ -34,8 +34,8 @@ class BrokerNetwork:
 
     The substrate and every fabric knob come from one
     :class:`~repro.config.SystemConfig` passed as ``config=`` (the defaults
-    when omitted): transport backend, matcher and the metrics switch.  A
-    typo like ``SystemConfig(matcher="indxed")`` fails when the config is
+    when omitted): the transport backend and the metrics switch.  A typo
+    like ``SystemConfig(transport="asyncoi")`` fails when the config is
     built, with the allowed names in the message.
 
     The transport backends: ``"sim"`` (default) is the deterministic

@@ -137,9 +137,6 @@ class Client(Process):
 
     # ------------------------------------------------------------------ stats
 
-    def received_ids(self) -> List[int]:
-        return [delivery.notification.notification_id for delivery in self.deliveries]
-
     def duplicate_deliveries(self) -> int:
         """Number of deliveries beyond the first for any notification id."""
         seen: Dict[int, int] = {}

@@ -5,14 +5,11 @@ at border brokers — against the subscriptions of locally attached clients.
 The engine below keeps matching independent from routing so it can be unit
 tested and benchmarked in isolation (experiment E1/E12 use it directly).
 
-Two strategies are provided:
-
-* :class:`BruteForceMatcher` — evaluates every registered filter; the
-  baseline, always correct.
-* :class:`AttributeIndexMatcher` — a pre-selection index in the style of the
-  "counting / pre-filtering" family of algorithms referenced by the paper
-  via [16]: only the candidates :class:`AttributeIndex` selects are fully
-  evaluated, so results are identical to brute force.
+:class:`AttributeIndexMatcher` is a pre-selection index in the style of the
+"counting / pre-filtering" family of algorithms referenced by the paper via
+[16]: only the candidates :class:`AttributeIndex` selects are fully
+evaluated, so results are identical to evaluating every filter (the test
+oracle that does is in :mod:`repro.pubsub.testing`).
 
 :class:`AttributeIndex` is the system's one attribute index: the matcher
 holds one over its subscriptions, the routing table
@@ -42,7 +39,7 @@ from bisect import bisect_left
 from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .filters import Equals, Filter, InSet, Range
-from .notification import Notification, attribute_dict
+from .notification import attribute_dict
 from .subscription import Subscription
 
 #: ``(low, high, payload)``: one range-index entry with its closed bounds
@@ -406,58 +403,24 @@ class AttributeIndex:
         return groups
 
 
-class BruteForceMatcher:
-    """Evaluate every registered subscription on every notification."""
-
-    def __init__(self) -> None:
-        self._subscriptions: Dict[str, Subscription] = {}
-
-    def add(self, subscription: Subscription) -> None:
-        self._subscriptions[subscription.sub_id] = subscription
-
-    def remove(self, sub_id: str) -> Optional[Subscription]:
-        return self._subscriptions.pop(sub_id, None)
-
-    def clear(self) -> None:
-        self._subscriptions.clear()
-
-    def __len__(self) -> int:
-        return len(self._subscriptions)
-
-    def __contains__(self, sub_id: str) -> bool:
-        return sub_id in self._subscriptions
-
-    @property
-    def subscriptions(self) -> List[Subscription]:
-        return list(self._subscriptions.values())
-
-    def match(self, notification: Mapping) -> List[Subscription]:
-        """Return all subscriptions whose filter matches ``notification``."""
-        return [sub for sub in self._subscriptions.values() if sub.filter.matches(notification)]
-
-    def matching_ids(self, notification: Mapping) -> Set[str]:
-        return {sub.sub_id for sub in self.match(notification)}
-
-
 class AttributeIndexMatcher:
     """Pre-select candidate subscriptions through one :class:`AttributeIndex`.
 
     At match time only the subscriptions the index selects for the
     notification's own attribute/value pairs (equality buckets, range
     buckets, plus all unindexable subscriptions) are evaluated in full, which
-    keeps the result identical to brute force while skipping most
+    keeps the result identical to evaluating every filter while skipping most
     non-matching filters on selective workloads.
     """
 
     def __init__(self) -> None:
         self._subscriptions: Dict[str, Subscription] = {}
         self._index = AttributeIndex()
-        self.full_evaluations = 0
 
     # ------------------------------------------------------------------ admin
     def add(self, subscription: Subscription) -> None:
         sub_id = subscription.sub_id
-        self.remove(sub_id)  # re-adding an id replaces, like brute force
+        self.remove(sub_id)  # re-adding an id replaces it
         self._subscriptions[sub_id] = subscription
         self._index.add(sub_id, subscription.filter, subscription)
 
@@ -487,23 +450,9 @@ class AttributeIndexMatcher:
         matched = []
         for _, group in self._index.groups(attributes):
             for _, _, sub in group:
-                self.full_evaluations += 1
                 if sub.filter.matches(attributes):
                     matched.append(sub)
         return matched
 
     def matching_ids(self, notification: Mapping) -> Set[str]:
         return {sub.sub_id for sub in self.match(notification)}
-
-
-def cross_check(
-    matchers: Iterable, notifications: Iterable[Notification]
-) -> bool:
-    """Return True iff all matchers agree on every notification (test helper)."""
-    matchers = list(matchers)
-    for notification in notifications:
-        reference = matchers[0].matching_ids(notification)
-        for other in matchers[1:]:
-            if other.matching_ids(notification) != reference:
-                return False
-    return True

@@ -9,32 +9,28 @@ The table additionally records which subscription id produced each entry, so
 that unsubscriptions, relocations and shadow garbage collection can remove
 exactly the right entries.
 
-Two matching strategies are available (the ``matcher`` knob):
-
-* ``"brute"`` — every entry of every link is evaluated against the
-  notification; the always-correct baseline the paper's testbed uses.
-* ``"indexed"`` (default) — one :class:`~repro.pubsub.matching.AttributeIndex`
-  over all of the table's entries, keyed by the :class:`RouteEntry` itself,
-  in the style of the counting/pre-filtering algorithms the paper references
-  via [16].  Each entry with an equality constraint is bucketed under
-  its ``(attribute, value)`` pair, and inside that bucket by its ``Range``
-  (if it has one) in an :class:`~repro.pubsub.matching.IntervalBucketIndex`
-  (bucketed boundary cuts; a bucket a query finds oversized is split in one
-  pass, at evenly spaced member bounds, into pieces of about half the size
-  limit);
-  entries without an equality key are placed by their ``Range`` alone.  At
-  match time the index is probed once and hands back one list of groups:
-  only the entries the notification's own values select (plus the
-  unindexable ones) are candidates.  Each candidate comes with its range's
-  bounds: one whose bounds miss the value, or whose link is already decided
-  or excluded, is skipped without being evaluated; one whose place decides
-  its filter (:func:`~repro.pubsub.matching.placement`'s ``exact``) decides
-  its link unevaluated; and one whose filter has a ``tail``
-  (:class:`~repro.pubsub.filters.Filter`) is tested on that alone, because
-  its equality bucket decided the rest.  A
-  table of at most :data:`SMALL_TABLE_SCAN` entries is scanned link by link
-  instead, first match deciding each link.  Results are identical to brute
-  force — the index is purely a candidate pre-selection.
+The table matches through one :class:`~repro.pubsub.matching.AttributeIndex`
+over all of its entries, keyed by the :class:`RouteEntry` itself, in the
+style of the counting/pre-filtering algorithms the paper references via
+[16].  Each entry with an equality constraint is bucketed under its
+``(attribute, value)`` pair, and inside that bucket by its ``Range`` (if it
+has one) in an :class:`~repro.pubsub.matching.IntervalBucketIndex`
+(bucketed boundary cuts; a bucket a query finds oversized is split in one
+pass, at evenly spaced member bounds, into pieces of about half the size
+limit); entries without an equality key are placed by their ``Range``
+alone.  At match time the index is probed once and hands back one list of
+groups: only the entries the notification's own values select (plus the
+unindexable ones) are candidates.  Each candidate comes with its range's
+bounds: one whose bounds miss the value, or whose link is already decided
+or excluded, is skipped without being evaluated; one whose place decides
+its filter (:func:`~repro.pubsub.matching.placement`'s ``exact``) decides
+its link unevaluated; and one whose filter has a ``tail``
+(:class:`~repro.pubsub.filters.Filter`) is tested on that alone, because
+its equality bucket decided the rest.  A table of at most
+:data:`SMALL_TABLE_SCAN` entries is scanned link by link instead, first
+match deciding each link.  Results are identical to evaluating every entry
+— the index is purely a candidate pre-selection; the test oracle that
+evaluates every entry lives in :mod:`repro.pubsub.testing`.
 
 The index is maintained incrementally by :meth:`RoutingTable.add`,
 :meth:`RoutingTable.remove`, :meth:`RoutingTable.remove_link` and
@@ -57,9 +53,6 @@ from .matching import AttributeIndex
 from .notification import attribute_dict
 from .subscription import Subscription
 
-MATCHER_NAMES = ("brute", "indexed")
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class RouteEntry:
     """One (filter, link) pair, annotated with the subscription that created it.
@@ -74,8 +67,8 @@ class RouteEntry:
     sub_id: str
 
 
-#: Tables with at most this many entries are scanned link by link even in
-#: indexed mode, first match deciding each link: one index probe costs more
+#: Tables with at most this many entries are scanned link by link instead
+#: of probed, first match deciding each link: one index probe costs more
 #: than evaluating that few compiled filters (every table of a line of
 #: brokers with one subscription per client is this small).  Correctness is
 #: unaffected — both paths are exact.
@@ -87,28 +80,22 @@ class RoutingTable:
 
     Entries are grouped by link for efficient forwarding decisions ("which
     links need this notification?") and indexed by subscription id for
-    efficient removal.  With a non-brute ``matcher`` the table additionally
-    maintains one attribute index over all of its entries so forwarding
-    decisions only evaluate candidate entries.  ``metrics`` is an optional
-    :class:`~repro.obs.metrics.MetricsRegistry` receiving the
-    ``index.repair`` counter.
+    efficient removal, and one attribute index over all of its entries
+    means forwarding decisions only evaluate candidate entries.
+    ``metrics`` is an optional :class:`~repro.obs.metrics.MetricsRegistry`
+    receiving the ``index.repair`` counter.  ``matcher`` accepts only
+    ``"indexed"``: the benchmark ledger (``benchmarks/budget``) is its one
+    caller, and the parameter goes once the ledger stops naming it.
     """
 
     def __init__(self, matcher: str = "indexed", metrics=None) -> None:
-        if matcher not in MATCHER_NAMES:
-            raise ValueError(f"unknown matcher {matcher!r}; available: {MATCHER_NAMES}")
-        self._matcher = matcher
-        self._indexed = matcher != "brute"
+        if matcher != "indexed":
+            raise ValueError(f"unknown matcher {matcher!r}; the one matcher is 'indexed'")
         self._by_link: Dict[str, Dict[str, RouteEntry]] = defaultdict(dict)
         self._by_sub: Dict[str, List[RouteEntry]] = defaultdict(list)
         self._size = 0
         self._repair_counter = metrics.counter("index.repair") if metrics else None
         self._index = AttributeIndex(self._repair_counter)
-
-    # ----------------------------------------------------------------- matcher
-    @property
-    def matcher(self) -> str:
-        return self._matcher
 
     # ------------------------------------------------------------------ admin
     def add(self, filter: Filter, link: str, sub_id: str) -> RouteEntry:
@@ -119,12 +106,10 @@ class RoutingTable:
             self._size += 1
         else:
             self._by_sub[sub_id] = [e for e in self._by_sub[sub_id] if e.link != link]
-            if self._indexed:
-                self._index.discard(previous, previous.filter)
+            self._index.discard(previous, previous.filter)
         self._by_link[link][sub_id] = entry
         self._by_sub[sub_id].append(entry)
-        if self._indexed:
-            self._index.add(entry, filter, entry)
+        self._index.add(entry, filter, entry)
         return entry
 
     def add_subscription(self, subscription: Subscription, link: str) -> RouteEntry:
@@ -140,8 +125,7 @@ class RoutingTable:
                 self._by_link[entry.link].pop(sub_id, None)
                 if not self._by_link[entry.link]:
                     del self._by_link[entry.link]
-                if self._indexed:
-                    self._index.discard(entry, entry.filter)
+                self._index.discard(entry, entry.filter)
                 removed.append(entry)
             else:
                 keep.append(entry)
@@ -157,8 +141,7 @@ class RoutingTable:
         entries = list(self._by_link.pop(link, {}).values())
         self._size -= len(entries)
         for entry in entries:
-            if self._indexed:
-                self._index.discard(entry, entry.filter)
+            self._index.discard(entry, entry.filter)
             remaining = [e for e in self._by_sub.get(entry.sub_id, []) if e.link != link]
             if remaining:
                 self._by_sub[entry.sub_id] = remaining
@@ -234,7 +217,7 @@ class RoutingTable:
         excluded = set(exclude)
         # unwrapped once: every filter below evaluates on the plain dict
         attributes = attribute_dict(notification)
-        if self._indexed and self._size > SMALL_TABLE_SCAN:
+        if self._size > SMALL_TABLE_SCAN:
             result = self._probe(attributes, excluded)
         else:
             result = self._scan(attributes, excluded)

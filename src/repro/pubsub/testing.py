@@ -9,6 +9,11 @@
   :func:`use_scan_advertising` — the scan specification of subscription
   control, the oracle the routing strategies' maintained forwarded-filter
   index must agree with, decision for decision.
+* :class:`BruteRoutingTable` / :func:`use_brute_matching` — the routing
+  table that evaluates every entry and keeps no index, the oracle the
+  product's indexed table must agree with, destination for destination.
+* :class:`BruteForceMatcher` / :func:`cross_check` — the same oracle for
+  the standalone matcher (:class:`~repro.pubsub.matching.AttributeIndexMatcher`).
 * :func:`interval_candidates` — what an interval index's stab hands out for
   a value, the view its tests hold against a linear scan
   (``tests/test_interval_index.py``).
@@ -23,11 +28,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
 
 from .broker import Broker
 from .filters import Filter
 from .matching import IntervalBucketIndex
+from .notification import Notification, attribute_dict
 from .routing import (
     CoveringRouting,
     FloodingRouting,
@@ -37,6 +43,7 @@ from .routing import (
     SimpleRouting,
 )
 from .routing_table import RoutingTable
+from .subscription import Subscription
 
 
 class ScanAdvertising:
@@ -134,6 +141,97 @@ def use_scan_advertising(net):
             raise ValueError(f"{broker.name}: the oracle must be installed before subscriptions")
         broker.strategy = scan_strategy(broker.routing_strategy_name, broker)
     return net
+
+
+class _NoIndex:
+    """An attribute index that holds nothing: the brute table keeps none."""
+
+    def add(self, entry_id, filter, payload) -> None:
+        pass
+
+    def discard(self, entry_id, filter) -> None:
+        pass
+
+
+_NO_INDEX = _NoIndex()
+
+
+class BruteRoutingTable(RoutingTable):
+    """A routing table by the specification: every ``destinations()`` scans
+    every entry of every link, first match deciding each link, and no
+    attribute index is kept, so entry churn costs only the per-link and
+    per-subscription dicts.  It must answer exactly as
+    :class:`~repro.pubsub.routing_table.RoutingTable` does."""
+
+    def __init__(self, metrics=None) -> None:
+        super().__init__(metrics=metrics)
+        self._index = _NO_INDEX
+
+    def clear(self) -> None:
+        super().clear()
+        self._index = _NO_INDEX
+
+    def destinations(self, notification: Mapping, exclude: Iterable[str] = ()) -> List[str]:
+        result = self._scan(attribute_dict(notification), set(exclude))
+        result.sort()
+        return result
+
+
+def use_brute_matching(net):
+    """Give every broker of the freshly built network ``net`` a
+    :class:`BruteRoutingTable`; returns ``net``.
+
+    Only in-process brokers can be swapped (a cluster broker's table lives
+    in its child process), and only before they hold routing state.
+    """
+    for broker in net.brokers.values():
+        if not isinstance(broker, Broker):
+            raise TypeError(f"{broker.name}: brute matching needs an in-process broker")
+        if len(broker.routing_table):
+            raise ValueError(f"{broker.name}: the oracle must be installed before subscriptions")
+        broker.routing_table = BruteRoutingTable(metrics=broker.metrics)
+    return net
+
+
+class BruteForceMatcher:
+    """Evaluate every registered subscription on every notification: the
+    oracle of :class:`~repro.pubsub.matching.AttributeIndexMatcher`."""
+
+    def __init__(self) -> None:
+        self._subscriptions: Dict[str, Subscription] = {}
+
+    def add(self, subscription: Subscription) -> None:
+        self._subscriptions[subscription.sub_id] = subscription
+
+    def remove(self, sub_id: str) -> Optional[Subscription]:
+        return self._subscriptions.pop(sub_id, None)
+
+    def clear(self) -> None:
+        self._subscriptions.clear()
+
+    def __len__(self) -> int:
+        return len(self._subscriptions)
+
+    def __contains__(self, sub_id: str) -> bool:
+        return sub_id in self._subscriptions
+
+    def match(self, notification: Mapping) -> List[Subscription]:
+        """Return all subscriptions whose filter matches ``notification``."""
+        return [sub for sub in self._subscriptions.values() if sub.filter.matches(notification)]
+
+    def matching_ids(self, notification: Mapping) -> Set[str]:
+        return {sub.sub_id for sub in self.match(notification)}
+
+
+def cross_check(matchers: Iterable, notifications: Iterable[Notification]) -> bool:
+    """Return True iff all matchers agree on every notification."""
+    matchers = list(matchers)
+    for notification in notifications:
+        reference = matchers[0].matching_ids(notification)
+        for other in matchers[1:]:
+            if other.matching_ids(notification) != reference:
+                return False
+    return True
 
 
 def interval_candidates(index: IntervalBucketIndex, value: object) -> List[object]:

@@ -2,16 +2,17 @@
 
 Four groups:
 
-* **SystemConfig** — construction-time validation (the ``matcher="indxed"``
-  silent-typo hole), dict round-trips, ``--set`` overlays and argparse
-  resolution;
+* **SystemConfig** — construction-time validation (the silent-typo hole),
+  three fields and no knob nothing chooses, dict round-trips, ``--set``
+  overlays and argparse resolution;
 * **BrokerNetwork integration** — one way in: typo rejection before any
   broker is built; ``BrokerNetwork``, every topology builder and
   ``MobilitySystemConfig`` refusing the fabric knobs as loose kwargs; every
   backend building its brokers from the config it was built with (a cluster
-  broker child from the spec's config alone); a brute fabric with the scan
-  advertising oracle installed delivering what the default one does; and no
-  running broker or transport offering a way to change its knobs;
+  broker child from the spec's config alone); a fabric with the brute
+  matching and scan advertising oracles installed delivering what the
+  default one does; and no running broker or transport offering a way to
+  change its knobs;
 * **metrics** — the obs instruments themselves, plus
   ``Transport.metrics_snapshot()`` agreeing across all three backends on
   the deterministic broker counters of a fixed workload, and the metrics
@@ -23,12 +24,15 @@ Four groups:
 import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
 from repro.config import SystemConfig
 from repro.core.middleware import MobilitySystemConfig
+from repro.core.replicator import ReplicatorConfig
 from repro.net.cluster import ClusterError, ClusterTransport, _BrokerNode
 from repro.net.simulator import Simulator
 from repro.net.transport import SocketNode, Transport, make_transport
@@ -47,13 +51,16 @@ from repro.pubsub.broker_network import (
     random_tree_topology,
 )
 from repro.pubsub.broker import Broker
+from repro.pubsub.filters import Equals, Filter
 from repro.pubsub.routing import MergingRouting, RoutingStrategy, make_strategy
 from repro.pubsub.routing_table import RoutingTable
 from repro.pubsub import broker_network
 from repro.pubsub.testing import (
+    BruteRoutingTable,
     RecordingBroker,
     ScanAdvertising,
     run_line_workload,
+    use_brute_matching,
     use_scan_advertising,
 )
 
@@ -65,25 +72,51 @@ def test_systemconfig_defaults():
     assert config.matcher == "indexed"
     assert (config.transport, config.codec) == ("sim", "binary")
     assert config.metrics is True
-    assert "matcher=indexed" in config.describe()
+    assert config.describe() == "transport=sim metrics=on"
 
 
 @pytest.mark.parametrize(
     "field,value",
-    [("matcher", "indxed"), ("transport", "tcp"), ("codec", "xml")],
+    [("transport", "tcp"), ("codec", "xml")],
 )
 def test_systemconfig_rejects_unknown_names(field, value):
     with pytest.raises(ValueError, match=f"unknown {field} {value!r}; allowed: "):
         SystemConfig(**{field: value})
 
 
-#: the scan oracle and the two sizes are not deployment choices
-NOT_DEPLOYMENT_CHOICES = {"advertising": "scan", "flush_cap": 4096, "duplicates_capacity": 512}
+#: the two oracles and the two sizes are not deployment choices
+NOT_DEPLOYMENT_CHOICES = {
+    "advertising": "scan",
+    "matcher": "brute",
+    "flush_cap": 4096,
+    "duplicates_capacity": 512,
+}
 
 
 def test_systemconfig_names_only_what_a_deployment_chooses():
-    fields = {field.name for field in dataclasses.fields(SystemConfig)}
-    assert fields == {"matcher", "transport", "codec", "metrics"}
+    fields = [field.name for field in dataclasses.fields(SystemConfig)]
+    assert fields == ["transport", "codec", "metrics"]
+
+
+def _readme_knob_rows():
+    """The knob column of README's "Every knob and the row that chooses it"."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("#### Every knob and the row that chooses it\n", 1)[1]
+    section = section.split("\n#", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, re.M)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [SystemConfig, ReplicatorConfig, MobilitySystemConfig],
+    ids=lambda record: record.__name__,
+)
+def test_the_readme_knob_table_names_every_field(record):
+    rows = _readme_knob_rows()
+    assert len(rows) == len(set(rows)), "a knob has two rows"
+    prefix = record.__name__ + "."
+    named = {row[len(prefix):] for row in rows if row.startswith(prefix)}
+    assert named == {field.name for field in dataclasses.fields(record)}
 
 
 @pytest.mark.parametrize("knob", sorted(NOT_DEPLOYMENT_CHOICES))
@@ -116,12 +149,17 @@ def _build_with_a_deleted_parameter(call):
     broker = RecordingBroker(["N1"])
     if call == "Broker-advertising":
         Broker(Simulator(), "B1", advertising="scan")
+    elif call == "Broker-matcher":
+        Broker(Simulator(), "B1", matcher="indexed")
     elif call == "Broker-duplicates_capacity":
         Broker(Simulator(), "B1", duplicates_capacity=3)
     elif call == "make_strategy-advertising":
         make_strategy("covering", broker, advertising="scan")
     elif call == "MergingRouting-advertising":
         MergingRouting(broker, advertising="scan")
+    elif call == "build_broker-matcher":
+        with make_transport(SystemConfig()) as transport:
+            transport.build_broker("B1", matcher="indexed")
     else:
         with make_transport(SystemConfig()) as transport:
             transport.build_broker("B1", routing="covering", advertising="scan")
@@ -131,15 +169,24 @@ def _build_with_a_deleted_parameter(call):
     "call",
     [
         "Broker-advertising",
+        "Broker-matcher",
         "Broker-duplicates_capacity",
         "make_strategy-advertising",
         "MergingRouting-advertising",
         "build_broker-advertising",
+        "build_broker-matcher",
     ],
 )
 def test_product_api_takes_no_oracle_or_size_parameter(call):
     with pytest.raises(TypeError, match="unexpected keyword argument"):
         _build_with_a_deleted_parameter(call)
+
+
+def test_the_routing_table_has_one_matcher():
+    # ``matcher=`` stays only for the benchmark ledger, which names "indexed"
+    assert len(RoutingTable(matcher=SystemConfig().matcher)) == 0
+    with pytest.raises(ValueError, match="unknown matcher 'brute'"):
+        RoutingTable(matcher="brute")
 
 
 def test_systemconfig_rejects_non_bool_metrics():
@@ -148,17 +195,17 @@ def test_systemconfig_rejects_non_bool_metrics():
 
 
 def test_systemconfig_dict_round_trip():
-    config = SystemConfig(matcher="brute", transport="asyncio", codec="binary", metrics=False)
+    config = SystemConfig(transport="asyncio", codec="binary", metrics=False)
     assert SystemConfig.from_dict(config.to_dict()) == config
     with pytest.raises(ValueError, match="unknown SystemConfig key"):
         SystemConfig.from_dict({**config.to_dict(), "turbo": 1})
 
 
 def test_systemconfig_with_overrides():
-    config = SystemConfig().with_overrides(["matcher=brute", "codec=binary", "metrics=off"])
-    assert (config.matcher, config.codec, config.metrics) == ("brute", "binary", False)
+    config = SystemConfig().with_overrides(["codec=binary", "metrics=off"])
+    assert (config.codec, config.metrics) == ("binary", False)
     with pytest.raises(ValueError, match="expects key=value"):
-        SystemConfig().with_overrides(["matcher"])
+        SystemConfig().with_overrides(["metrics"])
     with pytest.raises(ValueError, match="unknown SystemConfig key 'turbo'"):
         SystemConfig().with_overrides(["turbo=1"])
     with pytest.raises(ValueError, match="metrics expects a boolean"):
@@ -166,10 +213,10 @@ def test_systemconfig_with_overrides():
 
 
 def test_systemconfig_from_args():
-    ns = argparse.Namespace(backend="asyncio", set=["codec=binary", "metrics=off"])
+    ns = argparse.Namespace(backend="asyncio", set=["metrics=off"])
     config = SystemConfig.from_args(ns)
+    # fields no --set names keep their defaults
     assert (config.transport, config.codec, config.metrics) == ("asyncio", "binary", False)
-    assert config.matcher == "indexed"  # fields no --set names keep their defaults
     # only backend and --set are read: a stray flag attribute is ignored
     stray = argparse.Namespace(matcher="brute", codec="binary", set=[])
     assert SystemConfig.from_args(stray) == SystemConfig()
@@ -178,14 +225,14 @@ def test_systemconfig_from_args():
 # ------------------------------------------------- BrokerNetwork integration
 
 
-def test_broker_network_rejects_typo_matcher_at_construction():
-    with pytest.raises(ValueError, match="unknown matcher 'indxed'; allowed: brute, indexed"):
-        BrokerNetwork(config=SystemConfig(matcher="indxed"))
+def test_broker_network_rejects_typo_transport_at_construction():
+    with pytest.raises(ValueError, match="unknown transport 'asyncoi'; allowed: sim, asyncio, cluster"):
+        BrokerNetwork(config=SystemConfig(transport="asyncoi"))
 
 
 def test_broker_network_rejects_non_config_object():
     with pytest.raises(TypeError):
-        BrokerNetwork(config={"matcher": "brute"})
+        BrokerNetwork(config={"transport": "sim"})
 
 
 #: every fabric knob, with a value the SystemConfig field would accept, and
@@ -220,34 +267,34 @@ def test_fabric_knobs_have_one_way_in(build, knob):
 
 @pytest.mark.parametrize("backend", ["sim", "asyncio"])
 def test_in_process_broker_reads_the_adopted_config(backend):
-    config = SystemConfig(transport=backend, matcher="brute", metrics=False)
+    config = SystemConfig(transport=backend, metrics=False)
     with make_transport(config) as transport:
         broker = transport.build_broker("B1", routing="covering")
     assert transport.system_config is config
-    assert broker.matcher == "brute"
+    assert type(broker.routing_table) is RoutingTable
     assert broker.metrics.enabled is False
 
 
 def test_cluster_rejects_bad_declarations_before_boot():
-    transport = ClusterTransport(config=SystemConfig(transport="cluster", matcher="brute"))
+    transport = ClusterTransport(config=SystemConfig(transport="cluster", metrics=False))
     try:
         transport.build_broker("B1")
         with pytest.raises(ClusterError, match="duplicate broker name 'B1'"):
             transport.build_broker("B1")
         # the spec holds the config the transport was built with
-        assert transport._specs["B1"]["config"]["matcher"] == "brute"
+        assert transport._specs["B1"]["config"]["metrics"] is False
         assert not transport.booted
     finally:
         transport.close()
 
 
 def test_cluster_child_rejects_a_bad_spec_config():
-    spec = {"name": "B1", "matcher": "brute"}
+    spec = {"name": "B1", "metrics": False}
     # a flat knob is no substitute for the config
     with pytest.raises(KeyError, match="config"):
         _BrokerNode(spec)
-    with pytest.raises(ValueError, match="unknown matcher 'indxed'"):
-        _BrokerNode({**spec, "config": {**SystemConfig().to_dict(), "matcher": "indxed"}})
+    with pytest.raises(ValueError, match="unknown transport 'tcp'"):
+        _BrokerNode({**spec, "config": {**SystemConfig().to_dict(), "transport": "tcp"}})
     with pytest.raises(ValueError, match="unknown SystemConfig key\\(s\\) 'turbo'"):
         _BrokerNode({**spec, "config": {**SystemConfig().to_dict(), "turbo": 1}})
 
@@ -257,38 +304,62 @@ def _received(result):
     return [(s.name, s.received) for s in result.subscribers]
 
 
+def _run_oracle_line(backend, monkeypatch, observer=None):
+    """``run_line_workload`` with the brute matching and scan advertising
+    oracles installed in every broker of its line."""
+    line_topology = broker_network.line_topology
+    monkeypatch.setattr(
+        broker_network,
+        "line_topology",
+        lambda *args, **kwargs: use_brute_matching(
+            use_scan_advertising(line_topology(*args, **kwargs))
+        ),
+    )
+    return run_line_workload(backend, 3, 40, observer=observer)
+
+
 @pytest.mark.parametrize("backend", ["sim", "asyncio"])
 def test_brute_scan_fabric_matches_the_default(backend, monkeypatch):
     built = []
 
     def observer(net):
         built.extend(
-            (b.matcher, isinstance(b.strategy, ScanAdvertising)) for b in net.brokers.values()
+            (type(b.routing_table), isinstance(b.strategy, ScanAdvertising))
+            for b in net.brokers.values()
         )
 
     default = run_line_workload("sim", 3, 40)
-    line_topology = broker_network.line_topology
-    monkeypatch.setattr(
-        broker_network,
-        "line_topology",
-        lambda *args, **kwargs: use_scan_advertising(line_topology(*args, **kwargs)),
-    )
-    oracle = run_line_workload(
-        backend, 3, 40, observer=observer, config=SystemConfig(matcher="brute")
-    )
-    assert built == [("brute", True)] * 3
+    oracle = _run_oracle_line(backend, monkeypatch, observer)
+    assert built == [(BruteRoutingTable, True)] * 3
     assert _received(oracle) == _received(default)
 
 
-def test_brute_fabric_matches_the_default_on_cluster():
-    # the scan oracle cannot reach a broker child: the cluster runs brute only
-    default = run_line_workload("sim", 3, 40)
-    oracle = run_line_workload("cluster", 3, 40, config=SystemConfig(matcher="brute"))
-    assert _received(oracle) == _received(default)
+def test_brute_fabric_matches_the_default_on_cluster(monkeypatch):
+    # neither oracle can reach a broker child: the cluster runs the product,
+    # held against the oracles on the simulator
+    default = run_line_workload("cluster", 3, 40)
+    oracle = _run_oracle_line("sim", monkeypatch)
+    assert _received(default) == _received(oracle)
+
+
+def test_the_brute_oracle_needs_a_fresh_in_process_network():
+    net = line_topology(n_brokers=2)
+    client = net.add_client("c", "B1")
+    client.subscribe(Filter([Equals("topic", "t")]), sub_id="s")
+    net.run_until_idle()
+    with pytest.raises(ValueError, match="before subscriptions"):
+        use_brute_matching(net)
+    cluster = ClusterTransport(config=SystemConfig(transport="cluster"))
+    try:
+        cluster.build_broker("B1")
+        with pytest.raises(TypeError, match="in-process broker"):
+            use_brute_matching(cluster)
+    finally:
+        cluster.close()
 
 
 def test_cluster_child_reads_its_knobs_from_the_spec_config():
-    config = SystemConfig(transport="cluster", matcher="brute", metrics=False)
+    config = SystemConfig(transport="cluster", metrics=False)
     transport = ClusterTransport(config=config)
     try:
         transport.build_broker("B1", routing="covering")
@@ -299,7 +370,7 @@ def test_cluster_child_reads_its_knobs_from_the_spec_config():
     assert not {"matcher", "metrics"} & set(spec)
     node = _BrokerNode(spec)
     try:
-        assert node.broker.matcher == "brute"
+        assert type(node.broker.routing_table) is RoutingTable
         assert node.broker.metrics.enabled is False
     finally:
         node._selector.close()
@@ -466,14 +537,14 @@ def test_cli_has_one_fabric_flag(argv, flag):
 @pytest.mark.parametrize(
     "argv,wanted",
     [
-        (["demo", "chaos", "--backend", "sim", "--set", "matcher=brute"], {"matcher": "brute"}),
+        (["demo", "chaos", "--backend", "sim", "--set", "metrics=off"], {"metrics": False}),
         (
-            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--set", "matcher=brute"],
-            {"matcher": "brute"},
+            ["soak", "--backend", "sim", "--budget-sec", "0.01", "--set", "metrics=off"],
+            {"metrics": False},
         ),
         (
-            ["chaos-fuzz", "--set", "matcher=brute", "--set", "metrics=off"],
-            {"matcher": "brute", "metrics": False},
+            ["chaos-fuzz", "--set", "codec=binary", "--set", "metrics=off"],
+            {"codec": "binary", "metrics": False},
         ),
     ],
     ids=["demo-chaos", "soak", "chaos-fuzz"],

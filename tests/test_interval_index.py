@@ -1,8 +1,9 @@
 """The range side of the index: incremental buckets and the table's answers.
 
-The ``"indexed"`` matcher keeps range-only entries in the incrementally
-repaired :class:`~repro.pubsub.matching.IntervalBucketIndex`.  Its contract:
-forwarding decisions byte-identical to brute force under any churn, at the
+The routing table keeps range-only entries in the incrementally repaired
+:class:`~repro.pubsub.matching.IntervalBucketIndex`.  Its contract:
+forwarding decisions byte-identical to brute force (the
+:mod:`repro.pubsub.testing` oracles) under any churn, at the
 index level, the table level and end-to-end through a broker network — every
 mutation seen by the next query, *equal* notifications (``1``, ``1.0`` and
 ``True``) answered alike, and nothing kept per notification answered.
@@ -22,16 +23,23 @@ from types import MappingProxyType
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.pubsub.broker_network import random_tree_topology
 from repro.pubsub.filters import Equals, Filter, InSet, NotEquals, Range
-from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, IntervalBucketIndex
+from repro.pubsub.matching import AttributeIndexMatcher, IntervalBucketIndex
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
 from repro.pubsub.subscription import subscription
-from repro.pubsub.testing import interval_candidates
+from repro.pubsub.testing import (
+    BruteForceMatcher,
+    BruteRoutingTable,
+    interval_candidates,
+    use_brute_matching,
+)
 
 from test_routing_index import assert_tables_agree, random_filter, random_notification
+
+#: the product table and its brute-force oracle, by name
+TABLES = {"brute": BruteRoutingTable, "indexed": RoutingTable}
 
 
 def linear_candidates(live, value):
@@ -261,8 +269,8 @@ class TestIntervalBucketIndex:
 
     def test_half_open_ranges_exact_through_table(self):
         """Inclusivity is the filter's job; the table restores exactness."""
-        for matcher in ("brute", "indexed"):
-            table = RoutingTable(matcher=matcher)
+        for matcher, make_table in TABLES.items():
+            table = make_table()
             table.add(Filter([Range("x", 0, 10, include_low=False)]), "L1", "s1")
             table.add(Filter([Range("x", 0, 10, include_high=False)]), "L2", "s2")
             table.add(
@@ -305,7 +313,7 @@ def check_mapping_spellings(seed, rounds=60):
     ``dict`` and as a ``MappingProxyType``: the hot loops unwrap the first and
     take the others as they come, and all must answer like brute force."""
     rng = random.Random(seed)
-    brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+    brute, indexed = BruteRoutingTable(), RoutingTable()
     brute_matcher, indexed_matcher = BruteForceMatcher(), AttributeIndexMatcher()
     for i in range(200):
         f, link = random_filter(rng), f"L{rng.randint(1, 6)}"
@@ -339,8 +347,8 @@ class TestRangeTableEquivalence:
         """The churn of ``test_routing_index``, probed with ``1``/``True``/``1.0``
         back to back so every collision of equal values is asked."""
         rng = random.Random(seed)
-        brute = RoutingTable(matcher="brute")
-        indexed = RoutingTable(matcher="indexed")
+        brute = BruteRoutingTable()
+        indexed = RoutingTable()
         live_subs = []
         for step in range(300):
             op = rng.random()
@@ -364,8 +372,8 @@ class TestRangeTableEquivalence:
     def test_range_heavy_churn(self):
         """Pure-Range filters (the regime the bucket index is built for)."""
         rng = random.Random(11)
-        brute = RoutingTable(matcher="brute")
-        indexed = RoutingTable(matcher="indexed")
+        brute = BruteRoutingTable()
+        indexed = RoutingTable()
         live = []
         for step in range(600):
             if rng.random() < 0.6 or not live:
@@ -390,8 +398,8 @@ class TestRangeTableEquivalence:
         """Dropping a link's index and growing it back from empty answers
         like brute force at every stage."""
         rng = random.Random(7)
-        brute = RoutingTable(matcher="brute")
-        indexed = RoutingTable(matcher="indexed")
+        brute = BruteRoutingTable()
+        indexed = RoutingTable()
         loaded = [(random_filter(rng), f"L{i % 5}", f"s{i}") for i in range(120)]
         for table in (brute, indexed):
             for f, link, sub_id in loaded:
@@ -417,7 +425,7 @@ class TestDestinations:
         return {"service": "stock", "value": 7}
 
     def build(self, path):
-        tables = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+        tables = BruteRoutingTable(), RoutingTable()
         for table in tables:
             table.add(Filter([Equals("service", "stock"), Range("value", 0, 10)]), "L1", "s1")
             table.add(Filter([Range("value", 5, 20)]), "L2", "s2")
@@ -484,10 +492,10 @@ class TestDestinations:
     def test_equal_values_of_different_type_get_one_answer(self, order):
         """``1 == True == 1.0`` and they hash alike, and ``Range`` reads a bool
         as its int: every spelling, in any order, is answered ``["L"]``."""
-        table = RoutingTable(matcher="indexed")
+        table = RoutingTable()
         for i in range(SMALL_TABLE_SCAN + 1):  # past the small-table scan: the index answers
             table.add(Filter([Range("a", 0, 2)]), "L", f"s{i}")
-        brute = RoutingTable(matcher="brute")
+        brute = BruteRoutingTable()
         brute.add(Filter([Range("a", 0, 2)]), "L", "s0")
         for value in order * 2:
             assert table.destinations({"a": value}) == brute.destinations({"a": value}) == ["L"]
@@ -497,7 +505,7 @@ class TestDestinations:
         """A broker sees a stream of notifications it never sees again: after
         a warm-up, answering 20 000 distinct ones must not grow the table's
         memory (a memo of past answers held ~1 MB here)."""
-        table = RoutingTable(matcher="indexed")
+        table = RoutingTable()
         for i in range(entries):
             low = i % 10 * 10
             constraints = [Range("value", low, low + 15)]
@@ -524,8 +532,8 @@ class TestDestinations:
 class TestNaNRegression:
     def test_nan_notification_matches_no_range_on_any_matcher(self):
         """NaN used to satisfy brute Ranges but not the indexed path; now neither."""
-        for matcher in ("brute", "indexed"):
-            table = RoutingTable(matcher=matcher)
+        for matcher, make_table in TABLES.items():
+            table = make_table()
             table.add(Filter([Range("value", 0, 10)]), "L1", "s1")
             assert table.destinations({"value": math.nan}) == [], matcher
 
@@ -534,8 +542,8 @@ class TestNaNRegression:
         Range``: a NaN notification value selects no equality bucket, and a
         ``NotEquals`` still admits it (``nan != 0.0``)."""
         probe = {"k": math.nan, "value": 5}
-        for matcher in ("brute", "indexed"):
-            table = RoutingTable(matcher=matcher)
+        for matcher, make_table in TABLES.items():
+            table = make_table()
             for i in range(SMALL_TABLE_SCAN + 4):
                 table.add(Filter([Equals("k", 0.0), Range("value", 0, 10)]), f"L{i % 3}", f"s{i}")
             assert table.destinations(probe) == [], matcher
@@ -567,7 +575,7 @@ class TestEqualTupleValues:
     @pytest.mark.parametrize("pin,value,other", CASES, ids=["bool", "float"])
     def test_every_query_path_answers_like_brute(self, pin, value, other):
         entries = self.populate(pin, other)
-        tables = {matcher: RoutingTable(matcher=matcher) for matcher in ("brute", "indexed")}
+        tables = {matcher: table() for matcher, table in TABLES.items()}
         matchers = {"brute": BruteForceMatcher(), "indexed": AttributeIndexMatcher()}
         for f, link, sub_id in entries:
             for table in tables.values():
@@ -591,11 +599,14 @@ class TestEqualTupleValues:
             assert tables["indexed"].destinations(probe, exclude=["L0"]) == links[1:], probe
 
 
-def _deliveries(matcher: str, seed: int):
-    """End-to-end: a range-only population through a broker tree, published
-    values spelt as int, float and bool."""
+def _deliveries(brute: bool, seed: int):
+    """End-to-end: a range-only population through a broker tree (on
+    brute-force tables if ``brute``), published values spelt as int, float
+    and bool."""
     rng = random.Random(seed)
-    network = random_tree_topology(6, seed=seed, config=SystemConfig(matcher=matcher))
+    network = random_tree_topology(6, seed=seed)
+    if brute:
+        use_brute_matching(network)
     sim = network.sim
     brokers = network.broker_names()
     subscribers = []
@@ -619,7 +630,7 @@ def _deliveries(matcher: str, seed: int):
 class TestEndToEndEquivalence:
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_delivery_sets(self, seed):
-        assert _deliveries("brute", seed) == _deliveries("indexed", seed)
+        assert _deliveries(True, seed) == _deliveries(False, seed)
 
 
 _HASHSEED_SCRIPT = """
@@ -627,13 +638,14 @@ import random
 import sys
 
 from repro.pubsub.routing_table import RoutingTable
+from repro.pubsub.testing import BruteRoutingTable
 
 sys.path.insert(0, {tests_dir!r})
 from test_routing_index import assert_tables_agree, random_filter
 
 rng = random.Random(5150)
-brute = RoutingTable(matcher="brute")
-indexed = RoutingTable(matcher="indexed")
+brute = BruteRoutingTable()
+indexed = RoutingTable()
 live = []
 for step in range(400):
     if rng.random() < 0.6 or not live:

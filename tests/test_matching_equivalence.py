@@ -1,7 +1,8 @@
 """Property-style equivalence of the matching engines.
 
 Feeds randomized subscriptions and notifications through
-:func:`repro.pubsub.matching.cross_check`, covering the cases that exercise
+:func:`repro.pubsub.testing.cross_check` (the indexed matcher against the
+brute-force oracle), covering the cases that exercise
 the index's edges: ``InSet`` constraints (single- and multi-value),
 tuple filter values and notification values, and equal values of different
 types (``1``, ``1.0``, ``True``), which select one index bucket.
@@ -13,7 +14,6 @@ import random
 
 import pytest
 
-from repro.config import SystemConfig
 from repro.pubsub.filters import (
     AtLeast,
     Equals,
@@ -26,17 +26,23 @@ from repro.pubsub.filters import (
 )
 from repro.pubsub.matching import (
     AttributeIndexMatcher,
-    BruteForceMatcher,
     IntervalBucketIndex,
-    cross_check,
     pick_index_key,
     pick_range_constraint,
 )
-from repro.pubsub.notification import Notification
+from repro.pubsub.notification import Notification, attribute_dict
 from repro.pubsub.subscription import subscription
+from repro.pubsub.testing import BruteForceMatcher, cross_check, use_brute_matching
 
 SERVICES = ["temperature", "stock", "news"]
 LOCATIONS = ["r1", "r2", "r3", "r4"]
+
+
+def candidates(matcher: AttributeIndexMatcher, notification) -> int:
+    """How many subscriptions ``matcher.match`` evaluates for
+    ``notification``: every member of every group its index hands out."""
+    groups = matcher._index.groups(attribute_dict(notification))
+    return sum(1 for _, group in groups for _ in group)
 
 
 def random_subscription(rng: random.Random, index: int):
@@ -108,11 +114,11 @@ class TestMatcherEquivalence:
         indexed = AttributeIndexMatcher()
         for i, service in enumerate(SERVICES * 10):
             indexed.add(subscription(Filter([Equals("service", service)]), "c", sub_id=f"s{i}-{service}"))
-        indexed.full_evaluations = 0
-        matched = indexed.match(Notification({"service": "stock"}))
+        notification = Notification({"service": "stock"})
+        matched = indexed.match(notification)
         assert {s.sub_id.split("-")[1] for s in matched} == {"stock"}
         # only the stock bucket was evaluated, not all 30 subscriptions
-        assert indexed.full_evaluations == 10
+        assert candidates(indexed, notification) == 10
 
     def test_an_equal_tuple_value_selects_the_pins_bucket(self):
         indexed = AttributeIndexMatcher()
@@ -240,10 +246,10 @@ class TestRangeHeavyEquivalence:
             indexed.add(
                 subscription(Filter([Range("value", low, low + 2)]), "c", sub_id=f"s{i}")
             )
-        indexed.full_evaluations = 0
-        matched = indexed.match(Notification({"value": 31}))
+        notification = Notification({"value": 31})
+        matched = indexed.match(notification)
         assert {s.sub_id for s in matched} == {"s10"}  # [30, 32]
-        assert 1 <= indexed.full_evaluations <= IntervalBucketIndex.MAX_BUCKET < entries
+        assert 1 <= candidates(indexed, notification) <= IntervalBucketIndex.MAX_BUCKET < entries
 
     @pytest.mark.parametrize("strategy", ["flooding", "simple", "identity", "covering", "merging"])
     @pytest.mark.parametrize("matcher", ["brute", "indexed"])
@@ -251,9 +257,9 @@ class TestRangeHeavyEquivalence:
         from repro.pubsub.broker_network import random_tree_topology
 
         rng = random.Random(9)
-        network = random_tree_topology(
-            5, routing=strategy, seed=3, config=SystemConfig(matcher=matcher)
-        )
+        network = random_tree_topology(5, routing=strategy, seed=3)
+        if matcher == "brute":
+            use_brute_matching(network)
         sim = network.sim
         brokers = network.broker_names()
         subscribers = []

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.filters import Equals, Filter, InSet, Range, filter_from_dict
-from repro.pubsub.matching import AttributeIndexMatcher, BruteForceMatcher, cross_check
+from repro.pubsub.matching import AttributeIndexMatcher
 from repro.net.process import Message
 from repro.net.wire import (
     decode_message,
@@ -14,6 +14,7 @@ from repro.net.wire import (
 )
 from repro.pubsub.notification import Notification, attribute_dict, notification
 from repro.pubsub.subscription import next_subscription_id, subscription
+from repro.pubsub.testing import BruteForceMatcher, cross_check
 
 
 class TestNotification:

@@ -46,7 +46,8 @@ from repro.net.process import LinkEndpoint
 from repro.net.simulator import PeriodicTask, Simulator
 from repro.net.transport import SimTransport, SocketEndpoint
 from repro.net.wireless import WirelessChannel, WirelessStats
-from repro.pubsub import chaosgen, client
+from repro.config import SystemConfig
+from repro.pubsub import chaosgen, client, matching
 from repro.pubsub.broker import Broker
 from repro.pubsub.broker_network import (
     BrokerNetwork,
@@ -56,6 +57,8 @@ from repro.pubsub.broker_network import (
     random_tree_topology,
 )
 from repro.pubsub.chaosgen import run_soak
+from repro.pubsub.matching import AttributeIndexMatcher
+from repro.pubsub.routing_table import RoutingTable
 from repro.pubsub.invariants import check_convergence, check_exactly_once
 
 #: parameters whose default became the code
@@ -139,6 +142,10 @@ DEFINITIONS = [
     # read only by the tests; E9's exception recoveries are a plain attribute
     # of the relocation manager
     (physical_mobility, "RelocationStats"),
+    # test oracles, in ``repro.pubsub.testing``
+    (matching, "BruteForceMatcher"),
+    (matching, "cross_check"),
+    (client.Client, "received_ids"),
 ]
 
 #: modules whose every record had a second home
@@ -152,6 +159,8 @@ FIELDS = [
     (RoamingSubscriber, "driver"),
     (RoamingSubscriber, "template_id"),
     (HandoverWorkloadResult, "subscription_messages"),
+    # the one matcher is the class constant ``SystemConfig.matcher``
+    (SystemConfig, "matcher"),
 ]
 
 
@@ -182,6 +191,10 @@ INSTANCE_ATTRIBUTES = [
     ("MobilityDriver", _mobility_driver, "duration"),
     ("MobilityDriver", _mobility_driver, "rng"),
     ("RelocationManager", lambda: RelocationManager("B1", "R@B1"), "stats"),
+    ("Broker", lambda: Broker(Simulator(), "B1"), "matcher"),
+    ("RoutingTable", RoutingTable, "matcher"),
+    ("RoutingTable", RoutingTable, "_indexed"),
+    ("AttributeIndexMatcher", AttributeIndexMatcher, "full_evaluations"),
 ]
 
 CASES = [(owner, name, True) for owner, name in OPTIONS] + [

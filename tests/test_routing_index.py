@@ -2,8 +2,9 @@
 
 The indexed matcher is a pure candidate pre-selection: on any workload —
 including subscription churn, replacements and link removals — its
-forwarding decisions must be identical to brute force.  These tests drive
-randomized workloads through both matchers side by side and assert equality
+forwarding decisions must be identical to brute force (the oracle
+:class:`~repro.pubsub.testing.BruteRoutingTable`).  These tests drive
+randomized workloads through both tables side by side and assert equality
 at every step, at the table level and end-to-end through a broker network.
 """
 
@@ -34,6 +35,7 @@ from repro.pubsub.filters import (
 from repro.pubsub.matching import IntervalBucketIndex, placement
 from repro.pubsub.notification import Notification
 from repro.pubsub.routing_table import SMALL_TABLE_SCAN, RoutingTable
+from repro.pubsub.testing import BruteRoutingTable, use_brute_matching
 
 SERVICES = ["temperature", "stock", "news", "traffic"]
 LOCATIONS = ["r1", "r2", "r3", "r4", "r5"]
@@ -173,10 +175,10 @@ def assert_tables_agree(brute: RoutingTable, indexed: RoutingTable, rng: random.
 class TestTableLevelEquivalence:
     @pytest.mark.parametrize("seed", range(5))
     def test_randomized_churn(self, seed):
-        """add / replace / remove / remove_link churn keeps both matchers identical."""
+        """add / replace / remove / remove_link churn keeps both tables identical."""
         rng = random.Random(seed)
-        brute = RoutingTable(matcher="brute")
-        indexed = RoutingTable(matcher="indexed")
+        brute = BruteRoutingTable()
+        indexed = RoutingTable()
         live_subs = []
         for step in range(300):
             op = rng.random()
@@ -207,7 +209,7 @@ class TestTableLevelEquivalence:
         assert_tables_agree(brute, indexed, rng, rounds=40)
 
     def test_clear_resets_index(self):
-        table = RoutingTable(matcher="indexed")
+        table = RoutingTable()
         table.add(Filter([Equals("service", "stock")]), "L1", "s1")
         table.clear()
         assert table.destinations({"service": "stock"}) == []
@@ -217,8 +219,8 @@ class TestTableLevelEquivalence:
     def test_clear_and_reload_agree_with_brute(self):
         """An index rebuilt from empty after ``clear`` answers like brute force."""
         rng = random.Random(7)
-        brute = RoutingTable(matcher="brute")
-        indexed = RoutingTable(matcher="indexed")
+        brute = BruteRoutingTable()
+        indexed = RoutingTable()
         for round_ in range(2):
             for table in (brute, indexed):
                 table.clear()
@@ -230,7 +232,7 @@ class TestTableLevelEquivalence:
             assert_tables_agree(brute, indexed, rng, rounds=30)
 
     def test_replace_same_sub_same_link_updates_index(self):
-        table = RoutingTable(matcher="indexed")
+        table = RoutingTable()
         table.add(Filter([Equals("service", "t")]), "L1", "s1")
         table.add(Filter([Equals("service", "stock")]), "L1", "s1")
         assert table.destinations({"service": "t"}) == []
@@ -242,18 +244,19 @@ class TestTableLevelEquivalence:
 
     def test_interval_is_not_a_matcher_name(self):
         """One index, no alias: the retired name fails like any other typo."""
-        from repro.config import SystemConfig
-
-        with pytest.raises(ValueError, match="unknown matcher 'interval'; allowed: brute, indexed$"):
+        with pytest.raises(TypeError):
             SystemConfig(matcher="interval")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown matcher 'interval'"):
             RoutingTable(matcher="interval")
 
 
-def _deliveries(matcher: str, seed: int):
-    """Run a randomized pub/sub workload; return {subscriber: sorted notification ids}."""
+def _deliveries(brute: bool, seed: int):
+    """Run a randomized pub/sub workload, on brute-force tables if ``brute``;
+    return {subscriber: sorted notification ids}."""
     rng = random.Random(seed)
-    network = random_tree_topology(6, seed=seed, config=SystemConfig(matcher=matcher))
+    network = random_tree_topology(6, seed=seed)
+    if brute:
+        use_brute_matching(network)
     sim = network.sim
     brokers = network.broker_names()
     subscribers = []
@@ -277,7 +280,7 @@ class TestEndToEndEquivalence:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_identical_delivery_sets(self, seed):
-        assert _deliveries("brute", seed) == _deliveries("indexed", seed)
+        assert _deliveries(True, seed) == _deliveries(False, seed)
 
 
 class TestMiddlewareMatcherConfig:
@@ -286,10 +289,10 @@ class TestMiddlewareMatcherConfig:
         from repro.core.middleware import MobilePubSub, MobilitySystemConfig
         from repro.pubsub.broker_network import line_topology
 
-        net = line_topology(2, config=SystemConfig(matcher="brute"))
+        net = use_brute_matching(line_topology(2))
         space = LocationSpace({"r1": "B1", "r2": "B2"})
         MobilePubSub(net, space, config=MobilitySystemConfig())
-        assert all(b.matcher == "brute" for b in net.brokers.values())
+        assert all(type(b.routing_table) is BruteRoutingTable for b in net.brokers.values())
 
 
 # ------------------------------------------------------- one index vs brute
@@ -367,7 +370,7 @@ class TestOneIndexEqualsBrute:
         / clear sequence, answers every probe like the brute-force twin — with
         ``shared`` on two links, bool/NaN/tuple values on both sides, and
         tables on both sides of the small-table scan."""
-        brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+        brute, indexed = BruteRoutingTable(), RoutingTable()
         shared = Filter([Equals("topic", "t1"), Range("value", 0, 10)])
         for table in (brute, indexed):
             table.add(shared, "L0", "shared")
@@ -385,7 +388,7 @@ def test_equality_buckets_stab_their_ranges():
     """200 ``Equals(topic) AND Range(value)`` entries over three links, one
     topic: the index hands out only the stabbed range bucket of the topic's
     equality bucket, never the whole bucket."""
-    table = RoutingTable(matcher="indexed")
+    table = RoutingTable()
     rng = random.Random(3)
     filters = {}
     for i in range(200):
@@ -464,7 +467,7 @@ def test_a_decided_entry_is_never_evaluated():
     ]
     population = [([], "L0")]  # the empty filter, on one link
     population += [(rng.choice(shapes)(), f"L{i % 12}") for i in range(6 * SMALL_TABLE_SCAN)]
-    brute, indexed = RoutingTable(matcher="brute"), RoutingTable(matcher="indexed")
+    brute, indexed = BruteRoutingTable(), RoutingTable()
     for i, (constraints, link) in enumerate(population):
         decided = Filter(constraints)
         assert placement(decided)[2]

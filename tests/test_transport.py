@@ -1,6 +1,6 @@
 """Cross-check tests for the pluggable transport layer.
 
-Two layers of guarantees, in the spirit of the ``matcher`` cross-checks
+Two layers of guarantees, in the spirit of the brute-force matching oracle's
 and of the scan advertising oracle's (``tests/test_routing_advertising.py``):
 
 1. **Golden trace** — a deterministic churn scenario on the default
