@@ -213,8 +213,9 @@ def assert_cheapest_first_probe_order() -> None:
 
     Builds a forwarded-filter index whose single pin group holds filters of
     different constraint counts (several constraints on the same attribute
-    share one attribute-set bucket) and checks the group is kept in ascending
-    constraint count as members come and go.
+    share one attribute-set bucket) and checks the group's ``(low, high,
+    filter)`` members are kept in ascending constraint count as members come
+    and go; only the one-range filter carries bounds to compare.
     """
     from repro.pubsub.routing import _ForwardedFilterIndex
 
@@ -226,12 +227,14 @@ def assert_cheapest_first_probe_order() -> None:
     index.set_contribution("s1", "L", [one])
     index.set_contribution("s2", "L", [two])
     ((group,),) = (groups.values() for groups in index._links["L"].by_attrs.values())
-    counts = [len(f.constraints) for f in group]
+    counts = [len(f.constraints) for _low, _high, f in group]
     assert counts == [1, 2, 3], f"probe order not cheapest-first: {counts}"
+    bounds = [(low, high) for low, high, _f in group]
+    assert bounds == [(-1000, 1000), (None, None), (None, None)], f"member bounds: {bounds}"
     # the cheap broad filter must decide covered() without the narrow probes
     assert index.covered("L", Filter([Range("value", 5, 6)]))
     index.remove_contribution("s1", "L")
-    counts = [len(f.constraints) for f in group]
+    counts = [len(f.constraints) for _low, _high, f in group]
     assert counts == [2, 3], f"stale probe order after removal: {counts}"
     print("probe-order micro-assert: ok")
 

@@ -254,6 +254,9 @@ class Range(Constraint):
         include_high: bool = True,
     ):
         super().__init__(attribute)
+        for bound in (low, high):
+            if not isinstance(bound, (int, float)):  # a bool is its int
+                raise ValueError(f"non-numeric bound for {attribute}: {bound!r}")
         if low != low or high != high:
             raise ValueError(f"NaN bound for {attribute}: [{low}, {high}]")
         if low > high:

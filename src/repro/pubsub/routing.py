@@ -22,7 +22,8 @@ substrate comparison, so this module implements the whole family:
 The identity, covering and merging strategies decide through a maintained
 per-link :class:`_ForwardedFilterIndex`: a refcounted multiset of forwarded
 filter keys, distinct filters grouped by constrained attribute set (the
-covering candidate bound) and, inside it, by one pinned equality value, and
+covering candidate bound) and, inside it, by one pinned equality value, each
+beside the range bounds a probe may compare instead of calling ``covers``, and
 refcounted constraint counts from which merging reads its merged filter
 without re-folding the merge chain.  Every suppressed (subscription, link)
 pair waits behind the advertised filter that suppresses it (its *witness*),
@@ -45,7 +46,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Protocol, Set, Tuple
 
 from ..obs.metrics import NULL_COUNTER
 from .filters import Constraint, Equals, Filter, InSet
-from .matching import pick_index_key
+from .matching import placement
 from .subscription import Subscription, next_subscription_id
 
 
@@ -64,8 +65,35 @@ class RoutingBroker(Protocol):
 from .routing_table import RoutingTable  # noqa: E402  (after Protocol to avoid confusion)
 
 
-def _cost(filter: Filter) -> int:
-    return len(filter.constraints)
+#: ``(low, high, filter)``: one distinct advertised filter with the closed
+#: bounds a covering probe compares in place of ``Filter.covers``
+#: (:func:`_closed_bounds`; ``None, None`` for a filter that has none)
+Member = Tuple[Optional[float], Optional[float], Filter]
+
+
+def _cost(member: Member) -> int:
+    return len(member[2].constraints)
+
+
+def _closed_bounds(filter: Filter) -> Tuple[Optional[float], Optional[float]]:
+    """The bounds of ``filter``'s closed ``Range`` if the filter is
+    *range-shaped*, else ``(None, None)``.
+
+    Range-shaped: :func:`~repro.pubsub.matching.placement` calls the filter
+    ``exact`` and found a ``Range``, and its pin, if any, is on another
+    attribute.  Take two range-shaped filters ``G`` and ``F`` with one
+    attribute set, ``G`` in a group probed for ``F`` (:func:`_probe_groups`).
+    Their ranges are on one attribute, and they are unpinned or pinned
+    alike, so the pins cover each other.  ``G``'s range covers no constraint
+    of ``F`` but ``F``'s range, so ``G.covers(F)`` is
+    ``G.low <= F.low and G.high >= F.high``.  A range on the pin's own
+    attribute is left out: it may cover the pin, which the bounds do not
+    show.
+    """
+    _key, constraint, exact = placement(filter)
+    if exact and constraint is not None and len(filter.attribute_set) == len(filter.constraints):
+        return constraint.low, constraint.high
+    return None, None
 
 
 def _probe_groups(filter: Filter) -> Optional[List[Optional[Tuple]]]:
@@ -103,8 +131,10 @@ class _LinkAdverts:
       then by pin.  ``G.covers(F)`` implies ``attrs(G) ⊆ attrs(F)``, so only
       buckets whose attribute set is a subset of the queried filter's can
       hold a coverer, and inside a bucket only the groups
-      :func:`_probe_groups` names.  A group lists the cheapest ``covers()``
-      probe first: fewer constraints are cheaper to test and cover more.
+      :func:`_probe_groups` names.  A group member is the :data:`Member`
+      ``(low, high, filter)``, its bounds read once from the filter's
+      cached placement, and a group lists the cheapest probe first: fewer
+      constraints are cheaper to test and cover more.
     * ``constraint_count``/``constraint_rep``/``total`` — per-constraint
       refcounts over the multiset; a constraint present in every advertised
       filter (count == total) is part of the merged filter, which makes the
@@ -139,7 +169,7 @@ class _LinkAdverts:
         self.subs: Dict[str, List[Filter]] = {}
         self.key_count: Dict[frozenset, int] = {}
         self.rep: Dict[frozenset, Filter] = {}
-        self.by_attrs: Dict[frozenset, Dict[Optional[Tuple], List[Filter]]] = {}
+        self.by_attrs: Dict[frozenset, Dict[Optional[Tuple], List[Member]]] = {}
         self.constraint_count: Dict[Tuple, int] = {}
         self.constraint_rep: Dict[Tuple, Constraint] = {}
         self.total = 0
@@ -159,7 +189,8 @@ class _LinkAdverts:
             if count == 0:
                 self.rep[key] = filter
                 groups = self.by_attrs.setdefault(filter.attribute_set, {})
-                insort(groups.setdefault(pick_index_key(filter), []), filter, key=_cost)
+                member = (*_closed_bounds(filter), filter)
+                insort(groups.setdefault(placement(filter)[0], []), member, key=_cost)
             for ckey, constraint in {c.key(): c for c in filter.constraints}.items():
                 ccount = self.constraint_count.get(ckey, 0)
                 self.constraint_count[ckey] = ccount + 1
@@ -181,9 +212,9 @@ class _LinkAdverts:
                 del self.key_count[key]
                 rep = self.rep.pop(key)
                 groups = self.by_attrs[rep.attribute_set]
-                pin = pick_index_key(rep)
+                pin = placement(rep)[0]
                 group = groups[pin]
-                del group[next(i for i, member in enumerate(group) if member is rep)]
+                del group[next(i for i, member in enumerate(group) if member[2] is rep)]
                 if not group:
                     del groups[pin]
                     if not groups:
@@ -241,10 +272,16 @@ class _LinkAdverts:
 class _ForwardedFilterIndex:
     """Incrementally maintained cover structure over forwarded filters.
 
-    One :class:`_LinkAdverts` per link.  A candidate is tested with
-    ``Filter.covers`` itself: a memo keyed by filter-key pairs cost more than
-    the test.  The per-link witness memo needs no bound — an entry dies with
-    its witness, with the last subscription waiting on it, or with the link.
+    One :class:`_LinkAdverts` per link.  A probe visits the candidates in
+    the same order whichever way it decides them.  A range-shaped candidate
+    in the probed filter's own attribute-set bucket, probed for a
+    range-shaped filter (:func:`_closed_bounds`), is decided by comparing
+    the bounds its member carries; every other candidate by
+    ``Filter.covers`` itself (a memo keyed by filter-key pairs cost more
+    than the test).  Both answer alike, so the witness a probe picks is the
+    one ``covers`` alone would pick.  The per-link witness memo needs no
+    bound — an entry dies with its witness, with the last subscription
+    waiting on it, or with the link.
     """
 
     def __init__(self, hits=NULL_COUNTER) -> None:
@@ -318,13 +355,19 @@ class _ForwardedFilterIndex:
             return filter.key()
         attrs = filter.attribute_set
         pins = _probe_groups(filter)
+        low, high = _closed_bounds(filter)
         for bucket_attrs, groups in state.by_attrs.items():
             if not bucket_attrs <= attrs:
                 continue
+            # a range-shaped pair in one bucket: one closed interval inside another
+            compare = low is not None and bucket_attrs == attrs
             probed = groups.values() if pins is None else [groups[p] for p in pins if p in groups]
             for group in probed:
-                for rep in group:
-                    if rep.covers(filter):
+                for rep_low, rep_high, rep in group:
+                    if compare and rep_low is not None:
+                        if rep_low <= low and rep_high >= high:
+                            return rep.key()
+                    elif rep.covers(filter):
                         return rep.key()
         return None
 

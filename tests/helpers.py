@@ -8,8 +8,11 @@ imports, which break pytest collection.
 import contextlib
 import socket
 import threading
+from types import SimpleNamespace
 
 from repro.net import wire
+from repro.pubsub.filters import Equals, Filter, InSet, NotEquals, Range
+from repro.pubsub.routing import _ForwardedFilterIndex
 
 #: the two shapes a socket link's writes take: a dispatch burst coalesced into
 #: one socket write (up to ``SocketNode.FLUSH_CAP`` bytes), or every frame
@@ -114,3 +117,89 @@ def assert_one_subscription_per_filter(system):
         assert set(at_broker) == hosted == set(replicator._issued), broker_name
         for issued, holders in replicator._issued.values():
             assert holders and issued.sub_id.startswith(f"{replicator.name}#")
+
+
+def respell(value):
+    """An equal value of other types: ``True`` -> ``1`` -> ``1.0`` -> ``1``,
+    tuples member by member; anything else as it is."""
+    if isinstance(value, tuple):
+        return tuple(respell(item) for item in value)
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, int):
+        return float(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    return value
+
+
+def respelt(f: Filter) -> Filter:
+    """``f`` with every value respelt, its constraints reversed and the first
+    one repeated: the same conjunction, so the same key."""
+    twins = []
+    for c in f.constraints:
+        if isinstance(c, Equals):
+            c = Equals(c.attribute, respell(c.value))
+        elif isinstance(c, NotEquals):
+            c = NotEquals(c.attribute, respell(c.value))
+        elif isinstance(c, InSet):
+            c = InSet(c.attribute, [respell(v) for v in c.values])
+        elif isinstance(c, Range):
+            c = Range(c.attribute, respell(c.low), respell(c.high), c.include_low, c.include_high)
+        twins.append(c)
+    return Filter(twins[::-1] + twins[:1])
+
+
+class _Pulled(list):
+    """A pin group that counts the members a loop over it pulls."""
+
+    def __init__(self, members, tally):
+        super().__init__(members)
+        self.tally = tally
+
+    def __iter__(self):
+        for member in list.__iter__(self):
+            self.tally.count += 1
+            yield member
+
+
+@contextlib.contextmanager
+def counting_candidates():
+    """Count the covering candidates examined while the block runs.
+
+    A candidate is examined by a ``Filter.covers`` call, wherever it is
+    made, or by the bound comparison with which
+    ``_ForwardedFilterIndex._find_coverer`` decides a range-shaped one.  The
+    comparison is inline, so a probe counts the group members it pulls: each
+    is decided one way or the other, and ``covers`` is called on none else.
+    Yields the tally; read ``tally.count``.
+    """
+    tally = SimpleNamespace(count=0)
+    covers, find = Filter.covers, _ForwardedFilterIndex._find_coverer
+
+    def counted_covers(self, other):
+        tally.count += 1
+        return covers(self, other)
+
+    def counted_find(self, state, filter):
+        swapped = [
+            (groups, pin, group)
+            for groups in state.by_attrs.values()
+            for pin, group in groups.items()
+        ]
+        pulled = SimpleNamespace(count=0)
+        for groups, pin, group in swapped:
+            groups[pin] = _Pulled(group, pulled)
+        made = tally.count
+        try:
+            return find(self, state, filter)
+        finally:
+            for groups, pin, group in swapped:
+                groups[pin] = group
+            tally.count = made + pulled.count
+
+    Filter.covers, _ForwardedFilterIndex._find_coverer = counted_covers, counted_find
+    try:
+        yield tally
+    finally:
+        Filter.covers, _ForwardedFilterIndex._find_coverer = covers, find

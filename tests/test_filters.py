@@ -268,6 +268,34 @@ class TestValueDomain:
         assert not Filter([Range("v")]).matches({"v": math.nan})
         assert NotEquals("v", 1).matches({"v": math.nan})
 
+    def test_a_range_bound_that_is_no_number_is_refused(self):
+        # a str or tuple bound used to construct, then raise TypeError from
+        # inside a broker the first time it met a numeric one
+        for low, high in (("a", "b"), ((1,), (2,)), (0, "9"), (None, 1), (Decimal(0), 1)):
+            with pytest.raises(ValueError, match="non-numeric bound"):
+                Range("v", low, high)
+        # a bool is its int, and the infinities are floats
+        assert Range("v", False, True).matches({"v": 1})
+        assert Range("v", -math.inf, math.inf).matches({"v": 1e300})
+
+    @pytest.mark.parametrize("backend", ["sim", "asyncio"])
+    @pytest.mark.parametrize("routing", ["simple", "covering"])
+    def test_a_range_of_strings_never_reaches_a_broker(self, routing, backend):
+        net = line_topology(n_brokers=2, routing=routing, config=SystemConfig(transport=backend))
+        try:
+            numeric = net.add_client("numeric", "B1")
+            numeric.subscribe(Filter([Range("v", 0, 10)]))
+            stringly = net.add_client("stringly", "B2")
+            with pytest.raises(ValueError, match="non-numeric bound"):
+                stringly.subscribe(Filter([Range("v", "a", "b")]))
+            publisher = net.add_client("pub", "B2")
+            net.run_until_idle()
+            publisher.publish(Notification({"v": 5}))
+            net.run_until_idle()
+            assert [d.notification["v"] for d in numeric.deliveries] == [5]
+        finally:
+            net.close()
+
     def test_equal_sets_of_differently_typed_members_are_one_filter(self):
         spellings = [Filter([InSet("v", ["1", member])]) for member in (1, 1.0, True)]
         assert len(set(spellings)) == 1

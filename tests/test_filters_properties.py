@@ -24,6 +24,7 @@ from decimal import Decimal
 from types import MappingProxyType
 
 import pytest
+from helpers import respelt
 from hypothesis import given, settings, strategies as st
 
 from repro.net.wire import WireError
@@ -126,37 +127,6 @@ def test_empty_filter_covers_everything(f):
 def test_equality_consistent_with_hash(f, g):
     if f == g:
         assert hash(f) == hash(g)
-
-
-def respell(value):
-    """An equal value of other types: ``True`` -> ``1`` -> ``1.0`` -> ``1``,
-    tuples member by member; anything else as it is."""
-    if isinstance(value, tuple):
-        return tuple(respell(item) for item in value)
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return float(value)
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    return value
-
-
-def respelt(f: Filter) -> Filter:
-    """``f`` with every value respelt, its constraints reversed and the first
-    one repeated: the same conjunction, so the same key."""
-    twins = []
-    for c in f.constraints:
-        if isinstance(c, Equals):
-            c = Equals(c.attribute, respell(c.value))
-        elif isinstance(c, NotEquals):
-            c = NotEquals(c.attribute, respell(c.value))
-        elif isinstance(c, InSet):
-            c = InSet(c.attribute, [respell(v) for v in c.values])
-        elif isinstance(c, Range):
-            c = Range(c.attribute, respell(c.low), respell(c.high), c.include_low, c.include_high)
-        twins.append(c)
-    return Filter(twins[::-1] + twins[:1])
 
 
 @settings(max_examples=300, deadline=None)

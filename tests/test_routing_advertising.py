@@ -13,9 +13,12 @@ contents and broker-link message counts).
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from helpers import counting_candidates, respelt
+from hypothesis import given, settings, strategies as st
 
 from repro.pubsub.broker_network import line_topology, random_tree_topology
 from repro.pubsub.filters import (
@@ -587,9 +590,9 @@ class TestWitnessAndPinStructures:
         index.set_contribution("s", "L", [Filter([InSet("location", ["r1"])])])
         assert index.covered("L", Filter([InSet("location", [])]))
 
-    def test_probe_visits_only_the_named_groups(self, monkeypatch):
-        """One pinned topic out of many: a probe evaluates covers() against
-        that topic's group and the general group, not the whole bucket."""
+    def test_probe_visits_only_the_named_groups(self):
+        """One pinned topic out of many: a probe examines that topic's group
+        and the general group, not the whole bucket."""
         from repro.pubsub.routing import _ForwardedFilterIndex
 
         index = _ForwardedFilterIndex()
@@ -599,11 +602,150 @@ class TestWitnessAndPinStructures:
                 index.set_contribution(f"s{topic}-{band}", "L", [filter])
         unpinned = Filter([Range("topic", 0, 1), Range("value", 0, 1)])
         index.set_contribution("general", "L", [unpinned])
-        probes = []
-        original = Filter.covers
-        monkeypatch.setattr(Filter, "covers", lambda g, f: probes.append(g) or original(g, f))
-        assert not index.covered("L", Filter([Equals("topic", 7), Range("value", 100, 101)]))
-        assert len(probes) == 6
+        with counting_candidates() as examined:
+            assert not index.covered("L", Filter([Equals("topic", 7), Range("value", 100, 101)]))
+        assert examined.count == 6
+
+
+def _advertised(index, link, filters):
+    """Advertise each of ``filters`` over ``link`` as a subscription of its own."""
+    for serial, filter in enumerate(filters):
+        index.set_contribution(f"s{serial}", link, [filter])
+
+
+def scanned_witness(state, filter):
+    """What ``Filter.covers`` alone answers, scanning the candidates in the
+    index's probe order: the identically keyed filter, else the first
+    covering member of the probed groups, else ``None``."""
+    from repro.pubsub.routing import _probe_groups
+
+    if filter.key() in state.key_count:
+        return filter.key()
+    pins = _probe_groups(filter)
+    for bucket_attrs, groups in state.by_attrs.items():
+        if bucket_attrs <= filter.attribute_set:
+            probed = groups.values() if pins is None else [groups[p] for p in pins if p in groups]
+            for group in probed:
+                for *_bounds, candidate in group:
+                    if candidate.covers(filter):
+                        return candidate.key()
+    return None
+
+
+#: pin values: 1, 1.0 and True are three spellings of one value
+_PIN_VALUES = st.sampled_from([1, 1.0, True, 2])
+#: range bounds: equal bounds and infinities included, and the pin values
+_RANGE_BOUNDS = st.sampled_from([-math.inf, 0, 1, 1.0, True, 2, 5, math.inf])
+#: a pin and a range mostly on two attributes, sometimes on one
+_PIN_ATTRIBUTES = st.sampled_from(["topic", "topic", "value"])
+_RANGE_ATTRIBUTES = st.sampled_from(["value", "value", "topic"])
+_THIRD = st.sampled_from([None] * 6 + [Equals("x", 1), Range("x", 0, 5), Range("value", 0, 5)])
+
+
+@st.composite
+def _lattice_filters(draw):
+    """A pin, a range, both or neither, and an optional third constraint.
+
+    Drawn mostly range-shaped: a pin and a closed range on another
+    attribute, or a closed range alone.  The range may sit on the pin's own
+    attribute, where it can cover the pin itself, and may be half-open.  A
+    value is drawn in several spellings, and ``respelt`` sometimes spells a
+    whole filter anew, reordered with a repeated constraint."""
+    constraints = []
+    pin = draw(st.sampled_from(["eq", "in", None]))
+    if pin == "eq":
+        constraints.append(Equals(draw(_PIN_ATTRIBUTES), draw(_PIN_VALUES)))
+    elif pin == "in":
+        constraints.append(InSet(draw(_PIN_ATTRIBUTES), [draw(_PIN_VALUES)]))
+    if draw(st.sampled_from([True, True, True, False])):
+        constraints.append(draw(_ranges(draw(_RANGE_ATTRIBUTES))))
+    third = draw(_THIRD)
+    if third is not None:
+        constraints.append(third)
+    filter = Filter(constraints)
+    return respelt(filter) if constraints and draw(st.sampled_from([1, 2, 3, 4])) == 1 else filter
+
+
+@st.composite
+def _ranges(draw, attribute):
+    """A range on ``attribute``, mostly closed."""
+    low, high = sorted((draw(_RANGE_BOUNDS), draw(_RANGE_BOUNDS)))
+    closed = draw(st.sampled_from([True, True, True, False]))
+    include_low, include_high = (True, True) if closed else (draw(st.booleans()), False)
+    return Range(attribute, low, high, include_low, include_high)
+
+
+@st.composite
+def _probes_and_adverts(draw):
+    """A probe, and advertised filters drawn near it: the probe with its
+    ranges redrawn (its bucket and pin group, other bounds), or a lone range
+    on one of its attributes (a smaller bucket, perhaps over its pin)."""
+    probe = draw(_lattice_filters())
+    attributes = sorted(probe.attribute_set)
+    advertised = []
+    for _ in range(draw(st.integers(1, 8))):
+        near = draw(st.sampled_from(["redrawn", "redrawn", "lone", "any"]))
+        if near == "redrawn":
+            redrawn = (
+                draw(_ranges(c.attribute)) if isinstance(c, Range) else c for c in probe.constraints
+            )
+            advertised.append(Filter(redrawn))
+        elif near == "lone" and attributes:
+            advertised.append(Filter([draw(_ranges(draw(st.sampled_from(attributes))))]))
+        else:
+            advertised.append(draw(_lattice_filters()))
+    return probe, advertised
+
+
+class TestBoundDecidedCandidates:
+    """A range-shaped candidate in the probed filter's own bucket is decided
+    by its bounds, every other one by ``Filter.covers``: the answers, and the
+    witness a probe records, are the ones ``covers`` alone gives."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(drawn=_probes_and_adverts())
+    def test_answer_and_witness_equal_the_covers_scan(self, drawn):
+        from repro.pubsub.routing import _ForwardedFilterIndex
+
+        probe, advertised = drawn
+        index = _ForwardedFilterIndex()
+        _advertised(index, "L", advertised)
+        state = index._links["L"]
+        expected = scanned_witness(state, probe)
+        assert index.covered("L", probe) == (expected is not None)
+        assert state.witness.get(probe.key()) == expected
+        assert (expected is not None) == any(g.covers(probe) for g in advertised)
+
+    def test_a_bound_decided_candidate_calls_no_covers(self, monkeypatch):
+        from repro.pubsub.routing import _ForwardedFilterIndex
+
+        pinned, unpinned = _ForwardedFilterIndex(), _ForwardedFilterIndex()
+        _advertised(
+            pinned,
+            "L",
+            [
+                Filter([Equals("topic", "t"), Range("value", 0, 10)]),
+                Filter([InSet("topic", ["t"]), Range("value", 20, 30)]),
+            ],
+        )
+        _advertised(unpinned, "L", [Filter([Range("value", 40, 50)])])
+
+        def refused(g, f):
+            raise AssertionError(f"covers({g}, {f}) called")
+
+        monkeypatch.setattr(Filter, "covers", refused)
+        assert pinned.covered("L", Filter([Equals("topic", "t"), Range("value", 20, 25)]))
+        assert not pinned.covered("L", Filter([InSet("topic", ["t"]), Range("value", 5, 15)]))
+        assert unpinned.covered("L", Filter([Range("value", 45, 50)]))
+        assert not unpinned.covered("L", Filter([Range("value", 40, math.inf)]))
+        # a range on the pin's attribute, a half-open range, a smaller bucket: covers() decides
+        for index, probe in (
+            (unpinned, Filter([Equals("value", 45), Range("value", 0, 100)])),
+            (pinned, Filter([Equals("topic", "t"), Range("value", 22, 25, include_high=False)])),
+            (unpinned, Filter([Equals("topic", "t"), Range("value", 45, 50)])),
+        ):
+            with pytest.raises(AssertionError, match="called"):
+                index.covered("L", probe)
 
 
 class TestStaleUnsubscribe:

@@ -1,10 +1,11 @@
 """The work of one unsubscription must not grow with the routing table.
 
 Counts, not clocks: the number of ``needs_forwarding`` evaluations and
-``covers`` probes one ``handle_unsubscribe`` triggers is measured at 400 and
-at 2 000 live subscriptions *at constant covering density* — the number of
-topics grows with the number of subscriptions, so the (subscription, link)
-pairs one unsubscription can affect stay the same.  Before the witness
+covering candidates examined (``covers`` calls plus the candidates a probe
+decides by their bounds) one ``handle_unsubscribe`` triggers is measured at
+400 and at 2 000 live subscriptions *at constant covering density* — the
+number of topics grows with the number of subscriptions, so the
+(subscription, link) pairs one unsubscription can affect stay the same.  Before the witness
 record, every suppressed pair on the link was re-probed against its whole
 attribute bucket on every unsubscription: five times the subscriptions meant
 five times the pairs, each scanning a bucket five times as large.
@@ -15,6 +16,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from helpers import counting_candidates
 
 from repro.pubsub.filters import Equals, Filter, Range
 from repro.pubsub.routing import make_strategy
@@ -33,7 +35,7 @@ def band_filter(rng: random.Random, topics: int) -> Filter:
 
 
 def churn_work(strategy_name: str, live: int, seed: int = 7):
-    """Mean ``(needs_forwarding calls, covers probes, table walks)`` per unsubscription."""
+    """Mean ``(needs_forwarding calls, candidates examined, table walks)`` per unsubscription."""
     rng = random.Random(seed)
     topics = live // PER_TOPIC
     broker = RecordingBroker(["N1", "N2"])
@@ -54,7 +56,7 @@ def churn_work(strategy_name: str, live: int, seed: int = 7):
         retire()
         admit(serial)
 
-    calls = {"needs_forwarding": 0, "covers": 0, "walks": 0}
+    calls = {"needs_forwarding": 0, "candidates": 0, "walks": 0}
     unsubscribing = False
 
     def counted(name, function):
@@ -67,16 +69,14 @@ def churn_work(strategy_name: str, live: int, seed: int = 7):
     table = broker.routing_table
     strategy.needs_forwarding = counted("needs_forwarding", strategy.needs_forwarding)
     table.subscription_ids = counted("walks", table.subscription_ids)
-    covers = Filter.covers
-    Filter.covers = counted("covers", covers)  # every probe, whoever makes it
-    try:
+    with counting_candidates() as examined:  # every candidate, whoever examines it
         for serial in range(live + 20, live + 20 + CHURN):
             unsubscribing = True
+            before = examined.count
             retire()
+            calls["candidates"] += examined.count - before
             unsubscribing = False
             admit(serial)
-    finally:
-        Filter.covers = covers
     return {name: count / CHURN for name, count in calls.items()}
 
 
@@ -85,11 +85,11 @@ def test_unsubscribe_work_is_independent_of_table_size(strategy):
     small = churn_work(strategy, 400)
     large = churn_work(strategy, 2000)
     assert large["walks"] == small["walks"] == 0
-    for name in ("needs_forwarding", "covers"):
+    for name in ("needs_forwarding", "candidates"):
         assert large[name] <= 2 * small[name] + 0.5, (name, small, large)
     if strategy == "covering":
         # the test has teeth only if unsubscriptions do uncover something
-        assert small["needs_forwarding"] > 0.2 and small["covers"] > 0.2
+        assert small["needs_forwarding"] > 0.2 and small["candidates"] > 0.2
 
 
 def test_simple_routing_unsubscribe_touches_nothing():
@@ -97,7 +97,7 @@ def test_simple_routing_unsubscribe_touches_nothing():
     decision is re-evaluated and the table is not walked."""
     for live in (400, 2000):
         work = churn_work("simple", live)
-        assert work == {"needs_forwarding": 0, "covers": 0, "walks": 0}
+        assert work == {"needs_forwarding": 0, "candidates": 0, "walks": 0}
 
 
 def test_first_readvertisement_over_a_link_examines_the_table_once():

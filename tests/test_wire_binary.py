@@ -1282,6 +1282,17 @@ class TestHostileBytesOnALiveLink:
         body = _hostile_hot_body()
         self._from_the_far_end(frame(body), WireError, "truncated binary string")
 
+    def test_a_range_bound_that_is_no_number_aborts_only_its_connection(self):
+        # no sender builds such a range: its bounds are set past the constructor
+        bad = Range("v", 0, 10)
+        bad.low, bad.high = "a", "b"
+        body = encode_message_binary(
+            Message("subscribe", Subscription("s1", Filter([bad]), "c1"))
+        )
+        with pytest.raises(WireError, match="non-numeric bound"):
+            decode_message_binary(body)
+        self._from_the_far_end(frame(body), WireError, "non-numeric bound")
+
     @settings(max_examples=25, deadline=None, derandomize=True)
     @given(
         hostile=st.one_of(
