@@ -377,12 +377,14 @@ class WallClock(Simulator):
 
 
 class _ExactEpollSelector(selectors.EpollSelector):
-    """An epoll selector whose timed waits end when they are due.
+    """An epoll selector whose timed waits are not rounded up to a millisecond.
 
     The stock one rounds a positive timeout *up* to a whole millisecond (a
     timer due in 0.3 ms fires after 1 ms).  ``select()`` takes microseconds
     and an epoll fd is readable exactly when it has events: wait on the epoll
     fd (I/O still ends the wait at once), then collect without blocking.
+    The kernel still wakes a timed wait some 70-150 us late;
+    :meth:`SocketNode._step` sleeps short of a timer and polls the rest.
     """
 
     def select(self, timeout: Optional[float] = None):
@@ -721,9 +723,11 @@ class _Connection:
 class SocketNode:
     """One process's socket runtime; every socket backend is an instance of it.
 
-    A node owns a selector whose timed waits end when due, a
-    :class:`WallClock`, four wire instruments, a memo of the link bodies it
-    decoded or framed, and the one path a link's frames take: out through
+    A node owns a selector whose timed waits are not rounded to the
+    millisecond, a :class:`WallClock` whose events fire when due (a wait for
+    one sleeps to :attr:`WAKE_MARGIN` short of it and polls the rest), four
+    wire instruments, a memo of the link bodies it decoded or framed, and
+    the one path a link's frames take: out through
     :meth:`_send_frame` (written when the callback that sent them ends, or
     at the next step after a send from outside one), in through the
     :class:`_Connection` at either end of every socket it holds.  It is
@@ -740,6 +744,11 @@ class SocketNode:
     #: holds more than one socket write's worth of frames (individual frames
     #: are still bounded by ``wire.MAX_FRAME_SIZE``)
     FLUSH_CAP = 64 * 1024
+
+    #: how long before a clock event a wait stops sleeping and starts
+    #: polling: a timed sleep wakes 70-150 us late on Linux, and the event
+    #: is due to fire on time
+    WAKE_MARGIN = 0.0002
 
     #: cap on each blocking step of opening a connection (a connect, the
     #: accept that pairs an in-process link), which runs on the node's
@@ -886,20 +895,28 @@ class SocketNode:
 
     # ----------------------------------------------------------------- driving
     def _step(self, deadline: Optional[float] = None) -> None:
-        """One turn: write what was sent from outside a callback, select until
-        the next due time or ``deadline`` (not at all when something is due
-        or lost), dispatch every readiness, fire all that is due by now, and
-        lose the connections that closed."""
+        """One turn: write what was sent from outside a callback, wait for
+        I/O, dispatch every readiness, fire all that is due by now, and lose
+        the connections that closed.
+
+        The wait does not block when something is lost.  When it ends at
+        ``deadline`` (or at nothing) it is one select.  When it ends at the
+        clock's next event, it sleeps to :attr:`WAKE_MARGIN` short of it and
+        polls from there, so the event fires when due and what arrives
+        meanwhile is served at once.
+        """
         self._flush_dirty()
-        clock = self._clock
-        until = clock.next_due
-        if until is None or (deadline is not None and deadline < until):
-            until = deadline
+        clock, select = self._clock, self._selector.select
+        due = clock.next_due
         if self._losses:
-            timeout = 0.0
+            events = select(0.0)
+        elif due is None or (deadline is not None and deadline < due):
+            events = select(None if deadline is None else max(0.0, deadline - clock.now))
         else:
-            timeout = None if until is None else max(0.0, until - clock.now)
-        for key, mask in self._selector.select(timeout):
+            events = select(max(0.0, due - self.WAKE_MARGIN - clock.now))
+            while not events and clock.now < due:
+                events = select(0.0)
+        for key, mask in events:
             self._run_callback(key.data, mask)
         clock.fire_due(self._run_callback)
         while self._losses:

@@ -1,8 +1,9 @@
 """``benchmarks/compare.py``, the regression gate CI runs on ``BENCH_*.json``.
 
 Each case writes a synthetic baseline and candidate and checks the exit
-status: 1 for a regression, 0 for an improvement or a change within the
-threshold, 2 when the files share no record.  A comparison of a file with
+status: 1 for a regression or for a record or metric the candidate lost, 0
+for an improvement, a change within the threshold or an added record, 2 when
+the files share no record.  A comparison of a file with
 itself passes whatever the tool does, so these pairs are what show it can
 fail.
 """
@@ -23,10 +24,10 @@ compare = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare)
 
 
-def bench_file(path: Path, metrics, sweep="churn", config=None) -> str:
-    """A ``BENCH_*.json`` holding one record with ``metrics``."""
+def bench_file(path: Path, metrics, sweep="churn", config=None, more=(), **header) -> str:
+    """A ``BENCH_*.json`` holding one record with ``metrics``, then the ``more`` records."""
     record = {"sweep": sweep, "config": config or {"links": 4}, "metrics": metrics}
-    path.write_text(json.dumps({"benchmark": "synthetic", "results": [record]}))
+    path.write_text(json.dumps({"benchmark": "synthetic", **header, "results": [record, *more]}))
     return str(path)
 
 
@@ -84,3 +85,43 @@ def test_the_script_exits_with_the_status(tmp_path):
     new = bench_file(tmp_path / "new.json", {"op_us": 20.0})
     result = subprocess.run([sys.executable, str(SCRIPT), old, new], capture_output=True, text=True)
     assert result.returncode == 1 and "REGRESSED" in result.stdout
+
+
+SECOND = {"sweep": "churn", "config": {"links": 8}, "metrics": {"deliveries_count": 40}}
+
+
+@pytest.mark.parametrize(
+    "old_mode, new_mode", [(None, None), ("full", "full"), ("fast", "fast"), ("fast", "full")]
+)
+def test_a_record_the_candidate_lost_exits_1_and_is_named(tmp_path, capsys, old_mode, new_mode):
+    old = bench_file(tmp_path / "old.json", {"op_us": 1.0}, more=[SECOND], mode=old_mode)
+    new = bench_file(tmp_path / "new.json", {"op_us": 1.0}, mode=new_mode)
+    assert compare.main([old, new]) == 1
+    assert compare.main(["--threshold", "10", old, new]) == 1
+    assert "MISSING  : record churn[links=8]" in capsys.readouterr().out
+
+
+def test_a_fast_sweep_need_not_hold_the_full_baselines_other_records(tmp_path, capsys):
+    """CI compares ``--fast`` runs with full-sweep baselines: the records the
+    fast sweep does not run are listed, but a metric it lost still fails."""
+    old = bench_file(tmp_path / "old.json", {"x_count": 3}, more=[SECOND], mode="full")
+    new = bench_file(tmp_path / "new.json", {"x_count": 3}, mode="fast")
+    assert compare.main([old, new]) == 0
+    assert "not run  : record churn[links=8]" in capsys.readouterr().out
+    new = bench_file(tmp_path / "new.json", {}, mode="fast")
+    assert compare.main([old, new]) == 1
+
+
+@pytest.mark.parametrize("metric", ["deliveries_count", "op_us"])
+def test_a_metric_the_candidate_lost_exits_1_and_is_named(tmp_path, capsys, metric):
+    old = {"deliveries_count": 7, "op_us": 1.0}
+    new = {name: value for name, value in old.items() if name != metric}
+    assert exit_code(tmp_path, old, new) == 1
+    assert exit_code(tmp_path, old, {**new, metric: None}) == 1
+    assert f"MISSING  : metric churn[links=4] {metric}" in capsys.readouterr().out
+
+
+def test_a_candidate_that_only_adds_records_and_metrics_exits_0(tmp_path):
+    old = bench_file(tmp_path / "old.json", {"deliveries_count": 7})
+    new = bench_file(tmp_path / "new.json", {"deliveries_count": 7, "op_us": 1.0}, more=[SECOND])
+    assert compare.main([old, new]) == 0
