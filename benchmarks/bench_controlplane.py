@@ -2,7 +2,7 @@
 
 One sweep, ``controlplane_overhead``, self-gating (the benchmark exits
 non-zero when its own acceptance criterion fails, independent of
-``compare.py``): the headline ``bench_transport`` line workload on the
+``compare.py``): the shared line workload (``run_line_workload``) on the
 asyncio backend, once with live metrics on (the default) and once with
 ``metrics=False`` (the registry hands out shared no-op instruments).  The
 two arms run interleaved and the gated statistic is the *minimum of

@@ -14,8 +14,8 @@ the records it did not run are listed, not failed.  Records only the
 candidate holds are fine.  Exit status 1 signals at least one regression (2:
 the files share no record at all), making this usable as a CI gate::
 
-    PYTHONPATH=src python benchmarks/bench_routing_scale.py -o new.json
-    python benchmarks/compare.py BENCH_routing.json new.json
+    PYTHONPATH=src python benchmarks/bench_cluster.py --fast -o new.json
+    python benchmarks/compare.py --threshold 0.5 BENCH_cluster.json new.json
 """
 
 from __future__ import annotations

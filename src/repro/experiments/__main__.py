@@ -1,4 +1,4 @@
-"""Run every experiment and print its result table.
+"""``python -m repro.experiments [E1 E4 ...]`` is ``repro experiments``.
 
 Usage::
 
@@ -10,21 +10,11 @@ from __future__ import annotations
 
 import sys
 
-from . import EXPERIMENTS
+from ..cli import main as cli_main
 
 
 def main(argv: list[str]) -> int:
-    requested = [arg.upper() for arg in argv] or list(EXPERIMENTS.keys())
-    unknown = [exp for exp in requested if exp not in EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiments: {unknown}; available: {list(EXPERIMENTS)}")
-        return 2
-    for experiment_id in requested:
-        title, run = EXPERIMENTS[experiment_id]
-        print(f"\n=== {experiment_id}: {title} ===\n")
-        table = run()
-        print(table.formatted())
-    return 0
+    return cli_main(["experiments", *argv])
 
 
 if __name__ == "__main__":

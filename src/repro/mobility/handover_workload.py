@@ -9,9 +9,9 @@ the deterministic simulator and the asyncio socket backend, and the delivered
 starts, so the only thing allowed to differ between backends is the physical
 interleaving of traffic, never the outcome.
 
-The same workload is the substance of ``repro demo handover`` and of
-``benchmarks/bench_mobility_transport.py``, which records handover latency
-and delivery counts per backend.
+The same workload is the substance of ``repro demo handover`` and of the
+cost ledger's ``handover_tcp`` workload; its delivery and protocol counts
+are pinned in ``tests/test_mobility_transport.py``.
 
 Scenario shape (``brokers`` = N, locations ``l1..lN`` on a broker line with
 chain adjacency, so the NLB movement graph is the line itself):
@@ -54,8 +54,8 @@ class WorkloadSpec:
     commuter, deterministic walk order, no churn, no spikes — and with
     ``seed=None`` the RNG is *never constructed*, so the default spec is
     byte-identical to the historical fixed workload (its pinned delivery
-    multisets are regression-locked by the mobility tests and
-    ``BENCH_mobility``).  A non-``None`` seed turns every knob into a draw:
+    multisets and protocol counts are regression-locked by the mobility
+    tests).  A non-``None`` seed turns every knob into a draw:
     walk order becomes a random walk over the location adjacency (randomized
     handover interleavings), extra walkers/commuters roam concurrently,
     ``churn_rate`` toggles the walkers' location-independent ``alerts``

@@ -62,35 +62,13 @@ class _DirectedEndpoint(LinkEndpoint):
         sim.push_delivery(arrival, self.target, message)
 
 
-class Link:
-    """A bidirectional point-to-point FIFO link between two processes.
+class LinkSurface:
+    """What a link whose two ends both live in this process offers its users.
 
-    Parameters
-    ----------
-    sim:
-        The simulator carrying delivery events.
-    a, b:
-        The two endpoint processes.  Both get an endpoint attached under the
-        other's name, so ``a.send(b.name, msg)`` works immediately.
-    latency:
-        One-way delivery latency in simulated seconds.
-
-    A message already in flight when the link goes down is still delivered
-    (it models a buffered TCP segment); only a send on a down link drops.
+    A subclass sets the end processes ``a`` and ``b``, ``up``, and the two
+    directed endpoints ``_a_to_b`` and ``_b_to_a``, each with its
+    :class:`LinkStats`; it transmits on its own.
     """
-
-    def __init__(self, sim: Simulator, a: Process, b: Process, latency: float = 0.001):
-        if not 0 <= latency < math.inf:  # a NaN fails both comparisons
-            raise ValueError(f"latency must be finite and non-negative, not {latency!r}")
-        self.sim = sim
-        self.a = a
-        self.b = b
-        self.latency = latency
-        self.up = True
-        self._a_to_b = _DirectedEndpoint(self, a, b)
-        self._b_to_a = _DirectedEndpoint(self, b, a)
-        a.attach_link(b.name, self._a_to_b)
-        b.attach_link(a.name, self._b_to_a)
 
     # ------------------------------------------------------------------ state
     def set_up(self, up: bool) -> None:
@@ -124,6 +102,37 @@ class Link:
 
     def messages_of_kind(self, kind: str) -> int:
         return self._a_to_b.stats.by_kind.get(kind, 0) + self._b_to_a.stats.by_kind.get(kind, 0)
+
+
+class Link(LinkSurface):
+    """A bidirectional point-to-point FIFO link between two processes.
+
+    Parameters
+    ----------
+    sim:
+        The simulator carrying delivery events.
+    a, b:
+        The two endpoint processes.  Both get an endpoint attached under the
+        other's name, so ``a.send(b.name, msg)`` works immediately.
+    latency:
+        One-way delivery latency in simulated seconds.
+
+    A message already in flight when the link goes down is still delivered
+    (it models a buffered TCP segment); only a send on a down link drops.
+    """
+
+    def __init__(self, sim: Simulator, a: Process, b: Process, latency: float = 0.001):
+        if not 0 <= latency < math.inf:  # a NaN fails both comparisons
+            raise ValueError(f"latency must be finite and non-negative, not {latency!r}")
+        self.sim = sim
+        self.a = a
+        self.b = b
+        self.latency = latency
+        self.up = True
+        self._a_to_b = _DirectedEndpoint(self, a, b)
+        self._b_to_a = _DirectedEndpoint(self, b, a)
+        a.attach_link(b.name, self._a_to_b)
+        b.attach_link(a.name, self._b_to_a)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "up" if self.up else "down"

@@ -73,7 +73,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..obs.metrics import MetricsRegistry
 from . import wire
-from .link import Link, LinkStats
+from .link import Link, LinkStats, LinkSurface
 from .process import LinkEndpoint, Message, Process, _message_ids
 from .simulator import EventHandle, SimulationError, Simulator
 
@@ -1014,14 +1014,14 @@ class _AsyncioDirectedEndpoint(SocketEndpoint):
         self.undelivered = 0
 
 
-class AsyncioLink:
+class AsyncioLink(LinkSurface):
     """A bidirectional link carried by one duplex localhost TCP connection.
 
     The transport pairs the connection's two sockets, one for ``a`` and one
     for ``b``; each end writes its direction on the socket it reads the other
-    on.  Mirrors the :class:`~repro.net.link.Link` surface.  A frame is
-    delivered when it arrives: the wire sets the time, so the link applies
-    no latency of its own.
+    on.  A frame is delivered when it arrives: the wire sets the time, so the
+    link applies no latency of its own.  ``disconnect`` tears the link down
+    logically; the TCP connection stays for ``reconnect``.
     """
 
     #: simulated seconds this link adds (none: see ``Transport.make_link``)
@@ -1034,36 +1034,6 @@ class AsyncioLink:
         self.up = True
         self._a_to_b = _AsyncioDirectedEndpoint(self, a, b)
         self._b_to_a = _AsyncioDirectedEndpoint(self, b, a)
-
-    # ------------------------------------------------------------------ state
-    def set_up(self, up: bool) -> None:
-        self.up = up
-
-    def disconnect(self) -> None:
-        """Tear the link down logically; the TCP connection stays for ``reconnect``."""
-        self.up = False
-        self.a.detach_link(self.b.name)
-        self.b.detach_link(self.a.name)
-
-    def reconnect(self) -> None:
-        self.up = True
-        self.a.attach_link(self.b.name, self._a_to_b)
-        self.b.attach_link(self.a.name, self._b_to_a)
-
-    # ------------------------------------------------------------------ stats
-    @property
-    def stats_a_to_b(self) -> LinkStats:
-        return self._a_to_b.stats
-
-    @property
-    def stats_b_to_a(self) -> LinkStats:
-        return self._b_to_a.stats
-
-    def total_messages(self) -> int:
-        return self._a_to_b.stats.messages + self._b_to_a.stats.messages
-
-    def messages_of_kind(self, kind: str) -> int:
-        return self._a_to_b.stats.by_kind.get(kind, 0) + self._b_to_a.stats.by_kind.get(kind, 0)
 
     def _close_writers(self) -> None:
         """The hard kill: both ends stop reading at once (see ``close_dynamic_link``)."""

@@ -19,9 +19,9 @@
   (``tests/test_interval_index.py``).
 * :func:`run_line_workload` — the canonical transport-backend workload (a
   line of brokers, one progressively-narrower subscriber per broker, one
-  publisher, delivery verification); shared by the ``repro demo line`` CLI
-  and ``benchmarks/bench_transport.py`` so the demo and the benchmark's
-  integration gate can never diverge.
+  publisher, delivery verification); shared by the ``repro demo line`` CLI,
+  the control-plane benchmark and the backend tests, so the demo and every
+  check that runs it can never diverge.
 """
 
 from __future__ import annotations

@@ -1,14 +1,21 @@
 """Tests for the CLI and the markdown report generator."""
 
 import argparse
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import EXPERIMENTS, e13_replicator_ablation
+from repro.experiments.__main__ import main as experiments_main
 from repro.experiments.report import QUICK_OVERRIDES, render_markdown, run_experiments
 from repro.mobility import handover_workload
 from repro.pubsub import chaosgen
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestReport:
@@ -119,6 +126,24 @@ class TestCli:
 
     def test_experiments_command_rejects_unknown(self, capsys):
         assert main(["experiments", "E99"]) == 2
+
+    def test_the_module_entry_point_is_the_experiments_command(self, capsys):
+        assert experiments_main(["e7"]) == 0
+        via_module = capsys.readouterr()
+        assert main(["experiments", "E7"]) == 0
+        assert capsys.readouterr() == via_module
+        assert "=== E7: " in via_module.out
+
+    def test_the_module_entry_point_rejects_unknown_with_exit_2(self):
+        path = str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-m", "repro.experiments", "E99"],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+        )
+        assert done.returncode == 2
+        assert "unknown experiments: ['E99']" in done.stderr
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 0

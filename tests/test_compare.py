@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,3 +126,14 @@ def test_a_candidate_that_only_adds_records_and_metrics_exits_0(tmp_path):
     old = bench_file(tmp_path / "old.json", {"deliveries_count": 7})
     new = bench_file(tmp_path / "new.json", {"deliveries_count": 7, "op_us": 1.0}, more=[SECOND])
     assert compare.main([old, new]) == 0
+
+
+def test_every_committed_baseline_is_read_by_a_ci_gate():
+    """A committed ``BENCH_*.json`` that no ``compare.py`` step reads gates
+    nothing, and a step whose baseline is not committed cannot run."""
+    root = SCRIPT.parents[1]
+    # BENCH_*_ci.json are run outputs git ignores
+    committed = {path.name for path in root.glob("BENCH_*.json") if not path.stem.endswith("_ci")}
+    workflow = (root / ".github" / "workflows" / "ci.yml").read_text()
+    gate = r"benchmarks/compare\.py (?:--threshold \S+ )?(BENCH_\w+\.json) "
+    assert committed == set(re.findall(gate, workflow))

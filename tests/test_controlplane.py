@@ -447,7 +447,9 @@ def test_metrics_snapshot_counters_agree_across_backends():
     workload = dict(brokers=3, notifications=30)
     sim = _broker_counters("sim", **workload)
     assert sim["B1"]["broker.matches"] == 30
-    assert sim["B1"]["broker.delivered_locally"] == 30
+    # each subscriber receives what its filter promises (no mismatches), and
+    # the progressive thresholds promise 30 + 20 + 10 on every backend
+    assert [sim[b]["broker.delivered_locally"] for b in ("B1", "B2", "B3")] == [30, 20, 10]
     assert sim["B3"]["broker.forwards"] == 0
     assert _broker_counters("asyncio", **workload) == sim
     assert _broker_counters("cluster", **workload) == sim

@@ -57,8 +57,11 @@ def test_kill9_and_restart_converge_to_sim_baseline():
     baseline = _judged(STORYLINE, "sim")
     chaotic = _judged(STORYLINE, "cluster")
     assert chaotic.delivered == baseline.delivered
+    assert sum(len(ids) for ids in baseline.delivered.values()) == 77
+    assert chaotic.published == baseline.published == 86
     assert chaotic.lost == baseline.lost == 12
     assert chaotic.replayed == baseline.replayed == 12
+    assert chaotic.events_applied == baseline.events_applied == 5
     # every fault primitive fired exactly once, and B2's two clients re-attached
     assert chaotic.recovery == {
         "kills": 1,

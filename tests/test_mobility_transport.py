@@ -49,10 +49,22 @@ class TestHandoverCrossCheck:
         )
         # both backends agree on the protocol-level counters too (every phase
         # is quiesced, so these are deterministic, not just the deliveries)
-        candidate = results["asyncio"]
-        assert candidate.handovers == reference.handovers
-        assert candidate.exception_activations == reference.exception_activations
-        assert candidate.control_messages == reference.control_messages
+        # and pinned, so that a change both substrates make alike shows too:
+        # (published, delivered, live, replayed, handovers, shadows created,
+        # exception activations, control messages)
+        for backend in ("sim", "asyncio"):
+            result = results[backend]
+            counts = (
+                result.published,
+                result.delivered_total(),
+                sum(outcome.live for outcome in result.clients),
+                sum(outcome.replayed for outcome in result.clients),
+                result.handovers,
+                result.shadows_created,
+                result.exception_activations,
+                result.control_messages,
+            )
+            assert counts == (65, 61, 40, 21, 5, 5, 1, 18), backend
 
     def test_cross_check_holds_without_prediction(self):
         """The reactive baseline (no shadows) must also be substrate-invariant."""
